@@ -84,6 +84,18 @@ echo "$chaos_out" | grep -q '^breaker leaks: 0$' \
     || { echo "chaos smoke: breaker leaked out of the run"; exit 1; }
 echo "    ok (hedges fired, no breaker leaks)"
 
+# Chaos soak loop: the soak's flap witness once depended on who won a
+# hedge race (red on 2-core hosts). 10 runs per backend, 20/20 must pass,
+# so a scheduling-dependent assertion cannot silently come back.
+echo "==> chaos soak loop (10x memory, 10x socket)"
+for backend in memory socket; do
+    for i in $(seq 1 10); do
+        FEDRA_TRANSPORT=$backend cargo test -q --release --test chaos >/dev/null 2>&1 \
+            || { echo "chaos soak loop: run $i failed on the $backend backend"; exit 1; }
+    done
+done
+echo "    ok (20/20)"
+
 # Socket smoke: the same federation served two ways. Three fedra-silo
 # processes host the exported partitions over Unix-domain sockets, and
 # the remote run's ANSWER lines — aggregate values AND comm-byte

@@ -2,16 +2,12 @@
 //! latency of the six algorithms on a standing federation, plus the wire
 //! codec throughput.
 
-// Pinned to the legacy `CachedAlgorithm` alias on purpose: the bench
-// doubles as a compile check that the deprecated API still works.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fedra_core::{
-    AccuracyParams, AdaptivePlanner, CachedAlgorithm, Exact, ExactSequential, FraAlgorithm,
-    FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlannerPolicy,
+    AccuracyParams, AdaptivePlanner, AnswerCache, Exact, ExactSequential, FraAlgorithm, FraQuery,
+    IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlannerPolicy,
 };
 use fedra_federation::wire::Wire;
 use fedra_federation::{FederationBuilder, Request};
@@ -66,7 +62,7 @@ fn bench_algorithms(c: &mut Criterion) {
         });
     }
     // The cached wrapper on a hot-station loop (repetition-heavy).
-    let cached = CachedAlgorithm::with_defaults(NonIidEst::new(15));
+    let cached = AnswerCache::with_defaults(NonIidEst::new(15));
     group.bench_function("NonIID-est cached (hot)", |b| {
         let mut i = 0usize;
         b.iter(|| {

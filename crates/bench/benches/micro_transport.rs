@@ -76,9 +76,6 @@ fn bench_engine_paths(c: &mut Criterion) {
     group.bench_function("IID-est/coalesced", |b| {
         b.iter(|| black_box(engine.execute_batch(&fed, &queries).failures()))
     });
-    group.bench_function("IID-est/singleton", |b| {
-        b.iter(|| black_box(engine.execute_batch_singleton(&fed, &queries).failures()))
-    });
     let exact = Exact::new();
     let exact_engine = QueryEngine::per_silo(&exact, &fed);
     group.bench_function("EXACT/broadcast", |b| {
@@ -90,15 +87,10 @@ fn bench_engine_paths(c: &mut Criterion) {
     fed.reset_query_comm();
     engine.execute_batch(&fed, &queries);
     let coalesced = fed.query_comm();
-    fed.reset_query_comm();
-    engine.execute_batch_singleton(&fed, &queries);
-    let singleton = fed.query_comm();
     println!(
-        "engine_batch64_m4/comm: coalesced {} B / {} rounds vs singleton {} B / {} rounds",
+        "engine_batch64_m4/comm: coalesced {} B / {} rounds",
         coalesced.total_bytes(),
-        coalesced.rounds,
-        singleton.total_bytes(),
-        singleton.rounds
+        coalesced.rounds
     );
     let _ = exact.name();
 }

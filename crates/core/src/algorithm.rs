@@ -1,16 +1,18 @@
 //! The [`FraAlgorithm`] trait every query algorithm implements.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fedra_federation::transport::race_calls;
 use fedra_federation::{
-    Federation, HealthTransition, Poll, RaceWinner, Request, Response, SiloId, TransportError,
+    Federation, HealthTransition, PendingCall, Poll, RaceWinner, Request, Response, SiloId,
+    TransportError,
 };
 use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext, Span};
+use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
 use crate::helpers;
 use crate::query::{Coverage, FraError, FraQuery, QueryResult};
+use crate::run::{Action, Budget, End, Event, QueryRun};
 use crate::theory;
 
 /// Accuracy parameters `(ε, δ)` for the LSR-accelerated variants
@@ -49,7 +51,7 @@ impl AccuracyParams {
 
 /// The remote step a planning algorithm wants executed for one query.
 ///
-/// Produced by [`FraAlgorithm::plan`] when the query needs exactly one
+/// Produced by [`FraAlgorithm::plan_with`] when the query needs exactly one
 /// silo's answer (the single-silo sampling pattern of Algs. 2 and 3).
 #[derive(Debug, Clone)]
 pub struct RemotePlan {
@@ -60,7 +62,7 @@ pub struct RemotePlan {
     pub request: Request,
 }
 
-/// The outcome of planning one query ([`FraAlgorithm::plan`]).
+/// The outcome of planning one query ([`FraAlgorithm::plan_with`]).
 #[derive(Debug)]
 pub enum QueryPlan {
     /// The query resolved provider-side — no silo contact needed (or the
@@ -68,7 +70,7 @@ pub enum QueryPlan {
     Ready(Result<QueryResult, FraError>),
     /// One single-silo request remains; execute it (resampling down
     /// [`RemotePlan::order`] on failure) and hand the response to
-    /// [`FraAlgorithm::finish`].
+    /// [`FraAlgorithm::finish_with`].
     SingleSilo(RemotePlan),
 }
 
@@ -205,8 +207,8 @@ pub trait FraAlgorithm: Send + Sync {
         }
         let certain = helpers::grid_certain_fraction(federation, &query.range);
         if !policy.accepts(0, certain) {
-            // The trail is backfilled by drive_planned, which saw the
-            // per-candidate errors.
+            // The trail is backfilled by finish_run, which holds the
+            // run's per-candidate errors.
             return Err(FraError::AllSilosUnavailable { errors: vec![] });
         }
         Ok(result.with_coverage(Coverage {
@@ -267,87 +269,48 @@ pub(crate) fn note_coverage(obs: &ObsContext, result: &QueryResult) {
     }
 }
 
-/// Sequentially executes one query through an algorithm's plan/finish
-/// split: plan, call the sampled silo (resampling down the candidate
-/// order on failure), finish — recording the full lifecycle into `obs`.
-///
-/// This is the shared fallible core for every planning algorithm's
-/// [`FraAlgorithm::try_execute_with`], so the sequential path and the
-/// batched engine drive the *same* plan/finish code instead of each
-/// estimator duplicating its execution loop. Generic over `?Sized` so it
-/// also serves `dyn FraAlgorithm`.
-pub fn drive_planned<A: FraAlgorithm + ?Sized>(
+/// The one finish step every pump shares: turns the [`End`] of a run's
+/// walk into the query's result — `finish_with` on the winning reply
+/// (under a `finish` span on `trace`), or `finish_degraded` with the
+/// run's error trail backfilled — and records the sampled/degraded
+/// counters and the coverage metrics.
+pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
     query: &FraQuery,
+    end: End,
+    trace: &TraceHandle,
     obs: &ObsContext,
 ) -> Result<QueryResult, FraError> {
-    let trace = obs.start_trace("query", algorithm.name());
-    let plan = {
-        let _plan_span = Span::enter(&trace, "plan");
-        algorithm.plan_with(federation, query, obs)
-    };
-    let outcome = match plan {
-        QueryPlan::Ready(result) => {
-            obs.inc("fedra_plan_ready_total");
-            result
-        }
-        QueryPlan::SingleSilo(remote) => {
-            obs.inc("fedra_plan_remote_total");
-            let mut rounds = 0u64;
-            let mut answer = None;
-            let mut trail: Vec<(SiloId, TransportError)> = Vec::new();
-            {
-                let _remote_span = Span::enter(&trace, "remote");
-                let mut idx = 0usize;
-                while idx < remote.order.len() {
-                    let silo = remote.order[idx];
-                    // The breaker may have opened since the plan picked its
-                    // candidates — skip silos it refuses right now. This is
-                    // a may_call check, not allows(): a half-open silo is
-                    // the probe the plan already admitted, and refusing it
-                    // here would strand the breaker in HalfOpen.
-                    if !federation.health().may_call(silo) {
-                        obs.inc("fedra_breaker_skipped_total");
-                        idx += 1;
-                        continue;
-                    }
-                    let hedge = remote.order.get(idx + 1).copied();
-                    match attempt_silo(federation, &remote.request, silo, hedge, &mut rounds, obs) {
-                        Ok(won) => {
-                            answer = Some(won);
-                            break;
-                        }
-                        Err(e) => {
-                            obs.inc("fedra_resamples_total");
-                            trail.push((silo, e));
-                            idx += 1;
-                        }
-                    }
-                }
+    let outcome = match end {
+        End::Answer {
+            silo,
+            response,
+            rounds,
+        } => {
+            if obs.is_enabled() {
+                obs.inc(&labeled("fedra_sampled_silo_total", "silo", silo));
             }
-            match answer {
-                Some((silo, response)) => {
-                    if obs.is_enabled() {
-                        obs.inc(&labeled("fedra_sampled_silo_total", "silo", silo));
-                    }
-                    trace.attr("silo", silo);
-                    let _finish_span = Span::enter(&trace, "finish");
-                    algorithm.finish_with(federation, query, silo, response, rounds, obs)
+            trace.attr("silo", silo);
+            let _finish_span = Span::enter(trace, "finish");
+            algorithm.finish_with(federation, query, silo, response, rounds, obs)
+        }
+        End::Degrade { rounds, trail } => {
+            obs.inc("fedra_degraded_total");
+            match algorithm.finish_degraded(federation, query, rounds) {
+                // finish_degraded never saw the per-candidate errors —
+                // backfill the trail it stands for.
+                Err(FraError::AllSilosUnavailable { errors }) if errors.is_empty() => {
+                    Err(FraError::AllSilosUnavailable { errors: trail })
                 }
-                None => {
-                    obs.inc("fedra_degraded_total");
-                    match algorithm.finish_degraded(federation, query, rounds) {
-                        // finish_degraded never saw the per-candidate
-                        // errors — backfill the trail it stands for.
-                        Err(FraError::AllSilosUnavailable { errors }) if errors.is_empty() => {
-                            Err(FraError::AllSilosUnavailable { errors: trail })
-                        }
-                        other => other,
-                    }
-                }
+                other => other,
             }
         }
+        // Shedding names an admission class only the serving layer knows;
+        // the scheduler answers it before the finish step.
+        End::Shed => Err(FraError::Internal {
+            message: "a shed run reached the finish step".into(),
+        }),
     };
     if let Ok(result) = &outcome {
         trace.attr("rounds", result.rounds);
@@ -356,13 +319,63 @@ pub fn drive_planned<A: FraAlgorithm + ?Sized>(
         }
         note_coverage(obs, result);
     }
+    outcome
+}
+
+/// Sequentially executes one query through an algorithm's plan/finish
+/// split: plan, walk the candidate order, finish — recording the full
+/// lifecycle into `obs`.
+///
+/// This is the shared fallible core for every planning algorithm's
+/// [`FraAlgorithm::try_execute_with`]: the blocking one-query pump over
+/// the same `QueryRun` state machine the batched engine and the scheduler
+/// pump in rounds, so the three cannot drift. Generic over `?Sized` so it
+/// also serves `dyn FraAlgorithm`.
+pub fn drive_planned<A: FraAlgorithm + ?Sized>(
+    algorithm: &A,
+    federation: &Federation,
+    query: &FraQuery,
+    obs: &ObsContext,
+) -> Result<QueryResult, FraError> {
+    let trace = obs.start_trace("query", algorithm.name());
+    let outcome = match plan_counted(algorithm, federation, query, &trace, obs) {
+        QueryPlan::Ready(result) => result,
+        QueryPlan::SingleSilo(remote) => {
+            let policy = federation.call_policy();
+            let mut run =
+                QueryRun::new(remote, policy.retries, Budget::PerAttempt(policy.deadline));
+            let walked = {
+                let _remote_span = Span::enter(&trace, "remote");
+                pump_blocking(federation, &mut run, obs)
+            };
+            walked.and_then(|end| finish_run(algorithm, federation, query, end, &trace, obs))
+        }
+    };
     obs.finish_trace(&trace);
     outcome
 }
 
+/// Plans one query under a `plan` span on `trace`, counting whether it
+/// resolved provider-side or needs its remote walk pumped.
+pub(crate) fn plan_counted<A: FraAlgorithm + ?Sized>(
+    algorithm: &A,
+    federation: &Federation,
+    query: &FraQuery,
+    trace: &TraceHandle,
+    obs: &ObsContext,
+) -> QueryPlan {
+    let _plan_span = Span::enter(trace, "plan");
+    let plan = algorithm.plan_with(federation, query, obs);
+    obs.inc(match plan {
+        QueryPlan::Ready(_) => "fedra_plan_ready_total",
+        QueryPlan::SingleSilo(_) => "fedra_plan_remote_total",
+    });
+    plan
+}
+
 /// Surfaces a breaker transition as a labelled counter (no-op for
 /// [`HealthTransition::None`]).
-pub(crate) fn note_transition(obs: &ObsContext, transition: HealthTransition) {
+fn note_transition(obs: &ObsContext, transition: HealthTransition) {
     let to = match transition {
         HealthTransition::None => return,
         HealthTransition::Opened => "open",
@@ -372,9 +385,20 @@ pub(crate) fn note_transition(obs: &ObsContext, transition: HealthTransition) {
     obs.inc(&labeled("fedra_breaker_transitions_total", "to", to));
 }
 
+/// Records a call that answered after `latency` against the health
+/// tracker.
+pub(crate) fn record_success(
+    federation: &Federation,
+    obs: &ObsContext,
+    silo: SiloId,
+    latency: Duration,
+) {
+    note_transition(obs, federation.health().record_success(silo, latency));
+}
+
 /// Records a failed call against the health tracker and the deadline-miss
 /// counter.
-fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportError) {
+pub(crate) fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportError) {
     if error.is_deadline() && obs.is_enabled() {
         obs.inc(&labeled(
             "fedra_deadline_missed_total",
@@ -385,133 +409,103 @@ fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportEr
     note_transition(obs, federation.health().record_failure(error.silo()));
 }
 
-/// One candidate's full attempt lifecycle for [`drive_planned`]:
-/// deadline-bounded call, capped exponential retries (with deterministic
-/// jitter) on transient refusals, and — when the policy sets a hedge
-/// threshold and a next candidate exists — a hedged resample: the same
-/// request is fired at the next candidate once the primary overruns the
-/// threshold, and the first completed reply wins. Returns the winning
-/// `(silo, response)` (the hedge's id when the hedge won) or the final
-/// error once the retry budget is spent.
-fn attempt_silo(
-    federation: &Federation,
-    request: &Request,
-    silo: SiloId,
-    hedge: Option<SiloId>,
-    rounds: &mut u64,
-    obs: &ObsContext,
-) -> Result<(SiloId, Response), TransportError> {
-    // Hedged races without an overall deadline still need a time bound;
-    // an hour is "unbounded" at this layer's time scales.
-    const UNBOUNDED: std::time::Duration = std::time::Duration::from_secs(3600);
-    let policy = federation.call_policy();
-    let mut attempt = 0u32;
-    loop {
-        *rounds += 1;
-        if obs.is_enabled() {
-            obs.inc(&labeled("fedra_silo_requests_total", "silo", silo));
-        }
-        // Retry/hedge deadlines and the health EWMA are wall-clock by
-        // design (DESIGN.md §5e); the clock gates transport pacing, never
-        // a result value.
-        // fedra-lint: allow(determinism-discipline)
-        let started = Instant::now();
-        let deadline = policy.deadline.map(|d| started + d);
-        let (winner, outcome) = match federation.channel(silo).begin_call_with(request, deadline) {
-            Err(e) => (silo, Err(e)),
-            Ok(pending) => match (policy.hedge_after, hedge) {
-                (Some(after), Some(hedge_silo)) if hedge_silo != silo => {
-                    match pending.poll_deadline(started + after) {
-                        Poll::Ready(result) => (silo, result),
-                        Poll::Pending(primary) => race_hedge(
-                            federation,
-                            request,
-                            primary,
-                            hedge_silo,
-                            deadline.unwrap_or(started + UNBOUNDED),
-                            rounds,
-                            obs,
-                        ),
-                    }
-                }
-                _ => (silo, pending.wait()),
-            },
-        };
-        match outcome {
-            Ok(response) => {
-                note_transition(
-                    obs,
-                    federation
-                        .health()
-                        .record_success(winner, started.elapsed()),
-                );
-                return Ok((winner, response));
-            }
-            Err(e) => {
-                record_failure(federation, obs, &e);
-                if e.is_retryable() && attempt < policy.retries {
-                    attempt += 1;
-                    obs.inc("fedra_retries_total");
-                    std::thread::sleep(policy.backoff(silo, attempt));
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
-}
+/// Hedged waits without a deadline still need a hard bound; an hour is
+/// "unbounded" at this layer's time scales.
+pub(crate) const UNBOUNDED: Duration = Duration::from_secs(3600);
 
-/// Fires the hedge request at `hedge_silo` and races it against the
-/// still-pending primary until `deadline`; first completed reply wins and
-/// the loser is abandoned.
-fn race_hedge(
+/// The blocking one-query pump: sends single `begin_call_with` frames
+/// (a lone query's wire bytes are one request, never a batch), sleeps the
+/// policy's backoff before a transient retry, and — once the request is
+/// silent past `hedge_after` — keeps it in flight and races the run's
+/// next send against it with `race_calls` (first reply wins, the loser
+/// is abandoned).
+fn pump_blocking(
     federation: &Federation,
-    request: &Request,
-    primary: fedra_federation::PendingCall,
-    hedge_silo: SiloId,
-    deadline: Instant,
-    rounds: &mut u64,
+    run: &mut QueryRun,
     obs: &ObsContext,
-) -> (SiloId, Result<Response, TransportError>) {
-    let primary_silo = primary.silo();
-    obs.inc("fedra_hedges_fired_total");
-    *rounds += 1;
-    if obs.is_enabled() {
-        obs.inc(&labeled("fedra_silo_requests_total", "silo", hedge_silo));
-    }
-    let hedge_deadline = federation
-        .call_policy()
-        .deadline
-        // Hedge deadlines are wall-clock budgets by design; both racers
-        // compute identical bits.
-        // fedra-lint: allow(determinism-discipline)
-        .map(|d| Instant::now() + d);
-    match federation
-        .channel(hedge_silo)
-        .begin_call_with(request, hedge_deadline)
-    {
-        // The hedge could not even start — fall back to the primary alone.
-        Err(_) => (primary_silo, primary.wait()),
-        Ok(hedge) => match race_calls(primary, hedge, deadline) {
-            RaceWinner::Primary(result) => (primary_silo, result),
-            RaceWinner::Hedge(result) => {
-                obs.inc("fedra_hedges_won_total");
-                (hedge_silo, result)
+) -> Result<End, FraError> {
+    let policy = federation.call_policy();
+    let health = federation.health();
+    // Feeds one resolved call to the health tracker and the run.
+    let reply = |run: &mut QueryRun,
+                 silo: SiloId,
+                 started: Instant,
+                 result: Result<Response, TransportError>| {
+        match &result {
+            Ok(_) => record_success(federation, obs, silo, started.elapsed()),
+            Err(e) => record_failure(federation, obs, e),
+        }
+        run.on(Event::Reply { silo, result }, obs)
+    };
+    // The hedged primary still in flight, with its send time and bound.
+    let mut primary: Option<(PendingCall, Instant, Instant)> = None;
+    loop {
+        let step = match run.on(
+            Event::Dispatch {
+                may_call: &|k| health.may_call(k),
+            },
+            obs,
+        ) {
+            Action::End(end) => return Ok(end),
+            // Stranded: no candidate left to hedge to, so wait the
+            // primary out to its own deadline.
+            Action::Wait => {
+                let (call, started, _) = primary.take().ok_or_else(|| FraError::Internal {
+                    message: "a stranded run has no request in flight".into(),
+                })?;
+                let silo = call.silo();
+                reply(run, silo, started, call.wait())
             }
-            RaceWinner::Timeout => {
-                // Both overran the budget: charge the miss to the hedge
-                // here; the caller charges the primary's.
-                record_failure(
-                    federation,
-                    obs,
-                    &TransportError::DeadlineExceeded { silo: hedge_silo },
-                );
-                (
-                    primary_silo,
-                    Err(TransportError::DeadlineExceeded { silo: primary_silo }),
-                )
+            Action::Send { silo, retry } => {
+                if retry > 0 {
+                    std::thread::sleep(policy.backoff(silo, retry));
+                }
+                if obs.is_enabled() {
+                    obs.inc(&labeled("fedra_silo_requests_total", "silo", silo));
+                }
+                // Retry/hedge deadlines and the health EWMA are wall-clock
+                // by design (DESIGN.md §5e); the clock gates transport
+                // pacing, never a result value.
+                // fedra-lint: allow(determinism-discipline)
+                let started = Instant::now();
+                let deadline = run.budget().deadline(started);
+                match federation
+                    .channel(silo)
+                    .begin_call_with(run.request(), deadline)
+                {
+                    Err(e) => reply(run, silo, started, Err(e)),
+                    Ok(call) => match (primary.take(), policy.hedge_after) {
+                        (Some((first, first_started, first_bound)), _) => {
+                            let first_silo = first.silo();
+                            match race_calls(first, call, first_bound) {
+                                RaceWinner::Primary(result) => {
+                                    reply(run, first_silo, first_started, result)
+                                }
+                                RaceWinner::Hedge(result) => reply(run, silo, started, result),
+                                RaceWinner::Timeout => {
+                                    let expired =
+                                        |silo| Err(TransportError::DeadlineExceeded { silo });
+                                    reply(run, first_silo, first_started, expired(first_silo));
+                                    reply(run, silo, started, expired(silo))
+                                }
+                            }
+                        }
+                        (None, Some(after)) => match call.poll_deadline(started + after) {
+                            Poll::Ready(result) => reply(run, silo, started, result),
+                            Poll::Pending(call) => {
+                                let bound = deadline.unwrap_or(started + UNBOUNDED);
+                                primary = Some((call, started, bound));
+                                run.on(Event::HedgeDue, obs)
+                            }
+                        },
+                        (None, None) => reply(run, silo, started, call.wait()),
+                    },
+                }
             }
-        },
+        };
+        if let Action::End(end) = step {
+            return Ok(end);
+        }
     }
 }
 

@@ -25,8 +25,7 @@
 //!   [`MetricsRegistry`] and mirrored into the per-call [`ObsContext`].
 //!
 //! The default [`CachePolicy`] is the **degenerate mode**: producer ε = 0
-//! and containment off, which is byte-identical-key caching — exactly the
-//! behavior of the old `CachedAlgorithm` (kept as a deprecated alias).
+//! and containment off, which is byte-identical-key caching.
 //!
 //! Caching changes the *freshness* semantics; the accuracy semantics are
 //! explicit: a served answer's error bound is computed from the producer
@@ -287,11 +286,6 @@ pub struct AnswerCache<A> {
     tick: AtomicU64,
     metrics: CacheMetrics,
 }
-
-/// Deprecated alias for the old exact-key cache: [`AnswerCache`] with the
-/// default (degenerate) policy behaves identically.
-#[deprecated(note = "use AnswerCache; the default CachePolicy is the old exact-key behavior")]
-pub type CachedAlgorithm<A> = AnswerCache<A>;
 
 impl<A: FraAlgorithm> AnswerCache<A> {
     /// Wraps `inner` with the given bounds and the degenerate (exact-key)
@@ -826,17 +820,6 @@ mod tests {
                 ttl: Duration::from_secs(1),
             },
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_works() {
-        let fed = federation();
-        let cached: CachedAlgorithm<Exact> = CachedAlgorithm::with_defaults(Exact::new());
-        let a = cached.execute(&fed, &q(50.0));
-        let b = cached.execute(&fed, &q(50.0));
-        assert_eq!(a.value, b.value);
-        assert_eq!(cached.stats().hits, 1);
     }
 
     #[test]

@@ -20,13 +20,16 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fedra_federation::{
-    CommSnapshot, Federation, PendingBatch, Poll, Request, Response, SiloId, TransportError,
+    CommSnapshot, Federation, PendingTaggedBatch, Poll, Request, Response, SiloId, TransportError,
 };
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{note_transition, FraAlgorithm, QueryPlan};
+use crate::algorithm::{
+    finish_run, plan_counted, record_failure, record_success, FraAlgorithm, QueryPlan, UNBOUNDED,
+};
 use crate::query::{FraError, FraQuery, QueryResult};
+use crate::run::{Action, Budget, End, Event, QueryRun};
 
 /// Batch execution statistics (one experiment data point).
 #[derive(Debug, Clone)]
@@ -148,11 +151,6 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// The algorithm driven by this engine.
-    pub fn algorithm(&self) -> &dyn FraAlgorithm {
-        self.algorithm
-    }
-
     /// Executes a batch of queries, measuring wall time / throughput /
     /// communication around the whole batch (Alg. 4 semantics: the batch
     /// arrives at once, answers stream out as silos respond).
@@ -197,48 +195,6 @@ impl<'a> QueryEngine<'a> {
         } else {
             self.run_pooled(federation, queries, obs)
         };
-        Self::finish_measurement(federation, queries, results, started, comm_before, obs)
-    }
-
-    /// Executes a batch strictly through the per-query `try_execute` path,
-    /// ignoring any plan/finish support.
-    ///
-    /// Kept as the A/B reference for measuring what the coalesced
-    /// transport buys: same results, one frame (and two envelope
-    /// overheads) per query instead of per silo-group.
-    pub fn execute_batch_singleton(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-    ) -> BatchResult {
-        self.execute_batch_singleton_with(federation, queries, ObsContext::noop())
-    }
-
-    /// Instrumented variant of
-    /// [`execute_batch_singleton`](Self::execute_batch_singleton).
-    pub fn execute_batch_singleton_with(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-    ) -> BatchResult {
-        let comm_before = federation.query_comm();
-        // Wall timing feeds BatchResult/throughput reporting only, never
-        // a query answer.
-        // fedra-lint: allow(determinism-discipline)
-        let started = Instant::now();
-        let results = self.run_pooled(federation, queries, obs);
-        Self::finish_measurement(federation, queries, results, started, comm_before, obs)
-    }
-
-    fn finish_measurement(
-        federation: &Federation,
-        queries: &[FraQuery],
-        results: Vec<Result<QueryResult, FraError>>,
-        started: Instant,
-        comm_before: CommSnapshot,
-        obs: &ObsContext,
-    ) -> BatchResult {
         let wall_time = started.elapsed();
         let throughput_qps = if wall_time.as_secs_f64() > 0.0 {
             queries.len() as f64 / wall_time.as_secs_f64()
@@ -308,291 +264,54 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Planning runs sequentially in input order (it consumes the
     /// algorithm's RNG — sequential order is what keeps a batched run
-    /// seed-equivalent to query-for-query execution), then each round
-    /// groups the in-flight requests by destination silo, ships one
-    /// coalesced frame per silo, and resolves every reply. Queries whose
-    /// sampled silo failed advance to their next candidate and ride the
-    /// next round's frames; transient refusals retry the same candidate
-    /// up to the policy's budget.
-    ///
-    /// When the federation's [`CallPolicy`](fedra_federation::CallPolicy)
-    /// (or [`with_query_budget`](Self::with_query_budget)) sets time
-    /// bounds, the same loop becomes deadline-aware: a frame that overruns
-    /// the hedge threshold is *parked* — kept in flight — while its riders
-    /// re-fire at their next candidate (first answer wins), and a frame
-    /// that overruns the deadline budget is abandoned, stranding riders
-    /// onto the grid-only degradation. With the default policy every frame
-    /// is waited exactly as before.
+    /// seed-equivalent to query-for-query execution), then the batch is
+    /// pumped in [`round`]s until every run's walk has ended: each round
+    /// ships one coalesced frame per silo and feeds every reply to its
+    /// run. [`with_query_budget`](Self::with_query_budget) (or the
+    /// federation's `CallPolicy` deadline) is each run's per-attempt
+    /// allowance.
     fn run_planned(
         &self,
         federation: &Federation,
         queries: &[FraQuery],
         obs: &ObsContext,
     ) -> Vec<Result<QueryResult, FraError>> {
-        // Hedged frames without a deadline budget still need a hard bound;
-        // an hour is "unbounded" at this layer's time scales.
-        const UNBOUNDED: Duration = Duration::from_secs(3600);
         let policy = federation.call_policy();
-        let budget = self.query_budget.or(policy.deadline);
-        let hedge_after = policy.hedge_after;
-        let retries = policy.retries;
+        let budget = Budget::PerAttempt(self.query_budget.or(policy.deadline));
 
-        let mut results: Vec<Option<Result<QueryResult, FraError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        let mut inflight: Vec<Option<PlannedInFlight>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, query)| {
-                let trace = obs.start_trace("query", self.algorithm.name());
-                let plan = {
-                    let _plan_span = Span::enter(&trace, "plan");
-                    self.algorithm.plan_with(federation, query, obs)
+        let mut results: Vec<Option<Result<QueryResult, FraError>>> = vec![None; queries.len()];
+        // Per remote query, by input index: its run, and its trace with
+        // the `remote` span open for as long as the run rides rounds.
+        let mut runs = Runs::new();
+        let mut traces: BTreeMap<u64, (TraceHandle, Span)> = BTreeMap::new();
+        for (i, query) in queries.iter().enumerate() {
+            let trace = obs.start_trace("query", self.algorithm.name());
+            match plan_counted(self.algorithm, federation, query, &trace, obs) {
+                QueryPlan::Ready(outcome) => {
+                    obs.finish_trace(&trace);
+                    results[i] = Some(outcome);
+                }
+                QueryPlan::SingleSilo(plan) => {
+                    let remote_span = Span::enter(&trace, "remote");
+                    traces.insert(i as u64, (trace, remote_span));
+                    runs.insert(i as u64, QueryRun::new(plan, policy.retries, budget));
+                }
+            }
+        }
+
+        let mut state = RoundState::default();
+        while !runs.is_empty() {
+            round(federation, obs, &mut state, &mut runs, &mut |tag, end| {
+                let Some((trace, remote_span)) = traces.remove(&tag) else {
+                    return;
                 };
-                match plan {
-                    QueryPlan::Ready(outcome) => {
-                        obs.inc("fedra_plan_ready_total");
-                        obs.finish_trace(&trace);
-                        results[i] = Some(outcome);
-                        None
-                    }
-                    QueryPlan::SingleSilo(plan) => {
-                        obs.inc("fedra_plan_remote_total");
-                        let remote_span = Some(Span::enter(&trace, "remote"));
-                        Some(PlannedInFlight {
-                            order: plan.order,
-                            request: plan.request,
-                            attempt: 0,
-                            rounds: 0,
-                            retried: 0,
-                            hedged: false,
-                            stranded: false,
-                            trace,
-                            remote_span,
-                        })
-                    }
-                }
-            })
-            .collect();
-
-        let mut parked: Vec<ParkedFrame> = Vec::new();
-        loop {
-            // First answer wins: drain any parked primaries that resolved
-            // (or expired) before regrouping the riders.
-            parked = self.drain_parked(
-                federation,
-                queries,
-                obs,
-                parked,
-                &mut inflight,
-                &mut results,
-                false,
-            );
-
-            // Group the in-flight queries by the silo their current
-            // candidate points at. BTreeMap: deterministic frame order.
-            let mut groups: BTreeMap<SiloId, Vec<usize>> = BTreeMap::new();
-            for (i, entry) in inflight.iter().enumerate() {
-                if let Some(entry) = entry {
-                    if entry.stranded {
-                        continue; // waiting on its parked frame alone
-                    }
-                    groups
-                        .entry(entry.order[entry.attempt])
-                        .or_default()
-                        .push(i);
-                }
-            }
-            if groups.is_empty() {
-                if parked.is_empty() {
-                    break;
-                }
-                // Nothing new to send — wait the parked frames out.
-                parked = self.drain_parked(
-                    federation,
-                    queries,
-                    obs,
-                    parked,
-                    &mut inflight,
-                    &mut results,
-                    true,
-                );
-                continue;
-            }
-            // Scatter: begin every silo's coalesced frame before waiting
-            // on any reply — the silo workers run concurrently.
-            let pending: Vec<_> = groups
-                .into_iter()
-                .map(|(silo, indices)| {
-                    let requests: Vec<&Request> = indices
-                        .iter()
-                        .filter_map(|&i| inflight[i].as_ref())
-                        .map(|entry| &entry.request)
-                        .collect();
-                    // Deadline budgets are wall-clock by design; a miss
-                    // degrades the frame to the same error value every run
-                    // path accepts.
-                    // fedra-lint: allow(determinism-discipline)
-                    let begun = Instant::now();
-                    // A lost entry (requests shorter than indices) would
-                    // misalign the reply zip; degrade the whole frame.
-                    let batch = (requests.len() == indices.len()).then(|| {
-                        federation
-                            .channel(silo)
-                            .begin_batch_with(&requests, budget.map(|b| begun + b))
-                    });
-                    (silo, indices, begun, batch)
-                })
-                .collect();
-            // Every begun frame costs its riders one attempt round.
-            for (silo, indices, _, _) in &pending {
-                for &i in indices {
-                    if let Some(entry) = inflight[i].as_mut() {
-                        entry.rounds += 1;
-                        if obs.is_enabled() {
-                            obs.inc(&labeled("fedra_silo_requests_total", "silo", *silo));
-                        }
-                    }
-                }
-            }
-            // Gather: resolve each frame's per-item results.
-            for (silo, indices, begun, batch) in pending {
-                let outcome = match batch {
-                    Some(Ok(p)) => match hedge_after {
-                        // Hedge window: a frame still pending past the
-                        // threshold is parked, not failed.
-                        Some(after) => match p.poll_deadline(begun + after) {
-                            Poll::Ready(Ok(items)) => FrameOutcome::Items(items),
-                            Poll::Ready(Err(e)) => FrameOutcome::Failed(Some(e)),
-                            Poll::Pending(pending) => FrameOutcome::Park(pending),
-                        },
-                        None => {
-                            let waited = match budget {
-                                Some(b) => p.wait_deadline(begun + b),
-                                None => p.wait(),
-                            };
-                            match waited {
-                                Ok(items) => FrameOutcome::Items(items),
-                                Err(e) => FrameOutcome::Failed(Some(e)),
-                            }
-                        }
-                    },
-                    Some(Err(e)) => FrameOutcome::Failed(Some(e)),
-                    None => FrameOutcome::Failed(None),
-                };
-                match outcome {
-                    FrameOutcome::Items(items) => {
-                        note_transition(
-                            obs,
-                            federation.health().record_success(silo, begun.elapsed()),
-                        );
-                        for (i, item) in indices.into_iter().zip(items) {
-                            if results[i].is_some() {
-                                continue;
-                            }
-                            let Some(mut entry) = inflight[i].take() else {
-                                continue;
-                            };
-                            match item {
-                                Ok(response) => self.resolve_success(
-                                    federation,
-                                    queries,
-                                    obs,
-                                    &mut results,
-                                    i,
-                                    entry,
-                                    silo,
-                                    response,
-                                    false,
-                                ),
-                                Err(error) => {
-                                    note_transition(obs, federation.health().record_failure(silo));
-                                    if error.is_deadline() && obs.is_enabled() {
-                                        obs.inc(&labeled(
-                                            "fedra_deadline_missed_total",
-                                            "silo",
-                                            silo,
-                                        ));
-                                    }
-                                    if error.is_retryable() && entry.retried < retries {
-                                        // Same candidate again next round.
-                                        entry.retried += 1;
-                                        obs.inc("fedra_retries_total");
-                                        inflight[i] = Some(entry);
-                                    } else {
-                                        self.advance_or_degrade(
-                                            federation,
-                                            queries,
-                                            obs,
-                                            &mut results,
-                                            &mut inflight,
-                                            i,
-                                            entry,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    FrameOutcome::Failed(error) => {
-                        // Whole-frame transport failure: every rider counts
-                        // one failed attempt.
-                        note_transition(obs, federation.health().record_failure(silo));
-                        let is_deadline = error.as_ref().is_some_and(TransportError::is_deadline);
-                        if is_deadline && obs.is_enabled() {
-                            obs.inc(&labeled("fedra_deadline_missed_total", "silo", silo));
-                        }
-                        let retryable = error.as_ref().is_some_and(TransportError::is_retryable);
-                        for &i in &indices {
-                            if results[i].is_some() {
-                                continue;
-                            }
-                            let Some(mut entry) = inflight[i].take() else {
-                                continue;
-                            };
-                            if retryable && entry.retried < retries {
-                                entry.retried += 1;
-                                obs.inc("fedra_retries_total");
-                                inflight[i] = Some(entry);
-                            } else {
-                                self.advance_or_degrade(
-                                    federation,
-                                    queries,
-                                    obs,
-                                    &mut results,
-                                    &mut inflight,
-                                    i,
-                                    entry,
-                                );
-                            }
-                        }
-                    }
-                    FrameOutcome::Park(pending) => {
-                        // Hedged resampling: riders with another candidate
-                        // re-fire there while the primary stays in flight;
-                        // riders out of candidates wait on this frame.
-                        for &i in &indices {
-                            let Some(entry) = inflight[i].as_mut() else {
-                                continue;
-                            };
-                            if entry.attempt + 1 < entry.order.len() {
-                                entry.attempt += 1;
-                                entry.retried = 0;
-                                entry.hedged = true;
-                                obs.inc("fedra_hedges_fired_total");
-                            } else {
-                                entry.stranded = true;
-                            }
-                        }
-                        parked.push(ParkedFrame {
-                            pending,
-                            silo,
-                            indices,
-                            begun,
-                            deadline: begun + budget.unwrap_or(UNBOUNDED),
-                        });
-                    }
-                }
-            }
+                drop(remote_span);
+                let query = &queries[tag as usize];
+                let outcome = finish_run(self.algorithm, federation, query, end, &trace, obs);
+                results[tag as usize] = Some(outcome);
+                obs.finish_trace(&trace);
+            });
+            runs.retain(|_, run| !run.is_finished());
         }
         results
             .into_iter()
@@ -605,255 +324,246 @@ impl<'a> QueryEngine<'a> {
             })
             .collect()
     }
-
-    /// Polls the parked frames once (`block = false`: past replies only)
-    /// or waits each one out to its hard deadline (`block = true`).
-    /// Completed frames resolve the riders that haven't answered elsewhere
-    /// yet — first answer wins; expired frames are abandoned, failing
-    /// their stranded riders.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_parked(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-        parked: Vec<ParkedFrame>,
-        inflight: &mut [Option<PlannedInFlight>],
-        results: &mut [Option<Result<QueryResult, FraError>>],
-        block: bool,
-    ) -> Vec<ParkedFrame> {
-        let mut kept = Vec::new();
-        for p in parked {
-            // Deadline polling is wall-clock by design (DESIGN.md §5e);
-            // the clock decides *when* to give up, never what value a
-            // query returns.
-            // fedra-lint: allow(determinism-discipline)
-            let now = Instant::now();
-            let wait_until = if block { p.deadline } else { now };
-            match p.pending.poll_deadline(wait_until) {
-                Poll::Ready(Ok(items)) => {
-                    note_transition(
-                        obs,
-                        federation
-                            .health()
-                            .record_success(p.silo, p.begun.elapsed()),
-                    );
-                    for (i, item) in p.indices.iter().copied().zip(items) {
-                        if results[i].is_some() {
-                            continue; // the hedge already answered
-                        }
-                        match item {
-                            Ok(response) => {
-                                let Some(entry) = inflight[i].take() else {
-                                    continue;
-                                };
-                                self.resolve_success(
-                                    federation, queries, obs, results, i, entry, p.silo, response,
-                                    true,
-                                );
-                            }
-                            Err(error) => self.fail_stranded(
-                                federation, queries, obs, inflight, results, i, &error,
-                            ),
-                        }
-                    }
-                }
-                Poll::Ready(Err(error)) => {
-                    note_transition(obs, federation.health().record_failure(p.silo));
-                    if error.is_deadline() && obs.is_enabled() {
-                        obs.inc(&labeled("fedra_deadline_missed_total", "silo", p.silo));
-                    }
-                    for &i in &p.indices {
-                        if results[i].is_some() {
-                            continue;
-                        }
-                        self.fail_stranded(federation, queries, obs, inflight, results, i, &error);
-                    }
-                }
-                Poll::Pending(pending) => {
-                    if block || now >= p.deadline {
-                        // Budget spent: abandon the frame (its reply pair
-                        // is discarded; a late reply goes nowhere).
-                        if obs.is_enabled() {
-                            obs.inc(&labeled("fedra_deadline_missed_total", "silo", p.silo));
-                        }
-                        note_transition(obs, federation.health().record_failure(p.silo));
-                        let expired = TransportError::DeadlineExceeded { silo: p.silo };
-                        for &i in &p.indices {
-                            if results[i].is_some() {
-                                continue;
-                            }
-                            self.fail_stranded(
-                                federation, queries, obs, inflight, results, i, &expired,
-                            );
-                        }
-                    } else {
-                        kept.push(ParkedFrame {
-                            pending,
-                            silo: p.silo,
-                            indices: p.indices,
-                            begun: p.begun,
-                            deadline: p.deadline,
-                        });
-                    }
-                }
-            }
-        }
-        kept
-    }
-
-    /// Finishes rider `i` from a successful silo response and closes its
-    /// trace. `via_parked` marks a parked primary winning its race — a
-    /// hedge win is only counted when the *hedge* answered first.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_success(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-        results: &mut [Option<Result<QueryResult, FraError>>],
-        i: usize,
-        entry: PlannedInFlight,
-        silo: SiloId,
-        response: Response,
-        via_parked: bool,
-    ) {
-        if obs.is_enabled() {
-            obs.inc(&labeled("fedra_sampled_silo_total", "silo", silo));
-        }
-        if entry.hedged && !via_parked {
-            obs.inc("fedra_hedges_won_total");
-        }
-        let outcome = {
-            let _finish_span = Span::enter(&entry.trace, "finish");
-            self.algorithm
-                .finish_with(federation, &queries[i], silo, response, entry.rounds, obs)
-        };
-        entry.resolve(obs, &outcome);
-        results[i] = Some(outcome);
-    }
-
-    /// A parked frame failed for rider `i`. Riders that hedged elsewhere
-    /// ignore it (their hedge is still in flight); stranded riders retry
-    /// their last candidate on a transient refusal, otherwise degrade.
-    fn fail_stranded(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-        inflight: &mut [Option<PlannedInFlight>],
-        results: &mut [Option<Result<QueryResult, FraError>>],
-        i: usize,
-        error: &TransportError,
-    ) {
-        if !inflight[i].as_ref().is_some_and(|e| e.stranded) {
-            return;
-        }
-        let Some(mut entry) = inflight[i].take() else {
-            return;
-        };
-        entry.stranded = false;
-        if error.is_retryable() && entry.retried < federation.call_policy().retries {
-            entry.retried += 1;
-            obs.inc("fedra_retries_total");
-            inflight[i] = Some(entry);
-            return;
-        }
-        obs.inc("fedra_degraded_total");
-        let outcome = self
-            .algorithm
-            .finish_degraded(federation, &queries[i], entry.rounds);
-        entry.resolve(obs, &outcome);
-        results[i] = Some(outcome);
-    }
-
-    /// Counts a resample for rider `i` and moves it to its next candidate,
-    /// degrading to the grid-only estimate when none remain.
-    fn advance_or_degrade(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-        results: &mut [Option<Result<QueryResult, FraError>>],
-        inflight: &mut [Option<PlannedInFlight>],
-        i: usize,
-        mut entry: PlannedInFlight,
-    ) {
-        obs.inc("fedra_resamples_total");
-        entry.attempt += 1;
-        entry.retried = 0;
-        if entry.attempt >= entry.order.len() {
-            obs.inc("fedra_degraded_total");
-            let outcome = self
-                .algorithm
-                .finish_degraded(federation, &queries[i], entry.rounds);
-            entry.resolve(obs, &outcome);
-            results[i] = Some(outcome);
-        } else {
-            // Still in flight: ride the next round.
-            inflight[i] = Some(entry);
-        }
-    }
 }
 
-/// One planned query riding the scatter–gather rounds of
-/// [`QueryEngine::run_planned`].
-struct PlannedInFlight {
-    order: Vec<SiloId>,
-    request: Request,
-    attempt: usize,
-    rounds: u64,
-    /// Transient retries already burned on the current candidate.
-    retried: u32,
-    /// A hedge is (or was) in flight: the primary frame parked and this
-    /// query re-fired at its next candidate.
-    hedged: bool,
-    /// Out of candidates while its frame is parked: the query waits on
-    /// that frame alone and is skipped by regrouping.
-    stranded: bool,
-    trace: TraceHandle,
-    /// Open for as long as the query rides scatter–gather rounds;
-    /// dropped (recording the duration) when the query resolves.
-    remote_span: Option<Span>,
-}
+/// How long a gather waits for the silo's byte-counted refusal of a
+/// dead-on-arrival frame before abandoning the reply. The shed is
+/// silo-side either way; the grace window only decides whether its bytes
+/// get recorded before the round moves on.
+const SHED_GRACE: Duration = Duration::from_millis(250);
 
-impl PlannedInFlight {
-    /// Closes the remote span and finalizes the query's trace.
-    fn resolve(mut self, obs: &ObsContext, result: &Result<QueryResult, FraError>) {
-        drop(self.remote_span.take());
-        if let Ok(r) = result {
-            self.trace.attr("rounds", r.rounds);
-            if let Some(silo) = r.sampled_silo {
-                self.trace.attr("silo", silo);
-            }
-            if let Some(level) = r.lsr_level {
-                self.trace.attr("level", level);
-            }
-            crate::algorithm::note_coverage(obs, r);
-        }
-        obs.finish_trace(&self.trace);
-    }
-}
+/// The live runs a [`round`] pumps, by correlation id — the tag that rides
+/// the frames. Ids must be stable for as long as a run lives, because
+/// parked frames outlive a round; the owner drops a run once it ended.
+pub(crate) type Runs = BTreeMap<u64, QueryRun>;
 
-/// A scatter frame that overran the hedge threshold: kept in flight while
-/// its riders hedge on other silos — first answer wins — until its hard
-/// deadline.
-struct ParkedFrame {
-    pending: PendingBatch,
+/// A tagged frame in flight.
+struct Frame {
     silo: SiloId,
-    indices: Vec<usize>,
+    tags: Vec<u64>,
     begun: Instant,
-    deadline: Instant,
+    /// When the wait is given up: the frame deadline (an hour when there
+    /// is none), or the grace window of a dead-on-arrival frame.
+    bound: Instant,
+    /// Dead on arrival by design: its riders' budgets were spent before
+    /// the send, and the silo sheds it whole, byte-counted.
+    doa: bool,
+    /// `Err`: the frame could not even be begun.
+    pending: Result<PendingTaggedBatch, TransportError>,
 }
 
-/// How one scatter frame resolved.
-enum FrameOutcome {
-    /// Per-item results arrived (frame-level success).
-    Items(Vec<Result<Response, TransportError>>),
-    /// The whole frame failed (`None`: it was never begun).
-    Failed(Option<TransportError>),
-    /// Still pending past the hedge threshold — park it.
-    Park(PendingBatch),
+/// What outlives a [`round`]: frames still silent past the hedge
+/// threshold, *parked* — kept in flight while their riders hedge on other
+/// silos, first answer wins — until their bound. The engine owns one for
+/// a batch, the scheduler one across ticks.
+#[derive(Default)]
+pub(crate) struct RoundState {
+    parked: Vec<Frame>,
+}
+
+/// The riders of one round plus everything a reply needs to reach them.
+struct Gather<'r> {
+    federation: &'r Federation,
+    obs: &'r ObsContext,
+    riders: &'r mut Runs,
+    ended: &'r mut dyn FnMut(u64, End),
+}
+
+impl Gather<'_> {
+    /// Feeds one rider's reply to its run. Tags of riders already
+    /// answered and delivered (a late parked frame) match nobody.
+    fn feed(&mut self, tag: u64, silo: SiloId, result: Result<Response, TransportError>) {
+        if let Some(run) = self.riders.get_mut(&tag) {
+            if let Action::End(end) = run.on(Event::Reply { silo, result }, self.obs) {
+                (self.ended)(tag, end);
+            }
+        }
+    }
+
+    /// Waits on `frame` until `until`. A frame that resolves feeds its
+    /// riders; one still silent at its bound is abandoned as a deadline
+    /// miss (a late reply goes nowhere); otherwise it is handed back,
+    /// still in flight.
+    fn settle(&mut self, frame: Frame, until: Instant) -> Option<Frame> {
+        let silo = frame.silo;
+        let reply = match frame.pending.map(|pending| pending.poll_deadline(until)) {
+            Err(error) => Err(error),
+            Ok(Poll::Ready(reply)) => reply,
+            Ok(Poll::Pending(pending)) if until < frame.bound => {
+                let pending = Ok(pending);
+                return Some(Frame { pending, ..frame });
+            }
+            Ok(Poll::Pending(_)) => Err(TransportError::DeadlineExceeded { silo }),
+        };
+        match reply {
+            Ok(items) => {
+                record_success(self.federation, self.obs, silo, frame.begun.elapsed());
+                for (tag, item) in items {
+                    if let Err(error) = &item {
+                        record_failure(self.federation, self.obs, error);
+                    }
+                    self.feed(tag, silo, item);
+                }
+            }
+            // Whole-frame failure: every rider failed the same way.
+            Err(error) => {
+                // A dead-on-arrival frame shed as intended: the silo did
+                // exactly what the envelope asked, and load shedding must
+                // never poison the health state.
+                if !(frame.doa && error.is_deadline()) {
+                    record_failure(self.federation, self.obs, &error);
+                }
+                for tag in frame.tags {
+                    self.feed(tag, silo, Err(error.clone()));
+                }
+            }
+        }
+        None
+    }
+
+    /// Polls the parked frames once (`block = false`: replies already in)
+    /// or waits each one out to its bound.
+    fn settle_parked(&mut self, state: &mut RoundState, block: bool) {
+        // Deadline polling is wall-clock by design (DESIGN.md §5e); the
+        // clock decides *when* to give up, never what value a query
+        // returns.
+        // fedra-lint: allow(determinism-discipline)
+        let now = Instant::now();
+        let parked = std::mem::take(&mut state.parked);
+        state.parked = parked
+            .into_iter()
+            .filter_map(|frame| {
+                let until = if block { frame.bound } else { now };
+                self.settle(frame, until)
+            })
+            .collect();
+    }
+}
+
+/// One scatter–gather round over the live runs of a batch or a tick —
+/// the one pump under [`QueryEngine`] and
+/// [`QueryScheduler`](crate::QueryScheduler): drain parked frames that
+/// answered, group the runs by the candidate they ride next (runs whose
+/// absolute budget is already spent get their own dead-on-arrival frame
+/// the silo sheds byte-countedly), ship one tagged frame per silo, gather
+/// every reply and feed it to its run. `ended` receives each run whose
+/// walk ended this round, by tag.
+///
+/// With `CallPolicy::hedge_after` set, a frame still pending past the
+/// threshold is parked in `state` instead of waited out, and its riders
+/// hedge: they ride their next candidate next round.
+pub(crate) fn round(
+    federation: &Federation,
+    obs: &ObsContext,
+    state: &mut RoundState,
+    riders: &mut Runs,
+    ended: &mut dyn FnMut(u64, End),
+) {
+    let hedge_after = federation.call_policy().hedge_after;
+    let health = federation.health();
+    let mut gather = Gather {
+        federation,
+        obs,
+        riders,
+        ended,
+    };
+    // First answer wins: parked primaries that resolved (or expired)
+    // reach their riders before anyone is regrouped.
+    gather.settle_parked(state, false);
+
+    // Group the runs by (candidate silo, dead on arrival?). BTreeMaps:
+    // deterministic frame and rider order. Wall-clock: a budget decides
+    // when to give up, never what a query computes.
+    // fedra-lint: allow(determinism-discipline)
+    let now = Instant::now();
+    let mut groups: BTreeMap<(SiloId, bool), Vec<u64>> = BTreeMap::new();
+    let may_call = |silo| health.may_call(silo);
+    for (&tag, run) in gather.riders.iter_mut() {
+        match run.on(
+            Event::Dispatch {
+                may_call: &may_call,
+            },
+            obs,
+        ) {
+            Action::Send { silo, .. } => {
+                let doa = run.budget().spent(now);
+                groups.entry((silo, doa)).or_default().push(tag);
+            }
+            Action::Wait => {}
+            Action::End(end) => (gather.ended)(tag, end),
+        }
+    }
+    let riders = &*gather.riders;
+    if groups.is_empty() {
+        // Nothing new to send: wait out the parked frames somebody still
+        // rides (a frame all of whose riders were answered elsewhere is
+        // abandoned).
+        let live = |tag: &u64| riders.get(tag).is_some_and(|run| !run.is_finished());
+        state.parked.retain(|frame| frame.tags.iter().any(live));
+        gather.settle_parked(state, true);
+        return;
+    }
+    // Scatter: begin every silo's frame before waiting on any reply — the
+    // silo workers run concurrently.
+    let frames: Vec<Frame> = groups
+        .into_iter()
+        .map(|((silo, doa), tags)| {
+            let tagged: Vec<(u64, &Request)> = tags
+                .iter()
+                .map(|tag| (*tag, riders[tag].request()))
+                .collect();
+            if obs.is_enabled() {
+                obs.observe("fedra_sched_frame_riders", tags.len() as u64);
+                let requests = labeled("fedra_silo_requests_total", "silo", silo);
+                obs.add(&requests, tags.len() as u64);
+            }
+            // fedra-lint: allow(determinism-discipline)
+            let begun = Instant::now();
+            // A live frame takes the *max* deadline over its riders (it
+            // must never shed a rider that still has budget; one unbounded
+            // rider makes it unbounded), a dead-on-arrival frame the
+            // earliest, already past, so the silo sheds it on arrival.
+            let deadlines = tags.iter().map(|tag| riders[tag].budget().deadline(begun));
+            let deadline = if doa {
+                deadlines.flatten().min()
+            } else {
+                let all: Option<Vec<Instant>> = deadlines.collect();
+                all.and_then(|all| all.into_iter().max())
+            };
+            let bound = if doa {
+                begun + SHED_GRACE
+            } else {
+                deadline.unwrap_or(begun + UNBOUNDED)
+            };
+            let pending = federation
+                .channel(silo)
+                .begin_tagged_batch_with(&tagged, deadline);
+            Frame {
+                silo,
+                tags,
+                begun,
+                bound,
+                doa,
+                pending,
+            }
+        })
+        .collect();
+    // Gather. A frame that outlasts the hedge threshold is parked and its
+    // riders told to hedge; without one every frame is waited to its bound.
+    for frame in frames {
+        let until = match hedge_after {
+            Some(after) if !frame.doa => (frame.begun + after).min(frame.bound),
+            _ => frame.bound,
+        };
+        if let Some(frame) = gather.settle(frame, until) {
+            for tag in &frame.tags {
+                if let Some(run) = gather.riders.get_mut(tag) {
+                    run.on(Event::HedgeDue, obs);
+                }
+            }
+            state.parked.push(frame);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -942,32 +652,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_path_amortizes_envelopes_over_singleton() {
+    fn batched_path_amortizes_envelopes_over_query_for_query_execution() {
         let fed = setup(3, 500);
         let qs = queries(40, 20);
         let alg = IidEst::new(21);
         let engine = QueryEngine::per_silo(&alg, &fed);
         fed.reset_query_comm();
         let batched = engine.execute_batch(&fed, &qs);
-        // One worker: the singleton pool then consumes the RNG in input
-        // order, making it seed-comparable to the (sequentially planned)
-        // batched run.
+        // The reference: a same-seed instance executed query for query,
+        // consuming the RNG in the same (input) order as the sequentially
+        // planned batched run.
         let alg_seq = IidEst::new(21);
-        let engine_seq = QueryEngine::with_workers(&alg_seq, 1);
         fed.reset_query_comm();
-        let singleton = engine_seq.execute_batch_singleton(&fed, &qs);
+        let singleton: Vec<f64> = qs
+            .iter()
+            .map(|q| alg_seq.try_execute(&fed, q).unwrap().value)
+            .collect();
+        let singleton_comm = fed.query_comm();
         // Same seed, same queries: identical answers...
-        for (a, b) in batched.results.iter().zip(&singleton.results) {
-            assert_eq!(a.as_ref().unwrap().value, b.as_ref().unwrap().value);
-        }
+        assert_eq!(batched.values(), singleton);
         // ...but the batched run pays one envelope per silo, not per query.
-        assert_eq!(singleton.comm.rounds, 40);
+        assert_eq!(singleton_comm.rounds, 40);
         assert!(batched.comm.rounds <= 3);
         assert!(
-            batched.comm.total_bytes() < singleton.comm.total_bytes() / 2,
+            batched.comm.total_bytes() < singleton_comm.total_bytes() / 2,
             "batched {} bytes vs singleton {} bytes",
             batched.comm.total_bytes(),
-            singleton.comm.total_bytes()
+            singleton_comm.total_bytes()
         );
     }
 
@@ -1031,15 +742,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_exact_matches_singleton_path() {
+    fn batched_exact_matches_query_for_query_execution() {
         let fed = setup(3, 800);
         let qs = queries(15, 12);
         let exact = Exact::new();
         let engine = QueryEngine::per_silo(&exact, &fed);
         let batched = engine.execute_batch(&fed, &qs);
-        let singleton = engine.execute_batch_singleton(&fed, &qs);
-        for (a, b) in batched.results.iter().zip(&singleton.results) {
-            assert_eq!(a.as_ref().unwrap().value, b.as_ref().unwrap().value);
+        for (a, q) in batched.results.iter().zip(&qs) {
+            assert_eq!(
+                a.as_ref().unwrap().value,
+                exact.try_execute(&fed, q).unwrap().value
+            );
         }
     }
 

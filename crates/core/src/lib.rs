@@ -30,14 +30,13 @@ mod multi;
 mod opta;
 mod planner;
 mod query;
+mod run;
 mod sampling;
 pub mod scheduler;
 pub mod sql;
 pub mod theory;
 
 pub use algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
-#[allow(deprecated)]
-pub use cache::CachedAlgorithm;
 pub use cache::{AnswerCache, CacheAnswer, CacheConfig, CachePolicy, CacheSource, CacheStats};
 pub use exact::{Exact, ExactSequential};
 pub use framework::{BatchResult, QueryEngine};

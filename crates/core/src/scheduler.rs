@@ -3,8 +3,8 @@
 //!
 //! [`QueryEngine`](crate::QueryEngine) coalesces silo requests *within*
 //! one batch; concurrent callers still serialize on the engine and each
-//! pays its own round trips. [`QueryScheduler`] lifts the same
-//! scatter–gather loop to a serving layer: clients
+//! pays its own round trips. [`QueryScheduler`] pumps the same
+//! scatter–gather round from a serving layer: clients
 //! [`submit`](QueryScheduler::submit) queries from any thread, a driver
 //! thread plans and finishes them on the silo-local
 //! [`WorkerPool`](fedra_index::WorkerPool), and every scheduling tick
@@ -40,27 +40,23 @@
 //! 3. **expired in flight** — the silo (or the frame wait) ran past the
 //!    deadline.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedra_federation::{Federation, Request, SiloId, TransportError};
+use fedra_federation::Federation;
 use fedra_index::pool::WorkerPool;
-use fedra_obs::{labeled, ObsContext};
+use fedra_obs::{labeled, ObsContext, TraceHandle};
 
-use crate::algorithm::{note_transition, FraAlgorithm, QueryPlan, RemotePlan};
+use crate::algorithm::{finish_run, plan_counted, FraAlgorithm, QueryPlan};
+use crate::framework::{round, RoundState, Runs};
 use crate::query::{FraError, FraQuery, QueryResult};
+use crate::run::{Budget, End, QueryRun};
 
 #[cfg(doc)]
 use fedra_federation::SiloChannel;
-
-/// How long a gather waits for the silo's byte-counted refusal of an
-/// intentionally-expired frame before abandoning the reply. The shed is
-/// silo-side either way; the grace window only decides whether its bytes
-/// get recorded before the tick moves on.
-const SHED_GRACE: Duration = Duration::from_millis(250);
 
 /// One admission class: a name (for `class="..."` metric labels), a
 /// bounded queue budget, and an optional deadline enforced from
@@ -256,32 +252,11 @@ impl Intake {
     }
 }
 
-/// The remote leg of a planned query (none for plans that resolved
-/// provider-side).
-struct RemoteLeg {
-    /// Candidate silos in visiting order (head = sampled silo).
-    order: Vec<SiloId>,
-    request: Request,
-    /// Index of the current candidate in `order`.
-    attempt: usize,
-    /// Transient retries already burned on the current candidate.
-    retried: u32,
-}
-
-/// One query riding the scheduler's ticks.
+/// One remotely planned query riding the scheduler's ticks; the driver
+/// keeps it, and its walk in a [`Runs`] map, under its submission id.
 struct ActiveQuery {
-    id: u64,
-    query: FraQuery,
-    class: usize,
+    sub: Submission,
     alg: Box<dyn FraAlgorithm>,
-    leg: Option<RemoteLeg>,
-    rounds: u64,
-    submitted_at: Instant,
-    deadline: Option<Instant>,
-    cell: Arc<TicketCell>,
-    /// Set once the query resolved (answer, degradation, or shed);
-    /// delivered and dropped at the end of the tick.
-    done: Option<Result<QueryResult, FraError>>,
 }
 
 /// The serving front end. See the module docs for the tick model.
@@ -336,6 +311,9 @@ impl QueryScheduler {
             intake: Arc::clone(&intake),
             classes: classes.clone(),
             tick_admissions: config.tick_admissions.max(1),
+            active: BTreeMap::new(),
+            runs: Runs::new(),
+            parked: RoundState::default(),
         };
         let handle = std::thread::Builder::new()
             .name("fedra-sched".to_string())
@@ -440,35 +418,22 @@ struct Driver {
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
     tick_admissions: usize,
-}
-
-/// One coalesced frame begun this tick, pending its gather.
-struct TickFrame {
-    silo: SiloId,
-    /// Indices into `active`, in deterministic (BTreeMap, then active)
-    /// order — the same order the tagged requests ride the frame.
-    riders: Vec<usize>,
-    begun: Instant,
-    deadline: Option<Instant>,
-    /// The frame was dead on arrival by design: its riders expired in
-    /// queue and the silo sheds it whole, byte-counted.
-    expired: bool,
-    batch: Result<fedra_federation::PendingTaggedBatch, TransportError>,
+    /// Remotely planned queries in flight, by submission id…
+    active: BTreeMap<u64, ActiveQuery>,
+    /// …their walks, under the same ids…
+    runs: Runs,
+    /// …and the frames parked past the hedge threshold, across ticks.
+    parked: RoundState,
 }
 
 impl Driver {
-    fn run(self) {
-        let mut active: Vec<ActiveQuery> = Vec::new();
-        loop {
-            let Some(admitted) = self.take_admissions(active.is_empty()) else {
-                break;
-            };
+    fn run(mut self) {
+        while let Some(admitted) = self.take_admissions(self.active.is_empty()) {
             self.obs.inc("fedra_sched_ticks_total");
-            self.plan_admissions(admitted, &mut active);
+            self.plan_admissions(admitted);
             self.obs
-                .set_gauge("fedra_sched_active", active.len() as f64);
-            self.pump_frames(&mut active);
-            self.deliver_done(&mut active);
+                .set_gauge("fedra_sched_active", self.active.len() as f64);
+            self.pump();
         }
     }
 
@@ -500,8 +465,9 @@ impl Driver {
 
     /// Plans the tick's admissions on the worker pool (one fresh
     /// algorithm per submission; results come back in submission order)
-    /// and moves remote plans into the active set.
-    fn plan_admissions(&self, admitted: Vec<Submission>, active: &mut Vec<ActiveQuery>) {
+    /// and answers provider-side plans at once; remote plans join the
+    /// active set.
+    fn plan_admissions(&mut self, admitted: Vec<Submission>) {
         if admitted.is_empty() {
             return;
         }
@@ -514,9 +480,17 @@ impl Driver {
         let planned: Vec<Option<(QueryPlan, Box<dyn FraAlgorithm>)>> =
             self.pool.try_map(&admitted, |_worker, sub| {
                 let alg = (self.factory)(sub.seed);
-                let plan = alg.plan_with(&self.federation, &sub.query, &self.obs);
+                let trace = TraceHandle::disabled();
+                let plan = plan_counted(
+                    alg.as_ref(),
+                    &self.federation,
+                    &sub.query,
+                    &trace,
+                    &self.obs,
+                );
                 (plan, alg)
             });
+        let retries = self.federation.call_policy().retries;
         for (sub, slot) in admitted.into_iter().zip(planned) {
             let Some((plan, alg)) = slot else {
                 // The pool worker panicked planning this query; answer the
@@ -526,355 +500,86 @@ impl Driver {
                 }));
                 continue;
             };
-            let (leg, done) = match plan {
-                QueryPlan::Ready(outcome) => {
-                    self.obs.inc("fedra_plan_ready_total");
-                    (None, Some(outcome))
-                }
-                QueryPlan::SingleSilo(RemotePlan { order, request }) => {
-                    self.obs.inc("fedra_plan_remote_total");
-                    (
-                        Some(RemoteLeg {
-                            order,
-                            request,
-                            attempt: 0,
-                            retried: 0,
-                        }),
-                        None,
-                    )
-                }
-            };
-            active.push(ActiveQuery {
-                id: sub.id,
-                query: sub.query,
-                class: sub.class,
-                alg,
-                leg,
-                rounds: 0,
-                submitted_at: sub.submitted_at,
-                deadline: sub.deadline,
-                cell: sub.cell,
-                done,
-            });
-        }
-    }
-
-    /// One scatter–gather round over every live query: group by current
-    /// candidate silo, one multiplexed frame per silo (expired riders get
-    /// their own dead-on-arrival frame the silo sheds byte-countedly),
-    /// then resolve replies by correlation id.
-    fn pump_frames(&self, active: &mut [ActiveQuery]) {
-        self.skip_disallowed_candidates(active);
-        // Group riders by (candidate silo, expired?). Wall-clock: the
-        // deadline decides when to give up, never what a query computes.
-        let now = Instant::now();
-        let mut groups: BTreeMap<(SiloId, bool), Vec<usize>> = BTreeMap::new();
-        for (i, q) in active.iter().enumerate() {
-            if q.done.is_some() || q.leg.is_none() {
-                continue;
-            }
-            let expired = q.deadline.is_some_and(|d| d <= now);
-            let Some(leg) = q.leg.as_ref() else { continue };
-            groups
-                .entry((leg.order[leg.attempt], expired))
-                .or_default()
-                .push(i);
-        }
-        if groups.is_empty() {
-            return;
-        }
-        // Scatter: begin every frame before gathering any reply.
-        let frames: Vec<TickFrame> = groups
-            .into_iter()
-            .map(|((silo, expired), riders)| {
-                let deadline = frame_deadline(active, &riders, expired);
-                let tagged: Vec<(u64, &Request)> = riders
-                    .iter()
-                    .filter_map(|&i| {
-                        active[i]
-                            .leg
-                            .as_ref()
-                            .map(|leg| (active[i].id, &leg.request))
-                    })
-                    .collect();
-                if self.obs.is_enabled() {
-                    self.obs
-                        .observe("fedra_sched_frame_riders", riders.len() as u64);
-                    for _ in &riders {
-                        self.obs
-                            .inc(&labeled("fedra_silo_requests_total", "silo", silo));
-                    }
-                }
-                let begun = Instant::now();
-                // A lost leg (tagged shorter than riders) would desync the
-                // correlation zip; degrade the whole frame instead.
-                let batch = if tagged.len() == riders.len() {
-                    self.federation
-                        .channel(silo)
-                        .begin_tagged_batch_with(&tagged, deadline)
-                } else {
-                    Err(TransportError::Disconnected { silo })
-                };
-                TickFrame {
-                    silo,
-                    riders,
-                    begun,
-                    deadline,
-                    expired,
-                    batch,
-                }
-            })
-            .collect();
-        // Every begun frame costs its riders one attempt round.
-        for frame in &frames {
-            for &i in &frame.riders {
-                active[i].rounds += 1;
-            }
-        }
-        // Gather, routing each reply back by correlation id.
-        let by_id: HashMap<u64, usize> =
-            active.iter().enumerate().map(|(i, q)| (q.id, i)).collect();
-        let mut to_finish: Vec<(usize, SiloId, fedra_federation::Response)> = Vec::new();
-        for frame in frames {
-            self.gather_frame(active, &by_id, frame, &mut to_finish);
-        }
-        self.finish_resolved(active, to_finish);
-    }
-
-    /// Advances queries whose current candidate the breaker disallows,
-    /// degrading those that run out of candidates — the scheduler-side
-    /// mirror of `attempt_silo`'s health check.
-    fn skip_disallowed_candidates(&self, active: &mut [ActiveQuery]) {
-        for q in active.iter_mut() {
-            if q.done.is_some() {
-                continue;
-            }
-            let Some(leg) = q.leg.as_mut() else { continue };
-            while leg.attempt < leg.order.len()
-                && !self.federation.health().may_call(leg.order[leg.attempt])
-            {
-                leg.attempt += 1;
-                leg.retried = 0;
-                self.obs.inc("fedra_resamples_total");
-            }
-            if leg.attempt >= leg.order.len() {
-                self.obs.inc("fedra_degraded_total");
-                q.done = Some(q.alg.finish_degraded(&self.federation, &q.query, q.rounds));
-            }
-        }
-    }
-
-    /// Resolves one frame: success feeds the finish stage, refusals retry
-    /// or advance candidates, deadline sheds mark riders shed.
-    fn gather_frame(
-        &self,
-        active: &mut [ActiveQuery],
-        by_id: &HashMap<u64, usize>,
-        frame: TickFrame,
-        to_finish: &mut Vec<(usize, SiloId, fedra_federation::Response)>,
-    ) {
-        let outcome = match frame.batch {
-            Ok(pending) => {
-                if frame.expired {
-                    // Wait (briefly) for the silo's byte-counted refusal;
-                    // the riders are shed either way.
-                    pending.wait_deadline(frame.begun + SHED_GRACE)
-                } else {
-                    match frame.deadline {
-                        Some(d) => pending.wait_deadline(d),
-                        None => pending.wait(),
-                    }
-                }
-            }
-            Err(e) => Err(e),
-        };
-        match outcome {
-            Ok(items) => {
-                note_transition(
-                    &self.obs,
-                    self.federation
-                        .health()
-                        .record_success(frame.silo, frame.begun.elapsed()),
-                );
-                for (tag, item) in items {
-                    let Some(&i) = by_id.get(&tag) else { continue };
-                    if active[i].done.is_some() {
-                        continue;
-                    }
-                    match item {
-                        Ok(response) => to_finish.push((i, frame.silo, response)),
-                        Err(error) if error.is_deadline() => {
-                            if self.obs.is_enabled() {
-                                self.obs.inc(&labeled(
-                                    "fedra_deadline_missed_total",
-                                    "silo",
-                                    frame.silo,
-                                ));
-                            }
-                            self.shed(&mut active[i]);
-                        }
-                        Err(error) => {
-                            note_transition(
-                                &self.obs,
-                                self.federation.health().record_failure(frame.silo),
-                            );
-                            self.retry_or_advance(&mut active[i], &error);
-                        }
-                    }
-                }
-            }
-            Err(error) if frame.expired && error.is_deadline() => {
-                // The dead-on-arrival frame was shed as intended (or its
-                // grace window lapsed). The silo did exactly what the
-                // envelope asked: no health failure is recorded.
-                for &i in &frame.riders {
-                    if active[i].done.is_none() {
-                        self.shed(&mut active[i]);
-                    }
-                }
-            }
-            Err(error) => {
-                note_transition(
-                    &self.obs,
-                    self.federation.health().record_failure(frame.silo),
-                );
-                if error.is_deadline() {
-                    // The frame deadline is the max over riders, so a
-                    // frame-level miss means every rider's budget is
-                    // spent: shed them all.
-                    if self.obs.is_enabled() {
-                        self.obs
-                            .inc(&labeled("fedra_deadline_missed_total", "silo", frame.silo));
-                    }
-                    for &i in &frame.riders {
-                        if active[i].done.is_none() {
-                            self.shed(&mut active[i]);
-                        }
-                    }
-                } else {
-                    for &i in &frame.riders {
-                        if active[i].done.is_none() {
-                            self.retry_or_advance(&mut active[i], &error);
-                        }
-                    }
+            match plan {
+                QueryPlan::Ready(outcome) => self.deliver(&sub, outcome),
+                QueryPlan::SingleSilo(plan) => {
+                    // The walk's budget is the submission's absolute deadline.
+                    let budget = Budget::Until(sub.deadline);
+                    self.runs
+                        .insert(sub.id, QueryRun::new(plan, retries, budget));
+                    self.active.insert(sub.id, ActiveQuery { sub, alg });
                 }
             }
         }
     }
 
-    /// Transient refusals retry the same candidate (next tick) up to the
-    /// policy budget; anything else advances to the next candidate,
-    /// degrading when none remain — mirrors the batch engine's loop.
-    fn retry_or_advance(&self, q: &mut ActiveQuery, error: &TransportError) {
-        let retries = self.federation.call_policy().retries;
-        let Some(leg) = q.leg.as_mut() else { return };
-        if error.is_retryable() && leg.retried < retries {
-            leg.retried += 1;
-            self.obs.inc("fedra_retries_total");
-            return;
-        }
-        self.obs.inc("fedra_resamples_total");
-        leg.attempt += 1;
-        leg.retried = 0;
-        if leg.attempt >= leg.order.len() {
-            self.obs.inc("fedra_degraded_total");
-            q.done = Some(q.alg.finish_degraded(&self.federation, &q.query, q.rounds));
-        }
-    }
-
-    /// Marks a rider shed (deadline spent); counted at delivery.
-    fn shed(&self, q: &mut ActiveQuery) {
-        q.done = Some(Err(FraError::Shed {
-            class: self.classes[q.class].name.clone(),
-        }));
-    }
-
-    /// Finishes this tick's successful replies on the worker pool.
-    /// `finish_with` consumes no RNG (the plan did), so parallel finish
-    /// order cannot change any query's value.
-    fn finish_resolved(
-        &self,
-        active: &mut [ActiveQuery],
-        to_finish: Vec<(usize, SiloId, fedra_federation::Response)>,
-    ) {
-        if to_finish.is_empty() {
-            return;
-        }
-        let outcomes: Vec<Option<Result<QueryResult, FraError>>> =
-            self.pool
-                .try_map(&to_finish, |_worker, (i, silo, response)| {
-                    let q = &active[*i];
-                    if self.obs.is_enabled() {
-                        self.obs
-                            .inc(&labeled("fedra_sampled_silo_total", "silo", *silo));
-                    }
-                    q.alg.finish_with(
-                        &self.federation,
-                        &q.query,
-                        *silo,
-                        response.clone(),
-                        q.rounds,
+    /// One tick's scatter–gather [`round`] over every live query — the
+    /// same round the batch engine pumps, with frames tagged by submission
+    /// id — then the finish stage on the worker pool. `finish_with`
+    /// consumes no RNG (the plan did), so parallel finish order cannot
+    /// change any query's value.
+    fn pump(&mut self) {
+        let mut ended: Vec<(u64, End)> = Vec::new();
+        let federation = &*self.federation;
+        let (runs, parked) = (&mut self.runs, &mut self.parked);
+        round(federation, &self.obs, parked, runs, &mut |id, end| {
+            ended.push((id, end))
+        });
+        // Oldest submission first: a client redeeming tickets in order is
+        // woken at the head of the delivery burst, not somewhere inside it.
+        ended.sort_by_key(|(id, _)| *id);
+        let outcomes = self.pool.try_map(&ended, |_worker, (id, end)| {
+            let q = &self.active[id];
+            match end {
+                End::Shed => Err(FraError::Shed {
+                    class: self.classes[q.sub.class].name.clone(),
+                }),
+                // The scheduler opens no traces (its clients read
+                // metrics): the finish step gets an inert handle.
+                end => {
+                    let trace = TraceHandle::disabled();
+                    finish_run(
+                        q.alg.as_ref(),
+                        federation,
+                        &q.sub.query,
+                        end.clone(),
+                        &trace,
                         &self.obs,
                     )
-                });
-        for ((i, _, _), outcome) in to_finish.into_iter().zip(outcomes) {
-            active[i].done = Some(outcome.unwrap_or_else(|| {
+                }
+            }
+        });
+        for ((id, _), outcome) in ended.iter().zip(outcomes) {
+            self.runs.remove(id);
+            let Some(q) = self.active.remove(id) else {
+                continue;
+            };
+            let outcome = outcome.unwrap_or_else(|| {
                 Err(FraError::Internal {
                     message: "scheduler worker panicked while finishing this query".into(),
                 })
-            }));
+            });
+            self.deliver(&q.sub, outcome);
         }
     }
 
-    /// Delivers every resolved query to its ticket and drops it from the
-    /// active set, recording completion/shed counters and end-to-end
-    /// latency.
-    fn deliver_done(&self, active: &mut Vec<ActiveQuery>) {
-        active.retain_mut(|q| {
-            let Some(outcome) = q.done.take() else {
-                return true;
-            };
-            let class = &self.classes[q.class].name;
-            if matches!(outcome, Err(FraError::Shed { .. })) {
-                if self.obs.is_enabled() {
-                    self.obs.inc(&labeled("fedra_shed_total", "class", class));
-                }
-                self.obs.inc("fedra_shed_expired_total");
-            } else if self.obs.is_enabled() {
-                self.obs
-                    .inc(&labeled("fedra_sched_completed_total", "class", class));
+    /// Delivers one resolved query to its ticket, recording completion /
+    /// shed counters and end-to-end latency.
+    fn deliver(&self, sub: &Submission, outcome: Result<QueryResult, FraError>) {
+        let class = &self.classes[sub.class].name;
+        if matches!(outcome, Err(FraError::Shed { .. })) {
+            if self.obs.is_enabled() {
+                self.obs.inc(&labeled("fedra_shed_total", "class", class));
             }
-            if let Ok(r) = &outcome {
-                crate::algorithm::note_coverage(&self.obs, r);
-            }
-            self.obs.observe(
-                "fedra_sched_latency_ns",
-                q.submitted_at.elapsed().as_nanos() as u64,
-            );
-            q.cell.deliver(outcome);
-            false
-        });
-    }
-}
-
-/// The envelope deadline for one coalesced frame: live frames take the
-/// *max* over riders (the frame must never shed a rider that still has
-/// budget; each rider's own deadline is enforced per-reply), expired
-/// frames take the earliest (already past) deadline so the silo sheds
-/// them on arrival.
-fn frame_deadline(active: &[ActiveQuery], riders: &[usize], expired: bool) -> Option<Instant> {
-    if expired {
-        return riders.iter().filter_map(|&i| active[i].deadline).min();
-    }
-    let mut max: Option<Instant> = None;
-    for &i in riders {
-        match active[i].deadline {
-            // One unbounded rider makes the frame unbounded.
-            None => return None,
-            Some(d) => max = Some(max.map_or(d, |m| m.max(d))),
+            self.obs.inc("fedra_shed_expired_total");
+        } else if self.obs.is_enabled() {
+            self.obs
+                .inc(&labeled("fedra_sched_completed_total", "class", class));
         }
+        let latency = sub.submitted_at.elapsed().as_nanos() as u64;
+        self.obs.observe("fedra_sched_latency_ns", latency);
+        sub.cell.deliver(outcome);
     }
-    max
 }
 
 #[cfg(test)]

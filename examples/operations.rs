@@ -95,10 +95,7 @@ fn main() {
         b1.throughput_qps
     );
 
-    // Legacy alias: exercised on purpose so the deprecated API keeps
-    // compiling; new code should use `AnswerCache`.
-    #[allow(deprecated)]
-    let cached = CachedAlgorithm::new(
+    let cached = AnswerCache::new(
         NonIidEst::new(1),
         CacheConfig {
             capacity: 1024,

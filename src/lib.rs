@@ -54,8 +54,6 @@ pub use fedra_workload as workload;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use fedra_core::CachedAlgorithm;
     pub use fedra_core::{
         AccuracyParams, AdaptivePlanner, AnswerCache, BatchResult, CacheAnswer, CacheConfig,
         CachePolicy, CacheSource, CacheStats, ClassPolicy, Coverage, Exact, ExactSequential,

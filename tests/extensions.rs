@@ -87,9 +87,7 @@ fn cached_planner_stack_composes() {
     // Cache on top of the adaptive planner: both wrappers are transparent
     // FraAlgorithms, so they stack.
     let (fed, all, _) = testbed(8);
-    // The deprecated alias must keep composing like the old cache did.
-    #[allow(deprecated)]
-    let stack = CachedAlgorithm::new(
+    let stack = AnswerCache::new(
         AdaptivePlanner::new(9, PlannerPolicy::default()),
         CacheConfig {
             capacity: 64,

@@ -238,7 +238,7 @@ fn batch_engine_results_are_bit_identical_across_pool_sizes() {
     let exact = Exact::new();
     let run = |workers: usize| -> Vec<u64> {
         QueryEngine::with_workers(&exact, workers)
-            .execute_batch_singleton(&fed, &queries)
+            .execute_batch(&fed, &queries)
             .results
             .iter()
             .map(|r| r.as_ref().expect("healthy batch").value.to_bits())
