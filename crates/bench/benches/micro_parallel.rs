@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the silo worker pool: index builds and
-//! grid merges at pool sizes 1 / 2 / auto. Companion to the end-to-end
-//! `ab_parallel` example — these isolate the three parallelized hot
-//! paths (STR bulk load, grid sharding, provider-side merge) from the
-//! rest of the federation so per-path scaling is visible on its own.
+//! grid merges at pool sizes 1 / 2 / auto. These isolate the three
+//! parallelized build paths (STR bulk load, grid sharding, provider-side
+//! merge) from the rest of the federation so per-path scaling is visible
+//! on its own; `bench/run.sh` (`setup_s`) is the end-to-end view.
 //! The outputs are bit-identical across pool sizes (pinned by
 //! `tests/parallel_equivalence.rs`); only the wall-clock may move.
 

@@ -6,8 +6,7 @@
 //! 1. **Closed loop**: 8 client threads submit-and-wait back to back —
 //!    the scheduler's multi-client throughput against the serialized
 //!    single-engine baseline on the same federation. The speedup is
-//!    bounded by `host_cores` (recorded in the artifact), exactly like
-//!    the `ab_parallel` pool numbers.
+//!    bounded by `host_cores` (recorded in the artifact).
 //! 2. **Open loop**: paced submitters offer load at multiples of the
 //!    baseline capacity (0.5×–4×) under a deadline class; past
 //!    saturation the admission queue overflows and queued queries expire,

@@ -15,13 +15,101 @@ use fedra_obs::{labeled, ObsContext, Span};
 use crate::algorithm::{degrade_fanout, note_coverage, FraAlgorithm};
 use crate::query::{FraError, FraQuery, QueryResult};
 
-/// Counts one request to every silo (the fan-out algorithms talk to all
-/// `m` members per query).
-fn count_fanout(obs: &ObsContext, m: usize) {
-    if obs.is_enabled() {
-        for k in 0..m {
-            obs.inc(&labeled("fedra_silo_requests_total", "silo", k));
+/// The fan-out query EXACT, EXACT-seq and OPTA share ([`FanOut::run`]),
+/// named by how it reaches the `m` silos.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FanOut {
+    /// [`Federation::broadcast`]: the frame is begun on every channel
+    /// before any reply is awaited, so the persistent silo workers answer
+    /// concurrently without a thread spawned per query (mirroring the
+    /// paper's multi-threaded setup, minus the threads).
+    Broadcast,
+    /// One blocking call per silo, in id order; a fatal error stops the
+    /// walk before the remaining silos are contacted.
+    Sequential,
+}
+
+impl FanOut {
+    /// Sends `request` to all `m` silos, merges the `Agg` partials in
+    /// silo-id order, and — under `DegradePolicy::Partial` — fills an
+    /// unreachable silo's share from its `g_k` instead of failing the
+    /// query.
+    pub(crate) fn run(
+        self,
+        name: &'static str,
+        request: &Request,
+        federation: &Federation,
+        query: &FraQuery,
+        obs: &ObsContext,
+    ) -> Result<QueryResult, FraError> {
+        let trace = obs.start_trace("query", name);
+        let m = federation.num_silos();
+        if obs.is_enabled() {
+            for k in 0..m {
+                obs.inc(&labeled("fedra_silo_requests_total", "silo", k));
+            }
         }
+        let policy = federation.degrade_policy();
+        let outcome = (|| {
+            let _fanout = Span::enter(
+                &trace,
+                match self {
+                    FanOut::Broadcast => "fanout",
+                    FanOut::Sequential => "sequential-fanout",
+                },
+            );
+            let mut total = Aggregate::ZERO;
+            let mut responding = Vec::new();
+            let mut missing = Vec::new();
+            let mut take = |k, partial| {
+                match partial {
+                    Ok(Response::Agg(a)) => {
+                        total.merge_in(&a);
+                        responding.push(k);
+                    }
+                    Ok(_) => {
+                        return Err(FraError::ProtocolViolation {
+                            silo: k,
+                            expected: "Agg",
+                        })
+                    }
+                    Err(e) if policy.allows_partial() => missing.push((k, e)),
+                    Err(e) => return Err(FraError::SiloFailed(e)),
+                }
+                Ok(())
+            };
+            match self {
+                FanOut::Broadcast => {
+                    for (k, partial) in federation.broadcast(request).into_iter().enumerate() {
+                        take(k, partial)?;
+                    }
+                }
+                FanOut::Sequential => {
+                    for k in 0..m {
+                        take(k, federation.call(k, request))?;
+                    }
+                }
+            }
+            let rounds = m as u64;
+            if missing.is_empty() {
+                return Ok(QueryResult::from_aggregate(total, query.func).with_rounds(rounds));
+            }
+            degrade_fanout(federation, query, total, &responding, missing, 0.0)
+                .map(|r| r.with_rounds(rounds))
+        })();
+        if let Ok(result) = &outcome {
+            note_coverage(obs, result);
+        }
+        obs.finish_trace(&trace);
+        outcome
+    }
+}
+
+/// The local query both EXACT variants send.
+fn exact_request(query: &FraQuery) -> Request {
+    Request::Aggregate {
+        range: query.range,
+        mode: LocalMode::Exact,
     }
 }
 
@@ -47,52 +135,8 @@ impl FraAlgorithm for Exact {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        let trace = obs.start_trace("query", self.name());
-        let request = Request::Aggregate {
-            range: query.range,
-            mode: LocalMode::Exact,
-        };
-        count_fanout(obs, federation.num_silos());
-        // The m-way fan-out runs on the persistent silo workers: the
-        // frame is begun on every channel before any reply is awaited, so
-        // the silos answer concurrently without a thread spawned per query
-        // (mirroring the paper's multi-threaded setup, minus the threads).
-        let policy = federation.degrade_policy();
-        let outcome = (|| {
-            let _fanout = Span::enter(&trace, "fanout");
-            let mut total = Aggregate::ZERO;
-            let mut responding = Vec::new();
-            let mut missing = Vec::new();
-            for (k, partial) in federation.broadcast(&request).into_iter().enumerate() {
-                match partial {
-                    Ok(Response::Agg(a)) => {
-                        total.merge_in(&a);
-                        responding.push(k);
-                    }
-                    Ok(_) => {
-                        return Err(FraError::ProtocolViolation {
-                            silo: k,
-                            expected: "Agg",
-                        })
-                    }
-                    // Under Partial, an unreachable silo's share is filled
-                    // from its g_k below instead of failing the query.
-                    Err(e) if policy.allows_partial() => missing.push((k, e)),
-                    Err(e) => return Err(FraError::SiloFailed(e)),
-                }
-            }
-            let rounds = federation.num_silos() as u64;
-            if missing.is_empty() {
-                return Ok(QueryResult::from_aggregate(total, query.func).with_rounds(rounds));
-            }
-            degrade_fanout(federation, query, total, &responding, missing, 0.0)
-                .map(|r| r.with_rounds(rounds))
-        })();
-        if let Ok(result) = &outcome {
-            note_coverage(obs, result);
-        }
-        obs.finish_trace(&trace);
-        outcome
+        let request = exact_request(query);
+        FanOut::Broadcast.run(self.name(), &request, federation, query, obs)
     }
 }
 
@@ -126,46 +170,8 @@ impl FraAlgorithm for ExactSequential {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        let trace = obs.start_trace("query", self.name());
-        let request = Request::Aggregate {
-            range: query.range,
-            mode: LocalMode::Exact,
-        };
-        count_fanout(obs, federation.num_silos());
-        let policy = federation.degrade_policy();
-        let outcome = (|| {
-            let _fanout = Span::enter(&trace, "sequential-fanout");
-            let mut total = Aggregate::ZERO;
-            let mut responding = Vec::new();
-            let mut missing = Vec::new();
-            for k in 0..federation.num_silos() {
-                match federation.call(k, &request) {
-                    Ok(Response::Agg(a)) => {
-                        total.merge_in(&a);
-                        responding.push(k);
-                    }
-                    Ok(_) => {
-                        return Err(FraError::ProtocolViolation {
-                            silo: k,
-                            expected: "Agg",
-                        })
-                    }
-                    Err(e) if policy.allows_partial() => missing.push((k, e)),
-                    Err(e) => return Err(FraError::SiloFailed(e)),
-                }
-            }
-            let rounds = federation.num_silos() as u64;
-            if missing.is_empty() {
-                return Ok(QueryResult::from_aggregate(total, query.func).with_rounds(rounds));
-            }
-            degrade_fanout(federation, query, total, &responding, missing, 0.0)
-                .map(|r| r.with_rounds(rounds))
-        })();
-        if let Ok(result) = &outcome {
-            note_coverage(obs, result);
-        }
-        obs.finish_trace(&trace);
-        outcome
+        let request = exact_request(query);
+        FanOut::Sequential.run(self.name(), &request, federation, query, obs)
     }
 }
 

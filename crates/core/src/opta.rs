@@ -9,11 +9,11 @@
 //! EXACT (Figs. 3c–9c show them close) and the worst accuracy of the
 //! compared algorithms (Figs. 3a–9a).
 
-use fedra_federation::{Federation, Request, Response};
-use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext, Span};
+use fedra_federation::{Federation, Request};
+use fedra_obs::ObsContext;
 
-use crate::algorithm::{degrade_fanout, note_coverage, FraAlgorithm};
+use crate::algorithm::FraAlgorithm;
+use crate::exact::FanOut;
 use crate::query::{FraError, FraQuery, QueryResult};
 
 /// The OPTA fan-out histogram algorithm.
@@ -38,52 +38,10 @@ impl FraAlgorithm for Opta {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        let trace = obs.start_trace("query", self.name());
+        // Same fan-out as EXACT; OPTA's own histogram error rides on top
+        // of a degraded answer exactly as it does undegraded.
         let request = Request::HistogramEstimate { range: query.range };
-        if obs.is_enabled() {
-            for k in 0..federation.num_silos() {
-                obs.inc(&labeled("fedra_silo_requests_total", "silo", k));
-            }
-        }
-        // Same fan-out as EXACT: broadcast over the persistent silo
-        // workers, no per-query threads.
-        let policy = federation.degrade_policy();
-        let outcome = (|| {
-            let _fanout = Span::enter(&trace, "fanout");
-            let mut total = Aggregate::ZERO;
-            let mut responding = Vec::new();
-            let mut missing = Vec::new();
-            for (k, partial) in federation.broadcast(&request).into_iter().enumerate() {
-                match partial {
-                    Ok(Response::Agg(a)) => {
-                        total.merge_in(&a);
-                        responding.push(k);
-                    }
-                    Ok(_) => {
-                        return Err(FraError::ProtocolViolation {
-                            silo: k,
-                            expected: "Agg",
-                        })
-                    }
-                    // Under Partial, a missing silo's histogram share is
-                    // filled from its g_k; OPTA's own histogram error
-                    // rides on top exactly as it does undegraded.
-                    Err(e) if policy.allows_partial() => missing.push((k, e)),
-                    Err(e) => return Err(FraError::SiloFailed(e)),
-                }
-            }
-            let rounds = federation.num_silos() as u64;
-            if missing.is_empty() {
-                return Ok(QueryResult::from_aggregate(total, query.func).with_rounds(rounds));
-            }
-            degrade_fanout(federation, query, total, &responding, missing, 0.0)
-                .map(|r| r.with_rounds(rounds))
-        })();
-        if let Ok(result) = &outcome {
-            note_coverage(obs, result);
-        }
-        obs.finish_trace(&trace);
-        outcome
+        FanOut::Broadcast.run(self.name(), &request, federation, query, obs)
     }
 }
 

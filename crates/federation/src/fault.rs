@@ -10,8 +10,9 @@
 //! chaos run is bit-stable: the same plan and the same request sequence
 //! produce the same faults, regardless of timing or thread interleaving.
 //!
-//! Injection sits in the worker loop of [`crate::transport::spawn_silo`],
-//! *after* the envelope is received and *before* the request is decoded:
+//! Injection sits in the one serve step both transport backends run per
+//! frame (`SiloServer::serve` in `transport/mod.rs`), *after* the frame
+//! is received and *before* the request is decoded:
 //! a faulted request still pays its upload bytes (the frame travelled),
 //! which keeps the communication-cost metric honest under chaos.
 //!

@@ -5,9 +5,9 @@
 //! can only interact through the query interface, never touch the rows
 //! (the federation constraint of Sec. 2). A silo builds, at construction:
 //!
-//! * an aggregate R-tree over its objects (exact local queries, EXACT
-//!   baseline, and level `T_0` of the forest);
-//! * an LSR-Forest (Alg. 5) for O(log 1/ε) approximate local queries;
+//! * an LSR-Forest (Alg. 5) whose level `T_0` *is* the aggregate R-tree
+//!   over all its objects (exact local queries, the EXACT baseline) and
+//!   whose sampled levels serve O(log 1/ε) approximate local queries;
 //! * a MinSkew histogram for the OPTA baseline;
 //!
 //! and, on the provider's `BuildGrid` request (Alg. 1), a grid index over
@@ -31,8 +31,8 @@ use fedra_index::grid::{CellId, GridIndex, GridSpec};
 use fedra_index::histogram::{MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
 use fedra_index::pool::WorkerPool;
-use fedra_index::rtree::{RTree, RTreeConfig};
-use fedra_index::{Aggregate, GridPyramid, IndexMemory};
+use fedra_index::rtree::RTreeConfig;
+use fedra_index::{Aggregate, IndexMemory};
 
 use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport};
 use crate::wire::{Wire, WireError, WireResult};
@@ -68,10 +68,13 @@ pub struct SiloConfig {
 pub struct Silo {
     id: SiloId,
     num_objects: usize,
-    rtree: RTree,
+    /// The forest's `T_0` is the exact aggregate R-tree and the canonical
+    /// copy of the partition: one full bulk load per silo.
     lsr: LsrForest,
     histogram: MinSkewHistogram,
-    grid: parking_lot::RwLock<Option<RetainedGrid>>,
+    /// Retained after `BuildGrid`: the cell-id → rectangle mapping and
+    /// the per-cell counts `CellContributions` prunes empty cells with.
+    grid: parking_lot::RwLock<Option<GridIndex>>,
     /// Scoped worker pool shared by index builds and request fan-out.
     pool: WorkerPool,
     /// Failure injection: when set, every request is answered with
@@ -85,18 +88,8 @@ pub struct Silo {
     metrics: SiloMetrics,
 }
 
-/// The grid state a silo retains after `BuildGrid`: the index itself
-/// (cell-id → rectangle mapping for `CellContributions`) plus its
-/// coarsening pyramid, whose level-1 prefix array gives an O(1)
-/// provably-empty probe used to prune clipped-aggregate work.
-struct RetainedGrid {
-    index: GridIndex,
-    pyramid: GridPyramid,
-}
-
 /// A silo's persisted grid state: everything needed to re-retain the
-/// [`RetainedGrid`] after a crash without re-scanning the partition
-/// (DESIGN.md §5i).
+/// grid after a crash without re-scanning the partition (DESIGN.md §5i).
 ///
 /// The on-disk layout is the wire encoding of this struct followed by a
 /// trailing FNV-1a checksum of those bytes; [`Silo::load_grid_snapshot`]
@@ -181,8 +174,8 @@ struct SiloMetrics {
     batch_items: Arc<Histogram>,
     batch_panics: Arc<Counter>,
     pool_items_per_task: Arc<Histogram>,
-    /// Boundary cells answered `ZERO` straight off the pyramid's
-    /// emptiness probe, skipping the clipped R-tree/LSR descent.
+    /// Boundary cells answered `ZERO` straight off the retained grid's
+    /// cell counts, skipping the clipped R-tree/LSR descent.
     cells_pruned: Arc<Counter>,
     /// One counter per LSR level, indexed by the level picked (Alg. 6);
     /// the paper's O(log 1/ε) claim is readable straight off these.
@@ -267,12 +260,10 @@ impl Silo {
         let lsr = LsrForest::build_with(&objects, config.rtree, &mut rng, &pool);
         let histogram = MinSkewHistogram::build(config.bounds, config.histogram, &objects);
         let num_objects = objects.len();
-        let rtree = RTree::bulk_load_with(objects, config.rtree, &pool);
         let metrics = SiloMetrics::new(id, lsr.num_levels(), &pool);
         Self {
             id,
             num_objects,
-            rtree,
             lsr,
             histogram,
             grid: parking_lot::RwLock::new(None),
@@ -397,14 +388,13 @@ impl Silo {
     /// `BuildGrid` or a successful [`Self::load_grid_snapshot`]).
     pub fn grid_snapshot(&self) -> Option<SiloGridSnapshot> {
         let guard = self.grid.read();
-        let retained = guard.as_ref()?;
-        let spec = *retained.index.spec();
+        let grid = guard.as_ref()?;
         Some(SiloGridSnapshot {
-            bounds: spec.bounds(),
-            cell_len: spec.cell_len(),
+            bounds: grid.spec().bounds(),
+            cell_len: grid.spec().cell_len(),
             num_objects: self.num_objects as u64,
-            cells: retained.index.cells().to_vec(),
-            outside: retained.index.outside_count(),
+            cells: grid.cells().to_vec(),
+            outside: grid.outside_count(),
         })
     }
 
@@ -466,9 +456,11 @@ impl Silo {
             return Ok(false);
         }
         let spec = GridSpec::new(snapshot.bounds, snapshot.cell_len);
-        let index = GridIndex::from_parts(spec, snapshot.cells, snapshot.outside);
-        let pyramid = GridPyramid::build_with(&index, &self.pool);
-        *self.grid.write() = Some(RetainedGrid { index, pyramid });
+        *self.grid.write() = Some(GridIndex::from_parts(
+            spec,
+            snapshot.cells,
+            snapshot.outside,
+        ));
         self.metrics.snapshot_loaded.inc();
         Ok(true)
     }
@@ -483,30 +475,30 @@ impl Silo {
         {
             let guard = self.grid.read();
             if let Some(retained) = guard.as_ref() {
-                if *retained.index.spec() == spec {
-                    let outside = retained.index.outside_count();
+                if *retained.spec() == spec {
+                    let outside = retained.outside_count();
                     return if return_cells {
                         Response::Grid {
                             bounds,
                             cell_len,
-                            cells: retained.index.cells().to_vec(),
+                            cells: retained.cells().to_vec(),
                             outside,
                         }
                     } else {
                         Response::GridAck {
-                            total: retained.index.total(),
+                            total: retained.total(),
                             outside,
                         }
                     };
                 }
             }
         }
-        // The R-tree keeps the canonical copy of the partition: index it
+        // T_0 keeps the canonical copy of the partition: index it
         // directly (sharded across the pool) instead of re-collecting it
         // through an inflated-MBR range query, which paid an O(n)
         // traversal plus a copy and could miss objects at the inflate
         // boundary.
-        let grid = GridIndex::build_with(spec, self.rtree.objects(), &self.pool);
+        let grid = GridIndex::build_with(spec, self.lsr.base().objects(), &self.pool);
         let outside = grid.outside_count();
         let response = if return_cells {
             Response::Grid {
@@ -523,19 +515,15 @@ impl Silo {
                 outside,
             }
         };
-        let pyramid = GridPyramid::build_with(&grid, &self.pool);
-        *self.grid.write() = Some(RetainedGrid {
-            index: grid,
-            pyramid,
-        });
+        *self.grid.write() = Some(grid);
         response
     }
 
-    /// The silo-local range aggregation `Q(s_k, R, F)` — exact on the
-    /// aR-tree or approximate via the LSR-Forest (Alg. 6).
+    /// The silo-local range aggregation `Q(s_k, R, F)` — exact on `T_0`
+    /// or approximate on a sampled level of the LSR-Forest (Alg. 6).
     fn local_aggregate(&self, range: &Range, mode: LocalMode) -> Aggregate {
         match mode {
-            LocalMode::Exact => self.rtree.aggregate(range),
+            LocalMode::Exact => self.lsr.base().aggregate(range),
             LocalMode::Lsr {
                 epsilon,
                 delta,
@@ -555,35 +543,31 @@ impl Silo {
         mode: LocalMode,
     ) -> Response {
         let guard = self.grid.read();
-        let Some(retained) = guard.as_ref() else {
+        let Some(grid) = guard.as_ref() else {
             return Response::Error(format!(
                 "silo {}: grid index not built yet (BuildGrid must precede CellContributions)",
                 self.id
             ));
         };
-        let spec = *retained.index.spec();
+        let spec = *grid.spec();
         // Prune flags are O(1) probes per cell, computed under the read
         // guard; the expensive clipped descent fans out after it drops. A
         // cell is prunable only if its whole *closed* rectangle is empty:
         // an object exactly on the cell's max edge bins into the next
         // row/column, so the 2×2 neighborhood (clamped at the grid edge)
-        // must be empty too, not just the cell itself. The pyramid's
-        // level-1 prefix probe answers most empty neighborhoods in one
-        // rect_sum; the fine-cell sweep catches the rest.
-        let pruned: Vec<bool> = cells
+        // must be empty too, not just the cell itself.
+        let work: Vec<(CellId, bool)> = cells
             .iter()
             .map(|&id| {
                 let (ix, iy) = spec.cell_coords(id);
                 let x1 = (ix + 1).min(spec.nx() - 1);
                 let y1 = (iy + 1).min(spec.ny() - 1);
-                let empty = retained.pyramid.region_empty(ix, iy, x1, y1)
-                    || (ix..=x1).all(|cx| {
-                        (iy..=y1).all(|cy| retained.index.cell(spec.cell_id(cx, cy)).count == 0.0)
-                    });
+                let empty = (ix..=x1)
+                    .all(|cx| (iy..=y1).all(|cy| grid.cell(spec.cell_id(cx, cy)).count == 0.0));
                 if empty {
                     self.metrics.cells_pruned.inc();
                 }
-                empty
+                (id, empty)
             })
             .collect();
         drop(guard);
@@ -606,14 +590,13 @@ impl Silo {
         // cell order. Pruned cells short-circuit to `ZERO` — bit-identical
         // to what the clipped descent returns for an empty region (both
         // fold from the monoid identity over nothing).
-        let work: Vec<(CellId, bool)> = cells.iter().copied().zip(pruned).collect();
         let out: Vec<Aggregate> = self.pool.map(&work, |_, &(id, skip)| {
             if skip {
                 return Aggregate::ZERO;
             }
             let rect = spec.cell_rect_of(id);
             match level {
-                None => self.rtree.aggregate_clipped(range, &rect),
+                None => self.lsr.base().aggregate_clipped(range, &rect),
                 Some(l) => self.lsr.query_clipped_at_level(range, &rect, l),
             }
         });
@@ -622,19 +605,16 @@ impl Silo {
 
     /// Memory footprint of the silo's indices.
     pub fn memory_report(&self) -> SiloMemoryReport {
-        let rtree = self.rtree.memory_bytes() as u64;
-        // The forest includes its own copy of T₀; report only the extra
-        // levels so "R-tree + LSR extra" adds up without double counting.
-        let lsr_total = self.lsr.memory_bytes() as u64;
-        let lsr_extra = lsr_total.saturating_sub(self.lsr.base().memory_bytes() as u64);
-        // The pyramid is part of the grid's retained footprint: it exists
-        // only alongside the grid and serves the same request path.
+        // T₀ is the forest's first level: report it as the R-tree and only
+        // the sampled levels as the LSR extra, so the two add up to the
+        // forest without double counting.
+        let rtree = self.lsr.base().memory_bytes() as u64;
+        let lsr_extra = (self.lsr.memory_bytes() as u64).saturating_sub(rtree);
         let grid = self
             .grid
             .read()
             .as_ref()
-            .map(|g| (g.index.memory_bytes() + g.pyramid.memory_bytes()) as u64)
-            .unwrap_or(0);
+            .map_or(0, |g| g.memory_bytes() as u64);
         SiloMemoryReport {
             rtree,
             lsr_extra,
@@ -646,7 +626,7 @@ impl Silo {
     /// Exact local aggregate — a test/diagnostic shortcut that bypasses
     /// the protocol (the provider must never call this).
     pub fn oracle_aggregate(&self, range: &Range) -> Aggregate {
-        self.rtree.aggregate(range)
+        self.lsr.base().aggregate(range)
     }
 }
 
@@ -665,6 +645,7 @@ impl std::fmt::Debug for Silo {
 mod tests {
     use super::*;
     use fedra_geo::Point;
+    use fedra_index::rtree::RTree;
 
     fn bounds() -> Rect {
         Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -723,6 +704,63 @@ mod tests {
         match resp {
             Response::Agg(a) => assert_eq!(a.count, brute),
             other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exact_answers_come_from_the_one_shared_t0() {
+        // T₀ of the forest is the silo's only full-partition tree: EXACT
+        // whole-range and per-cell answers must equal a standalone
+        // bulk load of the same objects bit for bit, at every pool size.
+        let objs = objects(3000);
+        let reference = RTree::bulk_load(objs.clone(), RTreeConfig::default());
+        let q = Range::circle(Point::new(45.0, 55.0), 22.0);
+        let spec = GridSpec::new(bounds(), 10.0);
+        let cls = spec.classify(&q);
+        let cells: Vec<CellId> = cls.boundary.iter().chain(&cls.covered).copied().collect();
+        let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
+        for threads in [1, 4] {
+            let s = Silo::new(
+                13,
+                objs.clone(),
+                SiloConfig {
+                    threads,
+                    ..config()
+                },
+            );
+            let Response::Agg(whole) = s.handle(Request::Aggregate {
+                range: q,
+                mode: LocalMode::Exact,
+            }) else {
+                panic!("unexpected response");
+            };
+            assert_eq!(
+                bits(&whole),
+                bits(&reference.aggregate(&q)),
+                "threads {threads}"
+            );
+            s.handle(Request::BuildGrid {
+                bounds: bounds(),
+                cell_len: 10.0,
+                return_cells: false,
+            });
+            let Response::AggVec(per_cell) = s.handle(Request::CellContributions {
+                range: q,
+                cells: cells.clone(),
+                mode: LocalMode::Exact,
+            }) else {
+                panic!("unexpected response");
+            };
+            assert_eq!(per_cell.len(), cells.len());
+            for (&id, got) in cells.iter().zip(&per_cell) {
+                let want = reference.aggregate_clipped(&q, &spec.cell_rect_of(id));
+                assert_eq!(bits(got), bits(&want), "threads {threads}, cell {id}");
+            }
+            assert_eq!(
+                s.memory_report().rtree,
+                s.lsr.base().memory_bytes() as u64,
+                "T₀ is reported once, as the R-tree"
+            );
         }
     }
 
@@ -803,7 +841,7 @@ mod tests {
     #[test]
     fn pruned_contributions_are_bit_identical_to_unpruned() {
         // All data in the left half; a query over the right half makes
-        // every requested cell empty. The pyramid prune must answer the
+        // every requested cell empty. The grid prune must answer the
         // exact same bits the clipped R-tree descent would (ZERO), and the
         // prune counter must show it actually skipped the work.
         let objs: Vec<SpatialObject> = (0..500)
@@ -829,7 +867,7 @@ mod tests {
             panic!("unexpected response");
         };
         for (i, (&id, a)) in cells.iter().zip(&got).enumerate() {
-            let direct = s.rtree.aggregate_clipped(&q, &spec.cell_rect_of(id));
+            let direct = s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id));
             assert_eq!(a.count.to_bits(), direct.count.to_bits(), "cell {i}");
             assert_eq!(a.sum.to_bits(), direct.sum.to_bits(), "cell {i}");
         }
@@ -860,7 +898,7 @@ mod tests {
             s.grid
                 .read()
                 .as_ref()
-                .map(|g| g.index.cell(spec.cell_id(0, 0)).count),
+                .map(|g| g.cell(spec.cell_id(0, 0)).count),
             Some(0.0),
             "the object bins into cell (1,1), not (0,0)"
         );
@@ -1119,7 +1157,7 @@ mod tests {
         };
         assert_eq!(cell_len, 5.0);
         assert_eq!(
-            s.grid.read().as_ref().map(|g| g.index.spec().cell_len()),
+            s.grid.read().as_ref().map(|g| g.spec().cell_len()),
             Some(5.0)
         );
     }

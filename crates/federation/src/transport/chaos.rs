@@ -569,7 +569,7 @@ mod tests {
             corrupt_prob: 1.0,
             ..ChaosPlan::calm(11)
         };
-        let proxy = ChaosProxy::spawn(server.addr(), plan).expect("proxy");
+        let mut proxy = ChaosProxy::spawn(server.addr(), plan).expect("proxy");
         let mut conn = proxy.addr().connect().expect("connect");
         let payload = Request::Ping.to_bytes();
         write_request_frame(&mut conn, 0, 1, u64::MAX, &payload).expect("write");
@@ -579,6 +579,10 @@ mod tests {
                 context: "reply payload"
             })
         );
+        // The pump counts a reply after writing it, so the client's read
+        // can return first; `stop` joins the pump, after which the stats
+        // are final.
+        proxy.stop();
         assert_eq!(proxy.stats().replies_corrupted, 1);
         server.stop();
     }

@@ -32,6 +32,7 @@ pub mod chaos;
 pub mod socket;
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -1212,6 +1213,99 @@ impl std::fmt::Debug for SiloChannel {
     }
 }
 
+/// One silo behind a transport: the silo plus everything a backend's
+/// receive loop applies around [`Silo::handle`]. Both backends serve
+/// every frame through [`SiloServer::serve`], so the same
+/// [`crate::fault::FaultPlan`] yields the same per-frame schedule on
+/// either by construction.
+pub(crate) struct SiloServer {
+    pub(crate) silo: Silo,
+    /// Fixed simulated latency added before serving each frame.
+    pub(crate) latency: Option<Duration>,
+    /// One action is drawn per frame; the lock is held for the draw only.
+    pub(crate) faults: Mutex<Option<SiloFaultInjector>>,
+    /// Where the retained grid is persisted after every served `BuildGrid`
+    /// (`fedra-silo serve --snapshot`; `None` on the in-memory backend).
+    pub(crate) snapshot_path: Option<PathBuf>,
+}
+
+/// What [`SiloServer::serve`] decided for one frame.
+pub(crate) enum Served {
+    /// Send these reply bytes (an answer, an injected transient refusal or
+    /// a deadline shed — all travel and are byte-counted).
+    Reply(Bytes),
+    /// Injected message drop: the caller's deadline reaps the call.
+    NoReply,
+    /// Injected crash: the backend stops serving this silo altogether.
+    Crash,
+}
+
+impl SiloServer {
+    /// The serve step: simulated latency → fault action → deadline shed →
+    /// decode → handle → encode, in that order, for one received frame.
+    pub(crate) fn serve(&self, payload: Bytes, deadline: Option<Instant>) -> Served {
+        if let Some(latency) = self.latency {
+            std::thread::sleep(latency);
+        }
+        let action = self
+            .faults
+            .lock()
+            .as_mut()
+            .map(SiloFaultInjector::next_action);
+        match action {
+            Some(FaultAction::Crash) => return Served::Crash,
+            Some(FaultAction::Drop) => return Served::NoReply,
+            Some(FaultAction::Transient { message, delay }) => {
+                if let Some(delay) = delay {
+                    std::thread::sleep(delay);
+                }
+                return Served::Reply(Response::Transient(message).to_bytes());
+            }
+            Some(FaultAction::Proceed { delay: Some(delay) }) => std::thread::sleep(delay),
+            Some(FaultAction::Proceed { delay: None }) | None => {}
+        }
+        // Shed work whose caller has already given up: the refusal still
+        // travels (and is byte-counted), the local query work is skipped.
+        if let Some(deadline) = deadline {
+            let now = Instant::now();
+            if now >= deadline {
+                let late_by_us = (now - deadline).as_micros().min(u64::MAX as u128) as u64;
+                return Served::Reply(Response::DeadlineExceeded { late_by_us }.to_bytes());
+            }
+        }
+        let response = match Request::from_bytes(payload) {
+            Ok(request) => {
+                let snapshot_to = self
+                    .snapshot_path
+                    .as_ref()
+                    .filter(|_| builds_grid(&request));
+                let response = self.silo.handle(request);
+                // Persist the freshly retained grid before replying, so a
+                // crash any time after the provider saw the (Grid|GridAck)
+                // can recover from disk.
+                if let Some(path) = snapshot_to {
+                    let _ = self.silo.save_grid_snapshot(path);
+                }
+                response
+            }
+            Err(e) => Response::Error(format!("undecodable request: {e}")),
+        };
+        Served::Reply(response.to_bytes())
+    }
+}
+
+/// Whether serving `request` (re)builds the silo's retained grid — the
+/// state worth snapshotting afterwards.
+fn builds_grid(request: &Request) -> bool {
+    match request {
+        Request::BuildGrid { .. } => true,
+        Request::Batch(items) => items
+            .iter()
+            .any(|item| matches!(item, Request::BuildGrid { .. })),
+        _ => false,
+    }
+}
+
 /// Spawns the silo worker thread and returns the provider-side channel
 /// plus the join handle (owned by the federation for shutdown).
 ///
@@ -1222,7 +1316,7 @@ pub fn spawn_silo(
     silo: Silo,
     stats: Arc<CommCounters>,
     simulated_latency: Option<Duration>,
-    mut faults: Option<SiloFaultInjector>,
+    faults: Option<SiloFaultInjector>,
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
     let (tx, rx) = unbounded::<Envelope>();
     let id = silo.id();
@@ -1235,6 +1329,12 @@ pub fn spawn_silo(
         alive: Arc::clone(&worker_alive),
         registry: Arc::clone(&registry),
     };
+    let server = SiloServer {
+        silo,
+        latency: simulated_latency,
+        faults: Mutex::new(faults),
+        snapshot_path: None,
+    };
     let handle = std::thread::Builder::new()
         .name(format!("fedra-silo-{id}"))
         .spawn(move || {
@@ -1245,45 +1345,12 @@ pub fn spawn_silo(
             // guard's sweep runs, no new envelope can have been accepted.
             let _alive = alive_guard;
             for envelope in rx {
-                if let Some(latency) = simulated_latency {
-                    std::thread::sleep(latency);
+                match server.serve(envelope.request, envelope.deadline) {
+                    // A caller that gave up simply never drains the slot.
+                    Served::Reply(bytes) => envelope.reply.fill(bytes),
+                    Served::NoReply => {}
+                    Served::Crash => return,
                 }
-                match faults.as_mut().map(SiloFaultInjector::next_action) {
-                    Some(FaultAction::Crash) => return,
-                    Some(FaultAction::Drop) => continue,
-                    Some(FaultAction::Transient { message, delay }) => {
-                        if let Some(delay) = delay {
-                            std::thread::sleep(delay);
-                        }
-                        envelope.reply.fill(Response::Transient(message).to_bytes());
-                        continue;
-                    }
-                    Some(FaultAction::Proceed { delay }) => {
-                        if let Some(delay) = delay {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                    None => {}
-                }
-                // Shed work whose caller has already given up: the reply
-                // still travels (and is byte-counted), the local query
-                // work is skipped.
-                if let Some(deadline) = envelope.deadline {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        let late_by_us = (now - deadline).as_micros().min(u64::MAX as u128) as u64;
-                        envelope
-                            .reply
-                            .fill(Response::DeadlineExceeded { late_by_us }.to_bytes());
-                        continue;
-                    }
-                }
-                let response = match Request::from_bytes(envelope.request) {
-                    Ok(request) => silo.handle(request),
-                    Err(e) => Response::Error(format!("undecodable request: {e}")),
-                };
-                // A caller that gave up simply never drains the slot.
-                envelope.reply.fill(response.to_bytes());
             }
         })
         .map_err(|e| TransportError::Spawn {

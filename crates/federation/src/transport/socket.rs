@@ -30,7 +30,7 @@
 //!   serving side re-anchors it at frame receipt, so no cross-process
 //!   clock agreement is needed; an expired deadline sheds the request
 //!   exactly like the in-memory worker does (the byte-counted
-//!   [`Response::DeadlineExceeded`] still travels).
+//!   [`crate::protocol::Response::DeadlineExceeded`] still travels).
 //! * the header is the real-world analogue of the simulated per-message
 //!   overhead ([`super::DEFAULT_MESSAGE_OVERHEAD`]): [`CommCounters`]
 //!   record payload bytes only, so the communication-cost metric is
@@ -73,11 +73,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::{ReplySlot, SiloChannel, Transport, TransportError};
-use crate::fault::{FaultAction, SiloFaultInjector};
-use crate::protocol::{Request, Response};
+use super::{ReplySlot, Served, SiloChannel, SiloServer, Transport, TransportError};
+use crate::fault::SiloFaultInjector;
 use crate::silo::{Silo, SiloId};
-use crate::wire::Wire;
 use fedra_obs::CommCounters;
 
 /// `deadline_rel_us` value meaning "no deadline".
@@ -516,8 +514,8 @@ pub struct RequestFrame {
     /// Deadline in relative microseconds from send ([`DEADLINE_NONE`] =
     /// none).
     pub deadline_rel_us: u64,
-    /// The wire-encoded [`Request`], byte-identical to the in-memory
-    /// encoding.
+    /// The wire-encoded [`crate::protocol::Request`], byte-identical to the
+    /// in-memory encoding.
     pub payload: Bytes,
 }
 
@@ -619,8 +617,7 @@ pub fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
 
 /// Silo-side configuration for [`SiloSocketServer`]: the same simulated
 /// latency and deterministic fault injection the in-memory worker
-/// supports, applied per frame in the same order (latency → fault →
-/// deadline shed → decode → handle).
+/// supports, applied per frame by the same serve step.
 pub struct SocketServerConfig {
     /// Fixed simulated latency added before serving each frame.
     pub latency: Option<Duration>,
@@ -644,10 +641,7 @@ impl Default for SocketServerConfig {
 }
 
 struct ServerShared {
-    silo: Arc<Silo>,
-    latency: Option<Duration>,
-    faults: Mutex<Option<SiloFaultInjector>>,
-    snapshot_path: Option<PathBuf>,
+    server: SiloServer,
     shutdown: Arc<AtomicBool>,
     /// Set by an injected crash: the server stops accepting and drops
     /// every connection, so clients observe `Disconnected` — the socket
@@ -685,10 +679,12 @@ impl SiloSocketServer {
             SocketListener::bind(addr).map_err(|e| spawn_err(format!("bind {addr}: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ServerShared {
-            silo: Arc::new(silo),
-            latency: config.latency,
-            faults: Mutex::new(config.faults),
-            snapshot_path: config.snapshot_path,
+            server: SiloServer {
+                silo,
+                latency: config.latency,
+                faults: Mutex::new(config.faults),
+                snapshot_path: config.snapshot_path,
+            },
             shutdown: Arc::clone(&shutdown),
             dead: Arc::new(AtomicBool::new(false)),
         });
@@ -761,9 +757,8 @@ fn accept_loop(listener: SocketListener, shared: Arc<ServerShared>) {
     // path), so post-crash reconnect attempts are refused.
 }
 
-/// Serves one connection: frames strictly in arrival order, one
-/// fault-injector action per frame, the worker-loop order preserved
-/// (latency → fault → deadline shed → decode → handle → reply).
+/// Serves one connection: frames strictly in arrival order, each through
+/// the serve step the in-memory worker runs ([`SiloServer::serve`]).
 fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
     if conn.set_nonblocking(false).is_err() {
         return;
@@ -781,17 +776,18 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
             Ok(frame) => frame,
             Err(_) => return, // EOF, truncation, or protocol corruption: drop the connection
         };
-        let received_at = Instant::now();
-        if let Some(latency) = shared.latency {
-            std::thread::sleep(latency);
-        }
-        let action = shared
-            .faults
-            .lock()
-            .as_mut()
-            .map(SiloFaultInjector::next_action);
-        match action {
-            Some(FaultAction::Crash) => {
+        // The deadline was shipped as relative microseconds; re-anchor it
+        // at receipt.
+        let deadline = (frame.deadline_rel_us != DEADLINE_NONE)
+            .then(|| Instant::now() + Duration::from_micros(frame.deadline_rel_us));
+        match shared.server.serve(frame.payload, deadline) {
+            Served::Reply(payload) => {
+                if write_reply_frame(&mut writer, frame.corr, frame.epoch, &payload).is_err() {
+                    return;
+                }
+            }
+            Served::NoReply => {}
+            Served::Crash => {
                 // The whole server dies, like the in-memory worker thread
                 // exiting: stop accepting, drop this connection without a
                 // reply. Reconnects get refused once the listener drops.
@@ -799,69 +795,7 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
                 writer.shutdown();
                 return;
             }
-            Some(FaultAction::Drop) => continue,
-            Some(FaultAction::Transient { message, delay }) => {
-                if let Some(delay) = delay {
-                    std::thread::sleep(delay);
-                }
-                let payload = Response::Transient(message).to_bytes();
-                if write_reply_frame(&mut writer, frame.corr, frame.epoch, &payload).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Some(FaultAction::Proceed { delay }) => {
-                if let Some(delay) = delay {
-                    std::thread::sleep(delay);
-                }
-            }
-            None => {}
         }
-        // Shed work whose caller has already given up: the deadline was
-        // shipped as relative microseconds and re-anchored at receipt,
-        // and the refusal still travels (and is byte-counted).
-        if frame.deadline_rel_us != DEADLINE_NONE {
-            let deadline = received_at + Duration::from_micros(frame.deadline_rel_us);
-            let now = Instant::now();
-            if now >= deadline {
-                let late_by_us = (now - deadline).as_micros().min(u64::MAX as u128) as u64;
-                let payload = Response::DeadlineExceeded { late_by_us }.to_bytes();
-                if write_reply_frame(&mut writer, frame.corr, frame.epoch, &payload).is_err() {
-                    return;
-                }
-                continue;
-            }
-        }
-        let (response, rebuilt_grid) = match Request::from_bytes(frame.payload) {
-            Ok(request) => {
-                let rebuilt = wants_snapshot(&request);
-                (shared.silo.handle(request), rebuilt)
-            }
-            Err(e) => (Response::Error(format!("undecodable request: {e}")), false),
-        };
-        // Persist the freshly retained grid before replying, so a crash
-        // any time after the provider saw the (Grid|GridAck) can recover
-        // from disk.
-        if rebuilt_grid {
-            if let Some(path) = &shared.snapshot_path {
-                let _ = shared.silo.save_grid_snapshot(path);
-            }
-        }
-        if write_reply_frame(&mut writer, frame.corr, frame.epoch, &response.to_bytes()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Whether serving `request` (re)builds the silo's retained grid — the
-/// state worth snapshotting afterwards.
-fn wants_snapshot(request: &Request) -> bool {
-    match request {
-        Request::BuildGrid { .. } => true,
-        Request::Batch(items) => items
-            .iter()
-            .any(|item| matches!(item, Request::BuildGrid { .. })),
-        _ => false,
     }
 }
 
@@ -1317,6 +1251,8 @@ impl TransportError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Request, Response};
+    use crate::wire::Wire;
 
     #[test]
     fn addr_parse_roundtrips() {

@@ -236,19 +236,6 @@ impl GridPyramid {
         self.level(l).rect_sum(ix0, iy0, ix1, iy1)
     }
 
-    /// Whether the inclusive base-cell region `[ix0..=ix1] × [iy0..=iy1]`
-    /// is *provably* empty from one O(1) level-1 prefix probe over the
-    /// covering coarse span. `true` means no objects anywhere in the
-    /// region; `false` is inconclusive (the caller falls back to the base
-    /// cells). The silo cell-contribution path uses this to skip R-tree
-    /// probes for boundary cells in areas the silo does not cover.
-    pub fn region_empty(&self, ix0: u32, iy0: u32, ix1: u32, iy1: u32) -> bool {
-        match self.levels.first() {
-            Some(l1) => l1.rect_sum(ix0 / 2, iy0 / 2, ix1 / 2, iy1 / 2).count == 0.0,
-            None => false,
-        }
-    }
-
     /// Answers `range` from the coarsest cells whose boundary error fits
     /// `epsilon`, refining boundary cells level by level (to the base
     /// grid when ε demands it). See [`PyramidEstimate`] for the served
@@ -665,37 +652,6 @@ mod tests {
             "loose serving must stay within its reported bound"
         );
         assert!(loose.meets(0.25));
-    }
-
-    #[test]
-    fn region_empty_prunes_uncovered_areas_and_never_lies() {
-        // Objects confined to the left half (x < 40): right-half regions
-        // are provably empty from the level-1 probe; regions overlapping
-        // the data must never be reported empty.
-        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-        let objs: Vec<SpatialObject> = (0..500)
-            .map(|i| SpatialObject::at((i % 40) as f64, (i / 40) as f64 * 7.0, 1.0))
-            .collect();
-        let g = GridIndex::build(GridSpec::new(bounds, 1.0), &objs);
-        let p = GridPyramid::build(&g);
-        assert!(p.region_empty(60, 10, 61, 11), "far right must prune");
-        assert!(p.region_empty(99, 99, 99, 99), "corner must prune");
-        // Soundness sweep: wherever region_empty says true, the base
-        // cells really are empty.
-        let spec = g.spec();
-        for iy in 0..spec.ny() - 1 {
-            for ix in 0..spec.nx() - 1 {
-                if p.region_empty(ix, iy, ix + 1, iy + 1) {
-                    for (cx, cy) in [(ix, iy), (ix + 1, iy), (ix, iy + 1), (ix + 1, iy + 1)] {
-                        assert_eq!(
-                            g.cell(spec.cell_id(cx, cy)).count,
-                            0.0,
-                            "region_empty lied at ({cx},{cy})"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -325,13 +325,17 @@ fn peer_disconnect_mid_batch_is_a_retryable_transport_error() {
 // End-to-end: a real served silo answers identically over the socket
 // ---------------------------------------------------------------------
 
-fn spawn_test_server() -> SiloSocketServer {
-    let objects: Vec<SpatialObject> = (0..50)
+/// The 50-object partition every served-silo test here stands up.
+fn sample_partition() -> Vec<SpatialObject> {
+    (0..50)
         .map(|i| SpatialObject::at(-4.0 + 0.16 * i as f64, -1.0 + 0.04 * i as f64, 1.0))
-        .collect();
+        .collect()
+}
+
+fn spawn_test_server() -> SiloSocketServer {
     let silo = Silo::new(
         0,
-        objects,
+        sample_partition(),
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
@@ -363,12 +367,9 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
     };
 
     // In-memory reference: same silo data behind the default backend.
-    let objects: Vec<SpatialObject> = (0..50)
-        .map(|i| SpatialObject::at(-4.0 + 0.16 * i as f64, -1.0 + 0.04 * i as f64, 1.0))
-        .collect();
     let reference = Silo::new(
         0,
-        objects,
+        sample_partition(),
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
@@ -491,4 +492,76 @@ fn corrupted_reply_over_tcp_retries_to_a_correct_answer() {
         proxy.stats().replies_corrupted > 0,
         "the plan must actually have injected corruption"
     );
+}
+
+// ---------------------------------------------------------------------
+// Serve-step parity: one seeded FaultPlan, one schedule, both backends
+// ---------------------------------------------------------------------
+
+/// Both backends serve every frame through the same step (latency →
+/// fault action → deadline shed → decode → handle → encode), so a seeded
+/// plan mixing every fault kind must yield the identical per-request
+/// outcome sequence whether the silo sits behind the in-memory worker or
+/// a loopback socket.
+#[test]
+fn seeded_fault_plan_yields_the_same_outcome_sequence_on_both_backends() {
+    const CRASH_AT: usize = 30;
+    const PINGS: usize = CRASH_AT + 4;
+    let plan = FaultPlan::seeded(23).with_spec(
+        0,
+        SiloFaultSpec {
+            flap: Some(FlapSchedule {
+                period: 6,
+                down: 1,
+                phase: 0,
+            }),
+            transient_prob: 0.15,
+            drop_prob: 0.1,
+            crash_after: Some(CRASH_AT as u64),
+            ..Default::default()
+        },
+    );
+    let outcomes = |backend: TransportBackend| {
+        let fed = FederationBuilder::new(sample_rect())
+            .transport_backend(backend)
+            .fault_plan(plan.clone())
+            // A crashed peer stays down: no reconnect may turn the loss
+            // into a retryable transient on the socket side.
+            .reconnect_policy(ReconnectPolicy {
+                attempts: ReconnectAttempts::Limited(0),
+                ..Default::default()
+            })
+            .build(vec![sample_partition()]);
+        (0..PINGS)
+            .map(|_| {
+                // A dropped frame is reaped by the deadline; everything
+                // else answers in microseconds.
+                let deadline = Instant::now() + Duration::from_millis(400);
+                fed.channel(0)
+                    .begin_call_with(&Request::Ping, Some(deadline))
+                    .and_then(|call| call.wait())
+            })
+            .collect::<Vec<_>>()
+    };
+    let memory = outcomes(TransportBackend::InMemory);
+    let socket = outcomes(TransportBackend::Socket);
+    // Requests 0..CRASH_AT are served and request CRASH_AT draws the
+    // crash: identical outcomes, message for message.
+    assert_eq!(memory[..=CRASH_AT], socket[..=CRASH_AT]);
+    // The plan must actually have exercised every branch of the step.
+    let kinds: Vec<&str> = memory
+        .iter()
+        .map(|o| o.as_ref().map_or_else(|e| e.kind(), |_| "ok"))
+        .collect();
+    for kind in ["ok", "transient", "deadline", "disconnected"] {
+        assert!(kinds.contains(&kind), "no {kind} outcome in {kinds:?}");
+    }
+    assert_eq!(kinds[5], "transient", "request 5 sits in the flap window");
+    assert_eq!(kinds[CRASH_AT], "disconnected");
+    // After the crash nothing is ever served again. How the *client*
+    // words the loss is not the serve step's business: the socket client
+    // may report a retryable write failure while the dead server's
+    // listener winds down.
+    let mut after_crash = memory[CRASH_AT..].iter().chain(&socket[CRASH_AT..]);
+    assert!(after_crash.all(Result::is_err), "{memory:?}\n{socket:?}");
 }
