@@ -1,10 +1,7 @@
-//! Transport microbenchmarks: singleton RPCs vs the coalesced batch
-//! frame at growing batch sizes.
-//!
-//! A batch of `n` same-silo requests shares one wire envelope per
-//! direction, so the per-request cost should fall as `n` grows; the
-//! `call/…` vs `call_batch/…` pairs below make that amortization (and the
-//! allocation-free reply-channel pool) directly measurable.
+//! Transport microbenchmarks: `n` sequential singleton RPCs (`call/n` —
+//! one envelope per request per direction, through the allocation-free
+//! reply-slot pool) and the engine's coalesced scatter–gather against
+//! EXACT's broadcast on a 64-query batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -42,11 +39,6 @@ fn bench_transport(c: &mut Criterion) {
                     black_box(channel.call(&request).expect("call"));
                 }
             })
-        });
-        // One coalesced frame carrying n requests: 1 envelope per direction.
-        let batch: Vec<Request> = (0..n).map(|_| request.clone()).collect();
-        group.bench_with_input(BenchmarkId::new("call_batch", n), &batch, |b, batch| {
-            b.iter(|| black_box(channel.call_batch(batch).expect("batch")))
         });
     }
     group.finish();

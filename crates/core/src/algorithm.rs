@@ -1,18 +1,13 @@
 //! The [`FraAlgorithm`] trait every query algorithm implements.
 
-use std::time::{Duration, Instant};
-
-use fedra_federation::transport::race_calls;
-use fedra_federation::{
-    Federation, HealthTransition, PendingCall, Poll, RaceWinner, Request, Response, SiloId,
-    TransportError,
-};
+use fedra_federation::{Federation, Request, Response, SiloId, TransportError};
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
+use crate::framework::{round, RoundState, Runs};
 use crate::helpers;
 use crate::query::{Coverage, FraError, FraQuery, QueryResult};
-use crate::run::{Action, Budget, End, Event, QueryRun};
+use crate::run::{Budget, End, QueryRun};
 use crate::theory;
 
 /// Accuracy parameters `(ε, δ)` for the LSR-accelerated variants
@@ -269,8 +264,8 @@ pub(crate) fn note_coverage(obs: &ObsContext, result: &QueryResult) {
     }
 }
 
-/// The one finish step every pump shares: turns the [`End`] of a run's
-/// walk into the query's result — `finish_with` on the winning reply
+/// The one finish step the pump's callers share: turns the [`End`] of a
+/// run's walk into the query's result — `finish_with` on the winning reply
 /// (under a `finish` span on `trace`), or `finish_degraded` with the
 /// run's error trail backfilled — and records the sampled/degraded
 /// counters and the coverage metrics.
@@ -327,10 +322,12 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
 /// lifecycle into `obs`.
 ///
 /// This is the shared fallible core for every planning algorithm's
-/// [`FraAlgorithm::try_execute_with`]: the blocking one-query pump over
-/// the same `QueryRun` state machine the batched engine and the scheduler
-/// pump in rounds, so the three cannot drift. Generic over `?Sized` so it
-/// also serves `dyn FraAlgorithm`.
+/// [`FraAlgorithm::try_execute_with`]. A lone query is a one-rider round:
+/// its run is pumped by the same [`round`] the batched engine and the
+/// scheduler pump, until its walk ends — so the three cannot drift, and a
+/// one-rider frame travels as the bare request, so a lone query's wire
+/// bytes are its own. Generic over `?Sized` so it also serves
+/// `dyn FraAlgorithm`.
 pub fn drive_planned<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
@@ -342,13 +339,22 @@ pub fn drive_planned<A: FraAlgorithm + ?Sized>(
         QueryPlan::Ready(result) => result,
         QueryPlan::SingleSilo(remote) => {
             let policy = federation.call_policy();
-            let mut run =
-                QueryRun::new(remote, policy.retries, Budget::PerAttempt(policy.deadline));
-            let walked = {
+            let budget = Budget::PerAttempt(policy.deadline);
+            let mut runs = Runs::from([(0, QueryRun::new(remote, policy.retries, budget))]);
+            let mut state = RoundState::default();
+            let end = {
                 let _remote_span = Span::enter(&trace, "remote");
-                pump_blocking(federation, &mut run, obs)
+                loop {
+                    let mut ended = None;
+                    round(federation, obs, &mut state, &mut runs, &mut |_, end| {
+                        ended = Some(end)
+                    });
+                    if let Some(end) = ended {
+                        break end;
+                    }
+                }
             };
-            walked.and_then(|end| finish_run(algorithm, federation, query, end, &trace, obs))
+            finish_run(algorithm, federation, query, end, &trace, obs)
         }
     };
     obs.finish_trace(&trace);
@@ -371,142 +377,6 @@ pub(crate) fn plan_counted<A: FraAlgorithm + ?Sized>(
         QueryPlan::SingleSilo(_) => "fedra_plan_remote_total",
     });
     plan
-}
-
-/// Surfaces a breaker transition as a labelled counter (no-op for
-/// [`HealthTransition::None`]).
-fn note_transition(obs: &ObsContext, transition: HealthTransition) {
-    let to = match transition {
-        HealthTransition::None => return,
-        HealthTransition::Opened => "open",
-        HealthTransition::HalfOpened => "half_open",
-        HealthTransition::Closed => "closed",
-    };
-    obs.inc(&labeled("fedra_breaker_transitions_total", "to", to));
-}
-
-/// Records a call that answered after `latency` against the health
-/// tracker.
-pub(crate) fn record_success(
-    federation: &Federation,
-    obs: &ObsContext,
-    silo: SiloId,
-    latency: Duration,
-) {
-    note_transition(obs, federation.health().record_success(silo, latency));
-}
-
-/// Records a failed call against the health tracker and the deadline-miss
-/// counter.
-pub(crate) fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportError) {
-    if error.is_deadline() && obs.is_enabled() {
-        obs.inc(&labeled(
-            "fedra_deadline_missed_total",
-            "silo",
-            error.silo(),
-        ));
-    }
-    note_transition(obs, federation.health().record_failure(error.silo()));
-}
-
-/// Hedged waits without a deadline still need a hard bound; an hour is
-/// "unbounded" at this layer's time scales.
-pub(crate) const UNBOUNDED: Duration = Duration::from_secs(3600);
-
-/// The blocking one-query pump: sends single `begin_call_with` frames
-/// (a lone query's wire bytes are one request, never a batch), sleeps the
-/// policy's backoff before a transient retry, and — once the request is
-/// silent past `hedge_after` — keeps it in flight and races the run's
-/// next send against it with `race_calls` (first reply wins, the loser
-/// is abandoned).
-fn pump_blocking(
-    federation: &Federation,
-    run: &mut QueryRun,
-    obs: &ObsContext,
-) -> Result<End, FraError> {
-    let policy = federation.call_policy();
-    let health = federation.health();
-    // Feeds one resolved call to the health tracker and the run.
-    let reply = |run: &mut QueryRun,
-                 silo: SiloId,
-                 started: Instant,
-                 result: Result<Response, TransportError>| {
-        match &result {
-            Ok(_) => record_success(federation, obs, silo, started.elapsed()),
-            Err(e) => record_failure(federation, obs, e),
-        }
-        run.on(Event::Reply { silo, result }, obs)
-    };
-    // The hedged primary still in flight, with its send time and bound.
-    let mut primary: Option<(PendingCall, Instant, Instant)> = None;
-    loop {
-        let step = match run.on(
-            Event::Dispatch {
-                may_call: &|k| health.may_call(k),
-            },
-            obs,
-        ) {
-            Action::End(end) => return Ok(end),
-            // Stranded: no candidate left to hedge to, so wait the
-            // primary out to its own deadline.
-            Action::Wait => {
-                let (call, started, _) = primary.take().ok_or_else(|| FraError::Internal {
-                    message: "a stranded run has no request in flight".into(),
-                })?;
-                let silo = call.silo();
-                reply(run, silo, started, call.wait())
-            }
-            Action::Send { silo, retry } => {
-                if retry > 0 {
-                    std::thread::sleep(policy.backoff(silo, retry));
-                }
-                if obs.is_enabled() {
-                    obs.inc(&labeled("fedra_silo_requests_total", "silo", silo));
-                }
-                // Retry/hedge deadlines and the health EWMA are wall-clock
-                // by design (DESIGN.md §5e); the clock gates transport
-                // pacing, never a result value.
-                // fedra-lint: allow(determinism-discipline)
-                let started = Instant::now();
-                let deadline = run.budget().deadline(started);
-                match federation
-                    .channel(silo)
-                    .begin_call_with(run.request(), deadline)
-                {
-                    Err(e) => reply(run, silo, started, Err(e)),
-                    Ok(call) => match (primary.take(), policy.hedge_after) {
-                        (Some((first, first_started, first_bound)), _) => {
-                            let first_silo = first.silo();
-                            match race_calls(first, call, first_bound) {
-                                RaceWinner::Primary(result) => {
-                                    reply(run, first_silo, first_started, result)
-                                }
-                                RaceWinner::Hedge(result) => reply(run, silo, started, result),
-                                RaceWinner::Timeout => {
-                                    let expired =
-                                        |silo| Err(TransportError::DeadlineExceeded { silo });
-                                    reply(run, first_silo, first_started, expired(first_silo));
-                                    reply(run, silo, started, expired(silo))
-                                }
-                            }
-                        }
-                        (None, Some(after)) => match call.poll_deadline(started + after) {
-                            Poll::Ready(result) => reply(run, silo, started, result),
-                            Poll::Pending(call) => {
-                                let bound = deadline.unwrap_or(started + UNBOUNDED);
-                                primary = Some((call, started, bound));
-                                run.on(Event::HedgeDue, obs)
-                            }
-                        },
-                        (None, None) => reply(run, silo, started, call.wait()),
-                    },
-                }
-            }
-        };
-        if let Action::End(end) = step {
-            return Ok(end);
-        }
-    }
 }
 
 #[cfg(test)]

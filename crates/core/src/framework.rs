@@ -20,14 +20,13 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use fedra_federation::{
-    CommSnapshot, Federation, PendingTaggedBatch, Poll, Request, Response, SiloId, TransportError,
+    CommSnapshot, Federation, HealthTransition, PendingFrame, Poll, Reply, Request, SiloId,
+    TransportError,
 };
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{
-    finish_run, plan_counted, record_failure, record_success, FraAlgorithm, QueryPlan, UNBOUNDED,
-};
+use crate::algorithm::{finish_run, plan_counted, FraAlgorithm, QueryPlan};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Action, Budget, End, Event, QueryRun};
 
@@ -332,6 +331,48 @@ impl<'a> QueryEngine<'a> {
 /// get recorded before the round moves on.
 const SHED_GRACE: Duration = Duration::from_millis(250);
 
+/// Waits without a deadline still need a hard bound; an hour is
+/// "unbounded" at this layer's time scales.
+const UNBOUNDED: Duration = Duration::from_secs(3600);
+
+/// How long [`Gather::await_parked`] waits on one parked frame before the
+/// next gets its turn. The channels have no `select`, so "first frame to
+/// answer" is an alternation of short timed waits; the slice is far below
+/// any latency this layer injects, and each wait parks on a condvar rather
+/// than spinning.
+const PARKED_SLICE: Duration = Duration::from_micros(500);
+
+/// Surfaces a breaker transition as a labelled counter (no-op for
+/// [`HealthTransition::None`]).
+fn note_transition(obs: &ObsContext, transition: HealthTransition) {
+    let to = match transition {
+        HealthTransition::None => return,
+        HealthTransition::Opened => "open",
+        HealthTransition::HalfOpened => "half_open",
+        HealthTransition::Closed => "closed",
+    };
+    obs.inc(&labeled("fedra_breaker_transitions_total", "to", to));
+}
+
+/// Records a call that answered after `latency` against the health
+/// tracker.
+fn record_success(federation: &Federation, obs: &ObsContext, silo: SiloId, latency: Duration) {
+    note_transition(obs, federation.health().record_success(silo, latency));
+}
+
+/// Records a failed call against the health tracker and the deadline-miss
+/// counter.
+fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportError) {
+    if error.is_deadline() && obs.is_enabled() {
+        obs.inc(&labeled(
+            "fedra_deadline_missed_total",
+            "silo",
+            error.silo(),
+        ));
+    }
+    note_transition(obs, federation.health().record_failure(error.silo()));
+}
+
 /// The live runs a [`round`] pumps, by correlation id — the tag that rides
 /// the frames. Ids must be stable for as long as a run lives, because
 /// parked frames outlive a round; the owner drops a run once it ended.
@@ -349,7 +390,7 @@ struct Frame {
     /// the send, and the silo sheds it whole, byte-counted.
     doa: bool,
     /// `Err`: the frame could not even be begun.
-    pending: Result<PendingTaggedBatch, TransportError>,
+    pending: Result<PendingFrame, TransportError>,
 }
 
 /// What outlives a [`round`]: frames still silent past the hedge
@@ -372,7 +413,7 @@ struct Gather<'r> {
 impl Gather<'_> {
     /// Feeds one rider's reply to its run. Tags of riders already
     /// answered and delivered (a late parked frame) match nobody.
-    fn feed(&mut self, tag: u64, silo: SiloId, result: Result<Response, TransportError>) {
+    fn feed(&mut self, tag: u64, silo: SiloId, result: Reply) {
         if let Some(run) = self.riders.get_mut(&tag) {
             if let Action::End(end) = run.on(Event::Reply { silo, result }, self.obs) {
                 (self.ended)(tag, end);
@@ -386,7 +427,7 @@ impl Gather<'_> {
     /// still in flight.
     fn settle(&mut self, frame: Frame, until: Instant) -> Option<Frame> {
         let silo = frame.silo;
-        let reply = match frame.pending.map(|pending| pending.poll_deadline(until)) {
+        let reply = match frame.pending.map(|pending| pending.wait_until(until)) {
             Err(error) => Err(error),
             Ok(Poll::Ready(reply)) => reply,
             Ok(Poll::Pending(pending)) if until < frame.bound => {
@@ -421,9 +462,9 @@ impl Gather<'_> {
         None
     }
 
-    /// Polls the parked frames once (`block = false`: replies already in)
-    /// or waits each one out to its bound.
-    fn settle_parked(&mut self, state: &mut RoundState, block: bool) {
+    /// Polls the parked frames once: replies already in reach their
+    /// riders, frames past their bound are abandoned.
+    fn poll_parked(&mut self, state: &mut RoundState) {
         // Deadline polling is wall-clock by design (DESIGN.md §5e); the
         // clock decides *when* to give up, never what value a query
         // returns.
@@ -432,16 +473,35 @@ impl Gather<'_> {
         let parked = std::mem::take(&mut state.parked);
         state.parked = parked
             .into_iter()
-            .filter_map(|frame| {
-                let until = if block { frame.bound } else { now };
-                self.settle(frame, until)
-            })
+            .filter_map(|frame| self.settle(frame, now))
             .collect();
+    }
+
+    /// Blocks until the **first** parked frame resolves (or reaches its
+    /// bound), whichever frame that is: a stranded rider whose hedge
+    /// already answered must not sit behind a silent primary's bound. The
+    /// frames take turns, [`PARKED_SLICE`] each; a lone frame has nobody
+    /// to take turns with and is parked on outright.
+    fn await_parked(&mut self, state: &mut RoundState) {
+        let alone = state.parked.len() == 1;
+        for turn in (0..state.parked.len()).cycle() {
+            let frame = state.parked.remove(turn);
+            let until = if alone {
+                frame.bound
+            } else {
+                // fedra-lint: allow(determinism-discipline)
+                frame.bound.min(Instant::now() + PARKED_SLICE)
+            };
+            match self.settle(frame, until) {
+                Some(frame) => state.parked.insert(turn, frame),
+                None => return,
+            }
+        }
     }
 }
 
-/// One scatter–gather round over the live runs of a batch or a tick —
-/// the one pump under [`QueryEngine`] and
+/// One scatter–gather round over the live runs of a lone query, a batch
+/// or a tick — the one pump, under [`drive_planned`], [`QueryEngine`] and
 /// [`QueryScheduler`](crate::QueryScheduler): drain parked frames that
 /// answered, group the runs by the candidate they ride next (runs whose
 /// absolute budget is already spent get their own dead-on-arrival frame
@@ -451,7 +511,10 @@ impl Gather<'_> {
 ///
 /// With `CallPolicy::hedge_after` set, a frame still pending past the
 /// threshold is parked in `state` instead of waited out, and its riders
-/// hedge: they ride their next candidate next round.
+/// hedge: they ride their next candidate next round. A round with nothing
+/// to send returns as soon as the first parked frame resolves.
+///
+/// [`drive_planned`]: crate::algorithm::drive_planned
 pub(crate) fn round(
     federation: &Federation,
     obs: &ObsContext,
@@ -459,7 +522,7 @@ pub(crate) fn round(
     riders: &mut Runs,
     ended: &mut dyn FnMut(u64, End),
 ) {
-    let hedge_after = federation.call_policy().hedge_after;
+    let policy = federation.call_policy();
     let health = federation.health();
     let mut gather = Gather {
         federation,
@@ -468,16 +531,14 @@ pub(crate) fn round(
         ended,
     };
     // First answer wins: parked primaries that resolved (or expired)
-    // reach their riders before anyone is regrouped.
-    gather.settle_parked(state, false);
+    // reach their riders before anyone is dispatched.
+    gather.poll_parked(state);
 
-    // Group the runs by (candidate silo, dead on arrival?). BTreeMaps:
-    // deterministic frame and rider order. Wall-clock: a budget decides
-    // when to give up, never what a query computes.
-    // fedra-lint: allow(determinism-discipline)
-    let now = Instant::now();
-    let mut groups: BTreeMap<(SiloId, bool), Vec<u64>> = BTreeMap::new();
     let may_call = |silo| health.may_call(silo);
+    let mut sends: Vec<(u64, SiloId)> = Vec::new();
+    // The largest backoff among the sends, for as long as every one of
+    // them is a same-silo transient retry.
+    let mut all_retries = Some(Duration::ZERO);
     for (&tag, run) in gather.riders.iter_mut() {
         match run.on(
             Event::Dispatch {
@@ -485,26 +546,49 @@ pub(crate) fn round(
             },
             obs,
         ) {
-            Action::Send { silo, .. } => {
-                let doa = run.budget().spent(now);
-                groups.entry((silo, doa)).or_default().push(tag);
+            Action::Send { silo, retry } => {
+                sends.push((tag, silo));
+                all_retries = all_retries
+                    .filter(|_| retry > 0)
+                    .map(|pause| pause.max(policy.backoff(silo, retry)));
             }
             Action::Wait => {}
             Action::End(end) => (gather.ended)(tag, end),
         }
     }
     let riders = &*gather.riders;
-    if groups.is_empty() {
-        // Nothing new to send: wait out the parked frames somebody still
+    if sends.is_empty() {
+        // Nothing new to send: wait on the parked frames somebody still
         // rides (a frame all of whose riders were answered elsewhere is
         // abandoned).
         let live = |tag: &u64| riders.get(tag).is_some_and(|run| !run.is_finished());
         state.parked.retain(|frame| frame.tags.iter().any(live));
-        gather.settle_parked(state, true);
+        gather.await_parked(state);
         return;
     }
+    // The backoff rule, one for every caller: a round that would only
+    // re-ask silos that just refused transiently sleeps the largest of
+    // those backoffs first, instead of hammering a flapping silo at
+    // round-trip cadence. A lone query's retry is the one-rider case. One
+    // fresh send keeps the round on time — it must not wait on somebody
+    // else's flapping silo.
+    if let Some(pause) = all_retries {
+        std::thread::sleep(pause);
+    }
+
+    // Group the sends by (candidate silo, dead on arrival?). BTreeMaps:
+    // deterministic frame and rider order. Wall-clock: a budget decides
+    // when to give up, never what a query computes.
+    // fedra-lint: allow(determinism-discipline)
+    let now = Instant::now();
+    let mut groups: BTreeMap<(SiloId, bool), Vec<u64>> = BTreeMap::new();
+    for (tag, silo) in sends {
+        let doa = riders[&tag].budget().spent(now);
+        groups.entry((silo, doa)).or_default().push(tag);
+    }
     // Scatter: begin every silo's frame before waiting on any reply — the
-    // silo workers run concurrently.
+    // silo workers run concurrently. This is the one place in the crate
+    // that begins a single-silo frame.
     let frames: Vec<Frame> = groups
         .into_iter()
         .map(|((silo, doa), tags)| {
@@ -535,9 +619,7 @@ pub(crate) fn round(
             } else {
                 deadline.unwrap_or(begun + UNBOUNDED)
             };
-            let pending = federation
-                .channel(silo)
-                .begin_tagged_batch_with(&tagged, deadline);
+            let pending = federation.channel(silo).begin_frame(&tagged, deadline);
             Frame {
                 silo,
                 tags,
@@ -551,7 +633,7 @@ pub(crate) fn round(
     // Gather. A frame that outlasts the hedge threshold is parked and its
     // riders told to hedge; without one every frame is waited to its bound.
     for frame in frames {
-        let until = match hedge_after {
+        let until = match policy.hedge_after {
             Some(after) if !frame.doa => (frame.begun + after).min(frame.bound),
             _ => frame.bound,
         };
@@ -571,17 +653,16 @@ mod tests {
     use super::*;
     use crate::exact::Exact;
     use crate::sampling::{IidEst, NonIidEst};
-    use fedra_federation::FederationBuilder;
+    use fedra_federation::{CallPolicy, FaultPlan, FederationBuilder, SiloFaultSpec};
     use fedra_geo::{Point, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::AggFunc;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn setup(m: usize, per_silo: usize) -> Federation {
-        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+    fn partitions(m: usize, per_silo: usize) -> Vec<Vec<SpatialObject>> {
         let mut rng = StdRng::seed_from_u64(55);
-        let partitions: Vec<Vec<SpatialObject>> = (0..m)
+        (0..m)
             .map(|_| {
                 (0..per_silo)
                     .map(|_| {
@@ -593,14 +674,21 @@ mod tests {
                     })
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    fn builder() -> FederationBuilder {
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         FederationBuilder::new(bounds)
             .grid_cell_len(5.0)
             .histogram_config(MinSkewConfig {
                 resolution: 16,
                 budget: 16,
             })
-            .build(partitions)
+    }
+
+    fn setup(m: usize, per_silo: usize) -> Federation {
+        builder().build(partitions(m, per_silo))
     }
 
     fn queries(n: usize, seed: u64) -> Vec<FraQuery> {
@@ -739,6 +827,155 @@ mod tests {
             assert_eq!(batched.rounds, sequential.rounds, "query {i}");
         }
         fed.set_silo_failed(2, false);
+    }
+
+    /// The counters a candidate walk and its frames increment, whoever
+    /// pumps it (the engine's batch-level telemetry is left out).
+    fn walk_counters(obs: &ObsContext) -> BTreeMap<String, u64> {
+        const WALK: [&str; 9] = [
+            "fedra_plan_",
+            "fedra_silo_requests_total",
+            "fedra_sampled_silo_total",
+            "fedra_retries_total",
+            "fedra_resamples_total",
+            "fedra_hedges_",
+            "fedra_breaker_skipped_total",
+            "fedra_degraded_total",
+            "fedra_deadline_missed_total",
+        ];
+        let mut counters = obs.snapshot().counters;
+        counters.retain(|name, _| WALK.iter().any(|prefix| name.starts_with(prefix)));
+        counters
+    }
+
+    /// One query, lone through `try_execute_with` or as a one-query batch.
+    fn execute_one(
+        batched: bool,
+        alg: &dyn FraAlgorithm,
+        fed: &Federation,
+        query: &FraQuery,
+        obs: &ObsContext,
+    ) -> Result<QueryResult, FraError> {
+        if !batched {
+            return alg.try_execute_with(fed, query, obs);
+        }
+        let engine = QueryEngine::with_workers(alg, 1);
+        let batch = engine.execute_batch_with(fed, std::slice::from_ref(query), obs);
+        batch.results[0].clone()
+    }
+
+    /// Runs `qs` one at a time on a freshly built federation (flap
+    /// schedules count frames), lone through `try_execute_with` or as
+    /// one-query batches, and returns everything the two must agree on.
+    #[allow(clippy::type_complexity)]
+    fn one_at_a_time(
+        batched: bool,
+        alg: &dyn FraAlgorithm,
+        qs: &[FraQuery],
+        configure: &dyn Fn(FederationBuilder) -> FederationBuilder,
+    ) -> (
+        Vec<Result<QueryResult, FraError>>,
+        CommSnapshot,
+        BTreeMap<String, u64>,
+    ) {
+        let fed = configure(builder()).build(partitions(4, 600));
+        let obs = ObsContext::new();
+        let outcomes = qs
+            .iter()
+            .map(|q| execute_one(batched, alg, &fed, q, &obs))
+            .collect();
+        (outcomes, fed.query_comm(), walk_counters(&obs))
+    }
+
+    #[test]
+    fn a_lone_query_is_a_one_query_batch() {
+        type Scenario<'a> = (
+            &'a str,
+            &'a dyn Fn(FederationBuilder) -> FederationBuilder,
+            // The walk counter that shows the scenario is not vacuous.
+            Option<&'a str>,
+        );
+        let scenarios: [Scenario; 3] = [
+            ("healthy", &|b| b, None),
+            (
+                "flapping silo",
+                &|b| b.fault_plan(FaultPlan::seeded(0xF1A9).flapping_silo(1, 2, 1)),
+                Some("fedra_retries_total"),
+            ),
+            (
+                // Down for good behind the planner's back (it would skip a
+                // failure-flagged silo): retries run out, the walk resamples.
+                "failed head candidate",
+                &|b| b.fault_plan(FaultPlan::seeded(0xDEAD).flapping_silo(2, 1, 1)),
+                Some("fedra_resamples_total"),
+            ),
+        ];
+        let iid: fn() -> Box<dyn FraAlgorithm> = || Box::new(IidEst::new(77));
+        let noniid: fn() -> Box<dyn FraAlgorithm> = || Box::new(NonIidEst::new(77));
+        let qs = queries(16, 13);
+        for (what, configure, witness) in scenarios {
+            for fresh in [iid, noniid] {
+                // Same seed on both sides: the same plans in the same order.
+                let lone = one_at_a_time(false, fresh().as_ref(), &qs, configure);
+                let batch = one_at_a_time(true, fresh().as_ref(), &qs, configure);
+                let name = fresh().name();
+                assert_eq!(lone.0, batch.0, "{what}, {name}: results");
+                // Rounds, bytes up and bytes down: a one-rider frame is
+                // the lone query's bare request either way.
+                assert_eq!(lone.1, batch.1, "{what}, {name}: communication");
+                assert_eq!(lone.2, batch.2, "{what}, {name}: walk counters");
+                if let Some(counter) = witness {
+                    assert!(
+                        lone.2.get(counter).is_some_and(|n| *n > 0),
+                        "{what}: vacuous"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stranded_rider_is_answered_by_the_first_frame_to_resolve() {
+        // Silo 0 drops every frame, silo 1 answers after ~30 ms. A query
+        // that samples silo 0 hedges to silo 1 after 5 ms and is then
+        // stranded with both frames parked: it must be answered when the
+        // hedge answers, not after the silent primary's 2 s bound.
+        let dropper = SiloFaultSpec {
+            drop_prob: 1.0,
+            ..Default::default()
+        };
+        let plan = FaultPlan::seeded(3)
+            .with_spec(0, dropper)
+            .slow_silo(1, Duration::from_millis(30));
+        let fed = builder()
+            .fault_plan(plan)
+            .call_policy(CallPolicy {
+                deadline: Some(Duration::from_secs(2)),
+                hedge_after: Some(Duration::from_millis(5)),
+                ..Default::default()
+            })
+            .build(partitions(2, 400));
+        let qs = queries(8, 14);
+        for batched in [false, true] {
+            let alg = IidEst::new(78);
+            let obs = ObsContext::new();
+            for q in &qs {
+                let started = Instant::now();
+                let answered = execute_one(batched, &alg, &fed, q, &obs);
+                assert_eq!(answered.expect("silo 1 answers").sampled_silo, Some(1));
+                let elapsed = started.elapsed();
+                assert!(
+                    elapsed < Duration::from_secs(1),
+                    "batched = {batched}: waited {elapsed:?} behind the silent primary"
+                );
+            }
+            let counters = obs.snapshot().counters;
+            let won = counters.get("fedra_hedges_won_total").copied();
+            assert!(
+                won > Some(0),
+                "no query was stranded: the scenario is vacuous"
+            );
+        }
     }
 
     #[test]

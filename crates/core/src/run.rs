@@ -6,14 +6,13 @@
 //! named its candidates" and "a reply won or none could": the candidate
 //! order, the transient-retry budget, the hedge/stranded flags, the round
 //! count and the per-candidate error trail. It never reads a clock,
-//! sleeps, or touches a channel — a *pump* does the I/O and reports what
-//! happened as [`Event`]s; deadlines and "now" arrive as inputs. Three
-//! pumps drive it: [`drive_planned`](crate::algorithm::drive_planned)
-//! (one blocking query) and the shared scatter–gather
-//! [`round`](crate::framework::round) under both
-//! [`QueryEngine`](crate::QueryEngine) batches and
-//! [`QueryScheduler`](crate::QueryScheduler) ticks. Every rule of the
-//! walk is decided here, once, for all of them.
+//! sleeps, or touches a channel — the *pump* does the I/O and reports what
+//! happened as [`Event`]s; deadlines and "now" arrive as inputs. There is
+//! one pump, the scatter–gather [`round`](crate::framework::round), with
+//! three callers: [`drive_planned`](crate::algorithm::drive_planned) (a
+//! lone query is a one-rider round), [`QueryEngine`](crate::QueryEngine)
+//! batches and [`QueryScheduler`](crate::QueryScheduler) ticks. Every
+//! rule of the walk is decided here, once, for all of them.
 
 use std::time::{Duration, Instant};
 
@@ -23,7 +22,7 @@ use fedra_obs::ObsContext;
 use crate::algorithm::RemotePlan;
 
 /// How long a run may wait — the one genuine difference between the
-/// pumps, carried as data.
+/// pump's callers, carried as data.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Budget {
     /// Every attempt gets the same allowance, measured from its own send
@@ -50,7 +49,7 @@ impl Budget {
     }
 }
 
-/// What a pump observed on a run's behalf.
+/// What the pump observed on a run's behalf.
 pub(crate) enum Event<'a> {
     /// The pump is about to build frames: where does this run ride?
     /// `may_call` is the breaker's call-time verdict on a silo.
@@ -71,8 +70,9 @@ pub(crate) enum Event<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Action {
     /// Put the request on a frame to `silo`. `retry > 0` is the n-th
-    /// transient retry of the same candidate (a blocking pump backs off
-    /// first; a round-based pump's cadence is its backoff).
+    /// transient retry of the same candidate (a round whose sends are all
+    /// retries backs off first; otherwise the round cadence is the
+    /// backoff).
     Send { silo: SiloId, retry: u32 },
     /// Nothing to send: keep pumping what is in flight.
     Wait,

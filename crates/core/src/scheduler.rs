@@ -10,7 +10,7 @@
 //! [`WorkerPool`](fedra_index::WorkerPool), and every scheduling tick
 //! merges the outstanding remote requests of *all* in-flight queries into
 //! one multiplexed frame per silo
-//! ([`SiloChannel::begin_tagged_batch_with`]), routing replies back by
+//! ([`SiloChannel::begin_frame`]), routing replies back by
 //! correlation id.
 //!
 //! # Determinism contract
@@ -699,6 +699,12 @@ mod tests {
         // The sheds travelled: byte-counted rounds, not silent drops.
         let delta = federation.query_comm().since(&before);
         assert!(delta.rounds > 0, "shed frames should be byte-counted");
+        // Load shedding never poisons breaker state: the silos did what
+        // the expired envelopes asked, so no failure is held against them
+        // (and no breaker, enabled or not, can have moved).
+        for silo in federation.health().snapshot() {
+            assert_eq!(silo.failures_total, 0, "silo {}", silo.silo);
+        }
         sched.shutdown();
     }
 

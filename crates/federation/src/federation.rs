@@ -32,12 +32,10 @@ use crate::health::{HealthConfig, HealthTracker};
 use crate::protocol::{Request, Response, SiloMemoryReport};
 use crate::silo::{Silo, SiloConfig, SiloId};
 use crate::snapshot::ProviderSnapshot;
-use crate::transport::socket::{
-    spawn_silo_socket, ReconnectPolicy, SiloAddr, SiloDiagnostics, SocketTransport,
-};
+use crate::transport::socket::{spawn_silo_socket, ReconnectPolicy, SiloAddr, SocketTransport};
 use crate::transport::{
-    spawn_silo, CallPolicy, CommCounters, CommSnapshot, SiloChannel, Transport, TransportBackend,
-    TransportError,
+    spawn_silo, CallPolicy, CommCounters, CommSnapshot, SiloChannel, SiloDiagnostics, Transport,
+    TransportBackend, TransportError,
 };
 use crate::wire::Wire;
 
@@ -53,6 +51,11 @@ pub enum SetupError {
         addr: String,
         /// Why it was rejected.
         reason: String,
+    },
+    /// `FEDRA_TRANSPORT` is set to something that names no backend.
+    UnknownTransport {
+        /// The value as found in the environment.
+        value: String,
     },
     /// A silo's index-construction thread panicked.
     SiloBuildPanicked {
@@ -78,6 +81,10 @@ impl std::fmt::Display for SetupError {
             SetupError::BadRemoteAddr { addr, reason } => {
                 write!(f, "remote silo address `{addr}` is invalid: {reason}")
             }
+            SetupError::UnknownTransport { value } => write!(
+                f,
+                "FEDRA_TRANSPORT=`{value}` names no transport backend (expected memory or socket)"
+            ),
             SetupError::SiloBuildPanicked { silo } => {
                 write!(f, "silo {silo} index construction panicked")
             }
@@ -197,7 +204,9 @@ impl FederationBuilder {
     /// decides ([`TransportBackend::from_env`]), falling back to the
     /// deterministic in-memory backend — so existing callers and the
     /// tier-1 suite are unaffected, while the whole test matrix can be
-    /// re-run over real sockets by exporting `FEDRA_TRANSPORT=socket`.
+    /// re-run over real sockets by exporting `FEDRA_TRANSPORT=socket`
+    /// (a value naming no backend fails the build with
+    /// [`SetupError::UnknownTransport`]).
     pub fn transport_backend(mut self, backend: TransportBackend) -> Self {
         self.transport = Some(backend);
         self
@@ -354,7 +363,11 @@ impl FederationBuilder {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let backend = self.transport.unwrap_or_else(TransportBackend::from_env);
+        let backend = match self.transport {
+            Some(backend) => backend,
+            None => TransportBackend::from_env()
+                .map_err(|value| SetupError::UnknownTransport { value })?,
+        };
         let setup_stats = Arc::new(CommCounters::with_overhead(self.message_overhead));
         let query_stats = Arc::new(CommCounters::with_overhead(self.message_overhead));
 
@@ -458,7 +471,9 @@ impl FederationBuilder {
         };
         let pending = channels
             .iter()
-            .map(|channel| channel.begin_batch(&[&build_request, &Request::MemoryReport]))
+            .map(|channel| {
+                channel.begin_frame(&[(0, &build_request), (1, &Request::MemoryReport)], None)
+            })
             .collect::<Result<Vec<_>, TransportError>>()?;
 
         let mut silo_grids: Vec<Option<GridIndex>> = Vec::with_capacity(channels.len());
@@ -467,7 +482,7 @@ impl FederationBuilder {
         for (k, pending) in pending.into_iter().enumerate() {
             let mut items = pending.wait()?;
             let (memory, build) = match (items.pop(), items.pop(), items.pop()) {
-                (Some(memory), Some(build), None) => (memory, build),
+                (Some((_, memory)), Some((_, build)), None) => (memory, build),
                 _ => {
                     return Err(SetupError::Protocol {
                         silo: k,
@@ -530,12 +545,12 @@ impl FederationBuilder {
             .to_bytes();
             let pending = misses
                 .iter()
-                .map(|&k| channels[k].begin_call_encoded(full.clone()))
+                .map(|&k| channels[k].begin_encoded(full.clone()))
                 .collect::<Result<Vec<_>, TransportError>>()?;
             for (&k, pending) in misses.iter().zip(pending) {
                 let grid =
                     pending
-                        .wait()?
+                        .wait_one()?
                         .into_grid_index()
                         .ok_or_else(|| SetupError::Protocol {
                             silo: k,
@@ -677,11 +692,11 @@ impl Federation {
         let pending: Vec<_> = self
             .channels
             .iter()
-            .map(|channel| channel.begin_call_encoded(frame.clone()))
+            .map(|channel| channel.begin_encoded(frame.clone()))
             .collect();
         pending
             .into_iter()
-            .map(|p| p.and_then(|call| call.wait()))
+            .map(|p| p.and_then(|frame| frame.wait_one()))
             .collect()
     }
 

@@ -38,11 +38,10 @@ pub use silo::{Silo, SiloConfig, SiloGridSnapshot, SiloId};
 pub use snapshot::ProviderSnapshot;
 pub use transport::chaos::{ChaosPlan, ChaosProxy};
 pub use transport::socket::{
-    ReconnectAttempts, ReconnectPolicy, SiloAddr, SiloDiagnostics, SiloSocketServer,
-    SocketServerConfig, SocketTransport,
+    ReconnectAttempts, ReconnectPolicy, SiloAddr, SiloSocketServer, SocketServerConfig,
+    SocketTransport,
 };
 pub use transport::{
-    CallPolicy, CommCounters, CommSnapshot, InMemoryTransport, PendingBatch, PendingCall,
-    PendingTaggedBatch, Poll, RaceWinner, ReplySlot, SiloChannel, Transport, TransportBackend,
-    TransportError,
+    CallPolicy, CommCounters, CommSnapshot, FrameReplies, InMemoryTransport, PendingFrame, Poll,
+    Reply, ReplySlot, SiloChannel, SiloDiagnostics, Transport, TransportBackend, TransportError,
 };

@@ -85,7 +85,7 @@ pub enum Request {
     /// each in order and answers with one [`Response::Batch`] of the same
     /// arity. A batch of `n` requests pays **one** message envelope per
     /// direction instead of `n` — the amortization behind
-    /// [`crate::transport::SiloChannel::call_batch`]. Nesting is a wire
+    /// [`crate::transport::SiloChannel::begin_frame`]. Nesting is a wire
     /// error: a `Batch` inside a `Batch` is answered with a per-item
     /// [`Response::Error`].
     Batch(Vec<Request>),

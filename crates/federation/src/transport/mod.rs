@@ -18,15 +18,18 @@
 //! encoding — the transport never shortcuts through shared memory — so
 //! the byte counters here *are* the paper's communication-cost metric.
 //!
-//! Two amortization levers ride on top of the basic RPC:
-//!
-//! * **send/wait split** ([`SiloChannel::begin_call`] /
-//!   [`PendingCall::wait`]): begin a frame on every relevant channel, then
-//!   wait — the silo workers *are* the fan-out pool, no provider threads
-//!   needed;
-//! * **batching** ([`SiloChannel::call_batch`]): `n` same-silo requests
-//!   share one wire frame, paying the per-message envelope overhead once
-//!   per direction instead of `n` times.
+//! One in-flight handle rides on top of the basic RPC: every frame —
+//! [`SiloChannel::begin_frame`] for riders tagged with caller correlation
+//! ids, [`SiloChannel::begin_encoded`] for a pre-encoded broadcast frame —
+//! comes back as a [`PendingFrame`], resolved by [`PendingFrame::wait`] or
+//! polled with [`PendingFrame::wait_until`]. Begin a frame on every
+//! relevant channel, then wait: the silo workers *are* the fan-out pool, no
+//! provider threads needed. `n` same-silo riders share one wire frame,
+//! paying the per-message envelope overhead once per direction instead of
+//! `n` times — and a frame with **one** rider travels as the bare
+//! [`Request`], answered by a bare [`Response`], so a lone query costs
+//! exactly its own bytes. That wire rule is decided here, once (encode in
+//! `begin_frame`, decode in `decode_frame`).
 
 pub mod chaos;
 pub mod socket;
@@ -419,67 +422,94 @@ impl CallPolicy {
     }
 }
 
-/// Resolution of an in-flight call polled with a timeout: either the
+/// Resolution of an in-flight frame polled with a timeout: either the
 /// decoded outcome, or the still-pending handle to poll again later.
 #[derive(Debug)]
 pub enum Poll<P, T> {
     /// The reply arrived (or the worker disconnected).
     Ready(T),
-    /// Nothing yet; the call stays in flight.
+    /// Nothing yet; the frame stays in flight.
     Pending(P),
 }
 
-/// Outcome of [`race_calls`]: which of the two in-flight calls answered
-/// first, or neither before the deadline.
-#[derive(Debug)]
-pub enum RaceWinner {
-    /// The primary call answered first.
-    Primary(Result<Response, TransportError>),
-    /// The hedge call answered first.
-    Hedge(Result<Response, TransportError>),
-    /// Neither answered before the deadline (both calls are abandoned).
-    Timeout,
+/// Diagnostics a [`Transport`] backend exposes about the silo behind it.
+/// For an **in-process** silo these are the silo's own shared handles (so
+/// `served()`, `set_failed()` and `metrics()` read and steer the silo
+/// itself, whichever backend carries its frames); for a **remote** silo
+/// they are client-local stand-ins (`served()` counts drained replies,
+/// `set_failed()` is client-side bookkeeping the remote process never
+/// sees).
+pub struct SiloDiagnostics {
+    backend: &'static str,
+    served: Arc<AtomicU64>,
+    /// `served` is this client's own count of drained replies.
+    remote: bool,
+    failed: Arc<AtomicBool>,
+    metrics: Arc<fedra_obs::MetricsRegistry>,
 }
 
-/// Races a primary in-flight call against a hedge: returns the first
-/// reply to land before `deadline`, abandoning the loser (its reply pair
-/// is discarded once the stale reply arrives, never reused).
-///
-/// The shim's channels have no `select`, so the race alternates short
-/// timed waits between the two receivers; the slice is far below any
-/// latency this layer injects, and each wait parks on a condvar rather
-/// than spinning.
-pub fn race_calls(primary: PendingCall, hedge: PendingCall, deadline: Instant) -> RaceWinner {
-    const SLICE: Duration = Duration::from_micros(500);
-    let mut first = primary;
-    let mut second = hedge;
-    // Tracks whether `first` currently refers to the primary call.
-    let mut first_is_primary = true;
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return RaceWinner::Timeout;
+impl SiloDiagnostics {
+    /// Shares the diagnostics of an in-process [`Silo`].
+    pub fn shared_with(silo: &Silo) -> SiloDiagnostics {
+        SiloDiagnostics {
+            backend: "memory",
+            served: silo.served_counter(),
+            remote: false,
+            failed: silo.failure_flag(),
+            metrics: silo.metrics(),
         }
-        let slice_end = (now + SLICE).min(deadline);
-        match first.poll_deadline(slice_end) {
-            Poll::Ready(result) => {
-                return if first_is_primary {
-                    RaceWinner::Primary(result)
-                } else {
-                    RaceWinner::Hedge(result)
-                };
-            }
-            Poll::Pending(pending) => {
-                first = second;
-                second = pending;
-                first_is_primary = !first_is_primary;
-            }
+    }
+
+    /// Client-local diagnostics for a genuinely remote silo.
+    pub fn remote() -> SiloDiagnostics {
+        SiloDiagnostics {
+            backend: "socket",
+            served: Arc::new(AtomicU64::new(0)),
+            remote: true,
+            failed: Arc::new(AtomicBool::new(false)),
+            metrics: Arc::new(fedra_obs::MetricsRegistry::new()),
         }
+    }
+
+    /// A short stable backend label (`"memory"`, `"socket"`).
+    pub fn backend(&self) -> &'static str {
+        self.backend
+    }
+
+    /// Number of logical requests the silo has served (for a remote silo:
+    /// the replies this client drained).
+    pub fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// Counts one reply drained off the wire — a remote silo's stand-in
+    /// for the served counter an in-process silo keeps itself.
+    fn reply_drained(&self) {
+        if self.remote {
+            self.served.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Injects (or clears) a failure: while set, the silo answers every
+    /// request with an error.
+    pub fn set_failed(&self, failed: bool) {
+        self.failed.store(failed, Ordering::Release);
+    }
+
+    /// Whether the failure flag is set.
+    pub fn is_failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    /// The silo's metrics registry (a client-local registry of transport
+    /// metrics for a remote silo).
+    pub fn metrics(&self) -> &Arc<fedra_obs::MetricsRegistry> {
+        &self.metrics
     }
 }
 
 /// A backend that can carry one silo's frames: ship an already-encoded
-/// request, deliver the reply into a [`ReplySlot`], and report liveness.
+/// request and deliver the reply into a [`ReplySlot`].
 ///
 /// [`SiloChannel`] is a thin handle over an `Arc<dyn Transport>`: the
 /// send/wait split, reply-slot pooling, deadline enforcement on the wait
@@ -500,9 +530,6 @@ pub trait Transport: Send + Sync {
     /// Which silo this backend reaches.
     fn silo(&self) -> SiloId;
 
-    /// A short stable backend label (`"memory"`, `"socket"`).
-    fn backend_name(&self) -> &'static str;
-
     /// Ships an encoded request frame. The backend must eventually
     /// resolve `slot` — [`ReplySlot::fill`] with the reply payload,
     /// [`ReplySlot::fail`] with an attributed error, or
@@ -520,49 +547,13 @@ pub trait Transport: Send + Sync {
     /// Must be idempotent.
     fn retire(&self, token: u64);
 
-    /// Whether the backend can still carry frames (`false` once the
-    /// worker thread exited or the peer is unreachable for good).
-    fn is_alive(&self) -> bool;
-
-    /// Number of calls currently in flight (diagnostics; tests use this
-    /// to pin eager deregistration).
+    /// Number of calls currently in flight (tests use this to pin eager
+    /// deregistration).
     fn inflight_len(&self) -> usize;
 
-    /// Number of logical requests the silo has served. Live for the
-    /// in-memory backend and in-process socket silos (shared counter);
-    /// a genuinely remote silo reports the replies this client drained.
-    fn served(&self) -> u64;
-
-    /// Injects (or clears) a failure: while set, the silo answers every
-    /// request with an error. For a genuinely remote silo this flag is
-    /// client-local bookkeeping only (the remote process keeps its own).
-    fn set_failed(&self, failed: bool);
-
-    /// Whether the failure flag is set.
-    fn is_failed(&self) -> bool;
-
-    /// The silo's metrics registry (shared `Arc` for in-process silos; a
-    /// client-local registry of transport metrics for remote ones).
-    fn silo_metrics(&self) -> &Arc<fedra_obs::MetricsRegistry>;
-}
-
-/// A frame in flight: the request has been handed to the transport
-/// backend, the reply has not been drained yet.
-///
-/// This is the primitive that turns the silo backends into a fan-out
-/// pool: the provider `begin`s a frame on every relevant channel *without
-/// blocking*, then waits on each pending reply. No provider-side threads
-/// are needed for parallel fan-out — the per-silo backends already
-/// provide the concurrency.
-struct PendingReply {
-    silo: SiloId,
-    up: usize,
-    slot: Arc<ReplySlot>,
-    token: u64,
-    backend: Arc<dyn Transport>,
-    pool: Arc<ReplyPool>,
-    stats: Arc<CommCounters>,
-    deadline: Option<Instant>,
+    /// The served counter, failure flag, metrics registry and backend
+    /// label of the silo behind this backend.
+    fn diagnostics(&self) -> &SiloDiagnostics;
 }
 
 /// How a parked reply wait ended (see [`ReplySlot::wait`]).
@@ -577,350 +568,162 @@ enum RecvOutcome {
     Dead,
 }
 
-impl PendingReply {
-    /// The shared wait core every pending type resolves through: waits
-    /// (bounded by the deadline captured at send time, unless overridden
-    /// via [`PendingReply::with_deadline`]), retires the in-flight token,
-    /// records the round's traffic, returns the slot to the pool, and
-    /// hands the reply bytes to `decode`.
-    ///
-    /// On a deadline miss or backend failure the slot is *discarded*
-    /// instead of pooled — the backend may still push a stale reply into
-    /// it later.
-    fn resolve<T>(
-        self,
-        decode: impl FnOnce(SiloId, Bytes) -> Result<T, TransportError>,
-    ) -> Result<T, TransportError> {
-        match self.slot.wait(self.deadline) {
-            RecvOutcome::Bytes(bytes) => {
-                self.backend.retire(self.token);
-                self.stats.record(self.up, bytes.len());
-                self.pool.restore(self.slot);
-                decode(self.silo, bytes)
-            }
-            RecvOutcome::TimedOut => {
-                self.backend.retire(self.token);
-                Err(TransportError::DeadlineExceeded { silo: self.silo })
-            }
-            RecvOutcome::Failed(error) => {
-                self.backend.retire(self.token);
-                Err(error)
-            }
-            RecvOutcome::Dead => {
-                self.backend.retire(self.token);
-                Err(TransportError::Disconnected { silo: self.silo })
-            }
-        }
-    }
+/// One rider's outcome: its response, or the error the silo refused it
+/// with.
+pub type Reply = Result<Response, TransportError>;
 
-    /// The polling twin of [`PendingReply::resolve`]: waits until
-    /// `deadline`, but a timeout keeps the call in flight (`Pending`) so
-    /// the caller can hedge elsewhere and poll again later.
-    fn resolve_poll<T>(
-        self,
-        deadline: Instant,
-        decode: impl FnOnce(SiloId, Bytes) -> Result<T, TransportError>,
-    ) -> Poll<PendingReply, Result<T, TransportError>> {
-        match self.slot.wait(Some(deadline)) {
-            RecvOutcome::Bytes(bytes) => {
-                self.backend.retire(self.token);
-                self.stats.record(self.up, bytes.len());
-                self.pool.restore(self.slot);
-                Poll::Ready(decode(self.silo, bytes))
-            }
-            RecvOutcome::TimedOut => Poll::Pending(self),
-            RecvOutcome::Failed(error) => {
-                self.backend.retire(self.token);
-                Poll::Ready(Err(error))
-            }
-            RecvOutcome::Dead => {
-                self.backend.retire(self.token);
-                Poll::Ready(Err(TransportError::Disconnected { silo: self.silo }))
-            }
-        }
-    }
+/// A resolved frame: the outer `Result` is frame-level (worker gone,
+/// undecodable reply, wrong arity, deadline miss, or a bare refusal in
+/// place of the frame's answer — every rider failed the same way); the
+/// inner `Vec` pairs each rider's correlation id with its own outcome, in
+/// request order. One bad rider never poisons its frame-mates.
+pub type FrameReplies = Result<Vec<(u64, Reply)>, TransportError>;
 
-    /// Overrides the deadline captured at send time (the `wait_deadline`
-    /// family routes through this).
-    fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-}
-
-/// An in-flight single-request RPC; resolve it with [`PendingCall::wait`].
-pub struct PendingCall {
-    inner: PendingReply,
-}
-
-/// Decodes a single-call reply frame, mapping refusal payloads to their
-/// transport errors so callers can't mistake a refusal for an answer.
-fn decode_single(silo: SiloId, bytes: Bytes) -> Result<Response, TransportError> {
-    match Response::from_bytes(bytes) {
-        Ok(Response::Error(message)) => Err(TransportError::Remote { silo, message }),
-        Ok(Response::Transient(message)) => Err(TransportError::Transient { silo, message }),
-        Ok(Response::DeadlineExceeded { .. }) => Err(TransportError::DeadlineExceeded { silo }),
-        Ok(response) => Ok(response),
-        Err(error) => Err(TransportError::Codec { silo, error }),
-    }
-}
-
-impl PendingCall {
-    /// Which silo this call is in flight to.
-    pub fn silo(&self) -> SiloId {
-        self.inner.silo
-    }
-
-    /// Blocks for the response, recording the traffic.
-    ///
-    /// `Response::Error` payloads are mapped to [`TransportError::Remote`]
-    /// (and the transient/deadline refusals to their dedicated variants)
-    /// so callers can't mistake a refusal for an answer. When the call was
-    /// begun with a deadline, waiting past it yields
-    /// [`TransportError::DeadlineExceeded`].
-    pub fn wait(self) -> Result<Response, TransportError> {
-        self.inner.resolve(decode_single)
-    }
-
-    /// Like [`PendingCall::wait`], but bounded by an explicit deadline
-    /// (overriding any deadline set at send time).
-    pub fn wait_deadline(self, deadline: Instant) -> Result<Response, TransportError> {
-        self.inner.with_deadline(deadline).resolve(decode_single)
-    }
-
-    /// Waits until `deadline`; a timeout returns the still-pending call
-    /// instead of an error, so the caller can hedge elsewhere and poll
-    /// this handle again later (first answer wins).
-    pub fn poll_deadline(
-        self,
-        deadline: Instant,
-    ) -> Poll<PendingCall, Result<Response, TransportError>> {
-        match self.inner.resolve_poll(deadline, decode_single) {
-            Poll::Ready(result) => Poll::Ready(result),
-            Poll::Pending(inner) => Poll::Pending(PendingCall { inner }),
-        }
-    }
-}
-
-impl std::fmt::Debug for PendingCall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingCall")
-            .field("silo", &self.inner.silo)
-            .finish()
-    }
-}
-
-/// An in-flight batched RPC; resolve it with [`PendingBatch::wait`].
-pub struct PendingBatch {
-    inner: PendingReply,
-    expected: usize,
-}
-
-/// Decodes a batch reply frame into per-item results (see
-/// [`PendingBatch::wait`] for the contract).
-fn decode_batch(
-    silo: SiloId,
-    expected: usize,
-    bytes: Bytes,
-) -> Result<Vec<Result<Response, TransportError>>, TransportError> {
-    match Response::from_bytes(bytes) {
-        Ok(Response::Batch(items)) => {
-            if items.len() != expected {
-                return Err(TransportError::Codec {
-                    silo,
-                    error: WireError::BadLength {
-                        context: "batch response arity",
-                        len: items.len(),
-                    },
-                });
-            }
-            Ok(items
-                .into_iter()
-                .map(|item| match item {
-                    Response::Error(message) => Err(TransportError::Remote { silo, message }),
-                    Response::Transient(message) => {
-                        Err(TransportError::Transient { silo, message })
-                    }
-                    Response::DeadlineExceeded { .. } => {
-                        Err(TransportError::DeadlineExceeded { silo })
-                    }
-                    other => Ok(other),
-                })
-                .collect())
-        }
-        // A whole-frame refusal (e.g. the worker could not decode the
-        // request, or the fault injector refused the frame) fails every
-        // sub-request the same way, at transport level, so callers see
-        // the silo-wide nature of the failure.
-        Ok(Response::Error(message)) => Ok(vec![
-            Err(TransportError::Remote { silo, message });
-            expected
-        ]),
-        Ok(Response::Transient(message)) => Err(TransportError::Transient { silo, message }),
-        Ok(Response::DeadlineExceeded { .. }) => Err(TransportError::DeadlineExceeded { silo }),
-        Ok(other) => Err(TransportError::Remote {
-            silo,
-            message: format!("expected batch response, got {other:?}"),
-        }),
-        Err(error) => Err(TransportError::Codec { silo, error }),
-    }
-}
-
-impl PendingBatch {
-    /// Which silo this batch is in flight to.
-    pub fn silo(&self) -> SiloId {
-        self.inner.silo
-    }
-
-    /// How many sub-responses this batch expects.
-    pub fn expected(&self) -> usize {
-        self.expected
-    }
-
-    /// Blocks for the batch response, recording the traffic.
-    ///
-    /// The outer `Result` is transport-level (worker gone, undecodable
-    /// frame, wrong arity, whole-frame transient refusal or deadline
-    /// shed); the inner `Vec` carries one entry per sub-request *in
-    /// request order*, each individually an error if the silo refused
-    /// that item. One bad item never poisons its batch-mates. When the
-    /// batch was begun with a deadline, waiting past it yields
-    /// [`TransportError::DeadlineExceeded`].
-    pub fn wait(self) -> Result<Vec<Result<Response, TransportError>>, TransportError> {
-        let expected = self.expected;
-        self.inner
-            .resolve(move |silo, bytes| decode_batch(silo, expected, bytes))
-    }
-
-    /// Like [`PendingBatch::wait`], but bounded by an explicit deadline
-    /// (overriding any deadline set at send time).
-    pub fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Result<Vec<Result<Response, TransportError>>, TransportError> {
-        let expected = self.expected;
-        self.inner
-            .with_deadline(deadline)
-            .resolve(move |silo, bytes| decode_batch(silo, expected, bytes))
-    }
-
-    /// Waits until `deadline`; a timeout returns the still-pending batch
-    /// instead of an error, so the scatter-gather engine can hedge the
-    /// riders elsewhere while keeping this frame alive (first answer
-    /// wins).
-    #[allow(clippy::type_complexity)]
-    pub fn poll_deadline(
-        self,
-        deadline: Instant,
-    ) -> Poll<PendingBatch, Result<Vec<Result<Response, TransportError>>, TransportError>> {
-        let expected = self.expected;
-        match self.inner.resolve_poll(deadline, move |silo, bytes| {
-            decode_batch(silo, expected, bytes)
-        }) {
-            Poll::Ready(result) => Poll::Ready(result),
-            Poll::Pending(inner) => Poll::Pending(PendingBatch { inner, expected }),
-        }
-    }
-}
-
-impl std::fmt::Debug for PendingBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingBatch")
-            .field("silo", &self.inner.silo)
-            .field("expected", &self.expected)
-            .finish()
-    }
-}
-
-/// An in-flight multiplexed batch whose sub-requests came from *different*
-/// callers: each rides with a caller-chosen correlation id, and the reply
-/// items come back paired with those ids.
+/// A frame in flight: the request has been handed to the transport
+/// backend, the reply has not been drained yet.
 ///
-/// The ids never travel. The batch protocol already guarantees reply order
-/// equals request order, so the wire frame is byte-identical to the one
-/// [`SiloChannel::begin_batch_with`] ships; the correlation ids are
-/// provider-side bookkeeping zipped back onto the positional replies. This
-/// is what lets a scheduler coalesce outstanding requests from unrelated
-/// queries into one frame per silo per tick and still route every reply to
-/// the query that asked.
-pub struct PendingTaggedBatch {
-    inner: PendingBatch,
+/// This is the primitive that turns the silo backends into a fan-out
+/// pool: the provider begins a frame on every relevant channel *without
+/// blocking*, then waits on each pending reply. No provider-side threads
+/// are needed for parallel fan-out — the per-silo backends already
+/// provide the concurrency.
+///
+/// The riders' correlation ids never travel. The batch protocol already
+/// guarantees reply order equals request order, so the ids are
+/// provider-side bookkeeping zipped back onto the positional replies —
+/// which is what lets a scheduler coalesce outstanding requests from
+/// unrelated queries into one frame per silo and still route every reply
+/// to the query that asked.
+pub struct PendingFrame {
+    silo: SiloId,
+    up: usize,
+    /// The riders' correlation ids, in request order.
     tags: Vec<u64>,
+    slot: Arc<ReplySlot>,
+    token: u64,
+    backend: Arc<dyn Transport>,
+    pool: Arc<ReplyPool>,
+    stats: Arc<CommCounters>,
+    deadline: Option<Instant>,
 }
 
-/// Pairs each correlation id with its positional reply item.
-fn zip_tags(
-    tags: Vec<u64>,
-    items: Vec<Result<Response, TransportError>>,
-) -> Vec<(u64, Result<Response, TransportError>)> {
-    // `decode_batch` already enforced arity == expected == tags.len().
-    tags.into_iter().zip(items).collect()
+/// Maps the refusal payloads to their transport errors, so callers can't
+/// mistake a refusal for an answer.
+fn refused(silo: SiloId, response: Response) -> Reply {
+    match response {
+        Response::Error(message) => Err(TransportError::Remote { silo, message }),
+        Response::Transient(message) => Err(TransportError::Transient { silo, message }),
+        Response::DeadlineExceeded { .. } => Err(TransportError::DeadlineExceeded { silo }),
+        response => Ok(response),
+    }
 }
 
-impl PendingTaggedBatch {
-    /// Which silo this batch is in flight to.
+/// Decodes a reply frame for the riders `tags`. The decode half of the
+/// one-rider wire rule: a lone rider's frame is answered by its bare
+/// [`Response`], whose refusal fails the frame; several riders are
+/// answered by a `Response::Batch` of the same arity, each item refused
+/// or answered on its own. Anything else in place of the batch — the
+/// worker could not decode the request, the fault injector refused the
+/// frame, the deadline shed it — is a frame-level error.
+fn decode_frame(silo: SiloId, tags: Vec<u64>, bytes: Bytes) -> FrameReplies {
+    let response =
+        Response::from_bytes(bytes).map_err(|error| TransportError::Codec { silo, error })?;
+    if let [tag] = tags[..] {
+        return refused(silo, response).map(|response| vec![(tag, Ok(response))]);
+    }
+    match response {
+        Response::Batch(items) if items.len() == tags.len() => Ok(tags
+            .into_iter()
+            .zip(items.into_iter().map(|item| refused(silo, item)))
+            .collect()),
+        Response::Batch(items) => Err(TransportError::Codec {
+            silo,
+            error: WireError::BadLength {
+                context: "batch response arity",
+                len: items.len(),
+            },
+        }),
+        other => Err(match refused(silo, other) {
+            Err(refusal) => refusal,
+            Ok(other) => TransportError::Remote {
+                silo,
+                message: format!("expected batch response, got {other:?}"),
+            },
+        }),
+    }
+}
+
+impl PendingFrame {
+    /// Which silo this frame is in flight to.
     pub fn silo(&self) -> SiloId {
-        self.inner.silo()
+        self.silo
     }
 
-    /// How many sub-responses this batch expects.
-    pub fn expected(&self) -> usize {
-        self.inner.expected()
+    /// Ends the wait: records the round's traffic and returns the slot to
+    /// the pool when the reply arrived, then decodes it. On a deadline
+    /// miss or backend failure the slot is *discarded* instead of pooled —
+    /// the backend may still push a stale reply into it later. Dropping
+    /// the handle retires the in-flight token on every path.
+    fn finish(mut self, outcome: RecvOutcome) -> FrameReplies {
+        match outcome {
+            RecvOutcome::Bytes(bytes) => {
+                self.stats.record(self.up, bytes.len());
+                self.pool.restore(Arc::clone(&self.slot));
+                decode_frame(self.silo, std::mem::take(&mut self.tags), bytes)
+            }
+            RecvOutcome::TimedOut => Err(TransportError::DeadlineExceeded { silo: self.silo }),
+            RecvOutcome::Failed(error) => Err(error),
+            RecvOutcome::Dead => Err(TransportError::Disconnected { silo: self.silo }),
+        }
     }
 
-    /// The correlation ids riding this frame, in request order.
-    pub fn tags(&self) -> &[u64] {
-        &self.tags
+    /// Blocks for the frame's reply, recording the traffic. When the frame
+    /// was begun with a deadline, waiting past it yields
+    /// [`TransportError::DeadlineExceeded`].
+    pub fn wait(self) -> FrameReplies {
+        let outcome = self.slot.wait(self.deadline);
+        self.finish(outcome)
     }
 
-    /// Blocks for the batch response and pairs every item with the
-    /// correlation id its request carried. Error contract as in
-    /// [`PendingBatch::wait`]: the outer `Result` is frame-level (worker
-    /// gone, whole-frame refusal or deadline shed — every rider failed the
-    /// same way), the inner entries are per-rider.
-    #[allow(clippy::type_complexity)]
-    pub fn wait(self) -> Result<Vec<(u64, Result<Response, TransportError>)>, TransportError> {
-        let items = self.inner.wait()?;
-        Ok(zip_tags(self.tags, items))
-    }
-
-    /// Like [`PendingTaggedBatch::wait`], but bounded by an explicit
-    /// deadline (overriding any deadline set at send time).
-    #[allow(clippy::type_complexity)]
-    pub fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Result<Vec<(u64, Result<Response, TransportError>)>, TransportError> {
-        let items = self.inner.wait_deadline(deadline)?;
-        Ok(zip_tags(self.tags, items))
-    }
-
-    /// Waits until `deadline`; a timeout returns the still-pending batch
-    /// instead of an error so the caller can keep the frame alive across
-    /// scheduling ticks.
-    #[allow(clippy::type_complexity)]
-    pub fn poll_deadline(
-        self,
-        deadline: Instant,
-    ) -> Poll<
-        PendingTaggedBatch,
-        Result<Vec<(u64, Result<Response, TransportError>)>, TransportError>,
-    > {
-        match self.inner.poll_deadline(deadline) {
-            Poll::Ready(Ok(items)) => Poll::Ready(Ok(zip_tags(self.tags, items))),
-            Poll::Ready(Err(e)) => Poll::Ready(Err(e)),
-            Poll::Pending(inner) => Poll::Pending(PendingTaggedBatch {
-                inner,
-                tags: self.tags,
+    /// [`PendingFrame::wait`] for a frame begun with one rider: its reply.
+    pub fn wait_one(self) -> Reply {
+        let silo = self.silo;
+        match self.wait()?.pop() {
+            Some((_, reply)) => reply,
+            None => Err(TransportError::Codec {
+                silo,
+                error: WireError::BadLength {
+                    context: "reply to a one-rider frame",
+                    len: 0,
+                },
             }),
         }
     }
+
+    /// Waits until `until` (whatever deadline the frame was begun with);
+    /// a timeout returns the still-pending frame instead of an error, so
+    /// the caller can hedge its riders elsewhere and poll this handle
+    /// again later (first answer wins).
+    pub fn wait_until(self, until: Instant) -> Poll<PendingFrame, FrameReplies> {
+        match self.slot.wait(Some(until)) {
+            RecvOutcome::TimedOut => Poll::Pending(self),
+            outcome => Poll::Ready(self.finish(outcome)),
+        }
+    }
 }
 
-impl std::fmt::Debug for PendingTaggedBatch {
+/// An abandoned frame (a hedge's loser, a wait given up at its bound)
+/// deregisters eagerly, like a resolved one.
+impl Drop for PendingFrame {
+    fn drop(&mut self) {
+        self.backend.retire(self.token);
+    }
+}
+
+impl std::fmt::Debug for PendingFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingTaggedBatch")
-            .field("silo", &self.inner.silo())
+        f.debug_struct("PendingFrame")
+            .field("silo", &self.silo)
             .field("tags", &self.tags)
             .finish()
     }
@@ -933,19 +736,13 @@ pub struct InMemoryTransport {
     silo: SiloId,
     tx: Sender<Envelope>,
     registry: Arc<InflightRegistry>,
-    served: Arc<AtomicU64>,
-    failed: Arc<std::sync::atomic::AtomicBool>,
-    silo_metrics: Arc<fedra_obs::MetricsRegistry>,
+    diagnostics: SiloDiagnostics,
     worker_alive: Arc<AtomicBool>,
 }
 
 impl Transport for InMemoryTransport {
     fn silo(&self) -> SiloId {
         self.silo
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "memory"
     }
 
     fn send_frame(
@@ -984,28 +781,12 @@ impl Transport for InMemoryTransport {
         self.registry.deregister(token);
     }
 
-    fn is_alive(&self) -> bool {
-        self.worker_alive.load(Ordering::Acquire)
-    }
-
     fn inflight_len(&self) -> usize {
         self.registry.inflight.lock().slots.len()
     }
 
-    fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    fn set_failed(&self, failed: bool) {
-        self.failed.store(failed, Ordering::Release);
-    }
-
-    fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    fn silo_metrics(&self) -> &Arc<fedra_obs::MetricsRegistry> {
-        &self.silo_metrics
+    fn diagnostics(&self) -> &SiloDiagnostics {
+        &self.diagnostics
     }
 }
 
@@ -1036,19 +817,16 @@ impl SiloChannel {
         self.backend.silo()
     }
 
-    /// The transport backend this channel rides on.
-    pub fn backend(&self) -> &Arc<dyn Transport> {
-        &self.backend
-    }
-
-    /// Ships an already-encoded frame to the backend and returns the
-    /// in-flight reply handle. The deadline rides as frame metadata
-    /// (the silo sheds expired requests) and bounds the caller's wait.
+    /// Ships an already-encoded frame carrying the riders `tags` to the
+    /// backend and returns the in-flight handle. The deadline rides as
+    /// frame metadata (the silo sheds expired requests) and bounds
+    /// [`PendingFrame::wait`].
     fn send_frame(
         &self,
         frame: Bytes,
+        tags: Vec<u64>,
         deadline: Option<Instant>,
-    ) -> Result<PendingReply, TransportError> {
+    ) -> Result<PendingFrame, TransportError> {
         let up = frame.len();
         let slot = self.reply_pool.checkout();
         let token = match self.backend.send_frame(frame, deadline, &slot) {
@@ -1058,9 +836,10 @@ impl SiloChannel {
                 return Err(e);
             }
         };
-        Ok(PendingReply {
+        Ok(PendingFrame {
             silo: self.backend.silo(),
             up,
+            tags,
             slot,
             token,
             backend: Arc::clone(&self.backend),
@@ -1070,98 +849,47 @@ impl SiloChannel {
         })
     }
 
-    /// Starts a request without blocking for the reply.
+    /// Starts one wire frame carrying `riders` — each request paired with
+    /// a caller correlation id that [`PendingFrame::wait`] pairs back onto
+    /// its reply — without blocking for the reply.
     ///
-    /// Begin on several channels, then [`PendingCall::wait`] on each: the
-    /// silo workers execute concurrently, giving fan-out parallelism with
-    /// zero provider-side threads.
-    pub fn begin_call(&self, request: &Request) -> Result<PendingCall, TransportError> {
-        self.begin_call_encoded(request.to_bytes())
-    }
-
-    /// Starts a request with a deadline: the worker sheds it if expired
-    /// on arrival, and [`PendingCall::wait`] gives up at the deadline.
-    pub fn begin_call_with(
+    /// Begin on several channels, then wait on each: the silo workers
+    /// execute concurrently, giving fan-out parallelism with zero
+    /// provider-side threads. The whole frame pays the per-message
+    /// envelope overhead *once* per direction. The encode half of the
+    /// one-rider wire rule lives here: a lone rider travels as its bare
+    /// [`Request`], several as one `Request::Batch`.
+    pub fn begin_frame(
         &self,
-        request: &Request,
+        riders: &[(u64, &Request)],
         deadline: Option<Instant>,
-    ) -> Result<PendingCall, TransportError> {
-        Ok(PendingCall {
-            inner: self.send_frame(request.to_bytes(), deadline)?,
-        })
+    ) -> Result<PendingFrame, TransportError> {
+        let frame = match riders {
+            [(_, request)] => request.to_bytes(),
+            _ => {
+                let requests: Vec<&Request> = riders.iter().map(|(_, r)| *r).collect();
+                encode_batch_request(&requests)
+            }
+        };
+        let tags = riders.iter().map(|(tag, _)| *tag).collect();
+        self.send_frame(frame, tags, deadline)
     }
 
-    /// Starts a request from a pre-encoded frame (O(1) to clone — use for
-    /// broadcasting one frame to many silos without re-encoding).
-    pub fn begin_call_encoded(&self, frame: Bytes) -> Result<PendingCall, TransportError> {
-        Ok(PendingCall {
-            inner: self.send_frame(frame, None)?,
-        })
-    }
-
-    /// Starts a batch of requests as one coalesced wire frame, without
-    /// blocking for the reply.
-    ///
-    /// The whole batch pays the per-message envelope overhead *once* per
-    /// direction, instead of once per request.
-    pub fn begin_batch(&self, requests: &[&Request]) -> Result<PendingBatch, TransportError> {
-        self.begin_batch_with(requests, None)
-    }
-
-    /// Starts a batch with a deadline: the worker sheds the whole frame
-    /// if expired on arrival, and [`PendingBatch::wait`] gives up at the
-    /// deadline.
-    pub fn begin_batch_with(
-        &self,
-        requests: &[&Request],
-        deadline: Option<Instant>,
-    ) -> Result<PendingBatch, TransportError> {
-        Ok(PendingBatch {
-            inner: self.send_frame(encode_batch_request(requests), deadline)?,
-            expected: requests.len(),
-        })
-    }
-
-    /// Starts a cross-caller batch: each request rides with a caller
-    /// correlation id that is paired back onto its reply by
-    /// [`PendingTaggedBatch::wait`]. The wire frame is byte-identical to
-    /// [`SiloChannel::begin_batch_with`] on the same requests — the ids
-    /// are provider-side only.
-    pub fn begin_tagged_batch_with(
-        &self,
-        requests: &[(u64, &Request)],
-        deadline: Option<Instant>,
-    ) -> Result<PendingTaggedBatch, TransportError> {
-        let refs: Vec<&Request> = requests.iter().map(|(_, r)| *r).collect();
-        Ok(PendingTaggedBatch {
-            inner: self.begin_batch_with(&refs, deadline)?,
-            tags: requests.iter().map(|(tag, _)| *tag).collect(),
-        })
+    /// Starts a one-rider frame from a pre-encoded request (O(1) to clone
+    /// — use for broadcasting one frame to many silos without
+    /// re-encoding).
+    pub fn begin_encoded(&self, frame: Bytes) -> Result<PendingFrame, TransportError> {
+        self.send_frame(frame, vec![0], None)
     }
 
     /// Sends a request and waits for the response, recording the traffic.
     ///
     /// `Response::Error` payloads are mapped to
-    /// [`TransportError::Remote`] so callers can't mistake a refusal for an
+    /// [`TransportError::Remote`] (and the transient/deadline refusals to
+    /// their dedicated variants) so callers can't mistake a refusal for an
     /// answer.
-    pub fn call(&self, request: &Request) -> Result<Response, TransportError> {
-        self.begin_call(request)?.wait()
-    }
-
-    /// Sends `requests` as one coalesced frame and waits for the per-item
-    /// results, in request order.
-    ///
-    /// An empty slice is answered locally with no traffic. See
-    /// [`PendingBatch::wait`] for the error contract.
-    pub fn call_batch(
-        &self,
-        requests: &[Request],
-    ) -> Result<Vec<Result<Response, TransportError>>, TransportError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let refs: Vec<&Request> = requests.iter().collect();
-        self.begin_batch(&refs)?.wait()
+    pub fn call(&self, request: &Request) -> Reply {
+        self.begin_frame(&[(0, request)], None)?.wait_one()
     }
 
     /// The one way to re-point a channel's byte accounting: returns a
@@ -1181,26 +909,27 @@ impl SiloChannel {
     /// The silo's own metrics registry (request counts by kind, batch
     /// sizes, LSR level picks). Shared by `Arc` for in-process silos —
     /// diagnostics cross the thread boundary without touching the
-    /// byte-counted wire path. See [`Transport::silo_metrics`].
+    /// byte-counted wire path. See [`SiloDiagnostics::metrics`].
     pub fn silo_metrics(&self) -> &Arc<fedra_obs::MetricsRegistry> {
-        self.backend.silo_metrics()
+        self.backend.diagnostics().metrics()
     }
 
     /// Number of logical requests the silo has served so far
-    /// ([`Transport::served`]).
+    /// ([`SiloDiagnostics::served`]).
     pub fn served(&self) -> u64 {
-        self.backend.served()
+        self.backend.diagnostics().served()
     }
 
     /// Injects (or clears) a failure: while set, the silo answers every
-    /// request with an error ([`Transport::set_failed`]).
+    /// request with an error. For a genuinely remote silo this flag is
+    /// client-local bookkeeping only (the remote process keeps its own).
     pub fn set_failed(&self, failed: bool) {
-        self.backend.set_failed(failed);
+        self.backend.diagnostics().set_failed(failed);
     }
 
     /// Whether the failure flag is set.
     pub fn is_failed(&self) -> bool {
-        self.backend.is_failed()
+        self.backend.diagnostics().is_failed()
     }
 }
 
@@ -1208,7 +937,7 @@ impl std::fmt::Debug for SiloChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SiloChannel")
             .field("id", &self.id())
-            .field("backend", &self.backend.backend_name())
+            .field("backend", &self.backend.diagnostics().backend())
             .finish()
     }
 }
@@ -1320,9 +1049,7 @@ pub fn spawn_silo(
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
     let (tx, rx) = unbounded::<Envelope>();
     let id = silo.id();
-    let served = silo.served_counter();
-    let failed = silo.failure_flag();
-    let silo_metrics = silo.metrics();
+    let diagnostics = SiloDiagnostics::shared_with(&silo);
     let worker_alive = Arc::new(AtomicBool::new(true));
     let registry = Arc::new(InflightRegistry::default());
     let alive_guard = AliveGuard {
@@ -1361,9 +1088,7 @@ pub fn spawn_silo(
         silo: id,
         tx,
         registry,
-        served,
-        failed,
-        silo_metrics,
+        diagnostics,
         worker_alive,
     };
     Ok((SiloChannel::over(Arc::new(backend), stats), handle))
@@ -1389,11 +1114,21 @@ pub enum TransportBackend {
 }
 
 impl TransportBackend {
-    /// Reads `FEDRA_TRANSPORT` (unset or unrecognised ⇒ in-memory).
-    pub fn from_env() -> TransportBackend {
-        match std::env::var("FEDRA_TRANSPORT") {
-            Ok(v) if v.eq_ignore_ascii_case("socket") => TransportBackend::Socket,
-            _ => TransportBackend::InMemory,
+    /// Reads `FEDRA_TRANSPORT` (see [`TransportBackend::from_setting`]).
+    pub fn from_env() -> Result<TransportBackend, String> {
+        Self::from_setting(std::env::var("FEDRA_TRANSPORT").ok().as_deref())
+    }
+
+    /// The backend a `FEDRA_TRANSPORT` value selects: unset ⇒ in-memory,
+    /// `memory` | `socket` by name. Any other value is returned as the
+    /// error — a typo must fail the build rather than quietly run the
+    /// default backend and pass.
+    pub fn from_setting(value: Option<&str>) -> Result<TransportBackend, String> {
+        match value {
+            None => Ok(TransportBackend::InMemory),
+            Some(v) if v.eq_ignore_ascii_case("memory") => Ok(TransportBackend::InMemory),
+            Some(v) if v.eq_ignore_ascii_case("socket") => Ok(TransportBackend::Socket),
+            Some(v) => Err(v.to_string()),
         }
     }
 }
@@ -1541,108 +1276,158 @@ mod tests {
         assert_eq!(stats.snapshot().rounds, 160);
     }
 
-    #[test]
-    fn call_batch_preserves_request_order() {
+    /// A backend that records every frame it is handed and answers it on
+    /// the spot with canned reply bytes.
+    struct Canned {
+        sent: Mutex<Vec<Bytes>>,
+        reply: Bytes,
+        diagnostics: SiloDiagnostics,
+    }
+
+    impl Transport for Canned {
+        fn silo(&self) -> SiloId {
+            3
+        }
+        fn send_frame(
+            &self,
+            frame: Bytes,
+            _deadline: Option<Instant>,
+            slot: &Arc<ReplySlot>,
+        ) -> Result<u64, TransportError> {
+            self.sent.lock().push(frame);
+            slot.fill(self.reply.clone());
+            Ok(0)
+        }
+        fn retire(&self, _token: u64) {}
+        fn inflight_len(&self) -> usize {
+            0
+        }
+        fn diagnostics(&self) -> &SiloDiagnostics {
+            &self.diagnostics
+        }
+    }
+
+    fn canned(reply: &Response) -> (Arc<Canned>, SiloChannel) {
+        let backend = Arc::new(Canned {
+            sent: Mutex::new(Vec::new()),
+            reply: reply.to_bytes(),
+            diagnostics: SiloDiagnostics::remote(),
+        });
         let stats = Arc::new(CommCounters::default());
-        let (chan, _handle) =
-            spawn_silo(test_silo(8, 100), Arc::clone(&stats), None, None).expect("spawn silo");
-        let q = Range::circle(Point::new(5.0, 5.0), 2.0);
-        let exact = chan
-            .call(&Request::Aggregate {
-                range: q,
-                mode: LocalMode::Exact,
-            })
-            .unwrap();
-        let before = stats.snapshot();
-        let results = chan
-            .call_batch(&[
-                Request::Ping,
-                Request::Aggregate {
-                    range: q,
-                    mode: LocalMode::Exact,
-                },
-                Request::MemoryReport,
-            ])
-            .expect("batch transport");
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0], Ok(Response::Pong));
-        assert_eq!(results[1].as_ref().unwrap(), &exact);
-        assert!(matches!(results[2], Ok(Response::Memory(_))));
-        // The whole batch is one round.
-        assert_eq!(stats.snapshot().since(&before).rounds, 1);
+        (Arc::clone(&backend), SiloChannel::over(backend, stats))
     }
 
     #[test]
-    fn tagged_batch_pairs_replies_with_correlation_ids() {
-        let stats = Arc::new(CommCounters::with_overhead(0));
-        let (chan, _handle) =
-            spawn_silo(test_silo(11, 100), Arc::clone(&stats), None, None).expect("spawn silo");
-        let q = Range::circle(Point::new(5.0, 5.0), 2.0);
+    fn a_one_rider_frame_is_the_bare_request_answered_by_a_bare_response() {
         let agg = Request::Aggregate {
-            range: q,
+            range: Range::circle(Point::new(5.0, 5.0), 2.0),
             mode: LocalMode::Exact,
         };
-        // The plain batch pins the wire cost the tagged variant must match.
-        let before = stats.snapshot();
-        chan.call_batch(&[Request::Ping, agg.clone(), Request::MemoryReport])
-            .expect("plain batch");
-        let plain = stats.snapshot().since(&before);
-
-        let before = stats.snapshot();
-        let results = chan
-            .begin_tagged_batch_with(
-                &[
-                    (907, &Request::Ping),
-                    (11, &agg),
-                    (42, &Request::MemoryReport),
-                ],
-                None,
-            )
-            .expect("begin tagged batch")
-            .wait()
-            .expect("tagged batch transport");
-        let tagged = stats.snapshot().since(&before);
-        // Correlation ids are provider-side bookkeeping: same bytes, one round.
-        assert_eq!(tagged, plain);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].0, 907);
-        assert_eq!(results[0].1, Ok(Response::Pong));
-        assert_eq!(results[1].0, 11);
-        assert!(matches!(results[1].1, Ok(Response::Agg(_))));
-        assert_eq!(results[2].0, 42);
-        assert!(matches!(results[2].1, Ok(Response::Memory(_))));
+        // One rider: the request's own bytes travel, and the bare reply is
+        // that rider's answer.
+        let (backend, chan) = canned(&Response::Pong);
+        let replies = chan.begin_frame(&[(41, &agg)], None).unwrap().wait();
+        assert_eq!(replies, Ok(vec![(41, Ok(Response::Pong))]));
+        assert_eq!(backend.sent.lock()[..], [agg.to_bytes()]);
+        // `call` and a pre-encoded frame are the same one-rider frame.
+        assert_eq!(chan.call(&agg), Ok(Response::Pong));
+        let encoded = chan.begin_encoded(agg.to_bytes()).unwrap();
+        assert_eq!(encoded.wait_one(), Ok(Response::Pong));
+        assert_eq!(backend.sent.lock()[..], [(); 3].map(|_| agg.to_bytes()));
+        // A refusal of the one rider is the frame's refusal: one
+        // frame-level error, not an answered frame with a failed item.
+        let (_, chan) = canned(&Response::Error("unavailable".into()));
+        let refused = chan.begin_frame(&[(41, &agg)], None).unwrap().wait();
+        assert!(matches!(
+            refused,
+            Err(TransportError::Remote { silo: 3, .. })
+        ));
+        // Two riders travel as one batch; a bare refusal in place of the
+        // batch reply fails the frame the same way.
+        let (backend, chan) = canned(&Response::Transient("flap".into()));
+        let riders = [(1, &agg), (2, &Request::Ping)];
+        let refused = chan.begin_frame(&riders, None).unwrap().wait();
+        assert!(matches!(
+            refused,
+            Err(TransportError::Transient { silo: 3, .. })
+        ));
+        let batch = Request::Batch(vec![agg.clone(), Request::Ping]);
+        assert_eq!(backend.sent.lock()[..], [batch.to_bytes()]);
     }
 
     #[test]
-    fn tagged_batch_deadline_shed_fails_the_whole_frame() {
+    fn a_frame_pairs_replies_with_correlation_ids_in_request_order() {
+        let stats = Arc::new(CommCounters::with_overhead(0));
+        let (chan, _handle) =
+            spawn_silo(test_silo(8, 100), Arc::clone(&stats), None, None).expect("spawn silo");
+        let agg = Request::Aggregate {
+            range: Range::circle(Point::new(5.0, 5.0), 2.0),
+            mode: LocalMode::Exact,
+        };
+        let exact = chan.call(&agg).unwrap();
+        let before = stats.snapshot();
+        let riders = [
+            (907, &Request::Ping),
+            (11, &agg),
+            (42, &Request::MemoryReport),
+        ];
+        let results = chan
+            .begin_frame(&riders, None)
+            .expect("begin frame")
+            .wait()
+            .expect("frame transport");
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[0], (907, Ok(Response::Pong)));
+        assert_eq!(results[1], (11, Ok(exact)));
+        assert_eq!(results[2].0, 42);
+        assert!(matches!(results[2].1, Ok(Response::Memory(_))));
+        // Correlation ids are provider-side bookkeeping: the wire carries
+        // the plain batch, in one round.
+        let delta = stats.snapshot().since(&before);
+        let plain = Request::Batch(vec![Request::Ping, agg.clone(), Request::MemoryReport]);
+        assert_eq!(delta.rounds, 1);
+        assert_eq!(delta.bytes_up, plain.to_bytes().len() as u64);
+    }
+
+    #[test]
+    fn a_frame_shed_at_its_deadline_fails_whole() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
             spawn_silo(test_silo(12, 10), Arc::clone(&stats), None, None).expect("spawn silo");
         // A frame expired before dispatch: the worker sheds it whole, and
         // the refusal still costs a byte-counted round. Waiting with a
-        // generous *receive* deadline (while the envelope deadline is
+        // generous *receive* bound (while the envelope deadline is
         // already past) is what lets the shed response actually arrive.
         let expired = Instant::now() - Duration::from_millis(5);
-        let err = chan
-            .begin_tagged_batch_with(&[(1, &Request::Ping), (2, &Request::Ping)], Some(expired))
+        let shed = chan
+            .begin_frame(&[(1, &Request::Ping), (2, &Request::Ping)], Some(expired))
             .expect("send succeeds; the shed happens silo-side")
-            .wait_deadline(Instant::now() + Duration::from_secs(5))
-            .expect_err("expired frame is shed");
-        assert!(matches!(err, TransportError::DeadlineExceeded { silo: 12 }));
+            .wait_until(Instant::now() + Duration::from_secs(5));
+        assert!(matches!(
+            shed,
+            Poll::Ready(Err(TransportError::DeadlineExceeded { silo: 12 }))
+        ));
         assert_eq!(stats.snapshot().rounds, 1);
     }
 
     #[test]
-    fn call_batch_surfaces_per_item_errors() {
+    fn a_frame_surfaces_per_rider_errors() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
             spawn_silo(test_silo(9, 10), Arc::clone(&stats), None, None).expect("spawn silo");
         chan.set_failed(true);
+        let riders = [
+            (0, &Request::Ping),
+            (1, &Request::Ping),
+            (2, &Request::Ping),
+        ];
         let results = chan
-            .call_batch(&[Request::Ping, Request::Ping, Request::Ping])
-            .expect("transport still works; the refusals are per item");
+            .begin_frame(&riders, None)
+            .unwrap()
+            .wait()
+            .expect("transport still works; the refusals are per rider");
         assert_eq!(results.len(), 3);
-        for r in results {
+        for (_, r) in results {
             assert!(matches!(r, Err(TransportError::Remote { silo: 9, .. })));
         }
         // Failure injection costs one round, not three.
@@ -1650,16 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_sends_no_traffic() {
-        let stats = Arc::new(CommCounters::default());
-        let (chan, _handle) =
-            spawn_silo(test_silo(10, 10), Arc::clone(&stats), None, None).expect("spawn silo");
-        assert_eq!(chan.call_batch(&[]).unwrap(), Vec::new());
-        assert_eq!(stats.snapshot(), CommSnapshot::default());
-    }
-
-    #[test]
-    fn batch_amortizes_the_envelope_overhead() {
+    fn a_frame_amortizes_the_envelope_overhead() {
         // Zero-overhead stats pin the payload arithmetic; the saving shows
         // in rounds (each round costs 2 × overhead under default stats).
         let stats = Arc::new(CommCounters::with_overhead(0));
@@ -1671,14 +1447,15 @@ mod tests {
             mode: LocalMode::Exact,
         };
         let before = stats.snapshot();
-        chan.call_batch(&[agg.clone(), agg.clone()]).unwrap();
+        let frame = chan.begin_frame(&[(0, &agg), (1, &agg)], None).unwrap();
+        frame.wait().unwrap();
         let batched = stats.snapshot().since(&before);
         let before = stats.snapshot();
         chan.call(&agg).unwrap();
         chan.call(&agg).unwrap();
         let singleton = stats.snapshot().since(&before);
-        // Payloads: singleton 2 × (27 up, 25 down); batch adds a 5-byte
-        // frame header each way (tag + count) on top of the same items.
+        // Payloads: singleton 2 × (27 up, 25 down); the shared frame adds
+        // a 5-byte header each way (tag + count) on top of the same items.
         assert_eq!(singleton.bytes_up, 54);
         assert_eq!(singleton.bytes_down, 50);
         assert_eq!(batched.bytes_up, 59);
@@ -1699,12 +1476,15 @@ mod tests {
         assert_eq!(chan.reply_pool.slots.lock().len(), 1);
         // Resolved calls deregister eagerly, so the in-flight registry
         // holds nothing between calls.
-        assert_eq!(chan.backend().inflight_len(), 0);
-        // An abandoned pending call discards its slot instead of
-        // returning a (possibly stale) one to the pool.
-        let pending = chan.begin_call(&Request::Ping).unwrap();
+        assert_eq!(chan.backend.inflight_len(), 0);
+        // An abandoned pending frame discards its slot instead of
+        // returning a (possibly stale) one to the pool, and deregisters
+        // just as eagerly.
+        let pending = chan.begin_frame(&[(0, &Request::Ping)], None).unwrap();
+        assert_eq!(chan.backend.inflight_len(), 1);
         drop(pending);
         assert!(chan.reply_pool.slots.lock().is_empty());
+        assert_eq!(chan.backend.inflight_len(), 0);
         // The channel still works after the discard.
         assert_eq!(chan.call(&Request::Ping).unwrap(), Response::Pong);
     }
@@ -1723,12 +1503,12 @@ mod tests {
             })
             .collect();
         let start = std::time::Instant::now();
-        let pending: Vec<PendingCall> = channels
+        let pending: Vec<PendingFrame> = channels
             .iter()
-            .map(|c| c.begin_call(&Request::Ping).unwrap())
+            .map(|c| c.begin_frame(&[(0, &Request::Ping)], None).unwrap())
             .collect();
         for p in pending {
-            assert_eq!(p.wait().unwrap(), Response::Pong);
+            assert_eq!(p.wait_one().unwrap(), Response::Pong);
         }
         let elapsed = start.elapsed();
         assert!(
@@ -1774,7 +1554,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_deadline_times_out_and_discards_the_pair() {
+    fn a_wait_past_the_deadline_times_out_and_discards_the_slot() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) = spawn_silo(
             test_silo(20, 10),
@@ -1783,16 +1563,18 @@ mod tests {
             slow_injector(20, Duration::from_millis(100)),
         )
         .expect("spawn silo");
-        let pending = chan.begin_call(&Request::Ping).unwrap();
-        let err = pending
-            .wait_deadline(Instant::now() + Duration::from_millis(5))
-            .expect_err("must time out");
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let pending = chan
+            .begin_frame(&[(0, &Request::Ping)], Some(deadline))
+            .unwrap();
+        let err = pending.wait().expect_err("must time out");
         assert_eq!(err, TransportError::DeadlineExceeded { silo: 20 });
         assert!(err.is_deadline());
         assert!(!err.is_retryable());
         // The abandoned slot must not be pooled (its stale reply is still
-        // coming).
+        // coming), and the call is no longer registered as in flight.
         assert!(chan.reply_pool.slots.lock().is_empty());
+        assert_eq!(chan.backend.inflight_len(), 0);
         // And a timed-out round records no traffic.
         assert_eq!(stats.snapshot().rounds, 0);
         // The channel still works once the slow reply has drained.
@@ -1811,18 +1593,18 @@ mod tests {
         .expect("spawn silo");
         // The deadline expires while the latency sleep runs, so the
         // worker sheds the request; the shed reply still counts a round.
+        let deadline = Instant::now() + Duration::from_millis(1);
         let pending = chan
-            .begin_call_with(
-                &Request::Ping,
-                Some(Instant::now() + Duration::from_millis(1)),
-            )
+            .begin_frame(&[(0, &Request::Ping)], Some(deadline))
             .unwrap();
-        // Wait without a deadline override: the shed response itself
+        // Wait past the send-time deadline: the shed response itself
         // reports the miss.
-        let err = pending
-            .wait_deadline(Instant::now() + Duration::from_secs(5))
-            .expect_err("shed");
-        assert_eq!(err, TransportError::DeadlineExceeded { silo: 21 });
+        match pending.wait_until(Instant::now() + Duration::from_secs(5)) {
+            Poll::Ready(Err(err)) => {
+                assert_eq!(err, TransportError::DeadlineExceeded { silo: 21 })
+            }
+            other => panic!("expected the shed, got {other:?}"),
+        }
         assert_eq!(stats.snapshot().rounds, 1);
     }
 
@@ -1842,10 +1624,12 @@ mod tests {
         assert!(err.is_retryable());
         // Request 2 lands in the next up window…
         assert_eq!(chan.call(&Request::Ping).unwrap(), Response::Pong);
-        // …and a batch frame in the following down window fails at
-        // transport level.
+        // …and a two-rider frame in the following down window fails at
+        // frame level.
         let err = chan
-            .call_batch(&[Request::Ping, Request::Ping])
+            .begin_frame(&[(0, &Request::Ping), (1, &Request::Ping)], None)
+            .unwrap()
+            .wait()
             .expect_err("whole-frame transient");
         assert!(matches!(err, TransportError::Transient { silo: 22, .. }));
     }
@@ -1891,7 +1675,7 @@ mod tests {
             .injector_for(28, Arc::new(AtomicBool::new(true)));
         let (chan, handle) =
             spawn_silo(test_silo(28, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
-        let pending = chan.begin_call(&Request::Ping).unwrap();
+        let pending = chan.begin_frame(&[(0, &Request::Ping)], None).unwrap();
         let start = Instant::now();
         assert_eq!(
             pending.wait().expect_err("worker crashed"),
@@ -1917,11 +1701,9 @@ mod tests {
             .injector_for(24, Arc::new(AtomicBool::new(true)));
         let (chan, _handle) =
             spawn_silo(test_silo(24, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
+        let deadline = Instant::now() + Duration::from_millis(10);
         let pending = chan
-            .begin_call_with(
-                &Request::Ping,
-                Some(Instant::now() + Duration::from_millis(10)),
-            )
+            .begin_frame(&[(0, &Request::Ping)], Some(deadline))
             .unwrap();
         assert_eq!(
             pending.wait().expect_err("dropped"),
@@ -1930,7 +1712,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_deadline_keeps_the_call_alive() {
+    fn a_timed_out_poll_keeps_the_frame_alive() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) = spawn_silo(
             test_silo(25, 10),
@@ -1939,21 +1721,22 @@ mod tests {
             slow_injector(25, Duration::from_millis(40)),
         )
         .expect("spawn silo");
-        let pending = chan.begin_call(&Request::Ping).unwrap();
-        let pending = match pending.poll_deadline(Instant::now() + Duration::from_millis(2)) {
+        let pending = chan.begin_frame(&[(7, &Request::Ping)], None).unwrap();
+        let pending = match pending.wait_until(Instant::now() + Duration::from_millis(2)) {
             Poll::Pending(p) => p,
             Poll::Ready(r) => panic!("slow call answered early: {r:?}"),
         };
         assert_eq!(pending.silo(), 25);
-        match pending.poll_deadline(Instant::now() + Duration::from_secs(5)) {
-            Poll::Ready(Ok(Response::Pong)) => {}
+        assert_eq!(chan.backend.inflight_len(), 1);
+        match pending.wait_until(Instant::now() + Duration::from_secs(5)) {
+            Poll::Ready(Ok(replies)) => assert_eq!(replies, [(7, Ok(Response::Pong))]),
             other => panic!("expected pong, got {other:?}"),
         }
         assert_eq!(stats.snapshot().rounds, 1);
     }
 
     #[test]
-    fn race_calls_first_answer_wins() {
+    fn the_first_answer_wins_between_two_pending_frames() {
         let stats = Arc::new(CommCounters::default());
         let (slow, _h1) = spawn_silo(
             test_silo(26, 10),
@@ -1964,19 +1747,46 @@ mod tests {
         .expect("spawn silo");
         let (fast, _h2) =
             spawn_silo(test_silo(27, 10), Arc::clone(&stats), None, None).expect("spawn silo");
-        let primary = slow.begin_call(&Request::Ping).unwrap();
-        let hedge = fast.begin_call(&Request::Ping).unwrap();
-        match race_calls(primary, hedge, Instant::now() + Duration::from_secs(5)) {
-            RaceWinner::Hedge(Ok(Response::Pong)) => {}
+        // A primary silent past its hedge threshold stays in flight while
+        // the hedge is polled: whichever resolves first is the answer.
+        let primary = slow.begin_frame(&[(0, &Request::Ping)], None).unwrap();
+        let hedge = fast.begin_frame(&[(0, &Request::Ping)], None).unwrap();
+        let primary = match primary.wait_until(Instant::now() + Duration::from_millis(2)) {
+            Poll::Pending(p) => p,
+            Poll::Ready(r) => panic!("slow primary answered early: {r:?}"),
+        };
+        match hedge.wait_until(Instant::now() + Duration::from_secs(5)) {
+            Poll::Ready(Ok(replies)) => assert_eq!(replies, [(0, Ok(Response::Pong))]),
             other => panic!("expected the fast hedge to win, got {other:?}"),
         }
-        // Race two slow calls into a tight deadline: both lose.
-        let primary = slow.begin_call(&Request::Ping).unwrap();
-        let hedge = slow.begin_call(&Request::Ping).unwrap();
-        match race_calls(primary, hedge, Instant::now() + Duration::from_millis(5)) {
-            RaceWinner::Timeout => {}
-            other => panic!("expected timeout, got {other:?}"),
+        // The loser is abandoned: deregistered at once, its slot never
+        // pooled (the stale reply is still coming).
+        drop(primary);
+        assert_eq!(slow.backend.inflight_len(), 0);
+        assert!(slow.reply_pool.slots.lock().is_empty());
+        // Two slow frames into a tight bound: neither answers.
+        let bound = Instant::now() + Duration::from_millis(5);
+        for frame in [
+            slow.begin_frame(&[(0, &Request::Ping)], None).unwrap(),
+            slow.begin_frame(&[(0, &Request::Ping)], None).unwrap(),
+        ] {
+            assert!(matches!(frame.wait_until(bound), Poll::Pending(_)));
         }
+    }
+
+    #[test]
+    fn an_unrecognised_transport_setting_is_an_error_not_the_default() {
+        use TransportBackend::{InMemory, Socket};
+        assert_eq!(TransportBackend::from_setting(None), Ok(InMemory));
+        assert_eq!(TransportBackend::from_setting(Some("memory")), Ok(InMemory));
+        assert_eq!(TransportBackend::from_setting(Some("Socket")), Ok(Socket));
+        // A typo (ci.sh's socket stanza once could have carried one) must
+        // not run the in-memory backend and pass.
+        assert_eq!(
+            TransportBackend::from_setting(Some("sokcet")),
+            Err("sokcet".to_string())
+        );
+        assert_eq!(TransportBackend::from_setting(Some("")), Err(String::new()));
     }
 
     #[test]

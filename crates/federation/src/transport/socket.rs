@@ -73,7 +73,9 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::{ReplySlot, Served, SiloChannel, SiloServer, Transport, TransportError};
+use super::{
+    ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport, TransportError,
+};
 use crate::fault::SiloFaultInjector;
 use crate::silo::{Silo, SiloId};
 use fedra_obs::CommCounters;
@@ -618,6 +620,7 @@ pub fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
 /// Silo-side configuration for [`SiloSocketServer`]: the same simulated
 /// latency and deterministic fault injection the in-memory worker
 /// supports, applied per frame by the same serve step.
+#[derive(Default)]
 pub struct SocketServerConfig {
     /// Fixed simulated latency added before serving each frame.
     pub latency: Option<Duration>,
@@ -628,16 +631,6 @@ pub struct SocketServerConfig {
     /// `BuildGrid`, so a killed-and-respawned `fedra-silo` can warm-start
     /// from disk instead of re-binning its partition.
     pub snapshot_path: Option<PathBuf>,
-}
-
-impl Default for SocketServerConfig {
-    fn default() -> Self {
-        SocketServerConfig {
-            latency: None,
-            faults: None,
-            snapshot_path: None,
-        }
-    }
 }
 
 struct ServerShared {
@@ -803,51 +796,9 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
 // Client side
 // ---------------------------------------------------------------------
 
-/// Diagnostics a [`SocketTransport`] reports through the [`Transport`]
-/// trait. For an **in-process** silo these are the silo's own shared
-/// handles (so `served()`, `set_failed()` and `silo_metrics()` behave
-/// exactly like the in-memory backend); for a **remote** silo they are
-/// client-local stand-ins (`served()` counts drained replies,
-/// `set_failed()` is client-side bookkeeping the remote process never
-/// sees).
-pub struct SiloDiagnostics {
-    /// The silo's served counter, when in-process.
-    pub served: Option<Arc<AtomicU64>>,
-    /// The failure-injection flag (the silo's own when in-process).
-    pub failed: Arc<AtomicBool>,
-    /// The silo's metrics registry (a fresh registry for remote peers;
-    /// transport metrics land here either way).
-    pub metrics: Arc<fedra_obs::MetricsRegistry>,
-}
-
-impl SiloDiagnostics {
-    /// Shares the diagnostics of an in-process [`Silo`].
-    pub fn shared_with(silo: &Silo) -> SiloDiagnostics {
-        SiloDiagnostics {
-            served: Some(silo.served_counter()),
-            failed: silo.failure_flag(),
-            metrics: silo.metrics(),
-        }
-    }
-
-    /// Client-local diagnostics for a genuinely remote silo.
-    pub fn remote() -> SiloDiagnostics {
-        SiloDiagnostics {
-            served: None,
-            failed: Arc::new(AtomicBool::new(false)),
-            metrics: Arc::new(fedra_obs::MetricsRegistry::new()),
-        }
-    }
-}
-
 struct ClientInner {
     silo: SiloId,
     addr: SiloAddr,
-    /// Whether the client currently believes the peer reachable. Cleared
-    /// when the reconnect budget runs out; set again by a successful
-    /// send-path re-establish. Advisory only — `send_frame` always makes
-    /// one fresh attempt on a dead connection.
-    alive: AtomicBool,
     /// Set once, by `Drop`: no reconnect may ever follow.
     closed: AtomicBool,
     policy: ReconnectPolicy,
@@ -862,17 +813,11 @@ struct ClientInner {
     conn: Mutex<Option<SocketStream>>,
     /// In-flight calls: corr → (generation, slot).
     inflight: Mutex<HashMap<u64, (u64, Arc<ReplySlot>)>>,
-    served: Option<Arc<AtomicU64>>,
-    replies_drained: AtomicU64,
-    failed: AtomicBoolArc,
-    metrics: Arc<fedra_obs::MetricsRegistry>,
+    diagnostics: SiloDiagnostics,
     reconnects: Arc<fedra_obs::Counter>,
     /// Stale-epoch replies the reader fenced out (see the module docs).
     fenced: Arc<fedra_obs::Counter>,
 }
-
-/// Newtype so the shared failure flag reads as what it is.
-struct AtomicBoolArc(Arc<AtomicBool>);
 
 impl ClientInner {
     /// Establishes a connection under the `conn` lock (bumping the
@@ -881,7 +826,7 @@ impl ClientInner {
         let stream = self
             .addr
             .connect()
-            .map_err(|e| TransportError::Disconnected { silo: self.silo }.with_context(e))?;
+            .map_err(|_| TransportError::Disconnected { silo: self.silo })?;
         let read_half = stream
             .try_clone()
             .map_err(|_| TransportError::Disconnected { silo: self.silo })?;
@@ -924,8 +869,8 @@ impl ClientInner {
     /// Handles a connection loss observed by the reader of `lost_gen`:
     /// reconnect under the client's [`ReconnectPolicy`] (failing that
     /// generation's in-flight calls as retryable transients), or give up
-    /// for now. Exhaustion clears `alive` but is not terminal — see
-    /// [`Transport::send_frame`], which probes the peer again per call.
+    /// for now. Exhaustion is not terminal — see [`Transport::send_frame`],
+    /// which probes the peer again per call.
     fn handle_loss(self: &Arc<Self>, lost_gen: u64) {
         let mut conn = self.conn.lock();
         if self.generation.load(Ordering::Acquire) != lost_gen {
@@ -957,7 +902,6 @@ impl ClientInner {
             }
             std::thread::sleep(self.policy.backoff(self.silo, attempt));
         }
-        self.alive.store(false, Ordering::Release);
         drop(conn);
         self.sweep(u64::MAX, None);
     }
@@ -981,7 +925,7 @@ fn reader_loop(inner: Arc<ClientInner>, read_half: SocketStream, gen: u64) {
                 }
                 let slot = inner.inflight.lock().remove(&corr).map(|(_, slot)| slot);
                 if let Some(slot) = slot {
-                    inner.replies_drained.fetch_add(1, Ordering::Relaxed);
+                    inner.diagnostics.reply_drained();
                     slot.fill(payload);
                 }
                 // An unknown corr is a reply to an abandoned call whose
@@ -1037,17 +981,16 @@ impl SocketTransport {
         let inner = Arc::new(ClientInner {
             silo,
             addr,
-            alive: AtomicBool::new(true),
             closed: AtomicBool::new(false),
             policy,
             next_corr: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             conn: Mutex::new(None),
             inflight: Mutex::new(HashMap::new()),
-            served: diagnostics.served,
-            replies_drained: AtomicU64::new(0),
-            failed: AtomicBoolArc(diagnostics.failed),
-            metrics: diagnostics.metrics,
+            diagnostics: SiloDiagnostics {
+                backend: "socket",
+                ..diagnostics
+            },
             reconnects,
             fenced,
         });
@@ -1079,10 +1022,6 @@ impl Transport for SocketTransport {
         self.inner.silo
     }
 
-    fn backend_name(&self) -> &'static str {
-        "socket"
-    }
-
     fn send_frame(
         &self,
         frame: Bytes,
@@ -1105,7 +1044,6 @@ impl Transport for SocketTransport {
             if inner.closed.load(Ordering::Acquire) || inner.establish(&mut conn).is_err() {
                 return Err(TransportError::Disconnected { silo: inner.silo });
             }
-            inner.alive.store(true, Ordering::Release);
             inner.reconnects.inc();
         }
         let Some(stream) = conn.as_mut() else {
@@ -1135,31 +1073,12 @@ impl Transport for SocketTransport {
         self.inner.inflight.lock().remove(&token);
     }
 
-    fn is_alive(&self) -> bool {
-        self.inner.alive.load(Ordering::Acquire)
-    }
-
     fn inflight_len(&self) -> usize {
         self.inner.inflight.lock().len()
     }
 
-    fn served(&self) -> u64 {
-        match &self.inner.served {
-            Some(shared) => shared.load(Ordering::Relaxed),
-            None => self.inner.replies_drained.load(Ordering::Relaxed),
-        }
-    }
-
-    fn set_failed(&self, failed: bool) {
-        self.inner.failed.0.store(failed, Ordering::Release);
-    }
-
-    fn is_failed(&self) -> bool {
-        self.inner.failed.0.load(Ordering::Acquire)
-    }
-
-    fn silo_metrics(&self) -> &Arc<fedra_obs::MetricsRegistry> {
-        &self.inner.metrics
+    fn diagnostics(&self) -> &SiloDiagnostics {
+        &self.inner.diagnostics
     }
 }
 
@@ -1169,7 +1088,6 @@ impl Drop for SocketTransport {
         // reader's loss handler nor a racing send will reconnect, then
         // close the stream to wake the reader.
         self.inner.closed.store(true, Ordering::Release);
-        self.inner.alive.store(false, Ordering::Release);
         if let Some(flag) = &self.server_shutdown {
             flag.store(true, Ordering::Release);
         }
@@ -1184,7 +1102,6 @@ impl std::fmt::Debug for SocketTransport {
         f.debug_struct("SocketTransport")
             .field("silo", &self.inner.silo)
             .field("addr", &self.inner.addr)
-            .field("alive", &self.is_alive())
             .finish()
     }
 }
@@ -1238,14 +1155,6 @@ pub fn spawn_silo_socket(
         }
     };
     Ok((SiloChannel::over(Arc::new(transport), stats), thread))
-}
-
-impl TransportError {
-    /// Attaches connection context to a `Disconnected` for logs (the
-    /// variant itself stays shape-stable for matching).
-    fn with_context(self, _e: std::io::Error) -> TransportError {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,18 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn mistyped_transport_backend_fails_the_build() {
+    // A typo must not quietly run the in-memory backend and pass.
+    let out = cli()
+        .env("FEDRA_TRANSPORT", "sokcet")
+        .args(["stats", "--objects", "2000", "--silos", "2"])
+        .output()
+        .expect("run fedra-cli");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("names no transport backend"));
+}
+
+#[test]
 fn unknown_algo_fails_cleanly() {
     let out = cli()
         .args([

@@ -11,13 +11,13 @@ use std::time::{Duration, Instant};
 use fedra::federation::protocol::{LocalMode, Request, Response, SiloMemoryReport};
 use fedra::federation::transport::socket::{
     read_reply_frame, read_request_frame, write_reply_frame, write_request_frame, FrameError,
-    SiloDiagnostics, MAX_FRAME_PAYLOAD, REPLY_HEADER_LEN, REQUEST_HEADER_LEN,
+    MAX_FRAME_PAYLOAD, REPLY_HEADER_LEN, REQUEST_HEADER_LEN,
 };
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
 use fedra::federation::wire::Wire;
 use fedra::federation::{
-    ChaosPlan, ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloSocketServer,
-    SocketServerConfig, SocketTransport, Transport,
+    ChaosPlan, ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloDiagnostics,
+    SiloSocketServer, SocketServerConfig, SocketTransport, Transport,
 };
 use fedra::prelude::*;
 
@@ -307,12 +307,11 @@ fn peer_disconnect_mid_batch_is_a_retryable_transport_error() {
     let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
         .expect("connect");
     let channel = SiloChannel::over(Arc::new(transport), stats);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let pending = channel
-        .begin_batch(&[&Request::Ping, &Request::Ping])
+        .begin_frame(&[(0, &Request::Ping), (1, &Request::Ping)], Some(deadline))
         .expect("begin");
-    let err = pending
-        .wait_deadline(Instant::now() + Duration::from_secs(10))
-        .expect_err("the peer hung up mid-batch");
+    let err = pending.wait().expect_err("the peer hung up mid-batch");
     assert!(
         matches!(err, TransportError::Transient { silo: 0, .. }),
         "expected a transient, got {err:?}"
@@ -384,7 +383,7 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
     let stats = Arc::new(CommCounters::default());
     let transport = SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
         .expect("connect");
-    assert_eq!(transport.backend_name(), "socket");
+    assert_eq!(transport.diagnostics().backend(), "socket");
     let channel = SiloChannel::over(Arc::new(transport), Arc::clone(&stats));
     let answer = channel.call(&request).expect("call");
     assert_eq!(answer, expected);
@@ -538,8 +537,8 @@ fn seeded_fault_plan_yields_the_same_outcome_sequence_on_both_backends() {
                 // else answers in microseconds.
                 let deadline = Instant::now() + Duration::from_millis(400);
                 fed.channel(0)
-                    .begin_call_with(&Request::Ping, Some(deadline))
-                    .and_then(|call| call.wait())
+                    .begin_frame(&[(0, &Request::Ping)], Some(deadline))
+                    .and_then(|frame| frame.wait_one())
             })
             .collect::<Vec<_>>()
     };
