@@ -163,10 +163,47 @@ fn bench_rtree_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// Alg. 3's silo step for one query: the clipped aggregate of each of the
+/// 16 boundary cells of a circle, as 16 one-clip descents from the root
+/// versus one many-clip walk, on T₀ and on one sampled LSR level.
+fn bench_boundary_cells(c: &mut Criterion) {
+    let objs = objects(100_000, 6);
+    let mut rng = StdRng::seed_from_u64(7);
+    let lsr = LsrForest::build(&objs, RTreeConfig::default(), &mut rng);
+    let spec = GridSpec::new(
+        Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+        10.0,
+    );
+    let query = Range::circle(Point::new(55.0, 55.0), 18.0);
+    let ring: Vec<Rect> = spec
+        .classify(&query)
+        .boundary
+        .iter()
+        .map(|&id| spec.cell_rect_of(id))
+        .collect();
+    assert_eq!(ring.len(), 16, "the ring this bench is named after");
+
+    let mut group = c.benchmark_group("boundary_cells_16");
+    for (tree, level) in [("t0", 0usize), ("lsr_level_4", 4)] {
+        group.bench_function(BenchmarkId::new("per_clip_loop", tree), |b| {
+            b.iter(|| {
+                for clip in &ring {
+                    black_box(lsr.query_clipped_at_level(&query, clip, level));
+                }
+            })
+        });
+        group.bench_function(BenchmarkId::new("one_walk", tree), |b| {
+            b.iter(|| black_box(lsr.query_clipped_many_at_level(&query, &ring, level)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_builds,
     bench_local_queries,
-    bench_rtree_fanout
+    bench_rtree_fanout,
+    bench_boundary_cells
 );
 criterion_main!(benches);

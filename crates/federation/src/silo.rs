@@ -51,8 +51,8 @@ pub struct SiloConfig {
     pub bounds: Rect,
     /// Seed for the LSR level sampling (kept per-silo for reproducibility).
     pub lsr_seed: u64,
-    /// Worker-pool size for intra-silo parallelism (index construction,
-    /// batch fan-out, per-cell contributions). `0` = automatic: available
+    /// Worker-pool size for intra-silo parallelism (index construction
+    /// and `Request::Batch` item fan-out). `0` = automatic: available
     /// cores clamped to [`fedra_index::pool::MAX_AUTO_THREADS`], with the
     /// `FEDRA_SILO_THREADS` environment variable as an override. Results
     /// are bit-identical for every value — the pool only changes speed.
@@ -75,7 +75,9 @@ pub struct Silo {
     /// Retained after `BuildGrid`: the cell-id → rectangle mapping and
     /// the per-cell counts `CellContributions` prunes empty cells with.
     grid: parking_lot::RwLock<Option<GridIndex>>,
-    /// Scoped worker pool shared by index builds and request fan-out.
+    /// Scoped worker pool shared by index builds and the fan-out of a
+    /// `Request::Batch`'s items; a single request runs on its serving
+    /// thread.
     pool: WorkerPool,
     /// Failure injection: when set, every request is answered with
     /// `Response::Error`.
@@ -175,7 +177,7 @@ struct SiloMetrics {
     batch_panics: Arc<Counter>,
     pool_items_per_task: Arc<Histogram>,
     /// Boundary cells answered `ZERO` straight off the retained grid's
-    /// cell counts, skipping the clipped R-tree/LSR descent.
+    /// cell counts, left out of the clipped R-tree/LSR walk.
     cells_pruned: Arc<Counter>,
     /// One counter per LSR level, indexed by the level picked (Alg. 6);
     /// the paper's O(log 1/ε) claim is readable straight off these.
@@ -550,31 +552,53 @@ impl Silo {
             ));
         };
         let spec = *grid.spec();
-        // Prune flags are O(1) probes per cell, computed under the read
-        // guard; the expensive clipped descent fans out after it drops. A
-        // cell is prunable only if its whole *closed* rectangle is empty:
-        // an object exactly on the cell's max edge bins into the next
-        // row/column, so the 2×2 neighborhood (clamped at the grid edge)
-        // must be empty too, not just the cell itself.
-        let work: Vec<(CellId, bool)> = cells
-            .iter()
-            .map(|&id| {
-                let (ix, iy) = spec.cell_coords(id);
-                let x1 = (ix + 1).min(spec.nx() - 1);
-                let y1 = (iy + 1).min(spec.ny() - 1);
-                let empty = (ix..=x1)
-                    .all(|cx| (iy..=y1).all(|cy| grid.cell(spec.cell_id(cx, cy)).count == 0.0));
-                if empty {
-                    self.metrics.cells_pruned.inc();
-                }
-                (id, empty)
-            })
-            .collect();
+        // The cell list comes off the wire. An id past the grid has no
+        // rectangle to clip to (and would pass the sweep below vacuously,
+        // as an "empty" cell); a list longer than the grid can only be
+        // hostile and sizes the reply.
+        let num_cells = spec.num_cells();
+        if cells.len() > num_cells {
+            return Response::Error(format!(
+                "silo {}: {} cell ids requested from a grid of {num_cells} cells",
+                self.id,
+                cells.len()
+            ));
+        }
+        // The prune sweep is O(1) probes per cell, under the read guard;
+        // the tree walk runs after it drops. A cell is prunable only if
+        // its whole *closed* rectangle is empty: an object exactly on the
+        // cell's max edge bins into the next row/column, so the 2×2
+        // neighborhood (clamped at the grid edge) must be empty too, not
+        // just the cell itself.
+        let mut slots = Vec::with_capacity(cells.len());
+        let mut rects = Vec::with_capacity(cells.len());
+        for (slot, &id) in cells.iter().enumerate() {
+            if id as usize >= num_cells {
+                return Response::Error(format!(
+                    "silo {}: cell id {id} is outside the grid of {num_cells} cells",
+                    self.id
+                ));
+            }
+            let (ix, iy) = spec.cell_coords(id);
+            let x1 = (ix + 1).min(spec.nx() - 1);
+            let y1 = (iy + 1).min(spec.ny() - 1);
+            let empty = (ix..=x1)
+                .all(|cx| (iy..=y1).all(|cy| grid.cell(spec.cell_id(cx, cy)).count == 0.0));
+            if !empty {
+                slots.push(slot);
+                rects.push(spec.cell_rect(ix, iy));
+            }
+        }
         drop(guard);
-        // For the LSR mode, select the level once from the whole-query
-        // sum₀ so all per-cell estimates share one sample tree.
-        let level = match mode {
-            LocalMode::Exact => None,
+        self.metrics
+            .cells_pruned
+            .add((cells.len() - slots.len()) as u64);
+        // The per-cell clipped aggregates (the O(√|g₀|) boundary work of
+        // Alg. 3) come out of one walk of one tree, on this thread. For
+        // the LSR mode the level is selected once from the whole-query
+        // sum₀, so all per-cell estimates share one sample tree.
+        let live = match mode {
+            LocalMode::Exact => self.lsr.base().aggregate_clipped_many(range, &rects),
             LocalMode::Lsr {
                 epsilon,
                 delta,
@@ -582,24 +606,16 @@ impl Silo {
             } => {
                 let l = self.lsr.select_level(epsilon, delta, sum0);
                 self.metrics.record_level(l);
-                Some(l)
+                self.lsr.query_clipped_many_at_level(range, &rects, l)
             }
         };
-        // The per-cell clipped aggregates (the O(√|g₀|) boundary work of
-        // Alg. 3) are independent: fan them across the pool, answers in
-        // cell order. Pruned cells short-circuit to `ZERO` — bit-identical
-        // to what the clipped descent returns for an empty region (both
-        // fold from the monoid identity over nothing).
-        let out: Vec<Aggregate> = self.pool.map(&work, |_, &(id, skip)| {
-            if skip {
-                return Aggregate::ZERO;
-            }
-            let rect = spec.cell_rect_of(id);
-            match level {
-                None => self.lsr.base().aggregate_clipped(range, &rect),
-                Some(l) => self.lsr.query_clipped_at_level(range, &rect, l),
-            }
-        });
+        // Pruned slots stay `ZERO` — bit-identical to what the walk
+        // returns for an empty region (both fold from the monoid identity
+        // over nothing).
+        let mut out = vec![Aggregate::ZERO; cells.len()];
+        for (slot, agg) in slots.into_iter().zip(live) {
+            out[slot] = agg;
+        }
         Response::AggVec(out)
     }
 
@@ -913,6 +929,160 @@ mod tests {
         };
         assert_eq!(v[0].count, 1.0, "edge object must survive the prune");
         assert_eq!(v[0].sum, 5.0);
+    }
+
+    fn pruned_total(s: &Silo) -> u64 {
+        let name = format!("fedra_silo_cells_pruned_total{{silo=\"{}\"}}", s.id());
+        s.metrics()
+            .snapshot()
+            .counters
+            .get(&name)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn out_of_range_cell_ids_are_refused_not_answered_as_empty_cells() {
+        // Data in the left half only: cell 99 (top right) is prunable,
+        // cell 44 is not.
+        let left: Vec<SpatialObject> = objects(2000)
+            .into_iter()
+            .filter(|o| o.location.x < 50.0)
+            .collect();
+        let s = Silo::new(22, left, config());
+        s.handle(Request::BuildGrid {
+            bounds: bounds(),
+            cell_len: 10.0,
+            return_cells: false,
+        });
+        let q = Range::circle(Point::new(50.0, 50.0), 12.0);
+        let ask = |cells: Vec<CellId>| Request::CellContributions {
+            range: q,
+            cells,
+            mode: LocalMode::Exact,
+        };
+        // 100 cells: id 100 is the first that does not exist. It rides
+        // behind a prunable cell, so a half-counted sweep would show.
+        let lone = s.handle(ask(vec![99, 100]));
+        assert!(
+            matches!(&lone, Response::Error(e) if e.contains("100") && e.contains("100 cells")),
+            "got {lone:?}"
+        );
+        assert!(matches!(
+            s.handle(ask(vec![CellId::MAX])),
+            Response::Error(_)
+        ));
+        // More ids than the grid has cells, each one valid.
+        let long = s.handle(ask(vec![44; 101]));
+        assert!(
+            matches!(&long, Response::Error(e) if e.contains("101")),
+            "got {long:?}"
+        );
+        // As a batch item the refusal is that item's alone.
+        let Response::Batch(items) = s.handle(Request::Batch(vec![
+            ask(vec![44]),
+            ask(vec![99, 100]),
+            Request::Ping,
+        ])) else {
+            panic!("unexpected response");
+        };
+        assert!(matches!(&items[0], Response::AggVec(v) if v.len() == 1));
+        assert!(matches!(&items[1], Response::Error(e) if e.contains("100")));
+        assert_eq!(items[2], Response::Pong);
+        assert_eq!(pruned_total(&s), 0, "a refused request prunes nothing");
+    }
+
+    #[test]
+    fn one_request_answers_the_same_bits_lone_batched_and_at_every_pool_size() {
+        // Left half populated, right half empty (pruned cells), and a row
+        // of objects exactly on cell max edges and corners.
+        let mut objs: Vec<SpatialObject> = objects(4000)
+            .into_iter()
+            .filter(|o| o.location.x < 50.0)
+            .collect();
+        objs.extend((0..40).map(|i| {
+            SpatialObject::at(
+                ((i % 5) + 1) as f64 * 10.0,
+                (i / 5) as f64 * 10.0 + if i % 2 == 0 { 0.0 } else { 3.3 },
+                1.5 + i as f64 * 0.01,
+            )
+        }));
+        let q = Range::circle(Point::new(48.0, 52.0), 27.0);
+        let spec = GridSpec::new(bounds(), 10.0);
+        let cls = spec.classify(&q);
+        let cells: Vec<CellId> = cls.boundary.iter().chain(&cls.covered).copied().collect();
+        let modes = [
+            LocalMode::Exact,
+            LocalMode::Lsr {
+                epsilon: 0.3,
+                delta: 0.05,
+                sum0: 2000.0,
+            },
+        ];
+        let bits = |v: &[Aggregate]| -> Vec<(u64, u64, u64)> {
+            v.iter()
+                .map(|a| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()))
+                .collect()
+        };
+        for mode in modes {
+            let ask = || Request::CellContributions {
+                range: q,
+                cells: cells.clone(),
+                mode,
+            };
+            let mut answers = Vec::new();
+            for threads in [1, 4] {
+                let s = Silo::new(
+                    23,
+                    objs.clone(),
+                    SiloConfig {
+                        threads,
+                        ..config()
+                    },
+                );
+                s.handle(Request::BuildGrid {
+                    bounds: bounds(),
+                    cell_len: 10.0,
+                    return_cells: false,
+                });
+                let Response::AggVec(lone) = s.handle(ask()) else {
+                    panic!("unexpected response");
+                };
+                assert_eq!(lone.len(), cells.len());
+                let pruned = pruned_total(&s);
+                assert!(pruned > 0, "the empty right half must prune");
+                assert!((pruned as usize) < cells.len());
+                let Response::Batch(mut items) = s.handle(Request::Batch(vec![
+                    Request::Ping,
+                    Request::Aggregate { range: q, mode },
+                    ask(),
+                    Request::Ping,
+                ])) else {
+                    panic!("unexpected response");
+                };
+                let Response::AggVec(batched) = items.swap_remove(2) else {
+                    panic!("unexpected batch item");
+                };
+                assert_eq!(bits(&lone), bits(&batched), "{mode:?}, threads {threads}");
+                if mode == LocalMode::Exact {
+                    // The max-edge row is seen: per-cell answers are the
+                    // closed-rectangle clips of T₀, edge objects included.
+                    let reference = RTree::bulk_load(objs.clone(), RTreeConfig::default());
+                    let direct: Vec<Aggregate> = cells
+                        .iter()
+                        .map(|&id| reference.aggregate_clipped(&q, &spec.cell_rect_of(id)))
+                        .collect();
+                    assert_eq!(bits(&lone), bits(&direct), "threads {threads}");
+                    let sum: f64 = lone.iter().map(|a| a.count).sum();
+                    assert!(
+                        sum > reference.aggregate(&q).count,
+                        "edge objects count in both closed cells"
+                    );
+                }
+                answers.push(bits(&lone));
+            }
+            assert_eq!(answers[0], answers[1], "{mode:?}: threads 1 vs 4");
+        }
     }
 
     #[test]

@@ -173,14 +173,32 @@ impl LsrForest {
         (self.query_at_level(range, l), l)
     }
 
-    /// Clipped variant used for the per-grid-cell contributions of
-    /// NonIID-est+LSR: estimates the aggregate of objects in
-    /// `range ∩ clip`, re-scaled from level `l`.
+    /// Clipped variant of [`Self::query_at_level`]: estimates the
+    /// aggregate of objects in `range ∩ clip`, re-scaled from level `l`.
+    /// The one-clip call of [`Self::query_clipped_many_at_level`].
     pub fn query_clipped_at_level(&self, range: &Range, clip: &Rect, level: usize) -> Aggregate {
         let l = level.min(self.levels.len() - 1);
         self.levels[l]
             .aggregate_clipped(range, clip)
             .scale((1u64 << l) as f64)
+    }
+
+    /// The per-grid-cell contributions of NonIID-est+LSR: one estimate per
+    /// clip, all from one walk of `T_l`
+    /// ([`RTree::aggregate_clipped_many`]), each re-scaled by `2^l`.
+    pub fn query_clipped_many_at_level(
+        &self,
+        range: &Range,
+        clips: &[Rect],
+        level: usize,
+    ) -> Vec<Aggregate> {
+        let l = level.min(self.levels.len() - 1);
+        let scale = (1u64 << l) as f64;
+        let mut out = self.levels[l].aggregate_clipped_many(range, clips);
+        for agg in &mut out {
+            *agg = agg.scale(scale);
+        }
+        out
     }
 
     /// Number of objects in the base level.
@@ -381,6 +399,63 @@ mod tests {
         assert_eq!(a, b);
         let clipped = f.query_clipped_at_level(&q, &clip, 2);
         assert!(clipped.count <= a.count);
+    }
+
+    #[test]
+    fn clipped_many_matches_the_per_clip_descent_at_every_level() {
+        // Integer-lattice objects put a share of them exactly on the
+        // edges and corners of the 10-unit clip grid.
+        let mut objs = objects(3000, 24);
+        for (i, o) in objs.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
+            o.location = Point::new(((i / 4) % 11) as f64 * 10.0, ((i / 44) % 11) as f64 * 10.0);
+        }
+        let mut rng = StdRng::seed_from_u64(25);
+        let f = LsrForest::from_objects(&objs, &mut rng);
+        let mut clips: Vec<Rect> = (0..100)
+            .map(|i| {
+                let (x, y) = ((i % 10) as f64 * 10.0, (i / 10) as f64 * 10.0);
+                Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0))
+            })
+            .collect();
+        clips.push(clips[17]);
+        clips.push(Rect::new(Point::new(-1e9, -1e9), Point::new(1e9, 1e9)));
+        clips.push(Rect::new(
+            Point::new(300.0, 300.0),
+            Point::new(310.0, 310.0),
+        ));
+        let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
+        for q in [
+            Range::circle(Point::new(50.0, 50.0), 30.0),
+            Range::rect(Point::new(10.0, 20.0), Point::new(60.0, 90.0)),
+        ] {
+            // One level past the forest checks the clamp as well.
+            for level in 0..=f.num_levels() {
+                let many = f.query_clipped_many_at_level(&q, &clips, level);
+                assert_eq!(many.len(), clips.len());
+                let l = level.min(f.num_levels() - 1);
+                for (i, clip) in clips.iter().enumerate() {
+                    // The replaced per-clip descent, scaled as Alg. 6 does.
+                    let want = f.levels[l]
+                        .per_clip_reference(&q, clip)
+                        .scale((1u64 << l) as f64);
+                    assert_eq!(bits(&many[i]), bits(&want), "level {level}, clip {i}");
+                    let one = f.query_clipped_at_level(&q, clip, level);
+                    assert_eq!(bits(&one), bits(&want), "one-clip, level {level}, clip {i}");
+                }
+                assert_eq!(
+                    bits(&many[101]),
+                    bits(&f.query_at_level(&q, level)),
+                    "whole-plane clip, level {level}"
+                );
+                assert!(f.query_clipped_many_at_level(&q, &[], level).is_empty());
+            }
+        }
+        let empty = LsrForest::from_objects(&[], &mut rng);
+        let q = Range::circle(Point::new(50.0, 50.0), 30.0);
+        assert_eq!(
+            empty.query_clipped_many_at_level(&q, &clips[..3], 5),
+            vec![Aggregate::ZERO; 3]
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A silo-local scoped worker pool.
 //!
 //! Index construction (`RTree::bulk_load_with`, `LsrForest::build_with`,
-//! `GridIndex::build_with`) and the silo request loop both need the same
-//! primitive: fan a known amount of independent work across a few threads
-//! and reassemble the results in input order. [`WorkerPool`] provides it
-//! hand-rolled over [`std::thread::scope`] — no runtime, no queues that
+//! `GridIndex::build_with`) and a silo serving the items of a
+//! `Request::Batch` both need the same primitive: fan a known amount of
+//! independent work across a few threads and reassemble the results in
+//! input order. [`WorkerPool`] provides it hand-rolled over [`std::thread::scope`] — no runtime, no queues that
 //! outlive a call, no new dependencies. The pool stores only its size;
 //! threads are scoped to each operation, so borrowing the caller's data is
 //! safe and a pool is trivially `Copy`.

@@ -275,61 +275,123 @@ impl RTree {
             return Aggregate::ZERO;
         };
         let mut acc = Aggregate::ZERO;
-        self.aggregate_rec(root, range, None, &mut acc);
+        self.aggregate_rec(root, range, &mut acc);
         acc
+    }
+
+    fn aggregate_rec(&self, node_id: u32, range: &Range, acc: &mut Aggregate) {
+        let node = &self.nodes[node_id as usize];
+        match range.relation(&node.mbr) {
+            RectRelation::Disjoint => {}
+            RectRelation::Contained => acc.merge_in(&node.agg),
+            RectRelation::Intersecting if node.is_leaf => {
+                for &oi in &node.children {
+                    let o = &self.objects[oi as usize];
+                    if range.contains_point(&o.location) {
+                        acc.merge_in(&Aggregate::of(o));
+                    }
+                }
+            }
+            RectRelation::Intersecting => {
+                for &ci in &node.children {
+                    self.aggregate_rec(ci, range, acc);
+                }
+            }
+        }
     }
 
     /// Exact range aggregation restricted to `clip`: aggregates objects in
-    /// `range ∩ clip`. This is how a silo computes the per-grid-cell
-    /// contributions `res_i^k` of Alg. 3 — one clipped query per boundary
-    /// cell.
+    /// `range ∩ clip` (both closed). The one-clip call of
+    /// [`Self::aggregate_clipped_many`].
     pub fn aggregate_clipped(&self, range: &Range, clip: &Rect) -> Aggregate {
-        let Some(root) = self.root else {
-            return Aggregate::ZERO;
-        };
-        let mut acc = Aggregate::ZERO;
-        self.aggregate_rec(root, range, Some(clip), &mut acc);
-        acc
+        let mut out = [Aggregate::ZERO];
+        self.clipped_walk(range, std::slice::from_ref(clip), &mut out);
+        out[0]
     }
 
-    fn aggregate_rec(&self, node_id: u32, range: &Range, clip: Option<&Rect>, acc: &mut Aggregate) {
+    /// Exact range aggregation restricted to each of `clips`, all answered
+    /// in **one** depth-first walk: `out[i]` aggregates the objects in
+    /// `range ∩ clips[i]`. This is how a silo computes the per-grid-cell
+    /// contributions `res_i^k` of Alg. 3 — the O(√|g₀|) boundary cells of
+    /// one query share the descent instead of each restarting at the root.
+    ///
+    /// Every clip is folded exactly as a walk for that clip alone would
+    /// fold it (same nodes absorbed whole, same objects, same order), so
+    /// `out[i]` does not depend on which other clips ride along — not in
+    /// value and not in floating-point bits. Clips may overlap or repeat;
+    /// an object on an edge two closed clips share counts in both.
+    pub fn aggregate_clipped_many(&self, range: &Range, clips: &[Rect]) -> Vec<Aggregate> {
+        let mut out = vec![Aggregate::ZERO; clips.len()];
+        self.clipped_walk(range, clips, &mut out);
+        out
+    }
+
+    fn clipped_walk(&self, range: &Range, clips: &[Rect], out: &mut [Aggregate]) {
+        let Some(root) = self.root else {
+            return;
+        };
+        let n = u32::try_from(clips.len()).expect("clip indices are u32");
+        // Candidate lists for every depth of the walk share this arena:
+        // the root's is all clips, each node appends its own survivors
+        // and truncates them away on return.
+        let mut arena: Vec<u32> = (0..n).collect();
+        self.clipped_rec(root, range, clips, 0..clips.len(), &mut arena, out);
+    }
+
+    /// One node of the many-clip walk. `inherited` is the parent's
+    /// candidate slice of `arena`: the clips still undecided above here.
+    fn clipped_rec(
+        &self,
+        node_id: u32,
+        range: &Range,
+        clips: &[Rect],
+        inherited: std::ops::Range<usize>,
+        arena: &mut Vec<u32>,
+        out: &mut [Aggregate],
+    ) {
         let node = &self.nodes[node_id as usize];
-        // Combined relation of (range ∩ clip) to the node MBR.
-        let rel_range = range.relation(&node.mbr);
-        if rel_range == RectRelation::Disjoint {
+        let rel = range.relation(&node.mbr);
+        if rel == RectRelation::Disjoint {
             return;
         }
-        let rel = match clip {
-            None => rel_range,
-            Some(c) => {
-                if !c.intersects(&node.mbr) {
-                    return;
-                }
-                if rel_range == RectRelation::Contained && c.contains_rect(&node.mbr) {
-                    RectRelation::Contained
-                } else {
-                    RectRelation::Intersecting
-                }
+        let start = arena.len();
+        for k in inherited {
+            let c = arena[k];
+            let clip = &clips[c as usize];
+            if !clip.intersects(&node.mbr) {
+                continue;
             }
-        };
-        if rel == RectRelation::Contained {
-            acc.merge_in(&node.agg);
+            // (range ∩ clip) covers the whole subtree: absorb it and stop
+            // carrying this clip; otherwise the children decide.
+            if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
+                out[c as usize].merge_in(&node.agg);
+            } else {
+                arena.push(c);
+            }
+        }
+        let end = arena.len();
+        if end == start {
             return;
         }
         if node.is_leaf {
             for &oi in &node.children {
                 let o = &self.objects[oi as usize];
-                if range.contains_point(&o.location)
-                    && clip.is_none_or(|c| c.contains_point(&o.location))
-                {
-                    acc.merge_in(&Aggregate::of(o));
+                if !range.contains_point(&o.location) {
+                    continue;
+                }
+                let agg = Aggregate::of(o);
+                for &c in &arena[start..end] {
+                    if clips[c as usize].contains_point(&o.location) {
+                        out[c as usize].merge_in(&agg);
+                    }
                 }
             }
         } else {
             for &ci in &node.children {
-                self.aggregate_rec(ci, range, clip, acc);
+                self.clipped_rec(ci, range, clips, start..end, arena, out);
             }
         }
+        arena.truncate(start);
     }
 
     /// Collects the objects inside the range (for tests / exports).
@@ -535,6 +597,138 @@ mod tests {
         let whole = t.aggregate(&range);
         assert_eq!(acc.count, whole.count);
         assert!((acc.sum - whole.sum).abs() < 1e-9);
+    }
+
+    impl RTree {
+        /// The per-clip descent `aggregate_clipped_many` replaced, kept as
+        /// the bit-level oracle: one root-to-leaf walk for one clip.
+        pub(crate) fn per_clip_reference(&self, range: &Range, clip: &Rect) -> Aggregate {
+            let mut acc = Aggregate::ZERO;
+            if let Some(root) = self.root {
+                self.per_clip_reference_rec(root, range, clip, &mut acc);
+            }
+            acc
+        }
+
+        fn per_clip_reference_rec(&self, id: u32, range: &Range, clip: &Rect, acc: &mut Aggregate) {
+            let node = &self.nodes[id as usize];
+            let rel = range.relation(&node.mbr);
+            if rel == RectRelation::Disjoint || !clip.intersects(&node.mbr) {
+                return;
+            }
+            if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
+                acc.merge_in(&node.agg);
+            } else if node.is_leaf {
+                for &oi in &node.children {
+                    let o = &self.objects[oi as usize];
+                    if range.contains_point(&o.location) && clip.contains_point(&o.location) {
+                        acc.merge_in(&Aggregate::of(o));
+                    }
+                }
+            } else {
+                for &ci in &node.children {
+                    self.per_clip_reference_rec(ci, range, clip, acc);
+                }
+            }
+        }
+    }
+
+    fn bits(a: &Aggregate) -> (u64, u64, u64) {
+        (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits())
+    }
+
+    /// `grid_objects` with every fifth object snapped onto the integer
+    /// lattice of a 10-unit grid (cell edges and corners), and non-integer
+    /// measures so the fold order shows in `sum` / `sum_sqr`.
+    fn edge_heavy_objects(n: usize) -> Vec<SpatialObject> {
+        grid_objects(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| {
+                let m = 0.1 + (i % 13) as f64 * 0.37;
+                let (x, y) = (o.location.x, o.location.y);
+                match i % 10 {
+                    0 => SpatialObject::at((x / 10.0).round() * 10.0, y, m),
+                    5 => SpatialObject::at((x / 10.0).round() * 10.0, (y / 10.0).round() * 10.0, m),
+                    _ => SpatialObject::at(x, y, m),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn many_clip_walk_is_bit_identical_to_the_per_clip_descent() {
+        let objs = edge_heavy_objects(6000);
+        let t = RTree::from_objects(&objs);
+        // Every cell of the 10×10 grid, then the awkward riders: a
+        // duplicate, a clip covering the whole tree, one far outside it,
+        // one overlapping its neighbors, a degenerate line and EMPTY.
+        let cell = |ix: usize, iy: usize| {
+            Rect::new(
+                Point::new(ix as f64 * 10.0, iy as f64 * 10.0),
+                Point::new((ix + 1) as f64 * 10.0, (iy + 1) as f64 * 10.0),
+            )
+        };
+        let mut clips: Vec<Rect> = (0..100).map(|i| cell(i % 10, i / 10)).collect();
+        clips.push(cell(4, 4));
+        clips.push(Rect::new(Point::new(-5.0, -5.0), Point::new(105.0, 105.0)));
+        clips.push(Rect::new(
+            Point::new(500.0, 500.0),
+            Point::new(510.0, 510.0),
+        ));
+        clips.push(Rect::new(Point::new(35.0, 35.0), Point::new(65.0, 65.0)));
+        clips.push(Rect::new(Point::new(50.0, 0.0), Point::new(50.0, 100.0)));
+        clips.push(Rect::EMPTY);
+        let ranges = [
+            Range::circle(Point::new(50.0, 50.0), 23.0),
+            Range::circle(Point::new(0.0, 100.0), 40.0),
+            Range::circle(Point::new(50.0, 50.0), 500.0),
+            Range::circle(Point::new(-80.0, -80.0), 3.0),
+            Range::rect(Point::new(20.0, 30.0), Point::new(70.0, 60.0)),
+            Range::rect(Point::new(12.5, 0.0), Point::new(13.5, 100.0)),
+        ];
+        for range in &ranges {
+            let got = t.aggregate_clipped_many(range, &clips);
+            assert_eq!(got.len(), clips.len());
+            for (i, clip) in clips.iter().enumerate() {
+                let want = t.per_clip_reference(range, clip);
+                assert_eq!(bits(&got[i]), bits(&want), "{range}, clip {i} {clip}");
+                assert_eq!(
+                    bits(&t.aggregate_clipped(range, clip)),
+                    bits(&want),
+                    "one-clip call, {range}, clip {i}"
+                );
+            }
+            // A clip's answer does not depend on who rides along.
+            let ring = &clips[33..49];
+            let alone = t.aggregate_clipped_many(range, ring);
+            for (k, a) in alone.iter().enumerate() {
+                assert_eq!(bits(a), bits(&got[33 + k]), "{range}, ring clip {k}");
+            }
+            assert!(t.aggregate_clipped_many(range, &[]).is_empty());
+        }
+        // The edge share is real: a lattice point counts in all four
+        // closed cells around it.
+        let everything = Range::circle(Point::new(50.0, 50.0), 500.0);
+        let per_cell: f64 = t
+            .aggregate_clipped_many(&everything, &clips[..100])
+            .iter()
+            .map(|a| a.count)
+            .sum();
+        assert!(per_cell > t.total().count, "{per_cell}");
+    }
+
+    #[test]
+    fn many_clip_walk_on_an_empty_tree_answers_zero_per_clip() {
+        let t = RTree::from_objects(&[]);
+        let q = Range::circle(Point::new(0.0, 0.0), 1.0);
+        let clip = Rect::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
+        assert_eq!(
+            t.aggregate_clipped_many(&q, &[clip, clip]),
+            vec![Aggregate::ZERO; 2]
+        );
+        assert!(t.aggregate_clipped_many(&q, &[]).is_empty());
+        assert_eq!(t.aggregate_clipped(&q, &clip), Aggregate::ZERO);
     }
 
     #[test]

@@ -73,6 +73,54 @@ proptest! {
     }
 
     #[test]
+    fn clipped_many_matches_filter_per_clip(objs in objects(), q in query(),
+                                            fanout in 2usize..32, seed in any::<u64>()) {
+        // Every third object snaps to the 8-unit lattice, so cell edges
+        // and corners carry data; the clip set is every closed cell of
+        // that grid plus a duplicate, the whole tree and a far-off cell.
+        let objs: Vec<SpatialObject> = objs.into_iter().enumerate().map(|(i, o)| {
+            if i % 3 == 0 {
+                SpatialObject::at((o.location.x / 8.0).round() * 8.0,
+                                  (o.location.y / 8.0).round() * 8.0, o.measure)
+            } else {
+                o
+            }
+        }).collect();
+        let spec = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE)), 8.0);
+        let mut clips: Vec<Rect> = (0..spec.num_cells() as u32).map(|id| spec.cell_rect_of(id)).collect();
+        clips.push(clips[9]);
+        clips.push(Rect::new(Point::new(-1.0, -1.0), Point::new(SIDE + 1.0, SIDE + 1.0)));
+        clips.push(Rect::new(Point::new(4.0 * SIDE, 4.0 * SIDE), Point::new(5.0 * SIDE, 5.0 * SIDE)));
+        let filter = |level: &[SpatialObject], clip: &Rect| level.iter()
+            .filter(|o| q.contains_point(&o.location) && clip.contains_point(&o.location))
+            .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
+
+        let tree = RTree::bulk_load(objs.clone(), RTreeConfig::with_fanout(fanout));
+        let got = tree.aggregate_clipped_many(&q, &clips);
+        prop_assert_eq!(got.len(), clips.len());
+        for (clip, got) in clips.iter().zip(&got) {
+            let want = filter(&objs, clip);
+            prop_assert_eq!(got.count, want.count);
+            prop_assert!(close(got.sum, want.sum));
+        }
+        prop_assert!(tree.aggregate_clipped_many(&q, &[]).is_empty());
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let forest = LsrForest::build(&objs, RTreeConfig::with_fanout(fanout), &mut rng);
+        for l in 0..forest.num_levels() {
+            let level = forest.level(l).unwrap();
+            let scale = (1u64 << l) as f64;
+            let got = forest.query_clipped_many_at_level(&q, &clips, l);
+            prop_assert_eq!(got.len(), clips.len());
+            for (clip, got) in clips.iter().zip(&got) {
+                let want = filter(level.objects(), clip).scale(scale);
+                prop_assert_eq!(got.count, want.count);
+                prop_assert!(close(got.sum, want.sum));
+            }
+        }
+    }
+
+    #[test]
     fn quadtree_matches_bruteforce(objs in objects(), q in query(),
                                    capacity in 1usize..64, max_depth in 2usize..20) {
         let region = Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE));
