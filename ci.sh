@@ -233,9 +233,11 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # Benchmark correctness gate: three short fedra-e2e runs, exit code only.
 # Each run checks EXACT = brute force, the MRE ceilings and bit-identity
 # to serial execution before it reports a number, so the one T₀ every
-# silo answers from is guarded on both backends and the silo's one-walk
-# per-cell kernel is guarded lone (tcp) and batched (mem). Timings from a
-# 2 s window are not read.
+# silo answers from is guarded on both backends, the silo's one-walk
+# per-cell kernel is guarded lone (tcp) and batched (mem), and
+# batch_exact_mem guards batched = lone for the fan-out join (250 queries'
+# legs on 6 coalesced frames vs `try_execute`, bit for bit). Timings from
+# a 2 s window are not read.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem; do
     bash bench/run.sh --workload "$workload" --seconds 2 --trace 0 >/dev/null \

@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fedra_core::{
-    AccuracyParams, AdaptivePlanner, AnswerCache, Exact, ExactSequential, FraAlgorithm, FraQuery,
-    IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlannerPolicy,
+    AccuracyParams, AdaptivePlanner, AnswerCache, Exact, FraAlgorithm, FraQuery, IidEst, IidEstLsr,
+    MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlannerPolicy,
 };
 use fedra_federation::wire::Wire;
 use fedra_federation::{FederationBuilder, Request};
@@ -35,7 +35,6 @@ fn bench_algorithms(c: &mut Criterion) {
     let params = AccuracyParams::default();
     let algorithms: Vec<Box<dyn FraAlgorithm>> = vec![
         Box::new(Exact::new()),
-        Box::new(ExactSequential::new()),
         Box::new(Opta::new()),
         Box::new(IidEst::new(9)),
         Box::new(IidEstLsr::new(10, params)),
@@ -47,12 +46,7 @@ fn bench_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("fra_query_120k_m6");
     group.sample_size(20);
     for alg in &algorithms {
-        let label = if matches!(alg.name(), "EXACT-seq") {
-            "EXACT-seq"
-        } else {
-            alg.name()
-        };
-        group.bench_function(label, |b| {
+        group.bench_function(alg.name(), |b| {
             let mut i = 0usize;
             b.iter(|| {
                 let q = &queries[i % queries.len()];

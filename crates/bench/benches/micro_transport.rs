@@ -1,7 +1,8 @@
 //! Transport microbenchmarks: `n` sequential singleton RPCs (`call/n` —
 //! one envelope per request per direction, through the allocation-free
-//! reply-slot pool) and the engine's coalesced scatter–gather against
-//! EXACT's broadcast on a 64-query batch.
+//! reply-slot pool) and the engine's coalesced scatter–gather on a
+//! 64-query batch: one sampled rider per query (IID-est) against `m`
+//! fan-out legs per query (EXACT), one frame per silo either way.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -70,7 +71,7 @@ fn bench_engine_paths(c: &mut Criterion) {
     });
     let exact = Exact::new();
     let exact_engine = QueryEngine::per_silo(&exact, &fed);
-    group.bench_function("EXACT/broadcast", |b| {
+    group.bench_function("EXACT/coalesced-fanout", |b| {
         b.iter(|| black_box(exact_engine.execute_batch(&fed, &queries).failures()))
     });
     group.finish();

@@ -1,10 +1,12 @@
 //! The [`FraAlgorithm`] trait every query algorithm implements.
 
+use std::collections::BTreeMap;
+
 use fedra_federation::{Federation, Request, Response, SiloId, TransportError};
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
-use crate::framework::{round, RoundState, Runs};
+use crate::framework::drive_rounds;
 use crate::helpers;
 use crate::query::{Coverage, FraError, FraQuery, QueryResult};
 use crate::run::{Budget, End, QueryRun};
@@ -146,6 +148,15 @@ pub trait FraAlgorithm: Send + Sync {
         false
     }
 
+    /// The request this algorithm sends to **every** silo for `query`, when
+    /// it is a fan-out (EXACT, OPTA): the query then rides the rounds as
+    /// `m` single-silo legs whose `Agg` partials are summed in silo-id
+    /// order — alone, in the batch engine and in the scheduler. `None`
+    /// (the default) for everything else.
+    fn fan_out(&self, _query: &FraQuery) -> Option<Request> {
+        None
+    }
+
     /// Performs the provider-side part of one query, recording telemetry
     /// into `obs`.
     ///
@@ -215,42 +226,6 @@ pub trait FraAlgorithm: Send + Sync {
     }
 }
 
-/// Assembles a degraded fan-out answer (EXACT/OPTA under
-/// `DegradePolicy::Partial`): the reachable partials' sum plus a grid
-/// estimate of every missing silo's contribution, annotated with an
-/// honest [`Coverage`] — or [`FraError::AllSilosUnavailable`] (carrying
-/// the per-silo error trail) when the policy's floors are not met.
-///
-/// `base_epsilon` is the guarantee the reachable share itself carries
-/// (0 for exact partials; OPTA's histogram error is unbounded and rides
-/// on top exactly as it does undegraded).
-pub(crate) fn degrade_fanout(
-    federation: &Federation,
-    query: &FraQuery,
-    reachable_total: Aggregate,
-    responding: &[SiloId],
-    missing: Vec<(SiloId, TransportError)>,
-    base_epsilon: f64,
-) -> Result<QueryResult, FraError> {
-    let policy = federation.degrade_policy();
-    let fraction = helpers::reachable_mass_fraction(federation, &query.range, responding);
-    if !policy.accepts(responding.len(), fraction) {
-        return Err(FraError::AllSilosUnavailable { errors: missing });
-    }
-    let mut total = reachable_total;
-    for (k, _) in &missing {
-        total.merge_in(&helpers::silo_grid_estimate(federation, *k, &query.range));
-    }
-    Ok(
-        QueryResult::from_aggregate(total, query.func).with_coverage(Coverage {
-            responding: responding.len(),
-            total: federation.num_silos(),
-            mass_fraction: fraction,
-            epsilon: theory::degraded_epsilon(base_epsilon, fraction),
-        }),
-    )
-}
-
 /// Surfaces a coverage-annotated (degraded-mode) answer as metrics:
 /// `fedra_degraded_answers_total` plus the `fedra_coverage_ppm` gauge
 /// (mass fraction in parts-per-million). No-op for full answers.
@@ -317,48 +292,129 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
     outcome
 }
 
-/// Sequentially executes one query through an algorithm's plan/finish
-/// split: plan, walk the candidate order, finish — recording the full
-/// lifecycle into `obs`.
-///
-/// This is the shared fallible core for every planning algorithm's
-/// [`FraAlgorithm::try_execute_with`]. A lone query is a one-rider round:
-/// its run is pumped by the same [`round`] the batched engine and the
-/// scheduler pump, until its walk ends — so the three cannot drift, and a
-/// one-rider frame travels as the bare request, so a lone query's wire
-/// bytes are its own. Generic over `?Sized` so it also serves
-/// `dyn FraAlgorithm`.
+/// The legs of a fan-out query: one [`QueryRun`] per silo, in silo-id
+/// order, whose candidate order is that silo alone — so a round groups
+/// legs by silo as it groups any riders, and every rule of the walk
+/// (retries, deadline, breaker skip, shed) applies to each leg.
+pub(crate) fn fanout_legs<'a>(
+    federation: &'a Federation,
+    request: &'a Request,
+    retries: u32,
+    budget: Budget,
+) -> impl Iterator<Item = QueryRun> + 'a {
+    (0..federation.num_silos()).map(move |k| {
+        // The probe draw `candidate_silos` makes for a sampled plan: without
+        // it a breaker opened under fan-out traffic alone would never
+        // half-open. The leg rides either way; `may_call` decides at
+        // dispatch whether it is sent.
+        federation.health().allows(k);
+        let order = vec![k];
+        let request = request.clone();
+        QueryRun::new(RemotePlan { order, request }, retries, budget)
+    })
+}
+
+/// The [`End`]s of a fan-out query's legs by silo, collected in whatever
+/// order their frames resolve; the query is ready for [`join_fanout`] once
+/// all `m` are in.
+pub(crate) type Legs = BTreeMap<SiloId, End>;
+
+/// The finish step of a fan-out (EXACT/OPTA): sums its legs' `Agg`
+/// partials **in silo-id order** — the same bits whichever frame resolved
+/// first — with `rounds` the legs' attempts summed. A leg that ended
+/// without an answer is a missing silo (one the breaker refused has an
+/// empty trail): fail-fast, the first in silo-id order fails the query;
+/// under `DegradePolicy::Partial` its share is a grid estimate and the
+/// answer carries an honest [`Coverage`] (the partials' own guarantee
+/// taken as 0: OPTA's histogram error is unbounded and rides on top as it
+/// does undegraded) — or [`FraError::AllSilosUnavailable`], per-silo
+/// errors included, below the policy's floors.
+pub(crate) fn join_fanout(
+    federation: &Federation,
+    query: &FraQuery,
+    legs: Legs,
+    obs: &ObsContext,
+) -> Result<QueryResult, FraError> {
+    let policy = federation.degrade_policy();
+    let (mut total, mut rounds) = (Aggregate::ZERO, 0);
+    let (mut responding, mut missing) = (Vec::new(), Vec::new());
+    for (silo, leg) in legs {
+        match leg {
+            End::Answer {
+                response: Response::Agg(partial),
+                rounds: attempts,
+                ..
+            } => {
+                total.merge_in(&partial);
+                responding.push(silo);
+                rounds += attempts;
+            }
+            End::Answer { .. } => {
+                let expected = "Agg";
+                return Err(FraError::ProtocolViolation { silo, expected });
+            }
+            End::Degrade {
+                rounds: attempts,
+                mut trail,
+            } => {
+                let message = "circuit breaker open: not called".into();
+                let refused = TransportError::Transient { silo, message };
+                let error = trail.pop().map_or(refused, |(_, error)| error);
+                if !policy.allows_partial() {
+                    return Err(FraError::SiloFailed(error));
+                }
+                missing.push((silo, error));
+                rounds += attempts;
+            }
+            End::Shed => {
+                let message = "a shed fan-out reached the join".into();
+                return Err(FraError::Internal { message });
+            }
+        }
+    }
+    let mut coverage = None;
+    if !missing.is_empty() {
+        let fraction = helpers::reachable_mass_fraction(federation, &query.range, &responding);
+        if !policy.accepts(responding.len(), fraction) {
+            return Err(FraError::AllSilosUnavailable { errors: missing });
+        }
+        for (k, _) in &missing {
+            total.merge_in(&helpers::silo_grid_estimate(federation, *k, &query.range));
+        }
+        coverage = Some(Coverage {
+            responding: responding.len(),
+            total: federation.num_silos(),
+            mass_fraction: fraction,
+            epsilon: theory::degraded_epsilon(0.0, fraction),
+        });
+    }
+    let mut result = QueryResult::from_aggregate(total, query.func).with_rounds(rounds);
+    result.coverage = coverage;
+    note_coverage(obs, &result);
+    Ok(result)
+}
+
+/// Sequentially executes one query through the rounds — its plan/finish
+/// split, or its fan-out legs — recording the full lifecycle into `obs`:
+/// the shared fallible core of every planning and fan-out algorithm's
+/// [`FraAlgorithm::try_execute_with`]. A lone query is a one-query batch,
+/// driven by the same [`drive_rounds`] as the engine's, so the two cannot
+/// drift; a one-rider frame travels as the bare request, so its wire
+/// bytes are its own. Generic over `?Sized` to serve `dyn FraAlgorithm`.
 pub fn drive_planned<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
     query: &FraQuery,
     obs: &ObsContext,
 ) -> Result<QueryResult, FraError> {
-    let trace = obs.start_trace("query", algorithm.name());
-    let outcome = match plan_counted(algorithm, federation, query, &trace, obs) {
-        QueryPlan::Ready(result) => result,
-        QueryPlan::SingleSilo(remote) => {
-            let policy = federation.call_policy();
-            let budget = Budget::PerAttempt(policy.deadline);
-            let mut runs = Runs::from([(0, QueryRun::new(remote, policy.retries, budget))]);
-            let mut state = RoundState::default();
-            let end = {
-                let _remote_span = Span::enter(&trace, "remote");
-                loop {
-                    let mut ended = None;
-                    round(federation, obs, &mut state, &mut runs, &mut |_, end| {
-                        ended = Some(end)
-                    });
-                    if let Some(end) = ended {
-                        break end;
-                    }
-                }
-            };
-            finish_run(algorithm, federation, query, end, &trace, obs)
-        }
-    };
-    obs.finish_trace(&trace);
-    outcome
+    let budget = Budget::PerAttempt(federation.call_policy().deadline);
+    let queries = std::slice::from_ref(query);
+    let mut results = drive_rounds(algorithm, federation, queries, budget, obs);
+    results.pop().unwrap_or_else(|| {
+        Err(FraError::Internal {
+            message: "a lone query's batch came back empty".into(),
+        })
+    })
 }
 
 /// Plans one query under a `plan` span on `trace`, counting whether it
@@ -382,6 +438,9 @@ pub(crate) fn plan_counted<A: FraAlgorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedra_federation::{DegradePolicy, FederationBuilder};
+    use fedra_geo::{Point, Rect, SpatialObject};
+    use fedra_index::AggFunc;
 
     #[test]
     fn defaults_match_table2() {
@@ -400,5 +459,123 @@ mod tests {
     #[should_panic(expected = "delta")]
     fn rejects_delta_of_one() {
         AccuracyParams::new(0.1, 1.0);
+    }
+
+    /// Four silos, ten objects each, all inside the query below.
+    fn federation(policy: DegradePolicy) -> Federation {
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+        let partitions = (0..4)
+            .map(|k| {
+                (0..10)
+                    .map(|i| SpatialObject::at(i as f64 + 0.5, k as f64 + 0.5, 1.0))
+                    .collect()
+            })
+            .collect();
+        FederationBuilder::new(bounds)
+            .grid_cell_len(1.0)
+            .degrade_policy(policy)
+            .build(partitions)
+    }
+
+    fn answered(silo: SiloId, response: Response) -> End {
+        End::Answer {
+            silo,
+            response,
+            rounds: 1,
+        }
+    }
+
+    fn partial(sum: f64) -> Response {
+        Response::Agg(Aggregate {
+            count: 1.0,
+            sum,
+            sum_sqr: sum * sum,
+        })
+    }
+
+    /// Collects `legs` in the given landing order and joins them.
+    fn join(
+        federation: &Federation,
+        legs: &[End],
+        landing: &[SiloId],
+    ) -> Result<QueryResult, FraError> {
+        let query = FraQuery::circle(Point::new(5.0, 5.0), 20.0, AggFunc::Sum);
+        let mut landed = Legs::new();
+        for &silo in landing {
+            landed.insert(silo, legs[silo].clone());
+        }
+        join_fanout(federation, &query, landed, ObsContext::noop())
+    }
+
+    #[test]
+    fn the_join_sums_in_silo_id_order_whatever_order_the_legs_land_in() {
+        let fed = federation(DegradePolicy::FailFast);
+        // Partials whose float sum depends on the order of addition.
+        let sums = [1e16, 1.0, -1e16, 1.0];
+        let legs: Vec<End> = (0..4).map(|k| answered(k, partial(sums[k]))).collect();
+        let in_order = join(&fed, &legs, &[0, 1, 2, 3]).expect("healthy join");
+        assert_eq!(in_order.value, ((1e16 + 1.0) + -1e16) + 1.0);
+        assert_ne!(in_order.value, ((1.0 + -1e16) + 1.0) + 1e16);
+        assert_eq!(in_order.rounds, 4);
+        assert!(in_order.coverage.is_none());
+        for landing in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+            let got = join(&fed, &legs, &landing).expect("healthy join");
+            assert_eq!(got.value.to_bits(), in_order.value.to_bits(), "{landing:?}");
+            assert_eq!(got, in_order, "{landing:?}");
+        }
+    }
+
+    #[test]
+    fn the_join_names_the_silo_that_broke_protocol_or_went_missing() {
+        let gone = TransportError::Disconnected { silo: 2 };
+        let failed = End::Degrade {
+            rounds: 1,
+            trail: vec![(2, gone.clone())],
+        };
+        // What a leg the breaker refused ends as: no attempt, no trail.
+        let skipped = End::Degrade {
+            rounds: 0,
+            trail: vec![],
+        };
+        let healthy = |k| answered(k, partial(1.0));
+        let fed = federation(DegradePolicy::FailFast);
+
+        let legs = [
+            healthy(0),
+            answered(1, Response::Pong),
+            healthy(2),
+            healthy(3),
+        ];
+        assert_eq!(
+            join(&fed, &legs, &[3, 2, 1, 0]),
+            Err(FraError::ProtocolViolation {
+                silo: 1,
+                expected: "Agg"
+            })
+        );
+        // Fail-fast: the first missing silo in silo-id order, whichever
+        // landed first.
+        let legs = [healthy(0), skipped.clone(), failed.clone(), healthy(3)];
+        match join(&fed, &legs, &[2, 3, 0, 1]) {
+            Err(FraError::SiloFailed(TransportError::Transient { silo: 1, .. })) => {}
+            other => panic!("expected silo 1's breaker refusal, got {other:?}"),
+        }
+        let legs = [healthy(0), healthy(1), failed.clone(), skipped.clone()];
+        assert_eq!(
+            join(&fed, &legs, &[3, 2, 1, 0]),
+            Err(FraError::SiloFailed(gone))
+        );
+
+        // Partial: both count as missing; rounds are the attempts made.
+        let fed = federation(DegradePolicy::Partial {
+            min_silos: 1,
+            min_coverage: 0.0,
+        });
+        let legs = [healthy(0), skipped, failed, healthy(3)];
+        let degraded = join(&fed, &legs, &[1, 0, 3, 2]).expect("two silos answered");
+        let coverage = degraded.coverage.expect("a degraded answer says so");
+        assert_eq!((coverage.responding, coverage.total), (2, 4));
+        assert_eq!(coverage.mass_fraction, 0.5);
+        assert_eq!(degraded.rounds, 3);
     }
 }

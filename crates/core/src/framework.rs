@@ -3,14 +3,18 @@
 //! Single-silo sampling is what makes batching pay: each query lands on an
 //! independently sampled silo, so a batch of |Q| queries spreads ≈ |Q|/m
 //! per silo instead of |Q| everywhere (the EXACT/OPTA fan-out pattern).
-//! For algorithms implementing the plan/finish split
-//! ([`FraAlgorithm::supports_planning`]) the engine goes further: it plans
-//! every query up front, groups the planned requests by destination silo,
-//! and ships each silo's share of the batch as **one coalesced wire
-//! frame** — |Q| queries cost at most m rounds (plus resampling rounds),
-//! and the per-message envelope overhead is paid once per silo instead of
-//! once per query. Algorithms without the split fall back to a worker
-//! pool over `try_execute`.
+//! The engine plans every query up front, groups the planned requests by
+//! destination silo, and ships each silo's share of the batch as **one
+//! coalesced wire frame** — |Q| queries cost at most m rounds (plus
+//! resampling rounds), and the per-message envelope overhead is paid once
+//! per silo instead of once per query. A fan-out query
+//! ([`FraAlgorithm::fan_out`]) rides the same rounds as `m` single-silo
+//! legs, so a batch of EXACT queries is `m` frames too: each silo still
+//! does |Q| probes, but the provider pays `m` envelopes, not `m`·|Q|.
+//! Algorithms with neither a plan/finish split nor a fan-out — the pooled
+//! multi-silo estimator, whose k-of-n walk is sequential by definition,
+//! and the planner and cache wrappers — fall back to a worker pool over
+//! `try_execute`.
 //!
 //! [`QueryEngine`] reports the paper's experiment metrics per batch: wall
 //! time, throughput, communication, and (given exact references) mean
@@ -26,7 +30,9 @@ use fedra_federation::{
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{finish_run, plan_counted, FraAlgorithm, QueryPlan};
+use crate::algorithm::{
+    fanout_legs, finish_run, join_fanout, plan_counted, FraAlgorithm, Legs, QueryPlan,
+};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Action, Budget, End, Event, QueryRun};
 
@@ -109,7 +115,12 @@ impl BatchResult {
     }
 }
 
-/// The Alg. 4 execution engine: a worker pool over one algorithm.
+/// The Alg. 4 execution engine: one algorithm's batch pumped through
+/// [`round`]s, one coalesced frame per silo per round, whether the riders
+/// are sampled single-silo plans or the legs of EXACT / OPTA fan-outs.
+/// `workers` sizes the fallback pool for algorithms that announce neither
+/// ([`MultiSiloEst`](crate::MultiSiloEst), the wrappers): each drives its
+/// own remote calls inside `try_execute`.
 pub struct QueryEngine<'a> {
     algorithm: &'a dyn FraAlgorithm,
     workers: usize,
@@ -154,11 +165,11 @@ impl<'a> QueryEngine<'a> {
     /// communication around the whole batch (Alg. 4 semantics: the batch
     /// arrives at once, answers stream out as silos respond).
     ///
-    /// Planning algorithms take the coalesced scatter–gather path (one
-    /// wire frame per silo per round); the rest run on the worker pool.
-    /// Either way the per-query results are identical to running
-    /// `try_execute` on each query — batching changes how frames travel,
-    /// not what they compute.
+    /// Planning and fan-out algorithms take the coalesced scatter–gather
+    /// path (one wire frame per silo per round); the rest run on the
+    /// worker pool. Either way the per-query results are identical to
+    /// running `try_execute` on each query — batching changes how frames
+    /// travel, not what they compute.
     pub fn execute_batch(&self, federation: &Federation, queries: &[FraQuery]) -> BatchResult {
         self.execute_batch_with(federation, queries, ObsContext::noop())
     }
@@ -189,8 +200,13 @@ impl<'a> QueryEngine<'a> {
         // a query answer.
         // fedra-lint: allow(determinism-discipline)
         let started = Instant::now();
-        let results = if self.algorithm.supports_planning() {
-            self.run_planned(federation, queries, obs)
+        let rides_rounds = self.algorithm.supports_planning()
+            || queries.iter().any(|q| self.algorithm.fan_out(q).is_some());
+        let results = if rides_rounds {
+            // Each run's per-attempt allowance.
+            let allowance = self.query_budget.or(federation.call_policy().deadline);
+            let budget = Budget::PerAttempt(allowance);
+            drive_rounds(self.algorithm, federation, queries, budget, obs)
         } else {
             self.run_pooled(federation, queries, obs)
         };
@@ -258,71 +274,94 @@ impl<'a> QueryEngine<'a> {
         })
         .collect()
     }
+}
 
-    /// Coalesced scatter–gather execution for planning algorithms.
-    ///
-    /// Planning runs sequentially in input order (it consumes the
-    /// algorithm's RNG — sequential order is what keeps a batched run
-    /// seed-equivalent to query-for-query execution), then the batch is
-    /// pumped in [`round`]s until every run's walk has ended: each round
-    /// ships one coalesced frame per silo and feeds every reply to its
-    /// run. [`with_query_budget`](Self::with_query_budget) (or the
-    /// federation's `CallPolicy` deadline) is each run's per-attempt
-    /// allowance.
-    fn run_planned(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-    ) -> Vec<Result<QueryResult, FraError>> {
-        let policy = federation.call_policy();
-        let budget = Budget::PerAttempt(self.query_budget.or(policy.deadline));
+/// Coalesced scatter–gather execution of `queries` for a planning or
+/// fan-out algorithm — a batch, or a lone query as a batch of one.
+///
+/// Planning runs sequentially in input order (it consumes the algorithm's
+/// RNG — sequential order is what keeps a batched run seed-equivalent to
+/// query-for-query execution); a fan-out query contributes one leg per
+/// silo instead. Then the runs are pumped in [`round`]s until every walk
+/// has ended: each round ships one coalesced frame per silo and feeds
+/// every reply to its run. `budget` is each run's allowance.
+pub(crate) fn drive_rounds<A: FraAlgorithm + ?Sized>(
+    algorithm: &A,
+    federation: &Federation,
+    queries: &[FraQuery],
+    budget: Budget,
+    obs: &ObsContext,
+) -> Vec<Result<QueryResult, FraError>> {
+    let retries = federation.call_policy().retries;
+    // Query `i`'s runs ride under tags `i * m + leg`: leg 0 is a planned
+    // query's one walk, leg `k` a fan-out's leg to silo `k`.
+    let m = federation.num_silos();
+    let first_tag = |i: usize| (i * m) as u64;
 
-        let mut results: Vec<Option<Result<QueryResult, FraError>>> = vec![None; queries.len()];
-        // Per remote query, by input index: its run, and its trace with
-        // the `remote` span open for as long as the run rides rounds.
-        let mut runs = Runs::new();
-        let mut traces: BTreeMap<u64, (TraceHandle, Span)> = BTreeMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            let trace = obs.start_trace("query", self.algorithm.name());
-            match plan_counted(self.algorithm, federation, query, &trace, obs) {
-                QueryPlan::Ready(outcome) => {
-                    obs.finish_trace(&trace);
-                    results[i] = Some(outcome);
-                }
-                QueryPlan::SingleSilo(plan) => {
-                    let remote_span = Span::enter(&trace, "remote");
-                    traces.insert(i as u64, (trace, remote_span));
-                    runs.insert(i as u64, QueryRun::new(plan, policy.retries, budget));
-                }
+    let mut results: Vec<Option<Result<QueryResult, FraError>>> = vec![None; queries.len()];
+    let mut runs = Runs::new();
+    // Per remote query, by input index: its trace with the `remote` /
+    // `fanout` span open for as long as its runs ride rounds — and, for a
+    // fan-out, its legs as they end.
+    let mut walks: BTreeMap<usize, (TraceHandle, Span)> = BTreeMap::new();
+    let mut fanouts: BTreeMap<usize, (TraceHandle, Span, Legs)> = BTreeMap::new();
+    for (i, query) in queries.iter().enumerate() {
+        let trace = obs.start_trace("query", algorithm.name());
+        if let Some(request) = algorithm.fan_out(query) {
+            let fanout_span = Span::enter(&trace, "fanout");
+            let legs = fanout_legs(federation, &request, retries, budget);
+            runs.extend((first_tag(i)..).zip(legs));
+            fanouts.insert(i, (trace, fanout_span, Legs::new()));
+            continue;
+        }
+        match plan_counted(algorithm, federation, query, &trace, obs) {
+            QueryPlan::Ready(outcome) => {
+                obs.finish_trace(&trace);
+                results[i] = Some(outcome);
+            }
+            QueryPlan::SingleSilo(plan) => {
+                let remote_span = Span::enter(&trace, "remote");
+                walks.insert(i, (trace, remote_span));
+                runs.insert(first_tag(i), QueryRun::new(plan, retries, budget));
             }
         }
+    }
 
-        let mut state = RoundState::default();
-        while !runs.is_empty() {
-            round(federation, obs, &mut state, &mut runs, &mut |tag, end| {
-                let Some((trace, remote_span)) = traces.remove(&tag) else {
-                    return;
-                };
+    let mut state = RoundState::default();
+    while !runs.is_empty() {
+        round(federation, obs, &mut state, &mut runs, &mut |tag, end| {
+            let (i, leg) = (tag as usize / m, tag as usize % m);
+            let query = &queries[i];
+            // A planned query resolves with its one walk, a fan-out when
+            // its last leg is in; the span closes before the finish step.
+            if let Some((trace, remote_span)) = walks.remove(&i) {
                 drop(remote_span);
-                let query = &queries[tag as usize];
-                let outcome = finish_run(self.algorithm, federation, query, end, &trace, obs);
-                results[tag as usize] = Some(outcome);
+                results[i] = Some(finish_run(algorithm, federation, query, end, &trace, obs));
                 obs.finish_trace(&trace);
-            });
-            runs.retain(|_, run| !run.is_finished());
-        }
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(FraError::Internal {
-                        message: "planned query never resolved to a result".into(),
-                    })
+            } else if let Some((_, _, legs)) = fanouts.get_mut(&i) {
+                legs.insert(leg, end);
+                if legs.len() < m {
+                    return;
+                }
+                if let Some((trace, fanout_span, legs)) = fanouts.remove(&i) {
+                    drop(fanout_span);
+                    results[i] = Some(join_fanout(federation, query, legs, obs));
+                    obs.finish_trace(&trace);
+                }
+            }
+        });
+        runs.retain(|_, run| !run.is_finished());
+    }
+    results
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err(FraError::Internal {
+                    message: "planned query never resolved to a result".into(),
                 })
             })
-            .collect()
-    }
+        })
+        .collect()
 }
 
 /// How long a gather waits for the silo's byte-counted refusal of a

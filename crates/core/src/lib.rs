@@ -5,15 +5,16 @@
 //!
 //! | Algorithm | Paper | Comm / query | Accuracy |
 //! |---|---|---|---|
-//! | [`Exact`] | Sec. 8.1 baseline | m rounds | exact |
-//! | [`Opta`] | Sec. 8.1 baseline | m rounds | worst of the six |
+//! | [`Exact`] | Sec. 8.1 baseline | m rounds (m frames per *batch*) | exact |
+//! | [`Opta`] | Sec. 8.1 baseline | m rounds (m frames per *batch*) | worst of the six |
 //! | [`IidEst`] | Alg. 2 | 1 round, O(1) bytes | Theorem 1 |
 //! | [`IidEstLsr`] | Alg. 2 + Alg. 6 | 1 round, O(1) bytes | Theorem 2 |
 //! | [`NonIidEst`] | Alg. 3 | 1 round, O(√|g₀|) bytes | Theorem 3 |
 //! | [`NonIidEstLsr`] | Alg. 3 + Alg. 6 | 1 round, O(√|g₀|) bytes | Theorem 4 |
 //!
-//! [`framework::QueryEngine`] is the Alg. 4 batch executor (parallel
-//! multi-query processing), [`scheduler::QueryScheduler`] serves
+//! "Per query" means per *lone* query: [`framework::QueryEngine`], the
+//! Alg. 4 batch executor, ships one coalesced frame per silo per round
+//! whatever the algorithm; [`scheduler::QueryScheduler`] serves
 //! concurrent clients with cross-query frame coalescing and admission
 //! control, and [`theory`] exposes the Sec. 6 guarantees as computable
 //! bounds.
@@ -38,7 +39,7 @@ pub mod theory;
 
 pub use algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
 pub use cache::{AnswerCache, CacheAnswer, CacheConfig, CachePolicy, CacheSource, CacheStats};
-pub use exact::{Exact, ExactSequential};
+pub use exact::Exact;
 pub use framework::{BatchResult, QueryEngine};
 pub use multi::MultiSiloEst;
 pub use opta::Opta;

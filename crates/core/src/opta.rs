@@ -6,14 +6,14 @@
 //! bucket boundaries — and the provider, lacking any cross-silo statistics
 //! of its own, still fans out to **all** `m` silos and sums the partial
 //! estimates. That gives OPTA the same O(m) communication profile as
-//! EXACT (Figs. 3c–9c show them close) and the worst accuracy of the
-//! compared algorithms (Figs. 3a–9a).
+//! EXACT (Figs. 3c–9c show them close; `m` rounds per lone query, `m`
+//! coalesced frames per batch, its legs riding the rounds as EXACT's do)
+//! and the worst accuracy of the compared algorithms (Figs. 3a–9a).
 
 use fedra_federation::{Federation, Request};
 use fedra_obs::ObsContext;
 
-use crate::algorithm::FraAlgorithm;
-use crate::exact::FanOut;
+use crate::algorithm::{drive_planned, FraAlgorithm};
 use crate::query::{FraError, FraQuery, QueryResult};
 
 /// The OPTA fan-out histogram algorithm.
@@ -32,6 +32,10 @@ impl FraAlgorithm for Opta {
         "OPTA"
     }
 
+    fn fan_out(&self, query: &FraQuery) -> Option<Request> {
+        Some(Request::HistogramEstimate { range: query.range })
+    }
+
     fn try_execute_with(
         &self,
         federation: &Federation,
@@ -40,8 +44,7 @@ impl FraAlgorithm for Opta {
     ) -> Result<QueryResult, FraError> {
         // Same fan-out as EXACT; OPTA's own histogram error rides on top
         // of a degraded answer exactly as it does undegraded.
-        let request = Request::HistogramEstimate { range: query.range };
-        FanOut::Broadcast.run(self.name(), &request, federation, query, obs)
+        drive_planned(self, federation, query, obs)
     }
 }
 

@@ -12,7 +12,8 @@
 //! three callers: [`drive_planned`](crate::algorithm::drive_planned) (a
 //! lone query is a one-rider round), [`QueryEngine`](crate::QueryEngine)
 //! batches and [`QueryScheduler`](crate::QueryScheduler) ticks. Every
-//! rule of the walk is decided here, once, for all of them.
+//! rule of the walk is decided here, once, for all of them — a fan-out's
+//! `m` legs included, each a run with one candidate.
 
 use std::time::{Duration, Instant};
 

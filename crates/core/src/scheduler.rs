@@ -46,11 +46,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedra_federation::Federation;
+use fedra_federation::{Federation, Request, SiloId};
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, TraceHandle};
 
-use crate::algorithm::{finish_run, plan_counted, FraAlgorithm, QueryPlan};
+use crate::algorithm::{
+    fanout_legs, finish_run, join_fanout, plan_counted, FraAlgorithm, Legs, QueryPlan,
+};
 use crate::framework::{round, RoundState, Runs};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Budget, End, QueryRun};
@@ -259,6 +261,12 @@ struct ActiveQuery {
     alg: Box<dyn FraAlgorithm>,
 }
 
+/// What the plan stage made of one admission.
+enum Planned {
+    FanOut(Request),
+    Plan(QueryPlan, Box<dyn FraAlgorithm>),
+}
+
 /// The serving front end. See the module docs for the tick model.
 ///
 /// Dropping the scheduler (or calling [`shutdown`](Self::shutdown))
@@ -268,7 +276,9 @@ pub struct QueryScheduler {
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
     obs: Arc<ObsContext>,
-    next_id: AtomicU64,
+    /// Submission ids and fan-out leg tags: one sequence, so every tag on
+    /// a frame is unique.
+    next_id: Arc<AtomicU64>,
     driver: Option<JoinHandle<()>>,
 }
 
@@ -303,6 +313,7 @@ impl QueryScheduler {
         } else {
             WorkerPool::new(config.workers)
         };
+        let next_id = Arc::new(AtomicU64::new(1));
         let driver = Driver {
             federation,
             factory: Box::new(factory),
@@ -311,7 +322,9 @@ impl QueryScheduler {
             intake: Arc::clone(&intake),
             classes: classes.clone(),
             tick_admissions: config.tick_admissions.max(1),
+            next_id: Arc::clone(&next_id),
             active: BTreeMap::new(),
+            fanouts: BTreeMap::new(),
             runs: Runs::new(),
             parked: RoundState::default(),
         };
@@ -323,7 +336,7 @@ impl QueryScheduler {
             intake,
             classes,
             obs,
-            next_id: AtomicU64::new(1),
+            next_id,
             driver: handle,
         }
     }
@@ -418,9 +431,13 @@ struct Driver {
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
     tick_admissions: usize,
+    next_id: Arc<AtomicU64>,
     /// Remotely planned queries in flight, by submission id…
     active: BTreeMap<u64, ActiveQuery>,
-    /// …their walks, under the same ids…
+    /// …fan-out queries in flight with the legs that have ended, by first
+    /// leg tag (silo `k`'s leg rides under `first + k`)…
+    fanouts: BTreeMap<u64, (Submission, Legs)>,
+    /// …the walks of both, under those ids and tags…
     runs: Runs,
     /// …and the frames parked past the hedge threshold, across ticks.
     parked: RoundState,
@@ -428,11 +445,11 @@ struct Driver {
 
 impl Driver {
     fn run(mut self) {
-        while let Some(admitted) = self.take_admissions(self.active.is_empty()) {
+        while let Some(admitted) = self.take_admissions(self.runs.is_empty()) {
             self.obs.inc("fedra_sched_ticks_total");
             self.plan_admissions(admitted);
-            self.obs
-                .set_gauge("fedra_sched_active", self.active.len() as f64);
+            let in_flight = self.active.len() + self.fanouts.len();
+            self.obs.set_gauge("fedra_sched_active", in_flight as f64);
             self.pump();
         }
     }
@@ -466,7 +483,8 @@ impl Driver {
     /// Plans the tick's admissions on the worker pool (one fresh
     /// algorithm per submission; results come back in submission order)
     /// and answers provider-side plans at once; remote plans join the
-    /// active set.
+    /// active set, and a fan-out's `m` legs join the same runs — nothing
+    /// here waits on a silo.
     fn plan_admissions(&mut self, admitted: Vec<Submission>) {
         if admitted.is_empty() {
             return;
@@ -477,22 +495,24 @@ impl Driver {
                 sub.submitted_at.elapsed().as_nanos() as u64,
             );
         }
-        let planned: Vec<Option<(QueryPlan, Box<dyn FraAlgorithm>)>> =
-            self.pool.try_map(&admitted, |_worker, sub| {
-                let alg = (self.factory)(sub.seed);
-                let trace = TraceHandle::disabled();
-                let plan = plan_counted(
-                    alg.as_ref(),
-                    &self.federation,
-                    &sub.query,
-                    &trace,
-                    &self.obs,
-                );
-                (plan, alg)
-            });
+        let planned: Vec<Option<Planned>> = self.pool.try_map(&admitted, |_worker, sub| {
+            let alg = (self.factory)(sub.seed);
+            if let Some(request) = alg.fan_out(&sub.query) {
+                return Planned::FanOut(request);
+            }
+            let trace = TraceHandle::disabled();
+            let plan = plan_counted(
+                alg.as_ref(),
+                &self.federation,
+                &sub.query,
+                &trace,
+                &self.obs,
+            );
+            Planned::Plan(plan, alg)
+        });
         let retries = self.federation.call_policy().retries;
         for (sub, slot) in admitted.into_iter().zip(planned) {
-            let Some((plan, alg)) = slot else {
+            let Some(planned) = slot else {
                 // The pool worker panicked planning this query; answer the
                 // ticket the same way the batch engine answers its slot.
                 sub.cell.deliver(Err(FraError::Internal {
@@ -500,14 +520,21 @@ impl Driver {
                 }));
                 continue;
             };
-            match plan {
-                QueryPlan::Ready(outcome) => self.deliver(&sub, outcome),
-                QueryPlan::SingleSilo(plan) => {
-                    // The walk's budget is the submission's absolute deadline.
-                    let budget = Budget::Until(sub.deadline);
+            // A walk's budget is the submission's absolute deadline.
+            let budget = Budget::Until(sub.deadline);
+            match planned {
+                Planned::Plan(QueryPlan::Ready(outcome), _) => self.deliver(&sub, outcome),
+                Planned::Plan(QueryPlan::SingleSilo(plan), alg) => {
                     self.runs
                         .insert(sub.id, QueryRun::new(plan, retries, budget));
                     self.active.insert(sub.id, ActiveQuery { sub, alg });
+                }
+                Planned::FanOut(request) => {
+                    let m = self.federation.num_silos();
+                    let first = self.next_id.fetch_add(m as u64, Ordering::Relaxed);
+                    let legs = fanout_legs(&self.federation, &request, retries, budget);
+                    self.runs.extend((first..).zip(legs));
+                    self.fanouts.insert(first, (sub, Legs::new()));
                 }
             }
         }
@@ -520,11 +547,41 @@ impl Driver {
     /// change any query's value.
     fn pump(&mut self) {
         let mut ended: Vec<(u64, End)> = Vec::new();
+        let mut joined: Vec<u64> = Vec::new();
         let federation = &*self.federation;
         let (runs, parked) = (&mut self.runs, &mut self.parked);
-        round(federation, &self.obs, parked, runs, &mut |id, end| {
-            ended.push((id, end))
+        let fanouts = &mut self.fanouts;
+        let m = federation.num_silos() as u64;
+        round(federation, &self.obs, parked, runs, &mut |tag, end| {
+            // A leg rides in its fan-out's tag block `first..first + m`;
+            // any other tag is a submission id.
+            match fanouts.range_mut(..=tag).next_back() {
+                Some((&first, (_, legs))) if tag - first < m => {
+                    legs.insert((tag - first) as SiloId, end);
+                    if legs.len() as u64 == m {
+                        joined.push(first);
+                    }
+                }
+                _ => ended.push((tag, end)),
+            }
         });
+        // A fan-out whose last leg ended is joined here, on the driver: a
+        // few additions, no algorithm instance.
+        for first in joined {
+            let Some((sub, legs)) = self.fanouts.remove(&first) else {
+                continue;
+            };
+            for tag in first..first + m {
+                self.runs.remove(&tag);
+            }
+            let outcome = if legs.values().any(|leg| leg == &End::Shed) {
+                let class = self.classes[sub.class].name.clone();
+                Err(FraError::Shed { class })
+            } else {
+                join_fanout(federation, &sub.query, legs, &self.obs)
+            };
+            self.deliver(&sub, outcome);
+        }
         // Oldest submission first: a client redeeming tickets in order is
         // woken at the head of the delivery burst, not somewhere inside it.
         ended.sort_by_key(|(id, _)| *id);

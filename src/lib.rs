@@ -56,10 +56,10 @@ pub use fedra_workload as workload;
 pub mod prelude {
     pub use fedra_core::{
         AccuracyParams, AdaptivePlanner, AnswerCache, BatchResult, CacheAnswer, CacheConfig,
-        CachePolicy, CacheSource, CacheStats, ClassPolicy, Coverage, Exact, ExactSequential,
-        FraAlgorithm, FraError, FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr,
-        Opta, PlanDecision, PlannerPolicy, QueryEngine, QueryResult, QueryScheduler, QueryTicket,
-        SchedulerConfig, SubmitError,
+        CachePolicy, CacheSource, CacheStats, ClassPolicy, Coverage, Exact, FraAlgorithm, FraError,
+        FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlanDecision,
+        PlannerPolicy, QueryEngine, QueryResult, QueryScheduler, QueryTicket, SchedulerConfig,
+        SubmitError,
     };
     pub use fedra_federation::{
         BreakerState, CallPolicy, ChaosPlan, ChaosProxy, DegradePolicy, FaultPlan, Federation,

@@ -20,6 +20,10 @@
 //! three entry points pump one `QueryRun` state machine, so they must
 //! agree on every answer, every error (trail included) and every walk
 //! counter.
+//!
+//! The fan-out tests at the very bottom do the same for EXACT and OPTA,
+//! whose `m` legs ride those rounds too: lone = batched = scheduled, the
+//! batch pays `m` frames, and a scheduled burst coalesces.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,12 +218,49 @@ const WALK_COUNTERS: [&str; 4] = [
 ];
 
 type Outcome = Result<QueryResult, FraError>;
+type Factory = fn(u64) -> Box<dyn FraAlgorithm>;
 
-/// Runs the first `n` queries one at a time through one entry point —
-/// sequential `try_execute_with`, one-query engine batches, or scheduler
-/// submit-and-wait — on a freshly built federation, so every driver
-/// meets the same frame counters (flap schedules count frames) and the
-/// same breaker history. Returns the outcomes and the walk counters.
+/// Runs `queries` one at a time through one entry point — sequential
+/// `try_execute_with`, one-query engine batches, or scheduler
+/// submit-and-wait — with a fresh `factory(query_seed(i))` per query.
+fn outcomes_through(
+    driver: &str,
+    federation: &Arc<Federation>,
+    queries: &[FraQuery],
+    factory: Factory,
+    obs: &Arc<ObsContext>,
+) -> Vec<Outcome> {
+    let queries = queries.iter().enumerate();
+    match driver {
+        "sequential" => queries
+            .map(|(i, q)| factory(query_seed(i)).try_execute_with(federation, q, obs))
+            .collect(),
+        "engine" => queries
+            .map(|(i, q)| {
+                let alg = factory(query_seed(i));
+                let engine = QueryEngine::with_workers(alg.as_ref(), 1);
+                let batch = engine.execute_batch_with(federation, std::slice::from_ref(q), obs);
+                batch.results[0].clone()
+            })
+            .collect(),
+        _ => {
+            let sched = QueryScheduler::start(
+                Arc::clone(federation),
+                factory,
+                SchedulerConfig::default(),
+                Arc::clone(obs),
+            );
+            queries
+                .map(|(i, q)| sched.submit(*q, query_seed(i), 0).expect("admitted").wait())
+                .collect()
+        }
+    }
+}
+
+/// Runs the first `n` queries through [`outcomes_through`] with IID-est
+/// on a freshly built federation, so every driver meets the same frame
+/// counters (flap schedules count frames) and the same breaker history.
+/// Returns the outcomes and the walk counters.
 fn drive(
     driver: &str,
     seed: u64,
@@ -229,33 +270,9 @@ fn drive(
 ) -> (Vec<Outcome>, Vec<u64>) {
     let (federation, queries) = stand_up_with(seed, configure);
     prepare(&federation);
-    let factory = |s: u64| -> Box<dyn FraAlgorithm> { Box::new(IidEst::new(s)) };
     let obs = Arc::new(ObsContext::new());
-    let queries = queries.iter().take(n).enumerate();
-    let outcomes: Vec<Outcome> = match driver {
-        "sequential" => queries
-            .map(|(i, q)| factory(query_seed(i)).try_execute_with(&federation, q, &obs))
-            .collect(),
-        "engine" => queries
-            .map(|(i, q)| {
-                let alg = factory(query_seed(i));
-                let engine = QueryEngine::with_workers(alg.as_ref(), 1);
-                let batch = engine.execute_batch_with(&federation, std::slice::from_ref(q), &obs);
-                batch.results[0].clone()
-            })
-            .collect(),
-        _ => {
-            let sched = QueryScheduler::start(
-                Arc::clone(&federation),
-                factory,
-                SchedulerConfig::default(),
-                Arc::clone(&obs),
-            );
-            queries
-                .map(|(i, q)| sched.submit(*q, query_seed(i), 0).expect("admitted").wait())
-                .collect()
-        }
-    };
+    let iid: Factory = |s| Box::new(IidEst::new(s));
+    let outcomes = outcomes_through(driver, &federation, &queries[..n], iid, &obs);
     let counters = obs.snapshot().counters;
     let walk = WALK_COUNTERS
         .iter()
@@ -365,4 +382,146 @@ fn drivers_agree_when_every_silo_is_down_and_the_floors_are_unmet() {
         other => panic!("expected AllSilosUnavailable with a trail, got {other:?}"),
     }
     assert!(walk[2] > 0, "no walk degraded: the scenario is vacuous");
+}
+
+// ---------------------------------------------------------------------
+// Fan-out parity: EXACT and OPTA's legs ride the same rounds
+// ---------------------------------------------------------------------
+
+const FAN_OUTS: [(&str, Factory); 2] = [
+    ("EXACT", |_| Box::new(Exact::new())),
+    ("OPTA", |_| Box::new(Opta::new())),
+];
+
+/// The first `n` queries of `queries`, cycling through all five functions.
+fn with_every_function(queries: &[FraQuery], n: usize) -> Vec<FraQuery> {
+    (0..n)
+        .map(|i| FraQuery::new(queries[i].range, AggFunc::ALL[i % AggFunc::ALL.len()]))
+        .collect()
+}
+
+#[test]
+fn fan_out_drivers_agree_healthy_around_a_failed_silo_and_degraded() {
+    let partial = DegradePolicy::Partial {
+        min_silos: 1,
+        min_coverage: 0.0,
+    };
+    let scenarios = [
+        ("healthy", DegradePolicy::FailFast, None),
+        ("failed silo, fail-fast", DegradePolicy::FailFast, Some(2)),
+        ("failed silo, partial", partial, Some(2)),
+    ];
+    for (what, policy, down) in scenarios {
+        let (federation, queries) = stand_up_with(0xABE8, &|b| b.degrade_policy(policy));
+        let queries = with_every_function(&queries, 20);
+        if let Some(silo) = down {
+            federation.set_silo_failed(silo, true);
+        }
+        for (name, factory) in FAN_OUTS {
+            let obs = Arc::new(ObsContext::new());
+            let lone = outcomes_through("sequential", &federation, &queries, factory, &obs);
+            for driver in ["engine", "scheduler"] {
+                let got = outcomes_through(driver, &federation, &queries, factory, &obs);
+                for (i, (got, want)) in got.iter().zip(&lone).enumerate() {
+                    if let (Ok(g), Ok(w)) = (got, want) {
+                        assert_eq!(
+                            g.value.to_bits(),
+                            w.value.to_bits(),
+                            "{what}: {name} via {driver}, query {i} value diverged"
+                        );
+                    }
+                    // Rounds and the coverage record — or the same error.
+                    assert_eq!(got, want, "{what}: {name} via {driver}, query {i}");
+                }
+            }
+            for (i, outcome) in lone.iter().enumerate() {
+                match (down, policy.allows_partial(), outcome) {
+                    (None, _, Ok(result)) => assert!(result.coverage.is_none()),
+                    (Some(silo), false, Err(FraError::SiloFailed(error))) => {
+                        assert_eq!(error.silo(), silo)
+                    }
+                    (Some(_), true, Ok(result)) => {
+                        let coverage = result.coverage.expect("a degraded answer says so");
+                        assert_eq!((coverage.responding, coverage.total), (3, 4));
+                    }
+                    other => panic!("{what}: {name} query {i}: unexpected {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fan_out_batch_pays_m_frames_and_matches_query_for_query_execution() {
+    let (federation, queries) = stand_up(0xABE9, None);
+    let queries = with_every_function(&queries, 40);
+    let m = federation.num_silos() as u64;
+    for (name, factory) in FAN_OUTS {
+        let alg = factory(0);
+        federation.reset_query_comm();
+        let batched =
+            QueryEngine::per_silo(alg.as_ref(), &federation).execute_batch(&federation, &queries);
+        let batched_comm = federation.query_comm();
+        federation.reset_query_comm();
+        let lone: Vec<QueryResult> = queries
+            .iter()
+            .map(|q| alg.try_execute(&federation, q).expect("healthy"))
+            .collect();
+        let lone_comm = federation.query_comm();
+        // Same partials summed in the same order: identical answers...
+        let batched: Vec<QueryResult> = batched.results.into_iter().map(Result::unwrap).collect();
+        assert_bit_identical(&batched, &lone, name);
+        // ...but one envelope per silo for the batch, not one per leg.
+        assert_eq!(lone_comm.rounds, 40 * m, "{name}");
+        assert_eq!(batched_comm.rounds, m, "{name}");
+        assert!(
+            batched_comm.total_bytes() < lone_comm.total_bytes() / 2,
+            "{name}: batched {} bytes vs lone {} bytes",
+            batched_comm.total_bytes(),
+            lone_comm.total_bytes()
+        );
+    }
+}
+
+#[test]
+fn a_scheduled_fan_out_burst_coalesces_and_never_runs_inside_the_plan_stage() {
+    // Every EXACT query waits 20 ms on silo 1, so the first tick is still
+    // out while the rest of the burst is submitted: the second tick must
+    // put the burst's legs on shared frames.
+    let plan = FaultPlan::seeded(0xFA18).slow_silo(1, Duration::from_millis(20));
+    let (federation, queries) = stand_up(0xABEA, Some(plan));
+    let queries = &queries[..32];
+    let exact = Exact::new();
+    let obs = Arc::new(ObsContext::new());
+    let sched = QueryScheduler::start(
+        Arc::clone(&federation),
+        |_| Box::new(Exact::new()),
+        SchedulerConfig::default(),
+        Arc::clone(&obs),
+    );
+    let tickets: Vec<QueryTicket> = queries
+        .iter()
+        .map(|q| sched.submit(*q, 0, 0).expect("admitted"))
+        .collect();
+    for (ticket, q) in tickets.into_iter().zip(queries) {
+        let got = ticket.wait().expect("scheduled EXACT answers");
+        let want = exact
+            .try_execute(&federation, q)
+            .expect("lone EXACT answers");
+        assert_eq!(got.value.to_bits(), want.value.to_bits());
+        assert_eq!(got, want);
+    }
+    sched.shutdown();
+    let snapshot = obs.snapshot();
+    let riders = &snapshot.histograms["fedra_sched_frame_riders"];
+    assert!(
+        riders.sum > riders.count,
+        "no frame carried two legs: {} riders on {} frames",
+        riders.sum,
+        riders.count
+    );
+    // A fan-out executed inside `plan_admissions` would have come back
+    // as a provider-side plan.
+    assert_eq!(snapshot.counters.get("fedra_plan_ready_total"), None);
+    assert_eq!(snapshot.counters.get("fedra_plan_remote_total"), None);
 }

@@ -1,6 +1,10 @@
 //! Failure-injection integration: the availability ladder the estimators
-//! climb down as silos disappear, and the hard-fail semantics of the
-//! fan-out baselines.
+//! climb down as silos disappear, the hard-fail semantics of the fan-out
+//! baselines, and what a fan-out's legs inherit from the candidate walk
+//! (deadline, transient retries, breaker).
+
+use std::sync::mpsc;
+use std::time::Duration;
 
 use fedra::prelude::*;
 
@@ -123,5 +127,154 @@ fn batch_execution_tolerates_mid_batch_failures() {
         if let Some(silo) = r.as_ref().unwrap().sampled_silo {
             assert!(silo >= 2, "answer came from failed silo {silo}");
         }
+    }
+}
+
+/// Three silos' worth of the testbed data, with the given knobs.
+fn fan_out_testbed(
+    seed: u64,
+    configure: &dyn Fn(FederationBuilder) -> FederationBuilder,
+) -> (Federation, FraQuery) {
+    let spec = WorkloadSpec::default()
+        .with_total_objects(9_000)
+        .with_silos(3)
+        .with_seed(seed);
+    let dataset = spec.generate();
+    let builder = FederationBuilder::new(dataset.bounds()).grid_cell_len(1.0);
+    let federation = configure(builder).build(dataset.into_partitions());
+    let q = FraQuery::circle(Point::new(0.0, -95.0), 2.0, AggFunc::Count);
+    (federation, q)
+}
+
+const PARTIAL: DegradePolicy = DegradePolicy::Partial {
+    min_silos: 1,
+    min_coverage: 0.0,
+};
+
+#[test]
+fn fan_out_honours_the_call_deadline_on_a_silent_silo() {
+    // Silo 1 swallows every request. Each run happens on its own thread
+    // and is awaited with a generous timeout, so a fan-out that ignores
+    // the deadline fails this test instead of hanging the suite.
+    for partial in [false, true] {
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let silent = SiloFaultSpec {
+                drop_prob: 1.0,
+                ..Default::default()
+            };
+            let (fed, q) = fan_out_testbed(11, &|b| {
+                let b = b
+                    .fault_plan(FaultPlan::seeded(11).with_spec(1, silent))
+                    .call_policy(CallPolicy {
+                        deadline: Some(Duration::from_millis(100)),
+                        ..Default::default()
+                    });
+                if partial {
+                    b.degrade_policy(PARTIAL)
+                } else {
+                    b
+                }
+            });
+            let outcomes = [
+                Exact::new().try_execute(&fed, &q),
+                Opta::new().try_execute(&fed, &q),
+            ];
+            let _ = done.send(outcomes);
+        });
+        let outcomes = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a fan-out with a 100 ms deadline blocked on the silent silo");
+        for outcome in outcomes {
+            if partial {
+                let coverage = outcome.expect("two silos answer").coverage;
+                let coverage = coverage.expect("a degraded answer says so");
+                assert_eq!((coverage.responding, coverage.total), (2, 3));
+            } else {
+                let missed = TransportError::DeadlineExceeded { silo: 1 };
+                assert_eq!(outcome, Err(FraError::SiloFailed(missed)));
+            }
+        }
+    }
+}
+
+#[test]
+fn fan_out_retries_a_transient_refusal() {
+    let (calm, q) = fan_out_testbed(12, &|b| b);
+    let truth = Exact::new().execute(&calm, &q);
+    // Silo 1 refuses every second request: one same-silo retry rescues
+    // each query that meets a down window.
+    let (fed, q) = fan_out_testbed(12, &|b| {
+        b.fault_plan(FaultPlan::seeded(12).flapping_silo(1, 2, 1))
+            .call_policy(CallPolicy {
+                retries: 3,
+                ..Default::default()
+            })
+    });
+    let obs = ObsContext::new();
+    for i in 0..4 {
+        let got = Exact::new()
+            .try_execute_with(&fed, &q, &obs)
+            .expect("the retry rides the flap out");
+        assert_eq!(got.value.to_bits(), truth.value.to_bits(), "query {i}");
+        assert!(got.coverage.is_none());
+    }
+    let retries = obs.snapshot().counters.get("fedra_retries_total").copied();
+    assert!(retries > Some(0), "no retry fired: the scenario is vacuous");
+}
+
+#[test]
+fn fan_out_traffic_alone_opens_the_breaker_skips_the_silo_and_recovers() {
+    for partial in [false, true] {
+        let (fed, q) = fan_out_testbed(13, &|b| {
+            let b = b.health_config(HealthConfig::enabled());
+            if partial {
+                b.degrade_policy(PARTIAL)
+            } else {
+                b
+            }
+        });
+        let m = fed.num_silos() as u64;
+        let truth = Exact::new().execute(&fed, &q);
+        let obs = ObsContext::new();
+        fed.set_silo_failed(1, true);
+        // Every query meets the failing silo; once its breaker is open,
+        // some query must be answered (or failed) without calling it.
+        let mut skipped = 0;
+        for _ in 0..40 {
+            let before = fed.query_comm().rounds;
+            let outcome = Exact::new().try_execute_with(&fed, &q, &obs);
+            let sent = fed.query_comm().rounds - before;
+            match outcome {
+                Ok(result) => {
+                    assert!(partial, "fail-fast answered around a failed silo");
+                    let coverage = result.coverage.expect("a degraded answer says so");
+                    assert_eq!((coverage.responding, coverage.total), (2, 3));
+                }
+                Err(FraError::SiloFailed(error)) => {
+                    assert!(!partial, "Partial failed a query two silos answered");
+                    assert_eq!(error.silo(), 1);
+                }
+                Err(other) => panic!("unexpected error {other:?}"),
+            }
+            if sent == m - 1 {
+                skipped += 1;
+            }
+        }
+        assert_eq!(fed.health().non_closed(), vec![1], "breaker never opened");
+        assert!(skipped > 0, "no query skipped the open silo");
+        let counted = obs.snapshot().counters["fedra_breaker_skipped_total"];
+        assert_eq!(counted, skipped, "skips and unsent legs disagree");
+
+        // Recovery: the legs' own probe draws half-open the breaker and
+        // the first probe that answers closes it.
+        fed.set_silo_failed(1, false);
+        let healed = (0..400).any(|_| {
+            let _ = Exact::new().try_execute_with(&fed, &q, &obs);
+            fed.health().non_closed().is_empty()
+        });
+        assert!(healed, "breaker leaked: {:?}", fed.health().non_closed());
+        let after = Exact::new().try_execute(&fed, &q).expect("healthy again");
+        assert_eq!(after, truth);
     }
 }
