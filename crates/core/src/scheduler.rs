@@ -5,13 +5,23 @@
 //! one batch; concurrent callers still serialize on the engine and each
 //! pays its own round trips. [`QueryScheduler`] pumps the same
 //! scatter–gather round from a serving layer: clients
-//! [`submit`](QueryScheduler::submit) queries from any thread, a driver
-//! thread plans and finishes them on the silo-local
-//! [`WorkerPool`](fedra_index::WorkerPool), and every scheduling tick
-//! merges the outstanding remote requests of *all* in-flight queries into
-//! one multiplexed frame per silo
-//! ([`SiloChannel::begin_frame`]), routing replies back by
-//! correlation id.
+//! [`submit`](QueryScheduler::submit) queries from any thread, one driver
+//! thread plans and finishes them itself (microseconds each — no thread
+//! is spawned on a tick), and every scheduling tick merges the
+//! outstanding remote requests of *all* in-flight queries into one
+//! multiplexed frame per silo ([`SiloChannel::begin_frame`]), routing
+//! replies back by correlation id.
+//!
+//! # Tick model
+//!
+//! A tick drains its intake before it dispatches: the driver plans what
+//! is queued, then takes (without blocking) and plans whatever was
+//! submitted meanwhile, until the queue is dry or the tick has admitted
+//! [`SchedulerConfig::tick_admissions`] queries; only then does it ship
+//! the round's frames. A lone query finds the queue dry as soon as it is
+//! planned and is dispatched at once; under load the riders a frame
+//! carries are everything that arrived while the tick planned — set by
+//! this policy, not by how long a stage happened to take.
 //!
 //! # Determinism contract
 //!
@@ -41,13 +51,13 @@
 //!    deadline.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fedra_federation::{Federation, Request, SiloId};
-use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, TraceHandle};
 
 use crate::algorithm::{
@@ -102,11 +112,9 @@ pub struct SchedulerConfig {
     /// [`QueryScheduler::submit`].
     pub classes: Vec<ClassPolicy>,
     /// Most new submissions planned per tick; the rest stay queued and
-    /// ride the next tick (bounds per-tick plan latency under burst).
+    /// ride the next tick (bounds how long a tick plans before it
+    /// dispatches, under burst).
     pub tick_admissions: usize,
-    /// Plan/finish pool width (`0` = the `FEDRA_SILO_THREADS` /
-    /// core-count auto policy, like the silo-local pools).
-    pub workers: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -114,7 +122,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             classes: vec![ClassPolicy::unbounded("default", 4096)],
             tick_admissions: 256,
-            workers: 0,
         }
     }
 }
@@ -155,9 +162,8 @@ impl std::error::Error for SubmitError {}
 
 /// A one-shot result cell shared between the driver and one client.
 ///
-/// Hand-rolled (mutex + condvar) rather than a channel so the driver can
-/// fill it from inside a [`WorkerPool`] closure — the cell is `Sync`, and
-/// the waiter parks instead of spinning.
+/// Mutex + condvar: the waiter parks instead of spinning, and the first
+/// delivery wins.
 struct TicketCell {
     /// `None` while the query is in flight. Unique field name: the
     /// lock-order lint identifies locks by field name workspace-wide.
@@ -308,16 +314,10 @@ impl QueryScheduler {
             }),
             wakeup: Condvar::new(),
         });
-        let pool = if config.workers == 0 {
-            WorkerPool::auto()
-        } else {
-            WorkerPool::new(config.workers)
-        };
         let next_id = Arc::new(AtomicU64::new(1));
         let driver = Driver {
             federation,
             factory: Box::new(factory),
-            pool,
             obs: Arc::clone(&obs),
             intake: Arc::clone(&intake),
             classes: classes.clone(),
@@ -426,7 +426,6 @@ impl Drop for QueryScheduler {
 struct Driver {
     federation: Arc<Federation>,
     factory: Box<dyn Fn(u64) -> Box<dyn FraAlgorithm> + Send + Sync>,
-    pool: WorkerPool,
     obs: Arc<ObsContext>,
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
@@ -445,20 +444,28 @@ struct Driver {
 
 impl Driver {
     fn run(mut self) {
-        while let Some(admitted) = self.take_admissions(self.runs.is_empty()) {
+        let cap = self.tick_admissions;
+        while let Some(mut admitted) = self.take_admissions(self.runs.is_empty(), cap) {
             self.obs.inc("fedra_sched_ticks_total");
-            self.plan_admissions(admitted);
+            // Drain until dry: what was submitted while this tick planned
+            // rides this tick's frames, up to the cap.
+            let mut room = cap;
+            while !admitted.is_empty() {
+                room -= admitted.len();
+                self.plan_admissions(admitted);
+                admitted = self.take_admissions(false, room).unwrap_or_default();
+            }
             let in_flight = self.active.len() + self.fanouts.len();
             self.obs.set_gauge("fedra_sched_active", in_flight as f64);
             self.pump();
         }
     }
 
-    /// Pops up to `tick_admissions` submissions. Parks on the intake
-    /// condvar when there is nothing to do at all; returns `None` exactly
-    /// once, when intake is closed and fully drained (`may_block` implies
-    /// no in-flight queries remain either).
-    fn take_admissions(&self, may_block: bool) -> Option<Vec<Submission>> {
+    /// Pops up to `room` submissions. Parks on the intake condvar when
+    /// there is nothing to do at all; returns `None` exactly once, when
+    /// intake is closed and fully drained (`may_block` implies no
+    /// in-flight queries remain either).
+    fn take_admissions(&self, may_block: bool, room: usize) -> Option<Vec<Submission>> {
         let mut st = self.intake.lock();
         while may_block && st.backlog.is_empty() && !st.closed {
             st = self
@@ -470,7 +477,7 @@ impl Driver {
         if may_block && st.backlog.is_empty() && st.closed {
             return None;
         }
-        let n = st.backlog.len().min(self.tick_admissions);
+        let n = st.backlog.len().min(room);
         let admitted: Vec<Submission> = st.backlog.drain(..n).collect();
         for sub in &admitted {
             st.per_class[sub.class] -= 1;
@@ -480,43 +487,40 @@ impl Driver {
         Some(admitted)
     }
 
-    /// Plans the tick's admissions on the worker pool (one fresh
-    /// algorithm per submission; results come back in submission order)
-    /// and answers provider-side plans at once; remote plans join the
-    /// active set, and a fan-out's `m` legs join the same runs — nothing
-    /// here waits on a silo.
-    fn plan_admissions(&mut self, admitted: Vec<Submission>) {
-        if admitted.is_empty() {
-            return;
+    /// Builds one submission's fresh algorithm and plans it (or takes its
+    /// fan-out request): the only caller-supplied code of the plan stage.
+    fn plan_one(&self, sub: &Submission) -> Planned {
+        let alg = (self.factory)(sub.seed);
+        if let Some(request) = alg.fan_out(&sub.query) {
+            return Planned::FanOut(request);
         }
-        for sub in &admitted {
+        let trace = TraceHandle::disabled();
+        let plan = plan_counted(
+            alg.as_ref(),
+            &self.federation,
+            &sub.query,
+            &trace,
+            &self.obs,
+        );
+        Planned::Plan(plan, alg)
+    }
+
+    /// Plans admissions in submission order, on the driver thread, and
+    /// answers provider-side plans at once; remote plans join the active
+    /// set, and a fan-out's `m` legs join the same runs — nothing here
+    /// waits on a silo. A plan that panics answers its own ticket with
+    /// [`FraError::Internal`], like a batch-engine slot, and nobody
+    /// else's.
+    fn plan_admissions(&mut self, admitted: Vec<Submission>) {
+        let retries = self.federation.call_policy().retries;
+        for sub in admitted {
             self.obs.observe(
                 "fedra_sched_queue_wait_ns",
                 sub.submitted_at.elapsed().as_nanos() as u64,
             );
-        }
-        let planned: Vec<Option<Planned>> = self.pool.try_map(&admitted, |_worker, sub| {
-            let alg = (self.factory)(sub.seed);
-            if let Some(request) = alg.fan_out(&sub.query) {
-                return Planned::FanOut(request);
-            }
-            let trace = TraceHandle::disabled();
-            let plan = plan_counted(
-                alg.as_ref(),
-                &self.federation,
-                &sub.query,
-                &trace,
-                &self.obs,
-            );
-            Planned::Plan(plan, alg)
-        });
-        let retries = self.federation.call_policy().retries;
-        for (sub, slot) in admitted.into_iter().zip(planned) {
-            let Some(planned) = slot else {
-                // The pool worker panicked planning this query; answer the
-                // ticket the same way the batch engine answers its slot.
+            let Ok(planned) = catch_unwind(AssertUnwindSafe(|| self.plan_one(&sub))) else {
                 sub.cell.deliver(Err(FraError::Internal {
-                    message: "scheduler worker panicked while planning this query".into(),
+                    message: "scheduler panicked while planning this query".into(),
                 }));
                 continue;
             };
@@ -542,9 +546,8 @@ impl Driver {
 
     /// One tick's scatter–gather [`round`] over every live query — the
     /// same round the batch engine pumps, with frames tagged by submission
-    /// id — then the finish stage on the worker pool. `finish_with`
-    /// consumes no RNG (the plan did), so parallel finish order cannot
-    /// change any query's value.
+    /// id — then the finish stage, on the driver thread. A finish that
+    /// panics answers its own ticket with [`FraError::Internal`].
     fn pump(&mut self) {
         let mut ended: Vec<(u64, End)> = Vec::new();
         let mut joined: Vec<u64> = Vec::new();
@@ -565,8 +568,8 @@ impl Driver {
                 _ => ended.push((tag, end)),
             }
         });
-        // A fan-out whose last leg ended is joined here, on the driver: a
-        // few additions, no algorithm instance.
+        // A fan-out whose last leg ended is joined here: a few additions,
+        // no algorithm instance.
         for first in joined {
             let Some((sub, legs)) = self.fanouts.remove(&first) else {
                 continue;
@@ -582,41 +585,44 @@ impl Driver {
             };
             self.deliver(&sub, outcome);
         }
-        // Oldest submission first: a client redeeming tickets in order is
-        // woken at the head of the delivery burst, not somewhere inside it.
+        // Finish every ended walk, then deliver in one burst, oldest
+        // submission first: a client redeeming tickets in order is woken at
+        // the head of the burst, and no woken client competes with the
+        // finish stage for a core.
         ended.sort_by_key(|(id, _)| *id);
-        let outcomes = self.pool.try_map(&ended, |_worker, (id, end)| {
-            let q = &self.active[id];
-            match end {
+        let mut finished = Vec::with_capacity(ended.len());
+        for (id, end) in ended {
+            self.runs.remove(&id);
+            let Some(q) = self.active.remove(&id) else {
+                continue;
+            };
+            let outcome = match end {
                 End::Shed => Err(FraError::Shed {
                     class: self.classes[q.sub.class].name.clone(),
                 }),
                 // The scheduler opens no traces (its clients read
                 // metrics): the finish step gets an inert handle.
-                end => {
+                end => catch_unwind(AssertUnwindSafe(|| {
                     let trace = TraceHandle::disabled();
                     finish_run(
                         q.alg.as_ref(),
                         federation,
                         &q.sub.query,
-                        end.clone(),
+                        end,
                         &trace,
                         &self.obs,
                     )
-                }
-            }
-        });
-        for ((id, _), outcome) in ended.iter().zip(outcomes) {
-            self.runs.remove(id);
-            let Some(q) = self.active.remove(id) else {
-                continue;
+                }))
+                .unwrap_or_else(|_| {
+                    Err(FraError::Internal {
+                        message: "scheduler panicked while finishing this query".into(),
+                    })
+                }),
             };
-            let outcome = outcome.unwrap_or_else(|| {
-                Err(FraError::Internal {
-                    message: "scheduler worker panicked while finishing this query".into(),
-                })
-            });
-            self.deliver(&q.sub, outcome);
+            finished.push((q.sub, outcome));
+        }
+        for (sub, outcome) in finished {
+            self.deliver(&sub, outcome);
         }
     }
 
@@ -642,11 +648,14 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::Exact;
     use crate::sampling::IidEst;
     use crate::QueryEngine;
     use fedra_federation::FederationBuilder;
     use fedra_index::AggFunc;
+    use fedra_obs::metrics::bucket_index;
     use fedra_workload::{QueryGenerator, WorkloadSpec};
+    use std::sync::Once;
 
     fn stand_up(seed: u64) -> (Arc<Federation>, Vec<FraQuery>) {
         let spec = WorkloadSpec::default()
@@ -783,6 +792,137 @@ mod tests {
         for ticket in tickets {
             ticket.wait().expect("drained on shutdown");
         }
+    }
+
+    /// `fedra_sched_ticks_total` and the `fedra_sched_frame_riders`
+    /// histogram as of now.
+    fn ticks_and_riders(obs: &ObsContext) -> (u64, fedra_obs::metrics::HistogramSnapshot) {
+        let snapshot = obs.snapshot();
+        (
+            snapshot.counters["fedra_sched_ticks_total"],
+            snapshot.histograms["fedra_sched_frame_riders"].clone(),
+        )
+    }
+
+    #[test]
+    fn a_submission_that_lands_while_a_tick_is_planning_rides_that_tick() {
+        let (federation, queries) = stand_up(76);
+        let m = federation.num_silos() as u64;
+        let obs = Arc::new(ObsContext::new());
+        // The factory runs on the driver thread, mid-plan: its first call
+        // submits a second query through the shared handle. EXACT, so
+        // every silo gets one frame per tick whatever the seeds.
+        let shared: Arc<Mutex<Option<QueryScheduler>>> = Arc::new(Mutex::new(None));
+        let late: Arc<Mutex<Option<QueryTicket>>> = Arc::new(Mutex::new(None));
+        let factory = {
+            let (shared, late, second) = (Arc::clone(&shared), Arc::clone(&late), queries[1]);
+            let first_call = Once::new();
+            move |_seed| -> Box<dyn FraAlgorithm> {
+                first_call.call_once(|| {
+                    let sched = shared.lock().unwrap();
+                    let sched = sched.as_ref().expect("stored before the first submit");
+                    *late.lock().unwrap() = Some(sched.submit(second, 0, 0).expect("admitted"));
+                });
+                Box::new(Exact::new())
+            }
+        };
+        let before = federation.query_comm();
+        let sched = QueryScheduler::start(
+            Arc::clone(&federation),
+            factory,
+            SchedulerConfig::default(),
+            Arc::clone(&obs),
+        );
+        *shared.lock().unwrap() = Some(sched);
+        let first = shared
+            .lock()
+            .unwrap()
+            .as_ref()
+            .expect("just stored")
+            .submit(queries[0], 0, 0)
+            .expect("admitted");
+        first.wait().expect("the first query answers");
+        let late = late.lock().unwrap().take().expect("submitted mid-plan");
+        late.wait().expect("the late query answers");
+        let sched = shared.lock().unwrap().take().expect("still stored");
+        sched.shutdown();
+
+        let (ticks, riders) = ticks_and_riders(&obs);
+        assert_eq!(ticks, 1, "the late submission must not wait for a tick");
+        assert_eq!(federation.query_comm().since(&before).rounds, m);
+        assert_eq!((riders.count, riders.sum), (m, 2 * m), "two legs per frame");
+    }
+
+    #[test]
+    fn no_tick_admits_more_than_its_cap() {
+        let (federation, queries) = stand_up(77);
+        let m = federation.num_silos() as u64;
+        let obs = Arc::new(ObsContext::new());
+        // The first factory call holds the driver mid-plan until all ten
+        // submissions are queued.
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let factory = {
+            let (gate, first_call) = (Mutex::new(gate), Once::new());
+            move |_seed| -> Box<dyn FraAlgorithm> {
+                first_call.call_once(|| gate.lock().unwrap().recv().expect("gate opens"));
+                Box::new(Exact::new())
+            }
+        };
+        let config = SchedulerConfig {
+            tick_admissions: 4,
+            ..SchedulerConfig::default()
+        };
+        let sched =
+            QueryScheduler::start(Arc::clone(&federation), factory, config, Arc::clone(&obs));
+        let tickets: Vec<QueryTicket> = queries[..10]
+            .iter()
+            .map(|q| sched.submit(*q, 0, 0).expect("admitted"))
+            .collect();
+        open.send(()).expect("driver is waiting");
+        for ticket in tickets {
+            ticket.wait().expect("answers");
+        }
+        sched.shutdown();
+
+        // Every frame of a tick carries one leg per query the tick
+        // admitted: 4 + 4 + 2, never 10.
+        let (ticks, riders) = ticks_and_riders(&obs);
+        assert_eq!(ticks, 3);
+        assert_eq!((riders.count, riders.sum), (3 * m, 10 * m));
+        let over_cap: u64 = riders.buckets[bucket_index(4) + 1..].iter().sum();
+        assert_eq!(over_cap, 0, "a frame carried more than 4 riders");
+    }
+
+    #[test]
+    fn a_panicking_plan_answers_only_its_own_ticket() {
+        let (federation, queries) = stand_up(78);
+        let sched = QueryScheduler::start(
+            Arc::clone(&federation),
+            |seed| {
+                assert!(seed != 1003, "factory refuses seed 1003");
+                factory(seed)
+            },
+            SchedulerConfig::default(),
+            Arc::new(ObsContext::new()),
+        );
+        let tickets: Vec<QueryTicket> = queries[..8]
+            .iter()
+            .enumerate()
+            .map(|(i, q)| sched.submit(*q, 1000 + i as u64, 0).expect("admitted"))
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            match (i, ticket.wait()) {
+                (3, Err(FraError::Internal { message })) => {
+                    assert!(message.contains("planning"), "{message}")
+                }
+                (3, other) => panic!("the panicking plan should answer Internal, got {other:?}"),
+                (_, outcome) => {
+                    let want = factory(1000 + i as u64).try_execute(&federation, &queries[i]);
+                    assert_eq!(outcome, want, "query {i}");
+                }
+            }
+        }
+        sched.shutdown();
     }
 
     #[test]

@@ -51,9 +51,10 @@ pub struct SiloConfig {
     pub bounds: Rect,
     /// Seed for the LSR level sampling (kept per-silo for reproducibility).
     pub lsr_seed: u64,
-    /// Worker-pool size for intra-silo parallelism (index construction
-    /// and `Request::Batch` item fan-out). `0` = automatic: available
-    /// cores clamped to [`fedra_index::pool::MAX_AUTO_THREADS`], with the
+    /// Worker-pool size for index builds (the LSR-Forest at construction,
+    /// the grid on `BuildGrid`); serving a frame never uses it. `0` =
+    /// automatic: available cores clamped to
+    /// [`fedra_index::pool::MAX_AUTO_THREADS`], with the
     /// `FEDRA_SILO_THREADS` environment variable as an override. Results
     /// are bit-identical for every value — the pool only changes speed.
     pub threads: usize,
@@ -75,9 +76,8 @@ pub struct Silo {
     /// Retained after `BuildGrid`: the cell-id → rectangle mapping and
     /// the per-cell counts `CellContributions` prunes empty cells with.
     grid: parking_lot::RwLock<Option<GridIndex>>,
-    /// Scoped worker pool shared by index builds and the fan-out of a
-    /// `Request::Batch`'s items; a single request runs on its serving
-    /// thread.
+    /// Scoped worker pool for index builds only; every request, batched
+    /// or lone, is served on the thread that called [`Silo::handle`].
     pool: WorkerPool,
     /// Failure injection: when set, every request is answered with
     /// `Response::Error`.
@@ -175,7 +175,6 @@ struct SiloMetrics {
     requests: RequestCounters,
     batch_items: Arc<Histogram>,
     batch_panics: Arc<Counter>,
-    pool_items_per_task: Arc<Histogram>,
     /// Boundary cells answered `ZERO` straight off the retained grid's
     /// cell counts, left out of the clipped R-tree/LSR walk.
     cells_pruned: Arc<Counter>,
@@ -226,8 +225,6 @@ impl SiloMetrics {
                 .histogram(&format!("fedra_silo_pool_batch_items{{silo=\"{id}\"}}")),
             batch_panics: registry
                 .counter(&format!("fedra_silo_batch_panics_total{{silo=\"{id}\"}}")),
-            pool_items_per_task: registry
-                .histogram(&format!("fedra_silo_pool_items_per_task{{silo=\"{id}\"}}")),
             cells_pruned: registry
                 .counter(&format!("fedra_silo_cells_pruned_total{{silo=\"{id}\"}}")),
             lsr_levels: (0..lsr_levels)
@@ -310,30 +307,24 @@ impl Silo {
     /// Serves one wire frame (Alg. 1 line 2, Alg. 2 line 3, Alg. 3 line 3,
     /// OPTA, metrics).
     ///
-    /// A [`Request::Batch`] frame is unpacked here: the items fan out
-    /// across the silo's worker pool (a coalesced frame of `k` sub-queries
-    /// costs ~`k/P` silo time) and the answers are reassembled in request
-    /// order into a [`Response::Batch`] of the same arity. Per-item
-    /// failures — including a panicking handler — surface as
-    /// `Response::Error` items; one bad sub-request never aborts its
-    /// batch-mates.
+    /// A [`Request::Batch`] frame is unpacked here: the items are served
+    /// one after another, in frame order, on the calling thread — a later
+    /// item sees everything an earlier one did (a `MemoryReport` after a
+    /// `BuildGrid` reports the grid) — and the answers form a
+    /// [`Response::Batch`] of the same arity. Per-item failures —
+    /// including a panicking handler — surface as `Response::Error`
+    /// items; one bad sub-request never aborts its batch-mates.
     pub fn handle(&self, request: Request) -> Response {
         match request {
             Request::Batch(requests) => {
-                let id = self.id;
                 self.metrics.batch_items.observe(requests.len() as u64);
-                // items/task for the pool fan-out below: every task takes
-                // an even share of the batch (ceil division).
-                let tasks = self.pool.threads().max(1);
-                self.metrics
-                    .pool_items_per_task
-                    .observe(requests.len().div_ceil(tasks) as u64);
-                Response::Batch(self.pool.map_vec(requests, |_, item| {
+                let serve = |item| {
                     catch_unwind(AssertUnwindSafe(|| self.handle_one(item))).unwrap_or_else(|_| {
                         self.metrics.batch_panics.inc();
-                        Response::Error(format!("silo {id}: batch item panicked"))
+                        Response::Error(format!("silo {}: batch item panicked", self.id))
                     })
-                }))
+                };
+                Response::Batch(requests.into_iter().map(serve).collect())
             }
             other => self.handle_one(other),
         }
@@ -1127,6 +1118,40 @@ mod tests {
         }
         // served counts logical sub-requests, not frames.
         assert_eq!(s.served_counter().load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn batch_items_are_served_in_frame_order() {
+        // A frame is a sequence: each item sees the state its predecessors
+        // left, whatever the build pool's size.
+        for threads in [1, 4] {
+            let s = Silo::new(
+                13,
+                objects(20_000),
+                SiloConfig {
+                    threads,
+                    ..config()
+                },
+            );
+            let Response::Batch(items) = s.handle(Request::Batch(vec![
+                Request::MemoryReport,
+                Request::BuildGrid {
+                    bounds: bounds(),
+                    cell_len: 5.0,
+                    return_cells: true,
+                },
+                Request::MemoryReport,
+            ])) else {
+                panic!("unexpected response");
+            };
+            let [Response::Memory(before), Response::Grid { .. }, Response::Memory(after)] =
+                &items[..]
+            else {
+                panic!("threads {threads}: unexpected items {items:?}");
+            };
+            assert_eq!(before.grid, 0, "threads {threads}");
+            assert!(after.grid > 0, "threads {threads}");
+        }
     }
 
     #[test]

@@ -104,10 +104,16 @@ impl LsrForest {
         // sorts. The sampled trees are independent of each other and run
         // one per worker (sequential sorts — they are already on the pool).
         let base = RTree::bulk_load_with(objects.to_vec(), config, pool);
-        let rest = pool.map_vec(samples, |_, sampled| RTree::bulk_load(sampled, config));
-        let mut levels = Vec::with_capacity(1 + rest.len());
+        // A slot starts as its level's sample and ends as its tree.
+        let mut slots: Vec<(Vec<SpatialObject>, Option<RTree>)> =
+            samples.into_iter().map(|s| (s, None)).collect();
+        pool.for_each_mut(slots.chunks_mut(1).collect(), |_, slot| {
+            let (sampled, tree) = &mut slot[0];
+            *tree = Some(RTree::bulk_load(std::mem::take(sampled), config));
+        });
+        let mut levels = Vec::with_capacity(1 + slots.len());
         levels.push(base);
-        levels.extend(rest);
+        levels.extend(slots.into_iter().filter_map(|(_, tree)| tree));
         Self { levels }
     }
 

@@ -1,13 +1,15 @@
 //! A silo-local scoped worker pool.
 //!
 //! Index construction (`RTree::bulk_load_with`, `LsrForest::build_with`,
-//! `GridIndex::build_with`) and a silo serving the items of a
-//! `Request::Batch` both need the same primitive: fan a known amount of
+//! `GridIndex::build_with`) needs one primitive: fan a known amount of
 //! independent work across a few threads and reassemble the results in
-//! input order. [`WorkerPool`] provides it hand-rolled over [`std::thread::scope`] — no runtime, no queues that
-//! outlive a call, no new dependencies. The pool stores only its size;
-//! threads are scoped to each operation, so borrowing the caller's data is
-//! safe and a pool is trivially `Copy`.
+//! input order. [`WorkerPool`] provides it hand-rolled over
+//! [`std::thread::scope`] — no runtime, no queues that outlive a call, no
+//! new dependencies. The pool stores only its size; threads are scoped to
+//! each operation, so borrowing the caller's data is safe and a pool is
+//! trivially `Copy`. Every call spawns and joins its threads, which only a
+//! build's milliseconds of work repay: a silo serving a frame and the
+//! scheduler's tick never go through the pool.
 //!
 //! # Determinism
 //!
@@ -126,67 +128,6 @@ impl WorkerPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.run_borrowed(items, &f).0
-    }
-
-    /// Maps `f` over owned items (consumed), returning results in input
-    /// order. Items are pre-partitioned round-robin across workers — no
-    /// locks needed to hand out ownership.
-    ///
-    /// # Panics
-    /// Re-raises the first worker panic on the calling thread.
-    pub fn map_vec<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        if self.threads == 1 || n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        }
-        let workers = self.threads.min(n);
-        let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, t) in items.into_iter().enumerate() {
-            buckets[i % workers].push((i, t));
-        }
-        let f = &f;
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(n, || None);
-        let panic = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(i, t)| (i, f(i, t)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut first_panic = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (i, r) in local {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-            first_panic
-        });
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        slots.into_iter().flatten().collect()
     }
 
     /// Runs `f` once per mutable chunk, distributing chunks round-robin
@@ -378,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn map_vec_consumes_and_preserves_order() {
-        for threads in [1, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let items: Vec<String> = (0..100).map(|i| format!("item-{i}")).collect();
-            let out = pool.map_vec(items, |_, s| s.len());
-            let expect: Vec<usize> = (0..100).map(|i| format!("item-{i}").len()).collect();
-            assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn map_propagates_panics() {
         let pool = WorkerPool::new(4);
         let items: Vec<usize> = (0..64).collect();
@@ -484,7 +414,6 @@ mod tests {
         let pool = WorkerPool::new(4);
         let empty: Vec<u32> = Vec::new();
         assert!(pool.map(&empty, |_, &x| x).is_empty());
-        assert!(pool.map_vec(Vec::<u32>::new(), |_, x| x).is_empty());
         pool.for_each_mut(Vec::<&mut [u32]>::new(), |_, _| {});
         let mut nothing: [u32; 0] = [];
         pool.sort_by(&mut nothing, |a, b| a.cmp(b));
