@@ -264,6 +264,11 @@ echo "    ok (nonzero hit rate, zero ε violations)"
 echo "==> cache overhead gate (micro_cache)"
 cargo bench -q -p fedra-bench --bench micro_cache | tail -n 4
 
+# `cargo test` never compiles a [[bench]] target: build every figure and
+# micro bench so a deleted API cannot leave one broken unnoticed.
+echo "==> bench targets compile (fedra-bench --no-run)"
+cargo bench -q -p fedra-bench --no-run
+
 # Sanitizer smoke (opt-in; see header). TSan re-runs the pool-size
 # equivalence suite looking for data races the deterministic harness
 # can't surface as wrong answers; Miri runs the federation crate's

@@ -11,7 +11,7 @@
 //! any real configuration.
 //!
 //! Medians over interleaved rounds keep the check stable on shared
-//! machines, mirroring the micro_obs / micro_transport overhead gates.
+//! machines, mirroring the micro_obs / micro_faults overhead gates.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

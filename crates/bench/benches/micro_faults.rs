@@ -27,7 +27,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn build(with_resilience: bool) -> Federation {
-    // The exact `engine_batch64_m4` workload from micro_transport.
+    // The exact IID-est batch workload micro_obs times.
     let spec = WorkloadSpec::default()
         .with_total_objects(60_000)
         .with_silos(4)

@@ -10,7 +10,6 @@ use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid};
 use fedra_index::histogram::{MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
-use fedra_index::quadtree::{QuadTree, QuadTreeConfig};
 use fedra_index::rtree::{RTree, RTreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,10 +52,6 @@ fn bench_builds(c: &mut Criterion) {
             let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
             b.iter(|| MinSkewHistogram::build(bounds, MinSkewConfig::default(), objs))
         });
-        group.bench_with_input(BenchmarkId::new("quadtree", n), &objs, |b, objs| {
-            let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-            b.iter(|| QuadTree::build(bounds, objs.clone(), QuadTreeConfig::default()))
-        });
     }
     group.finish();
 }
@@ -71,7 +66,6 @@ fn bench_local_queries(c: &mut Criterion) {
     let grid = GridIndex::build(GridSpec::new(bounds, 1.0), &objs);
     let prefix = PrefixGrid::build(&grid);
     let hist = MinSkewHistogram::build(bounds, MinSkewConfig::default(), &objs);
-    let quad = QuadTree::build(bounds, objs.clone(), QuadTreeConfig::default());
 
     let queries: Vec<Range> = (0..64)
         .map(|i| {
@@ -125,13 +119,6 @@ fn bench_local_queries(c: &mut Criterion) {
         b.iter(|| {
             for q in &queries {
                 black_box(hist.estimate(q));
-            }
-        })
-    });
-    group.bench_function("quadtree_exact", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(quad.aggregate(q));
             }
         })
     });

@@ -1,4 +1,5 @@
-//! Observability overhead guard on `micro_transport`'s IID-est workload.
+//! Observability overhead guard on an IID-est engine batch (64 queries,
+//! m = 4).
 //!
 //! The instrumented execution API promises that callers who pass
 //! [`ObsContext::noop`] (which `execute_batch` does) pay only a disabled
@@ -43,7 +44,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    // The exact `engine_batch64_m4` workload from micro_transport.
+    // 64 IID-est COUNT circles over 60k objects on four silos.
     let spec = WorkloadSpec::default()
         .with_total_objects(60_000)
         .with_silos(4)

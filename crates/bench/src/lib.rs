@@ -159,8 +159,8 @@ pub fn measure_algorithm(
     // message pair per silo it contacts (Alg. 4 runs queries in parallel,
     // it does not merge their messages) — so communication is read from a
     // query-for-query pass, the same for all six algorithms. The engine's
-    // cross-query frame coalescing is this repo's extension; `bench/` and
-    // `micro_transport` measure it.
+    // cross-query frame coalescing is this repo's extension; `bench/`'s
+    // `batch_*` workloads measure it.
     let before = federation.query_comm();
     for query in queries {
         let _ = algorithm.try_execute(federation, query);

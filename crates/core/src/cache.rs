@@ -522,8 +522,8 @@ impl<A: FraAlgorithm> AnswerCache<A> {
     /// adjacent fragments and would be double-counted by the assembly.
     /// Decomposition therefore assumes data in general position (no mass
     /// concentrated on fragment boundaries) — true almost surely for
-    /// continuous coordinates, and the convention the rest of the engine
-    /// (grid binning, pyramid frontier) already uses.
+    /// continuous coordinates, and the convention grid binning already
+    /// uses.
     fn decompose(
         &self,
         state: &CacheMap,

@@ -25,9 +25,10 @@ use fedra_geo::intersection_area;
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext, Span};
 
-use crate::algorithm::FraAlgorithm;
+use crate::algorithm::{finish_run, FraAlgorithm};
 use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
+use crate::run::End;
 
 /// Non-IID estimation over `k` pooled silos.
 pub struct MultiSiloEst {
@@ -110,6 +111,7 @@ impl MultiSiloEst {
         };
         let mut pooled: Vec<Aggregate> = vec![Aggregate::ZERO; classification.boundary.len()];
         let mut pooled_silos: Vec<SiloId> = Vec::new();
+        let mut trail = Vec::new();
         let mut rounds = 0;
         {
             let _remote_span = Span::enter(trace, "remote");
@@ -140,17 +142,23 @@ impl MultiSiloEst {
                             expected: "AggVec",
                         })
                     }
-                    Err(_) => {
+                    Err(error) => {
                         obs.inc("fedra_resamples_total");
+                        trail.push((k, error));
                     }
                 }
             }
         }
         if pooled_silos.is_empty() {
-            // Same degradation ladder as the single-silo estimators.
-            obs.inc("fedra_degraded_total");
-            let fallback = helpers::grid_only_estimate(federation, range);
-            return Ok(QueryResult::from_aggregate(fallback, query.func).with_rounds(rounds));
+            if helpers::rough_count(federation, range) <= 0.0 {
+                // No silo holds mass in the range's cells: the covered
+                // cells are the exact answer.
+                return Ok(QueryResult::from_aggregate(covered, query.func));
+            }
+            // Every holder failed or was refused: the single-silo
+            // estimators' degraded path, per-candidate errors included.
+            let end = End::Degrade { rounds, trail };
+            return finish_run(self, federation, query, end, trace, obs);
         }
         if obs.is_enabled() {
             for &s in &pooled_silos {

@@ -21,9 +21,10 @@
 //! for "how wrong would IID-est's single-scalar re-weighting be here".
 //! Every decision is returned alongside the answer for observability.
 
-use fedra_federation::Federation;
+use fedra_federation::wire::Wire;
+use fedra_federation::{Federation, LocalMode, Request, Response};
 use fedra_geo::intersection_area;
-use fedra_index::{Aggregate, PyramidEstimate};
+use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext};
 
 use crate::algorithm::FraAlgorithm;
@@ -43,13 +44,6 @@ pub struct PlannerPolicy {
     pub comm_budget_bytes: Option<u64>,
     /// Skew threshold above which NonIID-est is preferred over IID-est.
     pub skew_threshold: f64,
-    /// Serve COUNT/SUM/SUM_SQR queries from the merged grid's coarsening
-    /// pyramid when the coarse answer's *computed* boundary bound fits
-    /// `target_error` — zero silo contact, O(perimeter) coarse cells
-    /// instead of O(area) fine ones. Off by default: the pyramid trades a
-    /// bounded approximation for speed, and default-policy answers must
-    /// stay bit-identical to the pyramid-free planner.
-    pub pyramid: bool,
 }
 
 impl Default for PlannerPolicy {
@@ -58,7 +52,6 @@ impl Default for PlannerPolicy {
             target_error: 0.05,
             comm_budget_bytes: None,
             skew_threshold: 0.10,
-            pyramid: false,
         }
     }
 }
@@ -68,13 +61,6 @@ impl Default for PlannerPolicy {
 pub enum PlanDecision {
     /// No boundary cells: answered exactly from `g₀`, zero silo contact.
     GridExact,
-    /// The coarsening pyramid's refinement settled within the error
-    /// target: answered from coarse cells, zero silo contact.
-    PyramidServed {
-        /// The pyramid level the refinement frontier settled at (0 = the
-        /// fine grid itself, with area-weighted boundary cells).
-        level: u32,
-    },
     /// Error target unreachable by sampling: escalated to EXACT fan-out.
     Exact {
         /// Boundary share that forced the escalation (0–1).
@@ -115,96 +101,29 @@ impl AdaptivePlanner {
 
     /// Plans (without executing): the decision the planner would take.
     pub fn plan(&self, federation: &Federation, query: &FraQuery) -> PlanDecision {
-        self.plan_extended(federation, query).0
-    }
-
-    /// [`Self::plan`], plus the pyramid estimate when the decision is
-    /// [`PlanDecision::PyramidServed`] — so the execution path consumes
-    /// the refinement it already paid for instead of re-running it.
-    /// (`PlanDecision` itself stays `Copy + Eq`, so the f64-bearing
-    /// estimate rides alongside rather than inside it.)
-    fn plan_extended(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-    ) -> (PlanDecision, Option<PyramidEstimate>) {
         let grid = federation.merged_grid();
         let spec = grid.spec();
         let cls = spec.classify(&query.range);
         if cls.boundary.is_empty() {
-            return (PlanDecision::GridExact, None);
+            return PlanDecision::GridExact;
         }
 
         // Boundary share: the fraction of the expected in-range mass that
         // must be *estimated* rather than read exactly. Boundary cells are
         // weighted by their covered-area fraction so that degenerate
         // zero-width overlaps (a closed query edge grazing the next cell
-        // column) contribute nothing. The same sweep accumulates the
-        // pyramid's level-0 error bound `Σ max(frac, 1−frac)·mass` when
-        // the pyramid is eligible — one intersection_area per cell serves
-        // both consumers, and the pyramid-off accumulation order is
-        // unchanged (bit-identity across the knob).
-        //
-        // The pyramid applies to the monotone aggregates only: Avg/Stdev
-        // are ratios of these, so their error does not compose the same
-        // way; they skip it.
-        let pyramid_eligible = self.policy.pyramid
-            && matches!(
-                query.func,
-                fedra_index::AggFunc::Count
-                    | fedra_index::AggFunc::Sum
-                    | fedra_index::AggFunc::SumSqr
-            );
+        // column) contribute nothing.
         let covered: Aggregate = grid.aggregate_cells(cls.covered.iter().copied());
-        let mut l0_bound = Aggregate::ZERO;
         let mut boundary_mass = 0.0f64;
         for &c in &cls.boundary {
             let rect = spec.cell_rect_of(c);
             let frac = intersection_area(&query.range, &rect) / rect.area();
             boundary_mass += grid.cell(c).count * frac;
-            // frac == 0 cells are measure-zero grazes the refinement also
-            // drops; they must not inflate the gate with full-mass terms.
-            if pyramid_eligible && frac > 0.0 {
-                l0_bound.merge_in(&grid.cell(c).scale(frac.max(1.0 - frac)));
-            }
         }
         let total_mass = covered.count + boundary_mass;
         if total_mass <= 0.0 || boundary_mass < 1e-9 {
             // Nothing to estimate: g₀ answers exactly.
-            return (PlanDecision::GridExact, None);
-        }
-
-        // Pyramid serving: try the coarse levels — the refinement reports
-        // a *computed* error bound, and the answer is taken only when that
-        // bound fits the target. Gate on the level-0 bound first: the
-        // fine grid is the refinement's floor, so when even level 0
-        // cannot fit the target no descent can, and the whole estimate
-        // (the expensive part for unservable queries, which otherwise
-        // refine all the way down) is skipped on numbers this sweep
-        // already computed.
-        if pyramid_eligible {
-            let rel = |bound: f64, interior: f64| -> f64 {
-                if bound <= 0.0 {
-                    0.0
-                } else if interior <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    bound / interior
-                }
-            };
-            let l0_rel = rel(l0_bound.count, covered.count)
-                .max(rel(l0_bound.sum, covered.sum))
-                .max(rel(l0_bound.sum_sqr, covered.sum_sqr));
-            if l0_rel <= self.policy.target_error {
-                let est = federation.merged_pyramid().estimate(
-                    federation.merged_grid(),
-                    &query.range,
-                    self.policy.target_error,
-                );
-                if est.meets(self.policy.target_error) {
-                    return (PlanDecision::PyramidServed { level: est.level }, Some(est));
-                }
-            }
+            return PlanDecision::GridExact;
         }
         let boundary_share = boundary_mass / total_mass;
         // A sampled silo sees ~1/m of the boundary mass; estimating the
@@ -214,21 +133,24 @@ impl AdaptivePlanner {
         let samples_per_silo = (boundary_mass / m).max(1.0);
         let plausible_error = boundary_share / samples_per_silo.sqrt();
         if plausible_error > self.policy.target_error {
-            return (
-                PlanDecision::Exact {
-                    boundary_share_percent: (boundary_share * 100.0) as u32,
-                },
-                None,
-            );
+            return PlanDecision::Exact {
+                boundary_share_percent: (boundary_share * 100.0) as u32,
+            };
         }
 
-        // Communication budget: NonIID ships 4 bytes up + 24 bytes down
-        // per boundary cell, plus one request/response envelope pair.
+        // Communication budget: what NonIID-est would put on the wire for
+        // this query — its per-cell request, one aggregate per boundary
+        // cell back, and the federation's envelope each way.
         if let Some(budget) = self.policy.comm_budget_bytes {
-            let envelope = 2 * 512; // DEFAULT_MESSAGE_OVERHEAD both ways
-            let noniid_cost = envelope as u64 + 27 + 4 + cls.boundary.len() as u64 * 28 + 5;
-            if noniid_cost > budget {
-                return (PlanDecision::IidForBudget, None);
+            let request = Request::CellContributions {
+                range: query.range,
+                cells: cls.boundary.clone(),
+                mode: LocalMode::Exact,
+            };
+            let reply = Response::AggVec(vec![Aggregate::ZERO; cls.boundary.len()]);
+            let payload = (request.encoded_len() + reply.encoded_len()) as u64;
+            if payload + 2 * federation.message_overhead() > budget {
+                return PlanDecision::IidForBudget;
             }
         }
 
@@ -259,9 +181,9 @@ impl AdaptivePlanner {
             max_excess = max_excess.max((tv - noise_floor) / 2.0);
         }
         if max_excess > self.policy.skew_threshold {
-            (PlanDecision::NonIidHighSkew, None)
+            PlanDecision::NonIidHighSkew
         } else {
-            (PlanDecision::IidLowSkew, None)
+            PlanDecision::IidLowSkew
         }
     }
 
@@ -282,24 +204,16 @@ impl AdaptivePlanner {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<(PlanDecision, QueryResult), FraError> {
-        let (decision, pyramid_estimate) = self.plan_extended(federation, query);
+        let decision = self.plan(federation, query);
         if obs.is_enabled() {
             let tag = match decision {
                 PlanDecision::GridExact => "grid_exact",
-                PlanDecision::PyramidServed { .. } => "pyramid_served",
                 PlanDecision::Exact { .. } => "exact",
                 PlanDecision::IidForBudget => "iid_for_budget",
                 PlanDecision::IidLowSkew => "iid_low_skew",
                 PlanDecision::NonIidHighSkew => "noniid_high_skew",
             };
             obs.inc(&labeled("fedra_plan_decision_total", "decision", tag));
-            if let PlanDecision::PyramidServed { level } = decision {
-                obs.inc(&labeled(
-                    "fedra_pyramid_level_total",
-                    "level",
-                    &level.to_string(),
-                ));
-            }
         }
         let result = match decision {
             // No estimable boundary mass: answer from the provider's own
@@ -310,26 +224,6 @@ impl AdaptivePlanner {
                 helpers::grid_only_estimate(federation, &query.range),
                 query.func,
             ),
-            // Coarse serve: the refinement's aggregate, carried over from
-            // planning so it is not paid for twice. Zero silo contact,
-            // like GridExact. (The recompute arm is unreachable from
-            // plan_extended; it keeps the match total without panicking.)
-            PlanDecision::PyramidServed { .. } => {
-                let aggregate = match pyramid_estimate {
-                    Some(est) => est.aggregate,
-                    None => {
-                        federation
-                            .merged_pyramid()
-                            .estimate(
-                                federation.merged_grid(),
-                                &query.range,
-                                self.policy.target_error,
-                            )
-                            .aggregate
-                    }
-                };
-                QueryResult::from_aggregate(aggregate, query.func)
-            }
             PlanDecision::Exact { .. } => self.exact.try_execute_with(federation, query, obs)?,
             PlanDecision::IidForBudget | PlanDecision::IidLowSkew => {
                 self.iid.try_execute_with(federation, query, obs)?
@@ -360,7 +254,7 @@ impl FraAlgorithm for AdaptivePlanner {
 mod tests {
     use super::*;
     use fedra_federation::FederationBuilder;
-    use fedra_geo::{Point, Rect, SpatialObject};
+    use fedra_geo::{Point, Range, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::AggFunc;
     use rand::rngs::StdRng;
@@ -484,79 +378,34 @@ mod tests {
     }
 
     #[test]
-    fn pyramid_off_is_bit_identical_to_default_policy() {
-        // The pyramid knob defaults off, and an explicit `false` must not
-        // perturb any decision or answer.
-        let fed = build(corner_partitions(3000, 15));
-        let default_planner = AdaptivePlanner::new(16, PlannerPolicy::default());
-        let off = AdaptivePlanner::new(
-            16,
-            PlannerPolicy {
-                pyramid: false,
-                ..PlannerPolicy::default()
-            },
-        );
-        for (cx, cy, r) in [(30.0, 30.0, 17.0), (70.0, 70.0, 9.0), (50.0, 50.0, 28.0)] {
-            let q = FraQuery::circle(Point::new(cx, cy), r, AggFunc::Sum);
-            let (da, ra) = default_planner.execute_planned(&fed, &q).unwrap();
-            let (db, rb) = off.execute_planned(&fed, &q).unwrap();
-            assert_eq!(da, db);
-            assert_eq!(ra.value.to_bits(), rb.value.to_bits());
-            assert!(!matches!(da, PlanDecision::PyramidServed { .. }));
+    fn the_comm_budget_is_what_noniid_est_puts_on_the_wire() {
+        let ranges = [
+            Range::circle(Point::new(30.0, 30.0), 17.0),
+            Range::rect(Point::new(12.5, 17.5), Point::new(41.0, 38.0)),
+        ];
+        for overhead in [0, fedra_obs::DEFAULT_MESSAGE_OVERHEAD] {
+            let fed =
+                FederationBuilder::new(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)))
+                    .grid_cell_len(5.0)
+                    .message_overhead(overhead)
+                    .build(corner_partitions(4000, 21));
+            for range in ranges {
+                let q = FraQuery::new(range, AggFunc::Count);
+                fed.reset_query_comm();
+                NonIidEst::new(22).execute(&fed, &q);
+                let cost = fed.query_comm().total_bytes();
+                let planner = |budget| {
+                    let policy = PlannerPolicy {
+                        target_error: 0.5,
+                        comm_budget_bytes: Some(budget),
+                        skew_threshold: 0.0,
+                    };
+                    AdaptivePlanner::new(23, policy).plan(&fed, &q)
+                };
+                assert_eq!(planner(cost), PlanDecision::NonIidHighSkew, "{range:?}");
+                assert_eq!(planner(cost - 1), PlanDecision::IidForBudget, "{range:?}");
+            }
         }
-    }
-
-    #[test]
-    fn pyramid_serves_within_target_and_without_silo_contact() {
-        // The worst-case frontier bound scales like cell_len / radius, so
-        // a fine grid (1.0 vs the helper's 5.0) is what lets a 10 % target
-        // be met from provider state alone.
-        let fed = FederationBuilder::new(Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)))
-            .grid_cell_len(1.0)
-            .histogram_config(MinSkewConfig {
-                resolution: 8,
-                budget: 8,
-            })
-            .build(uniform_partitions(4, 5000, 17));
-        let policy = PlannerPolicy {
-            target_error: 0.10,
-            pyramid: true,
-            ..PlannerPolicy::default()
-        };
-        let planner = AdaptivePlanner::new(18, policy);
-        // A big range: plenty of interior mass, so the coarse bound fits.
-        let q = FraQuery::circle(Point::new(50.0, 50.0), 30.0, AggFunc::Count);
-        let decision = planner.plan(&fed, &q);
-        assert!(
-            matches!(decision, PlanDecision::PyramidServed { .. }),
-            "expected pyramid serve, got {decision:?}"
-        );
-        let truth = Exact::new().execute(&fed, &q).value;
-        fed.reset_query_comm();
-        let (_, result) = planner.execute_planned(&fed, &q).unwrap();
-        assert_eq!(fed.query_comm().rounds, 0, "pyramid serve is provider-only");
-        assert!(
-            result.relative_error(truth) <= policy.target_error,
-            "pyramid answer {} vs truth {} exceeds target",
-            result.value,
-            truth
-        );
-    }
-
-    #[test]
-    fn pyramid_never_serves_ratio_aggregates() {
-        let fed = build(uniform_partitions(4, 5000, 19));
-        let policy = PlannerPolicy {
-            target_error: 0.10,
-            pyramid: true,
-            ..PlannerPolicy::default()
-        };
-        let planner = AdaptivePlanner::new(20, policy);
-        let q = FraQuery::circle(Point::new(50.0, 50.0), 30.0, AggFunc::Avg);
-        assert!(
-            !matches!(planner.plan(&fed, &q), PlanDecision::PyramidServed { .. }),
-            "AVG must not take the pyramid path"
-        );
     }
 
     #[test]

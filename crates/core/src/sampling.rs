@@ -184,24 +184,10 @@ impl FraAlgorithm for IidEst {
         // One visiting-order draw per query, whichever engine drives the
         // plan — this is what keeps batched and sequential runs
         // seed-equivalent.
+        // sum0 > 0, so some silo holds mass in range: an empty order means
+        // every holder was failure-flagged or refused by its breaker, and
+        // the walk degrades at its first dispatch like any exhausted one.
         let order = self.sampler.visiting_order(&candidates);
-        if order.is_empty() {
-            if federation.failed_silos().is_empty() {
-                // Healthy federation, but no silo has data in the range's
-                // cells — contradicts sum0 > 0, so this cannot happen;
-                // keep a defensive zero result rather than a panic in
-                // release use.
-                return QueryPlan::Ready(Ok(QueryResult::from_aggregate(
-                    Aggregate::ZERO,
-                    query.func,
-                )));
-            }
-            // Eligibility was emptied by failure flags: degrade to the
-            // provider-only grid estimate rather than an error —
-            // availability over precision.
-            let fallback = helpers::grid_only_estimate(federation, range);
-            return QueryPlan::Ready(Ok(QueryResult::from_aggregate(fallback, query.func)));
-        }
         QueryPlan::SingleSilo(RemotePlan {
             order,
             request: Request::Aggregate {
@@ -329,12 +315,12 @@ impl FraAlgorithm for NonIidEst {
         // plan — this is what keeps batched and sequential runs
         // seed-equivalent.
         let order = self.sampler.visiting_order(&candidates);
-        if order.is_empty() {
-            if federation.failed_silos().is_empty() {
-                return QueryPlan::Ready(Ok(QueryResult::from_aggregate(covered, query.func)));
-            }
-            let fallback = helpers::grid_only_estimate(federation, range);
-            return QueryPlan::Ready(Ok(QueryResult::from_aggregate(fallback, query.func)));
+        if sum0_count <= 0.0 {
+            // No silo holds mass in the range's cells: the covered cells
+            // are the exact answer. Otherwise an empty order means every
+            // holder was refused, and the walk degrades at its first
+            // dispatch like any exhausted one.
+            return QueryPlan::Ready(Ok(QueryResult::from_aggregate(covered, query.func)));
         }
         QueryPlan::SingleSilo(RemotePlan {
             order,

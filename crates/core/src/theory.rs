@@ -122,23 +122,6 @@ pub fn epsilon_serves(producer_epsilon: f64, requested_epsilon: f64) -> bool {
         && producer_epsilon <= requested_epsilon
 }
 
-/// The relative error bound of a pyramid serve: `bound / interior` for a
-/// non-negative measure, with the empty-interior conventions of
-/// `PyramidEstimate::relative_bound` (0 when nothing is uncertain, ∞ when
-/// everything is). Each frontier cell's truth lies in `[0, mass]` while
-/// the serve claims `frac·mass`, so the per-cell deviation is at most
-/// `max(frac, 1−frac)·mass`; summing and dividing by the certain interior
-/// mass (≤ the true answer) yields a sound relative bound.
-pub fn pyramid_relative_bound(bound: f64, interior: f64) -> f64 {
-    if bound <= 0.0 {
-        0.0
-    } else if interior <= 0.0 {
-        f64::INFINITY
-    } else {
-        bound / interior
-    }
-}
-
 /// The combined sampling + missing-mass error bound of a degraded-mode
 /// answer (DESIGN.md §5i), **anchored to the `sum₀` envelope**: the
 /// degraded answer satisfies `|ans′ − ans| ≤ ε′·sum₀` (with the base
@@ -329,12 +312,5 @@ mod tests {
         assert_eq!(degraded_epsilon(0.1, 2.0), 0.1);
         assert_eq!(degraded_epsilon(0.1, -1.0), 1.0);
         assert_eq!(degraded_epsilon(f64::INFINITY, 0.5), 1.0);
-    }
-
-    #[test]
-    fn pyramid_bound_conventions() {
-        assert_eq!(pyramid_relative_bound(0.0, 0.0), 0.0);
-        assert_eq!(pyramid_relative_bound(5.0, 0.0), f64::INFINITY);
-        assert_eq!(pyramid_relative_bound(5.0, 100.0), 0.05);
     }
 }

@@ -25,7 +25,6 @@ use fedra_index::grid::{GridIndex, PrefixGrid};
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::RTreeConfig;
-use fedra_index::GridPyramid;
 
 use crate::fault::FaultPlan;
 use crate::health::{HealthConfig, HealthTracker};
@@ -575,7 +574,6 @@ impl FederationBuilder {
         let grid_refs: Vec<&GridIndex> = silo_grids.iter().collect();
         let merged = GridIndex::merge_with(&grid_refs, &pool).ok_or(SetupError::NoSilos)?;
         let merged_prefix = PrefixGrid::build(&merged);
-        let merged_pyramid = GridPyramid::build_with(&merged, &pool);
         let silo_prefixes = pool.map(&silo_grids, |_, g| PrefixGrid::build(g));
 
         // From here on, traffic counts as query traffic.
@@ -595,7 +593,6 @@ impl FederationBuilder {
             silo_prefixes,
             merged,
             merged_prefix,
-            merged_pyramid,
             memory_reports,
             setup_snapshot,
             query_stats,
@@ -643,7 +640,6 @@ pub struct Federation {
     silo_prefixes: Vec<PrefixGrid>,
     merged: GridIndex,
     merged_prefix: PrefixGrid,
-    merged_pyramid: GridPyramid,
     memory_reports: Vec<SiloMemoryReport>,
     setup_snapshot: CommSnapshot,
     query_stats: Arc<CommCounters>,
@@ -723,13 +719,6 @@ impl Federation {
         &self.merged_prefix
     }
 
-    /// The multi-resolution coarsening pyramid over `g₀` (levels L1..Lk,
-    /// each with its own prefix array). Built once at setup on the same
-    /// worker pool as the merge, bit-identical at every pool size.
-    pub fn merged_pyramid(&self) -> &GridPyramid {
-        &self.merged_pyramid
-    }
-
     /// Total objects across the federation (from `g₀`; objects outside the
     /// grid bounds are excluded).
     pub fn total_objects(&self) -> f64 {
@@ -741,17 +730,12 @@ impl Federation {
         &self.memory_reports
     }
 
-    /// Provider-side index memory (per-silo grids + merged + prefixes +
-    /// pyramid levels).
+    /// Provider-side index memory (per-silo grids + merged + prefixes).
     pub fn provider_memory_bytes(&self) -> u64 {
         use fedra_index::IndexMemory;
         let grids: usize = self.silo_grids.iter().map(|g| g.memory_bytes()).sum();
         let prefixes: usize = self.silo_prefixes.iter().map(|p| p.memory_bytes()).sum();
-        (grids
-            + prefixes
-            + self.merged.memory_bytes()
-            + self.merged_prefix.memory_bytes()
-            + self.merged_pyramid.memory_bytes()) as u64
+        (grids + prefixes + self.merged.memory_bytes() + self.merged_prefix.memory_bytes()) as u64
     }
 
     /// Traffic consumed by Alg. 1 (one-off setup).
@@ -781,6 +765,12 @@ impl Federation {
     /// Cumulative query-time traffic.
     pub fn query_comm(&self) -> CommSnapshot {
         self.query_stats.snapshot()
+    }
+
+    /// The per-message envelope charged on top of each payload, each way
+    /// ([`FederationBuilder::message_overhead`]).
+    pub fn message_overhead(&self) -> u64 {
+        self.query_stats.overhead()
     }
 
     /// Zeroes the query-time traffic counters (per-experiment accounting).
@@ -922,23 +912,6 @@ mod tests {
             let parts: f64 = (0..3).map(|k| fed.silo_grid(k).cell(id).count).sum();
             assert_eq!(merged, parts);
         }
-    }
-
-    #[test]
-    fn merged_pyramid_conserves_mass() {
-        let fed = small_federation(3, 500);
-        let p = fed.merged_pyramid();
-        assert!(p.num_levels() >= 1);
-        let spec = fed.merged_grid().spec();
-        let total = fed.merged_grid().total();
-        for l in 1..=p.num_levels() as u32 {
-            let level = p.level(l as usize);
-            let coarse = p.rect_sum(l as usize, 0, 0, level.nx() - 1, level.ny() - 1);
-            assert_eq!(coarse.count.to_bits(), total.count.to_bits());
-            assert_eq!(coarse.sum.to_bits(), total.sum.to_bits());
-        }
-        // Pyramid geometry matches the merged grid.
-        assert_eq!(p.spec(), spec);
     }
 
     #[test]

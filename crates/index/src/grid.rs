@@ -495,11 +495,6 @@ impl PrefixGrid {
         Self { spec, cum }
     }
 
-    /// The underlying grid geometry.
-    pub fn spec(&self) -> &GridSpec {
-        &self.spec
-    }
-
     /// Aggregate over the inclusive cell rectangle
     /// `(ix0..=ix1) × (iy0..=iy1)` in O(1).
     pub fn rect_sum(&self, ix0: u32, iy0: u32, ix1: u32, iy1: u32) -> Aggregate {

@@ -9,10 +9,6 @@
 //!   range (covered vs boundary cells), and a 2-D cumulative array
 //!   ([`grid::PrefixGrid`]) implementing the O(1) rectangle-sum remark of
 //!   Sec. 4.2.1;
-//! * [`pyramid`] — multi-resolution 2×2 coarsenings of a grid index
-//!   ([`GridPyramid`]), each level with its own prefix array, serving
-//!   range aggregates from the coarsest cells whose computed boundary
-//!   error fits an ε budget;
 //! * [`rtree`] — an aggregate R-tree (STR bulk-loaded) giving exact local
 //!   range aggregation in O(log n): the substrate of the EXACT baseline
 //!   and of every LSR-Forest level;
@@ -20,12 +16,11 @@
 //!   aggregate R-trees with the Lemma-1 level-selection rule, reducing the
 //!   expected local query cost to O(log 1/ε);
 //! * [`histogram`] — equi-width and MinSkew-style adaptive histograms:
-//!   the substrate of the OPTA baseline;
-//! * [`quadtree`] — an aggregate point-region quadtree with the same
-//!   query contract as the R-tree, kept as the local-index ablation.
+//!   the substrate of the OPTA baseline.
 //!
-//! The [`Aggregate`] monoid and [`AggFunc`] live at the crate root, as does
-//! the [`IndexMemory`] trait backing the paper's "memory of indices"
+//! [`pool`] is the scoped worker pool their builds share. The [`Aggregate`]
+//! monoid and [`AggFunc`] live at the crate root, as does the
+//! [`IndexMemory`] trait backing the paper's "memory of indices"
 //! experiment metric (Figs. 3d–9d).
 
 #![forbid(unsafe_code)]
@@ -36,12 +31,9 @@ pub mod grid;
 pub mod histogram;
 pub mod lsr;
 pub mod pool;
-pub mod pyramid;
-pub mod quadtree;
 pub mod rtree;
 
 pub use agg::{AggFunc, Aggregate};
-pub use pyramid::{GridPyramid, PyramidEstimate, PyramidLevel};
 
 /// Memory accounting for the "memory of indices" metric (Figs. 3d–9d).
 ///

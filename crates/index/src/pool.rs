@@ -87,11 +87,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Whether operations run inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Maps `f` over `items`, returning results in input order.
     ///
     /// Work-stealing over an atomic cursor; each worker accumulates
@@ -406,7 +401,7 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert!(pool.threads() >= 1);
         assert!(pool.threads() <= MAX_AUTO_THREADS.max(1));
-        assert!(WorkerPool::sequential().is_sequential());
+        assert_eq!(WorkerPool::sequential().threads(), 1);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid};
 use fedra_index::histogram::{EquiWidthHistogram, MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
-use fedra_index::quadtree::{QuadTree, QuadTreeConfig};
 use fedra_index::rtree::{RTree, RTreeConfig};
 use fedra_index::Aggregate;
 use proptest::prelude::*;
@@ -118,24 +117,6 @@ proptest! {
                 prop_assert!(close(got.sum, want.sum));
             }
         }
-    }
-
-    #[test]
-    fn quadtree_matches_bruteforce(objs in objects(), q in query(),
-                                   capacity in 1usize..64, max_depth in 2usize..20) {
-        let region = Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE));
-        let tree = QuadTree::build(region, objs.clone(), QuadTreeConfig { leaf_capacity: capacity, max_depth });
-        let got = tree.aggregate(&q);
-        let want = brute(&objs, &q);
-        prop_assert_eq!(got.count, want.count);
-        prop_assert!(close(got.sum, want.sum));
-    }
-
-    #[test]
-    fn quadtree_agrees_with_rtree(objs in objects(), q in query()) {
-        let quad = QuadTree::from_objects(&objs);
-        let rtree = RTree::from_objects(&objs);
-        prop_assert_eq!(quad.aggregate(&q).count, rtree.aggregate(&q).count);
     }
 
     #[test]

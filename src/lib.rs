@@ -68,7 +68,7 @@ pub mod prelude {
         SiloSocketServer, SocketServerConfig, Transport, TransportBackend, TransportError,
     };
     pub use fedra_geo::{Circle, GeoPoint, Point, Projection, Range, Rect, SpatialObject};
-    pub use fedra_index::{AggFunc, Aggregate, GridPyramid, IndexMemory, PyramidEstimate};
+    pub use fedra_index::{AggFunc, Aggregate, IndexMemory};
     pub use fedra_obs::{
         CommCounters, CommSnapshot, MetricsRegistry, MetricsSnapshot, ObsContext, QueryTrace,
     };

@@ -278,3 +278,68 @@ fn fan_out_traffic_alone_opens_the_breaker_skips_the_silo_and_recovers() {
         assert_eq!(after, truth);
     }
 }
+
+#[test]
+fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
+    // Every in-range silo taken away two ways: failure flags, or open
+    // breakers that admit no probe — then `failed_silos()` is empty and
+    // only the in-range mass says the answer cannot be exact.
+    let partial = |min_silos| DegradePolicy::Partial {
+        min_silos,
+        min_coverage: 0.0,
+    };
+    let estimators: [fn() -> Box<dyn FraAlgorithm>; 3] = [
+        || Box::new(IidEst::new(41)),
+        || Box::new(NonIidEst::new(42)),
+        || Box::new(MultiSiloEst::new(43, 2)),
+    ];
+    for policy in [DegradePolicy::FailFast, partial(0), partial(1)] {
+        for breaker in [false, true] {
+            let (fed, q) = fan_out_testbed(14, &|b| {
+                let b = b.degrade_policy(policy);
+                if !breaker {
+                    return b;
+                }
+                b.health_config(HealthConfig {
+                    breaker_enabled: true,
+                    failure_threshold: 1,
+                    probe_probability: 0.0,
+                    ..HealthConfig::default()
+                })
+            });
+            let m = fed.num_silos();
+            for k in 0..m {
+                if breaker {
+                    fed.health().record_failure(k);
+                } else {
+                    fed.set_silo_failed(k, true);
+                }
+            }
+            assert_eq!(fed.failed_silos().is_empty(), breaker);
+            let grid_only = fedra::core::helpers::grid_only_estimate(&fed, &q.range);
+            let grid_only = QueryResult::from_aggregate(grid_only, q.func).value;
+            for make in estimators {
+                let estimator = make();
+                let what = format!("{}, breaker {breaker}, {policy:?}", estimator.name());
+                let obs = ObsContext::new();
+                let outcome = estimator.try_execute_with(&fed, &q, &obs);
+                match (policy, outcome) {
+                    (DegradePolicy::FailFast, Ok(answer)) => {
+                        assert_eq!(answer.value.to_bits(), grid_only.to_bits(), "{what}");
+                        assert_eq!(answer.coverage, None, "{what}");
+                    }
+                    (DegradePolicy::Partial { min_silos: 0, .. }, Ok(answer)) => {
+                        let coverage = answer.coverage.expect("a degraded answer says so");
+                        assert_eq!((coverage.responding, coverage.total), (0, m), "{what}");
+                        let counters = obs.snapshot().counters;
+                        assert_eq!(counters["fedra_degraded_answers_total"], 1, "{what}");
+                    }
+                    (_, Err(FraError::AllSilosUnavailable { .. })) if policy == partial(1) => {}
+                    (_, outcome) => panic!("{what}: unexpected {outcome:?}"),
+                }
+                let degraded = obs.snapshot().counters.get("fedra_degraded_total").copied();
+                assert_eq!(degraded, Some(1), "{what}: fedra_degraded_total");
+            }
+        }
+    }
+}

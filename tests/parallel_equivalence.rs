@@ -88,82 +88,6 @@ fn grids_and_prefixes_are_bit_identical_across_pool_sizes() {
 }
 
 #[test]
-fn pyramid_builds_are_bit_identical_across_pool_sizes() {
-    // The grid pyramid coarsens on the same worker pool; every level of
-    // the provider's merged pyramid must be bit-identical whether silos
-    // (and the provider merge) ran on 1 worker or 4.
-    let (reference, _) = build_federation(POOL_SIZES[0], 17);
-    for &threads in &POOL_SIZES[1..] {
-        let (fed, _) = build_federation(threads, 17);
-        let a = reference.merged_pyramid();
-        let b = fed.merged_pyramid();
-        assert_eq!(a.num_levels(), b.num_levels(), "level count");
-        for l in 1..=a.num_levels() {
-            let (la, lb) = (a.level(l), b.level(l));
-            assert_eq!(
-                (la.nx(), la.ny(), la.factor()),
-                (lb.nx(), lb.ny(), lb.factor())
-            );
-            // Full-plane sum plus a quadrant per level: cheap probes that
-            // any reduction-order change in the 2×2 merges would flip.
-            let full_a = a.rect_sum(l, 0, 0, la.nx() - 1, la.ny() - 1);
-            let full_b = b.rect_sum(l, 0, 0, lb.nx() - 1, lb.ny() - 1);
-            assert_bits(&full_a, &full_b, &format!("L{l} full (threads {threads})"));
-            let quad_a = a.rect_sum(l, 0, 0, la.nx() / 2, la.ny() / 2);
-            let quad_b = b.rect_sum(l, 0, 0, lb.nx() / 2, lb.ny() / 2);
-            assert_bits(
-                &quad_a,
-                &quad_b,
-                &format!("L{l} quadrant (threads {threads})"),
-            );
-            // And cell-by-cell, the decisive check.
-            for (i, (ca, cb)) in la.cells().iter().zip(lb.cells().iter()).enumerate() {
-                assert_bits(ca, cb, &format!("L{l} cell {i} (threads {threads})"));
-            }
-        }
-    }
-}
-
-#[test]
-fn pyramid_interior_sums_match_level_zero_exactly() {
-    // Property: for level-aligned rectangles, a level-k rect_sum is
-    // bit-identical to the same region summed on the base prefix grid —
-    // coarsening must lose nothing on COUNT/SUM/SUM_SQR.
-    let (fed, _) = build_federation(2, 17);
-    let pyramid = fed.merged_pyramid();
-    let base = fed.merged_prefix();
-    let spec = *fed.merged_grid().spec();
-    for l in 1..=pyramid.num_levels() {
-        let level = pyramid.level(l);
-        let factor = level.factor();
-        for (cx0, cy0, cx1, cy1) in [
-            (0, 0, level.nx() - 1, level.ny() - 1),
-            (0, 0, level.nx() / 2, level.ny() / 2),
-            (
-                level.nx() / 3,
-                level.ny() / 4,
-                level.nx() - 1,
-                level.ny() / 2,
-            ),
-        ] {
-            let coarse = pyramid.rect_sum(l, cx0, cy0, cx1, cy1);
-            // The same region in base cells: [cx0*f, (cx1+1)*f - 1], clamped.
-            let fine = base.rect_sum(
-                cx0 * factor,
-                cy0 * factor,
-                ((cx1 + 1) * factor - 1).min(spec.nx() - 1),
-                ((cy1 + 1) * factor - 1).min(spec.ny() - 1),
-            );
-            assert_bits(
-                &coarse,
-                &fine,
-                &format!("L{l} aligned rect ({cx0},{cy0})-({cx1},{cy1})"),
-            );
-        }
-    }
-}
-
-#[test]
 fn every_algorithm_and_agg_func_is_bit_identical_across_pool_sizes() {
     // One run per pool size: same seeds everywhere, so the only variable
     // is the worker count.
