@@ -2,8 +2,8 @@
 # Local CI gate: build, test, lint, format.
 #
 # Usage: ./ci.sh
-# Fails fast on the first broken step. rustfmt is optional (offline
-# toolchains may lack it); every other step is mandatory.
+# Fails fast on the first broken step. rustfmt and clippy are optional
+# (offline toolchains may lack them); every other step is mandatory.
 #
 # Opt-in sanitizer smoke (FEDRA_SANITIZE=1 ./ci.sh): the dynamic
 # counterpart to the determinism-discipline and lock-order static
@@ -300,6 +300,13 @@ if command -v rustfmt >/dev/null 2>&1; then
     cargo fmt --check
 else
     echo "==> cargo fmt --check: SKIPPED (rustfmt not installed)"
+fi
+
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "==> cargo clippy (warnings are errors)"
+    cargo clippy -q --workspace --all-targets -- -D warnings
+else
+    echo "==> cargo clippy: SKIPPED (clippy not installed)"
 fi
 
 echo "CI gate passed."

@@ -9,7 +9,7 @@ use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 use crate::framework::drive_rounds;
 use crate::helpers;
 use crate::query::{Coverage, FraError, FraQuery, QueryResult};
-use crate::run::{Budget, End, QueryRun};
+use crate::run::{Budget, End};
 use crate::theory;
 
 /// Accuracy parameters `(ε, δ)` for the LSR-accelerated variants
@@ -239,7 +239,7 @@ pub(crate) fn note_coverage(obs: &ObsContext, result: &QueryResult) {
     }
 }
 
-/// The one finish step the pump's callers share: turns the [`End`] of a
+/// The driver's finish step for a planned walk: turns the [`End`] of a
 /// run's walk into the query's result — `finish_with` on the winning reply
 /// (under a `finish` span on `trace`), or `finish_degraded` with the
 /// run's error trail backfilled — and records the sampled/degraded
@@ -277,7 +277,7 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
             }
         }
         // Shedding names an admission class only the serving layer knows;
-        // the scheduler answers it before the finish step.
+        // the driver answers it before the finish step.
         End::Shed => Err(FraError::Internal {
             message: "a shed run reached the finish step".into(),
         }),
@@ -290,28 +290,6 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
         note_coverage(obs, result);
     }
     outcome
-}
-
-/// The legs of a fan-out query: one [`QueryRun`] per silo, in silo-id
-/// order, whose candidate order is that silo alone — so a round groups
-/// legs by silo as it groups any riders, and every rule of the walk
-/// (retries, deadline, breaker skip, shed) applies to each leg.
-pub(crate) fn fanout_legs<'a>(
-    federation: &'a Federation,
-    request: &'a Request,
-    retries: u32,
-    budget: Budget,
-) -> impl Iterator<Item = QueryRun> + 'a {
-    (0..federation.num_silos()).map(move |k| {
-        // The probe draw `candidate_silos` makes for a sampled plan: without
-        // it a breaker opened under fan-out traffic alone would never
-        // half-open. The leg rides either way; `may_call` decides at
-        // dispatch whether it is sent.
-        federation.health().allows(k);
-        let order = vec![k];
-        let request = request.clone();
-        QueryRun::new(RemotePlan { order, request }, retries, budget)
-    })
 }
 
 /// The [`End`]s of a fan-out query's legs by silo, collected in whatever
@@ -397,10 +375,13 @@ pub(crate) fn join_fanout(
 /// Sequentially executes one query through the rounds — its plan/finish
 /// split, or its fan-out legs — recording the full lifecycle into `obs`:
 /// the shared fallible core of every planning and fan-out algorithm's
-/// [`FraAlgorithm::try_execute_with`]. A lone query is a one-query batch,
-/// driven by the same [`drive_rounds`] as the engine's, so the two cannot
-/// drift; a one-rider frame travels as the bare request, so its wire
-/// bytes are its own. Generic over `?Sized` to serve `dyn FraAlgorithm`.
+/// [`FraAlgorithm::try_execute_with`]. A lone query is a one-query batch:
+/// admitted to the same driver as a [`QueryEngine`](crate::QueryEngine)
+/// batch and a scheduler tick, and pumped until it resolves, so the three
+/// cannot drift. A plan or finish step that panics answers
+/// [`FraError::Internal`]. A one-rider frame travels as the bare request,
+/// so its wire bytes are its own. Generic over `?Sized` to serve
+/// `dyn FraAlgorithm`.
 pub fn drive_planned<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
@@ -415,24 +396,6 @@ pub fn drive_planned<A: FraAlgorithm + ?Sized>(
             message: "a lone query's batch came back empty".into(),
         })
     })
-}
-
-/// Plans one query under a `plan` span on `trace`, counting whether it
-/// resolved provider-side or needs its remote walk pumped.
-pub(crate) fn plan_counted<A: FraAlgorithm + ?Sized>(
-    algorithm: &A,
-    federation: &Federation,
-    query: &FraQuery,
-    trace: &TraceHandle,
-    obs: &ObsContext,
-) -> QueryPlan {
-    let _plan_span = Span::enter(trace, "plan");
-    let plan = algorithm.plan_with(federation, query, obs);
-    obs.inc(match plan {
-        QueryPlan::Ready(_) => "fedra_plan_ready_total",
-        QueryPlan::SingleSilo(_) => "fedra_plan_remote_total",
-    });
-    plan
 }
 
 #[cfg(test)]

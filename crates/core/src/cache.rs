@@ -538,7 +538,7 @@ impl<A: FraAlgorithm> AnswerCache<A> {
             return None;
         };
         let target_area = target.area();
-        if !(target_area > 0.0) {
+        if target_area.is_nan() || target_area <= 0.0 {
             return None;
         }
 

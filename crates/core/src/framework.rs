@@ -16,11 +16,20 @@
 //! and the planner and cache wrappers — fall back to a worker pool over
 //! `try_execute`.
 //!
+//! The procedure itself is one crate-private value, the driver: it admits
+//! queries, pumps scatter–gather rounds and finishes each query as its
+//! runs end. A lone query and a [`QueryEngine`] batch admit their whole
+//! slice and pump until it is empty; a
+//! [`QueryScheduler`](crate::QueryScheduler) tick is the same driver fed
+//! from a queue, pumped once per tick.
+//!
 //! [`QueryEngine`] reports the paper's experiment metrics per batch: wall
 //! time, throughput, communication, and (given exact references) mean
 //! relative error.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use fedra_federation::{
@@ -30,9 +39,7 @@ use fedra_federation::{
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{
-    fanout_legs, finish_run, join_fanout, plan_counted, FraAlgorithm, Legs, QueryPlan,
-};
+use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, Legs, QueryPlan, RemotePlan};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Action, Budget, End, Event, QueryRun};
 
@@ -115,10 +122,11 @@ impl BatchResult {
     }
 }
 
-/// The Alg. 4 execution engine: one algorithm's batch pumped through
-/// [`round`]s, one coalesced frame per silo per round, whether the riders
-/// are sampled single-silo plans or the legs of EXACT / OPTA fan-outs.
-/// `workers` sizes the fallback pool for algorithms that announce neither
+/// The Alg. 4 execution engine: one algorithm's batch admitted to the
+/// driver a lone query and a scheduler tick use, one coalesced frame per
+/// silo per round, whether the riders are sampled single-silo plans or
+/// the legs of EXACT / OPTA fan-outs. `workers` sizes the fallback pool
+/// for algorithms that announce neither
 /// ([`MultiSiloEst`](crate::MultiSiloEst), the wrappers): each drives its
 /// own remote calls inside `try_execute`.
 pub struct QueryEngine<'a> {
@@ -276,92 +284,240 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
+/// A query's answer, or why it has none.
+type Outcome = Result<QueryResult, FraError>;
+
 /// Coalesced scatter–gather execution of `queries` for a planning or
-/// fan-out algorithm — a batch, or a lone query as a batch of one.
-///
-/// Planning runs sequentially in input order (it consumes the algorithm's
-/// RNG — sequential order is what keeps a batched run seed-equivalent to
-/// query-for-query execution); a fan-out query contributes one leg per
-/// silo instead. Then the runs are pumped in [`round`]s until every walk
-/// has ended: each round ships one coalesced frame per silo and feeds
-/// every reply to its run. `budget` is each run's allowance.
+/// fan-out algorithm — a batch, or a lone query as a batch of one: every
+/// query is admitted to one [`Driver`] in input order (planning consumes
+/// the algorithm's RNG, and input order is what keeps a batch
+/// seed-equivalent to query-for-query execution), then the driver is
+/// pumped until it is empty. `budget` is each run's allowance.
 pub(crate) fn drive_rounds<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
     queries: &[FraQuery],
     budget: Budget,
     obs: &ObsContext,
-) -> Vec<Result<QueryResult, FraError>> {
-    let retries = federation.call_policy().retries;
-    // Query `i`'s runs ride under tags `i * m + leg`: leg 0 is a planned
-    // query's one walk, leg `k` a fan-out's leg to silo `k`.
-    let m = federation.num_silos();
-    let first_tag = |i: usize| (i * m) as u64;
-
-    let mut results: Vec<Option<Result<QueryResult, FraError>>> = vec![None; queries.len()];
-    let mut runs = Runs::new();
-    // Per remote query, by input index: its trace with the `remote` /
-    // `fanout` span open for as long as its runs ride rounds — and, for a
-    // fan-out, its legs as they end.
-    let mut walks: BTreeMap<usize, (TraceHandle, Span)> = BTreeMap::new();
-    let mut fanouts: BTreeMap<usize, (TraceHandle, Span, Legs)> = BTreeMap::new();
-    for (i, query) in queries.iter().enumerate() {
+) -> Vec<Outcome> {
+    let mut driver = Driver::new(federation, obs);
+    let admit = |(i, query): (usize, &FraQuery)| {
         let trace = obs.start_trace("query", algorithm.name());
-        if let Some(request) = algorithm.fan_out(query) {
-            let fanout_span = Span::enter(&trace, "fanout");
-            let legs = fanout_legs(federation, &request, retries, budget);
-            runs.extend((first_tag(i)..).zip(legs));
-            fanouts.insert(i, (trace, fanout_span, Legs::new()));
-            continue;
-        }
-        match plan_counted(algorithm, federation, query, &trace, obs) {
-            QueryPlan::Ready(outcome) => {
-                obs.finish_trace(&trace);
-                results[i] = Some(outcome);
-            }
-            QueryPlan::SingleSilo(plan) => {
-                let remote_span = Span::enter(&trace, "remote");
-                walks.insert(i, (trace, remote_span));
-                runs.insert(first_tag(i), QueryRun::new(plan, retries, budget));
-            }
+        driver.admit(i, *query, || algorithm, budget, trace)
+    };
+    let mut answered: Vec<(usize, Outcome)> =
+        queries.iter().enumerate().filter_map(admit).collect();
+    // Every admitted query resolves exactly once, at admission or in a pump.
+    while !driver.is_empty() {
+        answered.extend(driver.pump());
+    }
+    answered.sort_unstable_by_key(|(i, _)| *i);
+    answered.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// The multi-query procedure of Alg. 4 as one value: plan every admitted
+/// query, ship each silo its share in [`round`]s, finish each query as its
+/// runs end. It is the one caller of [`round`], behind all three entry
+/// points: a lone query and a [`QueryEngine`] batch admit their whole
+/// slice and pump until the driver is empty; a
+/// [`QueryScheduler`](crate::QueryScheduler) tick admits what its intake
+/// holds and pumps once.
+///
+/// `K` is the caller's name for a query (a slot index, a submission),
+/// handed back with its outcome; `H` is the algorithm handle (a borrow, or
+/// the scheduler's fresh instance per query).
+pub(crate) struct Driver<'f, K, H> {
+    federation: &'f Federation,
+    obs: &'f ObsContext,
+    /// Queries in flight by the first tag of their block: a planned walk
+    /// rides `first`, a fan-out's leg to silo `k` rides `first + k`.
+    queries: BTreeMap<u64, InFlight<K, H>>,
+    runs: Runs,
+    state: RoundState,
+    /// The next free tag. Tags are never reused, so a late parked frame
+    /// can reach nobody but its own riders.
+    next_tag: u64,
+}
+
+/// One admitted query whose runs still ride rounds.
+struct InFlight<K, H> {
+    key: K,
+    query: FraQuery,
+    pending: Pending<H>,
+    trace: TraceHandle,
+    /// The `remote` or `fanout` span, open while the runs ride rounds.
+    span: Span,
+}
+
+/// What a query in flight waits for.
+enum Pending<H> {
+    /// Its one walk, finished by its algorithm.
+    Walk(H),
+    /// All `m` legs of its fan-out, joined; the legs that ended so far.
+    FanOut(Legs),
+}
+
+/// The one panic rule of every entry point: a plan or finish step that
+/// panics answers its own query [`FraError::Internal`], and nobody else's.
+fn guarded<T>(stage: &str, step: impl FnOnce() -> T) -> Result<T, FraError> {
+    catch_unwind(AssertUnwindSafe(step)).map_err(|_| FraError::Internal {
+        message: format!("panicked while {stage} this query"),
+    })
+}
+
+impl<'f, K, H> Driver<'f, K, H>
+where
+    H: Deref,
+    H::Target: FraAlgorithm,
+{
+    pub(crate) fn new(federation: &'f Federation, obs: &'f ObsContext) -> Self {
+        Driver {
+            federation,
+            obs,
+            queries: BTreeMap::new(),
+            runs: Runs::new(),
+            state: RoundState::default(),
+            next_tag: 0,
         }
     }
 
-    let mut state = RoundState::default();
-    while !runs.is_empty() {
-        round(federation, obs, &mut state, &mut runs, &mut |tag, end| {
-            let (i, leg) = (tag as usize / m, tag as usize % m);
-            let query = &queries[i];
-            // A planned query resolves with its one walk, a fan-out when
-            // its last leg is in; the span closes before the finish step.
-            if let Some((trace, remote_span)) = walks.remove(&i) {
-                drop(remote_span);
-                results[i] = Some(finish_run(algorithm, federation, query, end, &trace, obs));
+    /// Queries admitted and not yet resolved.
+    pub(crate) fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// Admits one query: builds its algorithm (inside the panic rule, so a
+    /// failing factory answers only this query), then plans it on `trace`
+    /// or lays out its `m` fan-out legs, each run with `budget`. Nothing
+    /// here waits on a silo. Returns the outcome at once when the plan
+    /// resolved provider-side (or panicked); otherwise the query rides the
+    /// next [`pump`](Self::pump).
+    pub(crate) fn admit(
+        &mut self,
+        key: K,
+        query: FraQuery,
+        algorithm: impl FnOnce() -> H,
+        budget: Budget,
+        trace: TraceHandle,
+    ) -> Option<(K, Outcome)> {
+        let (federation, obs) = (self.federation, self.obs);
+        let retries = federation.call_policy().retries;
+        // `Err`: the query is answered without a silo.
+        let planned = guarded("planning", || {
+            let algorithm = algorithm();
+            if let Some(request) = algorithm.fan_out(&query) {
+                // One leg per silo, whose candidate order is that silo
+                // alone: every rule of the walk applies to each leg. Each
+                // makes the `allows` probe draw of a sampled plan, without
+                // which a breaker opened by fan-out traffic alone would
+                // never half-open; `may_call` decides at dispatch.
+                let span = Span::enter(&trace, "fanout");
+                let leg = |k| {
+                    federation.health().allows(k);
+                    let (order, request) = (vec![k], request.clone());
+                    QueryRun::new(RemotePlan { order, request }, retries, budget)
+                };
+                let legs = (0..federation.num_silos()).map(leg).collect();
+                return Ok((Pending::FanOut(Legs::new()), legs, span));
+            }
+            let plan_span = Span::enter(&trace, "plan");
+            let plan = match algorithm.plan_with(federation, &query, obs) {
+                QueryPlan::Ready(outcome) => {
+                    obs.inc("fedra_plan_ready_total");
+                    return Err(outcome);
+                }
+                QueryPlan::SingleSilo(plan) => plan,
+            };
+            obs.inc("fedra_plan_remote_total");
+            drop(plan_span);
+            let span = Span::enter(&trace, "remote");
+            let run = QueryRun::new(plan, retries, budget);
+            Ok((Pending::Walk(algorithm), vec![run], span))
+        });
+        let (pending, runs, span) = match planned.unwrap_or_else(|panicked| Err(Err(panicked))) {
+            Ok(remote) => remote,
+            Err(outcome) => {
                 obs.finish_trace(&trace);
-            } else if let Some((_, _, legs)) = fanouts.get_mut(&i) {
-                legs.insert(leg, end);
-                if legs.len() < m {
+                return Some((key, outcome));
+            }
+        };
+        let first = self.next_tag;
+        self.next_tag += runs.len() as u64;
+        self.runs.extend((first..).zip(runs));
+        let query = InFlight {
+            key,
+            query,
+            pending,
+            trace,
+            span,
+        };
+        self.queries.insert(first, query);
+        None
+    }
+
+    /// One [`round`] over every live run. A query is resolved as soon as
+    /// its last run ends, while the round still gathers other frames:
+    /// `finish_run` for a walk, `join_fanout` for a fan-out, and a shed run
+    /// answers [`FraError::Shed`] with an empty class for the serving layer
+    /// to name. Returns the resolved queries in admission order.
+    pub(crate) fn pump(&mut self) -> Vec<(K, Outcome)> {
+        let (federation, obs) = (self.federation, self.obs);
+        let m = federation.num_silos();
+        let (queries, mut resolved) = (&mut self.queries, Vec::new());
+        let mut ended = |tag: u64, end: End| {
+            let Some((&first, query)) = queries.range_mut(..=tag).next_back() else {
+                return;
+            };
+            let leg = (tag - first) as SiloId;
+            if let Pending::FanOut(legs) = &mut query.pending {
+                if legs.len() + 1 < m {
+                    legs.insert(leg, end);
                     return;
                 }
-                if let Some((trace, fanout_span, legs)) = fanouts.remove(&i) {
-                    drop(fanout_span);
-                    results[i] = Some(join_fanout(federation, query, legs, obs));
-                    obs.finish_trace(&trace);
-                }
             }
-        });
-        runs.retain(|_, run| !run.is_finished());
+            if let Some(query) = queries.remove(&first) {
+                resolved.push((first, Self::resolve(query, leg, end, federation, obs)));
+            }
+        };
+        round(federation, obs, &mut self.state, &mut self.runs, &mut ended);
+        self.runs.retain(|_, run| !run.is_finished());
+        resolved.sort_unstable_by_key(|(first, _)| *first);
+        resolved.into_iter().map(|(_, answer)| answer).collect()
     }
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(FraError::Internal {
-                    message: "planned query never resolved to a result".into(),
-                })
-            })
+
+    /// The finish step of `q`, once `end` (of leg `leg`) was its last run
+    /// out.
+    fn resolve(
+        q: InFlight<K, H>,
+        leg: SiloId,
+        end: End,
+        federation: &Federation,
+        obs: &ObsContext,
+    ) -> (K, Outcome) {
+        drop(q.span);
+        let (query, trace) = (&q.query, &q.trace);
+        let shed = |end: &End| matches!(end, End::Shed);
+        let outcome = guarded("finishing", || match q.pending {
+            Pending::Walk(algorithm) if !shed(&end) => {
+                finish_run(&*algorithm, federation, query, end, trace, obs)
+            }
+            Pending::FanOut(mut legs) if !shed(&end) && !legs.values().any(shed) => {
+                legs.insert(leg, end);
+                join_fanout(federation, query, legs, obs)
+            }
+            // Shedding names an admission class only the serving layer knows.
+            _ => Err(FraError::Shed {
+                class: String::new(),
+            }),
         })
-        .collect()
+        .and_then(|outcome| outcome);
+        obs.finish_trace(trace);
+        (q.key, outcome)
+    }
 }
 
 /// How long a gather waits for the silo's byte-counted refusal of a
@@ -414,8 +570,8 @@ fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportEr
 
 /// The live runs a [`round`] pumps, by correlation id — the tag that rides
 /// the frames. Ids must be stable for as long as a run lives, because
-/// parked frames outlive a round; the owner drops a run once it ended.
-pub(crate) type Runs = BTreeMap<u64, QueryRun>;
+/// parked frames outlive a round; the driver drops a run once it ended.
+type Runs = BTreeMap<u64, QueryRun>;
 
 /// A tagged frame in flight.
 struct Frame {
@@ -434,10 +590,10 @@ struct Frame {
 
 /// What outlives a [`round`]: frames still silent past the hedge
 /// threshold, *parked* — kept in flight while their riders hedge on other
-/// silos, first answer wins — until their bound. The engine owns one for
-/// a batch, the scheduler one across ticks.
+/// silos, first answer wins — until their bound. A [`Driver`] owns one:
+/// for a batch, or across a scheduler's ticks.
 #[derive(Default)]
-pub(crate) struct RoundState {
+struct RoundState {
     parked: Vec<Frame>,
 }
 
@@ -540,21 +696,18 @@ impl Gather<'_> {
 }
 
 /// One scatter–gather round over the live runs of a lone query, a batch
-/// or a tick — the one pump, under [`drive_planned`], [`QueryEngine`] and
-/// [`QueryScheduler`](crate::QueryScheduler): drain parked frames that
-/// answered, group the runs by the candidate they ride next (runs whose
-/// absolute budget is already spent get their own dead-on-arrival frame
-/// the silo sheds byte-countedly), ship one tagged frame per silo, gather
-/// every reply and feed it to its run. `ended` receives each run whose
-/// walk ended this round, by tag.
+/// or a tick — the one pump, called only by [`Driver::pump`]: drain parked
+/// frames that answered, group the runs by the candidate they ride next
+/// (runs whose absolute budget is already spent get their own
+/// dead-on-arrival frame the silo sheds byte-countedly), ship one tagged
+/// frame per silo, gather every reply and feed it to its run. `ended`
+/// receives each run whose walk ended this round, by tag.
 ///
 /// With `CallPolicy::hedge_after` set, a frame still pending past the
 /// threshold is parked in `state` instead of waited out, and its riders
 /// hedge: they ride their next candidate next round. A round with nothing
 /// to send returns as soon as the first parked frame resolves.
-///
-/// [`drive_planned`]: crate::algorithm::drive_planned
-pub(crate) fn round(
+fn round(
     federation: &Federation,
     obs: &ObsContext,
     state: &mut RoundState,
@@ -690,9 +843,10 @@ pub(crate) fn round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::drive_planned;
     use crate::exact::Exact;
     use crate::sampling::{IidEst, NonIidEst};
-    use fedra_federation::{CallPolicy, FaultPlan, FederationBuilder, SiloFaultSpec};
+    use fedra_federation::{CallPolicy, FaultPlan, FederationBuilder, Response, SiloFaultSpec};
     use fedra_geo::{Point, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::AggFunc;
@@ -1014,6 +1168,84 @@ mod tests {
                 won > Some(0),
                 "no query was stranded: the scenario is vacuous"
             );
+        }
+    }
+
+    /// IID-est whose finish step panics on one chosen query.
+    struct PanicsOn {
+        inner: IidEst,
+        bad: FraQuery,
+    }
+
+    impl FraAlgorithm for PanicsOn {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn try_execute_with(
+            &self,
+            federation: &Federation,
+            query: &FraQuery,
+            obs: &ObsContext,
+        ) -> Result<QueryResult, FraError> {
+            drive_planned(self, federation, query, obs)
+        }
+
+        fn supports_planning(&self) -> bool {
+            true
+        }
+
+        fn plan_with(
+            &self,
+            federation: &Federation,
+            query: &FraQuery,
+            obs: &ObsContext,
+        ) -> QueryPlan {
+            self.inner.plan_with(federation, query, obs)
+        }
+
+        fn finish_with(
+            &self,
+            federation: &Federation,
+            query: &FraQuery,
+            silo: SiloId,
+            response: Response,
+            rounds: u64,
+            obs: &ObsContext,
+        ) -> Result<QueryResult, FraError> {
+            assert!(*query != self.bad, "finish refuses the chosen query");
+            self.inner
+                .finish_with(federation, query, silo, response, rounds, obs)
+        }
+    }
+
+    #[test]
+    fn a_panicking_finish_answers_only_its_own_slot() {
+        let fed = setup(3, 1000);
+        let qs = queries(12, 15);
+        let alg = |seed| PanicsOn {
+            inner: IidEst::new(seed),
+            bad: qs[5],
+        };
+        let batch = QueryEngine::per_silo(&alg(79), &fed).execute_batch(&fed, &qs);
+        // Same seed, same plans in the same order, one query at a time.
+        let lone = alg(79);
+        for (i, (got, q)) in batch.results.iter().zip(&qs).enumerate() {
+            let want = lone.try_execute(&fed, q);
+            if i == 5 {
+                for outcome in [got, &want] {
+                    match outcome {
+                        Err(FraError::Internal { message }) => {
+                            assert!(message.contains("finishing"), "{message}")
+                        }
+                        other => panic!("the panicking finish should answer Internal: {other:?}"),
+                    }
+                }
+                continue;
+            }
+            let (got, want) = (got.as_ref().expect("batched"), want.expect("lone"));
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+            assert_eq!(*got, want, "query {i}");
         }
     }
 

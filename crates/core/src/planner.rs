@@ -370,7 +370,6 @@ mod tests {
             target_error: 0.5,             // lax, so budget is the binding constraint
             comm_budget_bytes: Some(1100), // below envelope + per-cell cost
             skew_threshold: 0.0,           // would otherwise always pick NonIID
-            ..PlannerPolicy::default()
         };
         let planner = AdaptivePlanner::new(10, policy);
         let q = FraQuery::circle(Point::new(30.0, 30.0), 17.0, AggFunc::Count);

@@ -8,12 +8,13 @@
 //! count and the per-candidate error trail. It never reads a clock,
 //! sleeps, or touches a channel — the *pump* does the I/O and reports what
 //! happened as [`Event`]s; deadlines and "now" arrive as inputs. There is
-//! one pump, the scatter–gather [`round`](crate::framework::round), with
-//! three callers: [`drive_planned`](crate::algorithm::drive_planned) (a
-//! lone query is a one-rider round), [`QueryEngine`](crate::QueryEngine)
-//! batches and [`QueryScheduler`](crate::QueryScheduler) ticks. Every
-//! rule of the walk is decided here, once, for all of them — a fan-out's
-//! `m` legs included, each a run with one candidate.
+//! one pump, the scatter–gather [`round`](crate::framework::round), and
+//! one driver that calls it, with three entry points:
+//! [`drive_planned`](crate::algorithm::drive_planned) (a lone query is a
+//! one-rider round), [`QueryEngine`](crate::QueryEngine) batches and
+//! [`QueryScheduler`](crate::QueryScheduler) ticks. Every rule of the walk
+//! is decided here, once, for all of them — a fan-out's `m` legs
+//! included, each a run with one candidate.
 
 use std::time::{Duration, Instant};
 

@@ -3,25 +3,26 @@
 //!
 //! [`QueryEngine`](crate::QueryEngine) coalesces silo requests *within*
 //! one batch; concurrent callers still serialize on the engine and each
-//! pays its own round trips. [`QueryScheduler`] pumps the same
-//! scatter–gather round from a serving layer: clients
-//! [`submit`](QueryScheduler::submit) queries from any thread, one driver
-//! thread plans and finishes them itself (microseconds each — no thread
-//! is spawned on a tick), and every scheduling tick merges the
+//! pays its own round trips. [`QueryScheduler`] feeds the engine's driver
+//! from a serving layer: clients [`submit`](QueryScheduler::submit)
+//! queries from any thread, one driver thread admits them to the same
+//! driver value a batch uses (plan and finish take microseconds each — no
+//! thread is spawned on a tick), and every scheduling tick merges the
 //! outstanding remote requests of *all* in-flight queries into one
-//! multiplexed frame per silo ([`SiloChannel::begin_frame`]), routing
-//! replies back by correlation id.
+//! multiplexed frame per silo ([`SiloChannel::begin_frame`]). This module
+//! owns only what a batch lacks: the intake queue, admission classes,
+//! tickets and the shed class names.
 //!
 //! # Tick model
 //!
-//! A tick drains its intake before it dispatches: the driver plans what
-//! is queued, then takes (without blocking) and plans whatever was
-//! submitted meanwhile, until the queue is dry or the tick has admitted
-//! [`SchedulerConfig::tick_admissions`] queries; only then does it ship
-//! the round's frames. A lone query finds the queue dry as soon as it is
-//! planned and is dispatched at once; under load the riders a frame
-//! carries are everything that arrived while the tick planned — set by
-//! this policy, not by how long a stage happened to take.
+//! A tick drains its intake before it dispatches: the driver thread
+//! admits what is queued, then takes (without blocking) and admits
+//! whatever was submitted meanwhile, until the queue is dry or the tick
+//! has admitted [`SchedulerConfig::tick_admissions`] queries; only then
+//! does it pump the driver once. A lone query finds the queue dry as
+//! soon as it is planned and is dispatched at once; under load the riders
+//! a frame carries are everything that arrived while the tick planned —
+//! set by this policy, not by how long a stage happened to take.
 //!
 //! # Determinism contract
 //!
@@ -50,22 +51,18 @@
 //! 3. **expired in flight** — the silo (or the frame wait) ran past the
 //!    deadline.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedra_federation::{Federation, Request, SiloId};
+use fedra_federation::Federation;
 use fedra_obs::{labeled, ObsContext, TraceHandle};
 
-use crate::algorithm::{
-    fanout_legs, finish_run, join_fanout, plan_counted, FraAlgorithm, Legs, QueryPlan,
-};
-use crate::framework::{round, RoundState, Runs};
+use crate::algorithm::FraAlgorithm;
+use crate::framework::Driver;
 use crate::query::{FraError, FraQuery, QueryResult};
-use crate::run::{Budget, End, QueryRun};
+use crate::run::Budget;
 
 #[cfg(doc)]
 use fedra_federation::SiloChannel;
@@ -209,8 +206,9 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
-    /// The submission's correlation id (the same id that rides the
-    /// multiplexed wire frames).
+    /// The submission's id, unique within its scheduler and increasing in
+    /// submission order. It names the ticket only: frames are tagged by
+    /// the driver.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -229,7 +227,6 @@ impl std::fmt::Debug for QueryTicket {
 
 /// One accepted submission, queued until a tick admits it.
 struct Submission {
-    id: u64,
     query: FraQuery,
     seed: u64,
     class: usize,
@@ -245,6 +242,8 @@ struct IntakeState {
     /// Queued-per-class counts, indexed like `SchedulerConfig::classes`.
     per_class: Vec<usize>,
     closed: bool,
+    /// The next accepted submission's ticket id.
+    next_id: u64,
 }
 
 struct Intake {
@@ -260,19 +259,6 @@ impl Intake {
     }
 }
 
-/// One remotely planned query riding the scheduler's ticks; the driver
-/// keeps it, and its walk in a [`Runs`] map, under its submission id.
-struct ActiveQuery {
-    sub: Submission,
-    alg: Box<dyn FraAlgorithm>,
-}
-
-/// What the plan stage made of one admission.
-enum Planned {
-    FanOut(Request),
-    Plan(QueryPlan, Box<dyn FraAlgorithm>),
-}
-
 /// The serving front end. See the module docs for the tick model.
 ///
 /// Dropping the scheduler (or calling [`shutdown`](Self::shutdown))
@@ -282,9 +268,6 @@ pub struct QueryScheduler {
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
     obs: Arc<ObsContext>,
-    /// Submission ids and fan-out leg tags: one sequence, so every tag on
-    /// a frame is unique.
-    next_id: Arc<AtomicU64>,
     driver: Option<JoinHandle<()>>,
 }
 
@@ -311,22 +294,17 @@ impl QueryScheduler {
                 backlog: VecDeque::new(),
                 per_class: vec![0; classes.len()],
                 closed: false,
+                next_id: 1,
             }),
             wakeup: Condvar::new(),
         });
-        let next_id = Arc::new(AtomicU64::new(1));
-        let driver = Driver {
+        let driver = DriverThread {
             federation,
             factory: Box::new(factory),
             obs: Arc::clone(&obs),
             intake: Arc::clone(&intake),
             classes: classes.clone(),
             tick_admissions: config.tick_admissions.max(1),
-            next_id: Arc::clone(&next_id),
-            active: BTreeMap::new(),
-            fanouts: BTreeMap::new(),
-            runs: Runs::new(),
-            parked: RoundState::default(),
         };
         let handle = std::thread::Builder::new()
             .name("fedra-sched".to_string())
@@ -336,7 +314,6 @@ impl QueryScheduler {
             intake,
             classes,
             obs,
-            next_id,
             driver: handle,
         }
     }
@@ -354,8 +331,7 @@ impl QueryScheduler {
             return Err(SubmitError::UnknownClass { class });
         };
         let cell = Arc::new(TicketCell::new());
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let depth = {
+        let (id, depth) = {
             let mut st = self.intake.lock();
             if st.closed {
                 return Err(SubmitError::Shutdown);
@@ -371,11 +347,12 @@ impl QueryScheduler {
                 });
             }
             st.per_class[class] += 1;
+            let id = st.next_id;
+            st.next_id += 1;
             // Wall-clock by design: deadlines and queue-wait metrics are
             // serving-layer concerns, never part of a query's value.
             let submitted_at = Instant::now();
             st.backlog.push_back(Submission {
-                id,
                 query,
                 seed,
                 class,
@@ -383,7 +360,7 @@ impl QueryScheduler {
                 deadline: policy.deadline.map(|d| submitted_at + d),
                 cell: Arc::clone(&cell),
             });
-            st.backlog.len()
+            (id, st.backlog.len())
         };
         if self.obs.is_enabled() {
             self.obs.inc(&labeled(
@@ -422,42 +399,53 @@ impl Drop for QueryScheduler {
     }
 }
 
-/// The driver thread's state: everything a tick needs.
-struct Driver {
+/// The driver thread's state: everything a tick needs besides the
+/// [`Driver`] itself, which lives on the thread's stack.
+struct DriverThread {
     federation: Arc<Federation>,
     factory: Box<dyn Fn(u64) -> Box<dyn FraAlgorithm> + Send + Sync>,
     obs: Arc<ObsContext>,
     intake: Arc<Intake>,
     classes: Vec<ClassPolicy>,
     tick_admissions: usize,
-    next_id: Arc<AtomicU64>,
-    /// Remotely planned queries in flight, by submission id…
-    active: BTreeMap<u64, ActiveQuery>,
-    /// …fan-out queries in flight with the legs that have ended, by first
-    /// leg tag (silo `k`'s leg rides under `first + k`)…
-    fanouts: BTreeMap<u64, (Submission, Legs)>,
-    /// …the walks of both, under those ids and tags…
-    runs: Runs,
-    /// …and the frames parked past the hedge threshold, across ticks.
-    parked: RoundState,
 }
 
-impl Driver {
-    fn run(mut self) {
+impl DriverThread {
+    fn run(self) {
+        let mut driver = Driver::new(&self.federation, &self.obs);
         let cap = self.tick_admissions;
-        while let Some(mut admitted) = self.take_admissions(self.runs.is_empty(), cap) {
+        while let Some(mut admitted) = self.take_admissions(driver.is_empty(), cap) {
             self.obs.inc("fedra_sched_ticks_total");
             // Drain until dry: what was submitted while this tick planned
             // rides this tick's frames, up to the cap.
             let mut room = cap;
             while !admitted.is_empty() {
                 room -= admitted.len();
-                self.plan_admissions(admitted);
+                for sub in admitted {
+                    let waited = sub.submitted_at.elapsed().as_nanos() as u64;
+                    self.obs.observe("fedra_sched_queue_wait_ns", waited);
+                    // A fresh algorithm per submission; the submission's
+                    // absolute deadline is its budget. The scheduler opens
+                    // no traces (its clients read metrics).
+                    let (query, seed, budget) = (sub.query, sub.seed, Budget::Until(sub.deadline));
+                    let factory = || (self.factory)(seed);
+                    let trace = TraceHandle::disabled();
+                    // A provider-side plan (or a panic) answers at once.
+                    if let Some((sub, outcome)) = driver.admit(sub, query, factory, budget, trace) {
+                        self.deliver(&sub, outcome);
+                    }
+                }
                 admitted = self.take_admissions(false, room).unwrap_or_default();
             }
-            let in_flight = self.active.len() + self.fanouts.len();
-            self.obs.set_gauge("fedra_sched_active", in_flight as f64);
-            self.pump();
+            self.obs
+                .set_gauge("fedra_sched_active", driver.len() as f64);
+            // Deliver the tick's answers in one burst after the finish
+            // stage, oldest submission first: a client redeeming tickets in
+            // order is woken at the head of the burst, and no woken client
+            // competes with the finish stage for a core.
+            for (sub, outcome) in driver.pump() {
+                self.deliver(&sub, outcome);
+            }
         }
     }
 
@@ -487,150 +475,13 @@ impl Driver {
         Some(admitted)
     }
 
-    /// Builds one submission's fresh algorithm and plans it (or takes its
-    /// fan-out request): the only caller-supplied code of the plan stage.
-    fn plan_one(&self, sub: &Submission) -> Planned {
-        let alg = (self.factory)(sub.seed);
-        if let Some(request) = alg.fan_out(&sub.query) {
-            return Planned::FanOut(request);
-        }
-        let trace = TraceHandle::disabled();
-        let plan = plan_counted(
-            alg.as_ref(),
-            &self.federation,
-            &sub.query,
-            &trace,
-            &self.obs,
-        );
-        Planned::Plan(plan, alg)
-    }
-
-    /// Plans admissions in submission order, on the driver thread, and
-    /// answers provider-side plans at once; remote plans join the active
-    /// set, and a fan-out's `m` legs join the same runs — nothing here
-    /// waits on a silo. A plan that panics answers its own ticket with
-    /// [`FraError::Internal`], like a batch-engine slot, and nobody
-    /// else's.
-    fn plan_admissions(&mut self, admitted: Vec<Submission>) {
-        let retries = self.federation.call_policy().retries;
-        for sub in admitted {
-            self.obs.observe(
-                "fedra_sched_queue_wait_ns",
-                sub.submitted_at.elapsed().as_nanos() as u64,
-            );
-            let Ok(planned) = catch_unwind(AssertUnwindSafe(|| self.plan_one(&sub))) else {
-                sub.cell.deliver(Err(FraError::Internal {
-                    message: "scheduler panicked while planning this query".into(),
-                }));
-                continue;
-            };
-            // A walk's budget is the submission's absolute deadline.
-            let budget = Budget::Until(sub.deadline);
-            match planned {
-                Planned::Plan(QueryPlan::Ready(outcome), _) => self.deliver(&sub, outcome),
-                Planned::Plan(QueryPlan::SingleSilo(plan), alg) => {
-                    self.runs
-                        .insert(sub.id, QueryRun::new(plan, retries, budget));
-                    self.active.insert(sub.id, ActiveQuery { sub, alg });
-                }
-                Planned::FanOut(request) => {
-                    let m = self.federation.num_silos();
-                    let first = self.next_id.fetch_add(m as u64, Ordering::Relaxed);
-                    let legs = fanout_legs(&self.federation, &request, retries, budget);
-                    self.runs.extend((first..).zip(legs));
-                    self.fanouts.insert(first, (sub, Legs::new()));
-                }
-            }
-        }
-    }
-
-    /// One tick's scatter–gather [`round`] over every live query — the
-    /// same round the batch engine pumps, with frames tagged by submission
-    /// id — then the finish stage, on the driver thread. A finish that
-    /// panics answers its own ticket with [`FraError::Internal`].
-    fn pump(&mut self) {
-        let mut ended: Vec<(u64, End)> = Vec::new();
-        let mut joined: Vec<u64> = Vec::new();
-        let federation = &*self.federation;
-        let (runs, parked) = (&mut self.runs, &mut self.parked);
-        let fanouts = &mut self.fanouts;
-        let m = federation.num_silos() as u64;
-        round(federation, &self.obs, parked, runs, &mut |tag, end| {
-            // A leg rides in its fan-out's tag block `first..first + m`;
-            // any other tag is a submission id.
-            match fanouts.range_mut(..=tag).next_back() {
-                Some((&first, (_, legs))) if tag - first < m => {
-                    legs.insert((tag - first) as SiloId, end);
-                    if legs.len() as u64 == m {
-                        joined.push(first);
-                    }
-                }
-                _ => ended.push((tag, end)),
-            }
-        });
-        // A fan-out whose last leg ended is joined here: a few additions,
-        // no algorithm instance.
-        for first in joined {
-            let Some((sub, legs)) = self.fanouts.remove(&first) else {
-                continue;
-            };
-            for tag in first..first + m {
-                self.runs.remove(&tag);
-            }
-            let outcome = if legs.values().any(|leg| leg == &End::Shed) {
-                let class = self.classes[sub.class].name.clone();
-                Err(FraError::Shed { class })
-            } else {
-                join_fanout(federation, &sub.query, legs, &self.obs)
-            };
-            self.deliver(&sub, outcome);
-        }
-        // Finish every ended walk, then deliver in one burst, oldest
-        // submission first: a client redeeming tickets in order is woken at
-        // the head of the burst, and no woken client competes with the
-        // finish stage for a core.
-        ended.sort_by_key(|(id, _)| *id);
-        let mut finished = Vec::with_capacity(ended.len());
-        for (id, end) in ended {
-            self.runs.remove(&id);
-            let Some(q) = self.active.remove(&id) else {
-                continue;
-            };
-            let outcome = match end {
-                End::Shed => Err(FraError::Shed {
-                    class: self.classes[q.sub.class].name.clone(),
-                }),
-                // The scheduler opens no traces (its clients read
-                // metrics): the finish step gets an inert handle.
-                end => catch_unwind(AssertUnwindSafe(|| {
-                    let trace = TraceHandle::disabled();
-                    finish_run(
-                        q.alg.as_ref(),
-                        federation,
-                        &q.sub.query,
-                        end,
-                        &trace,
-                        &self.obs,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    Err(FraError::Internal {
-                        message: "scheduler panicked while finishing this query".into(),
-                    })
-                }),
-            };
-            finished.push((q.sub, outcome));
-        }
-        for (sub, outcome) in finished {
-            self.deliver(&sub, outcome);
-        }
-    }
-
     /// Delivers one resolved query to its ticket, recording completion /
     /// shed counters and end-to-end latency.
-    fn deliver(&self, sub: &Submission, outcome: Result<QueryResult, FraError>) {
+    fn deliver(&self, sub: &Submission, mut outcome: Result<QueryResult, FraError>) {
         let class = &self.classes[sub.class].name;
-        if matches!(outcome, Err(FraError::Shed { .. })) {
+        if let Err(FraError::Shed { class: shed }) = &mut outcome {
+            // The driver sheds without a name: only this layer knows it.
+            shed.clone_from(class);
             if self.obs.is_enabled() {
                 self.obs.inc(&labeled("fedra_shed_total", "class", class));
             }
@@ -649,7 +500,7 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::exact::Exact;
-    use crate::sampling::IidEst;
+    use crate::sampling::{IidEst, NonIidEst};
     use crate::QueryEngine;
     use fedra_federation::FederationBuilder;
     use fedra_index::AggFunc;
@@ -891,6 +742,60 @@ mod tests {
         assert_eq!((riders.count, riders.sum), (3 * m, 10 * m));
         let over_cap: u64 = riders.buckets[bucket_index(4) + 1..].iter().sum();
         assert_eq!(over_cap, 0, "a frame carried more than 4 riders");
+    }
+
+    #[test]
+    fn walks_and_fan_out_legs_share_one_tick() {
+        let (federation, queries) = stand_up(79);
+        let m = federation.num_silos() as u64;
+        let obs = Arc::new(ObsContext::new());
+        fn mixed(seed: u64) -> Box<dyn FraAlgorithm> {
+            match seed % 3 {
+                0 => Box::new(Exact::new()),
+                1 => Box::new(IidEst::new(seed)),
+                _ => Box::new(NonIidEst::new(seed)),
+            }
+        }
+        // The first factory call holds the driver mid-plan until the whole
+        // burst is queued, so walks and fan-outs interleave in one tick.
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let factory = {
+            let (gate, first_call) = (Mutex::new(gate), Once::new());
+            move |seed| -> Box<dyn FraAlgorithm> {
+                first_call.call_once(|| gate.lock().unwrap().recv().expect("gate opens"));
+                mixed(seed)
+            }
+        };
+        let sched = QueryScheduler::start(
+            Arc::clone(&federation),
+            factory,
+            SchedulerConfig::default(),
+            Arc::clone(&obs),
+        );
+        let tickets: Vec<QueryTicket> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| sched.submit(*q, 1000 + i as u64, 0).expect("admitted"))
+            .collect();
+        open.send(()).expect("driver is waiting");
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let got = ticket.wait().expect("scheduled query answers");
+            let lone = mixed(1000 + i as u64).try_execute(&federation, &queries[i]);
+            let want = lone.expect("lone query answers");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+            assert_eq!(got, want, "query {i}");
+        }
+        sched.shutdown();
+
+        let (ticks, riders) = ticks_and_riders(&obs);
+        assert_eq!(ticks, 1, "the burst should ride one tick");
+        assert_eq!(riders.count, m, "one frame per silo");
+        assert!(
+            riders.sum > riders.count,
+            "no frame carried two riders: {} riders on {} frames",
+            riders.sum,
+            riders.count
+        );
     }
 
     #[test]

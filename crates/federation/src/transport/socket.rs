@@ -1334,6 +1334,6 @@ mod tests {
             0
         );
         let rel = deadline_to_rel_us(Some(now + Duration::from_millis(5)), now);
-        assert!(rel >= 4_000 && rel <= 5_000, "rel = {rel}");
+        assert!((4_000..=5_000).contains(&rel), "rel = {rel}");
     }
 }

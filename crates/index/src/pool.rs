@@ -379,7 +379,7 @@ mod tests {
             })
             .collect();
         let mut expect = items.clone();
-        expect.sort_by(|a, b| a.0.cmp(&b.0));
+        expect.sort_by_key(|a| a.0);
         for threads in [2, 3, 8] {
             let pool = WorkerPool::new(threads);
             let mut got = items.clone();

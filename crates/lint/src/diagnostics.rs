@@ -115,7 +115,7 @@ impl Baseline {
     /// Whether `diag` is covered by this baseline.
     pub fn covers(&self, diag: &Diagnostic) -> bool {
         let key = diag.baseline_key();
-        self.entries.iter().any(|e| *e == key)
+        self.entries.contains(&key)
     }
 
     /// Entries with no matching current finding (stale entries — the bug

@@ -141,119 +141,115 @@ fn check_file(lint: &'static str, file: &SourceFile, diags: &mut Vec<Diagnostic>
             continue;
         }
         let t = &tokens[i];
-        match t.kind {
-            TokenKind::Ident => {
-                // (2) Wall-clock reads: `Instant::now(` / `SystemTime::now(`.
-                if (t.text == "Instant" || t.text == "SystemTime") && is_path_call(tokens, i, "now")
-                {
-                    diags.push(diag(
-                        lint,
-                        file,
-                        t,
-                        format!(
-                            "`{}::now()` in a deterministic region; wall-clock readings are \
-                             nondeterministic input — thread a logical clock through, or \
-                             `allow` with a comment stating the reading never feeds a result",
-                            t.text
-                        ),
-                    ));
-                }
-                // (3) Thread identity: `thread::current().id()`.
-                if t.text == "thread" && is_thread_id_chain(tokens, i) {
-                    diags.push(diag(
-                        lint,
-                        file,
-                        t,
-                        "`thread::current().id()` in a deterministic region; scheduling \
-                         identity must never become data"
-                            .to_string(),
-                    ));
-                }
-                // (1) Unordered iteration: `<name>.<iter-method>(` where
-                // `<name>` was declared as a HashMap/HashSet.
-                if UNORDERED_ITER_METHODS.iter().any(|m| t.text == *m)
-                    && i >= 2
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-                    && tokens[i - 2].kind == TokenKind::Ident
-                    && unordered.contains(&tokens[i - 2].text)
-                {
-                    diags.push(diag(
-                        lint,
-                        file,
-                        t,
-                        format!(
-                            "`.{}()` on unordered container `{}` in a deterministic region; \
-                             hash order is an accident of hasher and history — use a \
-                             `BTreeMap`/sorted iteration, or `allow` with a comment stating \
-                             why order cannot escape",
-                            t.text,
-                            tokens[i - 2].text
-                        ),
-                    ));
-                }
-                // (1b) `for x in [&mut] <name> {` over an unordered container.
-                if t.text == "for" {
-                    if let Some((name_idx, name)) = for_loop_target(tokens, i) {
-                        if unordered.contains(&name) {
-                            let at = &tokens[name_idx];
-                            diags.push(diag(
-                                lint,
-                                file,
-                                at,
-                                format!(
-                                    "`for` loop over unordered container `{name}` in a \
-                                     deterministic region; iterate in a total order instead"
-                                ),
-                            ));
-                        }
+        if t.kind == TokenKind::Ident {
+            // (2) Wall-clock reads: `Instant::now(` / `SystemTime::now(`.
+            if (t.text == "Instant" || t.text == "SystemTime") && is_path_call(tokens, i, "now") {
+                diags.push(diag(
+                    lint,
+                    file,
+                    t,
+                    format!(
+                        "`{}::now()` in a deterministic region; wall-clock readings are \
+                         nondeterministic input — thread a logical clock through, or \
+                         `allow` with a comment stating the reading never feeds a result",
+                        t.text
+                    ),
+                ));
+            }
+            // (3) Thread identity: `thread::current().id()`.
+            if t.text == "thread" && is_thread_id_chain(tokens, i) {
+                diags.push(diag(
+                    lint,
+                    file,
+                    t,
+                    "`thread::current().id()` in a deterministic region; scheduling \
+                     identity must never become data"
+                        .to_string(),
+                ));
+            }
+            // (1) Unordered iteration: `<name>.<iter-method>(` where
+            // `<name>` was declared as a HashMap/HashSet.
+            if UNORDERED_ITER_METHODS.iter().any(|m| t.text == *m)
+                && i >= 2
+                && tokens[i - 1].is_punct('.')
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+                && tokens[i - 2].kind == TokenKind::Ident
+                && unordered.contains(&tokens[i - 2].text)
+            {
+                diags.push(diag(
+                    lint,
+                    file,
+                    t,
+                    format!(
+                        "`.{}()` on unordered container `{}` in a deterministic region; \
+                         hash order is an accident of hasher and history — use a \
+                         `BTreeMap`/sorted iteration, or `allow` with a comment stating \
+                         why order cannot escape",
+                        t.text,
+                        tokens[i - 2].text
+                    ),
+                ));
+            }
+            // (1b) `for x in [&mut] <name> {` over an unordered container.
+            if t.text == "for" {
+                if let Some((name_idx, name)) = for_loop_target(tokens, i) {
+                    if unordered.contains(&name) {
+                        let at = &tokens[name_idx];
+                        diags.push(diag(
+                            lint,
+                            file,
+                            at,
+                            format!(
+                                "`for` loop over unordered container `{name}` in a \
+                                 deterministic region; iterate in a total order instead"
+                            ),
+                        ));
                     }
-                }
-                // (4a) `partial_cmp` inside a sort/min/max comparator.
-                if ORDERING_SINKS.iter().any(|m| t.text == *m)
-                    && i >= 1
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-                {
-                    let close = matching(tokens, i + 1);
-                    for j in i + 2..close {
-                        if tokens[j].is_ident("partial_cmp") {
-                            diags.push(diag(
-                                lint,
-                                file,
-                                &tokens[j],
-                                format!(
-                                    "`partial_cmp` inside a `{}` comparator in a deterministic \
-                                     region; ties and NaN fall back to input order — use \
-                                     `total_cmp` and a full tie-break",
-                                    t.text
-                                ),
-                            ));
-                        }
-                    }
-                }
-                // (4b) Float reduction in the same statement as a
-                // completion-order channel drain.
-                if FLOAT_REDUCTIONS.iter().any(|m| t.text == *m)
-                    && i >= 1
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-                    && statement_has_completion_source(tokens, i)
-                {
-                    diags.push(diag(
-                        lint,
-                        file,
-                        t,
-                        format!(
-                            "float `.{}()` over a completion-order source in a deterministic \
-                             region; float reduction is not associative, so completion order \
-                             changes the result — collect and reduce in a fixed order",
-                            t.text
-                        ),
-                    ));
                 }
             }
-            _ => {}
+            // (4a) `partial_cmp` inside a sort/min/max comparator.
+            if ORDERING_SINKS.iter().any(|m| t.text == *m)
+                && i >= 1
+                && tokens[i - 1].is_punct('.')
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+            {
+                let close = matching(tokens, i + 1);
+                for tok in &tokens[i + 2..close] {
+                    if tok.is_ident("partial_cmp") {
+                        diags.push(diag(
+                            lint,
+                            file,
+                            tok,
+                            format!(
+                                "`partial_cmp` inside a `{}` comparator in a deterministic \
+                                 region; ties and NaN fall back to input order — use \
+                                 `total_cmp` and a full tie-break",
+                                t.text
+                            ),
+                        ));
+                    }
+                }
+            }
+            // (4b) Float reduction in the same statement as a
+            // completion-order channel drain.
+            if FLOAT_REDUCTIONS.iter().any(|m| t.text == *m)
+                && i >= 1
+                && tokens[i - 1].is_punct('.')
+                && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+                && statement_has_completion_source(tokens, i)
+            {
+                diags.push(diag(
+                    lint,
+                    file,
+                    t,
+                    format!(
+                        "float `.{}()` over a completion-order source in a deterministic \
+                         region; float reduction is not associative, so completion order \
+                         changes the result — collect and reduce in a fixed order",
+                        t.text
+                    ),
+                ));
+            }
         }
         i += 1;
     }

@@ -84,12 +84,10 @@ fn check_file(lint: &'static str, file: &SourceFile, diags: &mut Vec<Diagnostic>
             }
             // `drop(g)` releases the guard explicitly.
             TokenKind::Ident if t.text == "drop" => {
-                if tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                    && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'))
-                {
-                    if let Some(name) = tokens.get(i + 2) {
-                        guards.retain(|g| g.name != name.text);
-                    }
+                let call = tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+                    && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'));
+                if let Some(name) = tokens.get(i + 2).filter(|_| call) {
+                    guards.retain(|g| g.name != name.text);
                 }
             }
             TokenKind::Ident

@@ -243,12 +243,10 @@ fn summarize_fn(file: &SourceFile, name: String, start: usize, end: usize) -> Fn
                 guards.retain(|g| g.depth <= depth);
             }
             TokenKind::Ident if t.text == "drop" => {
-                if tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                    && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'))
-                {
-                    if let Some(inner) = tokens.get(i + 2) {
-                        guards.retain(|g| g.name != inner.text);
-                    }
+                let call = tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+                    && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'));
+                if let Some(inner) = tokens.get(i + 2).filter(|_| call) {
+                    guards.retain(|g| g.name != inner.text);
                 }
             }
             // An acquisition: `<recv> . lock|read|write (`.

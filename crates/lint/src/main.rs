@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fedra_lint::diagnostics::Baseline;
@@ -70,7 +70,7 @@ fn default_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
-fn check(root: &PathBuf, format: Format) -> ExitCode {
+fn check(root: &Path, format: Format) -> ExitCode {
     let registry = Registry::with_default_lints();
     let report = match run_check(root, &registry) {
         Ok(report) => report,
@@ -115,7 +115,7 @@ fn check(root: &PathBuf, format: Format) -> ExitCode {
     }
 }
 
-fn baseline(root: &PathBuf) -> ExitCode {
+fn baseline(root: &Path) -> ExitCode {
     let registry = Registry::with_default_lints();
     let workspace = match collect_workspace(root) {
         Ok(ws) => ws,

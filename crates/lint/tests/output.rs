@@ -2,7 +2,7 @@
 //! well-formedness (a tiny JSON parser — no serde in this crate) and
 //! suppression-state round-tripping through the baseline.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fedra_lint::diagnostics::Baseline;
 use fedra_lint::output::{render_json, render_sarif};
@@ -30,7 +30,7 @@ fn scratch_tree(tag: &str) -> PathBuf {
     root
 }
 
-fn check(root: &PathBuf) -> fedra_lint::workspace::Report {
+fn check(root: &Path) -> fedra_lint::workspace::Report {
     run_check(root, &Registry::with_default_lints()).expect("scratch tree is readable")
 }
 

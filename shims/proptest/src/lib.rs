@@ -320,6 +320,8 @@ macro_rules! __proptest_impl {
                     let mut __rng = $crate::test_runner::rng_for_case(__case as u64);
                     $(let $pat =
                         $crate::strategy::Strategy::gen_value(&($strat), &mut __rng);)+
+                    // A body may end in its own `return`.
+                    #[allow(unreachable_code)]
                     let __outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| {
                             $body
@@ -429,7 +431,7 @@ mod tests {
         }
 
         #[test]
-        fn oneof_and_just(v in prop_oneof![Just(1u8), Just(2u8), (3u8..5)]) {
+        fn oneof_and_just(v in prop_oneof![Just(1u8), Just(2u8), 3u8..5]) {
             prop_assume!(v != 2);
             prop_assert!(v == 1 || v == 3 || v == 4);
         }

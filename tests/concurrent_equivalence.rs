@@ -3,15 +3,16 @@
 //!
 //! The scheduler (DESIGN.md §5g) coalesces outstanding silo requests
 //! from many clients' queries into shared wire frames, retries and
-//! resamples per rider, and finishes answers on a worker pool — none of
-//! which may leak into a query's value. These tests pin that contract
+//! resamples per rider, and finishes answers on its driver thread — none
+//! of which may leak into a query's value. These tests pin that contract
 //! through the public `fedra` API: K client threads race submissions in
 //! scrambled order, and every answer has to match what a one-worker
 //! `QueryEngine` produces for the same query under the same seed.
 //!
 //! `ci.sh` runs this suite under `FEDRA_SILO_THREADS={1,4}`; the builds
-//! below auto-size their pools, so the override steers silo-side *and*
-//! scheduler-side parallelism. The fault-plan test arms latency-only
+//! below auto-size their pools, so the override changes how many threads
+//! build each silo's indexes (a silo serves on one thread either way),
+//! which must not change a bit. The fault-plan test arms latency-only
 //! injection, which perturbs timing and frame composition but must
 //! never perturb bits.
 //!
@@ -168,7 +169,7 @@ fn mixed_algorithm_factory_is_bit_identical_to_serial() {
     // deployment might route query classes to different algorithms. The
     // contract is per-submission, so mixing must change nothing.
     let pick = |s: u64| -> Box<dyn FraAlgorithm> {
-        if s % 2 == 0 {
+        if s.is_multiple_of(2) {
             Box::new(IidEst::new(s))
         } else {
             Box::new(NonIidEst::new(s))
@@ -520,8 +521,8 @@ fn a_scheduled_fan_out_burst_coalesces_and_never_runs_inside_the_plan_stage() {
         riders.sum,
         riders.count
     );
-    // A fan-out executed inside `plan_admissions` would have come back
-    // as a provider-side plan.
+    // A fan-out executed inside the plan stage would have come back as a
+    // provider-side plan.
     assert_eq!(snapshot.counters.get("fedra_plan_ready_total"), None);
     assert_eq!(snapshot.counters.get("fedra_plan_remote_total"), None);
 }

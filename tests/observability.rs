@@ -84,7 +84,7 @@ impl FraAlgorithm for PanicEverySecond {
     ) -> QueryPlan {
         let i = self.tick.fetch_add(1, Ordering::SeqCst);
         let m = federation.num_silos();
-        let request = if i % 2 == 0 {
+        let request = if i.is_multiple_of(2) {
             Request::Aggregate {
                 range: query.range,
                 mode: LocalMode::Exact,

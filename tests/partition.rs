@@ -374,11 +374,10 @@ fn crashed_silo_rejoins_from_its_grid_snapshot() {
     // (bit-identical grid, no re-binning) and the probe-on-send client
     // reconnects on the next call.
     let respawned = Silo::new(1, data.partitions()[1].clone(), silo_config(bounds));
-    assert_eq!(
+    assert!(
         respawned
             .load_grid_snapshot(&snapshot1)
             .expect("snapshot intact"),
-        true,
         "the persisted snapshot must warm-start the respawn"
     );
     let server1b = SiloSocketServer::spawn(
