@@ -230,22 +230,23 @@ diff "$part_dir/local.txt" "$part_dir/final.txt" \
     || { echo "partition smoke: post-recovery answers diverge from the in-process run"; exit 1; }
 echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$part_dir/local.txt") answers bit-identical after recovery)"
 
-# Benchmark correctness gate: four short fedra-e2e runs, exit code only.
+# Benchmark correctness gate: five short fedra-e2e runs, exit code only.
 # Each run checks EXACT = brute force, the MRE ceilings and bit-identity
 # to serial execution before it reports a number, so the one T₀ every
 # silo answers from is guarded on both backends, the silo's one-walk
 # per-cell kernel is guarded lone (tcp) and batched (mem),
 # batch_exact_mem guards batched = lone for the fan-out join (250 queries'
-# legs on 6 coalesced frames vs `try_execute`, bit for bit), and
-# sched_iid_mem guards scheduled = serial and the lockstep byte check
-# under the scheduler's drain-until-dry admission loop. Timings from a
-# 2 s window are not read.
+# legs on 6 coalesced frames vs `try_execute`, bit for bit),
+# sched_iid_mem guards scheduled = serial under the scheduler's
+# drain-until-dry admission loop, and sched_iid_tcp runs the one
+# end-to-end lockstep comparison of the bytes sockets and memory count
+# for the same queries. Timings from a 2 s window are not read.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
-for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem; do
+for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     bash bench/run.sh --workload "$workload" --seconds 2 --trace 0 >/dev/null \
         || { echo "benchmark gate: $workload failed its correctness gate"; exit 1; }
 done
-echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem correct)"
+echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct)"
 
 # Cache smoke: the city dashboard's refresh loop runs through the
 # ε-aware answer cache with per-serve truth checks. The steady-state hit

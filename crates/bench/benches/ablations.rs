@@ -54,8 +54,13 @@ fn main() {
     // The benefit of the Sec. 4.2.2 remark scales with r/L: at small
     // radii almost every intersecting cell *is* a boundary cell, while
     // large circles cover an O((r/L)^2) interior that never needs to be
-    // shipped. Sweep the ratio.
+    // shipped. Sweep the ratio. Both requests ask for COUNT's one moment,
+    // as NonIID-est does for the COUNT queries of every figure.
     let spec = *grid.spec();
+    let count_only = |request: Request| Request::Masked {
+        moments: AggFunc::Count.moments(),
+        request: Box::new(request),
+    };
     println!();
     println!("=== Ablation B: NonIID transfer, boundary-only vs all intersecting cells ===");
     for radius in [
@@ -73,21 +78,21 @@ fn main() {
             fed.reset_query_comm();
             let _ = fed.call(
                 0,
-                &Request::CellContributions {
+                &count_only(Request::CellContributions {
                     range: *r,
                     cells: cls.boundary.clone(),
                     mode: LocalMode::Exact,
-                },
+                }),
             );
             boundary_bytes += fed.query_comm().total_bytes();
             fed.reset_query_comm();
             let _ = fed.call(
                 0,
-                &Request::CellContributions {
+                &count_only(Request::CellContributions {
                     range: *r,
                     cells: all,
                     mode: LocalMode::Exact,
-                },
+                }),
             );
             full_bytes += fed.query_comm().total_bytes();
         }

@@ -16,6 +16,7 @@ use fedra_federation::{Federation, LocalMode, Request};
 use fedra_obs::ObsContext;
 
 use crate::algorithm::{drive_planned, FraAlgorithm};
+use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
 
 /// The EXACT fan-out algorithm.
@@ -35,10 +36,11 @@ impl FraAlgorithm for Exact {
     }
 
     fn fan_out(&self, query: &FraQuery) -> Option<Request> {
-        Some(Request::Aggregate {
+        let request = Request::Aggregate {
             range: query.range,
             mode: LocalMode::Exact,
-        })
+        };
+        Some(helpers::masked_for(query.func, request))
     }
 
     fn try_execute_with(

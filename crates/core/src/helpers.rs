@@ -1,8 +1,18 @@
 //! Provider-side estimation helpers shared by the FRA algorithms.
 
-use fedra_federation::{Federation, SiloId};
+use fedra_federation::{Federation, Request, SiloId};
 use fedra_geo::{intersection_area, Range};
-use fedra_index::Aggregate;
+use fedra_index::{AggFunc, Aggregate};
+
+/// `request` asking for only the moments `func` reads: what every query
+/// path sends, so a silo reveals no component its answer does not need
+/// and the reply pays for none.
+pub(crate) fn masked_for(func: AggFunc, request: Request) -> Request {
+    Request::Masked {
+        moments: func.moments(),
+        request: Box::new(request),
+    }
+}
 
 /// The grid-based rough estimate `sum₀` used for LSR level selection
 /// (Alg. 6): the COUNT over all `g₀` cells intersecting the range,

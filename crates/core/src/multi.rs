@@ -21,7 +21,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
-use fedra_geo::intersection_area;
+use fedra_geo::{intersection_area, Range};
+use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext, Span};
 
@@ -85,12 +86,11 @@ impl MultiSiloEst {
         trace: &fedra_obs::TraceHandle,
     ) -> Result<QueryResult, FraError> {
         let range = &query.range;
-        let (classification, covered, grid_spec);
+        let (classification, covered);
         let grid = federation.merged_grid();
         {
             let _plan_span = Span::enter(trace, "plan");
-            grid_spec = grid.spec();
-            classification = grid_spec.classify(range);
+            classification = grid.spec().classify(range);
             if classification.is_empty() {
                 return Ok(QueryResult::from_aggregate(Aggregate::ZERO, query.func));
             }
@@ -109,6 +109,7 @@ impl MultiSiloEst {
             cells: classification.boundary.clone(),
             mode: LocalMode::Exact,
         };
+        let request = helpers::masked_for(query.func, request);
         let mut pooled: Vec<Aggregate> = vec![Aggregate::ZERO; classification.boundary.len()];
         let mut pooled_silos: Vec<SiloId> = Vec::new();
         let mut trail = Vec::new();
@@ -167,28 +168,47 @@ impl MultiSiloEst {
         }
 
         let _finish_span = Span::enter(trace, "finish");
-        let mut estimate = covered;
-        for (idx, cell) in classification.boundary.iter().enumerate() {
-            let g0_i = grid.cell(*cell);
-            // Pooled denominator: the sampled silos' combined cell totals.
-            let mut gk_pooled = Aggregate::ZERO;
-            for &s in &pooled_silos {
-                gk_pooled.merge_in(federation.silo_grid(s).cell(*cell));
-            }
-            let rect = grid_spec.cell_rect_of(*cell);
-            let frac = intersection_area(range, &rect) / rect.area();
-            let fallback = g0_i.scale(frac);
-            estimate.merge_in(&helpers::ratio_scale(
-                g0_i,
-                &pooled[idx],
-                &gk_pooled,
-                &fallback,
-            ));
-        }
+        let estimate = pooled_estimate(
+            federation,
+            range,
+            covered,
+            &classification.boundary,
+            &pooled,
+            &pooled_silos,
+        );
         Ok(QueryResult::from_aggregate(estimate, query.func)
             .with_silo(pooled_silos[0])
             .with_rounds(rounds))
     }
+}
+
+/// The pooled estimate: `covered` plus, per boundary cell `i`, the pooled
+/// contribution `pooled[i]` re-scaled by `g₀[i] / Σ_k g_k[i]` over the
+/// `pooled_silos`.
+fn pooled_estimate(
+    federation: &Federation,
+    range: &Range,
+    covered: Aggregate,
+    boundary: &[CellId],
+    pooled: &[Aggregate],
+    pooled_silos: &[SiloId],
+) -> Aggregate {
+    let grid = federation.merged_grid();
+    let grid_spec = grid.spec();
+    let mut estimate = covered;
+    for (cell, pooled_i) in boundary.iter().zip(pooled) {
+        let g0_i = grid.cell(*cell);
+        // Pooled denominator: the sampled silos' combined cell totals.
+        let mut gk_pooled = Aggregate::ZERO;
+        for &s in pooled_silos {
+            gk_pooled.merge_in(federation.silo_grid(s).cell(*cell));
+        }
+        let rect = grid_spec.cell_rect_of(*cell);
+        let frac = intersection_area(range, &rect) / rect.area();
+        let fallback = g0_i.scale(frac);
+        estimate.merge_in(&helpers::ratio_scale(g0_i, pooled_i, &gk_pooled, &fallback));
+    }
+    estimate
 }
 
 #[cfg(test)]
@@ -341,6 +361,51 @@ mod tests {
         assert!(r.value > 0.0);
         // Both healthy silos pooled despite the dead ones.
         assert!(r.sampled_silo.map(|s| s >= 2).unwrap_or(false));
+    }
+
+    #[test]
+    fn the_mask_never_changes_a_pooled_answer() {
+        // Replays each query's walk by hand with the unmasked request and
+        // pools the full replies: the estimator's answer from masked
+        // replies must be the same bits.
+        let fed = federation(4, 1500, 17);
+        let mut rng = StdRng::seed_from_u64(18);
+        for i in 0..8u64 {
+            let center = Point::new(rng.random_range(20.0..80.0), rng.random_range(20.0..80.0));
+            for func in AggFunc::ALL {
+                let q = FraQuery::circle(center, 9.0, func);
+                let k = 1 + (i as usize % 3);
+                let masked = MultiSiloEst::new(100 + i, k).execute(&fed, &q);
+
+                let cls = fed.merged_grid().spec().classify(&q.range);
+                let covered = fed
+                    .merged_grid()
+                    .aggregate_cells(cls.covered.iter().copied());
+                let mut order = helpers::candidate_silos(&fed, &q.range);
+                order.shuffle(&mut StdRng::seed_from_u64(100 + i));
+                let full_request = Request::CellContributions {
+                    range: q.range,
+                    cells: cls.boundary.clone(),
+                    mode: LocalMode::Exact,
+                };
+                let mut pooled = vec![Aggregate::ZERO; cls.boundary.len()];
+                for &s in &order[..k] {
+                    let Ok(Response::AggVec(full)) = fed.call(s, &full_request) else {
+                        panic!("silo {s} did not answer");
+                    };
+                    for (acc, c) in pooled.iter_mut().zip(&full) {
+                        acc.merge_in(c);
+                    }
+                }
+                let estimate =
+                    pooled_estimate(&fed, &q.range, covered, &cls.boundary, &pooled, &order[..k]);
+                let full = QueryResult::from_aggregate(estimate, func)
+                    .with_silo(order[0])
+                    .with_rounds(k as u64);
+                assert_eq!(masked.value.to_bits(), full.value.to_bits(), "k={k} {q}");
+                assert_eq!(masked, full, "k={k} {q}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use fedra_federation::{Federation, Request};
 use fedra_obs::ObsContext;
 
 use crate::algorithm::{drive_planned, FraAlgorithm};
+use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
 
 /// The OPTA fan-out histogram algorithm.
@@ -33,7 +34,8 @@ impl FraAlgorithm for Opta {
     }
 
     fn fan_out(&self, query: &FraQuery) -> Option<Request> {
-        Some(Request::HistogramEstimate { range: query.range })
+        let request = Request::HistogramEstimate { range: query.range };
+        Some(helpers::masked_for(query.func, request))
     }
 
     fn try_execute_with(

@@ -22,7 +22,7 @@
 //! Every decision is returned alongside the answer for observability.
 
 use fedra_federation::wire::Wire;
-use fedra_federation::{Federation, LocalMode, Request, Response};
+use fedra_federation::{Federation, Response};
 use fedra_geo::intersection_area;
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext};
@@ -139,15 +139,20 @@ impl AdaptivePlanner {
         }
 
         // Communication budget: what NonIID-est would put on the wire for
-        // this query — its per-cell request, one aggregate per boundary
-        // cell back, and the federation's envelope each way.
+        // this query — its masked per-cell request, one aggregate per
+        // boundary cell back, and the federation's envelope each way. A
+        // zero moment costs no reply bytes, so the worst case prices
+        // every masked moment present in every cell.
         if let Some(budget) = self.policy.comm_budget_bytes {
-            let request = Request::CellContributions {
-                range: query.range,
-                cells: cls.boundary.clone(),
-                mode: LocalMode::Exact,
+            // The wrapped NonIID-est queries exactly: no sum₀ in its mode.
+            let request = self.noniid.request(query, cls.boundary.clone(), 0.0);
+            let full = Aggregate {
+                count: 1.0,
+                sum: 1.0,
+                sum_sqr: 1.0,
             };
-            let reply = Response::AggVec(vec![Aggregate::ZERO; cls.boundary.len()]);
+            let worst = full.masked(query.func.moments());
+            let reply = Response::AggVec(vec![worst; cls.boundary.len()]);
             let payload = (request.encoded_len() + reply.encoded_len()) as u64;
             if payload + 2 * federation.message_overhead() > budget {
                 return PlanDecision::IidForBudget;
@@ -392,7 +397,23 @@ mod tests {
                 let q = FraQuery::new(range, AggFunc::Count);
                 fed.reset_query_comm();
                 NonIidEst::new(22).execute(&fed, &q);
-                let cost = fed.query_comm().total_bytes();
+                let measured = fed.query_comm().total_bytes();
+                let n = fed.merged_grid().spec().classify(&range).boundary.len() as u64;
+                // Up: Masked tag + mask byte + CellContributions tag, the
+                // range, a u32 cell count + 4 B per cell id, the Exact
+                // mode byte. Down: AggVec tag + u32 length, then per cell
+                // a presence byte + the count (COUNT's one moment), priced
+                // as present. Plus the envelope each way.
+                let up = 3 + range.encoded_len() as u64 + 4 + 4 * n + 1;
+                let down = 1 + 4 + n * (1 + 8);
+                let priced = up + down + 2 * overhead;
+                assert!(measured <= priced, "{range:?}: {measured} > {priced}");
+                if let Range::Rect(_) = range {
+                    // Every boundary cell of this rect holds some of the
+                    // sampled silo's objects: no count is zero, so the
+                    // worst case is the actual cost.
+                    assert_eq!(measured, priced, "{range:?}");
+                }
                 let planner = |budget| {
                     let policy = PlannerPolicy {
                         target_error: 0.5,
@@ -401,8 +422,8 @@ mod tests {
                     };
                     AdaptivePlanner::new(23, policy).plan(&fed, &q)
                 };
-                assert_eq!(planner(cost), PlanDecision::NonIidHighSkew, "{range:?}");
-                assert_eq!(planner(cost - 1), PlanDecision::IidForBudget, "{range:?}");
+                assert_eq!(planner(priced), PlanDecision::NonIidHighSkew, "{range:?}");
+                assert_eq!(planner(priced - 1), PlanDecision::IidForBudget, "{range:?}");
             }
         }
     }

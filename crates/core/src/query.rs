@@ -69,9 +69,9 @@ pub struct Coverage {
 pub struct QueryResult {
     /// The (possibly approximate) value of `F` over the range.
     pub value: f64,
-    /// The full `(count, sum, sum_sqr)` triple the value was derived from.
-    /// AVG/STDEV queries get all three in one round, per the Sec. 7
-    /// extension.
+    /// The moments the value was derived from — `F`'s, the rest 0.0
+    /// (see [`QueryResult::from_aggregate`]). AVG/STDEV queries get the
+    /// two or three they need in one round, per the Sec. 7 extension.
     pub aggregate: Aggregate,
     /// The silo that served the partial answer (`None` for algorithms
     /// that fan out to every silo or answer purely from provider state).
@@ -86,7 +86,14 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// Builds a result from an aggregate triple for the requested function.
+    ///
+    /// The contract every finish step relies on: `aggregate` is masked to
+    /// `func`'s moments ([`AggFunc::moments`]), so a result carries — and
+    /// its value reads — exactly what a masked silo reply carries. The
+    /// estimators' per-component arithmetic never mixes moments, so the
+    /// zeroed ones a silo left off the wire cannot reach the answer.
     pub fn from_aggregate(aggregate: Aggregate, func: AggFunc) -> Self {
+        let aggregate = aggregate.masked(func.moments());
         Self {
             value: aggregate.value(func),
             aggregate,
@@ -242,6 +249,11 @@ mod tests {
         assert_eq!(QueryResult::from_aggregate(agg, AggFunc::Count).value, 4.0);
         assert_eq!(QueryResult::from_aggregate(agg, AggFunc::Sum).value, 10.0);
         assert_eq!(QueryResult::from_aggregate(agg, AggFunc::Avg).value, 2.5);
+        // The result keeps only the moments its function reads.
+        let avg = QueryResult::from_aggregate(agg, AggFunc::Avg).aggregate;
+        assert_eq!((avg.count, avg.sum, avg.sum_sqr), (4.0, 10.0, 0.0));
+        let stdev = QueryResult::from_aggregate(agg, AggFunc::Stdev).aggregate;
+        assert_eq!(stdev, agg);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use rand::SeedableRng;
 
 use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
 use fedra_geo::intersection_area;
+use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext};
 
@@ -188,12 +189,13 @@ impl FraAlgorithm for IidEst {
         // every holder was failure-flagged or refused by its breaker, and
         // the walk degrades at its first dispatch like any exhausted one.
         let order = self.sampler.visiting_order(&candidates);
+        let request = Request::Aggregate {
+            range: *range,
+            mode: self.local.mode(sum0.count),
+        };
         QueryPlan::SingleSilo(RemotePlan {
             order,
-            request: Request::Aggregate {
-                range: *range,
-                mode: self.local.mode(sum0.count),
-            },
+            request: helpers::masked_for(query.func, request),
         })
     }
 
@@ -245,6 +247,18 @@ impl NonIidEst {
             local: LocalQuery::Exact,
             name: "NonIID-est",
         }
+    }
+
+    /// The one request NonIID-est sends for `query`: the boundary cells'
+    /// contributions, masked to `F`'s moments. The adaptive planner
+    /// prices this very request.
+    pub(crate) fn request(&self, query: &FraQuery, cells: Vec<CellId>, sum0_count: f64) -> Request {
+        let request = Request::CellContributions {
+            range: query.range,
+            cells,
+            mode: self.local.mode(sum0_count),
+        };
+        helpers::masked_for(query.func, request)
     }
 }
 
@@ -324,11 +338,7 @@ impl FraAlgorithm for NonIidEst {
         }
         QueryPlan::SingleSilo(RemotePlan {
             order,
-            request: Request::CellContributions {
-                range: *range,
-                cells: classification.boundary,
-                mode: self.local.mode(sum0_count),
-            },
+            request: self.request(query, classification.boundary, sum0_count),
         })
     }
 
@@ -564,8 +574,8 @@ mod tests {
         NonIidEst::new(19).execute(&fed, &q);
         let bytes = fed.query_comm().total_bytes();
         // Boundary of a r=10 circle on a 2 km grid ≈ 2πr/L ≈ 31 cells.
-        // Each costs 4 bytes up + 24 bytes down ≈ 900 bytes, far below the
-        // 2500-cell full grid (~60 KB).
+        // Each costs 4 bytes up + at most 9 bytes down (a COUNT: presence
+        // byte + count) ≈ 400 bytes, far below the 2500-cell full grid.
         assert!(bytes < 4000, "NonIID comm {bytes} bytes is not O(√|g0|)");
     }
 

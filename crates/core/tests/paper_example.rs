@@ -238,22 +238,35 @@ fn both_estimators_stay_in_the_examples_ballpark() {
 fn communication_cost_of_the_example() {
     // With zero envelope overhead the example's byte counts are exactly
     // auditable: IID-est ships one Aggregate back; NonIID-est ships one
-    // Aggregate per boundary cell (8 of them).
+    // Aggregate per boundary cell (8 of them). Both ask for SUM alone, so
+    // an aggregate is a presence byte plus 8 B when its sum is non-zero.
     let fed = example_federation();
     let q = FraQuery::new(example_query(), AggFunc::Sum);
 
     fed.reset_query_comm();
-    IidEst::new(0).execute(&fed, &q);
+    let iid_result = IidEst::new(0).execute(&fed, &q);
     let iid = fed.query_comm();
-    // up: tag(1) + range(25) + mode(1) = 27; down: tag(1) + agg(24) = 25.
-    assert_eq!(iid.bytes_up, 27);
-    assert_eq!(iid.bytes_down, 25);
+    // up: Masked tag(1) + mask(1) + tag(1) + range(25) + mode(1) = 29;
+    // down: tag(1) + presence(1) + the silo's in-range sum (6 or 4) = 10.
+    assert!(iid_result.sampled_silo.is_some());
+    assert_eq!(iid.bytes_up, 29);
+    assert_eq!(iid.bytes_down, 10);
 
     fed.reset_query_comm();
-    NonIidEst::new(0).execute(&fed, &q);
+    let noniid_result = NonIidEst::new(0).execute(&fed, &q);
     let noniid = fed.query_comm();
-    // up adds the 8 boundary cell ids (4 B each) + vec len (4 B);
-    // down carries 8 aggregates + vec len.
-    assert_eq!(noniid.bytes_up, 27 + 4 + 32);
-    assert_eq!(noniid.bytes_down, 1 + 4 + 8 * 24);
+    // up adds the 8 boundary cell ids (4 B each) + vec len (4 B).
+    assert_eq!(noniid.bytes_up, 29 + 4 + 32);
+    // down: tag(1) + vec len(4) + 8 presence bytes + 8 B per boundary
+    // cell whose clipped in-range sum is non-zero. Silo 1's three
+    // in-range objects give four such cells: (0,1), (0,2), and both
+    // (1,3) and (2,3), because (5, 8) lies on their shared edge and a
+    // cell's clip rectangle is closed. Silo 2's give one, (2,2): its
+    // other two lie in the covered centre cell.
+    let massy_cells = match noniid_result.sampled_silo {
+        Some(0) => 4,
+        Some(1) => 1,
+        other => panic!("NonIID-est sampled {other:?}"),
+    };
+    assert_eq!(noniid.bytes_down, 1 + 4 + 8 + 8 * massy_cells);
 }

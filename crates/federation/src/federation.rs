@@ -920,8 +920,19 @@ mod tests {
         let setup = fed.setup_comm();
         // One batched [MemoryReport, BuildGrid] round per silo.
         assert_eq!(setup.rounds, 3);
-        // Each grid response carries 100 cells × 24 bytes.
-        assert!(setup.bytes_down > 3 * 100 * 24);
+        // Per silo, down: the envelope; the batch reply's tag + u32 item
+        // count; a Memory reply (tag + 4 × u64); the Grid reply: tag,
+        // bounds (32), cell_len (8), a u32 cell count, 100 cells at a
+        // presence byte each plus 24 B per occupied cell (measures are
+        // 1–3, so count, sum and sum_sqr are all non-zero), outside (8).
+        let expected: u64 = (0..3)
+            .map(|k| {
+                let cells = fed.silo_grid(k).cells();
+                let occupied = cells.iter().filter(|c| c.count > 0.0).count() as u64;
+                fed.message_overhead() + 5 + 33 + (1 + 32 + 8 + 4 + 100 + 24 * occupied + 8)
+            })
+            .sum();
+        assert_eq!(setup.bytes_down, expected);
         // Query counters start clean.
         assert_eq!(fed.query_comm().rounds, 0);
     }

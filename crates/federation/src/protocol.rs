@@ -10,17 +10,22 @@
 //! | [`Request::HistogramEstimate`] | OPTA baseline | Sec. 8.1 |
 //! | [`Request::MemoryReport`] | metrics | Figs. 3d–9d |
 //! | [`Request::Ping`] | liveness / failure tests | — |
+//! | [`Request::Masked`] | every query path: only `F`'s moments come back | Alg. 2/3 line 3, Sec. 7 |
+//! | [`Request::Batch`] | coalesced frames | Alg. 4 |
 //!
 //! Everything here is [`Wire`]-codable; the transport layer only ever sees
 //! byte buffers, which is what the communication-cost metric measures.
+//! The codec admits only the protocol's own nesting — a `Batch` item is
+//! never a `Batch`, a `Masked` wraps one of the three aggregate requests —
+//! so a hostile frame is a typed [`WireError`], never a deep recursion.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Range, Rect};
 use fedra_index::grid::{CellId, GridIndex, GridSpec};
-use fedra_index::Aggregate;
+use fedra_index::{Aggregate, Moments};
 
-use crate::wire::{Wire, WireError, WireResult};
+use crate::wire::{decode_nested, decode_seq, Wire, WireError, WireResult};
 
 /// How a silo should answer a local range aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +90,22 @@ pub enum Request {
     /// each in order and answers with one [`Response::Batch`] of the same
     /// arity. A batch of `n` requests pays **one** message envelope per
     /// direction instead of `n` — the amortization behind
-    /// [`crate::transport::SiloChannel::begin_frame`]. Nesting is a wire
-    /// error: a `Batch` inside a `Batch` is answered with a per-item
-    /// [`Response::Error`].
+    /// [`crate::transport::SiloChannel::begin_frame`]. A `Batch` item
+    /// that is itself a `Batch` is a wire error (and, built in-process, a
+    /// per-item [`Response::Error`]).
     Batch(Vec<Request>),
+    /// `request` answered with only `moments`: the silo serves `request`,
+    /// then zeroes every other component of every aggregate in the reply,
+    /// which the sparse [`Aggregate`] codec then leaves off the wire. It
+    /// wraps an `Aggregate`, `CellContributions` or `HistogramEstimate`;
+    /// anything else is a wire error. An unwrapped request means all
+    /// three moments.
+    Masked {
+        /// The moments the reply carries.
+        moments: Moments,
+        /// The request to serve.
+        request: Box<Request>,
+    },
 }
 
 /// Per-index memory usage of one silo, in bytes.
@@ -225,6 +242,13 @@ impl Wire for LocalMode {
 
 /// Wire tag of [`Request::Batch`].
 pub(crate) const REQUEST_BATCH_TAG: u8 = 6;
+/// Wire tag of [`Request::Masked`].
+const REQUEST_MASKED_TAG: u8 = 7;
+/// Wire tags of the requests a [`Request::Masked`] may wrap: `Aggregate`,
+/// `CellContributions`, `HistogramEstimate`.
+const MASKABLE_TAGS: [u8; 3] = [1, 2, 3];
+/// Wire tag of [`Response::Batch`].
+const RESPONSE_BATCH_TAG: u8 = 7;
 
 /// Encodes a batch request frame straight from borrowed sub-requests —
 /// byte-identical to `Request::Batch(requests.to_vec()).to_bytes()` but
@@ -275,6 +299,11 @@ impl Wire for Request {
                 buf.put_u8(REQUEST_BATCH_TAG);
                 requests.encode(buf);
             }
+            Request::Masked { moments, request } => {
+                buf.put_u8(REQUEST_MASKED_TAG);
+                moments.encode(buf);
+                request.encode(buf);
+            }
         }
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
@@ -303,7 +332,15 @@ impl Wire for Request {
             }),
             4 => Ok(Request::MemoryReport),
             5 => Ok(Request::Ping),
-            REQUEST_BATCH_TAG => Ok(Request::Batch(Vec::<Request>::decode(buf)?)),
+            REQUEST_BATCH_TAG => Ok(Request::Batch(decode_seq(buf, |buf| {
+                decode_nested(buf, "batch item", |tag| tag != REQUEST_BATCH_TAG)
+            })?)),
+            REQUEST_MASKED_TAG => Ok(Request::Masked {
+                moments: Moments::decode(buf)?,
+                request: Box::new(decode_nested(buf, "masked request", |tag| {
+                    MASKABLE_TAGS.contains(&tag)
+                })?),
+            }),
             tag => Err(WireError::BadTag {
                 context: "request",
                 tag,
@@ -324,6 +361,7 @@ impl Wire for Request {
             Request::HistogramEstimate { range } => range.encoded_len(),
             Request::MemoryReport | Request::Ping => 0,
             Request::Batch(requests) => requests.encoded_len(),
+            Request::Masked { moments, request } => moments.encoded_len() + request.encoded_len(),
         }
     }
 }
@@ -386,7 +424,7 @@ impl Wire for Response {
                 msg.encode(buf);
             }
             Response::Batch(responses) => {
-                buf.put_u8(7);
+                buf.put_u8(RESPONSE_BATCH_TAG);
                 responses.encode(buf);
             }
             Response::Transient(msg) => {
@@ -421,7 +459,9 @@ impl Wire for Response {
                 total: Aggregate::decode(buf)?,
                 outside: u64::decode(buf)?,
             }),
-            7 => Ok(Response::Batch(Vec::<Response>::decode(buf)?)),
+            RESPONSE_BATCH_TAG => Ok(Response::Batch(decode_seq(buf, |buf| {
+                decode_nested(buf, "batch item", |tag| tag != RESPONSE_BATCH_TAG)
+            })?)),
             8 => Ok(Response::Transient(String::decode(buf)?)),
             9 => Ok(Response::DeadlineExceeded {
                 late_by_us: u64::decode(buf)?,
@@ -611,9 +651,138 @@ mod tests {
             Response::Transient("silo 1 flapping".to_string()),
             Response::DeadlineExceeded { late_by_us: 42 },
         ]));
-        // Nested batches are wire-legal (the silo rejects them at
-        // handling time, not the codec).
-        round_trip(Request::Batch(vec![Request::Batch(vec![Request::Ping])]));
+        // A masked request rides a batch like any other item.
+        round_trip(Request::Batch(vec![masked(0b011), Request::Ping]));
+        // A batch inside a batch is not: the codec refuses it.
+        let nested = Request::Batch(vec![Request::Batch(vec![Request::Ping])]).to_bytes();
+        assert_eq!(
+            Request::from_bytes(nested),
+            Err(WireError::BadTag {
+                context: "batch item",
+                tag: REQUEST_BATCH_TAG
+            })
+        );
+        let nested = Response::Batch(vec![Response::Batch(vec![Response::Pong])]).to_bytes();
+        assert_eq!(
+            Response::from_bytes(nested),
+            Err(WireError::BadTag {
+                context: "batch item",
+                tag: RESPONSE_BATCH_TAG
+            })
+        );
+    }
+
+    fn masked(bits: u8) -> Request {
+        Request::Masked {
+            moments: Moments::from_bits(bits).expect("three moments"),
+            request: Box::new(Request::Aggregate {
+                range: Range::circle(Point::new(4.0, 6.0), 3.0),
+                mode: LocalMode::Exact,
+            }),
+        }
+    }
+
+    #[test]
+    fn masked_requests_round_trip_and_wrap_only_the_aggregate_requests() {
+        for bits in 0..=0b111 {
+            round_trip(masked(bits));
+        }
+        round_trip(Request::Masked {
+            moments: Moments::COUNT,
+            request: Box::new(Request::CellContributions {
+                range: Range::circle(Point::new(4.0, 6.0), 3.0),
+                cells: vec![1, 5, 9],
+                mode: LocalMode::Exact,
+            }),
+        });
+        round_trip(Request::Masked {
+            moments: Moments::SUM,
+            request: Box::new(Request::HistogramEstimate {
+                range: Range::circle(Point::new(4.0, 6.0), 3.0),
+            }),
+        });
+        // Tag + mask byte + the inner request's own bytes.
+        let inner = Request::Aggregate {
+            range: Range::circle(Point::new(4.0, 6.0), 3.0),
+            mode: LocalMode::Exact,
+        };
+        assert_eq!(masked(0b001).to_bytes().len(), 2 + inner.to_bytes().len());
+        for inner in [
+            Request::Ping,
+            Request::MemoryReport,
+            Request::Batch(vec![]),
+            masked(0b001),
+        ] {
+            let tag = inner.to_bytes()[0];
+            let frame = Request::Masked {
+                moments: Moments::ALL,
+                request: Box::new(inner),
+            }
+            .to_bytes();
+            assert_eq!(
+                Request::from_bytes(frame),
+                Err(WireError::BadTag {
+                    context: "masked request",
+                    tag
+                })
+            );
+        }
+        let mut bad_mask = masked(0b001).to_bytes().to_vec();
+        bad_mask[1] = 0b1000;
+        assert_eq!(
+            Request::from_bytes(Bytes::from(bad_mask)),
+            Err(WireError::BadTag {
+                context: "moments",
+                tag: 0b1000
+            })
+        );
+    }
+
+    /// `header` repeated `depth` times, then `leaf`.
+    fn chain(header: &[u8], depth: usize, leaf: &[u8]) -> Bytes {
+        let mut frame = Vec::with_capacity(header.len() * depth + leaf.len());
+        for _ in 0..depth {
+            frame.extend_from_slice(header);
+        }
+        frame.extend_from_slice(leaf);
+        Bytes::from(frame)
+    }
+
+    #[test]
+    fn a_million_nested_headers_are_a_typed_error_not_a_stack_overflow() {
+        const DEPTH: usize = 1_000_000;
+        // Batch-of-one headers, each wrapping the next, then a Ping.
+        let batches = chain(&[REQUEST_BATCH_TAG, 1, 0, 0, 0], DEPTH, &[5]);
+        assert_eq!(
+            Request::from_bytes(batches),
+            Err(WireError::BadTag {
+                context: "batch item",
+                tag: REQUEST_BATCH_TAG
+            })
+        );
+        // The same on the reply path, ending in a Pong.
+        let batches = chain(&[RESPONSE_BATCH_TAG, 1, 0, 0, 0], DEPTH, &[4]);
+        assert_eq!(
+            Response::from_bytes(batches),
+            Err(WireError::BadTag {
+                context: "batch item",
+                tag: RESPONSE_BATCH_TAG
+            })
+        );
+        // Masks wrapping masks, ending in a real aggregate request.
+        let leaf = Request::Aggregate {
+            range: Range::circle(Point::new(4.0, 6.0), 3.0),
+            mode: LocalMode::Exact,
+        }
+        .to_bytes();
+        let masks = chain(&[REQUEST_MASKED_TAG, 0b111], DEPTH, &leaf);
+        assert_eq!(
+            Request::from_bytes(masks),
+            Err(WireError::BadTag {
+                context: "masked request",
+                tag: REQUEST_MASKED_TAG
+            })
+        );
     }
 
     #[test]
@@ -637,12 +806,12 @@ mod tests {
     #[test]
     fn bad_tags_error() {
         let mut buf = BytesMut::new();
-        buf.put_u8(7); // one past the Batch request tag
+        buf.put_u8(8); // one past the Masked request tag
         assert!(matches!(
             Request::from_bytes(buf.freeze()),
             Err(WireError::BadTag {
                 context: "request",
-                tag: 7
+                tag: 8
             })
         ));
         let mut buf = BytesMut::new();
@@ -694,6 +863,7 @@ mod tests {
             },
             Request::MemoryReport,
             Request::Ping,
+            masked(0b101),
         ];
         for r in &requests {
             assert_eq!(r.encoded_len(), r.to_bytes().len(), "{r:?}");
@@ -712,7 +882,14 @@ mod tests {
                 outside: 0,
             },
             Response::Agg(Aggregate::ZERO),
-            Response::AggVec(vec![Aggregate::ZERO; 2]),
+            Response::AggVec(vec![
+                Aggregate::ZERO,
+                Aggregate {
+                    count: 2.0,
+                    sum_sqr: -0.0,
+                    ..Aggregate::ZERO
+                },
+            ]),
             Response::Memory(SiloMemoryReport::default()),
             Response::Pong,
             Response::Error("boom".to_string()),

@@ -19,7 +19,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +35,7 @@ use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, IndexMemory};
 
 use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport};
-use crate::wire::{Wire, WireError, WireResult};
+use crate::wire::{expect_magic, Wire, WireError, WireResult};
 
 /// Identifier of a silo within its federation: `0 .. m`.
 pub type SiloId = usize;
@@ -93,9 +93,10 @@ pub struct Silo {
 /// A silo's persisted grid state: everything needed to re-retain the
 /// grid after a crash without re-scanning the partition (DESIGN.md §5i).
 ///
-/// The on-disk layout is the wire encoding of this struct followed by a
-/// trailing FNV-1a checksum of those bytes; [`Silo::load_grid_snapshot`]
-/// refuses a file whose checksum mismatches (torn write, bit rot) and
+/// The on-disk layout is the wire encoding of this struct (a format magic
+/// first) followed by a trailing FNV-1a checksum of those bytes;
+/// [`Silo::load_grid_snapshot`] refuses a file whose checksum mismatches
+/// (torn write, bit rot) or whose magic is not this layout's, and
 /// ignores one whose `num_objects` disagrees with the live partition
 /// (stale snapshot from before a re-shard) — the grid is then simply
 /// rebuilt by the next `BuildGrid`, so a bad snapshot can delay recovery
@@ -114,8 +115,14 @@ pub struct SiloGridSnapshot {
     pub outside: u64,
 }
 
+/// Format magic of [`SiloGridSnapshot`]: layout 2, whose cells use the
+/// sparse [`Aggregate`] codec. A layout-1 file (24-byte cells, no magic)
+/// is refused.
+const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID2";
+
 impl Wire for SiloGridSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(SILO_SNAPSHOT_MAGIC);
         self.bounds.encode(buf);
         self.cell_len.encode(buf);
         self.num_objects.encode(buf);
@@ -124,7 +131,8 @@ impl Wire for SiloGridSnapshot {
     }
 
     fn encoded_len(&self) -> usize {
-        self.bounds.encoded_len()
+        SILO_SNAPSHOT_MAGIC.len()
+            + self.bounds.encoded_len()
             + self.cell_len.encoded_len()
             + self.num_objects.encoded_len()
             + self.cells.encoded_len()
@@ -132,6 +140,7 @@ impl Wire for SiloGridSnapshot {
     }
 
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        expect_magic(buf, SILO_SNAPSHOT_MAGIC, "silo grid snapshot format")?;
         let bounds = Rect::decode(buf)?;
         let cell_len = f64::decode(buf)?;
         let num_objects = u64::decode(buf)?;
@@ -341,6 +350,11 @@ impl Silo {
         if self.failed.load(Ordering::Acquire) {
             return Response::Error(format!("silo {} unavailable", self.id));
         }
+        self.answer(request)
+    }
+
+    /// Answers one counted, non-batch request.
+    fn answer(&self, request: Request) -> Response {
         match request {
             Request::BuildGrid {
                 bounds,
@@ -359,11 +373,30 @@ impl Silo {
             Request::Batch(_) => {
                 Response::Error(format!("silo {}: nested batch rejected", self.id))
             }
+            // The same tree walk as unmasked, then only the asked-for
+            // moments leave the silo.
+            Request::Masked { moments, request } => match *request {
+                inner @ (Request::Aggregate { .. }
+                | Request::CellContributions { .. }
+                | Request::HistogramEstimate { .. }) => match self.answer(inner) {
+                    Response::Agg(a) => Response::Agg(a.masked(moments)),
+                    Response::AggVec(mut v) => {
+                        v.iter_mut().for_each(|a| *a = a.masked(moments));
+                        Response::AggVec(v)
+                    }
+                    other => other,
+                },
+                _ => Response::Error(format!(
+                    "silo {}: only an aggregate request can be masked",
+                    self.id
+                )),
+            },
         }
     }
 
     /// Bumps the per-kind request counter. Exhaustive over [`Request`] so
-    /// a new protocol variant cannot arrive unobserved.
+    /// a new protocol variant cannot arrive unobserved; a masked request
+    /// counts as the request it wraps.
     fn count_request(&self, request: &Request) {
         let counters = &self.metrics.requests;
         match request {
@@ -374,6 +407,7 @@ impl Silo {
             Request::MemoryReport => counters.memory_report.inc(),
             Request::Ping => counters.ping.inc(),
             Request::Batch(_) => counters.nested_batch.inc(),
+            Request::Masked { request, .. } => self.count_request(request),
         }
     }
 
@@ -1324,6 +1358,98 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
         let fresh = Silo::new(31, objects(100), config());
         assert!(fresh.load_grid_snapshot(&path).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_masked_request_is_its_inner_answer_masked_and_counts_once() {
+        use fedra_index::{AggFunc, Moments};
+        let s = Silo::new(34, objects(500), config());
+        s.handle(Request::BuildGrid {
+            bounds: bounds(),
+            cell_len: 10.0,
+            return_cells: false,
+        });
+        let q = Range::circle(Point::new(50.0, 50.0), 20.0);
+        let cells = GridSpec::new(bounds(), 10.0).classify(&q).boundary;
+        let leaves = [
+            Request::Aggregate {
+                range: q,
+                mode: LocalMode::Exact,
+            },
+            Request::CellContributions {
+                range: q,
+                cells,
+                mode: LocalMode::Exact,
+            },
+            Request::HistogramEstimate { range: q },
+        ];
+        for leaf in &leaves {
+            let full = s.handle(leaf.clone());
+            for f in AggFunc::ALL {
+                let moments = f.moments();
+                let expected = match &full {
+                    Response::Agg(a) => Response::Agg(a.masked(moments)),
+                    Response::AggVec(v) => {
+                        Response::AggVec(v.iter().map(|a| a.masked(moments)).collect())
+                    }
+                    other => panic!("unexpected {other:?}"),
+                };
+                let masked = s.handle(Request::Masked {
+                    moments,
+                    request: Box::new(leaf.clone()),
+                });
+                assert_eq!(masked, expected, "{f} over {leaf:?}");
+            }
+        }
+        // BuildGrid, then per leaf one unmasked and five masked requests.
+        assert_eq!(s.served_counter().load(Ordering::Relaxed), 1 + 3 * 6);
+        let counters = s.metrics().snapshot().counters;
+        for kind in ["aggregate", "cell_contributions", "histogram_estimate"] {
+            let name = format!("fedra_silo_requests_total{{silo=\"34\",kind=\"{kind}\"}}");
+            assert_eq!(counters.get(&name), Some(&6), "{kind}");
+        }
+        // Built in-process around anything else, it is refused per item.
+        let ping = s.handle(Request::Masked {
+            moments: Moments::ALL,
+            request: Box::new(Request::Ping),
+        });
+        assert!(matches!(ping, Response::Error(e) if e.contains("masked")));
+    }
+
+    #[test]
+    fn a_snapshot_in_the_old_triple_layout_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join("fedra-silo-snapshot-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("layout1.grid");
+        let s = Silo::new(33, objects(300), config());
+        s.handle(Request::BuildGrid {
+            bounds: bounds(),
+            cell_len: 10.0,
+            return_cells: false,
+        });
+        let snapshot = s.grid_snapshot().expect("grid built");
+        // Layout 1: no magic, every cell a fixed 24-byte triple — with a
+        // valid checksum, as the old code wrote it.
+        let mut body = BytesMut::new();
+        snapshot.bounds.encode(&mut body);
+        snapshot.cell_len.encode(&mut body);
+        snapshot.num_objects.encode(&mut body);
+        (snapshot.cells.len() as u32).encode(&mut body);
+        for cell in &snapshot.cells {
+            for v in [cell.count, cell.sum, cell.sum_sqr] {
+                v.encode(&mut body);
+            }
+        }
+        snapshot.outside.encode(&mut body);
+        let mut file = body.to_vec();
+        file.extend_from_slice(&snapshot_checksum(&body).to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+
+        let fresh = Silo::new(33, objects(300), config());
+        let err = fresh.load_grid_snapshot(&path).expect_err("old layout");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(fresh.grid.read().is_none());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -11,14 +11,14 @@
 
 use std::path::Path;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use fedra_geo::Rect;
 use fedra_index::grid::{GridIndex, GridSpec};
 use fedra_index::pool::WorkerPool;
 use fedra_index::Aggregate;
 
-use crate::wire::{Wire, WireError, WireResult};
+use crate::wire::{expect_magic, Wire, WireError, WireResult};
 
 /// A serializable copy of the provider's per-silo grid indices.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,8 +72,14 @@ impl ProviderSnapshot {
     }
 }
 
+/// Format magic of [`ProviderSnapshot`]: layout 2, whose cells use the
+/// sparse [`Aggregate`] codec. A layout-1 file (24-byte cells, no magic)
+/// is refused.
+const PROVIDER_SNAPSHOT_MAGIC: &[u8; 8] = b"FRASNAP2";
+
 impl Wire for ProviderSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
+        buf.put_slice(PROVIDER_SNAPSHOT_MAGIC);
         self.bounds.encode(buf);
         self.cell_len.encode(buf);
         (self.grids.len() as u32).encode(buf);
@@ -84,7 +90,8 @@ impl Wire for ProviderSnapshot {
     }
 
     fn encoded_len(&self) -> usize {
-        self.bounds.encoded_len()
+        PROVIDER_SNAPSHOT_MAGIC.len()
+            + self.bounds.encoded_len()
             + self.cell_len.encoded_len()
             + 4
             + self
@@ -95,6 +102,7 @@ impl Wire for ProviderSnapshot {
     }
 
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        expect_magic(buf, PROVIDER_SNAPSHOT_MAGIC, "provider snapshot format")?;
         let bounds = Rect::decode(buf)?;
         let cell_len = f64::decode(buf)?;
         let n = u32::decode(buf)? as usize;
@@ -164,6 +172,32 @@ mod tests {
         snap.save_to(&path).unwrap();
         let back = ProviderSnapshot::load_from(&path).unwrap();
         assert_eq!(back, snap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_file_in_the_old_triple_layout_is_refused_not_misread() {
+        let snap = sample_snapshot();
+        // Layout 1: no magic, every cell a fixed 24-byte triple.
+        let mut old = BytesMut::new();
+        snap.bounds.encode(&mut old);
+        snap.cell_len.encode(&mut old);
+        (snap.grids.len() as u32).encode(&mut old);
+        for (cells, outside) in &snap.grids {
+            (cells.len() as u32).encode(&mut old);
+            for cell in cells {
+                for v in [cell.count, cell.sum, cell.sum_sqr] {
+                    v.encode(&mut old);
+                }
+            }
+            outside.encode(&mut old);
+        }
+        let dir = std::env::temp_dir().join("fedra-snapshot-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("layout1.bin");
+        std::fs::write(&path, &old).unwrap();
+        let err = ProviderSnapshot::load_from(&path).expect_err("old layout");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1201,17 +1201,31 @@ mod tests {
         let (chan, _handle) =
             spawn_silo(test_silo(1, 100), Arc::clone(&stats), None, None).expect("spawn silo");
         let q = Range::circle(Point::new(5.0, 5.0), 2.0);
-        let before = stats.snapshot();
-        chan.call(&Request::Aggregate {
+        let aggregate = Request::Aggregate {
             range: q,
             mode: LocalMode::Exact,
-        })
-        .expect("aggregate");
+        };
+        let before = stats.snapshot();
+        chan.call(&aggregate).expect("aggregate");
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.rounds, 1);
-        // Request: tag + range(25) + mode(1) = 27; response: tag + agg(24) = 25.
+        // Request: tag + range(25) + mode(1) = 27. Response: tag + the
+        // aggregate's presence byte + count, sum, sum_sqr (all non-zero:
+        // the circle holds objects of measure 1) at 8 B each = 26.
         assert_eq!(delta.bytes_up, 27);
-        assert_eq!(delta.bytes_down, 25);
+        assert_eq!(delta.bytes_down, 26);
+
+        let before = stats.snapshot();
+        chan.call(&Request::Masked {
+            moments: fedra_index::Moments::COUNT,
+            request: Box::new(aggregate),
+        })
+        .expect("masked aggregate");
+        let delta = stats.snapshot().since(&before);
+        // Request: Masked tag + mask byte + the 27 above = 29. Response:
+        // tag + presence byte + the count alone = 10.
+        assert_eq!(delta.bytes_up, 29);
+        assert_eq!(delta.bytes_down, 10);
     }
 
     #[test]
@@ -1454,12 +1468,13 @@ mod tests {
         chan.call(&agg).unwrap();
         chan.call(&agg).unwrap();
         let singleton = stats.snapshot().since(&before);
-        // Payloads: singleton 2 × (27 up, 25 down); the shared frame adds
-        // a 5-byte header each way (tag + count) on top of the same items.
+        // Payloads: singleton 2 × (27 up, 26 down — tag + presence byte +
+        // three non-zero moments); the shared frame adds a 5-byte header
+        // each way (tag + count) on top of the same items.
         assert_eq!(singleton.bytes_up, 54);
-        assert_eq!(singleton.bytes_down, 50);
+        assert_eq!(singleton.bytes_down, 52);
         assert_eq!(batched.bytes_up, 59);
-        assert_eq!(batched.bytes_down, 55);
+        assert_eq!(batched.bytes_down, 57);
         assert_eq!(singleton.rounds, 2);
         assert_eq!(batched.rounds, 1);
     }

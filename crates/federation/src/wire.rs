@@ -6,12 +6,16 @@
 //! the same process — is serialized to a byte buffer with this codec and
 //! the buffer's length is what the metrics record. The format is a simple
 //! tagged little-endian layout: fixed-width scalars, `u32` length-prefixed
-//! sequences, one tag byte per enum variant.
+//! sequences, one tag byte per enum variant. The one variable-width value
+//! is [`Aggregate`]: a presence byte, then only its non-zero components,
+//! so a moment the request masked off (or an empty cell) costs nothing
+//! past that byte — in query replies, `Grid` setup frames and snapshots
+//! alike.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Circle, Point, Range, Rect};
-use fedra_index::Aggregate;
+use fedra_index::{Aggregate, Moments};
 
 /// Errors raised while decoding a wire buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,23 +218,67 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        let len = u32::decode(buf)? as usize;
-        // Each element takes at least one byte; reject absurd prefixes
-        // before allocating.
-        if len > buf.remaining() {
-            return Err(WireError::BadLength {
-                context: "vec",
-                len,
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        decode_seq(buf, T::decode)
     }
     fn encoded_len(&self) -> usize {
         4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+}
+
+/// Decodes a `u32`-prefixed sequence whose items `item` decodes — the
+/// `Vec<T>` layout, for items that need more than `T::decode` (a batch
+/// item that may not be a batch).
+pub(crate) fn decode_seq<T>(
+    buf: &mut Bytes,
+    mut item: impl FnMut(&mut Bytes) -> WireResult<T>,
+) -> WireResult<Vec<T>> {
+    let len = u32::decode(buf)? as usize;
+    // Each element takes at least one byte; reject absurd prefixes
+    // before allocating.
+    if len > buf.remaining() {
+        return Err(WireError::BadLength {
+            context: "vec",
+            len,
+        });
+    }
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(item(buf)?);
+    }
+    Ok(out)
+}
+
+/// Consumes a persisted format's 8-byte `magic`, or refuses the buffer:
+/// a file written in an older layout (whose first bytes are a bounds
+/// coordinate) must never decode as different numbers.
+pub(crate) fn expect_magic(
+    buf: &mut Bytes,
+    magic: &[u8; 8],
+    context: &'static str,
+) -> WireResult<()> {
+    need(buf, magic.len(), context)?;
+    if !buf.starts_with(magic) {
+        return Err(WireError::BadTag {
+            context,
+            tag: buf[0],
+        });
+    }
+    buf.advance(magic.len());
+    Ok(())
+}
+
+/// Decodes one `T` nested in a larger message, refusing before it
+/// recurses any tag `allowed` rejects — so a hostile frame cannot nest
+/// deeper than the protocol's shapes, however long it is.
+pub(crate) fn decode_nested<T: Wire>(
+    buf: &mut Bytes,
+    context: &'static str,
+    allowed: impl Fn(u8) -> bool,
+) -> WireResult<T> {
+    match buf.first() {
+        None => Err(WireError::Truncated { context }),
+        Some(&tag) if !allowed(tag) => Err(WireError::BadTag { context, tag }),
+        Some(_) => T::decode(buf),
     }
 }
 
@@ -331,21 +379,71 @@ impl Wire for Range {
     }
 }
 
-impl Wire for Aggregate {
+impl Wire for Moments {
     fn encode(&self, buf: &mut BytesMut) {
-        self.count.encode(buf);
-        self.sum.encode(buf);
-        self.sum_sqr.encode(buf);
+        buf.put_u8(self.bits());
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(Aggregate {
-            count: f64::decode(buf)?,
-            sum: f64::decode(buf)?,
-            sum_sqr: f64::decode(buf)?,
+        need(buf, 1, "moments")?;
+        let tag = buf.get_u8();
+        Moments::from_bits(tag).ok_or(WireError::BadTag {
+            context: "moments",
+            tag,
         })
     }
     fn encoded_len(&self) -> usize {
-        24
+        1
+    }
+}
+
+/// `a`'s components in wire order, each with its [`Moments`] bit.
+fn components(a: &Aggregate) -> [(Moments, f64); 3] {
+    [
+        (Moments::COUNT, a.count),
+        (Moments::SUM, a.sum),
+        (Moments::SUM_SQR, a.sum_sqr),
+    ]
+}
+
+/// The components of `a` whose bits are not all zero — a `+0.0`
+/// component is left off the wire and decodes back to `+0.0`; `-0.0` and
+/// NaN travel.
+fn present(a: &Aggregate) -> Moments {
+    components(a)
+        .into_iter()
+        .filter(|(_, v)| v.to_bits() != 0)
+        .fold(Moments::NONE, |acc, (moment, _)| acc | moment)
+}
+
+/// Sparse: a presence byte ([`Moments`] bits), then only the present
+/// components in `count, sum, sum_sqr` order — 1 to 25 bytes, bit-exact.
+impl Wire for Aggregate {
+    fn encode(&self, buf: &mut BytesMut) {
+        let present = present(self);
+        present.encode(buf);
+        for (moment, v) in components(self) {
+            if present.contains(moment) {
+                v.encode(buf);
+            }
+        }
+    }
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        let present = Moments::decode(buf)?;
+        let mut component = |moment| {
+            if present.contains(moment) {
+                f64::decode(buf)
+            } else {
+                Ok(0.0)
+            }
+        };
+        Ok(Aggregate {
+            count: component(Moments::COUNT)?,
+            sum: component(Moments::SUM)?,
+            sum_sqr: component(Moments::SUM_SQR)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        1 + 8 * present(self).bits().count_ones() as usize
     }
 }
 
@@ -407,6 +505,69 @@ mod tests {
     }
 
     #[test]
+    fn sparse_aggregates_are_bit_exact_and_pay_only_for_what_is_present() {
+        let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
+        let cases = [
+            // (aggregate, encoded length): presence byte + 8 per component
+            // whose bits are not all zero.
+            (Aggregate::ZERO, 1),
+            (
+                Aggregate {
+                    count: 3.0,
+                    ..Aggregate::ZERO
+                },
+                1 + 8,
+            ),
+            (
+                Aggregate {
+                    sum: -0.0,
+                    ..Aggregate::ZERO
+                },
+                1 + 8,
+            ),
+            (
+                Aggregate {
+                    count: f64::NAN,
+                    sum_sqr: 5e-324,
+                    ..Aggregate::ZERO
+                },
+                1 + 16,
+            ),
+            (
+                Aggregate {
+                    count: 1.0,
+                    sum: 2.0,
+                    sum_sqr: 4.0,
+                },
+                1 + 24,
+            ),
+        ];
+        for (a, len) in cases {
+            let bytes = a.to_bytes();
+            assert_eq!(bytes.len(), len, "{a:?}");
+            assert_eq!(a.encoded_len(), len, "{a:?}");
+            let back = Aggregate::from_bytes(bytes).expect("decode");
+            assert_eq!(bits(&back), bits(&a), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn a_presence_byte_above_the_three_moments_is_a_bad_tag() {
+        for tag in [0b1000u8, 0xFF] {
+            let mut buf = BytesMut::new();
+            buf.put_u8(tag);
+            buf.put_slice(&[0; 24]);
+            assert_eq!(
+                Aggregate::from_bytes(buf.freeze()),
+                Err(WireError::BadTag {
+                    context: "moments",
+                    tag
+                })
+            );
+        }
+    }
+
+    #[test]
     fn truncated_buffers_error() {
         let bytes = Point::new(1.0, 2.0).to_bytes();
         let short = bytes.slice(0..bytes.len() - 1);
@@ -460,7 +621,19 @@ mod tests {
             Range::circle(Point::new(0.0, 0.0), 1.0).to_bytes().len(),
             25
         );
-        assert_eq!(Aggregate::ZERO.to_bytes().len(), 24);
+        // Presence byte only: every component of ZERO is +0.0.
+        assert_eq!(Aggregate::ZERO.to_bytes().len(), 1);
+        // Presence byte + count, sum, sum_sqr at 8 B each.
+        assert_eq!(
+            Aggregate {
+                count: 1.0,
+                sum: 2.0,
+                sum_sqr: 4.0
+            }
+            .to_bytes()
+            .len(),
+            1 + 3 * 8
+        );
         assert_eq!(vec![1u32, 2, 3].to_bytes().len(), 4 + 12);
     }
 
@@ -488,6 +661,11 @@ mod tests {
         assert_len_exact(Range::circle(Point::new(0.0, 0.0), 1.0));
         assert_len_exact(Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)));
         assert_len_exact(Aggregate::ZERO);
+        assert_len_exact(Aggregate {
+            sum: -0.0,
+            ..Aggregate::ZERO
+        });
+        assert_len_exact(Moments::ALL);
     }
 
     #[test]

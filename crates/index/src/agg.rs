@@ -6,7 +6,10 @@
 //! `fedra` index node carries the full `(count, sum, sum_sqr)` triple — the
 //! triple is a commutative monoid, so one traversal answers all five
 //! functions at once with the same accuracy guarantees (SUM_SQR "is
-//! processed in the same way as SUM").
+//! processed in the same way as SUM"). What crosses the wire is narrower:
+//! a request names the [`Moments`] its function reads
+//! ([`AggFunc::moments`]) and the silo zeroes the rest
+//! ([`Aggregate::masked`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -41,6 +44,58 @@ impl AggFunc {
     /// component, as opposed to AVG/STDEV which are derived ratios.
     pub fn is_primitive(&self) -> bool {
         matches!(self, AggFunc::Count | AggFunc::Sum | AggFunc::SumSqr)
+    }
+
+    /// The moments [`Aggregate::value`] reads for this function — all a
+    /// silo has to return to answer it (Alg. 2 and Alg. 3, line 3).
+    pub fn moments(&self) -> Moments {
+        match self {
+            AggFunc::Count => Moments::COUNT,
+            AggFunc::Sum => Moments::SUM,
+            AggFunc::SumSqr => Moments::SUM_SQR,
+            AggFunc::Avg => Moments::COUNT | Moments::SUM,
+            AggFunc::Stdev => Moments::ALL,
+        }
+    }
+}
+
+/// A set of [`Aggregate`] components: bit 0 is COUNT, bit 1 SUM, bit 2
+/// SUM_SQR — the same bit order the wire codec's presence byte uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Moments(u8);
+
+impl Moments {
+    /// No component.
+    pub const NONE: Moments = Moments(0);
+    /// The count component.
+    pub const COUNT: Moments = Moments(0b001);
+    /// The sum component.
+    pub const SUM: Moments = Moments(0b010);
+    /// The sum-of-squares component.
+    pub const SUM_SQR: Moments = Moments(0b100);
+    /// All three components.
+    pub const ALL: Moments = Moments(0b111);
+
+    /// The raw bitset.
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set with these bits; `None` when a bit above `0b111` is set.
+    pub fn from_bits(bits: u8) -> Option<Moments> {
+        (bits & !Moments::ALL.0 == 0).then_some(Moments(bits))
+    }
+
+    /// Whether every component of `other` is in `self`.
+    pub fn contains(self, other: Moments) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl std::ops::BitOr for Moments {
+    type Output = Moments;
+    fn bitor(self, rhs: Moments) -> Moments {
+        Moments(self.0 | rhs.0)
     }
 }
 
@@ -138,6 +193,18 @@ impl Aggregate {
             count: self.count * factor,
             sum: self.sum * factor,
             sum_sqr: self.sum_sqr * factor,
+        }
+    }
+
+    /// The aggregate with every component outside `moments` set to 0.0.
+    #[inline]
+    #[must_use]
+    pub fn masked(&self, moments: Moments) -> Aggregate {
+        let keep = |moment: Moments, v: f64| if moments.contains(moment) { v } else { 0.0 };
+        Aggregate {
+            count: keep(Moments::COUNT, self.count),
+            sum: keep(Moments::SUM, self.sum),
+            sum_sqr: keep(Moments::SUM_SQR, self.sum_sqr),
         }
     }
 
@@ -312,6 +379,26 @@ mod tests {
         assert!(AggFunc::SumSqr.is_primitive());
         assert!(!AggFunc::Avg.is_primitive());
         assert!(!AggFunc::Stdev.is_primitive());
+    }
+
+    #[test]
+    fn a_mask_keeps_exactly_what_its_function_reads() {
+        let a = Aggregate::of_all(&[obj(1.0), obj(2.0), obj(4.0)]);
+        for f in AggFunc::ALL {
+            let masked = a.masked(f.moments());
+            assert_eq!(masked.value(f).to_bits(), a.value(f).to_bits(), "{f}");
+        }
+        let count = a.masked(AggFunc::Count.moments());
+        assert_eq!((count.count, count.sum, count.sum_sqr), (3.0, 0.0, 0.0));
+        assert_eq!(a.masked(Moments::ALL), a);
+        assert_eq!(AggFunc::Avg.moments().bits(), 0b011);
+        assert!(Moments::ALL.contains(Moments::SUM | Moments::SUM_SQR));
+        assert!(!Moments::COUNT.contains(Moments::SUM));
+        assert_eq!(
+            Moments::from_bits(0b101),
+            Some(Moments::COUNT | Moments::SUM_SQR)
+        );
+        assert_eq!(Moments::from_bits(0b1000), None);
     }
 
     #[test]

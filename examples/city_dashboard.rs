@@ -59,13 +59,15 @@ fn main() {
             let avg_q = FraQuery::rect(a, b, AggFunc::Avg);
             let std_q = FraQuery::rect(a, b, AggFunc::Stdev);
 
-            // One silo round answers the whole (count, sum, sum_sqr)
-            // triple, so AVG and STDEV are free once COUNT is estimated.
+            // STDEV reads all three moments, so its one silo round brings
+            // back COUNT and AVG too. (A COUNT query would bring back the
+            // count alone: a silo returns only what `F` reads.)
             let est = noniid
-                .try_execute_with(&federation, &count_q, &obs)
+                .try_execute_with(&federation, &std_q, &obs)
                 .expect("district query failed");
+            let est_count = est.aggregate.count;
             let est_avg = est.aggregate.value(AggFunc::Avg);
-            let est_std = est.aggregate.value(AggFunc::Stdev);
+            let est_std = est.value;
 
             let true_count = exact.execute(&federation, &count_q).value;
             let true_avg = exact.execute(&federation, &avg_q).value;
@@ -73,10 +75,10 @@ fn main() {
 
             println!(
                 "{:>10} {:>8.0} / {:>7.0} {:>12.1} / {:>9.1} {:>12.1} / {:>9.1}",
-                district, est.value, true_count, est_avg, true_avg, est_std, true_std
+                district, est_count, true_count, est_avg, true_avg, est_std, true_std
             );
             if true_count > 0.0 {
-                total_err += (est.value - true_count).abs() / true_count;
+                total_err += (est_count - true_count).abs() / true_count;
                 cells += 1;
             }
         }

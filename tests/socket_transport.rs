@@ -67,6 +67,12 @@ fn all_requests() -> Vec<Request> {
         Request::MemoryReport,
         Request::Ping,
         Request::Batch(vec![Request::Ping, Request::MemoryReport]),
+        Request::Masked {
+            moments: AggFunc::Avg.moments(),
+            request: Box::new(Request::HistogramEstimate {
+                range: Range::circle(Point::new(1.0, 1.0), 2.0),
+            }),
+        },
     ];
     for sample in &samples {
         match sample {
@@ -76,7 +82,8 @@ fn all_requests() -> Vec<Request> {
             | Request::HistogramEstimate { .. }
             | Request::MemoryReport
             | Request::Ping
-            | Request::Batch(_) => {}
+            | Request::Batch(_)
+            | Request::Masked { .. } => {}
         }
     }
     samples

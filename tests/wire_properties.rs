@@ -2,19 +2,38 @@
 //! messages must round-trip exactly, and arbitrary byte soup must never
 //! panic the decoder (it errors instead).
 
-use bytes::Bytes;
-use fedra::federation::wire::Wire;
+use bytes::{BufMut, Bytes, BytesMut};
+use fedra::federation::wire::{Wire, WireError};
 use fedra::federation::{LocalMode, Request, Response, SiloMemoryReport};
 use fedra::geo::{Point, Range, Rect};
-use fedra::index::Aggregate;
+use fedra::index::{Aggregate, Moments};
 use proptest::prelude::*;
 
+/// One aggregate component: arbitrary bits, or one of the values the
+/// sparse codec must keep apart — +0.0 (left off the wire), −0.0, NaN
+/// and subnormals (all of which travel).
+fn component() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(f64::from_bits(1)),
+        Just(-f64::MIN_POSITIVE / 2.0),
+        Just(f64::INFINITY),
+    ]
+}
+
 fn agg() -> impl Strategy<Value = Aggregate> {
-    (any::<f64>(), any::<f64>(), any::<f64>()).prop_map(|(count, sum, sum_sqr)| Aggregate {
+    (component(), component(), component()).prop_map(|(count, sum, sum_sqr)| Aggregate {
         count,
         sum,
         sum_sqr,
     })
+}
+
+fn moments() -> impl Strategy<Value = Moments> {
+    (0u8..8).prop_map(|bits| Moments::from_bits(bits).expect("three moments"))
 }
 
 fn range() -> impl Strategy<Value = Range> {
@@ -39,15 +58,10 @@ fn mode() -> impl Strategy<Value = LocalMode> {
     ]
 }
 
-fn request() -> impl Strategy<Value = Request> {
+/// The three requests whose replies carry aggregates — what a
+/// `Request::Masked` may wrap.
+fn aggregate_request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (-1e5f64..1e5, -1e5f64..1e5, 1.0f64..100.0, any::<bool>()).prop_map(
-            |(x, y, len, return_cells)| Request::BuildGrid {
-                bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
-                cell_len: len,
-                return_cells,
-            }
-        ),
         (range(), mode()).prop_map(|(range, mode)| Request::Aggregate { range, mode }),
         (
             range(),
@@ -60,6 +74,23 @@ fn request() -> impl Strategy<Value = Request> {
                 mode
             }),
         range().prop_map(|range| Request::HistogramEstimate { range }),
+    ]
+}
+
+fn request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        (-1e5f64..1e5, -1e5f64..1e5, 1.0f64..100.0, any::<bool>()).prop_map(
+            |(x, y, len, return_cells)| Request::BuildGrid {
+                bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
+                cell_len: len,
+                return_cells,
+            }
+        ),
+        aggregate_request(),
+        (moments(), aggregate_request()).prop_map(|(moments, request)| Request::Masked {
+            moments,
+            request: Box::new(request),
+        }),
         Just(Request::MemoryReport),
         Just(Request::Ping),
     ]
@@ -84,8 +115,8 @@ fn response() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// One level of batching over arbitrary leaf requests (the legal shape:
-/// silos reject nested batches at handling time, not the codec).
+/// One level of batching over arbitrary non-batch requests, masked ones
+/// included — the only shape the codec admits.
 fn batch_request() -> impl Strategy<Value = Request> {
     proptest::collection::vec(request(), 0..12).prop_map(Request::Batch)
 }
@@ -157,6 +188,15 @@ proptest! {
     }
 
     #[test]
+    fn a_batch_inside_a_batch_is_refused_by_the_codec(req in batch_request()) {
+        let frame = Request::Batch(vec![Request::Ping, req]).to_bytes();
+        prop_assert_eq!(
+            Request::from_bytes(frame),
+            Err(WireError::BadTag { context: "batch item", tag: 6 })
+        );
+    }
+
+    #[test]
     fn batch_truncation_is_always_detected(req in batch_request(), cut in 1usize..64) {
         let bytes = req.to_bytes();
         if cut < bytes.len() {
@@ -172,5 +212,43 @@ proptest! {
     #[test]
     fn encoded_len_is_exact_for_responses(resp in prop_oneof![response(), batch_response()]) {
         prop_assert_eq!(resp.encoded_len(), resp.to_bytes().len());
+    }
+
+    #[test]
+    fn an_aggregate_pays_one_byte_plus_its_non_zero_components(a in agg()) {
+        let bytes = a.to_bytes();
+        let present = [a.count, a.sum, a.sum_sqr]
+            .iter()
+            .filter(|v| v.to_bits() != 0)
+            .count();
+        prop_assert_eq!(bytes.len(), 1 + 8 * present);
+        prop_assert_eq!(a.encoded_len(), bytes.len());
+        let back = Aggregate::from_bytes(bytes).expect("well-formed aggregate decodes");
+        prop_assert_eq!(agg_bits(&back), agg_bits(&a));
+    }
+
+    #[test]
+    fn masking_then_encoding_keeps_only_the_masked_moments(a in agg(), m in moments()) {
+        let masked = a.masked(m);
+        let back = Aggregate::from_bytes(masked.to_bytes()).expect("decodes");
+        prop_assert_eq!(agg_bits(&back), agg_bits(&masked));
+        prop_assert!(masked.to_bytes().len() <= 1 + 8 * m.bits().count_ones() as usize);
+    }
+
+    #[test]
+    fn a_presence_byte_above_the_three_moments_is_refused(a in agg(), tag in (8u16..256).prop_map(|t| t as u8)) {
+        let mut frame = Response::Agg(a).to_bytes().to_vec();
+        frame[1] = tag; // the byte after the response tag
+        prop_assert_eq!(
+            Response::from_bytes(Bytes::from(frame)),
+            Err(WireError::BadTag { context: "moments", tag })
+        );
+        let mut buf = BytesMut::new();
+        buf.put_u8(tag);
+        buf.put_slice(&[0x11; 24]);
+        prop_assert_eq!(
+            Aggregate::from_bytes(buf.freeze()),
+            Err(WireError::BadTag { context: "moments", tag })
+        );
     }
 }
