@@ -240,13 +240,22 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # sched_iid_mem guards scheduled = serial under the scheduler's
 # drain-until-dry admission loop, and sched_iid_tcp runs the one
 # end-to-end lockstep comparison of the bytes sockets and memory count
-# for the same queries. Timings from a 2 s window are not read.
+# for the same queries. Timings from a 2 s window are not read; bytes
+# are: a batch workload's check pass sends a deterministic function of
+# the seed, so batch_noniid_mem's may not grow past the bytes recorded
+# when its boundary-cell replies lost their cell ids.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
+noniid_bytes_cap=177.254
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
-    bash bench/run.sh --workload "$workload" --seconds 2 --trace 0 >/dev/null \
+    gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \
         || { echo "benchmark gate: $workload failed its correctness gate"; exit 1; }
+    if [ "$workload" = batch_noniid_mem ]; then
+        bytes=$(echo "$gate_out" | sed -n 's|^  check pass: comm \([0-9.]*\) B/query.*|\1|p')
+        awk -v b="$bytes" -v cap="$noniid_bytes_cap" 'BEGIN { exit !(b != "" && b + 0 <= cap + 0) }' \
+            || { echo "benchmark gate: batch_noniid_mem check pass sends ${bytes:-?} B/query, above the recorded $noniid_bytes_cap"; exit 1; }
+    fi
 done
-echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct)"
+echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query)"
 
 # Cache smoke: the city dashboard's refresh loop runs through the
 # ε-aware answer cache with per-serve truth checks. The steady-state hit

@@ -11,9 +11,11 @@ use std::time::Instant;
 
 use fedra_bench::{build_testbed, SweepConfig};
 use fedra_core::{Exact, FraAlgorithm, FraQuery, MultiSiloEst};
+use fedra_federation::wire::Wire;
 use fedra_federation::{LocalMode, Request, Response};
+use fedra_geo::Range;
 use fedra_index::grid::PrefixGrid;
-use fedra_index::AggFunc;
+use fedra_index::{AggFunc, Aggregate};
 use fedra_workload::QueryGenerator;
 
 fn main() {
@@ -54,15 +56,33 @@ fn main() {
     // The benefit of the Sec. 4.2.2 remark scales with r/L: at small
     // radii almost every intersecting cell *is* a boundary cell, while
     // large circles cover an O((r/L)^2) interior that never needs to be
-    // shipped. Sweep the ratio. Both requests ask for COUNT's one moment,
-    // as NonIID-est does for the COUNT queries of every figure.
+    // shipped. Sweep the ratio. Both arms ask for COUNT's one moment, as
+    // NonIID-est does for the COUNT queries of every figure.
+    //
+    // The protocol can no longer ask for arbitrary cells: a silo works
+    // out the boundary cells itself and replies for those it holds mass
+    // in. So the boundary-only arm is measured over the wire, and the
+    // full-vector arm is priced: the same request plus the cell ids
+    // (`encoded_len()` of a u32 vector), and a reply of one COUNT
+    // aggregate per intersecting cell, each priced with its count
+    // present (an upper bound: an empty cell would cost its presence
+    // byte alone). Both include the envelope each way.
     let spec = *grid.spec();
-    let count_only = |request: Request| Request::Masked {
+    let request = |range: Range| Request::Masked {
         moments: AggFunc::Count.moments(),
-        request: Box::new(request),
+        request: Box::new(Request::CellContributions {
+            range,
+            mode: LocalMode::Exact,
+        }),
+    };
+    let count = Aggregate {
+        count: 1.0,
+        ..Aggregate::ZERO
     };
     println!();
-    println!("=== Ablation B: NonIID transfer, boundary-only vs all intersecting cells ===");
+    println!(
+        "=== Ablation B: NonIID transfer, boundary-only (measured) vs all intersecting cells (priced) ==="
+    );
     for radius in [
         point.radius_km,
         2.0 * point.radius_km,
@@ -73,28 +93,14 @@ fn main() {
         let mut boundary_bytes = 0u64;
         let mut full_bytes = 0u64;
         for r in &ranges_b {
-            let cls = spec.classify(r);
-            let all: Vec<u32> = cls.iter().collect();
+            let all: Vec<u32> = spec.classify(r).iter().collect();
             fed.reset_query_comm();
-            let _ = fed.call(
-                0,
-                &count_only(Request::CellContributions {
-                    range: *r,
-                    cells: cls.boundary.clone(),
-                    mode: LocalMode::Exact,
-                }),
-            );
+            let _ = fed.call(0, &request(*r));
             boundary_bytes += fed.query_comm().total_bytes();
-            fed.reset_query_comm();
-            let _ = fed.call(
-                0,
-                &count_only(Request::CellContributions {
-                    range: *r,
-                    cells: all,
-                    mode: LocalMode::Exact,
-                }),
-            );
-            full_bytes += fed.query_comm().total_bytes();
+            let reply = Response::AggVec(vec![count; all.len()]);
+            full_bytes += (request(*r).encoded_len() + all.encoded_len() + reply.encoded_len())
+                as u64
+                + 2 * fed.message_overhead();
         }
         println!(
             "  r = {radius:>4} km (r/L = {:>4.1}): boundary-only {boundary_bytes} B, all cells {full_bytes} B ({:.2}x more)",

@@ -10,7 +10,7 @@ use fedra_core::{
     MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlannerPolicy,
 };
 use fedra_federation::wire::Wire;
-use fedra_federation::{FederationBuilder, Request};
+use fedra_federation::{FederationBuilder, Request, Response};
 use fedra_geo::{Point, Range, SpatialObject};
 use fedra_index::AggFunc;
 use fedra_workload::{QueryGenerator, WorkloadSpec};
@@ -72,7 +72,6 @@ fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
     let request = Request::CellContributions {
         range: Range::circle(Point::new(0.0, 0.0), 2.0),
-        cells: (0..64).collect(),
         mode: fedra_federation::LocalMode::Exact,
     };
     group.bench_function("encode_cell_request", |b| {
@@ -81,6 +80,19 @@ fn bench_codec(c: &mut Criterion) {
     let bytes = request.to_bytes();
     group.bench_function("decode_cell_request", |b| {
         b.iter(|| black_box(Request::from_bytes(bytes.clone()).unwrap()))
+    });
+    // The O(√|g₀|) part of a NonIID exchange: a 64-cell COUNT reply.
+    let count = fedra_index::Aggregate {
+        count: 3.0,
+        ..fedra_index::Aggregate::ZERO
+    };
+    let reply = Response::AggVec(vec![count; 64]);
+    group.bench_function("encode_cell_reply", |b| {
+        b.iter(|| black_box(reply.to_bytes()))
+    });
+    let bytes = reply.to_bytes();
+    group.bench_function("decode_cell_reply", |b| {
+        b.iter(|| black_box(Response::from_bytes(bytes.clone()).unwrap()))
     });
     let objs: Vec<SpatialObject> = (0..100)
         .map(|i| SpatialObject::at(i as f64, i as f64, 1.0))

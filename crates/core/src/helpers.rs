@@ -2,7 +2,8 @@
 
 use fedra_federation::{Federation, Request, SiloId};
 use fedra_geo::{intersection_area, Range};
-use fedra_index::{AggFunc, Aggregate};
+use fedra_index::grid::{CellId, GridIndex};
+use fedra_index::{ratio_reads, AggFunc, Aggregate, Moments};
 
 /// `request` asking for only the moments `func` reads: what every query
 /// path sends, so a silo reveals no component its answer does not need
@@ -61,7 +62,9 @@ pub fn grid_only_estimate(federation: &Federation, range: &Range) -> Aggregate {
 /// ratio, which is what makes the AVG/STDEV extension a single round
 /// (Sec. 7). A component with `sum_k = 0` carries no information from the
 /// sampled silo, so the corresponding component of `fallback` (the
-/// grid-only estimate) is used instead.
+/// grid-only estimate) is used instead. "Zero" is
+/// [`fedra_index::ratio_reads`], the test a silo also applies to leave a
+/// cell out of its NonIID reply.
 pub fn ratio_scale(
     sum0: &Aggregate,
     res: &Aggregate,
@@ -69,10 +72,10 @@ pub fn ratio_scale(
     fallback: &Aggregate,
 ) -> Aggregate {
     let component = |s0: f64, r: f64, sk: f64, fb: f64| -> f64 {
-        if sk.abs() < f64::EPSILON {
-            fb
-        } else {
+        if ratio_reads(sk) {
             s0 * (r / sk)
+        } else {
+            fb
         }
     };
     Aggregate {
@@ -80,6 +83,29 @@ pub fn ratio_scale(
         sum: component(sum0.sum, res.sum, sum_k.sum, fallback.sum),
         sum_sqr: component(sum0.sum_sqr, res.sum_sqr, sum_k.sum_sqr, fallback.sum_sqr),
     }
+}
+
+/// Silo `grid`'s NonIID reply laid back onto `boundary` (the range's
+/// boundary cells, in classification order): a cell the grid
+/// [`GridIndex::contributes`] to for `moments` takes the reply's next
+/// entry, any other cell `ZERO` — the ratio never reads it. `None` when
+/// the reply is not exactly one entry per contributing cell.
+pub(crate) fn scatter_reply(
+    grid: &GridIndex,
+    boundary: &[CellId],
+    moments: Moments,
+    reply: &[Aggregate],
+) -> Option<Vec<Aggregate>> {
+    let mut entries = reply.iter();
+    let mut scattered = Vec::with_capacity(boundary.len());
+    for &id in boundary {
+        scattered.push(if grid.contributes(id, moments) {
+            *entries.next()?
+        } else {
+            Aggregate::ZERO
+        });
+    }
+    entries.next().is_none().then_some(scattered)
 }
 
 /// Per-silo analogue of [`grid_only_estimate`]: silo `k`'s in-range mass

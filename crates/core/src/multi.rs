@@ -106,7 +106,6 @@ impl MultiSiloEst {
         order.shuffle(&mut *self.rng.lock());
         let request = Request::CellContributions {
             range: *range,
-            cells: classification.boundary.clone(),
             mode: LocalMode::Exact,
         };
         let request = helpers::masked_for(query.func, request);
@@ -125,13 +124,19 @@ impl MultiSiloEst {
                     obs.inc(&labeled("fedra_silo_requests_total", "silo", k));
                 }
                 match federation.call(k, &request) {
-                    Ok(Response::AggVec(contributions)) => {
-                        if contributions.len() != pooled.len() {
+                    Ok(Response::AggVec(reply)) => {
+                        // Each silo replies for its own contributing cells.
+                        let Some(contributions) = helpers::scatter_reply(
+                            federation.silo_grid(k),
+                            &classification.boundary,
+                            query.func.moments(),
+                            &reply,
+                        ) else {
                             return Err(FraError::ProtocolViolation {
                                 silo: k,
-                                expected: "one aggregate per requested cell",
+                                expected: "one aggregate per contributing cell",
                             });
-                        }
+                        };
                         for (acc, c) in pooled.iter_mut().zip(&contributions) {
                             acc.merge_in(c);
                         }
@@ -184,7 +189,9 @@ impl MultiSiloEst {
 
 /// The pooled estimate: `covered` plus, per boundary cell `i`, the pooled
 /// contribution `pooled[i]` re-scaled by `g₀[i] / Σ_k g_k[i]` over the
-/// `pooled_silos`.
+/// `pooled_silos`. A silo replies only for the cells it holds mass in, so
+/// `pooled[i]` sums only those silos' clips: an object on the closed edge
+/// of a cell its silo holds nothing in is pooled in neither sum.
 fn pooled_estimate(
     federation: &Federation,
     range: &Range,
@@ -219,7 +226,7 @@ mod tests {
     use fedra_federation::FederationBuilder;
     use fedra_geo::{Point, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
-    use fedra_index::AggFunc;
+    use fedra_index::{AggFunc, Moments};
     use rand::Rng;
 
     fn federation(m: usize, per_silo: usize, seed: u64) -> Federation {
@@ -385,7 +392,6 @@ mod tests {
                 order.shuffle(&mut StdRng::seed_from_u64(100 + i));
                 let full_request = Request::CellContributions {
                     range: q.range,
-                    cells: cls.boundary.clone(),
                     mode: LocalMode::Exact,
                 };
                 let mut pooled = vec![Aggregate::ZERO; cls.boundary.len()];
@@ -393,6 +399,13 @@ mod tests {
                     let Ok(Response::AggVec(full)) = fed.call(s, &full_request) else {
                         panic!("silo {s} did not answer");
                     };
+                    let full = helpers::scatter_reply(
+                        fed.silo_grid(s),
+                        &cls.boundary,
+                        Moments::ALL,
+                        &full,
+                    )
+                    .expect("one entry per contributing cell");
                     for (acc, c) in pooled.iter_mut().zip(&full) {
                         acc.merge_in(c);
                     }
@@ -406,6 +419,74 @@ mod tests {
                 assert_eq!(masked, full, "k={k} {q}");
             }
         }
+    }
+
+    #[test]
+    fn an_edge_object_in_a_cell_its_silo_holds_nothing_in_is_pooled_nowhere() {
+        // The paper's running example (crates/core/tests/paper_example.rs:
+        // [0, 10]², L = 2.5, SUM over the circle at (4, 6), radius 3), plus
+        // one silo-2 object at (3, 9.5), measure 2, outside R in cell
+        // (1, 3). Silo 1's in-range (5, 8), measure 3, bins into (2, 3)
+        // but lies on the x = 5 edge it shares with (1, 3).
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+        let at = |x, y, m| SpatialObject::at(x, y, m);
+        let silo1 = vec![
+            at(2.0, 4.0, 2.0),
+            at(5.0, 8.0, 3.0),
+            at(1.5, 6.0, 1.0),
+            at(6.5, 9.5, 4.0),
+            at(8.0, 5.0, 1.0),
+            at(9.0, 2.0, 2.0),
+            at(6.0, 1.0, 3.0),
+            at(8.0, 8.0, 1.0),
+            at(9.5, 0.5, 2.0),
+            at(3.0, 1.0, 5.0),
+        ];
+        let silo2 = vec![
+            at(3.0, 6.0, 1.0),
+            at(4.0, 7.0, 1.0),
+            at(5.0, 5.5, 2.0),
+            at(1.0, 9.0, 4.0),
+            at(7.0, 3.0, 3.0),
+            at(2.0, 2.0, 7.0),
+            at(9.0, 9.0, 2.0),
+            at(8.0, 1.0, 5.0),
+            at(3.0, 9.5, 2.0),
+        ];
+        let fed = FederationBuilder::new(bounds)
+            .grid_cell_len(2.5)
+            .histogram_config(MinSkewConfig {
+                resolution: 8,
+                budget: 8,
+            })
+            .build(vec![silo1, silo2]);
+        let q = FraQuery::circle(Point::new(4.0, 6.0), 3.0, AggFunc::Sum);
+        // k = 2 pools both silos. Per cell, SUM: covered (1, 2) gives
+        // g₀ = 2 exactly. Boundary cell i adds g₀[i] · Σres_i / Σg[i]:
+        //   (0,1) 2·2/2 = 2   (1,1) g₀ = 0 → 0   (2,1) 3·0/3 = 0
+        //   (0,2) 1·1/1 = 1   (2,2) 2·2/2 = 2    (0,3) 4·0/4 = 0
+        //   (1,3) 2·0/2 = 0   (2,3) 7·(3/7) = 3 (rounds to exactly 3)
+        // → 2 + 2 + 1 + 2 + 3 = 10, the exact answer. In (1, 3) silo 1
+        // holds nothing (g₁ = 0), so it no longer replies for that cell:
+        // (5, 8) is pooled in neither Σres nor Σg there. The old protocol
+        // shipped silo 1's closed clip of (1, 3), which holds (5, 8), so
+        // Σres = 3 over Σg = 2 (silo 2's object) added 2·3/2 = 3: 13.
+        let got = MultiSiloEst::new(41, 2).execute(&fed, &q);
+        assert_eq!(got.value.to_bits(), 10.0f64.to_bits(), "{}", got.value);
+        assert_eq!(Exact::new().execute(&fed, &q).value, 10.0);
+
+        let cls = fed.merged_grid().spec().classify(&q.range);
+        let covered = fed
+            .merged_grid()
+            .aggregate_cells(cls.covered.iter().copied());
+        let sum = |s: f64| Aggregate {
+            sum: s,
+            ..Aggregate::ZERO
+        };
+        // The old pooled Σres per boundary cell, in classification order.
+        let old: Vec<Aggregate> = [2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 3.0].map(sum).to_vec();
+        let before = pooled_estimate(&fed, &q.range, covered, &cls.boundary, &old, &[0, 1]);
+        assert_eq!(before.sum, 13.0);
     }
 
     #[test]

@@ -139,20 +139,31 @@ impl AdaptivePlanner {
         }
 
         // Communication budget: what NonIID-est would put on the wire for
-        // this query — its masked per-cell request, one aggregate per
-        // boundary cell back, and the federation's envelope each way. A
-        // zero moment costs no reply bytes, so the worst case prices
-        // every masked moment present in every cell.
+        // this query — its masked request, one aggregate back per cell the
+        // sampled silo's grid contributes, and the federation's envelope
+        // each way. The sample is not drawn yet, so the reply is priced at
+        // the most cells any silo contributes (a silo without mass in
+        // range contributes none), with every masked moment present, as
+        // a zero moment costs no reply bytes.
         if let Some(budget) = self.policy.comm_budget_bytes {
             // The wrapped NonIID-est queries exactly: no sum₀ in its mode.
-            let request = self.noniid.request(query, cls.boundary.clone(), 0.0);
+            let request = self.noniid.request(query, 0.0);
+            let moments = query.func.moments();
+            let cells = (0..federation.num_silos())
+                .map(|k| {
+                    federation
+                        .silo_grid(k)
+                        .contributing_cells(&query.range, moments)
+                        .len()
+                })
+                .max()
+                .unwrap_or(0);
             let full = Aggregate {
                 count: 1.0,
                 sum: 1.0,
                 sum_sqr: 1.0,
             };
-            let worst = full.masked(query.func.moments());
-            let reply = Response::AggVec(vec![worst; cls.boundary.len()]);
+            let reply = Response::AggVec(vec![full.masked(moments); cells]);
             let payload = (request.encoded_len() + reply.encoded_len()) as u64;
             if payload + 2 * federation.message_overhead() > budget {
                 return PlanDecision::IidForBudget;
@@ -261,7 +272,7 @@ mod tests {
     use fedra_federation::FederationBuilder;
     use fedra_geo::{Point, Range, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
-    use fedra_index::AggFunc;
+    use fedra_index::{AggFunc, Moments};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -398,20 +409,29 @@ mod tests {
                 fed.reset_query_comm();
                 NonIidEst::new(22).execute(&fed, &q);
                 let measured = fed.query_comm().total_bytes();
-                let n = fed.merged_grid().spec().classify(&range).boundary.len() as u64;
+                // The most boundary cells any silo replies for. Both
+                // ranges lie in silo 0's corner: silo 1 contributes none.
+                let contributing = |k| {
+                    fed.silo_grid(k)
+                        .contributing_cells(&range, Moments::COUNT)
+                        .len() as u64
+                };
+                let n = contributing(0);
+                assert!(n > 0);
+                assert_eq!(contributing(1), 0);
                 // Up: Masked tag + mask byte + CellContributions tag, the
-                // range, a u32 cell count + 4 B per cell id, the Exact
-                // mode byte. Down: AggVec tag + u32 length, then per cell
-                // a presence byte + the count (COUNT's one moment), priced
-                // as present. Plus the envelope each way.
-                let up = 3 + range.encoded_len() as u64 + 4 + 4 * n + 1;
+                // range, the Exact mode byte — no cell id. Down: AggVec
+                // tag + u32 length, then per cell a presence byte + the
+                // count (COUNT's one moment), priced as present. Plus the
+                // envelope each way.
+                let up = 3 + range.encoded_len() as u64 + 1;
                 let down = 1 + 4 + n * (1 + 8);
                 let priced = up + down + 2 * overhead;
                 assert!(measured <= priced, "{range:?}: {measured} > {priced}");
                 if let Range::Rect(_) = range {
                     // Every boundary cell of this rect holds some of the
-                    // sampled silo's objects: no count is zero, so the
-                    // worst case is the actual cost.
+                    // sampled silo's objects inside the rect: no count is
+                    // zero, so the worst case is the actual cost.
                     assert_eq!(measured, priced, "{range:?}");
                 }
                 let planner = |budget| {

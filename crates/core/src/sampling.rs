@@ -31,7 +31,6 @@ use rand::SeedableRng;
 
 use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
 use fedra_geo::intersection_area;
-use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
 use fedra_obs::{labeled, ObsContext};
 
@@ -250,12 +249,11 @@ impl NonIidEst {
     }
 
     /// The one request NonIID-est sends for `query`: the boundary cells'
-    /// contributions, masked to `F`'s moments. The adaptive planner
-    /// prices this very request.
-    pub(crate) fn request(&self, query: &FraQuery, cells: Vec<CellId>, sum0_count: f64) -> Request {
+    /// contributions, masked to `F`'s moments. The silo works out the
+    /// cells itself. The adaptive planner prices this very request.
+    pub(crate) fn request(&self, query: &FraQuery, sum0_count: f64) -> Request {
         let request = Request::CellContributions {
             range: query.range,
-            cells,
             mode: self.local.mode(sum0_count),
         };
         helpers::masked_for(query.func, request)
@@ -338,7 +336,7 @@ impl FraAlgorithm for NonIidEst {
         }
         QueryPlan::SingleSilo(RemotePlan {
             order,
-            request: self.request(query, classification.boundary, sum0_count),
+            request: self.request(query, sum0_count),
         })
     }
 
@@ -355,19 +353,24 @@ impl FraAlgorithm for NonIidEst {
         let grid = federation.merged_grid();
         let spec = grid.spec();
         // The classification is a pure function of the grid spec and the
-        // range, so recomputing it here reproduces the plan's cell list.
+        // range: the silo ran the same one over the same spec.
         let classification = spec.classify(range);
         let covered = grid.aggregate_cells(classification.covered.iter().copied());
         match response {
-            Response::AggVec(contributions) => {
-                if contributions.len() != classification.boundary.len() {
+            Response::AggVec(reply) => {
+                let silo_grid = federation.silo_grid(silo);
+                let Some(contributions) = helpers::scatter_reply(
+                    silo_grid,
+                    &classification.boundary,
+                    query.func.moments(),
+                    &reply,
+                ) else {
                     return Err(FraError::ProtocolViolation {
                         silo,
-                        expected: "one aggregate per requested cell",
+                        expected: "one aggregate per contributing cell",
                     });
-                }
+                };
                 let sum0_count = helpers::rough_count(federation, range);
-                let silo_grid = federation.silo_grid(silo);
                 let mut estimate = covered;
                 for (cell, res_i) in classification.boundary.iter().zip(&contributions) {
                     let g0_i = grid.cell(*cell);
@@ -572,11 +575,16 @@ mod tests {
         let q = FraQuery::circle(Point::new(50.0, 50.0), 10.0, AggFunc::Count);
         fed.reset_query_comm();
         NonIidEst::new(19).execute(&fed, &q);
-        let bytes = fed.query_comm().total_bytes();
-        // Boundary of a r=10 circle on a 2 km grid ≈ 2πr/L ≈ 31 cells.
-        // Each costs 4 bytes up + at most 9 bytes down (a COUNT: presence
-        // byte + count) ≈ 400 bytes, far below the 2500-cell full grid.
-        assert!(bytes < 4000, "NonIID comm {bytes} bytes is not O(√|g0|)");
+        let payload = fed.query_comm().total_bytes() - 2 * fed.message_overhead();
+        // Up: Masked tag + mask byte + CellContributions tag + range (25 B)
+        // + Exact mode byte = 29 B, whatever the boundary. Down: AggVec
+        // tag + u32 length, then at most 9 B per boundary cell (a COUNT:
+        // presence byte + count). The boundary of an r = 10 circle on a
+        // 2 km grid is ≈ 4 · 2r/L = 40 cells, not the 2500 of the grid.
+        let n = fed.merged_grid().spec().classify(&q.range).boundary.len() as u64;
+        assert!((30..=48).contains(&n), "{n} boundary cells");
+        let priced = 29 + 5 + 9 * n;
+        assert!(payload <= priced, "NonIID comm {payload} > {priced} bytes");
     }
 
     #[test]

@@ -169,13 +169,17 @@ fn example4_noniid_est_arithmetic() {
     assert_eq!(cls.len(), 9);
 
     for silo in 0..2 {
+        // The reply carries the boundary cells silo k holds SUM mass in,
+        // in classification order: the cells whose ratio reads an entry.
         let contributions = match fed
             .call(
                 silo,
-                &Request::CellContributions {
-                    range: q,
-                    cells: cls.boundary.clone(),
-                    mode: LocalMode::Exact,
+                &Request::Masked {
+                    moments: AggFunc::Sum.moments(),
+                    request: Box::new(Request::CellContributions {
+                        range: q,
+                        mode: LocalMode::Exact,
+                    }),
                 },
             )
             .unwrap()
@@ -183,17 +187,19 @@ fn example4_noniid_est_arithmetic() {
             Response::AggVec(v) => v,
             other => panic!("unexpected {other:?}"),
         };
+        let mut entries = contributions.iter();
         let mut expected = fed.merged_grid().cell(spec.cell_id(1, 2)).sum;
-        for (cell, res_i) in cls.boundary.iter().zip(&contributions) {
+        for cell in &cls.boundary {
             let g0 = fed.merged_grid().cell(*cell).sum;
             let gk = fed.silo_grid(silo).cell(*cell).sum;
             if gk.abs() < f64::EPSILON {
                 let rect = spec.cell_rect_of(*cell);
                 expected += g0 * intersection_area(&q, &rect) / rect.area();
             } else {
-                expected += g0 * res_i.sum / gk;
+                expected += g0 * entries.next().expect("an entry per massy cell").sum / gk;
             }
         }
+        assert!(entries.next().is_none(), "silo {silo}: extra entries");
 
         // Drive the algorithm until it samples this silo.
         let fra_query = FraQuery::new(q, AggFunc::Sum);
@@ -238,8 +244,9 @@ fn both_estimators_stay_in_the_examples_ballpark() {
 fn communication_cost_of_the_example() {
     // With zero envelope overhead the example's byte counts are exactly
     // auditable: IID-est ships one Aggregate back; NonIID-est ships one
-    // Aggregate per boundary cell (8 of them). Both ask for SUM alone, so
-    // an aggregate is a presence byte plus 8 B when its sum is non-zero.
+    // Aggregate per boundary cell the sampled silo holds SUM mass in (3 of
+    // the 8 for either silo). Both ask for SUM alone, so an aggregate is a
+    // presence byte plus 8 B when its sum is non-zero.
     let fed = example_federation();
     let q = FraQuery::new(example_query(), AggFunc::Sum);
 
@@ -255,18 +262,23 @@ fn communication_cost_of_the_example() {
     fed.reset_query_comm();
     let noniid_result = NonIidEst::new(0).execute(&fed, &q);
     let noniid = fed.query_comm();
-    // up adds the 8 boundary cell ids (4 B each) + vec len (4 B).
-    assert_eq!(noniid.bytes_up, 29 + 4 + 32);
-    // down: tag(1) + vec len(4) + 8 presence bytes + 8 B per boundary
-    // cell whose clipped in-range sum is non-zero. Silo 1's three
-    // in-range objects give four such cells: (0,1), (0,2), and both
-    // (1,3) and (2,3), because (5, 8) lies on their shared edge and a
-    // cell's clip rectangle is closed. Silo 2's give one, (2,2): its
-    // other two lie in the covered centre cell.
-    let massy_cells = match noniid_result.sampled_silo {
-        Some(0) => 4,
-        Some(1) => 1,
+    // up: the same 29 B as IID-est — the silo classifies the range
+    // itself, so no cell id travels: Masked tag(1) + mask(1) + tag(1) +
+    // range(25) + mode(1).
+    assert_eq!(noniid.bytes_up, 29);
+    // down: tag(1) + vec len(4), then one presence byte per boundary
+    // cell the silo holds SUM mass in, plus 8 B where the cell's clipped
+    // in-range sum is non-zero. Silo 1 holds mass in (0,1), (0,2) and
+    // (2,3), and its three in-range objects make all three non-zero;
+    // (1,3) is left out although (5, 8) lies on its closed edge, because
+    // silo 1 holds nothing in (1,3) and the ratio takes the area fallback
+    // there. Silo 2 holds mass in (2,1), (2,2) and (0,3); only (2,2)'s
+    // clip is non-zero, its other two in-range objects lie in the
+    // covered centre cell.
+    let (kept_cells, massy_cells) = match noniid_result.sampled_silo {
+        Some(0) => (3, 3),
+        Some(1) => (3, 1),
         other => panic!("NonIID-est sampled {other:?}"),
     };
-    assert_eq!(noniid.bytes_down, 1 + 4 + 8 + 8 * massy_cells);
+    assert_eq!(noniid.bytes_down, 1 + 4 + kept_cells + 8 * massy_cells);
 }

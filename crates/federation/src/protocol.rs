@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | [`Request::BuildGrid`] | setup | Alg. 1 lines 1–3 |
 //! | [`Request::Aggregate`] | EXACT, IID-est (±LSR) | Alg. 2 lines 2–3, Alg. 6 |
-//! | [`Request::CellContributions`] | NonIID-est (±LSR) | Alg. 3 line 3 + remark |
+//! | [`Request::CellContributions`] | NonIID-est (±LSR), MultiSilo-est: range + mode only, the silo classifies the cells itself | Alg. 3 line 3 + remark |
 //! | [`Request::HistogramEstimate`] | OPTA baseline | Sec. 8.1 |
 //! | [`Request::MemoryReport`] | metrics | Figs. 3d–9d |
 //! | [`Request::Ping`] | liveness / failure tests | — |
@@ -22,7 +22,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Range, Rect};
-use fedra_index::grid::{CellId, GridIndex, GridSpec};
+use fedra_index::grid::{GridIndex, GridSpec};
 use fedra_index::{Aggregate, Moments};
 
 use crate::wire::{decode_nested, decode_seq, Wire, WireError, WireResult};
@@ -67,13 +67,15 @@ pub enum Request {
         /// Exact or LSR-approximate execution.
         mode: LocalMode,
     },
-    /// Per-grid-cell contributions `res_i^k` for the listed cells;
-    /// returns one [`Aggregate`] per requested cell, in order.
+    /// Per-grid-cell contributions `res_i^k` of the boundary cells;
+    /// returns one [`Aggregate`] per cell of the silo grid's
+    /// [`GridIndex::contributing_cells`] for the range and the request's
+    /// moments, in classification order. No cell id crosses the wire:
+    /// the silo classifies the range against its own grid, which the
+    /// provider holds too.
     CellContributions {
         /// The query range.
         range: Range,
-        /// The (boundary) cells whose contributions are needed.
-        cells: Vec<CellId>,
         /// Exact or LSR-approximate execution.
         mode: LocalMode,
     },
@@ -244,9 +246,13 @@ impl Wire for LocalMode {
 pub(crate) const REQUEST_BATCH_TAG: u8 = 6;
 /// Wire tag of [`Request::Masked`].
 const REQUEST_MASKED_TAG: u8 = 7;
+/// Wire tag of [`Request::CellContributions`]. Tag 2 was its old layout,
+/// which listed cell ids; it is retired, so a frame from a peer of the
+/// other layout is a [`WireError::BadTag`], never a misread range.
+const REQUEST_CELL_CONTRIBUTIONS_TAG: u8 = 8;
 /// Wire tags of the requests a [`Request::Masked`] may wrap: `Aggregate`,
 /// `CellContributions`, `HistogramEstimate`.
-const MASKABLE_TAGS: [u8; 3] = [1, 2, 3];
+const MASKABLE_TAGS: [u8; 3] = [1, REQUEST_CELL_CONTRIBUTIONS_TAG, 3];
 /// Wire tag of [`Response::Batch`].
 const RESPONSE_BATCH_TAG: u8 = 7;
 
@@ -283,10 +289,9 @@ impl Wire for Request {
                 range.encode(buf);
                 mode.encode(buf);
             }
-            Request::CellContributions { range, cells, mode } => {
-                buf.put_u8(2);
+            Request::CellContributions { range, mode } => {
+                buf.put_u8(REQUEST_CELL_CONTRIBUTIONS_TAG);
                 range.encode(buf);
-                cells.encode(buf);
                 mode.encode(buf);
             }
             Request::HistogramEstimate { range } => {
@@ -322,11 +327,6 @@ impl Wire for Request {
                 range: Range::decode(buf)?,
                 mode: LocalMode::decode(buf)?,
             }),
-            2 => Ok(Request::CellContributions {
-                range: Range::decode(buf)?,
-                cells: Vec::<CellId>::decode(buf)?,
-                mode: LocalMode::decode(buf)?,
-            }),
             3 => Ok(Request::HistogramEstimate {
                 range: Range::decode(buf)?,
             }),
@@ -341,6 +341,10 @@ impl Wire for Request {
                     MASKABLE_TAGS.contains(&tag)
                 })?),
             }),
+            REQUEST_CELL_CONTRIBUTIONS_TAG => Ok(Request::CellContributions {
+                range: Range::decode(buf)?,
+                mode: LocalMode::decode(buf)?,
+            }),
             tag => Err(WireError::BadTag {
                 context: "request",
                 tag,
@@ -354,9 +358,8 @@ impl Wire for Request {
                 cell_len,
                 return_cells,
             } => bounds.encoded_len() + cell_len.encoded_len() + return_cells.encoded_len(),
-            Request::Aggregate { range, mode } => range.encoded_len() + mode.encoded_len(),
-            Request::CellContributions { range, cells, mode } => {
-                range.encoded_len() + cells.encoded_len() + mode.encoded_len()
+            Request::Aggregate { range, mode } | Request::CellContributions { range, mode } => {
+                range.encoded_len() + mode.encoded_len()
             }
             Request::HistogramEstimate { range } => range.encoded_len(),
             Request::MemoryReport | Request::Ping => 0,
@@ -534,7 +537,6 @@ mod tests {
         });
         round_trip(Request::CellContributions {
             range: Range::circle(Point::new(4.0, 6.0), 3.0),
-            cells: vec![1, 5, 9],
             mode: LocalMode::Exact,
         });
         round_trip(Request::HistogramEstimate {
@@ -542,6 +544,55 @@ mod tests {
         });
         round_trip(Request::MemoryReport);
         round_trip(Request::Ping);
+    }
+
+    /// `CellContributions { range, cells: [1, 5, 9], mode: Exact }` as the
+    /// old layout encoded it: tag 2, the range, a u32 length and the ids,
+    /// then the mode.
+    fn old_layout_cell_request() -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u8(2);
+        Range::circle(Point::new(4.0, 6.0), 3.0).encode(&mut buf);
+        3u32.encode(&mut buf);
+        for id in [1u32, 5, 9] {
+            id.encode(&mut buf);
+        }
+        LocalMode::Exact.encode(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn a_cell_request_in_the_old_layout_is_a_typed_error() {
+        let old = old_layout_cell_request();
+        assert_eq!(
+            Request::from_bytes(old.clone().freeze()),
+            Err(WireError::BadTag {
+                context: "request",
+                tag: 2
+            })
+        );
+        let mut masked = BytesMut::new();
+        masked.put_u8(REQUEST_MASKED_TAG);
+        masked.put_u8(Moments::COUNT.bits());
+        masked.extend_from_slice(&old);
+        assert_eq!(
+            Request::from_bytes(masked.freeze()),
+            Err(WireError::BadTag {
+                context: "masked request",
+                tag: 2
+            })
+        );
+        let mut batch = BytesMut::new();
+        batch.put_u8(REQUEST_BATCH_TAG);
+        1u32.encode(&mut batch);
+        batch.extend_from_slice(&old);
+        assert_eq!(
+            Request::from_bytes(batch.freeze()),
+            Err(WireError::BadTag {
+                context: "request",
+                tag: 2
+            })
+        );
     }
 
     #[test]
@@ -633,7 +684,6 @@ mod tests {
             },
             Request::CellContributions {
                 range: Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-                cells: vec![2, 4, 8],
                 mode: LocalMode::Lsr {
                     epsilon: 0.1,
                     delta: 0.01,
@@ -691,7 +741,6 @@ mod tests {
             moments: Moments::COUNT,
             request: Box::new(Request::CellContributions {
                 range: Range::circle(Point::new(4.0, 6.0), 3.0),
-                cells: vec![1, 5, 9],
                 mode: LocalMode::Exact,
             }),
         });
@@ -806,12 +855,12 @@ mod tests {
     #[test]
     fn bad_tags_error() {
         let mut buf = BytesMut::new();
-        buf.put_u8(8); // one past the Masked request tag
+        buf.put_u8(9); // one past the CellContributions request tag
         assert!(matches!(
             Request::from_bytes(buf.freeze()),
             Err(WireError::BadTag {
                 context: "request",
-                tag: 8
+                tag: 9
             })
         ));
         let mut buf = BytesMut::new();
@@ -855,7 +904,6 @@ mod tests {
             },
             Request::CellContributions {
                 range: Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-                cells: vec![1, 2, 3],
                 mode: LocalMode::Exact,
             },
             Request::HistogramEstimate {
@@ -917,22 +965,19 @@ mod tests {
 
     #[test]
     fn request_sizes_reflect_payload() {
-        // A NonIID cell-contribution request grows with the boundary cell
-        // count — the O(√|g₀|) communication term comes from here.
-        let small = Request::CellContributions {
-            range: Range::circle(Point::new(0.0, 0.0), 1.0),
-            cells: vec![1],
+        // A NonIID cell-contribution request costs what an aggregate
+        // request does — tag, range, mode — whatever the boundary: the
+        // O(√|g₀|) communication term is the reply's alone.
+        let range = Range::circle(Point::new(0.0, 0.0), 1.0);
+        let cells = Request::CellContributions {
+            range,
             mode: LocalMode::Exact,
-        }
-        .to_bytes()
-        .len();
-        let large = Request::CellContributions {
-            range: Range::circle(Point::new(0.0, 0.0), 1.0),
-            cells: (0..100).collect(),
+        };
+        let aggregate = Request::Aggregate {
+            range,
             mode: LocalMode::Exact,
-        }
-        .to_bytes()
-        .len();
-        assert_eq!(large - small, 99 * 4);
+        };
+        assert_eq!(cells.to_bytes().len(), aggregate.to_bytes().len());
+        assert_eq!(cells.to_bytes().len(), 1 + 25 + 1);
     }
 }

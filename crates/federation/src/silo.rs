@@ -11,8 +11,8 @@
 //! * a MinSkew histogram for the OPTA baseline;
 //!
 //! and, on the provider's `BuildGrid` request (Alg. 1), a grid index over
-//! the shared spec which it returns and retains (it needs the spec to map
-//! cell ids to rectangles for `CellContributions`).
+//! the shared spec which it returns and retains (it classifies a
+//! `CellContributions` range against it).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -27,12 +27,12 @@ use fedra_obs::metrics::{Counter, Histogram};
 use fedra_obs::MetricsRegistry;
 
 use fedra_geo::{Range, Rect, SpatialObject};
-use fedra_index::grid::{CellId, GridIndex, GridSpec};
+use fedra_index::grid::{GridIndex, GridSpec};
 use fedra_index::histogram::{MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
 use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::RTreeConfig;
-use fedra_index::{Aggregate, IndexMemory};
+use fedra_index::{Aggregate, IndexMemory, Moments};
 
 use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport};
 use crate::wire::{expect_magic, Wire, WireError, WireResult};
@@ -73,8 +73,9 @@ pub struct Silo {
     /// copy of the partition: one full bulk load per silo.
     lsr: LsrForest,
     histogram: MinSkewHistogram,
-    /// Retained after `BuildGrid`: the cell-id → rectangle mapping and
-    /// the per-cell counts `CellContributions` prunes empty cells with.
+    /// Retained after `BuildGrid`: the spec a `CellContributions` range is
+    /// classified against and the per-cell mass that picks the cells its
+    /// reply carries.
     grid: parking_lot::RwLock<Option<GridIndex>>,
     /// Scoped worker pool for index builds only; every request, batched
     /// or lone, is served on the thread that called [`Silo::handle`].
@@ -184,8 +185,8 @@ struct SiloMetrics {
     requests: RequestCounters,
     batch_items: Arc<Histogram>,
     batch_panics: Arc<Counter>,
-    /// Boundary cells answered `ZERO` straight off the retained grid's
-    /// cell counts, left out of the clipped R-tree/LSR walk.
+    /// Boundary cells left out of a `CellContributions` reply (and out of
+    /// the clipped R-tree/LSR walk): the provider's ratio never reads them.
     cells_pruned: Arc<Counter>,
     /// One counter per LSR level, indexed by the level picked (Alg. 6);
     /// the paper's O(log 1/ε) claim is readable straight off these.
@@ -350,11 +351,12 @@ impl Silo {
         if self.failed.load(Ordering::Acquire) {
             return Response::Error(format!("silo {} unavailable", self.id));
         }
-        self.answer(request)
+        self.answer(request, Moments::ALL)
     }
 
-    /// Answers one counted, non-batch request.
-    fn answer(&self, request: Request) -> Response {
+    /// Answers one counted, non-batch request for a function reading
+    /// `moments` (all three unless a `Masked` wrapper names fewer).
+    fn answer(&self, request: Request, moments: Moments) -> Response {
         match request {
             Request::BuildGrid {
                 bounds,
@@ -362,8 +364,8 @@ impl Silo {
                 return_cells,
             } => self.handle_build_grid(bounds, cell_len, return_cells),
             Request::Aggregate { range, mode } => Response::Agg(self.local_aggregate(&range, mode)),
-            Request::CellContributions { range, cells, mode } => {
-                self.handle_cell_contributions(&range, &cells, mode)
+            Request::CellContributions { range, mode } => {
+                self.handle_cell_contributions(&range, mode, moments)
             }
             Request::HistogramEstimate { range } => Response::Agg(self.histogram.estimate(&range)),
             Request::MemoryReport => Response::Memory(self.memory_report()),
@@ -373,12 +375,12 @@ impl Silo {
             Request::Batch(_) => {
                 Response::Error(format!("silo {}: nested batch rejected", self.id))
             }
-            // The same tree walk as unmasked, then only the asked-for
-            // moments leave the silo.
+            // The same tree walk as unmasked (over the cells the moments
+            // keep), then only the asked-for moments leave the silo.
             Request::Masked { moments, request } => match *request {
                 inner @ (Request::Aggregate { .. }
                 | Request::CellContributions { .. }
-                | Request::HistogramEstimate { .. }) => match self.answer(inner) {
+                | Request::HistogramEstimate { .. }) => match self.answer(inner, moments) {
                     Response::Agg(a) => Response::Agg(a.masked(moments)),
                     Response::AggVec(mut v) => {
                         v.iter_mut().for_each(|a| *a = a.masked(moments));
@@ -563,11 +565,15 @@ impl Silo {
         }
     }
 
+    /// The reply is dense over the grid's contributing cells for `range`
+    /// and `moments` ([`GridIndex::contributing_cells`]): the boundary
+    /// cells whose own mass the provider's ratio reads. The provider holds
+    /// the same grid, so it lays the entries back onto the boundary itself.
     fn handle_cell_contributions(
         &self,
         range: &Range,
-        cells: &[CellId],
         mode: LocalMode,
+        moments: Moments,
     ) -> Response {
         let guard = self.grid.read();
         let Some(grid) = guard.as_ref() else {
@@ -576,53 +582,26 @@ impl Silo {
                 self.id
             ));
         };
+        // `contributing_cells`, classified once so the left-out boundary
+        // cells can be counted. The range came off the wire; the
+        // classification is clipped to the grid, so the reply never has
+        // more than `num_cells` entries.
         let spec = *grid.spec();
-        // The cell list comes off the wire. An id past the grid has no
-        // rectangle to clip to (and would pass the sweep below vacuously,
-        // as an "empty" cell); a list longer than the grid can only be
-        // hostile and sizes the reply.
-        let num_cells = spec.num_cells();
-        if cells.len() > num_cells {
-            return Response::Error(format!(
-                "silo {}: {} cell ids requested from a grid of {num_cells} cells",
-                self.id,
-                cells.len()
-            ));
-        }
-        // The prune sweep is O(1) probes per cell, under the read guard;
-        // the tree walk runs after it drops. A cell is prunable only if
-        // its whole *closed* rectangle is empty: an object exactly on the
-        // cell's max edge bins into the next row/column, so the 2×2
-        // neighborhood (clamped at the grid edge) must be empty too, not
-        // just the cell itself.
-        let mut slots = Vec::with_capacity(cells.len());
-        let mut rects = Vec::with_capacity(cells.len());
-        for (slot, &id) in cells.iter().enumerate() {
-            if id as usize >= num_cells {
-                return Response::Error(format!(
-                    "silo {}: cell id {id} is outside the grid of {num_cells} cells",
-                    self.id
-                ));
-            }
-            let (ix, iy) = spec.cell_coords(id);
-            let x1 = (ix + 1).min(spec.nx() - 1);
-            let y1 = (iy + 1).min(spec.ny() - 1);
-            let empty = (ix..=x1)
-                .all(|cx| (iy..=y1).all(|cy| grid.cell(spec.cell_id(cx, cy)).count == 0.0));
-            if !empty {
-                slots.push(slot);
-                rects.push(spec.cell_rect(ix, iy));
-            }
-        }
+        let boundary = spec.classify(range).boundary;
+        let rects: Vec<Rect> = boundary
+            .iter()
+            .filter(|&&id| grid.contributes(id, moments))
+            .map(|&id| spec.cell_rect_of(id))
+            .collect();
         drop(guard);
         self.metrics
             .cells_pruned
-            .add((cells.len() - slots.len()) as u64);
+            .add((boundary.len() - rects.len()) as u64);
         // The per-cell clipped aggregates (the O(√|g₀|) boundary work of
         // Alg. 3) come out of one walk of one tree, on this thread. For
         // the LSR mode the level is selected once from the whole-query
         // sum₀, so all per-cell estimates share one sample tree.
-        let live = match mode {
+        let contributions = match mode {
             LocalMode::Exact => self.lsr.base().aggregate_clipped_many(range, &rects),
             LocalMode::Lsr {
                 epsilon,
@@ -634,14 +613,7 @@ impl Silo {
                 self.lsr.query_clipped_many_at_level(range, &rects, l)
             }
         };
-        // Pruned slots stay `ZERO` — bit-identical to what the walk
-        // returns for an empty region (both fold from the monoid identity
-        // over nothing).
-        let mut out = vec![Aggregate::ZERO; cells.len()];
-        for (slot, agg) in slots.into_iter().zip(live) {
-            out[slot] = agg;
-        }
-        Response::AggVec(out)
+        Response::AggVec(contributions)
     }
 
     /// Memory footprint of the silo's indices.
@@ -686,6 +658,7 @@ impl std::fmt::Debug for Silo {
 mod tests {
     use super::*;
     use fedra_geo::Point;
+    use fedra_index::grid::CellId;
     use fedra_index::rtree::RTree;
 
     fn bounds() -> Rect {
@@ -720,6 +693,16 @@ mod tests {
                 SpatialObject::at(x, y, (i % 4) as f64 + 1.0)
             })
             .collect()
+    }
+
+    /// The cells a `CellContributions` reply from `s` carries, off its own
+    /// retained grid.
+    fn contributing(s: &Silo, range: &Range, moments: Moments) -> Vec<CellId> {
+        s.grid
+            .read()
+            .as_ref()
+            .expect("grid built")
+            .contributing_cells(range, moments)
     }
 
     #[test]
@@ -757,8 +740,6 @@ mod tests {
         let reference = RTree::bulk_load(objs.clone(), RTreeConfig::default());
         let q = Range::circle(Point::new(45.0, 55.0), 22.0);
         let spec = GridSpec::new(bounds(), 10.0);
-        let cls = spec.classify(&q);
-        let cells: Vec<CellId> = cls.boundary.iter().chain(&cls.covered).copied().collect();
         let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
         for threads in [1, 4] {
             let s = Silo::new(
@@ -787,11 +768,12 @@ mod tests {
             });
             let Response::AggVec(per_cell) = s.handle(Request::CellContributions {
                 range: q,
-                cells: cells.clone(),
                 mode: LocalMode::Exact,
             }) else {
                 panic!("unexpected response");
             };
+            let cells = contributing(&s, &q, Moments::ALL);
+            assert!(!cells.is_empty());
             assert_eq!(per_cell.len(), cells.len());
             for (&id, got) in cells.iter().zip(&per_cell) {
                 let want = reference.aggregate_clipped(&q, &spec.cell_rect_of(id));
@@ -836,7 +818,6 @@ mod tests {
         let q = Range::circle(Point::new(50.0, 50.0), 10.0);
         let premature = s.handle(Request::CellContributions {
             range: q,
-            cells: vec![0],
             mode: LocalMode::Exact,
         });
         assert!(matches!(premature, Response::Error(_)));
@@ -852,11 +833,12 @@ mod tests {
         let cls = grid.spec().classify(&q);
         let resp = s.handle(Request::CellContributions {
             range: q,
-            cells: cls.boundary.clone(),
             mode: LocalMode::Exact,
         });
         match resp {
             Response::AggVec(v) => {
+                // Every boundary cell of this dense silo holds objects.
+                assert_eq!(grid.contributing_cells(&q, Moments::ALL), cls.boundary);
                 assert_eq!(v.len(), cls.boundary.len());
                 // Boundary + covered contributions must reassemble the
                 // exact local answer.
@@ -879,83 +861,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pruned_contributions_are_bit_identical_to_unpruned() {
-        // All data in the left half; a query over the right half makes
-        // every requested cell empty. The grid prune must answer the
-        // exact same bits the clipped R-tree descent would (ZERO), and the
-        // prune counter must show it actually skipped the work.
-        let objs: Vec<SpatialObject> = (0..500)
-            .map(|i| SpatialObject::at((i % 40) as f64, (i / 40) as f64 * 3.0, 1.0))
-            .collect();
-        let s = Silo::new(20, objs, config());
-        s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
-        let q = Range::circle(Point::new(80.0, 50.0), 15.0);
-        let spec = GridSpec::new(bounds(), 10.0);
-        let cls = spec.classify(&q);
-        let mut cells = cls.boundary.clone();
-        cells.extend(&cls.covered);
-        let resp = s.handle(Request::CellContributions {
-            range: q,
-            cells: cells.clone(),
-            mode: LocalMode::Exact,
-        });
-        let Response::AggVec(got) = resp else {
-            panic!("unexpected response");
-        };
-        for (i, (&id, a)) in cells.iter().zip(&got).enumerate() {
-            let direct = s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id));
-            assert_eq!(a.count.to_bits(), direct.count.to_bits(), "cell {i}");
-            assert_eq!(a.sum.to_bits(), direct.sum.to_bits(), "cell {i}");
-        }
-        let pruned = s
-            .metrics()
-            .snapshot()
-            .counters
-            .get("fedra_silo_cells_pruned_total{silo=\"20\"}")
-            .copied()
-            .unwrap_or(0);
-        assert!(pruned > 0, "prune must actually skip empty cells");
-    }
-
-    #[test]
-    fn max_edge_object_is_never_falsely_pruned() {
-        // An object at exactly (10, 10) bins into grid cell (1, 1), yet it
-        // sits on the *closed* rectangle of cell (0, 0). Pruning cell
-        // (0, 0) from its own count alone would drop the object; the 2×2
-        // neighborhood check must keep it.
-        let s = Silo::new(21, vec![SpatialObject::at(10.0, 10.0, 5.0)], config());
-        s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
-        let spec = GridSpec::new(bounds(), 10.0);
-        assert_eq!(
-            s.grid
-                .read()
-                .as_ref()
-                .map(|g| g.cell(spec.cell_id(0, 0)).count),
-            Some(0.0),
-            "the object bins into cell (1,1), not (0,0)"
-        );
-        let q = Range::rect(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
-        let resp = s.handle(Request::CellContributions {
-            range: q,
-            cells: vec![spec.cell_id(0, 0)],
-            mode: LocalMode::Exact,
-        });
-        let Response::AggVec(v) = resp else {
-            panic!("unexpected response");
-        };
-        assert_eq!(v[0].count, 1.0, "edge object must survive the prune");
-        assert_eq!(v[0].sum, 5.0);
-    }
-
     fn pruned_total(s: &Silo) -> u64 {
         let name = format!("fedra_silo_cells_pruned_total{{silo=\"{}\"}}", s.id());
         s.metrics()
@@ -967,54 +872,104 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_cell_ids_are_refused_not_answered_as_empty_cells() {
-        // Data in the left half only: cell 99 (top right) is prunable,
-        // cell 44 is not.
-        let left: Vec<SpatialObject> = objects(2000)
-            .into_iter()
-            .filter(|o| o.location.x < 50.0)
+    fn a_range_over_an_empty_region_is_answered_with_no_cell() {
+        // All data in the left half; a query over the right half meets
+        // only boundary cells the silo holds nothing in. The reply is
+        // empty, the counter shows every boundary cell left out, and the
+        // walk the silo skipped would have found nothing in any of them.
+        let objs: Vec<SpatialObject> = (0..500)
+            .map(|i| SpatialObject::at((i % 40) as f64, (i / 40) as f64 * 3.0, 1.0))
             .collect();
-        let s = Silo::new(22, left, config());
+        let s = Silo::new(20, objs, config());
         s.handle(Request::BuildGrid {
             bounds: bounds(),
             cell_len: 10.0,
-            return_cells: false,
+            return_cells: true,
         });
-        let q = Range::circle(Point::new(50.0, 50.0), 12.0);
-        let ask = |cells: Vec<CellId>| Request::CellContributions {
+        let q = Range::circle(Point::new(80.0, 50.0), 15.0);
+        let spec = GridSpec::new(bounds(), 10.0);
+        let boundary = spec.classify(&q).boundary;
+        assert!(!boundary.is_empty());
+        let resp = s.handle(Request::CellContributions {
             range: q,
-            cells,
             mode: LocalMode::Exact,
+        });
+        assert_eq!(resp, Response::AggVec(vec![]));
+        assert_eq!(pruned_total(&s), boundary.len() as u64);
+        for id in boundary {
+            let direct = s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id));
+            assert!(direct.is_zero(), "cell {id}");
+        }
+    }
+
+    #[test]
+    fn max_edge_object_is_never_falsely_pruned() {
+        // An object at exactly (10, 10) bins into grid cell (1, 1), yet it
+        // sits on the *closed* rectangles of cells (0, 0), (1, 0) and
+        // (0, 1) too: all four are boundary cells of the rect below, and
+        // all four clips hold it. The reply carries only (1, 1), the one
+        // cell whose own mass a ratio divides by; the other three hold
+        // nothing, so NonIID-est takes the g₀ area fallback there and
+        // never read their entries. Its answer is the same either way.
+        let s = Silo::new(21, vec![SpatialObject::at(10.0, 10.0, 5.0)], config());
+        s.handle(Request::BuildGrid {
+            bounds: bounds(),
+            cell_len: 10.0,
+            return_cells: true,
+        });
+        let grid = s.grid.read().clone().expect("grid built");
+        let spec = *grid.spec();
+        let q = Range::rect(Point::new(2.0, 2.0), Point::new(10.0, 10.0));
+        let boundary = spec.classify(&q).boundary;
+        let ids = |cells: &[(u32, u32)]| -> Vec<CellId> {
+            cells.iter().map(|&(x, y)| spec.cell_id(x, y)).collect()
         };
-        // 100 cells: id 100 is the first that does not exist. It rides
-        // behind a prunable cell, so a half-counted sweep would show.
-        let lone = s.handle(ask(vec![99, 100]));
-        assert!(
-            matches!(&lone, Response::Error(e) if e.contains("100") && e.contains("100 cells")),
-            "got {lone:?}"
-        );
-        assert!(matches!(
-            s.handle(ask(vec![CellId::MAX])),
-            Response::Error(_)
-        ));
-        // More ids than the grid has cells, each one valid.
-        let long = s.handle(ask(vec![44; 101]));
-        assert!(
-            matches!(&long, Response::Error(e) if e.contains("101")),
-            "got {long:?}"
-        );
-        // As a batch item the refusal is that item's alone.
-        let Response::Batch(items) = s.handle(Request::Batch(vec![
-            ask(vec![44]),
-            ask(vec![99, 100]),
-            Request::Ping,
-        ])) else {
+        assert_eq!(boundary, ids(&[(0, 0), (1, 0), (0, 1), (1, 1)]));
+        let kept = ids(&[(1, 1)]);
+        assert_eq!(grid.contributing_cells(&q, Moments::ALL), kept);
+        let Response::AggVec(reply) = s.handle(Request::CellContributions {
+            range: q,
+            mode: LocalMode::Exact,
+        }) else {
             panic!("unexpected response");
         };
-        assert!(matches!(&items[0], Response::AggVec(v) if v.len() == 1));
-        assert!(matches!(&items[1], Response::Error(e) if e.contains("100")));
-        assert_eq!(items[2], Response::Pong);
-        assert_eq!(pruned_total(&s), 0, "a refused request prunes nothing");
+        let edge_object = Aggregate {
+            count: 1.0,
+            sum: 5.0,
+            sum_sqr: 25.0,
+        };
+        assert_eq!(reply, vec![edge_object]);
+        // The old protocol's reply: every boundary cell's closed clip.
+        let full: Vec<Aggregate> = boundary
+            .iter()
+            .map(|&id| s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id)))
+            .collect();
+        assert_eq!(full, vec![edge_object; 4]);
+        // NonIID-est's COUNT term per boundary cell with one silo
+        // (g₀ = g_k): the ratio where it reads the entry, else the area
+        // fallback g₀ · frac, which is 0 in an empty cell.
+        let term = |id: CellId, res: &Aggregate| {
+            let g = grid.cell(id).count;
+            if fedra_index::ratio_reads(g) {
+                g * (res.count / g)
+            } else {
+                0.0
+            }
+        };
+        let before: f64 = boundary.iter().zip(&full).map(|(&id, r)| term(id, r)).sum();
+        let mut entries = reply.iter();
+        let after: f64 = boundary
+            .iter()
+            .map(|&id| {
+                if grid.contributes(id, Moments::ALL) {
+                    term(id, entries.next().expect("one entry per kept cell"))
+                } else {
+                    term(id, &Aggregate::ZERO)
+                }
+            })
+            .sum();
+        assert_eq!(before.to_bits(), after.to_bits());
+        assert_eq!(after, 1.0, "the edge object is counted once");
     }
 
     #[test]
@@ -1035,7 +990,6 @@ mod tests {
         let q = Range::circle(Point::new(48.0, 52.0), 27.0);
         let spec = GridSpec::new(bounds(), 10.0);
         let cls = spec.classify(&q);
-        let cells: Vec<CellId> = cls.boundary.iter().chain(&cls.covered).copied().collect();
         let modes = [
             LocalMode::Exact,
             LocalMode::Lsr {
@@ -1050,11 +1004,7 @@ mod tests {
                 .collect()
         };
         for mode in modes {
-            let ask = || Request::CellContributions {
-                range: q,
-                cells: cells.clone(),
-                mode,
-            };
+            let ask = || Request::CellContributions { range: q, mode };
             let mut answers = Vec::new();
             for threads in [1, 4] {
                 let s = Silo::new(
@@ -1073,10 +1023,11 @@ mod tests {
                 let Response::AggVec(lone) = s.handle(ask()) else {
                     panic!("unexpected response");
                 };
+                let cells = contributing(&s, &q, Moments::ALL);
                 assert_eq!(lone.len(), cells.len());
                 let pruned = pruned_total(&s);
-                assert!(pruned > 0, "the empty right half must prune");
-                assert!((pruned as usize) < cells.len());
+                assert!(pruned > 0, "the empty right half must be left out");
+                assert_eq!(pruned as usize, cls.boundary.len() - cells.len());
                 let Response::Batch(mut items) = s.handle(Request::Batch(vec![
                     Request::Ping,
                     Request::Aggregate { range: q, mode },
@@ -1098,9 +1049,18 @@ mod tests {
                         .map(|&id| reference.aggregate_clipped(&q, &spec.cell_rect_of(id)))
                         .collect();
                     assert_eq!(bits(&lone), bits(&direct), "threads {threads}");
+                    let covered: f64 = cls
+                        .covered
+                        .iter()
+                        .map(|&id| {
+                            reference
+                                .aggregate_clipped(&q, &spec.cell_rect_of(id))
+                                .count
+                        })
+                        .sum();
                     let sum: f64 = lone.iter().map(|a| a.count).sum();
                     assert!(
-                        sum > reference.aggregate(&q).count,
+                        sum + covered > reference.aggregate(&q).count,
                         "edge objects count in both closed cells"
                     );
                 }
@@ -1363,7 +1323,7 @@ mod tests {
 
     #[test]
     fn a_masked_request_is_its_inner_answer_masked_and_counts_once() {
-        use fedra_index::{AggFunc, Moments};
+        use fedra_index::AggFunc;
         let s = Silo::new(34, objects(500), config());
         s.handle(Request::BuildGrid {
             bounds: bounds(),
@@ -1371,7 +1331,6 @@ mod tests {
             return_cells: false,
         });
         let q = Range::circle(Point::new(50.0, 50.0), 20.0);
-        let cells = GridSpec::new(bounds(), 10.0).classify(&q).boundary;
         let leaves = [
             Request::Aggregate {
                 range: q,
@@ -1379,7 +1338,6 @@ mod tests {
             },
             Request::CellContributions {
                 range: q,
-                cells,
                 mode: LocalMode::Exact,
             },
             Request::HistogramEstimate { range: q },
@@ -1388,6 +1346,13 @@ mod tests {
             let full = s.handle(leaf.clone());
             for f in AggFunc::ALL {
                 let moments = f.moments();
+                // Every measure is ≥ 1, so a cell holding an object passes
+                // every function's ratio test: the masked cell reply keeps
+                // the unmasked one's cells.
+                assert_eq!(
+                    contributing(&s, &q, moments),
+                    contributing(&s, &q, Moments::ALL)
+                );
                 let expected = match &full {
                     Response::Agg(a) => Response::Agg(a.masked(moments)),
                     Response::AggVec(v) => {

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fedra_federation::{FederationBuilder, LocalMode, Request, Response};
 use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::histogram::MinSkewConfig;
+use fedra_index::Moments;
 
 fn build(m: usize, per_silo: usize) -> fedra_federation::Federation {
     let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
@@ -135,13 +136,15 @@ fn failure_flapping_under_load() {
 #[test]
 fn mixed_request_types_interleave_cleanly() {
     let fed = build(3, 1_500);
-    let spec = *fed.merged_grid().spec();
     let q = Range::circle(Point::new(50.0, 50.0), 12.0);
-    let boundary = spec.classify(&q).boundary;
+    // The cells each silo's reply carries.
+    let cells: Vec<usize> = (0..fed.num_silos())
+        .map(|k| fed.silo_grid(k).contributing_cells(&q, Moments::ALL).len())
+        .collect();
     std::thread::scope(|scope| {
         for t in 0..8 {
             let fed = &fed;
-            let boundary = &boundary;
+            let cells = &cells;
             scope.spawn(move || {
                 for i in 0..100 {
                     let silo = (t + i) % fed.num_silos();
@@ -164,13 +167,12 @@ fn mixed_request_types_interleave_cleanly() {
                                     silo,
                                     &Request::CellContributions {
                                         range: q,
-                                        cells: boundary.clone(),
                                         mode: LocalMode::Exact,
                                     },
                                 )
                                 .unwrap();
                             match r {
-                                Response::AggVec(v) => assert_eq!(v.len(), boundary.len()),
+                                Response::AggVec(v) => assert_eq!(v.len(), cells[silo]),
                                 other => panic!("unexpected {other:?}"),
                             }
                         }

@@ -99,6 +99,17 @@ impl std::ops::BitOr for Moments {
     }
 }
 
+/// Whether a ratio estimate `sum₀ × res / denominator` reads its `res`
+/// component: only when `|denominator| ≥ f64::EPSILON`. Below that the
+/// estimators take their grid fallback instead (`ratio_scale` in
+/// `fedra-core`), and a silo leaves out of a NonIID reply every cell
+/// whose own mass fails this test (`GridIndex::contributes`), so both
+/// sides share this one function.
+#[inline]
+pub fn ratio_reads(denominator: f64) -> bool {
+    denominator.abs() >= f64::EPSILON
+}
+
 impl std::fmt::Display for AggFunc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -399,6 +410,13 @@ mod tests {
             Some(Moments::COUNT | Moments::SUM_SQR)
         );
         assert_eq!(Moments::from_bits(0b1000), None);
+    }
+
+    #[test]
+    fn a_ratio_reads_only_a_denominator_that_is_not_negligible() {
+        assert!(ratio_reads(1.0) && ratio_reads(-f64::EPSILON));
+        assert!(!ratio_reads(0.0) && !ratio_reads(-0.0) && !ratio_reads(f64::EPSILON / 2.0));
+        assert!(!ratio_reads(f64::NAN));
     }
 
     #[test]

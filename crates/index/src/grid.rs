@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use fedra_geo::{Point, Range, Rect, RectRelation, SpatialObject};
 
 use crate::pool::WorkerPool;
-use crate::{Aggregate, IndexMemory};
+use crate::{ratio_reads, Aggregate, IndexMemory, Moments};
 
 /// Object-chunk size for [`GridIndex::build_with`]. A function of nothing
 /// but this constant — never the pool size — so chunk boundaries (and
@@ -432,6 +432,30 @@ impl GridIndex {
         &self.cells[id as usize]
     }
 
+    /// Whether a NonIID reply from the silo holding this grid carries
+    /// cell `id` for a function reading `moments`: the per-cell ratio
+    /// `g₀[i] · res_i / g_k[i]` reads the entry ([`ratio_reads`]) in at
+    /// least one of them. Elsewhere the estimator takes its `g₀` area
+    /// fallback and never reads the entry.
+    #[inline]
+    pub fn contributes(&self, id: CellId, moments: Moments) -> bool {
+        let g = self.cell(id);
+        (moments.contains(Moments::COUNT) && ratio_reads(g.count))
+            || (moments.contains(Moments::SUM) && ratio_reads(g.sum))
+            || (moments.contains(Moments::SUM_SQR) && ratio_reads(g.sum_sqr))
+    }
+
+    /// The cells a NonIID reply carries (Alg. 3 line 3): the boundary
+    /// cells of `spec().classify(range)` that [`Self::contributes`] keeps,
+    /// in classification order. A pure function of grid and range, so the
+    /// silo and the provider, which hold the same `g_k` bit for bit,
+    /// agree on it without a cell id on the wire.
+    pub fn contributing_cells(&self, range: &Range, moments: Moments) -> Vec<CellId> {
+        let mut cells = self.spec.classify(range).boundary;
+        cells.retain(|&id| self.contributes(id, moments));
+        cells
+    }
+
     /// Aggregate over an arbitrary set of cells.
     pub fn aggregate_cells(&self, ids: impl IntoIterator<Item = CellId>) -> Aggregate {
         ids.into_iter()
@@ -725,6 +749,29 @@ mod tests {
             let r = s.cell_rect_of(*id);
             assert!(q.intersects_rect(&r) && !q.contains_rect(&r));
         }
+    }
+
+    #[test]
+    fn contributing_cells_are_the_boundary_cells_whose_own_mass_a_ratio_reads() {
+        // Silo 1 of Example 1 over the circle at (4, 6), radius 3: the
+        // centre cell (1, 2) is covered, the other eight of the 3×3 block
+        // are boundary. (2, 3) holds no object; (1, 1), (2, 1) and (1, 3)
+        // hold one object of measure 0 each.
+        let (s1, _) = example1_objects();
+        let g = GridIndex::build(spec10(), &s1);
+        let q = Range::circle(Point::new(4.0, 6.0), 3.0);
+        let at = |cells: &[(u32, u32)]| -> Vec<CellId> {
+            cells.iter().map(|&(x, y)| g.spec().cell_id(x, y)).collect()
+        };
+        let count = at(&[(0, 1), (1, 1), (2, 1), (0, 2), (2, 2), (0, 3), (1, 3)]);
+        assert_eq!(g.contributing_cells(&q, Moments::COUNT), count);
+        assert_eq!(g.contributing_cells(&q, Moments::ALL), count);
+        // A SUM ratio divides by the cell's sum, 0 in the measure-0 cells.
+        let sum = at(&[(0, 1), (0, 2), (2, 2), (0, 3)]);
+        assert_eq!(g.contributing_cells(&q, Moments::SUM), sum);
+        assert!(g.contributing_cells(&q, Moments::NONE).is_empty());
+        let far = Range::circle(Point::new(100.0, 100.0), 1.0);
+        assert!(g.contributing_cells(&far, Moments::ALL).is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod lsr;
 pub mod pool;
 pub mod rtree;
 
-pub use agg::{AggFunc, Aggregate, Moments};
+pub use agg::{ratio_reads, AggFunc, Aggregate, Moments};
 
 /// Memory accounting for the "memory of indices" metric (Figs. 3d–9d).
 ///

@@ -54,7 +54,6 @@ fn all_requests() -> Vec<Request> {
         },
         Request::CellContributions {
             range: Range::rect(Point::new(-4.0, -2.0), Point::new(4.0, 2.0)),
-            cells: vec![0, 3, 7],
             mode: LocalMode::Lsr {
                 epsilon: 0.1,
                 delta: 0.01,
@@ -71,6 +70,13 @@ fn all_requests() -> Vec<Request> {
             moments: AggFunc::Avg.moments(),
             request: Box::new(Request::HistogramEstimate {
                 range: Range::circle(Point::new(1.0, 1.0), 2.0),
+            }),
+        },
+        Request::Masked {
+            moments: AggFunc::Count.moments(),
+            request: Box::new(Request::CellContributions {
+                range: Range::circle(Point::new(0.5, -0.5), 1.5),
+                mode: LocalMode::Exact,
             }),
         },
     ];
@@ -405,6 +411,86 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
     assert_eq!(
         snapshot.bytes_down,
         expected.to_bytes().len() as u64 + DEFAULT_MESSAGE_OVERHEAD
+    );
+}
+
+// ---------------------------------------------------------------------
+// Hostile ranges: a silo classifies the cell range it reads off the wire
+// ---------------------------------------------------------------------
+
+/// A `CellContributions` request carries no cell ids: the silo classifies
+/// the range against its own grid. NaN, infinite, inverted, negative and
+/// astronomically large ranges must each get an `AggVec` no longer than
+/// the grid, or a refusal — the same outcome on both backends — and never
+/// take the silo down.
+#[test]
+fn hostile_cell_ranges_get_a_bounded_reply_or_a_refusal_on_both_backends() {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let origin = Point::new(0.0, 0.0);
+    let ranges = [
+        Range::circle(Point::new(nan, 0.0), 1.0),
+        Range::circle(Point::new(nan, nan), nan),
+        Range::rect(Point::new(-inf, -inf), Point::new(inf, inf)),
+        Range::rect(Point::new(-inf, 0.0), Point::new(0.0, inf)),
+        Range::Rect(Rect {
+            min: Point::new(inf, inf),
+            max: Point::new(-inf, -inf),
+        }),
+        Range::Circle(Circle {
+            center: origin,
+            radius: -3.0,
+        }),
+        Range::circle(origin, 1e300),
+        Range::circle(origin, inf),
+        Range::circle(Point::new(inf, -inf), 1.0),
+        // The whole grid (every cell covered), a circle over most of it
+        // (most cells boundary), and a range far outside it.
+        Range::Rect(sample_rect()),
+        Range::circle(origin, 4.2),
+        Range::circle(Point::new(1e6, -1e6), 2.0),
+    ];
+    let modes = [
+        LocalMode::Exact,
+        LocalMode::Lsr {
+            epsilon: 0.1,
+            delta: 0.01,
+            sum0: 12.0,
+        },
+    ];
+    let outcomes = |backend: TransportBackend| {
+        let fed = FederationBuilder::new(sample_rect())
+            .grid_cell_len(0.5)
+            .transport_backend(backend)
+            .build(vec![sample_partition()]);
+        let num_cells = fed.merged_grid().spec().num_cells();
+        let mut outcomes = Vec::new();
+        for range in ranges {
+            for mode in modes {
+                let leaf = Request::CellContributions { range, mode };
+                let masked = Request::Masked {
+                    moments: AggFunc::Count.moments(),
+                    request: Box::new(leaf.clone()),
+                };
+                for request in [leaf, masked] {
+                    let outcome = fed.call(0, &request);
+                    match &outcome {
+                        Ok(Response::AggVec(v)) => assert!(v.len() <= num_cells, "{range:?}"),
+                        Err(TransportError::Remote { .. }) => {}
+                        other => panic!("{range:?} {mode:?}: {other:?}"),
+                    }
+                    outcomes.push(format!("{outcome:?}"));
+                }
+            }
+        }
+        assert_eq!(
+            fed.call(0, &Request::Ping).expect("still serving"),
+            Response::Pong
+        );
+        outcomes
+    };
+    assert_eq!(
+        outcomes(TransportBackend::InMemory),
+        outcomes(TransportBackend::Socket)
     );
 }
 

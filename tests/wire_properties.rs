@@ -63,16 +63,7 @@ fn mode() -> impl Strategy<Value = LocalMode> {
 fn aggregate_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         (range(), mode()).prop_map(|(range, mode)| Request::Aggregate { range, mode }),
-        (
-            range(),
-            proptest::collection::vec(any::<u32>(), 0..64),
-            mode()
-        )
-            .prop_map(|(range, cells, mode)| Request::CellContributions {
-                range,
-                cells,
-                mode
-            }),
+        (range(), mode()).prop_map(|(range, mode)| Request::CellContributions { range, mode }),
         range().prop_map(|range| Request::HistogramEstimate { range }),
     ]
 }
