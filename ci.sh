@@ -268,11 +268,13 @@ echo "$cache_out" | grep -q '^cache ε violations: 0$' \
     || { echo "cache smoke: a served answer exceeded the requested ε"; exit 1; }
 echo "    ok (nonzero hit rate, zero ε violations)"
 
-# Overhead gate: the pure-miss cache path (zero TTL, every probe a miss)
-# must stay within noise of the uncached algorithm. The bench asserts
-# the <= 3 % budget itself; any violation fails this step.
-echo "==> cache overhead gate (micro_cache)"
+# Overhead gates, each asserting its own <= 3 % budget (any violation
+# fails the step): the pure-miss cache path (zero TTL, every probe a
+# miss) against the uncached algorithm, and the disabled observability
+# handles against a measured per-query batch time.
+echo "==> overhead gates (micro_cache, micro_obs)"
 cargo bench -q -p fedra-bench --bench micro_cache | tail -n 4
+cargo bench -q -p fedra-bench --bench micro_obs | tail -n 5
 
 # `cargo test` never compiles a [[bench]] target: build every figure and
 # micro bench so a deleted API cannot leave one broken unnoticed.

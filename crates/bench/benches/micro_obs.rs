@@ -9,9 +9,10 @@
 //! the guard bounds the overhead two independent ways:
 //!
 //! 1. **model** — time the disabled recording primitives directly
-//!    (counter inc, histogram observe, trace start/span/finish) and
-//!    multiply by a generous per-query site count; that product must be
-//!    ≤ 3 % of the measured per-query batch time;
+//!    (a counter handle, a per-silo family handle, a histogram handle,
+//!    trace start/span/finish) and multiply by a generous per-query site
+//!    count; that product must be ≤ 3 % of the measured per-query batch
+//!    time;
 //! 2. **A/B** — the disabled path must not be slower than the *enabled*
 //!    path beyond the same 3 % band (the enabled path does strictly more
 //!    work, so this catches any accidental cost on the noop branch).
@@ -32,10 +33,11 @@ use fedra_workload::{QueryGenerator, WorkloadSpec};
 const ROUNDS: usize = 21;
 /// The acceptance bound: disabled-path overhead within noise.
 const MAX_OVERHEAD: f64 = 0.03;
-/// Disabled recording bundles modelled per query. One bundle is five
-/// noop calls (inc + observe + start_trace + span + finish_trace); the
-/// real planned path touches roughly a dozen sites per query, so four
-/// bundles (twenty calls) over-counts it comfortably.
+/// Disabled recording bundles modelled per query. One bundle is six
+/// noop calls: a counter inc, a per-silo inc, an observe, start_trace,
+/// a span and finish_trace. The real planned path touches roughly a
+/// dozen sites per query, so four bundles (twenty-four calls)
+/// over-counts it comfortably.
 const BUNDLES_PER_QUERY: f64 = 4.0;
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -85,17 +87,18 @@ fn main() {
     let enabled = median(enabled_ns);
     let per_query_ns = noop / queries.len() as f64;
 
-    // Direct cost of the disabled recording primitives. Real call sites
-    // pass constant metric names, so the names stay constant here too;
-    // black-boxing the handle each round keeps the enabled-check load
-    // (and thus the loop) alive without charging artificial costs.
+    // Direct cost of the disabled recording primitives, through the same
+    // pre-built handles the call sites use; black-boxing the context each
+    // round keeps the enabled-check load (and thus the loop) alive
+    // without charging artificial costs.
     const CALLS: u64 = 1_000_000;
     let noop_obs = ObsContext::noop();
     let start = Instant::now();
     for i in 0..CALLS {
         let obs = black_box(noop_obs);
-        obs.inc("fedra_guard_total");
-        obs.observe("fedra_guard_ns", black_box(i));
+        obs.metrics().queries.inc();
+        obs.metrics().silo_requests.inc(black_box(i as usize) % 4);
+        obs.metrics().query_rounds.observe(black_box(i));
         let trace = obs.start_trace("bench", "guard");
         let span = Span::enter(&trace, "noop");
         drop(span);

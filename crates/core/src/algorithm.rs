@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use fedra_federation::{Federation, Request, Response, SiloId, TransportError};
 use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
+use fedra_obs::{ObsContext, Span, TraceHandle};
 
 use crate::framework::drive_rounds;
 use crate::helpers;
@@ -231,11 +231,11 @@ pub trait FraAlgorithm: Send + Sync {
 /// (mass fraction in parts-per-million). No-op for full answers.
 pub(crate) fn note_coverage(obs: &ObsContext, result: &QueryResult) {
     if let Some(coverage) = &result.coverage {
-        obs.inc("fedra_degraded_answers_total");
-        obs.set_gauge(
-            "fedra_coverage_ppm",
-            (coverage.mass_fraction * 1_000_000.0).round(),
-        );
+        let metrics = obs.metrics();
+        metrics.degraded_answers.inc();
+        metrics
+            .coverage_ppm
+            .set((coverage.mass_fraction * 1_000_000.0).round());
     }
 }
 
@@ -258,15 +258,13 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
             response,
             rounds,
         } => {
-            if obs.is_enabled() {
-                obs.inc(&labeled("fedra_sampled_silo_total", "silo", silo));
-            }
+            obs.metrics().sampled_silo.inc(silo);
             trace.attr("silo", silo);
             let _finish_span = Span::enter(trace, "finish");
             algorithm.finish_with(federation, query, silo, response, rounds, obs)
         }
         End::Degrade { rounds, trail } => {
-            obs.inc("fedra_degraded_total");
+            obs.metrics().degraded.inc();
             match algorithm.finish_degraded(federation, query, rounds) {
                 // finish_degraded never saw the per-candidate errors —
                 // backfill the trail it stands for.

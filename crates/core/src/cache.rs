@@ -42,8 +42,11 @@ use parking_lot::RwLock;
 use fedra_federation::Federation;
 use fedra_geo::{Range, Rect};
 use fedra_index::AggFunc;
-use fedra_obs::metrics::Counter;
-use fedra_obs::{MetricsRegistry, ObsContext};
+use fedra_obs::catalog::{
+    CACHE_EVICTIONS_TOTAL, CACHE_EXPIRATIONS_TOTAL, CACHE_HITS_TOTAL, CACHE_LEVEL_SERVED_TOTAL,
+    CACHE_MISSES_TOTAL,
+};
+use fedra_obs::{Counter, MetricsRegistry, ObsContext};
 
 use crate::algorithm::FraAlgorithm;
 use crate::query::{FraError, FraQuery, QueryResult};
@@ -248,7 +251,7 @@ struct Entry {
 /// inserts, evictions and expiry removals take the exclusive write side.
 type CacheMap = HashMap<QueryKey, Entry, KeyHashBuilder>;
 
-/// The cache's own metric handles (names follow the PR 4/5 conventions).
+/// The cache's own series, registered when the cache is built.
 struct CacheMetrics {
     registry: Arc<MetricsRegistry>,
     hits: Arc<Counter>,
@@ -263,13 +266,12 @@ impl CacheMetrics {
     fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         Self {
-            hits: registry.counter("fedra_cache_hits_total"),
-            misses: registry.counter("fedra_cache_misses_total"),
-            evictions: registry.counter("fedra_cache_evictions_total"),
-            expirations: registry.counter("fedra_cache_expirations_total"),
-            level_exact: registry.counter("fedra_cache_level_served_total{level=\"exact\"}"),
-            level_decomposed: registry
-                .counter("fedra_cache_level_served_total{level=\"decomposed\"}"),
+            hits: registry.series(&CACHE_HITS_TOTAL, &[]),
+            misses: registry.series(&CACHE_MISSES_TOTAL, &[]),
+            evictions: registry.series(&CACHE_EVICTIONS_TOTAL, &[]),
+            expirations: registry.series(&CACHE_EXPIRATIONS_TOTAL, &[]),
+            level_exact: registry.series(&CACHE_LEVEL_SERVED_TOTAL, &[&"exact"]),
+            level_decomposed: registry.series(&CACHE_LEVEL_SERVED_TOTAL, &[&"decomposed"]),
             registry,
         }
     }
@@ -412,8 +414,8 @@ impl<A: FraAlgorithm> AnswerCache<A> {
                     drop(state);
                     self.metrics.hits.inc();
                     self.metrics.level_exact.inc();
-                    obs.inc("fedra_cache_hits_total");
-                    obs.inc("fedra_cache_level_served_total{level=\"exact\"}");
+                    obs.metrics().cache_hits.inc();
+                    obs.metrics().cache_level_served.inc("exact");
                     return Ok(CacheAnswer {
                         result,
                         epsilon_bound: bound,
@@ -464,8 +466,8 @@ impl<A: FraAlgorithm> AnswerCache<A> {
                 drop(state);
                 self.metrics.hits.inc();
                 self.metrics.level_decomposed.inc();
-                obs.inc("fedra_cache_hits_total");
-                obs.inc("fedra_cache_level_served_total{level=\"decomposed\"}");
+                obs.metrics().cache_hits.inc();
+                obs.metrics().cache_level_served.inc("decomposed");
                 return Ok(CacheAnswer {
                     result,
                     epsilon_bound: bound,
@@ -475,7 +477,7 @@ impl<A: FraAlgorithm> AnswerCache<A> {
         }
 
         self.metrics.misses.inc();
-        obs.inc("fedra_cache_misses_total");
+        obs.metrics().cache_misses.inc();
 
         // No lock is held across the (slow) federated query.
         let result = self.inner.try_execute_with(federation, query, obs)?;

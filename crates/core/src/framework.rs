@@ -37,7 +37,7 @@ use fedra_federation::{
     TransportError,
 };
 use fedra_index::pool::WorkerPool;
-use fedra_obs::{labeled, ObsContext, Span, TraceHandle};
+use fedra_obs::{ObsContext, Span, TraceHandle};
 
 use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, Legs, QueryPlan, RemotePlan};
 use crate::query::{FraError, FraQuery, QueryResult};
@@ -99,14 +99,15 @@ impl BatchResult {
         if !obs.is_enabled() || exact.is_empty() {
             return;
         }
+        let metrics = obs.metrics();
         for (r, &e) in self.results.iter().zip(exact) {
             let rel = match r {
                 Ok(result) => result.relative_error(e),
                 Err(_) => 1.0,
             };
-            obs.observe("fedra_realized_error_ppm", (rel * 1e6) as u64);
+            metrics.realized_error_ppm.observe((rel * 1e6) as u64);
         }
-        obs.set_gauge("fedra_batch_mre", self.mean_relative_error(exact));
+        metrics.batch_mre.set(self.mean_relative_error(exact));
     }
 
     /// Unwraps all results (for healthy-path tests and examples).
@@ -200,9 +201,7 @@ impl<'a> QueryEngine<'a> {
         queries: &[FraQuery],
         obs: &ObsContext,
     ) -> BatchResult {
-        if obs.is_enabled() {
-            obs.set_gauge("fedra_engine_workers", self.workers as f64);
-        }
+        obs.metrics().engine_workers.set(self.workers as f64);
         let comm_before = federation.query_comm();
         // Wall timing feeds BatchResult/throughput reporting only, never
         // a query answer.
@@ -230,15 +229,14 @@ impl<'a> QueryEngine<'a> {
             // batch delta verbatim, so after a from-reset run the mirror
             // matches `federation.query_comm()` bit for bit.
             obs.comm().add_delta(&comm);
-            obs.inc("fedra_batches_total");
-            obs.add("fedra_queries_total", queries.len() as u64);
-            obs.add(
-                "fedra_query_failures_total",
-                results.iter().filter(|r| r.is_err()).count() as u64,
-            );
-            obs.observe("fedra_batch_wall_ns", wall_time.as_nanos() as u64);
+            let metrics = obs.metrics();
+            metrics.batches.inc();
+            metrics.queries.add(queries.len() as u64);
+            let failures = results.iter().filter(|r| r.is_err()).count();
+            metrics.query_failures.add(failures as u64);
+            metrics.batch_wall_ns.observe(wall_time.as_nanos() as u64);
             for result in results.iter().flatten() {
-                obs.observe("fedra_query_rounds", result.rounds);
+                metrics.query_rounds.observe(result.rounds);
             }
         }
         BatchResult {
@@ -261,13 +259,13 @@ impl<'a> QueryEngine<'a> {
         obs: &ObsContext,
     ) -> Vec<Result<QueryResult, FraError>> {
         let pool = WorkerPool::new(self.workers);
-        if obs.is_enabled() && !queries.is_empty() {
+        if !queries.is_empty() {
             // Expected share per worker; the pool's shared cursor balances
             // the actual split dynamically.
-            obs.observe(
-                "fedra_engine_pool_items_per_task",
-                queries.len().div_ceil(pool.threads().max(1)) as u64,
-            );
+            let per_task = queries.len().div_ceil(pool.threads().max(1));
+            obs.metrics()
+                .engine_pool_items_per_task
+                .observe(per_task as u64);
         }
         pool.try_map(queries, |_, query| {
             self.algorithm.try_execute_with(federation, query, obs)
@@ -427,12 +425,12 @@ where
             let plan_span = Span::enter(&trace, "plan");
             let plan = match algorithm.plan_with(federation, &query, obs) {
                 QueryPlan::Ready(outcome) => {
-                    obs.inc("fedra_plan_ready_total");
+                    obs.metrics().plan_ready.inc();
                     return Err(outcome);
                 }
                 QueryPlan::SingleSilo(plan) => plan,
             };
-            obs.inc("fedra_plan_remote_total");
+            obs.metrics().plan_remote.inc();
             drop(plan_span);
             let span = Span::enter(&trace, "remote");
             let run = QueryRun::new(plan, retries, budget);
@@ -546,7 +544,7 @@ fn note_transition(obs: &ObsContext, transition: HealthTransition) {
         HealthTransition::HalfOpened => "half_open",
         HealthTransition::Closed => "closed",
     };
-    obs.inc(&labeled("fedra_breaker_transitions_total", "to", to));
+    obs.metrics().breaker_transitions.inc(to);
 }
 
 /// Records a call that answered after `latency` against the health
@@ -558,12 +556,8 @@ fn record_success(federation: &Federation, obs: &ObsContext, silo: SiloId, laten
 /// Records a failed call against the health tracker and the deadline-miss
 /// counter.
 fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportError) {
-    if error.is_deadline() && obs.is_enabled() {
-        obs.inc(&labeled(
-            "fedra_deadline_missed_total",
-            "silo",
-            error.silo(),
-        ));
+    if error.is_deadline() {
+        obs.metrics().deadline_missed.inc(error.silo());
     }
     note_transition(obs, federation.health().record_failure(error.silo()));
 }
@@ -788,11 +782,9 @@ fn round(
                 .iter()
                 .map(|tag| (*tag, riders[tag].request()))
                 .collect();
-            if obs.is_enabled() {
-                obs.observe("fedra_sched_frame_riders", tags.len() as u64);
-                let requests = labeled("fedra_silo_requests_total", "silo", silo);
-                obs.add(&requests, tags.len() as u64);
-            }
+            let metrics = obs.metrics();
+            metrics.sched_frame_riders.observe(tags.len() as u64);
+            metrics.silo_requests.add(silo, tags.len() as u64);
             // fedra-lint: allow(determinism-discipline)
             let begun = Instant::now();
             // A live frame takes the *max* deadline over its riders (it

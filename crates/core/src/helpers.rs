@@ -61,27 +61,41 @@ pub fn grid_only_estimate(federation: &Federation, range: &Range) -> Aggregate {
 /// Each of count / sum / sum_sqr is its own SUM-type query with its own
 /// ratio, which is what makes the AVG/STDEV extension a single round
 /// (Sec. 7). A component with `sum_k = 0` carries no information from the
-/// sampled silo, so the corresponding component of `fallback` (the
+/// sampled silo, so the corresponding component of `fallback()` (the
 /// grid-only estimate) is used instead. "Zero" is
 /// [`fedra_index::ratio_reads`], the test a silo also applies to leave a
-/// cell out of its NonIID reply.
+/// cell out of its NonIID reply. `fallback` is called at most once, and
+/// only when some component reads it: the candidate rule makes that rare,
+/// and the estimate costs a classification and a clip per boundary cell.
 pub fn ratio_scale(
     sum0: &Aggregate,
     res: &Aggregate,
     sum_k: &Aggregate,
-    fallback: &Aggregate,
+    fallback: impl FnOnce() -> Aggregate,
 ) -> Aggregate {
-    let component = |s0: f64, r: f64, sk: f64, fb: f64| -> f64 {
-        if ratio_reads(sk) {
+    let reads = [sum_k.count, sum_k.sum, sum_k.sum_sqr].map(ratio_reads);
+    let fallback = if reads.contains(&false) {
+        fallback()
+    } else {
+        Aggregate::ZERO
+    };
+    let component = |reads: bool, s0: f64, r: f64, sk: f64, fb: f64| -> f64 {
+        if reads {
             s0 * (r / sk)
         } else {
             fb
         }
     };
     Aggregate {
-        count: component(sum0.count, res.count, sum_k.count, fallback.count),
-        sum: component(sum0.sum, res.sum, sum_k.sum, fallback.sum),
-        sum_sqr: component(sum0.sum_sqr, res.sum_sqr, sum_k.sum_sqr, fallback.sum_sqr),
+        count: component(reads[0], sum0.count, res.count, sum_k.count, fallback.count),
+        sum: component(reads[1], sum0.sum, res.sum, sum_k.sum, fallback.sum),
+        sum_sqr: component(
+            reads[2],
+            sum0.sum_sqr,
+            res.sum_sqr,
+            sum_k.sum_sqr,
+            fallback.sum_sqr,
+        ),
     }
 }
 
@@ -320,9 +334,81 @@ mod tests {
             sum: 999.0,
             sum_sqr: 77.0,
         };
-        let out = ratio_scale(&s0, &res, &sk, &fb);
+        let out = ratio_scale(&s0, &res, &sk, || fb);
         assert_eq!(out.count, 10.0); // 20 * 5/10
         assert_eq!(out.sum, 20.0); // 40 * 10/20
         assert_eq!(out.sum_sqr, 77.0); // fallback
+    }
+
+    #[test]
+    fn ratio_scale_never_computes_a_fallback_no_component_reads() {
+        let s0 = Aggregate {
+            count: 20.0,
+            sum: 40.0,
+            sum_sqr: 100.0,
+        };
+        let sk = Aggregate {
+            count: 10.0,
+            sum: -20.0,
+            sum_sqr: 50.0,
+        };
+        let out = ratio_scale(&s0, &s0, &sk, || panic!("every denominator reads"));
+        assert_eq!(out.count, 40.0);
+        assert_eq!(out.sum, -80.0);
+        assert_eq!(out.sum_sqr, 200.0);
+    }
+
+    #[test]
+    fn ratio_scale_computes_the_fallback_once_for_any_unread_denominator() {
+        let s0 = Aggregate {
+            count: 20.0,
+            sum: 40.0,
+            sum_sqr: 100.0,
+        };
+        let fb = Aggregate {
+            count: 1.0,
+            sum: 2.0,
+            sum_sqr: 3.0,
+        };
+        for zero in [0.0, -0.0, f64::NAN, f64::EPSILON / 2.0] {
+            for component in 0..3 {
+                let mut sk = Aggregate {
+                    count: 10.0,
+                    sum: 20.0,
+                    sum_sqr: 50.0,
+                };
+                let mut unread = [sk.count, sk.sum, sk.sum_sqr];
+                unread[component] = zero;
+                [sk.count, sk.sum, sk.sum_sqr] = unread;
+                let calls = std::cell::Cell::new(0);
+                let out = ratio_scale(&s0, &s0, &sk, || {
+                    calls.set(calls.get() + 1);
+                    fb
+                });
+                assert_eq!(
+                    calls.get(),
+                    1,
+                    "denominator {zero} in component {component}"
+                );
+                let got = [out.count, out.sum, out.sum_sqr];
+                let want_fb = [fb.count, fb.sum, fb.sum_sqr];
+                let want_ratio = [40.0, 80.0, 200.0];
+                for c in 0..3 {
+                    let want = if c == component {
+                        want_fb[c]
+                    } else {
+                        want_ratio[c]
+                    };
+                    assert_eq!(got[c].to_bits(), want.to_bits(), "{zero}, {component}, {c}");
+                }
+            }
+        }
+        // Every component unread: still one call.
+        let calls = std::cell::Cell::new(0);
+        let out = ratio_scale(&s0, &s0, &Aggregate::ZERO, || {
+            calls.set(calls.get() + 1);
+            fb
+        });
+        assert_eq!((calls.get(), out), (1, fb));
     }
 }

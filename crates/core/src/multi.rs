@@ -24,7 +24,7 @@ use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
 use fedra_geo::{intersection_area, Range};
 use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext, Span};
+use fedra_obs::{ObsContext, Span};
 
 use crate::algorithm::{finish_run, FraAlgorithm};
 use crate::helpers;
@@ -120,9 +120,7 @@ impl MultiSiloEst {
                     break;
                 }
                 rounds += 1;
-                if obs.is_enabled() {
-                    obs.inc(&labeled("fedra_silo_requests_total", "silo", k));
-                }
+                obs.metrics().silo_requests.inc(k);
                 match federation.call(k, &request) {
                     Ok(Response::AggVec(reply)) => {
                         // Each silo replies for its own contributing cells.
@@ -149,7 +147,7 @@ impl MultiSiloEst {
                         })
                     }
                     Err(error) => {
-                        obs.inc("fedra_resamples_total");
+                        obs.metrics().resamples.inc();
                         trail.push((k, error));
                     }
                 }
@@ -166,10 +164,8 @@ impl MultiSiloEst {
             let end = End::Degrade { rounds, trail };
             return finish_run(self, federation, query, end, trace, obs);
         }
-        if obs.is_enabled() {
-            for &s in &pooled_silos {
-                obs.inc(&labeled("fedra_sampled_silo_total", "silo", s));
-            }
+        for &s in &pooled_silos {
+            obs.metrics().sampled_silo.inc(s);
         }
 
         let _finish_span = Span::enter(trace, "finish");
@@ -210,10 +206,11 @@ fn pooled_estimate(
         for &s in pooled_silos {
             gk_pooled.merge_in(federation.silo_grid(s).cell(*cell));
         }
-        let rect = grid_spec.cell_rect_of(*cell);
-        let frac = intersection_area(range, &rect) / rect.area();
-        let fallback = g0_i.scale(frac);
-        estimate.merge_in(&helpers::ratio_scale(g0_i, pooled_i, &gk_pooled, &fallback));
+        let fallback = || {
+            let rect = grid_spec.cell_rect_of(*cell);
+            g0_i.scale(intersection_area(range, &rect) / rect.area())
+        };
+        estimate.merge_in(&helpers::ratio_scale(g0_i, pooled_i, &gk_pooled, fallback));
     }
     estimate
 }

@@ -25,7 +25,7 @@ use fedra_federation::wire::Wire;
 use fedra_federation::{Federation, Response};
 use fedra_geo::intersection_area;
 use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext};
+use fedra_obs::ObsContext;
 
 use crate::algorithm::FraAlgorithm;
 use crate::exact::Exact;
@@ -221,16 +221,14 @@ impl AdaptivePlanner {
         obs: &ObsContext,
     ) -> Result<(PlanDecision, QueryResult), FraError> {
         let decision = self.plan(federation, query);
-        if obs.is_enabled() {
-            let tag = match decision {
-                PlanDecision::GridExact => "grid_exact",
-                PlanDecision::Exact { .. } => "exact",
-                PlanDecision::IidForBudget => "iid_for_budget",
-                PlanDecision::IidLowSkew => "iid_low_skew",
-                PlanDecision::NonIidHighSkew => "noniid_high_skew",
-            };
-            obs.inc(&labeled("fedra_plan_decision_total", "decision", tag));
-        }
+        let tag = match decision {
+            PlanDecision::GridExact => "grid_exact",
+            PlanDecision::Exact { .. } => "exact",
+            PlanDecision::IidForBudget => "iid_for_budget",
+            PlanDecision::IidLowSkew => "iid_low_skew",
+            PlanDecision::NonIidHighSkew => "noniid_high_skew",
+        };
+        obs.metrics().plan_decision.inc(tag);
         let result = match decision {
             // No estimable boundary mass: answer from the provider's own
             // grid state, zero silo contact. (grid_only_estimate adds the

@@ -203,7 +203,7 @@ impl QueryRun {
                     // The breaker opened since the plan picked its
                     // candidates. Skipped, not failed: no trail entry and
                     // no resample.
-                    obs.inc("fedra_breaker_skipped_total");
+                    obs.metrics().breaker_skipped.inc();
                     self.advance();
                 }
                 self.wait_or_degrade()
@@ -213,7 +213,7 @@ impl QueryRun {
                     Some(&next) if Some(next) != self.current() => {
                         self.advance();
                         self.hedged = true;
-                        obs.inc("fedra_hedges_fired_total");
+                        obs.metrics().hedges_fired.inc();
                     }
                     _ => self.stranded = true,
                 }
@@ -226,7 +226,7 @@ impl QueryRun {
                         // A hedge win is only counted when the hedge, not
                         // the still-in-flight primary, answered first.
                         if self.hedged && from_current {
-                            obs.inc("fedra_hedges_won_total");
+                            obs.metrics().hedges_won.inc();
                         }
                         self.finished = true;
                         Action::End(End::Answer {
@@ -254,11 +254,11 @@ impl QueryRun {
                         self.stranded = false;
                         if error.is_retryable() && self.retried < self.retries {
                             self.retried += 1;
-                            obs.inc("fedra_retries_total");
+                            obs.metrics().retries.inc();
                             return Action::Wait;
                         }
                         self.trail.push((silo, error));
-                        obs.inc("fedra_resamples_total");
+                        obs.metrics().resamples.inc();
                         self.advance();
                         self.wait_or_degrade()
                     }

@@ -32,7 +32,7 @@ use rand::SeedableRng;
 use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
 use fedra_geo::intersection_area;
 use fedra_index::Aggregate;
-use fedra_obs::{labeled, ObsContext};
+use fedra_obs::ObsContext;
 
 use crate::algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
 use crate::helpers;
@@ -42,10 +42,11 @@ use crate::theory;
 /// Records the LSR level an estimator committed to for one query — the
 /// rescale factor 2^l is what Alg. 6 multiplies the sampled sums by.
 fn record_level(obs: &ObsContext, level: usize) {
-    if obs.is_enabled() {
-        obs.inc(&labeled("fedra_lsr_level_total", "level", level));
-        obs.set_gauge("fedra_lsr_rescale_factor", (1u64 << level.min(63)) as f64);
-    }
+    let metrics = obs.metrics();
+    metrics.lsr_level.inc(level);
+    metrics
+        .lsr_rescale_factor
+        .set((1u64 << level.min(63)) as f64);
 }
 
 /// How the sampled silo should execute its local query.
@@ -80,14 +81,12 @@ impl LocalQuery {
     /// Publishes the estimator's accuracy inputs (ε, δ, sum₀) once per
     /// planned query.
     fn record_accuracy(&self, obs: &ObsContext, sum0: &Aggregate) {
-        if !obs.is_enabled() {
-            return;
-        }
+        let metrics = obs.metrics();
         if let LocalQuery::Lsr(p) = self {
-            obs.set_gauge("fedra_accuracy_epsilon", p.epsilon);
-            obs.set_gauge("fedra_accuracy_delta", p.delta);
+            metrics.accuracy_epsilon.set(p.epsilon);
+            metrics.accuracy_delta.set(p.delta);
         }
-        obs.observe("fedra_sum0_count", sum0.count.max(0.0) as u64);
+        metrics.sum0_count.observe(sum0.count.max(0.0) as u64);
     }
 }
 
@@ -212,8 +211,8 @@ impl FraAlgorithm for IidEst {
             Response::Agg(res_k) => {
                 let sum0 = helpers::sum0(federation, range);
                 let sum_k = helpers::sum_k(federation, silo, range);
-                let fallback = helpers::grid_only_estimate(federation, range);
-                let estimate = helpers::ratio_scale(&sum0, &res_k, &sum_k, &fallback);
+                let fallback = || helpers::grid_only_estimate(federation, range);
+                let estimate = helpers::ratio_scale(&sum0, &res_k, &sum_k, fallback);
                 let mut result = QueryResult::from_aggregate(estimate, query.func)
                     .with_silo(silo)
                     .with_rounds(rounds);
@@ -314,14 +313,14 @@ impl FraAlgorithm for NonIidEst {
             return QueryPlan::Ready(Ok(QueryResult::from_aggregate(covered, query.func)));
         }
         let sum0_count = helpers::rough_count(federation, range);
-        if obs.is_enabled() {
-            let rough = Aggregate {
-                count: sum0_count,
-                ..Aggregate::ZERO
-            };
-            self.local.record_accuracy(obs, &rough);
-            obs.observe("fedra_boundary_cells", classification.boundary.len() as u64);
-        }
+        let rough = Aggregate {
+            count: sum0_count,
+            ..Aggregate::ZERO
+        };
+        self.local.record_accuracy(obs, &rough);
+        obs.metrics()
+            .boundary_cells
+            .observe(classification.boundary.len() as u64);
         let candidates = helpers::candidate_silos(federation, range);
         // One visiting-order draw per query, whichever engine drives the
         // plan — this is what keeps batched and sequential runs
@@ -375,10 +374,11 @@ impl FraAlgorithm for NonIidEst {
                 for (cell, res_i) in classification.boundary.iter().zip(&contributions) {
                     let g0_i = grid.cell(*cell);
                     let gk_i = silo_grid.cell(*cell);
-                    let rect = spec.cell_rect_of(*cell);
-                    let frac = intersection_area(range, &rect) / rect.area();
-                    let fallback = g0_i.scale(frac);
-                    estimate.merge_in(&helpers::ratio_scale(g0_i, res_i, gk_i, &fallback));
+                    let fallback = || {
+                        let rect = spec.cell_rect_of(*cell);
+                        g0_i.scale(intersection_area(range, &rect) / rect.area())
+                    };
+                    estimate.merge_in(&helpers::ratio_scale(g0_i, res_i, gk_i, fallback));
                 }
                 let mut result = QueryResult::from_aggregate(estimate, query.func)
                     .with_silo(silo)
@@ -669,6 +669,131 @@ mod tests {
             let rel = est.relative_error(truth);
             assert!(rel < 0.2, "{func} rel error {rel}");
         }
+    }
+
+    /// `sum₀ × res / sum_k` with the fallback computed up front, as the
+    /// estimators did before `ratio_scale` took a closure.
+    fn eager_ratio_scale(
+        s0: &Aggregate,
+        res: &Aggregate,
+        sk: &Aggregate,
+        fb: &Aggregate,
+    ) -> Aggregate {
+        let c = |s0: f64, r: f64, sk: f64, fb: f64| {
+            if fedra_index::ratio_reads(sk) {
+                s0 * (r / sk)
+            } else {
+                fb
+            }
+        };
+        Aggregate {
+            count: c(s0.count, res.count, sk.count, fb.count),
+            sum: c(s0.sum, res.sum, sk.sum, fb.sum),
+            sum_sqr: c(s0.sum_sqr, res.sum_sqr, sk.sum_sqr, fb.sum_sqr),
+        }
+    }
+
+    fn bits(a: &Aggregate) -> [u64; 3] {
+        [a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()]
+    }
+
+    #[test]
+    fn a_fallback_computed_only_when_read_changes_no_answer() {
+        let fed = build(noniid_partitions(4, 3000, 40), 5.0);
+        let grid = fed.merged_grid();
+        let spec = grid.spec();
+        let params = AccuracyParams::default();
+        let noop = ObsContext::noop();
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut compared, mut fallbacks_read) = (0, 0);
+        for i in 0..24u64 {
+            let center = Point::new(rng.random_range(10.0..90.0), rng.random_range(10.0..90.0));
+            let radius = rng.random_range(2.0..15.0);
+            for func in AggFunc::ALL {
+                let q = FraQuery::circle(center, radius, func);
+                let estimators: [Box<dyn FraAlgorithm>; 4] = [
+                    Box::new(IidEst::new(i)),
+                    Box::new(IidEstLsr::new(i, params)),
+                    Box::new(NonIidEst::new(i)),
+                    Box::new(NonIidEstLsr::new(i, params)),
+                ];
+                for (e, alg) in estimators.iter().enumerate() {
+                    let QueryPlan::SingleSilo(plan) = alg.plan_with(&fed, &q, noop) else {
+                        continue;
+                    };
+                    let lsr = e % 2 == 1;
+                    let sum0 = helpers::sum0(&fed, &q.range);
+                    for &silo in &plan.order {
+                        let reply = fed.call(silo, &plan.request).expect("silo answers");
+                        let lazy = alg
+                            .finish_with(&fed, &q, silo, reply.clone(), 1, noop)
+                            .expect("finish");
+                        let estimate = match reply {
+                            Response::Agg(res_k) => {
+                                let sum_k = helpers::sum_k(&fed, silo, &q.range);
+                                let fb = helpers::grid_only_estimate(&fed, &q.range);
+                                if bits(&eager_ratio_scale(&sum0, &res_k, &sum_k, &Aggregate::ZERO))
+                                    != bits(&eager_ratio_scale(&sum0, &res_k, &sum_k, &fb))
+                                {
+                                    fallbacks_read += 1;
+                                }
+                                eager_ratio_scale(&sum0, &res_k, &sum_k, &fb)
+                            }
+                            Response::AggVec(reply) => {
+                                let cls = spec.classify(&q.range);
+                                let silo_grid = fed.silo_grid(silo);
+                                let scattered = helpers::scatter_reply(
+                                    silo_grid,
+                                    &cls.boundary,
+                                    func.moments(),
+                                    &reply,
+                                )
+                                .expect("one entry per contributing cell");
+                                let mut estimate =
+                                    grid.aggregate_cells(cls.covered.iter().copied());
+                                for (cell, res) in cls.boundary.iter().zip(&scattered) {
+                                    let rect = spec.cell_rect_of(*cell);
+                                    let g0 = grid.cell(*cell);
+                                    let fb =
+                                        g0.scale(intersection_area(&q.range, &rect) / rect.area());
+                                    let gk = silo_grid.cell(*cell);
+                                    if [gk.count, gk.sum, gk.sum_sqr]
+                                        .iter()
+                                        .any(|&x| !fedra_index::ratio_reads(x))
+                                    {
+                                        fallbacks_read += 1;
+                                    }
+                                    estimate.merge_in(&eager_ratio_scale(g0, res, gk, &fb));
+                                }
+                                estimate
+                            }
+                            other => panic!("unexpected reply {other:?}"),
+                        };
+                        let mut eager = QueryResult::from_aggregate(estimate, func)
+                            .with_silo(silo)
+                            .with_rounds(1);
+                        if lsr {
+                            let rough = helpers::rough_count(&fed, &q.range);
+                            eager = eager.with_level(theory::select_level(
+                                params.epsilon,
+                                params.delta,
+                                rough,
+                            ));
+                        }
+                        let what = format!("{} {q} silo {silo}", alg.name());
+                        assert_eq!(lazy.value.to_bits(), eager.value.to_bits(), "{what}");
+                        assert_eq!(bits(&lazy.aggregate), bits(&eager.aggregate), "{what}");
+                        assert_eq!(lazy, eager, "{what}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 400, "{compared} answers compared");
+        assert!(
+            fallbacks_read > 0,
+            "no answer read its fallback: the test is vacuous"
+        );
     }
 
     #[test]

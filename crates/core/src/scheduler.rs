@@ -57,7 +57,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fedra_federation::Federation;
-use fedra_obs::{labeled, ObsContext, TraceHandle};
+use fedra_obs::catalog::{SCHED_COMPLETED_TOTAL, SCHED_SUBMITTED_TOTAL, SHED_TOTAL};
+use fedra_obs::{Counter, ObsContext, Series, TraceHandle};
 
 use crate::algorithm::FraAlgorithm;
 use crate::framework::Driver;
@@ -157,44 +158,68 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// What a [`TicketCell`] guards.
+#[derive(Default)]
+struct TicketSlot {
+    /// `None` while the query is in flight.
+    outcome: Option<Result<QueryResult, FraError>>,
+    /// The owner is parked on the condvar, waiting for `outcome`.
+    parked: bool,
+}
+
 /// A one-shot result cell shared between the driver and one client.
 ///
 /// Mutex + condvar: the waiter parks instead of spinning, and the first
-/// delivery wins.
+/// delivery wins. Delivery wakes the owner only when it is parked: a
+/// client that redeems its ticket after the answer landed costs the
+/// driver no wake-up call.
 struct TicketCell {
-    /// `None` while the query is in flight. Unique field name: the
-    /// lock-order lint identifies locks by field name workspace-wide.
-    filled: Mutex<Option<Result<QueryResult, FraError>>>,
+    /// Unique field name: the lock-order lint identifies locks by field
+    /// name workspace-wide.
+    filled: Mutex<TicketSlot>,
     ready: Condvar,
 }
 
 impl TicketCell {
     fn new() -> Self {
         TicketCell {
-            filled: Mutex::new(None),
+            filled: Mutex::new(TicketSlot::default()),
             ready: Condvar::new(),
         }
     }
 
-    /// First delivery wins; later ones are dropped.
-    fn deliver(&self, outcome: Result<QueryResult, FraError>) {
-        let mut slot = self.filled.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(outcome);
-            self.ready.notify_all();
+    fn lock(&self) -> MutexGuard<'_, TicketSlot> {
+        self.filled.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// First delivery wins; later ones are dropped. Returns whether it
+    /// woke a parked owner.
+    fn deliver(&self, outcome: Result<QueryResult, FraError>) -> bool {
+        let mut slot = self.lock();
+        if slot.outcome.is_some() {
+            return false;
         }
+        slot.outcome = Some(outcome);
+        let wake = slot.parked;
+        drop(slot);
+        if wake {
+            self.ready.notify_one();
+        }
+        wake
     }
 
     fn take(&self) -> Result<QueryResult, FraError> {
-        let mut slot = self.filled.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.lock();
         loop {
-            if let Some(outcome) = slot.take() {
+            if let Some(outcome) = slot.outcome.take() {
                 return outcome;
             }
+            slot.parked = true;
             slot = self
                 .ready
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
+            slot.parked = false;
         }
     }
 }
@@ -225,6 +250,25 @@ impl std::fmt::Debug for QueryTicket {
     }
 }
 
+/// One admission class with its pre-built `class="..."` series.
+struct Class {
+    policy: ClassPolicy,
+    submitted: Series<Counter>,
+    completed: Series<Counter>,
+    shed: Series<Counter>,
+}
+
+impl Class {
+    fn new(policy: ClassPolicy, obs: &ObsContext) -> Self {
+        Class {
+            submitted: obs.labeled(&SCHED_SUBMITTED_TOTAL, &policy.name),
+            completed: obs.labeled(&SCHED_COMPLETED_TOTAL, &policy.name),
+            shed: obs.labeled(&SHED_TOTAL, &policy.name),
+            policy,
+        }
+    }
+}
+
 /// One accepted submission, queued until a tick admits it.
 struct Submission {
     query: FraQuery,
@@ -242,6 +286,9 @@ struct IntakeState {
     /// Queued-per-class counts, indexed like `SchedulerConfig::classes`.
     per_class: Vec<usize>,
     closed: bool,
+    /// The driver is parked on `wakeup` with nothing to do: the next
+    /// submission must wake it, and only then is a wake-up paid.
+    driver_parked: bool,
     /// The next accepted submission's ticket id.
     next_id: u64,
 }
@@ -266,7 +313,7 @@ impl Intake {
 /// and joins the driver thread.
 pub struct QueryScheduler {
     intake: Arc<Intake>,
-    classes: Vec<ClassPolicy>,
+    classes: Arc<[Class]>,
     obs: Arc<ObsContext>,
     driver: Option<JoinHandle<()>>,
 }
@@ -284,16 +331,21 @@ impl QueryScheduler {
     where
         F: Fn(u64) -> Box<dyn FraAlgorithm> + Send + Sync + 'static,
     {
-        let classes = if config.classes.is_empty() {
+        let policies = if config.classes.is_empty() {
             SchedulerConfig::default().classes
         } else {
-            config.classes.clone()
+            config.classes
         };
+        let classes: Arc<[Class]> = policies
+            .into_iter()
+            .map(|policy| Class::new(policy, &obs))
+            .collect();
         let intake = Arc::new(Intake {
             gate: Mutex::new(IntakeState {
                 backlog: VecDeque::new(),
                 per_class: vec![0; classes.len()],
                 closed: false,
+                driver_parked: false,
                 next_id: 1,
             }),
             wakeup: Condvar::new(),
@@ -303,7 +355,7 @@ impl QueryScheduler {
             factory: Box::new(factory),
             obs: Arc::clone(&obs),
             intake: Arc::clone(&intake),
-            classes: classes.clone(),
+            classes: Arc::clone(&classes),
             tick_admissions: config.tick_admissions.max(1),
         };
         let handle = std::thread::Builder::new()
@@ -327,21 +379,19 @@ impl QueryScheduler {
         seed: u64,
         class: usize,
     ) -> Result<QueryTicket, SubmitError> {
-        let Some(policy) = self.classes.get(class) else {
+        let Some(chosen) = self.classes.get(class) else {
             return Err(SubmitError::UnknownClass { class });
         };
+        let policy = &chosen.policy;
         let cell = Arc::new(TicketCell::new());
-        let (id, depth) = {
+        let (id, depth, wake) = {
             let mut st = self.intake.lock();
             if st.closed {
                 return Err(SubmitError::Shutdown);
             }
             if st.per_class[class] >= policy.queue_capacity {
-                if self.obs.is_enabled() {
-                    self.obs
-                        .inc(&labeled("fedra_shed_total", "class", &policy.name));
-                }
-                self.obs.inc("fedra_shed_queue_full_total");
+                chosen.shed.inc();
+                self.obs.metrics().shed_queue_full.inc();
                 return Err(SubmitError::QueueFull {
                     class: policy.name.clone(),
                 });
@@ -360,17 +410,13 @@ impl QueryScheduler {
                 deadline: policy.deadline.map(|d| submitted_at + d),
                 cell: Arc::clone(&cell),
             });
-            (id, st.backlog.len())
+            (id, st.backlog.len(), st.driver_parked)
         };
-        if self.obs.is_enabled() {
-            self.obs.inc(&labeled(
-                "fedra_sched_submitted_total",
-                "class",
-                &policy.name,
-            ));
+        chosen.submitted.inc();
+        self.obs.metrics().sched_queue_depth.set(depth as f64);
+        if wake {
+            self.intake.wakeup.notify_one();
         }
-        self.obs.set_gauge("fedra_sched_queue_depth", depth as f64);
-        self.intake.wakeup.notify_all();
         Ok(QueryTicket { id, cell })
     }
 
@@ -406,16 +452,17 @@ struct DriverThread {
     factory: Box<dyn Fn(u64) -> Box<dyn FraAlgorithm> + Send + Sync>,
     obs: Arc<ObsContext>,
     intake: Arc<Intake>,
-    classes: Vec<ClassPolicy>,
+    classes: Arc<[Class]>,
     tick_admissions: usize,
 }
 
 impl DriverThread {
     fn run(self) {
         let mut driver = Driver::new(&self.federation, &self.obs);
+        let metrics = self.obs.metrics();
         let cap = self.tick_admissions;
         while let Some(mut admitted) = self.take_admissions(driver.is_empty(), cap) {
-            self.obs.inc("fedra_sched_ticks_total");
+            metrics.sched_ticks.inc();
             // Drain until dry: what was submitted while this tick planned
             // rides this tick's frames, up to the cap.
             let mut room = cap;
@@ -423,7 +470,7 @@ impl DriverThread {
                 room -= admitted.len();
                 for sub in admitted {
                     let waited = sub.submitted_at.elapsed().as_nanos() as u64;
-                    self.obs.observe("fedra_sched_queue_wait_ns", waited);
+                    metrics.sched_queue_wait_ns.observe(waited);
                     // A fresh algorithm per submission; the submission's
                     // absolute deadline is its budget. The scheduler opens
                     // no traces (its clients read metrics).
@@ -437,8 +484,7 @@ impl DriverThread {
                 }
                 admitted = self.take_admissions(false, room).unwrap_or_default();
             }
-            self.obs
-                .set_gauge("fedra_sched_active", driver.len() as f64);
+            metrics.sched_active.set(driver.len() as f64);
             // Deliver the tick's answers in one burst after the finish
             // stage, oldest submission first: a client redeeming tickets in
             // order is woken at the head of the burst, and no woken client
@@ -450,17 +496,20 @@ impl DriverThread {
     }
 
     /// Pops up to `room` submissions. Parks on the intake condvar when
-    /// there is nothing to do at all; returns `None` exactly once, when
-    /// intake is closed and fully drained (`may_block` implies no
-    /// in-flight queries remain either).
+    /// there is nothing to do at all, marked parked so the next submission
+    /// wakes it; returns `None` exactly once, when intake is closed and
+    /// fully drained (`may_block` implies no in-flight queries remain
+    /// either).
     fn take_admissions(&self, may_block: bool, room: usize) -> Option<Vec<Submission>> {
         let mut st = self.intake.lock();
         while may_block && st.backlog.is_empty() && !st.closed {
+            st.driver_parked = true;
             st = self
                 .intake
                 .wakeup
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+            st.driver_parked = false;
         }
         if may_block && st.backlog.is_empty() && st.closed {
             return None;
@@ -470,28 +519,27 @@ impl DriverThread {
         for sub in &admitted {
             st.per_class[sub.class] -= 1;
         }
-        self.obs
-            .set_gauge("fedra_sched_queue_depth", st.backlog.len() as f64);
+        let depth = st.backlog.len();
+        drop(st);
+        self.obs.metrics().sched_queue_depth.set(depth as f64);
         Some(admitted)
     }
 
     /// Delivers one resolved query to its ticket, recording completion /
     /// shed counters and end-to-end latency.
     fn deliver(&self, sub: &Submission, mut outcome: Result<QueryResult, FraError>) {
-        let class = &self.classes[sub.class].name;
+        let class = &self.classes[sub.class];
+        let metrics = self.obs.metrics();
         if let Err(FraError::Shed { class: shed }) = &mut outcome {
             // The driver sheds without a name: only this layer knows it.
-            shed.clone_from(class);
-            if self.obs.is_enabled() {
-                self.obs.inc(&labeled("fedra_shed_total", "class", class));
-            }
-            self.obs.inc("fedra_shed_expired_total");
-        } else if self.obs.is_enabled() {
-            self.obs
-                .inc(&labeled("fedra_sched_completed_total", "class", class));
+            shed.clone_from(&class.policy.name);
+            class.shed.inc();
+            metrics.shed_expired.inc();
+        } else {
+            class.completed.inc();
         }
         let latency = sub.submitted_at.elapsed().as_nanos() as u64;
-        self.obs.observe("fedra_sched_latency_ns", latency);
+        metrics.sched_latency_ns.observe(latency);
         sub.cell.deliver(outcome);
     }
 }
@@ -828,6 +876,45 @@ mod tests {
             }
         }
         sched.shutdown();
+    }
+
+    fn answer(value: f64) -> Result<QueryResult, FraError> {
+        let aggregate = fedra_index::Aggregate {
+            count: value,
+            ..fedra_index::Aggregate::ZERO
+        };
+        Ok(QueryResult::from_aggregate(aggregate, AggFunc::Count))
+    }
+
+    #[test]
+    fn a_delivery_before_the_owner_waits_wakes_nobody() {
+        let cell = TicketCell::new();
+        assert!(!cell.deliver(answer(1.0)), "nobody is parked yet");
+        assert!(!cell.deliver(answer(2.0)), "a second delivery is dropped");
+        assert_eq!(cell.take(), answer(1.0));
+    }
+
+    #[test]
+    fn a_parked_owner_is_woken_by_its_delivery() {
+        let cell = Arc::new(TicketCell::new());
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let owner = {
+            let (cell, started) = (Arc::clone(&cell), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                cell.take()
+            })
+        };
+        started.wait();
+        // `take` sets the mark under the lock and releases that lock only
+        // inside `wait`: whoever reads the mark true holds the lock the
+        // owner is parked on, so the delivery must wake it.
+        while !cell.lock().parked {
+            std::thread::yield_now();
+        }
+        assert!(cell.deliver(answer(3.0)), "the parked owner must be woken");
+        assert_eq!(owner.join().expect("owner thread"), answer(3.0));
+        assert!(!cell.lock().parked);
     }
 
     #[test]

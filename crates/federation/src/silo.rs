@@ -23,8 +23,11 @@ use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fedra_obs::metrics::{Counter, Histogram};
-use fedra_obs::MetricsRegistry;
+use fedra_obs::catalog::{
+    SILO_BATCH_PANICS_TOTAL, SILO_CELLS_PRUNED_TOTAL, SILO_LSR_LEVEL_TOTAL, SILO_POOL_BATCH_ITEMS,
+    SILO_POOL_THREADS, SILO_REQUESTS_BY_KIND_TOTAL, SNAPSHOT_LOADED_TOTAL, SNAPSHOT_SAVED_TOTAL,
+};
+use fedra_obs::{Counter, Histogram, MetricsRegistry};
 
 use fedra_geo::{Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec};
@@ -211,11 +214,7 @@ struct RequestCounters {
 impl SiloMetrics {
     fn new(id: SiloId, lsr_levels: usize, pool: &WorkerPool) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let kind = |k: &str| {
-            registry.counter(&format!(
-                "fedra_silo_requests_total{{silo=\"{id}\",kind=\"{k}\"}}"
-            ))
-        };
+        let kind = |k: &str| registry.series(&SILO_REQUESTS_BY_KIND_TOTAL, &[&id, &k]);
         let requests = RequestCounters {
             build_grid: kind("build_grid"),
             aggregate: kind("aggregate"),
@@ -225,29 +224,19 @@ impl SiloMetrics {
             ping: kind("ping"),
             nested_batch: kind("nested_batch"),
         };
-        registry.set_gauge(
-            &format!("fedra_silo_pool_threads{{silo=\"{id}\"}}"),
-            pool.threads() as f64,
-        );
+        registry
+            .series(&SILO_POOL_THREADS, &[&id])
+            .set(pool.threads() as f64);
         Self {
             requests,
-            batch_items: registry
-                .histogram(&format!("fedra_silo_pool_batch_items{{silo=\"{id}\"}}")),
-            batch_panics: registry
-                .counter(&format!("fedra_silo_batch_panics_total{{silo=\"{id}\"}}")),
-            cells_pruned: registry
-                .counter(&format!("fedra_silo_cells_pruned_total{{silo=\"{id}\"}}")),
+            batch_items: registry.series(&SILO_POOL_BATCH_ITEMS, &[&id]),
+            batch_panics: registry.series(&SILO_BATCH_PANICS_TOTAL, &[&id]),
+            cells_pruned: registry.series(&SILO_CELLS_PRUNED_TOTAL, &[&id]),
             lsr_levels: (0..lsr_levels)
-                .map(|l| {
-                    registry.counter(&format!(
-                        "fedra_silo_lsr_level_total{{silo=\"{id}\",level=\"{l}\"}}"
-                    ))
-                })
+                .map(|l| registry.series(&SILO_LSR_LEVEL_TOTAL, &[&id, &l]))
                 .collect(),
-            snapshot_saved: registry
-                .counter(&format!("fedra_snapshot_saved_total{{silo=\"{id}\"}}")),
-            snapshot_loaded: registry
-                .counter(&format!("fedra_snapshot_loaded_total{{silo=\"{id}\"}}")),
+            snapshot_saved: registry.series(&SNAPSHOT_SAVED_TOTAL, &[&id]),
+            snapshot_loaded: registry.series(&SNAPSHOT_LOADED_TOTAL, &[&id]),
             registry,
         }
     }

@@ -543,12 +543,14 @@ mod tests {
         assert_eq!(corr, 5);
         assert_eq!(epoch, 1, "the server echoes the request epoch verbatim");
         assert_eq!(Response::from_bytes(reply), Ok(Response::Pong));
-        // replies_forwarded is bumped after the client-side write, so the
-        // reply can be read a beat before the counter — poll briefly.
+        // Each pump bumps its counter after its own write: the reply can
+        // reach the client before either counter moves (the request pump
+        // may not have returned from its upstream write yet) — poll both.
         let deadline = Instant::now() + Duration::from_secs(2);
         let stats = loop {
             let stats = proxy.stats();
-            if stats.replies_forwarded == 1 || Instant::now() >= deadline {
+            let both = stats.requests_forwarded == 1 && stats.replies_forwarded == 1;
+            if both || Instant::now() >= deadline {
                 break stats;
             }
             std::thread::sleep(Duration::from_millis(1));

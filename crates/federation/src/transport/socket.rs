@@ -78,6 +78,7 @@ use super::{
 };
 use crate::fault::SiloFaultInjector;
 use crate::silo::{Silo, SiloId};
+use fedra_obs::catalog::{EPOCH_FENCED_REPLIES_TOTAL, TRANSPORT_RECONNECTS_TOTAL};
 use fedra_obs::CommCounters;
 
 /// `deadline_rel_us` value meaning "no deadline".
@@ -111,13 +112,6 @@ const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Default jitter seed for [`ReconnectPolicy`] (`"RECN"`).
 const RECONNECT_SEED: u64 = 0x5245_434E;
-
-/// Metric name: reconnects performed by a [`SocketTransport`] client.
-const RECONNECTS_METRIC: &str = "fedra_transport_reconnects_total";
-
-/// Metric name: stale-epoch replies discarded by a [`SocketTransport`]
-/// client's reader instead of being allowed to answer a fresh call.
-const FENCED_METRIC: &str = "fedra_epoch_fenced_replies_total";
 
 /// How a [`SocketTransport`] retries after a connection loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -976,8 +970,8 @@ impl SocketTransport {
         diagnostics: SiloDiagnostics,
         policy: ReconnectPolicy,
     ) -> Result<SocketTransport, TransportError> {
-        let reconnects = diagnostics.metrics.counter(RECONNECTS_METRIC);
-        let fenced = diagnostics.metrics.counter(FENCED_METRIC);
+        let reconnects = diagnostics.metrics.series(&TRANSPORT_RECONNECTS_TOTAL, &[]);
+        let fenced = diagnostics.metrics.series(&EPOCH_FENCED_REPLIES_TOTAL, &[]);
         let inner = Arc::new(ClientInner {
             silo,
             addr,

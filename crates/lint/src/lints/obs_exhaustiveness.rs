@@ -1,37 +1,16 @@
-//! `obs-exhaustiveness`: the observability surface must stay documented
-//! and complete.
+//! `obs-exhaustiveness`: every `Response` variant must be byte-counted.
 //!
-//! Two checks, both cross-artifact:
-//!
-//! 1. **Metric-name registry.** Every `fedra_*` metric name constructed
-//!    in product code must appear in the registry documented in
-//!    DESIGN.md §5d. Metrics are the repo's claim-verification surface
-//!    (ε-bounds, comm bytes, deadline misses); an undocumented name is a
-//!    dashboard nobody knows exists and a rename nobody can review. The
-//!    check scans string literals for `fedra_`-prefixed names and looks
-//!    each base name up in the §5d section text. Dynamic names
-//!    (`format!("fedra_{}", …)` — nothing after the prefix) cannot be
-//!    resolved statically and are skipped.
-//! 2. **Response byte accounting.** Every `Response` variant must be
-//!    byte-counted: mentioned in `encoded_len` of `impl Wire for
-//!    Response`. `wire-exhaustiveness` covers `Request`; this closes the
-//!    reply direction, where a new variant with a `_ => 0` catch-all
-//!    silently skews `CommCounters` — the paper's communication metric.
-//!
-//! Check 1 only runs when the workspace was collected with DESIGN.md
-//! (fixture workspaces supply docs explicitly); check 2 only needs
-//! `protocol.rs`. The lint crate's own sources are exempt from check 1 —
-//! their `fedra_` strings are lint machinery, not metrics.
+//! Every `Response` variant must be mentioned in `encoded_len` of
+//! `impl Wire for Response`. `wire-exhaustiveness` covers `Request`; this
+//! closes the reply direction, where a new variant with a `_ => 0`
+//! catch-all silently skews `CommCounters` — the paper's communication
+//! metric. (Metric names need no lint: a metric outside the
+//! `fedra_obs::catalog` does not compile.)
 
 use crate::diagnostics::{Diagnostic, Level};
-use crate::lexer::TokenKind;
 use crate::registry::Lint;
 use crate::scan::{enum_body, enum_variants, fn_body, impl_body, mentions_variant};
 use crate::workspace::Workspace;
-
-/// The DESIGN.md section holding the metric-name registry.
-const REGISTRY_DOC: &str = "DESIGN.md";
-const REGISTRY_SECTION: &str = "## 5d";
 
 /// See the module docs.
 pub struct ObsExhaustiveness;
@@ -42,50 +21,15 @@ impl Lint for ObsExhaustiveness {
     }
 
     fn description(&self) -> &'static str {
-        "every fedra_* metric name is documented in DESIGN.md \u{a7}5d and every Response \
-         variant is byte-counted in encoded_len"
+        "every Response variant is byte-counted in encoded_len"
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-        self.check_metric_registry(ws, diags);
         self.check_response_accounting(ws, diags);
     }
 }
 
 impl ObsExhaustiveness {
-    fn check_metric_registry(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-        let Some(doc) = ws.doc(REGISTRY_DOC) else {
-            return; // no doc input collected — nothing to check against
-        };
-        let registry = section_text(&doc.text, REGISTRY_SECTION);
-        for file in &ws.files {
-            if file.path.starts_with("crates/lint/") {
-                continue;
-            }
-            for (i, t) in file.tokens().iter().enumerate() {
-                if t.kind != TokenKind::StrLit || file.in_test_code(i) {
-                    continue;
-                }
-                for name in metric_names(&t.text) {
-                    if !registry.contains(&name) {
-                        diags.push(Diagnostic {
-                            lint: self.name(),
-                            level: Level::Deny,
-                            file: file.path.clone(),
-                            line: t.line,
-                            col: t.col,
-                            message: format!(
-                                "metric name `{name}` is not documented in the DESIGN.md \
-                                 \u{a7}5d metric registry; add it there (name, type, meaning) \
-                                 so the observability surface stays reviewable"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     fn check_response_accounting(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>) {
         let Some(protocol) = ws
             .files
@@ -121,54 +65,4 @@ impl ObsExhaustiveness {
             }
         }
     }
-}
-
-/// The text of the markdown section whose heading line starts with
-/// `heading`, up to the next `## ` heading (empty when absent).
-fn section_text<'a>(doc: &'a str, heading: &str) -> &'a str {
-    let Some(start) = doc
-        .lines()
-        .scan(0usize, |off, line| {
-            let this = *off;
-            *off += line.len() + 1;
-            Some((this, line))
-        })
-        .find(|(_, line)| line.starts_with(heading))
-        .map(|(off, _)| off)
-    else {
-        return "";
-    };
-    let body = &doc[start..];
-    // Skip past the heading line, then cut at the next section heading.
-    let after_heading = body.find('\n').map_or(body.len(), |i| i + 1);
-    let rest = &body[after_heading..];
-    let end = rest.find("\n## ").map_or(rest.len(), |i| i);
-    &rest[..end]
-}
-
-/// Extracts the statically-known `fedra_*` metric base names from a string
-/// literal's raw source text (quotes included).
-///
-/// A base name is a maximal `[a-z0-9_]` run following `fedra_`. Runs
-/// ending in `_` are skipped: a trailing underscore means the name is a
-/// prefix — a `format!` template or a `fedra_cache_*` wildcard in help
-/// text — and there is no concrete name to look up.
-fn metric_names(literal: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut rest = literal;
-    while let Some(at) = rest.find("fedra_") {
-        let tail = &rest[at..];
-        let len = tail
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_'))
-            .map_or(tail.len(), |(i, _)| i);
-        let name = &tail[..len];
-        if name.len() > "fedra_".len() && !name.ends_with('_') {
-            names.push(name.to_string());
-        }
-        rest = &tail[len.max("fedra_".len())..];
-    }
-    names.sort();
-    names.dedup();
-    names
 }

@@ -5,11 +5,10 @@ use crate::workspace::Workspace;
 
 /// One static-analysis rule.
 ///
-/// A lint sees the **whole workspace** on every run — all lexed sources
-/// plus the documentation inputs — so cross-file rules
-/// (wire-exhaustiveness pairs `protocol.rs` with `silo.rs`,
-/// obs-exhaustiveness pairs metric literals with DESIGN.md §5d) need no
-/// special machinery; per-file lints simply loop over `ws.files`.
+/// A lint sees the **whole workspace** on every run — all lexed sources —
+/// so cross-file rules (wire-exhaustiveness pairs `protocol.rs` with
+/// `silo.rs`) need no special machinery; per-file lints simply loop over
+/// `ws.files`.
 ///
 /// To add a lint: implement this trait in `src/lints/`, give it a unique
 /// kebab-case `name`, and push it in [`Registry::with_default_lints`].

@@ -9,47 +9,17 @@ use crate::scan::SourceFile;
 /// Where the committed baseline lives, relative to the repo root.
 pub const BASELINE_PATH: &str = "crates/lint/baseline.txt";
 
-/// Documentation files loaded alongside the sources (relative paths).
-///
-/// `obs-exhaustiveness` checks every metric name constructed in product
-/// code against the registry documented in DESIGN.md §5d, so the design
-/// doc is part of the analysis input, not just prose.
-pub const DOC_PATHS: &[&str] = &["DESIGN.md"];
-
-/// A non-Rust analysis input: raw text plus its repo-relative path.
-///
-/// Docs are not lexed — lints that need them (the metric-name registry
-/// check) scan the raw text for the tokens they care about.
-#[derive(Debug, Clone)]
-pub struct DocFile {
-    /// Repo-relative path with forward slashes.
-    pub path: String,
-    /// Raw file contents.
-    pub text: String,
-}
-
-/// Everything a lint sees on one run: the lexed Rust sources plus the
-/// documentation files some cross-artifact lints consult.
+/// Everything a lint sees on one run: the lexed Rust sources.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Lexed `.rs` sources, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Raw documentation files (see [`DOC_PATHS`]).
-    pub docs: Vec<DocFile>,
 }
 
 impl Workspace {
     /// A workspace holding only the given sources (fixture helper).
     pub fn from_files(files: Vec<SourceFile>) -> Workspace {
-        Workspace {
-            files,
-            docs: Vec::new(),
-        }
-    }
-
-    /// The doc file at `path`, if loaded.
-    pub fn doc(&self, path: &str) -> Option<&DocFile> {
-        self.docs.iter().find(|d| d.path == path)
+        Workspace { files }
     }
 }
 
@@ -94,8 +64,7 @@ impl Report {
     }
 }
 
-/// Collects every `.rs` file under `<root>/src` and `<root>/crates/*/src`,
-/// plus the documentation inputs ([`DOC_PATHS`]).
+/// Collects every `.rs` file under `<root>/src` and `<root>/crates/*/src`.
 ///
 /// Shims (`shims/*`), tests, benches and examples directories are not
 /// product source and are deliberately out of scope; test *modules* inside
@@ -123,16 +92,7 @@ pub fn collect_workspace(root: &Path) -> std::io::Result<Workspace> {
         .iter()
         .map(|p| SourceFile::load(root, p))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut docs = Vec::new();
-    for rel in DOC_PATHS {
-        if let Ok(text) = std::fs::read_to_string(root.join(rel)) {
-            docs.push(DocFile {
-                path: (*rel).to_string(),
-                text,
-            });
-        }
-    }
-    Ok(Workspace { files, docs })
+    Ok(Workspace { files })
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

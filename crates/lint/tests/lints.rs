@@ -4,7 +4,7 @@
 use fedra_lint::diagnostics::Level;
 use fedra_lint::registry::Registry;
 use fedra_lint::scan::SourceFile;
-use fedra_lint::workspace::{DocFile, Workspace};
+use fedra_lint::workspace::Workspace;
 
 fn run(files: &[SourceFile]) -> Vec<fedra_lint::diagnostics::Diagnostic> {
     Registry::with_default_lints().run(&Workspace::from_files(files.to_vec()))
@@ -682,141 +682,6 @@ fn backward(x: &Mutex<u8>, y: &Mutex<u8>) {
 }
 
 // ---------------------------------------------------------------- obs-exhaustiveness
-
-fn ws_with_design(files: Vec<SourceFile>, design: &str) -> Workspace {
-    let mut ws = Workspace::from_files(files);
-    ws.docs.push(DocFile {
-        path: "DESIGN.md".to_string(),
-        text: design.to_string(),
-    });
-    ws
-}
-
-const DESIGN_WITH_REGISTRY: &str = "
-# DESIGN
-
-## 5d. Observability
-
-| `fedra_queries_total` | counter | queries executed |
-
-## 5e. Something else
-
-`fedra_undocumented_total` mentioned outside the registry section does
-not count.
-";
-
-#[test]
-fn obs_exhaustiveness_flags_an_undocumented_metric() {
-    let src = r#"
-fn record(obs: &ObsContext) {
-    obs.inc("fedra_queries_total");
-    obs.inc("fedra_undocumented_total");
-}
-"#;
-    let ws = ws_with_design(
-        vec![file("crates/core/src/framework.rs", src)],
-        DESIGN_WITH_REGISTRY,
-    );
-    let diags = Registry::with_default_lints().run(&ws);
-    let obs: Vec<_> = diags
-        .iter()
-        .filter(|d| d.lint == "obs-exhaustiveness")
-        .collect();
-    assert_eq!(obs.len(), 1, "{obs:?}");
-    assert!(obs[0].message.contains("fedra_undocumented_total"));
-}
-
-#[test]
-fn obs_exhaustiveness_accepts_documented_dynamic_and_test_metrics() {
-    let src = r#"
-fn record(obs: &ObsContext) {
-    obs.inc("fedra_queries_total{algo=\"exact\"}");
-    let dynamic = format!("fedra_{}", suffix);
-    let prefix = "fedra_queries_";
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scratch() {
-        record_metric("fedra_test_only_total");
-    }
-}
-"#;
-    let ws = ws_with_design(
-        vec![file("crates/core/src/framework.rs", src)],
-        DESIGN_WITH_REGISTRY,
-    );
-    let diags = Registry::with_default_lints().run(&ws);
-    assert!(
-        diags.iter().all(|d| d.lint != "obs-exhaustiveness"),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn obs_exhaustiveness_skips_the_check_without_a_design_doc() {
-    let src = r#"fn record(obs: &ObsContext) { obs.inc("fedra_unheard_of_total"); }"#;
-    let diags = run(&[file("crates/core/src/framework.rs", src)]);
-    assert!(
-        diags.iter().all(|d| d.lint != "obs-exhaustiveness"),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn obs_exhaustiveness_pins_the_partition_metrics_registry() {
-    // The §5i partition-tolerance metrics: recorded in product code,
-    // they must appear in the §5d registry — dropping one from the doc
-    // is a lint failure, not a silent drift.
-    let src = r#"
-fn record(obs: &ObsContext, reg: &MetricsRegistry) {
-    obs.inc("fedra_degraded_answers_total");
-    obs.set_gauge("fedra_coverage_ppm", ppm);
-    reg.counter("fedra_epoch_fenced_replies_total").inc();
-    reg.counter("fedra_snapshot_saved_total").inc();
-    reg.counter("fedra_snapshot_loaded_total").inc();
-}
-"#;
-    let documented = "
-# DESIGN
-
-## 5d. Observability
-
-| `fedra_degraded_answers_total` | counter | degraded answers |
-| `fedra_coverage_ppm` | gauge | mass fraction |
-| `fedra_epoch_fenced_replies_total` | counter | fenced stale replies |
-| `fedra_snapshot_saved_total` | counter | snapshots saved |
-| `fedra_snapshot_loaded_total` | counter | snapshots loaded |
-
-## 5e. Next
-";
-    let ws = ws_with_design(
-        vec![file("crates/federation/src/transport/socket.rs", src)],
-        documented,
-    );
-    let diags = Registry::with_default_lints().run(&ws);
-    assert!(
-        diags.iter().all(|d| d.lint != "obs-exhaustiveness"),
-        "{diags:?}"
-    );
-
-    let missing_one = documented.replace(
-        "| `fedra_epoch_fenced_replies_total` | counter | fenced stale replies |\n",
-        "",
-    );
-    let ws = ws_with_design(
-        vec![file("crates/federation/src/transport/socket.rs", src)],
-        &missing_one,
-    );
-    let diags = Registry::with_default_lints().run(&ws);
-    let obs: Vec<_> = diags
-        .iter()
-        .filter(|d| d.lint == "obs-exhaustiveness")
-        .collect();
-    assert_eq!(obs.len(), 1, "{obs:?}");
-    assert!(obs[0].message.contains("fedra_epoch_fenced_replies_total"));
-}
 
 #[test]
 fn panic_discipline_gates_the_chaos_proxy_write_path() {

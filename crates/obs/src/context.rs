@@ -1,13 +1,16 @@
 //! The observability handle threaded through the execution API.
 
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use crate::catalog::Metric;
 use crate::comm::{CommCounters, CommSnapshot};
 use crate::export;
-use crate::metrics::{labeled, MetricsRegistry, MetricsSnapshot};
+use crate::handles::{Metrics, Series};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, Primitive};
 use crate::trace::{QueryTrace, TraceHandle};
 
 /// Default cap on retained [`QueryTrace`]s (oldest evicted first).
@@ -18,6 +21,7 @@ fn noop_context() -> &'static ObsContext {
     NOOP.get_or_init(|| ObsContext {
         enabled: false,
         registry: Arc::new(MetricsRegistry::new()),
+        metrics: Metrics::new(None),
         comm: Arc::new(CommCounters::with_overhead(0)),
         traces: Mutex::new(VecDeque::new()),
         trace_capacity: 0,
@@ -28,14 +32,16 @@ fn noop_context() -> &'static ObsContext {
 /// the communication counters, and a bounded ring of finished
 /// [`QueryTrace`]s.
 ///
-/// Instrumented code takes `&ObsContext`; callers that do not care pass
-/// [`ObsContext::noop`], which is permanently disabled — every recording
-/// method is then a single branch, so the uninstrumented path stays
+/// Instrumented code takes `&ObsContext` and records through the
+/// pre-built handles of [`ObsContext::metrics`]; callers that do not care
+/// pass [`ObsContext::noop`], which is permanently disabled — every
+/// recording is then a single branch, so the uninstrumented path stays
 /// within noise of the pre-observability code.
 #[derive(Debug)]
 pub struct ObsContext {
     enabled: bool,
     registry: Arc<MetricsRegistry>,
+    metrics: Metrics,
     comm: Arc<CommCounters>,
     traces: Mutex<VecDeque<QueryTrace>>,
     trace_capacity: usize,
@@ -55,9 +61,11 @@ impl ObsContext {
     /// engine mirrors their deltas verbatim so the totals match the
     /// legacy accounting bit-for-bit.
     pub fn new() -> Self {
+        let registry = Arc::new(MetricsRegistry::new());
         Self {
             enabled: true,
-            registry: Arc::new(MetricsRegistry::new()),
+            metrics: Metrics::new(Some(&registry)),
+            registry,
             comm: Arc::new(CommCounters::with_overhead(0)),
             traces: Mutex::new(VecDeque::new()),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
@@ -79,6 +87,24 @@ impl ObsContext {
     #[inline]
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
+    }
+
+    /// The handles every provider-side recording goes through (inert when
+    /// the context is disabled).
+    #[inline]
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// A handle on `metric` at one label `value` the catalog does not fix
+    /// (a scheduler's class names): built once, registered on first use.
+    pub fn labeled<T: Primitive>(
+        &self,
+        metric: &'static Metric<T>,
+        value: impl Display,
+    ) -> Series<T> {
+        let registry = self.enabled.then_some(&self.registry);
+        Series::labeled(metric, registry, value)
     }
 
     /// The communication counters mirrored from the transport.
@@ -106,10 +132,9 @@ impl ObsContext {
         }
         if let Some(captured) = trace.capture() {
             for span in &captured.spans {
-                self.registry.observe(
-                    &labeled("fedra_span_ns", "name", &span.name),
-                    span.duration_ns,
-                );
+                self.metrics
+                    .span_ns
+                    .observe(span.name.as_str(), span.duration_ns);
             }
             let mut ring = self.traces.lock();
             if ring.len() >= self.trace_capacity && self.trace_capacity > 0 {
@@ -124,39 +149,6 @@ impl ObsContext {
     /// Copies the retained traces out (oldest first).
     pub fn traces(&self) -> Vec<QueryTrace> {
         self.traces.lock().iter().cloned().collect()
-    }
-
-    /// Adds one to the counter `name` (no-op when disabled).
-    #[inline]
-    pub fn inc(&self, name: &str) {
-        if self.enabled {
-            self.registry.inc(name);
-        }
-    }
-
-    /// Adds `n` to the counter `name` (no-op when disabled).
-    #[inline]
-    pub fn add(&self, name: &str, n: u64) {
-        if self.enabled {
-            self.registry.add(name, n);
-        }
-    }
-
-    /// Sets the gauge `name` (no-op when disabled).
-    #[inline]
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        if self.enabled {
-            self.registry.set_gauge(name, value);
-        }
-    }
-
-    /// Records one observation in the histogram `name` (no-op when
-    /// disabled).
-    #[inline]
-    pub fn observe(&self, name: &str, value: u64) {
-        if self.enabled {
-            self.registry.observe(name, value);
-        }
     }
 
     /// A point-in-time copy of the registry.
@@ -188,10 +180,10 @@ mod tests {
     #[test]
     fn noop_records_nothing() {
         let obs = ObsContext::noop();
-        obs.inc("x_total");
-        obs.add("x_total", 5);
-        obs.set_gauge("g", 1.0);
-        obs.observe("h", 10);
+        obs.metrics().queries.add(5);
+        obs.metrics().batch_mre.set(1.0);
+        obs.metrics().query_rounds.observe(10);
+        obs.labeled(&crate::catalog::SHED_TOTAL, "rt").inc();
         let trace = obs.start_trace("q", "test");
         let _span = Span::enter(&trace, "plan");
         obs.finish_trace(&trace);
@@ -245,7 +237,7 @@ mod tests {
     #[test]
     fn exporters_cover_live_context() {
         let obs = ObsContext::new();
-        obs.add("fedra_queries_total", 2);
+        obs.metrics().queries.add(2);
         let text = obs.export_prometheus();
         assert!(text.contains("fedra_queries_total 2"));
         let json = obs.export_json();

@@ -5,7 +5,9 @@
 //! order, no timestamps). The communication counters are injected as
 //! three ordinary counters (`fedra_comm_bytes_up_total`,
 //! `fedra_comm_bytes_down_total`, `fedra_comm_rounds_total`) so one
-//! document carries everything.
+//! document carries everything. The Prometheus text describes itself:
+//! each family opens with its `# HELP` line from the [catalog](crate::catalog)
+//! and its `# TYPE` line.
 //!
 //! [`parse_prometheus`] parses the text format back into a flat
 //! name → value map; tests use it to prove the exporters round-trip.
@@ -13,15 +15,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::catalog::{self, Kind, COMM_BYTES_DOWN_TOTAL, COMM_BYTES_UP_TOTAL, COMM_ROUNDS_TOTAL};
 use crate::comm::CommSnapshot;
 use crate::metrics::MetricsSnapshot;
-
-/// Counter name under which uplink bytes are exported.
-pub const COMM_BYTES_UP: &str = "fedra_comm_bytes_up_total";
-/// Counter name under which downlink bytes are exported.
-pub const COMM_BYTES_DOWN: &str = "fedra_comm_bytes_down_total";
-/// Counter name under which request/response rounds are exported.
-pub const COMM_ROUNDS: &str = "fedra_comm_rounds_total";
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -43,9 +39,13 @@ fn json_escape(s: &str) -> String {
 
 fn counters_with_comm(snapshot: &MetricsSnapshot, comm: &CommSnapshot) -> BTreeMap<String, u64> {
     let mut counters = snapshot.counters.clone();
-    counters.insert(COMM_BYTES_UP.to_string(), comm.bytes_up);
-    counters.insert(COMM_BYTES_DOWN.to_string(), comm.bytes_down);
-    counters.insert(COMM_ROUNDS.to_string(), comm.rounds);
+    for (metric, value) in [
+        (&COMM_BYTES_UP_TOTAL, comm.bytes_up),
+        (&COMM_BYTES_DOWN_TOTAL, comm.bytes_down),
+        (&COMM_ROUNDS_TOTAL, comm.rounds),
+    ] {
+        counters.insert(metric.def().name().to_string(), value);
+    }
     counters
 }
 
@@ -152,37 +152,39 @@ fn with_suffix(name: &str, suffix: &str) -> String {
     }
 }
 
+/// Opens the family of series `name` when it differs from the previous
+/// one: its `# HELP` line (when the catalog declares it) and `# TYPE`.
+fn open_family<'a>(out: &mut String, last: &mut &'a str, name: &'a str, kind: Kind) {
+    let family = base_name(name);
+    if family == *last {
+        return;
+    }
+    if let Some(def) = catalog::lookup(family) {
+        let _ = writeln!(out, "# HELP {family} {}", def.help());
+    }
+    let _ = writeln!(out, "# TYPE {family} {}", kind.as_str());
+    *last = family;
+}
+
 /// Renders a metrics + comm snapshot in the Prometheus text exposition
-/// format (one `# TYPE` line per metric family, cumulative histogram
-/// buckets, no timestamps).
+/// format (`# HELP` and `# TYPE` lines per metric family, cumulative
+/// histogram buckets, no timestamps).
 pub fn render_prometheus(snapshot: &MetricsSnapshot, comm: &CommSnapshot) -> String {
     let mut out = String::new();
     let counters = counters_with_comm(snapshot, comm);
     let mut last_family = "";
     for (name, value) in &counters {
-        let family = base_name(name);
-        if family != last_family {
-            let _ = writeln!(out, "# TYPE {family} counter");
-            last_family = family;
-        }
+        open_family(&mut out, &mut last_family, name, Kind::Counter);
         let _ = writeln!(out, "{name} {value}");
     }
     last_family = "";
     for (name, value) in &snapshot.gauges {
-        let family = base_name(name);
-        if family != last_family {
-            let _ = writeln!(out, "# TYPE {family} gauge");
-            last_family = family;
-        }
+        open_family(&mut out, &mut last_family, name, Kind::Gauge);
         let _ = writeln!(out, "{name} {}", fmt_f64(*value));
     }
     last_family = "";
     for (name, hist) in &snapshot.histograms {
-        let family = base_name(name);
-        if family != last_family {
-            let _ = writeln!(out, "# TYPE {family} histogram");
-            last_family = family;
-        }
+        open_family(&mut out, &mut last_family, name, Kind::Histogram);
         let mut cumulative = 0u64;
         for (bound, count) in hist.nonzero_buckets() {
             cumulative += count;
@@ -235,15 +237,16 @@ pub fn parse_prometheus(text: &str) -> BTreeMap<String, f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{ACCURACY_EPSILON, DEGRADED_TOTAL, SCHED_SUBMITTED_TOTAL, SPAN_NS};
     use crate::metrics::MetricsRegistry;
 
     fn sample() -> (MetricsSnapshot, CommSnapshot) {
         let reg = MetricsRegistry::new();
-        reg.add("fedra_queries_total{algo=\"IID-est\"}", 250);
-        reg.inc("fedra_degraded_total");
-        reg.set_gauge("fedra_accuracy_epsilon", 0.1);
-        reg.observe("fedra_span_ns{name=\"plan\"}", 900);
-        reg.observe("fedra_span_ns{name=\"plan\"}", 1500);
+        reg.series(&SCHED_SUBMITTED_TOTAL, &[&"IID-est"]).add(250);
+        reg.series(&DEGRADED_TOTAL, &[]).inc();
+        reg.series(&ACCURACY_EPSILON, &[]).set(0.1);
+        reg.series(&SPAN_NS, &[&"plan"]).observe(900);
+        reg.series(&SPAN_NS, &[&"plan"]).observe(1500);
         let comm = CommSnapshot {
             bytes_up: 1234,
             bytes_down: 5678,
@@ -257,11 +260,14 @@ mod tests {
         let (snap, comm) = sample();
         let text = render_prometheus(&snap, &comm);
         let parsed = parse_prometheus(&text);
-        assert_eq!(parsed["fedra_queries_total{algo=\"IID-est\"}"], 250.0);
+        assert_eq!(
+            parsed["fedra_sched_submitted_total{class=\"IID-est\"}"],
+            250.0
+        );
         assert_eq!(parsed["fedra_degraded_total"], 1.0);
-        assert_eq!(parsed[COMM_BYTES_UP], 1234.0);
-        assert_eq!(parsed[COMM_BYTES_DOWN], 5678.0);
-        assert_eq!(parsed[COMM_ROUNDS], 250.0);
+        assert_eq!(parsed["fedra_comm_bytes_up_total"], 1234.0);
+        assert_eq!(parsed["fedra_comm_bytes_down_total"], 5678.0);
+        assert_eq!(parsed["fedra_comm_rounds_total"], 250.0);
         assert_eq!(parsed["fedra_accuracy_epsilon"], 0.1);
         assert_eq!(parsed["fedra_span_ns_count{name=\"plan\"}"], 2.0);
         assert_eq!(parsed["fedra_span_ns_sum{name=\"plan\"}"], 2400.0);
@@ -277,12 +283,27 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_has_type_lines() {
+    fn prometheus_describes_every_family_once() {
         let (snap, comm) = sample();
         let text = render_prometheus(&snap, &comm);
-        assert!(text.contains("# TYPE fedra_queries_total counter"));
+        assert!(text.contains("# TYPE fedra_sched_submitted_total counter"));
         assert!(text.contains("# TYPE fedra_accuracy_epsilon gauge"));
         assert!(text.contains("# TYPE fedra_span_ns histogram"));
+        assert!(text.contains(
+            "# HELP fedra_span_ns Duration of one traced query phase, in nanoseconds.\n\
+             # TYPE fedra_span_ns histogram\n"
+        ));
+        // One HELP and one TYPE per family, each HELP right before its TYPE.
+        let lines: Vec<&str> = text.lines().collect();
+        let helps = lines.iter().filter(|l| l.starts_with("# HELP ")).count();
+        let types = lines.iter().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!((helps, types), (7, 7), "{text}");
+        for (i, line) in lines.iter().enumerate() {
+            if let Some(help) = line.strip_prefix("# HELP ") {
+                let family = help.split(' ').next().unwrap();
+                assert!(lines[i + 1].starts_with(&format!("# TYPE {family} ")));
+            }
+        }
     }
 
     #[test]
@@ -291,8 +312,8 @@ mod tests {
         let a = render_json(&snap, &comm);
         let b = render_json(&snap, &comm);
         assert_eq!(a, b);
-        assert!(a.contains("\"fedra_queries_total{algo=\\\"IID-est\\\"}\": 250"));
-        assert!(a.contains(&format!("\"{COMM_BYTES_UP}\": 1234")));
+        assert!(a.contains("\"fedra_sched_submitted_total{class=\\\"IID-est\\\"}\": 250"));
+        assert!(a.contains("\"fedra_comm_bytes_up_total\": 1234"));
         assert!(a.contains("\"fedra_accuracy_epsilon\": 0.1"));
         assert!(a.contains("\"count\": 2, \"sum\": 2400"));
     }
@@ -302,7 +323,7 @@ mod tests {
         let snap = MetricsSnapshot::default();
         let comm = CommSnapshot::default();
         let text = render_prometheus(&snap, &comm);
-        assert!(text.contains(&format!("{COMM_ROUNDS} 0")));
+        assert!(text.contains("fedra_comm_rounds_total 0"));
         let json = render_json(&snap, &comm);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     }

@@ -8,8 +8,12 @@
 //! provides that instrumentation with **no external dependencies** beyond
 //! the workspace's existing sync shim and **no unsafe code**:
 //!
+//! * [`catalog`] — every metric declared once (name, kind, help, label
+//!   keys); a metric outside it does not compile;
 //! * [`MetricsRegistry`] — named atomic [`Counter`]s, [`Gauge`]s and
 //!   log₂-bucketed [`Histogram`]s, snapshot-able at any time;
+//! * [`Series`] / [`Family`] / [`Metrics`] — pre-built handles, so a hot
+//!   path records with one atomic, never a name lookup;
 //! * [`Span`] / [`QueryTrace`] — a lightweight RAII span API recording a
 //!   per-query lifecycle (`plan` → `encode` → `fan-out` → `finish`) with
 //!   nanosecond timings and free-form attributes;
@@ -24,22 +28,25 @@
 //!
 //! Metric names follow the Prometheus convention
 //! `fedra_<subsystem>_<quantity>[_total]{label="value"}`; the label set,
-//! when present, is embedded in the registered name so the registry stays
-//! a flat string-keyed map.
+//! when present, is embedded in the series name so the registry stays a
+//! flat string-keyed map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod catalog;
 pub mod comm;
 pub mod context;
 pub mod export;
+pub mod handles;
 pub mod metrics;
 pub mod trace;
 
 pub use comm::{CommCounters, CommSnapshot, DEFAULT_MESSAGE_OVERHEAD};
 pub use context::ObsContext;
 pub use export::{parse_prometheus, render_json, render_prometheus};
+pub use handles::{Family, LabelValue, Metrics, Series};
 pub use metrics::{
-    labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Primitive,
 };
 pub use trace::{QueryTrace, Span, SpanRecord, TraceHandle};

@@ -6,16 +6,21 @@
 //! `u64` range — good enough for nanosecond latencies and byte sizes
 //! without configuring bounds per metric.
 //!
-//! Labels are embedded in the registered name following the Prometheus
-//! sample syntax, e.g. `fedra_silo_requests_total{silo="3"}` — see
-//! [`labeled`]. The registry is a flat string-keyed map, which keeps
-//! snapshots and exporters trivial and deterministic (BTreeMap order).
+//! A series is a [`Metric`] from the catalog plus its label values,
+//! rendered Prometheus-style into one name, e.g.
+//! `fedra_silo_requests_total{silo="3"}`. The registry is a flat
+//! string-keyed map, which keeps snapshots and exporters trivial and
+//! deterministic (BTreeMap order). A series exists from the moment it is
+//! registered; hot paths hold the `Arc` and never look a name up.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+use crate::catalog::{Kind, Metric};
 
 /// Number of histogram buckets: 64 powers of two plus a +Inf bucket.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -206,16 +211,76 @@ impl HistogramSnapshot {
     }
 }
 
-/// Embeds one label in a metric name, Prometheus-style:
-/// `labeled("x_total", "silo", "3")` → `x_total{silo="3"}`.
-pub fn labeled(name: &str, label: &str, value: impl std::fmt::Display) -> String {
-    format!("{name}{{{label}=\"{value}\"}}")
+/// A metric primitive a [`Metric`] can be declared over: [`Counter`],
+/// [`Gauge`] or [`Histogram`].
+pub trait Primitive: Default + Send + Sync + 'static + sealed::Sealed {
+    /// The kind the exporter announces for it.
+    const KIND: Kind;
 }
 
-/// A named registry of counters, gauges and histograms.
+mod sealed {
+    use super::*;
+
+    pub trait Sealed: Sized {
+        fn map(registry: &MetricsRegistry) -> &Mutex<BTreeMap<String, Arc<Self>>>;
+    }
+
+    impl Sealed for Counter {
+        fn map(registry: &MetricsRegistry) -> &Mutex<BTreeMap<String, Arc<Self>>> {
+            &registry.counters
+        }
+    }
+
+    impl Sealed for Gauge {
+        fn map(registry: &MetricsRegistry) -> &Mutex<BTreeMap<String, Arc<Self>>> {
+            &registry.gauges
+        }
+    }
+
+    impl Sealed for Histogram {
+        fn map(registry: &MetricsRegistry) -> &Mutex<BTreeMap<String, Arc<Self>>> {
+            &registry.histograms
+        }
+    }
+}
+
+impl Primitive for Counter {
+    const KIND: Kind = Kind::Counter;
+}
+
+impl Primitive for Gauge {
+    const KIND: Kind = Kind::Gauge;
+}
+
+impl Primitive for Histogram {
+    const KIND: Kind = Kind::Histogram;
+}
+
+/// The series name of `metric` at `labels`, one value per label key in
+/// declaration order: `fedra_x_total{silo="3",kind="ping"}`.
+pub(crate) fn series_name<T>(metric: &Metric<T>, labels: &[&dyn Display]) -> String {
+    let keys = metric.def().labels();
+    debug_assert_eq!(
+        keys.len(),
+        labels.len(),
+        "{}: label arity",
+        metric.def().name()
+    );
+    let mut name = metric.def().name().to_string();
+    for (i, (key, value)) in keys.iter().zip(labels).enumerate() {
+        name.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(name, "{key}=\"{value}\"");
+    }
+    if !keys.is_empty() {
+        name.push('}');
+    }
+    name
+}
+
+/// A registry of counters, gauges and histograms, keyed by series name.
 ///
-/// Metric handles are `Arc`s created on first use; hot paths can cache
-/// the handle, occasional recorders can go through the by-name helpers.
+/// A series appears in snapshots once registered: a silo registers its
+/// counters up front, a context's [`Series`](crate::Series) on first use.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -229,63 +294,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Gets or creates the counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock();
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::default());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
+    /// Gets or registers the series of `metric` at `labels` (one value
+    /// per declared label key).
+    pub fn series<T: Primitive>(&self, metric: &Metric<T>, labels: &[&dyn Display]) -> Arc<T> {
+        self.register(series_name(metric, labels))
     }
 
-    /// Gets or creates the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock();
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_string(), Arc::clone(&g));
-                g
-            }
-        }
-    }
-
-    /// Gets or creates the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock();
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::default());
-                map.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
-    }
-
-    /// Adds one to the counter `name`.
-    pub fn inc(&self, name: &str) {
-        self.counter(name).inc();
-    }
-
-    /// Adds `n` to the counter `name`.
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
-    }
-
-    /// Sets the gauge `name`.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauge(name).set(value);
-    }
-
-    /// Records one observation in the histogram `name`.
-    pub fn observe(&self, name: &str, value: u64) {
-        self.histogram(name).observe(value);
+    /// Gets or registers the series named `name`.
+    pub(crate) fn register<T: Primitive>(&self, name: String) -> Arc<T> {
+        let mut map = T::map(self).lock();
+        Arc::clone(map.entry(name).or_default())
     }
 
     /// A point-in-time copy of every metric.
@@ -419,29 +437,21 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_handles() {
+    fn registry_reuses_series_and_renders_labels() {
+        use crate::catalog::{SCHED_TICKS_TOTAL, SILO_REQUESTS_BY_KIND_TOTAL};
         let reg = MetricsRegistry::new();
-        let a = reg.counter("x_total");
-        let b = reg.counter("x_total");
+        let a = reg.series(&SCHED_TICKS_TOTAL, &[]);
+        let b = reg.series(&SCHED_TICKS_TOTAL, &[]);
         a.add(2);
         b.inc();
-        assert_eq!(reg.counter("x_total").get(), 3);
-
-        reg.set_gauge("g", 1.5);
-        assert_eq!(reg.gauge("g").get(), 1.5);
-
-        reg.observe("h", 9);
+        assert_eq!(reg.series(&SCHED_TICKS_TOTAL, &[]).get(), 3);
+        reg.series(&SILO_REQUESTS_BY_KIND_TOTAL, &[&3, &"ping"])
+            .inc();
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["x_total"], 3);
-        assert_eq!(snap.gauges["g"], 1.5);
-        assert_eq!(snap.histograms["h"].count, 1);
-    }
-
-    #[test]
-    fn labeled_formats_prometheus_style() {
+        assert_eq!(snap.counters["fedra_sched_ticks_total"], 3);
         assert_eq!(
-            labeled("fedra_silo_requests_total", "silo", 3),
-            "fedra_silo_requests_total{silo=\"3\"}"
+            snap.counters["fedra_silo_requests_total{silo=\"3\",kind=\"ping\"}"],
+            1
         );
     }
 }

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use fedra::obs::labeled;
 use fedra::prelude::*;
 
 fn main() -> ExitCode {
@@ -402,9 +401,9 @@ fn obs(options: &Options) -> ExitCode {
             BreakerState::HalfOpen => 1.0,
             BreakerState::Open => 2.0,
         };
-        obs.set_gauge(&labeled("fedra_breaker_state", "silo", s.silo), state);
+        obs.metrics().breaker_state.set(s.silo, state);
         if let Some(ewma) = s.latency_ewma_us {
-            obs.set_gauge(&labeled("fedra_silo_latency_ewma_us", "silo", s.silo), ewma);
+            obs.metrics().silo_latency_ewma_us.set(s.silo, ewma);
         }
     }
 

@@ -212,8 +212,8 @@ fn noniid_est_answers_what_the_old_full_cell_reply_answered() {
                         unread_non_zero += 1;
                     }
                     let g0 = grid.cell(cell);
-                    let fallback = g0.scale(intersection_area(&range, &rect) / rect.area());
-                    estimate.merge_in(&ratio_scale(g0, &res, silo_grid.cell(cell), &fallback));
+                    let fallback = || g0.scale(intersection_area(&range, &rect) / rect.area());
+                    estimate.merge_in(&ratio_scale(g0, &res, silo_grid.cell(cell), fallback));
                 }
                 let old = QueryResult::from_aggregate(estimate, query.func);
                 let what = format!("{} {query} silo {silo}", algorithm.name());
