@@ -243,19 +243,26 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # for the same queries. Timings from a 2 s window are not read; bytes
 # are: a batch workload's check pass sends a deterministic function of
 # the seed, so batch_noniid_mem's may not grow past the bytes recorded
-# when its boundary-cell replies lost their cell ids.
+# when its boundary-cell replies lost their cell ids. Index memory is
+# one too: no workload's index_mem_mb may grow past the figure recorded
+# when the provider's m + 1 prefix grids became one interleaved stack,
+# so a second copy of the provider's prefixes cannot creep back in.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
 noniid_bytes_cap=177.254
+index_mem_cap=62.382
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \
         || { echo "benchmark gate: $workload failed its correctness gate"; exit 1; }
+    mem=$(echo "$gate_out" | sed -n 's|^  index_mem_mb  *\([0-9.]*\) MiB.*|\1|p')
+    awk -v m="$mem" -v cap="$index_mem_cap" 'BEGIN { exit !(m != "" && m + 0 <= cap + 0) }' \
+        || { echo "benchmark gate: $workload index_mem_mb ${mem:-?} MiB, above the recorded $index_mem_cap"; exit 1; }
     if [ "$workload" = batch_noniid_mem ]; then
         bytes=$(echo "$gate_out" | sed -n 's|^  check pass: comm \([0-9.]*\) B/query.*|\1|p')
         awk -v b="$bytes" -v cap="$noniid_bytes_cap" 'BEGIN { exit !(b != "" && b + 0 <= cap + 0) }' \
             || { echo "benchmark gate: batch_noniid_mem check pass sends ${bytes:-?} B/query, above the recorded $noniid_bytes_cap"; exit 1; }
     fi
 done
-echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query)"
+echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
 
 # Cache smoke: the city dashboard's refresh loop runs through the
 # ε-aware answer cache with per-serve truth checks. The steady-state hit

@@ -1,6 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! A. prefix-sum grid vs naive cell scan for sum₀ (Sec. 4.2.1 remark);
+//! A. prefix-sum grid vs naive cell scan for sum₀ (Sec. 4.2.1 remark),
+//!    and m + 1 per-grid prefix walks vs one walk of the provider's
+//!    interleaved stack over [g₀, g₁ … g_m];
 //! B. NonIID boundary-cells-only transfer vs shipping the full
 //!    intersecting-cell vector (Sec. 4.2.2 remark);
 //! C. LSR level-selection rule vs fixed levels;
@@ -50,6 +52,36 @@ fn main() {
     println!(
         "  cumulative array: {prefix_time:?}  ({:.1}x)",
         naive_time.as_secs_f64() / prefix_time.as_secs_f64()
+    );
+
+    // sum₀ and every sum_k: one PrefixGrid walk per grid, as the provider
+    // once did, against one walk of its stack. Same ranges, same bits.
+    let per_grid: Vec<PrefixGrid> = std::iter::once(grid)
+        .chain((0..fed.num_silos()).map(|k| fed.silo_grid(k)))
+        .map(PrefixGrid::build)
+        .collect();
+    let layers = per_grid.len();
+    let t0 = Instant::now();
+    let separate: Vec<Aggregate> = ranges
+        .iter()
+        .flat_map(|r| per_grid.iter().map(|p| p.aggregate_intersecting(r)))
+        .collect();
+    let separate_time = t0.elapsed();
+    let t0 = Instant::now();
+    let mut stacked = vec![Aggregate::ZERO; ranges.len() * layers];
+    for (r, out) in ranges.iter().zip(stacked.chunks_mut(layers)) {
+        fed.prefix_stack().aggregate_intersecting(r, out);
+    }
+    let stacked_time = t0.elapsed();
+    let bits = |a: &Aggregate| [a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()];
+    for (i, (a, b)) in separate.iter().zip(&stacked).enumerate() {
+        let (range, layer) = (i / layers, i % layers);
+        assert_eq!(bits(a), bits(b), "range {range}, layer {layer}");
+    }
+    println!("  {layers} per-grid walks: {separate_time:?}");
+    println!(
+        "  one stacked walk: {stacked_time:?}  ({:.1}x, identical bits)",
+        separate_time.as_secs_f64() / stacked_time.as_secs_f64()
     );
 
     // --- B: boundary-only vs full-vector NonIID transfer ----------------
@@ -133,7 +165,7 @@ fn main() {
         let t0 = Instant::now();
         let mut err_sum = 0.0;
         for (r, &truth) in ranges.iter().take(100).zip(&exact_vals) {
-            let sum0 = fed.merged_prefix().aggregate_intersecting(r).count;
+            let sum0 = fedra_core::helpers::sum0(fed, r).count;
             let mode = match level_desc {
                 "rule" => LocalMode::Lsr {
                     epsilon: point.epsilon,

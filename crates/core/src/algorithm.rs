@@ -205,7 +205,7 @@ pub trait FraAlgorithm: Send + Sync {
         query: &FraQuery,
         rounds: u64,
     ) -> Result<QueryResult, FraError> {
-        let fallback = helpers::grid_only_estimate(federation, &query.range);
+        let fallback = helpers::grid_estimate(federation.merged_grid(), &query.range);
         let result = QueryResult::from_aggregate(fallback, query.func).with_rounds(rounds);
         let policy = federation.degrade_policy();
         if !policy.allows_partial() {
@@ -355,7 +355,8 @@ pub(crate) fn join_fanout(
             return Err(FraError::AllSilosUnavailable { errors: missing });
         }
         for (k, _) in &missing {
-            total.merge_in(&helpers::silo_grid_estimate(federation, *k, &query.range));
+            let grid = federation.silo_grid(*k);
+            total.merge_in(&helpers::grid_estimate(grid, &query.range));
         }
         coverage = Some(Coverage {
             responding: responding.len(),

@@ -15,35 +15,60 @@ pub(crate) fn masked_for(func: AggFunc, request: Request) -> Request {
     }
 }
 
-/// The grid-based rough estimate `sum₀` used for LSR level selection
-/// (Alg. 6): the COUNT over all `g₀` cells intersecting the range,
-/// answered from the cumulative array in O(√|g₀|).
-pub fn rough_count(federation: &Federation, range: &Range) -> f64 {
-    federation
-        .merged_prefix()
-        .aggregate_intersecting(range)
-        .count
+/// `sum₀` and every `sum_k` of one range (Alg. 2): the aggregates of
+/// `g₀` and of each `g_k` over the cells intersecting it, from one walk
+/// of the provider's prefix stack.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridSums(Vec<Aggregate>);
+
+impl GridSums {
+    /// `g₀` over the range's cells. Its COUNT is also the rough estimate
+    /// LSR level selection reads (Alg. 6).
+    pub fn sum0(&self) -> &Aggregate {
+        &self.0[0]
+    }
+
+    /// Silo `silo`'s `g_k` over the range's cells.
+    pub fn sum_k(&self, silo: SiloId) -> &Aggregate {
+        &self.0[1 + silo]
+    }
+}
+
+/// `sum₀` and every `sum_k` for `range`, in one O(√|g₀|) walk.
+pub fn grid_sums(federation: &Federation, range: &Range) -> GridSums {
+    let stack = federation.prefix_stack();
+    let mut sums = vec![Aggregate::ZERO; stack.layers()];
+    stack.aggregate_intersecting(range, &mut sums);
+    GridSums(sums)
 }
 
 /// The `sum₀` aggregate triple of Alg. 2 — `g₀` over intersecting cells.
 pub fn sum0(federation: &Federation, range: &Range) -> Aggregate {
-    federation.merged_prefix().aggregate_intersecting(range)
+    let [sum0] = federation.prefix_stack().layers_intersecting(range, [0]);
+    sum0
 }
 
-/// The `sum_k` aggregate triple of Alg. 2 — `g_k` over intersecting cells.
-pub fn sum_k(federation: &Federation, silo: SiloId, range: &Range) -> Aggregate {
-    federation.silo_prefix(silo).aggregate_intersecting(range)
+/// `sum₀` and silo `silo`'s `sum_k` together, in one walk that reads no
+/// other silo's layer: what IID-est's finish step divides by.
+pub fn sum0_and_k(federation: &Federation, silo: SiloId, range: &Range) -> (Aggregate, Aggregate) {
+    let [sum0, sum_k] = federation
+        .prefix_stack()
+        .layers_intersecting(range, [0, 1 + silo]);
+    (sum0, sum_k)
 }
 
-/// A silo-free estimate from `g₀` alone: covered cells contribute exactly,
-/// boundary cells contribute proportionally to the covered area
+/// A silo-free estimate of `range` from one grid alone: covered cells
+/// contribute exactly, boundary cells proportionally to the covered area
 /// (uniform-within-cell).
 ///
-/// Used as the graceful degradation path when no silo can be sampled
-/// (all candidates failed) and as the per-component fallback when the
-/// sampled silo has no data to re-weight by.
-pub fn grid_only_estimate(federation: &Federation, range: &Range) -> Aggregate {
-    let grid = federation.merged_grid();
+/// Over `g₀` it is the graceful degradation path when no silo can be
+/// sampled (all candidates failed) and the per-component fallback when
+/// the sampled silo has no data to re-weight by. Over silo `k`'s `g_k` it
+/// is what a degraded-mode fan-out substitutes for that unreachable
+/// silo's partial answer (DESIGN.md §5i): the provider holds every `g_k`
+/// from setup, so a missing silo's contribution can still be estimated
+/// without contacting it.
+pub fn grid_estimate(grid: &GridIndex, range: &Range) -> Aggregate {
     let spec = grid.spec();
     let cls = spec.classify(range);
     let mut acc = grid.aggregate_cells(cls.covered.iter().copied());
@@ -122,47 +147,24 @@ pub(crate) fn scatter_reply(
     entries.next().is_none().then_some(scattered)
 }
 
-/// Per-silo analogue of [`grid_only_estimate`]: silo `k`'s in-range mass
-/// from `g_k` alone — covered cells exactly, boundary cells by covered
-/// area fraction.
-///
-/// This is what a degraded-mode fan-out substitutes for an unreachable
-/// silo's partial answer (DESIGN.md §5i): the provider holds every `g_k`
-/// from setup, so a missing silo's contribution can still be estimated
-/// without contacting it.
-pub fn silo_grid_estimate(federation: &Federation, silo: SiloId, range: &Range) -> Aggregate {
-    let grid = federation.silo_grid(silo);
-    let spec = grid.spec();
-    let cls = spec.classify(range);
-    let mut acc = grid.aggregate_cells(cls.covered.iter().copied());
-    for id in &cls.boundary {
-        let rect = spec.cell_rect_of(*id);
-        let frac = intersection_area(range, &rect) / rect.area();
-        acc.merge_in(&grid.cell(*id).scale(frac));
-    }
-    acc
-}
-
 /// Fraction of the in-range grid mass (COUNT over intersecting cells of
 /// the per-silo grids) held by the `responding` silos, in `[0, 1]`.
 ///
 /// The denominator is `sum₀` over the same cells — cell-wise, the silo
 /// grids sum to `g₀`, so this is exactly the mass share a degraded
 /// fan-out answer is backed by. An empty range (no in-range mass at all)
-/// counts as fully covered: there is nothing left to miss.
+/// counts as fully covered: there is nothing left to miss. One walk.
 pub fn reachable_mass_fraction(
     federation: &Federation,
     range: &Range,
     responding: &[SiloId],
 ) -> f64 {
-    let total = sum0(federation, range).count;
+    let sums = grid_sums(federation, range);
+    let total = sums.sum0().count;
     if total <= 0.0 {
         return 1.0;
     }
-    let reached: f64 = responding
-        .iter()
-        .map(|&k| sum_k(federation, k, range).count)
-        .sum();
+    let reached: f64 = responding.iter().map(|&k| sums.sum_k(k).count).sum();
     (reached / total).clamp(0.0, 1.0)
 }
 
@@ -185,20 +187,23 @@ pub fn grid_certain_fraction(federation: &Federation, range: &Range) -> f64 {
     (covered / total).clamp(0.0, 1.0)
 }
 
-/// Silos eligible to be sampled for this query: not failure-flagged, not
-/// refused by the health tracker's circuit breaker (open breakers admit
-/// the occasional probe; a passive tracker refuses nobody), and with at
-/// least one object in a cell intersecting the range (the
-/// non-overlapping-coverage extension of Sec. 4.2.2: "we sample s_k from
-/// silos who have data in the query range").
-pub fn candidate_silos(federation: &Federation, range: &Range) -> Vec<SiloId> {
-    let failed = federation.failed_silos();
+/// Silos eligible to be sampled for the range `sums` were walked over:
+/// not failure-flagged, not refused by the health tracker's circuit
+/// breaker (open breakers admit the occasional probe; a passive tracker
+/// refuses nobody), and with at least one object in a cell intersecting
+/// the range (the non-overlapping-coverage extension of Sec. 4.2.2: "we
+/// sample s_k from silos who have data in the query range"). The breaker
+/// is asked only about silos that are not failure-flagged, in silo order.
+pub fn candidate_silos(federation: &Federation, sums: &GridSums) -> Vec<SiloId> {
     let health = federation.health();
-    (0..federation.num_silos())
-        .filter(|k| !failed.contains(k))
-        .filter(|&k| health.allows(k))
-        .filter(|&k| sum_k(federation, k, range).count > 0.0)
-        .collect()
+    let mut candidates = Vec::with_capacity(federation.num_silos());
+    candidates.extend(
+        (0..federation.num_silos())
+            .filter(|&k| !federation.channel(k).is_failed())
+            .filter(|&k| health.allows(k))
+            .filter(|&k| sums.sum_k(k).count > 0.0),
+    );
+    candidates
 }
 
 #[cfg(test)]
@@ -234,30 +239,48 @@ mod tests {
     }
 
     #[test]
-    fn rough_count_covers_intersecting_cells() {
+    fn sum0_covers_intersecting_cells() {
         let fed = federation();
         let q = Range::circle(Point::new(25.0, 25.0), 10.0);
-        let rc = rough_count(&fed, &q);
+        let rc = sum0(&fed, &q).count;
         // All data near (25,25) belongs to silo 0's 500-object block.
         assert!(rc > 0.0);
         assert!(rc <= 500.0);
-        // sum0's count agrees by definition.
-        assert_eq!(rc, sum0(&fed, &q).count);
     }
 
     #[test]
     fn sum_k_is_per_silo() {
         let fed = federation();
-        let q = Range::circle(Point::new(25.0, 25.0), 10.0);
-        assert!(sum_k(&fed, 0, &q).count > 0.0);
-        assert_eq!(sum_k(&fed, 1, &q).count, 0.0);
+        let sums = grid_sums(&fed, &Range::circle(Point::new(25.0, 25.0), 10.0));
+        assert!(sums.sum_k(0).count > 0.0);
+        assert_eq!(sums.sum_k(1).count, 0.0);
+    }
+
+    #[test]
+    fn one_walk_reads_what_the_single_layer_walks_read() {
+        let fed = federation();
+        let bits = |a: &Aggregate| [a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()];
+        for q in [
+            Range::circle(Point::new(25.0, 25.0), 10.0),
+            Range::circle(Point::new(50.0, 50.0), 30.0),
+            Range::rect(Point::new(-5.0, 20.0), Point::new(60.0, 55.0)),
+            Range::circle(Point::new(-400.0, -400.0), 1.0),
+        ] {
+            let sums = grid_sums(&fed, &q);
+            assert_eq!(bits(sums.sum0()), bits(&sum0(&fed, &q)), "{q}");
+            for k in 0..fed.num_silos() {
+                let (s0, sk) = sum0_and_k(&fed, k, &q);
+                let want = [bits(sums.sum0()), bits(sums.sum_k(k))];
+                assert_eq!([bits(&s0), bits(&sk)], want, "{q} silo {k}");
+            }
+        }
     }
 
     #[test]
     fn candidates_respect_coverage_and_failures() {
         let fed = federation();
-        let left_q = Range::circle(Point::new(25.0, 25.0), 10.0);
-        let right_q = Range::circle(Point::new(75.0, 75.0), 10.0);
+        let left_q = grid_sums(&fed, &Range::circle(Point::new(25.0, 25.0), 10.0));
+        let right_q = grid_sums(&fed, &Range::circle(Point::new(75.0, 75.0), 10.0));
         assert_eq!(candidate_silos(&fed, &left_q), vec![0]);
         assert_eq!(candidate_silos(&fed, &right_q), vec![1]);
         fed.set_silo_failed(0, true);
@@ -266,10 +289,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_only_estimate_is_close_on_uniform_blocks() {
+    fn grid_estimate_is_close_on_uniform_blocks() {
         let fed = federation();
         let q = Range::rect(Point::new(0.0, 0.0), Point::new(50.0, 50.0));
-        let est = grid_only_estimate(&fed, &q);
+        let est = grid_estimate(fed.merged_grid(), &q);
         // The whole left block: ~500 objects (modulo the block's own edge).
         assert!((est.count - 500.0).abs() < 50.0, "got {}", est.count);
     }
@@ -278,10 +301,10 @@ mod tests {
     fn silo_grid_estimates_sum_to_the_merged_estimate() {
         let fed = federation();
         let q = Range::circle(Point::new(50.0, 50.0), 20.0);
-        let merged = grid_only_estimate(&fed, &q);
+        let merged = grid_estimate(fed.merged_grid(), &q);
         let mut parts = fedra_index::Aggregate::ZERO;
         for k in 0..fed.num_silos() {
-            parts.merge_in(&silo_grid_estimate(&fed, k, &q));
+            parts.merge_in(&grid_estimate(fed.silo_grid(k), &q));
         }
         assert!((parts.count - merged.count).abs() < 1e-9);
         assert!((parts.sum - merged.sum).abs() < 1e-9);

@@ -101,8 +101,10 @@ impl MultiSiloEst {
         }
 
         // Visit candidates in random order, pooling the first k that
-        // answer; extra candidates double as failover.
-        let mut order = helpers::candidate_silos(federation, range);
+        // answer; extra candidates double as failover. One walk yields
+        // sum₀ and every silo's sum_k.
+        let sums = helpers::grid_sums(federation, range);
+        let mut order = helpers::candidate_silos(federation, &sums);
         order.shuffle(&mut *self.rng.lock());
         let request = Request::CellContributions {
             range: *range,
@@ -154,7 +156,7 @@ impl MultiSiloEst {
             }
         }
         if pooled_silos.is_empty() {
-            if helpers::rough_count(federation, range) <= 0.0 {
+            if sums.sum0().count <= 0.0 {
                 // No silo holds mass in the range's cells: the covered
                 // cells are the exact answer.
                 return Ok(QueryResult::from_aggregate(covered, query.func));
@@ -385,7 +387,8 @@ mod tests {
                 let covered = fed
                     .merged_grid()
                     .aggregate_cells(cls.covered.iter().copied());
-                let mut order = helpers::candidate_silos(&fed, &q.range);
+                let sums = helpers::grid_sums(&fed, &q.range);
+                let mut order = helpers::candidate_silos(&fed, &sums);
                 order.shuffle(&mut StdRng::seed_from_u64(100 + i));
                 let full_request = Request::CellContributions {
                     range: q.range,

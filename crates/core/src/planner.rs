@@ -231,11 +231,11 @@ impl AdaptivePlanner {
         obs.metrics().plan_decision.inc(tag);
         let result = match decision {
             // No estimable boundary mass: answer from the provider's own
-            // grid state, zero silo contact. (grid_only_estimate adds the
+            // grid state, zero silo contact. (grid_estimate adds the
             // area-weighted boundary term, which is ~0 by construction
             // whenever this branch is chosen.)
             PlanDecision::GridExact => QueryResult::from_aggregate(
-                helpers::grid_only_estimate(federation, &query.range),
+                helpers::grid_estimate(federation.merged_grid(), &query.range),
                 query.func,
             ),
             PlanDecision::Exact { .. } => self.exact.try_execute_with(federation, query, obs)?,

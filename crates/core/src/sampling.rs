@@ -71,10 +71,11 @@ impl LocalQuery {
         }
     }
 
-    fn level(&self, sum0_count: f64) -> Option<usize> {
+    /// The LSR level Alg. 6 selects; `sum0_count` is read only then.
+    fn level(&self, sum0_count: impl FnOnce() -> f64) -> Option<usize> {
         match self {
             LocalQuery::Exact => None,
-            LocalQuery::Lsr(p) => Some(theory::select_level(p.epsilon, p.delta, sum0_count)),
+            LocalQuery::Lsr(p) => Some(theory::select_level(p.epsilon, p.delta, sum0_count())),
         }
     }
 
@@ -104,12 +105,11 @@ impl Sampler {
         }
     }
 
-    /// Returns candidate silos in a random visiting order (uniform first
-    /// choice; the tail is the resampling fallback order).
-    fn visiting_order(&self, candidates: &[SiloId]) -> Vec<SiloId> {
-        let mut order = candidates.to_vec();
-        order.shuffle(&mut *self.rng.lock());
-        order
+    /// Shuffles candidate silos into a random visiting order (uniform
+    /// first choice; the tail is the resampling fallback order).
+    fn visiting_order(&self, mut candidates: Vec<SiloId>) -> Vec<SiloId> {
+        candidates.shuffle(&mut *self.rng.lock());
+        candidates
     }
 }
 
@@ -172,21 +172,23 @@ impl FraAlgorithm for IidEst {
 
     fn plan_with(&self, federation: &Federation, query: &FraQuery, obs: &ObsContext) -> QueryPlan {
         let range = &query.range;
-        let sum0 = helpers::sum0(federation, range);
+        // One walk yields sum₀ and every silo's sum_k.
+        let sums = helpers::grid_sums(federation, range);
+        let sum0 = *sums.sum0();
         self.local.record_accuracy(obs, &sum0);
         if sum0.count == 0.0 {
             // No grid cell intersecting R holds any object: the answer is
             // exactly zero, no silo contact needed.
             return QueryPlan::Ready(Ok(QueryResult::from_aggregate(Aggregate::ZERO, query.func)));
         }
-        let candidates = helpers::candidate_silos(federation, range);
+        let candidates = helpers::candidate_silos(federation, &sums);
         // One visiting-order draw per query, whichever engine drives the
         // plan — this is what keeps batched and sequential runs
         // seed-equivalent.
         // sum0 > 0, so some silo holds mass in range: an empty order means
         // every holder was failure-flagged or refused by its breaker, and
         // the walk degrades at its first dispatch like any exhausted one.
-        let order = self.sampler.visiting_order(&candidates);
+        let order = self.sampler.visiting_order(candidates);
         let request = Request::Aggregate {
             range: *range,
             mode: self.local.mode(sum0.count),
@@ -209,14 +211,13 @@ impl FraAlgorithm for IidEst {
         let range = &query.range;
         match response {
             Response::Agg(res_k) => {
-                let sum0 = helpers::sum0(federation, range);
-                let sum_k = helpers::sum_k(federation, silo, range);
-                let fallback = || helpers::grid_only_estimate(federation, range);
+                let (sum0, sum_k) = helpers::sum0_and_k(federation, silo, range);
+                let fallback = || helpers::grid_estimate(federation.merged_grid(), range);
                 let estimate = helpers::ratio_scale(&sum0, &res_k, &sum_k, fallback);
                 let mut result = QueryResult::from_aggregate(estimate, query.func)
                     .with_silo(silo)
                     .with_rounds(rounds);
-                if let Some(level) = self.local.level(sum0.count) {
+                if let Some(level) = self.local.level(|| sum0.count) {
                     result = result.with_level(level);
                     record_level(obs, level);
                 }
@@ -312,7 +313,9 @@ impl FraAlgorithm for NonIidEst {
             // The range is exactly a union of grid cells.
             return QueryPlan::Ready(Ok(QueryResult::from_aggregate(covered, query.func)));
         }
-        let sum0_count = helpers::rough_count(federation, range);
+        // One walk yields sum₀ and every silo's sum_k.
+        let sums = helpers::grid_sums(federation, range);
+        let sum0_count = sums.sum0().count;
         let rough = Aggregate {
             count: sum0_count,
             ..Aggregate::ZERO
@@ -321,11 +324,11 @@ impl FraAlgorithm for NonIidEst {
         obs.metrics()
             .boundary_cells
             .observe(classification.boundary.len() as u64);
-        let candidates = helpers::candidate_silos(federation, range);
+        let candidates = helpers::candidate_silos(federation, &sums);
         // One visiting-order draw per query, whichever engine drives the
         // plan — this is what keeps batched and sequential runs
         // seed-equivalent.
-        let order = self.sampler.visiting_order(&candidates);
+        let order = self.sampler.visiting_order(candidates);
         if sum0_count <= 0.0 {
             // No silo holds mass in the range's cells: the covered cells
             // are the exact answer. Otherwise an empty order means every
@@ -369,7 +372,6 @@ impl FraAlgorithm for NonIidEst {
                         expected: "one aggregate per contributing cell",
                     });
                 };
-                let sum0_count = helpers::rough_count(federation, range);
                 let mut estimate = covered;
                 for (cell, res_i) in classification.boundary.iter().zip(&contributions) {
                     let g0_i = grid.cell(*cell);
@@ -383,6 +385,8 @@ impl FraAlgorithm for NonIidEst {
                 let mut result = QueryResult::from_aggregate(estimate, query.func)
                     .with_silo(silo)
                     .with_rounds(rounds);
+                // Only the LSR variant reads sum₀; it walks g₀ alone.
+                let sum0_count = || helpers::sum0(federation, range).count;
                 if let Some(level) = self.local.level(sum0_count) {
                     result = result.with_level(level);
                     record_level(obs, level);
@@ -730,8 +734,8 @@ mod tests {
                             .expect("finish");
                         let estimate = match reply {
                             Response::Agg(res_k) => {
-                                let sum_k = helpers::sum_k(&fed, silo, &q.range);
-                                let fb = helpers::grid_only_estimate(&fed, &q.range);
+                                let sum_k = *helpers::grid_sums(&fed, &q.range).sum_k(silo);
+                                let fb = helpers::grid_estimate(fed.merged_grid(), &q.range);
                                 if bits(&eager_ratio_scale(&sum0, &res_k, &sum_k, &Aggregate::ZERO))
                                     != bits(&eager_ratio_scale(&sum0, &res_k, &sum_k, &fb))
                                 {
@@ -773,7 +777,7 @@ mod tests {
                             .with_silo(silo)
                             .with_rounds(1);
                         if lsr {
-                            let rough = helpers::rough_count(&fed, &q.range);
+                            let rough = helpers::sum0(&fed, &q.range).count;
                             eager = eager.with_level(theory::select_level(
                                 params.epsilon,
                                 params.delta,

@@ -101,8 +101,8 @@ fn example3_iid_est_arithmetic() {
     let fed = example_federation();
     let q = example_query();
 
-    let sum0 = fed.merged_prefix().aggregate_intersecting(&q);
-    let sum_k = fed.silo_prefix(1).aggregate_intersecting(&q);
+    let sum0 = fedra_core::helpers::sum0(&fed, &q);
+    let sum_k = *fedra_core::helpers::grid_sums(&fed, &q).sum_k(1);
     assert_eq!(sum0.sum, 21.0);
     assert_eq!(sum_k.sum, 11.0);
 
@@ -126,7 +126,7 @@ fn example3_iid_est_arithmetic() {
 
     // The published algorithm must return exactly one of the two per-silo
     // estimates, whichever silo its seed samples.
-    let sum_k1 = fed.silo_prefix(0).aggregate_intersecting(&q);
+    let sum_k1 = *fedra_core::helpers::grid_sums(&fed, &q).sum_k(0);
     let res_k1 = match fed
         .call(
             0,

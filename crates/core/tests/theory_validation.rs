@@ -76,7 +76,7 @@ fn lemma1_violation_rate_stays_below_delta_with_margin() {
         if exact < 2_000.0 {
             continue;
         }
-        let sum0 = fedra_core::helpers::rough_count(&fed, &q);
+        let sum0 = fedra_core::helpers::sum0(&fed, &q).count;
         let approx = match fed
             .call(
                 0,
@@ -225,7 +225,7 @@ fn theorem_bound_function_is_sane_against_measurements() {
         if (est - t).abs() / t > epsilon {
             violations += 1;
         }
-        let sum0 = fedra_core::helpers::rough_count(&fed, &q.range);
+        let sum0 = fedra_core::helpers::sum0(&fed, &q.range).count;
         bound_sum += theory::theorem_failure_bound(epsilon, t, sum0);
         counted += 1;
     }

@@ -6,8 +6,9 @@
 //! 1. spawn one worker thread per partition ([`crate::transport`]);
 //! 2. run Alg. 1 — send `BuildGrid` to every silo over the byte-counted
 //!    channel, collect the per-silo grid indices `g_1 … g_m`, merge them
-//!    into `g₀`, and precompute [`PrefixGrid`]s for O(1)/O(√|g₀|)
-//!    provider-side sums;
+//!    into `g₀`, and precompute one [`PrefixStack`] over
+//!    `[g₀, g₁ … g_m]` so one O(1)/O(√|g₀|) walk yields every
+//!    provider-side sum;
 //! 3. cache each silo's index-memory report for the Figs. 3d–9d metric.
 //!
 //! Setup traffic and query traffic are tracked by separate counters, so
@@ -21,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fedra_geo::{Rect, SpatialObject};
-use fedra_index::grid::{GridIndex, PrefixGrid};
+use fedra_index::grid::{GridIndex, PrefixStack};
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::RTreeConfig;
@@ -251,7 +252,7 @@ impl FederationBuilder {
     }
 
     /// Sets the intra-silo worker-pool size ([`SiloConfig::threads`]);
-    /// the provider-side grid merge and prefix builds use the same size.
+    /// the provider-side grid merge uses the same size.
     /// `0` (the default) sizes the pool automatically from the host's
     /// cores (clamped, `FEDRA_SILO_THREADS` override). Every value
     /// produces bit-identical query results — the knob trades nothing but
@@ -443,8 +444,8 @@ impl FederationBuilder {
                 && s.num_silos() == channels.len()
         });
 
-        // Provider-side worker pool: warm-grid materialization, the g_0
-        // merge, and the prefix builds all fan out on it. Sized like the
+        // Provider-side worker pool: warm-grid materialization and the
+        // g_0 merge fan out on it. Sized like the
         // silos' pools so one knob governs the whole deployment.
         let pool = WorkerPool::new(self.silo_threads);
         // Rebuild all cached grids up front (in parallel) instead of
@@ -573,8 +574,8 @@ impl FederationBuilder {
             .collect::<Result<_, _>>()?;
         let grid_refs: Vec<&GridIndex> = silo_grids.iter().collect();
         let merged = GridIndex::merge_with(&grid_refs, &pool).ok_or(SetupError::NoSilos)?;
-        let merged_prefix = PrefixGrid::build(&merged);
-        let silo_prefixes = pool.map(&silo_grids, |_, g| PrefixGrid::build(g));
+        let layers: Vec<&GridIndex> = std::iter::once(&merged).chain(&silo_grids).collect();
+        let prefix_stack = PrefixStack::build(&layers);
 
         // From here on, traffic counts as query traffic.
         let setup_snapshot = setup_stats.snapshot();
@@ -590,9 +591,8 @@ impl FederationBuilder {
             channels,
             workers,
             silo_grids,
-            silo_prefixes,
             merged,
-            merged_prefix,
+            prefix_stack,
             memory_reports,
             setup_snapshot,
             query_stats,
@@ -637,9 +637,8 @@ pub struct Federation {
     channels: Vec<SiloChannel>,
     workers: Vec<JoinHandle<()>>,
     silo_grids: Vec<GridIndex>,
-    silo_prefixes: Vec<PrefixGrid>,
     merged: GridIndex,
-    merged_prefix: PrefixGrid,
+    prefix_stack: PrefixStack,
     memory_reports: Vec<SiloMemoryReport>,
     setup_snapshot: CommSnapshot,
     query_stats: Arc<CommCounters>,
@@ -704,19 +703,15 @@ impl Federation {
         &self.silo_grids[silo]
     }
 
-    /// Per-silo cumulative array over `g_k`.
-    pub fn silo_prefix(&self, silo: SiloId) -> &PrefixGrid {
-        &self.silo_prefixes[silo]
-    }
-
     /// The merged federation grid `g₀`.
     pub fn merged_grid(&self) -> &GridIndex {
         &self.merged
     }
 
-    /// The cumulative array over `g₀`.
-    pub fn merged_prefix(&self) -> &PrefixGrid {
-        &self.merged_prefix
+    /// The cumulative arrays of `[g₀, g₁ … g_m]`, interleaved: layer 0 is
+    /// `g₀`, layer `1 + k` is silo `k`'s `g_k`.
+    pub fn prefix_stack(&self) -> &PrefixStack {
+        &self.prefix_stack
     }
 
     /// Total objects across the federation (from `g₀`; objects outside the
@@ -734,8 +729,7 @@ impl Federation {
     pub fn provider_memory_bytes(&self) -> u64 {
         use fedra_index::IndexMemory;
         let grids: usize = self.silo_grids.iter().map(|g| g.memory_bytes()).sum();
-        let prefixes: usize = self.silo_prefixes.iter().map(|p| p.memory_bytes()).sum();
-        (grids + prefixes + self.merged.memory_bytes() + self.merged_prefix.memory_bytes()) as u64
+        (grids + self.merged.memory_bytes() + self.prefix_stack.memory_bytes()) as u64
     }
 
     /// Traffic consumed by Alg. 1 (one-off setup).

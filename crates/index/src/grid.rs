@@ -5,11 +5,13 @@
 //! ([`GridIndex::merge`]). Estimation (Algs. 2–3) classifies grid cells
 //! against the query range with [`GridSpec::classify`]; the cumulative
 //! array of the Sec. 4.2.1 remark is [`PrefixGrid`], which answers
-//! rectangle-of-cells aggregates in O(1) by inclusion–exclusion.
+//! rectangle-of-cells aggregates in O(1) by inclusion–exclusion, and
+//! [`PrefixStack`] interleaves several of them so the provider sums
+//! `g₀, g₁ … g_m` over a range in one walk.
 
 use serde::{Deserialize, Serialize};
 
-use fedra_geo::{Point, Range, Rect, RectRelation, SpatialObject};
+use fedra_geo::{Circle, Point, Range, Rect, RectRelation, SpatialObject};
 
 use crate::pool::WorkerPool;
 use crate::{ratio_reads, Aggregate, IndexMemory, Moments};
@@ -191,6 +193,33 @@ impl GridSpec {
         let iy1 =
             (((clipped.max.y - self.bounds.min.y) / self.cell_len).floor() as u32).min(self.ny - 1);
         Some((ix0, iy0, ix1, iy1))
+    }
+
+    /// The columns of row `iy` that `circle` reaches, clipped to
+    /// `ix0..=ix1` (the circle's cell span); `None` when it reaches none.
+    /// One contiguous span per row is what makes a circle's prefix walk
+    /// O(√|g|).
+    fn circle_row_span(&self, circle: &Circle, iy: u32, ix0: u32, ix1: u32) -> Option<(u32, u32)> {
+        // Vertical offset from the circle center to this row of cells; the
+        // reachable half-width is √(r² − dy²).
+        let y0 = self.bounds.min.y + iy as f64 * self.cell_len;
+        let y1 = y0 + self.cell_len;
+        let dy = (y0 - circle.center.y).max(0.0).max(circle.center.y - y1);
+        let rr = circle.radius * circle.radius - dy * dy;
+        if rr < 0.0 {
+            return None;
+        }
+        let w = rr.sqrt();
+        let lo_f = ((circle.center.x - w - self.bounds.min.x) / self.cell_len).floor();
+        let hi_f = ((circle.center.x + w - self.bounds.min.x) / self.cell_len).floor();
+        // The reachable columns may fall entirely outside the span (e.g.
+        // the circle pokes past the grid's left edge at this row); compare
+        // before casting so a negative column is never clamped into the
+        // grid.
+        if hi_f < ix0 as f64 || lo_f > ix1 as f64 {
+            return None;
+        }
+        Some((lo_f.max(ix0 as f64) as u32, hi_f.min(ix1 as f64) as u32))
     }
 
     /// All cells whose rectangle intersects the query range.
@@ -546,28 +575,9 @@ impl PrefixGrid {
             Range::Circle(c) => {
                 let mut acc = Aggregate::ZERO;
                 for iy in iy0..=iy1 {
-                    // Vertical offset from the circle center to this row of
-                    // cells; the reachable half-width is √(r² − dy²).
-                    let y0 = spec.bounds.min.y + iy as f64 * spec.cell_len;
-                    let y1 = y0 + spec.cell_len;
-                    let dy = (y0 - c.center.y).max(0.0).max(c.center.y - y1);
-                    let rr = c.radius * c.radius - dy * dy;
-                    if rr < 0.0 {
-                        continue;
+                    if let Some((lo, hi)) = spec.circle_row_span(c, iy, ix0, ix1) {
+                        acc.merge_in(&self.rect_sum(lo, iy, hi, iy));
                     }
-                    let w = rr.sqrt();
-                    let lo_f = ((c.center.x - w - spec.bounds.min.x) / spec.cell_len).floor();
-                    let hi_f = ((c.center.x + w - spec.bounds.min.x) / spec.cell_len).floor();
-                    // The reachable columns may fall entirely outside the
-                    // span (e.g. the circle pokes past the grid's left
-                    // edge at this row); compare before casting so a
-                    // negative column is never clamped into the grid.
-                    if hi_f < ix0 as f64 || lo_f > ix1 as f64 {
-                        continue;
-                    }
-                    let lo = lo_f.max(ix0 as f64) as u32;
-                    let hi = hi_f.min(ix1 as f64) as u32;
-                    acc.merge_in(&self.rect_sum(lo, iy, hi, iy));
                 }
                 acc
             }
@@ -576,6 +586,182 @@ impl PrefixGrid {
 }
 
 impl IndexMemory for PrefixGrid {
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.cum.capacity() * std::mem::size_of::<Aggregate>()
+    }
+}
+
+/// The cumulative arrays of several grids over one spec, interleaved:
+/// each prefix entry holds every layer's cumulative aggregate side by
+/// side. The provider stacks `[g₀, g₁ … g_m]`, so one row walk yields
+/// `sum₀` and every `sum_k` of Algs. 2–3 together: a row's span
+/// arithmetic is done once, and each corner of a row span is one
+/// contiguous run of aggregates.
+///
+/// Every layer keeps [`PrefixGrid`]'s prefix recurrence and row-summation
+/// order, so layer `l` answers bit for bit what a `PrefixGrid` built over
+/// the `l`-th grid answers, in the same memory as the separate arrays.
+///
+/// ```
+/// use fedra_geo::{Point, Range, Rect, SpatialObject};
+/// use fedra_index::grid::{GridIndex, GridSpec, PrefixStack};
+/// use fedra_index::Aggregate;
+///
+/// let spec = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)), 2.5);
+/// let g1 = GridIndex::build(spec, &[SpatialObject::at(2.0, 2.0, 7.0)]);
+/// let g2 = GridIndex::build(spec, &[SpatialObject::at(1.0, 1.0, 3.0)]);
+/// let g0 = GridIndex::merge([&g1, &g2]).unwrap();
+/// let stack = PrefixStack::build(&[&g0, &g1, &g2]);
+///
+/// let q = Range::circle(Point::new(2.0, 2.0), 1.5);
+/// let mut sums = [Aggregate::ZERO; 3];
+/// stack.aggregate_intersecting(&q, &mut sums);
+/// assert_eq!([sums[0].sum, sums[1].sum, sums[2].sum], [10.0, 7.0, 3.0]);
+/// let [s0, s2] = stack.layers_intersecting(&q, [0, 2]);
+/// assert_eq!((s0, s2), (sums[0], sums[2]));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PrefixStack {
+    spec: GridSpec,
+    layers: usize,
+    /// (ny+1) × (nx+1) entries of `layers` cumulative sums each, with a
+    /// zero guard row/column.
+    cum: Vec<Aggregate>,
+}
+
+impl PrefixStack {
+    /// Precomputes the interleaved cumulative array of `grids`, layer `l`
+    /// over `grids[l]`. O(|g| · layers).
+    ///
+    /// # Panics
+    /// Panics when `grids` is empty or the specs disagree.
+    pub fn build(grids: &[&GridIndex]) -> Self {
+        let spec = grids.first().expect("a prefix stack needs a layer").spec;
+        for g in grids {
+            assert_eq!(
+                g.spec, spec,
+                "cannot stack grid indices over different specs"
+            );
+        }
+        let layers = grids.len();
+        let (nx, ny) = (spec.nx as usize, spec.ny as usize);
+        let row = (nx + 1) * layers;
+        let mut cum = vec![Aggregate::ZERO; row * (ny + 1)];
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let id = spec.cell_id(ix as u32, iy as u32) as usize;
+                let at = (iy + 1) * row + (ix + 1) * layers;
+                let (left, above) = (at - layers, at - row);
+                let diag = above - layers;
+                for (l, g) in grids.iter().enumerate() {
+                    // PrefixGrid's recurrence: cell + left + above − diag.
+                    cum[at + l] = g.cells[id]
+                        .merge(&cum[left + l])
+                        .merge(&cum[above + l])
+                        .sub(&cum[diag + l]);
+                }
+            }
+        }
+        Self { spec, layers, cum }
+    }
+
+    /// Number of stacked grids.
+    pub fn layers(&self) -> usize {
+        self.layers
+    }
+
+    /// Layer `layer`'s aggregate over the inclusive cell rectangle
+    /// `(ix0..=ix1) × (iy0..=iy1)` in O(1).
+    pub fn rect_sum(&self, layer: usize, ix0: u32, iy0: u32, ix1: u32, iy1: u32) -> Aggregate {
+        assert!(layer < self.layers, "layer {layer} of {}", self.layers);
+        corner_sum(self.corners(ix0, iy0, ix1, iy1), layer)
+    }
+
+    /// Every layer's aggregate over all cells intersecting `range`, in one
+    /// walk: `out[l]` is layer `l`'s.
+    ///
+    /// # Panics
+    /// Panics unless `out` has one slot per layer.
+    pub fn aggregate_intersecting(&self, range: &Range, out: &mut [Aggregate]) {
+        assert_eq!(out.len(), self.layers, "one output slot per layer");
+        self.walk(range, out, |i| i);
+    }
+
+    /// The aggregates of the named layers only, in one walk that reads
+    /// nothing of the others: the same bits as
+    /// [`Self::aggregate_intersecting`] for those layers.
+    ///
+    /// # Panics
+    /// Panics when a layer is out of range.
+    pub fn layers_intersecting<const N: usize>(
+        &self,
+        range: &Range,
+        layers: [usize; N],
+    ) -> [Aggregate; N] {
+        assert!(
+            layers.iter().all(|&l| l < self.layers),
+            "layers {layers:?} of {}",
+            self.layers
+        );
+        let mut out = [Aggregate::ZERO; N];
+        self.walk(range, &mut out, |i| layers[i]);
+        out
+    }
+
+    /// The walk of [`PrefixGrid::aggregate_intersecting`], accumulating
+    /// layer `layer(i)` into `out[i]`.
+    fn walk(&self, range: &Range, out: &mut [Aggregate], layer: impl Fn(usize) -> usize) {
+        let spec = &self.spec;
+        let Some((ix0, iy0, ix1, iy1)) = spec.cell_span(&range.bounding_rect()) else {
+            out.fill(Aggregate::ZERO);
+            return;
+        };
+        match range {
+            // The one inclusion–exclusion is the answer, as PrefixGrid
+            // returns it: adding it to ZERO would turn -0.0 into +0.0.
+            Range::Rect(_) => {
+                let corners = self.corners(ix0, iy0, ix1, iy1);
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = corner_sum(corners, layer(i));
+                }
+            }
+            Range::Circle(c) => {
+                out.fill(Aggregate::ZERO);
+                for iy in iy0..=iy1 {
+                    if let Some((lo, hi)) = spec.circle_row_span(c, iy, ix0, ix1) {
+                        let corners = self.corners(lo, iy, hi, iy);
+                        for (i, o) in out.iter_mut().enumerate() {
+                            o.merge_in(&corner_sum(corners, layer(i)));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The four inclusion–exclusion corners of a cell rectangle, in
+    /// [`PrefixGrid::rect_sum`]'s order `d, b, c, a`: at each, the run of
+    /// every layer's cumulative aggregate.
+    #[inline]
+    fn corners(&self, ix0: u32, iy0: u32, ix1: u32, iy1: u32) -> [&[Aggregate]; 4] {
+        debug_assert!(ix0 <= ix1 && iy0 <= iy1);
+        debug_assert!(ix1 < self.spec.nx && iy1 < self.spec.ny);
+        let layers = self.layers;
+        let row = (self.spec.nx as usize + 1) * layers;
+        let (ix0, iy0) = (ix0 as usize * layers, iy0 as usize * row);
+        let (ix1, iy1) = ((ix1 as usize + 1) * layers, (iy1 as usize + 1) * row);
+        [iy1 + ix1, iy0 + ix1, iy1 + ix0, iy0 + ix0].map(|at| &self.cum[at..at + layers])
+    }
+}
+
+/// One layer's inclusion–exclusion over [`PrefixStack::corners`], in
+/// [`PrefixGrid::rect_sum`]'s operation order.
+#[inline]
+fn corner_sum([d, b, c, a]: [&[Aggregate]; 4], layer: usize) -> Aggregate {
+    d[layer].sub(&b[layer]).sub(&c[layer]).merge(&a[layer])
+}
+
+impl IndexMemory for PrefixStack {
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cum.capacity() * std::mem::size_of::<Aggregate>()
     }

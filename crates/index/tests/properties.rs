@@ -2,14 +2,14 @@
 //! the brute-force oracle on arbitrary data and arbitrary query ranges.
 
 use fedra_geo::{Point, Range, Rect, SpatialObject};
-use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid};
+use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid, PrefixStack};
 use fedra_index::histogram::{EquiWidthHistogram, MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
 use fedra_index::rtree::{RTree, RTreeConfig};
 use fedra_index::Aggregate;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const SIDE: f64 = 64.0;
 
@@ -32,6 +32,50 @@ fn query() -> impl Strategy<Value = Range> {
         )
             .prop_map(|(x0, y0, x1, y1)| Range::rect(Point::new(x0, y0), Point::new(x1, y1))),
     ]
+}
+
+/// `layers` grids over one spec with every cell component drawn from
+/// `seed`: zeros of both signs, small integers that cancel, and
+/// arbitrary magnitudes of either sign.
+fn stacked_grids(cell: f64, layers: usize, seed: u64) -> Vec<GridIndex> {
+    let spec = GridSpec::new(
+        Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE)),
+        cell,
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut component = || match rng.random_range(0..4) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from(rng.random_range(-4i32..5)),
+        _ => rng.random_range(-1e3f64..1e3),
+    };
+    (0..layers)
+        .map(|_| {
+            let cells = (0..spec.num_cells())
+                .map(|_| Aggregate {
+                    count: component(),
+                    sum: component(),
+                    sum_sqr: component(),
+                })
+                .collect();
+            GridIndex::from_parts(spec, cells, 0)
+        })
+        .collect()
+}
+
+/// `query()`, or a range that misses the grid entirely.
+fn any_query() -> impl Strategy<Value = Range> {
+    prop_oneof![
+        query(),
+        query(),
+        (-300.0f64..-100.0, 0.0f64..50.0).prop_map(|(c, r)| Range::circle(Point::new(c, -c), r)),
+        (-300.0f64..-100.0, 1.0f64..50.0)
+            .prop_map(|(c, w)| Range::rect(Point::new(c, c), Point::new(c + w, c + w))),
+    ]
+}
+
+fn bits(a: &Aggregate) -> [u64; 3] {
+    [a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()]
 }
 
 fn brute(objs: &[SpatialObject], range: &Range) -> Aggregate {
@@ -138,6 +182,24 @@ proptest! {
         let slow = grid.aggregate_intersecting(&q);
         prop_assert!(close(fast.count, slow.count), "{} vs {}", fast.count, slow.count);
         prop_assert!(close(fast.sum, slow.sum));
+    }
+
+    #[test]
+    fn every_stacked_layer_walks_the_bits_of_its_own_prefix_grid(cell in 2.0f64..20.0, layers in 1usize..6,
+                                                                   seed in any::<u64>(), q in any_query()) {
+        let grids = stacked_grids(cell, layers, seed);
+        let refs: Vec<&GridIndex> = grids.iter().collect();
+        let stack = PrefixStack::build(&refs);
+        prop_assert_eq!(stack.layers(), grids.len());
+        let mut all = vec![Aggregate { count: 9.0, sum: 9.0, sum_sqr: 9.0 }; grids.len()];
+        stack.aggregate_intersecting(&q, &mut all);
+        for (l, grid) in grids.iter().enumerate() {
+            let want = PrefixGrid::build(grid).aggregate_intersecting(&q);
+            prop_assert_eq!(bits(&all[l]), bits(&want), "layer {} of {} over {}", l, grids.len(), q);
+            let [layer, first] = stack.layers_intersecting(&q, [l, 0]);
+            prop_assert_eq!(bits(&layer), bits(&want), "layer {} alone over {}", l, q);
+            prop_assert_eq!(bits(&first), bits(&all[0]));
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
             if local_exact == 0.0 {
                 continue;
             }
-            let sum0 = fedra::core::helpers::rough_count(&federation, r);
+            let sum0 = fedra::core::helpers::sum0(&federation, r).count;
             let approx = match federation.call(
                 0,
                 &Request::Aggregate {
@@ -129,7 +129,7 @@ fn main() {
             if rel > epsilon {
                 violations += 1;
             }
-            let sum0 = fedra::core::helpers::rough_count(&federation, &q.range);
+            let sum0 = fedra::core::helpers::sum0(&federation, &q.range).count;
             bound_sum += theory::theorem_failure_bound(epsilon, t, sum0);
             counted += 1;
         }

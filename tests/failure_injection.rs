@@ -316,7 +316,7 @@ fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
                 }
             }
             assert_eq!(fed.failed_silos().is_empty(), breaker);
-            let grid_only = fedra::core::helpers::grid_only_estimate(&fed, &q.range);
+            let grid_only = fedra::core::helpers::grid_estimate(fed.merged_grid(), &q.range);
             let grid_only = QueryResult::from_aggregate(grid_only, q.func).value;
             for make in estimators {
                 let estimator = make();

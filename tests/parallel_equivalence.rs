@@ -56,7 +56,8 @@ fn grids_and_prefixes_are_bit_identical_across_pool_sizes() {
             assert_bits(a, b, &format!("merged cell {i} (threads {threads})"));
         }
 
-        // Per-silo grids and both prefix-sum layers.
+        // Per-silo grids, then every layer of the prefix stack over
+        // [g₀, g₁ … g_m].
         for k in 0..reference.num_silos() {
             for (i, (a, b)) in reference
                 .silo_grid(k)
@@ -67,22 +68,21 @@ fn grids_and_prefixes_are_bit_identical_across_pool_sizes() {
             {
                 assert_bits(a, b, &format!("silo {k} cell {i} (threads {threads})"));
             }
-            let full = reference
-                .silo_prefix(k)
-                .rect_sum(0, 0, spec.nx() - 1, spec.ny() - 1);
-            let got = fed
-                .silo_prefix(k)
-                .rect_sum(0, 0, spec.nx() - 1, spec.ny() - 1);
-            assert_bits(&full, &got, &format!("silo {k} prefix (threads {threads})"));
         }
+        let layers = reference.prefix_stack().layers();
+        assert_eq!(layers, 1 + reference.num_silos());
+        assert_eq!(fed.prefix_stack().layers(), layers);
         for (ix0, iy0, ix1, iy1) in [
             (0, 0, spec.nx() - 1, spec.ny() - 1),
             (1, 1, spec.nx() / 2, spec.ny() / 2),
             (spec.nx() / 3, 0, spec.nx() - 1, spec.ny() / 3),
         ] {
-            let a = reference.merged_prefix().rect_sum(ix0, iy0, ix1, iy1);
-            let b = fed.merged_prefix().rect_sum(ix0, iy0, ix1, iy1);
-            assert_bits(&a, &b, &format!("merged prefix rect (threads {threads})"));
+            for layer in 0..layers {
+                let a = reference.prefix_stack().rect_sum(layer, ix0, iy0, ix1, iy1);
+                let b = fed.prefix_stack().rect_sum(layer, ix0, iy0, ix1, iy1);
+                let what = format!("prefix layer {layer} rect (threads {threads})");
+                assert_bits(&a, &b, &what);
+            }
         }
     }
 }
