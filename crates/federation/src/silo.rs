@@ -1241,6 +1241,42 @@ mod tests {
     }
 
     #[test]
+    fn an_integer_measure_grid_has_the_bits_of_one_built_over_the_input() {
+        // `BuildGrid` bins T_0's objects in leaf order, not input order.
+        // Integer measures keep every cell sum exact, so the order cannot
+        // show: the cells equal a grid built straight from the partition.
+        let objs = objects(6000);
+        let bits = |g: &GridIndex| -> Vec<[u64; 3]> {
+            g.cells()
+                .iter()
+                .map(|a| [a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits()])
+                .collect()
+        };
+        for threads in [1, 4] {
+            let config = SiloConfig {
+                threads,
+                ..config()
+            };
+            let s = Silo::new(0, objs.clone(), config);
+            assert_ne!(
+                s.lsr.base().objects(),
+                objs,
+                "leaf order is not input order"
+            );
+            let grid = s
+                .handle(Request::BuildGrid {
+                    bounds: bounds(),
+                    cell_len: 5.0,
+                    return_cells: true,
+                })
+                .into_grid_index()
+                .expect("grid");
+            let direct = GridIndex::build(*grid.spec(), &objs);
+            assert_eq!(bits(&grid), bits(&direct), "{threads} build threads");
+        }
+    }
+
+    #[test]
     fn grid_snapshot_round_trips_through_disk() {
         let objs = objects(800);
         let dir = std::env::temp_dir().join("fedra-silo-snapshot-test");

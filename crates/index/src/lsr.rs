@@ -17,12 +17,11 @@
 //! silo size — that is why the local cost becomes independent of `n`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use fedra_geo::{Range, Rect, SpatialObject};
 
 use crate::pool::WorkerPool;
-use crate::rtree::{RTree, RTreeConfig};
+use crate::rtree::{by_x, RTree, RTreeConfig};
 use crate::{Aggregate, IndexMemory};
 
 /// A level-sampled R-tree forest (Sec. 5 of the paper).
@@ -46,7 +45,7 @@ use crate::{Aggregate, IndexMemory};
 /// assert!(level > 0);
 /// assert!((approx.count - exact).abs() / exact < 0.5);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LsrForest {
     levels: Vec<RTree>,
 }
@@ -69,9 +68,7 @@ impl LsrForest {
     /// [`WorkerPool`]. All level samples are drawn first — the RNG stream
     /// defines the nested levels (level `l` samples level `l−1`), so
     /// sampling stays sequential and consumes exactly the same stream as
-    /// the sequential build — then `T_0` bulk-loads with pooled sorts and
-    /// the independent sampled trees bulk-load concurrently. Each sample
-    /// vector is handed to its tree by value (no per-level copy).
+    /// the sequential build. One pooled x-sort then serves every level.
     pub fn build_with<R: Rng + ?Sized>(
         objects: &[SpatialObject],
         config: RTreeConfig,
@@ -83,36 +80,51 @@ impl LsrForest {
                 levels: vec![RTree::bulk_load(Vec::new(), config)],
             };
         }
-        let max_level = (objects.len() as f64).log2().floor() as usize;
-        let mut samples: Vec<Vec<SpatialObject>> = Vec::new();
-        for _ in 1..=max_level {
-            let prev: &[SpatialObject] = match samples.last() {
-                None => objects,
-                Some(s) => s,
-            };
-            let sampled: Vec<SpatialObject> = prev
-                .iter()
-                .filter(|_| rng.random::<bool>())
-                .copied()
-                .collect();
-            if sampled.is_empty() {
+        let max_level = (objects.len() as f64).log2().floor() as u8;
+        // depth[i]: the deepest level object i is sampled into. Level l
+        // flips one coin per member of level l − 1, in input order.
+        let mut depth = vec![0u8; objects.len()];
+        let mut sizes = vec![objects.len()];
+        for l in 1..=max_level {
+            let mut kept = 0;
+            for d in depth.iter_mut().filter(|d| **d == l - 1) {
+                if rng.random::<bool>() {
+                    *d = l;
+                    kept += 1;
+                }
+            }
+            if kept == 0 {
                 break;
             }
-            samples.push(sampled);
+            sizes.push(kept);
         }
-        // T_0 dominates the build cost: it gets the pool's parallel STR
+        // A stable sort of a subsequence is that subsequence of the
+        // stable sort, so one x-sort of everything, filtered per level,
+        // is every level's own x-sort. Each level is gathered at exact
+        // capacity: its tree keeps the vector.
+        let mut sorted: Vec<(SpatialObject, u8)> = objects.iter().copied().zip(depth).collect();
+        pool.sort_by(&mut sorted, |a, b| by_x(&a.0, &b.0));
+        let mut samples: Vec<Vec<SpatialObject>> =
+            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for &(o, d) in &sorted {
+            for level in &mut samples[..=usize::from(d)] {
+                level.push(o);
+            }
+        }
+        drop(sorted);
+        // T_0 dominates the build cost: it gets the pool's parallel slab
         // sorts. The sampled trees are independent of each other and run
         // one per worker (sequential sorts — they are already on the pool).
-        let base = RTree::bulk_load_with(objects.to_vec(), config, pool);
+        let mut levels = vec![RTree::pack_x_sorted(samples.remove(0), config, pool)];
         // A slot starts as its level's sample and ends as its tree.
         let mut slots: Vec<(Vec<SpatialObject>, Option<RTree>)> =
             samples.into_iter().map(|s| (s, None)).collect();
+        let sequential = WorkerPool::sequential();
         pool.for_each_mut(slots.chunks_mut(1).collect(), |_, slot| {
             let (sampled, tree) = &mut slot[0];
-            *tree = Some(RTree::bulk_load(std::mem::take(sampled), config));
+            let sampled = std::mem::take(sampled);
+            *tree = Some(RTree::pack_x_sorted(sampled, config, &sequential));
         });
-        let mut levels = Vec::with_capacity(1 + slots.len());
-        levels.push(base);
         levels.extend(slots.into_iter().filter_map(|(_, tree)| tree));
         Self { levels }
     }
@@ -281,6 +293,32 @@ mod tests {
                 let ratio = cur as f64 / prev as f64;
                 assert!((0.35..=0.65).contains(&ratio), "level {l} ratio {ratio}");
             }
+        }
+    }
+
+    #[test]
+    fn every_level_is_the_tree_its_own_sample_bulk_loads_into() {
+        // Integer x values tie in bulk, so the stable order of equal keys
+        // shows: the one shared x-sort must tie-break each level as that
+        // level's own sort would.
+        let objs: Vec<SpatialObject> = objects(3000, 12)
+            .into_iter()
+            .map(|o| SpatialObject::at(o.location.x.floor(), o.location.y, o.measure))
+            .collect();
+        let config = RTreeConfig::with_fanout(5);
+        let pool = WorkerPool::new(2);
+        let forest = LsrForest::build_with(&objs, config, &mut StdRng::seed_from_u64(13), &pool);
+        // Alg. 5 drawn the plain way: level l filters level l − 1.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut sample = objs;
+        for l in 0..forest.num_levels() {
+            if l > 0 {
+                sample.retain(|_| rng.random::<bool>());
+            }
+            let want = RTree::bulk_load(sample.clone(), config);
+            let got = forest.level(l).unwrap();
+            assert_eq!(got.objects(), want.objects(), "level {l}");
+            assert_eq!(got.node_count(), want.node_count(), "level {l}");
         }
     }
 

@@ -14,6 +14,13 @@
 //! * the silo-local index of the EXACT baseline,
 //! * every level `T_i` of the LSR-Forest (Sec. 5),
 //! * the ground-truth oracle in tests.
+//!
+//! The tree is packed: all nodes live in one contiguous array of 64-byte
+//! records, and a node's children are the run `first..first + len` of
+//! that array (internal nodes) or of the object array (leaves). STR
+//! stores each level in the order it tiles it, so siblings sit next to
+//! each other and a leaf's objects are one contiguous slice: a probe
+//! follows no per-node allocation and no object index.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,13 +56,52 @@ impl RTreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One packed node. Its children are the run `first..first + len`: node
+/// ids for an internal node, positions in `objects` for a leaf.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     mbr: Rect,
     agg: Aggregate,
-    /// Children: node indices for internal nodes, object indices for leaves.
-    children: Vec<u32>,
-    is_leaf: bool,
+    first: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
+
+impl Node {
+    /// The node over `run`, bounding and summing its `entries` in order.
+    fn over(run: std::ops::Range<usize>, entries: impl Iterator<Item = (Rect, Aggregate)>) -> Self {
+        let (mut mbr, mut agg) = (Rect::EMPTY, Aggregate::ZERO);
+        for (rect, a) in entries {
+            mbr = mbr.union(&rect);
+            agg.merge_in(&a);
+        }
+        Self {
+            mbr,
+            agg,
+            first: run.start as u32,
+            len: run.len() as u32,
+        }
+    }
+
+    fn run(&self) -> std::ops::Range<u32> {
+        self.first..self.first + self.len
+    }
+}
+
+/// STR's first key: objects by x.
+pub(crate) fn by_x(a: &SpatialObject, b: &SpatialObject) -> std::cmp::Ordering {
+    a.location.x.total_cmp(&b.location.x)
+}
+
+/// STR tiling of `len` entries into parents of at most `fanout`: the
+/// width of each vertical slab, and how many parents the slabs fill (a
+/// slab's last parent may be short).
+fn str_tiling(len: usize, fanout: usize) -> (usize, usize) {
+    let slabs = (len.div_ceil(fanout) as f64).sqrt().ceil() as usize;
+    let slab = len.div_ceil(slabs);
+    let parents = len / slab * slab.div_ceil(fanout) + (len % slab).div_ceil(fanout);
+    (slab, parents)
 }
 
 /// A static, STR-bulk-loaded aggregate R-tree.
@@ -78,12 +124,14 @@ struct Node {
 ///     .filter(|o| query.contains_point(&o.location))
 ///     .count() as f64);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RTree {
-    config: RTreeConfig,
+    /// In leaf order: leaf `i`'s objects are the run of `nodes[i]`.
     objects: Vec<SpatialObject>,
+    /// Level by level from the leaves up; the root is last.
     nodes: Vec<Node>,
-    root: Option<u32>,
+    /// Node ids below this are leaves.
+    leaves: u32,
     height: usize,
 }
 
@@ -99,24 +147,80 @@ impl RTree {
     /// size: the parallel sort is stable-canonical, so chunking never
     /// shows through in the object order.
     pub fn bulk_load_with(
-        objects: Vec<SpatialObject>,
+        mut objects: Vec<SpatialObject>,
         config: RTreeConfig,
         pool: &WorkerPool,
     ) -> Self {
-        assert!(config.max_entries >= 2, "R-tree fanout must be at least 2");
-        let mut tree = Self {
-            config,
-            objects,
-            nodes: Vec::new(),
-            root: None,
-            height: 0,
-        };
-        if tree.objects.is_empty() {
-            return tree;
+        pool.sort_by(&mut objects, by_x);
+        Self::pack_x_sorted(objects, config, pool)
+    }
+
+    /// STR-packs objects already in stable [`by_x`] order, the order
+    /// [`Self::bulk_load_with`] sorts them into first.
+    ///
+    /// Each level is tiled as STR prescribes — sort by x, cut into
+    /// vertical slabs, sort each slab by y, chunk into parents — and is
+    /// stored in that tiled order, so every parent's children are one
+    /// run. A level is final once its parents are cut: nothing points
+    /// into it before then, so sorting its records in place is safe.
+    pub(crate) fn pack_x_sorted(
+        mut objects: Vec<SpatialObject>,
+        config: RTreeConfig,
+        pool: &WorkerPool,
+    ) -> Self {
+        let m = config.max_entries;
+        assert!(m >= 2, "R-tree fanout must be at least 2");
+        if objects.is_empty() {
+            return Self {
+                objects,
+                nodes: Vec::new(),
+                leaves: 0,
+                height: 0,
+            };
         }
-        let leaves = tree.pack_leaves(pool);
-        tree.root = Some(tree.pack_upward(leaves, pool));
-        tree
+        let (slab, num_leaves) = str_tiling(objects.len(), m);
+        let (mut total, mut width) = (num_leaves, num_leaves);
+        while width > 1 {
+            width = str_tiling(width, m).1;
+            total += width;
+        }
+        assert!(total.max(objects.len()) <= u32::MAX as usize, "ids are u32");
+        let mut nodes = Vec::with_capacity(total);
+
+        pool.for_each_mut(objects.chunks_mut(slab).collect(), |_, slab| {
+            slab.sort_by(|a, b| a.location.y.total_cmp(&b.location.y));
+        });
+        for_each_group(objects.len(), slab, m, |run| {
+            let entries = objects[run.clone()]
+                .iter()
+                .map(|o| (Rect::from_point(o.location), Aggregate::of(o)));
+            nodes.push(Node::over(run, entries));
+        });
+
+        let mut height = 1;
+        let mut level = 0..nodes.len();
+        while level.len() > 1 {
+            let below = &mut nodes[level.clone()];
+            pool.sort_by(below, |a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
+            let (slab, _) = str_tiling(below.len(), m);
+            pool.for_each_mut(below.chunks_mut(slab).collect(), |_, slab| {
+                slab.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
+            });
+            for_each_group(level.len(), slab, m, |run| {
+                let run = level.start + run.start..level.start + run.end;
+                let node = Node::over(run.clone(), nodes[run].iter().map(|c| (c.mbr, c.agg)));
+                nodes.push(node);
+            });
+            level = level.end..nodes.len();
+            height += 1;
+        }
+        debug_assert_eq!(nodes.len(), total);
+        Self {
+            objects,
+            nodes,
+            leaves: num_leaves as u32,
+            height,
+        }
     }
 
     /// Bulk-loads with the default configuration.
@@ -124,115 +228,17 @@ impl RTree {
         Self::bulk_load(objects.to_vec(), RTreeConfig::default())
     }
 
-    /// Sort-Tile-Recursive leaf packing: sort by x, slice into vertical
-    /// slabs of √P leaf-groups, sort each slab by y, emit full leaves.
-    /// The x pre-sort and the independent slab sorts run on the pool.
-    fn pack_leaves(&mut self, pool: &WorkerPool) -> Vec<u32> {
-        let m = self.config.max_entries;
-        let n = self.objects.len();
-        let num_leaves = n.div_ceil(m);
-        let slabs = (num_leaves as f64).sqrt().ceil() as usize;
-        let slab_size = n.div_ceil(slabs);
-
-        pool.sort_by(&mut self.objects, |a, b| {
-            a.location.x.total_cmp(&b.location.x)
-        });
-
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        {
-            let objects = &self.objects;
-            let chunks: Vec<&mut [u32]> = idx.chunks_mut(slab_size).collect();
-            pool.for_each_mut(chunks, |_, slab| {
-                slab.sort_by(|&a, &b| {
-                    objects[a as usize]
-                        .location
-                        .y
-                        .total_cmp(&objects[b as usize].location.y)
-                });
-            });
-        }
-        let mut leaves = Vec::with_capacity(num_leaves);
-        for slab in idx.chunks(slab_size) {
-            for group in slab.chunks(m) {
-                let mut mbr = Rect::EMPTY;
-                let mut agg = Aggregate::ZERO;
-                for &oi in group {
-                    let o = &self.objects[oi as usize];
-                    mbr = mbr.union(&Rect::from_point(o.location));
-                    agg.merge_in(&Aggregate::of(o));
-                }
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    mbr,
-                    agg,
-                    children: group.to_vec(),
-                    is_leaf: true,
-                });
-                leaves.push(id);
-            }
-        }
-        leaves
+    fn root(&self) -> Option<u32> {
+        self.nodes.len().checked_sub(1).map(|r| r as u32)
     }
 
-    /// Packs one level of internal nodes at a time until a single root
-    /// remains, re-tiling node centers with the same STR recipe. Sorts run
-    /// on the pool (only the large lower levels clear its inline cutoff).
-    fn pack_upward(&mut self, mut level: Vec<u32>, pool: &WorkerPool) -> u32 {
-        let m = self.config.max_entries;
-        self.height = 1;
-        while level.len() > 1 {
-            let num_parents = level.len().div_ceil(m);
-            let slabs = (num_parents as f64).sqrt().ceil() as usize;
-            let slab_size = level.len().div_ceil(slabs);
+    fn is_leaf(&self, id: u32) -> bool {
+        id < self.leaves
+    }
 
-            {
-                let nodes = &self.nodes;
-                pool.sort_by(&mut level, |&a, &b| {
-                    nodes[a as usize]
-                        .mbr
-                        .center()
-                        .x
-                        .total_cmp(&nodes[b as usize].mbr.center().x)
-                });
-            }
-            let mut next = Vec::with_capacity(num_parents);
-            let mut level_slice = level;
-            {
-                let nodes = &self.nodes;
-                let chunks: Vec<&mut [u32]> = level_slice.chunks_mut(slab_size).collect();
-                pool.for_each_mut(chunks, |_, slab| {
-                    slab.sort_by(|&a, &b| {
-                        nodes[a as usize]
-                            .mbr
-                            .center()
-                            .y
-                            .total_cmp(&nodes[b as usize].mbr.center().y)
-                    });
-                });
-            }
-            for slab in level_slice.chunks(slab_size) {
-                for group in slab.chunks(m) {
-                    let mut mbr = Rect::EMPTY;
-                    let mut agg = Aggregate::ZERO;
-                    for &ci in group {
-                        let child = &self.nodes[ci as usize];
-                        mbr = mbr.union(&child.mbr);
-                        agg.merge_in(&child.agg);
-                    }
-                    let id = self.nodes.len() as u32;
-                    self.nodes.push(Node {
-                        mbr,
-                        agg,
-                        children: group.to_vec(),
-                        is_leaf: false,
-                    });
-                    next.push(id);
-                }
-            }
-            level = next;
-            self.height += 1;
-        }
-        level[0]
+    /// A leaf's objects, one contiguous slice.
+    fn leaf_objects(&self, node: &Node) -> &[SpatialObject] {
+        &self.objects[node.first as usize..(node.first + node.len) as usize]
     }
 
     /// Number of indexed objects.
@@ -247,35 +253,26 @@ impl RTree {
 
     /// Tree height in levels (0 for an empty tree, 1 for a single leaf).
     pub fn height(&self) -> usize {
-        if self.root.is_some() {
-            self.height
-        } else {
-            0
-        }
+        self.height
     }
 
     /// MBR of the whole tree ([`Rect::EMPTY`] when empty).
     pub fn mbr(&self) -> Rect {
-        self.root
-            .map(|r| self.nodes[r as usize].mbr)
-            .unwrap_or(Rect::EMPTY)
+        self.nodes.last().map_or(Rect::EMPTY, |r| r.mbr)
     }
 
     /// Aggregate of every indexed object.
     pub fn total(&self) -> Aggregate {
-        self.root
-            .map(|r| self.nodes[r as usize].agg)
-            .unwrap_or(Aggregate::ZERO)
+        self.nodes.last().map_or(Aggregate::ZERO, |r| r.agg)
     }
 
     /// Exact range aggregation: the local query `Q(s_i, R, F)` of
     /// Definition 2, answered in O(log n) expected time.
     pub fn aggregate(&self, range: &Range) -> Aggregate {
-        let Some(root) = self.root else {
-            return Aggregate::ZERO;
-        };
         let mut acc = Aggregate::ZERO;
-        self.aggregate_rec(root, range, &mut acc);
+        if let Some(root) = self.root() {
+            self.aggregate_rec(root, range, &mut acc);
+        }
         acc
     }
 
@@ -284,16 +281,15 @@ impl RTree {
         match range.relation(&node.mbr) {
             RectRelation::Disjoint => {}
             RectRelation::Contained => acc.merge_in(&node.agg),
-            RectRelation::Intersecting if node.is_leaf => {
-                for &oi in &node.children {
-                    let o = &self.objects[oi as usize];
+            RectRelation::Intersecting if self.is_leaf(node_id) => {
+                for o in self.leaf_objects(node) {
                     if range.contains_point(&o.location) {
                         acc.merge_in(&Aggregate::of(o));
                     }
                 }
             }
             RectRelation::Intersecting => {
-                for &ci in &node.children {
+                for ci in node.run() {
                     self.aggregate_rec(ci, range, acc);
                 }
             }
@@ -327,7 +323,7 @@ impl RTree {
     }
 
     fn clipped_walk(&self, range: &Range, clips: &[Rect], out: &mut [Aggregate]) {
-        let Some(root) = self.root else {
+        let Some(root) = self.root() else {
             return;
         };
         let n = u32::try_from(clips.len()).expect("clip indices are u32");
@@ -373,9 +369,8 @@ impl RTree {
         if end == start {
             return;
         }
-        if node.is_leaf {
-            for &oi in &node.children {
-                let o = &self.objects[oi as usize];
+        if self.is_leaf(node_id) {
+            for o in self.leaf_objects(node) {
                 if !range.contains_point(&o.location) {
                     continue;
                 }
@@ -387,7 +382,7 @@ impl RTree {
                 }
             }
         } else {
-            for &ci in &node.children {
+            for ci in node.run() {
                 self.clipped_rec(ci, range, clips, start..end, arena, out);
             }
         }
@@ -397,24 +392,17 @@ impl RTree {
     /// Collects the objects inside the range (for tests / exports).
     pub fn query_objects(&self, range: &Range) -> Vec<SpatialObject> {
         let mut out = Vec::new();
-        let Some(root) = self.root else {
-            return out;
-        };
-        let mut stack = vec![root];
+        let mut stack: Vec<u32> = self.root().into_iter().collect();
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id as usize];
             if !range.intersects_rect(&node.mbr) {
                 continue;
             }
-            if node.is_leaf {
-                for &oi in &node.children {
-                    let o = &self.objects[oi as usize];
-                    if range.contains_point(&o.location) {
-                        out.push(*o);
-                    }
-                }
+            if self.is_leaf(id) {
+                let hits = self.leaf_objects(node).iter();
+                out.extend(hits.filter(|o| range.contains_point(&o.location)));
             } else {
-                stack.extend_from_slice(&node.children);
+                stack.extend(node.run());
             }
         }
         out
@@ -425,27 +413,43 @@ impl RTree {
         self.nodes.len()
     }
 
-    /// Every indexed object, in STR-packed order. This is the silo's
-    /// canonical copy of its partition — callers that need "all objects"
-    /// (e.g. a grid rebuild) read it directly instead of paying an O(n)
-    /// inflated-MBR range query that also risks missing boundary points.
+    /// Every indexed object, in leaf order: each leaf's objects are one
+    /// contiguous run (STR order — x-sorted slabs, each slab y-sorted).
+    /// This is the silo's canonical copy of its partition — callers that
+    /// need "all objects" (e.g. a grid rebuild) read it directly instead
+    /// of paying an O(n) inflated-MBR range query that also risks missing
+    /// boundary points.
+    ///
+    /// A fold over this slice sums in leaf order. For integer measures
+    /// every partial sum is exact, so the order never shows; for
+    /// continuous measures a per-cell sum is a re-associated sum and may
+    /// differ in the last ulp from a fold in any other order.
     pub fn objects(&self) -> &[SpatialObject] {
         &self.objects
     }
 }
 
+/// Calls `f` with every parent's child run, in STR order: `0..len` cut
+/// into slabs of `slab`, each slab into groups of at most `fanout`.
+fn for_each_group(
+    len: usize,
+    slab: usize,
+    fanout: usize,
+    mut f: impl FnMut(std::ops::Range<usize>),
+) {
+    for lo in (0..len).step_by(slab) {
+        let hi = (lo + slab).min(len);
+        for first in (lo..hi).step_by(fanout) {
+            f(first..(first + fanout).min(hi));
+        }
+    }
+}
+
 impl IndexMemory for RTree {
     fn memory_bytes(&self) -> usize {
-        let nodes: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                std::mem::size_of::<Node>() + n.children.capacity() * std::mem::size_of::<u32>()
-            })
-            .sum();
         std::mem::size_of::<Self>()
             + self.objects.capacity() * std::mem::size_of::<SpatialObject>()
-            + nodes
+            + self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 }
 
@@ -604,7 +608,7 @@ mod tests {
         /// the bit-level oracle: one root-to-leaf walk for one clip.
         pub(crate) fn per_clip_reference(&self, range: &Range, clip: &Rect) -> Aggregate {
             let mut acc = Aggregate::ZERO;
-            if let Some(root) = self.root {
+            if let Some(root) = self.root() {
                 self.per_clip_reference_rec(root, range, clip, &mut acc);
             }
             acc
@@ -618,15 +622,14 @@ mod tests {
             }
             if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
                 acc.merge_in(&node.agg);
-            } else if node.is_leaf {
-                for &oi in &node.children {
-                    let o = &self.objects[oi as usize];
+            } else if self.is_leaf(id) {
+                for o in self.leaf_objects(node) {
                     if range.contains_point(&o.location) && clip.contains_point(&o.location) {
                         acc.merge_in(&Aggregate::of(o));
                     }
                 }
             } else {
-                for &ci in &node.children {
+                for ci in node.run() {
                     self.per_clip_reference_rec(ci, range, clip, acc);
                 }
             }
@@ -820,6 +823,53 @@ mod tests {
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn packed_runs_partition_objects_and_nodes() {
+        // (objects, fanout, node count of the Vec-per-node layout the
+        // packed one replaced, for the same input).
+        for (n, fanout, count) in [
+            (1, 4, 1),
+            (1, 16, 1),
+            (100, 4, 36),
+            (100, 9, 15),
+            (100, 16, 9),
+            (1000, 4, 339),
+            (1000, 9, 139),
+            (1000, 16, 69),
+            (20_000, 4, 6732),
+            (20_000, 9, 2545),
+            (20_000, 16, 1347),
+        ] {
+            let t = RTree::bulk_load_with(
+                grid_objects(n),
+                RTreeConfig::with_fanout(fanout),
+                &WorkerPool::new(2),
+            );
+            assert_eq!(t.node_count(), count, "{n} objects, fanout {fanout}");
+            assert_eq!(t.nodes.capacity(), count, "nodes are allocated exactly");
+            // Every object in exactly one leaf run, every non-root node
+            // in exactly one child run, and every run in bounds.
+            let mut object_hits = vec![0u32; n];
+            let mut node_hits = vec![0u32; t.nodes.len()];
+            for (id, node) in t.nodes.iter().enumerate() {
+                assert!(node.len >= 1 && node.len as usize <= fanout, "node {id}");
+                let hits = if t.is_leaf(id as u32) {
+                    &mut object_hits
+                } else {
+                    assert!(node.first + node.len <= id as u32, "children precede {id}");
+                    &mut node_hits
+                };
+                for i in node.run() {
+                    hits[i as usize] += 1;
+                }
+            }
+            assert!(object_hits.iter().all(|&h| h == 1), "{n}, {fanout}");
+            let root = t.nodes.len() - 1;
+            assert!(node_hits[..root].iter().all(|&h| h == 1), "{n}, {fanout}");
+            assert_eq!(node_hits[root], 0);
+        }
     }
 
     #[test]

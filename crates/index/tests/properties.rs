@@ -300,3 +300,102 @@ proptest! {
         prop_assert!(est.count <= objs.len() as f64 + 1e-9);
     }
 }
+
+/// Folds the `to_bits` of an answer into an FNV-1a hash.
+fn fnv_fold(hash: &mut u64, a: &Aggregate) {
+    for word in bits(a) {
+        for byte in word.to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Every answer a tree and its forest give over `probes`, hashed in
+/// probe order: `aggregate`, `aggregate_clipped_many` over nine closed
+/// lattice cells around the probe (edges shared), then
+/// `LsrForest::query_at_level` at every level.
+fn answer_hash(objs: &[SpatialObject], fanout: usize, probes: &[Range]) -> u64 {
+    let config = RTreeConfig::with_fanout(fanout);
+    let tree = RTree::bulk_load(objs.to_vec(), config);
+    let forest = LsrForest::build(objs, config, &mut StdRng::seed_from_u64(fanout as u64));
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for q in probes {
+        fnv_fold(&mut hash, &tree.aggregate(q));
+        let c = q.bounding_rect().center();
+        let (ix, iy) = ((c.x / 8.0).floor(), (c.y / 8.0).floor());
+        let clips: Vec<Rect> = (0..9)
+            .map(|k| {
+                let (x, y) = (
+                    (ix + f64::from(k % 3 - 1)) * 8.0,
+                    (iy + f64::from(k / 3 - 1)) * 8.0,
+                );
+                Rect::new(Point::new(x, y), Point::new(x + 8.0, y + 8.0))
+            })
+            .collect();
+        for a in tree.aggregate_clipped_many(q, &clips) {
+            fnv_fold(&mut hash, &a);
+        }
+        for l in 0..forest.num_levels() {
+            fnv_fold(&mut hash, &forest.query_at_level(q, l));
+        }
+    }
+    hash
+}
+
+/// The tree's memory layout must not show in any answer. These hashes
+/// were computed on commit 34bd9a7, whose nodes each owned a child `Vec`
+/// and whose leaves indexed an x-sorted object array; the packed layout
+/// folds the same nodes and objects in the same order, so every answer
+/// keeps its bits. Measures are continuous in −5..5, so sums cancel and
+/// any re-association would show.
+#[test]
+fn tree_and_forest_answers_are_pinned_to_the_bit() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0032);
+    let objs: Vec<SpatialObject> = (0..4000)
+        .map(|_| {
+            SpatialObject::at(
+                rng.random_range(0.0..SIDE),
+                rng.random_range(0.0..SIDE),
+                rng.random_range(-5.0..5.0),
+            )
+        })
+        .collect();
+    // On the data, straddling its edge, and fully off it; circles and rects.
+    let mut probes = Vec::new();
+    for i in 0..180 {
+        let (cx, cy) = match i % 3 {
+            0 => (
+                rng.random_range(4.0..SIDE - 4.0),
+                rng.random_range(4.0..SIDE - 4.0),
+            ),
+            1 => (rng.random_range(-4.0..4.0), rng.random_range(0.0..SIDE)),
+            _ => (
+                rng.random_range(-300.0..-100.0),
+                rng.random_range(SIDE + 100.0..SIDE + 300.0),
+            ),
+        };
+        let (w, h) = (rng.random_range(0.5..20.0), rng.random_range(0.5..20.0));
+        probes.push(if i % 2 == 0 {
+            Range::circle(Point::new(cx, cy), w)
+        } else {
+            Range::rect(Point::new(cx - w, cy - h), Point::new(cx + w, cy + h))
+        });
+    }
+    let got = [
+        answer_hash(&objs, 4, &probes),
+        answer_hash(&objs, 9, &probes),
+        answer_hash(&objs, 16, &probes),
+        answer_hash(&objs[..1], 16, &probes),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x7709_856c_0af9_1ff7,
+            0x410d_ae1b_9d17_4d15,
+            0x71d3_5a50_8e7c_c633,
+            0x077e_f038_891c_d118,
+        ],
+        "{got:#018x?}"
+    );
+}
