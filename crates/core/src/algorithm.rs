@@ -1,7 +1,5 @@
 //! The [`FraAlgorithm`] trait every query algorithm implements.
 
-use std::collections::BTreeMap;
-
 use fedra_federation::{Federation, Request, Response, SiloId, TransportError};
 use fedra_index::Aggregate;
 use fedra_obs::{ObsContext, Span, TraceHandle};
@@ -290,12 +288,9 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
     outcome
 }
 
-/// The [`End`]s of a fan-out query's legs by silo, collected in whatever
-/// order their frames resolve; the query is ready for [`join_fanout`] once
-/// all `m` are in.
-pub(crate) type Legs = BTreeMap<SiloId, End>;
-
-/// The finish step of a fan-out (EXACT/OPTA): sums its legs' `Agg`
+/// The finish step of a fan-out (EXACT/OPTA): `legs` holds the [`End`] of
+/// every leg, one per silo in silo-id order (the driver's leg table,
+/// filled in whatever order the frames resolved). Sums the legs' `Agg`
 /// partials **in silo-id order** — the same bits whichever frame resolved
 /// first — with `rounds` the legs' attempts summed. A leg that ended
 /// without an answer is a missing silo (one the breaker refused has an
@@ -308,13 +303,13 @@ pub(crate) type Legs = BTreeMap<SiloId, End>;
 pub(crate) fn join_fanout(
     federation: &Federation,
     query: &FraQuery,
-    legs: Legs,
+    legs: impl IntoIterator<Item = End>,
     obs: &ObsContext,
 ) -> Result<QueryResult, FraError> {
     let policy = federation.degrade_policy();
     let (mut total, mut rounds) = (Aggregate::ZERO, 0);
     let (mut responding, mut missing) = (Vec::new(), Vec::new());
-    for (silo, leg) in legs {
+    for (silo, leg) in legs.into_iter().enumerate() {
         match leg {
             End::Answer {
                 response: Response::Agg(partial),
@@ -455,17 +450,19 @@ mod tests {
         })
     }
 
-    /// Collects `legs` in the given landing order and joins them.
+    /// Lands `legs` in a leg table in the given landing order and joins
+    /// them.
     fn join(
         federation: &Federation,
         legs: &[End],
         landing: &[SiloId],
     ) -> Result<QueryResult, FraError> {
         let query = FraQuery::circle(Point::new(5.0, 5.0), 20.0, AggFunc::Sum);
-        let mut landed = Legs::new();
+        let mut table: Vec<Option<End>> = vec![None; legs.len()];
         for &silo in landing {
-            landed.insert(silo, legs[silo].clone());
+            table[silo] = Some(legs[silo].clone());
         }
+        let landed = table.into_iter().map(|leg| leg.expect("every leg landed"));
         join_fanout(federation, &query, landed, ObsContext::noop())
     }
 

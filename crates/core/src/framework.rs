@@ -27,7 +27,6 @@
 //! time, throughput, communication, and (given exact references) mean
 //! relative error.
 
-use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -39,7 +38,7 @@ use fedra_federation::{
 use fedra_index::pool::WorkerPool;
 use fedra_obs::{ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, Legs, QueryPlan, RemotePlan};
+use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, QueryPlan, RemotePlan};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Action, Budget, End, Event, QueryRun};
 
@@ -327,32 +326,287 @@ pub(crate) fn drive_rounds<A: FraAlgorithm + ?Sized>(
 pub(crate) struct Driver<'f, K, H> {
     federation: &'f Federation,
     obs: &'f ObsContext,
-    /// Queries in flight by the first tag of their block: a planned walk
-    /// rides `first`, a fan-out's leg to silo `k` rides `first + k`.
-    queries: BTreeMap<u64, InFlight<K, H>>,
-    runs: Runs,
+    table: RunTable<K, H>,
     state: RoundState,
-    /// The next free tag. Tags are never reused, so a late parked frame
-    /// can reach nobody but its own riders.
-    next_tag: u64,
+}
+
+/// The driver's queries in flight, each found by its tag in O(1).
+///
+/// A tag names a query: its slot in the table and the slot's generation.
+/// A rider's tag and the silo its frame went to name one run — the
+/// query's walk, or the leg of its fan-out to that silo. A slot is reused
+/// once its query resolved, under the next generation, so no tag is ever
+/// issued twice and a late parked frame reaches nobody but its own riders
+/// (a slot whose generation is spent is retired, never reused). The table
+/// holds as many slots as queries were ever in flight at once, however
+/// long one of them outlives the queries admitted after it.
+struct RunTable<K, H> {
+    slots: Vec<Slot<K, H>>,
+    /// Slot `i`'s request, the one every run of its query sends: apart from
+    /// `slots`, so a round lends the requests to its frames while it
+    /// dispatches the runs. A freed slot's request waits to be replaced.
+    requests: Vec<Request>,
+    /// Slots free for the next admission.
+    free: Vec<usize>,
+    /// Occupied slots, in admission order: the order a round dispatches
+    /// the runs in and a pump hands the answers back in.
+    admitted: Vec<usize>,
+}
+
+struct Slot<K, H> {
+    generation: u32,
+    state: SlotState<K, H>,
+}
+
+enum SlotState<K, H> {
+    Free,
+    Riding(InFlight<K, H>),
+    /// Finished during this pump; handed back when the round is over.
+    Resolved(K, Outcome),
+}
+
+/// Slot `slot` under `generation`, as one correlation id.
+fn tag_of(slot: usize, generation: u32) -> u64 {
+    u64::from(generation) << 32 | slot as u64
+}
+
+/// The slot and the generation `tag` names.
+fn untag(tag: u64) -> (usize, u32) {
+    ((tag & u64::from(u32::MAX)) as usize, (tag >> 32) as u32)
+}
+
+impl<K, H> RunTable<K, H> {
+    fn new() -> Self {
+        RunTable {
+            slots: Vec::new(),
+            requests: Vec::new(),
+            free: Vec::new(),
+            admitted: Vec::new(),
+        }
+    }
+
+    /// Queries admitted and not yet handed back.
+    fn len(&self) -> usize {
+        self.admitted.len()
+    }
+
+    fn insert(&mut self, request: Request, query: InFlight<K, H>) {
+        let state = SlotState::Riding(query);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot].state = state;
+                self.requests[slot] = request;
+                slot
+            }
+            None => {
+                self.slots.push(Slot {
+                    generation: 0,
+                    state,
+                });
+                self.requests.push(request);
+                self.slots.len() - 1
+            }
+        };
+        self.admitted.push(slot);
+    }
+
+    /// The slot `tag` names, while the tag is its current one.
+    fn get_mut(&mut self, tag: u64) -> Option<&mut Slot<K, H>> {
+        let (slot, generation) = untag(tag);
+        self.slots
+            .get_mut(slot)
+            .filter(|slot| slot.generation == generation)
+    }
+
+    /// Whether the run `tag` sent to `silo` still rides.
+    fn rides(&self, tag: u64, silo: SiloId) -> bool {
+        let (slot, current) = untag(tag);
+        matches!(
+            self.slots.get(slot),
+            Some(Slot { generation, state: SlotState::Riding(q) })
+                if *generation == current && q.runs.rides_to(silo)
+        )
+    }
+
+    /// Hands back the queries resolved since the last sweep, in admission
+    /// order, and frees their slots.
+    fn sweep(&mut self) -> Vec<(K, Outcome)> {
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        let mut resolved = Vec::new();
+        self.admitted.retain(|&i| {
+            let slot = &mut slots[i];
+            if !matches!(slot.state, SlotState::Resolved(..)) {
+                return true;
+            }
+            if let SlotState::Resolved(key, outcome) =
+                std::mem::replace(&mut slot.state, SlotState::Free)
+            {
+                resolved.push((key, outcome));
+            }
+            if let Some(next) = slot.generation.checked_add(1) {
+                slot.generation = next;
+                free.push(i);
+            }
+            false
+        });
+        resolved
+    }
+}
+
+impl<K, H> Slot<K, H>
+where
+    H: Deref,
+    H::Target: FraAlgorithm,
+{
+    /// Finishes the slot's query once its last run ended: `finish_run` for
+    /// a walk, `join_fanout` for a fan-out, and a shed run answers
+    /// [`FraError::Shed`] with an empty class for the serving layer to
+    /// name.
+    fn settle(&mut self, federation: &Federation, obs: &ObsContext) {
+        if !matches!(&self.state, SlotState::Riding(q) if q.runs.done()) {
+            return;
+        }
+        if let SlotState::Riding(q) = std::mem::replace(&mut self.state, SlotState::Free) {
+            let (key, outcome) = q.resolve(federation, obs);
+            self.state = SlotState::Resolved(key, outcome);
+        }
+    }
 }
 
 /// One admitted query whose runs still ride rounds.
 struct InFlight<K, H> {
     key: K,
     query: FraQuery,
-    pending: Pending<H>,
+    budget: Budget,
+    runs: Runs<H>,
     trace: TraceHandle,
     /// The `remote` or `fanout` span, open while the runs ride rounds.
     span: Span,
 }
 
-/// What a query in flight waits for.
-enum Pending<H> {
-    /// Its one walk, finished by its algorithm.
-    Walk(H),
-    /// All `m` legs of its fan-out, joined; the legs that ended so far.
-    FanOut(Legs),
+/// A query's runs, and what finishes it once they all ended.
+enum Runs<H> {
+    /// Its one walk down the plan's candidate order, finished by its
+    /// algorithm.
+    Walk {
+        algorithm: H,
+        order: Vec<SiloId>,
+        leg: Leg,
+    },
+    /// Its fan-out's leg table, indexed by silo: leg `k` walks silo `k`
+    /// alone. Joined once no leg rides.
+    FanOut { legs: Vec<Leg>, riding: usize },
+}
+
+/// One run, and how its walk ended once it is over.
+struct Leg {
+    run: QueryRun,
+    end: Option<End>,
+}
+
+impl Leg {
+    fn new(retries: u32, budget: Budget) -> Self {
+        Leg {
+            run: QueryRun::new(retries, budget),
+            end: None,
+        }
+    }
+
+    fn rides(&self) -> bool {
+        self.end.is_none()
+    }
+
+    /// Feeds `event` to the run walking `order`, keeping the `End` it
+    /// reaches; returns the send it asks for.
+    fn on(
+        &mut self,
+        order: &[SiloId],
+        event: Event<'_>,
+        obs: &ObsContext,
+    ) -> Option<(SiloId, u32)> {
+        match self.run.on(order, event, obs) {
+            Action::Send { silo, retry } => Some((silo, retry)),
+            Action::Wait => None,
+            Action::End(end) => {
+                self.end = Some(end);
+                None
+            }
+        }
+    }
+}
+
+impl<H> Runs<H> {
+    /// How many runs the query has: one walk, or `m` legs.
+    fn len(&self) -> usize {
+        match self {
+            Runs::Walk { .. } => 1,
+            Runs::FanOut { legs, .. } => legs.len(),
+        }
+    }
+
+    /// Feeds `event` to the run that rides to `silo` — the walk, wherever
+    /// it stands, or the fan-out's leg `silo`. Returns the send it asks
+    /// for.
+    fn on(&mut self, silo: SiloId, event: Event<'_>, obs: &ObsContext) -> Option<(SiloId, u32)> {
+        match self {
+            Runs::Walk { order, leg, .. } => leg.on(order, event, obs),
+            Runs::FanOut { legs, riding } => {
+                let leg = legs.get_mut(silo).filter(|leg| leg.rides())?;
+                let send = leg.on(std::slice::from_ref(&silo), event, obs);
+                if !leg.rides() {
+                    *riding -= 1;
+                }
+                send
+            }
+        }
+    }
+
+    fn rides_to(&self, silo: SiloId) -> bool {
+        match self {
+            Runs::Walk { leg, .. } => leg.rides(),
+            Runs::FanOut { legs, .. } => legs.get(silo).is_some_and(Leg::rides),
+        }
+    }
+
+    fn done(&self) -> bool {
+        match self {
+            Runs::Walk { leg, .. } => !leg.rides(),
+            Runs::FanOut { riding, .. } => *riding == 0,
+        }
+    }
+}
+
+impl<K, H> InFlight<K, H>
+where
+    H: Deref,
+    H::Target: FraAlgorithm,
+{
+    /// The finish step, once every run ended.
+    fn resolve(self, federation: &Federation, obs: &ObsContext) -> (K, Outcome) {
+        drop(self.span);
+        let (query, trace) = (&self.query, &self.trace);
+        let shed = |leg: &Leg| matches!(leg.end, Some(End::Shed));
+        let outcome = guarded("finishing", || match self.runs {
+            Runs::Walk {
+                algorithm,
+                leg: Leg { end: Some(end), .. },
+                ..
+            } if !matches!(end, End::Shed) => {
+                finish_run(&*algorithm, federation, query, end, trace, obs)
+            }
+            Runs::FanOut { legs, .. } if !legs.iter().any(shed) => {
+                let ends = legs.into_iter().filter_map(|leg| leg.end);
+                join_fanout(federation, query, ends, obs)
+            }
+            // Shedding names an admission class only the serving layer knows.
+            _ => Err(FraError::Shed {
+                class: String::new(),
+            }),
+        })
+        .and_then(|outcome| outcome);
+        obs.finish_trace(trace);
+        (self.key, outcome)
+    }
 }
 
 /// The one panic rule of every entry point: a plan or finish step that
@@ -372,20 +626,18 @@ where
         Driver {
             federation,
             obs,
-            queries: BTreeMap::new(),
-            runs: Runs::new(),
+            table: RunTable::new(),
             state: RoundState::default(),
-            next_tag: 0,
         }
     }
 
     /// Queries admitted and not yet resolved.
     pub(crate) fn len(&self) -> usize {
-        self.queries.len()
+        self.table.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.table.len() == 0
     }
 
     /// Admits one query: builds its algorithm (inside the panic rule, so a
@@ -416,14 +668,14 @@ where
                 let span = Span::enter(&trace, "fanout");
                 let leg = |k| {
                     federation.health().allows(k);
-                    let (order, request) = (vec![k], request.clone());
-                    QueryRun::new(RemotePlan { order, request }, retries, budget)
+                    Leg::new(retries, budget)
                 };
-                let legs = (0..federation.num_silos()).map(leg).collect();
-                return Ok((Pending::FanOut(Legs::new()), legs, span));
+                let legs: Vec<Leg> = (0..federation.num_silos()).map(leg).collect();
+                let riding = legs.len();
+                return Ok((Runs::FanOut { legs, riding }, request, span));
             }
             let plan_span = Span::enter(&trace, "plan");
-            let plan = match algorithm.plan_with(federation, &query, obs) {
+            let RemotePlan { order, request } = match algorithm.plan_with(federation, &query, obs) {
                 QueryPlan::Ready(outcome) => {
                     obs.metrics().plan_ready.inc();
                     return Err(outcome);
@@ -433,88 +685,48 @@ where
             obs.metrics().plan_remote.inc();
             drop(plan_span);
             let span = Span::enter(&trace, "remote");
-            let run = QueryRun::new(plan, retries, budget);
-            Ok((Pending::Walk(algorithm), vec![run], span))
+            let leg = Leg::new(retries, budget);
+            Ok((
+                Runs::Walk {
+                    algorithm,
+                    order,
+                    leg,
+                },
+                request,
+                span,
+            ))
         });
-        let (pending, runs, span) = match planned.unwrap_or_else(|panicked| Err(Err(panicked))) {
+        let (runs, request, span) = match planned.unwrap_or_else(|panicked| Err(Err(panicked))) {
             Ok(remote) => remote,
             Err(outcome) => {
                 obs.finish_trace(&trace);
                 return Some((key, outcome));
             }
         };
-        let first = self.next_tag;
-        self.next_tag += runs.len() as u64;
-        self.runs.extend((first..).zip(runs));
         let query = InFlight {
             key,
             query,
-            pending,
+            budget,
+            runs,
             trace,
             span,
         };
-        self.queries.insert(first, query);
+        self.table.insert(request, query);
         None
     }
 
     /// One [`round`] over every live run. A query is resolved as soon as
-    /// its last run ends, while the round still gathers other frames:
-    /// `finish_run` for a walk, `join_fanout` for a fan-out, and a shed run
-    /// answers [`FraError::Shed`] with an empty class for the serving layer
-    /// to name. Returns the resolved queries in admission order.
+    /// its last run ends, while the round still gathers other frames.
+    /// Returns the resolved queries in admission order.
     pub(crate) fn pump(&mut self) -> Vec<(K, Outcome)> {
-        let (federation, obs) = (self.federation, self.obs);
-        let m = federation.num_silos();
-        let (queries, mut resolved) = (&mut self.queries, Vec::new());
-        let mut ended = |tag: u64, end: End| {
-            let Some((&first, query)) = queries.range_mut(..=tag).next_back() else {
-                return;
-            };
-            let leg = (tag - first) as SiloId;
-            if let Pending::FanOut(legs) = &mut query.pending {
-                if legs.len() + 1 < m {
-                    legs.insert(leg, end);
-                    return;
-                }
-            }
-            if let Some(query) = queries.remove(&first) {
-                resolved.push((first, Self::resolve(query, leg, end, federation, obs)));
-            }
-        };
-        round(federation, obs, &mut self.state, &mut self.runs, &mut ended);
-        self.runs.retain(|_, run| !run.is_finished());
-        resolved.sort_unstable_by_key(|(first, _)| *first);
-        resolved.into_iter().map(|(_, answer)| answer).collect()
+        round(self.federation, self.obs, &mut self.state, &mut self.table);
+        self.table.sweep()
     }
 
-    /// The finish step of `q`, once `end` (of leg `leg`) was its last run
-    /// out.
-    fn resolve(
-        q: InFlight<K, H>,
-        leg: SiloId,
-        end: End,
-        federation: &Federation,
-        obs: &ObsContext,
-    ) -> (K, Outcome) {
-        drop(q.span);
-        let (query, trace) = (&q.query, &q.trace);
-        let shed = |end: &End| matches!(end, End::Shed);
-        let outcome = guarded("finishing", || match q.pending {
-            Pending::Walk(algorithm) if !shed(&end) => {
-                finish_run(&*algorithm, federation, query, end, trace, obs)
-            }
-            Pending::FanOut(mut legs) if !shed(&end) && !legs.values().any(shed) => {
-                legs.insert(leg, end);
-                join_fanout(federation, query, legs, obs)
-            }
-            // Shedding names an admission class only the serving layer knows.
-            _ => Err(FraError::Shed {
-                class: String::new(),
-            }),
-        })
-        .and_then(|outcome| outcome);
-        obs.finish_trace(trace);
-        (q.key, outcome)
+    /// Slots the run table holds: the most queries ever in flight at once.
+    #[cfg(test)]
+    fn footprint(&self) -> usize {
+        self.table.slots.len()
     }
 }
 
@@ -562,11 +774,6 @@ fn record_failure(federation: &Federation, obs: &ObsContext, error: &TransportEr
     note_transition(obs, federation.health().record_failure(error.silo()));
 }
 
-/// The live runs a [`round`] pumps, by correlation id — the tag that rides
-/// the frames. Ids must be stable for as long as a run lives, because
-/// parked frames outlive a round; the driver drops a run once it ended.
-type Runs = BTreeMap<u64, QueryRun>;
-
 /// A tagged frame in flight.
 struct Frame {
     silo: SiloId,
@@ -589,25 +796,64 @@ struct Frame {
 #[derive(Default)]
 struct RoundState {
     parked: Vec<Frame>,
+    /// Every frame begun, as its silo and its riders' tags.
+    #[cfg(test)]
+    sent: Vec<(SiloId, Vec<u64>)>,
+}
+
+/// One silo's riders of a round, in admission order: each rider's tag and
+/// request, and apart from them (the frame takes the pairs as they are)
+/// its budget.
+#[derive(Default)]
+struct Riders<'r> {
+    tagged: Vec<(u64, &'r Request)>,
+    budgets: Vec<Budget>,
+}
+
+impl<'r> Riders<'r> {
+    /// Splits off the riders whose absolute budget is already spent at
+    /// `now`, each side in admission order.
+    fn split_spent(self, now: Instant) -> (Riders<'r>, Riders<'r>) {
+        if !self.budgets.iter().any(|budget| budget.spent(now)) {
+            return (self, Riders::default());
+        }
+        let (mut live, mut doa) = (Riders::default(), Riders::default());
+        for (rider, budget) in self.tagged.into_iter().zip(self.budgets) {
+            let side = if budget.spent(now) {
+                &mut doa
+            } else {
+                &mut live
+            };
+            side.tagged.push(rider);
+            side.budgets.push(budget);
+        }
+        (live, doa)
+    }
 }
 
 /// The riders of one round plus everything a reply needs to reach them.
-struct Gather<'r> {
+struct Gather<'r, K, H> {
     federation: &'r Federation,
     obs: &'r ObsContext,
-    riders: &'r mut Runs,
-    ended: &'r mut dyn FnMut(u64, End),
+    table: &'r mut RunTable<K, H>,
 }
 
-impl Gather<'_> {
-    /// Feeds one rider's reply to its run. Tags of riders already
-    /// answered and delivered (a late parked frame) match nobody.
+impl<K, H> Gather<'_, K, H>
+where
+    H: Deref,
+    H::Target: FraAlgorithm,
+{
+    /// Feeds one rider's reply to its run, and finishes its query if that
+    /// was its last run. Tags of riders already answered and delivered (a
+    /// late parked frame) match nobody.
     fn feed(&mut self, tag: u64, silo: SiloId, result: Reply) {
-        if let Some(run) = self.riders.get_mut(&tag) {
-            if let Action::End(end) = run.on(Event::Reply { silo, result }, self.obs) {
-                (self.ended)(tag, end);
-            }
+        let Some(slot) = self.table.get_mut(tag) else {
+            return;
+        };
+        if let SlotState::Riding(q) = &mut slot.state {
+            q.runs.on(silo, Event::Reply { silo, result }, self.obs);
         }
+        slot.settle(self.federation, self.obs);
     }
 
     /// Waits on `frame` until `until`. A frame that resolves feeds its
@@ -691,64 +937,80 @@ impl Gather<'_> {
 
 /// One scatter–gather round over the live runs of a lone query, a batch
 /// or a tick — the one pump, called only by [`Driver::pump`]: drain parked
-/// frames that answered, group the runs by the candidate they ride next
-/// (runs whose absolute budget is already spent get their own
-/// dead-on-arrival frame the silo sheds byte-countedly), ship one tagged
-/// frame per silo, gather every reply and feed it to its run. `ended`
-/// receives each run whose walk ended this round, by tag.
+/// frames that answered, dispatch every live run in admission order into
+/// its candidate silo's rider list (runs whose absolute budget is already
+/// spent get their own dead-on-arrival frame the silo sheds
+/// byte-countedly), ship one tagged frame per silo, gather every reply and
+/// feed it to its run. A query is finished in its table slot as soon as
+/// its last run ends.
 ///
 /// With `CallPolicy::hedge_after` set, a frame still pending past the
 /// threshold is parked in `state` instead of waited out, and its riders
 /// hedge: they ride their next candidate next round. A round with nothing
 /// to send returns as soon as the first parked frame resolves.
-fn round(
+fn round<K, H>(
     federation: &Federation,
     obs: &ObsContext,
     state: &mut RoundState,
-    riders: &mut Runs,
-    ended: &mut dyn FnMut(u64, End),
-) {
+    table: &mut RunTable<K, H>,
+) where
+    H: Deref,
+    H::Target: FraAlgorithm,
+{
     let policy = federation.call_policy();
     let health = federation.health();
     let mut gather = Gather {
         federation,
         obs,
-        riders,
-        ended,
+        table,
     };
     // First answer wins: parked primaries that resolved (or expired)
     // reach their riders before anyone is dispatched.
     gather.poll_parked(state);
 
     let may_call = |silo| health.may_call(silo);
-    let mut sends: Vec<(u64, SiloId)> = Vec::new();
+    let mut riders: Vec<Riders> = Vec::new();
+    riders.resize_with(federation.num_silos(), Riders::default);
+    let mut sends = 0;
     // The largest backoff among the sends, for as long as every one of
     // them is a same-silo transient retry.
     let mut all_retries = Some(Duration::ZERO);
-    for (&tag, run) in gather.riders.iter_mut() {
-        match run.on(
-            Event::Dispatch {
+    let RunTable {
+        slots,
+        requests,
+        admitted,
+        ..
+    } = &mut *gather.table;
+    for &i in admitted.iter() {
+        let slot = &mut slots[i];
+        let tag = tag_of(i, slot.generation);
+        let SlotState::Riding(q) = &mut slot.state else {
+            continue;
+        };
+        for leg in 0..q.runs.len() {
+            let dispatch = Event::Dispatch {
                 may_call: &may_call,
-            },
-            obs,
-        ) {
-            Action::Send { silo, retry } => {
-                sends.push((tag, silo));
-                all_retries = all_retries
-                    .filter(|_| retry > 0)
-                    .map(|pause| pause.max(policy.backoff(silo, retry)));
-            }
-            Action::Wait => {}
-            Action::End(end) => (gather.ended)(tag, end),
+            };
+            let Some((silo, retry)) = q.runs.on(leg, dispatch, obs) else {
+                continue;
+            };
+            riders[silo].tagged.push((tag, &requests[i]));
+            riders[silo].budgets.push(q.budget);
+            sends += 1;
+            all_retries = all_retries
+                .filter(|_| retry > 0)
+                .map(|pause| pause.max(policy.backoff(silo, retry)));
         }
+        // A run the breaker refused everywhere ended at dispatch.
+        slot.settle(federation, obs);
     }
-    let riders = &*gather.riders;
-    if sends.is_empty() {
+    if sends == 0 {
         // Nothing new to send: wait on the parked frames somebody still
         // rides (a frame all of whose riders were answered elsewhere is
         // abandoned).
-        let live = |tag: &u64| riders.get(tag).is_some_and(|run| !run.is_finished());
-        state.parked.retain(|frame| frame.tags.iter().any(live));
+        let table = &*gather.table;
+        let live = |frame: &Frame| frame.tags.iter().any(|&tag| table.rides(tag, frame.silo));
+        state.parked.retain(live);
         gather.await_parked(state);
         return;
     }
@@ -762,58 +1024,55 @@ fn round(
         std::thread::sleep(pause);
     }
 
-    // Group the sends by (candidate silo, dead on arrival?). BTreeMaps:
-    // deterministic frame and rider order. Wall-clock: a budget decides
-    // when to give up, never what a query computes.
+    // Scatter: begin every silo's frame before waiting on any reply — the
+    // silo workers run concurrently. Frames leave in silo order, a silo's
+    // live frame before its dead-on-arrival one. This is the one place in
+    // the crate that begins a single-silo frame. Wall-clock: a budget
+    // decides when to give up, never what a query computes.
     // fedra-lint: allow(determinism-discipline)
     let now = Instant::now();
-    let mut groups: BTreeMap<(SiloId, bool), Vec<u64>> = BTreeMap::new();
-    for (tag, silo) in sends {
-        let doa = riders[&tag].budget().spent(now);
-        groups.entry((silo, doa)).or_default().push(tag);
-    }
-    // Scatter: begin every silo's frame before waiting on any reply — the
-    // silo workers run concurrently. This is the one place in the crate
-    // that begins a single-silo frame.
-    let frames: Vec<Frame> = groups
-        .into_iter()
-        .map(|((silo, doa), tags)| {
-            let tagged: Vec<(u64, &Request)> = tags
-                .iter()
-                .map(|tag| (*tag, riders[tag].request()))
-                .collect();
-            let metrics = obs.metrics();
-            metrics.sched_frame_riders.observe(tags.len() as u64);
-            metrics.silo_requests.add(silo, tags.len() as u64);
+    let metrics = obs.metrics();
+    let mut frames: Vec<Frame> = Vec::new();
+    for (silo, riders) in riders.into_iter().enumerate() {
+        let (live, spent) = riders.split_spent(now);
+        for (doa, riders) in [(false, live), (true, spent)] {
+            if riders.tagged.is_empty() {
+                continue;
+            }
+            metrics
+                .sched_frame_riders
+                .observe(riders.tagged.len() as u64);
+            metrics.silo_requests.add(silo, riders.tagged.len() as u64);
             // fedra-lint: allow(determinism-discipline)
             let begun = Instant::now();
             // A live frame takes the *max* deadline over its riders (it
             // must never shed a rider that still has budget; one unbounded
             // rider makes it unbounded), a dead-on-arrival frame the
             // earliest, already past, so the silo sheds it on arrival.
-            let deadlines = tags.iter().map(|tag| riders[tag].budget().deadline(begun));
-            let deadline = if doa {
-                deadlines.flatten().min()
+            let mut deadlines = riders.budgets.iter().map(|budget| budget.deadline(begun));
+            let (deadline, bound) = if doa {
+                (deadlines.flatten().min(), begun + SHED_GRACE)
             } else {
-                let all: Option<Vec<Instant>> = deadlines.collect();
-                all.and_then(|all| all.into_iter().max())
+                let latest = deadlines.try_fold(None, |latest, d| d.map(|d| latest.max(Some(d))));
+                let deadline = latest.flatten();
+                (deadline, deadline.unwrap_or(begun + UNBOUNDED))
             };
-            let bound = if doa {
-                begun + SHED_GRACE
-            } else {
-                deadline.unwrap_or(begun + UNBOUNDED)
-            };
-            let pending = federation.channel(silo).begin_frame(&tagged, deadline);
-            Frame {
+            let pending = federation
+                .channel(silo)
+                .begin_frame(&riders.tagged, deadline);
+            let tags: Vec<u64> = riders.tagged.iter().map(|(tag, _)| *tag).collect();
+            #[cfg(test)]
+            state.sent.push((silo, tags.clone()));
+            frames.push(Frame {
                 silo,
                 tags,
                 begun,
                 bound,
                 doa,
                 pending,
-            }
-        })
-        .collect();
+            });
+        }
+    }
     // Gather. A frame that outlasts the hedge threshold is parked and its
     // riders told to hedge; without one every frame is waited to its bound.
     for frame in frames {
@@ -822,9 +1081,13 @@ fn round(
             _ => frame.bound,
         };
         if let Some(frame) = gather.settle(frame, until) {
-            for tag in &frame.tags {
-                if let Some(run) = gather.riders.get_mut(tag) {
-                    run.on(Event::HedgeDue, obs);
+            for &tag in &frame.tags {
+                if let Some(Slot {
+                    state: SlotState::Riding(q),
+                    ..
+                }) = gather.table.get_mut(tag)
+                {
+                    q.runs.on(frame.silo, Event::HedgeDue, obs);
                 }
             }
             state.parked.push(frame);
@@ -838,12 +1101,16 @@ mod tests {
     use crate::algorithm::drive_planned;
     use crate::exact::Exact;
     use crate::sampling::{IidEst, NonIidEst};
-    use fedra_federation::{CallPolicy, FaultPlan, FederationBuilder, Response, SiloFaultSpec};
+    use fedra_federation::{
+        CallPolicy, FaultPlan, FederationBuilder, LocalMode, Response, SiloFaultSpec,
+        TransportBackend,
+    };
     use fedra_geo::{Point, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::AggFunc;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn partitions(m: usize, per_silo: usize) -> Vec<Vec<SpatialObject>> {
         let mut rng = StdRng::seed_from_u64(55);
@@ -1241,18 +1508,249 @@ mod tests {
         }
     }
 
+    /// Admits `batch` to one driver in order and pumps it dry, as the
+    /// engine does. Returns the outcomes in admission order, the
+    /// communication spent, and every frame sent as its silo and its
+    /// riders' table slots (a fresh driver's slot `i` is admission `i`
+    /// until a query resolves).
+    #[allow(clippy::type_complexity)]
+    fn drive_batch(
+        fed: &Federation,
+        batch: &[(FraQuery, &dyn FraAlgorithm)],
+    ) -> (Vec<Outcome>, CommSnapshot, Vec<(SiloId, Vec<usize>)>) {
+        let before = fed.query_comm();
+        let mut driver = Driver::new(fed, ObsContext::noop());
+        let budget = Budget::PerAttempt(fed.call_policy().deadline);
+        let mut answered = Vec::new();
+        for (i, &(query, algorithm)) in batch.iter().enumerate() {
+            let trace = TraceHandle::disabled();
+            answered.extend(driver.admit(i, query, || algorithm, budget, trace));
+        }
+        while !driver.is_empty() {
+            answered.extend(driver.pump());
+        }
+        answered.sort_by_key(|(i, _)| *i);
+        let frames = driver
+            .state
+            .sent
+            .iter()
+            .map(|(silo, tags)| (*silo, tags.iter().map(|&tag| untag(tag).0).collect()))
+            .collect();
+        let outcomes = answered.into_iter().map(|(_, outcome)| outcome).collect();
+        (outcomes, fed.query_comm().since(&before), frames)
+    }
+
+    /// `got` and `want` agree to the bit, rounds and sampled silo included.
+    fn assert_same_answers(got: &[Outcome], want: &[Outcome]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            let (got, want) = (got.as_ref().expect("batched"), want.as_ref().expect("lone"));
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+            assert_eq!(got.rounds, want.rounds, "query {i}");
+            assert_eq!(*got, *want, "query {i}");
+        }
+    }
+
     #[test]
     fn batched_exact_matches_query_for_query_execution() {
         let fed = setup(3, 800);
         let qs = queries(15, 12);
         let exact = Exact::new();
+        let lone: Vec<Outcome> = qs.iter().map(|q| exact.try_execute(&fed, q)).collect();
         let engine = QueryEngine::per_silo(&exact, &fed);
         let batched = engine.execute_batch(&fed, &qs);
-        for (a, q) in batched.results.iter().zip(&qs) {
-            assert_eq!(
-                a.as_ref().unwrap().value,
-                exact.try_execute(&fed, q).unwrap().value
+        assert_same_answers(&batched.results, &lone);
+        // One frame per silo, and the bytes of the run-map driver this
+        // table replaced.
+        let pinned = CommSnapshot {
+            bytes_up: 2856,
+            bytes_down: 2001,
+            rounds: 3,
+        };
+        assert_eq!(batched.comm, pinned);
+        // The same batch on the engine's driver, frame by frame: each
+        // silo's frame carries every query's leg, in admission order.
+        let batch: Vec<(FraQuery, &dyn FraAlgorithm)> = qs
+            .iter()
+            .map(|q| (*q, &exact as &dyn FraAlgorithm))
+            .collect();
+        let (outcomes, comm, frames) = drive_batch(&fed, &batch);
+        assert_same_answers(&outcomes, &lone);
+        assert_eq!(comm, pinned);
+        let every: Vec<usize> = (0..qs.len()).collect();
+        let expected: Vec<(SiloId, Vec<usize>)> = (0..3).map(|k| (k, every.clone())).collect();
+        assert_eq!(frames, expected);
+    }
+
+    #[test]
+    fn a_mixed_batch_rides_one_frame_per_silo_in_admission_order() {
+        let fed = setup(4, 600);
+        let qs = queries(24, 16);
+        let exact = Exact::new();
+        let (iid, noniid) = (IidEst::new(81), NonIidEst::new(82));
+        let algorithms: [&dyn FraAlgorithm; 3] = [&exact, &iid, &noniid];
+        let batch: Vec<(FraQuery, &dyn FraAlgorithm)> = qs
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (*q, algorithms[i % 3]))
+            .collect();
+        let (outcomes, comm, frames) = drive_batch(&fed, &batch);
+        // Same seeds, each algorithm's queries in the same order, one at a
+        // time.
+        let (iid, noniid) = (IidEst::new(81), NonIidEst::new(82));
+        let algorithms: [&dyn FraAlgorithm; 3] = [&exact, &iid, &noniid];
+        let lone: Vec<Outcome> = qs
+            .iter()
+            .enumerate()
+            .map(|(i, q)| algorithms[i % 3].try_execute(&fed, q))
+            .collect();
+        assert_same_answers(&outcomes, &lone);
+        assert_eq!(
+            comm,
+            CommSnapshot {
+                bytes_up: 3460,
+                bytes_down: 2974,
+                rounds: 4,
+            }
+        );
+        // Silo k's one frame: every EXACT leg and every walk that sampled
+        // k, walks and legs interleaved in admission order.
+        let rides_to = |i: usize, k: SiloId| {
+            i.is_multiple_of(3) || outcomes[i].as_ref().expect("answered").sampled_silo == Some(k)
+        };
+        let expected: Vec<(SiloId, Vec<usize>)> = (0..4)
+            .map(|k| (k, (0..qs.len()).filter(|&i| rides_to(i, k)).collect()))
+            .collect();
+        assert_eq!(frames, expected);
+        let walks = frames.iter().map(|(_, riders)| riders.len()).sum::<usize>() - 4 * 8;
+        assert_eq!(walks, 16, "every walk rides exactly one frame");
+    }
+
+    /// Asks one fixed silo for its exact aggregate: a walk whose candidate
+    /// order is that silo alone.
+    struct AskSilo(SiloId);
+
+    impl FraAlgorithm for AskSilo {
+        fn name(&self) -> &'static str {
+            "ask-silo"
+        }
+
+        fn try_execute_with(
+            &self,
+            federation: &Federation,
+            query: &FraQuery,
+            obs: &ObsContext,
+        ) -> Result<QueryResult, FraError> {
+            drive_planned(self, federation, query, obs)
+        }
+
+        fn supports_planning(&self) -> bool {
+            true
+        }
+
+        fn plan_with(&self, _: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
+            QueryPlan::SingleSilo(RemotePlan {
+                order: vec![self.0],
+                request: Request::Aggregate {
+                    range: query.range,
+                    mode: LocalMode::Exact,
+                },
+            })
+        }
+
+        fn finish_with(
+            &self,
+            _: &Federation,
+            query: &FraQuery,
+            silo: SiloId,
+            response: Response,
+            rounds: u64,
+            _: &ObsContext,
+        ) -> Result<QueryResult, FraError> {
+            match response {
+                Response::Agg(agg) => {
+                    Ok(QueryResult::from_aggregate(agg, query.func).with_rounds(rounds))
+                }
+                _ => Err(FraError::ProtocolViolation {
+                    silo,
+                    expected: "Agg",
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_run_leaves_the_run_table_the_size_of_the_live_runs() {
+        // Silo 0 drops its first frame and crashes on its second; silo 1
+        // answers. The first query's frame to silo 0 is parked past the
+        // hedge threshold and its run stranded on it, while three thousand
+        // later queries are admitted and answered through silo 1 around it.
+        let dropper = SiloFaultSpec {
+            drop_prob: 1.0,
+            crash_after: Some(1),
+            ..Default::default()
+        };
+        let fed = builder()
+            .transport_backend(TransportBackend::InMemory)
+            .fault_plan(FaultPlan::seeded(5).with_spec(0, dropper))
+            .call_policy(CallPolicy {
+                hedge_after: Some(Duration::from_millis(1)),
+                ..Default::default()
+            })
+            .build(partitions(2, 400));
+        let qs = queries(3002, 17);
+        let (silo0, silo1): (&'static AskSilo, &'static AskSilo) = (&AskSilo(0), &AskSilo(1));
+        let budget = Budget::PerAttempt(Some(Duration::from_secs(60)));
+        let mut driver = Driver::new(&fed, ObsContext::noop());
+        let admit = |driver: &mut Driver<usize, &AskSilo>,
+                     i: usize,
+                     algorithm: &'static AskSilo| {
+            let answered = driver.admit(i, qs[i], || algorithm, budget, TraceHandle::disabled());
+            assert!(answered.is_none(), "query {i} needs a silo");
+        };
+        admit(&mut driver, 0, silo0);
+        assert!(driver.pump().is_empty(), "silo 0 never answers");
+        let mut answered = Vec::new();
+        for chunk in (1..3001).collect::<Vec<_>>().chunks(10) {
+            for &i in chunk {
+                admit(&mut driver, i, silo1);
+            }
+            // Pump until only the held run is left (a later frame slower
+            // than the threshold parks too, and is awaited).
+            while driver.len() > 1 {
+                answered.extend(driver.pump());
+            }
+            assert!(
+                driver.footprint() <= 11,
+                "{} slots for at most 11 queries in flight",
+                driver.footprint()
             );
+        }
+        // Every later query answered once, by silo 1, to the bit.
+        answered.sort_by_key(|(i, _)| *i);
+        assert_eq!(answered.len(), 3000);
+        for (i, got) in &answered {
+            let want = silo1.try_execute(&fed, &qs[*i]).expect("silo 1 answers");
+            let got = got.as_ref().expect("silo 1 answered");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+        }
+        // A second frame crashes silo 0: the held run's frame fails, and
+        // the held run resolves to its own query's grid fallback.
+        admit(&mut driver, 3001, silo0);
+        let mut last = Vec::new();
+        while !driver.is_empty() {
+            last.extend(driver.pump());
+        }
+        last.sort_by_key(|(i, _)| *i);
+        let keys: Vec<usize> = last.iter().map(|(i, _)| *i).collect();
+        assert_eq!(keys, [0, 3001]);
+        for (i, got) in last {
+            let want = silo0
+                .finish_degraded(&fed, &qs[i], 1)
+                .expect("fail-fast degrades");
+            let got = got.expect("the grid answers");
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+            assert_eq!(got, want, "query {i}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! as one resumable, I/O-free state machine.
 //!
 //! [`QueryRun`] owns everything one planned query needs between "the plan
-//! named its candidates" and "a reply won or none could": the candidate
-//! order, the transient-retry budget, the hedge/stranded flags, the round
-//! count and the per-candidate error trail. It never reads a clock,
+//! named its candidates" and "a reply won or none could": its place in the
+//! candidate order (which the driver lends it with every event), the
+//! transient-retry budget, the hedge/stranded flags, the round count and
+//! the per-candidate error trail. It never reads a clock,
 //! sleeps, or touches a channel — the *pump* does the I/O and reports what
 //! happened as [`Event`]s; deadlines and "now" arrive as inputs. There is
 //! one pump, the scatter–gather [`round`](crate::framework::round), and
@@ -18,10 +19,8 @@
 
 use std::time::{Duration, Instant};
 
-use fedra_federation::{Request, Response, SiloId, TransportError};
+use fedra_federation::{Response, SiloId, TransportError};
 use fedra_obs::ObsContext;
-
-use crate::algorithm::RemotePlan;
 
 /// How long a run may wait — the one genuine difference between the
 /// pump's callers, carried as data.
@@ -103,15 +102,16 @@ pub(crate) enum End {
     Shed,
 }
 
-/// One planned single-silo query walking its candidate order.
+/// One planned single-silo query walking its candidate order. The order
+/// and the request are the query's, held by the driver and lent to every
+/// event: a fan-out's `m` legs share one request, each walking the
+/// one-silo order of its own leg.
 #[derive(Debug)]
 pub(crate) struct QueryRun {
-    order: Vec<SiloId>,
-    request: Request,
     /// Same-candidate retries allowed after a transient refusal.
     retries: u32,
     budget: Budget,
-    /// Index of the current candidate in `order`.
+    /// Index of the current candidate in the order.
     attempt: usize,
     /// Transient retries already burned on the current candidate.
     retried: u32,
@@ -128,11 +128,9 @@ pub(crate) struct QueryRun {
 }
 
 impl QueryRun {
-    /// Starts the walk of `plan` at its sampled silo.
-    pub(crate) fn new(plan: RemotePlan, retries: u32, budget: Budget) -> Self {
+    /// Starts a walk at the head of its order.
+    pub(crate) fn new(retries: u32, budget: Budget) -> Self {
         QueryRun {
-            order: plan.order,
-            request: plan.request,
             retries,
             budget,
             attempt: 0,
@@ -145,20 +143,13 @@ impl QueryRun {
         }
     }
 
-    pub(crate) fn request(&self) -> &Request {
-        &self.request
-    }
-
-    pub(crate) fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    pub(crate) fn is_finished(&self) -> bool {
+    #[cfg(test)]
+    fn is_finished(&self) -> bool {
         self.finished
     }
 
-    fn current(&self) -> Option<SiloId> {
-        self.order.get(self.attempt).copied()
+    fn current(&self, order: &[SiloId]) -> Option<SiloId> {
+        order.get(self.attempt).copied()
     }
 
     /// Moves to the next candidate.
@@ -168,8 +159,8 @@ impl QueryRun {
     }
 
     /// `Wait` while a candidate remains; otherwise the walk ends degraded.
-    fn wait_or_degrade(&mut self) -> Action {
-        if self.current().is_some() {
+    fn wait_or_degrade(&mut self, order: &[SiloId]) -> Action {
+        if self.current(order).is_some() {
             return Action::Wait;
         }
         self.finished = true;
@@ -179,8 +170,9 @@ impl QueryRun {
         })
     }
 
-    /// Feeds one event, counting what it decides into `obs`.
-    pub(crate) fn on(&mut self, event: Event<'_>, obs: &ObsContext) -> Action {
+    /// Feeds one event to the walk down `order` (the same order on every
+    /// call), counting what it decides into `obs`.
+    pub(crate) fn on(&mut self, order: &[SiloId], event: Event<'_>, obs: &ObsContext) -> Action {
         if self.finished {
             return Action::Wait;
         }
@@ -189,7 +181,7 @@ impl QueryRun {
                 if self.stranded {
                     return Action::Wait;
                 }
-                while let Some(silo) = self.current() {
+                while let Some(silo) = self.current(order) {
                     // A may_call check, not allows(): a half-open silo is
                     // the probe the plan already admitted, and refusing it
                     // here would strand the breaker in HalfOpen.
@@ -206,11 +198,11 @@ impl QueryRun {
                     obs.metrics().breaker_skipped.inc();
                     self.advance();
                 }
-                self.wait_or_degrade()
+                self.wait_or_degrade(order)
             }
             Event::HedgeDue => {
-                match self.order.get(self.attempt + 1) {
-                    Some(&next) if Some(next) != self.current() => {
+                match order.get(self.attempt + 1) {
+                    Some(&next) if Some(next) != self.current(order) => {
                         self.advance();
                         self.hedged = true;
                         obs.metrics().hedges_fired.inc();
@@ -220,7 +212,7 @@ impl QueryRun {
                 Action::Wait
             }
             Event::Reply { silo, result } => {
-                let from_current = self.current() == Some(silo);
+                let from_current = self.current(order) == Some(silo);
                 match result {
                     Ok(response) => {
                         // A hedge win is only counted when the hedge, not
@@ -260,7 +252,7 @@ impl QueryRun {
                         self.trail.push((silo, error));
                         obs.metrics().resamples.inc();
                         self.advance();
-                        self.wait_or_degrade()
+                        self.wait_or_degrade(order)
                     }
                 }
             }
@@ -274,15 +266,28 @@ mod tests {
 
     const ANY: &dyn Fn(SiloId) -> bool = &|_| true;
 
-    fn run(order: &[SiloId], retries: u32, budget: Budget) -> QueryRun {
-        QueryRun::new(
-            RemotePlan {
-                order: order.to_vec(),
-                request: Request::Ping,
-            },
-            retries,
-            budget,
-        )
+    /// A run and the order it walks, held together as the driver holds
+    /// them.
+    struct Walk {
+        order: Vec<SiloId>,
+        run: QueryRun,
+    }
+
+    impl Walk {
+        fn on(&mut self, event: Event<'_>, obs: &ObsContext) -> Action {
+            self.run.on(&self.order, event, obs)
+        }
+
+        fn is_finished(&self) -> bool {
+            self.run.is_finished()
+        }
+    }
+
+    fn run(order: &[SiloId], retries: u32, budget: Budget) -> Walk {
+        Walk {
+            order: order.to_vec(),
+            run: QueryRun::new(retries, budget),
+        }
     }
 
     fn transient(silo: SiloId) -> TransportError {
