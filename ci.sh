@@ -6,7 +6,7 @@
 # (offline toolchains may lack them); every other step is mandatory.
 #
 # Opt-in sanitizer smoke (FEDRA_SANITIZE=1 ./ci.sh): the dynamic
-# counterpart to the determinism-discipline and lock-order static
+# counterpart to fedra-lint's determinism-discipline and lock-discipline
 # passes — runs the parallel-equivalence suite under ThreadSanitizer
 # and the federation wire tests under Miri. Skipped by default because
 # both need a nightly toolchain with the `rust-src` (for -Zbuild-std)
@@ -32,31 +32,6 @@ for threads in 1 4; do
         --test parallel_equivalence --test reproducibility \
         --test concurrent_equivalence
 done
-
-# Lint gate plus machine-readable artifact: the JSON output is
-# byte-stable, so target/ci/fedra-lint.json can be archived and diffed
-# between runs. Per-rule totals must match the committed baseline
-# exactly — with all lints at deny and the gate requiring zero failing
-# findings, every counted finding is a baselined one, so the totals are
-# exactly the per-rule line counts of crates/lint/baseline.txt.
-echo "==> fedra-lint check (JSON artifact + rule-count diff)"
-mkdir -p target/ci
-cargo run -q -p fedra-lint -- check --format json > target/ci/fedra-lint.json \
-    || { echo "fedra-lint: check failed (artifact: target/ci/fedra-lint.json)"; exit 1; }
-jq -r '.rule_counts | to_entries[] | "\(.key) \(.value)"' target/ci/fedra-lint.json \
-    > target/ci/rule-counts.txt
-# (grep exits 1 on an all-comment baseline — the healthy case — so it
-# must not trip set -e/pipefail.)
-{ grep -v '^#' crates/lint/baseline.txt || true; } | awk -F'\t' 'NF { print $1 }' \
-    | sort | uniq -c | awk '{ print $2, $1 }' > target/ci/baseline-counts.txt
-while read -r rule count; do
-    base=$(awk -v r="$rule" '$1 == r { print $2 }' target/ci/baseline-counts.txt)
-    if [ "$count" -ne "${base:-0}" ]; then
-        echo "fedra-lint: rule $rule reports $count findings, baseline records ${base:-0}"
-        exit 1
-    fi
-done < target/ci/rule-counts.txt
-echo "    ok ($(wc -l < target/ci/rule-counts.txt) rules match the committed baseline)"
 
 # Observability smoke: the quickstart ends with an instrumented batch
 # and a Prometheus dump; an empty or counter-less dump means the

@@ -174,8 +174,6 @@ struct TicketSlot {
 /// client that redeems its ticket after the answer landed costs the
 /// driver no wake-up call.
 struct TicketCell {
-    /// Unique field name: the lock-order lint identifies locks by field
-    /// name workspace-wide.
     filled: Mutex<TicketSlot>,
     ready: Condvar,
 }
@@ -294,8 +292,6 @@ struct IntakeState {
 }
 
 struct Intake {
-    /// Unique field name: the lock-order lint identifies locks by field
-    /// name workspace-wide.
     gate: Mutex<IntakeState>,
     wakeup: Condvar,
 }

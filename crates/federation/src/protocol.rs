@@ -271,6 +271,8 @@ pub(crate) fn encode_batch_request(requests: &[&Request]) -> Bytes {
     buf.freeze()
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
+#[deny(clippy::match_wildcard_for_single_variants)]
 impl Wire for Request {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -389,6 +391,8 @@ impl Wire for SiloMemoryReport {
     }
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
+#[deny(clippy::match_wildcard_for_single_variants)]
 impl Wire for Response {
     fn encode(&self, buf: &mut BytesMut) {
         match self {

@@ -33,7 +33,7 @@
 //!    channel drain (`recv`/`try_iter`): float addition is not
 //!    associative, so completion order changes the result.
 
-use crate::diagnostics::{Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::registry::Lint;
 use crate::scan::{matching, SourceFile};
@@ -258,7 +258,6 @@ fn check_file(lint: &'static str, file: &SourceFile, diags: &mut Vec<Diagnostic>
 fn diag(lint: &'static str, file: &SourceFile, at: &Token, message: String) -> Diagnostic {
     Diagnostic {
         lint,
-        level: Level::Deny,
         file: file.path.clone(),
         line: at.line,
         col: at.col,

@@ -13,7 +13,7 @@
 //! wherever the enum migrates). Requests are exempt — query ranges
 //! legitimately carry provider-chosen coordinates *to* the silos.
 
-use crate::diagnostics::{Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::registry::Lint;
 use crate::scan::{enum_body, SourceFile};
 use crate::workspace::Workspace;
@@ -49,7 +49,6 @@ impl Lint for FederationSafety {
                 if FORBIDDEN_TYPES.iter().any(|f| t.is_ident(f)) {
                     diags.push(Diagnostic {
                         lint: self.name(),
-                        level: Level::Deny,
                         file: file.path.clone(),
                         line: t.line,
                         col: t.col,
@@ -68,7 +67,6 @@ impl Lint for FederationSafety {
                 {
                     diags.push(Diagnostic {
                         lint: self.name(),
-                        level: Level::Deny,
                         file: file.path.clone(),
                         line: t.line,
                         col: t.col,

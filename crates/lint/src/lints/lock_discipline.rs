@@ -14,7 +14,7 @@
 //! (`m.lock().push(x);`) drop at the end of their statement and are never
 //! flagged.
 
-use crate::diagnostics::{Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::registry::Lint;
 use crate::scan::SourceFile;
@@ -99,7 +99,6 @@ fn check_file(lint: &'static str, file: &SourceFile, diags: &mut Vec<Diagnostic>
                 if let Some(g) = guards.last() {
                     diags.push(Diagnostic {
                         lint,
-                        level: Level::Deny,
                         file: file.path.clone(),
                         line: t.line,
                         col: t.col,

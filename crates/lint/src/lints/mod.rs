@@ -6,15 +6,9 @@
 mod determinism;
 mod federation_safety;
 mod lock_discipline;
-mod lock_order;
-mod obs_exhaustiveness;
 mod panic_discipline;
-mod wire_exhaustiveness;
 
 pub use determinism::DeterminismDiscipline;
 pub use federation_safety::FederationSafety;
 pub use lock_discipline::LockDiscipline;
-pub use lock_order::LockOrder;
-pub use obs_exhaustiveness::ObsExhaustiveness;
 pub use panic_discipline::PanicDiscipline;
-pub use wire_exhaustiveness::WireExhaustiveness;

@@ -10,12 +10,12 @@
 //! `crates/core` engine files.
 //!
 //! Findings here are meant to be **fixed** (convert the call site to a
-//! typed error — `TransportError`, `SetupError`, `FraError`), not
-//! baselined. The inline `allow` escape hatch is reserved for APIs whose
+//! typed error — `TransportError`, `SetupError`, `FraError`). The inline
+//! `allow` escape hatch is reserved for APIs whose
 //! documented contract is to panic (e.g. a `build()` convenience wrapper
 //! whose `try_build` twin carries the real error path).
 
-use crate::diagnostics::{Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::registry::Lint;
 use crate::scan::SourceFile;
 use crate::workspace::Workspace;
@@ -83,7 +83,6 @@ impl Lint for PanicDiscipline {
                     };
                     diags.push(Diagnostic {
                         lint: self.name(),
-                        level: Level::Deny,
                         file: file.path.clone(),
                         line: t.line,
                         col: t.col,

@@ -1,21 +1,17 @@
-//! The lint registry: which lints run, at which level.
+//! The lint registry: which lints run.
 
-use crate::diagnostics::{Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::workspace::Workspace;
 
 /// One static-analysis rule.
 ///
-/// A lint sees the **whole workspace** on every run — all lexed sources —
-/// so cross-file rules (wire-exhaustiveness pairs `protocol.rs` with
-/// `silo.rs`) need no special machinery; per-file lints simply loop over
-/// `ws.files`.
+/// A lint sees the **whole workspace** on every run — all lexed sources;
+/// per-file lints simply loop over `ws.files`.
 ///
 /// To add a lint: implement this trait in `src/lints/`, give it a unique
-/// kebab-case `name`, and push it in [`Registry::with_default_lints`].
-/// Findings should be pushed with [`Level::Deny`]; the registry rewrites
-/// the level to whatever the lint is registered at.
+/// kebab-case `name`, and add it to [`Registry::with_default_lints`].
 pub trait Lint {
-    /// Unique kebab-case name (used in `allow(…)` and the baseline).
+    /// Unique kebab-case name (used in `allow(…)`).
     fn name(&self) -> &'static str;
     /// One-line rationale shown by `fedra-lint list`.
     fn description(&self) -> &'static str;
@@ -23,85 +19,49 @@ pub trait Lint {
     fn check(&self, ws: &Workspace, diags: &mut Vec<Diagnostic>);
 }
 
-/// An ordered set of lints with per-lint levels.
+/// An ordered set of lints; every finding of every lint fails a run.
 pub struct Registry {
-    lints: Vec<(Box<dyn Lint>, Level)>,
+    lints: Vec<Box<dyn Lint>>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry { lints: Vec::new() }
-    }
-
-    /// The seven fedra lints, all at [`Level::Deny`].
+    /// The four fedra lints.
     pub fn with_default_lints() -> Registry {
-        let mut r = Registry::new();
-        r.register(Box::new(crate::lints::FederationSafety), Level::Deny);
-        r.register(Box::new(crate::lints::PanicDiscipline), Level::Deny);
-        r.register(Box::new(crate::lints::LockDiscipline), Level::Deny);
-        r.register(Box::new(crate::lints::WireExhaustiveness), Level::Deny);
-        r.register(Box::new(crate::lints::DeterminismDiscipline), Level::Deny);
-        r.register(Box::new(crate::lints::LockOrder), Level::Deny);
-        r.register(Box::new(crate::lints::ObsExhaustiveness), Level::Deny);
-        r
-    }
-
-    /// Adds a lint at `level`.
-    pub fn register(&mut self, lint: Box<dyn Lint>, level: Level) {
-        self.lints.push((lint, level));
-    }
-
-    /// Reconfigures the level of the lint called `name` (no-op when the
-    /// name is unknown).
-    pub fn set_level(&mut self, name: &str, level: Level) {
-        for (lint, l) in &mut self.lints {
-            if lint.name() == name {
-                *l = level;
-            }
+        Registry {
+            lints: vec![
+                Box::new(crate::lints::FederationSafety),
+                Box::new(crate::lints::PanicDiscipline),
+                Box::new(crate::lints::LockDiscipline),
+                Box::new(crate::lints::DeterminismDiscipline),
+            ],
         }
     }
 
-    /// Registered `(name, description, level)` triples.
-    pub fn lints(&self) -> Vec<(&'static str, &'static str, Level)> {
+    /// Registered `(name, description)` pairs.
+    pub fn lints(&self) -> Vec<(&'static str, &'static str)> {
         self.lints
             .iter()
-            .map(|(lint, level)| (lint.name(), lint.description(), *level))
+            .map(|lint| (lint.name(), lint.description()))
             .collect()
     }
 
-    /// Runs every enabled lint over `ws`, applies registered levels and
-    /// inline `allow` directives, and returns the surviving findings
-    /// sorted by location.
+    /// Runs every lint over `ws`, applies inline `allow` directives, and
+    /// returns the surviving findings sorted by location.
     pub fn run(&self, ws: &Workspace) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        for (lint, level) in &self.lints {
-            if *level == Level::Allow {
-                continue;
-            }
+        for lint in &self.lints {
             let mut found = Vec::new();
             lint.check(ws, &mut found);
-            for mut d in found {
-                d.level = *level;
-                let allowed = ws
-                    .files
+            diags.extend(found.into_iter().filter(|d| {
+                !ws.files
                     .iter()
                     .find(|f| f.path == d.file)
-                    .is_some_and(|f| d.is_allowed_by(&f.lexed.allows));
-                if !allowed {
-                    diags.push(d);
-                }
-            }
+                    .is_some_and(|f| d.is_allowed_by(&f.lexed.allows))
+            }));
         }
         diags.sort_by(|a, b| {
             (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
         });
         diags
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_default_lints()
     }
 }

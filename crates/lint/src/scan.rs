@@ -3,7 +3,7 @@
 //! Everything here works on the flat [`Token`] stream of
 //! [`crate::lexer::lex`] — no syntax tree. The helpers encode the handful
 //! of structural facts the lints need: matching delimiters, `#[cfg(test)]`
-//! / `#[test]` regions, and enum variant extraction.
+//! / `#[test]` regions, and enum bodies.
 
 use std::path::Path;
 
@@ -138,91 +138,4 @@ pub fn enum_body(tokens: &[Token], name: &str) -> Option<(usize, usize)> {
         }
     }
     None
-}
-
-/// Extracts the variant names (with the token index of each name) from an
-/// enum body range produced by [`enum_body`].
-pub fn enum_variants(tokens: &[Token], body: (usize, usize)) -> Vec<(String, usize)> {
-    let (start, end) = body;
-    let mut variants = Vec::new();
-    let mut i = start;
-    while i < end {
-        match tokens[i].kind {
-            // Skip attributes on variants.
-            TokenKind::Punct('#') if tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) => {
-                i = matching(tokens, i + 1) + 1;
-            }
-            TokenKind::Ident => {
-                variants.push((tokens[i].text.clone(), i));
-                // Skip the payload and trailing discriminant to the comma.
-                let mut j = i + 1;
-                while j < end {
-                    match tokens[j].kind {
-                        TokenKind::Punct('{') | TokenKind::Punct('(') => {
-                            j = matching(tokens, j) + 1;
-                        }
-                        TokenKind::Punct(',') => break,
-                        _ => j += 1,
-                    }
-                }
-                i = j + 1;
-            }
-            _ => i += 1,
-        }
-    }
-    variants
-}
-
-/// Finds the body range of `impl <trait> for <ty> { … }`.
-pub fn impl_body(tokens: &[Token], trait_name: &str, ty: &str) -> Option<(usize, usize)> {
-    for i in 0..tokens.len() {
-        if tokens[i].is_ident("impl")
-            && tokens.get(i + 1).is_some_and(|t| t.is_ident(trait_name))
-            && tokens.get(i + 2).is_some_and(|t| t.is_ident("for"))
-            && tokens.get(i + 3).is_some_and(|t| t.is_ident(ty))
-        {
-            let mut j = i + 4;
-            while j < tokens.len() && !tokens[j].is_punct('{') {
-                j += 1;
-            }
-            if j < tokens.len() {
-                return Some((j + 1, matching(tokens, j)));
-            }
-        }
-    }
-    None
-}
-
-/// Finds the body range of `fn <name> … { … }` inside `range`.
-pub fn fn_body(tokens: &[Token], range: (usize, usize), name: &str) -> Option<(usize, usize)> {
-    let (start, end) = range;
-    for i in start..end {
-        if tokens[i].is_ident("fn") && tokens.get(i + 1).is_some_and(|t| t.is_ident(name)) {
-            let mut j = i + 2;
-            while j < end && !tokens[j].is_punct('{') {
-                j += 1;
-            }
-            if j < end {
-                return Some((j + 1, matching(tokens, j)));
-            }
-        }
-    }
-    None
-}
-
-/// Whether `Path :: Variant` (three consecutive tokens: ident, `::`,
-/// ident) occurs anywhere inside `range`.
-pub fn mentions_variant(
-    tokens: &[Token],
-    range: (usize, usize),
-    path: &str,
-    variant: &str,
-) -> bool {
-    let (start, end) = range;
-    (start..end.saturating_sub(3)).any(|i| {
-        tokens[i].is_ident(path)
-            && tokens[i + 1].is_punct(':')
-            && tokens[i + 2].is_punct(':')
-            && tokens[i + 3].is_ident(variant)
-    })
 }

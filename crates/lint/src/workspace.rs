@@ -2,12 +2,9 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::diagnostics::{Baseline, Diagnostic, Level};
+use crate::diagnostics::Diagnostic;
 use crate::registry::Registry;
 use crate::scan::SourceFile;
-
-/// Where the committed baseline lives, relative to the repo root.
-pub const BASELINE_PATH: &str = "crates/lint/baseline.txt";
 
 /// Everything a lint sees on one run: the lexed Rust sources.
 #[derive(Debug, Clone, Default)]
@@ -26,42 +23,10 @@ impl Workspace {
 /// Outcome of one check run.
 #[derive(Debug)]
 pub struct Report {
-    /// Findings that fail the run (deny level, not baselined).
-    pub failing: Vec<Diagnostic>,
-    /// Findings printed but tolerated (warn level).
-    pub warnings: Vec<Diagnostic>,
-    /// Findings covered by the committed baseline.
-    pub baselined: Vec<Diagnostic>,
-    /// Baseline entries whose finding no longer exists (should be pruned).
-    pub stale_baseline: Vec<String>,
+    /// Every finding, in location order; any one fails the run.
+    pub findings: Vec<Diagnostic>,
     /// Number of files analyzed.
     pub files_checked: usize,
-}
-
-impl Report {
-    /// Whether the run passes (nothing failing, no stale baseline).
-    pub fn is_clean(&self) -> bool {
-        self.failing.is_empty() && self.stale_baseline.is_empty()
-    }
-
-    /// Every reported finding in location order, tagged with whether the
-    /// committed baseline suppresses it. This is the sequence the
-    /// machine-readable formats emit — stable across runs by construction
-    /// (the registry sorts, and the baseline flag is a pure function of
-    /// the finding).
-    pub fn all_findings(&self) -> Vec<(&Diagnostic, bool)> {
-        let mut all: Vec<(&Diagnostic, bool)> = self
-            .failing
-            .iter()
-            .map(|d| (d, false))
-            .chain(self.warnings.iter().map(|d| (d, false)))
-            .chain(self.baselined.iter().map(|d| (d, true)))
-            .collect();
-        all.sort_by(|(a, _), (b, _)| {
-            (a.file.as_str(), a.line, a.col, a.lint).cmp(&(b.file.as_str(), b.line, b.col, b.lint))
-        });
-        all
-    }
 }
 
 /// Collects every `.rs` file under `<root>/src` and `<root>/crates/*/src`.
@@ -107,32 +72,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs `registry` over the workspace at `root`, splitting findings
-/// against the baseline at `<root>/`[`BASELINE_PATH`].
+/// Runs `registry` over the workspace at `root`.
 pub fn run_check(root: &Path, registry: &Registry) -> std::io::Result<Report> {
     let workspace = collect_workspace(root)?;
-    let baseline = Baseline::load(&root.join(BASELINE_PATH));
-    let diags = registry.run(&workspace);
-    let stale_baseline = baseline
-        .stale(&diags)
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let mut report = Report {
-        failing: Vec::new(),
-        warnings: Vec::new(),
-        baselined: Vec::new(),
-        stale_baseline,
+    Ok(Report {
+        findings: registry.run(&workspace),
         files_checked: workspace.files.len(),
-    };
-    for d in diags {
-        if baseline.covers(&d) {
-            report.baselined.push(d);
-        } else if d.level == Level::Warn {
-            report.warnings.push(d);
-        } else {
-            report.failing.push(d);
-        }
-    }
-    Ok(report)
+    })
 }

@@ -1,5 +1,4 @@
-//! Tier-1 gate: the workspace must pass `fedra-lint` with no
-//! non-baselined findings and no stale baseline entries.
+//! Tier-1 gate: the workspace must pass `fedra-lint` with no findings.
 //!
 //! This is the same pass as `cargo run -p fedra-lint -- check`, wired
 //! into the root package's test suite so plain `cargo test` enforces it.
@@ -10,22 +9,16 @@ use fedra_lint::workspace::run_check;
 #[test]
 fn workspace_is_lint_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let registry = Registry::with_default_lints();
-    let report = run_check(root, &registry).expect("workspace is readable");
-    assert!(report.files_checked > 0, "no source files found");
+    let report = run_check(root, &Registry::with_default_lints()).expect("workspace is readable");
+    assert!(report.files_checked > 30, "suspiciously few files scanned");
     assert!(
-        report.failing.is_empty(),
-        "non-baselined lint findings:\n{}",
+        report.findings.is_empty(),
+        "lint findings:\n{}",
         report
-            .failing
+            .findings
             .iter()
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "stale baseline entries (delete them from crates/lint/baseline.txt):\n{}",
-        report.stale_baseline.join("\n")
     );
 }

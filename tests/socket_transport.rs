@@ -38,9 +38,73 @@ fn sample_rect() -> Rect {
     Rect::new(Point::new(-4.0, -2.0), Point::new(4.0, 2.0))
 }
 
-/// One instance of every [`Request`] variant. The match below has no
-/// wildcard arm on purpose: adding a variant fails this test until the
-/// sample list (and hence the parity pin) covers it.
+/// `(index, count)`: which of the listed variant patterns `value`
+/// matches, and how many are listed. The `match` has no wildcard arm, so
+/// a new variant does not compile until it is listed here, and
+/// [`assert_covers`] then fails until the sample set holds one.
+macro_rules! variant_index {
+    ($value:expr, $($variant:pat),+ $(,)?) => {{
+        match $value {
+            $($variant)|+ => {}
+        }
+        let mut index = None;
+        let mut count = 0;
+        $(
+            if index.is_none() && matches!($value, $variant) {
+                index = Some(count);
+            }
+            count += 1;
+        )+
+        (index.expect("the match above is exhaustive"), count)
+    }};
+}
+
+fn request_variant(request: &Request) -> (usize, usize) {
+    variant_index!(
+        request,
+        Request::BuildGrid { .. },
+        Request::Aggregate { .. },
+        Request::CellContributions { .. },
+        Request::HistogramEstimate { .. },
+        Request::MemoryReport,
+        Request::Ping,
+        Request::Batch(_),
+        Request::Masked { .. },
+    )
+}
+
+fn response_variant(response: &Response) -> (usize, usize) {
+    variant_index!(
+        response,
+        Response::Grid { .. },
+        Response::GridAck { .. },
+        Response::Agg(_),
+        Response::AggVec(_),
+        Response::Memory(_),
+        Response::Pong,
+        Response::Error(_),
+        Response::Batch(_),
+        Response::Transient(_),
+        Response::DeadlineExceeded { .. },
+    )
+}
+
+/// Asserts that `samples` hit every variant `variant` lists.
+fn assert_covers<T>(samples: &[T], variant: fn(&T) -> (usize, usize)) {
+    let mut hit = Vec::new();
+    for sample in samples {
+        let (index, count) = variant(sample);
+        hit.resize(count, false);
+        hit[index] = true;
+    }
+    let missing: Vec<usize> = (0..hit.len()).filter(|&v| !hit[v]).collect();
+    assert!(
+        !hit.is_empty() && missing.is_empty(),
+        "no sample for variant indices {missing:?}"
+    );
+}
+
+/// One instance of every [`Request`] variant.
 fn all_requests() -> Vec<Request> {
     let samples = vec![
         Request::BuildGrid {
@@ -80,23 +144,11 @@ fn all_requests() -> Vec<Request> {
             }),
         },
     ];
-    for sample in &samples {
-        match sample {
-            Request::BuildGrid { .. }
-            | Request::Aggregate { .. }
-            | Request::CellContributions { .. }
-            | Request::HistogramEstimate { .. }
-            | Request::MemoryReport
-            | Request::Ping
-            | Request::Batch(_)
-            | Request::Masked { .. } => {}
-        }
-    }
+    assert_covers(&samples, request_variant);
     samples
 }
 
-/// One instance of every [`Response`] variant (no-wildcard match, same
-/// exhaustiveness pin as [`all_requests`]).
+/// One instance of every [`Response`] variant.
 fn all_responses() -> Vec<Response> {
     let samples = vec![
         Response::Grid {
@@ -123,20 +175,7 @@ fn all_responses() -> Vec<Response> {
         Response::Transient("flap window".into()),
         Response::DeadlineExceeded { late_by_us: 12345 },
     ];
-    for sample in &samples {
-        match sample {
-            Response::Grid { .. }
-            | Response::GridAck { .. }
-            | Response::Agg(_)
-            | Response::AggVec(_)
-            | Response::Memory(_)
-            | Response::Pong
-            | Response::Error(_)
-            | Response::Batch(_)
-            | Response::Transient(_)
-            | Response::DeadlineExceeded { .. } => {}
-        }
-    }
+    assert_covers(&samples, response_variant);
     samples
 }
 

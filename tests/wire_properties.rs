@@ -89,6 +89,20 @@ fn request() -> impl Strategy<Value = Request> {
 
 fn response() -> impl Strategy<Value = Response> {
     prop_oneof![
+        (
+            -1e5f64..1e5,
+            -1e5f64..1e5,
+            1.0f64..100.0,
+            proptest::collection::vec(agg(), 0..64),
+            any::<u64>(),
+        )
+            .prop_map(|(x, y, cell_len, cells, outside)| Response::Grid {
+                bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
+                cell_len,
+                cells,
+                outside,
+            }),
+        (agg(), any::<u64>()).prop_map(|(total, outside)| Response::GridAck { total, outside }),
         agg().prop_map(Response::Agg),
         proptest::collection::vec(agg(), 0..64).prop_map(Response::AggVec),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
@@ -135,11 +149,17 @@ proptest! {
         let back = Response::from_bytes(bytes).expect("well-formed response decodes");
         match (&back, &resp) {
             (Response::Agg(a), Response::Agg(b)) => prop_assert_eq!(agg_bits(a), agg_bits(b)),
-            (Response::AggVec(a), Response::AggVec(b)) => {
+            (Response::AggVec(a), Response::AggVec(b))
+            | (Response::Grid { cells: a, .. }, Response::Grid { cells: b, .. }) => {
                 prop_assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(b) {
                     prop_assert_eq!(agg_bits(x), agg_bits(y));
                 }
+                prop_assert_eq!(format!("{back:?}"), format!("{resp:?}"));
+            }
+            (Response::GridAck { total: a, .. }, Response::GridAck { total: b, .. }) => {
+                prop_assert_eq!(agg_bits(a), agg_bits(b));
+                prop_assert_eq!(format!("{back:?}"), format!("{resp:?}"));
             }
             _ => prop_assert_eq!(format!("{back:?}"), format!("{resp:?}")),
         }
