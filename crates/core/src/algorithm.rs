@@ -46,12 +46,14 @@ impl AccuracyParams {
 
 /// The remote step a planning algorithm wants executed for one query.
 ///
-/// Produced by [`FraAlgorithm::plan_with`] when the query needs exactly one
-/// silo's answer (the single-silo sampling pattern of Algs. 2 and 3).
+/// Produced by [`FraAlgorithm::plan_with`] when the query needs one silo's
+/// answer (the single-silo sampling pattern of Algs. 2 and 3), or the
+/// answers of `k` pooled silos.
 #[derive(Debug, Clone)]
 pub struct RemotePlan {
-    /// Candidate silos in visiting order: the head is the sampled silo,
-    /// the tail is the resample-on-failure fallback order.
+    /// Candidate silos in visiting order: the head is the sampled silo (a
+    /// pooled plan's first `k` are its sampled silos), the tail is the
+    /// resample-on-failure fallback order.
     pub order: Vec<SiloId>,
     /// The request to send to whichever candidate is visited.
     pub request: Request,
@@ -65,15 +67,16 @@ pub enum QueryPlan {
     Ready(Result<QueryResult, FraError>),
     /// One single-silo request remains; execute it (resampling down
     /// [`RemotePlan::order`] on failure) and hand the response to
-    /// [`FraAlgorithm::finish_with`].
+    /// [`FraAlgorithm::finish_with`] (or, pooled, to `k` candidates and
+    /// [`FraAlgorithm::finish_pooled`]).
     SingleSilo(RemotePlan),
 }
 
 /// A federated range aggregation algorithm.
 ///
-/// Implementations are `Send + Sync` so the multi-query framework
-/// (Alg. 4) can drive one instance from many worker threads; internal
-/// randomness therefore lives behind locks.
+/// Implementations are `Send + Sync` so one instance can serve many
+/// threads (a shared [`AnswerCache`](crate::AnswerCache), a scheduler's
+/// clients); internal randomness therefore lives behind locks.
 ///
 /// # One fallible core
 ///
@@ -137,13 +140,24 @@ pub trait FraAlgorithm: Send + Sync {
         }
     }
 
-    /// Whether this algorithm implements the plan/finish split.
+    /// Whether this algorithm implements the single-silo plan/finish
+    /// split: a `SingleSilo` plan finished by
+    /// [`finish_with`](Self::finish_with) on one reply.
     ///
-    /// `false` (the default) means [`plan_with`](Self::plan_with) simply
-    /// runs [`try_execute_with`](Self::try_execute_with) — correct, but
-    /// it gives the batch engine nothing to coalesce.
+    /// `false` (the default) for the rest: [`plan_with`](Self::plan_with)
+    /// simply runs [`try_execute_with`](Self::try_execute_with), or the
+    /// plan pools several replies ([`quorum`](Self::quorum)). No execution
+    /// path reads it: the driver calls `plan_with` either way.
     fn supports_planning(&self) -> bool {
         false
+    }
+
+    /// `Some(k)` when a planned query pools `k` silos' answers: it rides
+    /// `k` legs over [`RemotePlan::order`] at once, and a leg whose
+    /// candidate fails for good moves on to the next one no leg has tried.
+    /// `None` (the default) walks the order until one silo answers.
+    fn quorum(&self) -> Option<usize> {
+        None
     }
 
     /// The request this algorithm sends to **every** silo for `query`, when
@@ -185,6 +199,22 @@ pub trait FraAlgorithm: Send + Sync {
             "{}: plan_with() returned SingleSilo but finish_with() is not implemented",
             self.name()
         )
+    }
+
+    /// Completes a planned query from its `(silo, response)` answers,
+    /// never empty, **in candidate order** (not arrival order): a walk's
+    /// one, or a pool's ([`quorum`](Self::quorum)). `rounds` is the silo
+    /// attempts of every leg. The default finishes the first answer.
+    fn finish_pooled(
+        &self,
+        federation: &Federation,
+        query: &FraQuery,
+        mut answers: Vec<(SiloId, Response)>,
+        rounds: u64,
+        obs: &ObsContext,
+    ) -> Result<QueryResult, FraError> {
+        let (silo, response) = answers.swap_remove(0);
+        self.finish_with(federation, query, silo, response, rounds, obs)
     }
 
     /// Completes a planned query after *every* candidate silo failed.
@@ -237,46 +267,62 @@ pub(crate) fn note_coverage(obs: &ObsContext, result: &QueryResult) {
     }
 }
 
-/// The driver's finish step for a planned walk: turns the [`End`] of a
-/// run's walk into the query's result — `finish_with` on the winning reply
-/// (under a `finish` span on `trace`), or `finish_degraded` with the
-/// run's error trail backfilled — and records the sampled/degraded
-/// counters and the coverage metrics.
+/// The driver's finish step for a planned query: `ends` holds how its
+/// runs ended, in candidate order — a walk's one, or a pool's legs'. The
+/// answers go to `finish_pooled` under a `finish` span on `trace`; without
+/// one, to `finish_degraded` with the runs' error trails backfilled.
+/// Records the sampled/degraded counters and the coverage metrics.
 pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
     query: &FraQuery,
-    end: End,
+    ends: impl IntoIterator<Item = End>,
     trace: &TraceHandle,
     obs: &ObsContext,
 ) -> Result<QueryResult, FraError> {
-    let outcome = match end {
-        End::Answer {
-            silo,
-            response,
-            rounds,
-        } => {
-            obs.metrics().sampled_silo.inc(silo);
-            trace.attr("silo", silo);
-            let _finish_span = Span::enter(trace, "finish");
-            algorithm.finish_with(federation, query, silo, response, rounds, obs)
-        }
-        End::Degrade { rounds, trail } => {
-            obs.metrics().degraded.inc();
-            match algorithm.finish_degraded(federation, query, rounds) {
-                // finish_degraded never saw the per-candidate errors —
-                // backfill the trail it stands for.
-                Err(FraError::AllSilosUnavailable { errors }) if errors.is_empty() => {
-                    Err(FraError::AllSilosUnavailable { errors: trail })
-                }
-                other => other,
+    let (mut answers, mut trail, mut rounds) = (Vec::new(), Vec::new(), 0);
+    for end in ends {
+        match end {
+            End::Answer {
+                silo,
+                response,
+                rounds: attempts,
+            } => {
+                answers.push((silo, response));
+                rounds += attempts;
+            }
+            End::Degrade {
+                rounds: attempts,
+                trail: errors,
+            } => {
+                trail.extend(errors);
+                rounds += attempts;
+            }
+            // Shedding names an admission class only the serving layer
+            // knows; the driver answers it before the finish step.
+            End::Shed => {
+                let message = "a shed run reached the finish step".into();
+                return Err(FraError::Internal { message });
             }
         }
-        // Shedding names an admission class only the serving layer knows;
-        // the driver answers it before the finish step.
-        End::Shed => Err(FraError::Internal {
-            message: "a shed run reached the finish step".into(),
-        }),
+    }
+    let outcome = if let Some(&(silo, _)) = answers.first() {
+        for (k, _) in &answers {
+            obs.metrics().sampled_silo.inc(*k);
+        }
+        trace.attr("silo", silo);
+        let _finish_span = Span::enter(trace, "finish");
+        algorithm.finish_pooled(federation, query, answers, rounds, obs)
+    } else {
+        obs.metrics().degraded.inc();
+        match algorithm.finish_degraded(federation, query, rounds) {
+            // finish_degraded never saw the per-candidate errors —
+            // backfill the trail it stands for.
+            Err(FraError::AllSilosUnavailable { errors }) if errors.is_empty() => {
+                Err(FraError::AllSilosUnavailable { errors: trail })
+            }
+            other => other,
+        }
     };
     if let Ok(result) = &outcome {
         trace.attr("rounds", result.rounds);

@@ -10,11 +10,11 @@
 //! per silo instead of once per query. A fan-out query
 //! ([`FraAlgorithm::fan_out`]) rides the same rounds as `m` single-silo
 //! legs, so a batch of EXACT queries is `m` frames too: each silo still
-//! does |Q| probes, but the provider pays `m` envelopes, not `m`·|Q|.
-//! Algorithms with neither a plan/finish split nor a fan-out — the pooled
-//! multi-silo estimator, whose k-of-n walk is sequential by definition,
-//! and the planner and cache wrappers — fall back to a worker pool over
-//! `try_execute`.
+//! does |Q| probes, but the provider pays `m` envelopes, not `m`·|Q|. A
+//! pooled query ([`FraAlgorithm::quorum`], MultiSilo-est) rides them as
+//! `k` legs over its candidate order. An algorithm with neither a
+//! plan/finish split nor a fan-out — the planner and cache wrappers — is
+//! answered at admission by its default `plan_with`, in input order.
 //!
 //! The procedure itself is one crate-private value, the driver: it admits
 //! queries, pumps scatter–gather rounds and finishes each query as its
@@ -35,7 +35,6 @@ use fedra_federation::{
     CommSnapshot, Federation, HealthTransition, PendingFrame, Poll, Reply, Request, SiloId,
     TransportError,
 };
-use fedra_index::pool::WorkerPool;
 use fedra_obs::{ObsContext, Span, TraceHandle};
 
 use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, QueryPlan, RemotePlan};
@@ -122,39 +121,23 @@ impl BatchResult {
     }
 }
 
-/// The Alg. 4 execution engine: one algorithm's batch admitted to the
-/// driver a lone query and a scheduler tick use, one coalesced frame per
-/// silo per round, whether the riders are sampled single-silo plans or
-/// the legs of EXACT / OPTA fan-outs. `workers` sizes the fallback pool
-/// for algorithms that announce neither
-/// ([`MultiSiloEst`](crate::MultiSiloEst), the wrappers): each drives its
-/// own remote calls inside `try_execute`.
+/// The Alg. 4 execution engine: one algorithm's batch admitted, in input
+/// order, to the driver a lone query and a scheduler tick use — one
+/// coalesced frame per silo per round, whether the riders are sampled
+/// single-silo plans, the legs of pooled plans or the legs of EXACT / OPTA
+/// fan-outs. The paper's "one thread per silo" is the silos' own serving
+/// threads; the engine spawns none.
 pub struct QueryEngine<'a> {
     algorithm: &'a dyn FraAlgorithm,
-    workers: usize,
     query_budget: Option<Duration>,
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Creates an engine with one worker per silo — the paper's setup
-    /// ("the number of threads equals to the number of silos").
-    pub fn per_silo(algorithm: &'a dyn FraAlgorithm, federation: &Federation) -> Self {
+    /// Creates an engine for `algorithm`. `federation` is unused (the
+    /// engine spawns no threads to size); it stays for existing callers.
+    pub fn per_silo(algorithm: &'a dyn FraAlgorithm, _federation: &Federation) -> Self {
         Self {
             algorithm,
-            workers: federation.num_silos().max(1),
-            query_budget: None,
-        }
-    }
-
-    /// Creates an engine with an explicit worker count.
-    ///
-    /// # Panics
-    /// Panics when `workers == 0`.
-    pub fn with_workers(algorithm: &'a dyn FraAlgorithm, workers: usize) -> Self {
-        assert!(workers > 0, "the engine needs at least one worker");
-        Self {
-            algorithm,
-            workers,
             query_budget: None,
         }
     }
@@ -173,11 +156,12 @@ impl<'a> QueryEngine<'a> {
     /// communication around the whole batch (Alg. 4 semantics: the batch
     /// arrives at once, answers stream out as silos respond).
     ///
-    /// Planning and fan-out algorithms take the coalesced scatter–gather
-    /// path (one wire frame per silo per round); the rest run on the
-    /// worker pool. Either way the per-query results are identical to
-    /// running `try_execute` on each query — batching changes how frames
-    /// travel, not what they compute.
+    /// Every query takes the coalesced scatter–gather path (one wire frame
+    /// per silo per round); a query of an algorithm with neither a plan
+    /// nor a fan-out is answered at its admission. Either way the
+    /// per-query results are identical to running `try_execute` on each
+    /// query in input order — batching changes how frames travel, not what
+    /// they compute.
     pub fn execute_batch(&self, federation: &Federation, queries: &[FraQuery]) -> BatchResult {
         self.execute_batch_with(federation, queries, ObsContext::noop())
     }
@@ -200,22 +184,15 @@ impl<'a> QueryEngine<'a> {
         queries: &[FraQuery],
         obs: &ObsContext,
     ) -> BatchResult {
-        obs.metrics().engine_workers.set(self.workers as f64);
         let comm_before = federation.query_comm();
         // Wall timing feeds BatchResult/throughput reporting only, never
         // a query answer.
         // fedra-lint: allow(determinism-discipline)
         let started = Instant::now();
-        let rides_rounds = self.algorithm.supports_planning()
-            || queries.iter().any(|q| self.algorithm.fan_out(q).is_some());
-        let results = if rides_rounds {
-            // Each run's per-attempt allowance.
-            let allowance = self.query_budget.or(federation.call_policy().deadline);
-            let budget = Budget::PerAttempt(allowance);
-            drive_rounds(self.algorithm, federation, queries, budget, obs)
-        } else {
-            self.run_pooled(federation, queries, obs)
-        };
+        // Each run's per-attempt allowance.
+        let allowance = self.query_budget.or(federation.call_policy().deadline);
+        let budget = Budget::PerAttempt(allowance);
+        let results = drive_rounds(self.algorithm, federation, queries, budget, obs);
         let wall_time = started.elapsed();
         let throughput_qps = if wall_time.as_secs_f64() > 0.0 {
             queries.len() as f64 / wall_time.as_secs_f64()
@@ -245,51 +222,17 @@ impl<'a> QueryEngine<'a> {
             comm,
         }
     }
-
-    /// Worker-pool execution: one `try_execute` per query on a
-    /// [`WorkerPool`] sized to this engine's worker count. A panicking
-    /// worker forfeits its in-flight queries; those slots surface as
-    /// [`FraError::Internal`] while the rest of the batch answers
-    /// normally.
-    fn run_pooled(
-        &self,
-        federation: &Federation,
-        queries: &[FraQuery],
-        obs: &ObsContext,
-    ) -> Vec<Result<QueryResult, FraError>> {
-        let pool = WorkerPool::new(self.workers);
-        if !queries.is_empty() {
-            // Expected share per worker; the pool's shared cursor balances
-            // the actual split dynamically.
-            let per_task = queries.len().div_ceil(pool.threads().max(1));
-            obs.metrics()
-                .engine_pool_items_per_task
-                .observe(per_task as u64);
-        }
-        pool.try_map(queries, |_, query| {
-            self.algorithm.try_execute_with(federation, query, obs)
-        })
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(FraError::Internal {
-                    message: "batch worker panicked before answering this query".into(),
-                })
-            })
-        })
-        .collect()
-    }
 }
 
 /// A query's answer, or why it has none.
 type Outcome = Result<QueryResult, FraError>;
 
-/// Coalesced scatter–gather execution of `queries` for a planning or
-/// fan-out algorithm — a batch, or a lone query as a batch of one: every
-/// query is admitted to one [`Driver`] in input order (planning consumes
-/// the algorithm's RNG, and input order is what keeps a batch
-/// seed-equivalent to query-for-query execution), then the driver is
-/// pumped until it is empty. `budget` is each run's allowance.
+/// Coalesced scatter–gather execution of `queries` — a batch, or a lone
+/// query as a batch of one: every query is admitted to one [`Driver`] in
+/// input order (planning consumes the algorithm's RNG, and input order is
+/// what keeps a batch seed-equivalent to query-for-query execution, and a
+/// cache's repeat a hit on its first ask), then the driver is pumped until
+/// it is empty. `budget` is each run's allowance.
 pub(crate) fn drive_rounds<A: FraAlgorithm + ?Sized>(
     algorithm: &A,
     federation: &Federation,
@@ -459,7 +402,7 @@ where
     H::Target: FraAlgorithm,
 {
     /// Finishes the slot's query once its last run ended: `finish_run` for
-    /// a walk, `join_fanout` for a fan-out, and a shed run answers
+    /// a walk or a pool, `join_fanout` for a fan-out, and a shed run answers
     /// [`FraError::Shed`] with an empty class for the serving layer to
     /// name.
     fn settle(&mut self, federation: &Federation, obs: &ObsContext) {
@@ -493,9 +436,64 @@ enum Runs<H> {
         order: Vec<SiloId>,
         leg: Leg,
     },
-    /// Its fan-out's leg table, indexed by silo: leg `k` walks silo `k`
-    /// alone. Joined once no leg rides.
-    FanOut { legs: Vec<Leg>, riding: usize },
+    /// Its legs: a pooled plan's, finished by its algorithm, or a
+    /// fan-out's (`None`), joined in silo-id order.
+    Legs { algorithm: Option<H>, legs: Legs },
+}
+
+/// A query's legs, each walking one candidate, so none hedges: a
+/// fan-out's, leg `k` on silo `k`, or a pooled plan's, leg `i` on its
+/// `i`-th candidate. A candidate that fails for good hands over to a new
+/// leg on the next one no leg has taken, so the legs that answer are the
+/// first `k` candidates in order that can.
+struct Legs {
+    /// Every leg so far and its candidate, in candidate order.
+    legs: Vec<(SiloId, Leg)>,
+    /// Candidates no leg has taken yet, in order (a fan-out has none).
+    spare: std::vec::IntoIter<SiloId>,
+    riding: usize,
+    retries: u32,
+    budget: Budget,
+}
+
+impl Legs {
+    fn new(first: impl Iterator<Item = SiloId>, spare: Vec<SiloId>, run: (u32, Budget)) -> Self {
+        let (retries, budget) = run;
+        let legs: Vec<_> = first.map(|k| (k, Leg::new(retries, budget))).collect();
+        Legs {
+            riding: legs.len(),
+            legs,
+            spare: spare.into_iter(),
+            retries,
+            budget,
+        }
+    }
+
+    /// The riding leg on `silo`; a fan-out's is leg `silo`.
+    fn leg_of(&self, silo: SiloId) -> Option<usize> {
+        let on =
+            |&i: &usize| matches!(self.legs.get(i), Some((at, leg)) if *at == silo && leg.rides());
+        Some(silo)
+            .filter(on)
+            .or_else(|| (0..self.legs.len()).find(on))
+    }
+
+    /// Feeds `event` to leg `i`; returns the send it asks for.
+    fn on(&mut self, i: usize, event: Event<'_>, obs: &ObsContext) -> Option<(SiloId, u32)> {
+        let (silo, leg) = self.legs.get_mut(i).filter(|(_, leg)| leg.rides())?;
+        let send = leg.on(std::slice::from_ref(silo), event, obs);
+        if leg.rides() {
+            return send;
+        }
+        self.riding -= 1;
+        if matches!(leg.end, Some(End::Degrade { .. })) {
+            if let Some(next) = self.spare.next() {
+                self.legs.push((next, Leg::new(self.retries, self.budget)));
+                self.riding += 1;
+            }
+        }
+        None
+    }
 }
 
 /// One run, and how its walk ended once it is over.
@@ -536,42 +534,42 @@ impl Leg {
 }
 
 impl<H> Runs<H> {
-    /// How many runs the query has: one walk, or `m` legs.
+    /// How many runs the query has: one walk, or its legs so far.
     fn len(&self) -> usize {
         match self {
             Runs::Walk { .. } => 1,
-            Runs::FanOut { legs, .. } => legs.len(),
+            Runs::Legs { legs, .. } => legs.legs.len(),
+        }
+    }
+
+    /// Feeds `event` to run `i`: the walk, or leg `i`.
+    fn dispatch(&mut self, i: usize, event: Event<'_>, obs: &ObsContext) -> Option<(SiloId, u32)> {
+        match self {
+            Runs::Walk { order, leg, .. } => leg.on(order, event, obs),
+            Runs::Legs { legs, .. } => legs.on(i, event, obs),
         }
     }
 
     /// Feeds `event` to the run that rides to `silo` — the walk, wherever
-    /// it stands, or the fan-out's leg `silo`. Returns the send it asks
-    /// for.
+    /// it stands, or the leg on `silo`. Returns the send it asks for.
     fn on(&mut self, silo: SiloId, event: Event<'_>, obs: &ObsContext) -> Option<(SiloId, u32)> {
         match self {
             Runs::Walk { order, leg, .. } => leg.on(order, event, obs),
-            Runs::FanOut { legs, riding } => {
-                let leg = legs.get_mut(silo).filter(|leg| leg.rides())?;
-                let send = leg.on(std::slice::from_ref(&silo), event, obs);
-                if !leg.rides() {
-                    *riding -= 1;
-                }
-                send
-            }
+            Runs::Legs { legs, .. } => legs.on(legs.leg_of(silo)?, event, obs),
         }
     }
 
     fn rides_to(&self, silo: SiloId) -> bool {
         match self {
             Runs::Walk { leg, .. } => leg.rides(),
-            Runs::FanOut { legs, .. } => legs.get(silo).is_some_and(Leg::rides),
+            Runs::Legs { legs, .. } => legs.leg_of(silo).is_some(),
         }
     }
 
     fn done(&self) -> bool {
         match self {
             Runs::Walk { leg, .. } => !leg.rides(),
-            Runs::FanOut { riding, .. } => *riding == 0,
+            Runs::Legs { legs, .. } => legs.riding == 0,
         }
     }
 }
@@ -592,11 +590,14 @@ where
                 leg: Leg { end: Some(end), .. },
                 ..
             } if !matches!(end, End::Shed) => {
-                finish_run(&*algorithm, federation, query, end, trace, obs)
+                finish_run(&*algorithm, federation, query, [end], trace, obs)
             }
-            Runs::FanOut { legs, .. } if !legs.iter().any(shed) => {
-                let ends = legs.into_iter().filter_map(|leg| leg.end);
-                join_fanout(federation, query, ends, obs)
+            Runs::Legs { algorithm, legs } if !legs.legs.iter().any(|(_, leg)| shed(leg)) => {
+                let ends = legs.legs.into_iter().filter_map(|(_, leg)| leg.end);
+                match algorithm {
+                    Some(algorithm) => finish_run(&*algorithm, federation, query, ends, trace, obs),
+                    None => join_fanout(federation, query, ends, obs),
+                }
             }
             // Shedding names an admission class only the serving layer knows.
             _ => Err(FraError::Shed {
@@ -642,10 +643,12 @@ where
 
     /// Admits one query: builds its algorithm (inside the panic rule, so a
     /// failing factory answers only this query), then plans it on `trace`
-    /// or lays out its `m` fan-out legs, each run with `budget`. Nothing
-    /// here waits on a silo. Returns the outcome at once when the plan
-    /// resolved provider-side (or panicked); otherwise the query rides the
-    /// next [`pump`](Self::pump).
+    /// — a walk, or a pool of [`FraAlgorithm::quorum`] legs — or lays out
+    /// its `m` fan-out legs, each run with `budget`. Nothing here waits on
+    /// a silo but the default `plan_with` of an algorithm with neither a
+    /// plan nor a fan-out, which answers the query here. Returns the
+    /// outcome at once when the plan resolved provider-side (or panicked);
+    /// otherwise the query rides the next [`pump`](Self::pump).
     pub(crate) fn admit(
         &mut self,
         key: K,
@@ -666,13 +669,12 @@ where
                 // which a breaker opened by fan-out traffic alone would
                 // never half-open; `may_call` decides at dispatch.
                 let span = Span::enter(&trace, "fanout");
-                let leg = |k| {
+                let silos = (0..federation.num_silos()).inspect(|&k| {
                     federation.health().allows(k);
-                    Leg::new(retries, budget)
-                };
-                let legs: Vec<Leg> = (0..federation.num_silos()).map(leg).collect();
-                let riding = legs.len();
-                return Ok((Runs::FanOut { legs, riding }, request, span));
+                });
+                let legs = Legs::new(silos, Vec::new(), (retries, budget));
+                let algorithm = None;
+                return Ok((Runs::Legs { algorithm, legs }, request, span));
             }
             let plan_span = Span::enter(&trace, "plan");
             let RemotePlan { order, request } = match algorithm.plan_with(federation, &query, obs) {
@@ -685,16 +687,21 @@ where
             obs.metrics().plan_remote.inc();
             drop(plan_span);
             let span = Span::enter(&trace, "remote");
-            let leg = Leg::new(retries, budget);
-            Ok((
-                Runs::Walk {
+            let runs = match algorithm.quorum() {
+                Some(k) => {
+                    let mut first = order;
+                    let spare = first.split_off(k.min(first.len()));
+                    let legs = Legs::new(first.into_iter(), spare, (retries, budget));
+                    let algorithm = Some(algorithm);
+                    Runs::Legs { algorithm, legs }
+                }
+                None => Runs::Walk {
                     algorithm,
                     order,
-                    leg,
+                    leg: Leg::new(retries, budget),
                 },
-                request,
-                span,
-            ))
+            };
+            Ok((runs, request, span))
         });
         let (runs, request, span) = match planned.unwrap_or_else(|panicked| Err(Err(panicked))) {
             Ok(remote) => remote,
@@ -987,11 +994,16 @@ fn round<K, H>(
         let SlotState::Riding(q) = &mut slot.state else {
             continue;
         };
-        for leg in 0..q.runs.len() {
+        // A leg that hands over at dispatch adds a leg that rides this
+        // round.
+        for leg in 0.. {
+            if leg == q.runs.len() {
+                break;
+            }
             let dispatch = Event::Dispatch {
                 may_call: &may_call,
             };
-            let Some((silo, retry)) = q.runs.on(leg, dispatch, obs) else {
+            let Some((silo, retry)) = q.runs.dispatch(leg, dispatch, obs) else {
                 continue;
             };
             riders[silo].tagged.push((tag, &requests[i]));
@@ -1100,6 +1112,7 @@ mod tests {
     use super::*;
     use crate::algorithm::drive_planned;
     use crate::exact::Exact;
+    use crate::multi::MultiSiloEst;
     use crate::sampling::{IidEst, NonIidEst};
     use fedra_federation::{
         CallPolicy, FaultPlan, FederationBuilder, LocalMode, Response, SiloFaultSpec,
@@ -1191,35 +1204,47 @@ mod tests {
         assert!(batch.wall_time > Duration::ZERO);
     }
 
+    /// A fresh algorithm instance, same seed every call.
+    type Fresh = fn() -> Box<dyn FraAlgorithm>;
+
     #[test]
     fn batched_path_amortizes_envelopes_over_query_for_query_execution() {
         let fed = setup(3, 500);
         let qs = queries(40, 20);
-        let alg = IidEst::new(21);
-        let engine = QueryEngine::per_silo(&alg, &fed);
-        fed.reset_query_comm();
-        let batched = engine.execute_batch(&fed, &qs);
-        // The reference: a same-seed instance executed query for query,
-        // consuming the RNG in the same (input) order as the sequentially
-        // planned batched run.
-        let alg_seq = IidEst::new(21);
-        fed.reset_query_comm();
-        let singleton: Vec<f64> = qs
-            .iter()
-            .map(|q| alg_seq.try_execute(&fed, q).unwrap().value)
-            .collect();
-        let singleton_comm = fed.query_comm();
-        // Same seed, same queries: identical answers...
-        assert_eq!(batched.values(), singleton);
-        // ...but the batched run pays one envelope per silo, not per query.
-        assert_eq!(singleton_comm.rounds, 40);
-        assert!(batched.comm.rounds <= 3);
-        assert!(
-            batched.comm.total_bytes() < singleton_comm.total_bytes() / 2,
-            "batched {} bytes vs singleton {} bytes",
-            batched.comm.total_bytes(),
-            singleton_comm.total_bytes()
-        );
+        // Each algorithm, and the frames one of its queries costs alone.
+        let algorithms: [(Fresh, u64); 2] = [
+            (|| Box::new(IidEst::new(21)), 1),
+            (|| Box::new(MultiSiloEst::new(21, 2)), 2),
+        ];
+        for (fresh, k) in algorithms {
+            let alg = fresh();
+            let engine = QueryEngine::per_silo(alg.as_ref(), &fed);
+            fed.reset_query_comm();
+            let batched = engine.execute_batch(&fed, &qs);
+            // The reference: a same-seed instance executed query for
+            // query, consuming the RNG in the same (input) order as the
+            // sequentially planned batched run.
+            let alg_seq = fresh();
+            fed.reset_query_comm();
+            let singleton: Vec<f64> = qs
+                .iter()
+                .map(|q| alg_seq.try_execute(&fed, q).unwrap().value)
+                .collect();
+            let singleton_comm = fed.query_comm();
+            let name = alg.name();
+            // Same seed, same queries: identical answers...
+            assert_eq!(batched.values(), singleton, "{name}");
+            // ...but the batched run pays one envelope per silo, not per
+            // query (and not per pooled leg).
+            assert_eq!(singleton_comm.rounds, 40 * k, "{name}");
+            assert!(batched.comm.rounds <= 3, "{name}");
+            assert!(
+                batched.comm.total_bytes() < singleton_comm.total_bytes() / 2,
+                "{name}: batched {} bytes vs singleton {} bytes",
+                batched.comm.total_bytes(),
+                singleton_comm.total_bytes()
+            );
+        }
     }
 
     #[test]
@@ -1311,7 +1336,7 @@ mod tests {
         if !batched {
             return alg.try_execute_with(fed, query, obs);
         }
-        let engine = QueryEngine::with_workers(alg, 1);
+        let engine = QueryEngine::per_silo(alg, fed);
         let batch = engine.execute_batch_with(fed, std::slice::from_ref(query), obs);
         batch.results[0].clone()
     }
@@ -1362,11 +1387,12 @@ mod tests {
                 Some("fedra_resamples_total"),
             ),
         ];
-        let iid: fn() -> Box<dyn FraAlgorithm> = || Box::new(IidEst::new(77));
-        let noniid: fn() -> Box<dyn FraAlgorithm> = || Box::new(NonIidEst::new(77));
+        let iid: Fresh = || Box::new(IidEst::new(77));
+        let noniid: Fresh = || Box::new(NonIidEst::new(77));
+        let pooled: Fresh = || Box::new(MultiSiloEst::new(77, 2));
         let qs = queries(16, 13);
         for (what, configure, witness) in scenarios {
-            for fresh in [iid, noniid] {
+            for fresh in [iid, noniid, pooled] {
                 // Same seed on both sides: the same plans in the same order.
                 let lone = one_at_a_time(false, fresh().as_ref(), &qs, configure);
                 let batch = one_at_a_time(true, fresh().as_ref(), &qs, configure);
@@ -1379,7 +1405,7 @@ mod tests {
                 if let Some(counter) = witness {
                     assert!(
                         lone.2.get(counter).is_some_and(|n| *n > 0),
-                        "{what}: vacuous"
+                        "{what}, {name}: vacuous"
                     );
                 }
             }
@@ -1503,6 +1529,53 @@ mod tests {
                 continue;
             }
             let (got, want) = (got.as_ref().expect("batched"), want.expect("lone"));
+            assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
+            assert_eq!(*got, want, "query {i}");
+        }
+    }
+
+    /// Answers with EXACT at execute time — no plan, no fan-out — and
+    /// panics on one chosen query.
+    struct ExecutePanicsOn {
+        bad: FraQuery,
+    }
+
+    impl FraAlgorithm for ExecutePanicsOn {
+        fn name(&self) -> &'static str {
+            "execute-panics-on"
+        }
+
+        fn try_execute_with(
+            &self,
+            federation: &Federation,
+            query: &FraQuery,
+            obs: &ObsContext,
+        ) -> Result<QueryResult, FraError> {
+            assert!(*query != self.bad, "execute refuses the chosen query");
+            Exact::new().try_execute_with(federation, query, obs)
+        }
+    }
+
+    #[test]
+    fn a_panic_answered_at_admission_answers_only_its_own_slot() {
+        // One silo, one query at a time: the panic on query 3 must not cost
+        // queries 4–7 their answers.
+        let fed = setup(1, 1000);
+        let qs = queries(8, 18);
+        let alg = ExecutePanicsOn { bad: qs[3] };
+        let batch = QueryEngine::per_silo(&alg, &fed).execute_batch(&fed, &qs);
+        for (i, (got, q)) in batch.results.iter().zip(&qs).enumerate() {
+            if i == 3 {
+                match got {
+                    Err(FraError::Internal { message }) => {
+                        assert!(message.contains("planning"), "{message}")
+                    }
+                    other => panic!("the panicking query should answer Internal: {other:?}"),
+                }
+                continue;
+            }
+            let want = Exact::new().try_execute(&fed, q).expect("lone");
+            let got = got.as_ref().expect("only slot 3 fails");
             assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
             assert_eq!(*got, want, "query {i}");
         }
@@ -1700,7 +1773,9 @@ mod tests {
             .build(partitions(2, 400));
         let qs = queries(3002, 17);
         let (silo0, silo1): (&'static AskSilo, &'static AskSilo) = (&AskSilo(0), &AskSilo(1));
-        let budget = Budget::PerAttempt(Some(Duration::from_secs(60)));
+        // Unbounded: the held run ends when silo 0 crashes, not when a
+        // clock runs out on a loaded host.
+        let budget = Budget::PerAttempt(None);
         let mut driver = Driver::new(&fed, ObsContext::noop());
         let admit = |driver: &mut Driver<usize, &AskSilo>,
                      i: usize,
@@ -1805,12 +1880,5 @@ mod tests {
         let batch = engine.execute_batch(&fed, &[]);
         assert!(batch.results.is_empty());
         assert_eq!(batch.mean_relative_error(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let exact = Exact::new();
-        QueryEngine::with_workers(&exact, 0);
     }
 }

@@ -2,13 +2,20 @@
 //! single-silo estimators (k = 1) and the EXACT fan-out (k = m).
 //!
 //! [`MultiSiloEst`] samples `k` *distinct* silos, obtains each one's
-//! Non-IID-style per-boundary-cell contributions in parallel, and uses the
-//! *pooled* statistics: for boundary cell `i` the in-range fraction is
-//! estimated from the union of the sampled silos' data in that cell,
+//! Non-IID-style per-boundary-cell contributions, and uses the *pooled*
+//! statistics: for boundary cell `i` the in-range fraction is estimated
+//! from the union of the sampled silos' data in that cell,
 //! `Σ_k res_i^k / Σ_k g_k[i]`, then re-scaled by `g₀[i]`. Pooling (rather
 //! than averaging per-silo ratios) keeps the estimator unbiased under the
 //! locality assumption while cutting its variance roughly by the pooled
 //! sample-size factor; communication grows linearly in `k`.
+//!
+//! The plan shuffles the candidate silos; the driver rides `k` legs over
+//! that order in parallel ([`FraAlgorithm::quorum`]), leg `i` starting on
+//! the `i`-th candidate, and a leg whose candidate fails for good moves on
+//! to the next candidate no leg has tried. The answers are pooled in
+//! candidate order, so the estimate does not depend on which silo answered
+//! first.
 //!
 //! This is an ablation/extension knob, not part of the paper's evaluated
 //! algorithms: `k = 1` recovers NonIID-est exactly (modulo RNG), and the
@@ -24,12 +31,11 @@ use fedra_federation::{Federation, LocalMode, Request, Response, SiloId};
 use fedra_geo::{intersection_area, Range};
 use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
-use fedra_obs::{ObsContext, Span};
+use fedra_obs::ObsContext;
 
-use crate::algorithm::{finish_run, FraAlgorithm};
+use crate::algorithm::{drive_planned, FraAlgorithm, QueryPlan, RemotePlan};
 use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
-use crate::run::End;
 
 /// Non-IID estimation over `k` pooled silos.
 pub struct MultiSiloEst {
@@ -67,43 +73,33 @@ impl FraAlgorithm for MultiSiloEst {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        let trace = obs.start_trace("query", self.name());
-        let outcome = self.run(federation, query, obs, &trace);
-        if let Ok(result) = &outcome {
-            trace.attr("rounds", result.rounds);
-        }
-        obs.finish_trace(&trace);
-        outcome
+        drive_planned(self, federation, query, obs)
     }
-}
 
-impl MultiSiloEst {
-    fn run(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        obs: &ObsContext,
-        trace: &fedra_obs::TraceHandle,
-    ) -> Result<QueryResult, FraError> {
+    fn quorum(&self) -> Option<usize> {
+        Some(self.k)
+    }
+
+    /// The candidates (the silos holding mass in range) in shuffled order,
+    /// each to be asked for its contributing cells.
+    fn plan_with(&self, federation: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
         let range = &query.range;
-        let (classification, covered);
         let grid = federation.merged_grid();
-        {
-            let _plan_span = Span::enter(trace, "plan");
-            classification = grid.spec().classify(range);
-            if classification.is_empty() {
-                return Ok(QueryResult::from_aggregate(Aggregate::ZERO, query.func));
-            }
-            covered = grid.aggregate_cells(classification.covered.iter().copied());
-        }
+        let classification = grid.spec().classify(range);
+        let covered = grid.aggregate_cells(classification.covered.iter().copied());
+        let answer_covered =
+            || QueryPlan::Ready(Ok(QueryResult::from_aggregate(covered, query.func)));
         if classification.boundary.is_empty() {
-            return Ok(QueryResult::from_aggregate(covered, query.func));
+            // The range is a union of grid cells (or misses the grid).
+            return answer_covered();
         }
-
-        // Visit candidates in random order, pooling the first k that
-        // answer; extra candidates double as failover. One walk yields
-        // sum₀ and every silo's sum_k.
+        // One walk yields sum₀ and every silo's sum_k.
         let sums = helpers::grid_sums(federation, range);
+        if sums.sum0().count <= 0.0 {
+            // No silo holds mass in the range's cells: the covered cells
+            // are the exact answer.
+            return answer_covered();
+        }
         let mut order = helpers::candidate_silos(federation, &sums);
         order.shuffle(&mut *self.rng.lock());
         let request = Request::CellContributions {
@@ -111,66 +107,46 @@ impl MultiSiloEst {
             mode: LocalMode::Exact,
         };
         let request = helpers::masked_for(query.func, request);
-        let mut pooled: Vec<Aggregate> = vec![Aggregate::ZERO; classification.boundary.len()];
-        let mut pooled_silos: Vec<SiloId> = Vec::new();
-        let mut trail = Vec::new();
-        let mut rounds = 0;
-        {
-            let _remote_span = Span::enter(trace, "remote");
-            for k in order {
-                if pooled_silos.len() == self.k {
-                    break;
-                }
-                rounds += 1;
-                obs.metrics().silo_requests.inc(k);
-                match federation.call(k, &request) {
-                    Ok(Response::AggVec(reply)) => {
-                        // Each silo replies for its own contributing cells.
-                        let Some(contributions) = helpers::scatter_reply(
-                            federation.silo_grid(k),
-                            &classification.boundary,
-                            query.func.moments(),
-                            &reply,
-                        ) else {
-                            return Err(FraError::ProtocolViolation {
-                                silo: k,
-                                expected: "one aggregate per contributing cell",
-                            });
-                        };
-                        for (acc, c) in pooled.iter_mut().zip(&contributions) {
-                            acc.merge_in(c);
-                        }
-                        pooled_silos.push(k);
-                    }
-                    Ok(_) => {
-                        return Err(FraError::ProtocolViolation {
-                            silo: k,
-                            expected: "AggVec",
-                        })
-                    }
-                    Err(error) => {
-                        obs.metrics().resamples.inc();
-                        trail.push((k, error));
-                    }
-                }
-            }
-        }
-        if pooled_silos.is_empty() {
-            if sums.sum0().count <= 0.0 {
-                // No silo holds mass in the range's cells: the covered
-                // cells are the exact answer.
-                return Ok(QueryResult::from_aggregate(covered, query.func));
-            }
-            // Every holder failed or was refused: the single-silo
-            // estimators' degraded path, per-candidate errors included.
-            let end = End::Degrade { rounds, trail };
-            return finish_run(self, federation, query, end, trace, obs);
-        }
-        for &s in &pooled_silos {
-            obs.metrics().sampled_silo.inc(s);
-        }
+        QueryPlan::SingleSilo(RemotePlan { order, request })
+    }
 
-        let _finish_span = Span::enter(trace, "finish");
+    fn finish_pooled(
+        &self,
+        federation: &Federation,
+        query: &FraQuery,
+        answers: Vec<(SiloId, Response)>,
+        rounds: u64,
+        _: &ObsContext,
+    ) -> Result<QueryResult, FraError> {
+        let range = &query.range;
+        let grid = federation.merged_grid();
+        let classification = grid.spec().classify(range);
+        let covered = grid.aggregate_cells(classification.covered.iter().copied());
+        let mut pooled: Vec<Aggregate> = vec![Aggregate::ZERO; classification.boundary.len()];
+        for (silo, response) in &answers {
+            let Response::AggVec(reply) = response else {
+                return Err(FraError::ProtocolViolation {
+                    silo: *silo,
+                    expected: "AggVec",
+                });
+            };
+            // Each silo replies for its own contributing cells.
+            let Some(contributions) = helpers::scatter_reply(
+                federation.silo_grid(*silo),
+                &classification.boundary,
+                query.func.moments(),
+                reply,
+            ) else {
+                return Err(FraError::ProtocolViolation {
+                    silo: *silo,
+                    expected: "one aggregate per contributing cell",
+                });
+            };
+            for (acc, c) in pooled.iter_mut().zip(&contributions) {
+                acc.merge_in(c);
+            }
+        }
+        let pooled_silos: Vec<SiloId> = answers.iter().map(|(silo, _)| *silo).collect();
         let estimate = pooled_estimate(
             federation,
             range,

@@ -165,7 +165,7 @@ pub enum FraError {
         /// What was expected.
         expected: &'static str,
     },
-    /// The engine itself failed (a panicked batch worker, a broken
+    /// The engine itself failed (a panicked plan or finish step, a broken
     /// scheduling invariant) — the query was never answered.
     Internal {
         /// What went wrong.

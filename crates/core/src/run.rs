@@ -15,7 +15,8 @@
 //! one-rider round), [`QueryEngine`](crate::QueryEngine) batches and
 //! [`QueryScheduler`](crate::QueryScheduler) ticks. Every rule of the walk
 //! is decided here, once, for all of them — a fan-out's `m` legs
-//! included, each a run with one candidate.
+//! included, each a run with one candidate, and a pooled query's legs,
+//! which walk one candidate at a time and so never hedge.
 
 use std::time::{Duration, Instant};
 
@@ -147,7 +148,6 @@ impl QueryRun {
     fn is_finished(&self) -> bool {
         self.finished
     }
-
     fn current(&self, order: &[SiloId]) -> Option<SiloId> {
         order.get(self.attempt).copied()
     }

@@ -594,7 +594,7 @@ mod tests {
         for (i, ticket) in tickets.into_iter().enumerate() {
             let got = ticket.wait().expect("scheduled query answers");
             let alg = factory(1000 + i as u64);
-            let serial = QueryEngine::with_workers(alg.as_ref(), 1).execute_batch_with(
+            let serial = QueryEngine::per_silo(alg.as_ref(), &federation).execute_batch_with(
                 &federation,
                 &queries[i..=i],
                 &ObsContext::new(),

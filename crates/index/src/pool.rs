@@ -8,8 +8,8 @@
 //! new dependencies. The pool stores only its size; threads are scoped to
 //! each operation, so borrowing the caller's data is safe and a pool is
 //! trivially `Copy`. Every call spawns and joins its threads, which only a
-//! build's milliseconds of work repay: a silo serving a frame and the
-//! scheduler's tick never go through the pool.
+//! build's milliseconds of work repay: no query path — a silo serving a
+//! frame, an engine batch, a scheduler tick — goes through the pool.
 //!
 //! # Determinism
 //!
@@ -23,7 +23,7 @@
 //! `slice::sort_by`) regardless of chunking, because the pairwise merges
 //! take the left run on ties.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable that overrides the automatic pool size.
@@ -102,27 +102,55 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let (slots, panic) = self.run_borrowed(items, &f);
+        let n = items.len();
+        if self.threads == 1 || n <= 1 {
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
+        }
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(n, || None);
+        let next = AtomicUsize::new(0);
+        let f = &f;
+        let panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads.min(n))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            local.push((i, f(i, &items[i])));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            let mut first_panic = None;
+            for handle in handles {
+                match handle.join() {
+                    Ok(local) => {
+                        for (i, r) in local {
+                            slots[i] = Some(r);
+                        }
+                    }
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            first_panic
+        });
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
         // No worker panicked, so the cursor visited every index: the
         // flatten drops nothing.
         slots.into_iter().flatten().collect()
-    }
-
-    /// Like [`WorkerPool::map`], but degrades panics instead of
-    /// propagating them: items claimed by a worker that died come back as
-    /// `None` while items claimed by surviving workers still complete
-    /// (sequentially, a panic poisons the remaining items, mirroring a
-    /// one-worker pool).
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Option<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run_borrowed(items, &f).0
     }
 
     /// Runs `f` once per mutable chunk, distributing chunks round-robin
@@ -206,68 +234,6 @@ impl WorkerPool {
             width *= 2;
         }
     }
-
-    /// Shared implementation of [`WorkerPool::map`] / [`WorkerPool::try_map`].
-    ///
-    /// Returns the per-index result slots plus the first worker panic
-    /// payload (if any). The sequential path mirrors a dying one-worker
-    /// pool: the first panic abandons the remaining items.
-    fn run_borrowed<T, R, F>(
-        &self,
-        items: &[T],
-        f: &F,
-    ) -> (Vec<Option<R>>, Option<Box<dyn std::any::Any + Send>>)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(n, || None);
-        if self.threads == 1 || n <= 1 {
-            for (i, item) in items.iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(r) => slots[i] = Some(r),
-                    Err(payload) => return (slots, Some(payload)),
-                }
-            }
-            return (slots, None);
-        }
-        let next = AtomicUsize::new(0);
-        let panic = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads.min(n))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(i, &items[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut first_panic = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (i, r) in local {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-            first_panic
-        });
-        (slots, panic)
-    }
 }
 
 /// Stable two-run merge: `slice[..mid]` and `slice[mid..]` are each
@@ -301,6 +267,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn map_preserves_input_order() {
@@ -324,28 +291,6 @@ mod tests {
             })
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn try_map_degrades_panics_to_none() {
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let items: Vec<usize> = (0..32).collect();
-            let out = pool.try_map(&items, |_, &x| {
-                assert!(x != 5, "boom");
-                x
-            });
-            assert_eq!(out.len(), 32);
-            // The panicking item never answers; items it dragged down with
-            // it (the dying worker's locals) are None too, but the call
-            // itself returns instead of propagating.
-            assert_eq!(out[5], None);
-            for (i, slot) in out.iter().enumerate() {
-                if let Some(v) = slot {
-                    assert_eq!(*v, i, "threads={threads}: slot {i}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -130,10 +130,6 @@ macro_rules! catalog {
 catalog! {
     // Engine batches (framework.rs).
 
-    /// Worker-pool size of the engine that ran the latest batch.
-    ENGINE_WORKERS: Gauge "fedra_engine_workers" [];
-    /// Expected queries per pooled worker (batch size over threads).
-    ENGINE_POOL_ITEMS_PER_TASK: Histogram "fedra_engine_pool_items_per_task" [];
     /// Engine batches executed.
     BATCHES_TOTAL: Counter "fedra_batches_total" [];
     /// Queries executed in engine batches.

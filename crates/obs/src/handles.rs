@@ -241,8 +241,6 @@ macro_rules! metrics {
 }
 
 metrics! {
-    engine_workers: Series<Gauge> = ENGINE_WORKERS,
-    engine_pool_items_per_task: Series<Histogram> = ENGINE_POOL_ITEMS_PER_TASK,
     batches: Series<Counter> = BATCHES_TOTAL,
     queries: Series<Counter> = QUERIES_TOTAL,
     query_failures: Series<Counter> = QUERY_FAILURES_TOTAL,

@@ -6,8 +6,8 @@
 //! resamples per rider, and finishes answers on its driver thread — none
 //! of which may leak into a query's value. These tests pin that contract
 //! through the public `fedra` API: K client threads race submissions in
-//! scrambled order, and every answer has to match what a one-worker
-//! `QueryEngine` produces for the same query under the same seed.
+//! scrambled order, and every answer has to match what a one-query
+//! `QueryEngine` batch produces for the same query under the same seed.
 //!
 //! `ci.sh` runs this suite under `FEDRA_SILO_THREADS={1,4}`; the builds
 //! below auto-size their pools, so the override changes how many threads
@@ -69,7 +69,7 @@ fn query_seed(i: usize) -> u64 {
     0xC0_5EED ^ (i as u64).wrapping_mul(0x9E37_79B9)
 }
 
-/// Serial ground truth: a fresh one-worker engine per query, same seed.
+/// Serial ground truth: a fresh engine per query, same seed.
 fn serial_reference(
     federation: &Federation,
     queries: &[FraQuery],
@@ -80,7 +80,7 @@ fn serial_reference(
         .enumerate()
         .map(|(i, _)| {
             let alg = factory(query_seed(i));
-            let batch = QueryEngine::with_workers(alg.as_ref(), 1).execute_batch_with(
+            let batch = QueryEngine::per_silo(alg.as_ref(), federation).execute_batch_with(
                 federation,
                 &queries[i..=i],
                 &ObsContext::new(),
@@ -169,10 +169,10 @@ fn mixed_algorithm_factory_is_bit_identical_to_serial() {
     // deployment might route query classes to different algorithms. The
     // contract is per-submission, so mixing must change nothing.
     let pick = |s: u64| -> Box<dyn FraAlgorithm> {
-        if s.is_multiple_of(2) {
-            Box::new(IidEst::new(s))
-        } else {
-            Box::new(NonIidEst::new(s))
+        match s % 3 {
+            0 => Box::new(IidEst::new(s)),
+            1 => Box::new(NonIidEst::new(s)),
+            _ => Box::new(MultiSiloEst::new(s, 2)),
         }
     };
     let (federation, queries) = stand_up(0xABE2, None);
@@ -207,7 +207,7 @@ fn repeated_concurrent_runs_agree_with_each_other() {
 }
 
 // ---------------------------------------------------------------------
-// Driver parity: sequential vs one-worker engine vs scheduler
+// Driver parity: sequential vs one-query engine batches vs scheduler
 // ---------------------------------------------------------------------
 
 /// The counters the candidate walk itself increments.
@@ -239,7 +239,7 @@ fn outcomes_through(
         "engine" => queries
             .map(|(i, q)| {
                 let alg = factory(query_seed(i));
-                let engine = QueryEngine::with_workers(alg.as_ref(), 1);
+                let engine = QueryEngine::per_silo(alg.as_ref(), federation);
                 let batch = engine.execute_batch_with(federation, std::slice::from_ref(q), obs);
                 batch.results[0].clone()
             })

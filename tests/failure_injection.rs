@@ -1,7 +1,7 @@
 //! Failure-injection integration: the availability ladder the estimators
 //! climb down as silos disappear, the hard-fail semantics of the fan-out
-//! baselines, and what a fan-out's legs inherit from the candidate walk
-//! (deadline, transient retries, breaker).
+//! baselines, and what a fan-out's legs — and a pooled run's — inherit
+//! from the candidate walk (deadline, transient retries, breaker).
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -196,6 +196,56 @@ fn fan_out_honours_the_call_deadline_on_a_silent_silo() {
             }
         }
     }
+}
+
+#[test]
+fn the_pooled_walk_honours_the_call_deadline_on_a_silent_silo() {
+    // MultiSilo-est pooling all three silos, silo 1 silent. Its legs ride
+    // the rounds under the federation's CallPolicy: silo 1's leg misses
+    // its 100 ms deadline, the answer pools silos 0 and 2, and the misses
+    // alone open silo 1's breaker. Awaited on a thread with a generous
+    // timeout, so a walk that ignores the deadline fails this test
+    // instead of hanging the suite.
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let silent = SiloFaultSpec {
+            drop_prob: 1.0,
+            ..Default::default()
+        };
+        let (fed, q) = fan_out_testbed(11, &|b| {
+            b.fault_plan(FaultPlan::seeded(11).with_spec(1, silent))
+                .call_policy(CallPolicy {
+                    deadline: Some(Duration::from_millis(100)),
+                    ..Default::default()
+                })
+                .health_config(HealthConfig::enabled())
+        });
+        let alg = MultiSiloEst::new(11, 3);
+        let obs = ObsContext::new();
+        // The default breaker opens after three consecutive failures.
+        let outcomes: Vec<_> = (0..3)
+            .map(|_| alg.try_execute_with(&fed, &q, &obs))
+            .collect();
+        let _ = done.send((outcomes, obs.snapshot().counters, fed.health().state(1)));
+    });
+    let (outcomes, counters, breaker) = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a pooled walk with a 100 ms deadline blocked on the silent silo");
+    for outcome in outcomes {
+        let answer = outcome.expect("silos 0 and 2 answer");
+        assert!(answer.coverage.is_none());
+        assert_ne!(answer.sampled_silo, Some(1));
+    }
+    let count = |name: &str| counters.get(name).copied();
+    assert_eq!(count("fedra_sampled_silo_total{silo=\"0\"}"), Some(3));
+    assert_eq!(count("fedra_sampled_silo_total{silo=\"2\"}"), Some(3));
+    assert_eq!(count("fedra_sampled_silo_total{silo=\"1\"}"), None);
+    assert_eq!(count("fedra_deadline_missed_total{silo=\"1\"}"), Some(3));
+    assert_eq!(
+        breaker,
+        BreakerState::Open,
+        "pooled traffic alone opens the breaker"
+    );
 }
 
 #[test]

@@ -148,33 +148,6 @@ fn every_algorithm_and_agg_func_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
-fn batch_engine_results_are_bit_identical_across_pool_sizes() {
-    // The Alg. 4 engine's non-planning pool path (`execute_batch` over a
-    // planless algorithm) must answer in input order regardless of how
-    // many engine workers race over the batch.
-    let (fed, all) = build_federation(1, 29);
-    let mut generator = QueryGenerator::new(&all, 37);
-    let queries: Vec<FraQuery> = generator
-        .circles(1.5, 12)
-        .into_iter()
-        .map(|r| FraQuery::new(r, AggFunc::Sum))
-        .collect();
-    let exact = Exact::new();
-    let run = |workers: usize| -> Vec<u64> {
-        QueryEngine::with_workers(&exact, workers)
-            .execute_batch(&fed, &queries)
-            .results
-            .iter()
-            .map(|r| r.as_ref().expect("healthy batch").value.to_bits())
-            .collect()
-    };
-    let reference = run(1);
-    for workers in [2, 4, 8] {
-        assert_eq!(run(workers), reference, "engine diverged at {workers}");
-    }
-}
-
-#[test]
 fn warm_start_is_bit_identical_across_pool_sizes() {
     // The provider-side pool also materializes warm-start grids; a warm
     // rebuild must hit every silo and reproduce the cold grids exactly.
