@@ -240,16 +240,17 @@ for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem
 done
 echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
 
-# Cache smoke: the city dashboard's refresh loop runs through the
-# ε-aware answer cache with per-serve truth checks. The steady-state hit
-# rate must be nonzero and no served answer may exceed the requested ε.
-echo "==> cache smoke (city_dashboard, ε-aware answer cache)"
-cache_out=$(cargo run -q --release --example city_dashboard)
-echo "$cache_out" | grep -Eq '^cache hit rate: [1-9][0-9]*\.' \
-    || { echo "cache smoke: steady-state hit rate is zero"; exit 1; }
-echo "$cache_out" | grep -q '^cache ε violations: 0$' \
-    || { echo "cache smoke: a served answer exceeded the requested ε"; exit 1; }
-echo "    ok (nonzero hit rate, zero ε violations)"
+# Cache smoke: the operations example's rush-hour burst (600 asks over 5
+# hot stations) runs through the exact-key answer cache. The batch is
+# answered in input order, so the hit count is exact, and every cached
+# answer must equal the uncached engine's bit for bit.
+echo "==> cache smoke (operations, exact-key answer cache)"
+cache_out=$(cargo run -q --release --example operations)
+echo "$cache_out" | grep -q '(595 hits / 5 misses' \
+    || { echo "cache smoke: expected 595 hits / 5 misses"; exit 1; }
+echo "$cache_out" | grep -q '^cached answers identical: 600/600$' \
+    || { echo "cache smoke: a cached answer differs from the uncached engine's"; exit 1; }
+echo "    ok (595 hits / 5 misses, 600/600 answers bit-identical)"
 
 # Overhead gates, each asserting its own <= 3 % budget (any violation
 # fails the step): the pure-miss cache path (zero TTL, every probe a

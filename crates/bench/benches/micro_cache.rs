@@ -1,6 +1,6 @@
 //! Answer-cache overhead guard on the `micro_obs` IID-est workload.
 //!
-//! The ε-aware cache promises that a workload it cannot help — every
+//! The answer cache promises that a workload it cannot help — every
 //! probe a miss — costs only a map probe and an insert per query. This
 //! bench holds that promise to a number: the cache-disabled path (an
 //! [`AnswerCache`] whose TTL is zero, so every entry expires before the

@@ -1,36 +1,23 @@
-//! ε-aware answer caching for hot queries (extension beyond the paper).
+//! Exact-key answer caching for hot queries (extension beyond the paper).
 //!
 //! The paper's motivating workloads repeat themselves: the same "bikes
 //! within 2 km of Zhongguancun station" question arrives many times a
-//! minute during rush hour, and a dashboard's city-wide tile refresh asks
-//! overlapping rectangles forever. [`AnswerCache`] wraps any
-//! [`FraAlgorithm`] with a bounded, time-aware memo keyed *semantically*:
+//! minute during rush hour. [`AnswerCache`] wraps any [`FraAlgorithm`]
+//! with a bounded, time-aware memo:
 //!
-//! * a cached answer `(R₁, f, ε₁)` serves a later query `(R₂, f, ε₂)`
-//!   when `R₂ == R₁` (bit-exact) and `ε₁ ≤ ε₂` — the ε-containment rule
-//!   of [`crate::theory::epsilon_serves`];
-//! * for the *linear* aggregates (COUNT/SUM/SUM_SQR) a rectangle `R₂` is
-//!   also served by **containment decomposition**: when fresh cached
-//!   fragments tile `R₂` exactly (pairwise interior-disjoint, union
-//!   area == area(R₂)), their sum answers `R₂` with computed bound
-//!   `max εᵢ` ([`crate::theory::containment_epsilon`]) — never assumed;
+//! * a cached answer serves a later query only when its range and
+//!   function are bit-identical, so a hit returns exactly the bits the
+//!   wrapped algorithm returned for that query;
 //! * entries expire after a TTL — federated data is fleet telemetry, and
-//!   a stale count is worse than a slow one past some age. A decomposed
-//!   answer inherits the *oldest* fragment's age, so reuse can only
-//!   tighten freshness, never launder staleness;
+//!   a stale count is worse than a slow one past some age;
 //! * capacity is bounded with least-recently-used eviction;
 //! * the cache is thread-safe and works under the Alg. 4 batch engine;
-//! * every hit/miss/eviction/expiration and the serving level
-//!   (exact vs decomposed) is counted in the cache's own
-//!   [`MetricsRegistry`] and mirrored into the per-call [`ObsContext`].
+//! * every hit/miss/eviction/expiration is counted in the cache's own
+//!   [`MetricsRegistry`] and hits and misses are mirrored into the
+//!   per-call [`ObsContext`].
 //!
-//! The default [`CachePolicy`] is the **degenerate mode**: producer ε = 0
-//! and containment off, which is byte-identical-key caching.
-//!
-//! Caching changes the *freshness* semantics; the accuracy semantics are
-//! explicit: a served answer's error bound is computed from the producer
-//! bounds of what it was assembled from, and serving is refused whenever
-//! that bound exceeds the requested ε.
+//! Caching changes the *freshness* semantics only: a hit is the answer
+//! the wrapped algorithm gave, at most one TTL ago.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,17 +27,15 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use fedra_federation::Federation;
-use fedra_geo::{Range, Rect};
+use fedra_geo::Range;
 use fedra_index::AggFunc;
 use fedra_obs::catalog::{
-    CACHE_EVICTIONS_TOTAL, CACHE_EXPIRATIONS_TOTAL, CACHE_HITS_TOTAL, CACHE_LEVEL_SERVED_TOTAL,
-    CACHE_MISSES_TOTAL,
+    CACHE_EVICTIONS_TOTAL, CACHE_EXPIRATIONS_TOTAL, CACHE_HITS_TOTAL, CACHE_MISSES_TOTAL,
 };
 use fedra_obs::{Counter, MetricsRegistry, ObsContext};
 
 use crate::algorithm::FraAlgorithm;
 use crate::query::{FraError, FraQuery, QueryResult};
-use crate::theory;
 
 /// Cache configuration (bounds and freshness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,32 +55,10 @@ impl Default for CacheConfig {
     }
 }
 
-/// Accuracy policy of the cache: what ε freshly produced entries carry
-/// and whether containment decomposition is attempted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachePolicy {
-    /// Relative-error bound ε₁ stamped on entries produced by the wrapped
-    /// algorithm. `0.0` (the default) is the exact/degenerate mode; a
-    /// cache over a sampling estimator should set the estimator's ε.
-    pub producer_epsilon: f64,
-    /// Attempt containment decomposition for COUNT/SUM/SUM_SQR rectangle
-    /// queries. Off by default so the degenerate mode stays byte-exact.
-    pub containment: bool,
-}
-
-impl Default for CachePolicy {
-    fn default() -> Self {
-        Self {
-            producer_epsilon: 0.0,
-            containment: false,
-        }
-    }
-}
-
 /// Hit/miss counters (cumulative), assembled from the cache's registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Queries answered from the cache (exact + decomposed).
+    /// Queries answered from the cache.
     pub hits: u64,
     /// Queries that went through to the wrapped algorithm.
     pub misses: u64,
@@ -103,8 +66,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries refreshed after TTL expiry.
     pub expirations: u64,
-    /// Hits served by containment decomposition (subset of `hits`).
-    pub decomposed: u64,
 }
 
 impl CacheStats {
@@ -117,29 +78,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// How a [`CacheAnswer`] was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheSource {
-    /// The wrapped algorithm ran (and the result was inserted).
-    Miss,
-    /// Served from a bit-identical range with a sufficient ε.
-    ExactHit,
-    /// Assembled from disjoint cached fragments tiling the range.
-    DecomposedHit,
-}
-
-/// A cache-served answer with its computed accuracy bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheAnswer {
-    /// The answer itself.
-    pub result: QueryResult,
-    /// The relative-error bound the answer carries: the producer ε on a
-    /// miss or exact hit, `max εᵢ` over fragments on a decomposed hit.
-    pub epsilon_bound: f64,
-    /// Where the answer came from.
-    pub source: CacheSource,
 }
 
 /// Bit-exact cache key for a query.
@@ -173,14 +111,6 @@ impl QueryKey {
                 func: query.func,
             },
         }
-    }
-
-    /// Total order over keys for deterministic tie-breaking (eviction,
-    /// fragment ordering). Hash-map iteration order must never decide
-    /// anything observable; wherever map order could reach a result, the
-    /// decision is settled by this key order instead.
-    fn sort_key(&self) -> (u8, u64, u64, u64, u64, u8) {
-        (self.kind, self.a, self.b, self.c, self.d, self.func as u8)
     }
 }
 
@@ -231,24 +161,20 @@ impl std::hash::BuildHasher for KeyHashBuilder {
 }
 
 struct Entry {
-    range: Range,
-    func: AggFunc,
     result: QueryResult,
-    /// The relative-error bound this entry's value carries.
-    epsilon: f64,
     inserted: Instant,
-    /// Monotone counter standing in for "recency" (LRU without a linked
-    /// list: eviction scans for the minimum — capacity is modest and
-    /// eviction rare, so O(n) eviction beats the bookkeeping). Atomic so
-    /// a *hit* can refresh recency under the shared read lock; LRU order
-    /// tolerates the relaxed racing (two concurrent hits both count as
-    /// recent, whichever tick lands last).
+    /// The probe tick that last touched the entry, standing in for
+    /// "recency" (LRU without a linked list: eviction scans for the
+    /// minimum — capacity is modest and eviction rare, so O(n) eviction
+    /// beats the bookkeeping). Every probe draws its own tick, so no two
+    /// entries share one and the minimum is unique. Atomic so a *hit* can
+    /// refresh recency under the shared read lock.
     last_used: AtomicU64,
 }
 
 /// The cache's entry map. Guarded by a reader-writer lock: hits — the
 /// hot path under concurrent serving — share the read side, while only
-/// inserts, evictions and expiry removals take the exclusive write side.
+/// inserts and evictions take the exclusive write side.
 type CacheMap = HashMap<QueryKey, Entry, KeyHashBuilder>;
 
 /// The cache's own series, registered when the cache is built.
@@ -258,8 +184,6 @@ struct CacheMetrics {
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
     expirations: Arc<Counter>,
-    level_exact: Arc<Counter>,
-    level_decomposed: Arc<Counter>,
 }
 
 impl CacheMetrics {
@@ -270,18 +194,15 @@ impl CacheMetrics {
             misses: registry.series(&CACHE_MISSES_TOTAL, &[]),
             evictions: registry.series(&CACHE_EVICTIONS_TOTAL, &[]),
             expirations: registry.series(&CACHE_EXPIRATIONS_TOTAL, &[]),
-            level_exact: registry.series(&CACHE_LEVEL_SERVED_TOTAL, &[&"exact"]),
-            level_decomposed: registry.series(&CACHE_LEVEL_SERVED_TOTAL, &[&"decomposed"]),
             registry,
         }
     }
 }
 
-/// An ε-aware caching wrapper around any FRA algorithm.
+/// An exact-key TTL + LRU caching wrapper around any FRA algorithm.
 pub struct AnswerCache<A> {
     inner: A,
     config: CacheConfig,
-    policy: CachePolicy,
     state: RwLock<CacheMap>,
     /// Probe counter feeding `Entry::last_used`; outside the lock so the
     /// hit path never needs exclusive access.
@@ -290,30 +211,19 @@ pub struct AnswerCache<A> {
 }
 
 impl<A: FraAlgorithm> AnswerCache<A> {
-    /// Wraps `inner` with the given bounds and the degenerate (exact-key)
-    /// policy.
+    /// Wraps `inner` with the given bounds.
     pub fn new(inner: A, config: CacheConfig) -> Self {
-        Self::with_policy(inner, config, CachePolicy::default())
-    }
-
-    /// Wraps `inner` with explicit accuracy policy.
-    pub fn with_policy(inner: A, config: CacheConfig, policy: CachePolicy) -> Self {
         assert!(config.capacity > 0, "cache capacity must be positive");
-        assert!(
-            policy.producer_epsilon >= 0.0 && policy.producer_epsilon.is_finite(),
-            "producer epsilon must be finite and non-negative"
-        );
         Self {
             inner,
             config,
-            policy,
             state: RwLock::new(HashMap::with_hasher(KeyHashBuilder)),
             tick: AtomicU64::new(0),
             metrics: CacheMetrics::new(),
         }
     }
 
-    /// Wraps with defaults (4096 entries, 30 s TTL, degenerate policy).
+    /// Wraps with defaults (4096 entries, 30 s TTL).
     pub fn with_defaults(inner: A) -> Self {
         Self::new(inner, CacheConfig::default())
     }
@@ -321,11 +231,6 @@ impl<A: FraAlgorithm> AnswerCache<A> {
     /// The wrapped algorithm.
     pub fn inner(&self) -> &A {
         &self.inner
-    }
-
-    /// The accuracy policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// The bounds/freshness configuration.
@@ -346,7 +251,6 @@ impl<A: FraAlgorithm> AnswerCache<A> {
             misses: m.misses.get(),
             evictions: m.evictions.get(),
             expirations: m.expirations.get(),
-            decomposed: m.level_decomposed.get(),
         }
     }
 
@@ -365,275 +269,19 @@ impl<A: FraAlgorithm> AnswerCache<A> {
         self.state.write().clear();
     }
 
-    /// Executes with an explicit requested error budget ε₂, returning the
-    /// answer together with its computed bound and provenance.
-    ///
-    /// Serving discipline: a cached answer is returned only when its own
-    /// bound satisfies `ε₁ ≤ ε₂` ([`theory::epsilon_serves`]); a
-    /// decomposed answer only when `max εᵢ ≤ ε₂`. A miss runs the wrapped
-    /// algorithm and the answer carries the policy's producer ε — if that
-    /// exceeds ε₂ the caller asked this stack for more accuracy than it
-    /// is configured to give, which no cache decision can fix.
-    pub fn try_execute_with_epsilon(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        epsilon: f64,
-        obs: &ObsContext,
-    ) -> Result<CacheAnswer, FraError> {
-        assert!(
-            epsilon >= 0.0 && epsilon.is_finite(),
-            "requested epsilon must be finite and non-negative"
-        );
-        let key = QueryKey::of(query);
-        // The TTL is wall-clock by design; expiry only picks between
-        // serving a cached answer and recomputing the identical bits,
-        // never the answer's value.
-        // fedra-lint: allow(determinism-discipline)
-        let now = Instant::now();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-
-        // 1. Exact-range probe under the ε-containment rule. Hits run
-        //    entirely under the shared read lock — recency is refreshed
-        //    through the entry's atomic — so concurrent hits never
-        //    serialize on each other.
-        {
-            let state = self.state.read();
-            if let Some(entry) = state.get(&key) {
-                if now.duration_since(entry.inserted) > self.config.ttl {
-                    // Expiry is lazy: counted at detection, but the stale
-                    // entry is left for the miss-path insert to overwrite
-                    // (or for LRU eviction) rather than paying a separate
-                    // write-lock removal on what is already the slow path.
-                    // Decomposition and serving both re-check the TTL, so
-                    // a lingering stale entry can never be served.
-                    self.metrics.expirations.inc();
-                } else if theory::epsilon_serves(entry.epsilon, epsilon) {
-                    entry.last_used.store(tick, Ordering::Relaxed);
-                    let (result, bound) = (entry.result, entry.epsilon);
-                    drop(state);
-                    self.metrics.hits.inc();
-                    self.metrics.level_exact.inc();
-                    obs.metrics().cache_hits.inc();
-                    obs.metrics().cache_level_served.inc("exact");
-                    return Ok(CacheAnswer {
-                        result,
-                        epsilon_bound: bound,
-                        source: CacheSource::ExactHit,
-                    });
-                }
-                // Fresh but too loose: keep the entry (a looser later
-                // query may still use it), treat this probe as a miss.
-            }
-        }
-
-        // 2. Containment decomposition for linear aggregates over
-        //    rectangles: a fresh disjoint tiling of R₂ answers it with
-        //    bound max εᵢ. The search runs under the read lock; only the
-        //    memoization insert takes the write side.
-        if self.policy.containment {
-            let decomposition = {
-                let state = self.state.read();
-                let found = self.decompose(&state, query, epsilon, now);
-                if let Some((_, _, _, fragments)) = &found {
-                    for frag_key in fragments {
-                        if let Some(entry) = state.get(frag_key) {
-                            entry.last_used.store(tick, Ordering::Relaxed);
-                        }
-                    }
-                }
-                found
-            };
-            if let Some((aggregate, bound, oldest, _)) = decomposition {
-                let result = QueryResult::from_aggregate(aggregate, query.func);
-                // Memoize the assembly so repeats are exact hits; it
-                // ages from its *oldest* fragment, never fresher.
-                let mut state = self.state.write();
-                Self::insert_bounded(
-                    &mut state,
-                    &self.metrics,
-                    self.config.capacity,
-                    key,
-                    Entry {
-                        range: query.range,
-                        func: query.func,
-                        result,
-                        epsilon: bound,
-                        inserted: oldest,
-                        last_used: AtomicU64::new(tick),
-                    },
-                );
-                drop(state);
-                self.metrics.hits.inc();
-                self.metrics.level_decomposed.inc();
-                obs.metrics().cache_hits.inc();
-                obs.metrics().cache_level_served.inc("decomposed");
-                return Ok(CacheAnswer {
-                    result,
-                    epsilon_bound: bound,
-                    source: CacheSource::DecomposedHit,
-                });
-            }
-        }
-
-        self.metrics.misses.inc();
-        obs.metrics().cache_misses.inc();
-
-        // No lock is held across the (slow) federated query.
-        let result = self.inner.try_execute_with(federation, query, obs)?;
-
-        let mut state = self.state.write();
-        Self::insert_bounded(
-            &mut state,
-            &self.metrics,
-            self.config.capacity,
-            key,
-            Entry {
-                range: query.range,
-                func: query.func,
-                result,
-                epsilon: self.policy.producer_epsilon,
-                inserted: now,
-                last_used: AtomicU64::new(tick),
-            },
-        );
-        Ok(CacheAnswer {
-            result,
-            epsilon_bound: self.policy.producer_epsilon,
-            source: CacheSource::Miss,
-        })
-    }
-
-    /// Attempts a containment decomposition of `query.range` from fresh
-    /// cached fragments. Returns the summed aggregate, its computed
-    /// bound, the oldest fragment's insertion time, and the fragment
-    /// keys.
-    ///
-    /// Only the linear aggregates decompose: COUNT/SUM/SUM_SQR of a
-    /// disjoint union is the sum of the parts. AVG/STDEV are ratios and
-    /// are never assembled. Candidate fragments must be rectangles fully
-    /// inside `R₂` with a sufficient ε; a greedy sweep in (min.y, min.x)
-    /// order keeps the first interior-disjoint subset and accepts only if
-    /// its area adds up to `R₂`'s exactly (within relative 1e-9) — with
-    /// pairwise-disjoint interiors and containment, matching areas imply
-    /// an exact tiling up to measure zero, the same edge-grazing
-    /// convention the planner's boundary weighting uses.
-    ///
-    /// Measure-zero caveat: ranges are closed rectangles, so an object
-    /// lying *exactly* on a shared interior edge is counted by both
-    /// adjacent fragments and would be double-counted by the assembly.
-    /// Decomposition therefore assumes data in general position (no mass
-    /// concentrated on fragment boundaries) — true almost surely for
-    /// continuous coordinates, and the convention grid binning already
-    /// uses.
-    fn decompose(
-        &self,
-        state: &CacheMap,
-        query: &FraQuery,
-        epsilon: f64,
-        now: Instant,
-    ) -> Option<(fedra_index::Aggregate, f64, Instant, Vec<QueryKey>)> {
-        if !matches!(query.func, AggFunc::Count | AggFunc::Sum | AggFunc::SumSqr) {
-            return None;
-        }
-        let Range::Rect(target) = query.range else {
-            return None;
-        };
-        let target_area = target.area();
-        if target_area.is_nan() || target_area <= 0.0 {
-            return None;
-        }
-
-        let mut candidates: Vec<(Rect, &Entry, QueryKey)> = state
-            // Visit order feeds the total-order sort below; nothing
-            // order-dependent escapes.
-            // fedra-lint: allow(determinism-discipline)
-            .iter()
-            .filter_map(|(k, e)| {
-                if e.func != query.func
-                    || !theory::epsilon_serves(e.epsilon, epsilon)
-                    || now.duration_since(e.inserted) > self.config.ttl
-                {
-                    return None;
-                }
-                match e.range {
-                    Range::Rect(r) if target.contains_rect(&r) && r.area() > 0.0 => {
-                        Some((r, e, *k))
-                    }
-                    _ => None,
-                }
-            })
-            .collect();
-        // Total order: `total_cmp` (no NaN/-0.0 input-order fallback) plus
-        // a key tie-break so coincident rects resolve identically no
-        // matter what insertion history the map accumulated.
-        candidates.sort_by(|(a, _, ka), (b, _, kb)| {
-            a.min
-                .y
-                .total_cmp(&b.min.y)
-                .then(a.min.x.total_cmp(&b.min.x))
-                .then(a.max.y.total_cmp(&b.max.y))
-                .then(a.max.x.total_cmp(&b.max.x))
-                .then(ka.sort_key().cmp(&kb.sort_key()))
-        });
-
-        let mut taken: Vec<(Rect, &Entry, QueryKey)> = Vec::new();
-        let mut covered = 0.0f64;
-        for (rect, entry, k) in candidates {
-            let disjoint = taken.iter().all(|(t, _, _)| {
-                rect.min.x >= t.max.x
-                    || rect.max.x <= t.min.x
-                    || rect.min.y >= t.max.y
-                    || rect.max.y <= t.min.y
-            });
-            if disjoint {
-                covered += rect.area();
-                taken.push((rect, entry, k));
-            }
-        }
-        if taken.is_empty() || (covered - target_area).abs() > target_area * 1e-9 {
-            return None;
-        }
-        let mut aggregate = fedra_index::Aggregate::ZERO;
-        for (_, e, _) in &taken {
-            aggregate.merge_in(&e.result.aggregate);
-        }
-        let bound = theory::containment_epsilon(
-            &taken.iter().map(|(_, e, _)| e.epsilon).collect::<Vec<_>>(),
-        );
-        if !theory::epsilon_serves(bound, epsilon) {
-            return None;
-        }
-        let oldest = taken
-            .iter()
-            .map(|(_, e, _)| e.inserted)
-            .min()
-            .unwrap_or(now);
-        let keys = taken.iter().map(|(_, _, k)| *k).collect();
-        Some((aggregate, bound, oldest, keys))
-    }
-
     /// Inserts an entry, evicting the LRU entry first when at capacity.
-    fn insert_bounded(
-        state: &mut CacheMap,
-        metrics: &CacheMetrics,
-        capacity: usize,
-        key: QueryKey,
-        entry: Entry,
-    ) {
-        if state.len() >= capacity && !state.contains_key(&key) {
-            // Ties on `last_used` do happen (fragment touches and memoized
-            // inserts share a tick); break them by key order so the victim
-            // never depends on hash-map iteration order.
+    fn insert_bounded(&self, state: &mut CacheMap, key: QueryKey, entry: Entry) {
+        if state.len() >= self.config.capacity && !state.contains_key(&key) {
             if let Some(victim) = state
-                // Visit order cannot escape: the min below is total-ordered.
+                // Visit order cannot escape: every entry's tick is
+                // distinct, so the minimum is unique.
                 // fedra-lint: allow(determinism-discipline)
                 .iter()
-                .min_by_key(|(k, e)| (e.last_used.load(Ordering::Relaxed), k.sort_key()))
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
                 .map(|(k, _)| *k)
             {
                 state.remove(&victim);
-                metrics.evictions.inc();
+                self.metrics.evictions.inc();
             }
         }
         state.insert(key, entry);
@@ -652,11 +300,54 @@ impl<A: FraAlgorithm> FraAlgorithm for AnswerCache<A> {
         query: &FraQuery,
         obs: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        // The implicit budget is the producer ε itself: entries may serve
-        // their own accuracy class. With the default policy that is ε = 0
-        // — byte-identical keys only, the old degenerate behavior.
-        self.try_execute_with_epsilon(federation, query, self.policy.producer_epsilon, obs)
-            .map(|answer| answer.result)
+        let key = QueryKey::of(query);
+        // The TTL is wall-clock by design; expiry only picks between
+        // serving a cached answer and recomputing the identical bits,
+        // never the answer's value.
+        // fedra-lint: allow(determinism-discipline)
+        let now = Instant::now();
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+
+        // Hits run entirely under the shared read lock — recency is
+        // refreshed through the entry's atomic — so concurrent hits never
+        // serialize on each other.
+        {
+            let state = self.state.read();
+            if let Some(entry) = state.get(&key) {
+                if now.duration_since(entry.inserted) > self.config.ttl {
+                    // Expiry is lazy: counted at detection, but the stale
+                    // entry is left for the miss-path insert below to
+                    // overwrite (or for LRU eviction) rather than paying a
+                    // separate write-lock removal on the slow path.
+                    self.metrics.expirations.inc();
+                } else {
+                    entry.last_used.store(tick, Ordering::Relaxed);
+                    let result = entry.result;
+                    drop(state);
+                    self.metrics.hits.inc();
+                    obs.metrics().cache_hits.inc();
+                    return Ok(result);
+                }
+            }
+        }
+
+        self.metrics.misses.inc();
+        obs.metrics().cache_misses.inc();
+
+        // No lock is held across the (slow) federated query.
+        let result = self.inner.try_execute_with(federation, query, obs)?;
+
+        let mut state = self.state.write();
+        self.insert_bounded(
+            &mut state,
+            key,
+            Entry {
+                result,
+                inserted: now,
+                last_used: AtomicU64::new(tick),
+            },
+        );
+        Ok(result)
     }
 }
 
@@ -671,9 +362,6 @@ mod tests {
 
     fn federation() -> Federation {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-        // Data in general position: offsets keep objects off the tile
-        // boundaries the decomposition tests use (multiples of 20), per
-        // the measure-zero convention documented on `decompose`.
         let partitions: Vec<Vec<SpatialObject>> = (0..3)
             .map(|k| {
                 (0..500)
@@ -821,253 +509,5 @@ mod tests {
                 ttl: Duration::from_secs(1),
             },
         );
-    }
-
-    #[test]
-    fn tighter_epsilon_serves_looser_but_never_the_reverse() {
-        let fed = federation();
-        // Producer ε = 0.05: entries serve budgets ≥ 0.05 only.
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.05,
-                containment: false,
-            },
-        );
-        let obs = ObsContext::noop();
-        let query = q(50.0);
-        let first = cached
-            .try_execute_with_epsilon(&fed, &query, 0.05, obs)
-            .unwrap();
-        assert_eq!(first.source, CacheSource::Miss);
-        assert_eq!(first.epsilon_bound, 0.05);
-
-        // Looser budget: served.
-        let loose = cached
-            .try_execute_with_epsilon(&fed, &query, 0.10, obs)
-            .unwrap();
-        assert_eq!(loose.source, CacheSource::ExactHit);
-        assert_eq!(loose.result.value, first.result.value);
-        assert!(loose.epsilon_bound <= 0.10);
-
-        // Tighter budget: the fresh entry must NOT serve.
-        let tight = cached
-            .try_execute_with_epsilon(&fed, &query, 0.01, obs)
-            .unwrap();
-        assert_eq!(tight.source, CacheSource::Miss);
-        // And the refusal did not expire the entry.
-        assert_eq!(cached.len(), 1);
-    }
-
-    #[test]
-    fn containment_decomposition_serves_the_union_exactly() {
-        let fed = federation();
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.0,
-                containment: true,
-            },
-        );
-        let obs = ObsContext::noop();
-        // Four disjoint tiles of [20,60]×[20,60].
-        let tiles = [
-            (20.0, 20.0, 40.0, 40.0),
-            (40.0, 20.0, 60.0, 40.0),
-            (20.0, 40.0, 40.0, 60.0),
-            (40.0, 40.0, 60.0, 60.0),
-        ];
-        for &(x0, y0, x1, y1) in &tiles {
-            let tile = FraQuery::rect(Point::new(x0, y0), Point::new(x1, y1), AggFunc::Count);
-            let a = cached
-                .try_execute_with_epsilon(&fed, &tile, 0.0, obs)
-                .unwrap();
-            assert_eq!(a.source, CacheSource::Miss);
-        }
-        fed.reset_query_comm();
-        let union = FraQuery::rect(
-            Point::new(20.0, 20.0),
-            Point::new(60.0, 60.0),
-            AggFunc::Count,
-        );
-        let served = cached
-            .try_execute_with_epsilon(&fed, &union, 0.0, obs)
-            .unwrap();
-        assert_eq!(served.source, CacheSource::DecomposedHit);
-        assert_eq!(served.epsilon_bound, 0.0, "exact fragments compose exactly");
-        assert_eq!(fed.query_comm().rounds, 0, "decomposition is silo-free");
-        let truth = Exact::new().execute(&fed, &union).value;
-        assert_eq!(served.result.value, truth, "exact tiling must be exact");
-        assert_eq!(cached.stats().decomposed, 1);
-
-        // The assembly was memoized: the repeat is an exact hit.
-        let again = cached
-            .try_execute_with_epsilon(&fed, &union, 0.0, obs)
-            .unwrap();
-        assert_eq!(again.source, CacheSource::ExactHit);
-        assert_eq!(again.result.value, truth);
-    }
-
-    #[test]
-    fn partial_covers_never_decompose() {
-        let fed = federation();
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.0,
-                containment: true,
-            },
-        );
-        let obs = ObsContext::noop();
-        // Three of four tiles: the union must MISS, not serve short.
-        for &(x0, y0, x1, y1) in &[
-            (20.0, 20.0, 40.0, 40.0),
-            (40.0, 20.0, 60.0, 40.0),
-            (20.0, 40.0, 40.0, 60.0),
-        ] {
-            let tile = FraQuery::rect(Point::new(x0, y0), Point::new(x1, y1), AggFunc::Count);
-            cached
-                .try_execute_with_epsilon(&fed, &tile, 0.0, obs)
-                .unwrap();
-        }
-        let union = FraQuery::rect(
-            Point::new(20.0, 20.0),
-            Point::new(60.0, 60.0),
-            AggFunc::Count,
-        );
-        let served = cached
-            .try_execute_with_epsilon(&fed, &union, 0.0, obs)
-            .unwrap();
-        assert_eq!(served.source, CacheSource::Miss);
-    }
-
-    #[test]
-    fn overlapping_fragments_never_double_count() {
-        let fed = federation();
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.0,
-                containment: true,
-            },
-        );
-        let obs = ObsContext::noop();
-        // Two overlapping halves plus the exact tiles: the greedy sweep
-        // must pick a disjoint subset or refuse — never sum an overlap.
-        for &(x0, y0, x1, y1) in &[
-            (20.0, 20.0, 45.0, 60.0), // overlaps the next one
-            (40.0, 20.0, 60.0, 60.0),
-        ] {
-            let tile = FraQuery::rect(Point::new(x0, y0), Point::new(x1, y1), AggFunc::Count);
-            cached
-                .try_execute_with_epsilon(&fed, &tile, 0.0, obs)
-                .unwrap();
-        }
-        let union = FraQuery::rect(
-            Point::new(20.0, 20.0),
-            Point::new(60.0, 60.0),
-            AggFunc::Count,
-        );
-        let served = cached
-            .try_execute_with_epsilon(&fed, &union, 0.0, obs)
-            .unwrap();
-        // The two overlapping rects cannot tile the union exactly, so
-        // this must be a miss with the true value.
-        assert_eq!(served.source, CacheSource::Miss);
-        let truth = Exact::new().execute(&fed, &union).value;
-        assert_eq!(served.result.value, truth);
-    }
-
-    #[test]
-    fn ratio_aggregates_never_decompose() {
-        let fed = federation();
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.0,
-                containment: true,
-            },
-        );
-        let obs = ObsContext::noop();
-        for &(x0, x1) in &[(20.0, 40.0), (40.0, 60.0)] {
-            let tile = FraQuery::rect(Point::new(x0, 20.0), Point::new(x1, 60.0), AggFunc::Avg);
-            cached
-                .try_execute_with_epsilon(&fed, &tile, 0.0, obs)
-                .unwrap();
-        }
-        let union = FraQuery::rect(Point::new(20.0, 20.0), Point::new(60.0, 60.0), AggFunc::Avg);
-        let served = cached
-            .try_execute_with_epsilon(&fed, &union, 0.0, obs)
-            .unwrap();
-        assert_eq!(
-            served.source,
-            CacheSource::Miss,
-            "AVG must not be assembled"
-        );
-    }
-
-    #[test]
-    fn every_served_answer_satisfies_the_requested_epsilon() {
-        // Property: across a mixed workload, |served − truth| ≤ ε·truth
-        // for every cache-served answer.
-        let fed = federation();
-        let cached = AnswerCache::with_policy(
-            Exact::new(),
-            CacheConfig::default(),
-            CachePolicy {
-                producer_epsilon: 0.0,
-                containment: true,
-            },
-        );
-        let obs = ObsContext::noop();
-        let exact = Exact::new();
-        let mut queries = Vec::new();
-        for gx in 0..4 {
-            for gy in 0..4 {
-                let (x0, y0) = (gx as f64 * 20.0, gy as f64 * 20.0);
-                queries.push(FraQuery::rect(
-                    Point::new(x0, y0),
-                    Point::new(x0 + 20.0, y0 + 20.0),
-                    AggFunc::Sum,
-                ));
-            }
-        }
-        // Unions of tile blocks, then repeats of everything.
-        queries.push(FraQuery::rect(
-            Point::new(0.0, 0.0),
-            Point::new(40.0, 40.0),
-            AggFunc::Sum,
-        ));
-        queries.push(FraQuery::rect(
-            Point::new(0.0, 0.0),
-            Point::new(80.0, 80.0),
-            AggFunc::Sum,
-        ));
-        let repeats: Vec<FraQuery> = queries.clone();
-        queries.extend(repeats);
-
-        let epsilon = 0.05;
-        let mut served = 0;
-        for query in &queries {
-            let answer = cached
-                .try_execute_with_epsilon(&fed, query, epsilon, obs)
-                .unwrap();
-            if answer.source != CacheSource::Miss {
-                served += 1;
-                let truth = exact.execute(&fed, query).value;
-                assert!(
-                    (answer.result.value - truth).abs() <= epsilon * truth.abs() + 1e-9,
-                    "served {} vs truth {truth} violates ε = {epsilon}",
-                    answer.result.value
-                );
-                assert!(answer.epsilon_bound <= epsilon);
-            }
-        }
-        assert!(served > 10, "workload must exercise serving ({served})");
     }
 }

@@ -13,8 +13,9 @@
 //! does |Q| probes, but the provider pays `m` envelopes, not `m`·|Q|. A
 //! pooled query ([`FraAlgorithm::quorum`], MultiSilo-est) rides them as
 //! `k` legs over its candidate order. An algorithm with neither a
-//! plan/finish split nor a fan-out — the planner and cache wrappers — is
-//! answered at admission by its default `plan_with`, in input order.
+//! plan/finish split nor a fan-out — the [`AnswerCache`](crate::AnswerCache)
+//! wrapper — is answered at admission by its default `plan_with`, in
+//! input order.
 //!
 //! The procedure itself is one crate-private value, the driver: it admits
 //! queries, pumps scatter–gather rounds and finishes each query as its

@@ -29,21 +29,18 @@ pub mod framework;
 pub mod helpers;
 mod multi;
 mod opta;
-mod planner;
 mod query;
 mod run;
 mod sampling;
 pub mod scheduler;
-pub mod sql;
 pub mod theory;
 
 pub use algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
-pub use cache::{AnswerCache, CacheAnswer, CacheConfig, CachePolicy, CacheSource, CacheStats};
+pub use cache::{AnswerCache, CacheConfig, CacheStats};
 pub use exact::Exact;
 pub use framework::{BatchResult, QueryEngine};
 pub use multi::MultiSiloEst;
 pub use opta::Opta;
-pub use planner::{AdaptivePlanner, PlanDecision, PlannerPolicy};
 pub use query::{Coverage, FraError, FraQuery, QueryResult};
 pub use sampling::{IidEst, IidEstLsr, NonIidEst, NonIidEstLsr};
 pub use scheduler::{ClassPolicy, QueryScheduler, QueryTicket, SchedulerConfig, SubmitError};

@@ -250,7 +250,7 @@ impl NonIidEst {
 
     /// The one request NonIID-est sends for `query`: the boundary cells'
     /// contributions, masked to `F`'s moments. The silo works out the
-    /// cells itself. The adaptive planner prices this very request.
+    /// cells itself.
     pub(crate) fn request(&self, query: &FraQuery, sum0_count: f64) -> Request {
         let request = Request::CellContributions {
             range: query.range,

@@ -83,45 +83,6 @@ pub fn epsilon_for_confidence(confidence: f64, ans: f64, sum0: f64) -> f64 {
     (sum0 / ans) * (2.0 * (4.0 / delta).ln()).sqrt()
 }
 
-/// The error bound of an answer assembled from cached fragments
-/// (containment decomposition, DESIGN.md §5f).
-///
-/// For the monotone aggregates (COUNT/SUM/SUM_SQR) over disjoint
-/// fragments `R = ⊎ Rᵢ`, each cached at relative error `εᵢ`:
-/// `|ans′ − ans| = |Σ ansᵢ′ − Σ ansᵢ| ≤ Σ εᵢ·ansᵢ ≤ (max εᵢ)·Σ ansᵢ`,
-/// so the assembled answer carries relative error at most `max εᵢ` — the
-/// served bound is *computed* from the fragments' producer bounds, never
-/// assumed. Returns `0.0` for an empty fragment list (an empty sum is
-/// exact).
-///
-/// ```
-/// use fedra_core::theory::containment_epsilon;
-/// assert_eq!(containment_epsilon(&[0.0, 0.05, 0.02]), 0.05);
-/// assert_eq!(containment_epsilon(&[]), 0.0);
-/// ```
-pub fn containment_epsilon(fragment_epsilons: &[f64]) -> f64 {
-    fragment_epsilons.iter().copied().fold(0.0, f64::max)
-}
-
-/// Whether a cached answer produced at error `producer_epsilon` may serve
-/// a query requesting `requested_epsilon` (the ε-containment rule): the
-/// producer's guarantee must be at least as strong, i.e.
-/// `producer_epsilon ≤ requested_epsilon`. `0.0` is the exact/degenerate
-/// mode and serves everything.
-///
-/// ```
-/// use fedra_core::theory::epsilon_serves;
-/// assert!(epsilon_serves(0.0, 0.0));     // exact serves exact
-/// assert!(epsilon_serves(0.05, 0.10));   // tighter serves looser
-/// assert!(!epsilon_serves(0.10, 0.05));  // looser never serves tighter
-/// ```
-pub fn epsilon_serves(producer_epsilon: f64, requested_epsilon: f64) -> bool {
-    producer_epsilon.is_finite()
-        && requested_epsilon.is_finite()
-        && producer_epsilon >= 0.0
-        && producer_epsilon <= requested_epsilon
-}
-
 /// The combined sampling + missing-mass error bound of a degraded-mode
 /// answer (DESIGN.md §5i), **anchored to the `sum₀` envelope**: the
 /// degraded answer satisfies `|ans′ − ans| ≤ ε′·sum₀` (with the base
@@ -146,8 +107,7 @@ pub fn epsilon_serves(producer_epsilon: f64, requested_epsilon: f64) -> bool {
 /// true answer is the same normalization every Sec. 6 bound uses — as
 /// `ans/sum₀ → 1` (large ranges, the Fig. 3a regime) the bound approaches
 /// a plain relative-error guarantee. The bound degrades *linearly* in the
-/// missing mass — the same composition spirit as [`containment_epsilon`],
-/// but over mass-weighted shares instead of disjoint fragments.
+/// missing mass.
 ///
 /// ```
 /// use fedra_core::theory::degraded_epsilon;
@@ -274,25 +234,6 @@ mod tests {
     #[should_panic(expected = "confidence")]
     fn epsilon_for_confidence_rejects_one() {
         epsilon_for_confidence(1.0, 1.0, 1.0);
-    }
-
-    #[test]
-    fn containment_epsilon_is_the_worst_fragment() {
-        assert_eq!(containment_epsilon(&[]), 0.0);
-        assert_eq!(containment_epsilon(&[0.0, 0.0]), 0.0);
-        assert_eq!(containment_epsilon(&[0.02, 0.10, 0.05]), 0.10);
-        // A max-composed bound never loosens by adding tighter fragments.
-        assert_eq!(containment_epsilon(&[0.10, 0.0]), 0.10);
-    }
-
-    #[test]
-    fn epsilon_containment_rule_is_one_sided() {
-        assert!(epsilon_serves(0.0, 0.0));
-        assert!(epsilon_serves(0.0, 0.5));
-        assert!(epsilon_serves(0.05, 0.05));
-        assert!(!epsilon_serves(0.051, 0.05));
-        assert!(!epsilon_serves(f64::NAN, 0.05));
-        assert!(!epsilon_serves(-0.1, 0.05));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct Lexed {
     /// The marker is module-level: its presence anywhere in a file
     /// designates the whole file a deterministic region for the
     /// `determinism-discipline` lint, in addition to the lint's built-in
-    /// region list (planner, merge/reduce, wire encoding, estimators).
+    /// region list (merge/reduce, wire encoding, estimators).
     pub deterministic_markers: Vec<u32>,
 }
 

@@ -6,8 +6,8 @@
 //! dynamically by `tests/parallel_equivalence.rs` and `tests/chaos.rs`,
 //! but a dynamic test only covers the paths it exercises. This lint makes
 //! the contract static for the regions where nondeterminism could reach
-//! a result: the planner, the merge/reduce paths, the wire encoding and
-//! the RNG-seeded estimators.
+//! a result: the merge/reduce paths, the wire encoding, the answer cache
+//! and the RNG-seeded estimators.
 //!
 //! Inside a deterministic region (the built-in list below, or any module
 //! carrying a `// fedra-lint: deterministic-region` marker) four shapes
@@ -39,12 +39,11 @@ use crate::registry::Lint;
 use crate::scan::{matching, SourceFile};
 use crate::workspace::Workspace;
 
-/// Files that are deterministic regions by default: the planner, the
-/// merge/reduce paths, wire encoding/export, and the RNG-seeded
+/// Files that are deterministic regions by default: the merge/reduce
+/// paths, the answer cache, wire encoding/export, and the RNG-seeded
 /// estimators, plus the whole index crate (every build there is covered
 /// by the pool-size bit-identity contract).
-const DEFAULT_REGIONS: &[&str] = &[
-    "crates/core/src/planner.rs",
+pub(super) const DEFAULT_REGIONS: &[&str] = &[
     "crates/core/src/sampling.rs",
     "crates/core/src/exact.rs",
     "crates/core/src/opta.rs",

@@ -21,16 +21,15 @@ use crate::scan::SourceFile;
 use crate::workspace::Workspace;
 
 /// Engine files in `fedra-core`: everything on the query execution path.
-/// (`sql.rs`, `theory.rs` and `helpers.rs` are user-facing front-ends and
-/// diagnostics, not the hot path.)
-const CORE_ENGINE_FILES: &[&str] = &[
+/// (`theory.rs` and `helpers.rs` are diagnostics and shared helpers, not
+/// the hot path.)
+pub(super) const CORE_ENGINE_FILES: &[&str] = &[
     "crates/core/src/framework.rs",
     "crates/core/src/algorithm.rs",
     "crates/core/src/exact.rs",
     "crates/core/src/sampling.rs",
     "crates/core/src/opta.rs",
     "crates/core/src/multi.rs",
-    "crates/core/src/planner.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/query.rs",
 ];

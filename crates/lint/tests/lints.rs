@@ -133,8 +133,8 @@ fn above() -> u8 {
 #[test]
 fn panic_discipline_scopes_to_federation_and_engine_paths() {
     let src = "fn helper() { thing().unwrap(); }";
-    // sql.rs is a user-facing front-end, not the hot path.
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    // theory.rs holds diagnostics, not the hot path.
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert!(diags.iter().all(|d| d.lint != "panic-discipline"));
     // The engine files are in scope.
     let diags = run(&[file("crates/core/src/framework.rs", src)]);
@@ -227,7 +227,7 @@ fn pump(pool: &Mutex<Vec<u8>>, tx: &Sender<u8>) {
     let _ = tx.send(1);
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     let locks: Vec<_> = diags
         .iter()
         .filter(|d| d.lint == "lock-discipline")
@@ -253,7 +253,7 @@ fn c(m: &Mutex<u8>, rx: &Receiver<u8>) {
     let _ = rx.recv_timeout(t);
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert_eq!(
         diags.iter().filter(|d| d.lint == "lock-discipline").count(),
         3,
@@ -270,7 +270,7 @@ fn pump(pool: &Mutex<Vec<u8>>, tx: &Sender<u8>) {
     let _ = tx.send(1);
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert!(
         diags.iter().all(|d| d.lint != "lock-discipline"),
         "{diags:?}"
@@ -296,7 +296,7 @@ fn consumed(pool: &Mutex<Vec<u8>>, tx: &Sender<u8>) {
     let _ = tx.send(3);
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert!(
         diags.iter().all(|d| d.lint != "lock-discipline"),
         "{diags:?}"
@@ -317,7 +317,7 @@ fn reduce(state: &Mutex<Vec<u8>>) {
     });
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     let locks: Vec<_> = diags
         .iter()
         .filter(|d| d.lint == "lock-discipline")
@@ -339,7 +339,7 @@ fn reduce(state: &Mutex<Vec<u8>>) {
     });
 }
 ";
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert!(
         diags.iter().all(|d| d.lint != "lock-discipline"),
         "{diags:?}"
@@ -359,7 +359,7 @@ fn merge(results: HashMap<u64, f64>) -> f64 {
     total
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", src)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", src)]);
     let det: Vec<_> = diags
         .iter()
         .filter(|d| d.lint == "determinism-discipline")
@@ -377,7 +377,7 @@ fn export(seen: HashSet<u64>) {
     }
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", src)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", src)]);
     assert_eq!(
         diags
             .iter()
@@ -402,7 +402,7 @@ fn rank(mut xs: Vec<f64>) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", src)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", src)]);
     let det: Vec<_> = diags
         .iter()
         .filter(|d| d.lint == "determinism-discipline")
@@ -419,8 +419,8 @@ fn merge(results: HashMap<u64, f64>) -> f64 {
     results.values().sum()
 }
 ";
-    // sql.rs is not a deterministic region.
-    let diags = run(&[file("crates/core/src/sql.rs", src)]);
+    // theory.rs is not a deterministic region.
+    let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert!(diags.iter().all(|d| d.lint != "determinism-discipline"));
     // Test modules inside a region file are exempt.
     let test_src = "
@@ -436,7 +436,7 @@ mod tests {
     }
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", test_src)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", test_src)]);
     assert!(
         diags.iter().all(|d| d.lint != "determinism-discipline"),
         "{diags:?}"
@@ -453,7 +453,7 @@ fn rank(mut xs: Vec<f64>) {
     xs.sort_by(f64::total_cmp);
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", src)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", src)]);
     assert!(
         diags.iter().all(|d| d.lint != "determinism-discipline"),
         "{diags:?}"
@@ -486,7 +486,7 @@ fn merge(results: HashMap<u64, f64>) -> f64 {
     results.values().fold(0.0, f64::max)
 }
 ";
-    let diags = run(&[file("crates/core/src/planner.rs", allowed)]);
+    let diags = run(&[file("crates/core/src/sampling.rs", allowed)]);
     assert!(
         diags.iter().all(|d| d.lint != "determinism-discipline"),
         "{diags:?}"

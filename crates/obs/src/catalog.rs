@@ -147,15 +147,12 @@ catalog! {
     /// Duration of one traced query phase, in nanoseconds.
     SPAN_NS: Histogram "fedra_span_ns" ["name"] = ["plan", "remote", "finish", "fanout"];
 
-    // Planning (framework.rs, planner.rs).
+    // Planning (framework.rs).
 
     /// Queries a plan answered without contacting a silo.
     PLAN_READY_TOTAL: Counter "fedra_plan_ready_total" [];
     /// Queries whose plan needed a remote round.
     PLAN_REMOTE_TOTAL: Counter "fedra_plan_remote_total" [];
-    /// Adaptive-planner decisions.
-    PLAN_DECISION_TOTAL: Counter "fedra_plan_decision_total" ["decision"] =
-        ["grid_exact", "exact", "iid_for_budget", "iid_low_skew", "noniid_high_skew"];
 
     // Estimators and accuracy (sampling.rs, multi.rs, algorithm.rs, run.rs).
 
@@ -207,7 +204,7 @@ catalog! {
 
     // Answer cache (cache.rs).
 
-    /// Cache hits, exact or by containment.
+    /// Cache hits.
     CACHE_HITS_TOTAL: Counter "fedra_cache_hits_total" [];
     /// Cache misses.
     CACHE_MISSES_TOTAL: Counter "fedra_cache_misses_total" [];
@@ -215,9 +212,6 @@ catalog! {
     CACHE_EVICTIONS_TOTAL: Counter "fedra_cache_evictions_total" [];
     /// Entries found past their TTL.
     CACHE_EXPIRATIONS_TOTAL: Counter "fedra_cache_expirations_total" [];
-    /// Which reuse level answered a hit.
-    CACHE_LEVEL_SERVED_TOTAL: Counter "fedra_cache_level_served_total" ["level"] =
-        ["exact", "decomposed"];
 
     // Serving scheduler (scheduler.rs; frame riders from the shared round).
 

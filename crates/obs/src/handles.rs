@@ -251,7 +251,6 @@ metrics! {
     span_ns: Family<Histogram> = SPAN_NS,
     plan_ready: Series<Counter> = PLAN_READY_TOTAL,
     plan_remote: Series<Counter> = PLAN_REMOTE_TOTAL,
-    plan_decision: Family<Counter> = PLAN_DECISION_TOTAL,
     accuracy_epsilon: Series<Gauge> = ACCURACY_EPSILON,
     accuracy_delta: Series<Gauge> = ACCURACY_DELTA,
     sum0_count: Series<Histogram> = SUM0_COUNT,
@@ -274,7 +273,6 @@ metrics! {
     silo_latency_ewma_us: Family<Gauge> = SILO_LATENCY_EWMA_US,
     cache_hits: Series<Counter> = CACHE_HITS_TOTAL,
     cache_misses: Series<Counter> = CACHE_MISSES_TOTAL,
-    cache_level_served: Family<Counter> = CACHE_LEVEL_SERVED_TOTAL,
     shed_queue_full: Series<Counter> = SHED_QUEUE_FULL_TOTAL,
     shed_expired: Series<Counter> = SHED_EXPIRED_TOTAL,
     sched_queue_depth: Series<Gauge> = SCHED_QUEUE_DEPTH,

@@ -118,6 +118,17 @@ fn main() {
         "reduction          : {:>8.1}x less query traffic",
         b1.comm.total_bytes() as f64 / b2.comm.total_bytes().max(1) as f64
     );
+    // A cached answer must be, bit for bit, the uncached engine's answer
+    // to its station's first ask (burst index `i % 5`): a miss draws the
+    // sampler exactly as the uncached batch does, and a hit returns that
+    // miss's bits. `ci.sh` greps this line and the hit count above.
+    let identical = (0..burst.len())
+        .filter(|&i| match (&b2.results[i], &b1.results[i % 5]) {
+            (Ok(cached), Ok(fresh)) => cached.value.to_bits() == fresh.value.to_bits(),
+            _ => false,
+        })
+        .count();
+    println!("cached answers identical: {identical}/{}", burst.len());
 
     let _ = std::fs::remove_file(&snapshot_path);
 }

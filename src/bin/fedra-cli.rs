@@ -4,12 +4,14 @@
 //! fedra-cli demo                      # build a federation, show a comparison table
 //! fedra-cli query --x 0 --y -95 --radius 2 --func count --algo noniid
 //! fedra-cli stats                     # federation + index statistics
+//! fedra-cli obs --chaos 7             # instrumented batch: metrics, traces, silo health
 //! fedra-cli help
 //! ```
 //!
 //! Global options: `--objects N` (default 60000), `--silos M` (default 6),
 //! `--seed S`, `--grid-len KM`, `--iid` (IID partitions instead of
-//! company-skewed).
+//! company-skewed). A numeric option whose value does not parse is an
+//! error naming the flag, never a silent default.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -27,7 +29,6 @@ fn main() -> ExitCode {
     match command.as_str() {
         "demo" => demo(&options),
         "query" => query(&options),
-        "sql" => sql(&options, &args),
         "stats" => stats(&options),
         "obs" => obs(&options),
         "help" | "" => {
@@ -63,26 +64,33 @@ fn parse(args: &[String]) -> Option<(String, Options)> {
             command = arg.clone();
             i += 1;
         } else {
-            // Positional payload (e.g. the SQL statement); commands that
-            // use it re-read it from the raw args.
+            // Stray positional words are ignored.
             i += 1;
         }
     }
     Some((command, options))
 }
 
+/// The value of `--key` parsed as `T`, or `None` when the flag is absent.
+/// A value that does not parse ends the process with an error naming the
+/// flag: `--radius 2km` must not quietly answer for radius 2.
+fn flag<T: std::str::FromStr>(options: &Options, key: &str) -> Option<T> {
+    let value = options.get(key)?;
+    Some(value.parse().unwrap_or_else(|_| {
+        eprintln!("error: --{key}: cannot parse '{value}'");
+        std::process::exit(1);
+    }))
+}
+
 fn opt<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> T {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag(options, key).unwrap_or(default)
 }
 
 /// `--chaos SEED` turns the build into a resilience drill: one slow silo,
 /// one flapping silo, a deadline/hedging call policy and an active
 /// circuit breaker — all deterministic from the seed.
 fn apply_resilience(builder: FederationBuilder, options: &Options) -> FederationBuilder {
-    let Some(seed) = options.get("chaos").and_then(|v| v.parse::<u64>().ok()) else {
+    let Some(seed) = flag::<u64>(options, "chaos") else {
         return builder;
     };
     let slow = opt(options, "slow-silo", 0usize);
@@ -189,7 +197,6 @@ fn demo(options: &Options) -> ExitCode {
 }
 
 fn query(options: &Options) -> ExitCode {
-    let (federation, _) = build_federation(options);
     let x = opt(options, "x", 0.0);
     let y = opt(options, "y", -95.0);
     let radius = opt(options, "radius", 2.0);
@@ -206,6 +213,7 @@ fn query(options: &Options) -> ExitCode {
     };
     let q = FraQuery::circle(Point::new(x, y), radius, func);
     let seed = opt(options, "seed", 0xC11u64);
+    let (federation, _) = build_federation(options);
     let result = match options.get("algo").map(String::as_str).unwrap_or("noniid") {
         "exact" => Exact::new().try_execute(&federation, &q),
         "opta" => Opta::new().try_execute(&federation, &q),
@@ -215,20 +223,8 @@ fn query(options: &Options) -> ExitCode {
         "noniid-lsr" => {
             NonIidEstLsr::new(seed, AccuracyParams::default()).try_execute(&federation, &q)
         }
-        "adaptive" => {
-            let planner = AdaptivePlanner::new(seed, PlannerPolicy::default());
-            match planner.execute_planned(&federation, &q) {
-                Ok((decision, r)) => {
-                    println!("plan  : {decision:?}");
-                    Ok(r)
-                }
-                Err(e) => Err(e),
-            }
-        }
         other => {
-            eprintln!(
-                "error: unknown --algo `{other}` (exact|opta|iid|iid-lsr|noniid|noniid-lsr|adaptive)"
-            );
+            eprintln!("error: unknown --algo `{other}` (exact|opta|iid|iid-lsr|noniid|noniid-lsr)");
             return ExitCode::FAILURE;
         }
     };
@@ -242,49 +238,6 @@ fn query(options: &Options) -> ExitCode {
             if let Some(level) = r.lsr_level {
                 println!("level : {level}");
             }
-            let comm = federation.query_comm();
-            println!(
-                "comm  : {} rounds, {} bytes",
-                comm.rounds,
-                comm.total_bytes()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn sql(options: &Options, args: &[String]) -> ExitCode {
-    // The statement is the first free token after `sql` that is not an
-    // option; easiest robust form: everything after the literal "sql".
-    let statement = args
-        .iter()
-        .skip_while(|a| *a != "sql")
-        .skip(1)
-        .take_while(|a| !a.starts_with("--"))
-        .cloned()
-        .collect::<Vec<_>>()
-        .join(" ");
-    if statement.is_empty() {
-        eprintln!("error: usage: fedra-cli sql \"SELECT COUNT(*) FROM fleet WHERE WITHIN(x, y, r)\" [options]");
-        return ExitCode::FAILURE;
-    }
-    let q = match fedra::core::sql::parse(&statement) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (federation, _) = build_federation(options);
-    let seed = opt(options, "seed", 0xC11u64);
-    match NonIidEst::new(seed).try_execute(&federation, &q) {
-        Ok(r) => {
-            println!("query : {q}");
-            println!("answer: {}", r.value);
             let comm = federation.query_comm();
             println!(
                 "comm  : {} rounds, {} bytes",
@@ -347,10 +300,10 @@ fn obs(options: &Options) -> ExitCode {
     let mut generator = QueryGenerator::new(&all, seed ^ 7);
     let n = opt(options, "queries", 250usize);
     let radius = opt(options, "radius", 2.0);
-    // --cache K: wrap the algorithm in the ε-aware answer cache and cycle
-    // the batch over K hot ranges so hits actually occur; the cache's
+    // --cache K: wrap the algorithm in the answer cache and cycle the
+    // batch over K hot ranges so hits actually occur; the cache's
     // `fedra_cache_*` counters then show up in every export format.
-    let hot: Option<usize> = options.get("cache").map(|v| v.parse().unwrap_or(8));
+    let hot: Option<usize> = flag(options, "cache");
     let ranges = generator.circles(radius, n);
     let queries: Vec<FraQuery> = match hot {
         Some(k) => {
@@ -484,8 +437,6 @@ USAGE:
 COMMANDS:
   demo     run a query batch through all six algorithms, print the comparison
   query    answer one circular query (--x --y --radius --func --algo)
-  sql      answer one SQL-style statement, e.g.
-             fedra-cli sql \"SELECT COUNT(*) FROM fleet WHERE WITHIN(0, -95, 2)\"
   stats    print federation and index statistics
   obs      run an instrumented batch, dump metrics + traces + silo health
              (--queries N, --algo A, --format text|prom|json, --cache K to
@@ -500,12 +451,12 @@ RESILIENCE OPTIONS (any command):
                   circuit breaker; retry/hedge/breaker counters show up in
                   `obs` output
 
-GLOBAL OPTIONS:
+GLOBAL OPTIONS (a numeric value that does not parse is an error):
   --data FILE     load a CSV dataset (silo,x_km,y_km,measure) instead of
                   generating one (ignores --objects/--silos/--iid)
   --objects N     total objects (default 60000)
   --silos M       number of silos (default 6)
-  --seed S        RNG seed (default 0xC11)
+  --seed S        RNG seed, decimal (default 3089)
   --grid-len KM   grid cell length in km (default 1.0)
   --iid           IID partitions instead of company-skewed
 

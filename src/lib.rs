@@ -55,10 +55,9 @@ pub use fedra_workload as workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use fedra_core::{
-        AccuracyParams, AdaptivePlanner, AnswerCache, BatchResult, CacheAnswer, CacheConfig,
-        CachePolicy, CacheSource, CacheStats, ClassPolicy, Coverage, Exact, FraAlgorithm, FraError,
-        FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta, PlanDecision,
-        PlannerPolicy, QueryEngine, QueryResult, QueryScheduler, QueryTicket, SchedulerConfig,
+        AccuracyParams, AnswerCache, BatchResult, CacheConfig, CacheStats, ClassPolicy, Coverage,
+        Exact, FraAlgorithm, FraError, FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst,
+        NonIidEstLsr, Opta, QueryEngine, QueryResult, QueryScheduler, QueryTicket, SchedulerConfig,
         SubmitError,
     };
     pub use fedra_federation::{

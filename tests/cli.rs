@@ -214,40 +214,37 @@ fn csv_errors_are_reported_with_context() {
 }
 
 #[test]
-fn sql_statement_answers() {
-    let out = cli()
-        .args([
-            "sql",
-            "SELECT COUNT(*) FROM fleet WHERE WITHIN(0, -95, 2)",
-            "--objects",
-            "5000",
-            "--silos",
-            "2",
-        ])
-        .output()
-        .expect("run fedra-cli");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("answer:"));
-}
-
-#[test]
-fn sql_parse_errors_are_clear() {
-    let out = cli()
-        .args(["sql", "SELECT MEDIAN(measure) FROM f WHERE WITHIN(1,2,3)"])
-        .output()
-        .expect("run fedra-cli");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("MEDIAN"));
-}
-
-#[test]
-fn sql_without_statement_shows_usage() {
-    let out = cli().args(["sql"]).output().expect("run fedra-cli");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+fn unparsable_numeric_flags_fail_naming_the_flag() {
+    // A value that does not parse must not fall back to the default.
+    let cases: [(&[&str], &str, &str); 4] = [
+        (
+            &["query", "--silos", "2", "--radius", "2km"],
+            "radius",
+            "2km",
+        ),
+        (
+            &["stats", "--silos", "2", "--objects", "5k"],
+            "objects",
+            "5k",
+        ),
+        (
+            &["obs", "--objects", "2000", "--cache", "abc"],
+            "cache",
+            "abc",
+        ),
+        (
+            &["stats", "--objects", "2000", "--chaos", "x"],
+            "chaos",
+            "x",
+        ),
+    ];
+    for (args, flag, value) in cases {
+        let out = cli().args(args).output().expect("run fedra-cli");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: --{flag}: cannot parse '{value}'")),
+            "{args:?}: {stderr}"
+        );
+    }
 }
