@@ -1,4 +1,5 @@
-//! Deterministic, seeded fault injection for the silo transport.
+//! Deterministic, seeded fault injection for the silo transport — the
+//! crate's only seeded fault source.
 //!
 //! A [`FaultPlan`] describes, per silo, the misbehaviour to inject at the
 //! transport boundary: extra latency (with optional jitter), dropped
@@ -15,6 +16,12 @@
 //! is received and *before* the request is decoded:
 //! a faulted request still pays its upload bytes (the frame travelled),
 //! which keeps the communication-cost metric honest under chaos.
+//!
+//! A plan names only silos the federation builds from its own partitions
+//! ([`crate::SetupError::FaultPlanNamesNoLocalSilo`] otherwise); a remote
+//! silo takes the same spec from `fedra-silo --fault-*`. The socket-path
+//! [`crate::ChaosProxy`] draws nothing — its partitions, client drops and
+//! corrupted replies are drills a test arms one at a time.
 //!
 //! Faults are disarmed until the federation finishes Alg. 1 setup (the
 //! plan describes a degraded *query* phase, not a broken bootstrap); see
@@ -141,6 +148,11 @@ impl FaultPlan {
     /// The plan's base seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The silos the plan has a spec for, in the order they were added.
+    pub(crate) fn silos(&self) -> impl Iterator<Item = SiloId> + '_ {
+        self.specs.iter().map(|(silo, _)| *silo)
     }
 
     /// The spec configured for `silo`, if any.

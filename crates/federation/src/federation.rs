@@ -19,7 +19,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use fedra_geo::{Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, PrefixStack};
@@ -52,6 +51,15 @@ pub enum SetupError {
         /// Why it was rejected.
         reason: String,
     },
+    /// The [`FaultPlan`] names a silo this builder does not build from a
+    /// partition — a remote silo or no silo at all — so its faults would
+    /// silently never fire.
+    FaultPlanNamesNoLocalSilo {
+        /// The silo id the plan names.
+        silo: SiloId,
+        /// How many silos the federation hosts locally (ids `0..local_silos`).
+        local_silos: usize,
+    },
     /// `FEDRA_TRANSPORT` is set to something that names no backend.
     UnknownTransport {
         /// The value as found in the environment.
@@ -81,6 +89,11 @@ impl std::fmt::Display for SetupError {
             SetupError::BadRemoteAddr { addr, reason } => {
                 write!(f, "remote silo address `{addr}` is invalid: {reason}")
             }
+            SetupError::FaultPlanNamesNoLocalSilo { silo, local_silos } => write!(
+                f,
+                "the fault plan names silo {silo}, but only silos 0..{local_silos} are hosted \
+                 locally (a remote silo takes its faults from `fedra-silo --fault-*`)"
+            ),
             SetupError::UnknownTransport { value } => write!(
                 f,
                 "FEDRA_TRANSPORT=`{value}` names no transport backend (expected memory or socket)"
@@ -164,7 +177,6 @@ pub struct FederationBuilder {
     histogram: MinSkewConfig,
     lsr_seed: u64,
     silo_threads: usize,
-    latency: Option<Duration>,
     message_overhead: u64,
     warm_start: Option<ProviderSnapshot>,
     fault_plan: Option<FaultPlan>,
@@ -186,7 +198,6 @@ impl FederationBuilder {
             histogram: MinSkewConfig::default(),
             lsr_seed: 0x000F_ED0A,
             silo_threads: 0,
-            latency: None,
             message_overhead: crate::transport::DEFAULT_MESSAGE_OVERHEAD,
             warm_start: None,
             fault_plan: None,
@@ -220,8 +231,9 @@ impl FederationBuilder {
     /// exactly like local ones — the remote process must have been
     /// started with the same bounds / LSR seed for answers to line up
     /// (see the `fedra-silo` flags). Fault injection
-    /// ([`FederationBuilder::fault_plan`]) applies to local silos only;
-    /// faults on a remote silo belong to its own process.
+    /// ([`FederationBuilder::fault_plan`]) applies to local silos only —
+    /// a plan naming a remote silo fails the build; faults on a remote
+    /// silo belong to its own process.
     pub fn connect_remote(mut self, addr: impl Into<String>) -> Self {
         self.remotes.push(addr.into());
         self
@@ -262,12 +274,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Adds a fixed simulated network latency to every silo response.
-    pub fn simulated_latency(mut self, latency: Duration) -> Self {
-        self.latency = Some(latency);
-        self
-    }
-
     /// Sets the per-message envelope overhead charged by the
     /// communication-cost metric (default
     /// [`crate::transport::DEFAULT_MESSAGE_OVERHEAD`]; 0 = pure payload).
@@ -281,6 +287,11 @@ impl FederationBuilder {
     /// according to its spec, reproducibly from the plan seed. Faults stay
     /// disarmed during Alg. 1 setup and arm automatically once the
     /// federation is up ([`Federation::set_faults_armed`] toggles later).
+    ///
+    /// The plan may name only silos built from this builder's partitions:
+    /// a remote silo takes its faults from `fedra-silo --fault-*`, so
+    /// [`FederationBuilder::try_build`] refuses any other id with
+    /// [`SetupError::FaultPlanNamesNoLocalSilo`].
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -311,8 +322,8 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the socket transport's reconnect policy (attempts, capped
-    /// exponential backoff, seeded jitter). Only socket-backed and remote
+    /// Sets the socket transport's reconnect policy (its attempt budget;
+    /// the capped, jittered backoff is fixed). Only socket-backed and remote
     /// silos consult it; the default reproduces the historical 3-attempt
     /// cap. Supervised deployments typically pair
     /// [`crate::transport::socket::ReconnectAttempts::Unbounded`] with an
@@ -363,6 +374,14 @@ impl FederationBuilder {
                 })
             })
             .collect::<Result<_, _>>()?;
+        let local_silos = partitions.len();
+        if let Some(silo) = self
+            .fault_plan
+            .as_ref()
+            .and_then(|plan| plan.silos().find(|&silo| silo >= local_silos))
+        {
+            return Err(SetupError::FaultPlanNamesNoLocalSilo { silo, local_silos });
+        }
         let backend = match self.transport {
             Some(backend) => backend,
             None => TransportBackend::from_env()
@@ -411,16 +430,10 @@ impl FederationBuilder {
                 .as_ref()
                 .and_then(|plan| plan.injector_for(silo.id(), Arc::clone(&fault_armed)));
             let (channel, handle) = match backend {
-                TransportBackend::InMemory => {
-                    spawn_silo(silo, Arc::clone(&setup_stats), self.latency, injector)?
+                TransportBackend::InMemory => spawn_silo(silo, Arc::clone(&setup_stats), injector)?,
+                TransportBackend::Socket => {
+                    spawn_silo_socket(silo, Arc::clone(&setup_stats), injector, self.reconnect)?
                 }
-                TransportBackend::Socket => spawn_silo_socket(
-                    silo,
-                    Arc::clone(&setup_stats),
-                    self.latency,
-                    injector,
-                    self.reconnect,
-                )?,
             };
             channels.push(channel);
             workers.push(handle);
@@ -858,6 +871,7 @@ mod tests {
     use super::*;
     use crate::protocol::{LocalMode, Response};
     use fedra_geo::{Point, Range};
+    use std::time::Duration;
 
     fn bounds() -> Rect {
         Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
@@ -1073,11 +1087,40 @@ mod tests {
 
     #[test]
     fn try_build_surfaces_setup_errors() {
-        let err = FederationBuilder::new(bounds())
-            .try_build(vec![])
-            .expect_err("no silos");
-        assert_eq!(err, SetupError::NoSilos);
-        assert!(err.to_string().contains("at least one silo"));
+        let slow = |silo| FaultPlan::seeded(1).slow_silo(silo, Duration::from_millis(1));
+        let no_local_silo = |silo| SetupError::FaultPlanNamesNoLocalSilo {
+            silo,
+            local_silos: 2,
+        };
+        for (builder, parts, expected, says) in [
+            (
+                FederationBuilder::new(bounds()),
+                vec![],
+                SetupError::NoSilos,
+                "at least one silo",
+            ),
+            // A plan entry for a silo that does not exist, or that lives in
+            // another process, would never fire: refused before any index
+            // work (and before the remote is dialled).
+            (
+                FederationBuilder::new(bounds()).fault_plan(slow(9)),
+                partitions(2, 10),
+                no_local_silo(9),
+                "names silo 9",
+            ),
+            (
+                FederationBuilder::new(bounds())
+                    .connect_remote("tcp:127.0.0.1:9")
+                    .fault_plan(slow(2)),
+                partitions(2, 10),
+                no_local_silo(2),
+                "fedra-silo --fault-*",
+            ),
+        ] {
+            let err = builder.try_build(parts).expect_err(says);
+            assert_eq!(err, expected);
+            assert!(err.to_string().contains(says), "{err}");
+        }
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //! * **HalfOpen**: exactly one probe is admitted; other checks are
 //!   refused. The probe's outcome closes the breaker or re-opens it.
 //!   An admitted probe the planner never actually samples would refuse
-//!   checks forever, so the lease expires after
-//!   [`HealthConfig::probe_patience`] idle checks (back to Open, where a
-//!   new probe can be drawn). Call sites use
-//!   [`HealthTracker::may_call`] — not `allows` — to re-check a planned
-//!   candidate, so an admitted probe is never refused by its own caller.
+//!   checks forever, so the lease expires after `PROBE_PATIENCE` (4)
+//!   idle checks (back to Open, where a new probe can be drawn). Call
+//!   sites use [`HealthTracker::may_call`] — not `allows` — to re-check a
+//!   planned candidate, so an admitted probe is never refused by its own
+//!   caller.
 //!
 //! The draw comes from one `StdRng` seeded by [`HealthConfig::seed`], so
 //! a fixed call sequence half-opens at the same points every run — chaos
@@ -84,6 +84,19 @@ pub enum HealthTransition {
     Closed,
 }
 
+/// EWMA smoothing factor for the success-latency estimate, in `(0, 1]`.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Eligibility checks a half-open breaker tolerates with no probe outcome
+/// before the lease expires and it reverts to `Open`.
+///
+/// An admitted probe is just a *candidate*: the planner may end up
+/// sampling a different silo, in which case no call ever resolves the
+/// probe and — without this lease — the breaker would be stuck half-open
+/// forever (refusing every future check, so the silo never rejoins).
+/// Reverting to `Open` puts the silo back under the admission draw.
+const PROBE_PATIENCE: u32 = 4;
+
 /// Tuning for the [`HealthTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
@@ -92,21 +105,9 @@ pub struct HealthConfig {
     pub breaker_enabled: bool,
     /// Consecutive failures that open the breaker.
     pub failure_threshold: u32,
-    /// EWMA smoothing factor for the latency estimate, in `(0, 1]`.
-    pub ewma_alpha: f64,
     /// Probability an eligibility check against an open breaker admits a
     /// half-open probe.
     pub probe_probability: f64,
-    /// Eligibility checks a half-open breaker tolerates with no probe
-    /// outcome before the lease expires and it reverts to `Open`.
-    ///
-    /// An admitted probe is just a *candidate*: the planner may end up
-    /// sampling a different silo, in which case no call ever resolves the
-    /// probe and — without this lease — the breaker would be stuck
-    /// half-open forever (refusing every future check, so the silo never
-    /// rejoins). Reverting to `Open` puts the silo back under the
-    /// admission draw.
-    pub probe_patience: u32,
     /// Seed for the probe-admission draws (determinism under a fixed
     /// call sequence).
     pub seed: u64,
@@ -117,9 +118,7 @@ impl Default for HealthConfig {
         HealthConfig {
             breaker_enabled: false,
             failure_threshold: 3,
-            ewma_alpha: 0.2,
             probe_probability: 0.2,
-            probe_patience: 4,
             seed: 0x4845_414C,
         }
     }
@@ -141,7 +140,7 @@ struct SiloHealthState {
     consecutive_failures: u32,
     ewma_us: Option<f64>,
     /// Eligibility checks refused since the current probe was admitted;
-    /// reaching `probe_patience` expires the lease (HalfOpen → Open).
+    /// reaching `PROBE_PATIENCE` expires the lease (HalfOpen → Open).
     probe_idle_checks: u32,
     failures_total: u64,
     successes_total: u64,
@@ -230,7 +229,7 @@ impl HealthTracker {
         let us = latency.as_secs_f64() * 1e6;
         state.ewma_us = Some(match state.ewma_us {
             None => us,
-            Some(prev) => prev + self.config.ewma_alpha * (us - prev),
+            Some(prev) => prev + EWMA_ALPHA * (us - prev),
         });
         if state.state != BreakerState::Closed {
             state.state = BreakerState::Closed;
@@ -291,7 +290,7 @@ impl HealthTracker {
                 // plan; once the lease expires, revert to Open so a new
                 // probe can be drawn instead of refusing forever.
                 state.probe_idle_checks += 1;
-                if state.probe_idle_checks >= self.config.probe_patience {
+                if state.probe_idle_checks >= PROBE_PATIENCE {
                     state.state = BreakerState::Open;
                 }
                 false
@@ -453,10 +452,9 @@ mod tests {
         while !tracker.allows(0) {}
         assert_eq!(tracker.state(0), BreakerState::HalfOpen);
         // A plan admitted the probe but never sampled the silo: each
-        // later check is refused, and after `probe_patience` of them the
+        // later check is refused, and after `PROBE_PATIENCE` of them the
         // lease lapses so a fresh probe can be drawn.
-        let patience = tracker.config().probe_patience;
-        for _ in 0..patience {
+        for _ in 0..PROBE_PATIENCE {
             assert!(!tracker.allows(0));
         }
         assert_eq!(

@@ -11,8 +11,9 @@
 //!   metric, not a model of it;
 //! * [`Federation`] owns the provider's state: the per-silo grid indices
 //!   `g_1 … g_m`, the merged `g₀` and its cumulative arrays (Alg. 1), the
-//!   silo channels, setup vs query traffic counters, failure injection and
-//!   an optional simulated network latency.
+//!   silo channels, setup vs query traffic counters and failure injection
+//!   (one seeded [`FaultPlan`] for latency, drops, refusals, flaps and
+//!   crashes).
 //!
 //! The FRA estimation algorithms themselves live in `fedra-core`; this
 //! crate deliberately knows nothing about IID/Non-IID estimation — it only
@@ -36,7 +37,7 @@ pub use health::{BreakerState, HealthConfig, HealthTracker, HealthTransition, Si
 pub use protocol::{LocalMode, Request, Response, SiloMemoryReport};
 pub use silo::{Silo, SiloConfig, SiloGridSnapshot, SiloId};
 pub use snapshot::ProviderSnapshot;
-pub use transport::chaos::{ChaosPlan, ChaosProxy};
+pub use transport::chaos::ChaosProxy;
 pub use transport::socket::{
     ReconnectAttempts, ReconnectPolicy, SiloAddr, SiloSocketServer, SocketServerConfig,
     SocketTransport,

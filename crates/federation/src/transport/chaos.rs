@@ -1,22 +1,22 @@
-//! A seeded network-chaos proxy for partition and corruption drills.
+//! A network-chaos proxy for partition and corruption drills.
 //!
 //! [`ChaosProxy`] sits between a [`super::socket::SocketTransport`] client
-//! and a `fedra-silo` server on the socket path and injects the faults a
-//! real network delivers — deterministically, from a seed, so a chaos soak
-//! replays bit-identically:
+//! and a `fedra-silo` server on the socket path and injects, on demand,
+//! the faults a real network delivers. It draws nothing: every fault is a
+//! drill the test arms, so a run replays exactly. Seeded per-silo faults
+//! (latency, drops, refusals, flaps, crashes) belong to
+//! [`crate::fault::FaultPlan`], which the serve step applies on either
+//! backend.
 //!
-//! * **connection drop** — the client's connection is severed; in-flight
-//!   calls retry on the reconnect (or fail typed, never wrong);
 //! * **hard partition** — [`ChaosProxy::partition_for`] severs the client
 //!   and black-holes traffic until the deadline passes, after which the
 //!   health breaker's HalfOpen probes rejoin the silo;
-//! * **mid-frame truncation** — a reply is cut inside its payload and the
-//!   connection dropped, surfacing as [`super::socket::FrameError::Truncated`];
-//! * **byte corruption** — a reply payload byte is flipped *without*
-//!   fixing the header checksum, surfacing as
-//!   [`super::socket::FrameError::Corrupt`];
-//! * **delay/jitter** — frames are held for a seeded duration, exercising
-//!   deadline sheds and hedges.
+//! * **connection drop** — [`ChaosProxy::drop_client_after_next_request`]
+//!   severs the client right after forwarding a request; in-flight calls
+//!   retry on the reconnect (or fail typed, never wrong);
+//! * **byte corruption** — [`ChaosProxy::corrupt_next_reply`] flips a bit
+//!   of the next reply *without* fixing the header checksum, surfacing as
+//!   [`super::socket::FrameError::Corrupt`].
 //!
 //! # Topology: one upstream connection, many client generations
 //!
@@ -30,10 +30,9 @@
 //! than let answer a fresh call. [`ChaosProxy::drop_client_after_next_request`]
 //! produces exactly this interleaving on demand.
 //!
-//! Chaos (corruption, truncation, per-frame drop) applies only on the
-//! **reply path**: the upstream connection must stay framing-healthy, or
-//! the silo would drop it and the proxy would degenerate into a plain
-//! connection killer. The request path is limited to drops and delay.
+//! Corruption applies only on the **reply path**: the upstream connection
+//! must stay framing-healthy, or the silo would drop it and the proxy
+//! would degenerate into a plain connection killer.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -56,66 +55,24 @@ const POLL: Duration = Duration::from_millis(1);
 /// pending reply to before giving the frame up as partition-lost.
 const REPLY_LINGER: Duration = Duration::from_secs(2);
 
-/// Seeded fault mix for a [`ChaosProxy`]. All draws come from a SplitMix64
-/// stream over `seed`, so the same plan over the same traffic produces the
-/// same fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosPlan {
-    /// Seed for the fault-draw stream.
-    pub seed: u64,
-    /// Per-reply probability of flipping a payload byte (checksum left
-    /// stale → the client sees `FrameError::Corrupt`).
-    pub corrupt_prob: f64,
-    /// Per-reply probability of cutting the frame mid-payload and
-    /// dropping the connection (`FrameError::Truncated`).
-    pub truncate_prob: f64,
-    /// Per-frame probability (both directions) of silently dropping the
-    /// frame — the call then sheds on its deadline.
-    pub drop_prob: f64,
-    /// Maximum seeded extra delay added per frame.
-    pub delay_jitter: Duration,
-}
-
-impl ChaosPlan {
-    /// A plan that injects nothing: the proxy forwards faithfully (the
-    /// disarmed-proxy baseline of the partition soak — answers must be
-    /// bit-identical to a direct connection).
-    pub fn calm(seed: u64) -> ChaosPlan {
-        ChaosPlan {
-            seed,
-            corrupt_prob: 0.0,
-            truncate_prob: 0.0,
-            drop_prob: 0.0,
-            delay_jitter: Duration::ZERO,
-        }
-    }
-}
-
-impl Default for ChaosPlan {
-    fn default() -> Self {
-        ChaosPlan::calm(0)
-    }
-}
-
 /// Counters of what the proxy actually did (drained by
 /// [`ChaosProxy::stats`]; soak assertions read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
     /// Request frames forwarded upstream.
     pub requests_forwarded: u64,
-    /// Request frames silently dropped.
+    /// Request frames silently dropped (partition losses).
     pub requests_dropped: u64,
     /// Reply frames forwarded intact.
     pub replies_forwarded: u64,
-    /// Reply frames forwarded with a flipped payload byte.
+    /// Reply frames forwarded with a flipped bit.
     pub replies_corrupted: u64,
-    /// Reply frames cut mid-payload (connection dropped after).
-    pub replies_truncated: u64,
-    /// Reply frames silently dropped (includes partition losses).
+    /// Reply frames silently dropped (partition losses, or no client
+    /// connection to deliver to).
     pub replies_dropped: u64,
     /// Client connections accepted.
     pub client_connections: u64,
-    /// Client connections severed by injected faults or partitions.
+    /// Client connections severed by drills or partitions.
     pub client_drops: u64,
     /// Partitions started via [`ChaosProxy::partition_for`].
     pub partitions: u64,
@@ -127,7 +84,6 @@ struct StatCells {
     requests_dropped: AtomicU64,
     replies_forwarded: AtomicU64,
     replies_corrupted: AtomicU64,
-    replies_truncated: AtomicU64,
     replies_dropped: AtomicU64,
     client_connections: AtomicU64,
     client_drops: AtomicU64,
@@ -135,46 +91,24 @@ struct StatCells {
 }
 
 struct Inner {
-    plan: ChaosPlan,
     /// Write half of the one persistent upstream connection.
     upstream: Mutex<Option<SocketStream>>,
     /// Write half of the *current* client connection (replaced on every
     /// accept; replies always go to the newest client).
     client: Mutex<Option<TcpStream>>,
-    /// SplitMix64 state for fault draws.
-    rng: Mutex<u64>,
     partition_until: Mutex<Option<Instant>>,
     /// One-shot: sever the client right after the next request is
     /// forwarded upstream (deterministic fenced-reply production).
     drop_after_next: AtomicBool,
+    /// One-shot: flip a bit of the next reply delivered to the client.
+    corrupt_next: AtomicBool,
     shutdown: AtomicBool,
     stats: StatCells,
 }
 
 impl Inner {
-    fn next_u64(&self) -> u64 {
-        let mut s = self.rng.lock();
-        *s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A seeded uniform draw in `[0, 1)`.
-    fn draw(&self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     fn partitioned(&self) -> bool {
         matches!(*self.partition_until.lock(), Some(t) if Instant::now() < t)
-    }
-
-    fn seeded_delay(&self) {
-        if !self.plan.delay_jitter.is_zero() {
-            let frac = self.draw();
-            std::thread::sleep(self.plan.delay_jitter.mul_f64(frac));
-        }
     }
 
     /// Severs the current client connection (if any).
@@ -187,8 +121,8 @@ impl Inner {
 }
 
 /// The proxy: a TCP listener the client connects to, one persistent
-/// upstream connection, and seeded fault injection in between. See the
-/// module docs for the topology and chaos directionality.
+/// upstream connection, and armed drills in between. See the module docs
+/// for the topology and chaos directionality.
 pub struct ChaosProxy {
     inner: Arc<Inner>,
     addr: SiloAddr,
@@ -197,9 +131,8 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Connects to `upstream` (TCP or Unix), binds an ephemeral loopback
-    /// TCP listener for the client side, and starts proxying under
-    /// `plan`.
-    pub fn spawn(upstream: &SiloAddr, plan: ChaosPlan) -> std::io::Result<ChaosProxy> {
+    /// TCP listener for the client side, and starts forwarding faithfully.
+    pub fn spawn(upstream: &SiloAddr) -> std::io::Result<ChaosProxy> {
         let upstream_conn = upstream.connect()?;
         upstream_conn.set_nonblocking(false)?;
         let upstream_read = upstream_conn.try_clone()?;
@@ -207,12 +140,11 @@ impl ChaosProxy {
         let addr = SiloAddr::Tcp(listener.local_addr()?.to_string());
         listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
-            plan,
             upstream: Mutex::new(Some(upstream_conn)),
             client: Mutex::new(None),
-            rng: Mutex::new(plan.seed),
             partition_until: Mutex::new(None),
             drop_after_next: AtomicBool::new(false),
+            corrupt_next: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             stats: StatCells::default(),
         });
@@ -262,6 +194,14 @@ impl ChaosProxy {
         self.inner.drop_after_next.store(true, Ordering::Release);
     }
 
+    /// One-shot: deliver the next reply with one bit flipped — in its
+    /// first payload byte, or in its checksum when the payload is empty —
+    /// and the header checksum left stale, so the client reads
+    /// [`super::socket::FrameError::Corrupt`].
+    pub fn corrupt_next_reply(&self) {
+        self.inner.corrupt_next.store(true, Ordering::Release);
+    }
+
     /// What the proxy has done so far.
     pub fn stats(&self) -> ChaosStats {
         let s = &self.inner.stats;
@@ -270,7 +210,6 @@ impl ChaosProxy {
             requests_dropped: s.requests_dropped.load(Ordering::Relaxed),
             replies_forwarded: s.replies_forwarded.load(Ordering::Relaxed),
             replies_corrupted: s.replies_corrupted.load(Ordering::Relaxed),
-            replies_truncated: s.replies_truncated.load(Ordering::Relaxed),
             replies_dropped: s.replies_dropped.load(Ordering::Relaxed),
             client_connections: s.client_connections.load(Ordering::Relaxed),
             client_drops: s.client_drops.load(Ordering::Relaxed),
@@ -303,7 +242,6 @@ impl std::fmt::Debug for ChaosProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosProxy")
             .field("addr", &self.addr)
-            .field("plan", &self.inner.plan)
             .finish()
     }
 }
@@ -361,13 +299,6 @@ fn request_pump(mut conn: TcpStream, inner: Arc<Inner>) {
             inner.stats.requests_dropped.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        // Request-path chaos is drop + delay only: corrupting requests
-        // would tear down the one persistent upstream connection.
-        if inner.plan.drop_prob > 0.0 && inner.draw() < inner.plan.drop_prob {
-            inner.stats.requests_dropped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        inner.seeded_delay();
         let sever_after = inner.drop_after_next.swap(false, Ordering::AcqRel);
         if sever_after {
             // Sever BEFORE forwarding: once the request is upstream, its
@@ -408,7 +339,7 @@ fn request_pump(mut conn: TcpStream, inner: Arc<Inner>) {
 }
 
 /// Forwards reply frames from the persistent upstream connection to the
-/// current client connection, applying the plan's reply-path chaos.
+/// current client connection, applying an armed corruption drill.
 fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
     loop {
         let (corr, epoch, payload) = match read_reply_frame(&mut upstream) {
@@ -419,14 +350,7 @@ fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
             inner.stats.replies_dropped.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        if inner.plan.drop_prob > 0.0 && inner.draw() < inner.plan.drop_prob {
-            inner.stats.replies_dropped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        inner.seeded_delay();
-        let corrupt = inner.plan.corrupt_prob > 0.0 && inner.draw() < inner.plan.corrupt_prob;
-        let truncate =
-            !corrupt && inner.plan.truncate_prob > 0.0 && inner.draw() < inner.plan.truncate_prob;
+        let corrupt = inner.corrupt_next.swap(false, Ordering::AcqRel);
         // Wait (bounded) for a client connection: a reply that raced a
         // client reconnect is *delivered late*, not dropped — that is the
         // stale frame epoch fencing exists to catch.
@@ -444,25 +368,15 @@ fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
                 std::thread::sleep(POLL);
                 continue;
             };
-            let outcome = if corrupt || truncate {
+            let outcome = if corrupt {
                 let mut buf = Vec::new();
-                match write_reply_frame(&mut buf, corr, epoch, &payload) {
-                    Ok(()) => {
-                        if corrupt {
-                            let at = if payload.is_empty() {
-                                REPLY_HEADER_LEN - 1 // no payload byte: flip the checksum instead
-                            } else {
-                                REPLY_HEADER_LEN + (inner.next_u64() as usize % payload.len())
-                            };
-                            buf[at] ^= 1 << (inner.next_u64() % 8);
-                        } else {
-                            let cut = (buf.len() - 1).min(REPLY_HEADER_LEN + payload.len() / 2);
-                            buf.truncate(cut);
-                        }
-                        stream.write_all(&buf).and_then(|_| stream.flush())
-                    }
-                    Err(e) => Err(e),
-                }
+                write_reply_frame(&mut buf, corr, epoch, &payload).and_then(|()| {
+                    // No payload byte to flip: flip the checksum instead.
+                    let at = REPLY_HEADER_LEN - usize::from(payload.is_empty());
+                    buf[at] ^= 1;
+                    stream.write_all(&buf)?;
+                    stream.flush()
+                })
             } else {
                 write_reply_frame(stream, corr, epoch, &payload)
             };
@@ -476,18 +390,12 @@ fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
                 }
             }
         };
-        let cell = match (delivered, corrupt, truncate) {
-            (false, _, _) => &inner.stats.replies_dropped,
-            (true, true, _) => &inner.stats.replies_corrupted,
-            (true, _, true) => &inner.stats.replies_truncated,
-            (true, false, false) => &inner.stats.replies_forwarded,
+        let cell = match (delivered, corrupt) {
+            (false, _) => &inner.stats.replies_dropped,
+            (true, true) => &inner.stats.replies_corrupted,
+            (true, false) => &inner.stats.replies_forwarded,
         };
         cell.fetch_add(1, Ordering::Relaxed);
-        if delivered && truncate {
-            // The byte stream is no longer frame-aligned for this client:
-            // sever so the next frame starts clean on a new connection.
-            inner.drop_client();
-        }
     }
 }
 
@@ -535,7 +443,7 @@ mod tests {
         use crate::protocol::{Request, Response};
         use crate::wire::Wire;
         let server = serve(0);
-        let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(7)).expect("proxy");
+        let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
         let mut conn = proxy.addr().connect().expect("connect");
         let payload = Request::Ping.to_bytes();
         write_request_frame(&mut conn, 5, 1, u64::MAX, &payload).expect("write");
@@ -562,16 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn always_corrupt_plan_surfaces_as_typed_frame_error() {
+    fn a_corrupted_reply_surfaces_as_typed_frame_error() {
         use crate::protocol::Request;
         use crate::transport::socket::FrameError;
         use crate::wire::Wire;
         let server = serve(1);
-        let plan = ChaosPlan {
-            corrupt_prob: 1.0,
-            ..ChaosPlan::calm(11)
-        };
-        let mut proxy = ChaosProxy::spawn(server.addr(), plan).expect("proxy");
+        let mut proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
+        proxy.corrupt_next_reply();
         let mut conn = proxy.addr().connect().expect("connect");
         let payload = Request::Ping.to_bytes();
         write_request_frame(&mut conn, 0, 1, u64::MAX, &payload).expect("write");
@@ -594,7 +499,7 @@ mod tests {
         use crate::protocol::{Request, Response};
         use crate::wire::Wire;
         let server = serve(2);
-        let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(3)).expect("proxy");
+        let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
         let mut conn = proxy.addr().connect().expect("connect");
         let payload = Request::Ping.to_bytes();
         write_request_frame(&mut conn, 1, 1, u64::MAX, &payload).expect("write");
@@ -620,7 +525,7 @@ mod tests {
         use crate::protocol::Request;
         use crate::wire::Wire;
         let server = serve(3);
-        let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(5)).expect("proxy");
+        let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
         let mut conn = proxy.addr().connect().expect("connect");
         proxy.drop_client_after_next_request();
         let payload = Request::Ping.to_bytes();
@@ -636,28 +541,5 @@ mod tests {
             "the stale-epoch reply crosses connections — what clients fence"
         );
         server.stop();
-    }
-
-    #[test]
-    fn seeded_draws_are_deterministic() {
-        let mk = || {
-            Arc::new(Inner {
-                plan: ChaosPlan::calm(42),
-                upstream: Mutex::new(None),
-                client: Mutex::new(None),
-                rng: Mutex::new(42),
-                partition_until: Mutex::new(None),
-                drop_after_next: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
-                stats: StatCells::default(),
-            })
-        };
-        let a = mk();
-        let b = mk();
-        for _ in 0..64 {
-            let d = a.draw();
-            assert_eq!(d, b.draw());
-            assert!((0.0..1.0).contains(&d));
-        }
     }
 }

@@ -363,8 +363,8 @@ impl std::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// Timing/robustness policy for silo calls: per-attempt deadline, retry
-/// budget for transient refusals, backoff shape, and the hedging
-/// threshold.
+/// budget for transient refusals, and the hedging threshold. Retries
+/// sleep [`CallPolicy::backoff`] between attempts.
 ///
 /// The federation carries one policy (see
 /// [`crate::FederationBuilder::call_policy`]); the default disables
@@ -377,10 +377,6 @@ pub struct CallPolicy {
     pub deadline: Option<Duration>,
     /// Maximum same-silo retries after a [`TransportError::Transient`].
     pub retries: u32,
-    /// First backoff sleep; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Fire a hedge request at a second silo if the first has not
     /// answered within this threshold (`None`: never hedge).
     pub hedge_after: Option<Duration>,
@@ -391,35 +387,43 @@ impl Default for CallPolicy {
         CallPolicy {
             deadline: None,
             retries: 2,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
             hedge_after: None,
         }
     }
 }
 
 impl CallPolicy {
-    /// Backoff before retry number `attempt` (1-based): capped
-    /// exponential, plus deterministic jitter in `[0, backoff_base)`
-    /// derived from `(silo, attempt)` — no RNG, no clock, so chaos runs
-    /// stay reproducible while retry storms still decorrelate.
+    /// Backoff before retry number `attempt` (1-based) of a call to
+    /// `silo`: the transport's shared `backoff` with salt 0 — capped
+    /// exponential from 2 ms to 50 ms plus deterministic jitter below
+    /// 2 ms, no RNG and no clock.
     pub fn backoff(&self, silo: SiloId, attempt: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let capped = exp.min(self.backoff_cap);
-        let base_ns = self.backoff_base.as_nanos() as u64;
-        // SplitMix64-style hash of (silo, attempt) for the jitter draw.
-        let mut z = (silo as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(attempt as u64);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        capped + Duration::from_nanos((z ^ (z >> 31)) % base_ns.max(1))
+        backoff(silo, attempt, 0)
     }
+}
+
+/// First sleep of a retry or reconnect backoff; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Ceiling of the exponential part of a backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
+
+/// The one backoff shared by call retries ([`CallPolicy::backoff`]) and
+/// socket reconnects ([`socket::ReconnectPolicy::backoff`]): before attempt
+/// `attempt` (1-based), [`BACKOFF_BASE`] doubled per attempt up to
+/// [`BACKOFF_CAP`], plus jitter in `[0, BACKOFF_BASE)` from a SplitMix64
+/// hash of `(silo, attempt)` xor `salt`. No RNG and no clock, so chaos runs
+/// stay reproducible while retry and reconnect storms decorrelate across
+/// silos; distinct salts keep the two schedules apart.
+pub(crate) fn backoff(silo: SiloId, attempt: u32, salt: u64) -> Duration {
+    let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+    let mut z = (silo as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(attempt as u64)
+        ^ salt;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    exp.min(BACKOFF_CAP) + Duration::from_nanos((z ^ (z >> 31)) % BACKOFF_BASE.as_nanos() as u64)
 }
 
 /// Resolution of an in-flight frame polled with a timeout: either the
@@ -949,8 +953,6 @@ impl std::fmt::Debug for SiloChannel {
 /// either by construction.
 pub(crate) struct SiloServer {
     pub(crate) silo: Silo,
-    /// Fixed simulated latency added before serving each frame.
-    pub(crate) latency: Option<Duration>,
     /// One action is drawn per frame; the lock is held for the draw only.
     pub(crate) faults: Mutex<Option<SiloFaultInjector>>,
     /// Where the retained grid is persisted after every served `BuildGrid`
@@ -970,12 +972,9 @@ pub(crate) enum Served {
 }
 
 impl SiloServer {
-    /// The serve step: simulated latency → fault action → deadline shed →
-    /// decode → handle → encode, in that order, for one received frame.
+    /// The serve step: fault action → deadline shed → decode → handle →
+    /// encode, in that order, for one received frame.
     pub(crate) fn serve(&self, payload: Bytes, deadline: Option<Instant>) -> Served {
-        if let Some(latency) = self.latency {
-            std::thread::sleep(latency);
-        }
         let action = self
             .faults
             .lock()
@@ -1044,7 +1043,6 @@ fn builds_grid(request: &Request) -> bool {
 pub fn spawn_silo(
     silo: Silo,
     stats: Arc<CommCounters>,
-    simulated_latency: Option<Duration>,
     faults: Option<SiloFaultInjector>,
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
     let (tx, rx) = unbounded::<Envelope>();
@@ -1058,7 +1056,6 @@ pub fn spawn_silo(
     };
     let server = SiloServer {
         silo,
-        latency: simulated_latency,
         faults: Mutex::new(faults),
         snapshot_path: None,
     };
@@ -1183,7 +1180,7 @@ mod tests {
     fn call_round_trips_through_the_thread() {
         let stats = Arc::new(CommCounters::default());
         let (chan, handle) =
-            spawn_silo(test_silo(0, 100), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(0, 100), Arc::clone(&stats), None).expect("spawn silo");
         let resp = chan.call(&Request::Ping).expect("ping");
         assert_eq!(resp, Response::Pong);
         let snap = stats.snapshot();
@@ -1199,7 +1196,7 @@ mod tests {
         // Zero-overhead stats so payload sizes can be pinned exactly.
         let stats = Arc::new(CommCounters::with_overhead(0));
         let (chan, _handle) =
-            spawn_silo(test_silo(1, 100), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(1, 100), Arc::clone(&stats), None).expect("spawn silo");
         let q = Range::circle(Point::new(5.0, 5.0), 2.0);
         let aggregate = Request::Aggregate {
             range: q,
@@ -1233,7 +1230,7 @@ mod tests {
         let stats = Arc::new(CommCounters::default());
         assert_eq!(stats.overhead(), DEFAULT_MESSAGE_OVERHEAD);
         let (chan, _handle) =
-            spawn_silo(test_silo(7, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(7, 10), Arc::clone(&stats), None).expect("spawn silo");
         chan.call(&Request::Ping).unwrap();
         let snap = stats.snapshot();
         assert!(snap.bytes_up > DEFAULT_MESSAGE_OVERHEAD);
@@ -1244,7 +1241,7 @@ mod tests {
     fn remote_errors_are_surfaced() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(2, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(2, 10), Arc::clone(&stats), None).expect("spawn silo");
         chan.set_failed(true);
         let err = chan.call(&Request::Ping).expect_err("should fail");
         assert!(matches!(err, TransportError::Remote { silo: 2, .. }));
@@ -1257,7 +1254,7 @@ mod tests {
     fn served_counter_tracks_requests() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(3, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(3, 10), Arc::clone(&stats), None).expect("spawn silo");
         assert_eq!(chan.served(), 0);
         for _ in 0..5 {
             chan.call(&Request::Ping).unwrap();
@@ -1269,7 +1266,7 @@ mod tests {
     fn concurrent_calls_from_many_threads() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(4, 200), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(4, 200), Arc::clone(&stats), None).expect("spawn silo");
         let q = Range::circle(Point::new(5.0, 5.0), 3.0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -1373,7 +1370,7 @@ mod tests {
     fn a_frame_pairs_replies_with_correlation_ids_in_request_order() {
         let stats = Arc::new(CommCounters::with_overhead(0));
         let (chan, _handle) =
-            spawn_silo(test_silo(8, 100), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(8, 100), Arc::clone(&stats), None).expect("spawn silo");
         let agg = Request::Aggregate {
             range: Range::circle(Point::new(5.0, 5.0), 2.0),
             mode: LocalMode::Exact,
@@ -1407,7 +1404,7 @@ mod tests {
     fn a_frame_shed_at_its_deadline_fails_whole() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(12, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(12, 10), Arc::clone(&stats), None).expect("spawn silo");
         // A frame expired before dispatch: the worker sheds it whole, and
         // the refusal still costs a byte-counted round. Waiting with a
         // generous *receive* bound (while the envelope deadline is
@@ -1428,7 +1425,7 @@ mod tests {
     fn a_frame_surfaces_per_rider_errors() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(9, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(9, 10), Arc::clone(&stats), None).expect("spawn silo");
         chan.set_failed(true);
         let riders = [
             (0, &Request::Ping),
@@ -1454,7 +1451,7 @@ mod tests {
         // in rounds (each round costs 2 × overhead under default stats).
         let stats = Arc::new(CommCounters::with_overhead(0));
         let (chan, _handle) =
-            spawn_silo(test_silo(11, 100), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(11, 100), Arc::clone(&stats), None).expect("spawn silo");
         let q = Range::circle(Point::new(5.0, 5.0), 2.0);
         let agg = Request::Aggregate {
             range: q,
@@ -1483,7 +1480,7 @@ mod tests {
     fn reply_slots_are_pooled_and_reused() {
         let stats = Arc::new(CommCounters::default());
         let (chan, _handle) =
-            spawn_silo(test_silo(12, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(12, 10), Arc::clone(&stats), None).expect("spawn silo");
         for _ in 0..10 {
             chan.call(&Request::Ping).unwrap();
         }
@@ -1512,9 +1509,13 @@ mod tests {
         let latency = Duration::from_millis(20);
         let channels: Vec<SiloChannel> = (0..4)
             .map(|i| {
-                spawn_silo(test_silo(i, 10), Arc::clone(&stats), Some(latency), None)
-                    .expect("spawn silo")
-                    .0
+                spawn_silo(
+                    test_silo(i, 10),
+                    Arc::clone(&stats),
+                    slow_injector(i, latency),
+                )
+                .expect("spawn silo")
+                .0
             })
             .collect();
         let start = std::time::Instant::now();
@@ -1536,7 +1537,7 @@ mod tests {
     fn disconnected_worker_reports_cleanly() {
         let stats = Arc::new(CommCounters::default());
         let (chan, handle) =
-            spawn_silo(test_silo(5, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(5, 10), Arc::clone(&stats), None).expect("spawn silo");
         // Simulate a dead worker: clone the channel, drop the original
         // sender... the worker only exits when *all* senders drop, so
         // instead kill it by dropping every channel and joining.
@@ -1544,21 +1545,6 @@ mod tests {
         drop(chan);
         drop(chan2);
         handle.join().expect("worker exits");
-    }
-
-    #[test]
-    fn simulated_latency_is_applied() {
-        let stats = Arc::new(CommCounters::default());
-        let (chan, _handle) = spawn_silo(
-            test_silo(6, 10),
-            Arc::clone(&stats),
-            Some(Duration::from_millis(20)),
-            None,
-        )
-        .expect("spawn silo");
-        let start = std::time::Instant::now();
-        chan.call(&Request::Ping).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     fn slow_injector(silo: SiloId, latency: Duration) -> Option<SiloFaultInjector> {
@@ -1574,7 +1560,6 @@ mod tests {
         let (chan, _handle) = spawn_silo(
             test_silo(20, 10),
             Arc::clone(&stats),
-            None,
             slow_injector(20, Duration::from_millis(100)),
         )
         .expect("spawn silo");
@@ -1602,8 +1587,7 @@ mod tests {
         let (chan, _handle) = spawn_silo(
             test_silo(21, 10),
             Arc::clone(&stats),
-            Some(Duration::from_millis(20)),
-            None,
+            slow_injector(21, Duration::from_millis(20)),
         )
         .expect("spawn silo");
         // The deadline expires while the latency sleep runs, so the
@@ -1631,7 +1615,7 @@ mod tests {
             .flapping_silo(22, 2, 1)
             .injector_for(22, Arc::new(AtomicBool::new(true)));
         let (chan, _handle) =
-            spawn_silo(test_silo(22, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
+            spawn_silo(test_silo(22, 10), Arc::clone(&stats), injector).expect("spawn silo");
         // period 2, down 1: request 0 serves, request 1 refuses.
         assert_eq!(chan.call(&Request::Ping).unwrap(), Response::Pong);
         let err = chan.call(&Request::Ping).expect_err("flap window");
@@ -1663,7 +1647,7 @@ mod tests {
             )
             .injector_for(23, Arc::new(AtomicBool::new(true)));
         let (chan, handle) =
-            spawn_silo(test_silo(23, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
+            spawn_silo(test_silo(23, 10), Arc::clone(&stats), injector).expect("spawn silo");
         assert!(chan.call(&Request::Ping).is_ok());
         assert!(chan.call(&Request::Ping).is_ok());
         let err = chan.call(&Request::Ping).expect_err("crashed");
@@ -1689,7 +1673,7 @@ mod tests {
             )
             .injector_for(28, Arc::new(AtomicBool::new(true)));
         let (chan, handle) =
-            spawn_silo(test_silo(28, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
+            spawn_silo(test_silo(28, 10), Arc::clone(&stats), injector).expect("spawn silo");
         let pending = chan.begin_frame(&[(0, &Request::Ping)], None).unwrap();
         let start = Instant::now();
         assert_eq!(
@@ -1715,7 +1699,7 @@ mod tests {
             )
             .injector_for(24, Arc::new(AtomicBool::new(true)));
         let (chan, _handle) =
-            spawn_silo(test_silo(24, 10), Arc::clone(&stats), None, injector).expect("spawn silo");
+            spawn_silo(test_silo(24, 10), Arc::clone(&stats), injector).expect("spawn silo");
         let deadline = Instant::now() + Duration::from_millis(10);
         let pending = chan
             .begin_frame(&[(0, &Request::Ping)], Some(deadline))
@@ -1732,7 +1716,6 @@ mod tests {
         let (chan, _handle) = spawn_silo(
             test_silo(25, 10),
             Arc::clone(&stats),
-            None,
             slow_injector(25, Duration::from_millis(40)),
         )
         .expect("spawn silo");
@@ -1756,12 +1739,11 @@ mod tests {
         let (slow, _h1) = spawn_silo(
             test_silo(26, 10),
             Arc::clone(&stats),
-            None,
             slow_injector(26, Duration::from_millis(80)),
         )
         .expect("spawn silo");
         let (fast, _h2) =
-            spawn_silo(test_silo(27, 10), Arc::clone(&stats), None, None).expect("spawn silo");
+            spawn_silo(test_silo(27, 10), Arc::clone(&stats), None).expect("spawn silo");
         // A primary silent past its hedge threshold stays in flight while
         // the hedge is polled: whichever resolves first is the answer.
         let primary = slow.begin_frame(&[(0, &Request::Ping)], None).unwrap();
@@ -1805,20 +1787,32 @@ mod tests {
     }
 
     #[test]
-    fn call_policy_backoff_is_capped_and_deterministic() {
-        let policy = CallPolicy {
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(10),
-            ..Default::default()
-        };
-        assert_eq!(policy.backoff(1, 3), policy.backoff(1, 3));
-        assert!(policy.backoff(1, 1) >= Duration::from_millis(2));
-        // Capped: even huge attempt counts stay under cap + jitter.
-        assert!(policy.backoff(1, 30) < Duration::from_millis(12));
-        let zero = CallPolicy {
-            backoff_base: Duration::ZERO,
-            ..Default::default()
-        };
-        assert_eq!(zero.backoff(0, 5), Duration::ZERO);
+    fn call_and_reconnect_backoffs_keep_their_schedules() {
+        // (silo, attempt, call ns, reconnect ns): 2 ms doubling per
+        // attempt, capped at 50 ms, plus jitter below 2 ms — the last two
+        // rows are capped. Pinned so the shared backoff cannot drift.
+        let policy = CallPolicy::default();
+        let reconnect = socket::ReconnectPolicy::default();
+        for (silo, attempt, call_ns, reconnect_ns) in [
+            (0, 1, 2_578_789, 2_169_984),
+            (1, 1, 2_822_465, 3_836_947),
+            (1, 2, 4_348_110, 5_039_582),
+            (2, 3, 9_111_561, 8_866_681),
+            (3, 4, 16_977_247, 17_732_018),
+            (5, 5, 33_883_461, 32_494_758),
+            (7, 6, 51_520_020, 51_027_333),
+            (2, 30, 50_998_108, 50_595_184),
+        ] {
+            assert_eq!(
+                policy.backoff(silo, attempt),
+                Duration::from_nanos(call_ns),
+                "call backoff ({silo}, {attempt})"
+            );
+            assert_eq!(
+                reconnect.backoff(silo, attempt),
+                Duration::from_nanos(reconnect_ns),
+                "reconnect backoff ({silo}, {attempt})"
+            );
+        }
     }
 }

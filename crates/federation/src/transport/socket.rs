@@ -104,13 +104,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// the peer dead (see [`ReconnectPolicy`]).
 const RECONNECT_ATTEMPTS: u32 = 3;
 
-/// Default base backoff between reconnect attempts.
-const RECONNECT_BACKOFF: Duration = Duration::from_millis(2);
-
-/// Default backoff ceiling for reconnect attempts.
-const RECONNECT_BACKOFF_CAP: Duration = Duration::from_millis(50);
-
-/// Default jitter seed for [`ReconnectPolicy`] (`"RECN"`).
+/// Salt that keeps the reconnect backoff's jitter apart from the call
+/// retries' (`"RECN"`).
 const RECONNECT_SEED: u64 = 0x5245_434E;
 
 /// How a [`SocketTransport`] retries after a connection loss.
@@ -121,14 +116,15 @@ pub enum ReconnectAttempts {
     Limited(u32),
     /// Keep trying until the transport is dropped. For supervised
     /// deployments where the peer is expected to come back (a respawned
-    /// `fedra-silo`); pair with a sane `backoff_cap`.
+    /// `fedra-silo`); the backoff between attempts stays capped.
     Unbounded,
 }
 
-/// Reconnect policy for the socket client: attempt budget plus a capped
-/// exponential backoff with deterministic jitter (same construction as
-/// [`super::CallPolicy::backoff`] — no RNG, no clock, so chaos runs stay
-/// reproducible while reconnect storms from many clients decorrelate).
+/// Reconnect policy for the socket client: an attempt budget. Between
+/// attempts the client sleeps [`ReconnectPolicy::backoff`], the call
+/// retries' capped exponential with its own jitter salt — no RNG, no
+/// clock, so chaos runs stay reproducible while reconnect storms from
+/// many clients decorrelate.
 ///
 /// The default reproduces the historical hard-coded behaviour: 3
 /// attempts, 2 ms base backoff.
@@ -136,33 +132,22 @@ pub enum ReconnectAttempts {
 pub struct ReconnectPolicy {
     /// How many consecutive refused attempts end the reconnect loop.
     pub attempts: ReconnectAttempts,
-    /// First backoff sleep; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Seed folded into the jitter draw, so distinct federations (or
-    /// chaos scenarios) can decorrelate their reconnect schedules.
-    pub seed: u64,
 }
 
 impl Default for ReconnectPolicy {
     fn default() -> Self {
         ReconnectPolicy {
             attempts: ReconnectAttempts::Limited(RECONNECT_ATTEMPTS),
-            backoff_base: RECONNECT_BACKOFF,
-            backoff_cap: RECONNECT_BACKOFF_CAP,
-            seed: RECONNECT_SEED,
         }
     }
 }
 
 impl ReconnectPolicy {
     /// The supervised-deployment policy: retry forever (until the
-    /// transport is dropped) with the default backoff shape.
+    /// transport is dropped).
     pub fn unbounded() -> Self {
         ReconnectPolicy {
             attempts: ReconnectAttempts::Unbounded,
-            ..ReconnectPolicy::default()
         }
     }
 
@@ -175,25 +160,10 @@ impl ReconnectPolicy {
         }
     }
 
-    /// Backoff before reconnect attempt `attempt` (1-based): capped
-    /// exponential plus deterministic jitter in `[0, backoff_base)`
-    /// drawn from a SplitMix64 hash of `(seed, silo, attempt)`.
+    /// Backoff before reconnect attempt `attempt` (1-based) to `silo`:
+    /// the transport's shared `backoff` salted with `RECONNECT_SEED`.
     pub fn backoff(&self, silo: SiloId, attempt: u32) -> Duration {
-        if self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = self
-            .backoff_base
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let capped = exp.min(self.backoff_cap);
-        let base_ns = self.backoff_base.as_nanos() as u64;
-        let mut z = (silo as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(attempt as u64)
-            ^ self.seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        capped + Duration::from_nanos((z ^ (z >> 31)) % base_ns.max(1))
+        super::backoff(silo, attempt, RECONNECT_SEED)
     }
 }
 
@@ -611,13 +581,11 @@ pub fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
 // Serving side
 // ---------------------------------------------------------------------
 
-/// Silo-side configuration for [`SiloSocketServer`]: the same simulated
-/// latency and deterministic fault injection the in-memory worker
-/// supports, applied per frame by the same serve step.
+/// Silo-side configuration for [`SiloSocketServer`]: the same
+/// deterministic fault injection the in-memory worker supports, applied
+/// per frame by the same serve step, plus an optional grid snapshot path.
 #[derive(Default)]
 pub struct SocketServerConfig {
-    /// Fixed simulated latency added before serving each frame.
-    pub latency: Option<Duration>,
     /// Deterministic fault injector (see [`crate::fault::FaultPlan`]).
     pub faults: Option<SiloFaultInjector>,
     /// When set, the silo's retained grid is persisted here (checksummed,
@@ -668,7 +636,6 @@ impl SiloSocketServer {
         let shared = Arc::new(ServerShared {
             server: SiloServer {
                 silo,
-                latency: config.latency,
                 faults: Mutex::new(config.faults),
                 snapshot_path: config.snapshot_path,
             },
@@ -963,7 +930,7 @@ impl SocketTransport {
     }
 
     /// Like [`SocketTransport::connect`], with an explicit reconnect
-    /// policy (attempt budget, backoff shape, jitter seed).
+    /// policy (its attempt budget).
     pub fn connect_with(
         silo: SiloId,
         addr: SiloAddr,
@@ -1113,12 +1080,11 @@ impl std::fmt::Debug for SocketTransport {
 ///
 /// This is the socket twin of [`super::spawn_silo`] (selected by
 /// `FederationBuilder::transport_backend` or `FEDRA_TRANSPORT=socket`):
-/// same signature, same fault-injection and latency semantics, and the
-/// returned join handle is the server's accept loop.
+/// same fault-injection semantics, plus the client's reconnect policy,
+/// and the returned join handle is the server's accept loop.
 pub fn spawn_silo_socket(
     silo: Silo,
     stats: Arc<CommCounters>,
-    simulated_latency: Option<Duration>,
     faults: Option<SiloFaultInjector>,
     reconnect: ReconnectPolicy,
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
@@ -1128,7 +1094,6 @@ pub fn spawn_silo_socket(
         silo,
         &SiloAddr::Tcp("127.0.0.1:0".into()),
         SocketServerConfig {
-            latency: simulated_latency,
             faults,
             snapshot_path: None,
         },
@@ -1243,27 +1208,8 @@ mod tests {
     fn reconnect_policy_defaults_reproduce_old_constants() {
         let p = ReconnectPolicy::default();
         assert_eq!(p.attempts, ReconnectAttempts::Limited(RECONNECT_ATTEMPTS));
-        assert_eq!(p.backoff_base, RECONNECT_BACKOFF);
         assert!(p.allows_attempt(1) && p.allows_attempt(3) && !p.allows_attempt(4));
         assert!(ReconnectPolicy::unbounded().allows_attempt(u32::MAX));
-        // Deterministic, capped-exponential backoff with bounded jitter.
-        for attempt in 1..=8 {
-            let b = p.backoff(2, attempt);
-            assert_eq!(b, p.backoff(2, attempt), "backoff must be deterministic");
-            assert!(
-                b <= p.backoff_cap + p.backoff_base,
-                "attempt {attempt}: {b:?}"
-            );
-        }
-        assert!(p.backoff(0, 1) < p.backoff_cap + p.backoff_base);
-        assert_eq!(
-            ReconnectPolicy {
-                backoff_base: Duration::ZERO,
-                ..p
-            }
-            .backoff(1, 1),
-            Duration::ZERO
-        );
     }
 
     #[test]

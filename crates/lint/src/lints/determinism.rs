@@ -40,9 +40,10 @@ use crate::scan::{matching, SourceFile};
 use crate::workspace::Workspace;
 
 /// Files that are deterministic regions by default: the merge/reduce
-/// paths, the answer cache, wire encoding/export, and the RNG-seeded
-/// estimators, plus the whole index crate (every build there is covered
-/// by the pool-size bit-identity contract).
+/// paths, the answer cache, wire encoding/export, the RNG-seeded
+/// estimators and the seeded fault plan (its schedules key on request
+/// counters, never the clock), plus the whole index crate (every build
+/// there is covered by the pool-size bit-identity contract).
 pub(super) const DEFAULT_REGIONS: &[&str] = &[
     "crates/core/src/sampling.rs",
     "crates/core/src/exact.rs",
@@ -51,6 +52,7 @@ pub(super) const DEFAULT_REGIONS: &[&str] = &[
     "crates/core/src/algorithm.rs",
     "crates/core/src/framework.rs",
     "crates/core/src/cache.rs",
+    "crates/federation/src/fault.rs",
     "crates/federation/src/wire.rs",
     "crates/federation/src/protocol.rs",
     "crates/federation/src/snapshot.rs",

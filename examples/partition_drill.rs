@@ -238,8 +238,8 @@ fn try_drive(args: &[String]) -> Result<(), String> {
     // client between request and reply — the reply lands on the next
     // connection with a stale epoch and must be discarded, not matched.
     let upstream = SiloAddr::parse(&addrs[0]).map_err(|e| format!("bad addr: {e}"))?;
-    let mut proxy = ChaosProxy::spawn(&upstream, ChaosPlan::calm(0xC1A0))
-        .map_err(|e| format!("chaos proxy spawn failed: {e}"))?;
+    let mut proxy =
+        ChaosProxy::spawn(&upstream).map_err(|e| format!("chaos proxy spawn failed: {e}"))?;
     let fenced = {
         let fed2 = FederationBuilder::new(bounds)
             .grid_cell_len(1.0)

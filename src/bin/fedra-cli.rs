@@ -111,40 +111,41 @@ fn apply_resilience(builder: FederationBuilder, options: &Options) -> Federation
 }
 
 fn build_federation(options: &Options) -> (Federation, Vec<SpatialObject>) {
-    if let Some(path) = options.get("data") {
-        eprintln!("loading dataset from {path} ...");
-        let dataset = fedra::workload::read_csv(path, 1.0).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        let all = dataset.all_objects();
-        let federation = apply_resilience(
-            FederationBuilder::new(dataset.bounds()).grid_cell_len(opt(options, "grid-len", 1.0)),
-            options,
-        )
-        .build(dataset.into_partitions());
-        return (federation, all);
-    }
-    let spec = WorkloadSpec::default()
-        .with_total_objects(opt(options, "objects", 60_000))
-        .with_silos(opt(options, "silos", 6))
-        .with_seed(opt(options, "seed", 0xC11u64))
-        .with_distribution(if options.contains_key("iid") {
-            Distribution::Iid
-        } else {
-            Distribution::CompanySkewed
-        });
-    eprintln!(
-        "building federation: {} objects, {} silos ...",
-        spec.total_objects, spec.num_silos
-    );
-    let dataset = spec.generate();
+    let dataset = match options.get("data") {
+        Some(path) => {
+            eprintln!("loading dataset from {path} ...");
+            fedra::workload::read_csv(path, 1.0).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            })
+        }
+        None => {
+            let spec = WorkloadSpec::default()
+                .with_total_objects(opt(options, "objects", 60_000))
+                .with_silos(opt(options, "silos", 6))
+                .with_seed(opt(options, "seed", 0xC11u64))
+                .with_distribution(if options.contains_key("iid") {
+                    Distribution::Iid
+                } else {
+                    Distribution::CompanySkewed
+                });
+            eprintln!(
+                "building federation: {} objects, {} silos ...",
+                spec.total_objects, spec.num_silos
+            );
+            spec.generate()
+        }
+    };
     let all = dataset.all_objects();
     let federation = apply_resilience(
         FederationBuilder::new(dataset.bounds()).grid_cell_len(opt(options, "grid-len", 1.0)),
         options,
     )
-    .build(dataset.into_partitions());
+    .try_build(dataset.into_partitions())
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     (federation, all)
 }
 

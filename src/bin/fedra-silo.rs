@@ -19,11 +19,16 @@
 //! the CSV; default: every row in the file), `--bounds x0,y0,x1,y1`
 //! (histogram/grid bounds — MUST match the provider's federation bounds
 //! for answers to line up; default: the file's bounding box),
-//! `--lsr-seed S` (default `0xFED0A`, the builder default), `--threads N`
-//! (intra-silo worker pool; 0 = auto), `--latency-ms L` (simulated
-//! per-request latency), and a deterministic fault spec:
+//! `--lsr-seed S` (default `1043722`, the builder default), `--threads N`
+//! (intra-silo worker pool; 0 = auto), `--snapshot-dir DIR`, and a
+//! deterministic fault spec — the `FaultPlan` the in-process backends
+//! take, for this one silo:
 //! `--fault-seed S --fault-transient P --fault-drop P`
-//! `--fault-crash-after N --fault-latency-ms L`.
+//! `--fault-crash-after N --fault-latency-ms L --fault-flap P:D`.
+//!
+//! Every flag is checked before the data is read: a value that does not
+//! parse (or a probability outside `[0, 1]`, or a flap that is not `P:D`
+//! with `0 < D <= P`) exits 1 naming the flag, never serves a default.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -85,11 +90,31 @@ fn parse(args: &[String]) -> Option<Options> {
     Some(options)
 }
 
+/// Ends the process with an error naming the flag and its value.
+fn bad_flag(key: &str, value: &str, expected: &str) -> ! {
+    eprintln!("error: --{key}: cannot parse '{value}'{expected}");
+    std::process::exit(1);
+}
+
+/// The value of `--key` parsed as `T`, or `None` when the flag is absent.
+/// A value that does not parse ends the process with an error naming the
+/// flag: `--silo-id one` must not quietly serve silo 0.
+fn flag<T: std::str::FromStr>(options: &Options, key: &str) -> Option<T> {
+    let value = options.get(key)?;
+    Some(value.parse().unwrap_or_else(|_| bad_flag(key, value, "")))
+}
+
 fn opt<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> T {
-    options
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag(options, key).unwrap_or(default)
+}
+
+/// A probability flag: absent is 0, anything outside `[0, 1]` is an error.
+fn probability(options: &Options, key: &str) -> f64 {
+    let p = opt(options, key, 0.0);
+    if !(0.0..=1.0).contains(&p) {
+        bad_flag(key, &options[key], " (expected a probability in [0, 1])");
+    }
+    p
 }
 
 fn print_help() {
@@ -97,16 +122,20 @@ fn print_help() {
         "fedra-silo — host one data silo behind a socket\n\n\
          usage: fedra-silo serve --addr ADDR --data FILE.csv\n\
                 [--silo-id K] [--bounds x0,y0,x1,y1] [--lsr-seed S]\n\
-                [--threads N] [--latency-ms L] [--snapshot-dir DIR]\n\
+                [--threads N] [--snapshot-dir DIR]\n\
                 [--fault-seed S] [--fault-transient P] [--fault-drop P]\n\
-                [--fault-crash-after N] [--fault-latency-ms L]\n\n\
+                [--fault-crash-after N] [--fault-latency-ms L] [--fault-flap P:D]\n\n\
          ADDR is tcp:host:port, unix:/path, or bare host:port. The CSV\n\
          columns are silo,x_km,y_km,measure (the workload crate's CSV).\n\
-         --bounds and --lsr-seed must match the provider's federation\n\
-         for remote answers to be identical to a local run.\n\
+         --bounds and --lsr-seed (default 1043722) must match the\n\
+         provider's federation for remote answers to be identical to a\n\
+         local run.\n\
          --snapshot-dir persists the built grid (checksummed) to\n\
          DIR/silo-K.grid after every BuildGrid and warm-starts from it\n\
-         on respawn, so a crashed silo rejoins without re-binning."
+         on respawn, so a crashed silo rejoins without re-binning.\n\
+         The --fault-* flags inject seeded faults into every request:\n\
+         P is a probability in [0, 1]; --fault-flap P:D refuses the\n\
+         last D of every P requests (0 < D <= P)."
     );
 }
 
@@ -121,31 +150,40 @@ fn parse_bounds(spec: &str) -> Option<Rect> {
     }
 }
 
-fn fault_config(options: &Options, silo_id: usize) -> Option<FaultPlan> {
-    let spec = SiloFaultSpec {
-        latency: options
-            .get("fault-latency-ms")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis),
-        jitter: None,
-        drop_prob: opt(options, "fault-drop", 0.0),
-        transient_prob: opt(options, "fault-transient", 0.0),
-        crash_after: options
-            .get("fault-crash-after")
-            .and_then(|v| v.parse().ok()),
-        flap: options.get("fault-flap").and_then(|v| {
-            let (period, down) = v.split_once(':')?;
+/// `--fault-flap P:D`: refuse the last `D` of every `P` requests.
+fn flap(options: &Options) -> Option<FlapSchedule> {
+    let value = options.get("fault-flap")?;
+    let schedule = value
+        .split_once(':')
+        .and_then(|(period, down)| {
             Some(FlapSchedule {
                 period: period.parse().ok()?,
                 down: down.parse().ok()?,
                 phase: 0,
             })
-        }),
+        })
+        .filter(|f| 0 < f.down && f.down <= f.period);
+    Some(
+        schedule
+            .unwrap_or_else(|| bad_flag("fault-flap", value, " (expected P:D with 0 < D <= P)")),
+    )
+}
+
+fn fault_config(options: &Options, silo_id: usize) -> Option<FaultPlan> {
+    // Parsed even when no fault is set: a malformed seed is never ignored.
+    let seed = opt(options, "fault-seed", 0);
+    let spec = SiloFaultSpec {
+        latency: flag(options, "fault-latency-ms").map(Duration::from_millis),
+        jitter: None,
+        drop_prob: probability(options, "fault-drop"),
+        transient_prob: probability(options, "fault-transient"),
+        crash_after: flag(options, "fault-crash-after"),
+        flap: flap(options),
     };
     if spec == SiloFaultSpec::default() {
         return None;
     }
-    Some(FaultPlan::seeded(opt(options, "fault-seed", 0)).with_spec(silo_id, spec))
+    Some(FaultPlan::seeded(seed).with_spec(silo_id, spec))
 }
 
 fn serve(options: &Options) -> ExitCode {
@@ -164,6 +202,21 @@ fn serve(options: &Options) -> ExitCode {
         eprintln!("error: --data is required");
         return ExitCode::FAILURE;
     };
+    // Every flag is parsed before the data is read.
+    let silo_id: Option<usize> = flag(options, "silo-id");
+    let bounds = match options.get("bounds") {
+        Some(spec) => match parse_bounds(spec) {
+            Some(bounds) => Some(bounds),
+            None => {
+                eprintln!("error: --bounds must be x0,y0,x1,y1");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
+    let lsr_seed = opt(options, "lsr-seed", 0x000F_ED0A);
+    let threads = opt(options, "threads", 0);
+    let fault_plan = fault_config(options, silo_id.unwrap_or(0));
     let dataset = match read_csv(data, 0.0) {
         Ok(dataset) => dataset,
         Err(e) => {
@@ -171,34 +224,24 @@ fn serve(options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let inferred_bounds = dataset.bounds();
-    let silo_id: usize = opt(options, "silo-id", 0);
-    let objects: Vec<SpatialObject> = match options.get("silo-id") {
-        Some(_) => match dataset.partitions().get(silo_id) {
+    let objects: Vec<SpatialObject> = match silo_id {
+        Some(k) => match dataset.partitions().get(k) {
             Some(partition) => partition.clone(),
             None => {
-                eprintln!("error: {data} has no partition {silo_id}");
+                eprintln!("error: {data} has no partition {k}");
                 return ExitCode::FAILURE;
             }
         },
         None => dataset.all_objects(),
     };
-    let bounds = match options.get("bounds") {
-        Some(spec) => match parse_bounds(spec) {
-            Some(bounds) => bounds,
-            None => {
-                eprintln!("error: --bounds must be x0,y0,x1,y1");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => inferred_bounds,
-    };
+    let silo_id = silo_id.unwrap_or(0);
+    let bounds = bounds.unwrap_or_else(|| dataset.bounds());
     let config = SiloConfig {
         rtree: RTreeConfig::default(),
         histogram: MinSkewConfig::default(),
         bounds,
-        lsr_seed: opt(options, "lsr-seed", 0x000F_ED0A),
-        threads: opt(options, "threads", 0),
+        lsr_seed,
+        threads,
     };
     let num_objects = objects.len();
     let silo = Silo::new(silo_id, objects, config);
@@ -237,16 +280,12 @@ fn serve(options: &Options) -> ExitCode {
             }
         }
     }
-    let faults = fault_config(options, silo_id).and_then(|plan| {
+    let faults = fault_plan.and_then(|plan| {
         // Standalone faults arm immediately — there is no provider-side
         // setup phase to protect in this process.
         plan.injector_for(silo_id, Arc::new(AtomicBool::new(true)))
     });
     let server_config = SocketServerConfig {
-        latency: options
-            .get("latency-ms")
-            .and_then(|v| v.parse().ok())
-            .map(Duration::from_millis),
         faults,
         snapshot_path,
     };

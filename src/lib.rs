@@ -61,7 +61,7 @@ pub mod prelude {
         SubmitError,
     };
     pub use fedra_federation::{
-        BreakerState, CallPolicy, ChaosPlan, ChaosProxy, DegradePolicy, FaultPlan, Federation,
+        BreakerState, CallPolicy, ChaosProxy, DegradePolicy, FaultPlan, Federation,
         FederationBuilder, FlapSchedule, HealthConfig, HealthTracker, ReconnectAttempts,
         ReconnectPolicy, Silo, SiloAddr, SiloConfig, SiloFaultSpec, SiloHealthSnapshot, SiloId,
         SiloSocketServer, SocketServerConfig, Transport, TransportBackend, TransportError,

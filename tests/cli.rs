@@ -248,3 +248,69 @@ fn unparsable_numeric_flags_fail_naming_the_flag() {
         );
     }
 }
+
+#[test]
+fn a_fault_plan_naming_no_local_silo_fails_the_build() {
+    // Silo 9 does not exist in a 6-silo federation: the drill would
+    // silently inject nothing.
+    let out = cli()
+        .args([
+            "stats",
+            "--objects",
+            "2000",
+            "--chaos",
+            "7",
+            "--slow-silo",
+            "9",
+            "--flappy-silo",
+            "42",
+        ])
+        .output()
+        .expect("run fedra-cli");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: the fault plan names silo 9"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn fedra_silo_rejects_unparsable_flags_naming_the_flag() {
+    // The data file does not exist: a flag that were read after it would
+    // report "could not load" instead of naming the flag.
+    let missing = std::env::temp_dir().join("fedra-silo-flag-test-missing.csv");
+    let cases: [(&str, &str, &str); 11] = [
+        ("silo-id", "one", ""),
+        ("lsr-seed", "0xBEEF", ""),
+        ("threads", "-1", ""),
+        ("fault-seed", "s", ""),
+        ("fault-latency-ms", "2ms", ""),
+        ("fault-crash-after", "ten", ""),
+        ("fault-drop", "10%", ""),
+        (
+            "fault-transient",
+            "1.5",
+            " (expected a probability in [0, 1])",
+        ),
+        ("fault-flap", "4", " (expected P:D with 0 < D <= P)"),
+        ("fault-flap", "2:3", " (expected P:D with 0 < D <= P)"),
+        ("fault-flap", "4:0", " (expected P:D with 0 < D <= P)"),
+    ];
+    for (flag, value, expected) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_fedra-silo"))
+            .args(["serve", "--addr", "tcp:127.0.0.1:0", "--data"])
+            .arg(&missing)
+            .args([format!("--{flag}"), value.to_string()])
+            .output()
+            .expect("run fedra-silo");
+        assert_eq!(out.status.code(), Some(1), "--{flag} {value} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "error: --{flag}: cannot parse '{value}'{expected}"
+            )),
+            "--{flag} {value}: {stderr}"
+        );
+    }
+}

@@ -69,8 +69,7 @@ fn spawn_proxied_silos(
         let addr = SiloAddr::Unix(dir.join(format!("silo-{k}.sock")));
         let server = SiloSocketServer::spawn(silo, &addr, SocketServerConfig::default())
             .expect("spawn server");
-        let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(0x50A0 + k as u64))
-            .expect("spawn proxy");
+        let proxy = ChaosProxy::spawn(server.addr()).expect("spawn proxy");
         servers.push(server);
         proxies.push(proxy);
     }
@@ -338,7 +337,6 @@ fn crashed_silo_rejoins_from_its_grid_snapshot() {
         })
         .reconnect_policy(ReconnectPolicy {
             attempts: ReconnectAttempts::Limited(2),
-            ..Default::default()
         })
         .build(vec![]);
 
@@ -428,7 +426,7 @@ fn stale_replies_across_reconnects_are_fenced_not_answered() {
         SocketServerConfig::default(),
     )
     .expect("server");
-    let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(99)).expect("proxy");
+    let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
 
     let fed = FederationBuilder::new(bounds)
         .grid_cell_len(CELL_LEN)

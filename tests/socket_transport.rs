@@ -16,8 +16,8 @@ use fedra::federation::transport::socket::{
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
 use fedra::federation::wire::Wire;
 use fedra::federation::{
-    ChaosPlan, ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloDiagnostics,
-    SiloSocketServer, SocketServerConfig, SocketTransport, Transport,
+    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloDiagnostics, SiloSocketServer,
+    SocketServerConfig, SocketTransport, Transport,
 };
 use fedra::prelude::*;
 
@@ -552,7 +552,7 @@ fn calm_chaos_proxy_preserves_answers_and_byte_accounting() {
     let direct_channel = SiloChannel::over(Arc::new(direct), Arc::clone(&direct_stats));
     let expected = direct_channel.call(&request).expect("direct call");
 
-    let proxy = ChaosProxy::spawn(server.addr(), ChaosPlan::calm(17)).expect("proxy");
+    let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
     let proxied_stats = Arc::new(CommCounters::default());
     let proxied = SocketTransport::connect(0, proxy.addr().clone(), SiloDiagnostics::remote())
         .expect("connect via proxy");
@@ -573,7 +573,7 @@ fn calm_chaos_proxy_preserves_answers_and_byte_accounting() {
     };
     assert_eq!(stats.replies_forwarded, 1);
     assert_eq!(
-        stats.replies_corrupted + stats.replies_truncated + stats.replies_dropped,
+        stats.replies_corrupted + stats.replies_dropped,
         0,
         "a calm proxy must not inject anything"
     );
@@ -595,34 +595,26 @@ fn corrupted_reply_over_tcp_retries_to_a_correct_answer() {
         .call(&request)
         .expect("direct call");
 
-    // Corrupt every 1-in-2 replies: each client call either fails typed
-    // (and retries under the call policy) or answers correctly.
-    let plan = ChaosPlan {
-        corrupt_prob: 0.5,
-        ..ChaosPlan::calm(23)
-    };
-    let proxy = ChaosProxy::spawn(server.addr(), plan).expect("proxy");
+    // Corrupt exactly one reply: that call fails typed, and the next call
+    // (on the reconnected client) answers correctly.
+    let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
     let transport = SocketTransport::connect(0, proxy.addr().clone(), SiloDiagnostics::remote())
         .expect("connect via proxy");
     let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
-    let mut answered = 0;
-    for _ in 0..12 {
-        match channel.call(&request) {
-            Ok(answer) => {
-                assert_eq!(answer, expected, "a corrupted frame must never decode");
-                answered += 1;
-            }
-            Err(e) => assert!(
-                e.is_retryable() || matches!(e, TransportError::Disconnected { .. }),
-                "corruption must surface typed, got {e:?}"
-            ),
-        }
+    proxy.corrupt_next_reply();
+    match channel.call(&request) {
+        Ok(answer) => panic!("a corrupted frame must never decode, got {answer:?}"),
+        Err(e) => assert!(
+            e.is_retryable() || matches!(e, TransportError::Disconnected { .. }),
+            "corruption must surface typed, got {e:?}"
+        ),
     }
-    assert!(answered > 0, "some calls must get through");
-    assert!(
-        proxy.stats().replies_corrupted > 0,
-        "the plan must actually have injected corruption"
+    assert_eq!(
+        channel.call(&request).expect("the next call answers"),
+        expected
     );
+    // The pump counts the corrupted reply before it forwards the next.
+    assert_eq!(proxy.stats().replies_corrupted, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -660,7 +652,6 @@ fn seeded_fault_plan_yields_the_same_outcome_sequence_on_both_backends() {
             // into a retryable transient on the socket side.
             .reconnect_policy(ReconnectPolicy {
                 attempts: ReconnectAttempts::Limited(0),
-                ..Default::default()
             })
             .build(vec![sample_partition()]);
         (0..PINGS)
