@@ -71,6 +71,17 @@ for backend in memory socket; do
 done
 echo "    ok (20/20)"
 
+# Socket read-path loop: a waiting caller reads its own reply, one reader
+# per connection at a time, handing the reads on when it stops. Races in
+# that hand-off depend on timing, so the suite runs 10 times; 10/10 must
+# pass.
+echo "==> socket transport loop (10x)"
+for i in $(seq 1 10); do
+    cargo test -q --release --test socket_transport >/dev/null 2>&1 \
+        || { echo "socket transport loop: run $i failed"; exit 1; }
+done
+echo "    ok (10/10)"
+
 # Socket smoke: the same federation served two ways. Three fedra-silo
 # processes host the exported partitions over Unix-domain sockets, and
 # the remote run's ANSWER lines — aggregate values AND comm-byte

@@ -75,26 +75,73 @@ enum SlotState {
     Dead,
 }
 
+/// What a [`ReplySlot`] guards.
+struct SlotCell {
+    state: SlotState,
+    /// The waiter is parked on the condvar.
+    parked: bool,
+    /// The waiter is asked to stop parking and read its connection itself
+    /// (the socket backend's reader hand-off, see [`ReplySlot::nudge`]).
+    nudged: bool,
+}
+
+impl SlotCell {
+    /// Takes a resolved outcome, leaving `Dead` in place (the backend stays
+    /// gone) and clearing a nudge the outcome made moot.
+    fn take(&mut self) -> Option<RecvOutcome> {
+        let outcome = match std::mem::replace(&mut self.state, SlotState::Empty) {
+            SlotState::Full(bytes) => RecvOutcome::Bytes(bytes),
+            SlotState::Failed(error) => RecvOutcome::Failed(error),
+            SlotState::Dead => {
+                self.state = SlotState::Dead;
+                RecvOutcome::Dead
+            }
+            SlotState::Empty => return None,
+        };
+        self.nudged = false;
+        Some(outcome)
+    }
+}
+
 /// A reusable parked-wait oneshot: the transport backend fills it, the
 /// caller sleeps on the condvar until the reply lands, the deadline
 /// passes, or the backend marks the slot failed/dead.
 ///
-/// This replaces the earlier pooled `bounded(1)` reply channels, whose
-/// caller-side sender kept the channel permanently connected — worker
-/// death was unobservable on the channel itself, forcing the waiter into
-/// a 5 ms sliced poll of a liveness flag. Here the waiter parks outright
-/// and is *woken* on either event, so an idle provider burns no cycles
-/// per in-flight call no matter how long the silo takes.
+/// Resolving the slot wakes the waiter only when it is parked: a caller
+/// that reads its own reply off a socket, or finds it already delivered,
+/// costs the resolver no wake-up call.
 pub struct ReplySlot {
-    cell: std::sync::Mutex<SlotState>,
+    cell: std::sync::Mutex<SlotCell>,
     cv: Condvar,
 }
 
 impl ReplySlot {
     fn new() -> Self {
         ReplySlot {
-            cell: std::sync::Mutex::new(SlotState::Empty),
+            cell: std::sync::Mutex::new(SlotCell {
+                state: SlotState::Empty,
+                parked: false,
+                nudged: false,
+            }),
             cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotCell> {
+        self.cell.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Resolves an empty slot with `state` and wakes a parked waiter; a
+    /// slot already resolved keeps its outcome.
+    fn resolve(&self, state: SlotState) {
+        let mut cell = self.lock();
+        if matches!(cell.state, SlotState::Empty) {
+            cell.state = state;
+            let wake = cell.parked;
+            drop(cell);
+            if wake {
+                self.cv.notify_one();
+            }
         }
     }
 
@@ -103,11 +150,7 @@ impl ReplySlot {
     /// it was discarded from the pool, so the stale bytes are dropped with
     /// the last `Arc` reference.
     pub fn fill(&self, bytes: Bytes) {
-        let mut state = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, SlotState::Empty) {
-            *state = SlotState::Full(bytes);
-            self.cv.notify_all();
-        }
+        self.resolve(SlotState::Full(bytes));
     }
 
     /// Marks the backend as gone and wakes the waiter; a reply that
@@ -116,11 +159,7 @@ impl ReplySlot {
     /// the backend's fate afterwards). The waiter observes this as
     /// [`TransportError::Disconnected`].
     pub fn mark_dead(&self) {
-        let mut state = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, SlotState::Empty) {
-            *state = SlotState::Dead;
-            self.cv.notify_all();
-        }
+        self.resolve(SlotState::Dead);
     }
 
     /// Fails the in-flight call with a backend-attributed error (e.g. a
@@ -128,43 +167,79 @@ impl ReplySlot {
     /// [`TransportError::Transient`]) and wakes the waiter. A reply that
     /// already landed wins.
     pub fn fail(&self, error: TransportError) {
-        let mut state = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, SlotState::Empty) {
-            *state = SlotState::Failed(error);
-            self.cv.notify_all();
+        self.resolve(SlotState::Failed(error));
+    }
+
+    /// The outcome, if the slot is resolved; never parks.
+    fn poll(&self) -> Option<RecvOutcome> {
+        self.lock().take()
+    }
+
+    /// Whether the slot holds an outcome.
+    fn is_resolved(&self) -> bool {
+        !matches!(self.lock().state, SlotState::Empty)
+    }
+
+    /// Asks the waiter of an unresolved slot to stop parking: its
+    /// [`ReplySlot::park`] returns `None`. The request sticks until the
+    /// waiter sees it, so a nudge sent before the waiter parks is not lost.
+    /// Returns whether the slot was unresolved (and so nudged).
+    fn nudge(&self) -> bool {
+        let mut cell = self.lock();
+        if !matches!(cell.state, SlotState::Empty) {
+            return false;
+        }
+        cell.nudged = true;
+        let wake = cell.parked;
+        drop(cell);
+        if wake {
+            self.cv.notify_one();
+        }
+        true
+    }
+
+    /// Parks until the slot is resolved, `deadline` passes, or the waiter
+    /// is nudged (`None`) — whichever comes first. A reply that raced the
+    /// deadline onto the slot still wins (the state is checked before the
+    /// timeout verdict).
+    fn park(&self, deadline: Option<Instant>) -> Option<RecvOutcome> {
+        let mut cell = self.lock();
+        loop {
+            if let Some(outcome) = cell.take() {
+                return Some(outcome);
+            }
+            if std::mem::take(&mut cell.nudged) {
+                return None;
+            }
+            let timeout = match deadline {
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return Some(RecvOutcome::TimedOut);
+                    }
+                    Some(d - now)
+                }
+                None => None,
+            };
+            cell.parked = true;
+            cell = match timeout {
+                Some(timeout) => {
+                    let parked = self.cv.wait_timeout(cell, timeout);
+                    parked.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.cv.wait(cell).unwrap_or_else(PoisonError::into_inner),
+            };
+            cell.parked = false;
         }
     }
 
     /// Parks until the slot is filled, the backend dies, or `deadline`
-    /// passes — whichever comes first. A reply that raced the deadline
-    /// onto the slot still wins (the state is checked before the timeout
-    /// verdict).
+    /// passes; a nudge is not a reason to stop waiting here.
     fn wait(&self, deadline: Option<Instant>) -> RecvOutcome {
-        let mut state = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            match std::mem::replace(&mut *state, SlotState::Empty) {
-                SlotState::Full(bytes) => return RecvOutcome::Bytes(bytes),
-                SlotState::Failed(error) => return RecvOutcome::Failed(error),
-                SlotState::Dead => {
-                    *state = SlotState::Dead;
-                    return RecvOutcome::Dead;
-                }
-                SlotState::Empty => {}
+            if let Some(outcome) = self.park(deadline) {
+                return outcome;
             }
-            state = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return RecvOutcome::TimedOut;
-                    }
-                    let (guard, _timed_out) = self
-                        .cv
-                        .wait_timeout(state, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard
-                }
-                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
-            };
         }
     }
 }
@@ -524,7 +599,9 @@ impl SiloDiagnostics {
 ///   over a crossbeam channel ([`spawn_silo`]);
 /// * the **socket** backend writes length-prefixed frames to a TCP or
 ///   Unix-domain stream and pairs replies back by correlation id
-///   ([`socket::SocketTransport`]).
+///   ([`socket::SocketTransport`]); with no thread of its own, it also
+///   overrides [`Transport::wait_reply`] so the waiting caller reads the
+///   reply off the stream.
 ///
 /// The deadline passed to [`Transport::send_frame`] is control metadata,
 /// not wire bytes (the socket backend encodes it into the frame *header*,
@@ -558,10 +635,26 @@ pub trait Transport: Send + Sync {
     /// The served counter, failure flag, metrics registry and backend
     /// label of the silo behind this backend.
     fn diagnostics(&self) -> &SiloDiagnostics;
+
+    /// Waits until `slot` — the slot of in-flight call `token` — resolves
+    /// or `deadline` passes. A deadline already past still reports an
+    /// outcome the backend can reach without blocking. The default parks
+    /// on the slot, for backends that resolve slots on their own threads;
+    /// the socket backend has the waiter read its connection instead.
+    fn wait_reply(
+        &self,
+        token: u64,
+        slot: &Arc<ReplySlot>,
+        deadline: Option<Instant>,
+    ) -> RecvOutcome {
+        let _ = token;
+        slot.wait(deadline)
+    }
 }
 
-/// How a parked reply wait ended (see [`ReplySlot::wait`]).
-enum RecvOutcome {
+/// How a reply wait ended (see [`Transport::wait_reply`]).
+#[derive(Debug)]
+pub enum RecvOutcome {
     /// The reply frame arrived.
     Bytes(Bytes),
     /// The wait's deadline passed with the call still in flight.
@@ -685,7 +778,9 @@ impl PendingFrame {
     /// was begun with a deadline, waiting past it yields
     /// [`TransportError::DeadlineExceeded`].
     pub fn wait(self) -> FrameReplies {
-        let outcome = self.slot.wait(self.deadline);
+        let outcome = self
+            .backend
+            .wait_reply(self.token, &self.slot, self.deadline);
         self.finish(outcome)
     }
 
@@ -709,7 +804,7 @@ impl PendingFrame {
     /// the caller can hedge its riders elsewhere and poll this handle
     /// again later (first answer wins).
     pub fn wait_until(self, until: Instant) -> Poll<PendingFrame, FrameReplies> {
-        match self.slot.wait(Some(until)) {
+        match self.backend.wait_reply(self.token, &self.slot, Some(until)) {
             RecvOutcome::TimedOut => Poll::Pending(self),
             outcome => Poll::Ready(self.finish(outcome)),
         }

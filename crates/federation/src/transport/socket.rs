@@ -36,19 +36,30 @@
 //!   record payload bytes only, so the communication-cost metric is
 //!   identical across backends.
 //!
+//! # Who reads
+//!
+//! The client runs no thread. A caller waiting on a reply reads the
+//! connection itself and hands every reply it reads to its call's slot;
+//! a caller that finds another one reading parks on its own slot, and a
+//! reader that stops (its own reply came, or its deadline passed) nudges
+//! a parked caller to read next (see [`SocketTransport`]).
+//!
 //! # Reconnects and failure semantics
 //!
-//! A connection loss fails every in-flight call with a retryable
-//! [`TransportError::Transient`] when a reconnect succeeds (callers retry
-//! under their [`super::CallPolicy`]), and with
+//! Whoever observes a connection loss handles it: a reading waiter that
+//! meets EOF, a truncated or a corrupt frame, or a sender whose write
+//! fails. The loss fails every in-flight call of that connection with a
+//! retryable [`TransportError::Transient`] when a reconnect succeeds
+//! (callers retry under their [`super::CallPolicy`]), and with
 //! [`TransportError::Disconnected`] when the reconnect budget of the
 //! client's [`ReconnectPolicy`] is exhausted — mirroring the in-memory
 //! backend, where a crashed worker wakes its waiters with `Disconnected`.
-//! Exhaustion is not terminal, though: every subsequent
-//! [`Transport::send_frame`] makes one fresh connect attempt, so a
-//! health-breaker HalfOpen probe rejoins a respawned peer (e.g. a
-//! `fedra-silo` restarted from its `--snapshot-dir`) instead of failing
-//! silently forever.
+//! The reconnect attempts stop at the observer's deadline; the calls then
+//! fail as transients. Neither outcome is terminal: with the connection
+//! down, every subsequent [`Transport::send_frame`] makes one fresh
+//! connect attempt, so a health-breaker HalfOpen probe rejoins a
+//! respawned peer (e.g. a `fedra-silo` restarted from its
+//! `--snapshot-dir`) instead of failing silently forever.
 //!
 //! # Determinism caveats
 //!
@@ -66,7 +77,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,11 +85,14 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use super::{
-    ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport, TransportError,
+    RecvOutcome, ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport,
+    TransportError,
 };
 use crate::fault::SiloFaultInjector;
 use crate::silo::{Silo, SiloId};
-use fedra_obs::catalog::{EPOCH_FENCED_REPLIES_TOTAL, TRANSPORT_RECONNECTS_TOTAL};
+use fedra_obs::catalog::{
+    EPOCH_FENCED_REPLIES_TOTAL, SILO_ACCEPT_ERRORS_TOTAL, TRANSPORT_RECONNECTS_TOTAL,
+};
 use fedra_obs::CommCounters;
 
 /// `deadline_rel_us` value meaning "no deadline".
@@ -97,8 +111,9 @@ pub const REPLY_HEADER_LEN: usize = 28;
 /// corrupt or hostile peer cannot OOM the process.
 pub const MAX_FRAME_PAYLOAD: u32 = 256 * 1024 * 1024;
 
-/// How often the accept loop polls its shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Initial size of a connection's reply read buffer; a frame that does
+/// not fit grows it for as long as it is being read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Default reconnect attempts after a connection loss before declaring
 /// the peer dead (see [`ReconnectPolicy`]).
@@ -114,9 +129,10 @@ pub enum ReconnectAttempts {
     /// Give up (fail in-flight calls, mark the client not-alive) after
     /// this many consecutive refused attempts.
     Limited(u32),
-    /// Keep trying until the transport is dropped. For supervised
-    /// deployments where the peer is expected to come back (a respawned
-    /// `fedra-silo`); the backoff between attempts stays capped.
+    /// Keep trying until the peer answers or the deadline of the caller
+    /// handling the loss passes. For supervised deployments where the
+    /// peer is expected to come back (a respawned `fedra-silo`); the
+    /// backoff between attempts stays capped.
     Unbounded,
 }
 
@@ -143,8 +159,8 @@ impl Default for ReconnectPolicy {
 }
 
 impl ReconnectPolicy {
-    /// The supervised-deployment policy: retry forever (until the
-    /// transport is dropped).
+    /// The supervised-deployment policy: no attempt budget (see
+    /// [`ReconnectAttempts::Unbounded`]).
     pub fn unbounded() -> Self {
         ReconnectPolicy {
             attempts: ReconnectAttempts::Unbounded,
@@ -269,33 +285,55 @@ impl SocketStream {
             SocketStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            SocketStream::Tcp(s) => s.set_read_timeout(timeout),
+            #[cfg(unix)]
+            SocketStream::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+}
+
+/// Reads and writes go through a shared reference, so one stream serves
+/// a reading waiter and a writing sender at once.
+impl Read for &SocketStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            SocketStream::Tcp(s) => (&mut &*s).read(buf),
+            #[cfg(unix)]
+            SocketStream::Unix(s) => (&mut &*s).read(buf),
+        }
+    }
+}
+
+impl Write for &SocketStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            SocketStream::Tcp(s) => (&mut &*s).write(buf),
+            #[cfg(unix)]
+            SocketStream::Unix(s) => (&mut &*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 impl Read for SocketStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            SocketStream::Unix(s) => s.read(buf),
-        }
+        (&*self).read(buf)
     }
 }
 
 impl Write for SocketStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            SocketStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            SocketStream::Unix(s) => s.write(buf),
-        }
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            SocketStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            SocketStream::Unix(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -314,29 +352,22 @@ impl SocketListener {
             SiloAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(spec)?;
                 let resolved = SiloAddr::Tcp(listener.local_addr()?.to_string());
-                listener.set_nonblocking(true)?;
                 Ok((SocketListener::Tcp(listener), resolved))
             }
             #[cfg(unix)]
             SiloAddr::Unix(path) => {
                 let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
                 Ok((SocketListener::Unix(listener, path.clone()), addr.clone()))
             }
         }
     }
 
-    /// Non-blocking accept: `Ok(None)` when no connection is pending.
-    fn accept(&self) -> std::io::Result<Option<SocketStream>> {
-        let accepted = match self {
+    /// Blocks until a peer connects.
+    fn accept(&self) -> std::io::Result<SocketStream> {
+        match self {
             SocketListener::Tcp(l) => l.accept().map(|(s, _)| SocketStream::Tcp(s)),
             #[cfg(unix)]
             SocketListener::Unix(l, _) => l.accept().map(|(s, _)| SocketStream::Unix(s)),
-        };
-        match accepted {
-            Ok(stream) => Ok(Some(stream)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
         }
     }
 }
@@ -595,13 +626,37 @@ pub struct SocketServerConfig {
     pub snapshot_path: Option<PathBuf>,
 }
 
+/// Stops a server's accept loop: raises its stop flag, then wakes the
+/// blocked `accept` with a throwaway self-connect, which the loop discards
+/// once it sees the flag. Every path that stops a server goes through
+/// here — without the wake, joining the accept thread would hang.
+#[derive(Clone)]
+pub(crate) struct ServerStop {
+    flag: Arc<AtomicBool>,
+    addr: SiloAddr,
+}
+
+impl ServerStop {
+    fn stop(&self) {
+        self.flag.store(true, Ordering::Release);
+        let _ = self.addr.connect();
+    }
+
+    fn is_stopped(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
+
 struct ServerShared {
     server: SiloServer,
-    shutdown: Arc<AtomicBool>,
-    /// Set by an injected crash: the server stops accepting and drops
-    /// every connection, so clients observe `Disconnected` — the socket
-    /// analogue of the in-memory worker thread exiting.
-    dead: Arc<AtomicBool>,
+    /// Raised by [`SiloSocketServer::stop`], its drop, the owning
+    /// transport's drop, or an injected crash: the server stops accepting
+    /// and drops every connection at its next frame, so clients observe
+    /// `Disconnected` — the socket analogue of the in-memory worker thread
+    /// exiting.
+    stop: ServerStop,
+    /// Failed accepts, each retried after a backoff.
+    accept_errors: Arc<fedra_obs::Counter>,
 }
 
 /// One silo served over a socket: an accept loop plus one sequential
@@ -612,10 +667,11 @@ struct ServerShared {
 /// Frames on one connection are handled strictly in arrival order —
 /// matching the in-memory worker's envelope queue — and each consumes
 /// one fault-injector action, so a seeded [`crate::fault::FaultPlan`]
-/// produces the same schedule on both backends.
+/// produces the same schedule on both backends. An idle server wakes no
+/// thread: the accept loop and every connection thread block in the
+/// kernel until a peer connects or sends.
 pub struct SiloSocketServer {
-    addr: SiloAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: ServerStop,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -632,44 +688,47 @@ impl SiloSocketServer {
         let spawn_err = |reason: String| TransportError::Spawn { silo: id, reason };
         let (listener, resolved) =
             SocketListener::bind(addr).map_err(|e| spawn_err(format!("bind {addr}: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = ServerStop {
+            flag: Arc::new(AtomicBool::new(false)),
+            addr: resolved,
+        };
+        let accept_errors = silo.metrics().series(&SILO_ACCEPT_ERRORS_TOTAL, &[&id]);
         let shared = Arc::new(ServerShared {
             server: SiloServer {
                 silo,
                 faults: Mutex::new(config.faults),
                 snapshot_path: config.snapshot_path,
             },
-            shutdown: Arc::clone(&shutdown),
-            dead: Arc::new(AtomicBool::new(false)),
+            stop: stop.clone(),
+            accept_errors,
         });
         let thread = std::thread::Builder::new()
             .name(format!("fedra-silo-srv-{id}"))
             .spawn(move || accept_loop(listener, shared))
             .map_err(|e| spawn_err(format!("spawn accept loop: {e}")))?;
         Ok(SiloSocketServer {
-            addr: resolved,
-            shutdown,
+            stop,
             thread: Some(thread),
         })
     }
 
     /// The resolved listen address.
     pub fn addr(&self) -> &SiloAddr {
-        &self.addr
+        &self.stop.addr
     }
 
-    /// Asks the accept loop to exit (live connections drain on their own
-    /// when the peers close).
+    /// Makes the accept loop exit; live connections close at their next
+    /// frame.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.stop.stop();
     }
 
-    /// Dismantles the handle into its shutdown flag and join handle —
-    /// the in-process backend hands the join handle to the federation's
-    /// worker list and ties the flag to the client transport's drop.
-    pub fn detach(mut self) -> (SiloAddr, Arc<AtomicBool>, Option<JoinHandle<()>>) {
+    /// Dismantles the handle into its stop handle and join handle — the
+    /// in-process backend hands the join handle to the federation's
+    /// worker list and ties the stop to the client transport's drop.
+    pub(crate) fn detach(mut self) -> (ServerStop, Option<JoinHandle<()>>) {
         let thread = self.thread.take();
-        (self.addr.clone(), Arc::clone(&self.shutdown), thread)
+        (self.stop.clone(), thread)
     }
 
     /// Blocks until the accept loop exits (`fedra-silo serve` runs until
@@ -684,18 +743,28 @@ impl SiloSocketServer {
 impl Drop for SiloSocketServer {
     fn drop(&mut self) {
         // Only while still owning the accept loop: `detach()` hands the
-        // shutdown responsibility to the client transport's drop.
+        // stop responsibility to the client transport's drop.
         if let Some(thread) = self.thread.take() {
-            self.shutdown.store(true, Ordering::Release);
+            self.stop.stop();
             let _ = thread.join();
         }
     }
 }
 
+/// Accepts until the server is stopped. Only the stop flag ends the loop:
+/// a failed accept (out of descriptors, say, which leaves the connection
+/// queued) is counted and retried after the shared backoff.
 fn accept_loop(listener: SocketListener, shared: Arc<ServerShared>) {
-    while !shared.shutdown.load(Ordering::Acquire) && !shared.dead.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(Some(conn)) => {
+    let silo = shared.server.silo.id();
+    let mut failures = 0u32;
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.is_stopped() {
+            break;
+        }
+        match accepted {
+            Ok(conn) => {
+                failures = 0;
                 let shared = Arc::clone(&shared);
                 // A failed handler spawn drops the connection; the peer
                 // sees EOF and handles it like any other loss.
@@ -703,8 +772,12 @@ fn accept_loop(listener: SocketListener, shared: Arc<ServerShared>) {
                     .name("fedra-silo-conn".into())
                     .spawn(move || serve_connection(conn, shared));
             }
-            Ok(None) => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => {
+                shared.accept_errors.inc();
+                failures = failures.saturating_add(1);
+                std::thread::sleep(super::backoff(silo, failures, 0));
+            }
         }
     }
     // Dropping the listener here closes it (and removes a Unix socket
@@ -714,16 +787,9 @@ fn accept_loop(listener: SocketListener, shared: Arc<ServerShared>) {
 /// Serves one connection: frames strictly in arrival order, each through
 /// the serve step the in-memory worker runs ([`SiloServer::serve`]).
 fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
-    if conn.set_nonblocking(false).is_err() {
-        return;
-    }
-    let mut writer = conn;
-    let mut reader = match writer.try_clone() {
-        Ok(r) => std::io::BufReader::new(r),
-        Err(_) => return,
-    };
+    let mut reader = std::io::BufReader::new(&conn);
     loop {
-        if shared.shutdown.load(Ordering::Acquire) || shared.dead.load(Ordering::Acquire) {
+        if shared.stop.is_stopped() {
             return;
         }
         let frame = match read_request_frame(&mut reader) {
@@ -736,7 +802,7 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
             .then(|| Instant::now() + Duration::from_micros(frame.deadline_rel_us));
         match shared.server.serve(frame.payload, deadline) {
             Served::Reply(payload) => {
-                if write_reply_frame(&mut writer, frame.corr, frame.epoch, &payload).is_err() {
+                if write_reply_frame(&mut &conn, frame.corr, frame.epoch, &payload).is_err() {
                     return;
                 }
             }
@@ -745,8 +811,8 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
                 // The whole server dies, like the in-memory worker thread
                 // exiting: stop accepting, drop this connection without a
                 // reply. Reconnects get refused once the listener drops.
-                shared.dead.store(true, Ordering::Release);
-                writer.shutdown();
+                shared.stop.stop();
+                conn.shutdown();
                 return;
             }
         }
@@ -757,162 +823,177 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
 // Client side
 // ---------------------------------------------------------------------
 
-struct ClientInner {
-    silo: SiloId,
-    addr: SiloAddr,
-    /// Set once, by `Drop`: no reconnect may ever follow.
-    closed: AtomicBool,
-    policy: ReconnectPolicy,
-    next_corr: AtomicU64,
-    /// Connection generation: bumped on every (re)connect so a stale
-    /// reader thread can tell its loss report is outdated, and the
-    /// in-flight sweep only fails calls sent on the lost connection.
-    generation: AtomicU64,
-    /// Write half of the current connection.
-    ///
-    /// Lock order: `conn` before `inflight`, everywhere.
-    conn: Mutex<Option<SocketStream>>,
-    /// In-flight calls: corr → (generation, slot).
-    inflight: Mutex<HashMap<u64, (u64, Arc<ReplySlot>)>>,
-    diagnostics: SiloDiagnostics,
-    reconnects: Arc<fedra_obs::Counter>,
-    /// Stale-epoch replies the reader fenced out (see the module docs).
-    fenced: Arc<fedra_obs::Counter>,
+/// One established connection: the stream both directions share, and the
+/// generation it was established as.
+struct Link {
+    stream: SocketStream,
+    gen: u64,
+    /// Serializes frame writes, so concurrent senders never interleave
+    /// partial frames. Held for one write (or one non-blocking read pass),
+    /// never across a blocking read.
+    writer: Mutex<()>,
 }
 
-impl ClientInner {
-    /// Establishes a connection under the `conn` lock (bumping the
-    /// generation and spawning the paired reader thread).
-    fn establish(self: &Arc<Self>, conn: &mut Option<SocketStream>) -> Result<(), TransportError> {
-        let stream = self
-            .addr
-            .connect()
-            .map_err(|_| TransportError::Disconnected { silo: self.silo })?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|_| TransportError::Disconnected { silo: self.silo })?;
-        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        let inner = Arc::clone(self);
-        std::thread::Builder::new()
-            .name(format!("fedra-sock-rx-{}", self.silo))
-            .spawn(move || reader_loop(inner, read_half, gen))
-            .map_err(|e| TransportError::Spawn {
-                silo: self.silo,
-                reason: e.to_string(),
-            })?;
-        *conn = Some(stream);
-        Ok(())
+/// Reply bytes read off one connection and not yet dispatched, plus the
+/// read timeout last set on its socket. Partial frame bytes stay here when
+/// a read times out mid-frame, so the next reader picks the stream up in
+/// frame sync.
+#[derive(Default)]
+struct FrameBuf {
+    /// Generation of the connection the bytes came from.
+    gen: u64,
+    buf: Vec<u8>,
+    /// The undispatched bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// The socket's current read timeout (`None`: reads block).
+    timeout: Option<Duration>,
+}
+
+impl FrameBuf {
+    /// Points the buffer at connection `gen`, dropping an older
+    /// connection's leftovers.
+    fn attach(&mut self, gen: u64) {
+        if self.gen != gen {
+            self.gen = gen;
+            self.start = 0;
+            self.end = 0;
+            self.timeout = None;
+        }
+        if self.buf.len() < READ_CHUNK {
+            self.buf.resize(READ_CHUNK, 0);
+        }
     }
 
-    /// Fails every in-flight call sent on a generation ≤ `up_to` with
-    /// `error` (or marks them dead when the peer is gone for good).
-    fn sweep(&self, up_to: u64, error: Option<TransportError>) {
-        let swept: Vec<Arc<ReplySlot>> = {
-            let mut inflight = self.inflight.lock();
-            let stale: Vec<u64> = inflight
-                .iter()
-                .filter(|(_, (gen, _))| *gen <= up_to)
-                .map(|(corr, _)| *corr)
-                .collect();
-            stale
-                .into_iter()
-                .filter_map(|corr| inflight.remove(&corr).map(|(_, slot)| slot))
-                .collect()
+    /// The announced length of the frame the buffered bytes begin, once
+    /// its length prefix is in.
+    fn announced(&self) -> Option<u32> {
+        let prefix = self.buf.get(self.start..self.start + 4)?;
+        (self.end >= self.start + 4)
+            .then(|| u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]))
+    }
+
+    /// The next complete reply frame, `(corr, epoch, payload)`, checked
+    /// against its checksum. A length prefix over [`MAX_FRAME_PAYLOAD`]
+    /// is refused before anything is allocated for it.
+    fn next_frame(&mut self) -> Result<Option<(u64, u64, Bytes)>, FrameError> {
+        let Some(len) = self.announced() else {
+            return Ok(None);
         };
-        for slot in swept {
-            match &error {
-                Some(e) => slot.fail(e.clone()),
-                None => slot.mark_dead(),
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(FrameError::Oversized { len: len as u64 });
+        }
+        let frame = &self.buf[self.start..self.end];
+        let total = REPLY_HEADER_LEN + len as usize;
+        if frame.len() < total {
+            return Ok(None);
+        }
+        let payload = &frame[REPLY_HEADER_LEN..total];
+        if payload_checksum(payload) != read_u64(frame, 20) {
+            return Err(FrameError::Corrupt {
+                context: "reply payload",
+            });
+        }
+        let reply = (
+            read_u64(frame, 4),
+            read_u64(frame, 12),
+            Bytes::from(payload),
+        );
+        self.start += total;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > READ_CHUNK {
+                self.buf.truncate(READ_CHUNK);
+                self.buf.shrink_to_fit();
             }
         }
+        Ok(Some(reply))
     }
 
-    /// Handles a connection loss observed by the reader of `lost_gen`:
-    /// reconnect under the client's [`ReconnectPolicy`] (failing that
-    /// generation's in-flight calls as retryable transients), or give up
-    /// for now. Exhaustion is not terminal — see [`Transport::send_frame`],
-    /// which probes the peer again per call.
-    fn handle_loss(self: &Arc<Self>, lost_gen: u64) {
-        let mut conn = self.conn.lock();
-        if self.generation.load(Ordering::Acquire) != lost_gen {
-            return; // a newer connection superseded the lost one
+    /// One read from `stream` into the free space, after moving the
+    /// undispatched bytes to the front and growing the buffer to fit the
+    /// frame they begin. `Ok(0)` is the peer's close.
+    fn read_from(&mut self, mut stream: &SocketStream) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        *conn = None;
-        if self.closed.load(Ordering::Acquire) {
-            drop(conn);
-            self.sweep(lost_gen, None);
-            return;
+        let frame_len = self.announced().map_or(0, |len| {
+            REPLY_HEADER_LEN + len.min(MAX_FRAME_PAYLOAD) as usize
+        });
+        let need = frame_len.max(self.end + 1);
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
         }
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            if !self.policy.allows_attempt(attempt) || self.closed.load(Ordering::Acquire) {
-                break;
-            }
-            if self.establish(&mut conn).is_ok() {
-                self.reconnects.inc();
-                drop(conn);
-                self.sweep(
-                    lost_gen,
-                    Some(TransportError::Transient {
-                        silo: self.silo,
-                        message: "socket connection lost; reconnected".into(),
-                    }),
-                );
-                return;
-            }
-            std::thread::sleep(self.policy.backoff(self.silo, attempt));
-        }
-        drop(conn);
-        self.sweep(u64::MAX, None);
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 }
 
-fn reader_loop(inner: Arc<ClientInner>, read_half: SocketStream, gen: u64) {
-    let mut reader = std::io::BufReader::new(read_half);
-    loop {
-        match read_reply_frame(&mut reader) {
-            Ok((corr, epoch, payload)) => {
-                if epoch != gen {
-                    // A reply solicited on a dead connection generation:
-                    // only reachable when a middlebox (the chaos proxy, a
-                    // future load balancer) multiplexes one upstream
-                    // connection across our reconnects. Fencing it here —
-                    // instead of letting the corr race a fresh call that
-                    // reused the slot map — is the staleness guarantee
-                    // the partition soak pins.
-                    inner.fenced.inc();
-                    continue;
-                }
-                let slot = inner.inflight.lock().remove(&corr).map(|(_, slot)| slot);
-                if let Some(slot) = slot {
-                    inner.diagnostics.reply_drained();
-                    slot.fill(payload);
-                }
-                // An unknown corr is a reply to an abandoned call whose
-                // entry was already retired — dropped, like the in-memory
-                // worker filling a discarded slot.
-            }
-            Err(_) => {
-                // EOF, truncation, or a checksum mismatch (`Corrupt`):
-                // the stream can no longer be trusted to be in frame
-                // sync, so the connection is torn down and in-flight
-                // calls retry on the replacement.
-                inner.handle_loss(gen);
-                return;
-            }
+/// The connection's read side, shared by the waiters: at most one of them
+/// reads at a time.
+#[derive(Default)]
+struct Rx {
+    /// A waiter is reading, with `frames` lent out to it.
+    reading: bool,
+    frames: FrameBuf,
+    /// Waiters parked on their own slot while another reads.
+    parked: Vec<Arc<ReplySlot>>,
+}
+
+impl Rx {
+    /// With nobody reading, nudges the first parked waiter still without
+    /// its reply to take the reads over.
+    fn hand_off(&self) {
+        if !self.reading {
+            let _ = self.parked.iter().any(|slot| slot.nudge());
         }
     }
+}
+
+/// Rounds a read timeout up to whole milliseconds: the kernel counts
+/// socket timeouts in scheduler ticks anyway, and a coarse value lets
+/// consecutive waits keep the timeout already set.
+fn read_timeout(left: Duration) -> Duration {
+    let ms = left.as_nanos().div_ceil(1_000_000);
+    Duration::from_millis(u64::try_from(ms).unwrap_or(u64::MAX))
 }
 
 /// The socket [`Transport`] backend: one multiplexed connection per
 /// channel, length-prefixed frames (see the module docs), correlation-id
 /// reply pairing, and reconnect-on-transient.
+///
+/// It runs no thread of its own. A caller waiting on a reply reads the
+/// connection itself and hands every reply it reads to its call's slot;
+/// callers that find another caller reading park on their own slot until
+/// it is filled, or until the reader stops and nudges one of them to read
+/// next ([`Transport::wait_reply`]).
 pub struct SocketTransport {
-    inner: Arc<ClientInner>,
-    /// When the backend owns an in-process server, dropping the last
-    /// channel clone tears the server down too.
-    server_shutdown: Option<Arc<AtomicBool>>,
+    silo: SiloId,
+    addr: SiloAddr,
+    policy: ReconnectPolicy,
+    next_corr: AtomicU64,
+    /// Generation of the latest connection: bumped on every (re)connect,
+    /// so the in-flight sweep fails only calls sent on the lost
+    /// connection, and a second report of one loss finds it handled.
+    generation: AtomicU64,
+    /// The current connection (`None` once a loss was given up on). Held
+    /// briefly, and across reconnect attempts — never across a read or a
+    /// write.
+    conn: Mutex<Option<Arc<Link>>>,
+    /// In-flight calls: corr → (generation, slot).
+    inflight: Mutex<HashMap<u64, (u64, Arc<ReplySlot>)>>,
+    rx: std::sync::Mutex<Rx>,
+    diagnostics: SiloDiagnostics,
+    reconnects: Arc<fedra_obs::Counter>,
+    /// Stale-epoch replies fenced out (see the module docs).
+    fenced: Arc<fedra_obs::Counter>,
+    /// When the backend owns an in-process server, dropping the transport
+    /// tears the server down too.
+    server: Option<ServerStop>,
 }
 
 impl SocketTransport {
@@ -939,48 +1020,248 @@ impl SocketTransport {
     ) -> Result<SocketTransport, TransportError> {
         let reconnects = diagnostics.metrics.series(&TRANSPORT_RECONNECTS_TOTAL, &[]);
         let fenced = diagnostics.metrics.series(&EPOCH_FENCED_REPLIES_TOTAL, &[]);
-        let inner = Arc::new(ClientInner {
+        let transport = SocketTransport {
             silo,
             addr,
-            closed: AtomicBool::new(false),
             policy,
             next_corr: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             conn: Mutex::new(None),
             inflight: Mutex::new(HashMap::new()),
+            rx: std::sync::Mutex::new(Rx::default()),
             diagnostics: SiloDiagnostics {
                 backend: "socket",
                 ..diagnostics
             },
             reconnects,
             fenced,
-        });
-        {
-            let mut conn = inner.conn.lock();
-            inner.establish(&mut conn)?;
-        }
-        Ok(SocketTransport {
-            inner,
-            server_shutdown: None,
-        })
+            server: None,
+        };
+        transport.establish(&mut transport.conn.lock())?;
+        Ok(transport)
     }
 
-    /// Ties an in-process server's shutdown flag to this transport's
-    /// drop (used by [`spawn_silo_socket`]).
-    pub fn with_server_shutdown(mut self, flag: Arc<AtomicBool>) -> SocketTransport {
-        self.server_shutdown = Some(flag);
+    /// Ties an in-process server's stop to this transport's drop (used by
+    /// [`spawn_silo_socket`]).
+    fn with_server_stop(mut self, stop: ServerStop) -> SocketTransport {
+        self.server = Some(stop);
         self
     }
 
     /// The address this transport is connected to.
     pub fn addr(&self) -> &SiloAddr {
-        &self.inner.addr
+        &self.addr
     }
+
+    /// Connects under the `conn` lock, as the next generation.
+    fn establish(&self, conn: &mut Option<Arc<Link>>) -> Result<(), TransportError> {
+        let stream = self
+            .addr
+            .connect()
+            .map_err(|_| TransportError::Disconnected { silo: self.silo })?;
+        let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        *conn = Some(Arc::new(Link {
+            stream,
+            gen,
+            writer: Mutex::new(()),
+        }));
+        Ok(())
+    }
+
+    /// Fails every in-flight call sent on a generation ≤ `up_to` with
+    /// `error` (or marks them dead when the peer is gone for good).
+    fn sweep(&self, up_to: u64, error: Option<TransportError>) {
+        let swept: Vec<Arc<ReplySlot>> = {
+            let mut inflight = self.inflight.lock();
+            let stale: Vec<u64> = inflight
+                .iter()
+                .filter(|(_, (gen, _))| *gen <= up_to)
+                .map(|(corr, _)| *corr)
+                .collect();
+            stale
+                .into_iter()
+                .filter_map(|corr| inflight.remove(&corr).map(|(_, slot)| slot))
+                .collect()
+        };
+        for slot in swept {
+            match &error {
+                Some(e) => slot.fail(e.clone()),
+                None => slot.mark_dead(),
+            }
+        }
+    }
+
+    /// Handles the loss of connection `lost_gen`, whoever saw it — a
+    /// reading waiter (EOF, a corrupt or truncated frame) or a sender
+    /// whose write failed. It shuts the lost stream (waking a waiter still
+    /// reading it), reconnects under the client's [`ReconnectPolicy`] and
+    /// fails that connection's in-flight calls as retryable transients;
+    /// once the budget is spent, it fails them as `Disconnected`. The
+    /// attempts stop at `deadline`, the observer's own: its calls then
+    /// fail as transients, with the connection left down. Neither outcome
+    /// is terminal — see [`Transport::send_frame`], which probes the peer
+    /// again per call.
+    fn handle_loss(&self, lost_gen: u64, deadline: Option<Instant>) {
+        let mut conn = self.conn.lock();
+        if conn.as_ref().is_none_or(|link| link.gen != lost_gen) {
+            return; // handled already, or a newer connection superseded it
+        }
+        if let Some(link) = conn.take() {
+            link.stream.shutdown();
+        }
+        let transient = |message: &str| TransportError::Transient {
+            silo: self.silo,
+            message: message.into(),
+        };
+        let mut attempt = 0u32;
+        let error = loop {
+            attempt += 1;
+            if !self.policy.allows_attempt(attempt) {
+                break None;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break Some(transient("socket connection lost"));
+            }
+            if self.establish(&mut conn).is_ok() {
+                self.reconnects.inc();
+                break Some(transient("socket connection lost; reconnected"));
+            }
+            let pause = self.policy.backoff(self.silo, attempt);
+            let left = deadline.map_or(pause, |d| d.saturating_duration_since(Instant::now()));
+            std::thread::sleep(pause.min(left));
+        };
+        drop(conn);
+        self.sweep(lost_gen, error);
+    }
+
+    /// The connection call `token` rides, while it is the current one.
+    fn link_of(&self, token: u64) -> Option<Arc<Link>> {
+        let gen = self.inflight.lock().get(&token).map(|(gen, _)| *gen)?;
+        self.conn.lock().clone().filter(|link| link.gen == gen)
+    }
+
+    fn lock_rx(&self) -> std::sync::MutexGuard<'_, Rx> {
+        self.rx.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Drops `slot`'s parked registration and passes the reads on.
+    fn leave(&self, slot: &Arc<ReplySlot>) {
+        let mut rx = self.lock_rx();
+        rx.parked.retain(|parked| !Arc::ptr_eq(parked, slot));
+        rx.hand_off();
+    }
+
+    /// Hands every complete frame in `frames` to its call's slot. A reply
+    /// from a dead connection generation is fenced: only a middlebox (the
+    /// chaos proxy, a future load balancer) multiplexing one upstream
+    /// connection across our reconnects can deliver one, and fencing it —
+    /// instead of letting its corr race a fresh call — is the staleness
+    /// guarantee the partition soak pins. A reply to a call already given
+    /// up is dropped, like the in-memory worker filling a discarded slot.
+    fn dispatch(&self, link: &Link, frames: &mut FrameBuf) -> Result<(), FrameError> {
+        while let Some((corr, epoch, payload)) = frames.next_frame()? {
+            if epoch != link.gen {
+                self.fenced.inc();
+                continue;
+            }
+            let slot = self.inflight.lock().remove(&corr).map(|(_, slot)| slot);
+            if let Some(slot) = slot {
+                self.diagnostics.reply_drained();
+                slot.fill(payload);
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads `link` as its one reader, dispatching every reply, until
+    /// `slot` resolves or `deadline` passes. `None`: the connection was
+    /// lost, and the loss handled — `slot` is swept with the rest of the
+    /// connection's calls. EOF, a truncated frame and a checksum mismatch
+    /// all count as a loss: the stream can no longer be trusted to be in
+    /// frame sync.
+    fn read_until(
+        &self,
+        link: &Link,
+        frames: &mut FrameBuf,
+        slot: &ReplySlot,
+        deadline: Option<Instant>,
+    ) -> Option<RecvOutcome> {
+        frames.attach(link.gen);
+        loop {
+            if self.dispatch(link, frames).is_err() {
+                break;
+            }
+            if let Some(outcome) = slot.poll() {
+                return Some(outcome);
+            }
+            let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                Some(Duration::ZERO) => {
+                    if self.read_ready(link, frames, slot) {
+                        return Some(slot.poll().unwrap_or(RecvOutcome::TimedOut));
+                    }
+                    break;
+                }
+                left => left.map(read_timeout),
+            };
+            if frames.timeout != timeout {
+                if link.stream.set_read_timeout(timeout).is_err() {
+                    break;
+                }
+                frames.timeout = timeout;
+            }
+            match frames.read_from(&link.stream) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if is_nothing_yet(&e) => {}
+                Err(_) => break,
+            }
+        }
+        self.handle_loss(link.gen, deadline);
+        None
+    }
+
+    /// One non-blocking pass, for a wait whose deadline has passed: reads
+    /// and dispatches whatever the kernel already holds, so a reply that
+    /// arrived in time is not reported late. The writer lock keeps senders
+    /// off the socket while it is non-blocking. `false`: the connection
+    /// was lost.
+    fn read_ready(&self, link: &Link, frames: &mut FrameBuf, slot: &ReplySlot) -> bool {
+        let _writer = link.writer.lock();
+        if link.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let alive = loop {
+            if self.dispatch(link, frames).is_err() {
+                break false;
+            }
+            if slot.is_resolved() {
+                break true;
+            }
+            match frames.read_from(&link.stream) {
+                Ok(0) => break false,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break e.kind() == std::io::ErrorKind::WouldBlock,
+            }
+        };
+        link.stream.set_nonblocking(false).is_ok() && alive
+    }
+}
+
+/// Whether a read error only means "nothing yet" (a timeout or an
+/// interrupted read), rather than a broken connection.
+fn is_nothing_yet(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
 }
 
 impl Transport for SocketTransport {
     fn silo(&self) -> SiloId {
-        self.inner.silo
+        self.silo
     }
 
     fn send_frame(
@@ -989,71 +1270,128 @@ impl Transport for SocketTransport {
         deadline: Option<Instant>,
         slot: &Arc<ReplySlot>,
     ) -> Result<u64, TransportError> {
-        let inner = &self.inner;
-        if inner.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Disconnected { silo: inner.silo });
-        }
-        let mut conn = inner.conn.lock();
-        if conn.is_none() {
-            // The reconnect budget ran out earlier (or the loss handler
-            // gave the connection up while we waited on the lock). Probe
-            // the peer once per call instead of failing forever: this is
-            // what lets a health breaker's HalfOpen draw rejoin a
-            // respawned `fedra-silo` after a partition heals. A refused
-            // connect keeps surfacing as `Disconnected`, which the
-            // caller's failure path records against the breaker.
-            if inner.closed.load(Ordering::Acquire) || inner.establish(&mut conn).is_err() {
-                return Err(TransportError::Disconnected { silo: inner.silo });
+        let link = {
+            let mut conn = self.conn.lock();
+            if conn.is_none() {
+                // An earlier loss was given up on. Probe the peer once per
+                // call instead of failing forever: this is what lets a
+                // health breaker's HalfOpen draw rejoin a respawned
+                // `fedra-silo` after a partition heals. A refused connect
+                // keeps surfacing as `Disconnected`, which the caller's
+                // failure path records against the breaker.
+                self.establish(&mut conn)?;
+                self.reconnects.inc();
             }
-            inner.reconnects.inc();
-        }
-        let Some(stream) = conn.as_mut() else {
-            return Err(TransportError::Disconnected { silo: inner.silo });
+            conn.clone()
         };
-        let corr = inner.next_corr.fetch_add(1, Ordering::Relaxed);
-        let gen = inner.generation.load(Ordering::Acquire);
-        inner.inflight.lock().insert(corr, (gen, Arc::clone(slot)));
+        let Some(link) = link else {
+            return Err(TransportError::Disconnected { silo: self.silo });
+        };
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        self.inflight
+            .lock()
+            .insert(corr, (link.gen, Arc::clone(slot)));
         let rel = deadline_to_rel_us(deadline, Instant::now());
-        match write_request_frame(stream, corr, gen, rel, &frame) {
-            Ok(()) => Ok(corr),
-            Err(e) => {
-                inner.inflight.lock().remove(&corr);
-                // The reader on this connection will observe the same
-                // failure and drive the reconnect; surface the send as a
-                // retryable transient so the caller retries onto the
-                // fresh connection.
-                Err(TransportError::Transient {
-                    silo: inner.silo,
-                    message: format!("socket write failed: {e}"),
-                })
-            }
+        let written = {
+            let _writer = link.writer.lock();
+            write_request_frame(&mut &link.stream, corr, link.gen, rel, &frame)
+        };
+        let Err(e) = written else {
+            return Ok(corr);
+        };
+        if self.inflight.lock().remove(&corr).is_none() {
+            // A loss sweep claimed the call first and resolved its slot:
+            // the wait reports that outcome.
+            return Ok(corr);
         }
+        // No thread reads the connection in the background to notice the
+        // loss, so the sender handles it, then surfaces the send as a
+        // retryable transient so the caller retries onto the fresh
+        // connection.
+        self.handle_loss(link.gen, deadline);
+        Err(TransportError::Transient {
+            silo: self.silo,
+            message: format!("socket write failed: {e}"),
+        })
     }
 
     fn retire(&self, token: u64) {
-        self.inner.inflight.lock().remove(&token);
+        self.inflight.lock().remove(&token);
     }
 
     fn inflight_len(&self) -> usize {
-        self.inner.inflight.lock().len()
+        self.inflight.lock().len()
     }
 
     fn diagnostics(&self) -> &SiloDiagnostics {
-        &self.inner.diagnostics
+        &self.diagnostics
+    }
+
+    /// The caller reads its own reply: it becomes the connection's reader
+    /// unless another waiter already is, in which case it parks on its
+    /// slot until that reader fills it, or stops and nudges it to read
+    /// next. A call whose connection is gone waits for the loss sweep.
+    fn wait_reply(
+        &self,
+        token: u64,
+        slot: &Arc<ReplySlot>,
+        deadline: Option<Instant>,
+    ) -> RecvOutcome {
+        let mut registered = false;
+        let outcome = loop {
+            if let Some(outcome) = slot.poll() {
+                break outcome;
+            }
+            let Some(link) = self.link_of(token) else {
+                if std::mem::take(&mut registered) {
+                    self.leave(slot);
+                }
+                break slot.wait(deadline);
+            };
+            let mut rx = self.lock_rx();
+            if std::mem::take(&mut registered) {
+                rx.parked.retain(|parked| !Arc::ptr_eq(parked, slot));
+            }
+            if rx.reading {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    drop(rx);
+                    break slot.poll().unwrap_or(RecvOutcome::TimedOut);
+                }
+                rx.parked.push(Arc::clone(slot));
+                registered = true;
+                drop(rx);
+                match slot.park(deadline) {
+                    Some(outcome) => break outcome,
+                    None => continue, // nudged: the reads are ours to take
+                }
+            }
+            rx.reading = true;
+            let mut frames = std::mem::take(&mut rx.frames);
+            drop(rx);
+            let read = self.read_until(&link, &mut frames, slot, deadline);
+            let mut rx = self.lock_rx();
+            rx.reading = false;
+            rx.frames = frames;
+            rx.hand_off();
+            drop(rx);
+            if let Some(outcome) = read {
+                break outcome;
+            }
+        };
+        if registered {
+            self.leave(slot);
+        }
+        outcome
     }
 }
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Order matters: mark the client closed first so neither the
-        // reader's loss handler nor a racing send will reconnect, then
-        // close the stream to wake the reader.
-        self.inner.closed.store(true, Ordering::Release);
-        if let Some(flag) = &self.server_shutdown {
-            flag.store(true, Ordering::Release);
+        if let Some(link) = self.conn.lock().take() {
+            link.stream.shutdown();
         }
-        if let Some(stream) = self.inner.conn.lock().take() {
-            stream.shutdown();
+        if let Some(server) = &self.server {
+            server.stop();
         }
     }
 }
@@ -1061,8 +1399,8 @@ impl Drop for SocketTransport {
 impl std::fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketTransport")
-            .field("silo", &self.inner.silo)
-            .field("addr", &self.inner.addr)
+            .field("silo", &self.silo)
+            .field("addr", &self.addr)
             .finish()
     }
 }
@@ -1098,21 +1436,22 @@ pub fn spawn_silo_socket(
             snapshot_path: None,
         },
     )?;
-    let (addr, shutdown, thread) = server.detach();
+    let (stop, thread) = server.detach();
     let Some(thread) = thread else {
         return Err(TransportError::Spawn {
             silo: id,
             reason: "socket server thread missing".into(),
         });
     };
-    let transport = match SocketTransport::connect_with(id, addr, diagnostics, reconnect) {
-        Ok(t) => t.with_server_shutdown(shutdown),
-        Err(e) => {
-            shutdown.store(true, Ordering::Release);
-            let _ = thread.join();
-            return Err(e);
-        }
-    };
+    let transport =
+        match SocketTransport::connect_with(id, stop.addr.clone(), diagnostics, reconnect) {
+            Ok(t) => t.with_server_stop(stop),
+            Err(e) => {
+                stop.stop();
+                let _ = thread.join();
+                return Err(e);
+            }
+        };
     Ok((SiloChannel::over(Arc::new(transport), stats), thread))
 }
 

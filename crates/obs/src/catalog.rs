@@ -264,6 +264,8 @@ catalog! {
     TRANSPORT_RECONNECTS_TOTAL: Counter "fedra_transport_reconnects_total" [];
     /// Stale replies discarded because their epoch predates the connection.
     EPOCH_FENCED_REPLIES_TOTAL: Counter "fedra_epoch_fenced_replies_total" [];
+    /// Failed accepts a silo's socket server retried after a backoff.
+    SILO_ACCEPT_ERRORS_TOTAL: Counter "fedra_silo_accept_errors_total" ["silo"];
 
     // Communication mirror (export.rs).
 

@@ -1,7 +1,10 @@
 //! Socket-backend edge cases (DESIGN.md §5h): wire-bytes parity with the
 //! in-memory encoding for EVERY protocol variant, partial-read
-//! reassembly, typed rejection of oversized length prefixes, and peer
-//! disconnects surfacing as retryable transport errors.
+//! reassembly, typed rejection of oversized length prefixes, peer
+//! disconnects surfacing as retryable transport errors, and the read path
+//! where the waiting caller reads its own reply (concurrent callers, a
+//! reply split across a deadline, a failed write nobody reads behind,
+//! the hand-off to a parked waiter).
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -686,4 +689,206 @@ fn seeded_fault_plan_yields_the_same_outcome_sequence_on_both_backends() {
     // listener winds down.
     let mut after_crash = memory[CRASH_AT..].iter().chain(&socket[CRASH_AT..]);
     assert!(after_crash.all(Result::is_err), "{memory:?}\n{socket:?}");
+}
+
+// ---------------------------------------------------------------------
+// The caller reads its own reply: concurrency, deadlines, write failures
+// ---------------------------------------------------------------------
+
+/// Exact aggregate over the first `k + 1` objects of [`sample_partition`]
+/// (both coordinates grow with the index), so every `k` has its own
+/// answer.
+fn prefix_request(k: usize) -> Request {
+    let (x, y) = (-4.0 + 0.16 * k as f64, -1.0 + 0.04 * k as f64);
+    Request::Aggregate {
+        range: Range::rect(Point::new(-5.0, -2.0), Point::new(x + 0.01, y + 0.01)),
+        mode: LocalMode::Exact,
+    }
+}
+
+/// Many threads calling on one channel take turns reading the shared
+/// connection: every reply must reach the caller that asked for it, and
+/// no call may be left registered once all of them are answered.
+#[test]
+fn concurrent_callers_on_one_channel_each_get_their_own_reply() {
+    const THREADS: usize = 8;
+    const CALLS: usize = 60;
+    let reference = Silo::new(
+        0,
+        sample_partition(),
+        SiloConfig {
+            rtree: Default::default(),
+            histogram: Default::default(),
+            bounds: sample_rect(),
+            lsr_seed: 7,
+            threads: 1,
+        },
+    );
+    let expected: Vec<Response> = (0..50)
+        .map(|k| reference.handle(prefix_request(k)))
+        .collect();
+    let server = spawn_test_server();
+    let transport = Arc::new(
+        SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
+            .expect("connect"),
+    );
+    let channel = SiloChannel::over(
+        Arc::clone(&transport) as Arc<dyn Transport>,
+        Arc::new(CommCounters::default()),
+    );
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let channel = channel.clone();
+            let expected = &expected;
+            scope.spawn(move || {
+                for i in 0..CALLS {
+                    let k = (t * 13 + i) % expected.len();
+                    let answer = channel.call(&prefix_request(k)).expect("call");
+                    assert_eq!(answer, expected[k], "thread {t}, call {i}: k = {k}");
+                }
+            });
+        }
+    });
+    assert_eq!(transport.inflight_len(), 0);
+}
+
+/// A read that times out mid-frame keeps the partial bytes: the next
+/// waiter resumes the stream in frame sync instead of misreading the
+/// rest of the old frame as a new header.
+#[test]
+fn a_reply_split_across_a_deadline_keeps_the_stream_in_sync() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel::<()>();
+    let fake_silo = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let first = read_request_frame(&mut conn).expect("first request");
+        let mut late = Vec::new();
+        let reply = Response::Error("late".into()).to_bytes();
+        write_reply_frame(&mut late, first.corr, first.epoch, &reply).expect("encode");
+        let half = late.len() / 2;
+        conn.write_all(&late[..half]).expect("write half a reply");
+        timed_out_rx.recv().expect("the first call timed out");
+        let second = read_request_frame(&mut conn).expect("second request");
+        let mut rest = late[half..].to_vec();
+        write_reply_frame(
+            &mut rest,
+            second.corr,
+            second.epoch,
+            &Response::Pong.to_bytes(),
+        )
+        .expect("encode");
+        conn.write_all(&rest).expect("write the rest");
+        // Hold the connection open until the client is done with it.
+        let _ = read_request_frame(&mut conn);
+    });
+
+    let transport = Arc::new(
+        SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
+            .expect("connect"),
+    );
+    let channel = SiloChannel::over(
+        Arc::clone(&transport) as Arc<dyn Transport>,
+        Arc::new(CommCounters::default()),
+    );
+    let deadline = Instant::now() + Duration::from_millis(150);
+    let first = channel
+        .begin_frame(&[(0, &Request::Ping)], Some(deadline))
+        .expect("begin");
+    assert_eq!(
+        first.wait_one(),
+        Err(TransportError::DeadlineExceeded { silo: 0 })
+    );
+    timed_out_tx.send(()).expect("signal the fake silo");
+    assert_eq!(channel.call(&Request::Ping), Ok(Response::Pong));
+    assert_eq!(transport.inflight_len(), 0);
+    drop(channel);
+    drop(transport);
+    fake_silo.join().expect("fake silo");
+}
+
+/// With no waiter reading, nobody but the sender can notice that the
+/// connection broke: its failed write must start the reconnect, so the
+/// next call is answered instead of failing as a transient forever.
+#[test]
+fn a_failed_write_with_nobody_reading_reconnects() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (closed_tx, closed_rx) = std::sync::mpsc::channel::<()>();
+    let fake_silo = std::thread::spawn(move || {
+        let (first, _) = listener.accept().expect("accept");
+        drop(first);
+        closed_tx.send(()).expect("signal the close");
+        // The replacement connection is served normally.
+        let (mut conn, _) = listener.accept().expect("re-accept");
+        while let Ok(frame) = read_request_frame(&mut conn) {
+            let pong = Response::Pong.to_bytes();
+            if write_reply_frame(&mut conn, frame.corr, frame.epoch, &pong).is_err() {
+                break;
+            }
+        }
+    });
+
+    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
+        .expect("connect");
+    let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
+    closed_rx.recv().expect("the peer closed");
+    // Frames sent and abandoned unread: the first write to the closed
+    // peer may still succeed, a later one fails.
+    let mut write_failed = false;
+    for _ in 0..100 {
+        match channel.begin_frame(&[(0, &Request::Ping)], None) {
+            Ok(pending) => drop(pending),
+            Err(e) => {
+                assert!(e.is_retryable(), "a failed write is a transient, got {e:?}");
+                write_failed = true;
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(write_failed, "no write to the closed peer ever failed");
+    assert_eq!(channel.call(&Request::Ping), Ok(Response::Pong));
+    drop(channel);
+    fake_silo.join().expect("fake silo");
+}
+
+/// A waiter parked while another reads must not be stranded when the
+/// reader's own reply lands first: the stopping reader nudges it to read
+/// its reply itself. The pauses only make that interleaving likely; a run
+/// where the second caller starts reading on its own passes as well.
+#[test]
+fn a_stopping_reader_hands_the_reads_to_a_parked_waiter() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let fake_silo = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let first = read_request_frame(&mut conn).expect("first request");
+        let second = read_request_frame(&mut conn).expect("second request");
+        let pong = Response::Pong.to_bytes();
+        // Give the second caller time to park behind the first, then
+        // answer the first caller alone.
+        std::thread::sleep(Duration::from_millis(50));
+        write_reply_frame(&mut conn, first.corr, first.epoch, &pong).expect("first reply");
+        std::thread::sleep(Duration::from_millis(50));
+        write_reply_frame(&mut conn, second.corr, second.epoch, &pong).expect("second reply");
+        let _ = read_request_frame(&mut conn);
+    });
+
+    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
+        .expect("connect");
+    let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
+    let first = channel
+        .begin_frame(&[(0, &Request::Ping)], None)
+        .expect("begin first");
+    let reader = std::thread::spawn(move || first.wait_one());
+    std::thread::sleep(Duration::from_millis(20));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let second = channel
+        .begin_frame(&[(0, &Request::Ping)], Some(deadline))
+        .expect("begin second");
+    assert_eq!(second.wait_one(), Ok(Response::Pong));
+    assert_eq!(reader.join().expect("first caller"), Ok(Response::Pong));
+    drop(channel);
+    fake_silo.join().expect("fake silo");
 }
