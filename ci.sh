@@ -221,8 +221,8 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # to serial execution before it reports a number, so the one T₀ every
 # silo answers from is guarded on both backends, the silo's one-walk
 # per-cell kernel is guarded lone (tcp) and batched (mem),
-# batch_exact_mem guards batched = lone for the fan-out join (250 queries'
-# legs on 6 coalesced frames vs `try_execute`, bit for bit),
+# batch_exact_mem guards batched = lone for EXACT's pool of every silo
+# (250 queries' legs on 6 coalesced frames vs `try_execute`, bit for bit),
 # sched_iid_mem guards scheduled = serial under the scheduler's
 # drain-until-dry admission loop, and sched_iid_tcp runs the one
 # end-to-end lockstep comparison of the bytes sockets and memory count
@@ -250,6 +250,12 @@ for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem
     fi
 done
 echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
+
+# The harness's own unit tests, the correctness gate's logic (check.rs)
+# among them: the gate above is only as sound as they are, and the
+# harness compiles against the algorithm trait.
+echo "==> benchmark harness unit tests (bench/run.sh test)"
+bash bench/run.sh test
 
 # Cache smoke: the operations example's rush-hour burst (600 asks over 5
 # hot stations) runs through the exact-key answer cache. The batch is

@@ -34,7 +34,7 @@ use fedra_obs::catalog::{
 };
 use fedra_obs::{Counter, MetricsRegistry, ObsContext};
 
-use crate::algorithm::FraAlgorithm;
+use crate::algorithm::{FraAlgorithm, QueryPlan};
 use crate::query::{FraError, FraQuery, QueryResult};
 
 /// Cache configuration (bounds and freshness).
@@ -294,6 +294,16 @@ impl<A: FraAlgorithm> FraAlgorithm for AnswerCache<A> {
         self.inner.name()
     }
 
+    /// The one plan that answers a query by running one: a hit, or on a
+    /// miss the wrapped algorithm's whole run, cached. Inside a batch or a
+    /// scheduler tick the miss's run is a nested driver, so admission
+    /// waits on it.
+    fn plan_with(&self, federation: &Federation, query: &FraQuery, obs: &ObsContext) -> QueryPlan {
+        QueryPlan::Ready(self.try_execute_with(federation, query, obs))
+    }
+
+    /// A hit, or the wrapped algorithm's own `try_execute_with`: a lone
+    /// query runs one driver, not one nested in another.
     fn try_execute_with(
         &self,
         federation: &Federation,

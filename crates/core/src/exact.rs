@@ -1,4 +1,4 @@
-//! The EXACT baseline: fan out to every silo, sum exact partial answers.
+//! The EXACT baseline: ask every silo, sum exact partial answers.
 //!
 //! This is the conventional federated implementation the paper compares
 //! against (Sec. 8.1, "EXACT [2]"): for a query `Q(S, R, F)` the provider
@@ -7,19 +7,22 @@
 //! partial aggregates. Correct by construction, but it pays `m` rounds of
 //! communication per lone query and keeps every silo busy with every
 //! query — which is exactly what caps its throughput.
-//! Each of the `m` requests is a *leg*, an ordinary single-candidate run
-//! of the candidate walk (retries, deadline, breaker, shed), so the batch
-//! engine and the scheduler coalesce many queries' legs into `m` frames
-//! per round; the partials are summed in silo-id order.
+//! The plan is a pool as wide as the federation: every silo in id order,
+//! one leg each, every leg an ordinary single-candidate run of the
+//! candidate walk (retries, deadline, breaker, shed), so the batch engine
+//! and the scheduler coalesce many queries' legs into `m` frames per
+//! round; the finish step sums the partials in silo-id order.
 
-use fedra_federation::{Federation, LocalMode, Request};
+use fedra_federation::{Federation, LocalMode, Request, Response, SiloId, TransportError};
+use fedra_index::Aggregate;
 use fedra_obs::ObsContext;
 
-use crate::algorithm::{drive_planned, FraAlgorithm};
+use crate::algorithm::{FraAlgorithm, QueryPlan, RemotePlan, RunEnd};
 use crate::helpers;
-use crate::query::{FraError, FraQuery, QueryResult};
+use crate::query::{Coverage, FraError, FraQuery, QueryResult};
+use crate::theory;
 
-/// The EXACT fan-out algorithm.
+/// The EXACT algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Exact;
 
@@ -35,31 +38,117 @@ impl FraAlgorithm for Exact {
         "EXACT"
     }
 
-    fn fan_out(&self, query: &FraQuery) -> Option<Request> {
+    fn quorum(&self) -> Option<usize> {
+        Some(usize::MAX)
+    }
+
+    fn plan_with(&self, federation: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
         let request = Request::Aggregate {
             range: query.range,
             mode: LocalMode::Exact,
         };
-        Some(helpers::masked_for(query.func, request))
+        ask_every_silo(federation, helpers::masked_for(query.func, request))
     }
 
-    fn try_execute_with(
+    fn finish_pooled(
         &self,
         federation: &Federation,
         query: &FraQuery,
-        obs: &ObsContext,
+        runs: Vec<RunEnd>,
+        rounds: u64,
+        _: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        drive_planned(self, federation, query, obs)
+        sum_partials(federation, query, runs, rounds)
     }
+}
+
+/// The plan of EXACT and OPTA: `request` to every silo, in id order. Each
+/// silo gets the `allows` probe draw a sampled plan makes, without which a
+/// breaker opened by this traffic alone would never half-open; the
+/// breaker's call-time verdict decides at dispatch, and a silo it refuses
+/// keeps its place in the order.
+pub(crate) fn ask_every_silo(federation: &Federation, request: Request) -> QueryPlan {
+    let health = federation.health();
+    let order = (0..federation.num_silos())
+        .inspect(|&k| {
+            health.allows(k);
+        })
+        .collect();
+    QueryPlan::SingleSilo(RemotePlan { order, request })
+}
+
+/// The finish step of EXACT and OPTA: `runs` holds one run per silo, in
+/// silo-id order (the driver's leg table, filled in whatever order the
+/// frames resolved). Sums the runs' `Agg` partials **in silo-id order** —
+/// the same bits whichever frame resolved first. A run that ended without
+/// an answer is a missing silo (one the breaker refused has an empty
+/// trail): fail-fast, the first in silo-id order fails the query; under
+/// `DegradePolicy::Partial` its share is a grid estimate and the answer
+/// carries an honest [`Coverage`] (the partials' own guarantee taken as 0:
+/// OPTA's histogram error is unbounded and rides on top as it does
+/// undegraded) — or [`FraError::AllSilosUnavailable`], per-silo errors
+/// included, below the policy's floors.
+pub(crate) fn sum_partials(
+    federation: &Federation,
+    query: &FraQuery,
+    runs: Vec<RunEnd>,
+    rounds: u64,
+) -> Result<QueryResult, FraError> {
+    let policy = federation.degrade_policy();
+    let mut total = Aggregate::ZERO;
+    let mut missing = Vec::new();
+    for (silo, run) in runs.iter().enumerate() {
+        match run {
+            Ok((_, Response::Agg(partial))) => total.merge_in(partial),
+            Ok(_) => {
+                let expected = "Agg";
+                return Err(FraError::ProtocolViolation { silo, expected });
+            }
+            Err(trail) => {
+                let error = trail.last().map_or_else(
+                    || {
+                        let message = "circuit breaker open: not called".into();
+                        TransportError::Transient { silo, message }
+                    },
+                    |(_, error)| error.clone(),
+                );
+                if !policy.allows_partial() {
+                    return Err(FraError::SiloFailed(error));
+                }
+                missing.push((silo, error));
+            }
+        }
+    }
+    let mut coverage = None;
+    if !missing.is_empty() {
+        let responding: Vec<SiloId> = (0..runs.len()).filter(|&k| runs[k].is_ok()).collect();
+        let fraction = helpers::reachable_mass_fraction(federation, &query.range, &responding);
+        if !policy.accepts(responding.len(), fraction) {
+            return Err(FraError::AllSilosUnavailable { errors: missing });
+        }
+        for (k, _) in &missing {
+            let grid = federation.silo_grid(*k);
+            total.merge_in(&helpers::grid_estimate(grid, &query.range));
+        }
+        coverage = Some(Coverage {
+            responding: responding.len(),
+            total: federation.num_silos(),
+            mass_fraction: fraction,
+            epsilon: theory::degraded_epsilon(0.0, fraction),
+        });
+    }
+    let mut result = QueryResult::from_aggregate(total, query.func).with_rounds(rounds);
+    result.coverage = coverage;
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedra_federation::FederationBuilder;
+    use fedra_federation::{DegradePolicy, FederationBuilder};
     use fedra_geo::{Point, Rect, SpatialObject};
     use fedra_index::histogram::MinSkewConfig;
-    use fedra_index::{AggFunc, Aggregate};
+    use fedra_index::AggFunc;
 
     fn setup() -> (Federation, Vec<SpatialObject>) {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
@@ -141,5 +230,109 @@ mod tests {
         let q = FraQuery::circle(Point::new(-500.0, -500.0), 1.0, AggFunc::Sum);
         let r = Exact::new().execute(&fed, &q);
         assert_eq!(r.value, 0.0);
+    }
+
+    /// Four silos, ten objects each, all inside the query below.
+    fn federation(policy: DegradePolicy) -> Federation {
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+        let partitions = (0..4)
+            .map(|k| {
+                (0..10)
+                    .map(|i| SpatialObject::at(i as f64 + 0.5, k as f64 + 0.5, 1.0))
+                    .collect()
+            })
+            .collect();
+        FederationBuilder::new(bounds)
+            .grid_cell_len(1.0)
+            .degrade_policy(policy)
+            .build(partitions)
+    }
+
+    fn partial(silo: SiloId, sum: f64) -> RunEnd {
+        let partial = Aggregate {
+            count: 1.0,
+            sum,
+            sum_sqr: sum * sum,
+        };
+        Ok((silo, Response::Agg(partial)))
+    }
+
+    /// Lands `runs` in a leg table in the given landing order and sums
+    /// them, one attempt per run that made one.
+    fn join(
+        federation: &Federation,
+        runs: &[RunEnd],
+        landing: &[SiloId],
+    ) -> Result<QueryResult, FraError> {
+        let query = FraQuery::circle(Point::new(5.0, 5.0), 20.0, AggFunc::Sum);
+        let mut table: Vec<Option<RunEnd>> = vec![None; runs.len()];
+        for &silo in landing {
+            table[silo] = Some(runs[silo].clone());
+        }
+        let attempts = |run: &RunEnd| u64::from(!matches!(run, Err(trail) if trail.is_empty()));
+        let rounds = runs.iter().map(attempts).sum();
+        let landed = table.into_iter().map(|run| run.expect("every run landed"));
+        sum_partials(federation, &query, landed.collect(), rounds)
+    }
+
+    #[test]
+    fn the_join_sums_in_silo_id_order_whatever_order_the_legs_land_in() {
+        let fed = federation(DegradePolicy::FailFast);
+        // Partials whose float sum depends on the order of addition.
+        let sums = [1e16, 1.0, -1e16, 1.0];
+        let runs: Vec<RunEnd> = (0..4).map(|k| partial(k, sums[k])).collect();
+        let in_order = join(&fed, &runs, &[0, 1, 2, 3]).expect("healthy join");
+        assert_eq!(in_order.value, ((1e16 + 1.0) + -1e16) + 1.0);
+        assert_ne!(in_order.value, ((1.0 + -1e16) + 1.0) + 1e16);
+        assert_eq!(in_order.rounds, 4);
+        assert!(in_order.coverage.is_none());
+        for landing in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+            let got = join(&fed, &runs, &landing).expect("healthy join");
+            assert_eq!(got.value.to_bits(), in_order.value.to_bits(), "{landing:?}");
+            assert_eq!(got, in_order, "{landing:?}");
+        }
+    }
+
+    #[test]
+    fn the_join_names_the_silo_that_broke_protocol_or_went_missing() {
+        let gone = TransportError::Disconnected { silo: 2 };
+        let failed: RunEnd = Err(vec![(2, gone.clone())]);
+        // What a leg the breaker refused ends as: no attempt, no trail.
+        let skipped: RunEnd = Err(vec![]);
+        let healthy = |k| partial(k, 1.0);
+        let fed = federation(DegradePolicy::FailFast);
+
+        let runs = [healthy(0), Ok((1, Response::Pong)), healthy(2), healthy(3)];
+        assert_eq!(
+            join(&fed, &runs, &[3, 2, 1, 0]),
+            Err(FraError::ProtocolViolation {
+                silo: 1,
+                expected: "Agg"
+            })
+        );
+        // Fail-fast: the first missing silo in silo-id order, whichever
+        // landed first.
+        let runs = [healthy(0), skipped.clone(), failed.clone(), healthy(3)];
+        match join(&fed, &runs, &[2, 3, 0, 1]) {
+            Err(FraError::SiloFailed(TransportError::Transient { silo: 1, .. })) => {}
+            other => panic!("expected silo 1's breaker refusal, got {other:?}"),
+        }
+        let runs = [healthy(0), healthy(1), failed.clone(), skipped.clone()];
+        assert_eq!(
+            join(&fed, &runs, &[3, 2, 1, 0]),
+            Err(FraError::SiloFailed(gone))
+        );
+
+        // Partial: both count as missing; rounds are the attempts made.
+        let fed = federation(DegradePolicy::Partial {
+            min_silos: 1,
+            min_coverage: 0.0,
+        });
+        let runs = [healthy(0), skipped, failed, healthy(3)];
+        let degraded = join(&fed, &runs, &[1, 0, 3, 2]).expect("two silos answered");
+        let coverage = degraded.coverage.expect("a degraded answer says so");
+        assert_eq!((coverage.responding, coverage.total), (2, 4));
+        assert_eq!(coverage.mass_fraction, 0.5);
+        assert_eq!(degraded.rounds, 3);
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! Single-silo sampling is what makes batching pay: each query lands on an
 //! independently sampled silo, so a batch of |Q| queries spreads ≈ |Q|/m
-//! per silo instead of |Q| everywhere (the EXACT/OPTA fan-out pattern).
-//! The engine plans every query up front, groups the planned requests by
-//! destination silo, and ships each silo's share of the batch as **one
-//! coalesced wire frame** — |Q| queries cost at most m rounds (plus
-//! resampling rounds), and the per-message envelope overhead is paid once
-//! per silo instead of once per query. A fan-out query
-//! ([`FraAlgorithm::fan_out`]) rides the same rounds as `m` single-silo
-//! legs, so a batch of EXACT queries is `m` frames too: each silo still
-//! does |Q| probes, but the provider pays `m` envelopes, not `m`·|Q|. A
-//! pooled query ([`FraAlgorithm::quorum`], MultiSilo-est) rides them as
-//! `k` legs over its candidate order. An algorithm with neither a
-//! plan/finish split nor a fan-out — the [`AnswerCache`](crate::AnswerCache)
-//! wrapper — is answered at admission by its default `plan_with`, in
+//! per silo instead of |Q| everywhere (the EXACT/OPTA pattern of asking
+//! every silo). The engine plans every query up front, groups the planned
+//! requests by destination silo, and ships each silo's share of the batch
+//! as **one coalesced wire frame** — |Q| queries cost at most m rounds
+//! (plus resampling rounds), and the per-message envelope overhead is paid
+//! once per silo instead of once per query. A pooled query
+//! ([`FraAlgorithm::quorum`]) rides the same rounds as `k` single-candidate
+//! legs over its candidate order: MultiSilo-est's `k` sampled silos, or
+//! EXACT's and OPTA's pool as wide as the federation, so a batch of EXACT
+//! queries is `m` frames too — each silo still does |Q| probes, but the
+//! provider pays `m` envelopes, not `m`·|Q|. Every query is planned; the
+//! one plan that answers by running a query, the
+//! [`AnswerCache`](crate::AnswerCache)'s, answers it at admission, in
 //! input order.
 //!
 //! The procedure itself is one crate-private value, the driver: it admits
@@ -38,7 +38,7 @@ use fedra_federation::{
 };
 use fedra_obs::{ObsContext, Span, TraceHandle};
 
-use crate::algorithm::{finish_run, join_fanout, FraAlgorithm, QueryPlan, RemotePlan};
+use crate::algorithm::{finish_run, FraAlgorithm, QueryPlan, RemotePlan};
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::run::{Action, Budget, End, Event, QueryRun};
 
@@ -125,8 +125,8 @@ impl BatchResult {
 /// The Alg. 4 execution engine: one algorithm's batch admitted, in input
 /// order, to the driver a lone query and a scheduler tick use — one
 /// coalesced frame per silo per round, whether the riders are sampled
-/// single-silo plans, the legs of pooled plans or the legs of EXACT / OPTA
-/// fan-outs. The paper's "one thread per silo" is the silos' own serving
+/// single-silo plans or the legs of pooled plans (EXACT's and OPTA's
+/// included). The paper's "one thread per silo" is the silos' own serving
 /// threads; the engine spawns none.
 pub struct QueryEngine<'a> {
     algorithm: &'a dyn FraAlgorithm,
@@ -158,24 +158,22 @@ impl<'a> QueryEngine<'a> {
     /// arrives at once, answers stream out as silos respond).
     ///
     /// Every query takes the coalesced scatter–gather path (one wire frame
-    /// per silo per round); a query of an algorithm with neither a plan
-    /// nor a fan-out is answered at its admission. Either way the
-    /// per-query results are identical to running `try_execute` on each
-    /// query in input order — batching changes how frames travel, not what
-    /// they compute.
+    /// per silo per round); a query whose plan answers it is answered at
+    /// its admission. Either way the per-query results are identical to
+    /// running `try_execute` on each query in input order — batching
+    /// changes how frames travel, not what they compute.
     pub fn execute_batch(&self, federation: &Federation, queries: &[FraQuery]) -> BatchResult {
         self.execute_batch_with(federation, queries, ObsContext::noop())
     }
 
     /// Executes a batch of queries with instrumentation: per-query traces
-    /// and the same lifecycle counters [`drive_planned`] records on the
+    /// and the same lifecycle counters
+    /// [`try_execute_with`](FraAlgorithm::try_execute_with) records on the
     /// sequential path (`fedra_silo_requests_total{silo}`,
     /// `fedra_sampled_silo_total{silo}`, plan/resample/degraded counts),
     /// plus batch-level telemetry (`fedra_batch_wall_ns`,
     /// `fedra_query_rounds`, `fedra_queries_total`, failure counts) and a
     /// mirror of the batch's communication delta into `obs.comm()`.
-    ///
-    /// [`drive_planned`]: crate::algorithm::drive_planned
     ///
     /// Passing [`ObsContext::noop`] makes this identical to
     /// `execute_batch` — every recording is a single untaken branch.
@@ -278,7 +276,7 @@ pub(crate) struct Driver<'f, K, H> {
 ///
 /// A tag names a query: its slot in the table and the slot's generation.
 /// A rider's tag and the silo its frame went to name one run — the
-/// query's walk, or the leg of its fan-out to that silo. A slot is reused
+/// query's walk, or its leg on that silo. A slot is reused
 /// once its query resolved, under the next generation, so no tag is ever
 /// issued twice and a late parked frame reaches nobody but its own riders
 /// (a slot whose generation is spent is retired, never reused). The table
@@ -402,10 +400,9 @@ where
     H: Deref,
     H::Target: FraAlgorithm,
 {
-    /// Finishes the slot's query once its last run ended: `finish_run` for
-    /// a walk or a pool, `join_fanout` for a fan-out, and a shed run answers
-    /// [`FraError::Shed`] with an empty class for the serving layer to
-    /// name.
+    /// Finishes the slot's query once its last run ended: `finish_run`,
+    /// or [`FraError::Shed`] with an empty class for the serving layer to
+    /// name when a run was shed.
     fn settle(&mut self, federation: &Federation, obs: &ObsContext) {
         if !matches!(&self.state, SlotState::Riding(q) if q.runs.done()) {
             return;
@@ -424,33 +421,33 @@ struct InFlight<K, H> {
     budget: Budget,
     runs: Runs<H>,
     trace: TraceHandle,
-    /// The `remote` or `fanout` span, open while the runs ride rounds.
+    /// The `remote` span, open while the runs ride rounds.
     span: Span,
 }
 
-/// A query's runs, and what finishes it once they all ended.
+/// A query's runs, and the algorithm that finishes it once they all
+/// ended.
 enum Runs<H> {
-    /// Its one walk down the plan's candidate order, finished by its
-    /// algorithm.
+    /// Its one walk down the plan's candidate order.
     Walk {
         algorithm: H,
         order: Vec<SiloId>,
         leg: Leg,
     },
-    /// Its legs: a pooled plan's, finished by its algorithm, or a
-    /// fan-out's (`None`), joined in silo-id order.
-    Legs { algorithm: Option<H>, legs: Legs },
+    /// Its pooled plan's legs.
+    Legs { algorithm: H, legs: Legs },
 }
 
-/// A query's legs, each walking one candidate, so none hedges: a
-/// fan-out's, leg `k` on silo `k`, or a pooled plan's, leg `i` on its
-/// `i`-th candidate. A candidate that fails for good hands over to a new
-/// leg on the next one no leg has taken, so the legs that answer are the
-/// first `k` candidates in order that can.
+/// A pooled query's legs, each walking one candidate, so none hedges: leg
+/// `i` on the plan's `i`-th candidate (EXACT's and OPTA's leg `k` on silo
+/// `k`). A candidate that fails for good hands over to a new leg on the
+/// next one no leg has taken, so the legs that answer are the first `k`
+/// candidates in order that can.
 struct Legs {
     /// Every leg so far and its candidate, in candidate order.
     legs: Vec<(SiloId, Leg)>,
-    /// Candidates no leg has taken yet, in order (a fan-out has none).
+    /// Candidates no leg has taken yet, in order (a pool as wide as its
+    /// order has none).
     spare: std::vec::IntoIter<SiloId>,
     riding: usize,
     retries: u32,
@@ -458,9 +455,12 @@ struct Legs {
 }
 
 impl Legs {
-    fn new(first: impl Iterator<Item = SiloId>, spare: Vec<SiloId>, run: (u32, Budget)) -> Self {
+    fn new(first: Vec<SiloId>, spare: Vec<SiloId>, run: (u32, Budget)) -> Self {
         let (retries, budget) = run;
-        let legs: Vec<_> = first.map(|k| (k, Leg::new(retries, budget))).collect();
+        let legs: Vec<_> = first
+            .into_iter()
+            .map(|k| (k, Leg::new(retries, budget)))
+            .collect();
         Legs {
             riding: legs.len(),
             legs,
@@ -470,7 +470,7 @@ impl Legs {
         }
     }
 
-    /// The riding leg on `silo`; a fan-out's is leg `silo`.
+    /// The riding leg on `silo`; when every silo has one, leg `silo`.
     fn leg_of(&self, silo: SiloId) -> Option<usize> {
         let on =
             |&i: &usize| matches!(self.legs.get(i), Some((at, leg)) if *at == silo && leg.rides());
@@ -595,10 +595,7 @@ where
             }
             Runs::Legs { algorithm, legs } if !legs.legs.iter().any(|(_, leg)| shed(leg)) => {
                 let ends = legs.legs.into_iter().filter_map(|(_, leg)| leg.end);
-                match algorithm {
-                    Some(algorithm) => finish_run(&*algorithm, federation, query, ends, trace, obs),
-                    None => join_fanout(federation, query, ends, obs),
-                }
+                finish_run(&*algorithm, federation, query, ends, trace, obs)
             }
             // Shedding names an admission class only the serving layer knows.
             _ => Err(FraError::Shed {
@@ -644,12 +641,12 @@ where
 
     /// Admits one query: builds its algorithm (inside the panic rule, so a
     /// failing factory answers only this query), then plans it on `trace`
-    /// — a walk, or a pool of [`FraAlgorithm::quorum`] legs — or lays out
-    /// its `m` fan-out legs, each run with `budget`. Nothing here waits on
-    /// a silo but the default `plan_with` of an algorithm with neither a
-    /// plan nor a fan-out, which answers the query here. Returns the
-    /// outcome at once when the plan resolved provider-side (or panicked);
-    /// otherwise the query rides the next [`pump`](Self::pump).
+    /// — a walk, or a pool of [`FraAlgorithm::quorum`] legs clamped to the
+    /// plan's order, each run with `budget`. Nothing here waits on a silo
+    /// but the [`AnswerCache`](crate::AnswerCache)'s plan, which answers a
+    /// miss by running it. Returns the outcome at once when the plan
+    /// resolved provider-side (or panicked); otherwise the query rides the
+    /// next [`pump`](Self::pump).
     pub(crate) fn admit(
         &mut self,
         key: K,
@@ -663,20 +660,6 @@ where
         // `Err`: the query is answered without a silo.
         let planned = guarded("planning", || {
             let algorithm = algorithm();
-            if let Some(request) = algorithm.fan_out(&query) {
-                // One leg per silo, whose candidate order is that silo
-                // alone: every rule of the walk applies to each leg. Each
-                // makes the `allows` probe draw of a sampled plan, without
-                // which a breaker opened by fan-out traffic alone would
-                // never half-open; `may_call` decides at dispatch.
-                let span = Span::enter(&trace, "fanout");
-                let silos = (0..federation.num_silos()).inspect(|&k| {
-                    federation.health().allows(k);
-                });
-                let legs = Legs::new(silos, Vec::new(), (retries, budget));
-                let algorithm = None;
-                return Ok((Runs::Legs { algorithm, legs }, request, span));
-            }
             let plan_span = Span::enter(&trace, "plan");
             let RemotePlan { order, request } = match algorithm.plan_with(federation, &query, obs) {
                 QueryPlan::Ready(outcome) => {
@@ -692,8 +675,7 @@ where
                 Some(k) => {
                     let mut first = order;
                     let spare = first.split_off(k.min(first.len()));
-                    let legs = Legs::new(first.into_iter(), spare, (retries, budget));
-                    let algorithm = Some(algorithm);
+                    let legs = Legs::new(first, spare, (retries, budget));
                     Runs::Legs { algorithm, legs }
                 }
                 None => Runs::Walk {
@@ -1111,7 +1093,6 @@ fn round<K, H>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::drive_planned;
     use crate::exact::Exact;
     use crate::multi::MultiSiloEst;
     use crate::sampling::{IidEst, NonIidEst};
@@ -1468,19 +1449,6 @@ mod tests {
             self.inner.name()
         }
 
-        fn try_execute_with(
-            &self,
-            federation: &Federation,
-            query: &FraQuery,
-            obs: &ObsContext,
-        ) -> Result<QueryResult, FraError> {
-            drive_planned(self, federation, query, obs)
-        }
-
-        fn supports_planning(&self) -> bool {
-            true
-        }
-
         fn plan_with(
             &self,
             federation: &Federation,
@@ -1535,8 +1503,8 @@ mod tests {
         }
     }
 
-    /// Answers with EXACT at execute time — no plan, no fan-out — and
-    /// panics on one chosen query.
+    /// Answers with a whole EXACT run inside its plan — as the
+    /// `AnswerCache` answers a miss — and panics on one chosen query.
     struct ExecutePanicsOn {
         bad: FraQuery,
     }
@@ -1546,14 +1514,14 @@ mod tests {
             "execute-panics-on"
         }
 
-        fn try_execute_with(
+        fn plan_with(
             &self,
             federation: &Federation,
             query: &FraQuery,
             obs: &ObsContext,
-        ) -> Result<QueryResult, FraError> {
+        ) -> QueryPlan {
             assert!(*query != self.bad, "execute refuses the chosen query");
-            Exact::new().try_execute_with(federation, query, obs)
+            QueryPlan::Ready(Exact::new().try_execute_with(federation, query, obs))
         }
     }
 
@@ -1709,19 +1677,6 @@ mod tests {
             "ask-silo"
         }
 
-        fn try_execute_with(
-            &self,
-            federation: &Federation,
-            query: &FraQuery,
-            obs: &ObsContext,
-        ) -> Result<QueryResult, FraError> {
-            drive_planned(self, federation, query, obs)
-        }
-
-        fn supports_planning(&self) -> bool {
-            true
-        }
-
         fn plan_with(&self, _: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
             QueryPlan::SingleSilo(RemotePlan {
                 order: vec![self.0],
@@ -1822,7 +1777,7 @@ mod tests {
         assert_eq!(keys, [0, 3001]);
         for (i, got) in last {
             let want = silo0
-                .finish_degraded(&fed, &qs[i], 1)
+                .finish_pooled(&fed, &qs[i], vec![Err(vec![])], 1, ObsContext::noop())
                 .expect("fail-fast degrades");
             let got = got.expect("the grid answers");
             assert_eq!(got.value.to_bits(), want.value.to_bits(), "query {i}");
@@ -1871,6 +1826,63 @@ mod tests {
         // EXACT against itself is 0.
         let batch = QueryEngine::per_silo(&exact_alg, &fed).execute_batch(&fed, &qs);
         assert_eq!(batch.mean_relative_error(&exact_vals), 0.0);
+    }
+
+    /// The smallest algorithm: a name and a plan that answers every query
+    /// provider-side, with bits that depend on the query alone.
+    struct Echo;
+
+    impl Echo {
+        fn answer(query: &FraQuery) -> QueryResult {
+            let center = query.range.bounding_rect().center();
+            let count = center.x * 1000.0 + center.y;
+            let aggregate = fedra_index::Aggregate {
+                count,
+                ..fedra_index::Aggregate::ZERO
+            };
+            QueryResult::from_aggregate(aggregate, AggFunc::Count)
+        }
+    }
+
+    impl FraAlgorithm for Echo {
+        fn name(&self) -> &'static str {
+            "echo"
+        }
+
+        fn plan_with(&self, _: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
+            QueryPlan::Ready(Ok(Echo::answer(query)))
+        }
+    }
+
+    #[test]
+    fn the_smallest_algorithm_is_a_name_and_a_plan() {
+        let fed = std::sync::Arc::new(setup(2, 100));
+        let qs = queries(16, 23);
+        let want: Vec<u64> = qs.iter().map(|q| Echo::answer(q).value.to_bits()).collect();
+        let lone: Vec<u64> = qs
+            .iter()
+            .map(|q| Echo.try_execute(&fed, q).expect("lone").value.to_bits())
+            .collect();
+        assert_eq!(lone, want);
+        let batch = QueryEngine::per_silo(&Echo, &fed).execute_batch(&fed, &qs);
+        let batched: Vec<u64> = batch.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(batched, want);
+        let sched = crate::QueryScheduler::start(
+            std::sync::Arc::clone(&fed),
+            |_| Box::new(Echo),
+            crate::SchedulerConfig::default(),
+            std::sync::Arc::new(ObsContext::new()),
+        );
+        let tickets: Vec<_> = qs
+            .iter()
+            .map(|q| sched.submit(*q, 0, 0).expect("admitted"))
+            .collect();
+        let scheduled: Vec<u64> = tickets
+            .into_iter()
+            .map(|ticket| ticket.wait().expect("scheduled").value.to_bits())
+            .collect();
+        sched.shutdown();
+        assert_eq!(scheduled, want);
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod sampling;
 pub mod scheduler;
 pub mod theory;
 
-pub use algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
+pub use algorithm::{AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan, RunEnd};
 pub use cache::{AnswerCache, CacheConfig, CacheStats};
 pub use exact::Exact;
 pub use framework::{BatchResult, QueryEngine};

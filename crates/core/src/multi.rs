@@ -1,5 +1,5 @@
 //! Multi-silo sampling: the natural extension between the paper's
-//! single-silo estimators (k = 1) and the EXACT fan-out (k = m).
+//! single-silo estimators (k = 1) and EXACT's pool of every silo (k = m).
 //!
 //! [`MultiSiloEst`] samples `k` *distinct* silos, obtains each one's
 //! Non-IID-style per-boundary-cell contributions, and uses the *pooled*
@@ -33,7 +33,7 @@ use fedra_index::grid::CellId;
 use fedra_index::Aggregate;
 use fedra_obs::ObsContext;
 
-use crate::algorithm::{drive_planned, FraAlgorithm, QueryPlan, RemotePlan};
+use crate::algorithm::{grid_only, FraAlgorithm, QueryPlan, RemotePlan, RunEnd};
 use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
 
@@ -65,15 +65,6 @@ impl MultiSiloEst {
 impl FraAlgorithm for MultiSiloEst {
     fn name(&self) -> &'static str {
         "MultiSilo-est"
-    }
-
-    fn try_execute_with(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        obs: &ObsContext,
-    ) -> Result<QueryResult, FraError> {
-        drive_planned(self, federation, query, obs)
     }
 
     fn quorum(&self) -> Option<usize> {
@@ -110,14 +101,25 @@ impl FraAlgorithm for MultiSiloEst {
         QueryPlan::SingleSilo(RemotePlan { order, request })
     }
 
+    /// Pools the answers in candidate order; with none, the grid answers.
     fn finish_pooled(
         &self,
         federation: &Federation,
         query: &FraQuery,
-        answers: Vec<(SiloId, Response)>,
+        runs: Vec<RunEnd>,
         rounds: u64,
         _: &ObsContext,
     ) -> Result<QueryResult, FraError> {
+        let (mut answers, mut trail) = (Vec::new(), Vec::new());
+        for run in runs {
+            match run {
+                Ok(answer) => answers.push(answer),
+                Err(errors) => trail.extend(errors),
+            }
+        }
+        if answers.is_empty() {
+            return grid_only(federation, query, rounds, trail);
+        }
         let range = &query.range;
         let grid = federation.merged_grid();
         let classification = grid.spec().classify(range);

@@ -4,20 +4,22 @@
 //! approximate solution. Each silo answers the range query from its local
 //! MinSkew histogram — fast (no tree traversal, no data scan) but lossy at
 //! bucket boundaries — and the provider, lacking any cross-silo statistics
-//! of its own, still fans out to **all** `m` silos and sums the partial
+//! of its own, still asks **all** `m` silos and sums the partial
 //! estimates. That gives OPTA the same O(m) communication profile as
 //! EXACT (Figs. 3c–9c show them close; `m` rounds per lone query, `m`
-//! coalesced frames per batch, its legs riding the rounds as EXACT's do)
-//! and the worst accuracy of the compared algorithms (Figs. 3a–9a).
+//! coalesced frames per batch) and the worst accuracy of the compared
+//! algorithms (Figs. 3a–9a). Its plan and finish step are EXACT's: a pool
+//! as wide as the federation, its partials summed in silo-id order.
 
 use fedra_federation::{Federation, Request};
 use fedra_obs::ObsContext;
 
-use crate::algorithm::{drive_planned, FraAlgorithm};
+use crate::algorithm::{FraAlgorithm, QueryPlan, RunEnd};
+use crate::exact::{ask_every_silo, sum_partials};
 use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
 
-/// The OPTA fan-out histogram algorithm.
+/// The OPTA histogram algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Opta;
 
@@ -33,20 +35,26 @@ impl FraAlgorithm for Opta {
         "OPTA"
     }
 
-    fn fan_out(&self, query: &FraQuery) -> Option<Request> {
-        let request = Request::HistogramEstimate { range: query.range };
-        Some(helpers::masked_for(query.func, request))
+    fn quorum(&self) -> Option<usize> {
+        Some(usize::MAX)
     }
 
-    fn try_execute_with(
+    fn plan_with(&self, federation: &Federation, query: &FraQuery, _: &ObsContext) -> QueryPlan {
+        let request = Request::HistogramEstimate { range: query.range };
+        ask_every_silo(federation, helpers::masked_for(query.func, request))
+    }
+
+    fn finish_pooled(
         &self,
         federation: &Federation,
         query: &FraQuery,
-        obs: &ObsContext,
+        runs: Vec<RunEnd>,
+        rounds: u64,
+        _: &ObsContext,
     ) -> Result<QueryResult, FraError> {
-        // Same fan-out as EXACT; OPTA's own histogram error rides on top
-        // of a degraded answer exactly as it does undegraded.
-        drive_planned(self, federation, query, obs)
+        // OPTA's own histogram error rides on top of a degraded answer
+        // exactly as it does undegraded.
+        sum_partials(federation, query, runs, rounds)
     }
 }
 

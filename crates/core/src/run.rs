@@ -11,12 +11,12 @@
 //! happened as [`Event`]s; deadlines and "now" arrive as inputs. There is
 //! one pump, the scatter–gather [`round`](crate::framework::round), and
 //! one driver that calls it, with three entry points:
-//! [`drive_planned`](crate::algorithm::drive_planned) (a lone query is a
-//! one-rider round), [`QueryEngine`](crate::QueryEngine) batches and
-//! [`QueryScheduler`](crate::QueryScheduler) ticks. Every rule of the walk
-//! is decided here, once, for all of them — a fan-out's `m` legs
-//! included, each a run with one candidate, and a pooled query's legs,
-//! which walk one candidate at a time and so never hedge.
+//! [`try_execute_with`](crate::FraAlgorithm::try_execute_with) (a lone
+//! query is a one-rider round), [`QueryEngine`](crate::QueryEngine)
+//! batches and [`QueryScheduler`](crate::QueryScheduler) ticks. Every rule
+//! of the walk is decided here, once, for all of them — a pooled query's
+//! legs included (EXACT's and OPTA's `m`), each a run with one candidate,
+//! which walks one candidate at a time and so never hedges.
 
 use std::time::{Duration, Instant};
 
@@ -105,7 +105,7 @@ pub(crate) enum End {
 
 /// One planned single-silo query walking its candidate order. The order
 /// and the request are the query's, held by the driver and lent to every
-/// event: a fan-out's `m` legs share one request, each walking the
+/// event: a pooled query's legs share one request, each walking the
 /// one-silo order of its own leg.
 #[derive(Debug)]
 pub(crate) struct QueryRun {

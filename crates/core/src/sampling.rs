@@ -34,7 +34,7 @@ use fedra_geo::intersection_area;
 use fedra_index::Aggregate;
 use fedra_obs::ObsContext;
 
-use crate::algorithm::{drive_planned, AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
+use crate::algorithm::{AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan};
 use crate::helpers;
 use crate::query::{FraError, FraQuery, QueryResult};
 use crate::theory;
@@ -155,21 +155,6 @@ impl FraAlgorithm for IidEst {
         self.name
     }
 
-    /// Sequential execution is the shared plan/finish driver — the old
-    /// hand-rolled sampling loop here was a duplicate of it.
-    fn try_execute_with(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        obs: &ObsContext,
-    ) -> Result<QueryResult, FraError> {
-        drive_planned(self, federation, query, obs)
-    }
-
-    fn supports_planning(&self) -> bool {
-        true
-    }
-
     fn plan_with(&self, federation: &Federation, query: &FraQuery, obs: &ObsContext) -> QueryPlan {
         let range = &query.range;
         // One walk yields sum₀ and every silo's sum_k.
@@ -281,21 +266,6 @@ impl NonIidEstLsr {
 impl FraAlgorithm for NonIidEst {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Sequential execution is the shared plan/finish driver — the old
-    /// hand-rolled sampling loop here was a duplicate of it.
-    fn try_execute_with(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        obs: &ObsContext,
-    ) -> Result<QueryResult, FraError> {
-        drive_planned(self, federation, query, obs)
-    }
-
-    fn supports_planning(&self) -> bool {
-        true
     }
 
     fn plan_with(&self, federation: &Federation, query: &FraQuery, obs: &ObsContext) -> QueryPlan {

@@ -145,7 +145,7 @@ catalog! {
     /// Realized relative error per query against an exact reference, in ppm.
     REALIZED_ERROR_PPM: Histogram "fedra_realized_error_ppm" [];
     /// Duration of one traced query phase, in nanoseconds.
-    SPAN_NS: Histogram "fedra_span_ns" ["name"] = ["plan", "remote", "finish", "fanout"];
+    SPAN_NS: Histogram "fedra_span_ns" ["name"] = ["plan", "remote", "finish"];
 
     // Planning (framework.rs).
 
@@ -311,10 +311,7 @@ mod tests {
             assert_eq!(first.help, def.help, "{}", def.name);
         }
         assert_eq!(lookup("fedra_undeclared_total").map(Def::name), None);
-        assert_eq!(
-            SPAN_NS.def().values(),
-            ["plan", "remote", "finish", "fanout"]
-        );
+        assert_eq!(SPAN_NS.def().values(), ["plan", "remote", "finish"]);
         assert_eq!(
             SPAN_NS.def().help(),
             "Duration of one traced query phase, in nanoseconds."

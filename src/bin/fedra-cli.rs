@@ -11,7 +11,8 @@
 //! Global options: `--objects N` (default 60000), `--silos M` (default 6),
 //! `--seed S`, `--grid-len KM`, `--iid` (IID partitions instead of
 //! company-skewed). A numeric option whose value does not parse is an
-//! error naming the flag, never a silent default.
+//! error naming the flag, never a silent default; so is a negative or
+//! non-finite `--radius` and a non-finite `--x` / `--y`.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -26,6 +27,10 @@ fn main() -> ExitCode {
         print_help();
         return ExitCode::FAILURE;
     };
+    if let Err(message) = check_geometry(&options) {
+        eprintln!("error: {message}");
+        return ExitCode::FAILURE;
+    }
     match command.as_str() {
         "demo" => demo(&options),
         "query" => query(&options),
@@ -84,6 +89,25 @@ fn flag<T: std::str::FromStr>(options: &Options, key: &str) -> Option<T> {
 
 fn opt<T: std::str::FromStr>(options: &Options, key: &str, default: T) -> T {
     flag(options, key).unwrap_or(default)
+}
+
+/// Refuses geometry no circle has, before any federation is built: a
+/// `--radius` that is negative or not finite (`Circle::new` would clamp it
+/// to a point query) and an `--x` / `--y` that is not finite. Radius 0 is
+/// a legal point query.
+fn check_geometry(options: &Options) -> Result<(), String> {
+    for key in ["x", "y", "radius"] {
+        let Some(value) = flag::<f64>(options, key) else {
+            continue;
+        };
+        if !value.is_finite() {
+            return Err(format!("--{key}: must be finite, got {value}"));
+        }
+        if key == "radius" && value < 0.0 {
+            return Err(format!("--radius: must not be negative, got {value}"));
+        }
+    }
+    Ok(())
 }
 
 /// `--chaos SEED` turns the build into a resilience drill: one slow silo,
@@ -452,7 +476,8 @@ RESILIENCE OPTIONS (any command):
                   circuit breaker; retry/hedge/breaker counters show up in
                   `obs` output
 
-GLOBAL OPTIONS (a numeric value that does not parse is an error):
+GLOBAL OPTIONS (a numeric value that does not parse is an error, and so
+is a negative or non-finite --radius or a non-finite --x / --y):
   --data FILE     load a CSV dataset (silo,x_km,y_km,measure) instead of
                   generating one (ignores --objects/--silos/--iid)
   --objects N     total objects (default 60000)

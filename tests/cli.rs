@@ -250,6 +250,55 @@ fn unparsable_numeric_flags_fail_naming_the_flag() {
 }
 
 #[test]
+fn out_of_range_geometry_fails_naming_the_flag() {
+    // Each parses, but names no circle: it must not be clamped or answered.
+    let cases: [(&[&str], &str); 6] = [
+        (&["query", "--silos", "2", "--radius", "-5"], "radius"),
+        (&["query", "--silos", "2", "--radius", "NaN"], "radius"),
+        (
+            &["query", "--silos", "2", "--x", "NaN", "--algo", "noniid"],
+            "x",
+        ),
+        (&["query", "--silos", "2", "--y", "inf"], "y"),
+        (&["stats", "--silos", "2", "--radius", "-3"], "radius"),
+        (&["obs", "--silos", "2", "--radius", "inf"], "radius"),
+    ];
+    for (args, flag) in cases {
+        let out = cli().args(args).output().expect("run fedra-cli");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: --{flag}: ")),
+            "{args:?}: {stderr}"
+        );
+        // Refused before the federation is built.
+        assert!(
+            !stderr.contains("building federation"),
+            "{args:?}: {stderr}"
+        );
+    }
+    // Radius 0 stays a point query.
+    let out = cli()
+        .args([
+            "query",
+            "--objects",
+            "2000",
+            "--silos",
+            "2",
+            "--radius",
+            "0",
+        ])
+        .output()
+        .expect("run fedra-cli");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("answer:"));
+}
+
+#[test]
 fn a_fault_plan_naming_no_local_silo_fails_the_build() {
     // Silo 9 does not exist in a 6-silo federation: the drill would
     // silently inject nothing.

@@ -10,6 +10,7 @@
 //! cell's clipped aggregate.
 
 use fedra::core::helpers::ratio_scale;
+use fedra::core::{QueryPlan, RemotePlan};
 use fedra::federation::{LocalMode, Request, Response};
 use fedra::geo::intersection_area;
 use fedra::index::grid::{GridIndex, GridSpec};
@@ -236,7 +237,11 @@ fn the_fan_outs_answer_the_same_bits_from_masked_replies() {
     let fan_outs: [Box<dyn FraAlgorithm>; 2] = [Box::new(Exact::new()), Box::new(Opta::new())];
     for algorithm in &fan_outs {
         for query in &queries {
-            let request = algorithm.fan_out(query).expect("a fan-out");
+            let QueryPlan::SingleSilo(RemotePlan { request, .. }) =
+                algorithm.plan_with(&fed, query, ObsContext::noop())
+            else {
+                panic!("{} plans every silo", algorithm.name());
+            };
             let full_request = unmasked(&request, query);
             // The join's own rule: full partials summed in silo-id order.
             let mut total = Aggregate::ZERO;

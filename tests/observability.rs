@@ -6,7 +6,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fedra::core::{drive_planned, QueryPlan, RemotePlan};
+use fedra::core::{QueryPlan, RemotePlan};
 use fedra::federation::{LocalMode, Request, Response};
 use fedra::prelude::*;
 
@@ -61,19 +61,6 @@ struct PanicEverySecond {
 impl FraAlgorithm for PanicEverySecond {
     fn name(&self) -> &'static str {
         "panic-mix"
-    }
-
-    fn try_execute_with(
-        &self,
-        federation: &Federation,
-        query: &FraQuery,
-        obs: &fedra::obs::ObsContext,
-    ) -> Result<QueryResult, FraError> {
-        drive_planned(self, federation, query, obs)
-    }
-
-    fn supports_planning(&self) -> bool {
-        true
     }
 
     fn plan_with(
