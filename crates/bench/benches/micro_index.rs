@@ -2,6 +2,8 @@
 //! local range-aggregation latency for the aggregate R-tree, the
 //! LSR-Forest (per level), the grid/cumulative array, and the MinSkew
 //! histogram. These are the per-operation numbers behind Figs. 3b–9b.
+//! The `_grid` variants read trees packed along a grid (the way a silo
+//! packs its forest along the federation grid) beside the plain STR ones.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,6 +12,7 @@ use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid};
 use fedra_index::histogram::{MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
+use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::{RTree, RTreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +64,14 @@ fn bench_local_queries(c: &mut Criterion) {
     let objs = objects(n, 3);
     let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
     let rtree = RTree::bulk_load(objs.clone(), RTreeConfig::default());
+    // 2.5-unit cells hold ≈ 125 objects (8 leaves) each; at 1 unit, 20
+    // per cell fill no leaf of their own and the packing would be plain.
+    let rtree_grid = RTree::bulk_load_with(
+        objs.clone(),
+        RTreeConfig::default(),
+        Some(&GridSpec::new(bounds, 2.5)),
+        &WorkerPool::sequential(),
+    );
     let mut rng = StdRng::seed_from_u64(4);
     let lsr = LsrForest::build(&objs, RTreeConfig::default(), &mut rng);
     let grid = GridIndex::build(GridSpec::new(bounds, 1.0), &objs);
@@ -80,13 +91,15 @@ fn bench_local_queries(c: &mut Criterion) {
         .collect();
 
     let mut group = c.benchmark_group("local_query_200k");
-    group.bench_function("rtree_exact", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(rtree.aggregate(q));
-            }
-        })
-    });
+    for (label, tree) in [("rtree_exact", &rtree), ("rtree_exact_grid", &rtree_grid)] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                for q in &queries {
+                    black_box(tree.aggregate(q));
+                }
+            })
+        });
+    }
     for (label, eps) in [
         ("lsr_eps_0.05", 0.05),
         ("lsr_eps_0.1", 0.1),
@@ -152,14 +165,21 @@ fn bench_rtree_fanout(c: &mut Criterion) {
 
 /// Alg. 3's silo step for one query: the clipped aggregate of each of the
 /// 16 boundary cells of a circle, as 16 one-clip descents from the root
-/// versus one many-clip walk, on T₀ and on one sampled LSR level.
+/// versus one many-clip walk, on T₀ and on one sampled LSR level, of a
+/// plain STR forest and of one packed along the cells' grid (`_grid`).
 fn bench_boundary_cells(c: &mut Criterion) {
     let objs = objects(100_000, 6);
-    let mut rng = StdRng::seed_from_u64(7);
-    let lsr = LsrForest::build(&objs, RTreeConfig::default(), &mut rng);
     let spec = GridSpec::new(
         Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
         10.0,
+    );
+    let lsr = LsrForest::build(&objs, RTreeConfig::default(), &mut StdRng::seed_from_u64(7));
+    let lsr_grid = LsrForest::build_with(
+        &objs,
+        RTreeConfig::default(),
+        Some(&spec),
+        &mut StdRng::seed_from_u64(7),
+        &WorkerPool::sequential(),
     );
     let query = Range::circle(Point::new(55.0, 55.0), 18.0);
     let ring: Vec<Rect> = spec
@@ -171,17 +191,20 @@ fn bench_boundary_cells(c: &mut Criterion) {
     assert_eq!(ring.len(), 16, "the ring this bench is named after");
 
     let mut group = c.benchmark_group("boundary_cells_16");
-    for (tree, level) in [("t0", 0usize), ("lsr_level_4", 4)] {
-        group.bench_function(BenchmarkId::new("per_clip_loop", tree), |b| {
-            b.iter(|| {
-                for clip in &ring {
-                    black_box(lsr.query_clipped_at_level(&query, clip, level));
-                }
-            })
-        });
-        group.bench_function(BenchmarkId::new("one_walk", tree), |b| {
-            b.iter(|| black_box(lsr.query_clipped_many_at_level(&query, &ring, level)))
-        });
+    for (packing, lsr) in [("", &lsr), ("_grid", &lsr_grid)] {
+        for (tree, level) in [("t0", 0usize), ("lsr_level_4", 4)] {
+            let id = |walk: &str| BenchmarkId::new(&format!("{walk}{packing}"), tree);
+            group.bench_function(id("per_clip_loop"), |b| {
+                b.iter(|| {
+                    for clip in &ring {
+                        black_box(lsr.query_clipped_at_level(&query, clip, level));
+                    }
+                })
+            });
+            group.bench_function(id("one_walk"), |b| {
+                b.iter(|| black_box(lsr.query_clipped_many_at_level(&query, &ring, level)))
+            });
+        }
     }
     group.finish();
 }

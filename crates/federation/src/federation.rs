@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fedra_geo::{Rect, SpatialObject};
-use fedra_index::grid::{GridIndex, PrefixStack};
+use fedra_index::grid::{GridIndex, GridSpec, PrefixStack};
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::RTreeConfig;
@@ -392,29 +392,34 @@ impl FederationBuilder {
 
         // Silo construction (index builds) happens in parallel: for the
         // multi-million-object sweeps this dominates setup wall-clock.
-        let silo_config = |_: SiloId| SiloConfig {
-            rtree: self.rtree,
-            histogram: self.histogram,
-            bounds: self.bounds,
-            lsr_seed: self.lsr_seed,
-            threads: self.silo_threads,
-        };
+        // Every silo packs its forest along the grid Alg. 1 is about to
+        // build; the spec is made on the silo's thread, so a bad one
+        // fails the build as a setup error.
+        let builder = &self;
         let silos: Vec<Silo> = std::thread::scope(|scope| {
             let handles: Vec<_> = partitions
                 .into_iter()
                 .enumerate()
                 .map(|(id, objects)| {
-                    let config = silo_config(id);
-                    scope.spawn(move || Silo::new(id, objects, config))
+                    scope.spawn(move || {
+                        let config = SiloConfig {
+                            rtree: builder.rtree,
+                            histogram: builder.histogram,
+                            grid: GridSpec::new(builder.bounds, builder.grid_cell_len),
+                            lsr_seed: builder.lsr_seed,
+                            threads: builder.silo_threads,
+                        };
+                        Silo::new(id, objects, config)
+                    })
                 })
                 .collect();
-            handles
+            // Join every build before reporting the first that panicked:
+            // a handle left unjoined would make the scope itself panic.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            joined
                 .into_iter()
                 .enumerate()
-                .map(|(id, h)| {
-                    h.join()
-                        .map_err(|_| SetupError::SiloBuildPanicked { silo: id })
-                })
+                .map(|(id, built)| built.map_err(|_| SetupError::SiloBuildPanicked { silo: id }))
                 .collect::<Result<Vec<_>, _>>()
         })?;
 
@@ -1115,6 +1120,15 @@ mod tests {
                 partitions(2, 10),
                 no_local_silo(2),
                 "fedra-silo --fault-*",
+            ),
+            // Every silo packs its forest along the grid, so a grid no
+            // `GridSpec` accepts fails each silo's build: an error for the
+            // first, with every build joined, not a panic of the caller.
+            (
+                FederationBuilder::new(bounds()).grid_cell_len(0.0),
+                partitions(2, 10),
+                SetupError::SiloBuildPanicked { silo: 0 },
+                "silo 0 index construction panicked",
             ),
         ] {
             let err = builder.try_build(parts).expect_err(says);

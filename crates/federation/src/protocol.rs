@@ -223,11 +223,27 @@ impl Wire for LocalMode {
         }
         match buf.get_u8() {
             0 => Ok(LocalMode::Exact),
-            1 => Ok(LocalMode::Lsr {
-                epsilon: f64::decode(buf)?,
-                delta: f64::decode(buf)?,
-                sum0: f64::decode(buf)?,
-            }),
+            1 => {
+                // The domain `LsrForest::select_level` serves; a frame
+                // outside it is refused here, before any silo reads it.
+                let epsilon = f64::decode(buf)?;
+                if !(epsilon > 0.0 && epsilon.is_finite()) {
+                    return Err(WireError::BadValue {
+                        context: "local mode epsilon",
+                    });
+                }
+                let delta = f64::decode(buf)?;
+                if !(delta > 0.0 && delta < 1.0) {
+                    return Err(WireError::BadValue {
+                        context: "local mode delta",
+                    });
+                }
+                Ok(LocalMode::Lsr {
+                    epsilon,
+                    delta,
+                    sum0: f64::decode(buf)?,
+                })
+            }
             tag => Err(WireError::BadTag {
                 context: "local mode",
                 tag,
@@ -563,6 +579,52 @@ mod tests {
         }
         LocalMode::Exact.encode(&mut buf);
         buf
+    }
+
+    #[test]
+    fn an_lsr_mode_outside_the_epsilon_delta_domain_is_a_typed_error() {
+        let request = |epsilon: f64, delta: f64| Request::Aggregate {
+            range: Range::circle(Point::new(1.0, 2.0), 3.0),
+            mode: LocalMode::Lsr {
+                epsilon,
+                delta,
+                sum0: 40.0,
+            },
+        };
+        let frame = |epsilon, delta| request(epsilon, delta).to_bytes();
+        let refused = |context| Err(WireError::BadValue { context });
+        for epsilon in [0.0, -0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                Request::from_bytes(frame(epsilon, 0.01)),
+                refused("local mode epsilon"),
+                "ε = {epsilon}"
+            );
+        }
+        for delta in [0.0, 1.0, 1.5, -0.2, f64::NAN] {
+            assert_eq!(
+                Request::from_bytes(frame(0.1, delta)),
+                refused("local mode delta"),
+                "δ = {delta}"
+            );
+        }
+        // Inside a mask or a batch the refusal is the same: the whole
+        // frame is refused, as for any other undecodable item.
+        let masked = Request::Masked {
+            moments: Moments::COUNT,
+            request: Box::new(request(-1.0, 0.01)),
+        };
+        assert_eq!(
+            Request::from_bytes(masked.to_bytes()),
+            refused("local mode epsilon")
+        );
+        let batch = Request::Batch(vec![Request::Ping, request(0.1, 2.0)]);
+        assert_eq!(
+            Request::from_bytes(batch.to_bytes()),
+            refused("local mode delta")
+        );
+        for (epsilon, delta) in [(1e-9, 1e-12), (5.0, 0.999_999), (f64::MAX, 0.5)] {
+            round_trip(request(epsilon, delta));
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! * an LSR-Forest (Alg. 5) whose level `T_0` *is* the aggregate R-tree
 //!   over all its objects (exact local queries, the EXACT baseline) and
-//!   whose sampled levels serve O(log 1/ε) approximate local queries;
+//!   whose sampled levels serve O(log 1/ε) approximate local queries,
+//!   every level packed along the federation grid it is configured with
+//!   ([`SiloConfig::grid`]), so Alg. 3's per-cell walk absorbs nodes
+//!   whole instead of splitting them at cell edges;
 //! * a MinSkew histogram for the OPTA baseline;
 //!
 //! and, on the provider's `BuildGrid` request (Alg. 1), a grid index over
@@ -50,8 +53,12 @@ pub struct SiloConfig {
     pub rtree: RTreeConfig,
     /// MinSkew histogram parameters (OPTA substrate).
     pub histogram: MinSkewConfig,
-    /// Region the histogram covers (normally the federation bounds).
-    pub bounds: Rect,
+    /// The federation grid (bounds and cell length `L`): the region the
+    /// histogram covers, and the cells every LSR-Forest level is packed
+    /// along, so the per-cell walk of a `CellContributions` request over
+    /// this grid's cells absorbs nodes whole. A `BuildGrid` for another
+    /// spec is answered just as correctly, only without that alignment.
+    pub grid: GridSpec,
     /// Seed for the LSR level sampling (kept per-silo for reproducibility).
     pub lsr_seed: u64,
     /// Worker-pool size for index builds (the LSR-Forest at construction,
@@ -255,8 +262,9 @@ impl Silo {
             config.lsr_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         let pool = WorkerPool::new(config.threads);
-        let lsr = LsrForest::build_with(&objects, config.rtree, &mut rng, &pool);
-        let histogram = MinSkewHistogram::build(config.bounds, config.histogram, &objects);
+        let lsr =
+            LsrForest::build_with(&objects, config.rtree, Some(&config.grid), &mut rng, &pool);
+        let histogram = MinSkewHistogram::build(config.grid.bounds(), config.histogram, &objects);
         let num_objects = objects.len();
         let metrics = SiloMetrics::new(id, lsr.num_levels(), &pool);
         Self {
@@ -312,21 +320,27 @@ impl Silo {
     /// `BuildGrid` reports the grid) — and the answers form a
     /// [`Response::Batch`] of the same arity. Per-item failures —
     /// including a panicking handler — surface as `Response::Error`
-    /// items; one bad sub-request never aborts its batch-mates.
+    /// items; one bad sub-request never aborts its batch-mates. A lone
+    /// request whose handler panics is answered `Response::Error` the same
+    /// way, so no request can take the silo down.
     pub fn handle(&self, request: Request) -> Response {
         match request {
             Request::Batch(requests) => {
                 self.metrics.batch_items.observe(requests.len() as u64);
-                let serve = |item| {
-                    catch_unwind(AssertUnwindSafe(|| self.handle_one(item))).unwrap_or_else(|_| {
-                        self.metrics.batch_panics.inc();
-                        Response::Error(format!("silo {}: batch item panicked", self.id))
-                    })
-                };
+                let serve = |item| self.handle_guarded(item, "batch item");
                 Response::Batch(requests.into_iter().map(serve).collect())
             }
-            other => self.handle_one(other),
+            other => self.handle_guarded(other, "request"),
         }
+    }
+
+    /// [`Self::handle_one`], with a panic caught and answered as an error
+    /// naming `what` panicked.
+    fn handle_guarded(&self, request: Request, what: &str) -> Response {
+        catch_unwind(AssertUnwindSafe(|| self.handle_one(request))).unwrap_or_else(|_| {
+            self.metrics.batch_panics.inc();
+            Response::Error(format!("silo {}: {what} panicked", self.id))
+        })
     }
 
     /// Serves one logical (non-batch) request.
@@ -661,7 +675,7 @@ mod tests {
                 resolution: 32,
                 budget: 32,
             },
-            bounds: bounds(),
+            grid: GridSpec::new(bounds(), 10.0),
             lsr_seed: 7,
             threads: 0,
         }
@@ -724,8 +738,9 @@ mod tests {
     fn exact_answers_come_from_the_one_shared_t0() {
         // T₀ of the forest is the silo's only full-partition tree: EXACT
         // whole-range and per-cell answers must equal a standalone
-        // bulk load of the same objects bit for bit, at every pool size.
-        let objs = objects(3000);
+        // bulk load of the same objects bit for bit, at every pool size
+        // (integer measures, so the grid packing cannot show in a sum).
+        let objs = objects(8000);
         let reference = RTree::bulk_load(objs.clone(), RTreeConfig::default());
         let q = Range::circle(Point::new(45.0, 55.0), 22.0);
         let spec = GridSpec::new(bounds(), 10.0);
@@ -773,6 +788,21 @@ mod tests {
                 s.lsr.base().memory_bytes() as u64,
                 "T₀ is reported once, as the R-tree"
             );
+            // T₀ is packed along the silo's grid: the tree a grid-packed
+            // bulk load of the partition builds, object for object.
+            let packed = RTree::bulk_load_with(
+                objs.clone(),
+                RTreeConfig::default(),
+                Some(&config().grid),
+                &WorkerPool::sequential(),
+            );
+            assert_eq!(
+                s.lsr.base().objects(),
+                packed.objects(),
+                "threads {threads}"
+            );
+            assert_eq!(s.lsr.base().node_count(), packed.node_count());
+            assert_ne!(packed.objects(), reference.objects(), "the grid shows");
         }
     }
 
@@ -1032,7 +1062,14 @@ mod tests {
                 if mode == LocalMode::Exact {
                     // The max-edge row is seen: per-cell answers are the
                     // closed-rectangle clips of T₀, edge objects included.
-                    let reference = RTree::bulk_load(objs.clone(), RTreeConfig::default());
+                    // The edge row's measures are continuous, so the
+                    // reference is T₀ as the silo packs it, along its grid.
+                    let reference = RTree::bulk_load_with(
+                        objs.clone(),
+                        RTreeConfig::default(),
+                        Some(&config().grid),
+                        &WorkerPool::sequential(),
+                    );
                     let direct: Vec<Aggregate> = cells
                         .iter()
                         .map(|&id| reference.aggregate_clipped(&q, &spec.cell_rect_of(id)))
@@ -1170,6 +1207,24 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         // The silo is not poisoned: the next frame still answers.
+        assert_eq!(s.handle(Request::Ping), Response::Pong);
+    }
+
+    #[test]
+    fn a_panicking_lone_request_degrades_to_error() {
+        // The same panicking BuildGrid, sent on its own: the silo answers
+        // it Response::Error, counts the panic, and keeps serving.
+        let s = Silo::new(14, objects(200), config());
+        let resp = s.handle(Request::BuildGrid {
+            bounds: bounds(),
+            cell_len: -1.0,
+            return_cells: true,
+        });
+        assert!(
+            matches!(&resp, Response::Error(e) if e.contains("request panicked")),
+            "got {resp:?}"
+        );
+        assert_eq!(s.metrics.batch_panics.get(), 1);
         assert_eq!(s.handle(Request::Ping), Response::Pong);
     }
 

@@ -405,6 +405,7 @@ mod tests {
     use crate::silo::{Silo, SiloConfig};
     use crate::transport::socket::{SiloSocketServer, SocketServerConfig};
     use fedra_geo::{Point, Rect, SpatialObject};
+    use fedra_index::grid::GridSpec;
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::rtree::RTreeConfig;
 
@@ -422,7 +423,7 @@ mod tests {
                     resolution: 8,
                     budget: 8,
                 },
-                bounds,
+                grid: GridSpec::new(bounds, 1.0),
                 lsr_seed: 1,
                 threads: 1,
             },

@@ -1247,6 +1247,7 @@ mod tests {
     use crate::protocol::LocalMode;
     use crate::silo::SiloConfig;
     use fedra_geo::{Point, Range, Rect, SpatialObject};
+    use fedra_index::grid::GridSpec;
     use fedra_index::histogram::MinSkewConfig;
     use fedra_index::rtree::RTreeConfig;
 
@@ -1264,7 +1265,7 @@ mod tests {
                     resolution: 8,
                     budget: 8,
                 },
-                bounds,
+                grid: GridSpec::new(bounds, 1.0),
                 threads: 0,
                 lsr_seed: 1,
             },

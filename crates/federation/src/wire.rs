@@ -39,6 +39,12 @@ pub enum WireError {
         /// The claimed element count.
         len: usize,
     },
+    /// A well-formed value outside its domain (an ε that is not positive,
+    /// a δ that is not a probability).
+    BadValue {
+        /// What was being decoded.
+        context: &'static str,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -52,6 +58,9 @@ impl std::fmt::Display for WireError {
             }
             WireError::BadLength { context, len } => {
                 write!(f, "implausible length {len} while decoding {context}")
+            }
+            WireError::BadValue { context } => {
+                write!(f, "value out of its domain while decoding {context}")
             }
         }
     }

@@ -169,6 +169,23 @@ impl GridSpec {
         Some(self.cell_id(ix, iy))
     }
 
+    /// The cell [`Self::cell_of`] finds for `p`, but clamping nothing:
+    /// `None` unless that cell's closed rectangle ([`Self::cell_rect`])
+    /// holds `p` bit for bit, so a point outside the grid, or one that
+    /// rounding carried across an edge, has no cell here.
+    pub(crate) fn cell_containing(&self, p: &Point) -> Option<CellId> {
+        let fx = (p.x - self.bounds.min.x) / self.cell_len;
+        let fy = (p.y - self.bounds.min.y) / self.cell_len;
+        if !(fx >= 0.0 && fy >= 0.0 && fx < self.nx as f64 && fy < self.ny as f64) {
+            return None;
+        }
+        // Truncation is `floor` on the non-negative quotients.
+        let (ix, iy) = (fx as u32, fy as u32);
+        self.cell_rect(ix, iy)
+            .contains_point(p)
+            .then(|| self.cell_id(ix, iy))
+    }
+
     /// Inclusive column/row ranges of the cells whose rectangles intersect
     /// `rect`, or `None` when `rect` misses the grid entirely.
     fn cell_span(&self, rect: &Rect) -> Option<(u32, u32, u32, u32)> {

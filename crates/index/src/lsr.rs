@@ -20,8 +20,9 @@ use rand::Rng;
 
 use fedra_geo::{Range, Rect, SpatialObject};
 
+use crate::grid::GridSpec;
 use crate::pool::WorkerPool;
-use crate::rtree::{by_x, RTree, RTreeConfig};
+use crate::rtree::{by_x, cell_key, RTree, RTreeConfig, NO_CELL};
 use crate::{Aggregate, IndexMemory};
 
 /// A level-sampled R-tree forest (Sec. 5 of the paper).
@@ -61,17 +62,21 @@ impl LsrForest {
         config: RTreeConfig,
         rng: &mut R,
     ) -> Self {
-        Self::build_with(objects, config, rng, &WorkerPool::sequential())
+        Self::build_with(objects, config, None, rng, &WorkerPool::sequential())
     }
 
     /// Builds the forest with the level trees bulk-loaded on a
-    /// [`WorkerPool`]. All level samples are drawn first — the RNG stream
-    /// defines the nested levels (level `l` samples level `l−1`), so
-    /// sampling stays sequential and consumes exactly the same stream as
-    /// the sequential build. One pooled x-sort then serves every level.
+    /// [`WorkerPool`], every level packed along `grid` when one is given
+    /// ([`RTree::bulk_load_with`]). All level samples are drawn first —
+    /// the RNG stream defines the nested levels (level `l` samples level
+    /// `l−1`), so sampling stays sequential, consumes exactly the same
+    /// stream as the sequential build, and does not depend on the grid.
+    /// One pooled x-sort then serves every level; under a grid, each
+    /// level regroups its share of that order by cell.
     pub fn build_with<R: Rng + ?Sized>(
         objects: &[SpatialObject],
         config: RTreeConfig,
+        grid: Option<&GridSpec>,
         rng: &mut R,
         pool: &WorkerPool,
     ) -> Self {
@@ -100,32 +105,49 @@ impl LsrForest {
         }
         // A stable sort of a subsequence is that subsequence of the
         // stable sort, so one x-sort of everything, filtered per level,
-        // is every level's own x-sort. Each level is gathered at exact
-        // capacity: its tree keeps the vector.
-        let mut sorted: Vec<(SpatialObject, u8)> = objects.iter().copied().zip(depth).collect();
+        // is every level's own x-sort. Each object's cell is keyed once
+        // too. Each level is gathered at exact capacity: its tree keeps
+        // the vector.
+        let key = |o: &SpatialObject| grid.map_or(NO_CELL, |grid| cell_key(grid, o));
+        let mut sorted: Vec<(SpatialObject, u8, u32)> = objects
+            .iter()
+            .zip(depth)
+            .map(|(o, d)| (*o, d, key(o)))
+            .collect();
         pool.sort_by(&mut sorted, |a, b| by_x(&a.0, &b.0));
-        let mut samples: Vec<Vec<SpatialObject>> =
-            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for &(o, d) in &sorted {
+        let keyed = grid.is_some();
+        let mut samples: Vec<Sample> = sizes
+            .iter()
+            .map(|&n| Sample {
+                objects: Vec::with_capacity(n),
+                keys: Vec::with_capacity(if keyed { n } else { 0 }),
+                tree: None,
+            })
+            .collect();
+        for &(o, d, k) in &sorted {
             for level in &mut samples[..=usize::from(d)] {
-                level.push(o);
+                level.objects.push(o);
+                if keyed {
+                    level.keys.push(k);
+                }
             }
         }
         drop(sorted);
         // T_0 dominates the build cost: it gets the pool's parallel slab
         // sorts. The sampled trees are independent of each other and run
         // one per worker (sequential sorts — they are already on the pool).
-        let mut levels = vec![RTree::pack_x_sorted(samples.remove(0), config, pool)];
-        // A slot starts as its level's sample and ends as its tree.
-        let mut slots: Vec<(Vec<SpatialObject>, Option<RTree>)> =
-            samples.into_iter().map(|s| (s, None)).collect();
+        let pack = |sample: &mut Sample, pool: &WorkerPool| {
+            let objects = std::mem::take(&mut sample.objects);
+            let keys = std::mem::take(&mut sample.keys);
+            RTree::pack_x_sorted(objects, grid.map(|g| (g, &keys[..])), config, pool)
+        };
+        let mut levels = vec![pack(&mut samples[0], pool)];
         let sequential = WorkerPool::sequential();
-        pool.for_each_mut(slots.chunks_mut(1).collect(), |_, slot| {
-            let (sampled, tree) = &mut slot[0];
-            let sampled = std::mem::take(sampled);
-            *tree = Some(RTree::pack_x_sorted(sampled, config, &sequential));
+        pool.for_each_mut(samples[1..].chunks_mut(1).collect(), |_, slot| {
+            let sample = &mut slot[0];
+            sample.tree = Some(pack(sample, &sequential));
         });
-        levels.extend(slots.into_iter().filter_map(|(_, tree)| tree));
+        levels.extend(samples.into_iter().filter_map(|s| s.tree));
         Self { levels }
     }
 
@@ -230,6 +252,14 @@ impl LsrForest {
     }
 }
 
+/// One level's sample on its way to a tree: its objects in x order and,
+/// under a grid, their cell keys; the tree once packed.
+struct Sample {
+    objects: Vec<SpatialObject>,
+    keys: Vec<u32>,
+    tree: Option<RTree>,
+}
+
 impl IndexMemory for LsrForest {
     fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.levels.iter().map(|t| t.memory_bytes()).sum::<usize>()
@@ -307,18 +337,35 @@ mod tests {
             .collect();
         let config = RTreeConfig::with_fanout(5);
         let pool = WorkerPool::new(2);
-        let forest = LsrForest::build_with(&objs, config, &mut StdRng::seed_from_u64(13), &pool);
-        // Alg. 5 drawn the plain way: level l filters level l − 1.
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut sample = objs;
-        for l in 0..forest.num_levels() {
-            if l > 0 {
-                sample.retain(|_| rng.random::<bool>());
+        // The same holds packed along a grid: each level's (cell, x)
+        // order is the one its own bulk load regroups it into.
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
+        let (aligned, finer) = (GridSpec::new(bounds, 10.0), GridSpec::new(bounds, 3.0));
+        let q = Range::circle(Point::new(41.0, 52.0), 17.0);
+        let clips: Vec<Rect> = (0..100).map(|id| aligned.cell_rect_of(id)).collect();
+        for grid in [None, Some(&aligned), Some(&finer)] {
+            let seed = StdRng::seed_from_u64(13);
+            let forest = LsrForest::build_with(&objs, config, grid, &mut seed.clone(), &pool);
+            // Alg. 5 drawn the plain way: level l filters level l − 1.
+            let mut rng = seed;
+            let mut sample = objs.clone();
+            for l in 0..forest.num_levels() {
+                if l > 0 {
+                    sample.retain(|_| rng.random::<bool>());
+                }
+                let sequential = WorkerPool::sequential();
+                let want = RTree::bulk_load_with(sample.clone(), config, grid, &sequential);
+                let got = forest.level(l).unwrap();
+                let what = format!("level {l}, grid {:?}", grid.map(GridSpec::cell_len));
+                assert_eq!(got.objects(), want.objects(), "{what}");
+                assert_eq!(got.node_count(), want.node_count(), "{what}");
+                assert_eq!(got.height(), want.height(), "{what}");
+                assert_eq!(
+                    got.aggregate_clipped_many(&q, &clips),
+                    want.aggregate_clipped_many(&q, &clips),
+                    "{what}"
+                );
             }
-            let want = RTree::bulk_load(sample.clone(), config);
-            let got = forest.level(l).unwrap();
-            assert_eq!(got.objects(), want.objects(), "level {l}");
-            assert_eq!(got.node_count(), want.node_count(), "level {l}");
         }
     }
 
@@ -511,6 +558,7 @@ mod tests {
         let par = LsrForest::build_with(
             &objs,
             RTreeConfig::default(),
+            None,
             &mut rng_par,
             &WorkerPool::new(4),
         );

@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use fedra_geo::{Range, Rect, RectRelation, SpatialObject};
 
+use crate::grid::GridSpec;
 use crate::pool::WorkerPool;
 use crate::{Aggregate, IndexMemory};
 
@@ -94,14 +95,43 @@ pub(crate) fn by_x(a: &SpatialObject, b: &SpatialObject) -> std::cmp::Ordering {
     a.location.x.total_cmp(&b.location.x)
 }
 
-/// STR tiling of `len` entries into parents of at most `fanout`: the
+/// Under a grid, a cell holding at least this many fanouts of objects is
+/// STR-tiled on its own, so none of its leaves crosses a cell edge.
+const OWN_LEAVES_FANOUTS: usize = 3;
+
+/// Under a grid, a cell with at least this many leaves of its own gets
+/// its own parents as well.
+const OWN_PARENTS_LEAVES: usize = 4;
+
+/// STR tiling of `len > 0` entries into parents of at most `fanout`: the
 /// width of each vertical slab, and how many parents the slabs fill (a
-/// slab's last parent may be short).
-fn str_tiling(len: usize, fanout: usize) -> (usize, usize) {
+/// slab's last parent may be short). `whole` rounds the slab width up to
+/// a multiple of `fanout`, so only the last parent of the last slab can
+/// be short and the run fills the fewest parents, ⌈len / fanout⌉.
+fn str_tiling(len: usize, fanout: usize, whole: bool) -> (usize, usize) {
     let slabs = (len.div_ceil(fanout) as f64).sqrt().ceil() as usize;
-    let slab = len.div_ceil(slabs);
+    let mut slab = len.div_ceil(slabs);
+    if whole {
+        slab = slab.next_multiple_of(fanout);
+    }
     let parents = len / slab * slab.div_ceil(fanout) + (len % slab).div_ceil(fanout);
     (slab, parents)
+}
+
+/// One run of a level that STR tiles on its own: the whole level, one
+/// grid cell's share of it, or the share no cell owns.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    len: usize,
+    slab: usize,
+    parents: usize,
+}
+
+impl Tile {
+    fn new(len: usize, fanout: usize, whole: bool) -> Self {
+        let (slab, parents) = str_tiling(len, fanout, whole);
+        Self { len, slab, parents }
+    }
 }
 
 /// A static, STR-bulk-loaded aggregate R-tree.
@@ -139,24 +169,39 @@ impl RTree {
     /// Bulk-loads the tree from a set of objects (copied and reordered
     /// internally). O(n log n) time, O(n) space.
     pub fn bulk_load(objects: Vec<SpatialObject>, config: RTreeConfig) -> Self {
-        Self::bulk_load_with(objects, config, &WorkerPool::sequential())
+        Self::bulk_load_with(objects, config, None, &WorkerPool::sequential())
     }
 
     /// Bulk-loads with the STR pre-sort and per-slab sorts spread over a
-    /// [`WorkerPool`]. The packed tree is bit-identical for every pool
-    /// size: the parallel sort is stable-canonical, so chunking never
-    /// shows through in the object order.
+    /// [`WorkerPool`], packed along `grid` when one is given. The packed
+    /// tree is bit-identical for every pool size: the parallel sort is
+    /// stable-canonical, so chunking never shows through in the object
+    /// order.
+    ///
+    /// Under a grid the two lowest levels follow its cells, so a
+    /// many-clip walk over cell rectangles
+    /// ([`Self::aggregate_clipped_many`]) absorbs nodes whole instead of
+    /// splitting them at cell edges. The objects are regrouped in
+    /// (cell, x) order; a cell holding at least 3 fanouts of them is
+    /// STR-tiled on its own into ⌈c / fanout⌉ leaves, and the rest share
+    /// leaves tiled by plain STR. A cell with at least 4 leaves gets its
+    /// own parents the same way; plain STR packs every level above.
+    /// Without a grid the packing is plain STR throughout.
     pub fn bulk_load_with(
         mut objects: Vec<SpatialObject>,
         config: RTreeConfig,
+        grid: Option<&GridSpec>,
         pool: &WorkerPool,
     ) -> Self {
         pool.sort_by(&mut objects, by_x);
-        Self::pack_x_sorted(objects, config, pool)
+        let keys: Option<Vec<u32>> =
+            grid.map(|grid| objects.iter().map(|o| cell_key(grid, o)).collect());
+        Self::pack_x_sorted(objects, grid.zip(keys.as_deref()), config, pool)
     }
 
     /// STR-packs objects already in stable [`by_x`] order, the order
-    /// [`Self::bulk_load_with`] sorts them into first.
+    /// [`Self::bulk_load_with`] sorts them into first, along the grid of
+    /// `keyed` when one is given, with each object's [`cell_key`].
     ///
     /// Each level is tiled as STR prescribes — sort by x, cut into
     /// vertical slabs, sort each slab by y, chunk into parents — and is
@@ -164,7 +209,8 @@ impl RTree {
     /// run. A level is final once its parents are cut: nothing points
     /// into it before then, so sorting its records in place is safe.
     pub(crate) fn pack_x_sorted(
-        mut objects: Vec<SpatialObject>,
+        objects: Vec<SpatialObject>,
+        keyed: Option<(&GridSpec, &[u32])>,
         config: RTreeConfig,
         pool: &WorkerPool,
     ) -> Self {
@@ -178,40 +224,64 @@ impl RTree {
                 height: 0,
             };
         }
-        let (slab, num_leaves) = str_tiling(objects.len(), m);
-        let (mut total, mut width) = (num_leaves, num_leaves);
-        while width > 1 {
-            width = str_tiling(width, m).1;
+        let (mut objects, cells, with_parents) = match keyed {
+            Some((grid, keys)) => by_cell(objects, keys, grid.num_cells(), m),
+            None => (objects, Vec::new(), 0),
+        };
+        // Level 0: one tile per cell that owns its leaves, then the
+        // shared rest. Level 1: one per cell that owns its parents, then
+        // every other leaf. Plain STR above.
+        let shared = objects.len() - cells.iter().sum::<usize>();
+        let mut leaf_tiles: Vec<Tile> = cells.iter().map(|&c| Tile::new(c, m, true)).collect();
+        leaf_tiles.extend((shared > 0).then(|| Tile::new(shared, m, false)));
+        let num_leaves: usize = leaf_tiles.iter().map(|t| t.parents).sum();
+        let mut tiles: Vec<Tile> = leaf_tiles[..with_parents]
+            .iter()
+            .map(|t| Tile::new(t.parents, m, true))
+            .collect();
+        let rest = num_leaves - tiles.iter().map(|t| t.len).sum::<usize>();
+        tiles.extend((rest > 0).then(|| Tile::new(rest, m, false)));
+
+        let mut total = num_leaves;
+        if num_leaves > 1 {
+            let mut width: usize = tiles.iter().map(|t| t.parents).sum();
             total += width;
+            while width > 1 {
+                width = str_tiling(width, m, false).1;
+                total += width;
+            }
         }
         assert!(total.max(objects.len()) <= u32::MAX as usize, "ids are u32");
         let mut nodes = Vec::with_capacity(total);
 
-        pool.for_each_mut(objects.chunks_mut(slab).collect(), |_, slab| {
+        let mut slabs = Vec::new();
+        let mut unsorted = objects.as_mut_slice();
+        for tile in &leaf_tiles {
+            let (run, tail) = std::mem::take(&mut unsorted).split_at_mut(tile.len);
+            slabs.extend(run.chunks_mut(tile.slab));
+            unsorted = tail;
+        }
+        pool.for_each_mut(slabs, |_, slab| {
             slab.sort_by(|a, b| a.location.y.total_cmp(&b.location.y));
         });
-        for_each_group(objects.len(), slab, m, |run| {
-            let entries = objects[run.clone()]
-                .iter()
-                .map(|o| (Rect::from_point(o.location), Aggregate::of(o)));
-            nodes.push(Node::over(run, entries));
-        });
+        let mut lo = 0;
+        for tile in &leaf_tiles {
+            for_each_group(tile.len, tile.slab, m, |run| {
+                let run = lo + run.start..lo + run.end;
+                let entries = objects[run.clone()]
+                    .iter()
+                    .map(|o| (Rect::from_point(o.location), Aggregate::of(o)));
+                nodes.push(Node::over(run, entries));
+            });
+            lo += tile.len;
+        }
 
         let mut height = 1;
         let mut level = 0..nodes.len();
         while level.len() > 1 {
-            let below = &mut nodes[level.clone()];
-            pool.sort_by(below, |a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
-            let (slab, _) = str_tiling(below.len(), m);
-            pool.for_each_mut(below.chunks_mut(slab).collect(), |_, slab| {
-                slab.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
-            });
-            for_each_group(level.len(), slab, m, |run| {
-                let run = level.start + run.start..level.start + run.end;
-                let node = Node::over(run.clone(), nodes[run].iter().map(|c| (c.mbr, c.agg)));
-                nodes.push(node);
-            });
+            tile_level(&mut nodes, level.start, &tiles, m, pool);
             level = level.end..nodes.len();
+            tiles = vec![Tile::new(level.len(), m, false)];
             height += 1;
         }
         debug_assert_eq!(nodes.len(), total);
@@ -426,6 +496,109 @@ impl RTree {
     /// differ in the last ulp from a fold in any other order.
     pub fn objects(&self) -> &[SpatialObject] {
         &self.objects
+    }
+}
+
+/// The cell key of an object no grid cell holds.
+pub(crate) const NO_CELL: u32 = u32::MAX;
+
+/// The key [`RTree::pack_x_sorted`] groups `o` by under `grid`: the cell
+/// holding it ([`GridSpec::cell_containing`]), or [`NO_CELL`].
+pub(crate) fn cell_key(grid: &GridSpec, o: &SpatialObject) -> u32 {
+    grid.cell_containing(&o.location).unwrap_or(NO_CELL)
+}
+
+/// Regroups x-sorted `objects`, keyed by `keys` ([`cell_key`]), in
+/// (cell, x) order: first every cell that owns its parents, then every
+/// other cell that owns its leaves, each set in cell order, then the
+/// shared rest, still by x. Returns the regrouped objects, the owning
+/// cells' run lengths in that order, and how many of those cells own
+/// their parents.
+fn by_cell(
+    objects: Vec<SpatialObject>,
+    keys: &[u32],
+    num_cells: usize,
+    m: usize,
+) -> (Vec<SpatialObject>, Vec<usize>, usize) {
+    if objects.len() < OWN_LEAVES_FANOUTS * m {
+        return (objects, Vec::new(), 0);
+    }
+    // slot[k] counts cell k's objects, then becomes where its next one
+    // goes (NO_CELL for a cell that owns no leaves).
+    let mut slot = vec![0u32; num_cells];
+    for &k in keys.iter().filter(|&&k| k != NO_CELL) {
+        slot[k as usize] += 1;
+    }
+    let owns_leaves = |c: u32| c as usize >= OWN_LEAVES_FANOUTS * m;
+    let owns_parents = |c: u32| owns_leaves(c) && (c as usize).div_ceil(m) >= OWN_PARENTS_LEAVES;
+    let mut leaves_at: u32 = slot.iter().filter(|&&c| owns_parents(c)).sum();
+    let mut parents_at = 0;
+    let (mut cells, mut leaves_only) = (Vec::new(), Vec::new());
+    for c in &mut slot {
+        let n = *c;
+        let at = if owns_parents(n) {
+            cells.push(n as usize);
+            &mut parents_at
+        } else if owns_leaves(n) {
+            leaves_only.push(n as usize);
+            &mut leaves_at
+        } else {
+            *c = NO_CELL;
+            continue;
+        };
+        *c = *at;
+        *at += n;
+    }
+    if cells.is_empty() && leaves_only.is_empty() {
+        return (objects, Vec::new(), 0);
+    }
+    let with_parents = cells.len();
+    cells.extend(leaves_only);
+    let mut shared = leaves_at;
+    let mut grouped = vec![objects[0]; objects.len()];
+    for (o, &k) in objects.iter().zip(keys) {
+        let at = match k {
+            NO_CELL => &mut shared,
+            k if slot[k as usize] == NO_CELL => &mut shared,
+            k => &mut slot[k as usize],
+        };
+        grouped[*at as usize] = *o;
+        *at += 1;
+    }
+    (grouped, cells, with_parents)
+}
+
+/// Cuts one level of `nodes`, the run from `start` split as `tiles`
+/// says, into parents appended to `nodes`. Each tile is STR-ordered in
+/// place — by center x, then each slab by center y — and grouped; every
+/// tile but the last is small (one cell's), so they are ordered side by
+/// side, each on one worker, and the last gets the whole pool.
+fn tile_level(nodes: &mut Vec<Node>, start: usize, tiles: &[Tile], m: usize, pool: &WorkerPool) {
+    fn str_order(run: &mut [Node], slab: usize, pool: &WorkerPool) {
+        pool.sort_by(run, |a, b| a.mbr.center().x.total_cmp(&b.mbr.center().x));
+        pool.for_each_mut(run.chunks_mut(slab).collect(), |_, slab| {
+            slab.sort_by(|a, b| a.mbr.center().y.total_cmp(&b.mbr.center().y));
+        });
+    }
+    let (last, cells) = tiles.split_last().expect("a level has a tile");
+    let mut runs = Vec::with_capacity(cells.len());
+    let mut unsorted = &mut nodes[start..];
+    for tile in cells {
+        let (run, tail) = std::mem::take(&mut unsorted).split_at_mut(tile.len);
+        runs.push(run);
+        unsorted = tail;
+    }
+    let sequential = WorkerPool::sequential();
+    pool.for_each_mut(runs, |i, run| str_order(run, cells[i].slab, &sequential));
+    str_order(&mut unsorted[..last.len], last.slab, pool);
+    let mut lo = start;
+    for tile in tiles {
+        for_each_group(tile.len, tile.slab, m, |run| {
+            let run = lo + run.start..lo + run.end;
+            let node = Node::over(run.clone(), nodes[run].iter().map(|c| (c.mbr, c.agg)));
+            nodes.push(node);
+        });
+        lo += tile.len;
     }
 }
 
@@ -794,7 +967,7 @@ mod tests {
         // sorts and merges actually run — and must not show through.
         let objs = grid_objects(20_000);
         let seq = RTree::bulk_load(objs.clone(), RTreeConfig::default());
-        let par = RTree::bulk_load_with(objs, RTreeConfig::default(), &WorkerPool::new(4));
+        let par = RTree::bulk_load_with(objs, RTreeConfig::default(), None, &WorkerPool::new(4));
         let bits = |t: &RTree| -> Vec<(u64, u64)> {
             t.objects()
                 .iter()
@@ -845,31 +1018,278 @@ mod tests {
             let t = RTree::bulk_load_with(
                 grid_objects(n),
                 RTreeConfig::with_fanout(fanout),
+                None,
                 &WorkerPool::new(2),
             );
             assert_eq!(t.node_count(), count, "{n} objects, fanout {fanout}");
-            assert_eq!(t.nodes.capacity(), count, "nodes are allocated exactly");
-            // Every object in exactly one leaf run, every non-root node
-            // in exactly one child run, and every run in bounds.
-            let mut object_hits = vec![0u32; n];
-            let mut node_hits = vec![0u32; t.nodes.len()];
-            for (id, node) in t.nodes.iter().enumerate() {
-                assert!(node.len >= 1 && node.len as usize <= fanout, "node {id}");
-                let hits = if t.is_leaf(id as u32) {
-                    &mut object_hits
-                } else {
-                    assert!(node.first + node.len <= id as u32, "children precede {id}");
-                    &mut node_hits
+            assert_packed(&t, fanout, &format!("{n} objects, fanout {fanout}"));
+        }
+    }
+
+    /// The packed layout's invariants: nodes allocated exactly, every
+    /// object in exactly one leaf run, every non-root node in exactly one
+    /// child run, children before their parent, every run in bounds and
+    /// at most `fanout` long, every leaf at the same depth, and every
+    /// node's MBR and aggregate those of its children.
+    fn assert_packed(t: &RTree, fanout: usize, what: &str) {
+        assert_eq!(
+            t.nodes.capacity(),
+            t.nodes.len(),
+            "{what}: nodes are allocated exactly"
+        );
+        let mut object_hits = vec![0u32; t.len()];
+        let mut node_hits = vec![0u32; t.nodes.len()];
+        for (id, node) in t.nodes.iter().enumerate() {
+            assert!(
+                node.len >= 1 && node.len as usize <= fanout,
+                "{what}: node {id}"
+            );
+            let (hits, children): (_, Vec<(Rect, Aggregate)>) = if t.is_leaf(id as u32) {
+                let objects = t.leaf_objects(node).iter();
+                (
+                    &mut object_hits,
+                    objects
+                        .map(|o| (Rect::from_point(o.location), Aggregate::of(o)))
+                        .collect(),
+                )
+            } else {
+                assert!(
+                    node.first + node.len <= id as u32,
+                    "{what}: children precede {id}"
+                );
+                let children =
+                    t.nodes[node.first as usize..(node.first + node.len) as usize].iter();
+                (&mut node_hits, children.map(|c| (c.mbr, c.agg)).collect())
+            };
+            for i in node.run() {
+                hits[i as usize] += 1;
+            }
+            let want = Node::over(
+                node.first as usize..(node.first + node.len) as usize,
+                children.into_iter(),
+            );
+            assert_eq!(node.mbr, want.mbr, "{what}: node {id}");
+            assert_eq!(bits(&node.agg), bits(&want.agg), "{what}: node {id}");
+        }
+        assert!(object_hits.iter().all(|&h| h == 1), "{what}");
+        let root = t.nodes.len() - 1;
+        assert!(node_hits[..root].iter().all(|&h| h == 1), "{what}");
+        assert_eq!(node_hits[root], 0, "{what}");
+        // Every root-to-leaf path has `height` nodes.
+        let mut stack = vec![(root as u32, 1)];
+        while let Some((id, depth)) = stack.pop() {
+            if t.is_leaf(id) {
+                assert_eq!(depth, t.height(), "{what}: leaf {id}");
+            } else {
+                stack.extend(t.nodes[id as usize].run().map(|c| (c, depth + 1)));
+            }
+        }
+    }
+
+    /// The 10-unit grid over `[0, 100]²` the grid-packing tests pack along.
+    fn ten_grid() -> GridSpec {
+        GridSpec::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+            10.0,
+        )
+    }
+
+    /// [`edge_heavy_objects`] (lattice points on the 10-unit cell edges
+    /// and corners, continuous measures) plus what a grid packing must
+    /// survive: a dense cluster in cell (3, 7), 300 duplicates inside cell
+    /// (5, 5), 100 on the corner (20, 20), and 200 objects outside
+    /// [`ten_grid`].
+    fn grid_packing_objects() -> Vec<SpatialObject> {
+        let mut objs = edge_heavy_objects(6000);
+        let scatter = grid_objects(2300);
+        for (i, o) in scatter.iter().enumerate() {
+            let m = 0.3 + (i % 11) as f64 * 0.71;
+            let (x, y) = (o.location.x / 10.0, o.location.y / 10.0);
+            objs.push(match i {
+                0..2000 => SpatialObject::at(30.0 + x, 70.0 + y, m),
+                2000..2100 => SpatialObject::at(-30.0 + x * 2.5, y * 10.0, m),
+                _ => SpatialObject::at(101.0 + x * 3.0, y * 10.0, m),
+            });
+        }
+        objs.extend((0..300).map(|i| SpatialObject::at(55.5, 55.25, 1.0 + i as f64 * 0.013)));
+        objs.extend((0..100).map(|i| SpatialObject::at(20.0, 20.0, 2.0 - i as f64 * 0.017)));
+        objs
+    }
+
+    #[test]
+    fn grid_packing_keeps_every_full_cell_in_its_own_leaves_and_parents() {
+        let spec = ten_grid();
+        let objs = grid_packing_objects();
+        for (fanout, threads) in [(16, 1), (16, 4), (4, 2), (9, 1)] {
+            let t = RTree::bulk_load_with(
+                objs.clone(),
+                RTreeConfig::with_fanout(fanout),
+                Some(&spec),
+                &WorkerPool::new(threads),
+            );
+            let what = format!("fanout {fanout}, {threads} threads");
+            assert_packed(&t, fanout, &what);
+            let key = |o: &SpatialObject| cell_key(&spec, o);
+            let mut count = vec![0usize; spec.num_cells()];
+            for k in objs.iter().map(key).filter(|&k| k != NO_CELL) {
+                count[k as usize] += 1;
+            }
+            let owns = |k: u32| k != NO_CELL && count[k as usize] >= OWN_LEAVES_FANOUTS * fanout;
+            // The cell a leaf belongs to, when one owns it.
+            let mut leaf_cell = vec![None; t.leaves as usize];
+            let mut leaves_of = vec![0usize; spec.num_cells()];
+            for (id, leaf) in t.nodes[..t.leaves as usize].iter().enumerate() {
+                let keys: Vec<u32> = t.leaf_objects(leaf).iter().map(key).collect();
+                let Some(&k) = keys.iter().find(|&&k| owns(k)) else {
+                    continue;
                 };
-                for i in node.run() {
-                    hits[i as usize] += 1;
+                assert!(
+                    keys.iter().all(|&other| other == k),
+                    "{what}: leaf {id} mixes cells"
+                );
+                assert!(
+                    spec.cell_rect_of(k).contains_rect(&leaf.mbr),
+                    "{what}: leaf {id}"
+                );
+                leaf_cell[id] = Some(k);
+                leaves_of[k as usize] += 1;
+            }
+            let mut owned = 0;
+            for (k, &c) in count.iter().enumerate().filter(|&(k, _)| owns(k as u32)) {
+                assert_eq!(
+                    leaves_of[k],
+                    c.div_ceil(fanout),
+                    "{what}: cell {k} fills ⌈c/m⌉ leaves"
+                );
+                owned += 1;
+            }
+            assert!(owned >= 3, "{what}: only {owned} cells own leaves");
+            // A cell of at least 4 leaves has parents of its own, and as
+            // few as its leaves allow.
+            let mut parents_of = vec![0usize; spec.num_cells()];
+            let level_one = t.leaves as usize..t.nodes.len();
+            for (id, parent) in t.nodes[level_one].iter().enumerate() {
+                let Some(first) = parent.run().next().filter(|&c| t.is_leaf(c)) else {
+                    break;
+                };
+                let cells: Vec<Option<u32>> = parent.run().map(|c| leaf_cell[c as usize]).collect();
+                if let Some(k) = leaf_cell[first as usize]
+                    .filter(|&k| leaves_of[k as usize] >= OWN_PARENTS_LEAVES)
+                {
+                    assert!(
+                        cells.iter().all(|&c| c == Some(k)),
+                        "{what}: parent {id} mixes cells"
+                    );
+                    parents_of[k as usize] += 1;
+                } else {
+                    assert!(
+                        cells
+                            .iter()
+                            .all(|c| c.is_none_or(|k| leaves_of[k as usize] < OWN_PARENTS_LEAVES)),
+                        "{what}: parent {id} shares an owned cell's leaf"
+                    );
                 }
             }
-            assert!(object_hits.iter().all(|&h| h == 1), "{n}, {fanout}");
-            let root = t.nodes.len() - 1;
-            assert!(node_hits[..root].iter().all(|&h| h == 1), "{n}, {fanout}");
-            assert_eq!(node_hits[root], 0);
+            for (k, &leaves) in leaves_of
+                .iter()
+                .enumerate()
+                .filter(|&(_, &l)| l >= OWN_PARENTS_LEAVES)
+            {
+                assert_eq!(parents_of[k], leaves.div_ceil(fanout), "{what}: cell {k}");
+            }
         }
+    }
+
+    #[test]
+    fn grid_packed_many_clip_walk_is_bit_identical_to_the_per_clip_descent() {
+        let spec = ten_grid();
+        let objs = grid_packing_objects();
+        let mut clips: Vec<Rect> = (0..100).map(|id| spec.cell_rect_of(id)).collect();
+        clips.push(spec.cell_rect_of(37));
+        clips.push(Rect::new(Point::new(-50.0, -5.0), Point::new(140.0, 105.0)));
+        clips.push(Rect::new(Point::new(101.0, 0.0), Point::new(131.0, 10.0)));
+        clips.push(Rect::new(Point::new(35.0, 35.0), Point::new(65.0, 65.0)));
+        clips.push(Rect::new(Point::new(20.0, 0.0), Point::new(20.0, 100.0)));
+        clips.push(Rect::EMPTY);
+        let ranges = [
+            Range::circle(Point::new(35.0, 75.0), 4.0),
+            Range::circle(Point::new(50.0, 50.0), 23.0),
+            Range::circle(Point::new(20.0, 20.0), 12.5),
+            Range::circle(Point::new(50.0, 50.0), 500.0),
+            Range::circle(Point::new(110.0, 5.0), 9.0),
+            Range::rect(Point::new(20.0, 30.0), Point::new(70.0, 80.0)),
+            Range::rect(Point::new(33.5, 0.0), Point::new(34.5, 100.0)),
+        ];
+        // Aligned with the clips, unaligned (another L), and a second
+        // fanout.
+        let other = GridSpec::new(spec.bounds(), 7.0);
+        for (grid, fanout) in [(&spec, 16), (&other, 16), (&spec, 5)] {
+            let t = RTree::bulk_load_with(
+                objs.clone(),
+                RTreeConfig::with_fanout(fanout),
+                Some(grid),
+                &WorkerPool::new(2),
+            );
+            for range in &ranges {
+                let got = t.aggregate_clipped_many(range, &clips);
+                for (i, clip) in clips.iter().enumerate() {
+                    let want = t.per_clip_reference(range, clip);
+                    assert_eq!(
+                        bits(&got[i]),
+                        bits(&want),
+                        "L {}, {range}, clip {i}",
+                        grid.cell_len()
+                    );
+                }
+                let brute = objs
+                    .iter()
+                    .filter(|o| range.contains_point(&o.location))
+                    .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
+                let whole = t.aggregate(range);
+                assert_eq!(whole.count, brute.count, "L {}, {range}", grid.cell_len());
+                assert!((whole.sum - brute.sum).abs() < 1e-9 * (1.0 + brute.sum.abs()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_grid_packing_is_bit_identical_for_every_pool_size() {
+        let spec = ten_grid();
+        let objs = grid_packing_objects();
+        let runs =
+            |t: &RTree| -> Vec<(u32, u32)> { t.nodes.iter().map(|n| (n.first, n.len)).collect() };
+        let seq = RTree::bulk_load_with(
+            objs.clone(),
+            RTreeConfig::default(),
+            Some(&spec),
+            &WorkerPool::sequential(),
+        );
+        for threads in [2, 4] {
+            let par = RTree::bulk_load_with(
+                objs.clone(),
+                RTreeConfig::default(),
+                Some(&spec),
+                &WorkerPool::new(threads),
+            );
+            assert_eq!(seq.objects(), par.objects(), "{threads} threads");
+            assert_eq!(runs(&seq), runs(&par), "{threads} threads");
+            assert_eq!(seq.height(), par.height());
+        }
+        // An empty grid packing and a one-object one are the plain trees.
+        let empty = RTree::bulk_load_with(
+            Vec::new(),
+            RTreeConfig::default(),
+            Some(&spec),
+            &WorkerPool::sequential(),
+        );
+        assert!(empty.is_empty() && empty.height() == 0);
+        let one = RTree::bulk_load_with(
+            objs[..1].to_vec(),
+            RTreeConfig::default(),
+            Some(&spec),
+            &WorkerPool::sequential(),
+        );
+        assert_eq!((one.len(), one.height(), one.node_count()), (1, 1, 1));
     }
 
     #[test]

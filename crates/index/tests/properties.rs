@@ -5,6 +5,7 @@ use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec, PrefixGrid, PrefixStack};
 use fedra_index::histogram::{EquiWidthHistogram, MinSkewConfig, MinSkewHistogram};
 use fedra_index::lsr::LsrForest;
+use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::{RTree, RTreeConfig};
 use fedra_index::Aggregate;
 use proptest::prelude::*;
@@ -99,6 +100,49 @@ proptest! {
         prop_assert_eq!(got.count, want.count);
         prop_assert!(close(got.sum, want.sum));
         prop_assert!(close(got.sum_sqr, want.sum_sqr));
+    }
+
+    #[test]
+    fn a_grid_packing_answers_integer_measures_as_plain_str_does(
+        objs in objects(), q in query(), fanout in 2usize..12, cell in 2.0f64..16.0,
+        seed in any::<u64>(),
+    ) {
+        // Integer measures keep every sum exact, so how the tree groups
+        // the objects cannot show. Half the objects crowd into one
+        // 8-unit cell, every third sits on the 8-unit lattice, and the
+        // packing grid covers only [0, 48]², so some fall outside it.
+        let objs: Vec<SpatialObject> = objs.into_iter().enumerate().map(|(i, o)| {
+            let (x, y, m) = (o.location.x, o.location.y, o.measure.round());
+            match i % 6 {
+                0 | 3 => SpatialObject::at((x / 8.0).round() * 8.0, (y / 8.0).round() * 8.0, m),
+                1 | 4 | 5 => SpatialObject::at(8.0 + x / 8.0, 16.0 + y / 8.0, m),
+                _ => SpatialObject::at(x, y, m),
+            }
+        }).collect();
+        let grid = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(48.0, 48.0)), cell);
+        let clip_grid = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE)), 8.0);
+        let clips: Vec<Rect> = (0..clip_grid.num_cells() as u32).map(|id| clip_grid.cell_rect_of(id)).collect();
+        let config = RTreeConfig::with_fanout(fanout);
+        let plain = RTree::bulk_load(objs.clone(), config);
+        let packed = RTree::bulk_load_with(objs.clone(), config, Some(&grid), &WorkerPool::new(2));
+        prop_assert_eq!(packed.len(), plain.len());
+        prop_assert_eq!(bits(&packed.total()), bits(&plain.total()));
+        prop_assert_eq!(bits(&packed.aggregate(&q)), bits(&plain.aggregate(&q)));
+        let (a, b) = (packed.aggregate_clipped_many(&q, &clips), plain.aggregate_clipped_many(&q, &clips));
+        prop_assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
+
+        let rng = StdRng::seed_from_u64(seed);
+        let plain = LsrForest::build(&objs, config, &mut rng.clone());
+        let packed = LsrForest::build_with(&objs, config, Some(&grid), &mut rng.clone(), &WorkerPool::new(2));
+        prop_assert_eq!(packed.num_levels(), plain.num_levels());
+        for l in 0..plain.num_levels() {
+            prop_assert_eq!(bits(&packed.query_at_level(&q, l)), bits(&plain.query_at_level(&q, l)));
+            let (a, b) = (
+                packed.query_clipped_many_at_level(&q, &clips, l),
+                plain.query_clipped_many_at_level(&q, &clips, l),
+            );
+            prop_assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -247,7 +247,8 @@ catalog! {
     SILO_POOL_THREADS: Gauge "fedra_silo_pool_threads" ["silo"];
     /// Items per batch frame a silo served.
     SILO_POOL_BATCH_ITEMS: Histogram "fedra_silo_pool_batch_items" ["silo"];
-    /// Batch items answered with an error after their handler panicked.
+    /// Requests (lone or batch items) answered with an error after their
+    /// handler panicked.
     SILO_BATCH_PANICS_TOTAL: Counter "fedra_silo_batch_panics_total" ["silo"];
     /// Boundary cells left out of a cell-contributions reply.
     SILO_CELLS_PRUNED_TOTAL: Counter "fedra_silo_cells_pruned_total" ["silo"];

@@ -18,7 +18,10 @@
 //! `fedra_workload::write_csv`), `--silo-id K` (serve partition `K` of
 //! the CSV; default: every row in the file), `--bounds x0,y0,x1,y1`
 //! (histogram/grid bounds — MUST match the provider's federation bounds
-//! for answers to line up; default: the file's bounding box),
+//! for answers to line up; default: the file's bounding box; the silo's
+//! index is packed along the grid of these bounds at the default cell
+//! length L = 1 km, and a provider grid of another L is answered just as
+//! correctly, only without that alignment),
 //! `--lsr-seed S` (default `1043722`, the builder default), `--threads N`
 //! (intra-silo worker pool; 0 = auto), `--snapshot-dir DIR`, and a
 //! deterministic fault spec — the `FaultPlan` the in-process backends
@@ -41,9 +44,14 @@ use fedra::federation::{
 };
 use fedra::federation::{FlapSchedule, SiloFaultSpec};
 use fedra::geo::{Point, Rect, SpatialObject};
+use fedra::index::grid::GridSpec;
 use fedra::index::histogram::MinSkewConfig;
 use fedra::index::rtree::RTreeConfig;
 use fedra::workload::read_csv;
+
+/// The grid cell length the index is packed along: `FederationBuilder`'s
+/// default `L`.
+const GRID_CELL_LEN_KM: f64 = 1.0;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -129,7 +137,10 @@ fn print_help() {
          columns are silo,x_km,y_km,measure (the workload crate's CSV).\n\
          --bounds and --lsr-seed (default 1043722) must match the\n\
          provider's federation for remote answers to be identical to a\n\
-         local run.\n\
+         local run. The index is packed along the grid of --bounds at\n\
+         the default cell length of 1 km: a provider grid of another\n\
+         length is answered from an unaligned index (same counts; a\n\
+         continuous-measure sum may differ in the last bit).\n\
          --snapshot-dir persists the built grid (checksummed) to\n\
          DIR/silo-K.grid after every BuildGrid and warm-starts from it\n\
          on respawn, so a crashed silo rejoins without re-binning.\n\
@@ -239,7 +250,7 @@ fn serve(options: &Options) -> ExitCode {
     let config = SiloConfig {
         rtree: RTreeConfig::default(),
         histogram: MinSkewConfig::default(),
-        bounds,
+        grid: GridSpec::new(bounds, GRID_CELL_LEN_KM),
         lsr_seed,
         threads,
     };

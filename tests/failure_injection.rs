@@ -393,3 +393,77 @@ fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
         }
     }
 }
+
+/// A request no well-behaved provider sends: an LSR mode outside the
+/// (ε, δ) domain, or a grid no `GridSpec` accepts. On either backend each
+/// answers a typed error — the ε/δ refusal at decode, the handler panic
+/// as a caught `Remote` error — and the silo goes on serving.
+#[test]
+fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
+    let spec = WorkloadSpec::default()
+        .with_total_objects(6_000)
+        .with_silos(2)
+        .with_seed(3);
+    let dataset = spec.generate();
+    let bounds = dataset.bounds();
+    let range = Range::circle(Point::new(0.0, -95.0), 2.0);
+    let lsr = |epsilon, delta| fedra::federation::LocalMode::Lsr {
+        epsilon,
+        delta,
+        sum0: 500.0,
+    };
+    let hostile = [
+        (
+            fedra::federation::Request::Aggregate {
+                range,
+                mode: lsr(-0.1, 0.01),
+            },
+            "local mode epsilon",
+        ),
+        (
+            fedra::federation::Request::CellContributions {
+                range,
+                mode: lsr(0.1, 1.5),
+            },
+            "local mode delta",
+        ),
+        (
+            fedra::federation::Request::Aggregate {
+                range,
+                mode: lsr(f64::NAN, 0.01),
+            },
+            "local mode epsilon",
+        ),
+        (
+            fedra::federation::Request::BuildGrid {
+                bounds,
+                cell_len: -1.0,
+                return_cells: true,
+            },
+            "request panicked",
+        ),
+    ];
+    for backend in [TransportBackend::InMemory, TransportBackend::Socket] {
+        let fed = FederationBuilder::new(bounds)
+            .transport_backend(backend)
+            .build(dataset.partitions().to_vec());
+        for (request, why) in &hostile {
+            match fed.call(0, request) {
+                Err(TransportError::Remote { silo: 0, message }) => {
+                    assert!(message.contains(why), "{backend:?}: {message}")
+                }
+                other => panic!("{backend:?}: {request:?} answered {other:?}"),
+            }
+            assert_eq!(
+                fed.call(0, &fedra::federation::Request::Ping).ok(),
+                Some(fedra::federation::Response::Pong),
+                "{backend:?}: silo 0 after {request:?}"
+            );
+        }
+        let q = FraQuery::circle(Point::new(0.0, -95.0), 2.0, AggFunc::Count);
+        let answer = Exact::new()
+            .try_execute(&fed, &q)
+            .expect("every silo serves");
+        assert!(answer.value > 0.0, "{backend:?}: {answer:?}");
+    }
+}

@@ -25,6 +25,7 @@ use std::time::Duration;
 
 use fedra::core::helpers;
 use fedra::federation::protocol::{Request, Response};
+use fedra::index::grid::GridSpec;
 use fedra::prelude::*;
 
 /// Unique scratch directory per test (sockets + snapshots).
@@ -50,7 +51,7 @@ fn silo_config(bounds: Rect) -> SiloConfig {
     SiloConfig {
         rtree: Default::default(),
         histogram: Default::default(),
-        bounds,
+        grid: GridSpec::new(bounds, CELL_LEN),
         lsr_seed: LSR_SEED,
         threads: 1,
     }

@@ -19,6 +19,7 @@ use fedra::federation::wire::Wire;
 use fedra::federation::{
     Request, Response, Silo, SiloAddr, SiloConfig, SiloSocketServer, SocketServerConfig,
 };
+use fedra::index::grid::GridSpec;
 use fedra::obs::catalog::SILO_ACCEPT_ERRORS_TOTAL;
 use fedra::prelude::*;
 
@@ -73,7 +74,7 @@ fn a_failed_accept_is_retried_and_the_connection_served() {
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
-            bounds,
+            grid: GridSpec::new(bounds, 1.0),
             lsr_seed: 7,
             threads: 1,
         },

@@ -22,6 +22,7 @@ use fedra::federation::{
     ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloDiagnostics, SiloSocketServer,
     SocketServerConfig, SocketTransport, Transport,
 };
+use fedra::index::grid::GridSpec;
 use fedra::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -393,7 +394,7 @@ fn spawn_test_server() -> SiloSocketServer {
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
-            bounds: sample_rect(),
+            grid: GridSpec::new(sample_rect(), 1.0),
             lsr_seed: 7,
             threads: 1,
         },
@@ -427,7 +428,7 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
-            bounds: sample_rect(),
+            grid: GridSpec::new(sample_rect(), 1.0),
             lsr_seed: 7,
             threads: 1,
         },
@@ -719,7 +720,7 @@ fn concurrent_callers_on_one_channel_each_get_their_own_reply() {
         SiloConfig {
             rtree: Default::default(),
             histogram: Default::default(),
-            bounds: sample_rect(),
+            grid: GridSpec::new(sample_rect(), 1.0),
             lsr_seed: 7,
             threads: 1,
         },
