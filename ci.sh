@@ -74,11 +74,19 @@ echo "    ok (20/20)"
 # Socket read-path loop: a waiting caller reads its own reply, one reader
 # per connection at a time, handing the reads on when it stops. Races in
 # that hand-off depend on timing, so the suite runs 10 times; 10/10 must
-# pass.
+# pass. The second race is a crash against a reconnect: an injected crash
+# must close the silo's listener before its connection drops, or a
+# reconnect that lands in between turns the crash into a retryable
+# transient where the in-memory backend says disconnected (the seeded
+# fault-plan test in socket_transport); the partition suite's
+# crash-and-rejoin test runs along under the default reconnect budget.
 echo "==> socket transport loop (10x)"
 for i in $(seq 1 10); do
     cargo test -q --release --test socket_transport >/dev/null 2>&1 \
         || { echo "socket transport loop: run $i failed"; exit 1; }
+    cargo test -q --release --test partition crashed_silo_rejoins_from_its_grid_snapshot \
+        >/dev/null 2>&1 \
+        || { echo "socket transport loop: partition rejoin run $i failed"; exit 1; }
 done
 echo "    ok (10/10)"
 

@@ -44,7 +44,6 @@ fn build(with_resilience: bool) -> Federation {
             .call_policy(CallPolicy {
                 deadline: Some(Duration::from_secs(2)),
                 hedge_after: Some(Duration::from_millis(25)),
-                ..Default::default()
             })
             .health_config(HealthConfig::enabled());
     }

@@ -33,8 +33,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use fedra_federation::{
-    CommSnapshot, Federation, HealthTransition, PendingFrame, Poll, Reply, Request, SiloId,
-    TransportError,
+    CallPolicy, CommSnapshot, Federation, HealthTransition, PendingFrame, Poll, Reply, Request,
+    SiloId, TransportError,
 };
 use fedra_obs::{ObsContext, Span, TraceHandle};
 
@@ -450,22 +450,16 @@ struct Legs {
     /// order has none).
     spare: std::vec::IntoIter<SiloId>,
     riding: usize,
-    retries: u32,
     budget: Budget,
 }
 
 impl Legs {
-    fn new(first: Vec<SiloId>, spare: Vec<SiloId>, run: (u32, Budget)) -> Self {
-        let (retries, budget) = run;
-        let legs: Vec<_> = first
-            .into_iter()
-            .map(|k| (k, Leg::new(retries, budget)))
-            .collect();
+    fn new(first: Vec<SiloId>, spare: Vec<SiloId>, budget: Budget) -> Self {
+        let legs: Vec<_> = first.into_iter().map(|k| (k, Leg::new(budget))).collect();
         Legs {
             riding: legs.len(),
             legs,
             spare: spare.into_iter(),
-            retries,
             budget,
         }
     }
@@ -489,7 +483,7 @@ impl Legs {
         self.riding -= 1;
         if matches!(leg.end, Some(End::Degrade { .. })) {
             if let Some(next) = self.spare.next() {
-                self.legs.push((next, Leg::new(self.retries, self.budget)));
+                self.legs.push((next, Leg::new(self.budget)));
                 self.riding += 1;
             }
         }
@@ -504,9 +498,9 @@ struct Leg {
 }
 
 impl Leg {
-    fn new(retries: u32, budget: Budget) -> Self {
+    fn new(budget: Budget) -> Self {
         Leg {
-            run: QueryRun::new(retries, budget),
+            run: QueryRun::new(CallPolicy::RETRIES, budget),
             end: None,
         }
     }
@@ -656,7 +650,6 @@ where
         trace: TraceHandle,
     ) -> Option<(K, Outcome)> {
         let (federation, obs) = (self.federation, self.obs);
-        let retries = federation.call_policy().retries;
         // `Err`: the query is answered without a silo.
         let planned = guarded("planning", || {
             let algorithm = algorithm();
@@ -675,13 +668,13 @@ where
                 Some(k) => {
                     let mut first = order;
                     let spare = first.split_off(k.min(first.len()));
-                    let legs = Legs::new(first, spare, (retries, budget));
+                    let legs = Legs::new(first, spare, budget);
                     Runs::Legs { algorithm, legs }
                 }
                 None => Runs::Walk {
                     algorithm,
                     order,
-                    leg: Leg::new(retries, budget),
+                    leg: Leg::new(budget),
                 },
             };
             Ok((runs, request, span))
@@ -1412,7 +1405,6 @@ mod tests {
             .call_policy(CallPolicy {
                 deadline: Some(Duration::from_secs(2)),
                 hedge_after: Some(Duration::from_millis(5)),
-                ..Default::default()
             })
             .build(partitions(2, 400));
         let qs = queries(8, 14);

@@ -2,9 +2,9 @@
 //! crate's only seeded fault source.
 //!
 //! A [`FaultPlan`] describes, per silo, the misbehaviour to inject at the
-//! transport boundary: extra latency (with optional jitter), dropped
-//! messages, transient refusals, a hard crash after N requests, and
-//! counter-based flap schedules. The plan compiles to one
+//! transport boundary: extra latency, dropped messages, transient
+//! refusals, a hard crash after N requests, and counter-based flap
+//! schedules. The plan compiles to one
 //! [`SiloFaultInjector`] per silo worker; every random draw comes from a
 //! per-silo `StdRng` seeded from `plan.seed ^ silo`, and every schedule is
 //! keyed on the worker's *request counter*, never the wall clock — so a
@@ -69,8 +69,6 @@ impl FlapSchedule {
 pub struct SiloFaultSpec {
     /// Fixed extra latency added to every served request.
     pub latency: Option<Duration>,
-    /// Additional uniform jitter in `[0, jitter)` on top of `latency`.
-    pub jitter: Option<Duration>,
     /// Probability a request is dropped outright (no reply ever). Callers
     /// must pair drops with a deadline, or the pending call blocks
     /// forever.
@@ -255,16 +253,8 @@ impl SiloFaultInjector {
         }
     }
 
-    fn delay(&mut self) -> Option<Duration> {
-        let base = self.spec.latency.unwrap_or(Duration::ZERO);
-        let jitter = match self.spec.jitter {
-            Some(j) if !j.is_zero() => {
-                Duration::from_nanos(self.rng.random_range(0..j.as_nanos().max(1) as u64))
-            }
-            _ => Duration::ZERO,
-        };
-        let total = base + jitter;
-        (!total.is_zero()).then_some(total)
+    fn delay(&self) -> Option<Duration> {
+        self.spec.latency.filter(|latency| !latency.is_zero())
     }
 }
 
@@ -309,7 +299,6 @@ mod tests {
             SiloFaultSpec {
                 transient_prob: 0.3,
                 drop_prob: 0.1,
-                jitter: Some(Duration::from_millis(5)),
                 latency: Some(Duration::from_millis(1)),
                 ..Default::default()
             },

@@ -31,10 +31,10 @@ use crate::health::{HealthConfig, HealthTracker};
 use crate::protocol::{Request, Response, SiloMemoryReport};
 use crate::silo::{Silo, SiloConfig, SiloId};
 use crate::snapshot::ProviderSnapshot;
-use crate::transport::socket::{spawn_silo_socket, ReconnectPolicy, SiloAddr, SocketTransport};
+use crate::transport::socket::{spawn_silo_socket, SiloAddr, SocketTransport};
 use crate::transport::{
-    spawn_silo, CallPolicy, CommCounters, CommSnapshot, SiloChannel, SiloDiagnostics, Transport,
-    TransportBackend, TransportError,
+    spawn_silo, CallPolicy, CommCounters, CommSnapshot, SiloChannel, Transport, TransportBackend,
+    TransportError,
 };
 use crate::wire::Wire;
 
@@ -173,7 +173,6 @@ impl DegradePolicy {
 pub struct FederationBuilder {
     bounds: Rect,
     grid_cell_len: f64,
-    rtree: RTreeConfig,
     histogram: MinSkewConfig,
     lsr_seed: u64,
     silo_threads: usize,
@@ -183,7 +182,6 @@ pub struct FederationBuilder {
     call_policy: CallPolicy,
     health: HealthConfig,
     degrade: DegradePolicy,
-    reconnect: ReconnectPolicy,
     transport: Option<TransportBackend>,
     remotes: Vec<String>,
 }
@@ -194,7 +192,6 @@ impl FederationBuilder {
         Self {
             bounds,
             grid_cell_len: 1.0,
-            rtree: RTreeConfig::default(),
             histogram: MinSkewConfig::default(),
             lsr_seed: 0x000F_ED0A,
             silo_threads: 0,
@@ -204,7 +201,6 @@ impl FederationBuilder {
             call_policy: CallPolicy::default(),
             health: HealthConfig::default(),
             degrade: DegradePolicy::default(),
-            reconnect: ReconnectPolicy::default(),
             transport: None,
             remotes: Vec::new(),
         }
@@ -242,12 +238,6 @@ impl FederationBuilder {
     /// Sets the grid cell length `L` (paper default 1 km, swept in Fig. 5).
     pub fn grid_cell_len(mut self, cell_len: f64) -> Self {
         self.grid_cell_len = cell_len;
-        self
-    }
-
-    /// Sets the R-tree fanout used by all silo indexes.
-    pub fn rtree_config(mut self, config: RTreeConfig) -> Self {
-        self.rtree = config;
         self
     }
 
@@ -297,7 +287,7 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the retry/deadline/hedging policy query drivers should apply
+    /// Sets the deadline/hedging policy query drivers should apply
     /// to scatter-gather calls (exposed via [`Federation::call_policy`];
     /// the transport itself stays policy-free).
     pub fn call_policy(mut self, policy: CallPolicy) -> Self {
@@ -319,17 +309,6 @@ impl FederationBuilder {
     /// from the reachable subset with an honest coverage record.
     pub fn degrade_policy(mut self, policy: DegradePolicy) -> Self {
         self.degrade = policy;
-        self
-    }
-
-    /// Sets the socket transport's reconnect policy (its attempt budget;
-    /// the capped, jittered backoff is fixed). Only socket-backed and remote
-    /// silos consult it; the default reproduces the historical 3-attempt
-    /// cap. Supervised deployments typically pair
-    /// [`crate::transport::socket::ReconnectAttempts::Unbounded`] with an
-    /// enabled circuit breaker.
-    pub fn reconnect_policy(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = policy;
         self
     }
 
@@ -403,7 +382,7 @@ impl FederationBuilder {
                 .map(|(id, objects)| {
                     scope.spawn(move || {
                         let config = SiloConfig {
-                            rtree: builder.rtree,
+                            rtree: RTreeConfig::default(),
                             histogram: builder.histogram,
                             grid: GridSpec::new(builder.bounds, builder.grid_cell_len),
                             lsr_seed: builder.lsr_seed,
@@ -437,7 +416,7 @@ impl FederationBuilder {
             let (channel, handle) = match backend {
                 TransportBackend::InMemory => spawn_silo(silo, Arc::clone(&setup_stats), injector)?,
                 TransportBackend::Socket => {
-                    spawn_silo_socket(silo, Arc::clone(&setup_stats), injector, self.reconnect)?
+                    spawn_silo_socket(silo, Arc::clone(&setup_stats), injector)?
                 }
             };
             channels.push(channel);
@@ -446,8 +425,7 @@ impl FederationBuilder {
         // Remote silos join after the local partitions, ids continuing.
         for addr in remote_addrs {
             let id = channels.len();
-            let transport =
-                SocketTransport::connect_with(id, addr, SiloDiagnostics::remote(), self.reconnect)?;
+            let transport = SocketTransport::connect(id, addr)?;
             channels.push(SiloChannel::over(
                 Arc::new(transport) as Arc<dyn Transport>,
                 Arc::clone(&setup_stats),
@@ -810,7 +788,7 @@ impl Federation {
         self.channels.iter().map(|c| c.served()).collect()
     }
 
-    /// The retry/deadline/hedging policy configured at build time
+    /// The deadline/hedging policy configured at build time
     /// ([`FederationBuilder::call_policy`]). Query drivers consult this;
     /// the transport itself never retries on its own.
     pub fn call_policy(&self) -> &CallPolicy {
@@ -836,11 +814,6 @@ impl Federation {
     /// computations can run fault-free before a chaos phase starts.
     pub fn set_faults_armed(&self, armed: bool) {
         self.fault_armed.store(armed, Ordering::Release);
-    }
-
-    /// Whether fault injection is currently armed.
-    pub fn faults_armed(&self) -> bool {
-        self.fault_armed.load(Ordering::Acquire)
     }
 
     /// Silo `k`'s own metrics registry (request counts by kind, batch

@@ -6,7 +6,7 @@
 //! latency EWMA, and runs a three-state breaker:
 //!
 //! ```text
-//!        failure_threshold consecutive failures
+//!        FAILURE_THRESHOLD (3) consecutive failures
 //! Closed ────────────────────────────────────────▶ Open
 //!   ▲                                               │ probe admitted
 //!   │ probe succeeds                                ▼ (seeded draw)
@@ -28,9 +28,9 @@
 //!   planned candidate, so an admitted probe is never refused by its own
 //!   caller.
 //!
-//! The draw comes from one `StdRng` seeded by [`HealthConfig::seed`], so
-//! a fixed call sequence half-opens at the same points every run — chaos
-//! tests stay bit-stable.
+//! The draw comes from one `StdRng` with a fixed seed, so a fixed call
+//! sequence half-opens at the same points every run — chaos tests stay
+//! bit-stable.
 //!
 //! By default the tracker is **passive**: it records failures and
 //! latencies (visible in [`HealthTracker::snapshot`]) but
@@ -87,6 +87,12 @@ pub enum HealthTransition {
 /// EWMA smoothing factor for the success-latency estimate, in `(0, 1]`.
 const EWMA_ALPHA: f64 = 0.2;
 
+/// Consecutive failures that open a closed breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+
+/// Seed of the probe-admission draws (`"HEAL"`).
+const PROBE_SEED: u64 = 0x4845_414C;
+
 /// Eligibility checks a half-open breaker tolerates with no probe outcome
 /// before the lease expires and it reverts to `Open`.
 ///
@@ -103,23 +109,16 @@ pub struct HealthConfig {
     /// Whether the breaker actually gates the candidate set. Off by
     /// default: the tracker then only records.
     pub breaker_enabled: bool,
-    /// Consecutive failures that open the breaker.
-    pub failure_threshold: u32,
     /// Probability an eligibility check against an open breaker admits a
-    /// half-open probe.
+    /// half-open probe (0 keeps an open breaker open).
     pub probe_probability: f64,
-    /// Seed for the probe-admission draws (determinism under a fixed
-    /// call sequence).
-    pub seed: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             breaker_enabled: false,
-            failure_threshold: 3,
             probe_probability: 0.2,
-            seed: 0x4845_414C,
         }
     }
 }
@@ -203,18 +202,8 @@ impl HealthTracker {
         HealthTracker {
             config,
             silos: (0..m).map(|_| Mutex::new(SiloHealthState::new())).collect(),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
+            rng: Mutex::new(StdRng::seed_from_u64(PROBE_SEED)),
         }
-    }
-
-    /// The tracker's configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
-    }
-
-    /// Whether the breaker gates the candidate set.
-    pub fn breaker_enabled(&self) -> bool {
-        self.config.breaker_enabled
     }
 
     /// Records a successful call and its latency. Closes an open or
@@ -241,7 +230,7 @@ impl HealthTracker {
     }
 
     /// Records a failed call. Opens the breaker after
-    /// `failure_threshold` consecutive failures, and re-opens a
+    /// `FAILURE_THRESHOLD` consecutive failures, and re-opens a
     /// half-open breaker whose probe failed.
     pub fn record_failure(&self, silo: SiloId) -> HealthTransition {
         let Some(slot) = self.silos.get(silo) else {
@@ -261,7 +250,7 @@ impl HealthTracker {
                 state.opened_total += 1;
                 HealthTransition::Opened
             }
-            BreakerState::Closed if state.consecutive_failures >= self.config.failure_threshold => {
+            BreakerState::Closed if state.consecutive_failures >= FAILURE_THRESHOLD => {
                 state.state = BreakerState::Open;
                 state.opened_total += 1;
                 HealthTransition::Opened
@@ -484,15 +473,8 @@ mod tests {
 
     #[test]
     fn probe_admission_is_seed_deterministic() {
-        let draws = |seed: u64| -> Vec<bool> {
-            let tracker = HealthTracker::new(
-                1,
-                HealthConfig {
-                    breaker_enabled: true,
-                    seed,
-                    ..Default::default()
-                },
-            );
+        let draws = || -> Vec<bool> {
+            let tracker = enabled_tracker(1);
             for _ in 0..3 {
                 tracker.record_failure(0);
             }
@@ -507,8 +489,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(draws(7), draws(7));
-        assert_ne!(draws(7), draws(8));
+        assert_eq!(draws(), draws());
     }
 
     #[test]

@@ -38,11 +38,8 @@ pub use protocol::{LocalMode, Request, Response, SiloMemoryReport};
 pub use silo::{Silo, SiloConfig, SiloGridSnapshot, SiloId};
 pub use snapshot::ProviderSnapshot;
 pub use transport::chaos::ChaosProxy;
-pub use transport::socket::{
-    ReconnectAttempts, ReconnectPolicy, SiloAddr, SiloSocketServer, SocketServerConfig,
-    SocketTransport,
-};
+pub use transport::socket::{SiloAddr, SiloSocketServer, SocketServerConfig, SocketTransport};
 pub use transport::{
-    CallPolicy, CommCounters, CommSnapshot, FrameReplies, InMemoryTransport, PendingFrame, Poll,
-    Reply, ReplySlot, SiloChannel, SiloDiagnostics, Transport, TransportBackend, TransportError,
+    CallPolicy, CommCounters, CommSnapshot, FrameReplies, PendingFrame, Poll, Reply, ReplySlot,
+    SiloChannel, SiloDiagnostics, Transport, TransportBackend, TransportError,
 };

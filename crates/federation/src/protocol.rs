@@ -226,13 +226,16 @@ impl Wire for LocalMode {
             1 => {
                 // The domain `LsrForest::select_level` serves; a frame
                 // outside it is refused here, before any silo reads it.
-                let epsilon = f64::decode(buf)?;
+                // All three values are read first: a mode is the last
+                // field of every request carrying one, so a refusal
+                // leaves the cursor at its item's end (see `decode_riders`).
+                let (epsilon, delta, sum0) =
+                    (f64::decode(buf)?, f64::decode(buf)?, f64::decode(buf)?);
                 if !(epsilon > 0.0 && epsilon.is_finite()) {
                     return Err(WireError::BadValue {
                         context: "local mode epsilon",
                     });
                 }
-                let delta = f64::decode(buf)?;
                 if !(delta > 0.0 && delta < 1.0) {
                     return Err(WireError::BadValue {
                         context: "local mode delta",
@@ -241,7 +244,7 @@ impl Wire for LocalMode {
                 Ok(LocalMode::Lsr {
                     epsilon,
                     delta,
-                    sum0: f64::decode(buf)?,
+                    sum0,
                 })
             }
             tag => Err(WireError::BadTag {
@@ -271,6 +274,42 @@ const REQUEST_CELL_CONTRIBUTIONS_TAG: u8 = 8;
 const MASKABLE_TAGS: [u8; 3] = [1, REQUEST_CELL_CONTRIBUTIONS_TAG, 3];
 /// Wire tag of [`Response::Batch`].
 const RESPONSE_BATCH_TAG: u8 = 7;
+
+/// The riders of a request frame as a silo serves them (see
+/// [`decode_riders`]).
+#[derive(Debug, PartialEq)]
+pub(crate) enum Riders {
+    /// One bare request.
+    Lone(Request),
+    /// A batch's items, each decoded on its own.
+    Batch(Vec<WireResult<Request>>),
+}
+
+/// Decodes a request frame the way a silo serves it. A batch item whose
+/// bytes parse but whose values leave the served domain
+/// ([`WireError::BadValue`]) fails alone, and its frame-mates are still
+/// served; structural damage (a bad tag, a truncation, trailing bytes)
+/// refuses the whole frame, since nothing marks where the next item would
+/// begin. [`Request::from_bytes`] refuses a batch with any bad item.
+pub(crate) fn decode_riders(payload: Bytes) -> WireResult<Riders> {
+    if payload.first() != Some(&REQUEST_BATCH_TAG) {
+        return Request::from_bytes(payload).map(Riders::Lone);
+    }
+    let mut buf = payload.slice(1..payload.len());
+    let items = decode_seq(&mut buf, |buf| {
+        match decode_nested(buf, "batch item", |tag| tag != REQUEST_BATCH_TAG) {
+            Err(error @ WireError::BadValue { .. }) => Ok(Err(error)),
+            item => item.map(Ok),
+        }
+    })?;
+    if !buf.is_empty() {
+        return Err(WireError::BadLength {
+            context: "trailing bytes",
+            len: buf.len(),
+        });
+    }
+    Ok(Riders::Batch(items))
+}
 
 /// Encodes a batch request frame straight from borrowed sub-requests —
 /// byte-identical to `Request::Batch(requests.to_vec()).to_bytes()` but
@@ -625,6 +664,75 @@ mod tests {
         for (epsilon, delta) in [(1e-9, 1e-12), (5.0, 0.999_999), (f64::MAX, 0.5)] {
             round_trip(request(epsilon, delta));
         }
+    }
+
+    #[test]
+    fn a_served_batch_refuses_an_out_of_domain_item_alone_and_damage_whole() {
+        let lsr = |epsilon, delta| Request::Masked {
+            moments: Moments::COUNT,
+            request: Box::new(Request::CellContributions {
+                range: Range::circle(Point::new(1.0, 2.0), 3.0),
+                mode: LocalMode::Lsr {
+                    epsilon,
+                    delta,
+                    sum0: 40.0,
+                },
+            }),
+        };
+        let batch = Request::Batch(vec![
+            Request::Ping,
+            lsr(-0.1, 0.01),
+            lsr(0.1, 1.5),
+            lsr(0.1, 0.01),
+        ]);
+        assert_eq!(
+            decode_riders(batch.to_bytes()),
+            Ok(Riders::Batch(vec![
+                Ok(Request::Ping),
+                Err(WireError::BadValue {
+                    context: "local mode epsilon"
+                }),
+                Err(WireError::BadValue {
+                    context: "local mode delta"
+                }),
+                Ok(lsr(0.1, 0.01)),
+            ]))
+        );
+        // A lone request is the request, refused whole when it is bad.
+        assert_eq!(
+            decode_riders(Request::Ping.to_bytes()),
+            Ok(Riders::Lone(Request::Ping))
+        );
+        assert_eq!(
+            decode_riders(lsr(0.1, 2.0).to_bytes()),
+            Err(WireError::BadValue {
+                context: "local mode delta"
+            })
+        );
+        // Structural damage cannot be stepped over: a bad item tag, a cut
+        // and trailing bytes each refuse the whole frame.
+        let good = Request::Batch(vec![Request::Ping, Request::MemoryReport]).to_bytes();
+        let mut bad_tag = good.to_vec();
+        bad_tag[5] = 0xEE;
+        assert!(matches!(
+            decode_riders(Bytes::from(bad_tag)),
+            Err(WireError::BadTag { .. })
+        ));
+        let long = Request::Batch(vec![Request::Ping, lsr(0.1, 0.01)]).to_bytes();
+        let cut = long.slice(0..long.len() - 3);
+        assert!(matches!(
+            decode_riders(cut),
+            Err(WireError::Truncated { .. })
+        ));
+        let mut trailing = good.to_vec();
+        trailing.push(5);
+        assert_eq!(
+            decode_riders(Bytes::from(trailing)),
+            Err(WireError::BadLength {
+                context: "trailing bytes",
+                len: 1
+            })
+        );
     }
 
     #[test]

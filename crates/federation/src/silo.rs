@@ -325,13 +325,21 @@ impl Silo {
     /// way, so no request can take the silo down.
     pub fn handle(&self, request: Request) -> Response {
         match request {
-            Request::Batch(requests) => {
-                self.metrics.batch_items.observe(requests.len() as u64);
-                let serve = |item| self.handle_guarded(item, "batch item");
-                Response::Batch(requests.into_iter().map(serve).collect())
-            }
+            Request::Batch(requests) => self.handle_batch(requests.into_iter().map(Ok).collect()),
             other => self.handle_guarded(other, "request"),
         }
+    }
+
+    /// Serves a batch's items in order, each answered on its own: an item
+    /// that failed to decode ([`crate::protocol::decode_riders`]) answers
+    /// its own [`Response::Error`], and a panicking one its own error too.
+    pub(crate) fn handle_batch(&self, items: Vec<WireResult<Request>>) -> Response {
+        self.metrics.batch_items.observe(items.len() as u64);
+        let serve = |item: WireResult<Request>| match item {
+            Ok(item) => self.handle_guarded(item, "batch item"),
+            Err(error) => Response::Error(format!("undecodable request: {error}")),
+        };
+        Response::Batch(items.into_iter().map(serve).collect())
     }
 
     /// [`Self::handle_one`], with a panic caught and answered as an error

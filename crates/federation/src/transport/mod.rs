@@ -37,7 +37,7 @@ pub mod socket;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError, Weak};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,7 +46,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use crate::fault::{FaultAction, SiloFaultInjector};
-use crate::protocol::{encode_batch_request, Request, Response};
+use crate::protocol::{decode_riders, encode_batch_request, Request, Response, Riders};
 use crate::silo::{Silo, SiloId};
 use crate::wire::{Wire, WireError};
 
@@ -274,58 +274,69 @@ impl ReplyPool {
     }
 }
 
-/// Registry of in-flight reply slots for one silo channel, shared with
-/// the worker's [`AliveGuard`]: when the worker exits on *any* path, the
-/// guard sweeps the registry and marks every outstanding slot dead, which
-/// is what wakes parked waiters that would otherwise sleep forever on a
+/// The in-flight table both backends keep: token → the reply slot of a
+/// call still out, tagged with the connection generation it was sent on
+/// (the in-memory backend has one, generation 0; the socket client's
+/// tokens are its frames' correlation ids). A call leaves the table when
+/// its reply is handed over or its caller retires it. A lost connection
+/// sweeps the calls of its generation and a worker exit sweeps them all,
+/// which is what wakes waiters that would otherwise sleep forever on a
 /// reply that can no longer come.
-///
-/// Entries are weak so an abandoned call's slot can die independently;
-/// resolved calls deregister eagerly, and registration prunes dead weaks
-/// once the map grows past a small bound, so the registry stays
-/// proportional to the number of calls actually in flight.
 #[derive(Default)]
-struct InflightRegistry {
-    inflight: Mutex<InflightSlots>,
+pub(crate) struct Inflight {
+    calls: Mutex<InflightCalls>,
 }
 
 #[derive(Default)]
-struct InflightSlots {
+struct InflightCalls {
     next_token: u64,
-    slots: HashMap<u64, Weak<ReplySlot>>,
+    slots: HashMap<u64, (u64, Arc<ReplySlot>)>,
 }
 
-/// Registry size beyond which registration prunes unreachable entries.
-const INFLIGHT_PRUNE_LEN: usize = 64;
-
-impl InflightRegistry {
-    fn register(&self, slot: &Arc<ReplySlot>) -> u64 {
-        let mut guard = self.inflight.lock();
-        if guard.slots.len() >= INFLIGHT_PRUNE_LEN {
-            guard.slots.retain(|_, weak| weak.strong_count() > 0);
-        }
-        let token = guard.next_token;
-        guard.next_token = guard.next_token.wrapping_add(1);
-        guard.slots.insert(token, Arc::downgrade(slot));
+impl Inflight {
+    /// Enters a call sent on generation `gen`; returns its token.
+    pub(crate) fn register(&self, gen: u64, slot: &Arc<ReplySlot>) -> u64 {
+        let mut calls = self.calls.lock();
+        let token = calls.next_token;
+        calls.next_token = token.wrapping_add(1);
+        calls.slots.insert(token, (gen, Arc::clone(slot)));
         token
     }
 
-    fn deregister(&self, token: u64) {
-        self.inflight.lock().slots.remove(&token);
+    /// Takes call `token` out of the table: its slot, if it was still in.
+    pub(crate) fn retire(&self, token: u64) -> Option<Arc<ReplySlot>> {
+        self.calls.lock().slots.remove(&token).map(|(_, slot)| slot)
     }
 
-    /// Marks every registered slot dead (worker exit). The upgrade happens
-    /// under the registry lock but the marking outside it, so no slot lock
-    /// is ever taken while the registry is held.
-    fn sweep_dead(&self) {
-        let live: Vec<Arc<ReplySlot>> = {
-            let mut guard = self.inflight.lock();
-            let slots = guard.slots.drain().filter_map(|(_, w)| w.upgrade());
-            slots.collect()
-        };
-        for slot in live {
-            slot.mark_dead();
+    /// The generation call `token` was sent on, while it is in the table.
+    pub(crate) fn generation(&self, token: u64) -> Option<u64> {
+        self.calls.lock().slots.get(&token).map(|(gen, _)| *gen)
+    }
+
+    /// Takes out every call sent on a generation ≤ `up_to` and fails it
+    /// with `error`, or marks it dead when there is none (the peer is gone
+    /// for good; a worker exit sweeps up to `u64::MAX`). The slots are
+    /// resolved outside the table's lock, so no slot lock is ever taken
+    /// while the table is held.
+    pub(crate) fn sweep(&self, up_to: u64, error: Option<TransportError>) {
+        let swept: Vec<Arc<ReplySlot>> = self
+            .calls
+            .lock()
+            .slots
+            .extract_if(|_, (gen, _)| *gen <= up_to)
+            .map(|(_, (_, slot))| slot)
+            .collect();
+        for slot in swept {
+            match &error {
+                Some(error) => slot.fail(error.clone()),
+                None => slot.mark_dead(),
+            }
         }
+    }
+
+    /// Number of calls in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.calls.lock().slots.len()
     }
 }
 
@@ -437,37 +448,27 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Timing/robustness policy for silo calls: per-attempt deadline, retry
-/// budget for transient refusals, and the hedging threshold. Retries
-/// sleep [`CallPolicy::backoff`] between attempts.
+/// Timing policy for silo calls: the per-attempt deadline and the
+/// hedging threshold. A transient refusal is retried on the same silo up
+/// to [`CallPolicy::RETRIES`] times, sleeping [`CallPolicy::backoff`]
+/// before each retry.
 ///
 /// The federation carries one policy (see
 /// [`crate::FederationBuilder::call_policy`]); the default disables
-/// deadlines and hedging, so behaviour is identical to the pre-policy
-/// transport.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// deadlines and hedging.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CallPolicy {
-    /// Per-attempt RPC deadline (`None`: wait forever, the historical
-    /// behaviour).
+    /// Per-attempt RPC deadline (`None`: wait forever).
     pub deadline: Option<Duration>,
-    /// Maximum same-silo retries after a [`TransportError::Transient`].
-    pub retries: u32,
     /// Fire a hedge request at a second silo if the first has not
     /// answered within this threshold (`None`: never hedge).
     pub hedge_after: Option<Duration>,
 }
 
-impl Default for CallPolicy {
-    fn default() -> Self {
-        CallPolicy {
-            deadline: None,
-            retries: 2,
-            hedge_after: None,
-        }
-    }
-}
-
 impl CallPolicy {
+    /// Same-silo retries after a [`TransportError::Transient`].
+    pub const RETRIES: u32 = 2;
+
     /// Backoff before retry number `attempt` (1-based) of a call to
     /// `silo`: the transport's shared `backoff` with salt 0 — capped
     /// exponential from 2 ms to 50 ms plus deterministic jitter below
@@ -484,7 +485,7 @@ const BACKOFF_BASE: Duration = Duration::from_millis(2);
 const BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// The one backoff shared by call retries ([`CallPolicy::backoff`]) and
-/// socket reconnects ([`socket::ReconnectPolicy::backoff`]): before attempt
+/// socket reconnects (salted with `socket::RECONNECT_SEED`): before attempt
 /// `attempt` (1-based), [`BACKOFF_BASE`] doubled per attempt up to
 /// [`BACKOFF_CAP`], plus jitter in `[0, BACKOFF_BASE)` from a SplitMix64
 /// hash of `(silo, attempt)` xor `salt`. No RNG and no clock, so chaos runs
@@ -529,7 +530,7 @@ pub struct SiloDiagnostics {
 
 impl SiloDiagnostics {
     /// Shares the diagnostics of an in-process [`Silo`].
-    pub fn shared_with(silo: &Silo) -> SiloDiagnostics {
+    pub(crate) fn shared_with(silo: &Silo) -> SiloDiagnostics {
         SiloDiagnostics {
             backend: "memory",
             served: silo.served_counter(),
@@ -540,7 +541,7 @@ impl SiloDiagnostics {
     }
 
     /// Client-local diagnostics for a genuinely remote silo.
-    pub fn remote() -> SiloDiagnostics {
+    pub(crate) fn remote() -> SiloDiagnostics {
         SiloDiagnostics {
             backend: "socket",
             served: Arc::new(AtomicU64::new(0)),
@@ -831,10 +832,10 @@ impl std::fmt::Debug for PendingFrame {
 /// The in-memory [`Transport`] backend: frames travel to a per-silo OS
 /// worker thread over a crossbeam channel ([`spawn_silo`]). This is the
 /// deterministic tier-1 default.
-pub struct InMemoryTransport {
+pub(crate) struct InMemoryTransport {
     silo: SiloId,
     tx: Sender<Envelope>,
-    registry: Arc<InflightRegistry>,
+    inflight: Arc<Inflight>,
     diagnostics: SiloDiagnostics,
     worker_alive: Arc<AtomicBool>,
 }
@@ -854,7 +855,7 @@ impl Transport for InMemoryTransport {
         // wake slots it can see, and a successful send proves the worker
         // had not yet dropped its receiver — so a post-send exit is
         // guaranteed to sweep this entry.
-        let token = self.registry.register(slot);
+        let token = self.inflight.register(0, slot);
         if self
             .tx
             .send(Envelope {
@@ -864,7 +865,7 @@ impl Transport for InMemoryTransport {
             })
             .is_err()
         {
-            self.registry.deregister(token);
+            self.inflight.retire(token);
             return Err(TransportError::Disconnected { silo: self.silo });
         }
         if !self.worker_alive.load(Ordering::Acquire) {
@@ -877,11 +878,11 @@ impl Transport for InMemoryTransport {
     }
 
     fn retire(&self, token: u64) {
-        self.registry.deregister(token);
+        self.inflight.retire(token);
     }
 
     fn inflight_len(&self) -> usize {
-        self.registry.inflight.lock().slots.len()
+        self.inflight.len()
     }
 
     fn diagnostics(&self) -> &SiloDiagnostics {
@@ -1068,7 +1069,8 @@ pub(crate) enum Served {
 
 impl SiloServer {
     /// The serve step: fault action → deadline shed → decode → handle →
-    /// encode, in that order, for one received frame.
+    /// encode, in that order, for one received frame. A batch item out
+    /// of the served domain fails alone ([`decode_riders`]).
     pub(crate) fn serve(&self, payload: Bytes, deadline: Option<Instant>) -> Served {
         let action = self
             .faults
@@ -1096,13 +1098,13 @@ impl SiloServer {
                 return Served::Reply(Response::DeadlineExceeded { late_by_us }.to_bytes());
             }
         }
-        let response = match Request::from_bytes(payload) {
-            Ok(request) => {
-                let snapshot_to = self
-                    .snapshot_path
-                    .as_ref()
-                    .filter(|_| builds_grid(&request));
-                let response = self.silo.handle(request);
+        let response = match decode_riders(payload) {
+            Ok(riders) => {
+                let snapshot_to = self.snapshot_path.as_ref().filter(|_| builds_grid(&riders));
+                let response = match riders {
+                    Riders::Lone(request) => self.silo.handle(request),
+                    Riders::Batch(items) => self.silo.handle_batch(items),
+                };
                 // Persist the freshly retained grid before replying, so a
                 // crash any time after the provider saw the (Grid|GridAck)
                 // can recover from disk.
@@ -1117,15 +1119,13 @@ impl SiloServer {
     }
 }
 
-/// Whether serving `request` (re)builds the silo's retained grid — the
+/// Whether serving `riders` (re)builds the silo's retained grid — the
 /// state worth snapshotting afterwards.
-fn builds_grid(request: &Request) -> bool {
-    match request {
-        Request::BuildGrid { .. } => true,
-        Request::Batch(items) => items
-            .iter()
-            .any(|item| matches!(item, Request::BuildGrid { .. })),
-        _ => false,
+fn builds_grid(riders: &Riders) -> bool {
+    let builds = |request: &Request| matches!(request, Request::BuildGrid { .. });
+    match riders {
+        Riders::Lone(request) => builds(request),
+        Riders::Batch(items) => items.iter().flatten().any(builds),
     }
 }
 
@@ -1144,10 +1144,10 @@ pub fn spawn_silo(
     let id = silo.id();
     let diagnostics = SiloDiagnostics::shared_with(&silo);
     let worker_alive = Arc::new(AtomicBool::new(true));
-    let registry = Arc::new(InflightRegistry::default());
+    let inflight = Arc::new(Inflight::default());
     let alive_guard = AliveGuard {
         alive: Arc::clone(&worker_alive),
-        registry: Arc::clone(&registry),
+        inflight: Arc::clone(&inflight),
     };
     let server = SiloServer {
         silo,
@@ -1179,7 +1179,7 @@ pub fn spawn_silo(
     let backend = InMemoryTransport {
         silo: id,
         tx,
-        registry,
+        inflight,
         diagnostics,
         worker_alive,
     };
@@ -1206,16 +1206,16 @@ pub enum TransportBackend {
 }
 
 impl TransportBackend {
-    /// Reads `FEDRA_TRANSPORT` (see [`TransportBackend::from_setting`]).
+    /// The backend `FEDRA_TRANSPORT` selects: unset ⇒ in-memory, `memory`
+    /// | `socket` by name. Any other value is returned as the error — a
+    /// typo must fail the build rather than quietly run the default
+    /// backend and pass.
     pub fn from_env() -> Result<TransportBackend, String> {
         Self::from_setting(std::env::var("FEDRA_TRANSPORT").ok().as_deref())
     }
 
-    /// The backend a `FEDRA_TRANSPORT` value selects: unset ⇒ in-memory,
-    /// `memory` | `socket` by name. Any other value is returned as the
-    /// error — a typo must fail the build rather than quietly run the
-    /// default backend and pass.
-    pub fn from_setting(value: Option<&str>) -> Result<TransportBackend, String> {
+    /// [`TransportBackend::from_env`] for the value `value`.
+    fn from_setting(value: Option<&str>) -> Result<TransportBackend, String> {
         match value {
             None => Ok(TransportBackend::InMemory),
             Some(v) if v.eq_ignore_ascii_case("memory") => Ok(TransportBackend::InMemory),
@@ -1227,17 +1227,17 @@ impl TransportBackend {
 
 /// Guard owned by the silo worker thread whose `Drop` marks the worker as
 /// gone and wakes every parked caller, no matter how the thread exits:
-/// it clears the liveness flag, then sweeps the in-flight slot registry
-/// so waiters see `Dead` instead of sleeping forever.
+/// it clears the liveness flag, then sweeps the in-flight table so
+/// waiters see `Dead` instead of sleeping forever.
 struct AliveGuard {
     alive: Arc<AtomicBool>,
-    registry: Arc<InflightRegistry>,
+    inflight: Arc<Inflight>,
 }
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
         self.alive.store(false, Ordering::Release);
-        self.registry.sweep_dead();
+        self.inflight.sweep(u64::MAX, None);
     }
 }
 
@@ -1868,6 +1868,40 @@ mod tests {
     }
 
     #[test]
+    fn the_inflight_table_sweeps_by_generation_and_retires_by_token() {
+        let table = Inflight::default();
+        let slots: Vec<Arc<ReplySlot>> = (0..4).map(|_| Arc::new(ReplySlot::new())).collect();
+        let tokens: Vec<u64> = slots
+            .iter()
+            .zip([1, 1, 2, 2])
+            .map(|(slot, gen)| table.register(gen, slot))
+            .collect();
+        assert_eq!(table.len(), 4);
+        assert_eq!(table.generation(tokens[2]), Some(2));
+        // Losing generation 1 fails its two calls with the loss's error
+        // and leaves generation 2 alone.
+        let lost = TransportError::Transient {
+            silo: 4,
+            message: "connection lost".into(),
+        };
+        table.sweep(1, Some(lost.clone()));
+        assert_eq!(table.len(), 2);
+        for slot in &slots[..2] {
+            assert!(matches!(slot.poll(), Some(RecvOutcome::Failed(e)) if e == lost));
+        }
+        assert!(slots[2..].iter().all(|slot| slot.poll().is_none()));
+        assert_eq!(table.generation(tokens[0]), None);
+        // Retiring a call takes it out, once; a worker exit marks the
+        // rest dead.
+        assert!(table.retire(tokens[2]).is_some());
+        assert!(table.retire(tokens[2]).is_none());
+        table.sweep(u64::MAX, None);
+        assert!(matches!(slots[3].poll(), Some(RecvOutcome::Dead)));
+        assert!(slots[2].poll().is_none(), "a retired call is not swept");
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
     fn an_unrecognised_transport_setting_is_an_error_not_the_default() {
         use TransportBackend::{InMemory, Socket};
         assert_eq!(TransportBackend::from_setting(None), Ok(InMemory));
@@ -1888,7 +1922,6 @@ mod tests {
         // attempt, capped at 50 ms, plus jitter below 2 ms — the last two
         // rows are capped. Pinned so the shared backoff cannot drift.
         let policy = CallPolicy::default();
-        let reconnect = socket::ReconnectPolicy::default();
         for (silo, attempt, call_ns, reconnect_ns) in [
             (0, 1, 2_578_789, 2_169_984),
             (1, 1, 2_822_465, 3_836_947),
@@ -1905,7 +1938,7 @@ mod tests {
                 "call backoff ({silo}, {attempt})"
             );
             assert_eq!(
-                reconnect.backoff(silo, attempt),
+                backoff(silo, attempt, socket::RECONNECT_SEED),
                 Duration::from_nanos(reconnect_ns),
                 "reconnect backoff ({silo}, {attempt})"
             );

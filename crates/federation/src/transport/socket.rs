@@ -51,10 +51,12 @@
 //! fails. The loss fails every in-flight call of that connection with a
 //! retryable [`TransportError::Transient`] when a reconnect succeeds
 //! (callers retry under their [`super::CallPolicy`]), and with
-//! [`TransportError::Disconnected`] when the reconnect budget of the
-//! client's [`ReconnectPolicy`] is exhausted — mirroring the in-memory
-//! backend, where a crashed worker wakes its waiters with `Disconnected`.
-//! The reconnect attempts stop at the observer's deadline; the calls then
+//! [`TransportError::Disconnected`] once three reconnect attempts are
+//! refused — mirroring the in-memory backend, where a crashed worker
+//! wakes its waiters with `Disconnected`. An injected crash closes the
+//! server's listener before it drops the connection, so the client's
+//! reconnects are refused and both backends word the crash alike. The
+//! reconnect attempts stop at the observer's deadline; the calls then
 //! fail as transients. Neither outcome is terminal: with the connection
 //! down, every subsequent [`Transport::send_frame`] makes one fresh
 //! connect attempt, so a health-breaker HalfOpen probe rejoins a
@@ -70,14 +72,13 @@
 //! buffering perturb latency-sensitive schedules (hedge firings, races),
 //! which is why the in-memory backend remains the tier-1 default.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,7 +86,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use super::{
-    RecvOutcome, ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport,
+    Inflight, RecvOutcome, ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport,
     TransportError,
 };
 use crate::fault::SiloFaultInjector;
@@ -115,73 +116,17 @@ pub const MAX_FRAME_PAYLOAD: u32 = 256 * 1024 * 1024;
 /// not fit grows it for as long as it is being read.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Default reconnect attempts after a connection loss before declaring
-/// the peer dead (see [`ReconnectPolicy`]).
+/// Refused reconnect attempts after a connection loss before the peer is
+/// declared gone.
 const RECONNECT_ATTEMPTS: u32 = 3;
 
 /// Salt that keeps the reconnect backoff's jitter apart from the call
 /// retries' (`"RECN"`).
-const RECONNECT_SEED: u64 = 0x5245_434E;
+pub(super) const RECONNECT_SEED: u64 = 0x5245_434E;
 
-/// How a [`SocketTransport`] retries after a connection loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconnectAttempts {
-    /// Give up (fail in-flight calls, mark the client not-alive) after
-    /// this many consecutive refused attempts.
-    Limited(u32),
-    /// Keep trying until the peer answers or the deadline of the caller
-    /// handling the loss passes. For supervised deployments where the
-    /// peer is expected to come back (a respawned `fedra-silo`); the
-    /// backoff between attempts stays capped.
-    Unbounded,
-}
-
-/// Reconnect policy for the socket client: an attempt budget. Between
-/// attempts the client sleeps [`ReconnectPolicy::backoff`], the call
-/// retries' capped exponential with its own jitter salt — no RNG, no
-/// clock, so chaos runs stay reproducible while reconnect storms from
-/// many clients decorrelate.
-///
-/// The default reproduces the historical hard-coded behaviour: 3
-/// attempts, 2 ms base backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// How many consecutive refused attempts end the reconnect loop.
-    pub attempts: ReconnectAttempts,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            attempts: ReconnectAttempts::Limited(RECONNECT_ATTEMPTS),
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// The supervised-deployment policy: no attempt budget (see
-    /// [`ReconnectAttempts::Unbounded`]).
-    pub fn unbounded() -> Self {
-        ReconnectPolicy {
-            attempts: ReconnectAttempts::Unbounded,
-        }
-    }
-
-    /// Whether attempt number `attempt` (1-based) is still within the
-    /// budget.
-    pub fn allows_attempt(&self, attempt: u32) -> bool {
-        match self.attempts {
-            ReconnectAttempts::Limited(n) => attempt <= n,
-            ReconnectAttempts::Unbounded => true,
-        }
-    }
-
-    /// Backoff before reconnect attempt `attempt` (1-based) to `silo`:
-    /// the transport's shared `backoff` salted with `RECONNECT_SEED`.
-    pub fn backoff(&self, silo: SiloId, attempt: u32) -> Duration {
-        super::backoff(silo, attempt, RECONNECT_SEED)
-    }
-}
+/// How long a crashing connection waits for its server's accept loop to
+/// close the listener before it drops its peer anyway.
+const CLOSE_WAIT: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------
 // Addresses and streams
@@ -442,7 +387,7 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Reads exactly `buf.len()` bytes. `at_boundary` distinguishes a clean
-/// peer close (first byte of a header) from a mid-frame truncation.
+/// peer close (first byte of a frame) from a mid-frame truncation.
 fn read_exact_frame(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -471,21 +416,11 @@ fn read_exact_frame(
     Ok(())
 }
 
-/// Validates a length prefix and reads the payload it announces.
-fn read_payload(r: &mut impl Read, len: u32) -> Result<Bytes, FrameError> {
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(FrameError::Oversized { len: len as u64 });
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_frame(r, &mut payload, false, "frame payload")?;
-    Ok(Bytes::from(payload))
-}
-
 /// FNV-1a digest of the payload bytes — cheap, deterministic, and more
 /// than enough to catch the byte flips a chaos proxy (or a flaky link)
 /// injects. Not cryptographic; the threat model is corruption, not
 /// forgery.
-pub fn payload_checksum(payload: &[u8]) -> u64 {
+fn payload_checksum(payload: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in payload {
         h ^= b as u64;
@@ -498,6 +433,78 @@ fn read_u64(header: &[u8], at: usize) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&header[at..at + 8]);
     u64::from_le_bytes(raw)
+}
+
+/// One of the two frame layouts: its header length and the names its
+/// errors carry.
+struct Layout {
+    header_len: usize,
+    header: &'static str,
+    payload: &'static str,
+}
+
+const REQUEST: Layout = Layout {
+    header_len: REQUEST_HEADER_LEN,
+    header: "request header",
+    payload: "request payload",
+};
+
+const REPLY: Layout = Layout {
+    header_len: REPLY_HEADER_LEN,
+    header: "reply header",
+    payload: "reply payload",
+};
+
+/// How far the frame at the head of a buffer reaches, as [`parse_frame`]
+/// reads it.
+#[derive(Debug, PartialEq)]
+enum Parsed {
+    /// The frame spans this many bytes, and fewer are in.
+    Need(usize),
+    /// A whole frame of this many bytes, its payload checked.
+    Whole(usize),
+}
+
+/// The one frame parser: the client's buffered reads ([`FrameBuf`]),
+/// [`read_reply_frame`] and [`read_request_frame`] all ask it where the
+/// frame `bytes` begins with ends — a `layout` header, then the payload
+/// its length prefix announces. A prefix over [`MAX_FRAME_PAYLOAD`] is
+/// refused before anything is allocated for it, and a whole payload that
+/// does not match the header's checksum is [`FrameError::Corrupt`].
+fn parse_frame(bytes: &[u8], layout: &Layout) -> Result<Parsed, FrameError> {
+    let Some(header) = bytes.get(..layout.header_len) else {
+        return Ok(Parsed::Need(layout.header_len));
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(FrameError::Oversized { len: len as u64 });
+    }
+    let total = layout.header_len + len as usize;
+    match bytes.get(layout.header_len..total) {
+        None => Ok(Parsed::Need(total)),
+        Some(payload) if payload_checksum(payload) != read_u64(header, 20) => {
+            Err(FrameError::Corrupt {
+                context: layout.payload,
+            })
+        }
+        Some(_) => Ok(Parsed::Whole(total)),
+    }
+}
+
+/// Reads one `layout` frame off `r` — exactly its bytes, so the next
+/// frame stays in the stream — as the whole frame, header included.
+/// [`FrameError::Eof`] on a clean close before its first byte.
+fn read_frame(r: &mut impl Read, layout: &Layout) -> Result<Bytes, FrameError> {
+    let mut header = [0u8; REQUEST_HEADER_LEN];
+    let header = &mut header[..layout.header_len];
+    read_exact_frame(r, header, true, layout.header)?;
+    let (Parsed::Need(total) | Parsed::Whole(total)) = parse_frame(header, layout)?;
+    let mut frame = Vec::with_capacity(total);
+    frame.extend_from_slice(header);
+    frame.resize(total, 0);
+    read_exact_frame(r, &mut frame[layout.header_len..], false, "frame payload")?;
+    parse_frame(&frame, layout)?;
+    Ok(Bytes::from(frame))
 }
 
 /// One decoded request frame.
@@ -539,24 +546,12 @@ pub fn write_request_frame(
 /// Reads one request frame ([`FrameError::Eof`] on a clean peer close,
 /// [`FrameError::Corrupt`] when the payload fails its checksum).
 pub fn read_request_frame(r: &mut impl Read) -> Result<RequestFrame, FrameError> {
-    let mut header = [0u8; REQUEST_HEADER_LEN];
-    read_exact_frame(r, &mut header, true, "request header")?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let corr = read_u64(&header, 4);
-    let epoch = read_u64(&header, 12);
-    let checksum = read_u64(&header, 20);
-    let deadline_rel_us = read_u64(&header, 28);
-    let payload = read_payload(r, len)?;
-    if payload_checksum(&payload) != checksum {
-        return Err(FrameError::Corrupt {
-            context: "request payload",
-        });
-    }
+    let frame = read_frame(r, &REQUEST)?;
     Ok(RequestFrame {
-        corr,
-        epoch,
-        deadline_rel_us,
-        payload,
+        corr: read_u64(&frame, 4),
+        epoch: read_u64(&frame, 12),
+        deadline_rel_us: read_u64(&frame, 28),
+        payload: frame.slice(REQUEST_HEADER_LEN..frame.len()),
     })
 }
 
@@ -580,25 +575,18 @@ pub fn write_reply_frame(
 /// Reads one reply frame: `(corr, epoch, payload)`.
 /// [`FrameError::Corrupt`] when the payload fails its checksum.
 pub fn read_reply_frame(r: &mut impl Read) -> Result<(u64, u64, Bytes), FrameError> {
-    let mut header = [0u8; REPLY_HEADER_LEN];
-    read_exact_frame(r, &mut header, true, "reply header")?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let corr = read_u64(&header, 4);
-    let epoch = read_u64(&header, 12);
-    let checksum = read_u64(&header, 20);
-    let payload = read_payload(r, len)?;
-    if payload_checksum(&payload) != checksum {
-        return Err(FrameError::Corrupt {
-            context: "reply payload",
-        });
-    }
-    Ok((corr, epoch, payload))
+    let frame = read_frame(r, &REPLY)?;
+    Ok((
+        read_u64(&frame, 4),
+        read_u64(&frame, 12),
+        frame.slice(REPLY_HEADER_LEN..frame.len()),
+    ))
 }
 
 /// Encodes a call deadline as relative microseconds from `now`
 /// (saturating at zero: an already-expired deadline ships as `0`, which
 /// the serving side sheds on arrival — same as the in-memory worker).
-pub fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
+fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
     match deadline {
         None => DEADLINE_NONE,
         Some(d) => {
@@ -634,9 +622,20 @@ pub struct SocketServerConfig {
 pub(crate) struct ServerStop {
     flag: Arc<AtomicBool>,
     addr: SiloAddr,
+    /// Whether the accept loop still holds its listener; cleared, and the
+    /// waiters woken, once the loop has dropped it.
+    listening: Arc<(std::sync::Mutex<bool>, Condvar)>,
 }
 
 impl ServerStop {
+    fn new(addr: SiloAddr) -> ServerStop {
+        ServerStop {
+            flag: Arc::new(AtomicBool::new(false)),
+            addr,
+            listening: Arc::new((std::sync::Mutex::new(true), Condvar::new())),
+        }
+    }
+
     fn stop(&self) {
         self.flag.store(true, Ordering::Release);
         let _ = self.addr.connect();
@@ -644,6 +643,22 @@ impl ServerStop {
 
     fn is_stopped(&self) -> bool {
         self.flag.load(Ordering::Acquire)
+    }
+
+    /// Reports the listener closed (the accept loop, once it dropped it).
+    fn closed(&self) {
+        let (listening, cv) = &*self.listening;
+        *listening.lock().unwrap_or_else(PoisonError::into_inner) = false;
+        cv.notify_all();
+    }
+
+    /// Stops the server and waits, at most [`CLOSE_WAIT`], until its
+    /// listener is closed: from then on a reconnect is refused.
+    fn stop_and_close(&self) {
+        self.stop();
+        let (listening, cv) = &*self.listening;
+        let open = listening.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = cv.wait_timeout_while(open, CLOSE_WAIT, |open| *open);
     }
 }
 
@@ -688,10 +703,7 @@ impl SiloSocketServer {
         let spawn_err = |reason: String| TransportError::Spawn { silo: id, reason };
         let (listener, resolved) =
             SocketListener::bind(addr).map_err(|e| spawn_err(format!("bind {addr}: {e}")))?;
-        let stop = ServerStop {
-            flag: Arc::new(AtomicBool::new(false)),
-            addr: resolved,
-        };
+        let stop = ServerStop::new(resolved);
         let accept_errors = silo.metrics().series(&SILO_ACCEPT_ERRORS_TOTAL, &[&id]);
         let shared = Arc::new(ServerShared {
             server: SiloServer {
@@ -780,8 +792,11 @@ fn accept_loop(listener: SocketListener, shared: Arc<ServerShared>) {
             }
         }
     }
-    // Dropping the listener here closes it (and removes a Unix socket
-    // path), so post-crash reconnect attempts are refused.
+    // Closing the listener (and removing a Unix socket path) refuses
+    // every later connect; a crashing connection waits for this before it
+    // drops its peer.
+    drop(listener);
+    shared.stop.closed();
 }
 
 /// Serves one connection: frames strictly in arrival order, each through
@@ -809,9 +824,10 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
             Served::NoReply => {}
             Served::Crash => {
                 // The whole server dies, like the in-memory worker thread
-                // exiting: stop accepting, drop this connection without a
-                // reply. Reconnects get refused once the listener drops.
-                shared.stop.stop();
+                // exiting: the listener closes first, so the peer's
+                // reconnect is refused, then this connection drops without
+                // a reply.
+                shared.stop.stop_and_close();
                 conn.shutdown();
                 return;
             }
@@ -865,39 +881,17 @@ impl FrameBuf {
         }
     }
 
-    /// The announced length of the frame the buffered bytes begin, once
-    /// its length prefix is in.
-    fn announced(&self) -> Option<u32> {
-        let prefix = self.buf.get(self.start..self.start + 4)?;
-        (self.end >= self.start + 4)
-            .then(|| u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]))
-    }
-
-    /// The next complete reply frame, `(corr, epoch, payload)`, checked
-    /// against its checksum. A length prefix over [`MAX_FRAME_PAYLOAD`]
-    /// is refused before anything is allocated for it.
+    /// The next complete reply frame, `(corr, epoch, payload)`, as
+    /// [`parse_frame`] reads it.
     fn next_frame(&mut self) -> Result<Option<(u64, u64, Bytes)>, FrameError> {
-        let Some(len) = self.announced() else {
+        let frame = &self.buf[self.start..self.end];
+        let Parsed::Whole(total) = parse_frame(frame, &REPLY)? else {
             return Ok(None);
         };
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(FrameError::Oversized { len: len as u64 });
-        }
-        let frame = &self.buf[self.start..self.end];
-        let total = REPLY_HEADER_LEN + len as usize;
-        if frame.len() < total {
-            return Ok(None);
-        }
-        let payload = &frame[REPLY_HEADER_LEN..total];
-        if payload_checksum(payload) != read_u64(frame, 20) {
-            return Err(FrameError::Corrupt {
-                context: "reply payload",
-            });
-        }
         let reply = (
             read_u64(frame, 4),
             read_u64(frame, 12),
-            Bytes::from(payload),
+            Bytes::from(&frame[REPLY_HEADER_LEN..total]),
         );
         self.start += total;
         if self.start == self.end {
@@ -914,15 +908,16 @@ impl FrameBuf {
     /// One read from `stream` into the free space, after moving the
     /// undispatched bytes to the front and growing the buffer to fit the
     /// frame they begin. `Ok(0)` is the peer's close.
-    fn read_from(&mut self, mut stream: &SocketStream) -> std::io::Result<usize> {
+    fn read_from(&mut self, mut stream: impl Read) -> std::io::Result<usize> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
         }
-        let frame_len = self.announced().map_or(0, |len| {
-            REPLY_HEADER_LEN + len.min(MAX_FRAME_PAYLOAD) as usize
-        });
+        let frame_len = match parse_frame(&self.buf[..self.end], &REPLY) {
+            Ok(Parsed::Need(len)) => len,
+            _ => 0,
+        };
         let need = frame_len.max(self.end + 1);
         if need > self.buf.len() {
             self.buf.resize(need, 0);
@@ -964,7 +959,8 @@ fn read_timeout(left: Duration) -> Duration {
 
 /// The socket [`Transport`] backend: one multiplexed connection per
 /// channel, length-prefixed frames (see the module docs), correlation-id
-/// reply pairing, and reconnect-on-transient.
+/// reply pairing through the shared in-flight table, and
+/// reconnect-on-transient.
 ///
 /// It runs no thread of its own. A caller waiting on a reply reads the
 /// connection itself and hands every reply it reads to its call's slot;
@@ -974,8 +970,6 @@ fn read_timeout(left: Duration) -> Duration {
 pub struct SocketTransport {
     silo: SiloId,
     addr: SiloAddr,
-    policy: ReconnectPolicy,
-    next_corr: AtomicU64,
     /// Generation of the latest connection: bumped on every (re)connect,
     /// so the in-flight sweep fails only calls sent on the lost
     /// connection, and a second report of one loss finds it handled.
@@ -984,8 +978,8 @@ pub struct SocketTransport {
     /// briefly, and across reconnect attempts — never across a read or a
     /// write.
     conn: Mutex<Option<Arc<Link>>>,
-    /// In-flight calls: corr → (generation, slot).
-    inflight: Mutex<HashMap<u64, (u64, Arc<ReplySlot>)>>,
+    /// In-flight calls; a call's token is its frames' correlation id.
+    inflight: Inflight,
     rx: std::sync::Mutex<Rx>,
     diagnostics: SiloDiagnostics,
     reconnects: Arc<fedra_obs::Counter>,
@@ -997,37 +991,29 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Connects to the silo served at `addr` with the default
-    /// [`ReconnectPolicy`]. `silo` is the provider-side id for error
-    /// attribution; `diagnostics` decides whether served/failed/metrics
-    /// are shared with an in-process silo or client-local (see
+    /// Connects to the remote silo served at `addr`. `silo` is the
+    /// provider-side id for error attribution; the served counter, failure
+    /// flag and metrics registry are client-local (see
     /// [`SiloDiagnostics`]).
-    pub fn connect(
-        silo: SiloId,
-        addr: SiloAddr,
-        diagnostics: SiloDiagnostics,
-    ) -> Result<SocketTransport, TransportError> {
-        Self::connect_with(silo, addr, diagnostics, ReconnectPolicy::default())
+    pub fn connect(silo: SiloId, addr: SiloAddr) -> Result<SocketTransport, TransportError> {
+        Self::open(silo, addr, SiloDiagnostics::remote())
     }
 
-    /// Like [`SocketTransport::connect`], with an explicit reconnect
-    /// policy (its attempt budget).
-    pub fn connect_with(
+    /// Connects to `addr` reporting through `diagnostics` (an in-process
+    /// silo's own, for [`spawn_silo_socket`]).
+    fn open(
         silo: SiloId,
         addr: SiloAddr,
         diagnostics: SiloDiagnostics,
-        policy: ReconnectPolicy,
     ) -> Result<SocketTransport, TransportError> {
         let reconnects = diagnostics.metrics.series(&TRANSPORT_RECONNECTS_TOTAL, &[]);
         let fenced = diagnostics.metrics.series(&EPOCH_FENCED_REPLIES_TOTAL, &[]);
         let transport = SocketTransport {
             silo,
             addr,
-            policy,
-            next_corr: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             conn: Mutex::new(None),
-            inflight: Mutex::new(HashMap::new()),
+            inflight: Inflight::default(),
             rx: std::sync::Mutex::new(Rx::default()),
             diagnostics: SiloDiagnostics {
                 backend: "socket",
@@ -1068,35 +1054,12 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// Fails every in-flight call sent on a generation ≤ `up_to` with
-    /// `error` (or marks them dead when the peer is gone for good).
-    fn sweep(&self, up_to: u64, error: Option<TransportError>) {
-        let swept: Vec<Arc<ReplySlot>> = {
-            let mut inflight = self.inflight.lock();
-            let stale: Vec<u64> = inflight
-                .iter()
-                .filter(|(_, (gen, _))| *gen <= up_to)
-                .map(|(corr, _)| *corr)
-                .collect();
-            stale
-                .into_iter()
-                .filter_map(|corr| inflight.remove(&corr).map(|(_, slot)| slot))
-                .collect()
-        };
-        for slot in swept {
-            match &error {
-                Some(e) => slot.fail(e.clone()),
-                None => slot.mark_dead(),
-            }
-        }
-    }
-
     /// Handles the loss of connection `lost_gen`, whoever saw it — a
     /// reading waiter (EOF, a corrupt or truncated frame) or a sender
     /// whose write failed. It shuts the lost stream (waking a waiter still
-    /// reading it), reconnects under the client's [`ReconnectPolicy`] and
-    /// fails that connection's in-flight calls as retryable transients;
-    /// once the budget is spent, it fails them as `Disconnected`. The
+    /// reading it), reconnects and fails that connection's in-flight calls
+    /// as retryable transients; once [`RECONNECT_ATTEMPTS`] attempts are
+    /// refused, it fails them as `Disconnected`. The
     /// attempts stop at `deadline`, the observer's own: its calls then
     /// fail as transients, with the connection left down. Neither outcome
     /// is terminal — see [`Transport::send_frame`], which probes the peer
@@ -1116,7 +1079,7 @@ impl SocketTransport {
         let mut attempt = 0u32;
         let error = loop {
             attempt += 1;
-            if !self.policy.allows_attempt(attempt) {
+            if attempt > RECONNECT_ATTEMPTS {
                 break None;
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -1126,17 +1089,17 @@ impl SocketTransport {
                 self.reconnects.inc();
                 break Some(transient("socket connection lost; reconnected"));
             }
-            let pause = self.policy.backoff(self.silo, attempt);
+            let pause = super::backoff(self.silo, attempt, RECONNECT_SEED);
             let left = deadline.map_or(pause, |d| d.saturating_duration_since(Instant::now()));
             std::thread::sleep(pause.min(left));
         };
         drop(conn);
-        self.sweep(lost_gen, error);
+        self.inflight.sweep(lost_gen, error);
     }
 
     /// The connection call `token` rides, while it is the current one.
     fn link_of(&self, token: u64) -> Option<Arc<Link>> {
-        let gen = self.inflight.lock().get(&token).map(|(gen, _)| *gen)?;
+        let gen = self.inflight.generation(token)?;
         self.conn.lock().clone().filter(|link| link.gen == gen)
     }
 
@@ -1164,8 +1127,7 @@ impl SocketTransport {
                 self.fenced.inc();
                 continue;
             }
-            let slot = self.inflight.lock().remove(&corr).map(|(_, slot)| slot);
-            if let Some(slot) = slot {
+            if let Some(slot) = self.inflight.retire(corr) {
                 self.diagnostics.reply_drained();
                 slot.fill(payload);
             }
@@ -1287,10 +1249,7 @@ impl Transport for SocketTransport {
         let Some(link) = link else {
             return Err(TransportError::Disconnected { silo: self.silo });
         };
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        self.inflight
-            .lock()
-            .insert(corr, (link.gen, Arc::clone(slot)));
+        let corr = self.inflight.register(link.gen, slot);
         let rel = deadline_to_rel_us(deadline, Instant::now());
         let written = {
             let _writer = link.writer.lock();
@@ -1299,7 +1258,7 @@ impl Transport for SocketTransport {
         let Err(e) = written else {
             return Ok(corr);
         };
-        if self.inflight.lock().remove(&corr).is_none() {
+        if self.inflight.retire(corr).is_none() {
             // A loss sweep claimed the call first and resolved its slot:
             // the wait reports that outcome.
             return Ok(corr);
@@ -1316,11 +1275,11 @@ impl Transport for SocketTransport {
     }
 
     fn retire(&self, token: u64) {
-        self.inflight.lock().remove(&token);
+        self.inflight.retire(token);
     }
 
     fn inflight_len(&self) -> usize {
-        self.inflight.lock().len()
+        self.inflight.len()
     }
 
     fn diagnostics(&self) -> &SiloDiagnostics {
@@ -1418,13 +1377,12 @@ impl std::fmt::Debug for SocketTransport {
 ///
 /// This is the socket twin of [`super::spawn_silo`] (selected by
 /// `FederationBuilder::transport_backend` or `FEDRA_TRANSPORT=socket`):
-/// same fault-injection semantics, plus the client's reconnect policy,
-/// and the returned join handle is the server's accept loop.
+/// same fault-injection semantics, and the returned join handle is the
+/// server's accept loop.
 pub fn spawn_silo_socket(
     silo: Silo,
     stats: Arc<CommCounters>,
     faults: Option<SiloFaultInjector>,
-    reconnect: ReconnectPolicy,
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
     let id = silo.id();
     let diagnostics = SiloDiagnostics::shared_with(&silo);
@@ -1443,15 +1401,14 @@ pub fn spawn_silo_socket(
             reason: "socket server thread missing".into(),
         });
     };
-    let transport =
-        match SocketTransport::connect_with(id, stop.addr.clone(), diagnostics, reconnect) {
-            Ok(t) => t.with_server_stop(stop),
-            Err(e) => {
-                stop.stop();
-                let _ = thread.join();
-                return Err(e);
-            }
-        };
+    let transport = match SocketTransport::open(id, stop.addr.clone(), diagnostics) {
+        Ok(t) => t.with_server_stop(stop),
+        Err(e) => {
+            stop.stop();
+            let _ = thread.join();
+            return Err(e);
+        }
+    };
     Ok((SiloChannel::over(Arc::new(transport), stats), thread))
 }
 
@@ -1460,6 +1417,127 @@ mod tests {
     use super::*;
     use crate::protocol::{Request, Response};
     use crate::wire::Wire;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// A stream that hands its bytes out in the given read sizes, in turn.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            let n = size.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    /// What reading one reply frame came to.
+    #[derive(Debug, PartialEq)]
+    enum Read1 {
+        Frame((u64, u64, Bytes)),
+        Failed(FrameError),
+        NeedMore,
+    }
+
+    /// Reads `bytes` through the client's buffered path ([`FrameBuf`]),
+    /// `sizes` bytes a read, until a frame, a typed error or the end of
+    /// the bytes; also returns the largest the buffer grew.
+    fn buffered(bytes: &[u8], sizes: Vec<usize>) -> (Read1, usize) {
+        let mut stream = Chunked {
+            bytes,
+            sizes,
+            reads: 0,
+        };
+        let mut frames = FrameBuf::default();
+        frames.attach(1);
+        let mut grown = frames.buf.len();
+        let outcome = loop {
+            match frames.next_frame() {
+                Ok(Some(frame)) => break Read1::Frame(frame),
+                Ok(None) => {}
+                Err(error) => break Read1::Failed(error),
+            }
+            match frames.read_from(&mut stream) {
+                Ok(0) => break Read1::NeedMore,
+                Ok(_) => grown = grown.max(frames.buf.len()),
+                Err(e) => panic!("a slice never fails a read: {e}"),
+            }
+        };
+        (outcome, grown)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Valid reply frames, each whole, cut short, with one payload byte
+        /// flipped, or under a wrong length prefix (just over the cap, or
+        /// small), read in random chunk sizes: the buffered read path gives
+        /// back the frame, a typed error or "need more bytes", never
+        /// panics, and allocates nothing for a prefix over the cap. The
+        /// exact-read `read_reply_frame` comes to the same outcome.
+        #[test]
+        fn hostile_reply_bytes_come_back_whole_typed_or_wanting(
+            payload in vec(any::<u8>(), 0..200),
+            ids in (any::<u64>(), any::<u64>()),
+            damage in 0u8..5,
+            at in any::<u32>(),
+            sizes in vec(1usize..64, 1..6),
+        ) {
+            let mut frame = Vec::new();
+            write_reply_frame(&mut frame, ids.0, ids.1, &payload).expect("encode");
+            let original = (ids.0, ids.1, Bytes::from(payload.as_slice()));
+            let at = at as usize;
+            match damage {
+                1 => frame.truncate(at % frame.len()),
+                2 => {
+                    // No payload byte to flip: the checksum's, then.
+                    let i = REPLY_HEADER_LEN + at % payload.len().max(1) - usize::from(payload.is_empty());
+                    frame[i] ^= 1 << (at % 8);
+                }
+                3 => {
+                    let len = MAX_FRAME_PAYLOAD + 1 + (at % 1024) as u32;
+                    frame[..4].copy_from_slice(&len.to_le_bytes());
+                }
+                4 => {
+                    let wrong = (at % 256) as u32;
+                    prop_assume!(wrong as usize != payload.len());
+                    frame[..4].copy_from_slice(&wrong.to_le_bytes());
+                }
+                _ => {}
+            }
+            let (outcome, grown) = buffered(&frame, sizes);
+            match damage {
+                0 => prop_assert_eq!(&outcome, &Read1::Frame(original.clone())),
+                1 => prop_assert_eq!(&outcome, &Read1::NeedMore),
+                2 => prop_assert_eq!(
+                    &outcome,
+                    &Read1::Failed(FrameError::Corrupt { context: "reply payload" })
+                ),
+                3 => {
+                    prop_assert!(matches!(outcome, Read1::Failed(FrameError::Oversized { .. })));
+                    prop_assert_eq!(grown, READ_CHUNK);
+                }
+                _ => prop_assert!(match &outcome {
+                    Read1::Frame(got) => *got == original,
+                    Read1::Failed(FrameError::Corrupt { .. }) | Read1::NeedMore => true,
+                    Read1::Failed(_) => false,
+                }),
+            }
+            let exact = match read_reply_frame(&mut frame.as_slice()) {
+                Ok(frame) => Read1::Frame(frame),
+                Err(FrameError::Eof | FrameError::Truncated { .. }) => Read1::NeedMore,
+                Err(error) => Read1::Failed(error),
+            };
+            prop_assert_eq!(exact, outcome);
+        }
+    }
 
     #[test]
     fn addr_parse_roundtrips() {
@@ -1541,14 +1619,6 @@ mod tests {
             Err(FrameError::Corrupt { context }) => assert_eq!(context, "request payload"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn reconnect_policy_defaults_reproduce_old_constants() {
-        let p = ReconnectPolicy::default();
-        assert_eq!(p.attempts, ReconnectAttempts::Limited(RECONNECT_ATTEMPTS));
-        assert!(p.allows_attempt(1) && p.allows_attempt(3) && !p.allows_attempt(4));
-        assert!(ReconnectPolicy::unbounded().allows_attempt(u32::MAX));
     }
 
     #[test]

@@ -102,7 +102,6 @@ fn chaos_stages() {
         .call_policy(CallPolicy {
             deadline: Some(Duration::from_secs(2)),
             hedge_after: Some(Duration::from_millis(10)),
-            ..Default::default()
         })
         .health_config(HealthConfig::enabled())
         .build(dataset.into_partitions());

@@ -129,7 +129,6 @@ fn apply_resilience(builder: FederationBuilder, options: &Options) -> Federation
         .call_policy(CallPolicy {
             deadline: Some(Duration::from_millis(250)),
             hedge_after: Some(Duration::from_millis(10)),
-            ..CallPolicy::default()
         })
         .health_config(HealthConfig::enabled())
 }

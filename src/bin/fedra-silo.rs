@@ -185,7 +185,6 @@ fn fault_config(options: &Options, silo_id: usize) -> Option<FaultPlan> {
     let seed = opt(options, "fault-seed", 0);
     let spec = SiloFaultSpec {
         latency: flag(options, "fault-latency-ms").map(Duration::from_millis),
-        jitter: None,
         drop_prob: probability(options, "fault-drop"),
         transient_prob: probability(options, "fault-transient"),
         crash_after: flag(options, "fault-crash-after"),

@@ -78,7 +78,6 @@ fn chaos_soak_stays_within_the_error_envelope() {
         .call_policy(CallPolicy {
             deadline: Some(Duration::from_secs(2)),
             hedge_after: Some(Duration::from_millis(10)),
-            ..Default::default()
         })
         .health_config(HealthConfig::enabled())
         .build(dataset.into_partitions());
@@ -236,7 +235,6 @@ fn disarmed_fault_plan_matches_the_unfaulted_build_bit_for_bit() {
         .call_policy(CallPolicy {
             deadline: Some(Duration::from_secs(2)),
             hedge_after: Some(Duration::from_millis(250)),
-            ..Default::default()
         })
         .health_config(HealthConfig::enabled())
         .build(dataset.into_partitions());

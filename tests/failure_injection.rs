@@ -256,10 +256,6 @@ fn fan_out_retries_a_transient_refusal() {
     // each query that meets a down window.
     let (fed, q) = fan_out_testbed(12, &|b| {
         b.fault_plan(FaultPlan::seeded(12).flapping_silo(1, 2, 1))
-            .call_policy(CallPolicy {
-                retries: 3,
-                ..Default::default()
-            })
     });
     let obs = ObsContext::new();
     for i in 0..4 {
@@ -352,15 +348,16 @@ fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
                 }
                 b.health_config(HealthConfig {
                     breaker_enabled: true,
-                    failure_threshold: 1,
                     probe_probability: 0.0,
-                    ..HealthConfig::default()
                 })
             });
             let m = fed.num_silos();
             for k in 0..m {
                 if breaker {
-                    fed.health().record_failure(k);
+                    // Three consecutive failures open a breaker.
+                    for _ in 0..3 {
+                        fed.health().record_failure(k);
+                    }
                 } else {
                     fed.set_silo_failed(k, true);
                 }
@@ -465,5 +462,49 @@ fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
             .try_execute(&fed, &q)
             .expect("every silo serves");
         assert!(answer.value > 0.0, "{backend:?}: {answer:?}");
+    }
+}
+
+/// A batch rider whose bytes parse but whose ε is out of its domain fails
+/// alone: its frame-mates are served, on either backend, while the wire
+/// bytes stay what the encoder wrote.
+#[test]
+fn a_hostile_batch_rider_fails_alone_and_its_frame_mates_are_served() {
+    use fedra::federation::{LocalMode, Request, Response};
+    let spec = WorkloadSpec::default()
+        .with_total_objects(2_000)
+        .with_silos(1)
+        .with_seed(5);
+    let dataset = spec.generate();
+    let hostile = Request::Aggregate {
+        range: Range::circle(Point::new(0.0, -95.0), 2.0),
+        mode: LocalMode::Lsr {
+            epsilon: -0.1,
+            delta: 0.01,
+            sum0: 500.0,
+        },
+    };
+    let riders = [(0, &Request::Ping), (1, &hostile), (2, &Request::Ping)];
+    for backend in [TransportBackend::InMemory, TransportBackend::Socket] {
+        let fed = FederationBuilder::new(dataset.bounds())
+            .transport_backend(backend)
+            .build(dataset.partitions().to_vec());
+        let replies = fed
+            .channel(0)
+            .begin_frame(&riders, None)
+            .and_then(|frame| frame.wait())
+            .unwrap_or_else(|e| panic!("{backend:?}: the frame failed whole: {e}"));
+        assert_eq!(replies.len(), 3, "{backend:?}");
+        assert_eq!(replies[0], (0, Ok(Response::Pong)), "{backend:?}");
+        match &replies[1] {
+            (1, Err(TransportError::Remote { silo: 0, message })) => {
+                assert!(
+                    message.contains("local mode epsilon"),
+                    "{backend:?}: {message}"
+                )
+            }
+            other => panic!("{backend:?}: the hostile rider answered {other:?}"),
+        }
+        assert_eq!(replies[2], (2, Ok(Response::Pong)), "{backend:?}");
     }
 }

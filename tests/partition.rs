@@ -336,9 +336,6 @@ fn crashed_silo_rejoins_from_its_grid_snapshot() {
             deadline: Some(Duration::from_secs(5)),
             ..Default::default()
         })
-        .reconnect_policy(ReconnectPolicy {
-            attempts: ReconnectAttempts::Limited(2),
-        })
         .build(vec![]);
 
     // Setup's BuildGrid persisted silo 1's grid.

@@ -19,8 +19,8 @@ use fedra::federation::transport::socket::{
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
 use fedra::federation::wire::Wire;
 use fedra::federation::{
-    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloDiagnostics, SiloSocketServer,
-    SocketServerConfig, SocketTransport, Transport,
+    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloSocketServer, SocketServerConfig,
+    SocketTransport, Transport,
 };
 use fedra::index::grid::GridSpec;
 use fedra::prelude::*;
@@ -360,8 +360,7 @@ fn peer_disconnect_mid_batch_is_a_retryable_transport_error() {
     });
 
     let stats = Arc::new(CommCounters::default());
-    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
-        .expect("connect");
+    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr)).expect("connect");
     let channel = SiloChannel::over(Arc::new(transport), stats);
     let deadline = Instant::now() + Duration::from_secs(10);
     let pending = channel
@@ -437,8 +436,7 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
 
     let server = spawn_test_server();
     let stats = Arc::new(CommCounters::default());
-    let transport = SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
-        .expect("connect");
+    let transport = SocketTransport::connect(0, server.addr().clone()).expect("connect");
     assert_eq!(transport.diagnostics().backend(), "socket");
     let channel = SiloChannel::over(Arc::new(transport), Arc::clone(&stats));
     let answer = channel.call(&request).expect("call");
@@ -551,15 +549,13 @@ fn calm_chaos_proxy_preserves_answers_and_byte_accounting() {
     };
     let server = spawn_test_server();
     let direct_stats = Arc::new(CommCounters::default());
-    let direct = SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
-        .expect("connect direct");
+    let direct = SocketTransport::connect(0, server.addr().clone()).expect("connect direct");
     let direct_channel = SiloChannel::over(Arc::new(direct), Arc::clone(&direct_stats));
     let expected = direct_channel.call(&request).expect("direct call");
 
     let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
     let proxied_stats = Arc::new(CommCounters::default());
-    let proxied = SocketTransport::connect(0, proxy.addr().clone(), SiloDiagnostics::remote())
-        .expect("connect via proxy");
+    let proxied = SocketTransport::connect(0, proxy.addr().clone()).expect("connect via proxy");
     let proxied_channel = SiloChannel::over(Arc::new(proxied), Arc::clone(&proxied_stats));
     let answer = proxied_channel.call(&request).expect("proxied call");
 
@@ -593,8 +589,7 @@ fn corrupted_reply_over_tcp_retries_to_a_correct_answer() {
         mode: LocalMode::Exact,
     };
     let server = spawn_test_server();
-    let direct = SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
-        .expect("connect direct");
+    let direct = SocketTransport::connect(0, server.addr().clone()).expect("connect direct");
     let expected = SiloChannel::over(Arc::new(direct), Arc::new(CommCounters::default()))
         .call(&request)
         .expect("direct call");
@@ -602,8 +597,7 @@ fn corrupted_reply_over_tcp_retries_to_a_correct_answer() {
     // Corrupt exactly one reply: that call fails typed, and the next call
     // (on the reconnected client) answers correctly.
     let proxy = ChaosProxy::spawn(server.addr()).expect("proxy");
-    let transport = SocketTransport::connect(0, proxy.addr().clone(), SiloDiagnostics::remote())
-        .expect("connect via proxy");
+    let transport = SocketTransport::connect(0, proxy.addr().clone()).expect("connect via proxy");
     let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
     proxy.corrupt_next_reply();
     match channel.call(&request) {
@@ -652,11 +646,6 @@ fn seeded_fault_plan_yields_the_same_outcome_sequence_on_both_backends() {
         let fed = FederationBuilder::new(sample_rect())
             .transport_backend(backend)
             .fault_plan(plan.clone())
-            // A crashed peer stays down: no reconnect may turn the loss
-            // into a retryable transient on the socket side.
-            .reconnect_policy(ReconnectPolicy {
-                attempts: ReconnectAttempts::Limited(0),
-            })
             .build(vec![sample_partition()]);
         (0..PINGS)
             .map(|_| {
@@ -729,10 +718,7 @@ fn concurrent_callers_on_one_channel_each_get_their_own_reply() {
         .map(|k| reference.handle(prefix_request(k)))
         .collect();
     let server = spawn_test_server();
-    let transport = Arc::new(
-        SocketTransport::connect(0, server.addr().clone(), SiloDiagnostics::remote())
-            .expect("connect"),
-    );
+    let transport = Arc::new(SocketTransport::connect(0, server.addr().clone()).expect("connect"));
     let channel = SiloChannel::over(
         Arc::clone(&transport) as Arc<dyn Transport>,
         Arc::new(CommCounters::default()),
@@ -784,10 +770,7 @@ fn a_reply_split_across_a_deadline_keeps_the_stream_in_sync() {
         let _ = read_request_frame(&mut conn);
     });
 
-    let transport = Arc::new(
-        SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
-            .expect("connect"),
-    );
+    let transport = Arc::new(SocketTransport::connect(0, SiloAddr::Tcp(addr)).expect("connect"));
     let channel = SiloChannel::over(
         Arc::clone(&transport) as Arc<dyn Transport>,
         Arc::new(CommCounters::default()),
@@ -830,8 +813,7 @@ fn a_failed_write_with_nobody_reading_reconnects() {
         }
     });
 
-    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
-        .expect("connect");
+    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr)).expect("connect");
     let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
     closed_rx.recv().expect("the peer closed");
     // Frames sent and abandoned unread: the first write to the closed
@@ -876,8 +858,7 @@ fn a_stopping_reader_hands_the_reads_to_a_parked_waiter() {
         let _ = read_request_frame(&mut conn);
     });
 
-    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr), SiloDiagnostics::remote())
-        .expect("connect");
+    let transport = SocketTransport::connect(0, SiloAddr::Tcp(addr)).expect("connect");
     let channel = SiloChannel::over(Arc::new(transport), Arc::new(CommCounters::default()));
     let first = channel
         .begin_frame(&[(0, &Request::Ping)], None)
