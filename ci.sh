@@ -104,8 +104,7 @@ silo_pids=""
 for k in 0 1 2; do
     ./target/release/fedra-silo serve \
         --addr "unix:$sock_dir/s$k.sock" --data "$sock_dir/silo$k.csv" \
-        --silo-id "$k" --bounds "$(cat "$sock_dir/bounds.txt")" \
-        >"$sock_dir/silo$k.log" 2>&1 &
+        --silo-id "$k" >"$sock_dir/silo$k.log" 2>&1 &
     silo_pids="$silo_pids $!"
 done
 trap 'kill $silo_pids 2>/dev/null || true' EXIT
@@ -165,8 +164,7 @@ part_pids=()
 for k in 0 1 2; do
     ./target/release/fedra-silo serve \
         --addr "unix:$part_dir/s$k.sock" --data "$part_dir/silo$k.csv" \
-        --silo-id "$k" --bounds "$(cat "$part_dir/bounds.txt")" \
-        --snapshot-dir "$part_dir/snap" \
+        --silo-id "$k" --snapshot-dir "$part_dir/snap" \
         >"$part_dir/silo$k.log" 2>&1 &
     part_pids+=($!)
 done
@@ -198,8 +196,7 @@ await_marker '^PHASE-B-DONE$' \
 rm -f "$part_dir/s2.sock"    # the SIGKILL'd process left its socket file behind
 ./target/release/fedra-silo serve \
     --addr "unix:$part_dir/s2.sock" --data "$part_dir/silo2.csv" \
-    --silo-id 2 --bounds "$(cat "$part_dir/bounds.txt")" \
-    --snapshot-dir "$part_dir/snap" \
+    --silo-id 2 --snapshot-dir "$part_dir/snap" \
     >"$part_dir/silo2-respawn.log" 2>&1 &
 part_pids[2]=$!
 wait "$drill_pid" \

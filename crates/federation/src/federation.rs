@@ -4,8 +4,10 @@
 //! paper describes:
 //!
 //! 1. spawn one worker thread per partition ([`crate::transport`]);
-//! 2. run Alg. 1 — send `BuildGrid` to every silo over the byte-counted
-//!    channel, collect the per-silo grid indices `g_1 … g_m`, merge them
+//! 2. run Alg. 1 — send every silo, local or remote, one `[Setup,
+//!    BuildGrid]` frame over the byte-counted channel: each silo indexes
+//!    its partition by the shared [`SiloSpec`] and bins it along the same
+//!    grid. Collect the per-silo grid indices `g_1 … g_m`, merge them
 //!    into `g₀`, and precompute one [`PrefixStack`] over
 //!    `[g₀, g₁ … g_m]` so one O(1)/O(√|g₀|) walk yields every
 //!    provider-side sum;
@@ -21,15 +23,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fedra_geo::{Rect, SpatialObject};
-use fedra_index::grid::{GridIndex, GridSpec, PrefixStack};
+use fedra_index::grid::{GridIndex, PrefixStack};
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::pool::WorkerPool;
 use fedra_index::rtree::RTreeConfig;
 
 use crate::fault::FaultPlan;
 use crate::health::{HealthConfig, HealthTracker};
-use crate::protocol::{Request, Response, SiloMemoryReport};
-use crate::silo::{Silo, SiloConfig, SiloId};
+use crate::protocol::{Request, Response, SiloMemoryReport, SiloSpec};
+use crate::silo::{Silo, SiloId};
 use crate::snapshot::ProviderSnapshot;
 use crate::transport::socket::{spawn_silo_socket, SiloAddr, SocketTransport};
 use crate::transport::{
@@ -65,13 +67,8 @@ pub enum SetupError {
         /// The value as found in the environment.
         value: String,
     },
-    /// A silo's index-construction thread panicked.
-    SiloBuildPanicked {
-        /// Which silo.
-        silo: SiloId,
-    },
     /// The transport failed while running Alg. 1 (spawn failure, dead
-    /// worker, undecodable frame, silo refusal).
+    /// worker, undecodable frame, a silo's refused or panicked `Setup`).
     Transport(TransportError),
     /// A silo answered setup with the wrong response shape.
     Protocol {
@@ -98,9 +95,6 @@ impl std::fmt::Display for SetupError {
                 f,
                 "FEDRA_TRANSPORT=`{value}` names no transport backend (expected memory or socket)"
             ),
-            SetupError::SiloBuildPanicked { silo } => {
-                write!(f, "silo {silo} index construction panicked")
-            }
             SetupError::Transport(e) => write!(f, "setup transport failed: {e}"),
             SetupError::Protocol { silo, message } => {
                 write!(f, "silo {silo} violated the setup protocol: {message}")
@@ -224,9 +218,9 @@ impl FederationBuilder {
     ///
     /// Remote silos join the federation after the local partitions, in
     /// the order added, and participate in Alg. 1 setup and every query
-    /// exactly like local ones — the remote process must have been
-    /// started with the same bounds / LSR seed for answers to line up
-    /// (see the `fedra-silo` flags). Fault injection
+    /// exactly like local ones: the same `Setup` frame tells each its
+    /// [`FederationBuilder::silo_spec`], so a remote silo serves the same
+    /// indexes as an in-process one over the same partition. Fault injection
     /// ([`FederationBuilder::fault_plan`]) applies to local silos only —
     /// a plan naming a remote silo fails the build; faults on a remote
     /// silo belong to its own process.
@@ -253,7 +247,7 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the intra-silo worker-pool size ([`SiloConfig::threads`]);
+    /// Sets the intra-silo worker-pool size (the `threads` of [`Silo::new`]);
     /// the provider-side grid merge uses the same size.
     /// `0` (the default) sizes the pool automatically from the host's
     /// cores (clamped, `FEDRA_SILO_THREADS` override). Every value
@@ -336,6 +330,19 @@ impl FederationBuilder {
             .unwrap_or_else(|e| panic!("federation setup failed: {e}")) // fedra-lint: allow(panic-discipline)
     }
 
+    /// The spec the setup round sends silo `silo` (local or remote): this
+    /// builder's grid and histogram config, the default fanout, and the
+    /// builder's LSR seed mixed with the silo id.
+    pub fn silo_spec(&self, silo: SiloId) -> SiloSpec {
+        SiloSpec {
+            bounds: self.bounds,
+            cell_len: self.grid_cell_len,
+            rtree: RTreeConfig::default(),
+            histogram: self.histogram,
+            lsr_seed: self.lsr_seed ^ (silo as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
     /// Builds silos from the partitions and runs Alg. 1, surfacing setup
     /// failures as [`SetupError`] instead of panicking.
     pub fn try_build(self, partitions: Vec<Vec<SpatialObject>>) -> Result<Federation, SetupError> {
@@ -369,46 +376,14 @@ impl FederationBuilder {
         let setup_stats = Arc::new(CommCounters::with_overhead(self.message_overhead));
         let query_stats = Arc::new(CommCounters::with_overhead(self.message_overhead));
 
-        // Silo construction (index builds) happens in parallel: for the
-        // multi-million-object sweeps this dominates setup wall-clock.
-        // Every silo packs its forest along the grid Alg. 1 is about to
-        // build; the spec is made on the silo's thread, so a bad one
-        // fails the build as a setup error.
-        let builder = &self;
-        let silos: Vec<Silo> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .enumerate()
-                .map(|(id, objects)| {
-                    scope.spawn(move || {
-                        let config = SiloConfig {
-                            rtree: RTreeConfig::default(),
-                            histogram: builder.histogram,
-                            grid: GridSpec::new(builder.bounds, builder.grid_cell_len),
-                            lsr_seed: builder.lsr_seed,
-                            threads: builder.silo_threads,
-                        };
-                        Silo::new(id, objects, config)
-                    })
-                })
-                .collect();
-            // Join every build before reporting the first that panicked:
-            // a handle left unjoined would make the scope itself panic.
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            joined
-                .into_iter()
-                .enumerate()
-                .map(|(id, built)| built.map_err(|_| SetupError::SiloBuildPanicked { silo: id }))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-
         // Faults stay disarmed while Alg. 1 runs — the injector consumes
         // neither its schedule counter nor its RNG until armed, so setup
         // traffic never perturbs the chaos schedule.
         let fault_armed = Arc::new(AtomicBool::new(false));
-        let mut channels = Vec::with_capacity(silos.len() + remote_addrs.len());
-        let mut workers = Vec::with_capacity(silos.len());
-        for silo in silos {
+        let mut channels = Vec::with_capacity(local_silos + remote_addrs.len());
+        let mut workers = Vec::with_capacity(local_silos);
+        for (id, objects) in partitions.into_iter().enumerate() {
+            let silo = Silo::new(id, objects, self.silo_threads);
             let injector = self
                 .fault_plan
                 .as_ref()
@@ -434,7 +409,7 @@ impl FederationBuilder {
 
         // A warm-start snapshot is usable only when its geometry and silo
         // count match this build.
-        let snapshot = self.warm_start.filter(|s| {
+        let snapshot = self.warm_start.as_ref().filter(|s| {
             s.bounds == self.bounds
                 && s.cell_len == self.grid_cell_len
                 && s.num_silos() == channels.len()
@@ -447,31 +422,32 @@ impl FederationBuilder {
         // Rebuild all cached grids up front (in parallel) instead of
         // lazily inside the reply loop; each GridAck then *takes* its
         // entry, so an unsolicited ack still surfaces as a protocol error.
-        let mut warm_grids: Vec<Option<GridIndex>> = match snapshot.as_ref() {
+        let mut warm_grids: Vec<Option<GridIndex>> = match snapshot {
             Some(s) => s.materialize_with(&pool).into_iter().map(Some).collect(),
             None => Vec::new(),
         };
 
         // Alg. 1: collect g_1 … g_m, merge into g_0. Each silo receives
-        // ONE coalesced [MemoryReport, BuildGrid] frame, and every frame
-        // is begun before any reply is awaited — setup is a single
-        // batched round per silo (plus one fallback round per warm-start
-        // miss) and the per-silo grid builds run concurrently on the
-        // worker threads instead of serializing through the provider.
-        // A silo serves a frame's items in order, so the report is taken
-        // before the grid is retained: `index_mem_mb` excludes the grid
-        // on every run until ROADMAP item 1 flips this order.
+        // ONE coalesced [Setup, BuildGrid] frame, and every frame is begun
+        // before any reply is awaited — setup is a single batched round
+        // per silo (plus one fallback round per warm-start miss), and the
+        // per-silo forest and grid builds run concurrently on the silos'
+        // own threads instead of serializing through the provider. A silo
+        // serves a frame's items in order and `Setup` answers the memory
+        // report, so the report is taken before the grid is retained:
+        // `index_mem_mb` excludes the grid until ROADMAP item 1a moves it
+        // into the report.
         let build_request = Request::BuildGrid {
-            bounds: self.bounds,
-            cell_len: self.grid_cell_len,
             // Warm mode asks for a checksum-only build; the cached cell
             // vectors are reused when the silo's data still matches.
             return_cells: snapshot.is_none(),
         };
         let pending = channels
             .iter()
-            .map(|channel| {
-                channel.begin_frame(&[(0, &Request::MemoryReport), (1, &build_request)], None)
+            .enumerate()
+            .map(|(k, channel)| {
+                let setup = Request::Setup(self.silo_spec(k));
+                channel.begin_frame(&[(0, &setup), (1, &build_request)], None)
             })
             .collect::<Result<Vec<_>, TransportError>>()?;
 
@@ -480,8 +456,8 @@ impl FederationBuilder {
         let mut warm_hits = 0usize;
         for (k, pending) in pending.into_iter().enumerate() {
             let mut items = pending.wait()?;
-            let (build, memory) = match (items.pop(), items.pop(), items.pop()) {
-                (Some((_, build)), Some((_, memory)), None) => (build, memory),
+            let (build, setup) = match (items.pop(), items.pop(), items.pop()) {
+                (Some((_, build)), Some((_, setup)), None) => (build, setup),
                 _ => {
                     return Err(SetupError::Protocol {
                         silo: k,
@@ -489,6 +465,17 @@ impl FederationBuilder {
                     })
                 }
             };
+            // The Setup's own refusal first: the BuildGrid behind it only
+            // says the silo was never set up.
+            match setup? {
+                Response::Memory(m) => memory_reports.push(m),
+                other => {
+                    return Err(SetupError::Protocol {
+                        silo: k,
+                        message: format!("unexpected setup response: {other:?}"),
+                    })
+                }
+            }
             let grid =
                 match build? {
                     Response::GridAck { total, outside } => {
@@ -515,16 +502,6 @@ impl FederationBuilder {
                     })?),
                 };
             silo_grids.push(grid);
-            match memory {
-                Ok(Response::Memory(m)) => memory_reports.push(m),
-                Ok(other) => {
-                    return Err(SetupError::Protocol {
-                        silo: k,
-                        message: format!("unexpected memory report response: {other:?}"),
-                    })
-                }
-                Err(e) => return Err(SetupError::Transport(e)),
-            }
         }
 
         // Warm-start misses fall back to a full cell transfer — also
@@ -536,12 +513,7 @@ impl FederationBuilder {
             .map(|(k, _)| k)
             .collect();
         if !misses.is_empty() {
-            let full = Request::BuildGrid {
-                bounds: self.bounds,
-                cell_len: self.grid_cell_len,
-                return_cells: true,
-            }
-            .to_bytes();
+            let full = Request::BuildGrid { return_cells: true }.to_bytes();
             let pending = misses
                 .iter()
                 .map(|&k| channels[k].begin_encoded(full.clone()))
@@ -904,10 +876,10 @@ mod tests {
     fn setup_comm_counts_grid_transfer() {
         let fed = small_federation(3, 100);
         let setup = fed.setup_comm();
-        // One batched [MemoryReport, BuildGrid] round per silo.
+        // One batched [Setup, BuildGrid] round per silo.
         assert_eq!(setup.rounds, 3);
         // Per silo, down: the envelope; the batch reply's tag + u32 item
-        // count; a Memory reply (tag + 4 × u64); the Grid reply: tag,
+        // count; Setup's Memory reply (tag + 4 × u64); the Grid reply: tag,
         // bounds (32), cell_len (8), a u32 cell count, 100 cells at a
         // presence byte each plus 24 B per occupied cell (measures are
         // 1–3, so count, sum and sum_sqr are all non-zero), outside (8).
@@ -1040,11 +1012,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "report is item 0 by choice until ROADMAP item 1 re-baselines index_mem_mb; flip the frame order and un-ignore together"]
+    #[ignore = "Setup answers the report before the grid is built until ROADMAP item 1a re-baselines index_mem_mb; move the grid into the report and un-ignore together"]
     fn setup_memory_reports_include_the_grid() {
-        // The setup frame is [MemoryReport, BuildGrid] and a silo serves a
-        // frame's items in order, so the report is taken before the grid
-        // is retained.
+        // The setup frame is [Setup, BuildGrid] and Setup answers the
+        // report, so it is taken before the grid is retained.
         for r in small_federation(3, 200).silo_memory_reports() {
             assert!(r.grid > 0);
         }
@@ -1053,7 +1024,7 @@ mod tests {
     #[test]
     fn served_counters_start_at_setup_level() {
         let fed = small_federation(2, 50);
-        // BuildGrid + MemoryReport each.
+        // Setup + BuildGrid each.
         assert_eq!(fed.served_per_silo(), vec![2, 2]);
     }
 
@@ -1095,13 +1066,16 @@ mod tests {
                 "fedra-silo --fault-*",
             ),
             // Every silo packs its forest along the grid, so a grid no
-            // `GridSpec` accepts fails each silo's build: an error for the
-            // first, with every build joined, not a panic of the caller.
+            // `GridSpec` accepts panics each silo's Setup: the guarded
+            // error of the first, not a panic of the caller.
             (
                 FederationBuilder::new(bounds()).grid_cell_len(0.0),
                 partitions(2, 10),
-                SetupError::SiloBuildPanicked { silo: 0 },
-                "silo 0 index construction panicked",
+                SetupError::Transport(TransportError::Remote {
+                    silo: 0,
+                    message: "silo 0: batch item panicked".into(),
+                }),
+                "silo 0: batch item panicked",
             ),
         ] {
             let err = builder.try_build(parts).expect_err(says);

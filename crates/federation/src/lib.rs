@@ -34,8 +34,8 @@ pub mod wire;
 pub use fault::{FaultPlan, FlapSchedule, SiloFaultSpec};
 pub use federation::{DegradePolicy, Federation, FederationBuilder, SetupError};
 pub use health::{BreakerState, HealthConfig, HealthTracker, HealthTransition, SiloHealthSnapshot};
-pub use protocol::{LocalMode, Request, Response, SiloMemoryReport};
-pub use silo::{Silo, SiloConfig, SiloGridSnapshot, SiloId};
+pub use protocol::{LocalMode, Request, Response, SiloMemoryReport, SiloSpec};
+pub use silo::{Silo, SiloGridSnapshot, SiloId};
 pub use snapshot::ProviderSnapshot;
 pub use transport::chaos::ChaosProxy;
 pub use transport::socket::{SiloAddr, SiloSocketServer, SocketServerConfig, SocketTransport};

@@ -4,11 +4,11 @@
 //!
 //! | Request | Used by | Paper reference |
 //! |---|---|---|
+//! | [`Request::Setup`] | setup: index by the shared grid, report memory | Alg. 1, Figs. 3d–9d |
 //! | [`Request::BuildGrid`] | setup | Alg. 1 lines 1–3 |
 //! | [`Request::Aggregate`] | EXACT, IID-est (±LSR) | Alg. 2 lines 2–3, Alg. 6 |
 //! | [`Request::CellContributions`] | NonIID-est (±LSR), MultiSilo-est: range + mode only, the silo classifies the cells itself | Alg. 3 line 3 + remark |
 //! | [`Request::HistogramEstimate`] | OPTA baseline | Sec. 8.1 |
-//! | [`Request::MemoryReport`] | metrics | Figs. 3d–9d |
 //! | [`Request::Ping`] | liveness / failure tests | — |
 //! | [`Request::Masked`] | every query path: only `F`'s moments come back | Alg. 2/3 line 3, Sec. 7 |
 //! | [`Request::Batch`] | coalesced frames | Alg. 4 |
@@ -23,6 +23,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Range, Rect};
 use fedra_index::grid::{GridIndex, GridSpec};
+use fedra_index::histogram::MinSkewConfig;
+use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, Moments};
 
 use crate::wire::{decode_nested, decode_seq, Wire, WireError, WireResult};
@@ -44,19 +46,39 @@ pub enum LocalMode {
     },
 }
 
+/// Everything a silo's indexes depend on, as the provider fixes it in
+/// Alg. 1: the federation grid (every LSR-Forest level is packed along
+/// its cells, the histogram covers its bounds, `BuildGrid` bins by it),
+/// the R-tree fanout, the histogram config and this silo's LSR seed.
+/// `FederationBuilder::silo_spec` derives it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SiloSpec {
+    /// Grid bounds (shared across the federation).
+    pub bounds: Rect,
+    /// Cell side length `L`.
+    pub cell_len: f64,
+    /// R-tree fanout for `T_0` and every LSR level.
+    pub rtree: RTreeConfig,
+    /// MinSkew histogram parameters (OPTA substrate).
+    pub histogram: MinSkewConfig,
+    /// This silo's seed for the LSR level sampling.
+    pub lsr_seed: u64,
+}
+
 /// A provider → silo request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Build the silo's grid index over the shared spec. With
+    /// Index the partition by the spec (LSR-Forest and histogram) and
+    /// answer their [`Response::Memory`] report. An equal spec again is a
+    /// no-op; another spec, or a grid too large for one frame, is refused.
+    /// Every request but `Ping` is refused until a `Setup` succeeds.
+    Setup(SiloSpec),
+    /// Build the silo's grid index over the spec it was set up with. With
     /// `return_cells = true` the full cell vector is returned
     /// ([`Response::Grid`]); with `false` only a checksum comes back
     /// ([`Response::GridAck`]) — the warm-start path of
     /// [`crate::snapshot`].
     BuildGrid {
-        /// Grid bounds (shared across the federation).
-        bounds: Rect,
-        /// Cell side length `L`.
-        cell_len: f64,
         /// Whether to ship the cell vector back.
         return_cells: bool,
     },
@@ -84,8 +106,6 @@ pub enum Request {
         /// The query range.
         range: Range,
     },
-    /// Report the memory footprint of the silo's indices.
-    MemoryReport,
     /// Liveness probe.
     Ping,
     /// Several requests coalesced into one wire frame: the silo serves
@@ -261,6 +281,12 @@ impl Wire for LocalMode {
     }
 }
 
+/// Wire tags of [`Request::Setup`] and [`Request::BuildGrid`]. Tag 0 was
+/// `BuildGrid`'s old layout, which carried the grid, and tag 4 the memory
+/// report `Setup` now answers: both are retired, so a frame from a peer
+/// of the old layout is a [`WireError::BadTag`], never a misread spec.
+const REQUEST_SETUP_TAG: u8 = 9;
+const REQUEST_BUILD_GRID_TAG: u8 = 10;
 /// Wire tag of [`Request::Batch`].
 pub(crate) const REQUEST_BATCH_TAG: u8 = 6;
 /// Wire tag of [`Request::Masked`].
@@ -331,14 +357,12 @@ pub(crate) fn encode_batch_request(requests: &[&Request]) -> Bytes {
 impl Wire for Request {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Request::BuildGrid {
-                bounds,
-                cell_len,
-                return_cells,
-            } => {
-                buf.put_u8(0);
-                bounds.encode(buf);
-                cell_len.encode(buf);
+            Request::Setup(spec) => {
+                buf.put_u8(REQUEST_SETUP_TAG);
+                spec.encode(buf);
+            }
+            Request::BuildGrid { return_cells } => {
+                buf.put_u8(REQUEST_BUILD_GRID_TAG);
                 return_cells.encode(buf);
             }
             Request::Aggregate { range, mode } => {
@@ -355,7 +379,6 @@ impl Wire for Request {
                 buf.put_u8(3);
                 range.encode(buf);
             }
-            Request::MemoryReport => buf.put_u8(4),
             Request::Ping => buf.put_u8(5),
             Request::Batch(requests) => {
                 buf.put_u8(REQUEST_BATCH_TAG);
@@ -375,9 +398,8 @@ impl Wire for Request {
             });
         }
         match buf.get_u8() {
-            0 => Ok(Request::BuildGrid {
-                bounds: Rect::decode(buf)?,
-                cell_len: f64::decode(buf)?,
+            REQUEST_SETUP_TAG => Ok(Request::Setup(SiloSpec::decode(buf)?)),
+            REQUEST_BUILD_GRID_TAG => Ok(Request::BuildGrid {
                 return_cells: bool::decode(buf)?,
             }),
             1 => Ok(Request::Aggregate {
@@ -387,7 +409,6 @@ impl Wire for Request {
             3 => Ok(Request::HistogramEstimate {
                 range: Range::decode(buf)?,
             }),
-            4 => Ok(Request::MemoryReport),
             5 => Ok(Request::Ping),
             REQUEST_BATCH_TAG => Ok(Request::Batch(decode_seq(buf, |buf| {
                 decode_nested(buf, "batch item", |tag| tag != REQUEST_BATCH_TAG)
@@ -410,19 +431,44 @@ impl Wire for Request {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            Request::BuildGrid {
-                bounds,
-                cell_len,
-                return_cells,
-            } => bounds.encoded_len() + cell_len.encoded_len() + return_cells.encoded_len(),
+            Request::Setup(spec) => spec.encoded_len(),
+            Request::BuildGrid { return_cells } => return_cells.encoded_len(),
             Request::Aggregate { range, mode } | Request::CellContributions { range, mode } => {
                 range.encoded_len() + mode.encoded_len()
             }
             Request::HistogramEstimate { range } => range.encoded_len(),
-            Request::MemoryReport | Request::Ping => 0,
+            Request::Ping => 0,
             Request::Batch(requests) => requests.encoded_len(),
             Request::Masked { moments, request } => moments.encoded_len() + request.encoded_len(),
         }
+    }
+}
+
+impl Wire for SiloSpec {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.bounds.encode(buf);
+        self.cell_len.encode(buf);
+        self.rtree.max_entries.encode(buf);
+        self.histogram.resolution.encode(buf);
+        self.histogram.budget.encode(buf);
+        self.lsr_seed.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        Ok(SiloSpec {
+            bounds: Rect::decode(buf)?,
+            cell_len: f64::decode(buf)?,
+            rtree: RTreeConfig {
+                max_entries: usize::decode(buf)?,
+            },
+            histogram: MinSkewConfig {
+                resolution: u32::decode(buf)?,
+                budget: usize::decode(buf)?,
+            },
+            lsr_seed: u64::decode(buf)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        32 + 8 + 8 + 4 + 8 + 8
     }
 }
 
@@ -570,16 +616,21 @@ mod tests {
         assert_eq!(T::from_bytes(bytes).expect("decode"), value);
     }
 
+    fn setup() -> Request {
+        Request::Setup(SiloSpec {
+            bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
+            cell_len: 2.5,
+            rtree: RTreeConfig::default(),
+            histogram: MinSkewConfig::default(),
+            lsr_seed: 0x9E37_79B9_7F4A_7C15,
+        })
+    }
+
     #[test]
     fn requests_round_trip() {
+        round_trip(setup());
+        round_trip(Request::BuildGrid { return_cells: true });
         round_trip(Request::BuildGrid {
-            bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-            cell_len: 2.5,
-            return_cells: true,
-        });
-        round_trip(Request::BuildGrid {
-            bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-            cell_len: 2.5,
             return_cells: false,
         });
         round_trip(Request::Aggregate {
@@ -601,7 +652,6 @@ mod tests {
         round_trip(Request::HistogramEstimate {
             range: Range::circle(Point::new(4.0, 6.0), 3.0),
         });
-        round_trip(Request::MemoryReport);
         round_trip(Request::Ping);
     }
 
@@ -711,7 +761,11 @@ mod tests {
         );
         // Structural damage cannot be stepped over: a bad item tag, a cut
         // and trailing bytes each refuse the whole frame.
-        let good = Request::Batch(vec![Request::Ping, Request::MemoryReport]).to_bytes();
+        let good = Request::Batch(vec![
+            Request::Ping,
+            Request::BuildGrid { return_cells: true },
+        ])
+        .to_bytes();
         let mut bad_tag = good.to_vec();
         bad_tag[5] = 0xEE;
         assert!(matches!(
@@ -864,7 +918,7 @@ mod tests {
                     sum0: 99.0,
                 },
             },
-            Request::MemoryReport,
+            setup(),
         ]));
         round_trip(Response::Batch(vec![]));
         round_trip(Response::Batch(vec![
@@ -932,7 +986,7 @@ mod tests {
         assert_eq!(masked(0b001).to_bytes().len(), 2 + inner.to_bytes().len());
         for inner in [
             Request::Ping,
-            Request::MemoryReport,
+            setup(),
             Request::Batch(vec![]),
             masked(0b001),
         ] {
@@ -1028,15 +1082,17 @@ mod tests {
 
     #[test]
     fn bad_tags_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(9); // one past the CellContributions request tag
-        assert!(matches!(
-            Request::from_bytes(buf.freeze()),
-            Err(WireError::BadTag {
-                context: "request",
-                tag: 9
-            })
-        ));
+        // One past the BuildGrid request tag, and the retired tags of
+        // the old BuildGrid, CellContributions and MemoryReport layouts.
+        for tag in [REQUEST_BUILD_GRID_TAG + 1, 0, 2, 4] {
+            assert_eq!(
+                Request::from_bytes(Bytes::from(vec![tag, 0, 0, 0, 0])),
+                Err(WireError::BadTag {
+                    context: "request",
+                    tag
+                })
+            );
+        }
         let mut buf = BytesMut::new();
         buf.put_u8(10); // one past the DeadlineExceeded response tag
         assert!(matches!(
@@ -1063,11 +1119,8 @@ mod tests {
     #[test]
     fn encoded_len_is_exact_for_protocol_frames() {
         let requests = vec![
-            Request::BuildGrid {
-                bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-                cell_len: 2.5,
-                return_cells: true,
-            },
+            setup(),
+            Request::BuildGrid { return_cells: true },
             Request::Aggregate {
                 range: Range::circle(Point::new(4.0, 6.0), 3.0),
                 mode: LocalMode::Lsr {
@@ -1083,7 +1136,6 @@ mod tests {
             Request::HistogramEstimate {
                 range: Range::circle(Point::new(4.0, 6.0), 3.0),
             },
-            Request::MemoryReport,
             Request::Ping,
             masked(0b101),
         ];

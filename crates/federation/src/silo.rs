@@ -3,24 +3,27 @@
 //! Each silo owns its horizontal partition `P_{s_i}` and serves the
 //! protocol of [`crate::protocol`] from behind a channel — the provider
 //! can only interact through the query interface, never touch the rows
-//! (the federation constraint of Sec. 2). A silo builds, at construction:
+//! (the federation constraint of Sec. 2). [`Silo::new`] only holds the
+//! partition. The provider's `Setup` (Alg. 1) carries the [`SiloSpec`] —
+//! the federation grid, fanout, histogram config and this silo's LSR
+//! seed — and the silo indexes by it, in-process or behind `fedra-silo`
+//! alike:
 //!
 //! * an LSR-Forest (Alg. 5) whose level `T_0` *is* the aggregate R-tree
 //!   over all its objects (exact local queries, the EXACT baseline) and
 //!   whose sampled levels serve O(log 1/ε) approximate local queries,
-//!   every level packed along the federation grid it is configured with
-//!   ([`SiloConfig::grid`]), so Alg. 3's per-cell walk absorbs nodes
-//!   whole instead of splitting them at cell edges;
-//! * a MinSkew histogram for the OPTA baseline;
+//!   every level packed along the spec's grid, so Alg. 3's per-cell walk
+//!   absorbs nodes whole instead of splitting them at cell edges;
+//! * a MinSkew histogram over the spec's bounds for the OPTA baseline;
 //!
-//! and, on the provider's `BuildGrid` request (Alg. 1), a grid index over
-//! the shared spec which it returns and retains (it classifies a
+//! and, on the provider's `BuildGrid` request, a grid index along the
+//! same spec, which it returns and retains (it classifies a
 //! `CellContributions` range against it).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
@@ -34,59 +37,30 @@ use fedra_obs::{Counter, Histogram, MetricsRegistry};
 
 use fedra_geo::{Range, Rect, SpatialObject};
 use fedra_index::grid::{GridIndex, GridSpec};
-use fedra_index::histogram::{MinSkewConfig, MinSkewHistogram};
+use fedra_index::histogram::MinSkewHistogram;
 use fedra_index::lsr::LsrForest;
 use fedra_index::pool::WorkerPool;
-use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, IndexMemory, Moments};
 
-use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport};
+use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport, SiloSpec};
+use crate::transport::socket::MAX_FRAME_PAYLOAD;
 use crate::wire::{expect_magic, Wire, WireError, WireResult};
 
 /// Identifier of a silo within its federation: `0 .. m`.
 pub type SiloId = usize;
 
-/// Construction parameters for a silo.
-#[derive(Debug, Clone, Copy)]
-pub struct SiloConfig {
-    /// R-tree fanout for the exact index and every LSR level.
-    pub rtree: RTreeConfig,
-    /// MinSkew histogram parameters (OPTA substrate).
-    pub histogram: MinSkewConfig,
-    /// The federation grid (bounds and cell length `L`): the region the
-    /// histogram covers, and the cells every LSR-Forest level is packed
-    /// along, so the per-cell walk of a `CellContributions` request over
-    /// this grid's cells absorbs nodes whole. A `BuildGrid` for another
-    /// spec is answered just as correctly, only without that alignment.
-    pub grid: GridSpec,
-    /// Seed for the LSR level sampling (kept per-silo for reproducibility).
-    pub lsr_seed: u64,
-    /// Worker-pool size for index builds (the LSR-Forest at construction,
-    /// the grid on `BuildGrid`); serving a frame never uses it. `0` =
-    /// automatic: available cores clamped to
-    /// [`fedra_index::pool::MAX_AUTO_THREADS`], with the
-    /// `FEDRA_SILO_THREADS` environment variable as an override. Results
-    /// are bit-identical for every value — the pool only changes speed.
-    pub threads: usize,
-}
-
 /// The silo's in-memory state and request handler.
 ///
 /// `Silo` itself is transport-agnostic; [`crate::transport`] wraps it in a
-/// worker thread. Handling is `&self` — all indexes are read-only after
-/// construction except the grid, which is set once by `BuildGrid` (guarded
-/// by a `parking_lot::RwLock`).
+/// worker thread. Handling is `&self`: the indexes are set once, by the
+/// first `Setup`, and the grid once, by the first `BuildGrid`.
 pub struct Silo {
     id: SiloId,
     num_objects: usize,
-    /// The forest's `T_0` is the exact aggregate R-tree and the canonical
-    /// copy of the partition: one full bulk load per silo.
-    lsr: LsrForest,
-    histogram: MinSkewHistogram,
-    /// Retained after `BuildGrid`: the spec a `CellContributions` range is
-    /// classified against and the per-cell mass that picks the cells its
-    /// reply carries.
-    grid: parking_lot::RwLock<Option<GridIndex>>,
+    /// The partition until `Setup` indexes it; emptied then, since `T_0`
+    /// holds the canonical copy. The lock serializes setups.
+    partition: parking_lot::Mutex<Vec<SpatialObject>>,
+    indexes: OnceLock<Indexes>,
     /// Scoped worker pool for index builds only; every request, batched
     /// or lone, is served on the thread that called [`Silo::handle`].
     pool: WorkerPool,
@@ -101,23 +75,39 @@ pub struct Silo {
     metrics: SiloMetrics,
 }
 
-/// A silo's persisted grid state: everything needed to re-retain the
-/// grid after a crash without re-scanning the partition (DESIGN.md §5i).
+/// What a `Setup` builds from the partition.
+pub(crate) struct Indexes {
+    spec: SiloSpec,
+    grid_spec: GridSpec,
+    /// The forest's `T_0` is the exact aggregate R-tree and the canonical
+    /// copy of the partition: one full bulk load per silo.
+    lsr: LsrForest,
+    histogram: MinSkewHistogram,
+    /// Retained by the first `BuildGrid` (or restored from a snapshot):
+    /// the grid a `CellContributions` range is classified against and
+    /// the per-cell mass that picks the cells its reply carries.
+    grid: OnceLock<GridIndex>,
+    /// One counter per LSR level, indexed by the level picked (Alg. 6);
+    /// the paper's O(log 1/ε) claim is readable straight off these.
+    lsr_levels: Vec<Arc<Counter>>,
+}
+
+/// A silo's persisted state: the spec it was set up with and its grid,
+/// everything a respawn needs to rebuild its indexes and re-retain the
+/// grid without re-binning the partition (DESIGN.md §5i).
 ///
 /// The on-disk layout is the wire encoding of this struct (a format magic
 /// first) followed by a trailing FNV-1a checksum of those bytes;
 /// [`Silo::load_grid_snapshot`] refuses a file whose checksum mismatches
 /// (torn write, bit rot) or whose magic is not this layout's, and
 /// ignores one whose `num_objects` disagrees with the live partition
-/// (stale snapshot from before a re-shard) — the grid is then simply
-/// rebuilt by the next `BuildGrid`, so a bad snapshot can delay recovery
-/// but never corrupt an answer.
+/// (stale snapshot from before a re-shard) — the silo then waits for the
+/// provider's `Setup`, so a bad snapshot can delay recovery but never
+/// corrupt an answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiloGridSnapshot {
-    /// Grid bounds the snapshot was built with.
-    pub bounds: Rect,
-    /// Cell side length.
-    pub cell_len: f64,
+    /// The spec the silo was set up with (the grid is along it).
+    pub spec: SiloSpec,
     /// Partition size when the grid was built (staleness guard).
     pub num_objects: u64,
     /// The full cell vector, row-major per [`GridSpec`].
@@ -126,16 +116,14 @@ pub struct SiloGridSnapshot {
     pub outside: u64,
 }
 
-/// Format magic of [`SiloGridSnapshot`]: layout 2, whose cells use the
-/// sparse [`Aggregate`] codec. A layout-1 file (24-byte cells, no magic)
-/// is refused.
-const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID2";
+/// Format magic of [`SiloGridSnapshot`]: layout 3, the whole [`SiloSpec`].
+/// Layouts 1 (no magic) and 2 (bounds and `L` only) are refused.
+const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID3";
 
 impl Wire for SiloGridSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_slice(SILO_SNAPSHOT_MAGIC);
-        self.bounds.encode(buf);
-        self.cell_len.encode(buf);
+        self.spec.encode(buf);
         self.num_objects.encode(buf);
         self.cells.encode(buf);
         self.outside.encode(buf);
@@ -143,8 +131,7 @@ impl Wire for SiloGridSnapshot {
 
     fn encoded_len(&self) -> usize {
         SILO_SNAPSHOT_MAGIC.len()
-            + self.bounds.encoded_len()
-            + self.cell_len.encoded_len()
+            + self.spec.encoded_len()
             + self.num_objects.encoded_len()
             + self.cells.encoded_len()
             + self.outside.encoded_len()
@@ -152,19 +139,14 @@ impl Wire for SiloGridSnapshot {
 
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
         expect_magic(buf, SILO_SNAPSHOT_MAGIC, "silo grid snapshot format")?;
-        let bounds = Rect::decode(buf)?;
-        let cell_len = f64::decode(buf)?;
-        let num_objects = u64::decode(buf)?;
-        let cells = Vec::<Aggregate>::decode(buf)?;
-        let outside = u64::decode(buf)?;
         let snapshot = Self {
-            bounds,
-            cell_len,
-            num_objects,
-            cells,
-            outside,
+            spec: SiloSpec::decode(buf)?,
+            num_objects: u64::decode(buf)?,
+            cells: Vec::<Aggregate>::decode(buf)?,
+            outside: u64::decode(buf)?,
         };
-        if snapshot.cells.len() != GridSpec::new(bounds, cell_len).num_cells() {
+        let spec = GridSpec::new(snapshot.spec.bounds, snapshot.spec.cell_len);
+        if snapshot.cells.len() != spec.num_cells() {
             return Err(WireError::BadLength {
                 context: "silo grid snapshot cells",
                 len: snapshot.cells.len(),
@@ -198,9 +180,6 @@ struct SiloMetrics {
     /// Boundary cells left out of a `CellContributions` reply (and out of
     /// the clipped R-tree/LSR walk): the provider's ratio never reads them.
     cells_pruned: Arc<Counter>,
-    /// One counter per LSR level, indexed by the level picked (Alg. 6);
-    /// the paper's O(log 1/ε) claim is readable straight off these.
-    lsr_levels: Vec<Arc<Counter>>,
     /// Grid snapshots written to disk (crash-recovery, DESIGN.md §5i).
     snapshot_saved: Arc<Counter>,
     /// Grid snapshots successfully restored from disk.
@@ -209,25 +188,25 @@ struct SiloMetrics {
 
 /// Per-request-kind counters, one per [`Request`] variant.
 struct RequestCounters {
+    setup: Arc<Counter>,
     build_grid: Arc<Counter>,
     aggregate: Arc<Counter>,
     cell_contributions: Arc<Counter>,
     histogram_estimate: Arc<Counter>,
-    memory_report: Arc<Counter>,
     ping: Arc<Counter>,
     nested_batch: Arc<Counter>,
 }
 
 impl SiloMetrics {
-    fn new(id: SiloId, lsr_levels: usize, pool: &WorkerPool) -> Self {
+    fn new(id: SiloId, pool: &WorkerPool) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let kind = |k: &str| registry.series(&SILO_REQUESTS_BY_KIND_TOTAL, &[&id, &k]);
         let requests = RequestCounters {
+            setup: kind("setup"),
             build_grid: kind("build_grid"),
             aggregate: kind("aggregate"),
             cell_contributions: kind("cell_contributions"),
             histogram_estimate: kind("histogram_estimate"),
-            memory_report: kind("memory_report"),
             ping: kind("ping"),
             nested_batch: kind("nested_batch"),
         };
@@ -239,44 +218,57 @@ impl SiloMetrics {
             batch_items: registry.series(&SILO_POOL_BATCH_ITEMS, &[&id]),
             batch_panics: registry.series(&SILO_BATCH_PANICS_TOTAL, &[&id]),
             cells_pruned: registry.series(&SILO_CELLS_PRUNED_TOTAL, &[&id]),
-            lsr_levels: (0..lsr_levels)
-                .map(|l| registry.series(&SILO_LSR_LEVEL_TOTAL, &[&id, &l]))
-                .collect(),
             snapshot_saved: registry.series(&SNAPSHOT_SAVED_TOTAL, &[&id]),
             snapshot_loaded: registry.series(&SNAPSHOT_LOADED_TOTAL, &[&id]),
             registry,
         }
     }
+}
 
+impl Indexes {
     fn record_level(&self, level: usize) {
         if let Some(counter) = self.lsr_levels.get(level) {
             counter.inc();
         }
     }
+
+    /// The silo-local range aggregation `Q(s_k, R, F)` — exact on `T_0`
+    /// or approximate on a sampled level of the LSR-Forest (Alg. 6).
+    fn local_aggregate(&self, range: &Range, mode: LocalMode) -> Aggregate {
+        match mode {
+            LocalMode::Exact => self.lsr.base().aggregate(range),
+            LocalMode::Lsr {
+                epsilon,
+                delta,
+                sum0,
+            } => {
+                let (agg, level) = self.lsr.query(range, epsilon, delta, sum0);
+                self.record_level(level);
+                agg
+            }
+        }
+    }
 }
 
 impl Silo {
-    /// Builds a silo over its partition. O(n log n).
-    pub fn new(id: SiloId, objects: Vec<SpatialObject>, config: SiloConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(
-            config.lsr_seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let pool = WorkerPool::new(config.threads);
-        let lsr =
-            LsrForest::build_with(&objects, config.rtree, Some(&config.grid), &mut rng, &pool);
-        let histogram = MinSkewHistogram::build(config.grid.bounds(), config.histogram, &objects);
-        let num_objects = objects.len();
-        let metrics = SiloMetrics::new(id, lsr.num_levels(), &pool);
+    /// Holds a partition until the provider's `Setup` indexes it.
+    /// `threads` sizes the worker pool for index builds (the LSR-Forest on
+    /// `Setup`, the grid on `BuildGrid`); serving a frame never uses it.
+    /// `0` = automatic: available cores clamped to
+    /// [`fedra_index::pool::MAX_AUTO_THREADS`], with the
+    /// `FEDRA_SILO_THREADS` environment variable as an override. Results
+    /// are bit-identical for every value — the pool only changes speed.
+    pub fn new(id: SiloId, objects: Vec<SpatialObject>, threads: usize) -> Self {
+        let pool = WorkerPool::new(threads);
         Self {
             id,
-            num_objects,
-            lsr,
-            histogram,
-            grid: parking_lot::RwLock::new(None),
+            num_objects: objects.len(),
+            partition: parking_lot::Mutex::new(objects),
+            indexes: OnceLock::new(),
+            metrics: SiloMetrics::new(id, &pool),
             pool,
             failed: Arc::new(AtomicBool::new(false)),
             served: Arc::new(AtomicU64::new(0)),
-            metrics,
         }
     }
 
@@ -311,13 +303,13 @@ impl Silo {
         Arc::clone(&self.metrics.registry)
     }
 
-    /// Serves one wire frame (Alg. 1 line 2, Alg. 2 line 3, Alg. 3 line 3,
+    /// Serves one wire frame (Alg. 1, Alg. 2 line 3, Alg. 3 line 3,
     /// OPTA, metrics).
     ///
     /// A [`Request::Batch`] frame is unpacked here: the items are served
     /// one after another, in frame order, on the calling thread — a later
-    /// item sees everything an earlier one did (a `MemoryReport` after a
-    /// `BuildGrid` reports the grid) — and the answers form a
+    /// item sees everything an earlier one did (a `BuildGrid` after a
+    /// `Setup` bins along its spec) — and the answers form a
     /// [`Response::Batch`] of the same arity. Per-item failures —
     /// including a panicking handler — surface as `Response::Error`
     /// items; one bad sub-request never aborts its batch-mates. A lone
@@ -369,17 +361,22 @@ impl Silo {
     /// `moments` (all three unless a `Masked` wrapper names fewer).
     fn answer(&self, request: Request, moments: Moments) -> Response {
         match request {
-            Request::BuildGrid {
-                bounds,
-                cell_len,
-                return_cells,
-            } => self.handle_build_grid(bounds, cell_len, return_cells),
-            Request::Aggregate { range, mode } => Response::Agg(self.local_aggregate(&range, mode)),
-            Request::CellContributions { range, mode } => {
-                self.handle_cell_contributions(&range, mode, moments)
+            Request::Setup(spec) => match self.setup(spec) {
+                Ok(_) => Response::Memory(self.memory_report()),
+                Err(message) => Response::Error(message),
+            },
+            Request::BuildGrid { return_cells } => {
+                self.indexed(|ix| self.handle_build_grid(ix, return_cells))
             }
-            Request::HistogramEstimate { range } => Response::Agg(self.histogram.estimate(&range)),
-            Request::MemoryReport => Response::Memory(self.memory_report()),
+            Request::Aggregate { range, mode } => {
+                self.indexed(|ix| Response::Agg(ix.local_aggregate(&range, mode)))
+            }
+            Request::CellContributions { range, mode } => {
+                self.indexed(|ix| self.handle_cell_contributions(ix, &range, mode, moments))
+            }
+            Request::HistogramEstimate { range } => {
+                self.indexed(|ix| Response::Agg(ix.histogram.estimate(&range)))
+            }
             Request::Ping => Response::Pong,
             // One level of batching is all the protocol grants: nesting
             // would let a malformed frame amplify work quadratically.
@@ -407,41 +404,104 @@ impl Silo {
         }
     }
 
+    /// `serve` over the indexes, or a refusal before the first `Setup`.
+    fn indexed(&self, serve: impl FnOnce(&Indexes) -> Response) -> Response {
+        match self.indexes.get() {
+            Some(indexes) => serve(indexes),
+            None => Response::Error(format!(
+                "silo {}: not set up (a Setup must come first)",
+                self.id
+            )),
+        }
+    }
+
     /// Bumps the per-kind request counter. Exhaustive over [`Request`] so
     /// a new protocol variant cannot arrive unobserved; a masked request
     /// counts as the request it wraps.
     fn count_request(&self, request: &Request) {
         let counters = &self.metrics.requests;
         match request {
+            Request::Setup(_) => counters.setup.inc(),
             Request::BuildGrid { .. } => counters.build_grid.inc(),
             Request::Aggregate { .. } => counters.aggregate.inc(),
             Request::CellContributions { .. } => counters.cell_contributions.inc(),
             Request::HistogramEstimate { .. } => counters.histogram_estimate.inc(),
-            Request::MemoryReport => counters.memory_report.inc(),
             Request::Ping => counters.ping.inc(),
             Request::Batch(_) => counters.nested_batch.inc(),
             Request::Masked { request, .. } => self.count_request(request),
         }
     }
 
-    /// A wire-serializable copy of the retained grid (`None` before
-    /// `BuildGrid` or a successful [`Self::load_grid_snapshot`]).
+    /// Indexes the partition by `spec`, once (Alg. 1's setup). An equal
+    /// spec again is a no-op, another spec is refused. So is a grid whose
+    /// cell vector (or a histogram whose fine grid) would not fit in one
+    /// frame: that is checked before anything is allocated, because a
+    /// failed allocation aborts the process and no guard catches it. An
+    /// invalid grid or fanout panics, which the handler's guard answers.
+    pub(crate) fn setup(&self, spec: SiloSpec) -> Result<&Indexes, String> {
+        let grid = GridSpec::new(spec.bounds, spec.cell_len);
+        let mut partition = self.partition.lock();
+        if let Some(indexes) = self.indexes.get() {
+            if indexes.spec != spec {
+                return Err(format!(
+                    "silo {}: already set up with another spec ({:?})",
+                    self.id, indexes.spec
+                ));
+            }
+            return Ok(indexes);
+        }
+        let resolution = spec.histogram.resolution as usize;
+        for (what, cells) in [
+            ("grid", grid.num_cells()),
+            ("histogram", resolution.saturating_mul(resolution)),
+        ] {
+            if cells.saturating_mul(std::mem::size_of::<Aggregate>()) > MAX_FRAME_PAYLOAD as usize {
+                return Err(format!(
+                    "silo {}: a {cells}-cell {what} does not fit in a {MAX_FRAME_PAYLOAD}-byte frame",
+                    self.id
+                ));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(spec.lsr_seed);
+        let lsr = LsrForest::build_with(&partition, spec.rtree, Some(&grid), &mut rng, &self.pool);
+        let histogram = MinSkewHistogram::build(spec.bounds, spec.histogram, &partition);
+        let lsr_levels = (0..lsr.num_levels())
+            .map(|l| {
+                self.metrics
+                    .registry
+                    .series(&SILO_LSR_LEVEL_TOTAL, &[&self.id, &l])
+            })
+            .collect();
+        *partition = Vec::new();
+        Ok(self.indexes.get_or_init(|| Indexes {
+            spec,
+            grid_spec: grid,
+            lsr,
+            histogram,
+            grid: OnceLock::new(),
+            lsr_levels,
+        }))
+    }
+
+    /// A wire-serializable copy of the setup spec and the retained grid
+    /// (`None` before `BuildGrid` or a successful
+    /// [`Self::load_grid_snapshot`]).
     pub fn grid_snapshot(&self) -> Option<SiloGridSnapshot> {
-        let guard = self.grid.read();
-        let grid = guard.as_ref()?;
+        let indexes = self.indexes.get()?;
+        let grid = indexes.grid.get()?;
         Some(SiloGridSnapshot {
-            bounds: grid.spec().bounds(),
-            cell_len: grid.spec().cell_len(),
+            spec: indexes.spec,
             num_objects: self.num_objects as u64,
             cells: grid.cells().to_vec(),
             outside: grid.outside_count(),
         })
     }
 
-    /// Persists the retained grid to `path` (encoding + trailing FNV-1a
-    /// checksum), replacing any previous file. Returns `Ok(false)` when no
-    /// grid has been built yet. The write goes through a sibling temp file
-    /// and a rename so a crash mid-save leaves the old snapshot intact.
+    /// Persists the spec and the retained grid to `path` (encoding +
+    /// trailing FNV-1a checksum), replacing any previous file. Returns
+    /// `Ok(false)` when no grid has been built yet. The write goes through
+    /// a sibling temp file and a rename so a crash mid-save leaves the old
+    /// snapshot intact.
     pub fn save_grid_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<bool> {
         let Some(snapshot) = self.grid_snapshot() else {
             return Ok(false);
@@ -458,15 +518,16 @@ impl Silo {
         Ok(true)
     }
 
-    /// Restores the retained grid from a file written by
-    /// [`Self::save_grid_snapshot`].
+    /// Sets the silo up from a file written by
+    /// [`Self::save_grid_snapshot`]: the indexes are rebuilt from the
+    /// persisted spec and the grid is restored as saved, so the silo
+    /// serves before any provider's `Setup` (an equal one is then a
+    /// no-op and the next `BuildGrid` answers without re-binning).
     ///
-    /// Returns `Ok(true)` when the grid was restored, `Ok(false)` when the
+    /// Returns `Ok(true)` when the silo was restored, `Ok(false)` when the
     /// file is missing or stale (its `num_objects` disagrees with the live
     /// partition), and `Err` on corruption — a failed checksum or an
-    /// undecodable body. A restored grid makes the next matching
-    /// `BuildGrid` answer from memory instead of re-scanning the
-    /// partition (see [`Self::handle`]'s grid reuse).
+    /// undecodable body — or a spec this silo refuses.
     pub fn load_grid_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<bool> {
         let raw = match std::fs::read(path.as_ref()) {
             Ok(raw) => raw,
@@ -492,58 +553,30 @@ impl Silo {
             .map_err(|e| invalid(format!("undecodable grid snapshot: {e}")))?;
         if snapshot.num_objects != self.num_objects as u64 {
             // Stale, not corrupt: the partition changed since the save.
-            // Ignore it and let the next BuildGrid rebuild from scratch.
+            // Ignore it and wait for the provider's Setup.
             return Ok(false);
         }
-        let spec = GridSpec::new(snapshot.bounds, snapshot.cell_len);
-        *self.grid.write() = Some(GridIndex::from_parts(
-            spec,
-            snapshot.cells,
-            snapshot.outside,
-        ));
+        let indexes = self.setup(snapshot.spec).map_err(invalid)?;
+        let grid = GridIndex::from_parts(indexes.grid_spec, snapshot.cells, snapshot.outside);
+        let _ = indexes.grid.set(grid);
         self.metrics.snapshot_loaded.inc();
         Ok(true)
     }
 
-    fn handle_build_grid(&self, bounds: Rect, cell_len: f64, return_cells: bool) -> Response {
-        let spec = GridSpec::new(bounds, cell_len);
-        // Reuse an already-retained grid for the same spec: the partition
-        // is immutable in-process, so the retained cells are bit-identical
-        // to what a rebuild would produce. This is what makes a restored
-        // snapshot (crash recovery) or a repeated warm-start `BuildGrid`
-        // answer without re-scanning the R-tree.
-        {
-            let guard = self.grid.read();
-            if let Some(retained) = guard.as_ref() {
-                if *retained.spec() == spec {
-                    let outside = retained.outside_count();
-                    return if return_cells {
-                        Response::Grid {
-                            bounds,
-                            cell_len,
-                            cells: retained.cells().to_vec(),
-                            outside,
-                        }
-                    } else {
-                        Response::GridAck {
-                            total: retained.total(),
-                            outside,
-                        }
-                    };
-                }
-            }
-        }
-        // T_0 keeps the canonical copy of the partition: index it
-        // directly (sharded across the pool) instead of re-collecting it
-        // through an inflated-MBR range query, which paid an O(n)
-        // traversal plus a copy and could miss objects at the inflate
-        // boundary.
-        let grid = GridIndex::build_with(spec, self.lsr.base().objects(), &self.pool);
+    /// Bins `T_0` along the setup spec once; a repeated `BuildGrid` (a
+    /// warm start) or a snapshot-restored grid answers from the retained
+    /// cells without re-scanning. `T_0` keeps the canonical copy of the
+    /// partition, so the grid indexes it directly, sharded across the
+    /// pool.
+    fn handle_build_grid(&self, indexes: &Indexes, return_cells: bool) -> Response {
+        let grid = indexes.grid.get_or_init(|| {
+            GridIndex::build_with(indexes.grid_spec, indexes.lsr.base().objects(), &self.pool)
+        });
         let outside = grid.outside_count();
-        let response = if return_cells {
+        if return_cells {
             Response::Grid {
-                bounds,
-                cell_len,
+                bounds: indexes.spec.bounds,
+                cell_len: indexes.spec.cell_len,
                 cells: grid.cells().to_vec(),
                 outside,
             }
@@ -554,25 +587,6 @@ impl Silo {
                 total: grid.total(),
                 outside,
             }
-        };
-        *self.grid.write() = Some(grid);
-        response
-    }
-
-    /// The silo-local range aggregation `Q(s_k, R, F)` — exact on `T_0`
-    /// or approximate on a sampled level of the LSR-Forest (Alg. 6).
-    fn local_aggregate(&self, range: &Range, mode: LocalMode) -> Aggregate {
-        match mode {
-            LocalMode::Exact => self.lsr.base().aggregate(range),
-            LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0,
-            } => {
-                let (agg, level) = self.lsr.query(range, epsilon, delta, sum0);
-                self.metrics.record_level(level);
-                agg
-            }
         }
     }
 
@@ -582,12 +596,12 @@ impl Silo {
     /// the same grid, so it lays the entries back onto the boundary itself.
     fn handle_cell_contributions(
         &self,
+        indexes: &Indexes,
         range: &Range,
         mode: LocalMode,
         moments: Moments,
     ) -> Response {
-        let guard = self.grid.read();
-        let Some(grid) = guard.as_ref() else {
+        let Some(grid) = indexes.grid.get() else {
             return Response::Error(format!(
                 "silo {}: grid index not built yet (BuildGrid must precede CellContributions)",
                 self.id
@@ -597,14 +611,13 @@ impl Silo {
         // cells can be counted. The range came off the wire; the
         // classification is clipped to the grid, so the reply never has
         // more than `num_cells` entries.
-        let spec = *grid.spec();
+        let spec = grid.spec();
         let boundary = spec.classify(range).boundary;
         let rects: Vec<Rect> = boundary
             .iter()
             .filter(|&&id| grid.contributes(id, moments))
             .map(|&id| spec.cell_rect_of(id))
             .collect();
-        drop(guard);
         self.metrics
             .cells_pruned
             .add((boundary.len() - rects.len()) as u64);
@@ -613,44 +626,35 @@ impl Silo {
         // the LSR mode the level is selected once from the whole-query
         // sum₀, so all per-cell estimates share one sample tree.
         let contributions = match mode {
-            LocalMode::Exact => self.lsr.base().aggregate_clipped_many(range, &rects),
+            LocalMode::Exact => indexes.lsr.base().aggregate_clipped_many(range, &rects),
             LocalMode::Lsr {
                 epsilon,
                 delta,
                 sum0,
             } => {
-                let l = self.lsr.select_level(epsilon, delta, sum0);
-                self.metrics.record_level(l);
-                self.lsr.query_clipped_many_at_level(range, &rects, l)
+                let l = indexes.lsr.select_level(epsilon, delta, sum0);
+                indexes.record_level(l);
+                indexes.lsr.query_clipped_many_at_level(range, &rects, l)
             }
         };
         Response::AggVec(contributions)
     }
 
-    /// Memory footprint of the silo's indices.
+    /// Memory footprint of the silo's indices (all zero before `Setup`).
     pub fn memory_report(&self) -> SiloMemoryReport {
+        let Some(indexes) = self.indexes.get() else {
+            return SiloMemoryReport::default();
+        };
         // T₀ is the forest's first level: report it as the R-tree and only
         // the sampled levels as the LSR extra, so the two add up to the
         // forest without double counting.
-        let rtree = self.lsr.base().memory_bytes() as u64;
-        let lsr_extra = (self.lsr.memory_bytes() as u64).saturating_sub(rtree);
-        let grid = self
-            .grid
-            .read()
-            .as_ref()
-            .map_or(0, |g| g.memory_bytes() as u64);
+        let rtree = indexes.lsr.base().memory_bytes() as u64;
         SiloMemoryReport {
             rtree,
-            lsr_extra,
-            grid,
-            histogram: self.histogram.memory_bytes() as u64,
+            lsr_extra: (indexes.lsr.memory_bytes() as u64).saturating_sub(rtree),
+            grid: indexes.grid.get().map_or(0, |g| g.memory_bytes() as u64),
+            histogram: indexes.histogram.memory_bytes() as u64,
         }
-    }
-
-    /// Exact local aggregate — a test/diagnostic shortcut that bypasses
-    /// the protocol (the provider must never call this).
-    pub fn oracle_aggregate(&self, range: &Range) -> Aggregate {
-        self.lsr.base().aggregate(range)
     }
 }
 
@@ -659,7 +663,7 @@ impl std::fmt::Debug for Silo {
         f.debug_struct("Silo")
             .field("id", &self.id)
             .field("objects", &self.num_objects)
-            .field("lsr_levels", &self.lsr.num_levels())
+            .field("spec", &self.indexes.get().map(|ix| ix.spec))
             .field("failed", &self.failed.load(Ordering::Relaxed))
             .finish()
     }
@@ -670,23 +674,39 @@ mod tests {
     use super::*;
     use fedra_geo::Point;
     use fedra_index::grid::CellId;
-    use fedra_index::rtree::RTree;
+    use fedra_index::rtree::{RTree, RTreeConfig};
 
     fn bounds() -> Rect {
         Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
     }
 
-    fn config() -> SiloConfig {
-        SiloConfig {
-            rtree: RTreeConfig::default(),
-            histogram: MinSkewConfig {
+    /// The spec a federation over `bounds()` at `L = 10` sends silo `id`.
+    fn spec(id: SiloId) -> SiloSpec {
+        crate::FederationBuilder::new(bounds())
+            .grid_cell_len(10.0)
+            .histogram_config(fedra_index::histogram::MinSkewConfig {
                 resolution: 32,
                 budget: 32,
-            },
-            grid: GridSpec::new(bounds(), 10.0),
-            lsr_seed: 7,
-            threads: 0,
-        }
+            })
+            .lsr_seed(7)
+            .silo_spec(id)
+    }
+
+    /// A silo set up by [`spec`] (not through `handle`, so no request is
+    /// counted).
+    fn silo(id: SiloId, objects: Vec<SpatialObject>, threads: usize) -> Silo {
+        let silo = Silo::new(id, objects, threads);
+        silo.setup(spec(id)).expect("set up");
+        silo
+    }
+
+    fn ix(s: &Silo) -> &Indexes {
+        s.indexes.get().expect("set up")
+    }
+
+    /// Exact local aggregate straight off `T_0`, bypassing the protocol.
+    fn oracle(s: &Silo, range: &Range) -> Aggregate {
+        ix(s).lsr.base().aggregate(range)
     }
 
     fn objects(n: usize) -> Vec<SpatialObject> {
@@ -709,16 +729,16 @@ mod tests {
     /// The cells a `CellContributions` reply from `s` carries, off its own
     /// retained grid.
     fn contributing(s: &Silo, range: &Range, moments: Moments) -> Vec<CellId> {
-        s.grid
-            .read()
-            .as_ref()
+        ix(s)
+            .grid
+            .get()
             .expect("grid built")
             .contributing_cells(range, moments)
     }
 
     #[test]
     fn ping_pongs() {
-        let s = Silo::new(0, objects(10), config());
+        let s = silo(0, objects(10), 0);
         assert_eq!(s.handle(Request::Ping), Response::Pong);
         assert_eq!(s.served_counter().load(Ordering::Relaxed), 1);
     }
@@ -726,7 +746,7 @@ mod tests {
     #[test]
     fn exact_aggregate_matches_oracle() {
         let objs = objects(2000);
-        let s = Silo::new(1, objs.clone(), config());
+        let s = silo(1, objs.clone(), 0);
         let q = Range::circle(Point::new(50.0, 50.0), 20.0);
         let resp = s.handle(Request::Aggregate {
             range: q,
@@ -754,14 +774,7 @@ mod tests {
         let spec = GridSpec::new(bounds(), 10.0);
         let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
         for threads in [1, 4] {
-            let s = Silo::new(
-                13,
-                objs.clone(),
-                SiloConfig {
-                    threads,
-                    ..config()
-                },
-            );
+            let s = silo(13, objs.clone(), threads);
             let Response::Agg(whole) = s.handle(Request::Aggregate {
                 range: q,
                 mode: LocalMode::Exact,
@@ -774,8 +787,6 @@ mod tests {
                 "threads {threads}"
             );
             s.handle(Request::BuildGrid {
-                bounds: bounds(),
-                cell_len: 10.0,
                 return_cells: false,
             });
             let Response::AggVec(per_cell) = s.handle(Request::CellContributions {
@@ -793,7 +804,7 @@ mod tests {
             }
             assert_eq!(
                 s.memory_report().rtree,
-                s.lsr.base().memory_bytes() as u64,
+                ix(&s).lsr.base().memory_bytes() as u64,
                 "T₀ is reported once, as the R-tree"
             );
             // T₀ is packed along the silo's grid: the tree a grid-packed
@@ -801,15 +812,15 @@ mod tests {
             let packed = RTree::bulk_load_with(
                 objs.clone(),
                 RTreeConfig::default(),
-                Some(&config().grid),
+                Some(&GridSpec::new(bounds(), 10.0)),
                 &WorkerPool::sequential(),
             );
             assert_eq!(
-                s.lsr.base().objects(),
+                ix(&s).lsr.base().objects(),
                 packed.objects(),
                 "threads {threads}"
             );
-            assert_eq!(s.lsr.base().node_count(), packed.node_count());
+            assert_eq!(ix(&s).lsr.base().node_count(), packed.node_count());
             assert_ne!(packed.objects(), reference.objects(), "the grid shows");
         }
     }
@@ -817,9 +828,9 @@ mod tests {
     #[test]
     fn lsr_aggregate_is_close() {
         let objs = objects(20_000);
-        let s = Silo::new(2, objs.clone(), config());
+        let s = silo(2, objs.clone(), 0);
         let q = Range::circle(Point::new(50.0, 50.0), 30.0);
-        let exact = s.oracle_aggregate(&q).count;
+        let exact = oracle(&s, &q).count;
         let resp = s.handle(Request::Aggregate {
             range: q,
             mode: LocalMode::Lsr {
@@ -840,7 +851,7 @@ mod tests {
     #[test]
     fn build_grid_then_contributions() {
         let objs = objects(1000);
-        let s = Silo::new(3, objs.clone(), config());
+        let s = silo(3, objs.clone(), 0);
         // Contributions before BuildGrid must fail loudly.
         let q = Range::circle(Point::new(50.0, 50.0), 10.0);
         let premature = s.handle(Request::CellContributions {
@@ -849,11 +860,7 @@ mod tests {
         });
         assert!(matches!(premature, Response::Error(_)));
 
-        let resp = s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
+        let resp = s.handle(Request::BuildGrid { return_cells: true });
         let grid = resp.into_grid_index().expect("grid");
         assert_eq!(grid.total().count, 1000.0);
 
@@ -873,12 +880,9 @@ mod tests {
                 let covered_total: f64 = cls
                     .covered
                     .iter()
-                    .map(|&id| {
-                        s.oracle_aggregate(&Range::Rect(grid.spec().cell_rect_of(id)))
-                            .count
-                    })
+                    .map(|&id| oracle(&s, &Range::Rect(grid.spec().cell_rect_of(id))).count)
                     .sum();
-                let exact = s.oracle_aggregate(&q).count;
+                let exact = oracle(&s, &q).count;
                 assert!(
                     (boundary_total + covered_total - exact).abs() <= 1e-9 + exact * 1e-12,
                     "{boundary_total} + {covered_total} != {exact}"
@@ -907,12 +911,8 @@ mod tests {
         let objs: Vec<SpatialObject> = (0..500)
             .map(|i| SpatialObject::at((i % 40) as f64, (i / 40) as f64 * 3.0, 1.0))
             .collect();
-        let s = Silo::new(20, objs, config());
-        s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
+        let s = silo(20, objs, 0);
+        s.handle(Request::BuildGrid { return_cells: true });
         let q = Range::circle(Point::new(80.0, 50.0), 15.0);
         let spec = GridSpec::new(bounds(), 10.0);
         let boundary = spec.classify(&q).boundary;
@@ -924,7 +924,10 @@ mod tests {
         assert_eq!(resp, Response::AggVec(vec![]));
         assert_eq!(pruned_total(&s), boundary.len() as u64);
         for id in boundary {
-            let direct = s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id));
+            let direct = ix(&s)
+                .lsr
+                .base()
+                .aggregate_clipped(&q, &spec.cell_rect_of(id));
             assert!(direct.is_zero(), "cell {id}");
         }
     }
@@ -938,13 +941,9 @@ mod tests {
         // cell whose own mass a ratio divides by; the other three hold
         // nothing, so NonIID-est takes the g₀ area fallback there and
         // never read their entries. Its answer is the same either way.
-        let s = Silo::new(21, vec![SpatialObject::at(10.0, 10.0, 5.0)], config());
-        s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
-        let grid = s.grid.read().clone().expect("grid built");
+        let s = silo(21, vec![SpatialObject::at(10.0, 10.0, 5.0)], 0);
+        s.handle(Request::BuildGrid { return_cells: true });
+        let grid = ix(&s).grid.get().cloned().expect("grid built");
         let spec = *grid.spec();
         let q = Range::rect(Point::new(2.0, 2.0), Point::new(10.0, 10.0));
         let boundary = spec.classify(&q).boundary;
@@ -969,7 +968,12 @@ mod tests {
         // The old protocol's reply: every boundary cell's closed clip.
         let full: Vec<Aggregate> = boundary
             .iter()
-            .map(|&id| s.lsr.base().aggregate_clipped(&q, &spec.cell_rect_of(id)))
+            .map(|&id| {
+                ix(&s)
+                    .lsr
+                    .base()
+                    .aggregate_clipped(&q, &spec.cell_rect_of(id))
+            })
             .collect();
         assert_eq!(full, vec![edge_object; 4]);
         // NonIID-est's COUNT term per boundary cell with one silo
@@ -1034,17 +1038,8 @@ mod tests {
             let ask = || Request::CellContributions { range: q, mode };
             let mut answers = Vec::new();
             for threads in [1, 4] {
-                let s = Silo::new(
-                    23,
-                    objs.clone(),
-                    SiloConfig {
-                        threads,
-                        ..config()
-                    },
-                );
+                let s = silo(23, objs.clone(), threads);
                 s.handle(Request::BuildGrid {
-                    bounds: bounds(),
-                    cell_len: 10.0,
                     return_cells: false,
                 });
                 let Response::AggVec(lone) = s.handle(ask()) else {
@@ -1075,7 +1070,7 @@ mod tests {
                     let reference = RTree::bulk_load_with(
                         objs.clone(),
                         RTreeConfig::default(),
-                        Some(&config().grid),
+                        Some(&GridSpec::new(bounds(), 10.0)),
                         &WorkerPool::sequential(),
                     );
                     let direct: Vec<Aggregate> = cells
@@ -1107,7 +1102,7 @@ mod tests {
     #[test]
     fn histogram_estimate_is_reasonable() {
         let objs = objects(20_000);
-        let s = Silo::new(4, objs.clone(), config());
+        let s = silo(4, objs.clone(), 0);
         let q = Range::circle(Point::new(50.0, 50.0), 25.0);
         let exact: f64 = objs
             .iter()
@@ -1124,16 +1119,16 @@ mod tests {
 
     #[test]
     fn batch_serves_items_in_order() {
-        let s = Silo::new(8, objects(500), config());
+        let s = silo(8, objects(500), 0);
         let q = Range::circle(Point::new(50.0, 50.0), 20.0);
-        let expected = s.oracle_aggregate(&q);
+        let expected = oracle(&s, &q);
         let resp = s.handle(Request::Batch(vec![
             Request::Ping,
             Request::Aggregate {
                 range: q,
                 mode: LocalMode::Exact,
             },
-            Request::MemoryReport,
+            Request::Setup(spec(8)),
         ]));
         match resp {
             Response::Batch(items) => {
@@ -1151,24 +1146,14 @@ mod tests {
     #[test]
     fn batch_items_are_served_in_frame_order() {
         // A frame is a sequence: each item sees the state its predecessors
-        // left, whatever the build pool's size.
+        // left, whatever the build pool's size. The second, equal Setup
+        // is a no-op that reports the grid the BuildGrid retained.
         for threads in [1, 4] {
-            let s = Silo::new(
-                13,
-                objects(20_000),
-                SiloConfig {
-                    threads,
-                    ..config()
-                },
-            );
+            let s = Silo::new(13, objects(20_000), threads);
             let Response::Batch(items) = s.handle(Request::Batch(vec![
-                Request::MemoryReport,
-                Request::BuildGrid {
-                    bounds: bounds(),
-                    cell_len: 5.0,
-                    return_cells: true,
-                },
-                Request::MemoryReport,
+                Request::Setup(spec(13)),
+                Request::BuildGrid { return_cells: true },
+                Request::Setup(spec(13)),
             ])) else {
                 panic!("unexpected response");
             };
@@ -1184,21 +1169,18 @@ mod tests {
 
     #[test]
     fn panicking_batch_item_degrades_to_error() {
-        // A BuildGrid with a negative cell length panics inside the
-        // handler (GridSpec::new asserts); inside a batch that must come
-        // back as Response::Error for that item only, with its
-        // batch-mates answered normally and the pool intact for the
-        // follow-up frame.
-        let mut cfg = config();
-        cfg.threads = 4;
-        let s = Silo::new(12, objects(200), cfg);
+        // A Setup with a negative cell length panics inside the handler
+        // (GridSpec::new asserts before the spec is compared); inside a
+        // batch that must come back as Response::Error for that item
+        // only, with its batch-mates answered normally and the pool
+        // intact for the follow-up frame.
+        let s = silo(12, objects(200), 4);
         let resp = s.handle(Request::Batch(vec![
             Request::Ping,
-            Request::BuildGrid {
-                bounds: bounds(),
+            Request::Setup(SiloSpec {
                 cell_len: -1.0,
-                return_cells: true,
-            },
+                ..spec(12)
+            }),
             Request::Ping,
         ]));
         match resp {
@@ -1220,14 +1202,13 @@ mod tests {
 
     #[test]
     fn a_panicking_lone_request_degrades_to_error() {
-        // The same panicking BuildGrid, sent on its own: the silo answers
+        // The same panicking Setup, sent on its own: the silo answers
         // it Response::Error, counts the panic, and keeps serving.
-        let s = Silo::new(14, objects(200), config());
-        let resp = s.handle(Request::BuildGrid {
-            bounds: bounds(),
+        let s = silo(14, objects(200), 0);
+        let resp = s.handle(Request::Setup(SiloSpec {
             cell_len: -1.0,
-            return_cells: true,
-        });
+            ..spec(14)
+        }));
         assert!(
             matches!(&resp, Response::Error(e) if e.contains("request panicked")),
             "got {resp:?}"
@@ -1238,7 +1219,7 @@ mod tests {
 
     #[test]
     fn nested_batch_is_rejected_per_item() {
-        let s = Silo::new(9, objects(10), config());
+        let s = silo(9, objects(10), 0);
         let resp = s.handle(Request::Batch(vec![
             Request::Ping,
             Request::Batch(vec![Request::Ping]),
@@ -1256,7 +1237,7 @@ mod tests {
 
     #[test]
     fn failed_silo_answers_batches_item_by_item() {
-        let s = Silo::new(10, objects(10), config());
+        let s = silo(10, objects(10), 0);
         s.failure_flag().store(true, Ordering::Release);
         match s.handle(Request::Batch(vec![Request::Ping, Request::Ping])) {
             Response::Batch(items) => {
@@ -1271,14 +1252,14 @@ mod tests {
 
     #[test]
     fn empty_batch_yields_empty_batch() {
-        let s = Silo::new(11, objects(10), config());
+        let s = silo(11, objects(10), 0);
         assert_eq!(s.handle(Request::Batch(vec![])), Response::Batch(vec![]));
         assert_eq!(s.served_counter().load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn failure_flag_rejects_requests() {
-        let s = Silo::new(5, objects(10), config());
+        let s = silo(5, objects(10), 0);
         s.failure_flag().store(true, Ordering::Release);
         assert!(matches!(s.handle(Request::Ping), Response::Error(_)));
         s.failure_flag().store(false, Ordering::Release);
@@ -1287,17 +1268,13 @@ mod tests {
 
     #[test]
     fn memory_report_is_consistent() {
-        let s = Silo::new(6, objects(5000), config());
+        let s = silo(6, objects(5000), 0);
         let before = s.memory_report();
         assert!(before.rtree > 0);
         assert!(before.lsr_extra > 0);
         assert!(before.histogram > 0);
         assert_eq!(before.grid, 0); // not built yet
-        s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 5.0,
-            return_cells: true,
-        });
+        s.handle(Request::BuildGrid { return_cells: true });
         let after = s.memory_report();
         assert!(after.grid > 0);
         assert!(after.total() > before.total());
@@ -1316,22 +1293,14 @@ mod tests {
                 .collect()
         };
         for threads in [1, 4] {
-            let config = SiloConfig {
-                threads,
-                ..config()
-            };
-            let s = Silo::new(0, objs.clone(), config);
+            let s = silo(0, objs.clone(), threads);
             assert_ne!(
-                s.lsr.base().objects(),
+                ix(&s).lsr.base().objects(),
                 objs,
                 "leaf order is not input order"
             );
             let grid = s
-                .handle(Request::BuildGrid {
-                    bounds: bounds(),
-                    cell_len: 5.0,
-                    return_cells: true,
-                })
+                .handle(Request::BuildGrid { return_cells: true })
                 .into_grid_index()
                 .expect("grid");
             let direct = GridIndex::build(*grid.spec(), &objs);
@@ -1346,24 +1315,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.grid");
 
-        let s = Silo::new(30, objs.clone(), config());
+        let s = silo(30, objs.clone(), 0);
         // Nothing to save before BuildGrid.
         assert!(!s.save_grid_snapshot(&path).unwrap());
-        let built = s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
+        let built = s.handle(Request::BuildGrid { return_cells: true });
         assert!(s.save_grid_snapshot(&path).unwrap());
 
-        // A fresh silo over the same partition restores the identical grid.
-        let r = Silo::new(30, objs, config());
+        // A fresh silo over the same partition sets itself up from the
+        // file: the same spec, the same forest, the identical grid.
+        let r = Silo::new(30, objs, 0);
         assert!(r.load_grid_snapshot(&path).unwrap());
-        let reused = r.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
+        assert_eq!(ix(&r).spec, spec(30));
+        assert_eq!(r.memory_report(), s.memory_report());
+        let q = Range::circle(Point::new(50.0, 50.0), 20.0);
+        let ask = || Request::CellContributions {
+            range: q,
+            mode: LocalMode::Exact,
+        };
+        assert_eq!(r.handle(ask()), s.handle(ask()));
+        let reused = r.handle(Request::BuildGrid { return_cells: true });
         assert_eq!(reused, built, "restored grid must answer bit-identically");
         let counters = r.metrics().snapshot().counters;
         assert_eq!(
@@ -1384,18 +1354,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stale.grid");
 
-        let s = Silo::new(31, objects(100), config());
+        let s = silo(31, objects(100), 0);
         s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
             return_cells: false,
         });
         assert!(s.save_grid_snapshot(&path).unwrap());
 
         // Same file, different partition size: stale, silently ignored.
-        let other = Silo::new(31, objects(101), config());
+        let other = Silo::new(31, objects(101), 0);
         assert!(!other.load_grid_snapshot(&path).unwrap());
-        assert!(other.grid.read().is_none());
+        assert!(other.indexes.get().is_none());
 
         // Missing file: also a clean false.
         assert!(!other.load_grid_snapshot(dir.join("missing.grid")).unwrap());
@@ -1404,7 +1372,7 @@ mod tests {
         let mut raw = std::fs::read(&path).unwrap();
         raw[10] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
-        let fresh = Silo::new(31, objects(100), config());
+        let fresh = Silo::new(31, objects(100), 0);
         assert!(fresh.load_grid_snapshot(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
@@ -1412,10 +1380,8 @@ mod tests {
     #[test]
     fn a_masked_request_is_its_inner_answer_masked_and_counts_once() {
         use fedra_index::AggFunc;
-        let s = Silo::new(34, objects(500), config());
+        let s = silo(34, objects(500), 0);
         s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
             return_cells: false,
         });
         let q = Range::circle(Point::new(50.0, 50.0), 20.0);
@@ -1475,18 +1441,16 @@ mod tests {
         let dir = std::env::temp_dir().join("fedra-silo-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("layout1.grid");
-        let s = Silo::new(33, objects(300), config());
+        let s = silo(33, objects(300), 0);
         s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
             return_cells: false,
         });
         let snapshot = s.grid_snapshot().expect("grid built");
         // Layout 1: no magic, every cell a fixed 24-byte triple — with a
         // valid checksum, as the old code wrote it.
         let mut body = BytesMut::new();
-        snapshot.bounds.encode(&mut body);
-        snapshot.cell_len.encode(&mut body);
+        snapshot.spec.bounds.encode(&mut body);
+        snapshot.spec.cell_len.encode(&mut body);
         snapshot.num_objects.encode(&mut body);
         (snapshot.cells.len() as u32).encode(&mut body);
         for cell in &snapshot.cells {
@@ -1499,46 +1463,93 @@ mod tests {
         file.extend_from_slice(&snapshot_checksum(&body).to_le_bytes());
         std::fs::write(&path, &file).unwrap();
 
-        let fresh = Silo::new(33, objects(300), config());
+        let fresh = Silo::new(33, objects(300), 0);
         let err = fresh.load_grid_snapshot(&path).expect_err("old layout");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(fresh.grid.read().is_none());
+        assert!(fresh.indexes.get().is_none());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn build_grid_reuses_retained_grid_only_on_spec_match() {
-        let s = Silo::new(32, objects(300), config());
-        let first = s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
-        let again = s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 10.0,
-            return_cells: true,
-        });
-        assert_eq!(first, again);
-        // A different spec must rebuild, not echo the stale grid.
-        let finer = s.handle(Request::BuildGrid {
-            bounds: bounds(),
-            cell_len: 5.0,
-            return_cells: true,
-        });
-        let Response::Grid { cell_len, .. } = finer else {
-            panic!("unexpected response");
+    fn a_repeated_setup_is_a_no_op_and_another_spec_is_refused() {
+        let s = Silo::new(32, objects(300), 0);
+        let q = Range::circle(Point::new(50.0, 50.0), 20.0);
+        let not_set_up = |r: Response| matches!(r, Response::Error(e) if e.contains("not set up"));
+        for request in [
+            Request::Aggregate {
+                range: q,
+                mode: LocalMode::Exact,
+            },
+            Request::HistogramEstimate { range: q },
+            Request::BuildGrid { return_cells: true },
+        ] {
+            assert!(not_set_up(s.handle(request)));
+        }
+        assert_eq!(s.handle(Request::Ping), Response::Pong);
+        let Response::Memory(first) = s.handle(Request::Setup(spec(32))) else {
+            panic!("Setup answers the memory report");
         };
-        assert_eq!(cell_len, 5.0);
-        assert_eq!(
-            s.grid.read().as_ref().map(|g| g.spec().cell_len()),
-            Some(5.0)
-        );
+        assert_eq!(first.grid, 0);
+        let built = s.handle(Request::BuildGrid { return_cells: true });
+        assert_eq!(s.handle(Request::BuildGrid { return_cells: true }), built);
+        // An equal spec is a no-op: the retained grid stays.
+        let Response::Memory(again) = s.handle(Request::Setup(spec(32))) else {
+            panic!("an equal Setup answers the report");
+        };
+        assert_eq!(again, s.memory_report());
+        assert!(again.grid > 0);
+        // Another spec — another L, or another silo's seed — is refused.
+        for other in [
+            SiloSpec {
+                cell_len: 5.0,
+                ..spec(32)
+            },
+            spec(33),
+        ] {
+            let refused = s.handle(Request::Setup(other));
+            assert!(
+                matches!(&refused, Response::Error(e) if e.contains("another spec")),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(s.handle(Request::BuildGrid { return_cells: true }), built);
+    }
+
+    #[test]
+    fn a_setup_whose_grid_cannot_travel_is_refused_before_it_allocates() {
+        // 1e-6 km over a 100 km box: 10¹⁶ cells. Allocating them would
+        // abort the process; the silo refuses the spec instead.
+        let s = Silo::new(35, objects(100), 0);
+        for hostile in [
+            SiloSpec {
+                cell_len: 1e-6,
+                ..spec(35)
+            },
+            SiloSpec {
+                histogram: fedra_index::histogram::MinSkewConfig {
+                    resolution: u32::MAX,
+                    budget: 1,
+                },
+                ..spec(35)
+            },
+        ] {
+            let refused = s.handle(Request::Setup(hostile));
+            assert!(
+                matches!(&refused, Response::Error(e) if e.contains("does not fit")),
+                "{refused:?}"
+            );
+            assert!(s.indexes.get().is_none());
+            assert_eq!(s.handle(Request::Ping), Response::Pong);
+        }
+        assert!(matches!(
+            s.handle(Request::Setup(spec(35))),
+            Response::Memory(_)
+        ));
     }
 
     #[test]
     fn empty_silo_answers_zero() {
-        let s = Silo::new(7, vec![], config());
+        let s = silo(7, vec![], 0);
         assert!(s.is_empty());
         let q = Range::circle(Point::new(0.0, 0.0), 10.0);
         match s.handle(Request::Aggregate {

@@ -371,32 +371,26 @@ fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::silo::{Silo, SiloConfig};
+    use crate::silo::Silo;
     use crate::transport::socket::{SiloSocketServer, SocketServerConfig};
     use fedra_geo::{Point, Rect, SpatialObject};
-    use fedra_index::grid::GridSpec;
     use fedra_index::histogram::MinSkewConfig;
-    use fedra_index::rtree::RTreeConfig;
 
     fn test_silo(id: usize) -> Silo {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
         let objects: Vec<SpatialObject> = (0..50)
             .map(|i| SpatialObject::at((i % 10) as f64, (i / 10) as f64, 1.0))
             .collect();
-        Silo::new(
-            id,
-            objects,
-            SiloConfig {
-                rtree: RTreeConfig::default(),
-                histogram: MinSkewConfig {
-                    resolution: 8,
-                    budget: 8,
-                },
-                grid: GridSpec::new(bounds, 1.0),
-                lsr_seed: 1,
-                threads: 1,
-            },
-        )
+        let silo = Silo::new(id, objects, 1);
+        let spec = crate::FederationBuilder::new(bounds)
+            .histogram_config(MinSkewConfig {
+                resolution: 8,
+                budget: 8,
+            })
+            .lsr_seed(1)
+            .silo_spec(id);
+        silo.setup(spec).expect("set up");
+        silo
     }
 
     fn serve(id: usize) -> SiloSocketServer {

@@ -1051,8 +1051,9 @@ pub(crate) struct SiloServer {
     pub(crate) silo: Silo,
     /// One action is drawn per frame; the lock is held for the draw only.
     pub(crate) faults: Mutex<Option<SiloFaultInjector>>,
-    /// Where the retained grid is persisted after every served `BuildGrid`
-    /// (`fedra-silo serve --snapshot`; `None` on the in-memory backend).
+    /// Where the setup spec and retained grid are persisted after every
+    /// served `BuildGrid` (`fedra-silo serve --snapshot-dir`; `None` in
+    /// process).
     pub(crate) snapshot_path: Option<PathBuf>,
 }
 
@@ -1245,31 +1246,24 @@ impl Drop for AliveGuard {
 mod tests {
     use super::*;
     use crate::protocol::LocalMode;
-    use crate::silo::SiloConfig;
     use fedra_geo::{Point, Range, Rect, SpatialObject};
-    use fedra_index::grid::GridSpec;
     use fedra_index::histogram::MinSkewConfig;
-    use fedra_index::rtree::RTreeConfig;
 
     fn test_silo(id: SiloId, n: usize) -> Silo {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
         let objects: Vec<SpatialObject> = (0..n)
             .map(|i| SpatialObject::at((i % 10) as f64 + 0.5, (i / 10 % 10) as f64 + 0.5, 1.0))
             .collect();
-        Silo::new(
-            id,
-            objects,
-            SiloConfig {
-                rtree: RTreeConfig::default(),
-                histogram: MinSkewConfig {
-                    resolution: 8,
-                    budget: 8,
-                },
-                grid: GridSpec::new(bounds, 1.0),
-                threads: 0,
-                lsr_seed: 1,
-            },
-        )
+        let silo = Silo::new(id, objects, 0);
+        let spec = crate::FederationBuilder::new(bounds)
+            .histogram_config(MinSkewConfig {
+                resolution: 8,
+                budget: 8,
+            })
+            .lsr_seed(1)
+            .silo_spec(id);
+        silo.setup(spec).expect("set up");
+        silo
     }
 
     #[test]
@@ -1473,10 +1467,19 @@ mod tests {
         };
         let exact = chan.call(&agg).unwrap();
         let before = stats.snapshot();
+        // A repeated Setup answers the memory report.
+        let spec =
+            crate::FederationBuilder::new(Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)))
+                .histogram_config(MinSkewConfig {
+                    resolution: 8,
+                    budget: 8,
+                })
+                .lsr_seed(1)
+                .silo_spec(8);
         let riders = [
             (907, &Request::Ping),
             (11, &agg),
-            (42, &Request::MemoryReport),
+            (42, &Request::Setup(spec)),
         ];
         let results = chan
             .begin_frame(&riders, None)
@@ -1491,7 +1494,7 @@ mod tests {
         // Correlation ids are provider-side bookkeeping: the wire carries
         // the plain batch, in one round.
         let delta = stats.snapshot().since(&before);
-        let plain = Request::Batch(vec![Request::Ping, agg.clone(), Request::MemoryReport]);
+        let plain = Request::Batch(vec![Request::Ping, agg.clone(), Request::Setup(spec)]);
         assert_eq!(delta.rounds, 1);
         assert_eq!(delta.bytes_up, plain.to_bytes().len() as u64);
     }

@@ -607,10 +607,10 @@ fn deadline_to_rel_us(deadline: Option<Instant>, now: Instant) -> u64 {
 pub struct SocketServerConfig {
     /// Deterministic fault injector (see [`crate::fault::FaultPlan`]).
     pub faults: Option<SiloFaultInjector>,
-    /// When set, the silo's retained grid is persisted here (checksummed,
-    /// see [`crate::silo::SiloGridSnapshot`]) after every served
-    /// `BuildGrid`, so a killed-and-respawned `fedra-silo` can warm-start
-    /// from disk instead of re-binning its partition.
+    /// When set, the silo's setup spec and retained grid are persisted
+    /// here (checksummed, see [`crate::silo::SiloGridSnapshot`]) after
+    /// every served `BuildGrid`, so a killed-and-respawned `fedra-silo`
+    /// sets itself up from disk instead of waiting for a provider.
     pub snapshot_path: Option<PathBuf>,
 }
 

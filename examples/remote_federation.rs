@@ -14,15 +14,17 @@
 //!
 //! # 3. Start one fedra-silo per CSV, then query them remotely:
 //! fedra-silo serve --addr unix:/tmp/fedra/s0.sock --data /tmp/fedra/silo0.csv \
-//!     --silo-id 0 --bounds $(cat /tmp/fedra/bounds.txt) &
+//!     --silo-id 0 &
 //! ... (silo 1, silo 2) ...
 //! cargo run --release --example remote_federation -- remote \
 //!     /tmp/fedra/bounds.txt unix:/tmp/fedra/s0.sock unix:/tmp/fedra/s1.sock \
 //!     unix:/tmp/fedra/s2.sock
 //! ```
 //!
-//! Identical answers need identical silo state: same partition, same
-//! `--bounds`, same `--lsr-seed` (the defaults match the builder's).
+//! Identical answers need identical silo state. The partition comes from
+//! the CSV; everything else a silo indexes by (the grid, the fanout, the
+//! histogram, its LSR seed) arrives in the provider's setup round, so
+//! a remote silo is set up exactly as an in-process one.
 
 use std::process::ExitCode;
 
@@ -48,8 +50,8 @@ fn dataset() -> Dataset {
     WorkloadSpec::small().generate()
 }
 
-/// Writes one CSV per silo plus `bounds.txt` (the `--bounds` value every
-/// `fedra-silo` MUST be started with).
+/// Writes one CSV per silo plus `bounds.txt` (the federation bounds the
+/// `remote` provider reads; the silos learn them from its setup round).
 fn export(dir: &str) -> ExitCode {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: could not create {dir}: {e}");

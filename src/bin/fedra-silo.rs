@@ -4,54 +4,58 @@
 //! to this process over the length-prefixed socket protocol
 //! (DESIGN.md §5h): same wire payloads, same deadline shedding, same
 //! fault injection as the in-process backends, so a federation can span
-//! processes and machines like the paper's 4–16-node cluster.
+//! processes and machines like the paper's 4–16-node cluster. The silo
+//! loads its partition and waits: the provider's setup round (one `[Setup,
+//! BuildGrid]` frame) tells it the federation grid, fanout, histogram
+//! config and its LSR seed, and it indexes by them exactly as an
+//! in-process silo does.
 //!
 //! ```text
 //! fedra-silo serve --addr unix:/tmp/silo0.sock --data silo0.csv
-//! fedra-silo serve --addr tcp:127.0.0.1:7401 --data silo1.csv --silo-id 1 \
-//!                  --bounds -8,-8,8,8
+//! fedra-silo serve --addr tcp:127.0.0.1:7401 --data silo1.csv --silo-id 1
 //! ```
 //!
 //! Options for `serve`:
 //! `--addr A` (required; `tcp:host:port`, `unix:/path`, or `host:port`),
 //! `--data F` (required; `silo,x_km,y_km,measure` CSV, as written by
 //! `fedra_workload::write_csv`), `--silo-id K` (serve partition `K` of
-//! the CSV; default: every row in the file), `--bounds x0,y0,x1,y1`
-//! (histogram/grid bounds — MUST match the provider's federation bounds
-//! for answers to line up; default: the file's bounding box; the silo's
-//! index is packed along the grid of these bounds at the default cell
-//! length L = 1 km, and a provider grid of another L is answered just as
-//! correctly, only without that alignment),
-//! `--lsr-seed S` (default `1043722`, the builder default), `--threads N`
-//! (intra-silo worker pool; 0 = auto), `--snapshot-dir DIR`, and a
-//! deterministic fault spec — the `FaultPlan` the in-process backends
-//! take, for this one silo:
+//! the CSV; default: every row in the file), `--threads N` (intra-silo
+//! build pool; 0 = auto), `--snapshot-dir DIR`, and a deterministic
+//! fault spec — the `FaultPlan` the in-process backends take, for this
+//! one silo:
 //! `--fault-seed S --fault-transient P --fault-drop P`
 //! `--fault-crash-after N --fault-latency-ms L --fault-flap P:D`.
 //!
-//! Every flag is checked before the data is read: a value that does not
-//! parse (or a probability outside `[0, 1]`, or a flap that is not `P:D`
-//! with `0 < D <= P`) exits 1 naming the flag, never serves a default.
+//! Every flag is checked before the data is read: an unknown flag, or a
+//! value that does not parse (or a probability outside `[0, 1]`, or a
+//! flap that is not `P:D` with `0 < D <= P`) exits 1 naming the flag,
+//! never serves a default.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fedra::federation::{
-    FaultPlan, Silo, SiloAddr, SiloConfig, SiloSocketServer, SocketServerConfig,
-};
+use fedra::federation::{FaultPlan, Silo, SiloAddr, SiloSocketServer, SocketServerConfig};
 use fedra::federation::{FlapSchedule, SiloFaultSpec};
-use fedra::geo::{Point, Rect, SpatialObject};
-use fedra::index::grid::GridSpec;
-use fedra::index::histogram::MinSkewConfig;
-use fedra::index::rtree::RTreeConfig;
+use fedra::geo::SpatialObject;
 use fedra::workload::read_csv;
 
-/// The grid cell length the index is packed along: `FederationBuilder`'s
-/// default `L`.
-const GRID_CELL_LEN_KM: f64 = 1.0;
+/// Every flag `serve` reads; any other exits 1.
+const FLAGS: [&str; 11] = [
+    "addr",
+    "data",
+    "silo-id",
+    "threads",
+    "snapshot-dir",
+    "fault-seed",
+    "fault-transient",
+    "fault-drop",
+    "fault-crash-after",
+    "fault-latency-ms",
+    "fault-flap",
+];
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,10 +80,14 @@ fn main() -> ExitCode {
         print_help();
         return ExitCode::SUCCESS;
     }
+    if let Some(key) = options.keys().find(|key| !FLAGS.contains(&key.as_str())) {
+        eprintln!("error: unknown flag --{key}");
+        return ExitCode::FAILURE;
+    }
     serve(&options)
 }
 
-type Options = HashMap<String, String>;
+type Options = BTreeMap<String, String>;
 
 fn parse(args: &[String]) -> Option<Options> {
     let mut options = Options::new();
@@ -129,36 +137,23 @@ fn print_help() {
     println!(
         "fedra-silo — host one data silo behind a socket\n\n\
          usage: fedra-silo serve --addr ADDR --data FILE.csv\n\
-                [--silo-id K] [--bounds x0,y0,x1,y1] [--lsr-seed S]\n\
-                [--threads N] [--snapshot-dir DIR]\n\
+                [--silo-id K] [--threads N] [--snapshot-dir DIR]\n\
                 [--fault-seed S] [--fault-transient P] [--fault-drop P]\n\
                 [--fault-crash-after N] [--fault-latency-ms L] [--fault-flap P:D]\n\n\
          ADDR is tcp:host:port, unix:/path, or bare host:port. The CSV\n\
          columns are silo,x_km,y_km,measure (the workload crate's CSV).\n\
-         --bounds and --lsr-seed (default 1043722) must match the\n\
-         provider's federation for remote answers to be identical to a\n\
-         local run. The index is packed along the grid of --bounds at\n\
-         the default cell length of 1 km: a provider grid of another\n\
-         length is answered from an unaligned index (same counts; a\n\
-         continuous-measure sum may differ in the last bit).\n\
-         --snapshot-dir persists the built grid (checksummed) to\n\
-         DIR/silo-K.grid after every BuildGrid and warm-starts from it\n\
-         on respawn, so a crashed silo rejoins without re-binning.\n\
+         The silo indexes its partition when the provider sets it up:\n\
+         the provider's grid (bounds and cell length), fanout, histogram\n\
+         and LSR seed arrive in its Setup request, so remote answers are\n\
+         identical to a local run.\n\
+         --snapshot-dir persists that setup and the built grid\n\
+         (checksummed) to DIR/silo-K.grid after every BuildGrid; a\n\
+         respawned silo rebuilds its indexes from it before it serves,\n\
+         so a crashed silo rejoins without the provider or re-binning.\n\
          The --fault-* flags inject seeded faults into every request:\n\
          P is a probability in [0, 1]; --fault-flap P:D refuses the\n\
          last D of every P requests (0 < D <= P)."
     );
-}
-
-fn parse_bounds(spec: &str) -> Option<Rect> {
-    let parts: Vec<f64> = spec
-        .split(',')
-        .map(|p| p.trim().parse().ok())
-        .collect::<Option<_>>()?;
-    match parts[..] {
-        [x0, y0, x1, y1] => Some(Rect::new(Point::new(x0, y0), Point::new(x1, y1))),
-        _ => None,
-    }
 }
 
 /// `--fault-flap P:D`: refuse the last `D` of every `P` requests.
@@ -214,17 +209,6 @@ fn serve(options: &Options) -> ExitCode {
     };
     // Every flag is parsed before the data is read.
     let silo_id: Option<usize> = flag(options, "silo-id");
-    let bounds = match options.get("bounds") {
-        Some(spec) => match parse_bounds(spec) {
-            Some(bounds) => Some(bounds),
-            None => {
-                eprintln!("error: --bounds must be x0,y0,x1,y1");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let lsr_seed = opt(options, "lsr-seed", 0x000F_ED0A);
     let threads = opt(options, "threads", 0);
     let fault_plan = fault_config(options, silo_id.unwrap_or(0));
     let dataset = match read_csv(data, 0.0) {
@@ -245,20 +229,13 @@ fn serve(options: &Options) -> ExitCode {
         None => dataset.all_objects(),
     };
     let silo_id = silo_id.unwrap_or(0);
-    let bounds = bounds.unwrap_or_else(|| dataset.bounds());
-    let config = SiloConfig {
-        rtree: RTreeConfig::default(),
-        histogram: MinSkewConfig::default(),
-        grid: GridSpec::new(bounds, GRID_CELL_LEN_KM),
-        lsr_seed,
-        threads,
-    };
     let num_objects = objects.len();
-    let silo = Silo::new(silo_id, objects, config);
-    // Crash recovery (DESIGN.md §5i): with --snapshot-dir, the grid built
-    // by the provider's BuildGrid is checksummed to disk after every
-    // (re)build, and a respawned process warm-starts from that file — the
-    // next BuildGrid answers from the restored grid without re-binning.
+    let silo = Silo::new(silo_id, objects, threads);
+    // Crash recovery (DESIGN.md §5i): with --snapshot-dir, the setup spec
+    // and the grid built by the provider's BuildGrid are checksummed to
+    // disk after every build, and a respawned process sets itself up
+    // from that file — it serves queries before any provider's Setup, and
+    // the next BuildGrid answers from the restored grid.
     let snapshot_path = match options.get("snapshot-dir") {
         Some(dir) => {
             let dir = std::path::PathBuf::from(dir);
@@ -282,7 +259,7 @@ fn serve(options: &Options) -> ExitCode {
             Ok(false) => {}
             Err(e) => {
                 // Corrupt snapshot: refuse to guess — start cold and let
-                // the next BuildGrid rebuild and overwrite it.
+                // the provider's next setup round rebuild and overwrite it.
                 eprintln!(
                     "warning: ignoring corrupt grid snapshot {}: {e}",
                     path.display()
@@ -307,8 +284,7 @@ fn serve(options: &Options) -> ExitCode {
         }
     };
     println!(
-        "fedra-silo: serving silo {silo_id} ({num_objects} objects, bounds {:?}) on {}",
-        bounds,
+        "fedra-silo: serving silo {silo_id} ({num_objects} objects) on {}",
         server.addr()
     );
     server.join();

@@ -62,9 +62,9 @@ pub mod prelude {
     };
     pub use fedra_federation::{
         BreakerState, CallPolicy, ChaosProxy, DegradePolicy, FaultPlan, Federation,
-        FederationBuilder, FlapSchedule, HealthConfig, HealthTracker, Silo, SiloAddr, SiloConfig,
-        SiloFaultSpec, SiloHealthSnapshot, SiloId, SiloSocketServer, SocketServerConfig, Transport,
-        TransportBackend, TransportError,
+        FederationBuilder, FlapSchedule, HealthConfig, HealthTracker, Silo, SiloAddr,
+        SiloFaultSpec, SiloHealthSnapshot, SiloId, SiloSocketServer, SiloSpec, SocketServerConfig,
+        Transport, TransportBackend, TransportError,
     };
     pub use fedra_geo::{Circle, GeoPoint, Point, Projection, Range, Rect, SpatialObject};
     pub use fedra_index::{AggFunc, Aggregate, IndexMemory};

@@ -432,11 +432,10 @@ fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
             "local mode epsilon",
         ),
         (
-            fedra::federation::Request::BuildGrid {
-                bounds,
+            fedra::federation::Request::Setup(SiloSpec {
                 cell_len: -1.0,
-                return_cells: true,
-            },
+                ..FederationBuilder::new(bounds).silo_spec(0)
+            }),
             "request panicked",
         ),
     ];

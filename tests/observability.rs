@@ -49,7 +49,7 @@ fn counter_sum_with_prefix(snapshot: &MetricsSnapshot, prefix: &str) -> u64 {
 }
 
 /// A planning algorithm whose every second query ships a request that
-/// *panics* inside the silo's batch handler (`BuildGrid` with a negative
+/// *panics* inside the silo's batch handler (`Setup` with a negative
 /// cell length trips the `GridSpec` assertion). The panic comes back as a
 /// per-item `Response::Error`, the engine resamples down the candidate
 /// order, and — both candidates panicking — degrades to the grid
@@ -77,11 +77,10 @@ impl FraAlgorithm for PanicEverySecond {
                 mode: LocalMode::Exact,
             }
         } else {
-            Request::BuildGrid {
-                bounds: federation.bounds(),
+            Request::Setup(SiloSpec {
                 cell_len: -1.0,
-                return_cells: false,
-            }
+                ..FederationBuilder::new(federation.bounds()).silo_spec(0)
+            })
         };
         QueryPlan::SingleSilo(RemotePlan {
             order: vec![i % m, (i + 1) % m],

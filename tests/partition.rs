@@ -25,7 +25,6 @@ use std::time::Duration;
 
 use fedra::core::helpers;
 use fedra::federation::protocol::{Request, Response};
-use fedra::index::grid::GridSpec;
 use fedra::prelude::*;
 
 /// Unique scratch directory per test (sockets + snapshots).
@@ -47,26 +46,17 @@ fn dataset(seed: u64, silos: usize) -> fedra::workload::Dataset {
         .generate()
 }
 
-fn silo_config(bounds: Rect) -> SiloConfig {
-    SiloConfig {
-        rtree: Default::default(),
-        histogram: Default::default(),
-        grid: GridSpec::new(bounds, CELL_LEN),
-        lsr_seed: LSR_SEED,
-        threads: 1,
-    }
-}
-
 /// Servers + calm proxies for every partition; returns (servers, proxies).
+/// Each silo is set up by the setup round of the federation that
+/// connects to it.
 fn spawn_proxied_silos(
     dataset: &fedra::workload::Dataset,
     dir: &std::path::Path,
 ) -> (Vec<SiloSocketServer>, Vec<ChaosProxy>) {
-    let bounds = dataset.bounds();
     let mut servers = Vec::new();
     let mut proxies = Vec::new();
     for (k, objects) in dataset.partitions().iter().enumerate() {
-        let silo = Silo::new(k, objects.clone(), silo_config(bounds));
+        let silo = Silo::new(k, objects.clone(), 1);
         let addr = SiloAddr::Unix(dir.join(format!("silo-{k}.sock")));
         let server = SiloSocketServer::spawn(silo, &addr, SocketServerConfig::default())
             .expect("spawn server");
@@ -308,13 +298,13 @@ fn crashed_silo_rejoins_from_its_grid_snapshot() {
     let addr1 = SiloAddr::Unix(dir.join("silo-1.sock"));
     let snapshot1 = dir.join("silo-1.grid");
     let server0 = SiloSocketServer::spawn(
-        Silo::new(0, data.partitions()[0].clone(), silo_config(bounds)),
+        Silo::new(0, data.partitions()[0].clone(), 1),
         &addr0,
         SocketServerConfig::default(),
     )
     .expect("silo 0");
     let server1 = SiloSocketServer::spawn(
-        Silo::new(1, data.partitions()[1].clone(), silo_config(bounds)),
+        Silo::new(1, data.partitions()[1].clone(), 1),
         &addr1,
         SocketServerConfig {
             snapshot_path: Some(snapshot1.clone()),
@@ -366,10 +356,10 @@ fn crashed_silo_rejoins_from_its_grid_snapshot() {
     }
     assert!(saw_degraded, "the crash never surfaced in coverage");
 
-    // Respawn from the snapshot: a fresh Silo warm-starts from disk
-    // (bit-identical grid, no re-binning) and the probe-on-send client
-    // reconnects on the next call.
-    let respawned = Silo::new(1, data.partitions()[1].clone(), silo_config(bounds));
+    // Respawn from the snapshot: a fresh Silo sets itself up from disk
+    // (the persisted spec, a bit-identical grid, no re-binning) and the
+    // probe-on-send client reconnects on the next call.
+    let respawned = Silo::new(1, data.partitions()[1].clone(), 1);
     assert!(
         respawned
             .load_grid_snapshot(&snapshot1)
@@ -419,7 +409,7 @@ fn stale_replies_across_reconnects_are_fenced_not_answered() {
     let data = dataset(0xFE2C, 1);
     let bounds = data.bounds();
     let server = SiloSocketServer::spawn(
-        Silo::new(0, data.partitions()[0].clone(), silo_config(bounds)),
+        Silo::new(0, data.partitions()[0].clone(), 1),
         &SiloAddr::Unix(dir.join("silo-0.sock")),
         SocketServerConfig::default(),
     )

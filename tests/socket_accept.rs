@@ -16,10 +16,7 @@ use std::time::{Duration, Instant};
 
 use fedra::federation::transport::socket::{read_reply_frame, write_request_frame, DEADLINE_NONE};
 use fedra::federation::wire::Wire;
-use fedra::federation::{
-    Request, Response, Silo, SiloAddr, SiloConfig, SiloSocketServer, SocketServerConfig,
-};
-use fedra::index::grid::GridSpec;
+use fedra::federation::{Request, Response, Silo, SiloAddr, SiloSocketServer, SocketServerConfig};
 use fedra::obs::catalog::SILO_ACCEPT_ERRORS_TOTAL;
 use fedra::prelude::*;
 
@@ -68,17 +65,15 @@ fn a_failed_accept_is_retried_and_the_connection_served() {
     let objects = (0..50)
         .map(|i| SpatialObject::at(-4.0 + 0.16 * i as f64, -1.0 + 0.04 * i as f64, 1.0))
         .collect();
-    let silo = Silo::new(
-        0,
-        objects,
-        SiloConfig {
-            rtree: Default::default(),
-            histogram: Default::default(),
-            grid: GridSpec::new(bounds, 1.0),
-            lsr_seed: 7,
-            threads: 1,
-        },
-    );
+    let silo = Silo::new(0, objects, 1);
+    let spec = FederationBuilder::new(bounds)
+        .grid_cell_len(1.0)
+        .lsr_seed(7)
+        .silo_spec(0);
+    assert!(matches!(
+        silo.handle(Request::Setup(spec)),
+        Response::Memory(_)
+    ));
     let failures = silo.metrics().series(&SILO_ACCEPT_ERRORS_TOTAL, &[&0]);
     let server = SiloSocketServer::spawn(
         silo,

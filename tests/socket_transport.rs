@@ -19,10 +19,9 @@ use fedra::federation::transport::socket::{
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
 use fedra::federation::wire::Wire;
 use fedra::federation::{
-    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloConfig, SiloSocketServer, SocketServerConfig,
+    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloSocketServer, SiloSpec, SocketServerConfig,
     SocketTransport, Transport,
 };
-use fedra::index::grid::GridSpec;
 use fedra::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -40,6 +39,14 @@ fn sample_aggregate() -> Aggregate {
 
 fn sample_rect() -> Rect {
     Rect::new(Point::new(-4.0, -2.0), Point::new(4.0, 2.0))
+}
+
+/// The spec a federation over `sample_rect()` at `L = 1` sends silo 0.
+fn sample_spec() -> SiloSpec {
+    FederationBuilder::new(sample_rect())
+        .grid_cell_len(1.0)
+        .lsr_seed(7)
+        .silo_spec(0)
 }
 
 /// `(index, count)`: which of the listed variant patterns `value`
@@ -66,11 +73,11 @@ macro_rules! variant_index {
 fn request_variant(request: &Request) -> (usize, usize) {
     variant_index!(
         request,
+        Request::Setup(_),
         Request::BuildGrid { .. },
         Request::Aggregate { .. },
         Request::CellContributions { .. },
         Request::HistogramEstimate { .. },
-        Request::MemoryReport,
         Request::Ping,
         Request::Batch(_),
         Request::Masked { .. },
@@ -111,11 +118,8 @@ fn assert_covers<T>(samples: &[T], variant: fn(&T) -> (usize, usize)) {
 /// One instance of every [`Request`] variant.
 fn all_requests() -> Vec<Request> {
     let samples = vec![
-        Request::BuildGrid {
-            bounds: sample_rect(),
-            cell_len: 0.5,
-            return_cells: true,
-        },
+        Request::Setup(sample_spec()),
+        Request::BuildGrid { return_cells: true },
         Request::Aggregate {
             range: Range::circle(Point::new(0.5, -0.5), 1.5),
             mode: LocalMode::Exact,
@@ -131,9 +135,13 @@ fn all_requests() -> Vec<Request> {
         Request::HistogramEstimate {
             range: Range::circle(Point::new(1.0, 1.0), 2.0),
         },
-        Request::MemoryReport,
         Request::Ping,
-        Request::Batch(vec![Request::Ping, Request::MemoryReport]),
+        Request::Batch(vec![
+            Request::Ping,
+            Request::BuildGrid {
+                return_cells: false,
+            },
+        ]),
         Request::Masked {
             moments: AggFunc::Avg.moments(),
             request: Box::new(Request::HistogramEstimate {
@@ -386,20 +394,19 @@ fn sample_partition() -> Vec<SpatialObject> {
         .collect()
 }
 
+/// Silo 0 over the sample partition, set up by [`sample_spec`].
+fn sample_silo() -> Silo {
+    let silo = Silo::new(0, sample_partition(), 1);
+    assert!(matches!(
+        silo.handle(Request::Setup(sample_spec())),
+        Response::Memory(_)
+    ));
+    silo
+}
+
 fn spawn_test_server() -> SiloSocketServer {
-    let silo = Silo::new(
-        0,
-        sample_partition(),
-        SiloConfig {
-            rtree: Default::default(),
-            histogram: Default::default(),
-            grid: GridSpec::new(sample_rect(), 1.0),
-            lsr_seed: 7,
-            threads: 1,
-        },
-    );
     SiloSocketServer::spawn(
-        silo,
+        sample_silo(),
         &SiloAddr::Tcp("127.0.0.1:0".into()),
         SocketServerConfig::default(),
     )
@@ -421,17 +428,7 @@ fn served_silo_answers_and_counts_bytes_like_the_in_memory_backend() {
     };
 
     // In-memory reference: same silo data behind the default backend.
-    let reference = Silo::new(
-        0,
-        sample_partition(),
-        SiloConfig {
-            rtree: Default::default(),
-            histogram: Default::default(),
-            grid: GridSpec::new(sample_rect(), 1.0),
-            lsr_seed: 7,
-            threads: 1,
-        },
-    );
+    let reference = sample_silo();
     let expected = reference.handle(request.clone());
 
     let server = spawn_test_server();
@@ -703,17 +700,7 @@ fn prefix_request(k: usize) -> Request {
 fn concurrent_callers_on_one_channel_each_get_their_own_reply() {
     const THREADS: usize = 8;
     const CALLS: usize = 60;
-    let reference = Silo::new(
-        0,
-        sample_partition(),
-        SiloConfig {
-            rtree: Default::default(),
-            histogram: Default::default(),
-            grid: GridSpec::new(sample_rect(), 1.0),
-            lsr_seed: 7,
-            threads: 1,
-        },
-    );
+    let reference = sample_silo();
     let expected: Vec<Response> = (0..50)
         .map(|k| reference.handle(prefix_request(k)))
         .collect();

@@ -4,8 +4,10 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use fedra::federation::wire::{Wire, WireError};
-use fedra::federation::{LocalMode, Request, Response, SiloMemoryReport};
+use fedra::federation::{LocalMode, Request, Response, SiloMemoryReport, SiloSpec};
 use fedra::geo::{Point, Range, Rect};
+use fedra::index::histogram::MinSkewConfig;
+use fedra::index::rtree::RTreeConfig;
 use fedra::index::{Aggregate, Moments};
 use proptest::prelude::*;
 
@@ -70,19 +72,29 @@ fn aggregate_request() -> impl Strategy<Value = Request> {
 
 fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (-1e5f64..1e5, -1e5f64..1e5, 1.0f64..100.0, any::<bool>()).prop_map(
-            |(x, y, len, return_cells)| Request::BuildGrid {
-                bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
-                cell_len: len,
-                return_cells,
-            }
-        ),
+        (
+            -1e5f64..1e5,
+            -1e5f64..1e5,
+            1.0f64..100.0,
+            2usize..64,
+            (1u32..512, 1usize..1024),
+            any::<u64>(),
+        )
+            .prop_map(|(x, y, cell_len, fanout, (resolution, budget), lsr_seed)| {
+                Request::Setup(SiloSpec {
+                    bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
+                    cell_len,
+                    rtree: RTreeConfig::with_fanout(fanout),
+                    histogram: MinSkewConfig { resolution, budget },
+                    lsr_seed,
+                })
+            }),
+        any::<bool>().prop_map(|return_cells| Request::BuildGrid { return_cells }),
         aggregate_request(),
         (moments(), aggregate_request()).prop_map(|(moments, request)| Request::Masked {
             moments,
             request: Box::new(request),
         }),
-        Just(Request::MemoryReport),
         Just(Request::Ping),
     ]
 }
