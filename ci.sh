@@ -267,14 +267,18 @@ bash bench/run.sh test
 # Cache smoke: the operations example's rush-hour burst (600 asks over 5
 # hot stations) runs through the exact-key answer cache. The batch is
 # answered in input order, so the hit count is exact, and every cached
-# answer must equal the uncached engine's bit for bit.
-echo "==> cache smoke (operations, exact-key answer cache)"
+# answer must equal the uncached engine's bit for bit. The example first
+# saves a provider snapshot to disk, reloads it and warm-starts from it:
+# every silo's grid must come back from that file.
+echo "==> cache smoke (operations, warm start + exact-key answer cache)"
 cache_out=$(cargo run -q --release --example operations)
+echo "$cache_out" | grep -q '(6 rounds, 6 of 6 silos from cache)' \
+    || { echo "cache smoke: the warm start did not take every silo from the snapshot"; exit 1; }
 echo "$cache_out" | grep -q '(595 hits / 5 misses' \
     || { echo "cache smoke: expected 595 hits / 5 misses"; exit 1; }
 echo "$cache_out" | grep -q '^cached answers identical: 600/600$' \
     || { echo "cache smoke: a cached answer differs from the uncached engine's"; exit 1; }
-echo "    ok (595 hits / 5 misses, 600/600 answers bit-identical)"
+echo "    ok (6 of 6 silos warm-started, 595 hits / 5 misses, 600/600 answers bit-identical)"
 
 # Overhead gates, each asserting its own <= 3 % budget (any violation
 # fails the step): the pure-miss cache path (zero TTL, every probe a

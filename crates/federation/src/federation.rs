@@ -345,7 +345,10 @@ impl FederationBuilder {
 
     /// Builds silos from the partitions and runs Alg. 1, surfacing setup
     /// failures as [`SetupError`] instead of panicking.
-    pub fn try_build(self, partitions: Vec<Vec<SpatialObject>>) -> Result<Federation, SetupError> {
+    pub fn try_build(
+        mut self,
+        partitions: Vec<Vec<SpatialObject>>,
+    ) -> Result<Federation, SetupError> {
         if partitions.is_empty() && self.remotes.is_empty() {
             return Err(SetupError::NoSilos);
         }
@@ -407,24 +410,20 @@ impl FederationBuilder {
             ));
         }
 
-        // A warm-start snapshot is usable only when its geometry and silo
-        // count match this build.
-        let snapshot = self.warm_start.as_ref().filter(|s| {
-            s.bounds == self.bounds
-                && s.cell_len == self.grid_cell_len
-                && s.num_silos() == channels.len()
-        });
-
-        // Provider-side worker pool: warm-grid materialization and the
-        // g_0 merge fan out on it. Sized like the
-        // silos' pools so one knob governs the whole deployment.
-        let pool = WorkerPool::new(self.silo_threads);
-        // Rebuild all cached grids up front (in parallel) instead of
-        // lazily inside the reply loop; each GridAck then *takes* its
-        // entry, so an unsolicited ack still surfaces as a protocol error.
-        let mut warm_grids: Vec<Option<GridIndex>> = match snapshot {
-            Some(s) => s.materialize_with(&pool).into_iter().map(Some).collect(),
-            None => Vec::new(),
+        // Every grid the provider holds — off the wire or out of a
+        // snapshot — must be along this build's grid, or the g_0 merge
+        // could not line its cells up.
+        let (bounds, cell_len) = (self.bounds, self.grid_cell_len);
+        let along_spec =
+            move |g: &GridIndex| g.spec().bounds() == bounds && g.spec().cell_len() == cell_len;
+        // A warm-start snapshot is usable only when its grids and silo
+        // count match this build. Each GridAck *takes* its silo's grid,
+        // so an unsolicited ack still surfaces as a protocol error.
+        let mut warm_grids: Vec<Option<GridIndex>> = match self.warm_start.take() {
+            Some(s) if s.grids.len() == channels.len() && s.grids.iter().all(along_spec) => {
+                s.grids.into_iter().map(Some).collect()
+            }
+            _ => Vec::new(),
         };
 
         // Alg. 1: collect g_1 … g_m, merge into g_0. Each silo receives
@@ -440,7 +439,7 @@ impl FederationBuilder {
         let build_request = Request::BuildGrid {
             // Warm mode asks for a checksum-only build; the cached cell
             // vectors are reused when the silo's data still matches.
-            return_cells: snapshot.is_none(),
+            return_cells: warm_grids.is_empty(),
         };
         let pending = channels
             .iter()
@@ -476,31 +475,24 @@ impl FederationBuilder {
                     })
                 }
             }
-            let grid =
-                match build? {
-                    Response::GridAck { total, outside } => {
-                        let cached =
-                            warm_grids
-                                .get_mut(k)
-                                .and_then(Option::take)
-                                .ok_or_else(|| SetupError::Protocol {
-                                    silo: k,
-                                    message: "unsolicited GridAck (no warm-start snapshot)".into(),
-                                })?;
-                        if cached.total() == total && cached.outside_count() == outside {
-                            warm_hits += 1;
-                            Some(cached)
-                        } else {
-                            None // stale snapshot entry: full transfer below
-                        }
-                    }
-                    grid_response => Some(grid_response.into_grid_index().ok_or_else(|| {
-                        SetupError::Protocol {
+            let grid = match build? {
+                Response::GridAck { total, outside } => {
+                    let cached = warm_grids
+                        .get_mut(k)
+                        .and_then(Option::take)
+                        .ok_or_else(|| SetupError::Protocol {
                             silo: k,
-                            message: "BuildGrid did not return a grid payload".into(),
-                        }
-                    })?),
-                };
+                            message: "unsolicited GridAck (no warm-start snapshot)".into(),
+                        })?;
+                    if cached.total() == total && cached.outside_count() == outside {
+                        warm_hits += 1;
+                        Some(cached)
+                    } else {
+                        None // stale snapshot entry: full transfer below
+                    }
+                }
+                other => Some(silo_grid(k, other, along_spec)?),
+            };
             silo_grids.push(grid);
         }
 
@@ -519,15 +511,7 @@ impl FederationBuilder {
                 .map(|&k| channels[k].begin_encoded(full.clone()))
                 .collect::<Result<Vec<_>, TransportError>>()?;
             for (&k, pending) in misses.iter().zip(pending) {
-                let grid =
-                    pending
-                        .wait_one()?
-                        .into_grid_index()
-                        .ok_or_else(|| SetupError::Protocol {
-                            silo: k,
-                            message: "BuildGrid did not return a grid payload".into(),
-                        })?;
-                silo_grids[k] = Some(grid);
+                silo_grids[k] = Some(silo_grid(k, pending.wait_one()?, along_spec)?);
             }
         }
         let silo_grids: Vec<GridIndex> = silo_grids
@@ -540,6 +524,9 @@ impl FederationBuilder {
                 })
             })
             .collect::<Result<_, _>>()?;
+        // Provider-side worker pool: the g_0 merge fans out on it. Sized
+        // like the silos' pools so one knob governs the whole deployment.
+        let pool = WorkerPool::new(self.silo_threads);
         let grid_refs: Vec<&GridIndex> = silo_grids.iter().collect();
         let merged = GridIndex::merge_with(&grid_refs, &pool).ok_or(SetupError::NoSilos)?;
         let layers: Vec<&GridIndex> = std::iter::once(&merged).chain(&silo_grids).collect();
@@ -571,6 +558,24 @@ impl FederationBuilder {
             fault_armed,
         })
     }
+}
+
+/// Silo `k`'s answer to a full `BuildGrid`: its grid, if the answer is
+/// one along the build's grid (`along_spec`), else a protocol error.
+fn silo_grid(
+    k: SiloId,
+    response: Response,
+    along_spec: impl Fn(&GridIndex) -> bool,
+) -> Result<GridIndex, SetupError> {
+    let message = match response {
+        Response::Grid(grid) if along_spec(&grid) => return Ok(*grid),
+        Response::Grid(_) => "BuildGrid returned a grid along another spec",
+        _ => "BuildGrid did not return a grid payload",
+    };
+    Err(SetupError::Protocol {
+        silo: k,
+        message: message.into(),
+    })
 }
 
 /// A running federation: worker threads + the provider's indices.
@@ -714,13 +719,7 @@ impl Federation {
     /// ([`FederationBuilder::warm_start`]).
     pub fn snapshot(&self) -> ProviderSnapshot {
         ProviderSnapshot {
-            bounds: self.bounds,
-            cell_len: self.merged.spec().cell_len(),
-            grids: self
-                .silo_grids
-                .iter()
-                .map(|g| (g.cells().to_vec(), g.outside_count()))
-                .collect(),
+            grids: self.silo_grids.clone(),
         }
     }
 

@@ -18,11 +18,14 @@
 //! The codec admits only the protocol's own nesting — a `Batch` item is
 //! never a `Batch`, a `Masked` wraps one of the three aggregate requests —
 //! so a hostile frame is a typed [`WireError`], never a deep recursion.
+//! A [`Response::Grid`] carries a [`GridIndex`] in its one codec (shared
+//! with both snapshot files), so a grid whose spec cannot carry its cells
+//! is a [`WireError`] too, never a panic at the provider.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Range, Rect};
-use fedra_index::grid::{GridIndex, GridSpec};
+use fedra_index::grid::GridIndex;
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, Moments};
@@ -153,17 +156,12 @@ impl SiloMemoryReport {
 /// A silo → provider response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The silo's grid index (spec echoed as bounds + cell length).
-    Grid {
-        /// Grid bounds the index was built over.
-        bounds: Rect,
-        /// Cell side length.
-        cell_len: f64,
-        /// Row-major per-cell aggregates.
-        cells: Vec<Aggregate>,
-        /// Objects that fell outside the grid.
-        outside: u64,
-    },
+    /// The silo's grid index `g_k`, in the one [`GridIndex`] codec of
+    /// [`crate::wire`] (bounds, cell length, row-major cells, outside
+    /// count): a reply whose cells its spec does not size fails to
+    /// decode, so no grid it carries can panic the provider. Boxed: the
+    /// setup-only grid would otherwise set the size of every reply.
+    Grid(Box<GridIndex>),
     /// Checksum acknowledgement of a local grid build (warm start): the
     /// grid's grand total plus the out-of-bounds count.
     GridAck {
@@ -198,25 +196,6 @@ pub enum Response {
         /// microseconds (saturating).
         late_by_us: u64,
     },
-}
-
-impl Response {
-    /// Reconstructs a [`GridIndex`] from a [`Response::Grid`] payload.
-    pub fn into_grid_index(self) -> Option<GridIndex> {
-        match self {
-            Response::Grid {
-                bounds,
-                cell_len,
-                cells,
-                outside,
-            } => Some(GridIndex::from_parts(
-                GridSpec::new(bounds, cell_len),
-                cells,
-                outside,
-            )),
-            _ => None,
-        }
-    }
 }
 
 impl Wire for LocalMode {
@@ -497,17 +476,9 @@ impl Wire for SiloMemoryReport {
 impl Wire for Response {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Response::Grid {
-                bounds,
-                cell_len,
-                cells,
-                outside,
-            } => {
+            Response::Grid(grid) => {
                 buf.put_u8(0);
-                bounds.encode(buf);
-                cell_len.encode(buf);
-                cells.encode(buf);
-                outside.encode(buf);
+                grid.encode(buf);
             }
             Response::GridAck { total, outside } => {
                 buf.put_u8(6);
@@ -552,12 +523,7 @@ impl Wire for Response {
             });
         }
         match buf.get_u8() {
-            0 => Ok(Response::Grid {
-                bounds: Rect::decode(buf)?,
-                cell_len: f64::decode(buf)?,
-                cells: Vec::<Aggregate>::decode(buf)?,
-                outside: u64::decode(buf)?,
-            }),
+            0 => Ok(Response::Grid(Box::new(GridIndex::decode(buf)?))),
             1 => Ok(Response::Agg(Aggregate::decode(buf)?)),
             2 => Ok(Response::AggVec(Vec::<Aggregate>::decode(buf)?)),
             3 => Ok(Response::Memory(SiloMemoryReport::decode(buf)?)),
@@ -582,17 +548,7 @@ impl Wire for Response {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            Response::Grid {
-                bounds,
-                cell_len,
-                cells,
-                outside,
-            } => {
-                bounds.encoded_len()
-                    + cell_len.encoded_len()
-                    + cells.encoded_len()
-                    + outside.encoded_len()
-            }
+            Response::Grid(grid) => grid.encoded_len(),
             Response::GridAck { total, outside } => total.encoded_len() + outside.encoded_len(),
             Response::Agg(a) => a.encoded_len(),
             Response::AggVec(v) => v.encoded_len(),
@@ -610,6 +566,7 @@ impl Wire for Response {
 mod tests {
     use super::*;
     use fedra_geo::Point;
+    use fedra_index::grid::GridSpec;
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_bytes();
@@ -825,12 +782,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        round_trip(Response::Grid {
-            bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-            cell_len: 2.5,
-            cells: vec![Aggregate::ZERO; 16],
-            outside: 3,
-        });
+        round_trip(Response::Grid(Box::new(sample_grid())));
         round_trip(Response::Agg(Aggregate {
             count: 4.0,
             sum: 4.0,
@@ -868,8 +820,9 @@ mod tests {
         });
     }
 
-    #[test]
-    fn grid_response_reconstructs_index() {
+    /// A 4 × 4 grid over a 10 km box at `L = 2.5`, one cell holding an
+    /// object, three objects outside.
+    fn sample_grid() -> GridIndex {
         let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
         let spec = GridSpec::new(bounds, 2.5);
         let mut cells = vec![Aggregate::ZERO; spec.num_cells()];
@@ -878,16 +831,64 @@ mod tests {
             sum: 7.0,
             sum_sqr: 49.0,
         };
-        let resp = Response::Grid {
-            bounds,
-            cell_len: 2.5,
-            cells: cells.clone(),
-            outside: 0,
+        GridIndex::from_parts(spec, cells, 3)
+    }
+
+    #[test]
+    fn grid_response_reconstructs_index() {
+        let bytes = Response::Grid(Box::new(sample_grid())).to_bytes();
+        let Ok(Response::Grid(g)) = Response::from_bytes(bytes) else {
+            panic!("a grid reply decodes to a grid");
         };
-        let g = resp.into_grid_index().expect("grid payload");
         assert_eq!(g.cell(0).sum, 7.0);
         assert_eq!(g.total().count, 1.0);
-        assert!(Response::Pong.into_grid_index().is_none());
+        assert_eq!(g.outside_count(), 3);
+    }
+
+    #[test]
+    fn a_grid_reply_its_spec_cannot_carry_is_a_wire_error() {
+        let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+        let bad_spec = Err(WireError::BadValue {
+            context: "grid spec",
+        });
+        let rows = [
+            (bounds, -1.0, 16, bad_spec.clone()),
+            (bounds, 0.0, 16, bad_spec.clone()),
+            (bounds, f64::NAN, 16, bad_spec.clone()),
+            (bounds, f64::INFINITY, 1, bad_spec.clone()),
+            (Rect::EMPTY, 2.5, 16, bad_spec),
+            (
+                bounds,
+                2.5,
+                15,
+                Err(WireError::BadLength {
+                    context: "grid cells",
+                    len: 15,
+                }),
+            ),
+            (
+                bounds,
+                1e-9,
+                0,
+                Err(WireError::BadLength {
+                    context: "grid cells",
+                    len: 0,
+                }),
+            ),
+        ];
+        for (bounds, cell_len, cells, expected) in rows {
+            let mut frame = BytesMut::new();
+            frame.put_u8(0);
+            bounds.encode(&mut frame);
+            cell_len.encode(&mut frame);
+            vec![Aggregate::ZERO; cells].encode(&mut frame);
+            0u64.encode(&mut frame);
+            assert_eq!(
+                Response::from_bytes(frame.freeze()),
+                expected,
+                "L = {cell_len}, {cells} cells"
+            );
+        }
     }
 
     #[test]
@@ -1145,12 +1146,7 @@ mod tests {
         let batch = Request::Batch(requests);
         assert_eq!(batch.encoded_len(), batch.to_bytes().len());
         let responses = vec![
-            Response::Grid {
-                bounds: Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-                cell_len: 2.5,
-                cells: vec![Aggregate::ZERO; 16],
-                outside: 3,
-            },
+            Response::Grid(Box::new(sample_grid())),
             Response::GridAck {
                 total: Aggregate::ZERO,
                 outside: 0,

@@ -18,7 +18,10 @@
 //!
 //! and, on the provider's `BuildGrid` request, a grid index along the
 //! same spec, which it returns and retains (it classifies a
-//! `CellContributions` range against it).
+//! `CellContributions` range against it). The spec and the retained grid
+//! persist as a [`SiloGridSnapshot`] — the grid in the one wire codec of
+//! [`crate::wire`], the file checked like the provider's own
+//! ([`crate::snapshot`]) — so a respawned silo sets itself up from disk.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -43,6 +46,7 @@ use fedra_index::pool::WorkerPool;
 use fedra_index::{Aggregate, IndexMemory, Moments};
 
 use crate::protocol::{LocalMode, Request, Response, SiloMemoryReport, SiloSpec};
+use crate::snapshot::{read_checked, write_checked};
 use crate::transport::socket::MAX_FRAME_PAYLOAD;
 use crate::wire::{expect_magic, Wire, WireError, WireResult};
 
@@ -96,45 +100,43 @@ pub(crate) struct Indexes {
 /// everything a respawn needs to rebuild its indexes and re-retain the
 /// grid without re-binning the partition (DESIGN.md §5i).
 ///
-/// The on-disk layout is the wire encoding of this struct (a format magic
-/// first) followed by a trailing FNV-1a checksum of those bytes;
-/// [`Silo::load_grid_snapshot`] refuses a file whose checksum mismatches
-/// (torn write, bit rot) or whose magic is not this layout's, and
-/// ignores one whose `num_objects` disagrees with the live partition
-/// (stale snapshot from before a re-shard) — the silo then waits for the
-/// provider's `Setup`, so a bad snapshot can delay recovery but never
-/// corrupt an answer.
+/// On disk it is the wire encoding of this struct (a format magic first;
+/// the grid in the one [`GridIndex`] codec) in a checked file (see
+/// [`crate::snapshot`]). [`Silo::load_grid_snapshot`] refuses a file
+/// whose checksum mismatches (torn write, bit rot), whose magic is not
+/// this layout's or whose grid is not along its spec, and ignores one
+/// whose `num_objects` disagrees with the live partition (stale snapshot
+/// from before a re-shard) — the silo then waits for the provider's
+/// `Setup`, so a bad snapshot can delay recovery but never corrupt an
+/// answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiloGridSnapshot {
     /// The spec the silo was set up with (the grid is along it).
     pub spec: SiloSpec,
     /// Partition size when the grid was built (staleness guard).
     pub num_objects: u64,
-    /// The full cell vector, row-major per [`GridSpec`].
-    pub cells: Vec<Aggregate>,
-    /// Out-of-bounds object count.
-    pub outside: u64,
+    /// The retained grid.
+    pub grid: GridIndex,
 }
 
-/// Format magic of [`SiloGridSnapshot`]: layout 3, the whole [`SiloSpec`].
-/// Layouts 1 (no magic) and 2 (bounds and `L` only) are refused.
-const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID3";
+/// Format magic of [`SiloGridSnapshot`]: layout 4, the whole [`SiloSpec`]
+/// and the grid in its own codec. Layouts 1 (no magic), 2 (bounds and `L`
+/// only) and 3 (bare cells) are refused.
+const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID4";
 
 impl Wire for SiloGridSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_slice(SILO_SNAPSHOT_MAGIC);
         self.spec.encode(buf);
         self.num_objects.encode(buf);
-        self.cells.encode(buf);
-        self.outside.encode(buf);
+        self.grid.encode(buf);
     }
 
     fn encoded_len(&self) -> usize {
         SILO_SNAPSHOT_MAGIC.len()
             + self.spec.encoded_len()
             + self.num_objects.encoded_len()
-            + self.cells.encoded_len()
-            + self.outside.encoded_len()
+            + self.grid.encoded_len()
     }
 
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
@@ -142,29 +144,16 @@ impl Wire for SiloGridSnapshot {
         let snapshot = Self {
             spec: SiloSpec::decode(buf)?,
             num_objects: u64::decode(buf)?,
-            cells: Vec::<Aggregate>::decode(buf)?,
-            outside: u64::decode(buf)?,
+            grid: GridIndex::decode(buf)?,
         };
-        let spec = GridSpec::new(snapshot.spec.bounds, snapshot.spec.cell_len);
-        if snapshot.cells.len() != spec.num_cells() {
-            return Err(WireError::BadLength {
-                context: "silo grid snapshot cells",
-                len: snapshot.cells.len(),
+        let grid = snapshot.grid.spec();
+        if grid.bounds() != snapshot.spec.bounds || grid.cell_len() != snapshot.spec.cell_len {
+            return Err(WireError::BadValue {
+                context: "silo grid snapshot spec",
             });
         }
         Ok(snapshot)
     }
-}
-
-/// FNV-1a over `bytes` — the same checksum the socket frame headers use,
-/// kept local so the silo layer stays transport-agnostic.
-fn snapshot_checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// The silo's metric registry with cached hot-path handles.
@@ -488,32 +477,21 @@ impl Silo {
     /// [`Self::load_grid_snapshot`]).
     pub fn grid_snapshot(&self) -> Option<SiloGridSnapshot> {
         let indexes = self.indexes.get()?;
-        let grid = indexes.grid.get()?;
         Some(SiloGridSnapshot {
             spec: indexes.spec,
             num_objects: self.num_objects as u64,
-            cells: grid.cells().to_vec(),
-            outside: grid.outside_count(),
+            grid: indexes.grid.get()?.clone(),
         })
     }
 
-    /// Persists the spec and the retained grid to `path` (encoding +
-    /// trailing FNV-1a checksum), replacing any previous file. Returns
-    /// `Ok(false)` when no grid has been built yet. The write goes through
-    /// a sibling temp file and a rename so a crash mid-save leaves the old
-    /// snapshot intact.
+    /// Persists the spec and the retained grid to the checked file `path`
+    /// (see [`crate::snapshot`]), replacing any previous file. Returns
+    /// `Ok(false)` when no grid has been built yet.
     pub fn save_grid_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<bool> {
         let Some(snapshot) = self.grid_snapshot() else {
             return Ok(false);
         };
-        let path = path.as_ref();
-        let body = Wire::to_bytes(&snapshot);
-        let mut file = Vec::with_capacity(body.len() + 8);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&snapshot_checksum(&body).to_le_bytes());
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &file)?;
-        std::fs::rename(&tmp, path)?;
+        write_checked(path.as_ref(), &snapshot.to_bytes())?;
         self.metrics.snapshot_saved.inc();
         Ok(true)
     }
@@ -529,27 +507,13 @@ impl Silo {
     /// partition), and `Err` on corruption — a failed checksum or an
     /// undecodable body — or a spec this silo refuses.
     pub fn load_grid_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<bool> {
-        let raw = match std::fs::read(path.as_ref()) {
-            Ok(raw) => raw,
+        let body = match read_checked(path.as_ref()) {
+            Ok(body) => body,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
             Err(e) => return Err(e),
         };
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-        if raw.len() < 8 {
-            return Err(invalid("grid snapshot shorter than its checksum".into()));
-        }
-        let (body, tail) = raw.split_at(raw.len() - 8);
-        let stored = match <[u8; 8]>::try_from(tail) {
-            Ok(bytes) => u64::from_le_bytes(bytes),
-            Err(_) => return Err(invalid("grid snapshot checksum tail malformed".into())),
-        };
-        let computed = snapshot_checksum(body);
-        if stored != computed {
-            return Err(invalid(format!(
-                "grid snapshot checksum mismatch (stored {stored:#x}, computed {computed:#x})"
-            )));
-        }
-        let snapshot = SiloGridSnapshot::from_bytes(Bytes::from(body.to_vec()))
+        let snapshot = SiloGridSnapshot::from_bytes(body)
             .map_err(|e| invalid(format!("undecodable grid snapshot: {e}")))?;
         if snapshot.num_objects != self.num_objects as u64 {
             // Stale, not corrupt: the partition changed since the save.
@@ -557,8 +521,7 @@ impl Silo {
             return Ok(false);
         }
         let indexes = self.setup(snapshot.spec).map_err(invalid)?;
-        let grid = GridIndex::from_parts(indexes.grid_spec, snapshot.cells, snapshot.outside);
-        let _ = indexes.grid.set(grid);
+        let _ = indexes.grid.set(snapshot.grid);
         self.metrics.snapshot_loaded.inc();
         Ok(true)
     }
@@ -572,20 +535,14 @@ impl Silo {
         let grid = indexes.grid.get_or_init(|| {
             GridIndex::build_with(indexes.grid_spec, indexes.lsr.base().objects(), &self.pool)
         });
-        let outside = grid.outside_count();
         if return_cells {
-            Response::Grid {
-                bounds: indexes.spec.bounds,
-                cell_len: indexes.spec.cell_len,
-                cells: grid.cells().to_vec(),
-                outside,
-            }
+            Response::Grid(Box::new(grid.clone()))
         } else {
             // Warm start: the provider already holds the cells; it only
             // needs proof that this silo's data still matches.
             Response::GridAck {
                 total: grid.total(),
-                outside,
+                outside: grid.outside_count(),
             }
         }
     }
@@ -860,8 +817,9 @@ mod tests {
         });
         assert!(matches!(premature, Response::Error(_)));
 
-        let resp = s.handle(Request::BuildGrid { return_cells: true });
-        let grid = resp.into_grid_index().expect("grid");
+        let Response::Grid(grid) = s.handle(Request::BuildGrid { return_cells: true }) else {
+            panic!("BuildGrid answers a grid");
+        };
         assert_eq!(grid.total().count, 1000.0);
 
         let cls = grid.spec().classify(&q);
@@ -1299,10 +1257,9 @@ mod tests {
                 objs,
                 "leaf order is not input order"
             );
-            let grid = s
-                .handle(Request::BuildGrid { return_cells: true })
-                .into_grid_index()
-                .expect("grid");
+            let Response::Grid(grid) = s.handle(Request::BuildGrid { return_cells: true }) else {
+                panic!("BuildGrid answers a grid");
+            };
             let direct = GridIndex::build(*grid.spec(), &objs);
             assert_eq!(bits(&grid), bits(&direct), "{threads} build threads");
         }
@@ -1446,27 +1403,35 @@ mod tests {
             return_cells: false,
         });
         let snapshot = s.grid_snapshot().expect("grid built");
+        let grid = &snapshot.grid;
         // Layout 1: no magic, every cell a fixed 24-byte triple — with a
         // valid checksum, as the old code wrote it.
-        let mut body = BytesMut::new();
-        snapshot.spec.bounds.encode(&mut body);
-        snapshot.spec.cell_len.encode(&mut body);
-        snapshot.num_objects.encode(&mut body);
-        (snapshot.cells.len() as u32).encode(&mut body);
-        for cell in &snapshot.cells {
+        let mut layout1 = BytesMut::new();
+        snapshot.spec.bounds.encode(&mut layout1);
+        snapshot.spec.cell_len.encode(&mut layout1);
+        snapshot.num_objects.encode(&mut layout1);
+        (grid.cells().len() as u32).encode(&mut layout1);
+        for cell in grid.cells() {
             for v in [cell.count, cell.sum, cell.sum_sqr] {
-                v.encode(&mut body);
+                v.encode(&mut layout1);
             }
         }
-        snapshot.outside.encode(&mut body);
-        let mut file = body.to_vec();
-        file.extend_from_slice(&snapshot_checksum(&body).to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
+        grid.outside_count().encode(&mut layout1);
+        // Layout 3: the whole spec, then the bare cells.
+        let mut layout3 = BytesMut::new();
+        layout3.put_slice(b"FRAGRID3");
+        snapshot.spec.encode(&mut layout3);
+        snapshot.num_objects.encode(&mut layout3);
+        grid.cells().to_vec().encode(&mut layout3);
+        grid.outside_count().encode(&mut layout3);
 
         let fresh = Silo::new(33, objects(300), 0);
-        let err = fresh.load_grid_snapshot(&path).expect_err("old layout");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(fresh.indexes.get().is_none());
+        for old in [layout1, layout3] {
+            write_checked(&path, &old).unwrap();
+            let err = fresh.load_grid_snapshot(&path).expect_err("old layout");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(fresh.indexes.get().is_none());
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,7 +21,8 @@
 //!   it onto the new connection — and is **fenced**: discarded and
 //!   counted under `fedra_epoch_fenced_replies_total` instead of being
 //!   allowed to answer a fresh call.
-//! * `checksum` is an FNV-1a digest of the payload bytes. A mismatch
+//! * `checksum` is an FNV-1a digest of the payload bytes (the one
+//!   [`crate::wire`] digest snapshot files use too). A mismatch
 //!   surfaces as the typed [`FrameError::Corrupt`] — a flipped byte in a
 //!   wire-encoded `f64` would otherwise decode silently into a wrong
 //!   answer.
@@ -91,6 +92,7 @@ use super::{
 };
 use crate::fault::SiloFaultInjector;
 use crate::silo::{Silo, SiloId};
+use crate::wire::fnv1a;
 use fedra_obs::catalog::{
     EPOCH_FENCED_REPLIES_TOTAL, SILO_ACCEPT_ERRORS_TOTAL, TRANSPORT_RECONNECTS_TOTAL,
 };
@@ -416,19 +418,6 @@ fn read_exact_frame(
     Ok(())
 }
 
-/// FNV-1a digest of the payload bytes — cheap, deterministic, and more
-/// than enough to catch the byte flips a chaos proxy (or a flaky link)
-/// injects. Not cryptographic; the threat model is corruption, not
-/// forgery.
-fn payload_checksum(payload: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn read_u64(header: &[u8], at: usize) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&header[at..at + 8]);
@@ -482,11 +471,9 @@ fn parse_frame(bytes: &[u8], layout: &Layout) -> Result<Parsed, FrameError> {
     let total = layout.header_len + len as usize;
     match bytes.get(layout.header_len..total) {
         None => Ok(Parsed::Need(total)),
-        Some(payload) if payload_checksum(payload) != read_u64(header, 20) => {
-            Err(FrameError::Corrupt {
-                context: layout.payload,
-            })
-        }
+        Some(payload) if fnv1a(payload) != read_u64(header, 20) => Err(FrameError::Corrupt {
+            context: layout.payload,
+        }),
         Some(_) => Ok(Parsed::Whole(total)),
     }
 }
@@ -536,7 +523,7 @@ pub fn write_request_frame(
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&corr.to_le_bytes());
     buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
+    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
     buf.extend_from_slice(&deadline_rel_us.to_le_bytes());
     buf.extend_from_slice(payload);
     w.write_all(&buf)?;
@@ -566,7 +553,7 @@ pub fn write_reply_frame(
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&corr.to_le_bytes());
     buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
+    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     w.write_all(&buf)?;
     w.flush()

@@ -10,11 +10,14 @@
 //! is [`Aggregate`]: a presence byte, then only its non-zero components,
 //! so a moment the request masked off (or an empty cell) costs nothing
 //! past that byte — in query replies, `Grid` setup frames and snapshots
-//! alike.
+//! alike. A [`GridIndex`] has one codec, shared by the `Grid` reply and
+//! both snapshot files, and its decoder is the one place untrusted bytes
+//! become a grid.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Circle, Point, Range, Rect};
+use fedra_index::grid::{GridIndex, GridSpec};
 use fedra_index::{Aggregate, Moments};
 
 /// Errors raised while decoding a wire buffer.
@@ -221,17 +224,27 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_seq(self, buf);
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
         decode_seq(buf, T::decode)
     }
     fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+        seq_len(self)
     }
+}
+
+/// Appends `items` in the `Vec<T>` layout: a `u32` count, then each item.
+fn encode_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
+    (items.len() as u32).encode(buf);
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+/// Exact number of bytes [`encode_seq`] appends for `items`.
+fn seq_len<T: Wire>(items: &[T]) -> usize {
+    4 + items.iter().map(Wire::encoded_len).sum::<usize>()
 }
 
 /// Decodes a `u32`-prefixed sequence whose items `item` decodes — the
@@ -454,6 +467,48 @@ impl Wire for Aggregate {
     fn encoded_len(&self) -> usize {
         1 + 8 * present(self).bits().count_ones() as usize
     }
+}
+
+/// A grid as Alg. 1 ships it: bounds, `L`, the row-major cells, the
+/// outside count. The decoder refuses, with a typed error and before it
+/// builds anything, what [`GridSpec::new`] or [`GridIndex::from_parts`]
+/// would panic on: empty bounds, an `L` that is not positive and finite,
+/// and a cell vector the spec does not size.
+impl Wire for GridIndex {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.spec().bounds().encode(buf);
+        self.spec().cell_len().encode(buf);
+        encode_seq(self.cells(), buf);
+        self.outside_count().encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> WireResult<Self> {
+        let (bounds, cell_len) = (Rect::decode(buf)?, f64::decode(buf)?);
+        let spec = GridSpec::try_new(bounds, cell_len).ok_or(WireError::BadValue {
+            context: "grid spec",
+        })?;
+        let cells = Vec::<Aggregate>::decode(buf)?;
+        if cells.len() != spec.num_cells() {
+            return Err(WireError::BadLength {
+                context: "grid cells",
+                len: cells.len(),
+            });
+        }
+        Ok(GridIndex::from_parts(spec, cells, u64::decode(buf)?))
+    }
+    fn encoded_len(&self) -> usize {
+        32 + 8 + seq_len(self.cells()) + 8
+    }
+}
+
+/// FNV-1a digest of `bytes` — the checksum of every socket frame's
+/// payload and of every snapshot file. Cheap, deterministic, and more
+/// than enough to catch the byte flips a chaos proxy, a flaky link or a
+/// torn write leaves. Not cryptographic; the threat model is corruption,
+/// not forgery.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 #[cfg(test)]

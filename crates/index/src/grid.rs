@@ -81,19 +81,27 @@ impl GridSpec {
     /// Panics if `bounds` is empty or `cell_len` is not strictly positive —
     /// a grid over nothing indicates a configuration bug upstream.
     pub fn new(bounds: Rect, cell_len: f64) -> Self {
-        assert!(!bounds.is_empty(), "grid bounds must be non-empty");
-        assert!(
-            cell_len > 0.0 && cell_len.is_finite(),
-            "grid cell length must be positive and finite, got {cell_len}"
-        );
+        Self::try_new(bounds, cell_len).unwrap_or_else(|| {
+            panic!(
+                "a grid needs non-empty bounds and a positive, finite cell length, \
+                 got {bounds:?} and {cell_len}"
+            )
+        })
+    }
+
+    /// [`Self::new`] for untrusted parts: `None` where `new` panics.
+    pub fn try_new(bounds: Rect, cell_len: f64) -> Option<Self> {
+        if bounds.is_empty() || !(cell_len > 0.0 && cell_len.is_finite()) {
+            return None;
+        }
         let nx = (bounds.width() / cell_len).ceil().max(1.0) as u32;
         let ny = (bounds.height() / cell_len).ceil().max(1.0) as u32;
-        Self {
+        Some(Self {
             bounds,
             cell_len,
             nx,
             ny,
-        }
+        })
     }
 
     /// Grid bounds.

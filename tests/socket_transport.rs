@@ -11,6 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::{BufMut, BytesMut};
 use fedra::federation::protocol::{LocalMode, Request, Response, SiloMemoryReport};
 use fedra::federation::transport::socket::{
     read_reply_frame, read_request_frame, write_reply_frame, write_request_frame, FrameError,
@@ -19,9 +20,10 @@ use fedra::federation::transport::socket::{
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
 use fedra::federation::wire::Wire;
 use fedra::federation::{
-    ChaosProxy, Silo, SiloAddr, SiloChannel, SiloSocketServer, SiloSpec, SocketServerConfig,
-    SocketTransport, Transport,
+    ChaosProxy, SetupError, Silo, SiloAddr, SiloChannel, SiloSocketServer, SiloSpec,
+    SocketServerConfig, SocketTransport, Transport,
 };
+use fedra::index::grid::{GridIndex, GridSpec};
 use fedra::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -163,12 +165,12 @@ fn all_requests() -> Vec<Request> {
 /// One instance of every [`Response`] variant.
 fn all_responses() -> Vec<Response> {
     let samples = vec![
-        Response::Grid {
-            bounds: sample_rect(),
-            cell_len: 0.5,
-            cells: vec![sample_aggregate(), Aggregate::ZERO],
-            outside: 2,
-        },
+        Response::Grid({
+            let spec = GridSpec::new(sample_rect(), 0.5);
+            let mut cells = vec![Aggregate::ZERO; spec.num_cells()];
+            cells[0] = sample_aggregate();
+            Box::new(GridIndex::from_parts(spec, cells, 2))
+        }),
         Response::GridAck {
             total: sample_aggregate(),
             outside: 1,
@@ -860,4 +862,57 @@ fn a_stopping_reader_hands_the_reads_to_a_parked_waiter() {
     assert_eq!(reader.join().expect("first caller"), Ok(Response::Pong));
     drop(channel);
     fake_silo.join().expect("fake silo");
+}
+
+// ---------------------------------------------------------------------
+// A hostile Grid reply fails setup with a typed error
+// ---------------------------------------------------------------------
+
+/// A fake remote silo answers the setup frame with a hand-written batch:
+/// a memory report, then a `Grid` reply whose cells its spec cannot
+/// carry. `try_build` must come back with the silo's codec error, never
+/// panic.
+#[test]
+fn a_hostile_grid_reply_fails_setup_with_a_codec_error() {
+    let bounds = sample_rect();
+    let num_cells = GridSpec::new(bounds, 1.0).num_cells();
+    // (L, cells): a negative L, a cell vector one short of its spec, and
+    // an L so small that no cell vector fits it.
+    for (cell_len, cells) in [(-1.0f64, num_cells), (1.0, num_cells - 1), (1e-9, 0)] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let fake_silo = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let setup = read_request_frame(&mut conn).expect("setup frame");
+            let mut reply = BytesMut::new();
+            reply.put_u8(7); // Response::Batch
+            2u32.encode(&mut reply);
+            reply.put_u8(3); // Response::Memory
+            for bytes in [1u64, 2, 3, 4] {
+                bytes.encode(&mut reply);
+            }
+            reply.put_u8(0); // Response::Grid
+            bounds.encode(&mut reply);
+            cell_len.encode(&mut reply);
+            vec![Aggregate::ZERO; cells].encode(&mut reply);
+            0u64.encode(&mut reply);
+            write_reply_frame(&mut conn, setup.corr, setup.epoch, &reply).expect("reply");
+            // Hold the connection until the provider drops it.
+            let _ = read_request_frame(&mut conn);
+        });
+        let result = FederationBuilder::new(bounds)
+            .grid_cell_len(1.0)
+            .connect_remote(format!("tcp:{addr}"))
+            .try_build(Vec::new());
+        assert!(
+            matches!(
+                result,
+                Err(SetupError::Transport(TransportError::Codec { silo: 0, .. }))
+            ),
+            "L = {cell_len}, {cells} cells: {result:?}"
+        );
+        fake_silo.join().expect("fake silo");
+    }
 }

@@ -4,8 +4,12 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use fedra::federation::wire::{Wire, WireError};
-use fedra::federation::{LocalMode, Request, Response, SiloMemoryReport, SiloSpec};
-use fedra::geo::{Point, Range, Rect};
+use fedra::federation::{
+    FederationBuilder, LocalMode, ProviderSnapshot, Request, Response, SiloGridSnapshot,
+    SiloMemoryReport, SiloSpec,
+};
+use fedra::geo::{Point, Range, Rect, SpatialObject};
+use fedra::index::grid::{GridIndex, GridSpec};
 use fedra::index::histogram::MinSkewConfig;
 use fedra::index::rtree::RTreeConfig;
 use fedra::index::{Aggregate, Moments};
@@ -105,14 +109,15 @@ fn response() -> impl Strategy<Value = Response> {
             -1e5f64..1e5,
             -1e5f64..1e5,
             1.0f64..100.0,
-            proptest::collection::vec(agg(), 0..64),
+            // At most 11 × 11 cells: a 10 km side at L ≥ 1, plus rounding.
+            proptest::collection::vec(agg(), 121..122),
             any::<u64>(),
         )
-            .prop_map(|(x, y, cell_len, cells, outside)| Response::Grid {
-                bounds: Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0)),
-                cell_len,
-                cells,
-                outside,
+            .prop_map(|(x, y, cell_len, mut cells, outside)| {
+                let bounds = Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0));
+                let spec = GridSpec::new(bounds, cell_len);
+                cells.truncate(spec.num_cells());
+                Response::Grid(Box::new(GridIndex::from_parts(spec, cells, outside)))
             }),
         (agg(), any::<u64>()).prop_map(|(total, outside)| Response::GridAck { total, outside }),
         agg().prop_map(Response::Agg),
@@ -147,6 +152,41 @@ fn agg_bits(a: &Aggregate) -> (u64, u64, u64) {
     (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits())
 }
 
+/// The per-cell aggregates an `AggVec` or `Grid` reply carries.
+fn cells(response: &Response) -> &[Aggregate] {
+    match response {
+        Response::AggVec(v) => v,
+        Response::Grid(g) => g.cells(),
+        _ => &[],
+    }
+}
+
+/// A silo's snapshot: the spec a federation over a 10 km box at
+/// `L = 2.5` sends silo 0, and a grid along it.
+fn silo_snapshot() -> SiloGridSnapshot {
+    let bounds = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
+    let spec = FederationBuilder::new(bounds)
+        .grid_cell_len(2.5)
+        .silo_spec(0);
+    let grid = GridIndex::build(
+        GridSpec::new(bounds, 2.5),
+        &[
+            SpatialObject::at(1.0, 1.0, 3.0),
+            SpatialObject::at(8.0, 6.0, 5.0),
+        ],
+    );
+    SiloGridSnapshot {
+        spec,
+        num_objects: 2,
+        grid,
+    }
+}
+
+/// The first eight bytes of an encoding: a persisted format's magic.
+fn magic(encoded: Bytes) -> Vec<u8> {
+    encoded[..8].to_vec()
+}
+
 proptest! {
     #[test]
     fn requests_round_trip(req in request()) {
@@ -161,8 +201,8 @@ proptest! {
         let back = Response::from_bytes(bytes).expect("well-formed response decodes");
         match (&back, &resp) {
             (Response::Agg(a), Response::Agg(b)) => prop_assert_eq!(agg_bits(a), agg_bits(b)),
-            (Response::AggVec(a), Response::AggVec(b))
-            | (Response::Grid { cells: a, .. }, Response::Grid { cells: b, .. }) => {
+            (Response::AggVec(_), Response::AggVec(_)) | (Response::Grid(_), Response::Grid(_)) => {
+                let (a, b) = (cells(&back), cells(&resp));
                 prop_assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(b) {
                     prop_assert_eq!(agg_bits(x), agg_bits(y));
@@ -181,7 +221,15 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_decoders(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Any outcome is fine except a panic.
         let _ = Request::from_bytes(Bytes::from(data.clone()));
-        let _ = Response::from_bytes(Bytes::from(data));
+        let _ = Response::from_bytes(Bytes::from(data.clone()));
+        let _ = ProviderSnapshot::from_bytes(Bytes::from(data.clone()));
+        let _ = SiloGridSnapshot::from_bytes(Bytes::from(data.clone()));
+        // Random bytes almost never start with a snapshot's magic: past
+        // it, the same soup reaches the grid decoder.
+        let provider = magic(ProviderSnapshot { grids: Vec::new() }.to_bytes());
+        let _ = ProviderSnapshot::from_bytes(Bytes::from([provider, data.clone()].concat()));
+        let silo = magic(silo_snapshot().to_bytes());
+        let _ = SiloGridSnapshot::from_bytes(Bytes::from([silo, data].concat()));
     }
 
     #[test]
@@ -274,4 +322,60 @@ proptest! {
             Err(WireError::BadTag { context: "moments", tag })
         );
     }
+}
+
+#[test]
+fn a_silo_snapshot_whose_spec_has_a_negative_cell_length_is_a_wire_error() {
+    // The spec alone says L = -1: its grid is not along it.
+    let mut snapshot = silo_snapshot();
+    snapshot.spec.cell_len = -1.0;
+    assert_eq!(
+        SiloGridSnapshot::from_bytes(snapshot.to_bytes()),
+        Err(WireError::BadValue {
+            context: "silo grid snapshot spec"
+        })
+    );
+    // Spec and grid both say L = -1: the grid decoder refuses it first.
+    let mut bytes = BytesMut::new();
+    bytes.put_slice(&magic(snapshot.to_bytes()));
+    snapshot.spec.encode(&mut bytes);
+    snapshot.num_objects.encode(&mut bytes);
+    snapshot.spec.bounds.encode(&mut bytes);
+    (-1.0f64).encode(&mut bytes);
+    snapshot.grid.cells().to_vec().encode(&mut bytes);
+    0u64.encode(&mut bytes);
+    assert_eq!(
+        SiloGridSnapshot::from_bytes(bytes.freeze()),
+        Err(WireError::BadValue {
+            context: "grid spec"
+        })
+    );
+}
+
+#[test]
+fn any_flipped_byte_of_a_saved_provider_snapshot_fails_to_load() {
+    let snapshot = ProviderSnapshot {
+        grids: vec![silo_snapshot().grid, silo_snapshot().grid],
+    };
+    let dir = std::env::temp_dir().join(format!("fedra-wire-flip-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("provider.snap");
+    snapshot.save_to(&path).expect("save");
+    assert_eq!(ProviderSnapshot::load_from(&path).expect("load"), snapshot);
+    let saved = std::fs::read(&path).expect("read");
+    let flipped_path = dir.join("flipped.snap");
+    for at in 0..saved.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut flipped = saved.clone();
+            flipped[at] ^= mask;
+            std::fs::write(&flipped_path, &flipped).expect("write");
+            let err = ProviderSnapshot::load_from(&flipped_path).expect_err("flipped byte");
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "byte {at} ^ {mask:#x}: {err}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
