@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use fedra_bench::{build_testbed, SweepConfig};
-use fedra_core::{Exact, FraAlgorithm, FraQuery, MultiSiloEst};
+use fedra_core::{Exact, FraAlgorithm, FraQuery, NonIidEst};
 use fedra_federation::wire::Wire;
 use fedra_federation::{LocalMode, Request, Response};
 use fedra_geo::Range;
@@ -219,7 +219,7 @@ fn main() {
         })
         .collect();
     for k in [1usize, 2, 3, point.num_silos] {
-        let alg = MultiSiloEst::new(900 + k as u64, k);
+        let alg = NonIidEst::pooled(900 + k as u64, k);
         let mut err_sum = 0.0;
         let mut bytes = 0u64;
         let mut counted = 0usize;

@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fedra_core::{
-    AccuracyParams, AnswerCache, Exact, FraAlgorithm, FraQuery, IidEst, IidEstLsr, MultiSiloEst,
-    NonIidEst, NonIidEstLsr, Opta,
+    AccuracyParams, AnswerCache, Exact, FraAlgorithm, FraQuery, IidEst, IidEstLsr, NonIidEst,
+    NonIidEstLsr, Opta,
 };
 use fedra_federation::wire::Wire;
 use fedra_federation::{FederationBuilder, Request, Response};
@@ -40,7 +40,7 @@ fn bench_algorithms(c: &mut Criterion) {
         Box::new(IidEstLsr::new(10, params)),
         Box::new(NonIidEst::new(11)),
         Box::new(NonIidEstLsr::new(12, params)),
-        Box::new(MultiSiloEst::new(13, 3)),
+        Box::new(NonIidEst::pooled(13, 3)),
     ];
     let mut group = c.benchmark_group("fra_query_120k_m6");
     group.sample_size(20);

@@ -356,7 +356,7 @@ pub(crate) fn finish_run<A: FraAlgorithm + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Exact, IidEst, IidEstLsr, MultiSiloEst, NonIidEst, NonIidEstLsr, Opta};
+    use crate::{Exact, IidEst, IidEstLsr, NonIidEst, NonIidEstLsr, Opta};
 
     #[test]
     fn defaults_match_table2() {
@@ -378,7 +378,7 @@ mod tests {
     }
 
     /// The walks report the single-silo split; the pools (EXACT and OPTA
-    /// over every silo, MultiSilo-est over `k`) do not.
+    /// over every silo, NonIID-est pooling `k > 1`) do not.
     #[test]
     fn only_the_walks_support_planning() {
         let params = AccuracyParams::default();
@@ -394,7 +394,7 @@ mod tests {
         let pools: [Box<dyn FraAlgorithm>; 3] = [
             Box::new(Exact::new()),
             Box::new(Opta::new()),
-            Box::new(MultiSiloEst::new(1, 2)),
+            Box::new(NonIidEst::pooled(1, 2)),
         ];
         for algorithm in &pools {
             assert!(!algorithm.supports_planning(), "{}", algorithm.name());

@@ -9,7 +9,7 @@
 //! (plus resampling rounds), and the per-message envelope overhead is paid
 //! once per silo instead of once per query. A pooled query
 //! ([`FraAlgorithm::quorum`]) rides the same rounds as `k` single-candidate
-//! legs over its candidate order: MultiSilo-est's `k` sampled silos, or
+//! legs over its candidate order: NonIID-est's `k` pooled silos, or
 //! EXACT's and OPTA's pool as wide as the federation, so a batch of EXACT
 //! queries is `m` frames too — each silo still does |Q| probes, but the
 //! provider pays `m` envelopes, not `m`·|Q|. Every query is planned; the
@@ -130,27 +130,13 @@ impl BatchResult {
 /// threads; the engine spawns none.
 pub struct QueryEngine<'a> {
     algorithm: &'a dyn FraAlgorithm,
-    query_budget: Option<Duration>,
 }
 
 impl<'a> QueryEngine<'a> {
     /// Creates an engine for `algorithm`. `federation` is unused (the
     /// engine spawns no threads to size); it stays for existing callers.
     pub fn per_silo(algorithm: &'a dyn FraAlgorithm, _federation: &Federation) -> Self {
-        Self {
-            algorithm,
-            query_budget: None,
-        }
-    }
-
-    /// Caps every scatter–gather frame's wait at `budget`, overriding the
-    /// federation's [`CallPolicy`](fedra_federation::CallPolicy) deadline
-    /// for batches run through this engine. Frames that overrun are
-    /// abandoned; their riders resample (or degrade to the grid-only
-    /// estimate), so a batch never blocks on a dead silo.
-    pub fn with_query_budget(mut self, budget: Duration) -> Self {
-        self.query_budget = Some(budget);
-        self
+        Self { algorithm }
     }
 
     /// Executes a batch of queries, measuring wall time / throughput /
@@ -188,9 +174,8 @@ impl<'a> QueryEngine<'a> {
         // a query answer.
         // fedra-lint: allow(determinism-discipline)
         let started = Instant::now();
-        // Each run's per-attempt allowance.
-        let allowance = self.query_budget.or(federation.call_policy().deadline);
-        let budget = Budget::PerAttempt(allowance);
+        // Each run's per-attempt allowance: the federation's call deadline.
+        let budget = Budget::PerAttempt(federation.call_policy().deadline);
         let results = drive_rounds(self.algorithm, federation, queries, budget, obs);
         let wall_time = started.elapsed();
         let throughput_qps = if wall_time.as_secs_f64() > 0.0 {
@@ -1087,7 +1072,6 @@ fn round<K, H>(
 mod tests {
     use super::*;
     use crate::exact::Exact;
-    use crate::multi::MultiSiloEst;
     use crate::sampling::{IidEst, NonIidEst};
     use fedra_federation::{
         CallPolicy, FaultPlan, FederationBuilder, LocalMode, Response, SiloFaultSpec,
@@ -1189,7 +1173,7 @@ mod tests {
         // Each algorithm, and the frames one of its queries costs alone.
         let algorithms: [(Fresh, u64); 2] = [
             (|| Box::new(IidEst::new(21)), 1),
-            (|| Box::new(MultiSiloEst::new(21, 2)), 2),
+            (|| Box::new(NonIidEst::pooled(21, 2)), 2),
         ];
         for (fresh, k) in algorithms {
             let alg = fresh();
@@ -1364,7 +1348,7 @@ mod tests {
         ];
         let iid: Fresh = || Box::new(IidEst::new(77));
         let noniid: Fresh = || Box::new(NonIidEst::new(77));
-        let pooled: Fresh = || Box::new(MultiSiloEst::new(77, 2));
+        let pooled: Fresh = || Box::new(NonIidEst::pooled(77, 2));
         let qs = queries(16, 13);
         for (what, configure, witness) in scenarios {
             for fresh in [iid, noniid, pooled] {

@@ -12,6 +12,10 @@
 //! | [`NonIidEst`] | Alg. 3 | 1 round, O(√|g₀|) bytes | Theorem 3 |
 //! | [`NonIidEstLsr`] | Alg. 3 + Alg. 6 | 1 round, O(√|g₀|) bytes | Theorem 4 |
 //!
+//! [`NonIidEst::pooled`] is NonIID-est pooling `k > 1` sampled silos, an
+//! extension between NonIID-est and EXACT (the `ablations` bench's
+//! Ablation D).
+//!
 //! "Per query" means per *lone* query: [`framework::QueryEngine`], the
 //! Alg. 4 batch executor, ships one coalesced frame per silo per round
 //! whatever the algorithm; [`scheduler::QueryScheduler`] serves
@@ -27,7 +31,6 @@ mod cache;
 mod exact;
 pub mod framework;
 pub mod helpers;
-mod multi;
 mod opta;
 mod query;
 mod run;
@@ -39,7 +42,6 @@ pub use algorithm::{AccuracyParams, FraAlgorithm, QueryPlan, RemotePlan, RunEnd}
 pub use cache::{AnswerCache, CacheConfig, CacheStats};
 pub use exact::Exact;
 pub use framework::{BatchResult, QueryEngine};
-pub use multi::MultiSiloEst;
 pub use opta::Opta;
 pub use query::{Coverage, FraError, FraQuery, QueryResult};
 pub use sampling::{IidEst, IidEstLsr, NonIidEst, NonIidEstLsr};

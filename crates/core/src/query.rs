@@ -1,14 +1,12 @@
 //! FRA queries and their results.
 
-use serde::{Deserialize, Serialize};
-
 use fedra_federation::SiloId;
 use fedra_geo::{Point, Range};
 use fedra_index::{AggFunc, Aggregate};
 
 /// A Federated Range Aggregation query (Definition 2): a range `R` plus an
 /// aggregation function `F`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FraQuery {
     /// The spatial range (circular or rectangular).
     pub range: Range,

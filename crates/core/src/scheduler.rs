@@ -18,7 +18,7 @@
 //! A tick drains its intake before it dispatches: the driver thread
 //! admits what is queued, then takes (without blocking) and admits
 //! whatever was submitted meanwhile, until the queue is dry or the tick
-//! has admitted [`SchedulerConfig::tick_admissions`] queries; only then
+//! has admitted [`TICK_ADMISSIONS`] queries; only then
 //! does it pump the driver once. A lone query finds the queue dry as
 //! soon as it is planned and is dispatched at once; under load the riders
 //! a frame carries are everything that arrived while the tick planned —
@@ -109,17 +109,17 @@ pub struct SchedulerConfig {
     /// Admission classes, addressed by index in
     /// [`QueryScheduler::submit`].
     pub classes: Vec<ClassPolicy>,
-    /// Most new submissions planned per tick; the rest stay queued and
-    /// ride the next tick (bounds how long a tick plans before it
-    /// dispatches, under burst).
-    pub tick_admissions: usize,
 }
+
+/// Most new submissions planned per tick; the rest stay queued and ride
+/// the next tick (bounds how long a tick plans before it dispatches,
+/// under burst).
+pub const TICK_ADMISSIONS: usize = 256;
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             classes: vec![ClassPolicy::unbounded("default", 4096)],
-            tick_admissions: 256,
         }
     }
 }
@@ -352,7 +352,6 @@ impl QueryScheduler {
             obs: Arc::clone(&obs),
             intake: Arc::clone(&intake),
             classes: Arc::clone(&classes),
-            tick_admissions: config.tick_admissions.max(1),
         };
         let handle = std::thread::Builder::new()
             .name("fedra-sched".to_string())
@@ -449,14 +448,13 @@ struct DriverThread {
     obs: Arc<ObsContext>,
     intake: Arc<Intake>,
     classes: Arc<[Class]>,
-    tick_admissions: usize,
 }
 
 impl DriverThread {
     fn run(self) {
         let mut driver = Driver::new(&self.federation, &self.obs);
         let metrics = self.obs.metrics();
-        let cap = self.tick_admissions;
+        let cap = TICK_ADMISSIONS;
         while let Some(mut admitted) = self.take_admissions(driver.is_empty(), cap) {
             metrics.sched_ticks.inc();
             // Drain until dry: what was submitted while this tick planned
@@ -613,7 +611,6 @@ mod tests {
         // Capacity 0: the front door sheds everything.
         let config = SchedulerConfig {
             classes: vec![ClassPolicy::unbounded("tiny", 0)],
-            ..SchedulerConfig::default()
         };
         let sched = QueryScheduler::start(Arc::clone(&federation), factory, config, obs);
         let err = sched.submit(queries[0], 7, 0).expect_err("queue full");
@@ -637,7 +634,6 @@ mod tests {
         // still ships each one as a dead-on-arrival frame the silo sheds.
         let config = SchedulerConfig {
             classes: vec![ClassPolicy::with_deadline("rt", 64, Duration::ZERO)],
-            ..SchedulerConfig::default()
         };
         let before = federation.query_comm();
         let sched =
@@ -753,7 +749,7 @@ mod tests {
         let (federation, queries) = stand_up(77);
         let m = federation.num_silos() as u64;
         let obs = Arc::new(ObsContext::new());
-        // The first factory call holds the driver mid-plan until all ten
+        // The first factory call holds the driver mid-plan until all 600
         // submissions are queued.
         let (open, gate) = std::sync::mpsc::channel::<()>();
         let factory = {
@@ -763,14 +759,13 @@ mod tests {
                 Box::new(Exact::new())
             }
         };
-        let config = SchedulerConfig {
-            tick_admissions: 4,
-            ..SchedulerConfig::default()
-        };
+        let config = SchedulerConfig::default();
         let sched =
             QueryScheduler::start(Arc::clone(&federation), factory, config, Arc::clone(&obs));
-        let tickets: Vec<QueryTicket> = queries[..10]
+        let tickets: Vec<QueryTicket> = queries
             .iter()
+            .cycle()
+            .take(600)
             .map(|q| sched.submit(*q, 0, 0).expect("admitted"))
             .collect();
         open.send(()).expect("driver is waiting");
@@ -780,12 +775,17 @@ mod tests {
         sched.shutdown();
 
         // Every frame of a tick carries one leg per query the tick
-        // admitted: 4 + 4 + 2, never 10.
+        // admitted: 256 + 256 + 88, never 600.
         let (ticks, riders) = ticks_and_riders(&obs);
         assert_eq!(ticks, 3);
-        assert_eq!((riders.count, riders.sum), (3 * m, 10 * m));
-        let over_cap: u64 = riders.buckets[bucket_index(4) + 1..].iter().sum();
-        assert_eq!(over_cap, 0, "a frame carried more than 4 riders");
+        assert_eq!((riders.count, riders.sum), (3 * m, 600 * m));
+        let over_cap: u64 = riders.buckets[bucket_index(TICK_ADMISSIONS as u64) + 1..]
+            .iter()
+            .sum();
+        assert_eq!(
+            over_cap, 0,
+            "a frame carried more than {TICK_ADMISSIONS} riders"
+        );
     }
 
     #[test]

@@ -1064,17 +1064,18 @@ mod tests {
                 no_local_silo(2),
                 "fedra-silo --fault-*",
             ),
-            // Every silo packs its forest along the grid, so a grid no
-            // `GridSpec` accepts panics each silo's Setup: the guarded
-            // error of the first, not a panic of the caller.
+            // A grid no `GridSpec` accepts is refused by each silo's spec
+            // decoder: the typed error of the first, not a panic.
             (
                 FederationBuilder::new(bounds()).grid_cell_len(0.0),
                 partitions(2, 10),
                 SetupError::Transport(TransportError::Remote {
                     silo: 0,
-                    message: "silo 0: batch item panicked".into(),
+                    message:
+                        "undecodable request: value out of its domain while decoding silo spec grid"
+                            .into(),
                 }),
-                "silo 0: batch item panicked",
+                "silo spec grid",
             ),
         ] {
             let err = builder.try_build(parts).expect_err(says);

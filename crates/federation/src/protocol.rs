@@ -25,7 +25,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use fedra_geo::{Range, Rect};
-use fedra_index::grid::GridIndex;
+use fedra_index::grid::{GridIndex, GridSpec};
 use fedra_index::histogram::MinSkewConfig;
 use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, Moments};
@@ -432,8 +432,12 @@ impl Wire for SiloSpec {
         self.histogram.budget.encode(buf);
         self.lsr_seed.encode(buf);
     }
+    /// The one place bytes become a spec, so it refuses every spec a
+    /// silo could not index: empty or non-finite bounds or an `L` that is
+    /// not positive and finite, an R-tree fanout below 2, a histogram
+    /// resolution or budget of 0.
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        Ok(SiloSpec {
+        let spec = SiloSpec {
             bounds: Rect::decode(buf)?,
             cell_len: f64::decode(buf)?,
             rtree: RTreeConfig {
@@ -444,7 +448,18 @@ impl Wire for SiloSpec {
                 budget: usize::decode(buf)?,
             },
             lsr_seed: u64::decode(buf)?,
-        })
+        };
+        let refuse = |context| Err(WireError::BadValue { context });
+        if GridSpec::try_new(spec.bounds, spec.cell_len).is_none() {
+            return refuse("silo spec grid");
+        }
+        if spec.rtree.max_entries < 2 {
+            return refuse("silo spec R-tree fanout");
+        }
+        if spec.histogram.resolution == 0 || spec.histogram.budget == 0 {
+            return refuse("silo spec histogram");
+        }
+        Ok(spec)
     }
     fn encoded_len(&self) -> usize {
         32 + 8 + 8 + 4 + 8 + 8

@@ -425,8 +425,9 @@ impl Silo {
     /// spec again is a no-op, another spec is refused. So is a grid whose
     /// cell vector (or a histogram whose fine grid) would not fit in one
     /// frame: that is checked before anything is allocated, because a
-    /// failed allocation aborts the process and no guard catches it. An
-    /// invalid grid or fanout panics, which the handler's guard answers.
+    /// failed allocation aborts the process and no guard catches it. A
+    /// grid, fanout or histogram no silo could index never gets here from
+    /// bytes: [`SiloSpec`]'s decoder refuses it.
     pub(crate) fn setup(&self, spec: SiloSpec) -> Result<&Indexes, String> {
         let grid = GridSpec::new(spec.bounds, spec.cell_len);
         let mut partition = self.partition.lock();
@@ -1432,6 +1433,27 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
             assert!(fresh.indexes.get().is_none());
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_snapshot_whose_spec_has_fanout_one_is_invalid_data_not_a_panic() {
+        let dir = std::env::temp_dir().join("fedra-silo-snapshot-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fanout1.grid");
+        let s = silo(35, objects(300), 0);
+        s.handle(Request::BuildGrid {
+            return_cells: false,
+        });
+        let mut snapshot = s.grid_snapshot().expect("grid built");
+        snapshot.spec.rtree.max_entries = 1;
+        write_checked(&path, &snapshot.to_bytes()).unwrap();
+
+        let fresh = Silo::new(35, objects(300), 0);
+        let err = fresh.load_grid_snapshot(&path).expect_err("fanout 1");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("fanout"), "{err}");
+        assert!(fresh.indexes.get().is_none());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,7 +1,5 @@
 //! Circular query ranges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Point, Rect};
 
 /// A circular range: all points within `radius` of `center` (closed disk).
@@ -9,7 +7,7 @@ use crate::{Point, Rect};
 /// The paper's running example — "how many shared bikes are there within
 /// 2 kilometres of a subway station" — is a circular FRA range; the
 /// experiment section sweeps the radius from 1 km to 3 km (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Circle {
     /// Center of the disk.
     pub center: Point,

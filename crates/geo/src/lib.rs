@@ -15,7 +15,8 @@
 //!   can be mapped onto the plane with kilometre units.
 //!
 //! All geometry is `f64`; the crate is `#![forbid(unsafe_code)]` and has no
-//! dependencies beyond `serde` for wire/ persistence formats.
+//! dependencies. The wire and persistence formats are the federation
+//! crate's `Wire` codec.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

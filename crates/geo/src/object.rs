@@ -1,7 +1,5 @@
 //! Spatial objects: `(location, measure)` pairs (Definition 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// The measure attribute of a spatial object.
@@ -12,7 +10,7 @@ use crate::Point;
 pub type Measure = f64;
 
 /// A spatial object `o = (l_o, a_o)` — Definition 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpatialObject {
     /// Location `l_o` in the plane.
     pub location: Point,

@@ -1,13 +1,11 @@
 //! Points in the two-dimensional Euclidean plane.
 
-use serde::{Deserialize, Serialize};
-
 /// A location in the plane.
 ///
 /// Coordinates are interpreted as kilometres throughout `fedra` (the
 /// workload generator projects lat/lon onto a local tangent plane before
 /// constructing objects), but nothing in this crate depends on the unit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (east, km).
     pub x: f64,

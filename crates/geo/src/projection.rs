@@ -7,15 +7,13 @@
 //! introduce, so it is the right tool: cheap, invertible, and unit-true
 //! (outputs kilometres).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// Mean Earth radius in kilometres (IUGG).
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// A geographic coordinate in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -45,7 +43,7 @@ impl GeoPoint {
 /// Forward: `x = R·Δlon·cos(lat₀)`, `y = R·Δlat` (radians), yielding planar
 /// kilometres; the inverse recovers degrees exactly (the projection is
 /// affine).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projection {
     origin: GeoPoint,
     cos_lat0: f64,

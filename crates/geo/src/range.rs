@@ -1,7 +1,5 @@
 //! The FRA query range: a circle or a rectangle with a uniform API.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Circle, Point, Rect};
 
 /// Spatial relation between a query range and a rectangle (grid cell or
@@ -25,7 +23,7 @@ pub enum RectRelation {
 
 /// An FRA query range, `R` in Definition 2: "R can be either circular or
 /// rectangular".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Range {
     /// A circular range.
     Circle(Circle),

@@ -1,7 +1,5 @@
 //! Axis-aligned rectangles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// An axis-aligned rectangle, closed on all sides.
@@ -15,7 +13,7 @@ use crate::Point;
 /// An "empty" rectangle (used as the identity for [`Rect::union`]) has
 /// `min > max`; [`Rect::is_empty`] reports it and every predicate treats it
 /// as containing nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

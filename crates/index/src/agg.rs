@@ -11,12 +11,10 @@
 //! ([`AggFunc::moments`]) and the silo zeroes the rest
 //! ([`Aggregate::masked`]).
 
-use serde::{Deserialize, Serialize};
-
 use fedra_geo::SpatialObject;
 
 /// The aggregation function `F` of an FRA query (Definition 2 + Sec. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Number of objects within the range.
     Count,
@@ -128,7 +126,7 @@ impl std::fmt::Display for AggFunc {
 /// Forms a commutative monoid under [`Aggregate::merge`] with
 /// [`Aggregate::ZERO`] as identity. Every grid cell, R-tree node,
 /// histogram bucket and wire message carries one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Aggregate {
     /// Number of objects.
     pub count: f64,

@@ -9,8 +9,6 @@
 //! [`PrefixStack`] interleaves several of them so the provider sums
 //! `g₀, g₁ … g_m` over a range in one walk.
 
-use serde::{Deserialize, Serialize};
-
 use fedra_geo::{Circle, Point, Range, Rect, RectRelation, SpatialObject};
 
 use crate::pool::WorkerPool;
@@ -29,7 +27,7 @@ const MERGE_CHUNK_CELLS: usize = 8 * 1024;
 /// All silos and the provider must agree on one `GridSpec` so that cell `i`
 /// means the same square everywhere — the estimators divide aggregates of
 /// cell `i` in `g₀` by aggregates of cell `i` in `g_k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     bounds: Rect,
     cell_len: f64,
@@ -48,7 +46,7 @@ pub type CellId = u32;
 ///   estimation, and only these travel on the wire for NonIID-est; there
 ///   are O(√|g₀|) of them, which is where the communication bound comes
 ///   from.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellClassification {
     /// Cells fully covered by the range.
     pub covered: Vec<CellId>,
@@ -78,12 +76,13 @@ impl GridSpec {
     /// `cell_len` (the paper's grid length `L`, swept in Fig. 5).
     ///
     /// # Panics
-    /// Panics if `bounds` is empty or `cell_len` is not strictly positive —
-    /// a grid over nothing indicates a configuration bug upstream.
+    /// Panics if `bounds` is empty or not finite, or `cell_len` is not
+    /// strictly positive and finite — a grid over nothing indicates a
+    /// configuration bug upstream.
     pub fn new(bounds: Rect, cell_len: f64) -> Self {
         Self::try_new(bounds, cell_len).unwrap_or_else(|| {
             panic!(
-                "a grid needs non-empty bounds and a positive, finite cell length, \
+                "a grid needs finite, non-empty bounds and a positive, finite cell length, \
                  got {bounds:?} and {cell_len}"
             )
         })
@@ -91,7 +90,11 @@ impl GridSpec {
 
     /// [`Self::new`] for untrusted parts: `None` where `new` panics.
     pub fn try_new(bounds: Rect, cell_len: f64) -> Option<Self> {
-        if bounds.is_empty() || !(cell_len > 0.0 && cell_len.is_finite()) {
+        let corners = [bounds.min.x, bounds.min.y, bounds.max.x, bounds.max.y];
+        if !corners.iter().all(|c| c.is_finite())
+            || bounds.is_empty()
+            || !(cell_len > 0.0 && cell_len.is_finite())
+        {
             return None;
         }
         let nx = (bounds.width() / cell_len).ceil().max(1.0) as u32;
@@ -311,7 +314,7 @@ impl GridSpec {
 /// let q = Range::circle(Point::new(2.0, 2.0), 1.5);
 /// assert_eq!(prefix.aggregate_intersecting(&q).count, 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridIndex {
     spec: GridSpec,
     cells: Vec<Aggregate>,
@@ -546,7 +549,7 @@ impl IndexMemory for GridIndex {
 /// answered in O(1), which drops the provider-side estimation cost of
 /// Alg. 2 from O(|g₀|) to O(1) for rectangular ranges (and to
 /// O(√|g₀|) per-row spans for circular ones).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefixGrid {
     spec: GridSpec,
     /// (nx+1) × (ny+1) cumulative sums with a zero guard row/column.

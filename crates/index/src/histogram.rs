@@ -15,15 +15,13 @@
 //! aggregate. Errors concentrate in boundary buckets — which is exactly why
 //! OPTA loses to the paper's estimators on accuracy while still being fast.
 
-use serde::{Deserialize, Serialize};
-
 use fedra_geo::{intersection_area, Range, Rect, SpatialObject};
 
 use crate::grid::{GridIndex, GridSpec};
 use crate::{Aggregate, IndexMemory};
 
 /// A fixed uniform-bucket histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquiWidthHistogram {
     grid: GridIndex,
 }
@@ -70,7 +68,7 @@ impl IndexMemory for EquiWidthHistogram {
 }
 
 /// One bucket of a [`MinSkewHistogram`]: a rectangle plus its aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
     /// Spatial extent of the bucket.
     pub rect: Rect,
@@ -79,7 +77,7 @@ pub struct Bucket {
 }
 
 /// Build parameters for [`MinSkewHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinSkewConfig {
     /// Side length of the fine grid the skew statistics are computed on.
     /// Buckets align to this resolution.
@@ -98,7 +96,7 @@ impl Default for MinSkewConfig {
 }
 
 /// A greedy MinSkew binary-space-partition histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinSkewHistogram {
     buckets: Vec<Bucket>,
     bounds: Rect,

@@ -22,8 +22,6 @@
 //! each other and a leaf's objects are one contiguous slice: a probe
 //! follows no per-node allocation and no object index.
 
-use serde::{Deserialize, Serialize};
-
 use fedra_geo::{Range, Rect, RectRelation, SpatialObject};
 
 use crate::grid::GridSpec;
@@ -31,7 +29,7 @@ use crate::pool::WorkerPool;
 use crate::{Aggregate, IndexMemory};
 
 /// R-tree build parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
     /// Maximum entries per node (fanout). STR packs nodes to capacity.
     pub max_entries: usize,

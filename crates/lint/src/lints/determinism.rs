@@ -48,7 +48,6 @@ pub(super) const DEFAULT_REGIONS: &[&str] = &[
     "crates/core/src/sampling.rs",
     "crates/core/src/exact.rs",
     "crates/core/src/opta.rs",
-    "crates/core/src/multi.rs",
     "crates/core/src/algorithm.rs",
     "crates/core/src/framework.rs",
     "crates/core/src/cache.rs",

@@ -29,7 +29,6 @@ pub(super) const CORE_ENGINE_FILES: &[&str] = &[
     "crates/core/src/exact.rs",
     "crates/core/src/sampling.rs",
     "crates/core/src/opta.rs",
-    "crates/core/src/multi.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/query.rs",
 ];

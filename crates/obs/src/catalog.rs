@@ -154,7 +154,7 @@ catalog! {
     /// Queries whose plan needed a remote round.
     PLAN_REMOTE_TOTAL: Counter "fedra_plan_remote_total" [];
 
-    // Estimators and accuracy (sampling.rs, multi.rs, algorithm.rs, run.rs).
+    // Estimators and accuracy (sampling.rs, algorithm.rs, run.rs).
 
     /// The ε an LSR estimator planned with.
     ACCURACY_EPSILON: Gauge "fedra_accuracy_epsilon" [];

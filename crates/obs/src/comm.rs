@@ -1,10 +1,9 @@
 //! Byte-counted communication accounting.
 //!
-//! These types used to live in `fedra_federation::transport` as
-//! `CommStats`; they are owned by the observability crate now so the
-//! transport, the engine, and the exporters all share one definition.
-//! The old names remain available from the transport module as
-//! deprecated aliases.
+//! [`CommCounters`] and [`CommSnapshot`] are owned by the observability
+//! crate so the transport, the engine and the exporters all share one
+//! definition; `fedra_federation::transport` re-exports them under the
+//! same names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -56,9 +56,8 @@ pub use fedra_workload as workload;
 pub mod prelude {
     pub use fedra_core::{
         AccuracyParams, AnswerCache, BatchResult, CacheConfig, CacheStats, ClassPolicy, Coverage,
-        Exact, FraAlgorithm, FraError, FraQuery, IidEst, IidEstLsr, MultiSiloEst, NonIidEst,
-        NonIidEstLsr, Opta, QueryEngine, QueryResult, QueryScheduler, QueryTicket, SchedulerConfig,
-        SubmitError,
+        Exact, FraAlgorithm, FraError, FraQuery, IidEst, IidEstLsr, NonIidEst, NonIidEstLsr, Opta,
+        QueryEngine, QueryResult, QueryScheduler, QueryTicket, SchedulerConfig, SubmitError,
     };
     pub use fedra_federation::{
         BreakerState, CallPolicy, ChaosProxy, DegradePolicy, FaultPlan, Federation,

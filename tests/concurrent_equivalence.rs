@@ -172,7 +172,7 @@ fn mixed_algorithm_factory_is_bit_identical_to_serial() {
         match s % 3 {
             0 => Box::new(IidEst::new(s)),
             1 => Box::new(NonIidEst::new(s)),
-            _ => Box::new(MultiSiloEst::new(s, 2)),
+            _ => Box::new(NonIidEst::pooled(s, 2)),
         }
     };
     let (federation, queries) = stand_up(0xABE2, None);

@@ -35,7 +35,7 @@ fn pooled_sampling_tightens_toward_exact() {
         .map(|q| exact.execute(&fed, q).value)
         .collect();
     let mre = |k: usize| -> f64 {
-        let alg = MultiSiloEst::new(7 + k as u64, k);
+        let alg = NonIidEst::pooled(7 + k as u64, k);
         queries
             .iter()
             .zip(&truth)

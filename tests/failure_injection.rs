@@ -220,7 +220,7 @@ fn the_pooled_walk_honours_the_call_deadline_on_a_silent_silo() {
                 })
                 .health_config(HealthConfig::enabled())
         });
-        let alg = MultiSiloEst::new(11, 3);
+        let alg = NonIidEst::pooled(11, 3);
         let obs = ObsContext::new();
         // The default breaker opens after three consecutive failures.
         let outcomes: Vec<_> = (0..3)
@@ -337,7 +337,7 @@ fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
     let estimators: [fn() -> Box<dyn FraAlgorithm>; 3] = [
         || Box::new(IidEst::new(41)),
         || Box::new(NonIidEst::new(42)),
-        || Box::new(MultiSiloEst::new(43, 2)),
+        || Box::new(NonIidEst::pooled(43, 2)),
     ];
     for policy in [DegradePolicy::FailFast, partial(0), partial(1)] {
         for breaker in [false, true] {
@@ -436,7 +436,7 @@ fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
                 cell_len: -1.0,
                 ..FederationBuilder::new(bounds).silo_spec(0)
             }),
-            "request panicked",
+            "silo spec grid",
         ),
     ];
     for backend in [TransportBackend::InMemory, TransportBackend::Socket] {

@@ -1,8 +1,8 @@
 //! The moment mask never changes an answer: every product path sends a
 //! `Request::Masked` naming `F`'s moments, and its answer must equal, bit
 //! for bit, what the same finish step makes of the unmasked (full-triple)
-//! reply. MultiSilo-est's pooled finish is pinned by its own unit test in
-//! `multi.rs`.
+//! reply. NonIID-est's pooled finish at `k > 1` is pinned by its own unit
+//! test in `sampling.rs`.
 //!
 //! A NonIID reply carries only the boundary cells whose own mass the
 //! provider's ratio reads; `noniid_est_answers_what_the_old_full_cell_reply_answered`

@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 use fedra::federation::transport::socket::spawn_silo_socket;
 use fedra::federation::transport::spawn_silo;
 use fedra::federation::{LocalMode, Request, Response, SetupError, SiloChannel};
+use fedra::index::histogram::MinSkewConfig;
+use fedra::index::rtree::RTreeConfig;
 use fedra::prelude::*;
 use fedra::workload::{write_csv, MeasureModel};
 
@@ -224,5 +226,36 @@ fn a_grid_too_large_for_a_frame_is_refused_typed_on_both_backends() {
             }
             other => panic!("{backend:?}: {other:?}"),
         }
+    }
+}
+
+#[test]
+fn a_spec_no_silo_could_index_is_refused_typed_and_a_valid_one_served_on_both_backends() {
+    let data = dataset();
+    let spec = FederationBuilder::new(data.bounds()).silo_spec(0);
+    let mut hostile: Vec<(SiloSpec, &str)> = [-1.0, 0.0, f64::NAN, f64::INFINITY]
+        .map(|cell_len| (SiloSpec { cell_len, ..spec }, "silo spec grid"))
+        .to_vec();
+    for corner in [Point::new(f64::NAN, 0.0), Point::new(f64::INFINITY, 0.0)] {
+        let bounds = Rect::from_corners(corner, spec.bounds.max);
+        hostile.push((SiloSpec { bounds, ..spec }, "silo spec grid"));
+    }
+    for max_entries in [0, 1] {
+        let rtree = RTreeConfig { max_entries };
+        hostile.push((SiloSpec { rtree, ..spec }, "silo spec R-tree fanout"));
+    }
+    for (resolution, budget) in [(0, 16), (16, 0)] {
+        let histogram = MinSkewConfig { resolution, budget };
+        hostile.push((SiloSpec { histogram, ..spec }, "silo spec histogram"));
+    }
+    for backend in [TransportBackend::InMemory, TransportBackend::Socket] {
+        let channel = spawn(backend, &data);
+        for (bad, why) in &hostile {
+            refusal(&channel, &Request::Setup(*bad), why);
+        }
+        assert!(
+            matches!(channel.call(&Request::Setup(spec)), Ok(Response::Memory(_))),
+            "{backend:?}: the valid Setup is served"
+        );
     }
 }

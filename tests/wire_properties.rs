@@ -224,6 +224,7 @@ proptest! {
         let _ = Response::from_bytes(Bytes::from(data.clone()));
         let _ = ProviderSnapshot::from_bytes(Bytes::from(data.clone()));
         let _ = SiloGridSnapshot::from_bytes(Bytes::from(data.clone()));
+        let _ = SiloSpec::from_bytes(Bytes::from(data.clone()));
         // Random bytes almost never start with a snapshot's magic: past
         // it, the same soup reaches the grid decoder.
         let provider = magic(ProviderSnapshot { grids: Vec::new() }.to_bytes());
@@ -326,19 +327,29 @@ proptest! {
 
 #[test]
 fn a_silo_snapshot_whose_spec_has_a_negative_cell_length_is_a_wire_error() {
-    // The spec alone says L = -1: its grid is not along it.
+    // The spec alone says L = -1: the spec decoder refuses it.
     let mut snapshot = silo_snapshot();
+    let spec = snapshot.spec;
     snapshot.spec.cell_len = -1.0;
+    assert_eq!(
+        SiloGridSnapshot::from_bytes(snapshot.to_bytes()),
+        Err(WireError::BadValue {
+            context: "silo spec grid"
+        })
+    );
+    // A valid spec the grid is not along: the pair is refused.
+    snapshot.spec.cell_len = 2.0 * spec.cell_len;
     assert_eq!(
         SiloGridSnapshot::from_bytes(snapshot.to_bytes()),
         Err(WireError::BadValue {
             context: "silo grid snapshot spec"
         })
     );
-    // Spec and grid both say L = -1: the grid decoder refuses it first.
+    // A valid spec, and a grid that says L = -1: the grid decoder
+    // refuses it.
     let mut bytes = BytesMut::new();
     bytes.put_slice(&magic(snapshot.to_bytes()));
-    snapshot.spec.encode(&mut bytes);
+    spec.encode(&mut bytes);
     snapshot.num_objects.encode(&mut bytes);
     snapshot.spec.bounds.encode(&mut bytes);
     (-1.0f64).encode(&mut bytes);
