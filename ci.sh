@@ -236,14 +236,14 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # the seed, so batch_noniid_mem's may not grow past the bytes recorded
 # when its boundary-cell replies lost their cell ids. Index memory is
 # one too: no workload's index_mem_mb may grow past the figure recorded
-# when the silo forests were packed along the federation grid (the
-# packed node array over leaf-ordered objects, plus the part-filled
-# leaves and parents of cells that own theirs), so neither per-node
-# child vectors nor a second copy of the provider's prefixes can creep
-# back in.
+# when the silo forests were laid out in cell runs (the packed node
+# array over cell-ordered objects, the part-filled leaves and parents of
+# cells that own theirs, and each tree's 8-byte-per-cell run directory),
+# so neither per-node child vectors nor a second copy of the objects or
+# of the provider's prefixes can creep back in.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
 noniid_bytes_cap=177.254
-index_mem_cap=45.651
+index_mem_cap=46.960
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \
         || { echo "benchmark gate: $workload failed its correctness gate"; exit 1; }

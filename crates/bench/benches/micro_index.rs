@@ -3,7 +3,8 @@
 //! LSR-Forest (per level), the grid/cumulative array, and the MinSkew
 //! histogram. These are the per-operation numbers behind Figs. 3b–9b.
 //! The `_grid` variants read trees packed along a grid (the way a silo
-//! packs its forest along the federation grid) beside the plain STR ones.
+//! packs its forest along the federation grid) beside the plain STR ones;
+//! `boundary_cells_16` has only those, since only they have cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -163,17 +164,16 @@ fn bench_rtree_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Alg. 3's silo step for one query: the clipped aggregate of each of the
-/// 16 boundary cells of a circle, as 16 one-clip descents from the root
-/// versus one many-clip walk, on T₀ and on one sampled LSR level, of a
-/// plain STR forest and of one packed along the cells' grid (`_grid`).
+/// Alg. 3's silo step for one query: the per-cell contributions of the
+/// 16 boundary cells of a circle, each one scan of the cell's run of
+/// objects, on T₀ and on one sampled LSR level of a forest packed along
+/// the cells' grid (only a grid-packed tree has cells).
 fn bench_boundary_cells(c: &mut Criterion) {
     let objs = objects(100_000, 6);
     let spec = GridSpec::new(
         Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
         10.0,
     );
-    let lsr = LsrForest::build(&objs, RTreeConfig::default(), &mut StdRng::seed_from_u64(7));
     let lsr_grid = LsrForest::build_with(
         &objs,
         RTreeConfig::default(),
@@ -182,29 +182,14 @@ fn bench_boundary_cells(c: &mut Criterion) {
         &WorkerPool::sequential(),
     );
     let query = Range::circle(Point::new(55.0, 55.0), 18.0);
-    let ring: Vec<Rect> = spec
-        .classify(&query)
-        .boundary
-        .iter()
-        .map(|&id| spec.cell_rect_of(id))
-        .collect();
+    let ring = spec.classify(&query).boundary;
     assert_eq!(ring.len(), 16, "the ring this bench is named after");
 
     let mut group = c.benchmark_group("boundary_cells_16");
-    for (packing, lsr) in [("", &lsr), ("_grid", &lsr_grid)] {
-        for (tree, level) in [("t0", 0usize), ("lsr_level_4", 4)] {
-            let id = |walk: &str| BenchmarkId::new(&format!("{walk}{packing}"), tree);
-            group.bench_function(id("per_clip_loop"), |b| {
-                b.iter(|| {
-                    for clip in &ring {
-                        black_box(lsr.query_clipped_at_level(&query, clip, level));
-                    }
-                })
-            });
-            group.bench_function(id("one_walk"), |b| {
-                b.iter(|| black_box(lsr.query_clipped_many_at_level(&query, &ring, level)))
-            });
-        }
+    for (tree, level) in [("t0", 0usize), ("lsr_level_4", 4)] {
+        group.bench_function(BenchmarkId::new("per_cell_grid", tree), |b| {
+            b.iter(|| black_box(lsr_grid.query_cells_at_level(&query, &ring, level)))
+        });
     }
     group.finish();
 }

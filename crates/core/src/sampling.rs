@@ -454,9 +454,9 @@ impl NonIidEst {
 /// The pooled estimate: `covered` plus, per boundary cell `i`, the pooled
 /// contribution `pooled[i]` re-scaled by `g₀[i] / Σ_k g_k[i]` over the
 /// `pooled_silos` (one silo: Alg. 3's `g₀[i] / g_k[i]`; none: `covered`).
-/// A silo replies only for the cells it holds mass in, so `pooled[i]` sums
-/// only those silos' clips: an object on the closed edge of a cell its
-/// silo holds nothing in is pooled in neither sum.
+/// A silo replies only for the cells it holds mass in, and each entry
+/// counts exactly the objects its grid bins into that cell, so `pooled[i]`
+/// and `Σ_k g_k[i]` count the same objects.
 fn pooled_estimate<'a, S>(
     federation: &Federation,
     range: &Range,

@@ -12,8 +12,8 @@
 //! * an LSR-Forest (Alg. 5) whose level `T_0` *is* the aggregate R-tree
 //!   over all its objects (exact local queries, the EXACT baseline) and
 //!   whose sampled levels serve O(log 1/ε) approximate local queries,
-//!   every level packed along the spec's grid, so Alg. 3's per-cell walk
-//!   absorbs nodes whole instead of splitting them at cell edges;
+//!   every level packed along the spec's grid, cell by cell, so Alg. 3's
+//!   per-cell contribution is one scan of that cell's run of objects;
 //! * a MinSkew histogram over the spec's bounds for the OPTA baseline;
 //!
 //! and, on the provider's `BuildGrid` request, a grid index along the
@@ -38,8 +38,8 @@ use fedra_obs::catalog::{
 };
 use fedra_obs::{Counter, Histogram, MetricsRegistry};
 
-use fedra_geo::{Range, Rect, SpatialObject};
-use fedra_index::grid::{GridIndex, GridSpec};
+use fedra_geo::{Range, SpatialObject};
+use fedra_index::grid::{CellId, GridIndex, GridSpec};
 use fedra_index::histogram::MinSkewHistogram;
 use fedra_index::lsr::LsrForest;
 use fedra_index::pool::WorkerPool;
@@ -166,8 +166,8 @@ struct SiloMetrics {
     requests: RequestCounters,
     batch_items: Arc<Histogram>,
     batch_panics: Arc<Counter>,
-    /// Boundary cells left out of a `CellContributions` reply (and out of
-    /// the clipped R-tree/LSR walk): the provider's ratio never reads them.
+    /// Boundary cells left out of a `CellContributions` reply (and never
+    /// scanned): the provider's ratio never reads them.
     cells_pruned: Arc<Counter>,
     /// Grid snapshots written to disk (crash-recovery, DESIGN.md §5i).
     snapshot_saved: Arc<Counter>,
@@ -569,22 +569,22 @@ impl Silo {
         // cells can be counted. The range came off the wire; the
         // classification is clipped to the grid, so the reply never has
         // more than `num_cells` entries.
-        let spec = grid.spec();
-        let boundary = spec.classify(range).boundary;
-        let rects: Vec<Rect> = boundary
+        let boundary = grid.spec().classify(range).boundary;
+        let cells: Vec<CellId> = boundary
             .iter()
-            .filter(|&&id| grid.contributes(id, moments))
-            .map(|&id| spec.cell_rect_of(id))
+            .copied()
+            .filter(|&id| grid.contributes(id, moments))
             .collect();
         self.metrics
             .cells_pruned
-            .add((boundary.len() - rects.len()) as u64);
-        // The per-cell clipped aggregates (the O(√|g₀|) boundary work of
-        // Alg. 3) come out of one walk of one tree, on this thread. For
+            .add((boundary.len() - cells.len()) as u64);
+        // The per-cell contributions (the O(√|g₀|) boundary work of
+        // Alg. 3), on this thread: each is one scan of the cell's run of
+        // objects in one tree, over the objects the grid bins there. For
         // the LSR mode the level is selected once from the whole-query
         // sum₀, so all per-cell estimates share one sample tree.
         let contributions = match mode {
-            LocalMode::Exact => indexes.lsr.base().aggregate_clipped_many(range, &rects),
+            LocalMode::Exact => indexes.lsr.base().aggregate_cells(range, &cells),
             LocalMode::Lsr {
                 epsilon,
                 delta,
@@ -592,7 +592,7 @@ impl Silo {
             } => {
                 let l = indexes.lsr.select_level(epsilon, delta, sum0);
                 indexes.record_level(l);
-                indexes.lsr.query_clipped_many_at_level(range, &rects, l)
+                indexes.lsr.query_cells_at_level(range, &cells, l)
             }
         };
         Response::AggVec(contributions)
@@ -630,8 +630,7 @@ impl std::fmt::Debug for Silo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedra_geo::Point;
-    use fedra_index::grid::CellId;
+    use fedra_geo::{Point, Rect};
     use fedra_index::rtree::{RTree, RTreeConfig};
 
     fn bounds() -> Rect {
@@ -1022,8 +1021,9 @@ mod tests {
                 };
                 assert_eq!(bits(&lone), bits(&batched), "{mode:?}, threads {threads}");
                 if mode == LocalMode::Exact {
-                    // The max-edge row is seen: per-cell answers are the
-                    // closed-rectangle clips of T₀, edge objects included.
+                    // The max-edge row is seen: each per-cell answer folds,
+                    // in T₀'s layout order, exactly the in-range objects
+                    // the grid bins into that cell, edge objects included.
                     // The edge row's measures are continuous, so the
                     // reference is T₀ as the silo packs it, along its grid.
                     let reference = RTree::bulk_load_with(
@@ -1032,25 +1032,32 @@ mod tests {
                         Some(&GridSpec::new(bounds(), 10.0)),
                         &WorkerPool::sequential(),
                     );
+                    let in_cell = |id: CellId| {
+                        reference
+                            .objects()
+                            .iter()
+                            .filter(move |o| spec.cell_of(&o.location) == Some(id))
+                            .filter(|o| q.contains_point(&o.location))
+                    };
                     let direct: Vec<Aggregate> = cells
                         .iter()
-                        .map(|&id| reference.aggregate_clipped(&q, &spec.cell_rect_of(id)))
+                        .map(|&id| {
+                            in_cell(id).fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)))
+                        })
                         .collect();
                     assert_eq!(bits(&lone), bits(&direct), "threads {threads}");
-                    let covered: f64 = cls
-                        .covered
-                        .iter()
-                        .map(|&id| {
-                            reference
-                                .aggregate_clipped(&q, &spec.cell_rect_of(id))
-                                .count
-                        })
-                        .sum();
+                    let covered: usize = cls.covered.iter().map(|&id| in_cell(id).count()).sum();
                     let sum: f64 = lone.iter().map(|a| a.count).sum();
-                    assert!(
-                        sum + covered > reference.aggregate(&q).count,
-                        "edge objects count in both closed cells"
+                    assert_eq!(
+                        sum + covered as f64,
+                        reference.aggregate(&q).count,
+                        "every object in range counts in exactly one cell"
                     );
+                    let on_edges = objs[objs.len() - 40..]
+                        .iter()
+                        .filter(|o| q.contains_point(&o.location))
+                        .count();
+                    assert!(on_edges > 0, "the edge row reaches the range");
                 }
                 answers.push(bits(&lone));
             }

@@ -145,18 +145,17 @@ impl GridSpec {
         (id % self.nx, id / self.nx)
     }
 
-    /// The rectangle of cell `(ix, iy)`.
+    /// The rectangle of cell `(ix, iy)`: the closed square between the
+    /// edges `min + ix·L` and `min + (ix + 1)·L` (and likewise in y), so
+    /// neighbouring cells share their edges bit for bit.
     ///
     /// The last column/row may extend past `bounds` (cells are full
     /// squares); this keeps cell areas uniform, which the area-fraction
     /// fallbacks rely on.
     pub fn cell_rect(&self, ix: u32, iy: u32) -> Rect {
-        let x0 = self.bounds.min.x + ix as f64 * self.cell_len;
-        let y0 = self.bounds.min.y + iy as f64 * self.cell_len;
-        Rect::from_corners(
-            Point::new(x0, y0),
-            Point::new(x0 + self.cell_len, y0 + self.cell_len),
-        )
+        let x = |i: u32| self.bounds.min.x + f64::from(i) * self.cell_len;
+        let y = |i: u32| self.bounds.min.y + f64::from(i) * self.cell_len;
+        Rect::from_corners(Point::new(x(ix), y(iy)), Point::new(x(ix + 1), y(iy + 1)))
     }
 
     /// The rectangle of a flat cell id.
@@ -165,36 +164,21 @@ impl GridSpec {
         self.cell_rect(ix, iy)
     }
 
-    /// The cell containing `p`, clamped to the grid for points on (or
-    /// marginally past) the outer boundary. Returns `None` for points
-    /// strictly outside the bounds by more than one cell — those indicate
-    /// data outside the agreed federation region.
+    /// The cell `p` belongs to: the one whose half-open square
+    /// `[min + i·L, min + (i + 1)·L)` (per axis, the edges
+    /// [`Self::cell_rect`] builds) holds it, so every point belongs to at
+    /// most one cell even on a shared edge. Points on (or up to one cell
+    /// past) the outer boundary clamp into the outermost cells. `None` for
+    /// a point further out — data outside the agreed federation region —
+    /// and for a non-finite one.
+    ///
+    /// This is the one membership rule: the grid index bins by it, a
+    /// grid-packed tree lays its cells out by it and answers a cell's
+    /// contribution over exactly these objects.
     pub fn cell_of(&self, p: &Point) -> Option<CellId> {
-        let fx = (p.x - self.bounds.min.x) / self.cell_len;
-        let fy = (p.y - self.bounds.min.y) / self.cell_len;
-        if fx < -1.0 || fy < -1.0 || fx > self.nx as f64 + 1.0 || fy > self.ny as f64 + 1.0 {
-            return None;
-        }
-        let ix = (fx.floor().max(0.0) as u32).min(self.nx - 1);
-        let iy = (fy.floor().max(0.0) as u32).min(self.ny - 1);
+        let ix = bin(p.x, self.bounds.min.x, self.cell_len, self.nx)?;
+        let iy = bin(p.y, self.bounds.min.y, self.cell_len, self.ny)?;
         Some(self.cell_id(ix, iy))
-    }
-
-    /// The cell [`Self::cell_of`] finds for `p`, but clamping nothing:
-    /// `None` unless that cell's closed rectangle ([`Self::cell_rect`])
-    /// holds `p` bit for bit, so a point outside the grid, or one that
-    /// rounding carried across an edge, has no cell here.
-    pub(crate) fn cell_containing(&self, p: &Point) -> Option<CellId> {
-        let fx = (p.x - self.bounds.min.x) / self.cell_len;
-        let fy = (p.y - self.bounds.min.y) / self.cell_len;
-        if !(fx >= 0.0 && fy >= 0.0 && fx < self.nx as f64 && fy < self.ny as f64) {
-            return None;
-        }
-        // Truncation is `floor` on the non-negative quotients.
-        let (ix, iy) = (fx as u32, fy as u32);
-        self.cell_rect(ix, iy)
-            .contains_point(p)
-            .then(|| self.cell_id(ix, iy))
     }
 
     /// Inclusive column/row ranges of the cells whose rectangles intersect
@@ -286,6 +270,27 @@ impl GridSpec {
         }
         out
     }
+}
+
+/// The column (or row) `0..n` whose half-open span
+/// `[min + i·len, min + (i + 1)·len)` holds `v`, clamped to the outer
+/// columns; `None` for a non-finite `v` or one more than a column past
+/// either end. The floored quotient is off by at most one next to an
+/// edge, so one comparison against that edge settles it.
+fn bin(v: f64, min: f64, len: f64, n: u32) -> Option<u32> {
+    let f = (v - min) / len;
+    if !(f >= -1.0 && f <= f64::from(n) + 1.0) {
+        return None;
+    }
+    let edge = |i: u32| min + f64::from(i) * len;
+    let i = (f.floor().max(0.0) as u32).min(n - 1);
+    Some(if i > 0 && v < edge(i) {
+        i - 1
+    } else if i + 1 < n && v >= edge(i + 1) {
+        i + 1
+    } else {
+        i
+    })
 }
 
 /// A grid index: one [`Aggregate`] per cell over a [`GridSpec`].
@@ -870,6 +875,63 @@ mod tests {
         assert_eq!(s.cell_of(&Point::new(10.0, 10.0)), Some(15));
         // Far outside is rejected.
         assert_eq!(s.cell_of(&Point::new(100.0, 0.0)), None);
+    }
+
+    #[test]
+    fn a_point_at_or_next_to_any_edge_lies_in_the_rect_of_its_one_cell() {
+        // A non-dyadic grid: neither the origin nor L is a binary fraction,
+        // so `min + i·L` rounds and the floored quotient can miss an edge.
+        let s = GridSpec::new(Rect::new(Point::new(0.1, -3.7), Point::new(5.3, 1.9)), 0.3);
+        let (nx, ny) = (s.nx(), s.ny());
+        assert_eq!((nx, ny), (18, 19));
+        let edges = |min: f64, n: u32| -> Vec<f64> {
+            (0..=n).map(|i| min + f64::from(i) * s.cell_len()).collect()
+        };
+        let (xs, ys) = (edges(0.1, nx), edges(-3.7, ny));
+        let (mid_x, mid_y) = (s.cell_rect(7, 0).center().x, s.cell_rect(0, 11).center().y);
+        for (i, &e) in xs.iter().enumerate() {
+            for (x, want) in [
+                (e.next_down(), i.saturating_sub(1)),
+                (e, i),
+                (e.next_up(), i),
+            ] {
+                let p = Point::new(x, mid_y);
+                let want = want.min(nx as usize - 1) as u32;
+                let id = s.cell_of(&p).expect("on the grid");
+                assert_eq!(s.cell_coords(id), (want, 11), "x = {x:e}, edge {i}");
+                // Only a point clamped in from outside the grid is not held.
+                let outside = x < xs[0] || x > xs[nx as usize];
+                assert_eq!(s.cell_rect_of(id).contains_point(&p), !outside, "x = {x:e}");
+            }
+        }
+        for (i, &e) in ys.iter().enumerate() {
+            for (y, want) in [
+                (e.next_down(), i.saturating_sub(1)),
+                (e, i),
+                (e.next_up(), i),
+            ] {
+                let p = Point::new(mid_x, y);
+                let want = want.min(ny as usize - 1) as u32;
+                let id = s.cell_of(&p).expect("on the grid");
+                assert_eq!(s.cell_coords(id), (7, want), "y = {y:e}, edge {i}");
+                let outside = y < ys[0] || y > ys[ny as usize];
+                assert_eq!(s.cell_rect_of(id).contains_point(&p), !outside, "y = {y:e}");
+            }
+        }
+        // Neighbouring cells share their edges exactly.
+        for ix in 1..nx {
+            assert_eq!(s.cell_rect(ix - 1, 3).max.x, s.cell_rect(ix, 3).min.x);
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(s.cell_of(&Point::new(bad, 0.0)), None, "{bad}");
+            assert_eq!(s.cell_of(&Point::new(1.0, bad)), None, "{bad}");
+        }
+        // More than one cell past the bounds is off the grid.
+        assert_eq!(s.cell_of(&Point::new(xs[0] - 0.31, 0.0)), None);
+        assert_eq!(
+            s.cell_of(&Point::new(xs[0] - 0.29, 0.0)),
+            s.cell_of(&Point::new(0.1, 0.0))
+        );
     }
 
     #[test]

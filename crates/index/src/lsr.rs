@@ -20,7 +20,7 @@ use rand::Rng;
 
 use fedra_geo::{Range, Rect, SpatialObject};
 
-use crate::grid::GridSpec;
+use crate::grid::{CellId, GridSpec};
 use crate::pool::WorkerPool;
 use crate::rtree::{by_x, cell_key, RTree, RTreeConfig, NO_CELL};
 use crate::{Aggregate, IndexMemory};
@@ -82,7 +82,7 @@ impl LsrForest {
     ) -> Self {
         if objects.is_empty() {
             return Self {
-                levels: vec![RTree::bulk_load(Vec::new(), config)],
+                levels: vec![RTree::bulk_load_with(Vec::new(), config, grid, pool)],
             };
         }
         let max_level = (objects.len() as f64).log2().floor() as u8;
@@ -214,8 +214,8 @@ impl LsrForest {
     }
 
     /// Clipped variant of [`Self::query_at_level`]: estimates the
-    /// aggregate of objects in `range ∩ clip`, re-scaled from level `l`.
-    /// The one-clip call of [`Self::query_clipped_many_at_level`].
+    /// aggregate of objects in `range ∩ clip` (both closed), re-scaled
+    /// from level `l` ([`RTree::aggregate_clipped`]).
     pub fn query_clipped_at_level(&self, range: &Range, clip: &Rect, level: usize) -> Aggregate {
         let l = level.min(self.levels.len() - 1);
         self.levels[l]
@@ -224,17 +224,20 @@ impl LsrForest {
     }
 
     /// The per-grid-cell contributions of NonIID-est+LSR: one estimate per
-    /// clip, all from one walk of `T_l`
-    /// ([`RTree::aggregate_clipped_many`]), each re-scaled by `2^l`.
-    pub fn query_clipped_many_at_level(
+    /// cell of `cells`, each the scan of that cell's run of `T_l`
+    /// ([`RTree::aggregate_cells`]) re-scaled by `2^l`.
+    ///
+    /// # Panics
+    /// Panics on a forest built without a grid: it has no cells.
+    pub fn query_cells_at_level(
         &self,
         range: &Range,
-        clips: &[Rect],
+        cells: &[CellId],
         level: usize,
     ) -> Vec<Aggregate> {
         let l = level.min(self.levels.len() - 1);
         let scale = (1u64 << l) as f64;
-        let mut out = self.levels[l].aggregate_clipped_many(range, clips);
+        let mut out = self.levels[l].aggregate_cells(range, cells);
         for agg in &mut out {
             *agg = agg.scale(scale);
         }
@@ -343,6 +346,13 @@ mod tests {
         let (aligned, finer) = (GridSpec::new(bounds, 10.0), GridSpec::new(bounds, 3.0));
         let q = Range::circle(Point::new(41.0, 52.0), 17.0);
         let clips: Vec<Rect> = (0..100).map(|id| aligned.cell_rect_of(id)).collect();
+        // Per cell under a grid; per closed clip without one.
+        let probe = |t: &RTree, grid: Option<&GridSpec>| -> Vec<Aggregate> {
+            match grid {
+                Some(g) => t.aggregate_cells(&q, &(0..g.num_cells() as CellId).collect::<Vec<_>>()),
+                None => clips.iter().map(|c| t.aggregate_clipped(&q, c)).collect(),
+            }
+        };
         for grid in [None, Some(&aligned), Some(&finer)] {
             let seed = StdRng::seed_from_u64(13);
             let forest = LsrForest::build_with(&objs, config, grid, &mut seed.clone(), &pool);
@@ -360,11 +370,7 @@ mod tests {
                 assert_eq!(got.objects(), want.objects(), "{what}");
                 assert_eq!(got.node_count(), want.node_count(), "{what}");
                 assert_eq!(got.height(), want.height(), "{what}");
-                assert_eq!(
-                    got.aggregate_clipped_many(&q, &clips),
-                    want.aggregate_clipped_many(&q, &clips),
-                    "{what}"
-                );
+                assert_eq!(probe(got, grid), probe(&want, grid), "{what}");
             }
         }
     }
@@ -493,27 +499,24 @@ mod tests {
     }
 
     #[test]
-    fn clipped_many_matches_the_per_clip_descent_at_every_level() {
+    fn cell_answers_are_each_level_s_cell_scans_re_scaled() {
         // Integer-lattice objects put a share of them exactly on the
-        // edges and corners of the 10-unit clip grid.
+        // edges and corners of the 10-unit grid.
         let mut objs = objects(3000, 24);
         for (i, o) in objs.iter_mut().enumerate().filter(|(i, _)| i % 4 == 0) {
             o.location = Point::new(((i / 4) % 11) as f64 * 10.0, ((i / 44) % 11) as f64 * 10.0);
         }
+        let grid = GridSpec::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+            10.0,
+        );
+        let config = RTreeConfig::default();
+        let pool = WorkerPool::sequential();
         let mut rng = StdRng::seed_from_u64(25);
-        let f = LsrForest::from_objects(&objs, &mut rng);
-        let mut clips: Vec<Rect> = (0..100)
-            .map(|i| {
-                let (x, y) = ((i % 10) as f64 * 10.0, (i / 10) as f64 * 10.0);
-                Rect::new(Point::new(x, y), Point::new(x + 10.0, y + 10.0))
-            })
-            .collect();
-        clips.push(clips[17]);
-        clips.push(Rect::new(Point::new(-1e9, -1e9), Point::new(1e9, 1e9)));
-        clips.push(Rect::new(
-            Point::new(300.0, 300.0),
-            Point::new(310.0, 310.0),
-        ));
+        let f = LsrForest::build_with(&objs, config, Some(&grid), &mut rng, &pool);
+        // Every cell, a repeat, and one past the grid.
+        let mut cells: Vec<CellId> = (0..100).collect();
+        cells.extend([17, 100]);
         let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
         for q in [
             Range::circle(Point::new(50.0, 50.0), 30.0),
@@ -521,30 +524,37 @@ mod tests {
         ] {
             // One level past the forest checks the clamp as well.
             for level in 0..=f.num_levels() {
-                let many = f.query_clipped_many_at_level(&q, &clips, level);
-                assert_eq!(many.len(), clips.len());
+                let got = f.query_cells_at_level(&q, &cells, level);
+                assert_eq!(got.len(), cells.len());
                 let l = level.min(f.num_levels() - 1);
-                for (i, clip) in clips.iter().enumerate() {
-                    // The replaced per-clip descent, scaled as Alg. 6 does.
+                let scale = (1u64 << l) as f64;
+                for (&id, got) in cells.iter().zip(&got) {
                     let want = f.levels[l]
-                        .per_clip_reference(&q, clip)
-                        .scale((1u64 << l) as f64);
-                    assert_eq!(bits(&many[i]), bits(&want), "level {level}, clip {i}");
-                    let one = f.query_clipped_at_level(&q, clip, level);
-                    assert_eq!(bits(&one), bits(&want), "one-clip, level {level}, clip {i}");
+                        .objects()
+                        .iter()
+                        .filter(|o| {
+                            grid.cell_of(&o.location) == Some(id) && q.contains_point(&o.location)
+                        })
+                        .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)))
+                        .scale(scale);
+                    assert_eq!(bits(got), bits(&want), "level {level}, cell {id}");
                 }
+                // Each object counts in exactly one cell.
+                let counted: f64 = got[..100].iter().map(|a| a.count).sum();
+                assert_eq!(counted, f.query_at_level(&q, level).count, "level {level}");
+                assert!(f.query_cells_at_level(&q, &[], level).is_empty());
+                let clip = grid.cell_rect_of(37);
                 assert_eq!(
-                    bits(&many[101]),
-                    bits(&f.query_at_level(&q, level)),
-                    "whole-plane clip, level {level}"
+                    bits(&f.query_clipped_at_level(&q, &clip, level)),
+                    bits(&f.levels[l].aggregate_clipped(&q, &clip).scale(scale)),
+                    "one clip, level {level}"
                 );
-                assert!(f.query_clipped_many_at_level(&q, &[], level).is_empty());
             }
         }
-        let empty = LsrForest::from_objects(&[], &mut rng);
+        let empty = LsrForest::build_with(&[], config, Some(&grid), &mut rng, &pool);
         let q = Range::circle(Point::new(50.0, 50.0), 30.0);
         assert_eq!(
-            empty.query_clipped_many_at_level(&q, &clips[..3], 5),
+            empty.query_cells_at_level(&q, &cells[..3], 5),
             vec![Aggregate::ZERO; 3]
         );
     }

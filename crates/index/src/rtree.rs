@@ -21,10 +21,15 @@
 //! stores each level in the order it tiles it, so siblings sit next to
 //! each other and a leaf's objects are one contiguous slice: a probe
 //! follows no per-node allocation and no object index.
+//!
+//! Packed along a grid (as a silo packs every tree), the object array is
+//! laid out cell by cell: each non-empty cell's objects are one run, and
+//! a small directory finds it, so a cell's contribution to a query is one
+//! scan of that run ([`RTree::aggregate_cells`]).
 
-use fedra_geo::{Range, Rect, RectRelation, SpatialObject};
+use fedra_geo::{Point, Range, Rect, RectRelation, SpatialObject};
 
-use crate::grid::GridSpec;
+use crate::grid::{CellId, GridSpec};
 use crate::pool::WorkerPool;
 use crate::{Aggregate, IndexMemory};
 
@@ -94,7 +99,8 @@ pub(crate) fn by_x(a: &SpatialObject, b: &SpatialObject) -> std::cmp::Ordering {
 }
 
 /// Under a grid, a cell holding at least this many fanouts of objects is
-/// STR-tiled on its own, so none of its leaves crosses a cell edge.
+/// STR-tiled on its own, so none of its leaves holds another cell's
+/// objects.
 const OWN_LEAVES_FANOUTS: usize = 3;
 
 /// Under a grid, a cell with at least this many leaves of its own gets
@@ -116,8 +122,8 @@ fn str_tiling(len: usize, fanout: usize, whole: bool) -> (usize, usize) {
     (slab, parents)
 }
 
-/// One run of a level that STR tiles on its own: the whole level, one
-/// grid cell's share of it, or the share no cell owns.
+/// One run of a level that is cut into parents on its own: the whole
+/// level, one grid cell's share of it, or the share no cell owns.
 #[derive(Debug, Clone, Copy)]
 struct Tile {
     len: usize,
@@ -129,6 +135,40 @@ impl Tile {
     fn new(len: usize, fanout: usize, whole: bool) -> Self {
         let (slab, parents) = str_tiling(len, fanout, whole);
         Self { len, slab, parents }
+    }
+}
+
+/// A run of objects, starting at `at` in the object order, cut into
+/// leaves on its own: STR-tiled (`tiled`: each slab sorted by y first),
+/// or cut in chunks of a fanout just as it is laid out.
+#[derive(Debug, Clone, Copy)]
+struct LeafTile {
+    at: usize,
+    tile: Tile,
+    tiled: bool,
+}
+
+impl LeafTile {
+    fn str(at: usize, len: usize, fanout: usize, whole: bool) -> Self {
+        let tile = Tile::new(len, fanout, whole);
+        Self {
+            at,
+            tile,
+            tiled: true,
+        }
+    }
+
+    fn cut(at: usize, len: usize, fanout: usize) -> Self {
+        let tile = Tile {
+            len,
+            slab: len,
+            parents: len.div_ceil(fanout),
+        };
+        Self {
+            at,
+            tile,
+            tiled: false,
+        }
     }
 }
 
@@ -154,13 +194,15 @@ impl Tile {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree {
-    /// In leaf order: leaf `i`'s objects are the run of `nodes[i]`.
+    /// In layout order: leaf `i`'s objects are the run of `nodes[i]`.
     objects: Vec<SpatialObject>,
     /// Level by level from the leaves up; the root is last.
     nodes: Vec<Node>,
     /// Node ids below this are leaves.
     leaves: u32,
     height: usize,
+    /// Where each cell's run of `objects` lies, when packed along a grid.
+    cells: Option<CellDirectory>,
 }
 
 impl RTree {
@@ -176,15 +218,18 @@ impl RTree {
     /// stable-canonical, so chunking never shows through in the object
     /// order.
     ///
-    /// Under a grid the two lowest levels follow its cells, so a
-    /// many-clip walk over cell rectangles
-    /// ([`Self::aggregate_clipped_many`]) absorbs nodes whole instead of
-    /// splitting them at cell edges. The objects are regrouped in
-    /// (cell, x) order; a cell holding at least 3 fanouts of them is
-    /// STR-tiled on its own into ⌈c / fanout⌉ leaves, and the rest share
-    /// leaves tiled by plain STR. A cell with at least 4 leaves gets its
-    /// own parents the same way; plain STR packs every level above.
-    /// Without a grid the packing is plain STR throughout.
+    /// Under a grid the objects are laid out cell by cell, each in the
+    /// cell [`GridSpec::cell_of`] puts it in: every non-empty cell's
+    /// objects are one run, found through a directory the tree keeps, so
+    /// [`Self::aggregate_cells`] scans each cell's run alone. A cell
+    /// holding at least 3 fanouts of objects is STR-tiled on its own into
+    /// ⌈c / fanout⌉ leaves, and one with at least 4 leaves gets its own
+    /// parents the same way. The smaller cells follow, concatenated along
+    /// a Hilbert curve over the grid (Kamel & Faloutsos, "On Packing
+    /// R-trees", CIKM 1993) and cut into shared leaves of a fanout each,
+    /// so a shared leaf spans neighbouring cells. Objects in no cell come
+    /// last, STR-tiled. Plain STR packs every level above. Without a grid
+    /// the packing is plain STR throughout.
     pub fn bulk_load_with(
         mut objects: Vec<SpatialObject>,
         config: RTreeConfig,
@@ -214,28 +259,34 @@ impl RTree {
     ) -> Self {
         let m = config.max_entries;
         assert!(m >= 2, "R-tree fanout must be at least 2");
+        assert!(objects.len() <= u32::MAX as usize, "ids are u32");
+        let (mut objects, cells, leaf_tiles, with_parents) = match keyed {
+            Some((grid, keys)) => {
+                let layout = lay_out(objects, keys, grid, m);
+                let directory = Some(layout.directory);
+                (layout.objects, directory, layout.tiles, layout.with_parents)
+            }
+            None => {
+                let n = objects.len();
+                let tiles = (n > 0).then(|| LeafTile::str(0, n, m, false));
+                (objects, None, tiles.into_iter().collect(), 0)
+            }
+        };
         if objects.is_empty() {
             return Self {
                 objects,
                 nodes: Vec::new(),
                 leaves: 0,
                 height: 0,
+                cells,
             };
         }
-        let (mut objects, cells, with_parents) = match keyed {
-            Some((grid, keys)) => by_cell(objects, keys, grid.num_cells(), m),
-            None => (objects, Vec::new(), 0),
-        };
-        // Level 0: one tile per cell that owns its leaves, then the
-        // shared rest. Level 1: one per cell that owns its parents, then
-        // every other leaf. Plain STR above.
-        let shared = objects.len() - cells.iter().sum::<usize>();
-        let mut leaf_tiles: Vec<Tile> = cells.iter().map(|&c| Tile::new(c, m, true)).collect();
-        leaf_tiles.extend((shared > 0).then(|| Tile::new(shared, m, false)));
-        let num_leaves: usize = leaf_tiles.iter().map(|t| t.parents).sum();
+        // Level 1: one tile per cell that owns its parents, then every
+        // other leaf. Plain STR above.
+        let num_leaves: usize = leaf_tiles.iter().map(|t| t.tile.parents).sum();
         let mut tiles: Vec<Tile> = leaf_tiles[..with_parents]
             .iter()
-            .map(|t| Tile::new(t.parents, m, true))
+            .map(|t| Tile::new(t.tile.parents, m, true))
             .collect();
         let rest = num_leaves - tiles.iter().map(|t| t.len).sum::<usize>();
         tiles.extend((rest > 0).then(|| Tile::new(rest, m, false)));
@@ -249,29 +300,30 @@ impl RTree {
                 total += width;
             }
         }
-        assert!(total.max(objects.len()) <= u32::MAX as usize, "ids are u32");
+        assert!(total <= u32::MAX as usize, "ids are u32");
         let mut nodes = Vec::with_capacity(total);
 
-        let mut slabs = Vec::new();
-        let mut unsorted = objects.as_mut_slice();
-        for tile in &leaf_tiles {
-            let (run, tail) = std::mem::take(&mut unsorted).split_at_mut(tile.len);
-            slabs.extend(run.chunks_mut(tile.slab));
-            unsorted = tail;
+        // The STR-tiled runs' slabs, sorted by y side by side.
+        let mut tiled: Vec<&LeafTile> = leaf_tiles.iter().filter(|t| t.tiled).collect();
+        tiled.sort_unstable_by_key(|t| t.at);
+        let (mut slabs, mut unsorted, mut pos) = (Vec::new(), objects.as_mut_slice(), 0);
+        for t in tiled {
+            let (_, tail) = std::mem::take(&mut unsorted).split_at_mut(t.at - pos);
+            let (run, tail) = tail.split_at_mut(t.tile.len);
+            slabs.extend(run.chunks_mut(t.tile.slab));
+            (unsorted, pos) = (tail, t.at + t.tile.len);
         }
         pool.for_each_mut(slabs, |_, slab| {
             slab.sort_by(|a, b| a.location.y.total_cmp(&b.location.y));
         });
-        let mut lo = 0;
-        for tile in &leaf_tiles {
-            for_each_group(tile.len, tile.slab, m, |run| {
-                let run = lo + run.start..lo + run.end;
+        for t in &leaf_tiles {
+            for_each_group(t.tile.len, t.tile.slab, m, |run| {
+                let run = t.at + run.start..t.at + run.end;
                 let entries = objects[run.clone()]
                     .iter()
                     .map(|o| (Rect::from_point(o.location), Aggregate::of(o)));
                 nodes.push(Node::over(run, entries));
             });
-            lo += tile.len;
         }
 
         let mut height = 1;
@@ -288,6 +340,7 @@ impl RTree {
             nodes,
             leaves: num_leaves as u32,
             height,
+            cells,
         }
     }
 
@@ -365,96 +418,64 @@ impl RTree {
     }
 
     /// Exact range aggregation restricted to `clip`: aggregates objects in
-    /// `range ∩ clip` (both closed). The one-clip call of
-    /// [`Self::aggregate_clipped_many`].
+    /// `range ∩ clip` (both closed) in one descent, absorbing every node
+    /// that the range and the clip both cover whole. An object on a
+    /// clip's edge counts in that clip, so two closed clips that share an
+    /// edge both count an object on it; a silo's per-cell contributions
+    /// come from [`Self::aggregate_cells`] instead, where every object
+    /// counts in exactly one cell.
     pub fn aggregate_clipped(&self, range: &Range, clip: &Rect) -> Aggregate {
-        let mut out = [Aggregate::ZERO];
-        self.clipped_walk(range, std::slice::from_ref(clip), &mut out);
-        out[0]
+        let mut acc = Aggregate::ZERO;
+        if let Some(root) = self.root() {
+            self.aggregate_clipped_rec(root, range, clip, &mut acc);
+        }
+        acc
     }
 
-    /// Exact range aggregation restricted to each of `clips`, all answered
-    /// in **one** depth-first walk: `out[i]` aggregates the objects in
-    /// `range ∩ clips[i]`. This is how a silo computes the per-grid-cell
-    /// contributions `res_i^k` of Alg. 3 — the O(√|g₀|) boundary cells of
-    /// one query share the descent instead of each restarting at the root.
-    ///
-    /// Every clip is folded exactly as a walk for that clip alone would
-    /// fold it (same nodes absorbed whole, same objects, same order), so
-    /// `out[i]` does not depend on which other clips ride along — not in
-    /// value and not in floating-point bits. Clips may overlap or repeat;
-    /// an object on an edge two closed clips share counts in both.
-    pub fn aggregate_clipped_many(&self, range: &Range, clips: &[Rect]) -> Vec<Aggregate> {
-        let mut out = vec![Aggregate::ZERO; clips.len()];
-        self.clipped_walk(range, clips, &mut out);
-        out
-    }
-
-    fn clipped_walk(&self, range: &Range, clips: &[Rect], out: &mut [Aggregate]) {
-        let Some(root) = self.root() else {
-            return;
-        };
-        let n = u32::try_from(clips.len()).expect("clip indices are u32");
-        // Candidate lists for every depth of the walk share this arena:
-        // the root's is all clips, each node appends its own survivors
-        // and truncates them away on return.
-        let mut arena: Vec<u32> = (0..n).collect();
-        self.clipped_rec(root, range, clips, 0..clips.len(), &mut arena, out);
-    }
-
-    /// One node of the many-clip walk. `inherited` is the parent's
-    /// candidate slice of `arena`: the clips still undecided above here.
-    fn clipped_rec(
-        &self,
-        node_id: u32,
-        range: &Range,
-        clips: &[Rect],
-        inherited: std::ops::Range<usize>,
-        arena: &mut Vec<u32>,
-        out: &mut [Aggregate],
-    ) {
-        let node = &self.nodes[node_id as usize];
+    fn aggregate_clipped_rec(&self, id: u32, range: &Range, clip: &Rect, acc: &mut Aggregate) {
+        let node = &self.nodes[id as usize];
         let rel = range.relation(&node.mbr);
-        if rel == RectRelation::Disjoint {
+        if rel == RectRelation::Disjoint || !clip.intersects(&node.mbr) {
             return;
         }
-        let start = arena.len();
-        for k in inherited {
-            let c = arena[k];
-            let clip = &clips[c as usize];
-            if !clip.intersects(&node.mbr) {
-                continue;
-            }
-            // (range ∩ clip) covers the whole subtree: absorb it and stop
-            // carrying this clip; otherwise the children decide.
-            if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
-                out[c as usize].merge_in(&node.agg);
-            } else {
-                arena.push(c);
-            }
-        }
-        let end = arena.len();
-        if end == start {
-            return;
-        }
-        if self.is_leaf(node_id) {
+        if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
+            acc.merge_in(&node.agg);
+        } else if self.is_leaf(id) {
             for o in self.leaf_objects(node) {
-                if !range.contains_point(&o.location) {
-                    continue;
-                }
-                let agg = Aggregate::of(o);
-                for &c in &arena[start..end] {
-                    if clips[c as usize].contains_point(&o.location) {
-                        out[c as usize].merge_in(&agg);
-                    }
+                if range.contains_point(&o.location) && clip.contains_point(&o.location) {
+                    acc.merge_in(&Aggregate::of(o));
                 }
             }
         } else {
             for ci in node.run() {
-                self.clipped_rec(ci, range, clips, start..end, arena, out);
+                self.aggregate_clipped_rec(ci, range, clip, acc);
             }
         }
-        arena.truncate(start);
+    }
+
+    /// Alg. 3's per-cell contributions `res_i^k`: for each of `cells`,
+    /// the aggregate of that cell's objects (those [`GridSpec::cell_of`]
+    /// puts in it) inside `range`. Each answer is one scan of the cell's
+    /// run in layout order, so it depends neither on the other cells
+    /// asked for nor on how the nodes group the objects, and every object
+    /// counts in exactly one cell. A cell the tree holds nothing of, or
+    /// an id past the grid, answers [`Aggregate::ZERO`].
+    ///
+    /// # Panics
+    /// Panics on a tree packed without a grid: it has no cells.
+    pub fn aggregate_cells(&self, range: &Range, cells: &[CellId]) -> Vec<Aggregate> {
+        let directory = self
+            .cells
+            .as_ref()
+            .expect("only a tree packed along a grid has cells");
+        cells
+            .iter()
+            .map(|&id| {
+                directory
+                    .run(id)
+                    .map_or(Aggregate::ZERO, |run| scan(&self.objects[run], range))
+            })
+            .collect()
     }
 
     /// Collects the objects inside the range (for tests / exports).
@@ -481,14 +502,14 @@ impl RTree {
         self.nodes.len()
     }
 
-    /// Every indexed object, in leaf order: each leaf's objects are one
-    /// contiguous run (STR order — x-sorted slabs, each slab y-sorted).
-    /// This is the silo's canonical copy of its partition — callers that
-    /// need "all objects" (e.g. a grid rebuild) read it directly instead
-    /// of paying an O(n) inflated-MBR range query that also risks missing
-    /// boundary points.
+    /// Every indexed object, in layout order: each leaf's objects are one
+    /// contiguous run (STR order — x-sorted slabs, each slab y-sorted —
+    /// or, under a grid, cell by cell). This is the silo's canonical copy
+    /// of its partition — callers that need "all objects" (e.g. a grid
+    /// rebuild) read it directly instead of paying an O(n) inflated-MBR
+    /// range query that also risks missing boundary points.
     ///
-    /// A fold over this slice sums in leaf order. For integer measures
+    /// A fold over this slice sums in layout order. For integer measures
     /// every partial sum is exact, so the order never shows; for
     /// continuous measures a per-cell sum is a re-associated sum and may
     /// differ in the last ulp from a fold in any other order.
@@ -497,73 +518,179 @@ impl RTree {
     }
 }
 
+/// The aggregate of the objects of `run` inside `range`, folded in run
+/// order. The fold is branch-free: each object adds its moments or −0.0
+/// (the one float that changes no sum, −0.0 included), selected, never
+/// multiplied by a 0/1 mask, so a NaN or infinite measure outside the
+/// range cannot poison the sum. The bits are those of filtering, then
+/// merging.
+fn scan(run: &[SpatialObject], range: &Range) -> Aggregate {
+    match range {
+        Range::Circle(c) => scan_with(run, |p| c.contains_point(p)),
+        Range::Rect(r) => scan_with(run, |p| r.contains_point(p)),
+    }
+}
+
+#[inline(always)]
+fn scan_with(run: &[SpatialObject], inside: impl Fn(&Point) -> bool) -> Aggregate {
+    let mut acc = Aggregate::ZERO;
+    for o in run {
+        let (hit, m) = (inside(&o.location), o.measure);
+        acc.count += if hit { 1.0 } else { -0.0 };
+        acc.sum += if hit { m } else { -0.0 };
+        acc.sum_sqr += if hit { m * m } else { -0.0 };
+    }
+    acc
+}
+
 /// The cell key of an object no grid cell holds.
 pub(crate) const NO_CELL: u32 = u32::MAX;
 
-/// The key [`RTree::pack_x_sorted`] groups `o` by under `grid`: the cell
-/// holding it ([`GridSpec::cell_containing`]), or [`NO_CELL`].
+/// The key [`RTree::pack_x_sorted`] groups `o` by under `grid`: its cell
+/// ([`GridSpec::cell_of`]), or [`NO_CELL`].
 pub(crate) fn cell_key(grid: &GridSpec, o: &SpatialObject) -> u32 {
-    grid.cell_containing(&o.location).unwrap_or(NO_CELL)
+    grid.cell_of(&o.location).unwrap_or(NO_CELL)
 }
 
-/// Regroups x-sorted `objects`, keyed by `keys` ([`cell_key`]), in
-/// (cell, x) order: first every cell that owns its parents, then every
-/// other cell that owns its leaves, each set in cell order, then the
-/// shared rest, still by x. Returns the regrouped objects, the owning
-/// cells' run lengths in that order, and how many of those cells own
-/// their parents.
-fn by_cell(
-    objects: Vec<SpatialObject>,
-    keys: &[u32],
-    num_cells: usize,
-    m: usize,
-) -> (Vec<SpatialObject>, Vec<usize>, usize) {
-    if objects.len() < OWN_LEAVES_FANOUTS * m {
-        return (objects, Vec::new(), 0);
+/// Where cell `id` of `grid` falls in a grid packing's layout: its index
+/// along the Hilbert curve over the smallest power-of-two square holding
+/// the grid, so cells next to each other in the layout are next to each
+/// other in the plane. A grid more than 2¹⁶ cells on a side, whose curve
+/// index would not fit 32 bits, is laid out by cell id instead.
+fn layout_key(grid: &GridSpec, id: CellId) -> u32 {
+    let side = grid.nx().max(grid.ny());
+    if side > 1 << 16 {
+        return id;
     }
-    // slot[k] counts cell k's objects, then becomes where its next one
-    // goes (NO_CELL for a cell that owns no leaves).
-    let mut slot = vec![0u32; num_cells];
+    let n = side.next_power_of_two();
+    let (mut x, mut y) = grid.cell_coords(id);
+    let mut key = 0;
+    let mut s = n / 2;
+    while s > 0 {
+        let (rx, ry) = (u32::from(x & s != 0), u32::from(y & s != 0));
+        key += s * s * ((3 * rx) ^ ry);
+        if ry == 0 {
+            if rx == 1 {
+                (x, y) = (n - 1 - x, n - 1 - y);
+            }
+            (x, y) = (y, x);
+        }
+        s /= 2;
+    }
+    key
+}
+
+/// Where a grid packing's cell runs lie in its object array.
+#[derive(Debug, Clone)]
+struct CellDirectory {
+    grid: GridSpec,
+    /// `(layout key, first object)` of every non-empty cell: the cells
+    /// that own leaves, then the rest, each part by key. Within a part
+    /// the runs follow each other, so a run ends where the next begins.
+    entries: Vec<(u32, u32)>,
+    /// How many leading `entries` own leaves.
+    owning: u32,
+    /// The end of the last cell run; the objects of no cell follow.
+    end: u32,
+}
+
+impl CellDirectory {
+    /// The run of the object array holding cell `id`'s objects, or
+    /// `None` when the tree holds none.
+    fn run(&self, id: CellId) -> Option<std::ops::Range<usize>> {
+        if id as usize >= self.grid.num_cells() {
+            return None;
+        }
+        let key = layout_key(&self.grid, id);
+        let (own, shared) = self.entries.split_at(self.owning as usize);
+        let own_end = shared.first().map_or(self.end, |e| e.1);
+        [(own, own_end), (shared, self.end)]
+            .into_iter()
+            .find_map(|(part, end)| {
+                let i = part.binary_search_by_key(&key, |e| e.0).ok()?;
+                let end = part.get(i + 1).map_or(end, |e| e.1);
+                Some(part[i].1 as usize..end as usize)
+            })
+    }
+}
+
+/// A grid packing's object layout and the runs its leaves are cut from.
+struct CellLayout {
+    objects: Vec<SpatialObject>,
+    directory: CellDirectory,
+    /// In the order their leaves are cut: the cells that own their
+    /// parents, the other cells that own leaves, the small cells' shared
+    /// run, the run of no cell.
+    tiles: Vec<LeafTile>,
+    /// How many leading `tiles` own their parents.
+    with_parents: usize,
+}
+
+/// Lays x-sorted `objects`, keyed by `keys` ([`cell_key`]), out cell by
+/// cell: first every cell that owns leaves, then every smaller cell, each
+/// part in [`layout_key`] order, then the objects of no cell. Each cell's
+/// objects keep their x order.
+fn lay_out(objects: Vec<SpatialObject>, keys: &[u32], grid: &GridSpec, m: usize) -> CellLayout {
+    let owns_leaves = |count: u32| count as usize >= OWN_LEAVES_FANOUTS * m;
+    // slot[c] counts cell c's objects, then becomes where its next one goes.
+    let mut slot = vec![0u32; grid.num_cells()];
     for &k in keys.iter().filter(|&&k| k != NO_CELL) {
         slot[k as usize] += 1;
     }
-    let owns_leaves = |c: u32| c as usize >= OWN_LEAVES_FANOUTS * m;
-    let owns_parents = |c: u32| owns_leaves(c) && (c as usize).div_ceil(m) >= OWN_PARENTS_LEAVES;
-    let mut leaves_at: u32 = slot.iter().filter(|&&c| owns_parents(c)).sum();
-    let mut parents_at = 0;
-    let (mut cells, mut leaves_only) = (Vec::new(), Vec::new());
-    for c in &mut slot {
-        let n = *c;
-        let at = if owns_parents(n) {
-            cells.push(n as usize);
-            &mut parents_at
-        } else if owns_leaves(n) {
-            leaves_only.push(n as usize);
-            &mut leaves_at
-        } else {
-            *c = NO_CELL;
-            continue;
-        };
-        *c = *at;
-        *at += n;
+    let mut cells: Vec<(u32, CellId)> = (0..grid.num_cells() as CellId)
+        .filter(|&id| slot[id as usize] > 0)
+        .map(|id| (layout_key(grid, id), id))
+        .collect();
+    cells.sort_unstable_by_key(|&(key, id)| (!owns_leaves(slot[id as usize]), key));
+    let owning = cells.partition_point(|&(_, id)| owns_leaves(slot[id as usize]));
+    let mut entries = Vec::with_capacity(cells.len());
+    let (mut tiles, mut leaves_only) = (Vec::new(), Vec::new());
+    let mut at = 0;
+    for (i, &(key, id)) in cells.iter().enumerate() {
+        let count = slot[id as usize] as usize;
+        entries.push((key, at as u32));
+        if i < owning {
+            let tile = LeafTile::str(at, count, m, true);
+            if tile.tile.parents >= OWN_PARENTS_LEAVES {
+                tiles.push(tile);
+            } else {
+                leaves_only.push(tile);
+            }
+        }
+        slot[id as usize] = at as u32;
+        at += count;
     }
-    if cells.is_empty() && leaves_only.is_empty() {
-        return (objects, Vec::new(), 0);
+    let with_parents = tiles.len();
+    tiles.extend(leaves_only);
+    let shared = entries.get(owning).map_or(at, |e| e.1 as usize);
+    if at > shared {
+        tiles.push(LeafTile::cut(shared, at - shared, m));
     }
-    let with_parents = cells.len();
-    cells.extend(leaves_only);
-    let mut shared = leaves_at;
-    let mut grouped = vec![objects[0]; objects.len()];
+    if objects.len() > at {
+        tiles.push(LeafTile::str(at, objects.len() - at, m, false));
+    }
+    let directory = CellDirectory {
+        grid: *grid,
+        entries,
+        owning: owning as u32,
+        end: at as u32,
+    };
+    let mut grouped = objects.clone();
+    let mut no_cell = at as u32;
     for (o, &k) in objects.iter().zip(keys) {
         let at = match k {
-            NO_CELL => &mut shared,
-            k if slot[k as usize] == NO_CELL => &mut shared,
+            NO_CELL => &mut no_cell,
             k => &mut slot[k as usize],
         };
         grouped[*at as usize] = *o;
         *at += 1;
     }
-    (grouped, cells, with_parents)
+    CellLayout {
+        objects: grouped,
+        directory,
+        tiles,
+        with_parents,
+    }
 }
 
 /// Cuts one level of `nodes`, the run from `start` split as `tiles`
@@ -621,6 +748,9 @@ impl IndexMemory for RTree {
         std::mem::size_of::<Self>()
             + self.objects.capacity() * std::mem::size_of::<SpatialObject>()
             + self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.cells.as_ref().map_or(0, |d| {
+                d.entries.capacity() * std::mem::size_of::<(u32, u32)>()
+            })
     }
 }
 
@@ -774,39 +904,6 @@ mod tests {
         assert!((acc.sum - whole.sum).abs() < 1e-9);
     }
 
-    impl RTree {
-        /// The per-clip descent `aggregate_clipped_many` replaced, kept as
-        /// the bit-level oracle: one root-to-leaf walk for one clip.
-        pub(crate) fn per_clip_reference(&self, range: &Range, clip: &Rect) -> Aggregate {
-            let mut acc = Aggregate::ZERO;
-            if let Some(root) = self.root() {
-                self.per_clip_reference_rec(root, range, clip, &mut acc);
-            }
-            acc
-        }
-
-        fn per_clip_reference_rec(&self, id: u32, range: &Range, clip: &Rect, acc: &mut Aggregate) {
-            let node = &self.nodes[id as usize];
-            let rel = range.relation(&node.mbr);
-            if rel == RectRelation::Disjoint || !clip.intersects(&node.mbr) {
-                return;
-            }
-            if rel == RectRelation::Contained && clip.contains_rect(&node.mbr) {
-                acc.merge_in(&node.agg);
-            } else if self.is_leaf(id) {
-                for o in self.leaf_objects(node) {
-                    if range.contains_point(&o.location) && clip.contains_point(&o.location) {
-                        acc.merge_in(&Aggregate::of(o));
-                    }
-                }
-            } else {
-                for ci in node.run() {
-                    self.per_clip_reference_rec(ci, range, clip, acc);
-                }
-            }
-        }
-    }
-
     fn bits(a: &Aggregate) -> (u64, u64, u64) {
         (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits())
     }
@@ -831,78 +928,32 @@ mod tests {
     }
 
     #[test]
-    fn many_clip_walk_is_bit_identical_to_the_per_clip_descent() {
-        let objs = edge_heavy_objects(6000);
-        let t = RTree::from_objects(&objs);
-        // Every cell of the 10×10 grid, then the awkward riders: a
-        // duplicate, a clip covering the whole tree, one far outside it,
-        // one overlapping its neighbors, a degenerate line and EMPTY.
-        let cell = |ix: usize, iy: usize| {
-            Rect::new(
-                Point::new(ix as f64 * 10.0, iy as f64 * 10.0),
-                Point::new((ix + 1) as f64 * 10.0, (iy + 1) as f64 * 10.0),
-            )
-        };
-        let mut clips: Vec<Rect> = (0..100).map(|i| cell(i % 10, i / 10)).collect();
-        clips.push(cell(4, 4));
-        clips.push(Rect::new(Point::new(-5.0, -5.0), Point::new(105.0, 105.0)));
-        clips.push(Rect::new(
-            Point::new(500.0, 500.0),
-            Point::new(510.0, 510.0),
-        ));
-        clips.push(Rect::new(Point::new(35.0, 35.0), Point::new(65.0, 65.0)));
-        clips.push(Rect::new(Point::new(50.0, 0.0), Point::new(50.0, 100.0)));
-        clips.push(Rect::EMPTY);
-        let ranges = [
-            Range::circle(Point::new(50.0, 50.0), 23.0),
-            Range::circle(Point::new(0.0, 100.0), 40.0),
-            Range::circle(Point::new(50.0, 50.0), 500.0),
-            Range::circle(Point::new(-80.0, -80.0), 3.0),
-            Range::rect(Point::new(20.0, 30.0), Point::new(70.0, 60.0)),
-            Range::rect(Point::new(12.5, 0.0), Point::new(13.5, 100.0)),
-        ];
-        for range in &ranges {
-            let got = t.aggregate_clipped_many(range, &clips);
-            assert_eq!(got.len(), clips.len());
-            for (i, clip) in clips.iter().enumerate() {
-                let want = t.per_clip_reference(range, clip);
-                assert_eq!(bits(&got[i]), bits(&want), "{range}, clip {i} {clip}");
-                assert_eq!(
-                    bits(&t.aggregate_clipped(range, clip)),
-                    bits(&want),
-                    "one-clip call, {range}, clip {i}"
-                );
-            }
-            // A clip's answer does not depend on who rides along.
-            let ring = &clips[33..49];
-            let alone = t.aggregate_clipped_many(range, ring);
-            for (k, a) in alone.iter().enumerate() {
-                assert_eq!(bits(a), bits(&got[33 + k]), "{range}, ring clip {k}");
-            }
-            assert!(t.aggregate_clipped_many(range, &[]).is_empty());
-        }
-        // The edge share is real: a lattice point counts in all four
-        // closed cells around it.
-        let everything = Range::circle(Point::new(50.0, 50.0), 500.0);
-        let per_cell: f64 = t
-            .aggregate_clipped_many(&everything, &clips[..100])
-            .iter()
-            .map(|a| a.count)
-            .sum();
-        assert!(per_cell > t.total().count, "{per_cell}");
+    fn an_empty_tree_answers_zero_per_cell_and_per_clip() {
+        let q = Range::circle(Point::new(0.0, 0.0), 1.0);
+        let clip = Rect::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
+        let packed = RTree::bulk_load_with(
+            Vec::new(),
+            RTreeConfig::default(),
+            Some(&ten_grid()),
+            &WorkerPool::sequential(),
+        );
+        assert_eq!(
+            packed.aggregate_cells(&q, &[0, 0, 99, 100]),
+            vec![Aggregate::ZERO; 4]
+        );
+        assert!(packed.aggregate_cells(&q, &[]).is_empty());
+        assert_eq!(packed.aggregate_clipped(&q, &clip), Aggregate::ZERO);
+        assert_eq!(
+            RTree::from_objects(&[]).aggregate_clipped(&q, &clip),
+            Aggregate::ZERO
+        );
     }
 
     #[test]
-    fn many_clip_walk_on_an_empty_tree_answers_zero_per_clip() {
-        let t = RTree::from_objects(&[]);
-        let q = Range::circle(Point::new(0.0, 0.0), 1.0);
-        let clip = Rect::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
-        assert_eq!(
-            t.aggregate_clipped_many(&q, &[clip, clip]),
-            vec![Aggregate::ZERO; 2]
-        );
-        assert!(t.aggregate_clipped_many(&q, &[]).is_empty());
-        assert_eq!(t.aggregate_clipped(&q, &clip), Aggregate::ZERO);
+    #[should_panic(expected = "only a tree packed along a grid has cells")]
+    fn a_tree_packed_without_a_grid_has_no_cells() {
+        let t = RTree::from_objects(&grid_objects(10));
+        t.aggregate_cells(&Range::circle(Point::new(0.0, 0.0), 1.0), &[0]);
     }
 
     #[test]
@@ -1145,10 +1196,6 @@ mod tests {
                     keys.iter().all(|&other| other == k),
                     "{what}: leaf {id} mixes cells"
                 );
-                assert!(
-                    spec.cell_rect_of(k).contains_rect(&leaf.mbr),
-                    "{what}: leaf {id}"
-                );
                 leaf_cell[id] = Some(k);
                 leaves_of[k as usize] += 1;
             }
@@ -1199,16 +1246,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_packed_many_clip_walk_is_bit_identical_to_the_per_clip_descent() {
+    fn a_grid_packing_lays_each_cell_out_as_one_run_its_directory_finds() {
         let spec = ten_grid();
         let objs = grid_packing_objects();
-        let mut clips: Vec<Rect> = (0..100).map(|id| spec.cell_rect_of(id)).collect();
-        clips.push(spec.cell_rect_of(37));
-        clips.push(Rect::new(Point::new(-50.0, -5.0), Point::new(140.0, 105.0)));
-        clips.push(Rect::new(Point::new(101.0, 0.0), Point::new(131.0, 10.0)));
-        clips.push(Rect::new(Point::new(35.0, 35.0), Point::new(65.0, 65.0)));
-        clips.push(Rect::new(Point::new(20.0, 0.0), Point::new(20.0, 100.0)));
-        clips.push(Rect::EMPTY);
         let ranges = [
             Range::circle(Point::new(35.0, 75.0), 4.0),
             Range::circle(Point::new(50.0, 50.0), 23.0),
@@ -1216,36 +1256,120 @@ mod tests {
             Range::circle(Point::new(50.0, 50.0), 500.0),
             Range::circle(Point::new(110.0, 5.0), 9.0),
             Range::rect(Point::new(20.0, 30.0), Point::new(70.0, 80.0)),
-            Range::rect(Point::new(33.5, 0.0), Point::new(34.5, 100.0)),
+            Range::rect(Point::new(-8.0, 0.0), Point::new(0.0, 100.0)),
         ];
-        // Aligned with the clips, unaligned (another L), and a second
-        // fanout.
+        // Aligned with the lattice the objects sit on, unaligned (another
+        // L), and a second fanout.
         let other = GridSpec::new(spec.bounds(), 7.0);
         for (grid, fanout) in [(&spec, 16), (&other, 16), (&spec, 5)] {
+            let what = format!("L {}, fanout {fanout}", grid.cell_len());
             let t = RTree::bulk_load_with(
                 objs.clone(),
                 RTreeConfig::with_fanout(fanout),
                 Some(grid),
                 &WorkerPool::new(2),
             );
-            for range in &ranges {
-                let got = t.aggregate_clipped_many(range, &clips);
-                for (i, clip) in clips.iter().enumerate() {
-                    let want = t.per_clip_reference(range, clip);
+            assert_packed(&t, fanout, &what);
+            let dir = t.cells.as_ref().expect("a directory");
+            let mut count = vec![0usize; grid.num_cells()];
+            let mut no_cell = 0;
+            for o in &objs {
+                match grid.cell_of(&o.location) {
+                    Some(id) => count[id as usize] += 1,
+                    None => no_cell += 1,
+                }
+            }
+            assert!(
+                no_cell > 0 && count[0] > 0,
+                "{what}: the data leaves the grid"
+            );
+            // Sorted and complete: one entry per non-empty cell, the
+            // leaf-owning ones first, each part by key, each run starting
+            // where the one before it ends.
+            let owns = |c: usize| c >= OWN_LEAVES_FANOUTS * fanout;
+            let non_empty = count.iter().filter(|&&c| c > 0).count();
+            assert_eq!(dir.entries.len(), non_empty, "{what}");
+            assert_eq!(
+                dir.owning as usize,
+                count.iter().filter(|&&c| owns(c)).count()
+            );
+            let (own, shared) = dir.entries.split_at(dir.owning as usize);
+            for part in [own, shared] {
+                assert!(part.windows(2).all(|w| w[0].0 < w[1].0), "{what}: sorted");
+            }
+            // Each cell is one run, holding exactly the cell's objects.
+            let mut at = 0;
+            let mut ids: Vec<CellId> = (0..grid.num_cells() as CellId)
+                .filter(|&id| count[id as usize] > 0)
+                .collect();
+            ids.sort_by_key(|&id| (!owns(count[id as usize]), layout_key(grid, id)));
+            for &id in &ids {
+                let run = dir.run(id).expect("a non-empty cell has a run");
+                assert_eq!(run, at..at + count[id as usize], "{what}: cell {id}");
+                let keys = t.objects[run.clone()].iter().map(|o| cell_key(grid, o));
+                assert!(keys.into_iter().all(|k| k == id), "{what}: cell {id}");
+                at = run.end;
+            }
+            assert_eq!(dir.end as usize, at, "{what}");
+            // Out-of-grid objects are in no cell's run: they close the order.
+            assert_eq!(t.len() - at, no_cell, "{what}");
+            assert!(t.objects[at..].iter().all(|o| cell_key(grid, o) == NO_CELL));
+            for id in (0..grid.num_cells() as CellId).filter(|&id| count[id as usize] == 0) {
+                assert_eq!(dir.run(id), None, "{what}: empty cell {id}");
+            }
+            // A leaf of a leaf-owning cell holds that cell's objects only.
+            for (id, leaf) in t.nodes[..t.leaves as usize].iter().enumerate() {
+                let run = leaf.first as usize..(leaf.first + leaf.len) as usize;
+                if let Some(&(_, start)) = own.iter().find(|e| run.contains(&(e.1 as usize))) {
                     assert_eq!(
-                        bits(&got[i]),
-                        bits(&want),
-                        "L {}, {range}, clip {i}",
-                        grid.cell_len()
+                        run.start, start as usize,
+                        "{what}: leaf {id} starts its cell"
                     );
                 }
-                let brute = objs
+                let keys: Vec<u32> = t.objects[run].iter().map(|o| cell_key(grid, o)).collect();
+                if keys
                     .iter()
-                    .filter(|o| range.contains_point(&o.location))
-                    .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
-                let whole = t.aggregate(range);
-                assert_eq!(whole.count, brute.count, "L {}, {range}", grid.cell_len());
-                assert!((whole.sum - brute.sum).abs() < 1e-9 * (1.0 + brute.sum.abs()));
+                    .any(|&k| k != NO_CELL && owns(count[k as usize]))
+                {
+                    assert!(keys.iter().all(|&k| k == keys[0]), "{what}: leaf {id}");
+                }
+            }
+            // The leaf count stays within 1 % of the packing before cell
+            // runs: ⌈c / m⌉ leaves per leaf-owning cell, plain STR for the
+            // rest.
+            let owned: usize = count
+                .iter()
+                .filter(|&&c| owns(c))
+                .map(|c| c.div_ceil(fanout))
+                .sum();
+            let rest = t.len() - count.iter().filter(|&&c| owns(c)).sum::<usize>();
+            let before = owned + str_tiling(rest, fanout, false).1;
+            let ratio = t.leaves as f64 / before as f64;
+            assert!(
+                (0.99..=1.01).contains(&ratio),
+                "{what}: {} vs {before} leaves",
+                t.leaves
+            );
+            // Per cell: the scan of its run, bit for bit, over exactly the
+            // objects `cell_of` puts there.
+            let cells: Vec<CellId> = (0..grid.num_cells() as CellId + 2).collect();
+            for range in &ranges {
+                let got = t.aggregate_cells(range, &cells);
+                for (&id, got) in cells.iter().zip(&got) {
+                    let want = t
+                        .objects()
+                        .iter()
+                        .filter(|o| grid.cell_of(&o.location) == Some(id))
+                        .filter(|o| range.contains_point(&o.location))
+                        .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
+                    assert_eq!(bits(got), bits(&want), "{what}, {range}, cell {id}");
+                }
+                let inside = objs.iter().filter(|o| range.contains_point(&o.location));
+                let celled = inside
+                    .filter(|o| grid.cell_of(&o.location).is_some())
+                    .count();
+                let counted: f64 = got.iter().map(|a| a.count).sum();
+                assert_eq!(counted, celled as f64, "{what}, {range}: each object once");
             }
         }
     }
@@ -1271,6 +1395,12 @@ mod tests {
             );
             assert_eq!(seq.objects(), par.objects(), "{threads} threads");
             assert_eq!(runs(&seq), runs(&par), "{threads} threads");
+            let entries = |t: &RTree| {
+                t.cells
+                    .as_ref()
+                    .map(|d| (d.entries.clone(), d.owning, d.end))
+            };
+            assert_eq!(entries(&seq), entries(&par), "{threads} threads");
             assert_eq!(seq.height(), par.height());
         }
         // An empty grid packing and a one-object one are the plain trees.

@@ -128,8 +128,9 @@ proptest! {
         prop_assert_eq!(packed.len(), plain.len());
         prop_assert_eq!(bits(&packed.total()), bits(&plain.total()));
         prop_assert_eq!(bits(&packed.aggregate(&q)), bits(&plain.aggregate(&q)));
-        let (a, b) = (packed.aggregate_clipped_many(&q, &clips), plain.aggregate_clipped_many(&q, &clips));
-        prop_assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
+        for clip in &clips {
+            prop_assert_eq!(bits(&packed.aggregate_clipped(&q, clip)), bits(&plain.aggregate_clipped(&q, clip)));
+        }
 
         let rng = StdRng::seed_from_u64(seed);
         let plain = LsrForest::build(&objs, config, &mut rng.clone());
@@ -137,11 +138,10 @@ proptest! {
         prop_assert_eq!(packed.num_levels(), plain.num_levels());
         for l in 0..plain.num_levels() {
             prop_assert_eq!(bits(&packed.query_at_level(&q, l)), bits(&plain.query_at_level(&q, l)));
-            let (a, b) = (
-                packed.query_clipped_many_at_level(&q, &clips, l),
-                plain.query_clipped_many_at_level(&q, &clips, l),
-            );
-            prop_assert_eq!(a.iter().map(bits).collect::<Vec<_>>(), b.iter().map(bits).collect::<Vec<_>>());
+            for clip in &clips {
+                let (a, b) = (packed.query_clipped_at_level(&q, clip, l), plain.query_clipped_at_level(&q, clip, l));
+                prop_assert_eq!(bits(&a), bits(&b));
+            }
         }
     }
 
@@ -160,49 +160,55 @@ proptest! {
     }
 
     #[test]
-    fn clipped_many_matches_filter_per_clip(objs in objects(), q in query(),
-                                            fanout in 2usize..32, seed in any::<u64>()) {
-        // Every third object snaps to the 8-unit lattice, so cell edges
-        // and corners carry data; the clip set is every closed cell of
-        // that grid plus a duplicate, the whole tree and a far-off cell.
-        let objs: Vec<SpatialObject> = objs.into_iter().enumerate().map(|(i, o)| {
-            if i % 3 == 0 {
-                SpatialObject::at((o.location.x / 8.0).round() * 8.0,
-                                  (o.location.y / 8.0).round() * 8.0, o.measure)
-            } else {
-                o
-            }
-        }).collect();
-        let spec = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(SIDE, SIDE)), 8.0);
-        let mut clips: Vec<Rect> = (0..spec.num_cells() as u32).map(|id| spec.cell_rect_of(id)).collect();
-        clips.push(clips[9]);
-        clips.push(Rect::new(Point::new(-1.0, -1.0), Point::new(SIDE + 1.0, SIDE + 1.0)));
-        clips.push(Rect::new(Point::new(4.0 * SIDE, 4.0 * SIDE), Point::new(5.0 * SIDE, 5.0 * SIDE)));
-        let filter = |level: &[SpatialObject], clip: &Rect| level.iter()
-            .filter(|o| q.contains_point(&o.location) && clip.contains_point(&o.location))
-            .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
-
-        let tree = RTree::bulk_load(objs.clone(), RTreeConfig::with_fanout(fanout));
-        let got = tree.aggregate_clipped_many(&q, &clips);
-        prop_assert_eq!(got.len(), clips.len());
-        for (clip, got) in clips.iter().zip(&got) {
-            let want = filter(&objs, clip);
-            prop_assert_eq!(got.count, want.count);
-            prop_assert!(close(got.sum, want.sum));
+    fn cell_answers_match_the_membership_filter(objs in objects(), q in query(), fanout in 2usize..12,
+                                                cell in 2.0f64..16.0, seed in any::<u64>(),
+                                                threads in prop_oneof![Just(1usize), Just(4)]) {
+        // The packing grid covers [0, 48]² with a non-dyadic L. A sixth of
+        // the objects sit on its cell edges and corners, a sixth repeat the
+        // object before them, a sixth crowd into one cell, and a sixth
+        // move up to 24 units past the grid (some clamp into its outer
+        // cells, some fall off it).
+        let mut objs = objs;
+        for i in 0..objs.len() {
+            let (x, y, m) = (objs[i].location.x, objs[i].location.y, objs[i].measure);
+            objs[i] = match i % 6 {
+                0 => SpatialObject::at((x / cell).round() * cell, (y / cell).round() * cell, m),
+                1 if i > 0 => SpatialObject::at(objs[i - 1].location.x, objs[i - 1].location.y, m),
+                2 => SpatialObject::at(20.0 + x / 32.0, 30.0 + y / 32.0, m),
+                3 => SpatialObject::at(x * 0.375 + 48.0, y - 8.0, m),
+                _ => objs[i],
+            };
         }
-        prop_assert!(tree.aggregate_clipped_many(&q, &[]).is_empty());
+        let grid = GridSpec::new(Rect::new(Point::new(0.0, 0.0), Point::new(48.0, 48.0)), cell);
+        // Every cell and one id past the grid.
+        let cells: Vec<u32> = (0..=grid.num_cells() as u32).collect();
+        let in_cell = |level: &[SpatialObject], id: u32| level.iter()
+            .filter(|o| grid.cell_of(&o.location) == Some(id) && q.contains_point(&o.location))
+            .fold(Aggregate::ZERO, |a, o| a.merge(&Aggregate::of(o)));
+        let config = RTreeConfig::with_fanout(fanout);
+        let pool = WorkerPool::new(threads);
+        let tree = RTree::bulk_load_with(objs.clone(), config, Some(&grid), &pool);
+        let got = tree.aggregate_cells(&q, &cells);
+        prop_assert_eq!(got.len(), cells.len());
+        for (&id, got) in cells.iter().zip(&got) {
+            // Bit for bit in the tree's layout order; the same objects as
+            // the input's own filter.
+            prop_assert_eq!(bits(got), bits(&in_cell(tree.objects(), id)), "cell {}", id);
+            let want = in_cell(&objs, id);
+            prop_assert_eq!(got.count, want.count);
+            prop_assert!(close(got.sum, want.sum) && close(got.sum_sqr, want.sum_sqr));
+        }
+        let on_grid = brute(&objs.iter().copied().filter(|o| grid.cell_of(&o.location).is_some()).collect::<Vec<_>>(), &q);
+        prop_assert_eq!(got.iter().map(|a| a.count).sum::<f64>(), on_grid.count, "each object once");
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let forest = LsrForest::build(&objs, RTreeConfig::with_fanout(fanout), &mut rng);
+        let forest = LsrForest::build_with(&objs, config, Some(&grid), &mut rng, &pool);
         for l in 0..forest.num_levels() {
-            let level = forest.level(l).unwrap();
+            let level = forest.level(l).unwrap().objects();
             let scale = (1u64 << l) as f64;
-            let got = forest.query_clipped_many_at_level(&q, &clips, l);
-            prop_assert_eq!(got.len(), clips.len());
-            for (clip, got) in clips.iter().zip(&got) {
-                let want = filter(level.objects(), clip).scale(scale);
-                prop_assert_eq!(got.count, want.count);
-                prop_assert!(close(got.sum, want.sum));
+            let got = forest.query_cells_at_level(&q, &cells, l);
+            for (&id, got) in cells.iter().zip(&got) {
+                prop_assert_eq!(bits(got), bits(&in_cell(level, id).scale(scale)), "level {}, cell {}", l, id);
             }
         }
     }
@@ -356,7 +362,7 @@ fn fnv_fold(hash: &mut u64, a: &Aggregate) {
 }
 
 /// Every answer a tree and its forest give over `probes`, hashed in
-/// probe order: `aggregate`, `aggregate_clipped_many` over nine closed
+/// probe order: `aggregate`, `aggregate_clipped` over each of nine closed
 /// lattice cells around the probe (edges shared), then
 /// `LsrForest::query_at_level` at every level.
 fn answer_hash(objs: &[SpatialObject], fanout: usize, probes: &[Range]) -> u64 {
@@ -377,8 +383,8 @@ fn answer_hash(objs: &[SpatialObject], fanout: usize, probes: &[Range]) -> u64 {
                 Rect::new(Point::new(x, y), Point::new(x + 8.0, y + 8.0))
             })
             .collect();
-        for a in tree.aggregate_clipped_many(q, &clips) {
-            fnv_fold(&mut hash, &a);
+        for clip in &clips {
+            fnv_fold(&mut hash, &tree.aggregate_clipped(q, clip));
         }
         for l in 0..forest.num_levels() {
             fnv_fold(&mut hash, &forest.query_at_level(q, l));
