@@ -113,3 +113,33 @@ fn lsr_forests_reproduce_per_seed() {
     };
     assert_eq!(ask(&f1), ask(&f2));
 }
+
+/// FNV-1a over the `to_bits` of every coordinate and measure, in order.
+fn fingerprint(objects: &[SpatialObject]) -> u64 {
+    objects
+        .iter()
+        .flat_map(|o| [o.location.x, o.location.y, o.measure])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn datasets_match_their_pinned_fingerprints() {
+    // The two generations above come from one build; these pinned values
+    // catch a dataset that drifts between commits (a changed sampler, a
+    // reordered draw) before any answer it feeds can.
+    let small = WorkloadSpec::small().with_seed(7).generate();
+    assert_eq!(small.len(), 30_000);
+    assert_eq!(fingerprint(&small.all_objects()), 0x7cc1_d025_ecbf_d10c);
+
+    use fedra::workload::{CityModel, MeasureModel};
+    use rand::{rngs::StdRng, SeedableRng};
+    let model = CityModel::beijing().with_measure(MeasureModel::Speed);
+    let weights = model.company_weights(1, 3, 4.0);
+    let mut rng = StdRng::seed_from_u64(7);
+    let speed: Vec<SpatialObject> = (0..5_000)
+        .map(|_| model.sample(&weights, &mut rng))
+        .collect();
+    assert_eq!(fingerprint(&speed), 0x1bac_9763_8e27_7a0c);
+}
