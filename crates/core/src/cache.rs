@@ -21,10 +21,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use fedra_federation::Federation;
 use fedra_geo::Range;
@@ -256,7 +254,10 @@ impl<A: FraAlgorithm> AnswerCache<A> {
 
     /// Current number of live entries.
     pub fn len(&self) -> usize {
-        self.state.read().len()
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether the cache holds no entries.
@@ -266,7 +267,10 @@ impl<A: FraAlgorithm> AnswerCache<A> {
 
     /// Drops every entry (e.g. after a known fleet update).
     pub fn invalidate_all(&self) {
-        self.state.write().clear();
+        self.state
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Inserts an entry, evicting the LRU entry first when at capacity.
@@ -322,7 +326,7 @@ impl<A: FraAlgorithm> FraAlgorithm for AnswerCache<A> {
         // refreshed through the entry's atomic — so concurrent hits never
         // serialize on each other.
         {
-            let state = self.state.read();
+            let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(entry) = state.get(&key) {
                 if now.duration_since(entry.inserted) > self.config.ttl {
                     // Expiry is lazy: counted at detection, but the stale
@@ -347,7 +351,7 @@ impl<A: FraAlgorithm> FraAlgorithm for AnswerCache<A> {
         // No lock is held across the (slow) federated query.
         let result = self.inner.try_execute_with(federation, query, obs)?;
 
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         self.insert_bounded(
             &mut state,
             key,

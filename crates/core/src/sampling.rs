@@ -41,7 +41,8 @@
 //! silo answered first. The `ablations` bench sweeps `k` to show the
 //! accuracy/communication trade-off.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -126,7 +127,7 @@ impl Sampler {
     /// Shuffles candidate silos into a random visiting order (uniform
     /// first choice; the tail is the resampling fallback order).
     fn visiting_order(&self, mut candidates: Vec<SiloId>) -> Vec<SiloId> {
-        candidates.shuffle(&mut *self.rng.lock());
+        candidates.shuffle(&mut *self.rng.lock().unwrap_or_else(PoisonError::into_inner));
         candidates
     }
 }

@@ -40,9 +40,9 @@
 //! [`HealthConfig::breaker_enabled`] via
 //! [`crate::FederationBuilder::health_config`].
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -212,7 +212,7 @@ impl HealthTracker {
         let Some(slot) = self.silos.get(silo) else {
             return HealthTransition::None;
         };
-        let mut state = slot.lock();
+        let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
         state.successes_total += 1;
         state.consecutive_failures = 0;
         let us = latency.as_secs_f64() * 1e6;
@@ -236,7 +236,7 @@ impl HealthTracker {
         let Some(slot) = self.silos.get(silo) else {
             return HealthTransition::None;
         };
-        let mut state = slot.lock();
+        let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
         state.failures_total += 1;
         state.consecutive_failures = state.consecutive_failures.saturating_add(1);
         if !self.config.breaker_enabled {
@@ -271,7 +271,7 @@ impl HealthTracker {
         let Some(slot) = self.silos.get(silo) else {
             return true;
         };
-        let mut state = slot.lock();
+        let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
         match state.state {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => {
@@ -285,7 +285,12 @@ impl HealthTracker {
                 false
             }
             BreakerState::Open => {
-                let admit = self.rng.lock().random::<f64>() < self.config.probe_probability;
+                let admit = self
+                    .rng
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .random::<f64>()
+                    < self.config.probe_probability;
                 if admit {
                     state.state = BreakerState::HalfOpen;
                     state.probe_idle_checks = 0;
@@ -315,7 +320,7 @@ impl HealthTracker {
     pub fn state(&self, silo: SiloId) -> BreakerState {
         self.silos
             .get(silo)
-            .map(|slot| slot.lock().state)
+            .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).state)
             .unwrap_or(BreakerState::Closed)
     }
 
@@ -333,7 +338,7 @@ impl HealthTracker {
             .iter()
             .enumerate()
             .map(|(silo, slot)| {
-                let state = slot.lock();
+                let state = slot.lock().unwrap_or_else(PoisonError::into_inner);
                 SiloHealthSnapshot {
                     silo,
                     state: state.state,

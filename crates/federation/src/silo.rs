@@ -26,7 +26,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ pub struct Silo {
     num_objects: usize,
     /// The partition until `Setup` indexes it; emptied then, since `T_0`
     /// holds the canonical copy. The lock serializes setups.
-    partition: parking_lot::Mutex<Vec<SpatialObject>>,
+    partition: Mutex<Vec<SpatialObject>>,
     indexes: OnceLock<Indexes>,
     /// Scoped worker pool for index builds only; every request, batched
     /// or lone, is served on the thread that called [`Silo::handle`].
@@ -252,7 +252,7 @@ impl Silo {
         Self {
             id,
             num_objects: objects.len(),
-            partition: parking_lot::Mutex::new(objects),
+            partition: Mutex::new(objects),
             indexes: OnceLock::new(),
             metrics: SiloMetrics::new(id, &pool),
             pool,
@@ -430,7 +430,10 @@ impl Silo {
     /// bytes: [`SiloSpec`]'s decoder refuses it.
     pub(crate) fn setup(&self, spec: SiloSpec) -> Result<&Indexes, String> {
         let grid = GridSpec::new(spec.bounds, spec.cell_len);
-        let mut partition = self.partition.lock();
+        let mut partition = self
+            .partition
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(indexes) = self.indexes.get() {
             if indexes.spec != spec {
                 return Err(format!(
@@ -1507,6 +1510,20 @@ mod tests {
             );
         }
         assert_eq!(s.handle(Request::BuildGrid { return_cells: true }), built);
+    }
+
+    #[test]
+    fn a_panic_holding_the_partition_lock_does_not_wedge_setup() {
+        // A handler that panics with the partition locked poisons the
+        // lock; the next setup recovers the partition and proceeds.
+        let s = Silo::new(36, objects(300), 0);
+        let held = catch_unwind(AssertUnwindSafe(|| {
+            let _partition = s.partition.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("a handler panics mid-setup");
+        }));
+        assert!(held.is_err() && s.partition.is_poisoned());
+        let set_up = s.handle(Request::Setup(spec(36)));
+        assert!(matches!(set_up, Response::Memory(_)), "{set_up:?}");
     }
 
     #[test]

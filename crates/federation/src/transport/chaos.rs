@@ -37,11 +37,9 @@
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use super::socket::{
     read_reply_frame, read_request_frame, write_reply_frame, write_request_frame, SiloAddr,
@@ -93,12 +91,21 @@ struct Inner {
 
 impl Inner {
     fn partitioned(&self) -> bool {
-        matches!(*self.partition_until.lock(), Some(t) if Instant::now() < t)
+        let until = *self
+            .partition_until
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        matches!(until, Some(t) if Instant::now() < t)
     }
 
     /// Severs the current client connection (if any).
     fn drop_client(&self) {
-        if let Some(conn) = self.client.lock().take() {
+        if let Some(conn) = self
+            .client
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -165,7 +172,11 @@ impl ChaosProxy {
     /// is severed, new connections are accepted-then-severed, and replies
     /// arriving from upstream are dropped until the deadline passes.
     pub fn partition_for(&self, duration: Duration) {
-        *self.inner.partition_until.lock() = Some(Instant::now() + duration);
+        *self
+            .inner
+            .partition_until
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now() + duration);
         self.inner.drop_client();
     }
 
@@ -198,10 +209,22 @@ impl ChaosProxy {
     /// Stops the proxy: severs both sides and joins the pump threads.
     pub fn stop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        if let Some(conn) = self.inner.upstream.lock().take() {
+        if let Some(conn) = self
+            .inner
+            .upstream
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             conn.shutdown();
         }
-        if let Some(conn) = self.inner.client.lock().take() {
+        if let Some(conn) = self
+            .inner
+            .client
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         for thread in self.threads.drain(..) {
@@ -241,7 +264,12 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                     Ok(w) => w,
                     Err(_) => continue,
                 };
-                if let Some(old) = inner.client.lock().replace(write_half) {
+                if let Some(old) = inner
+                    .client
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .replace(write_half)
+                {
                     let _ = old.shutdown(std::net::Shutdown::Both);
                 }
                 let inner = Arc::clone(&inner);
@@ -281,7 +309,10 @@ fn request_pump(mut conn: TcpStream, inner: Arc<Inner>) {
             inner.drop_client();
         }
         {
-            let mut upstream = inner.upstream.lock();
+            let mut upstream = inner
+                .upstream
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let Some(stream) = upstream.as_mut() else {
                 return;
             };
@@ -331,7 +362,7 @@ fn reply_pump(mut upstream: SocketStream, inner: Arc<Inner>) {
             if inner.partitioned() || Instant::now() >= deadline {
                 break false;
             }
-            let mut client = inner.client.lock();
+            let mut client = inner.client.lock().unwrap_or_else(PoisonError::into_inner);
             let Some(stream) = client.as_mut() else {
                 drop(client);
                 std::thread::sleep(POLL);

@@ -4,7 +4,7 @@
 //! handle over a pluggable [`Transport`] backend. Two backends ship:
 //!
 //! * **in-memory** ([`spawn_silo`]): the silo runs on its own OS thread
-//!   and receives length-delimited byte buffers over a crossbeam channel.
+//!   and receives length-delimited byte buffers over an `mpsc` channel.
 //!   This is the deterministic tier-1 default.
 //! * **socket** ([`socket::SocketTransport`]): the silo lives behind a
 //!   length-prefixed TCP or Unix-domain socket — in another thread,
@@ -37,13 +37,12 @@ pub mod socket;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 
 use crate::fault::{FaultAction, SiloFaultInjector};
 use crate::protocol::{decode_riders, encode_batch_request, Request, Response, Riders};
@@ -111,14 +110,14 @@ impl SlotCell {
 /// that reads its own reply off a socket, or finds it already delivered,
 /// costs the resolver no wake-up call.
 pub struct ReplySlot {
-    cell: std::sync::Mutex<SlotCell>,
+    cell: Mutex<SlotCell>,
     cv: Condvar,
 }
 
 impl ReplySlot {
     fn new() -> Self {
         ReplySlot {
-            cell: std::sync::Mutex::new(SlotCell {
+            cell: Mutex::new(SlotCell {
                 state: SlotState::Empty,
                 parked: false,
                 nudged: false,
@@ -127,7 +126,7 @@ impl ReplySlot {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotCell> {
+    fn lock(&self) -> MutexGuard<'_, SlotCell> {
         self.cell.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -265,12 +264,16 @@ impl ReplyPool {
     fn checkout(&self) -> Arc<ReplySlot> {
         self.slots
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_else(|| Arc::new(ReplySlot::new()))
     }
 
     fn restore(&self, slot: Arc<ReplySlot>) {
-        self.slots.lock().push(slot);
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(slot);
     }
 }
 
@@ -296,7 +299,7 @@ struct InflightCalls {
 impl Inflight {
     /// Enters a call sent on generation `gen`; returns its token.
     pub(crate) fn register(&self, gen: u64, slot: &Arc<ReplySlot>) -> u64 {
-        let mut calls = self.calls.lock();
+        let mut calls = self.calls.lock().unwrap_or_else(PoisonError::into_inner);
         let token = calls.next_token;
         calls.next_token = token.wrapping_add(1);
         calls.slots.insert(token, (gen, Arc::clone(slot)));
@@ -305,12 +308,22 @@ impl Inflight {
 
     /// Takes call `token` out of the table: its slot, if it was still in.
     pub(crate) fn retire(&self, token: u64) -> Option<Arc<ReplySlot>> {
-        self.calls.lock().slots.remove(&token).map(|(_, slot)| slot)
+        self.calls
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .slots
+            .remove(&token)
+            .map(|(_, slot)| slot)
     }
 
     /// The generation call `token` was sent on, while it is in the table.
     pub(crate) fn generation(&self, token: u64) -> Option<u64> {
-        self.calls.lock().slots.get(&token).map(|(gen, _)| *gen)
+        self.calls
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .slots
+            .get(&token)
+            .map(|(gen, _)| *gen)
     }
 
     /// Takes out every call sent on a generation ≤ `up_to` and fails it
@@ -322,6 +335,7 @@ impl Inflight {
         let swept: Vec<Arc<ReplySlot>> = self
             .calls
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .slots
             .extract_if(|_, (gen, _)| *gen <= up_to)
             .map(|(_, (_, slot))| slot)
@@ -336,7 +350,11 @@ impl Inflight {
 
     /// Number of calls in the table.
     pub(crate) fn len(&self) -> usize {
-        self.calls.lock().slots.len()
+        self.calls
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .slots
+            .len()
     }
 }
 
@@ -597,7 +615,7 @@ impl SiloDiagnostics {
 /// boundary and are shared by every backend. A backend only moves bytes:
 ///
 /// * the **in-memory** backend hands frames to a per-silo worker thread
-///   over a crossbeam channel ([`spawn_silo`]);
+///   over an `mpsc` channel ([`spawn_silo`]);
 /// * the **socket** backend writes length-prefixed frames to a TCP or
 ///   Unix-domain stream and pairs replies back by correlation id
 ///   ([`socket::SocketTransport`]); with no thread of its own, it also
@@ -830,7 +848,7 @@ impl std::fmt::Debug for PendingFrame {
 }
 
 /// The in-memory [`Transport`] backend: frames travel to a per-silo OS
-/// worker thread over a crossbeam channel ([`spawn_silo`]). This is the
+/// worker thread over an `mpsc` channel ([`spawn_silo`]). This is the
 /// deterministic tier-1 default.
 pub(crate) struct InMemoryTransport {
     silo: SiloId,
@@ -1076,6 +1094,7 @@ impl SiloServer {
         let action = self
             .faults
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_mut()
             .map(SiloFaultInjector::next_action);
         match action {
@@ -1141,7 +1160,7 @@ pub fn spawn_silo(
     stats: Arc<CommCounters>,
     faults: Option<SiloFaultInjector>,
 ) -> Result<(SiloChannel, JoinHandle<()>), TransportError> {
-    let (tx, rx) = unbounded::<Envelope>();
+    let (tx, rx) = mpsc::channel::<Envelope>();
     let id = silo.id();
     let diagnostics = SiloDiagnostics::shared_with(&silo);
     let worker_alive = Arc::new(AtomicBool::new(true));
@@ -1199,7 +1218,7 @@ pub fn spawn_silo(
 /// which is how the test suites re-run against sockets unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportBackend {
-    /// Crossbeam channel to a worker thread in this process (default).
+    /// `mpsc` channel to a worker thread in this process (default).
     #[default]
     InMemory,
     /// Loopback TCP socket to a server thread in this process.
@@ -1395,7 +1414,7 @@ mod tests {
             _deadline: Option<Instant>,
             slot: &Arc<ReplySlot>,
         ) -> Result<u64, TransportError> {
-            self.sent.lock().push(frame);
+            self.sent.lock().unwrap().push(frame);
             slot.fill(self.reply.clone());
             Ok(0)
         }
@@ -1429,12 +1448,15 @@ mod tests {
         let (backend, chan) = canned(&Response::Pong);
         let replies = chan.begin_frame(&[(41, &agg)], None).unwrap().wait();
         assert_eq!(replies, Ok(vec![(41, Ok(Response::Pong))]));
-        assert_eq!(backend.sent.lock()[..], [agg.to_bytes()]);
+        assert_eq!(backend.sent.lock().unwrap()[..], [agg.to_bytes()]);
         // `call` and a pre-encoded frame are the same one-rider frame.
         assert_eq!(chan.call(&agg), Ok(Response::Pong));
         let encoded = chan.begin_encoded(agg.to_bytes()).unwrap();
         assert_eq!(encoded.wait_one(), Ok(Response::Pong));
-        assert_eq!(backend.sent.lock()[..], [(); 3].map(|_| agg.to_bytes()));
+        assert_eq!(
+            backend.sent.lock().unwrap()[..],
+            [(); 3].map(|_| agg.to_bytes())
+        );
         // A refusal of the one rider is the frame's refusal: one
         // frame-level error, not an answered frame with a failed item.
         let (_, chan) = canned(&Response::Error("unavailable".into()));
@@ -1453,7 +1475,7 @@ mod tests {
             Err(TransportError::Transient { silo: 3, .. })
         ));
         let batch = Request::Batch(vec![agg.clone(), Request::Ping]);
-        assert_eq!(backend.sent.lock()[..], [batch.to_bytes()]);
+        assert_eq!(backend.sent.lock().unwrap()[..], [batch.to_bytes()]);
     }
 
     #[test]
@@ -1584,7 +1606,7 @@ mod tests {
             chan.call(&Request::Ping).unwrap();
         }
         // Sequential calls recycle a single slot.
-        assert_eq!(chan.reply_pool.slots.lock().len(), 1);
+        assert_eq!(chan.reply_pool.slots.lock().unwrap().len(), 1);
         // Resolved calls deregister eagerly, so the in-flight registry
         // holds nothing between calls.
         assert_eq!(chan.backend.inflight_len(), 0);
@@ -1594,7 +1616,7 @@ mod tests {
         let pending = chan.begin_frame(&[(0, &Request::Ping)], None).unwrap();
         assert_eq!(chan.backend.inflight_len(), 1);
         drop(pending);
-        assert!(chan.reply_pool.slots.lock().is_empty());
+        assert!(chan.reply_pool.slots.lock().unwrap().is_empty());
         assert_eq!(chan.backend.inflight_len(), 0);
         // The channel still works after the discard.
         assert_eq!(chan.call(&Request::Ping).unwrap(), Response::Pong);
@@ -1672,7 +1694,7 @@ mod tests {
         assert!(!err.is_retryable());
         // The abandoned slot must not be pooled (its stale reply is still
         // coming), and the call is no longer registered as in flight.
-        assert!(chan.reply_pool.slots.lock().is_empty());
+        assert!(chan.reply_pool.slots.lock().unwrap().is_empty());
         assert_eq!(chan.backend.inflight_len(), 0);
         // And a timed-out round records no traffic.
         assert_eq!(stats.snapshot().rounds, 0);
@@ -1859,7 +1881,7 @@ mod tests {
         // pooled (the stale reply is still coming).
         drop(primary);
         assert_eq!(slow.backend.inflight_len(), 0);
-        assert!(slow.reply_pool.slots.lock().is_empty());
+        assert!(slow.reply_pool.slots.lock().unwrap().is_empty());
         // Two slow frames into a tight bound: neither answers.
         let bound = Instant::now() + Duration::from_millis(5);
         for frame in [

@@ -79,12 +79,11 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use super::{
     Inflight, RecvOutcome, ReplySlot, Served, SiloChannel, SiloDiagnostics, SiloServer, Transport,
@@ -611,7 +610,7 @@ pub(crate) struct ServerStop {
     addr: SiloAddr,
     /// Whether the accept loop still holds its listener; cleared, and the
     /// waiters woken, once the loop has dropped it.
-    listening: Arc<(std::sync::Mutex<bool>, Condvar)>,
+    listening: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl ServerStop {
@@ -619,7 +618,7 @@ impl ServerStop {
         ServerStop {
             flag: Arc::new(AtomicBool::new(false)),
             addr,
-            listening: Arc::new((std::sync::Mutex::new(true), Condvar::new())),
+            listening: Arc::new((Mutex::new(true), Condvar::new())),
         }
     }
 
@@ -967,7 +966,7 @@ pub struct SocketTransport {
     conn: Mutex<Option<Arc<Link>>>,
     /// In-flight calls; a call's token is its frames' correlation id.
     inflight: Inflight,
-    rx: std::sync::Mutex<Rx>,
+    rx: Mutex<Rx>,
     diagnostics: SiloDiagnostics,
     reconnects: Arc<fedra_obs::Counter>,
     /// Stale-epoch replies fenced out (see the module docs).
@@ -1001,7 +1000,7 @@ impl SocketTransport {
             generation: AtomicU64::new(0),
             conn: Mutex::new(None),
             inflight: Inflight::default(),
-            rx: std::sync::Mutex::new(Rx::default()),
+            rx: Mutex::new(Rx::default()),
             diagnostics: SiloDiagnostics {
                 backend: "socket",
                 ..diagnostics
@@ -1010,7 +1009,12 @@ impl SocketTransport {
             fenced,
             server: None,
         };
-        transport.establish(&mut transport.conn.lock())?;
+        transport.establish(
+            &mut transport
+                .conn
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )?;
         Ok(transport)
     }
 
@@ -1052,7 +1056,7 @@ impl SocketTransport {
     /// is terminal — see [`Transport::send_frame`], which probes the peer
     /// again per call.
     fn handle_loss(&self, lost_gen: u64, deadline: Option<Instant>) {
-        let mut conn = self.conn.lock();
+        let mut conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         if conn.as_ref().is_none_or(|link| link.gen != lost_gen) {
             return; // handled already, or a newer connection superseded it
         }
@@ -1087,10 +1091,14 @@ impl SocketTransport {
     /// The connection call `token` rides, while it is the current one.
     fn link_of(&self, token: u64) -> Option<Arc<Link>> {
         let gen = self.inflight.generation(token)?;
-        self.conn.lock().clone().filter(|link| link.gen == gen)
+        self.conn
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+            .filter(|link| link.gen == gen)
     }
 
-    fn lock_rx(&self) -> std::sync::MutexGuard<'_, Rx> {
+    fn lock_rx(&self) -> MutexGuard<'_, Rx> {
         self.rx.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -1175,7 +1183,7 @@ impl SocketTransport {
     /// off the socket while it is non-blocking. `false`: the connection
     /// was lost.
     fn read_ready(&self, link: &Link, frames: &mut FrameBuf, slot: &ReplySlot) -> bool {
-        let _writer = link.writer.lock();
+        let _writer = link.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if link.stream.set_nonblocking(true).is_err() {
             return false;
         }
@@ -1220,7 +1228,7 @@ impl Transport for SocketTransport {
         slot: &Arc<ReplySlot>,
     ) -> Result<u64, TransportError> {
         let link = {
-            let mut conn = self.conn.lock();
+            let mut conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
             if conn.is_none() {
                 // An earlier loss was given up on. Probe the peer once per
                 // call instead of failing forever: this is what lets a
@@ -1239,7 +1247,7 @@ impl Transport for SocketTransport {
         let corr = self.inflight.register(link.gen, slot);
         let rel = deadline_to_rel_us(deadline, Instant::now());
         let written = {
-            let _writer = link.writer.lock();
+            let _writer = link.writer.lock().unwrap_or_else(PoisonError::into_inner);
             write_request_frame(&mut &link.stream, corr, link.gen, rel, &frame)
         };
         let Err(e) = written else {
@@ -1333,7 +1341,12 @@ impl Transport for SocketTransport {
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        if let Some(link) = self.conn.lock().take() {
+        if let Some(link) = self
+            .conn
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             link.stream.shutdown();
         }
         if let Some(server) = &self.server {

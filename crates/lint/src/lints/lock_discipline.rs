@@ -1,13 +1,14 @@
 //! `lock-discipline`: never block on a channel while holding a lock.
 //!
-//! The pooled reply channels in `transport.rs` are the shape most exposed
-//! to this deadlock: a guard bound over `ReplyPool::pairs` (or any other
+//! The pooled reply slots in `transport/mod.rs` are the shape most exposed
+//! to this deadlock: a guard bound over `ReplyPool::slots` (or any other
 //! mutex) that is still live when the thread parks in `send` / `recv` /
 //! `join` serializes every other caller behind a blocked lock — and if
 //! the unblocking party needs the same lock, the system stops.
 //!
 //! The lint flags a lock guard **bound with `let`** (`let g = m.lock();`,
-//! also `.read()` / `.write()` and `.lock().unwrap()/.expect(..)`) whose
+//! also `.read()` / `.write()`, each optionally followed by `.unwrap()`,
+//! `.expect(..)` or `.unwrap_or_else(PoisonError::into_inner)`) whose
 //! enclosing scope reaches a blocking call (`.send(…)`, `.recv(…)`,
 //! `.recv_timeout(…)`, `.join(…)`) before the guard is dropped — either
 //! by `drop(g)` or by the scope closing. Temporary guards
@@ -122,8 +123,9 @@ fn check_file(lint: &'static str, file: &SourceFile, diags: &mut Vec<Diagnostic>
 ///
 /// A guard binding is a statement whose right-hand side *ends* in
 /// `.lock()` / `.read()` / `.write()`, optionally followed by
-/// `.unwrap()` or `.expect("…")` — anything else chained after the guard
-/// (`.lock().pop()`) consumes it within the statement.
+/// `.unwrap()`, `.expect("…")` or `.unwrap_or_else(…)` (the poison
+/// recovery every lock in the workspace uses) — anything else chained
+/// after the guard (`.lock().pop()`) consumes it within the statement.
 fn guard_binding(tokens: &[Token], start: usize) -> Option<(String, usize)> {
     // Pattern: `let [mut] <ident> [: ty] = … ;` — tuple/struct patterns
     // are never guard bindings we can track; skip them.
@@ -152,7 +154,7 @@ fn guard_binding(tokens: &[Token], start: usize) -> Option<(String, usize)> {
         j += 1;
     }
     let end = stmt_end?;
-    // Strip a trailing `.unwrap()` / `.expect(…)`.
+    // Strip a trailing `.unwrap()` / `.expect(…)` / `.unwrap_or_else(…)`.
     let mut tail = end;
     if tokens
         .get(tail.wrapping_sub(1))
@@ -171,7 +173,7 @@ fn guard_binding(tokens: &[Token], start: usize) -> Option<(String, usize)> {
         }
         if k >= 2
             && matches!(&tokens[k - 1].kind, TokenKind::Ident)
-            && ["unwrap", "expect"]
+            && ["unwrap", "expect", "unwrap_or_else"]
                 .iter()
                 .any(|m| tokens[k - 1].is_ident(m))
             && tokens[k - 2].is_punct('.')

@@ -252,11 +252,15 @@ fn c(m: &Mutex<u8>, rx: &Receiver<u8>) {
     let g = m.lock().unwrap();
     let _ = rx.recv_timeout(t);
 }
+fn d(m: &Mutex<u8>, tx: &Sender<u8>) {
+    let g = m.lock().unwrap_or_else(PoisonError::into_inner);
+    let _ = tx.send(1);
+}
 ";
     let diags = run(&[file("crates/core/src/theory.rs", src)]);
     assert_eq!(
         diags.iter().filter(|d| d.lint == "lock-discipline").count(),
-        3,
+        4,
         "{diags:?}"
     );
 }

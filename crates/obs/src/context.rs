@@ -2,9 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Display;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::catalog::Metric;
 use crate::comm::{CommCounters, CommSnapshot};
@@ -136,7 +134,7 @@ impl ObsContext {
                     .span_ns
                     .observe(span.name.as_str(), span.duration_ns);
             }
-            let mut ring = self.traces.lock();
+            let mut ring = self.traces.lock().unwrap_or_else(PoisonError::into_inner);
             if ring.len() >= self.trace_capacity && self.trace_capacity > 0 {
                 ring.pop_front();
             }
@@ -148,7 +146,12 @@ impl ObsContext {
 
     /// Copies the retained traces out (oldest first).
     pub fn traces(&self) -> Vec<QueryTrace> {
-        self.traces.lock().iter().cloned().collect()
+        self.traces
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// A point-in-time copy of the registry.

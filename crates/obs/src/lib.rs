@@ -5,8 +5,8 @@
 //! work via the LSR-Forest level pick, ε-bounded error — so the
 //! federation needs first-class instrumentation to verify them per query
 //! instead of only observing byte totals after the fact. This crate
-//! provides that instrumentation with **no external dependencies** beyond
-//! the workspace's existing sync shim and **no unsafe code**:
+//! provides that instrumentation with **no dependencies** beyond std and
+//! **no unsafe code**:
 //!
 //! * [`catalog`] — every metric declared once (name, kind, help, label
 //!   keys); a metric outside it does not compile;

@@ -16,9 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::catalog::{Kind, Metric};
 
@@ -302,7 +300,7 @@ impl MetricsRegistry {
 
     /// Gets or registers the series named `name`.
     pub(crate) fn register<T: Primitive>(&self, name: String) -> Arc<T> {
-        let mut map = T::map(self).lock();
+        let mut map = T::map(self).lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name).or_default())
     }
 
@@ -312,18 +310,21 @@ impl MetricsRegistry {
             counters: self
                 .counters
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),

@@ -7,10 +7,8 @@
 //! which keeps nesting balanced even on early returns.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One closed (or still-open) span inside a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +97,7 @@ impl TraceHandle {
     /// Records a free-form attribute (last write wins).
     pub fn attr(&self, key: &str, value: impl std::fmt::Display) {
         if let Some(inner) = &self.0 {
-            let mut inner = inner.lock();
+            let mut inner = inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.attrs.insert(key.to_string(), value.to_string());
         }
     }
@@ -110,7 +108,7 @@ impl TraceHandle {
     /// [`QueryTrace::open_spans`].
     pub fn capture(&self) -> Option<QueryTrace> {
         self.0.as_ref().map(|inner| {
-            let inner = inner.lock();
+            let inner = inner.lock().unwrap_or_else(PoisonError::into_inner);
             QueryTrace {
                 label: inner.label.clone(),
                 algorithm: inner.algorithm.clone(),
@@ -140,7 +138,7 @@ impl Span {
     pub fn enter(trace: &TraceHandle, name: &str) -> Span {
         let slot = trace.0.as_ref().map(|arc| {
             let started = Instant::now();
-            let mut inner = arc.lock();
+            let mut inner = arc.lock().unwrap_or_else(PoisonError::into_inner);
             let depth = inner.open.len();
             let start_ns = inner.origin.elapsed().as_nanos() as u64;
             let index = inner.spans.len();
@@ -162,7 +160,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some((arc, index, started)) = self.slot.take() {
             let duration = started.elapsed().as_nanos() as u64;
-            let mut inner = arc.lock();
+            let mut inner = arc.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(record) = inner.spans.get_mut(index) {
                 // Clamp to ≥ 1 ns so "closed" is distinguishable from
                 // "never closed" in a captured trace.

@@ -12,7 +12,6 @@
 //! divergence, and volume, all of which are reproduced and parameterized.
 
 use rand::Rng;
-use rand_distr::{Distribution as _, Normal};
 
 use fedra_geo::{GeoPoint, Point, Projection, Rect, SpatialObject};
 
@@ -175,28 +174,37 @@ impl CityModel {
         pick -= background_mass;
         for (spot, w) in self.hotspots.iter().zip(weights) {
             if pick < *w {
-                let nx = Normal::new(spot.center.x, spot.sigma).expect("finite sigma");
-                let ny = Normal::new(spot.center.y, spot.sigma).expect("finite sigma");
-                return Point::new(nx.sample(rng), ny.sample(rng));
+                return Point::new(
+                    normal(rng, spot.center.x, spot.sigma),
+                    normal(rng, spot.center.y, spot.sigma),
+                );
             }
             pick -= w;
         }
         // Floating-point tail: fall back to the last hotspot.
         let spot = self.hotspots.last().expect("at least one hotspot");
-        let nx = Normal::new(spot.center.x, spot.sigma).expect("finite sigma");
-        let ny = Normal::new(spot.center.y, spot.sigma).expect("finite sigma");
-        Point::new(nx.sample(rng), ny.sample(rng))
+        Point::new(
+            normal(rng, spot.center.x, spot.sigma),
+            normal(rng, spot.center.y, spot.sigma),
+        )
     }
 
     fn sample_measure<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match self.measure {
             MeasureModel::Passengers => rng.random_range(0..=4) as f64,
-            MeasureModel::Speed => {
-                let n = Normal::<f64>::new(40.0, 12.0).expect("finite sigma");
-                n.sample(rng).max(0.0)
-            }
+            MeasureModel::Speed => normal(rng, 40.0, 12.0).max(0.0),
         }
     }
+}
+
+/// One draw from `N(mean, sigma²)` by Box–Muller: two uniforms per draw,
+/// the second output discarded so a draw carries no state. `1 - u` lies
+/// in (0, 1], and the floor keeps the logarithm finite.
+fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+    let u1 = (1.0 - rng.random::<f64>()).max(f64::MIN_POSITIVE);
+    let u2: f64 = rng.random();
+    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    mean + sigma * z
 }
 
 #[cfg(test)]
@@ -204,6 +212,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn normal_sample_moments_are_close() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 20_000;
+        let samples: Vec<f64> = (0..n).map(|_| normal(&mut rng, 40.0, 12.0)).collect();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
+        assert!((mean - 40.0).abs() < 0.5, "mean {mean}");
+        assert!((var.sqrt() - 12.0).abs() < 0.5, "std {}", var.sqrt());
+    }
 
     #[test]
     fn beijing_bounds_match_the_paper_box() {
