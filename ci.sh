@@ -234,7 +234,11 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # for the same queries. Timings from a 2 s window are not read; bytes
 # are: a batch workload's check pass sends a deterministic function of
 # the seed, so batch_noniid_mem's may not grow past the bytes recorded
-# when its boundary-cell replies lost their cell ids. Index memory is
+# when its boundary-cell replies lost their cell ids. single_noniid_tcp
+# keeps one query in flight, so its check pass is the one LSR path whose
+# bytes are a function of the seed: they may not grow past the figure
+# recorded when an LSR request started carrying the level instead of
+# (ε, δ, sum₀). sched_* coalesce by timing and stay ungated. Index memory is
 # one too: no workload's index_mem_mb may grow past the figure recorded
 # when the silo forests were laid out in cell runs (the packed node
 # array over cell-ordered objects, the part-filled leaves and parents of
@@ -243,6 +247,7 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # of the provider's prefixes can creep back in.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
 noniid_bytes_cap=177.254
+lone_lsr_bytes_cap=1165.297
 index_mem_cap=46.960
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \
@@ -250,13 +255,16 @@ for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem
     mem=$(echo "$gate_out" | sed -n 's|^  index_mem_mb  *\([0-9.]*\) MiB.*|\1|p')
     awk -v m="$mem" -v cap="$index_mem_cap" 'BEGIN { exit !(m != "" && m + 0 <= cap + 0) }' \
         || { echo "benchmark gate: $workload index_mem_mb ${mem:-?} MiB, above the recorded $index_mem_cap"; exit 1; }
-    if [ "$workload" = batch_noniid_mem ]; then
-        bytes=$(echo "$gate_out" | sed -n 's|^  check pass: comm \([0-9.]*\) B/query.*|\1|p')
-        awk -v b="$bytes" -v cap="$noniid_bytes_cap" 'BEGIN { exit !(b != "" && b + 0 <= cap + 0) }' \
-            || { echo "benchmark gate: batch_noniid_mem check pass sends ${bytes:-?} B/query, above the recorded $noniid_bytes_cap"; exit 1; }
-    fi
+    check_bytes=$(echo "$gate_out" | sed -n 's|^  check pass: comm \([0-9.]*\) B/query.*|\1|p')
+    case "$workload" in
+        batch_noniid_mem) cap=$noniid_bytes_cap; bytes=$check_bytes ;;
+        single_noniid_tcp) cap=$lone_lsr_bytes_cap; lone_bytes=$check_bytes ;;
+        *) continue ;;
+    esac
+    awk -v b="$check_bytes" -v cap="$cap" 'BEGIN { exit !(b != "" && b + 0 <= cap + 0) }' \
+        || { echo "benchmark gate: $workload check pass sends ${check_bytes:-?} B/query, above the recorded $cap"; exit 1; }
 done
-echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
+echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; single_noniid_tcp $lone_bytes <= $lone_lsr_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
 
 # The harness's own unit tests, the correctness gate's logic (check.rs)
 # among them: the gate above is only as sound as they are, and the

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use fedra_bench::{build_testbed, SweepConfig};
-use fedra_core::{Exact, FraAlgorithm, FraQuery, NonIidEst};
+use fedra_core::{theory, Exact, FraAlgorithm, FraQuery, NonIidEst};
 use fedra_federation::wire::Wire;
 use fedra_federation::{LocalMode, Request, Response};
 use fedra_geo::Range;
@@ -165,29 +165,14 @@ fn main() {
         let t0 = Instant::now();
         let mut err_sum = 0.0;
         for (r, &truth) in ranges.iter().take(100).zip(&exact_vals) {
-            let sum0 = fedra_core::helpers::sum0(fed, r).count;
             let mode = match level_desc {
-                "rule" => LocalMode::Lsr {
-                    epsilon: point.epsilon,
-                    delta: point.delta,
-                    sum0,
-                },
-                lvl => {
-                    // Fixed level: encode via epsilon chosen so the rule
-                    // yields that level for this sum0 (diagnostic only) —
-                    // instead, query the silo with a synthetic sum0 that
-                    // forces the level.
-                    let l: u32 = lvl.parse().unwrap();
-                    let forced = (3.0 * (2.0f64 / point.delta).ln())
-                        / (point.epsilon * point.epsilon)
-                        * 2f64.powi(l as i32 + 1)
-                        * 0.75;
-                    LocalMode::Lsr {
-                        epsilon: point.epsilon,
-                        delta: point.delta,
-                        sum0: forced,
-                    }
+                "rule" => {
+                    let sum0 = fedra_core::helpers::sum0(fed, r).count;
+                    LocalMode::lsr(theory::select_level(point.epsilon, point.delta, sum0))
                 }
+                level => LocalMode::Lsr {
+                    level: level.parse().unwrap(),
+                },
             };
             match fed.call(0, &Request::Aggregate { range: *r, mode }) {
                 Ok(Response::Agg(a)) => {

@@ -79,15 +79,12 @@ enum LocalQuery {
 }
 
 impl LocalQuery {
+    /// The mode the sampled silo runs. For LSR that is the Lemma-1 level
+    /// alone: the silo needs neither (ε, δ) nor `sum0_count`, and learns
+    /// no count of the federation's.
     fn mode(&self, sum0_count: f64) -> LocalMode {
-        match self {
-            LocalQuery::Exact => LocalMode::Exact,
-            LocalQuery::Lsr(p) => LocalMode::Lsr {
-                epsilon: p.epsilon,
-                delta: p.delta,
-                sum0: sum0_count,
-            },
-        }
+        self.level(|| sum0_count)
+            .map_or(LocalMode::Exact, LocalMode::lsr)
     }
 
     /// The LSR level Alg. 6 selects; `sum0_count` is read only then.

@@ -18,9 +18,10 @@
 /// The Lemma-1 level-selection rule:
 /// `l = ⌊log₂(ε²·sum₀ / (3·ln(2/δ)))⌋`, floored at 0.
 ///
-/// The caller clamps to the available forest depth (`LsrForest` does this
-/// internally); this standalone form is what the provider uses to report
-/// the level it *expects* the silo to use.
+/// This is [`fedra_index::lsr::lemma1_level`], the one copy of the rule:
+/// the provider sends the level it selects, and each silo clamps it to its
+/// own forest depth (`LsrForest::clamp_level`), which is what
+/// `LsrForest::select_level` does from `(ε, δ, sum₀)`.
 ///
 /// ```
 /// use fedra_core::theory::select_level;
@@ -30,20 +31,7 @@
 /// assert_eq!(select_level(0.1, 0.01, 10.0), 0);
 /// ```
 pub fn select_level(epsilon: f64, delta: f64, sum0: f64) -> usize {
-    assert!(
-        epsilon > 0.0 && epsilon.is_finite(),
-        "epsilon must be positive"
-    );
-    assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
-    if sum0 <= 0.0 {
-        return 0;
-    }
-    let raw = (epsilon * epsilon * sum0 / (3.0 * (2.0 / delta).ln())).log2();
-    if !raw.is_finite() || raw <= 0.0 {
-        0
-    } else {
-        raw.floor() as usize
-    }
+    fedra_index::lsr::lemma1_level(epsilon, delta, sum0)
 }
 
 /// Chernoff failure bound of a level-`l` LSR estimate of a local answer

@@ -82,11 +82,7 @@ fn lemma1_violation_rate_stays_below_delta_with_margin() {
                 0,
                 &Request::Aggregate {
                     range: q,
-                    mode: LocalMode::Lsr {
-                        epsilon,
-                        delta,
-                        sum0,
-                    },
+                    mode: LocalMode::lsr(theory::select_level(epsilon, delta, sum0)),
                 },
             )
             .unwrap()

@@ -13,6 +13,11 @@
 //! | [`Request::Masked`] | every query path: only `F`'s moments come back | Alg. 2/3 line 3, Sec. 7 |
 //! | [`Request::Batch`] | coalesced frames | Alg. 4 |
 //!
+//! A request names only what the silo's answer needs: `F`'s moments, and
+//! for an LSR answer the Lemma-1 level the provider selected
+//! ([`LocalMode::Lsr`], one byte) — not the `(ε, δ, sum₀)` Alg. 6 derives
+//! it from, so no silo learns the federation's count in the range.
+//!
 //! Everything here is [`Wire`]-codable; the transport layer only ever sees
 //! byte buffers, which is what the communication-cost metric measures.
 //! The codec admits only the protocol's own nesting — a `Batch` item is
@@ -37,16 +42,29 @@ use crate::wire::{decode_nested, decode_seq, Wire, WireError, WireResult};
 pub enum LocalMode {
     /// Exact answer from the silo's aggregate R-tree (O(log n)).
     Exact,
-    /// Approximate answer from the LSR-Forest (Alg. 6, O(log 1/ε)).
+    /// Approximate answer from the LSR-Forest (Alg. 6, O(log 1/ε)) on
+    /// level `level`, re-scaled by `2^level`. The provider selects the
+    /// level by Lemma 1 from `(ε, δ, sum₀)` and sends only the level, so
+    /// no silo learns `sum₀`, the federation's count in the range; the
+    /// silo clamps it to its own forest (`LsrForest::clamp_level`).
     Lsr {
-        /// Target approximation ratio ε.
-        epsilon: f64,
-        /// Failure probability bound δ.
-        delta: f64,
-        /// Grid-based rough estimate of the query result (COUNT), used by
-        /// the Lemma-1 level-selection rule.
-        sum0: f64,
+        /// The Lemma-1 level, at most [`LocalMode::MAX_LSR_LEVEL`].
+        level: u8,
     },
+}
+
+impl LocalMode {
+    /// The deepest level an `Lsr` mode may name: `2^level` must fit a
+    /// `u64`. A frame naming a deeper one is refused.
+    pub const MAX_LSR_LEVEL: u8 = 63;
+
+    /// The `Lsr` mode at the Lemma-1 `level`, capped at
+    /// [`Self::MAX_LSR_LEVEL`] (no forest reaches that deep).
+    pub fn lsr(level: usize) -> Self {
+        LocalMode::Lsr {
+            level: level.min(usize::from(Self::MAX_LSR_LEVEL)) as u8,
+        }
+    }
 }
 
 /// Everything a silo's indexes depend on, as the provider fixes it in
@@ -198,19 +216,19 @@ pub enum Response {
     },
 }
 
+/// Wire tag of [`LocalMode::Lsr`]: the tag, then the level byte. Tag 1
+/// was its old layout, which carried `(ε, δ, sum₀)`; it is retired, so a
+/// frame from a peer of the other layout is a [`WireError::BadTag`],
+/// never a misread level.
+const LOCAL_MODE_LSR_TAG: u8 = 2;
+
 impl Wire for LocalMode {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             LocalMode::Exact => buf.put_u8(0),
-            LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0,
-            } => {
-                buf.put_u8(1);
-                epsilon.encode(buf);
-                delta.encode(buf);
-                sum0.encode(buf);
+            LocalMode::Lsr { level } => {
+                buf.put_u8(LOCAL_MODE_LSR_TAG);
+                buf.put_u8(*level);
             }
         }
     }
@@ -222,29 +240,17 @@ impl Wire for LocalMode {
         }
         match buf.get_u8() {
             0 => Ok(LocalMode::Exact),
-            1 => {
-                // The domain `LsrForest::select_level` serves; a frame
-                // outside it is refused here, before any silo reads it.
-                // All three values are read first: a mode is the last
-                // field of every request carrying one, so a refusal
+            LOCAL_MODE_LSR_TAG => {
+                // The level is read before it is judged: a mode is the
+                // last field of every request carrying one, so a refusal
                 // leaves the cursor at its item's end (see `decode_riders`).
-                let (epsilon, delta, sum0) =
-                    (f64::decode(buf)?, f64::decode(buf)?, f64::decode(buf)?);
-                if !(epsilon > 0.0 && epsilon.is_finite()) {
+                let level = u8::decode(buf)?;
+                if level > LocalMode::MAX_LSR_LEVEL {
                     return Err(WireError::BadValue {
-                        context: "local mode epsilon",
+                        context: "local mode level",
                     });
                 }
-                if !(delta > 0.0 && delta < 1.0) {
-                    return Err(WireError::BadValue {
-                        context: "local mode delta",
-                    });
-                }
-                Ok(LocalMode::Lsr {
-                    epsilon,
-                    delta,
-                    sum0,
-                })
+                Ok(LocalMode::Lsr { level })
             }
             tag => Err(WireError::BadTag {
                 context: "local mode",
@@ -255,7 +261,7 @@ impl Wire for LocalMode {
     fn encoded_len(&self) -> usize {
         match self {
             LocalMode::Exact => 1,
-            LocalMode::Lsr { .. } => 1 + 24,
+            LocalMode::Lsr { .. } => 2,
         }
     }
 }
@@ -611,11 +617,7 @@ mod tests {
         });
         round_trip(Request::Aggregate {
             range: Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-            mode: LocalMode::Lsr {
-                epsilon: 0.1,
-                delta: 0.01,
-                sum0: 1234.0,
-            },
+            mode: LocalMode::Lsr { level: 5 },
         });
         round_trip(Request::CellContributions {
             range: Range::circle(Point::new(4.0, 6.0), 3.0),
@@ -643,81 +645,78 @@ mod tests {
     }
 
     #[test]
-    fn an_lsr_mode_outside_the_epsilon_delta_domain_is_a_typed_error() {
-        let request = |epsilon: f64, delta: f64| Request::Aggregate {
+    fn an_lsr_mode_above_the_deepest_level_is_a_typed_error() {
+        let request = |level: u8| Request::Aggregate {
             range: Range::circle(Point::new(1.0, 2.0), 3.0),
-            mode: LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0: 40.0,
-            },
+            mode: LocalMode::Lsr { level },
         };
-        let frame = |epsilon, delta| request(epsilon, delta).to_bytes();
-        let refused = |context| Err(WireError::BadValue { context });
-        for epsilon in [0.0, -0.0, -0.1, f64::NAN, f64::INFINITY] {
+        let refused = Err(WireError::BadValue {
+            context: "local mode level",
+        });
+        for level in [64, 100, 255] {
             assert_eq!(
-                Request::from_bytes(frame(epsilon, 0.01)),
-                refused("local mode epsilon"),
-                "ε = {epsilon}"
-            );
-        }
-        for delta in [0.0, 1.0, 1.5, -0.2, f64::NAN] {
-            assert_eq!(
-                Request::from_bytes(frame(0.1, delta)),
-                refused("local mode delta"),
-                "δ = {delta}"
+                Request::from_bytes(request(level).to_bytes()),
+                refused,
+                "level {level}"
             );
         }
         // Inside a mask or a batch the refusal is the same: the whole
         // frame is refused, as for any other undecodable item.
         let masked = Request::Masked {
             moments: Moments::COUNT,
-            request: Box::new(request(-1.0, 0.01)),
+            request: Box::new(request(64)),
         };
-        assert_eq!(
-            Request::from_bytes(masked.to_bytes()),
-            refused("local mode epsilon")
-        );
-        let batch = Request::Batch(vec![Request::Ping, request(0.1, 2.0)]);
-        assert_eq!(
-            Request::from_bytes(batch.to_bytes()),
-            refused("local mode delta")
-        );
-        for (epsilon, delta) in [(1e-9, 1e-12), (5.0, 0.999_999), (f64::MAX, 0.5)] {
-            round_trip(request(epsilon, delta));
+        assert_eq!(Request::from_bytes(masked.to_bytes()), refused);
+        let batch = Request::Batch(vec![Request::Ping, request(255)]);
+        assert_eq!(Request::from_bytes(batch.to_bytes()), refused);
+        for level in [0, 1, 62, LocalMode::MAX_LSR_LEVEL] {
+            round_trip(request(level));
         }
+        // The provider's constructor caps the level instead.
+        assert_eq!(LocalMode::lsr(7), LocalMode::Lsr { level: 7 });
+        assert_eq!(LocalMode::lsr(usize::MAX), LocalMode::Lsr { level: 63 });
+    }
+
+    #[test]
+    fn an_lsr_mode_in_the_old_epsilon_delta_layout_is_a_typed_error() {
+        // `Aggregate { range, Lsr { ε, δ, sum₀ } }` as the old layout
+        // encoded it: mode tag 1, then three f64s.
+        let mut old = BytesMut::new();
+        old.put_u8(1);
+        Range::circle(Point::new(1.0, 2.0), 3.0).encode(&mut old);
+        old.put_u8(1);
+        for value in [0.1f64, 0.01, 40.0] {
+            value.encode(&mut old);
+        }
+        assert_eq!(
+            Request::from_bytes(old.freeze()),
+            Err(WireError::BadTag {
+                context: "local mode",
+                tag: 1
+            })
+        );
     }
 
     #[test]
     fn a_served_batch_refuses_an_out_of_domain_item_alone_and_damage_whole() {
-        let lsr = |epsilon, delta| Request::Masked {
+        let lsr = |level| Request::Masked {
             moments: Moments::COUNT,
             request: Box::new(Request::CellContributions {
                 range: Range::circle(Point::new(1.0, 2.0), 3.0),
-                mode: LocalMode::Lsr {
-                    epsilon,
-                    delta,
-                    sum0: 40.0,
-                },
+                mode: LocalMode::Lsr { level },
             }),
         };
-        let batch = Request::Batch(vec![
-            Request::Ping,
-            lsr(-0.1, 0.01),
-            lsr(0.1, 1.5),
-            lsr(0.1, 0.01),
-        ]);
+        let bad_level = WireError::BadValue {
+            context: "local mode level",
+        };
+        let batch = Request::Batch(vec![Request::Ping, lsr(64), lsr(255), lsr(3)]);
         assert_eq!(
             decode_riders(batch.to_bytes()),
             Ok(Riders::Batch(vec![
                 Ok(Request::Ping),
-                Err(WireError::BadValue {
-                    context: "local mode epsilon"
-                }),
-                Err(WireError::BadValue {
-                    context: "local mode delta"
-                }),
-                Ok(lsr(0.1, 0.01)),
+                Err(bad_level.clone()),
+                Err(bad_level.clone()),
+                Ok(lsr(3)),
             ]))
         );
         // A lone request is the request, refused whole when it is bad.
@@ -725,12 +724,7 @@ mod tests {
             decode_riders(Request::Ping.to_bytes()),
             Ok(Riders::Lone(Request::Ping))
         );
-        assert_eq!(
-            decode_riders(lsr(0.1, 2.0).to_bytes()),
-            Err(WireError::BadValue {
-                context: "local mode delta"
-            })
-        );
+        assert_eq!(decode_riders(lsr(200).to_bytes()), Err(bad_level));
         // Structural damage cannot be stepped over: a bad item tag, a cut
         // and trailing bytes each refuse the whole frame.
         let good = Request::Batch(vec![
@@ -744,7 +738,7 @@ mod tests {
             decode_riders(Bytes::from(bad_tag)),
             Err(WireError::BadTag { .. })
         ));
-        let long = Request::Batch(vec![Request::Ping, lsr(0.1, 0.01)]).to_bytes();
+        let long = Request::Batch(vec![Request::Ping, lsr(3)]).to_bytes();
         let cut = long.slice(0..long.len() - 3);
         assert!(matches!(
             decode_riders(cut),
@@ -928,11 +922,7 @@ mod tests {
             },
             Request::CellContributions {
                 range: Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-                mode: LocalMode::Lsr {
-                    epsilon: 0.1,
-                    delta: 0.01,
-                    sum0: 99.0,
-                },
+                mode: LocalMode::Lsr { level: 0 },
             },
             setup(),
         ]));
@@ -1139,11 +1129,7 @@ mod tests {
             Request::BuildGrid { return_cells: true },
             Request::Aggregate {
                 range: Range::circle(Point::new(4.0, 6.0), 3.0),
-                mode: LocalMode::Lsr {
-                    epsilon: 0.1,
-                    delta: 0.01,
-                    sum0: 5.0,
-                },
+                mode: LocalMode::Lsr { level: 63 },
             },
             Request::CellContributions {
                 range: Range::rect(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),

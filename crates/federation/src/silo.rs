@@ -11,9 +11,11 @@
 //!
 //! * an LSR-Forest (Alg. 5) whose level `T_0` *is* the aggregate R-tree
 //!   over all its objects (exact local queries, the EXACT baseline) and
-//!   whose sampled levels serve O(log 1/ε) approximate local queries,
-//!   every level packed along the spec's grid, cell by cell, so Alg. 3's
-//!   per-cell contribution is one scan of that cell's run of objects;
+//!   whose sampled levels serve O(log 1/ε) approximate local queries
+//!   (on the level the provider's request names, clamped to this
+//!   forest's top by [`LsrForest::clamp_level`]), every level packed
+//!   along the spec's grid, cell by cell, so Alg. 3's per-cell
+//!   contribution is one scan of that cell's run of objects;
 //! * a MinSkew histogram over the spec's bounds for the OPTA baseline;
 //!
 //! and, on the provider's `BuildGrid` request, a grid index along the
@@ -226,14 +228,10 @@ impl Indexes {
     fn local_aggregate(&self, range: &Range, mode: LocalMode) -> Aggregate {
         match mode {
             LocalMode::Exact => self.lsr.base().aggregate(range),
-            LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0,
-            } => {
-                let (agg, level) = self.lsr.query(range, epsilon, delta, sum0);
+            LocalMode::Lsr { level } => {
+                let level = self.lsr.clamp_level(level.into());
                 self.record_level(level);
-                agg
+                self.lsr.query_at_level(range, level)
             }
         }
     }
@@ -584,16 +582,12 @@ impl Silo {
         // The per-cell contributions (the O(√|g₀|) boundary work of
         // Alg. 3), on this thread: each is one scan of the cell's run of
         // objects in one tree, over the objects the grid bins there. For
-        // the LSR mode the level is selected once from the whole-query
-        // sum₀, so all per-cell estimates share one sample tree.
+        // the LSR mode the provider selected the level once from the
+        // whole-query sum₀, so all per-cell estimates share one sample tree.
         let contributions = match mode {
             LocalMode::Exact => indexes.lsr.base().aggregate_cells(range, &cells),
-            LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0,
-            } => {
-                let l = indexes.lsr.select_level(epsilon, delta, sum0);
+            LocalMode::Lsr { level } => {
+                let l = indexes.lsr.clamp_level(level.into());
                 indexes.record_level(l);
                 indexes.lsr.query_cells_at_level(range, &cells, l)
             }
@@ -634,6 +628,7 @@ impl std::fmt::Debug for Silo {
 mod tests {
     use super::*;
     use fedra_geo::{Point, Rect};
+    use fedra_index::lsr::lemma1_level;
     use fedra_index::rtree::{RTree, RTreeConfig};
 
     fn bounds() -> Rect {
@@ -793,11 +788,7 @@ mod tests {
         let exact = oracle(&s, &q).count;
         let resp = s.handle(Request::Aggregate {
             range: q,
-            mode: LocalMode::Lsr {
-                epsilon: 0.1,
-                delta: 0.01,
-                sum0: exact,
-            },
+            mode: LocalMode::lsr(lemma1_level(0.1, 0.01, exact)),
         });
         match resp {
             Response::Agg(a) => {
@@ -984,11 +975,7 @@ mod tests {
         let cls = spec.classify(&q);
         let modes = [
             LocalMode::Exact,
-            LocalMode::Lsr {
-                epsilon: 0.3,
-                delta: 0.05,
-                sum0: 2000.0,
-            },
+            LocalMode::lsr(lemma1_level(0.3, 0.05, 2000.0)),
         ];
         let bits = |v: &[Aggregate]| -> Vec<(u64, u64, u64)> {
             v.iter()

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fedra_federation::{FederationBuilder, LocalMode, Request, Response};
 use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::histogram::MinSkewConfig;
+use fedra_index::lsr::lemma1_level;
 use fedra_index::Moments;
 
 fn build(m: usize, per_silo: usize) -> fedra_federation::Federation {
@@ -246,11 +247,7 @@ fn lsr_requests_under_concurrency_stay_in_reasonable_range() {
                             0,
                             &Request::Aggregate {
                                 range: q,
-                                mode: LocalMode::Lsr {
-                                    epsilon: 0.2,
-                                    delta: 0.05,
-                                    sum0: exact,
-                                },
+                                mode: LocalMode::lsr(lemma1_level(0.2, 0.05, exact)),
                             },
                         )
                         .unwrap()

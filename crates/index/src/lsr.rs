@@ -25,6 +25,32 @@ use crate::pool::WorkerPool;
 use crate::rtree::{by_x, cell_key, RTree, RTreeConfig, NO_CELL};
 use crate::{Aggregate, IndexMemory};
 
+/// The Lemma-1 level-selection rule of Alg. 6,
+/// `l = ⌊log₂(ε²·sum₀ / (3·ln(2/δ)))⌋`, floored at 0 and not clamped to
+/// any forest ([`LsrForest::select_level`] clamps it).
+///
+/// # Panics
+/// Panics unless `ε > 0` is finite and `δ ∈ (0, 1)`.
+pub fn lemma1_level(epsilon: f64, delta: f64, sum0: f64) -> usize {
+    assert!(
+        epsilon > 0.0 && epsilon.is_finite(),
+        "epsilon must be positive"
+    );
+    assert!(
+        delta > 0.0 && delta < 1.0,
+        "delta must be a probability in (0, 1)"
+    );
+    if sum0 <= 0.0 {
+        return 0;
+    }
+    let raw = (epsilon * epsilon * sum0 / (3.0 * (2.0 / delta).ln())).log2();
+    if !raw.is_finite() || raw <= 0.0 {
+        0
+    } else {
+        raw.floor() as usize
+    }
+}
+
 /// A level-sampled R-tree forest (Sec. 5 of the paper).
 ///
 /// ```
@@ -171,7 +197,8 @@ impl LsrForest {
         self.levels.get(l)
     }
 
-    /// The Lemma-1 level selection rule, clamped to the available levels.
+    /// The Lemma-1 level selection rule ([`lemma1_level`]), clamped to
+    /// the available levels.
     ///
     /// * `epsilon` — target approximation ratio (ε in Definition 3);
     /// * `delta` — failure probability upper bound;
@@ -179,29 +206,20 @@ impl LsrForest {
     ///   index (the paper: "the aggregation result of grids that intersect
     ///   with the query range").
     pub fn select_level(&self, epsilon: f64, delta: f64, sum0: f64) -> usize {
-        assert!(
-            epsilon > 0.0 && epsilon.is_finite(),
-            "epsilon must be positive"
-        );
-        assert!(
-            delta > 0.0 && delta < 1.0,
-            "delta must be a probability in (0, 1)"
-        );
-        if sum0 <= 0.0 {
-            return 0;
-        }
-        let raw = (epsilon * epsilon * sum0 / (3.0 * (2.0 / delta).ln())).log2();
-        if !raw.is_finite() || raw <= 0.0 {
-            return 0;
-        }
-        (raw.floor() as usize).min(self.levels.len() - 1)
+        self.clamp_level(lemma1_level(epsilon, delta, sum0))
+    }
+
+    /// The deepest level this forest holds at or below `level`: the level
+    /// [`Self::query_at_level`] answers on.
+    pub fn clamp_level(&self, level: usize) -> usize {
+        level.min(self.levels.len() - 1)
     }
 
     /// Alg. 6: answers the local range aggregation query on level `l` and
     /// re-scales by `2^l`. The returned aggregate is an unbiased estimate
     /// of the exact local answer.
     pub fn query_at_level(&self, range: &Range, level: usize) -> Aggregate {
-        let l = level.min(self.levels.len() - 1);
+        let l = self.clamp_level(level);
         self.levels[l].aggregate(range).scale((1u64 << l) as f64)
     }
 
@@ -217,7 +235,7 @@ impl LsrForest {
     /// aggregate of objects in `range ∩ clip` (both closed), re-scaled
     /// from level `l` ([`RTree::aggregate_clipped`]).
     pub fn query_clipped_at_level(&self, range: &Range, clip: &Rect, level: usize) -> Aggregate {
-        let l = level.min(self.levels.len() - 1);
+        let l = self.clamp_level(level);
         self.levels[l]
             .aggregate_clipped(range, clip)
             .scale((1u64 << l) as f64)
@@ -235,7 +253,7 @@ impl LsrForest {
         cells: &[CellId],
         level: usize,
     ) -> Vec<Aggregate> {
-        let l = level.min(self.levels.len() - 1);
+        let l = self.clamp_level(level);
         let scale = (1u64 << l) as f64;
         let mut out = self.levels[l].aggregate_cells(range, cells);
         for agg in &mut out {

@@ -391,9 +391,9 @@ fn estimators_degrade_through_one_path_when_no_candidate_is_left() {
     }
 }
 
-/// A request no well-behaved provider sends: an LSR mode outside the
-/// (ε, δ) domain, or a grid no `GridSpec` accepts. On either backend each
-/// answers a typed error — the ε/δ refusal at decode, the handler panic
+/// A request no well-behaved provider sends: an LSR mode naming a level
+/// deeper than 63, or a grid no `GridSpec` accepts. On either backend each
+/// answers a typed error — the level refusal at decode, the handler panic
 /// as a caught `Remote` error — and the silo goes on serving.
 #[test]
 fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
@@ -404,32 +404,21 @@ fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
     let dataset = spec.generate();
     let bounds = dataset.bounds();
     let range = Range::circle(Point::new(0.0, -95.0), 2.0);
-    let lsr = |epsilon, delta| fedra::federation::LocalMode::Lsr {
-        epsilon,
-        delta,
-        sum0: 500.0,
-    };
+    let lsr = |level| fedra::federation::LocalMode::Lsr { level };
     let hostile = [
         (
             fedra::federation::Request::Aggregate {
                 range,
-                mode: lsr(-0.1, 0.01),
+                mode: lsr(64),
             },
-            "local mode epsilon",
+            "local mode level",
         ),
         (
             fedra::federation::Request::CellContributions {
                 range,
-                mode: lsr(0.1, 1.5),
+                mode: lsr(255),
             },
-            "local mode delta",
-        ),
-        (
-            fedra::federation::Request::Aggregate {
-                range,
-                mode: lsr(f64::NAN, 0.01),
-            },
-            "local mode epsilon",
+            "local mode level",
         ),
         (
             fedra::federation::Request::Setup(SiloSpec {
@@ -464,7 +453,7 @@ fn a_hostile_request_fails_typed_and_the_silo_keeps_serving() {
     }
 }
 
-/// A batch rider whose bytes parse but whose ε is out of its domain fails
+/// A batch rider whose bytes parse but whose LSR level is out of its domain fails
 /// alone: its frame-mates are served, on either backend, while the wire
 /// bytes stay what the encoder wrote.
 #[test]
@@ -477,11 +466,7 @@ fn a_hostile_batch_rider_fails_alone_and_its_frame_mates_are_served() {
     let dataset = spec.generate();
     let hostile = Request::Aggregate {
         range: Range::circle(Point::new(0.0, -95.0), 2.0),
-        mode: LocalMode::Lsr {
-            epsilon: -0.1,
-            delta: 0.01,
-            sum0: 500.0,
-        },
+        mode: LocalMode::Lsr { level: 64 },
     };
     let riders = [(0, &Request::Ping), (1, &hostile), (2, &Request::Ping)];
     for backend in [TransportBackend::InMemory, TransportBackend::Socket] {
@@ -498,7 +483,7 @@ fn a_hostile_batch_rider_fails_alone_and_its_frame_mates_are_served() {
         match &replies[1] {
             (1, Err(TransportError::Remote { silo: 0, message })) => {
                 assert!(
-                    message.contains("local mode epsilon"),
+                    message.contains("local mode level"),
                     "{backend:?}: {message}"
                 )
             }

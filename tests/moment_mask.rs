@@ -194,11 +194,7 @@ fn noniid_est_answers_what_the_old_full_cell_reply_answered() {
                 let forest = &forests[silo];
                 let level = match mode {
                     LocalMode::Exact => None,
-                    LocalMode::Lsr {
-                        epsilon,
-                        delta,
-                        sum0,
-                    } => Some(forest.select_level(epsilon, delta, sum0)),
+                    LocalMode::Lsr { level } => Some(forest.clamp_level(level.into())),
                 };
                 let silo_grid = fed.silo_grid(silo);
                 let mut estimate = grid.aggregate_cells(cls.covered.iter().copied());

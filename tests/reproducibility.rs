@@ -99,11 +99,7 @@ fn lsr_forests_reproduce_per_seed() {
             0,
             &Request::Aggregate {
                 range: q.range,
-                mode: LocalMode::Lsr {
-                    epsilon: 0.2,
-                    delta: 0.01,
-                    sum0: 10_000.0,
-                },
+                mode: LocalMode::lsr(fedra::core::theory::select_level(0.2, 0.01, 10_000.0)),
             },
         )
         .unwrap()

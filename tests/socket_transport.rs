@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, BytesMut};
+use fedra::core::theory::select_level;
 use fedra::federation::protocol::{LocalMode, Request, Response, SiloMemoryReport};
 use fedra::federation::transport::socket::{
     read_reply_frame, read_request_frame, write_reply_frame, write_request_frame, FrameError,
@@ -128,11 +129,7 @@ fn all_requests() -> Vec<Request> {
         },
         Request::CellContributions {
             range: Range::rect(Point::new(-4.0, -2.0), Point::new(4.0, 2.0)),
-            mode: LocalMode::Lsr {
-                epsilon: 0.1,
-                delta: 0.01,
-                sum0: 12.0,
-            },
+            mode: LocalMode::lsr(select_level(0.1, 0.01, 12.0)),
         },
         Request::HistogramEstimate {
             range: Range::circle(Point::new(1.0, 1.0), 2.0),
@@ -491,11 +488,7 @@ fn hostile_cell_ranges_get_a_bounded_reply_or_a_refusal_on_both_backends() {
     ];
     let modes = [
         LocalMode::Exact,
-        LocalMode::Lsr {
-            epsilon: 0.1,
-            delta: 0.01,
-            sum0: 12.0,
-        },
+        LocalMode::lsr(select_level(0.1, 0.01, 12.0)),
     ];
     let outcomes = |backend: TransportBackend| {
         let fed = FederationBuilder::new(sample_rect())

@@ -54,13 +54,7 @@ fn range() -> impl Strategy<Value = Range> {
 fn mode() -> impl Strategy<Value = LocalMode> {
     prop_oneof![
         Just(LocalMode::Exact),
-        (1e-6f64..10.0, 1e-6f64..0.999, 0.0f64..1e9).prop_map(|(epsilon, delta, sum0)| {
-            LocalMode::Lsr {
-                epsilon,
-                delta,
-                sum0,
-            }
-        }),
+        (0..LocalMode::MAX_LSR_LEVEL + 1).prop_map(|level| LocalMode::Lsr { level }),
     ]
 }
 
@@ -322,6 +316,22 @@ proptest! {
             Aggregate::from_bytes(buf.freeze()),
             Err(WireError::BadTag { context: "moments", tag })
         );
+    }
+
+    #[test]
+    fn an_lsr_mode_is_its_level_byte_and_a_level_above_63_is_refused(range in range(), level in any::<u8>()) {
+        let mode = LocalMode::Lsr { level };
+        let request = Request::CellContributions { range, mode };
+        let exact = Request::CellContributions { range, mode: LocalMode::Exact };
+        // One tag byte and the level: one byte more than the exact mode.
+        prop_assert_eq!(mode.to_bytes().len(), 2);
+        prop_assert_eq!(request.to_bytes().len(), exact.to_bytes().len() + 1);
+        let decoded = Request::from_bytes(request.to_bytes());
+        if level <= LocalMode::MAX_LSR_LEVEL {
+            prop_assert_eq!(decoded, Ok(request));
+        } else {
+            prop_assert_eq!(decoded, Err(WireError::BadValue { context: "local mode level" }));
+        }
     }
 }
 
