@@ -233,12 +233,12 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # end-to-end lockstep comparison of the bytes sockets and memory count
 # for the same queries. Timings from a 2 s window are not read; bytes
 # are: a batch workload's check pass sends a deterministic function of
-# the seed, so batch_noniid_mem's may not grow past the bytes recorded
-# when its boundary-cell replies lost their cell ids. single_noniid_tcp
-# keeps one query in flight, so its check pass is the one LSR path whose
-# bytes are a function of the seed: they may not grow past the figure
-# recorded when an LSR request started carrying the level instead of
-# (ε, δ, sum₀). sched_* coalesce by timing and stay ungated. Index memory is
+# the seed, so neither batch_noniid_mem's nor batch_exact_mem's may grow
+# past the bytes recorded when whole-number aggregate components began
+# to travel as varints. single_noniid_tcp keeps one query in flight, so
+# its check pass is the one LSR path whose bytes are a function of the
+# seed: they may not grow past the figure recorded at the same change.
+# sched_* coalesce by timing and stay ungated. Index memory is
 # one too: no workload's index_mem_mb may grow past the figure recorded
 # when the silo forests were laid out in cell runs (the packed node
 # array over cell-ordered objects, the part-filled leaves and parents of
@@ -246,8 +246,9 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # so neither per-node child vectors nor a second copy of the objects or
 # of the provider's prefixes can creep back in.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
-noniid_bytes_cap=177.254
-lone_lsr_bytes_cap=1165.297
+noniid_bytes_cap=92.079
+exact_bytes_cap=245.428
+lone_lsr_bytes_cap=1090.851
 index_mem_cap=46.960
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \
@@ -258,13 +259,14 @@ for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem
     check_bytes=$(echo "$gate_out" | sed -n 's|^  check pass: comm \([0-9.]*\) B/query.*|\1|p')
     case "$workload" in
         batch_noniid_mem) cap=$noniid_bytes_cap; bytes=$check_bytes ;;
+        batch_exact_mem) cap=$exact_bytes_cap; exact_bytes=$check_bytes ;;
         single_noniid_tcp) cap=$lone_lsr_bytes_cap; lone_bytes=$check_bytes ;;
         *) continue ;;
     esac
     awk -v b="$check_bytes" -v cap="$cap" 'BEGIN { exit !(b != "" && b + 0 <= cap + 0) }' \
         || { echo "benchmark gate: $workload check pass sends ${check_bytes:-?} B/query, above the recorded $cap"; exit 1; }
 done
-echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; single_noniid_tcp $lone_bytes <= $lone_lsr_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
+echo "    ok (single_noniid_tcp + batch_exact_mem + batch_noniid_mem + sched_iid_mem + sched_iid_tcp correct; batch_noniid_mem $bytes <= $noniid_bytes_cap B/query; batch_exact_mem $exact_bytes <= $exact_bytes_cap B/query; single_noniid_tcp $lone_bytes <= $lone_lsr_bytes_cap B/query; index_mem_mb <= $index_mem_cap MiB)"
 
 # The harness's own unit tests, the correctness gate's logic (check.rs)
 # among them: the gate above is only as sound as they are, and the

@@ -96,9 +96,10 @@ fn main() {
     // in. So the boundary-only arm is measured over the wire, and the
     // full-vector arm is priced: the same request plus the cell ids
     // (`encoded_len()` of a u32 vector), and a reply of one COUNT
-    // aggregate per intersecting cell, each priced with its count
-    // present (an upper bound: an empty cell would cost its presence
-    // byte alone). Both include the envelope each way.
+    // aggregate per intersecting cell, each priced with silo 0's whole
+    // count in that cell (an upper bound: a cell's in-range count is no
+    // larger, and a smaller whole number never takes a longer varint).
+    // Both include the envelope each way.
     let spec = *grid.spec();
     let request = |range: Range| Request::Masked {
         moments: AggFunc::Count.moments(),
@@ -106,10 +107,6 @@ fn main() {
             range,
             mode: LocalMode::Exact,
         }),
-    };
-    let count = Aggregate {
-        count: 1.0,
-        ..Aggregate::ZERO
     };
     println!();
     println!(
@@ -129,7 +126,11 @@ fn main() {
             fed.reset_query_comm();
             let _ = fed.call(0, &request(*r));
             boundary_bytes += fed.query_comm().total_bytes();
-            let reply = Response::AggVec(vec![count; all.len()]);
+            let reply = Response::AggVec(
+                all.iter()
+                    .map(|&id| fed.silo_grid(0).cell(id).masked(AggFunc::Count.moments()))
+                    .collect(),
+            );
             full_bytes += (request(*r).encoded_len() + all.encoded_len() + reply.encoded_len())
                 as u64
                 + 2 * fed.message_overhead();

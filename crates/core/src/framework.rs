@@ -1579,10 +1579,15 @@ mod tests {
         let batched = engine.execute_batch(&fed, &qs);
         assert_same_answers(&batched.results, &lone);
         // One frame per silo, and the bytes of the run-map driver this
-        // table replaced.
+        // table replaced. Per silo, a 512 B envelope and a 5 B batch
+        // header (tag + u32 count) each way, then 15 legs: up, a 29 B
+        // masked COUNT request each (3 × (512 + 5 + 15 × 29) = 2856); down,
+        // 3 B each — response tag, presence byte and the count, non-zero
+        // and below 128, as a one-byte varint (3 × (512 + 5 + 15 × 3) =
+        // 1686).
         let pinned = CommSnapshot {
             bytes_up: 2856,
-            bytes_down: 2001,
+            bytes_down: 1686,
             rounds: 3,
         };
         assert_eq!(batched.comm, pinned);
@@ -1623,11 +1628,17 @@ mod tests {
             .map(|(i, q)| algorithms[i % 3].try_execute(&fed, q))
             .collect();
         assert_same_answers(&outcomes, &lone);
+        // Down: 4 × (512 B envelope + 5 B batch header) = 2068; 32 EXACT
+        // legs and 8 IID samples at 3 B (response tag, presence byte, a
+        // non-zero count below 128 as a one-byte varint) = 120; 8 NonIID
+        // replies' tag and u32 length = 40; the remaining 137 B are their
+        // boundary cells, a presence byte each plus a one-byte varint for
+        // each non-zero count. 2068 + 120 + 40 + 137 = 2365.
         assert_eq!(
             comm,
             CommSnapshot {
                 bytes_up: 3460,
-                bytes_down: 2974,
+                bytes_down: 2365,
                 rounds: 4,
             }
         );

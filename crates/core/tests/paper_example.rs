@@ -246,7 +246,9 @@ fn communication_cost_of_the_example() {
     // auditable: IID-est ships one Aggregate back; NonIID-est ships one
     // Aggregate per boundary cell the sampled silo holds SUM mass in (3 of
     // the 8 for either silo). Both ask for SUM alone, so an aggregate is a
-    // presence byte plus 8 B when its sum is non-zero.
+    // presence byte plus, when its sum is non-zero, that sum: every
+    // measure is a whole number and every sum below 128, so a one-byte
+    // varint.
     let fed = example_federation();
     let q = FraQuery::new(example_query(), AggFunc::Sum);
 
@@ -254,10 +256,11 @@ fn communication_cost_of_the_example() {
     let iid_result = IidEst::new(0).execute(&fed, &q);
     let iid = fed.query_comm();
     // up: Masked tag(1) + mask(1) + tag(1) + range(25) + mode(1) = 29;
-    // down: tag(1) + presence(1) + the silo's in-range sum (6 or 4) = 10.
+    // down: tag(1) + presence(1) + the silo's in-range sum (6 or 4) as a
+    // one-byte varint(1) = 3.
     assert!(iid_result.sampled_silo.is_some());
     assert_eq!(iid.bytes_up, 29);
-    assert_eq!(iid.bytes_down, 10);
+    assert_eq!(iid.bytes_down, 3);
 
     fed.reset_query_comm();
     let noniid_result = NonIidEst::new(0).execute(&fed, &q);
@@ -267,8 +270,8 @@ fn communication_cost_of_the_example() {
     // range(25) + mode(1).
     assert_eq!(noniid.bytes_up, 29);
     // down: tag(1) + vec len(4), then one presence byte per boundary
-    // cell the silo holds SUM mass in, plus 8 B where the cell's clipped
-    // in-range sum is non-zero. Silo 1 holds mass in (0,1), (0,2) and
+    // cell the silo holds SUM mass in, plus a one-byte varint where the
+    // cell's clipped in-range sum is non-zero. Silo 1 holds mass in (0,1), (0,2) and
     // (2,3), and its three in-range objects make all three non-zero;
     // (1,3) is left out although (5, 8) lies on its closed edge, because
     // silo 1 holds nothing in (1,3) and the ratio takes the area fallback
@@ -280,5 +283,5 @@ fn communication_cost_of_the_example() {
         Some(1) => (3, 1),
         other => panic!("NonIID-est sampled {other:?}"),
     };
-    assert_eq!(noniid.bytes_down, 1 + 4 + kept_cells + 8 * massy_cells);
+    assert_eq!(noniid.bytes_down, 1 + 4 + kept_cells + massy_cells);
 }

@@ -880,13 +880,16 @@ mod tests {
         // Per silo, down: the envelope; the batch reply's tag + u32 item
         // count; Setup's Memory reply (tag + 4 × u64); the Grid reply: tag,
         // bounds (32), cell_len (8), a u32 cell count, 100 cells at a
-        // presence byte each plus 24 B per occupied cell (measures are
-        // 1–3, so count, sum and sum_sqr are all non-zero), outside (8).
+        // presence byte each plus 3 B per occupied cell (measures are the
+        // whole numbers 1–3, so count, sum and sum_sqr are non-zero whole
+        // numbers, each below 128 — asserted — and a one-byte varint),
+        // outside (8).
         let expected: u64 = (0..3)
             .map(|k| {
                 let cells = fed.silo_grid(k).cells();
+                assert!(cells.iter().all(|c| c.sum_sqr < 128.0));
                 let occupied = cells.iter().filter(|c| c.count > 0.0).count() as u64;
-                fed.message_overhead() + 5 + 33 + (1 + 32 + 8 + 4 + 100 + 24 * occupied + 8)
+                fed.message_overhead() + 5 + 33 + (1 + 32 + 8 + 4 + 100 + 3 * occupied + 8)
             })
             .sum();
         assert_eq!(setup.bytes_down, expected);

@@ -1316,10 +1316,12 @@ mod tests {
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.rounds, 1);
         // Request: tag + range(25) + mode(1) = 27. Response: tag + the
-        // aggregate's presence byte + count, sum, sum_sqr (all non-zero:
-        // the circle holds objects of measure 1) at 8 B each = 26.
+        // aggregate's presence byte + count, sum, sum_sqr: the circle
+        // holds 12 objects of measure 1 (4 at 0.71 km, 8 at 1.58 km from
+        // the centre), so each moment is the whole number 12, a one-byte
+        // varint: 1 + 1 + 3 = 5.
         assert_eq!(delta.bytes_up, 27);
-        assert_eq!(delta.bytes_down, 26);
+        assert_eq!(delta.bytes_down, 5);
 
         let before = stats.snapshot();
         chan.call(&Request::Masked {
@@ -1329,9 +1331,9 @@ mod tests {
         .expect("masked aggregate");
         let delta = stats.snapshot().since(&before);
         // Request: Masked tag + mask byte + the 27 above = 29. Response:
-        // tag + presence byte + the count alone = 10.
+        // tag + presence byte + the count's one-byte varint = 3.
         assert_eq!(delta.bytes_up, 29);
-        assert_eq!(delta.bytes_down, 10);
+        assert_eq!(delta.bytes_down, 3);
     }
 
     #[test]
@@ -1586,13 +1588,13 @@ mod tests {
         chan.call(&agg).unwrap();
         chan.call(&agg).unwrap();
         let singleton = stats.snapshot().since(&before);
-        // Payloads: singleton 2 × (27 up, 26 down — tag + presence byte +
-        // three non-zero moments); the shared frame adds a 5-byte header
-        // each way (tag + count) on top of the same items.
+        // Payloads: singleton 2 × (27 up, 5 down — tag + presence byte +
+        // three moments of 12 as one-byte varints); the shared frame adds
+        // a 5-byte header each way (tag + count) on top of the same items.
         assert_eq!(singleton.bytes_up, 54);
-        assert_eq!(singleton.bytes_down, 52);
+        assert_eq!(singleton.bytes_down, 10);
         assert_eq!(batched.bytes_up, 59);
-        assert_eq!(batched.bytes_down, 57);
+        assert_eq!(batched.bytes_down, 15);
         assert_eq!(singleton.rounds, 2);
         assert_eq!(batched.rounds, 1);
     }

@@ -9,10 +9,16 @@
 //! sequences, one tag byte per enum variant. The one variable-width value
 //! is [`Aggregate`]: a presence byte, then only its non-zero components,
 //! so a moment the request masked off (or an empty cell) costs nothing
-//! past that byte — in query replies, `Grid` setup frames and snapshots
-//! alike. A [`GridIndex`] has one codec, shared by the `Grid` reply and
-//! both snapshot files, and its decoder is the one place untrusted bytes
-//! become a grid.
+//! past that byte. A component that is a whole number in `[1, 2⁵³)` — an
+//! exact count, an LSR count scaled by `2^l`, the sum of an integer
+//! measure — is flagged in the presence byte's bits 3–5 and travels as a
+//! minimal LEB128 varint (1–8 bytes); every other value keeps its 8 `f64`
+//! bytes, so no aggregate grows and every one round-trips bit for bit.
+//! That holds in query replies, `Grid` setup frames and snapshots alike,
+//! and bytes written before the short form existed (bits 3–5 clear)
+//! decode unchanged. A [`GridIndex`] has one codec, shared by the `Grid`
+//! reply and both snapshot files, and its decoder is the one place
+//! untrusted bytes become a grid.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -418,54 +424,138 @@ impl Wire for Moments {
     }
 }
 
-/// `a`'s components in wire order, each with its [`Moments`] bit.
-fn components(a: &Aggregate) -> [(Moments, f64); 3] {
-    [
-        (Moments::COUNT, a.count),
-        (Moments::SUM, a.sum),
-        (Moments::SUM_SQR, a.sum_sqr),
-    ]
+/// `a`'s components in wire order: presence bit `i` (and short-form
+/// flag `3 + i`) belongs to component `i`, the bit order of [`Moments`].
+fn components(a: &Aggregate) -> [f64; 3] {
+    [a.count, a.sum, a.sum_sqr]
 }
 
-/// The components of `a` whose bits are not all zero — a `+0.0`
-/// component is left off the wire and decodes back to `+0.0`; `-0.0` and
-/// NaN travel.
-fn present(a: &Aggregate) -> Moments {
-    components(a)
-        .into_iter()
-        .filter(|(_, v)| v.to_bits() != 0)
-        .fold(Moments::NONE, |acc, (moment, _)| acc | moment)
+/// Every whole number below this is exact in an `f64`: the short form's
+/// domain ends here.
+const SHORT_LIMIT: u64 = 1 << 53;
+
+/// A short form is at most this many 7-bit groups: 8 × 7 = 56 bits hold
+/// every value below [`SHORT_LIMIT`].
+const SHORT_MAX_GROUPS: usize = 8;
+
+/// `v` as the integer its short form carries: `Some` only for a whole
+/// number in `[1, 2⁵³)`, which converts to an integer and back bit for
+/// bit. `+0.0` travels as nothing, and `-0.0`, fractions, negatives, NaN,
+/// ±∞ and larger values in eight bytes. (Range first, then one signed
+/// round trip: both conversions stay single instructions, where
+/// `f64::fract` is a libm call on baseline x86-64.)
+#[inline]
+fn short_form(v: f64) -> Option<u64> {
+    if !(1.0..SHORT_LIMIT as f64).contains(&v) {
+        return None;
+    }
+    let n = v as i64;
+    (n as f64 == v).then_some(n as u64)
 }
 
-/// Sparse: a presence byte ([`Moments`] bits), then only the present
-/// components in `count, sum, sum_sqr` order — 1 to 25 bytes, bit-exact.
-impl Wire for Aggregate {
-    fn encode(&self, buf: &mut BytesMut) {
-        let present = present(self);
-        present.encode(buf);
-        for (moment, v) in components(self) {
-            if present.contains(moment) {
-                v.encode(buf);
-            }
+/// Bytes of `n`'s minimal LEB128 form (`n ≥ 1`).
+#[inline]
+fn varint_len(n: u64) -> usize {
+    (u64::BITS - n.leading_zeros()).div_ceil(7) as usize
+}
+
+/// Reads a short-form component: a minimal LEB128 varint (7-bit groups,
+/// least significant first, the high bit set on every group but the
+/// last) in `[1, 2⁵³)` of at most [`SHORT_MAX_GROUPS`] groups. A zero, a
+/// value past 2⁵³, a ninth group or a trailing zero group is
+/// [`WireError::BadValue`] — the encoder never writes one, so no value
+/// has two short encodings.
+fn get_varint(buf: &mut Bytes) -> WireResult<f64> {
+    const CONTEXT: &str = "aggregate varint";
+    let groups = &buf.chunk()[..buf.remaining().min(SHORT_MAX_GROUPS)];
+    let mut n = 0u64;
+    for (group, &byte) in groups.iter().enumerate() {
+        n |= u64::from(byte & 0x7F) << (7 * group);
+        if byte & 0x80 == 0 {
+            let minimal = byte != 0 || group == 0;
+            buf.advance(group + 1);
+            return if minimal && (1..SHORT_LIMIT).contains(&n) {
+                Ok(n as f64)
+            } else {
+                Err(WireError::BadValue { context: CONTEXT })
+            };
         }
     }
+    Err(if groups.len() < SHORT_MAX_GROUPS {
+        WireError::Truncated { context: CONTEXT }
+    } else {
+        WireError::BadValue { context: CONTEXT }
+    })
+}
+
+/// Sparse: a presence byte, then only the present components in `count,
+/// sum, sum_sqr` order. Bits 0–2 of the presence byte say which
+/// components are on the wire (those whose bits are not all zero), bits
+/// 3–5 which of those travel in the short form: a 1–8 byte varint, where
+/// any other component takes its 8 `f64` bytes. 1 to 25 bytes, bit-exact,
+/// and never longer than the all-`f64` layout, which (bits 3–5 clear)
+/// still decodes. A presence byte with bit 6 or 7 set, or a short-form
+/// flag whose presence bit is clear, is never written, and the decoder
+/// refuses it as [`WireError::BadTag`].
+impl Wire for Aggregate {
+    fn encode(&self, buf: &mut BytesMut) {
+        // Assembled on the stack and appended once: a put per varint
+        // byte costs more than the bytes it saves.
+        let mut out = [0u8; 25];
+        let mut len = 1;
+        for (i, v) in components(self).into_iter().enumerate() {
+            if let Some(mut n) = short_form(v) {
+                out[0] |= 0b1001 << i;
+                while n >= 0x80 {
+                    out[len] = n as u8 | 0x80;
+                    n >>= 7;
+                    len += 1;
+                }
+                out[len] = n as u8;
+                len += 1;
+            } else if v.to_bits() != 0 {
+                out[0] |= 1 << i;
+                out[len..len + 8].copy_from_slice(&v.to_le_bytes());
+                len += 8;
+            }
+        }
+        buf.put_slice(&out[..len]);
+    }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        let present = Moments::decode(buf)?;
-        let mut component = |moment| {
-            if present.contains(moment) {
+        need(buf, 1, "aggregate presence")?;
+        let tag = buf.get_u8();
+        let (present, short) = (tag & 0b111, tag >> 3);
+        if short & !present != 0 {
+            // Also catches bits 6–7: `short` then has a bit above 0b111.
+            return Err(WireError::BadTag {
+                context: "aggregate presence",
+                tag,
+            });
+        }
+        let mut component = |i: u8| {
+            if short & 1 << i != 0 {
+                get_varint(buf)
+            } else if present & 1 << i != 0 {
                 f64::decode(buf)
             } else {
                 Ok(0.0)
             }
         };
         Ok(Aggregate {
-            count: component(Moments::COUNT)?,
-            sum: component(Moments::SUM)?,
-            sum_sqr: component(Moments::SUM_SQR)?,
+            count: component(0)?,
+            sum: component(1)?,
+            sum_sqr: component(2)?,
         })
     }
     fn encoded_len(&self) -> usize {
-        1 + 8 * present(self).bits().count_ones() as usize
+        1 + components(self)
+            .into_iter()
+            .map(|v| match short_form(v) {
+                Some(n) => varint_len(n),
+                None if v.to_bits() != 0 => 8,
+                None => 0,
+            })
+            .sum::<usize>()
     }
 }
 
@@ -568,20 +658,38 @@ mod tests {
         });
     }
 
+    fn agg_bits(a: &Aggregate) -> (u64, u64, u64) {
+        (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits())
+    }
+
+    fn only_count(count: f64) -> Aggregate {
+        Aggregate {
+            count,
+            ..Aggregate::ZERO
+        }
+    }
+
     #[test]
     fn sparse_aggregates_are_bit_exact_and_pay_only_for_what_is_present() {
-        let bits = |a: &Aggregate| (a.count.to_bits(), a.sum.to_bits(), a.sum_sqr.to_bits());
+        let whole_max = (SHORT_LIMIT - 1) as f64;
         let cases = [
-            // (aggregate, encoded length): presence byte + 8 per component
-            // whose bits are not all zero.
+            // (aggregate, encoded length): presence byte, then per
+            // component whose bits are not all zero either its varint
+            // (a whole number in [1, 2^53): one byte per started 7 bits)
+            // or its 8 f64 bytes.
             (Aggregate::ZERO, 1),
-            (
-                Aggregate {
-                    count: 3.0,
-                    ..Aggregate::ZERO
-                },
-                1 + 8,
-            ),
+            (only_count(3.0), 1 + 1),
+            (only_count(127.0), 1 + 1),
+            (only_count(128.0), 1 + 2),
+            // 2^53 - 1 has 53 significant bits: 8 groups of 7.
+            (only_count(whole_max), 1 + 8),
+            // 2^53 is past the short form's domain.
+            (only_count(SHORT_LIMIT as f64), 1 + 8),
+            (only_count(2.5), 1 + 8),
+            (only_count(0.5), 1 + 8),
+            (only_count(-3.0), 1 + 8),
+            (only_count(f64::INFINITY), 1 + 8),
+            (only_count(f64::NEG_INFINITY), 1 + 8),
             (
                 Aggregate {
                     sum: -0.0,
@@ -597,13 +705,22 @@ mod tests {
                 },
                 1 + 16,
             ),
+            (only_count(f64::from_bits(0x7FF8_0000_0000_002A)), 1 + 8),
             (
                 Aggregate {
                     count: 1.0,
                     sum: 2.0,
                     sum_sqr: 4.0,
                 },
-                1 + 24,
+                1 + 3,
+            ),
+            (
+                Aggregate {
+                    count: 40.0,
+                    sum: 1234.5,
+                    sum_sqr: 1e300,
+                },
+                1 + 1 + 8 + 8,
             ),
         ];
         for (a, len) in cases {
@@ -611,21 +728,105 @@ mod tests {
             assert_eq!(bytes.len(), len, "{a:?}");
             assert_eq!(a.encoded_len(), len, "{a:?}");
             let back = Aggregate::from_bytes(bytes).expect("decode");
-            assert_eq!(bits(&back), bits(&a), "{a:?}");
+            assert_eq!(agg_bits(&back), agg_bits(&a), "{a:?}");
         }
     }
 
     #[test]
-    fn a_presence_byte_above_the_three_moments_is_a_bad_tag() {
-        for tag in [0b1000u8, 0xFF] {
+    fn a_whole_component_travels_as_a_minimal_varint() {
+        // 300 = 0b10_0101100: low group 0x2C with its continuation bit,
+        // then 0x02. Presence: COUNT present (bit 0) and short (bit 3).
+        assert_eq!(only_count(300.0).to_bytes().as_ref(), &[0b1001, 0xAC, 0x02]);
+        // A fraction keeps its f64 bytes and no short flag.
+        let mut expected = vec![0b010];
+        expected.extend_from_slice(&2.5f64.to_le_bytes());
+        let half = Aggregate {
+            sum: 2.5,
+            ..Aggregate::ZERO
+        };
+        assert_eq!(half.to_bytes().as_ref(), expected.as_slice());
+    }
+
+    #[test]
+    fn the_all_f64_layout_still_decodes_and_re_encodes_short() {
+        let a = Aggregate {
+            count: 12.0,
+            sum: 7.0,
+            sum_sqr: 0.25,
+        };
+        // The layout before the short form: bits 3-5 clear, three f64s.
+        let mut old = BytesMut::new();
+        old.put_u8(0b111);
+        for v in [a.count, a.sum, a.sum_sqr] {
+            v.encode(&mut old);
+        }
+        let back = Aggregate::from_bytes(old.freeze()).expect("old layout decodes");
+        assert_eq!(agg_bits(&back), agg_bits(&a));
+        // The encoder always picks the short form where it applies.
+        let bytes = back.to_bytes();
+        assert_eq!(bytes[0], 0b011_111);
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 8);
+    }
+
+    #[test]
+    fn a_presence_byte_the_encoder_never_writes_is_a_bad_tag() {
+        // Bit 6 or 7 set, or a short flag (bits 3-5) whose component's
+        // presence bit (bits 0-2) is clear.
+        for tag in [
+            0b0100_0000u8,
+            0b1000_0000,
+            0xFF,
+            0b1000,
+            0b010_001,
+            0b111_011,
+        ] {
             let mut buf = BytesMut::new();
             buf.put_u8(tag);
-            buf.put_slice(&[0; 24]);
+            buf.put_slice(&[0x01; 24]);
             assert_eq!(
                 Aggregate::from_bytes(buf.freeze()),
                 Err(WireError::BadTag {
-                    context: "moments",
+                    context: "aggregate presence",
                     tag
+                })
+            );
+        }
+    }
+
+    /// Decodes a COUNT-only aggregate whose short form is `varint`.
+    fn decode_count_varint(varint: &[u8]) -> WireResult<Aggregate> {
+        let mut buf = BytesMut::new();
+        buf.put_u8(0b1001);
+        buf.put_slice(varint);
+        Aggregate::from_bytes(buf.freeze())
+    }
+
+    #[test]
+    fn a_short_form_outside_its_grammar_is_refused() {
+        let bad = Err(WireError::BadValue {
+            context: "aggregate varint",
+        });
+        // Zero: +0.0 travels as no bytes at all.
+        assert_eq!(decode_count_varint(&[0x00]), bad);
+        // Not minimal: a trailing zero group.
+        assert_eq!(decode_count_varint(&[0x81, 0x00]), bad);
+        assert_eq!(decode_count_varint(&[0x80, 0x80, 0x00]), bad);
+        // 2^53 in eight groups: past the domain.
+        assert_eq!(
+            decode_count_varint(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]),
+            bad
+        );
+        // A ninth group.
+        assert_eq!(decode_count_varint(&[0x81; 9]), bad);
+        // The largest value, 2^53 - 1, in its eight minimal groups.
+        let max = decode_count_varint(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        assert_eq!(max, Ok(only_count((SHORT_LIMIT - 1) as f64)));
+        // Truncated: the buffer ends inside a varint, or before it.
+        for cut in [&[][..], &[0x81], &[0xFF, 0xFF]] {
+            assert_eq!(
+                decode_count_varint(cut),
+                Err(WireError::Truncated {
+                    context: "aggregate varint"
                 })
             );
         }
@@ -687,12 +888,23 @@ mod tests {
         );
         // Presence byte only: every component of ZERO is +0.0.
         assert_eq!(Aggregate::ZERO.to_bytes().len(), 1);
-        // Presence byte + count, sum, sum_sqr at 8 B each.
+        // Presence byte + count, sum, sum_sqr as one-byte varints.
         assert_eq!(
             Aggregate {
                 count: 1.0,
                 sum: 2.0,
                 sum_sqr: 4.0
+            }
+            .to_bytes()
+            .len(),
+            1 + 3
+        );
+        // Fractions keep their 8 f64 bytes.
+        assert_eq!(
+            Aggregate {
+                count: 1.5,
+                sum: 2.5,
+                sum_sqr: 4.5
             }
             .to_bytes()
             .len(),
@@ -728,6 +940,11 @@ mod tests {
         assert_len_exact(Aggregate {
             sum: -0.0,
             ..Aggregate::ZERO
+        });
+        assert_len_exact(Aggregate {
+            count: 1e6,
+            sum: 2.5,
+            sum_sqr: (SHORT_LIMIT - 1) as f64,
         });
         assert_len_exact(Moments::ALL);
     }

@@ -7,6 +7,12 @@
 //! `criterion_group!`/`criterion_main!` macros. Each benchmark
 //! self-calibrates a batch size so cheap closures are timed over many
 //! iterations, then reports the median per-iteration time across samples.
+//!
+//! Like criterion, the generated `main` takes a name filter: the first
+//! argument that is not a flag (`cargo bench --bench micro_index --
+//! boundary_cells_16`) is matched as a substring of each benchmark's
+//! `group/function/param` id, and every benchmark it does not match is
+//! skipped without running.
 
 #![forbid(unsafe_code)]
 
@@ -121,7 +127,7 @@ fn format_duration(d: Duration) -> String {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -131,16 +137,9 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    fn run<F: FnMut(&mut Bencher)>(&mut self, label: &str, mut f: F) {
-        let mut bencher = Bencher::new(self.sample_size);
-        f(&mut bencher);
-        match bencher.measured {
-            Some(t) => println!("{}/{}: {}/iter", self.name, label, format_duration(t)),
-            None => println!(
-                "{}/{}: no measurement (b.iter never called)",
-                self.name, label
-            ),
-        }
+    fn run<F: FnMut(&mut Bencher)>(&mut self, label: &str, f: F) {
+        let id = format!("{}/{}", self.name, label);
+        self.criterion.measure(&id, self.sample_size, f);
     }
 
     /// Benchmarks `f` under `id`.
@@ -172,27 +171,59 @@ impl BenchmarkGroup<'_> {
 
 /// Top-level benchmark driver.
 #[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Only ids containing this run; `None` runs every benchmark.
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Takes the name filter from the process's arguments, as the
+    /// generated `main` does: the first argument that is not a flag
+    /// (cargo passes `--bench`) filters benchmark ids by substring.
+    pub fn configure_from_args(self) -> Self {
+        self.with_args(std::env::args().skip(1))
+    }
+
+    /// [`Criterion::configure_from_args`] over `args`.
+    fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        self.filter = args.into_iter().find(|arg| !arg.starts_with('-'));
+        self
+    }
+
+    /// Whether the benchmark `id` (`group/function/param`) runs.
+    fn selects(&self, id: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| id.contains(filter))
+    }
+
     /// Starts a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.to_string(),
             sample_size: 10,
-            _criterion: self,
+            criterion: self,
         }
     }
 
     /// Benchmarks `f` outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
-        let mut bencher = Bencher::new(10);
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
+        self.measure(id, 10, f);
+        self
+    }
+
+    /// Runs `f` over `samples` samples and prints its time under `id`,
+    /// unless the filter skips `id`.
+    fn measure<F: FnMut(&mut Bencher)>(&self, id: &str, samples: usize, mut f: F) {
+        if !self.selects(id) {
+            return;
+        }
+        let mut bencher = Bencher::new(samples);
         f(&mut bencher);
         match bencher.measured {
             Some(t) => println!("{id}: {}/iter", format_duration(t)),
             None => println!("{id}: no measurement (b.iter never called)"),
         }
-        self
     }
 
     /// End-of-run hook (API parity; reporting is eager).
@@ -204,14 +235,14 @@ impl Criterion {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
             criterion.final_summary();
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
             criterion.final_summary();
         }
@@ -246,6 +277,41 @@ mod tests {
         });
         group.finish();
         assert!(ran > 0, "benchmark closure never executed");
+    }
+
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|arg| arg.to_string()).collect()
+    }
+
+    #[test]
+    fn the_first_argument_that_is_not_a_flag_filters_by_substring() {
+        let c = Criterion::default().with_args(args(&["--bench", "boundary_cells_16", "other"]));
+        assert!(c.selects("boundary_cells_16/per_cell_grid/t0"));
+        assert!(c.selects("micro/boundary_cells_16"));
+        assert!(!c.selects("rtree_probe/fanout/16"));
+        // No argument, or only flags: everything runs.
+        assert!(Criterion::default().with_args(args(&[])).selects("any/id"));
+        assert!(Criterion::default()
+            .with_args(args(&["--bench"]))
+            .selects("any/id"));
+    }
+
+    #[test]
+    fn a_filtered_out_benchmark_never_runs_its_body() {
+        let mut c = Criterion::default().with_args(args(&["--bench", "kept/"]));
+        let (mut wanted, mut skipped) = (0u64, 0u64);
+        let mut group = c.benchmark_group("kept");
+        group.sample_size(2);
+        group.bench_function("sum", |b| b.iter(|| wanted += 1));
+        group.finish();
+        let mut group = c.benchmark_group("other");
+        group.bench_with_input(BenchmarkId::new("sum", 3), &3u64, |b, n| {
+            b.iter(|| skipped += n)
+        });
+        group.finish();
+        c.bench_function("loose", |b| b.iter(|| skipped += 1));
+        assert!(wanted > 0, "the selected benchmark never ran");
+        assert_eq!(skipped, 0, "a filtered-out benchmark ran");
     }
 
     #[test]

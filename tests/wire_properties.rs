@@ -15,19 +15,72 @@ use fedra::index::rtree::RTreeConfig;
 use fedra::index::{Aggregate, Moments};
 use proptest::prelude::*;
 
+/// 2⁵³: the first whole number past the short form's domain.
+const SHORT_LIMIT: u64 = 1 << 53;
+
 /// One aggregate component: arbitrary bits, or one of the values the
 /// sparse codec must keep apart — +0.0 (left off the wire), −0.0, NaN
-/// and subnormals (all of which travel).
+/// payloads, subnormals, ±∞, fractions and negatives (which travel as
+/// f64s), and whole numbers in [1, 2⁵³) (which travel as varints) up to
+/// the edges 2⁵³ − 1 and 2⁵³.
 fn component() -> impl Strategy<Value = f64> {
     prop_oneof![
         any::<u64>().prop_map(f64::from_bits),
         Just(0.0),
         Just(-0.0),
         Just(f64::NAN),
+        any::<u32>().prop_map(|payload| f64::from_bits(0x7FF8_0000_0000_0000 | payload as u64)),
         Just(f64::from_bits(1)),
         Just(-f64::MIN_POSITIVE / 2.0),
         Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (1u64..300).prop_map(|n| n as f64),
+        (1u64..SHORT_LIMIT).prop_map(|n| n as f64),
+        (1u64..SHORT_LIMIT).prop_map(|n| -(n as f64)),
+        (0u64..1 << 20).prop_map(|n| n as f64 + 0.5),
+        Just((SHORT_LIMIT - 1) as f64),
+        Just(SHORT_LIMIT as f64),
     ]
+}
+
+/// The bytes a component costs on the wire: none for +0.0, a minimal
+/// varint (one byte per started 7 bits) for a whole number in [1, 2⁵³),
+/// eight for every other value.
+fn component_len(v: f64) -> usize {
+    if v.to_bits() == 0 {
+        0
+    } else if (1.0..SHORT_LIMIT as f64).contains(&v) && v.fract() == 0.0 {
+        (64 - (v as u64).leading_zeros() as usize).div_ceil(7)
+    } else {
+        8
+    }
+}
+
+/// `a` in the layout written before the short form existed: the
+/// presence byte's bits 0–2, then every present component's f64 bytes.
+fn all_f64_layout(a: &Aggregate) -> Bytes {
+    let present: Vec<f64> = [a.count, a.sum, a.sum_sqr]
+        .into_iter()
+        .filter(|v| v.to_bits() != 0)
+        .collect();
+    let mut buf = BytesMut::new();
+    buf.put_u8(
+        [a.count, a.sum, a.sum_sqr]
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.to_bits() != 0)
+            .fold(0, |bits, (i, _)| bits | 1 << i),
+    );
+    for v in present {
+        v.encode(&mut buf);
+    }
+    buf.freeze()
+}
+
+/// A presence byte the encoder never writes: bit 6 or 7 set, or a
+/// short-form flag (bits 3–5) whose presence bit (bits 0–2) is clear.
+fn refused_presence(tag: u8) -> bool {
+    tag >> 6 != 0 || (tag >> 3) & !tag & 0b111 != 0
 }
 
 fn agg() -> impl Strategy<Value = Aggregate> {
@@ -287,10 +340,42 @@ proptest! {
             .iter()
             .filter(|v| v.to_bits() != 0)
             .count();
-        prop_assert_eq!(bytes.len(), 1 + 8 * present);
+        let exact = 1 + [a.count, a.sum, a.sum_sqr].into_iter().map(component_len).sum::<usize>();
+        prop_assert_eq!(bytes.len(), exact);
+        prop_assert!(bytes.len() <= 1 + 8 * present);
         prop_assert_eq!(a.encoded_len(), bytes.len());
         let back = Aggregate::from_bytes(bytes).expect("well-formed aggregate decodes");
         prop_assert_eq!(agg_bits(&back), agg_bits(&a));
+    }
+
+    #[test]
+    fn the_all_f64_layout_decodes_to_the_same_aggregate(a in agg()) {
+        let back = Aggregate::from_bytes(all_f64_layout(&a)).expect("the older layout decodes");
+        prop_assert_eq!(agg_bits(&back), agg_bits(&a));
+        // Re-encoding always picks the short form where it applies.
+        prop_assert_eq!(back.to_bytes(), a.to_bytes());
+    }
+
+    #[test]
+    fn a_short_form_decodes_only_from_its_one_encoding(varint in proptest::collection::vec(any::<u8>(), 0..11)) {
+        // A COUNT-only aggregate flagged short, followed by arbitrary
+        // bytes: either they are the one minimal varint of a whole
+        // number in [1, 2⁵³), which re-encodes to the same bytes, or the
+        // decoder refuses them typed.
+        let mut frame = vec![0b1001u8];
+        frame.extend_from_slice(&varint);
+        match Aggregate::from_bytes(Bytes::from(frame.clone())) {
+            Ok(a) => prop_assert_eq!(a.to_bytes().to_vec(), frame),
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    WireError::Truncated { context: "aggregate varint" }
+                        | WireError::BadValue { context: "aggregate varint" }
+                        | WireError::BadLength { context: "trailing bytes", .. }
+                ),
+                "{e:?}"
+            ),
+        }
     }
 
     #[test]
@@ -302,19 +387,26 @@ proptest! {
     }
 
     #[test]
-    fn a_presence_byte_above_the_three_moments_is_refused(a in agg(), tag in (8u16..256).prop_map(|t| t as u8)) {
+    fn a_presence_byte_above_the_three_moments_is_refused(
+        a in agg(),
+        tag in any::<u8>().prop_map(|t| if refused_presence(t) { t } else { t | 0b0100_0000 }),
+    ) {
+        prop_assert!(refused_presence(tag));
+        // Past the three presence bits and their three short-form flags
+        // (bits 6–7), or a flag without its presence bit: a bad tag,
+        // before any component is read.
         let mut frame = Response::Agg(a).to_bytes().to_vec();
         frame[1] = tag; // the byte after the response tag
         prop_assert_eq!(
             Response::from_bytes(Bytes::from(frame)),
-            Err(WireError::BadTag { context: "moments", tag })
+            Err(WireError::BadTag { context: "aggregate presence", tag })
         );
         let mut buf = BytesMut::new();
         buf.put_u8(tag);
         buf.put_slice(&[0x11; 24]);
         prop_assert_eq!(
             Aggregate::from_bytes(buf.freeze()),
-            Err(WireError::BadTag { context: "moments", tag })
+            Err(WireError::BadTag { context: "aggregate presence", tag })
         );
     }
 
