@@ -234,8 +234,8 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # for the same queries. Timings from a 2 s window are not read; bytes
 # are: a batch workload's check pass sends a deterministic function of
 # the seed, so neither batch_noniid_mem's nor batch_exact_mem's may grow
-# past the bytes recorded when whole-number aggregate components began
-# to travel as varints. single_noniid_tcp keeps one query in flight, so
+# past the bytes recorded when whole cell vectors began to travel as
+# varint columns behind varint lengths. single_noniid_tcp keeps one query in flight, so
 # its check pass is the one LSR path whose bytes are a function of the
 # seed: they may not grow past the figure recorded at the same change.
 # sched_* coalesce by timing and stay ungated. Index memory is
@@ -246,9 +246,9 @@ echo "    ok (degraded honestly, respawned from snapshot, $(grep -c '^ANSWER' "$
 # so neither per-node child vectors nor a second copy of the objects or
 # of the provider's prefixes can creep back in.
 echo "==> benchmark correctness gate (fedra-e2e, 2 s windows)"
-noniid_bytes_cap=92.079
-exact_bytes_cap=245.428
-lone_lsr_bytes_cap=1090.851
+noniid_bytes_cap=77.460
+exact_bytes_cap=245.332
+lone_lsr_bytes_cap=1077.895
 index_mem_cap=46.960
 for workload in single_noniid_tcp batch_exact_mem batch_noniid_mem sched_iid_mem sched_iid_tcp; do
     gate_out=$(bash bench/run.sh --workload "$workload" --seconds 2 --trace 0) \

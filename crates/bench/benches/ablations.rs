@@ -95,10 +95,12 @@ fn main() {
     // out the boundary cells itself and replies for those it holds mass
     // in. So the boundary-only arm is measured over the wire, and the
     // full-vector arm is priced: the same request plus the cell ids
-    // (`encoded_len()` of a u32 vector), and a reply of one COUNT
-    // aggregate per intersecting cell, each priced with silo 0's whole
-    // count in that cell (an upper bound: a cell's in-range count is no
-    // larger, and a smaller whole number never takes a longer varint).
+    // (`encoded_len()` of a u32 vector: a varint count, 4 B per id), and
+    // a reply of one COUNT aggregate per intersecting cell, each priced
+    // with silo 0's whole count in that cell (an upper bound: a cell's
+    // in-range count is no larger, and a smaller whole number never
+    // takes a longer varint, so neither cell-vector layout — COUNT
+    // column or sparse cells — nor the shorter of the two can grow).
     // Both include the envelope each way.
     let spec = *grid.spec();
     let request = |range: Range| Request::Masked {

@@ -1579,15 +1579,15 @@ mod tests {
         let batched = engine.execute_batch(&fed, &qs);
         assert_same_answers(&batched.results, &lone);
         // One frame per silo, and the bytes of the run-map driver this
-        // table replaced. Per silo, a 512 B envelope and a 5 B batch
-        // header (tag + u32 count) each way, then 15 legs: up, a 29 B
-        // masked COUNT request each (3 × (512 + 5 + 15 × 29) = 2856); down,
-        // 3 B each — response tag, presence byte and the count, non-zero
-        // and below 128, as a one-byte varint (3 × (512 + 5 + 15 × 3) =
-        // 1686).
+        // table replaced. Per silo, a 512 B envelope and a 2 B batch
+        // header (tag + a one-byte varint count of 15) each way, then 15
+        // legs: up, a 29 B masked COUNT request each (3 × (512 + 2 + 15 ×
+        // 29) = 2847); down, 3 B each — response tag, presence byte and
+        // the count, non-zero and below 128, as a one-byte varint (3 ×
+        // (512 + 2 + 15 × 3) = 1677).
         let pinned = CommSnapshot {
-            bytes_up: 2856,
-            bytes_down: 1686,
+            bytes_up: 2847,
+            bytes_down: 1677,
             rounds: 3,
         };
         assert_eq!(batched.comm, pinned);
@@ -1628,17 +1628,24 @@ mod tests {
             .map(|(i, q)| algorithms[i % 3].try_execute(&fed, q))
             .collect();
         assert_same_answers(&outcomes, &lone);
-        // Down: 4 × (512 B envelope + 5 B batch header) = 2068; 32 EXACT
+        // Up: 4 × (512 B envelope + 2 B batch header: tag + a one-byte
+        // varint count) = 2056; 48 masked COUNT requests (32 EXACT legs, 8
+        // IID samples, 8 NonIID cell requests) of 29 B each — Masked tag,
+        // mask, request tag, range (25), Exact mode byte — = 1392.
+        // 2056 + 1392 = 3448.
+        // Down: 4 × (512 B envelope + 2 B batch header) = 2056; 32 EXACT
         // legs and 8 IID samples at 3 B (response tag, presence byte, a
         // non-zero count below 128 as a one-byte varint) = 120; 8 NonIID
-        // replies' tag and u32 length = 40; the remaining 137 B are their
-        // boundary cells, a presence byte each plus a one-byte varint for
-        // each non-zero count. 2068 + 120 + 40 + 137 = 2365.
+        // replies' tag, one-byte length and layout byte = 24; the
+        // remaining 90 B are their 90 boundary cells, one byte each: a
+        // COUNT column of counts below 128, `0` for an empty cell (sparse
+        // cells would take 90 presence bytes plus 47 non-zero counts,
+        // 137 B, so the column is written). 2056 + 120 + 24 + 90 = 2290.
         assert_eq!(
             comm,
             CommSnapshot {
-                bytes_up: 3460,
-                bytes_down: 2365,
+                bytes_up: 3448,
+                bytes_down: 2290,
                 rounds: 4,
             }
         );

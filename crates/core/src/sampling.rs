@@ -671,12 +671,14 @@ mod tests {
         let payload = fed.query_comm().total_bytes() - 2 * fed.message_overhead();
         // Up: Masked tag + mask byte + CellContributions tag + range (25 B)
         // + Exact mode byte = 29 B, whatever the boundary. Down: AggVec
-        // tag + u32 length, then at most 9 B per boundary cell (a COUNT:
-        // presence byte + count). The boundary of an r = 10 circle on a
-        // 2 km grid is ≈ 4 · 2r/L = 40 cells, not the 2500 of the grid.
+        // tag + a one-byte varint length (fewer than 128 cells) + the
+        // layout byte, then at most 9 B per boundary cell (a sparse COUNT
+        // cell: presence byte + at most 8 B; a COUNT column entry takes
+        // at most 8). The boundary of an r = 10 circle on a 2 km grid is
+        // ≈ 4 · 2r/L = 40 cells, not the 2500 of the grid.
         let n = fed.merged_grid().spec().classify(&q.range).boundary.len() as u64;
         assert!((30..=48).contains(&n), "{n} boundary cells");
-        let priced = 29 + 5 + 9 * n;
+        let priced = 29 + 3 + 9 * n;
         assert!(payload <= priced, "NonIID comm {payload} > {priced} bytes");
     }
 

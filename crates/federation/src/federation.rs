@@ -877,19 +877,22 @@ mod tests {
         let setup = fed.setup_comm();
         // One batched [Setup, BuildGrid] round per silo.
         assert_eq!(setup.rounds, 3);
-        // Per silo, down: the envelope; the batch reply's tag + u32 item
-        // count; Setup's Memory reply (tag + 4 × u64); the Grid reply: tag,
-        // bounds (32), cell_len (8), a u32 cell count, 100 cells at a
-        // presence byte each plus 3 B per occupied cell (measures are the
-        // whole numbers 1–3, so count, sum and sum_sqr are non-zero whole
-        // numbers, each below 128 — asserted — and a one-byte varint),
-        // outside (8).
+        // Per silo, down: the envelope; the batch reply's tag + a one-byte
+        // item count; Setup's Memory reply (tag + 4 × u64); the Grid reply:
+        // tag, bounds (32), cell_len (8), a one-byte cell count (100 <
+        // 128), the layout byte, the cells, outside (8). Measures are the
+        // whole numbers 1–3, so an occupied cell's count, sum and sum_sqr
+        // are non-zero whole numbers, each below 128 (asserted): a
+        // one-byte varint. So the cells take the shorter of sparse (a
+        // presence byte per cell plus 3 B per occupied cell) and columns
+        // (3 B per cell, all three moments being present somewhere).
         let expected: u64 = (0..3)
             .map(|k| {
                 let cells = fed.silo_grid(k).cells();
                 assert!(cells.iter().all(|c| c.sum_sqr < 128.0));
                 let occupied = cells.iter().filter(|c| c.count > 0.0).count() as u64;
-                fed.message_overhead() + 5 + 33 + (1 + 32 + 8 + 4 + 100 + 3 * occupied + 8)
+                let body = (100 + 3 * occupied).min(3 * 100);
+                fed.message_overhead() + 2 + 33 + (1 + 32 + 8 + 1 + 1 + body + 8)
             })
             .sum();
         assert_eq!(setup.bytes_down, expected);

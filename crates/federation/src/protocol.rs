@@ -35,7 +35,7 @@ use fedra_index::histogram::MinSkewConfig;
 use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, Moments};
 
-use crate::wire::{decode_nested, decode_seq, Wire, WireError, WireResult};
+use crate::wire::{decode_nested, decode_seq, len_len, put_len, Wire, WireError, WireResult};
 
 /// How a silo should answer a local range aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,8 +272,10 @@ impl Wire for LocalMode {
 /// of the old layout is a [`WireError::BadTag`], never a misread spec.
 const REQUEST_SETUP_TAG: u8 = 9;
 const REQUEST_BUILD_GRID_TAG: u8 = 10;
-/// Wire tag of [`Request::Batch`].
-pub(crate) const REQUEST_BATCH_TAG: u8 = 6;
+/// Wire tag of [`Request::Batch`]. Tag 6 was its layout with a `u32`
+/// item count; it is retired, so a frame from a peer of that layout is a
+/// [`WireError::BadTag`], never a misread count.
+pub(crate) const REQUEST_BATCH_TAG: u8 = 11;
 /// Wire tag of [`Request::Masked`].
 const REQUEST_MASKED_TAG: u8 = 7;
 /// Wire tag of [`Request::CellContributions`]. Tag 2 was its old layout,
@@ -283,8 +285,17 @@ const REQUEST_CELL_CONTRIBUTIONS_TAG: u8 = 8;
 /// Wire tags of the requests a [`Request::Masked`] may wrap: `Aggregate`,
 /// `CellContributions`, `HistogramEstimate`.
 const MASKABLE_TAGS: [u8; 3] = [1, REQUEST_CELL_CONTRIBUTIONS_TAG, 3];
-/// Wire tag of [`Response::Batch`].
-const RESPONSE_BATCH_TAG: u8 = 7;
+/// Wire tags of the replies that carry a sequence or a string, whose
+/// lengths are varints: [`Response::Grid`], [`Response::AggVec`],
+/// [`Response::Error`], [`Response::Batch`] and [`Response::Transient`].
+/// Their tags in the layout with `u32` lengths (and no cell-vector layout
+/// byte) were 0, 2, 5, 7 and 8; those are retired, so a reply from a peer
+/// of that layout is a [`WireError::BadTag`], never a misread answer.
+const RESPONSE_GRID_TAG: u8 = 10;
+const RESPONSE_AGG_VEC_TAG: u8 = 11;
+const RESPONSE_ERROR_TAG: u8 = 12;
+const RESPONSE_BATCH_TAG: u8 = 13;
+const RESPONSE_TRANSIENT_TAG: u8 = 14;
 
 /// The riders of a request frame as a silo serves them (see
 /// [`decode_riders`]).
@@ -327,10 +338,11 @@ pub(crate) fn decode_riders(payload: Bytes) -> WireResult<Riders> {
 /// without cloning the sub-requests, and with the buffer pre-reserved to
 /// the exact frame size. This is the transport's batched-send hot path.
 pub(crate) fn encode_batch_request(requests: &[&Request]) -> Bytes {
-    let len: usize = 1 + 4 + requests.iter().map(|r| r.encoded_len()).sum::<usize>();
+    let len: usize =
+        1 + len_len(requests.len()) + requests.iter().map(|r| r.encoded_len()).sum::<usize>();
     let mut buf = BytesMut::with_capacity(len);
     buf.put_u8(REQUEST_BATCH_TAG);
-    (requests.len() as u32).encode(&mut buf);
+    put_len(&mut buf, requests.len());
     for request in requests {
         request.encode(&mut buf);
     }
@@ -498,7 +510,7 @@ impl Wire for Response {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             Response::Grid(grid) => {
-                buf.put_u8(0);
+                buf.put_u8(RESPONSE_GRID_TAG);
                 grid.encode(buf);
             }
             Response::GridAck { total, outside } => {
@@ -511,7 +523,7 @@ impl Wire for Response {
                 a.encode(buf);
             }
             Response::AggVec(v) => {
-                buf.put_u8(2);
+                buf.put_u8(RESPONSE_AGG_VEC_TAG);
                 v.encode(buf);
             }
             Response::Memory(m) => {
@@ -520,7 +532,7 @@ impl Wire for Response {
             }
             Response::Pong => buf.put_u8(4),
             Response::Error(msg) => {
-                buf.put_u8(5);
+                buf.put_u8(RESPONSE_ERROR_TAG);
                 msg.encode(buf);
             }
             Response::Batch(responses) => {
@@ -528,7 +540,7 @@ impl Wire for Response {
                 responses.encode(buf);
             }
             Response::Transient(msg) => {
-                buf.put_u8(8);
+                buf.put_u8(RESPONSE_TRANSIENT_TAG);
                 msg.encode(buf);
             }
             Response::DeadlineExceeded { late_by_us } => {
@@ -544,12 +556,12 @@ impl Wire for Response {
             });
         }
         match buf.get_u8() {
-            0 => Ok(Response::Grid(Box::new(GridIndex::decode(buf)?))),
+            RESPONSE_GRID_TAG => Ok(Response::Grid(Box::new(GridIndex::decode(buf)?))),
             1 => Ok(Response::Agg(Aggregate::decode(buf)?)),
-            2 => Ok(Response::AggVec(Vec::<Aggregate>::decode(buf)?)),
+            RESPONSE_AGG_VEC_TAG => Ok(Response::AggVec(Vec::<Aggregate>::decode(buf)?)),
             3 => Ok(Response::Memory(SiloMemoryReport::decode(buf)?)),
             4 => Ok(Response::Pong),
-            5 => Ok(Response::Error(String::decode(buf)?)),
+            RESPONSE_ERROR_TAG => Ok(Response::Error(String::decode(buf)?)),
             6 => Ok(Response::GridAck {
                 total: Aggregate::decode(buf)?,
                 outside: u64::decode(buf)?,
@@ -557,7 +569,7 @@ impl Wire for Response {
             RESPONSE_BATCH_TAG => Ok(Response::Batch(decode_seq(buf, |buf| {
                 decode_nested(buf, "batch item", |tag| tag != RESPONSE_BATCH_TAG)
             })?)),
-            8 => Ok(Response::Transient(String::decode(buf)?)),
+            RESPONSE_TRANSIENT_TAG => Ok(Response::Transient(String::decode(buf)?)),
             9 => Ok(Response::DeadlineExceeded {
                 late_by_us: u64::decode(buf)?,
             }),
@@ -733,7 +745,7 @@ mod tests {
         ])
         .to_bytes();
         let mut bad_tag = good.to_vec();
-        bad_tag[5] = 0xEE;
+        bad_tag[2] = 0xEE; // the first item's tag, past the batch tag and count
         assert!(matches!(
             decode_riders(Bytes::from(bad_tag)),
             Err(WireError::BadTag { .. })
@@ -778,7 +790,7 @@ mod tests {
         );
         let mut batch = BytesMut::new();
         batch.put_u8(REQUEST_BATCH_TAG);
-        1u32.encode(&mut batch);
+        put_len(&mut batch, 1);
         batch.extend_from_slice(&old);
         assert_eq!(
             Request::from_bytes(batch.freeze()),
@@ -887,7 +899,7 @@ mod tests {
         ];
         for (bounds, cell_len, cells, expected) in rows {
             let mut frame = BytesMut::new();
-            frame.put_u8(0);
+            frame.put_u8(RESPONSE_GRID_TAG);
             bounds.encode(&mut frame);
             cell_len.encode(&mut frame);
             vec![Aggregate::ZERO; cells].encode(&mut frame);
@@ -1034,8 +1046,9 @@ mod tests {
     #[test]
     fn a_million_nested_headers_are_a_typed_error_not_a_stack_overflow() {
         const DEPTH: usize = 1_000_000;
-        // Batch-of-one headers, each wrapping the next, then a Ping.
-        let batches = chain(&[REQUEST_BATCH_TAG, 1, 0, 0, 0], DEPTH, &[5]);
+        // Batch-of-one headers (the tag, a one-byte count), each wrapping
+        // the next, then a Ping.
+        let batches = chain(&[REQUEST_BATCH_TAG, 1], DEPTH, &[5]);
         assert_eq!(
             Request::from_bytes(batches),
             Err(WireError::BadTag {
@@ -1044,7 +1057,7 @@ mod tests {
             })
         );
         // The same on the reply path, ending in a Pong.
-        let batches = chain(&[RESPONSE_BATCH_TAG, 1, 0, 0, 0], DEPTH, &[4]);
+        let batches = chain(&[RESPONSE_BATCH_TAG, 1], DEPTH, &[4]);
         assert_eq!(
             Response::from_bytes(batches),
             Err(WireError::BadTag {
@@ -1086,11 +1099,94 @@ mod tests {
         }
     }
 
+    /// Decodes `old` — bytes of a retired layout — as a request or a
+    /// reply (`reply`) and expects the refusal of its retired `tag`.
+    fn assert_retired(old: BytesMut, reply: bool, tag: u8) {
+        let context = if reply { "response" } else { "request" };
+        let decoded = if reply {
+            Response::from_bytes(old.freeze()).map(|_| ())
+        } else {
+            Request::from_bytes(old.freeze()).map(|_| ())
+        };
+        assert_eq!(decoded, Err(WireError::BadTag { context, tag }));
+    }
+
+    /// `cells` in the cell-vector layout with a `u32` count and no layout
+    /// byte: the count, then every cell's sparse bytes.
+    fn u32_counted_cells(cells: &[Aggregate], buf: &mut BytesMut) {
+        (cells.len() as u32).encode(buf);
+        cells.iter().for_each(|a| a.encode(buf));
+    }
+
+    /// `s` behind a `u32` byte count, as `Error` and `Transient` carried it.
+    fn u32_counted_string(s: &str, buf: &mut BytesMut) {
+        (s.len() as u32).encode(buf);
+        buf.put_slice(s.as_bytes());
+    }
+
+    #[test]
+    fn a_batch_request_with_a_u32_count_is_a_typed_error() {
+        // Tag 6, a u32 count of 2, then a Ping and a masked request.
+        let mut old = BytesMut::new();
+        old.put_u8(6);
+        2u32.encode(&mut old);
+        Request::Ping.encode(&mut old);
+        masked(0b001).encode(&mut old);
+        assert_retired(old, false, 6);
+    }
+
+    #[test]
+    fn a_grid_reply_with_u32_counted_cells_is_a_typed_error() {
+        let grid = sample_grid();
+        let mut old = BytesMut::new();
+        old.put_u8(0);
+        grid.spec().bounds().encode(&mut old);
+        grid.spec().cell_len().encode(&mut old);
+        u32_counted_cells(grid.cells(), &mut old);
+        grid.outside_count().encode(&mut old);
+        assert_retired(old, true, 0);
+    }
+
+    #[test]
+    fn a_cell_reply_with_u32_counted_cells_is_a_typed_error() {
+        let mut old = BytesMut::new();
+        old.put_u8(2);
+        u32_counted_cells(&[Aggregate::ZERO, *sample_grid().cell(0)], &mut old);
+        assert_retired(old, true, 2);
+    }
+
+    #[test]
+    fn an_error_reply_with_a_u32_length_is_a_typed_error() {
+        let mut old = BytesMut::new();
+        old.put_u8(5);
+        u32_counted_string("silo unavailable", &mut old);
+        assert_retired(old, true, 5);
+    }
+
+    #[test]
+    fn a_batch_reply_with_a_u32_count_is_a_typed_error() {
+        // Tag 7, a u32 count of 2, then a Pong and an Agg reply.
+        let mut old = BytesMut::new();
+        old.put_u8(7);
+        2u32.encode(&mut old);
+        Response::Pong.encode(&mut old);
+        Response::Agg(*sample_grid().cell(0)).encode(&mut old);
+        assert_retired(old, true, 7);
+    }
+
+    #[test]
+    fn a_transient_reply_with_a_u32_length_is_a_typed_error() {
+        let mut old = BytesMut::new();
+        old.put_u8(8);
+        u32_counted_string("flap window", &mut old);
+        assert_retired(old, true, 8);
+    }
+
     #[test]
     fn bad_tags_error() {
-        // One past the BuildGrid request tag, and the retired tags of
-        // the old BuildGrid, CellContributions and MemoryReport layouts.
-        for tag in [REQUEST_BUILD_GRID_TAG + 1, 0, 2, 4] {
+        // One past the Batch request tag, and the retired tags of the old
+        // BuildGrid, CellContributions, MemoryReport and Batch layouts.
+        for tag in [REQUEST_BATCH_TAG + 1, 0, 2, 4, 6] {
             assert_eq!(
                 Request::from_bytes(Bytes::from(vec![tag, 0, 0, 0, 0])),
                 Err(WireError::BadTag {
@@ -1099,19 +1195,21 @@ mod tests {
                 })
             );
         }
-        let mut buf = BytesMut::new();
-        buf.put_u8(10); // one past the DeadlineExceeded response tag
-        assert!(matches!(
-            Response::from_bytes(buf.freeze()),
-            Err(WireError::BadTag {
-                context: "response",
-                tag: 10
-            })
-        ));
+        // One past the Transient response tag, and the retired tags of the
+        // layouts with `u32` lengths.
+        for tag in [RESPONSE_TRANSIENT_TAG + 1, 0, 2, 5, 7, 8] {
+            assert_eq!(
+                Response::from_bytes(Bytes::from(vec![tag, 0, 0, 0, 0])),
+                Err(WireError::BadTag {
+                    context: "response",
+                    tag
+                })
+            );
+        }
         // A batch whose *item* carries a bad tag also errors.
         let mut buf = BytesMut::new();
         buf.put_u8(super::REQUEST_BATCH_TAG);
-        1u32.encode(&mut buf);
+        put_len(&mut buf, 1);
         buf.put_u8(200);
         assert!(matches!(
             Request::from_bytes(buf.freeze()),

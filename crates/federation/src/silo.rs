@@ -121,10 +121,11 @@ pub struct SiloGridSnapshot {
     pub grid: GridIndex,
 }
 
-/// Format magic of [`SiloGridSnapshot`]: layout 4, the whole [`SiloSpec`]
+/// Format magic of [`SiloGridSnapshot`]: layout 5, the whole [`SiloSpec`]
 /// and the grid in its own codec. Layouts 1 (no magic), 2 (bounds and `L`
-/// only) and 3 (bare cells) are refused.
-const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID4";
+/// only), 3 (bare cells) and 4 (the grid's cells behind a `u32` count, no
+/// layout byte) are refused.
+const SILO_SNAPSHOT_MAGIC: &[u8; 8] = b"FRAGRID5";
 
 impl Wire for SiloGridSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
@@ -1431,6 +1432,34 @@ mod tests {
             assert!(fresh.indexes.get().is_none());
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_layout_4_snapshot_is_a_typed_error_not_misread() {
+        let s = silo(36, objects(300), 0);
+        s.handle(Request::BuildGrid {
+            return_cells: false,
+        });
+        let snapshot = s.grid_snapshot().expect("grid built");
+        let grid = &snapshot.grid;
+        // Layout 4: its magic, the spec, the object count, then the grid
+        // with a u32 cell count and no cell-vector layout byte.
+        let mut layout4 = BytesMut::new();
+        layout4.put_slice(b"FRAGRID4");
+        snapshot.spec.encode(&mut layout4);
+        snapshot.num_objects.encode(&mut layout4);
+        grid.spec().bounds().encode(&mut layout4);
+        grid.spec().cell_len().encode(&mut layout4);
+        (grid.cells().len() as u32).encode(&mut layout4);
+        grid.cells().iter().for_each(|a| a.encode(&mut layout4));
+        grid.outside_count().encode(&mut layout4);
+        assert_eq!(
+            SiloGridSnapshot::from_bytes(layout4.freeze()),
+            Err(WireError::BadTag {
+                context: "silo grid snapshot format",
+                tag: b'F'
+            })
+        );
     }
 
     #[test]

@@ -47,10 +47,11 @@ impl ProviderSnapshot {
     }
 }
 
-/// Format magic of [`ProviderSnapshot`]: layout 3, a sequence of grids in
-/// the [`GridIndex`] codec. Layouts 1 (no magic, 24-byte cells) and 2
-/// (one bounds and `L` for all silos) are refused.
-const PROVIDER_SNAPSHOT_MAGIC: &[u8; 8] = b"FRASNAP3";
+/// Format magic of [`ProviderSnapshot`]: layout 4, a varint-counted
+/// sequence of grids in the [`GridIndex`] codec. Layouts 1 (no magic,
+/// 24-byte cells), 2 (one bounds and `L` for all silos) and 3 (`u32`
+/// counts, no cell-vector layout byte) are refused.
+const PROVIDER_SNAPSHOT_MAGIC: &[u8; 8] = b"FRASNAP4";
 
 impl Wire for ProviderSnapshot {
     fn encode(&self, buf: &mut BytesMut) {
@@ -166,7 +167,7 @@ mod tests {
         let snap = sample_snapshot();
         let mut body = BytesMut::new();
         body.put_slice(PROVIDER_SNAPSHOT_MAGIC);
-        (snap.grids.len() as u32).encode(&mut body);
+        crate::wire::put_len(&mut body, snap.grids.len());
         for (k, grid) in snap.grids.iter().enumerate() {
             grid.spec().bounds().encode(&mut body);
             grid.spec().cell_len().encode(&mut body);
@@ -219,6 +220,35 @@ mod tests {
             let err = ProviderSnapshot::load_from(&path).expect_err("old layout");
             assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_layout_3_snapshot_is_a_typed_error_not_misread() {
+        // Layout 3: its magic, a u32 grid count, then each grid with a
+        // u32 cell count and no cell-vector layout byte.
+        let snap = sample_snapshot();
+        let mut layout3 = BytesMut::new();
+        layout3.put_slice(b"FRASNAP3");
+        (snap.grids.len() as u32).encode(&mut layout3);
+        for grid in &snap.grids {
+            grid.spec().bounds().encode(&mut layout3);
+            grid.spec().cell_len().encode(&mut layout3);
+            (grid.cells().len() as u32).encode(&mut layout3);
+            grid.cells().iter().for_each(|a| a.encode(&mut layout3));
+            grid.outside_count().encode(&mut layout3);
+        }
+        assert_eq!(
+            ProviderSnapshot::from_bytes(layout3.clone().freeze()),
+            Err(crate::wire::WireError::BadTag {
+                context: "provider snapshot format",
+                tag: b'F'
+            })
+        );
+        let path = scratch("layout3.bin");
+        write_checked(&path, &layout3).unwrap();
+        let err = ProviderSnapshot::load_from(&path).expect_err("layout 3");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

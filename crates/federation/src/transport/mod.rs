@@ -1590,11 +1590,12 @@ mod tests {
         let singleton = stats.snapshot().since(&before);
         // Payloads: singleton 2 × (27 up, 5 down — tag + presence byte +
         // three moments of 12 as one-byte varints); the shared frame adds
-        // a 5-byte header each way (tag + count) on top of the same items.
+        // a 2-byte header each way (tag + a one-byte varint count) on top
+        // of the same items.
         assert_eq!(singleton.bytes_up, 54);
         assert_eq!(singleton.bytes_down, 10);
-        assert_eq!(batched.bytes_up, 59);
-        assert_eq!(batched.bytes_down, 15);
+        assert_eq!(batched.bytes_up, 56);
+        assert_eq!(batched.bytes_down, 12);
         assert_eq!(singleton.rounds, 2);
         assert_eq!(batched.rounds, 1);
     }

@@ -5,20 +5,26 @@
 //! honestly, every message in `fedra` — even though silos run as threads in
 //! the same process — is serialized to a byte buffer with this codec and
 //! the buffer's length is what the metrics record. The format is a simple
-//! tagged little-endian layout: fixed-width scalars, `u32` length-prefixed
-//! sequences, one tag byte per enum variant. The one variable-width value
-//! is [`Aggregate`]: a presence byte, then only its non-zero components,
-//! so a moment the request masked off (or an empty cell) costs nothing
-//! past that byte. A component that is a whole number in `[1, 2⁵³)` — an
-//! exact count, an LSR count scaled by `2^l`, the sum of an integer
-//! measure — is flagged in the presence byte's bits 3–5 and travels as a
-//! minimal LEB128 varint (1–8 bytes); every other value keeps its 8 `f64`
+//! tagged little-endian layout: fixed-width scalars, sequences prefixed by
+//! their count as a minimal LEB128 varint (1 byte below 128 items), one tag
+//! byte per enum variant. Every varint — a count, a whole component, a
+//! column entry — goes through one writer ([`write_varint`]) and one reader
+//! ([`get_varint`]), and each caller checks its own domain.
+//!
+//! An [`Aggregate`] alone is a presence byte, then only its non-zero
+//! components, so a moment the request masked off (or an empty cell)
+//! costs nothing past that byte. A component that is a whole number in
+//! `[1, 2⁵³)` — an exact count, an LSR count scaled by `2^l`, the sum of
+//! an integer measure — is flagged in the presence byte's bits 3–5 and
+//! travels as a varint (1–8 bytes); every other value keeps its 8 `f64`
 //! bytes, so no aggregate grows and every one round-trips bit for bit.
-//! That holds in query replies, `Grid` setup frames and snapshots alike,
-//! and bytes written before the short form existed (bits 3–5 clear)
-//! decode unchanged. A [`GridIndex`] has one codec, shared by the `Grid`
-//! reply and both snapshot files, and its decoder is the one place
-//! untrusted bytes become a grid.
+//! A `Vec<Aggregate>` — a NonIID-est reply, a grid's cells — adds one
+//! layout byte after its count: either every cell in that sparse form, or,
+//! when every component is `+0.0` or whole in `[1, 2⁵³)`, columns (one
+//! varint per cell per moment present anywhere, `0` for `+0.0`), whichever
+//! is shorter. A [`GridIndex`] has one codec, shared by the `Grid` reply
+//! and both snapshot files, and its decoder is the one place untrusted
+//! bytes become a grid.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -93,6 +99,23 @@ pub trait Wire: Sized {
     /// the RPC hot path encodes every frame with a single allocation and
     /// no growth copies.
     fn encoded_len(&self) -> usize;
+
+    /// Appends `items` in the `Vec<Self>` layout. By default that is
+    /// [`encode_seq`]'s: a varint count, then each item; a type with a
+    /// denser sequence layout overrides all three `*_vec` methods.
+    fn encode_vec(items: &[Self], buf: &mut BytesMut) {
+        encode_seq(items, buf);
+    }
+
+    /// Exact number of bytes [`Wire::encode_vec`] appends for `items`.
+    fn vec_len(items: &[Self]) -> usize {
+        seq_len(items)
+    }
+
+    /// Decodes what [`Wire::encode_vec`] wrote.
+    fn decode_vec(buf: &mut Bytes) -> WireResult<Vec<Self>> {
+        decode_seq(buf, Self::decode)
+    }
 
     /// Convenience: encodes into a fresh buffer sized exactly by
     /// [`Wire::encoded_len`].
@@ -211,11 +234,11 @@ impl Wire for bool {
 
 impl Wire for String {
     fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u32).encode(buf);
+        put_len(buf, self.len());
         buf.put_slice(self.as_bytes());
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        let len = u32::decode(buf)? as usize;
+        let len = get_len(buf)?;
         need(buf, len, "string body")?;
         let raw = buf.split_to(len);
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadTag {
@@ -224,45 +247,112 @@ impl Wire for String {
         })
     }
     fn encoded_len(&self) -> usize {
-        4 + self.len()
+        len_len(self.len()) + self.len()
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
-        encode_seq(self, buf);
+        T::encode_vec(self, buf);
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
-        decode_seq(buf, T::decode)
+        T::decode_vec(buf)
     }
     fn encoded_len(&self) -> usize {
-        seq_len(self)
+        T::vec_len(self)
     }
 }
 
-/// Appends `items` in the `Vec<T>` layout: a `u32` count, then each item.
-fn encode_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
-    (items.len() as u32).encode(buf);
-    for item in items {
-        item.encode(buf);
+/// Bytes of `n`'s minimal LEB128 form: one per started 7 bits, and one
+/// for zero.
+#[inline]
+fn varint_len(n: u64) -> usize {
+    (u64::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Writes `n` as a minimal LEB128 varint (7-bit groups, least significant
+/// first, the high bit set on every group but the last) at the start of
+/// `out`, returning its length. The one varint writer: [`put_len`]
+/// appends through it, and the aggregate codecs assemble several on the
+/// stack with it, since a put per varint costs more than the bytes it
+/// saves.
+#[inline]
+fn write_varint(out: &mut [u8], mut n: u64) -> usize {
+    let mut len = 0;
+    while n >= 0x80 {
+        out[len] = n as u8 | 0x80;
+        n >>= 7;
+        len += 1;
+    }
+    out[len] = n as u8;
+    len + 1
+}
+
+/// Reads a minimal LEB128 varint of at most `max_groups` (≤ 9) groups;
+/// the caller checks its value's domain. A varint with a trailing zero
+/// group (so not the one encoding of its value) or more groups than
+/// allowed is [`WireError::BadValue`], one the buffer cuts short
+/// [`WireError::Truncated`], both under `context`.
+#[inline]
+fn get_varint(buf: &mut Bytes, max_groups: usize, context: &'static str) -> WireResult<u64> {
+    let groups = &buf.chunk()[..buf.remaining().min(max_groups)];
+    let mut n = 0u64;
+    for (group, &byte) in groups.iter().enumerate() {
+        n |= u64::from(byte & 0x7F) << (7 * group);
+        if byte & 0x80 == 0 {
+            buf.advance(group + 1);
+            return if byte != 0 || group == 0 {
+                Ok(n)
+            } else {
+                Err(WireError::BadValue { context })
+            };
+        }
+    }
+    Err(if groups.len() < max_groups {
+        WireError::Truncated { context }
+    } else {
+        WireError::BadValue { context }
+    })
+}
+
+/// A length prefix is at most this many varint groups, and at most
+/// `u32::MAX`.
+const LEN_MAX_GROUPS: usize = 5;
+
+/// Appends a sequence count or string length as a varint.
+pub(crate) fn put_len(buf: &mut BytesMut, len: usize) {
+    let mut out = [0u8; 10];
+    let n = write_varint(&mut out, len as u64);
+    buf.put_slice(&out[..n]);
+}
+
+/// Bytes [`put_len`] appends for `len`.
+pub(crate) fn len_len(len: usize) -> usize {
+    varint_len(len as u64)
+}
+
+/// Reads what [`put_len`] wrote: a malformed varint is
+/// [`WireError::BadValue`], one above `u32::MAX` [`WireError::BadLength`].
+fn get_len(buf: &mut Bytes) -> WireResult<usize> {
+    const CONTEXT: &str = "length";
+    let len = get_varint(buf, LEN_MAX_GROUPS, CONTEXT)?;
+    match u32::try_from(len) {
+        Ok(len) => Ok(len as usize),
+        Err(_) => Err(WireError::BadLength {
+            context: CONTEXT,
+            len: len as usize,
+        }),
     }
 }
 
-/// Exact number of bytes [`encode_seq`] appends for `items`.
-fn seq_len<T: Wire>(items: &[T]) -> usize {
-    4 + items.iter().map(Wire::encoded_len).sum::<usize>()
-}
-
-/// Decodes a `u32`-prefixed sequence whose items `item` decodes — the
-/// `Vec<T>` layout, for items that need more than `T::decode` (a batch
-/// item that may not be a batch).
-pub(crate) fn decode_seq<T>(
+/// Decodes `len` items with `item`. A `len` the rest of `buf` cannot hold,
+/// each item taking at least one byte, is refused before anything is
+/// allocated for it.
+fn decode_items<T>(
     buf: &mut Bytes,
+    len: usize,
     mut item: impl FnMut(&mut Bytes) -> WireResult<T>,
 ) -> WireResult<Vec<T>> {
-    let len = u32::decode(buf)? as usize;
-    // Each element takes at least one byte; reject absurd prefixes
-    // before allocating.
     if len > buf.remaining() {
         return Err(WireError::BadLength {
             context: "vec",
@@ -274,6 +364,31 @@ pub(crate) fn decode_seq<T>(
         out.push(item(buf)?);
     }
     Ok(out)
+}
+
+/// Appends `items` in the default `Vec<T>` layout: a varint count, then
+/// each item.
+fn encode_seq<T: Wire>(items: &[T], buf: &mut BytesMut) {
+    put_len(buf, items.len());
+    for item in items {
+        item.encode(buf);
+    }
+}
+
+/// Exact number of bytes [`encode_seq`] appends for `items`.
+fn seq_len<T: Wire>(items: &[T]) -> usize {
+    len_len(items.len()) + items.iter().map(Wire::encoded_len).sum::<usize>()
+}
+
+/// Decodes a count-prefixed sequence whose items `item` decodes — the
+/// default `Vec<T>` layout, for items that need more than `T::decode` (a
+/// batch item that may not be a batch).
+pub(crate) fn decode_seq<T>(
+    buf: &mut Bytes,
+    item: impl FnMut(&mut Bytes) -> WireResult<T>,
+) -> WireResult<Vec<T>> {
+    let len = get_len(buf)?;
+    decode_items(buf, len, item)
 }
 
 /// Consumes a persisted format's 8-byte `magic`, or refuses the buffer:
@@ -431,12 +546,18 @@ fn components(a: &Aggregate) -> [f64; 3] {
 }
 
 /// Every whole number below this is exact in an `f64`: the short form's
-/// domain ends here.
+/// and the columns' domain ends here.
 const SHORT_LIMIT: u64 = 1 << 53;
 
-/// A short form is at most this many 7-bit groups: 8 × 7 = 56 bits hold
-/// every value below [`SHORT_LIMIT`].
+/// A short form or column entry is at most this many 7-bit groups: 8 × 7
+/// = 56 bits hold every value below [`SHORT_LIMIT`].
 const SHORT_MAX_GROUPS: usize = 8;
+
+/// Whether every component of `a` is `+0.0`: an empty cell.
+#[inline]
+fn is_empty(a: &Aggregate) -> bool {
+    components(a).iter().all(|v| v.to_bits() == 0)
+}
 
 /// `v` as the integer its short form carries: `Some` only for a whole
 /// number in `[1, 2⁵³)`, which converts to an integer and back bit for
@@ -453,39 +574,17 @@ fn short_form(v: f64) -> Option<u64> {
     (n as f64 == v).then_some(n as u64)
 }
 
-/// Bytes of `n`'s minimal LEB128 form (`n ≥ 1`).
-#[inline]
-fn varint_len(n: u64) -> usize {
-    (u64::BITS - n.leading_zeros()).div_ceil(7) as usize
-}
-
-/// Reads a short-form component: a minimal LEB128 varint (7-bit groups,
-/// least significant first, the high bit set on every group but the
-/// last) in `[1, 2⁵³)` of at most [`SHORT_MAX_GROUPS`] groups. A zero, a
-/// value past 2⁵³, a ninth group or a trailing zero group is
-/// [`WireError::BadValue`] — the encoder never writes one, so no value
-/// has two short encodings.
-fn get_varint(buf: &mut Bytes) -> WireResult<f64> {
+/// Reads a short-form component: a varint in `[1, 2⁵³)`. A zero or a
+/// value past 2⁵³ is [`WireError::BadValue`] too — the encoder never
+/// writes one, so no value has two short encodings.
+fn get_short(buf: &mut Bytes) -> WireResult<f64> {
     const CONTEXT: &str = "aggregate varint";
-    let groups = &buf.chunk()[..buf.remaining().min(SHORT_MAX_GROUPS)];
-    let mut n = 0u64;
-    for (group, &byte) in groups.iter().enumerate() {
-        n |= u64::from(byte & 0x7F) << (7 * group);
-        if byte & 0x80 == 0 {
-            let minimal = byte != 0 || group == 0;
-            buf.advance(group + 1);
-            return if minimal && (1..SHORT_LIMIT).contains(&n) {
-                Ok(n as f64)
-            } else {
-                Err(WireError::BadValue { context: CONTEXT })
-            };
-        }
-    }
-    Err(if groups.len() < SHORT_MAX_GROUPS {
-        WireError::Truncated { context: CONTEXT }
+    let n = get_varint(buf, SHORT_MAX_GROUPS, CONTEXT)?;
+    if (1..SHORT_LIMIT).contains(&n) {
+        Ok(n as f64)
     } else {
-        WireError::BadValue { context: CONTEXT }
-    })
+        Err(WireError::BadValue { context: CONTEXT })
+    }
 }
 
 /// Sparse: a presence byte, then only the present components in `count,
@@ -497,22 +596,25 @@ fn get_varint(buf: &mut Bytes) -> WireResult<f64> {
 /// still decodes. A presence byte with bit 6 or 7 set, or a short-form
 /// flag whose presence bit is clear, is never written, and the decoder
 /// refuses it as [`WireError::BadTag`].
+///
+/// A `Vec<Aggregate>` is a varint count, a layout byte, then either
+/// every cell in this sparse form ([`LAYOUT_SPARSE`]) or columns
+/// ([`LAYOUT_COLUMNS`]); see [`plan_cells`].
 impl Wire for Aggregate {
     fn encode(&self, buf: &mut BytesMut) {
-        // Assembled on the stack and appended once: a put per varint
-        // byte costs more than the bytes it saves.
+        // An empty cell, the commonest kind in a grid, is its presence
+        // byte alone.
+        if is_empty(self) {
+            buf.put_u8(0);
+            return;
+        }
+        // Assembled on the stack and appended once.
         let mut out = [0u8; 25];
         let mut len = 1;
         for (i, v) in components(self).into_iter().enumerate() {
-            if let Some(mut n) = short_form(v) {
+            if let Some(n) = short_form(v) {
                 out[0] |= 0b1001 << i;
-                while n >= 0x80 {
-                    out[len] = n as u8 | 0x80;
-                    n >>= 7;
-                    len += 1;
-                }
-                out[len] = n as u8;
-                len += 1;
+                len += write_varint(&mut out[len..], n);
             } else if v.to_bits() != 0 {
                 out[0] |= 1 << i;
                 out[len..len + 8].copy_from_slice(&v.to_le_bytes());
@@ -524,6 +626,10 @@ impl Wire for Aggregate {
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
         need(buf, 1, "aggregate presence")?;
         let tag = buf.get_u8();
+        if tag == 0 {
+            // An empty cell: nothing to check or read.
+            return Ok(Aggregate::ZERO);
+        }
         let (present, short) = (tag & 0b111, tag >> 3);
         if short & !present != 0 {
             // Also catches bits 6–7: `short` then has a bit above 0b111.
@@ -534,7 +640,7 @@ impl Wire for Aggregate {
         }
         let mut component = |i: u8| {
             if short & 1 << i != 0 {
-                get_varint(buf)
+                get_short(buf)
             } else if present & 1 << i != 0 {
                 f64::decode(buf)
             } else {
@@ -557,18 +663,129 @@ impl Wire for Aggregate {
             })
             .sum::<usize>()
     }
+
+    fn encode_vec(items: &[Self], buf: &mut BytesMut) {
+        let (layout, _) = plan_cells(items);
+        put_len(buf, items.len());
+        buf.put_u8(layout);
+        if layout == LAYOUT_SPARSE {
+            items.iter().for_each(|a| a.encode(buf));
+            return;
+        }
+        for a in items {
+            let mut out = [0u8; 3 * SHORT_MAX_GROUPS];
+            let mut len = 0;
+            for (i, v) in components(a).into_iter().enumerate() {
+                if layout & 1 << i != 0 {
+                    len += write_varint(&mut out[len..], short_form(v).unwrap_or(0));
+                }
+            }
+            buf.put_slice(&out[..len]);
+        }
+    }
+    fn vec_len(items: &[Self]) -> usize {
+        len_len(items.len()) + 1 + plan_cells(items).1
+    }
+    fn decode_vec(buf: &mut Bytes) -> WireResult<Vec<Self>> {
+        let len = get_len(buf)?;
+        need(buf, 1, "aggregate layout")?;
+        let layout = buf.get_u8();
+        if layout == LAYOUT_SPARSE {
+            return decode_items(buf, len, Aggregate::decode);
+        }
+        let columns = layout ^ LAYOUT_COLUMNS;
+        if !(1..=0b111).contains(&columns) {
+            // With no column every cell would take 0 bytes, and the
+            // length check in `decode_items` would bound nothing.
+            return Err(WireError::BadTag {
+                context: "aggregate layout",
+                tag: layout,
+            });
+        }
+        decode_items(buf, len, |buf| {
+            let mut column = |i: u8| {
+                if columns & 1 << i != 0 {
+                    get_column(buf)
+                } else {
+                    Ok(0.0)
+                }
+            };
+            Ok(Aggregate {
+                count: column(0)?,
+                sum: column(1)?,
+                sum_sqr: column(2)?,
+            })
+        })
+    }
 }
 
-/// A grid as Alg. 1 ships it: bounds, `L`, the row-major cells, the
-/// outside count. The decoder refuses, with a typed error and before it
-/// builds anything, what [`GridSpec::new`] or [`GridIndex::from_parts`]
-/// would panic on: empty bounds, an `L` that is not positive and finite,
-/// and a cell vector the spec does not size.
+/// Layout byte of a cell vector whose cells each travel in the sparse
+/// [`Aggregate`] form.
+const LAYOUT_SPARSE: u8 = 0;
+
+/// Flag of a columnar cell vector's layout byte; bits 0–2 name the
+/// moments (in [`Moments`] bit order) it carries, at least one. Each
+/// cell is then one varint per named moment, `0` standing for `+0.0`.
+const LAYOUT_COLUMNS: u8 = 0x80;
+
+/// The layout byte for `items` and the bytes its cells take after it,
+/// from one pass. Columns apply when every component of every cell is
+/// `+0.0` or a whole number in `[1, 2⁵³)`, and name the moments that are
+/// non-zero in any cell; they are chosen whenever they are no longer than
+/// the sparse cells (a moment non-zero in few cells can make them
+/// longer), so no vector grows and the data alone decides.
+fn plan_cells(items: &[Aggregate]) -> (u8, usize) {
+    let mut sparse = items.len();
+    // An empty cell (the most common kind in a grid) is one presence
+    // byte, or a `0` in every column.
+    let mut column = [items.len(); 3];
+    let (mut moments, mut whole) = (0u8, true);
+    for a in items.iter().filter(|a| !is_empty(a)) {
+        for (i, v) in components(a).into_iter().enumerate() {
+            if let Some(n) = short_form(v) {
+                let len = varint_len(n);
+                sparse += len;
+                column[i] += len - 1;
+                moments |= 1 << i;
+            } else if v.to_bits() != 0 {
+                sparse += 8;
+                whole = false;
+            }
+        }
+    }
+    let columns: usize = (0..3)
+        .filter(|i| moments & 1 << i != 0)
+        .map(|i| column[i])
+        .sum();
+    if whole && moments != 0 && columns <= sparse {
+        (LAYOUT_COLUMNS | moments, columns)
+    } else {
+        (LAYOUT_SPARSE, sparse)
+    }
+}
+
+/// Reads one column entry: a varint below 2⁵³ (`0` is `+0.0`); a larger
+/// one is [`WireError::BadValue`].
+fn get_column(buf: &mut Bytes) -> WireResult<f64> {
+    const CONTEXT: &str = "aggregate column";
+    let n = get_varint(buf, SHORT_MAX_GROUPS, CONTEXT)?;
+    if n < SHORT_LIMIT {
+        Ok(n as f64)
+    } else {
+        Err(WireError::BadValue { context: CONTEXT })
+    }
+}
+
+/// A grid as Alg. 1 ships it: bounds, `L`, the row-major cells (a
+/// `Vec<Aggregate>`), the outside count. The decoder refuses, with a typed
+/// error and before it builds anything, what [`GridSpec::new`] or
+/// [`GridIndex::from_parts`] would panic on: empty bounds, an `L` that is
+/// not positive and finite, and a cell vector the spec does not size.
 impl Wire for GridIndex {
     fn encode(&self, buf: &mut BytesMut) {
         self.spec().bounds().encode(buf);
         self.spec().cell_len().encode(buf);
-        encode_seq(self.cells(), buf);
+        Aggregate::encode_vec(self.cells(), buf);
         self.outside_count().encode(buf);
     }
     fn decode(buf: &mut Bytes) -> WireResult<Self> {
@@ -586,7 +803,7 @@ impl Wire for GridIndex {
         Ok(GridIndex::from_parts(spec, cells, u64::decode(buf)?))
     }
     fn encoded_len(&self) -> usize {
-        32 + 8 + seq_len(self.cells()) + 8
+        32 + 8 + Aggregate::vec_len(self.cells()) + 8
     }
 }
 
@@ -869,12 +1086,185 @@ mod tests {
 
     #[test]
     fn absurd_vec_length_is_rejected_before_allocation() {
+        // u32::MAX as a varint: four full 7-bit groups, then 0x0F.
         let mut buf = BytesMut::new();
-        buf.put_u32_le(u32::MAX);
+        put_len(&mut buf, u32::MAX as usize);
+        assert_eq!(buf.as_ref(), &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         assert!(matches!(
-            Vec::<f64>::from_bytes(buf.freeze()),
+            Vec::<f64>::from_bytes(buf.clone().freeze()),
             Err(WireError::BadLength { .. })
         ));
+        // The same for a cell vector, behind a valid layout byte.
+        for layout in [LAYOUT_SPARSE, LAYOUT_COLUMNS | 0b001] {
+            let mut cells = buf.clone();
+            cells.put_u8(layout);
+            assert_eq!(
+                Vec::<Aggregate>::from_bytes(cells.freeze()),
+                Err(WireError::BadLength {
+                    context: "vec",
+                    len: u32::MAX as usize
+                })
+            );
+        }
+    }
+
+    /// Decodes `bytes` as a bare length prefix.
+    fn decode_len(bytes: &[u8]) -> WireResult<usize> {
+        let mut buf = Bytes::from(bytes.to_vec());
+        get_len(&mut buf)
+    }
+
+    #[test]
+    fn a_length_is_a_minimal_varint_of_at_most_five_groups_and_u32() {
+        for (len, bytes) in [
+            (0usize, &[0x00][..]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xAC, 0x02]),
+            (u32::MAX as usize, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        ] {
+            let mut buf = BytesMut::new();
+            put_len(&mut buf, len);
+            assert_eq!(buf.as_ref(), bytes, "{len}");
+            assert_eq!(len_len(len), bytes.len(), "{len}");
+            assert_eq!(decode_len(bytes), Ok(len));
+        }
+        let bad = Err(WireError::BadValue { context: "length" });
+        // A trailing zero group: not the one encoding of its value.
+        assert_eq!(decode_len(&[0x80, 0x00]), bad);
+        assert_eq!(decode_len(&[0x81, 0x80, 0x00]), bad);
+        // A sixth group.
+        assert_eq!(decode_len(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]), bad);
+        // Five groups past u32::MAX.
+        assert_eq!(
+            decode_len(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+            Err(WireError::BadLength {
+                context: "length",
+                len: 1 << 32
+            })
+        );
+        for cut in [&[][..], &[0x80], &[0xFF, 0xFF, 0xFF]] {
+            assert_eq!(
+                decode_len(cut),
+                Err(WireError::Truncated { context: "length" })
+            );
+        }
+    }
+
+    fn whole(count: f64, sum: f64, sum_sqr: f64) -> Aggregate {
+        Aggregate {
+            count,
+            sum,
+            sum_sqr,
+        }
+    }
+
+    #[test]
+    fn whole_cells_travel_as_columns_of_the_moments_present() {
+        // Two COUNT-only cells and an empty one: count 3, layout 0x81
+        // (COUNT), then one varint per cell, 0 for the empty cell.
+        let cells = vec![only_count(3.0), Aggregate::ZERO, only_count(300.0)];
+        assert_eq!(cells.to_bytes().as_ref(), &[3, 0x81, 3, 0, 0xAC, 0x02]);
+        // All three moments present somewhere: every cell pays three.
+        let cells = vec![whole(1.0, 2.0, 4.0), only_count(5.0)];
+        assert_eq!(cells.to_bytes().as_ref(), &[2, 0x87, 1, 2, 4, 5, 0, 0]);
+        // SUM only (a masked SUM reply): bit 1.
+        let sums = vec![
+            Aggregate {
+                sum: 9.0,
+                ..Aggregate::ZERO
+            };
+            2
+        ];
+        assert_eq!(sums.to_bytes().as_ref(), &[2, 0x82, 9, 9]);
+        for cells in [cells, sums] {
+            let back = Vec::<Aggregate>::from_bytes(cells.to_bytes()).expect("decode");
+            assert_eq!(back, cells);
+        }
+    }
+
+    #[test]
+    fn a_cell_vector_keeps_the_sparse_layout_where_columns_would_not_be_shorter() {
+        // A fraction anywhere: columns cannot carry it.
+        let cells = vec![only_count(2.5), only_count(1.0)];
+        let mut sparse = vec![2, LAYOUT_SPARSE];
+        for a in &cells {
+            sparse.extend_from_slice(&a.to_bytes());
+        }
+        assert_eq!(cells.to_bytes().as_ref(), sparse.as_slice());
+        // −0.0, NaN, ±∞ and 2^53 force it too.
+        for v in [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            SHORT_LIMIT as f64,
+        ] {
+            let cells = vec![only_count(1.0), only_count(v)];
+            assert_eq!(cells.to_bytes()[1], LAYOUT_SPARSE, "{v}");
+            let back = Vec::<Aggregate>::from_bytes(cells.to_bytes()).expect("decode");
+            assert_eq!(agg_bits(&back[1]), agg_bits(&cells[1]), "{v}");
+        }
+        // All empty: no moment to name, one presence byte per cell.
+        let empty = vec![Aggregate::ZERO; 4];
+        assert_eq!(empty.to_bytes().as_ref(), &[4, LAYOUT_SPARSE, 0, 0, 0, 0]);
+        // Columns longer than sparse: one cell carries all three moments
+        // and eight are empty. Sparse: 9 + 3 = 12 B; columns 9 × 3 = 27 B.
+        let mut mostly_empty = vec![Aggregate::ZERO; 9];
+        mostly_empty[0] = whole(1.0, 1.0, 1.0);
+        let bytes = mostly_empty.to_bytes();
+        assert_eq!((bytes[1], bytes.len()), (LAYOUT_SPARSE, 2 + 12));
+        // A tie goes to columns: 1 × 3 B either way past the header.
+        let one = vec![whole(1.0, 1.0, 1.0)];
+        assert_eq!(one.to_bytes().as_ref(), &[1, 0x87, 1, 1, 1]);
+        // The empty vector: its count and the sparse layout byte.
+        assert_eq!(Vec::<Aggregate>::new().to_bytes().as_ref(), &[0, 0]);
+    }
+
+    /// Decodes a one-cell vector whose layout byte is `layout` and whose
+    /// body is `body`.
+    fn decode_one_cell(layout: u8, body: &[u8]) -> WireResult<Vec<Aggregate>> {
+        let mut buf = BytesMut::new();
+        buf.put_u8(1);
+        buf.put_u8(layout);
+        buf.put_slice(body);
+        Vec::<Aggregate>::from_bytes(buf.freeze())
+    }
+
+    #[test]
+    fn a_layout_byte_or_column_the_encoder_never_writes_is_refused() {
+        for layout in (1..=u8::MAX).filter(|l| !(0x81..=0x87).contains(l)) {
+            assert_eq!(
+                decode_one_cell(layout, &[1, 1, 1]),
+                Err(WireError::BadTag {
+                    context: "aggregate layout",
+                    tag: layout
+                }),
+                "{layout:#x}"
+            );
+        }
+        let bad = Err(WireError::BadValue {
+            context: "aggregate column",
+        });
+        // 2^53 in eight groups: past the columns' domain.
+        assert_eq!(
+            decode_one_cell(0x81, &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]),
+            bad
+        );
+        // Not minimal, or a ninth group.
+        assert_eq!(decode_one_cell(0x81, &[0x80, 0x00]), bad);
+        assert_eq!(decode_one_cell(0x81, &[0x81; 9]), bad);
+        assert_eq!(
+            decode_one_cell(0x81, &[0x81]),
+            Err(WireError::Truncated {
+                context: "aggregate column"
+            })
+        );
+        // 2^53 - 1 and 0 are in it.
+        assert_eq!(
+            decode_one_cell(0x85, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0]),
+            Ok(vec![only_count((SHORT_LIMIT - 1) as f64)])
+        );
     }
 
     #[test]
@@ -910,7 +1300,15 @@ mod tests {
             .len(),
             1 + 3 * 8
         );
-        assert_eq!(vec![1u32, 2, 3].to_bytes().len(), 4 + 12);
+        // A one-byte varint count, then the items.
+        assert_eq!(vec![1u32, 2, 3].to_bytes().len(), 1 + 12);
+        assert_eq!("abc".to_string().to_bytes().len(), 1 + 3);
+        // Cells: a one-byte count, the layout byte, then per cell one
+        // varint per moment present anywhere (COUNT here): 2 + 15 × 1.
+        // The sparse cells would take 15 × (1 + 1) = 30 B.
+        assert_eq!(vec![only_count(7.0); 15].to_bytes().len(), 2 + 15);
+        // Fractions: the layout byte, then every cell sparse (1 + 8 B).
+        assert_eq!(vec![only_count(0.5); 15].to_bytes().len(), 2 + 15 * 9);
     }
 
     fn assert_len_exact<T: Wire>(value: T) {
@@ -947,6 +1345,10 @@ mod tests {
             sum_sqr: (SHORT_LIMIT - 1) as f64,
         });
         assert_len_exact(Moments::ALL);
+        assert_len_exact(Vec::<Aggregate>::new());
+        assert_len_exact(vec![only_count(3.0), Aggregate::ZERO, only_count(1e9)]);
+        assert_len_exact(vec![only_count(3.0), only_count(2.5)]);
+        assert_len_exact(vec!["x".repeat(300)]);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use fedra_federation::wire::Wire;
 use fedra_federation::{FederationBuilder, LocalMode, Request, Response};
 use fedra_geo::{Point, Range, Rect, SpatialObject};
 use fedra_index::histogram::MinSkewConfig;
@@ -298,9 +299,27 @@ fn warm_start_skips_cell_transfer_and_validates() {
         .build(partitions.clone());
     assert_eq!(warm.warm_start_hits(), 3);
     let warm_setup = warm.setup_comm().total_bytes();
-    assert!(
-        warm_setup * 2 < cold_setup,
-        "warm setup {warm_setup} should be far below cold {cold_setup}"
+    // Both builds send each silo one [Setup, BuildGrid] frame of the same
+    // size (`return_cells` is one byte either way) and get the same
+    // memory report back, so the whole difference is the reply to
+    // BuildGrid: each silo's full `Grid` cold, its `GridAck` warm.
+    let saved: u64 = snapshot
+        .grids
+        .iter()
+        .map(|grid| {
+            let cells = Response::Grid(Box::new(grid.clone())).encoded_len();
+            let ack = Response::GridAck {
+                total: grid.total(),
+                outside: grid.outside_count(),
+            }
+            .encoded_len();
+            (cells - ack) as u64
+        })
+        .sum();
+    assert_eq!(
+        cold_setup - warm_setup,
+        saved,
+        "warm setup {warm_setup}, cold {cold_setup}"
     );
     // The provider state must be identical either way.
     let spec = *warm.merged_grid().spec();

@@ -83,6 +83,60 @@ fn refused_presence(tag: u8) -> bool {
     tag >> 6 != 0 || (tag >> 3) & !tag & 0b111 != 0
 }
 
+/// A component columns can carry: `+0.0` or a whole number in [1, 2⁵³),
+/// small ones (one-byte varints) most often.
+fn whole_component() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        (1u64..128).prop_map(|n| n as f64),
+        (1u64..SHORT_LIMIT).prop_map(|n| n as f64),
+        Just((SHORT_LIMIT - 1) as f64),
+    ]
+}
+
+fn whole_agg() -> impl Strategy<Value = Aggregate> {
+    (whole_component(), whole_component(), whole_component()).prop_map(|(count, sum, sum_sqr)| {
+        Aggregate {
+            count,
+            sum,
+            sum_sqr,
+        }
+    })
+}
+
+/// A cell vector: arbitrary cells (mostly sparse), all-whole cells (the
+/// columns' domain, masked to a random moment set as a reply is), or
+/// all-whole cells with one arbitrary cell among them.
+fn cell_vec() -> impl Strategy<Value = Vec<Aggregate>> {
+    prop_oneof![
+        proptest::collection::vec(agg(), 0..40),
+        (proptest::collection::vec(whole_agg(), 0..200), moments())
+            .prop_map(|(cells, m)| cells.into_iter().map(|a| a.masked(m)).collect()),
+        (
+            proptest::collection::vec(whole_agg(), 1..40),
+            agg(),
+            any::<usize>()
+        )
+            .prop_map(|(mut cells, odd, at)| {
+                let at = at % cells.len();
+                cells[at] = odd;
+                cells
+            }),
+    ]
+}
+
+/// A cell-vector layout byte the encoder writes: 0 (sparse) or columns
+/// (bit 7) naming at least one moment.
+fn written_layout(layout: u8) -> bool {
+    layout == 0 || (0x81..0x88).contains(&layout)
+}
+
+/// The cell-vector layout before the layout byte: a `u32` count, then
+/// every cell's sparse bytes.
+fn u32_counted_len(cells: &[Aggregate]) -> usize {
+    4 + cells.iter().map(Wire::encoded_len).sum::<usize>()
+}
+
 fn agg() -> impl Strategy<Value = Aggregate> {
     (component(), component(), component()).prop_map(|(count, sum, sum_sqr)| Aggregate {
         count,
@@ -311,7 +365,7 @@ proptest! {
         let frame = Request::Batch(vec![Request::Ping, req]).to_bytes();
         prop_assert_eq!(
             Request::from_bytes(frame),
-            Err(WireError::BadTag { context: "batch item", tag: 6 })
+            Err(WireError::BadTag { context: "batch item", tag: 11 })
         );
     }
 
@@ -372,6 +426,89 @@ proptest! {
                     WireError::Truncated { context: "aggregate varint" }
                         | WireError::BadValue { context: "aggregate varint" }
                         | WireError::BadLength { context: "trailing bytes", .. }
+                ),
+                "{e:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn a_cell_vector_round_trips_bit_for_bit_and_never_grows(cells in cell_vec()) {
+        let bytes = cells.to_bytes();
+        prop_assert_eq!(cells.encoded_len(), bytes.len());
+        // Below 2²¹ cells the count takes at most 3 bytes, so count plus
+        // layout byte never exceed the old 4-byte count.
+        prop_assert!(bytes.len() <= u32_counted_len(&cells));
+        let back = Vec::<Aggregate>::from_bytes(bytes.clone()).expect("well-formed cells decode");
+        prop_assert_eq!(back.len(), cells.len());
+        for (x, y) in back.iter().zip(&cells) {
+            prop_assert_eq!(agg_bits(x), agg_bits(y));
+        }
+        // In a reply too.
+        let reply = Response::AggVec(cells).to_bytes();
+        prop_assert_eq!(&reply[1..], &bytes[..]);
+    }
+
+    #[test]
+    fn a_layout_byte_the_encoder_never_writes_is_refused(
+        cells in cell_vec(),
+        layout in any::<u8>().prop_map(|l| if written_layout(l) { l | 0x40 } else { l }),
+    ) {
+        prop_assert!(!written_layout(layout));
+        let mut frame = cells.to_bytes().to_vec();
+        let at = frame.iter().position(|b| b & 0x80 == 0).expect("a count ends") + 1;
+        frame[at] = layout;
+        prop_assert_eq!(
+            Vec::<Aggregate>::from_bytes(Bytes::from(frame)),
+            Err(WireError::BadTag { context: "aggregate layout", tag: layout })
+        );
+    }
+
+    #[test]
+    fn a_column_entry_decodes_only_inside_its_domain(
+        layout in 0x81u8..0x88,
+        body in proptest::collection::vec(any::<u8>(), 0..30),
+    ) {
+        // One cell under a columns layout, then arbitrary bytes: either
+        // they are one minimal varint below 2⁵³ per named moment — the
+        // cell then re-encodes to the same bits — or the decoder refuses
+        // them typed.
+        let mut frame = vec![1u8, layout];
+        frame.extend_from_slice(&body);
+        match Vec::<Aggregate>::from_bytes(Bytes::from(frame)) {
+            Ok(cells) => {
+                let back = Vec::<Aggregate>::from_bytes(cells.to_bytes()).expect("re-encodes");
+                prop_assert_eq!(agg_bits(&back[0]), agg_bits(&cells[0]));
+                for v in [cells[0].count, cells[0].sum, cells[0].sum_sqr] {
+                    prop_assert!(v.to_bits() == 0 || (1.0..SHORT_LIMIT as f64).contains(&v));
+                }
+            }
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    WireError::Truncated { context: "aggregate column" }
+                        | WireError::BadValue { context: "aggregate column" }
+                        | WireError::BadLength { context: "vec" | "trailing bytes", .. }
+                ),
+                "{e:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn a_length_decodes_only_from_its_one_encoding(prefix in proptest::collection::vec(any::<u8>(), 0..8)) {
+        // Arbitrary bytes as a string's length and body: a minimal varint
+        // of at most 5 groups up to u32::MAX whose body follows, or a
+        // typed refusal.
+        match String::from_bytes(Bytes::from(prefix.clone())) {
+            Ok(s) => prop_assert_eq!(s.to_bytes().to_vec(), prefix),
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    WireError::Truncated { context: "length" | "string body" }
+                        | WireError::BadValue { context: "length" }
+                        | WireError::BadLength { context: "length" | "trailing bytes", .. }
+                        | WireError::BadTag { context: "string utf-8", .. }
                 ),
                 "{e:?}"
             ),
