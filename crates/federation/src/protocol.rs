@@ -26,6 +26,7 @@
 //! A [`Response::Grid`] carries a [`GridIndex`] in its one codec (shared
 //! with both snapshot files), so a grid whose spec cannot carry its cells
 //! is a [`WireError`] too, never a panic at the provider.
+//! Every layout here is versioned as a whole by [`PROTOCOL_VERSION`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -36,6 +37,15 @@ use fedra_index::rtree::RTreeConfig;
 use fedra_index::{Aggregate, Moments};
 
 use crate::wire::{decode_nested, decode_seq, len_len, put_len, Wire, WireError, WireResult};
+
+/// The version of the provider ↔ silo protocol: the layout of every
+/// message in this module and in [`crate::wire`], and of the socket frame
+/// headers, whose first byte it is ([`crate::transport::socket`]). A peer
+/// of another version is refused at its first frame, so a layout change
+/// bumps this constant; a test pins a digest of every layout to it. The
+/// tags of each enum are dense: `Request` 0–7, `Response` 0–9 and
+/// `LocalMode` 0–1.
+pub const PROTOCOL_VERSION: u8 = 1;
 
 /// How a silo should answer a local range aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,18 +226,12 @@ pub enum Response {
     },
 }
 
-/// Wire tag of [`LocalMode::Lsr`]: the tag, then the level byte. Tag 1
-/// was its old layout, which carried `(ε, δ, sum₀)`; it is retired, so a
-/// frame from a peer of the other layout is a [`WireError::BadTag`],
-/// never a misread level.
-const LOCAL_MODE_LSR_TAG: u8 = 2;
-
 impl Wire for LocalMode {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             LocalMode::Exact => buf.put_u8(0),
             LocalMode::Lsr { level } => {
-                buf.put_u8(LOCAL_MODE_LSR_TAG);
+                buf.put_u8(1);
                 buf.put_u8(*level);
             }
         }
@@ -240,7 +244,7 @@ impl Wire for LocalMode {
         }
         match buf.get_u8() {
             0 => Ok(LocalMode::Exact),
-            LOCAL_MODE_LSR_TAG => {
+            1 => {
                 // The level is read before it is judged: a mode is the
                 // last field of every request carrying one, so a refusal
                 // leaves the cursor at its item's end (see `decode_riders`).
@@ -266,36 +270,17 @@ impl Wire for LocalMode {
     }
 }
 
-/// Wire tags of [`Request::Setup`] and [`Request::BuildGrid`]. Tag 0 was
-/// `BuildGrid`'s old layout, which carried the grid, and tag 4 the memory
-/// report `Setup` now answers: both are retired, so a frame from a peer
-/// of the old layout is a [`WireError::BadTag`], never a misread spec.
-const REQUEST_SETUP_TAG: u8 = 9;
-const REQUEST_BUILD_GRID_TAG: u8 = 10;
-/// Wire tag of [`Request::Batch`]. Tag 6 was its layout with a `u32`
-/// item count; it is retired, so a frame from a peer of that layout is a
-/// [`WireError::BadTag`], never a misread count.
-pub(crate) const REQUEST_BATCH_TAG: u8 = 11;
+/// Wire tag of [`Request::Batch`].
+const REQUEST_BATCH_TAG: u8 = 6;
 /// Wire tag of [`Request::Masked`].
 const REQUEST_MASKED_TAG: u8 = 7;
-/// Wire tag of [`Request::CellContributions`]. Tag 2 was its old layout,
-/// which listed cell ids; it is retired, so a frame from a peer of the
-/// other layout is a [`WireError::BadTag`], never a misread range.
-const REQUEST_CELL_CONTRIBUTIONS_TAG: u8 = 8;
 /// Wire tags of the requests a [`Request::Masked`] may wrap: `Aggregate`,
 /// `CellContributions`, `HistogramEstimate`.
-const MASKABLE_TAGS: [u8; 3] = [1, REQUEST_CELL_CONTRIBUTIONS_TAG, 3];
-/// Wire tags of the replies that carry a sequence or a string, whose
-/// lengths are varints: [`Response::Grid`], [`Response::AggVec`],
-/// [`Response::Error`], [`Response::Batch`] and [`Response::Transient`].
-/// Their tags in the layout with `u32` lengths (and no cell-vector layout
-/// byte) were 0, 2, 5, 7 and 8; those are retired, so a reply from a peer
-/// of that layout is a [`WireError::BadTag`], never a misread answer.
-const RESPONSE_GRID_TAG: u8 = 10;
-const RESPONSE_AGG_VEC_TAG: u8 = 11;
-const RESPONSE_ERROR_TAG: u8 = 12;
-const RESPONSE_BATCH_TAG: u8 = 13;
-const RESPONSE_TRANSIENT_TAG: u8 = 14;
+const MASKABLE_TAGS: [u8; 3] = [1, 2, 3];
+/// Wire tag of [`Response::Grid`].
+const RESPONSE_GRID_TAG: u8 = 0;
+/// Wire tag of [`Response::Batch`].
+const RESPONSE_BATCH_TAG: u8 = 7;
 
 /// The riders of a request frame as a silo serves them (see
 /// [`decode_riders`]).
@@ -355,11 +340,11 @@ impl Wire for Request {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             Request::Setup(spec) => {
-                buf.put_u8(REQUEST_SETUP_TAG);
+                buf.put_u8(4);
                 spec.encode(buf);
             }
             Request::BuildGrid { return_cells } => {
-                buf.put_u8(REQUEST_BUILD_GRID_TAG);
+                buf.put_u8(0);
                 return_cells.encode(buf);
             }
             Request::Aggregate { range, mode } => {
@@ -368,7 +353,7 @@ impl Wire for Request {
                 mode.encode(buf);
             }
             Request::CellContributions { range, mode } => {
-                buf.put_u8(REQUEST_CELL_CONTRIBUTIONS_TAG);
+                buf.put_u8(2);
                 range.encode(buf);
                 mode.encode(buf);
             }
@@ -395,17 +380,21 @@ impl Wire for Request {
             });
         }
         match buf.get_u8() {
-            REQUEST_SETUP_TAG => Ok(Request::Setup(SiloSpec::decode(buf)?)),
-            REQUEST_BUILD_GRID_TAG => Ok(Request::BuildGrid {
+            0 => Ok(Request::BuildGrid {
                 return_cells: bool::decode(buf)?,
             }),
             1 => Ok(Request::Aggregate {
                 range: Range::decode(buf)?,
                 mode: LocalMode::decode(buf)?,
             }),
+            2 => Ok(Request::CellContributions {
+                range: Range::decode(buf)?,
+                mode: LocalMode::decode(buf)?,
+            }),
             3 => Ok(Request::HistogramEstimate {
                 range: Range::decode(buf)?,
             }),
+            4 => Ok(Request::Setup(SiloSpec::decode(buf)?)),
             5 => Ok(Request::Ping),
             REQUEST_BATCH_TAG => Ok(Request::Batch(decode_seq(buf, |buf| {
                 decode_nested(buf, "batch item", |tag| tag != REQUEST_BATCH_TAG)
@@ -415,10 +404,6 @@ impl Wire for Request {
                 request: Box::new(decode_nested(buf, "masked request", |tag| {
                     MASKABLE_TAGS.contains(&tag)
                 })?),
-            }),
-            REQUEST_CELL_CONTRIBUTIONS_TAG => Ok(Request::CellContributions {
-                range: Range::decode(buf)?,
-                mode: LocalMode::decode(buf)?,
             }),
             tag => Err(WireError::BadTag {
                 context: "request",
@@ -523,7 +508,7 @@ impl Wire for Response {
                 a.encode(buf);
             }
             Response::AggVec(v) => {
-                buf.put_u8(RESPONSE_AGG_VEC_TAG);
+                buf.put_u8(2);
                 v.encode(buf);
             }
             Response::Memory(m) => {
@@ -532,7 +517,7 @@ impl Wire for Response {
             }
             Response::Pong => buf.put_u8(4),
             Response::Error(msg) => {
-                buf.put_u8(RESPONSE_ERROR_TAG);
+                buf.put_u8(5);
                 msg.encode(buf);
             }
             Response::Batch(responses) => {
@@ -540,7 +525,7 @@ impl Wire for Response {
                 responses.encode(buf);
             }
             Response::Transient(msg) => {
-                buf.put_u8(RESPONSE_TRANSIENT_TAG);
+                buf.put_u8(8);
                 msg.encode(buf);
             }
             Response::DeadlineExceeded { late_by_us } => {
@@ -558,10 +543,10 @@ impl Wire for Response {
         match buf.get_u8() {
             RESPONSE_GRID_TAG => Ok(Response::Grid(Box::new(GridIndex::decode(buf)?))),
             1 => Ok(Response::Agg(Aggregate::decode(buf)?)),
-            RESPONSE_AGG_VEC_TAG => Ok(Response::AggVec(Vec::<Aggregate>::decode(buf)?)),
+            2 => Ok(Response::AggVec(Vec::<Aggregate>::decode(buf)?)),
             3 => Ok(Response::Memory(SiloMemoryReport::decode(buf)?)),
             4 => Ok(Response::Pong),
-            RESPONSE_ERROR_TAG => Ok(Response::Error(String::decode(buf)?)),
+            5 => Ok(Response::Error(String::decode(buf)?)),
             6 => Ok(Response::GridAck {
                 total: Aggregate::decode(buf)?,
                 outside: u64::decode(buf)?,
@@ -569,7 +554,7 @@ impl Wire for Response {
             RESPONSE_BATCH_TAG => Ok(Response::Batch(decode_seq(buf, |buf| {
                 decode_nested(buf, "batch item", |tag| tag != RESPONSE_BATCH_TAG)
             })?)),
-            RESPONSE_TRANSIENT_TAG => Ok(Response::Transient(String::decode(buf)?)),
+            8 => Ok(Response::Transient(String::decode(buf)?)),
             9 => Ok(Response::DeadlineExceeded {
                 late_by_us: u64::decode(buf)?,
             }),
@@ -641,21 +626,6 @@ mod tests {
         round_trip(Request::Ping);
     }
 
-    /// `CellContributions { range, cells: [1, 5, 9], mode: Exact }` as the
-    /// old layout encoded it: tag 2, the range, a u32 length and the ids,
-    /// then the mode.
-    fn old_layout_cell_request() -> BytesMut {
-        let mut buf = BytesMut::new();
-        buf.put_u8(2);
-        Range::circle(Point::new(4.0, 6.0), 3.0).encode(&mut buf);
-        3u32.encode(&mut buf);
-        for id in [1u32, 5, 9] {
-            id.encode(&mut buf);
-        }
-        LocalMode::Exact.encode(&mut buf);
-        buf
-    }
-
     #[test]
     fn an_lsr_mode_above_the_deepest_level_is_a_typed_error() {
         let request = |level: u8| Request::Aggregate {
@@ -687,26 +657,6 @@ mod tests {
         // The provider's constructor caps the level instead.
         assert_eq!(LocalMode::lsr(7), LocalMode::Lsr { level: 7 });
         assert_eq!(LocalMode::lsr(usize::MAX), LocalMode::Lsr { level: 63 });
-    }
-
-    #[test]
-    fn an_lsr_mode_in_the_old_epsilon_delta_layout_is_a_typed_error() {
-        // `Aggregate { range, Lsr { ε, δ, sum₀ } }` as the old layout
-        // encoded it: mode tag 1, then three f64s.
-        let mut old = BytesMut::new();
-        old.put_u8(1);
-        Range::circle(Point::new(1.0, 2.0), 3.0).encode(&mut old);
-        old.put_u8(1);
-        for value in [0.1f64, 0.01, 40.0] {
-            value.encode(&mut old);
-        }
-        assert_eq!(
-            Request::from_bytes(old.freeze()),
-            Err(WireError::BadTag {
-                context: "local mode",
-                tag: 1
-            })
-        );
     }
 
     #[test]
@@ -763,40 +713,6 @@ mod tests {
             Err(WireError::BadLength {
                 context: "trailing bytes",
                 len: 1
-            })
-        );
-    }
-
-    #[test]
-    fn a_cell_request_in_the_old_layout_is_a_typed_error() {
-        let old = old_layout_cell_request();
-        assert_eq!(
-            Request::from_bytes(old.clone().freeze()),
-            Err(WireError::BadTag {
-                context: "request",
-                tag: 2
-            })
-        );
-        let mut masked = BytesMut::new();
-        masked.put_u8(REQUEST_MASKED_TAG);
-        masked.put_u8(Moments::COUNT.bits());
-        masked.extend_from_slice(&old);
-        assert_eq!(
-            Request::from_bytes(masked.freeze()),
-            Err(WireError::BadTag {
-                context: "masked request",
-                tag: 2
-            })
-        );
-        let mut batch = BytesMut::new();
-        batch.put_u8(REQUEST_BATCH_TAG);
-        put_len(&mut batch, 1);
-        batch.extend_from_slice(&old);
-        assert_eq!(
-            Request::from_bytes(batch.freeze()),
-            Err(WireError::BadTag {
-                context: "request",
-                tag: 2
             })
         );
     }
@@ -1099,113 +1015,30 @@ mod tests {
         }
     }
 
-    /// Decodes `old` — bytes of a retired layout — as a request or a
-    /// reply (`reply`) and expects the refusal of its retired `tag`.
-    fn assert_retired(old: BytesMut, reply: bool, tag: u8) {
-        let context = if reply { "response" } else { "request" };
-        let decoded = if reply {
-            Response::from_bytes(old.freeze()).map(|_| ())
-        } else {
-            Request::from_bytes(old.freeze()).map(|_| ())
-        };
-        assert_eq!(decoded, Err(WireError::BadTag { context, tag }));
-    }
-
-    /// `cells` in the cell-vector layout with a `u32` count and no layout
-    /// byte: the count, then every cell's sparse bytes.
-    fn u32_counted_cells(cells: &[Aggregate], buf: &mut BytesMut) {
-        (cells.len() as u32).encode(buf);
-        cells.iter().for_each(|a| a.encode(buf));
-    }
-
-    /// `s` behind a `u32` byte count, as `Error` and `Transient` carried it.
-    fn u32_counted_string(s: &str, buf: &mut BytesMut) {
-        (s.len() as u32).encode(buf);
-        buf.put_slice(s.as_bytes());
-    }
-
-    #[test]
-    fn a_batch_request_with_a_u32_count_is_a_typed_error() {
-        // Tag 6, a u32 count of 2, then a Ping and a masked request.
-        let mut old = BytesMut::new();
-        old.put_u8(6);
-        2u32.encode(&mut old);
-        Request::Ping.encode(&mut old);
-        masked(0b001).encode(&mut old);
-        assert_retired(old, false, 6);
-    }
-
-    #[test]
-    fn a_grid_reply_with_u32_counted_cells_is_a_typed_error() {
-        let grid = sample_grid();
-        let mut old = BytesMut::new();
-        old.put_u8(0);
-        grid.spec().bounds().encode(&mut old);
-        grid.spec().cell_len().encode(&mut old);
-        u32_counted_cells(grid.cells(), &mut old);
-        grid.outside_count().encode(&mut old);
-        assert_retired(old, true, 0);
-    }
-
-    #[test]
-    fn a_cell_reply_with_u32_counted_cells_is_a_typed_error() {
-        let mut old = BytesMut::new();
-        old.put_u8(2);
-        u32_counted_cells(&[Aggregate::ZERO, *sample_grid().cell(0)], &mut old);
-        assert_retired(old, true, 2);
-    }
-
-    #[test]
-    fn an_error_reply_with_a_u32_length_is_a_typed_error() {
-        let mut old = BytesMut::new();
-        old.put_u8(5);
-        u32_counted_string("silo unavailable", &mut old);
-        assert_retired(old, true, 5);
-    }
-
-    #[test]
-    fn a_batch_reply_with_a_u32_count_is_a_typed_error() {
-        // Tag 7, a u32 count of 2, then a Pong and an Agg reply.
-        let mut old = BytesMut::new();
-        old.put_u8(7);
-        2u32.encode(&mut old);
-        Response::Pong.encode(&mut old);
-        Response::Agg(*sample_grid().cell(0)).encode(&mut old);
-        assert_retired(old, true, 7);
-    }
-
-    #[test]
-    fn a_transient_reply_with_a_u32_length_is_a_typed_error() {
-        let mut old = BytesMut::new();
-        old.put_u8(8);
-        u32_counted_string("flap window", &mut old);
-        assert_retired(old, true, 8);
-    }
-
     #[test]
     fn bad_tags_error() {
-        // One past the Batch request tag, and the retired tags of the old
-        // BuildGrid, CellContributions, MemoryReport and Batch layouts.
-        for tag in [REQUEST_BATCH_TAG + 1, 0, 2, 4, 6] {
-            assert_eq!(
-                Request::from_bytes(Bytes::from(vec![tag, 0, 0, 0, 0])),
-                Err(WireError::BadTag {
-                    context: "request",
-                    tag
-                })
-            );
-        }
-        // One past the Transient response tag, and the retired tags of the
-        // layouts with `u32` lengths.
-        for tag in [RESPONSE_TRANSIENT_TAG + 1, 0, 2, 5, 7, 8] {
-            assert_eq!(
-                Response::from_bytes(Bytes::from(vec![tag, 0, 0, 0, 0])),
-                Err(WireError::BadTag {
-                    context: "response",
-                    tag
-                })
-            );
-        }
+        // The first tag past each dense tag space.
+        assert_eq!(
+            Request::from_bytes(Bytes::from(vec![8, 0, 0, 0, 0])),
+            Err(WireError::BadTag {
+                context: "request",
+                tag: 8
+            })
+        );
+        assert_eq!(
+            Response::from_bytes(Bytes::from(vec![10, 0, 0, 0, 0])),
+            Err(WireError::BadTag {
+                context: "response",
+                tag: 10
+            })
+        );
+        assert_eq!(
+            LocalMode::from_bytes(Bytes::from(vec![2, 0])),
+            Err(WireError::BadTag {
+                context: "local mode",
+                tag: 2
+            })
+        );
         // A batch whose *item* carries a bad tag also errors.
         let mut buf = BytesMut::new();
         buf.put_u8(super::REQUEST_BATCH_TAG);

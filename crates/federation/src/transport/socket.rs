@@ -8,10 +8,16 @@
 //! is **byte-identical** to the in-memory encoding ([`crate::wire`]):
 //!
 //! ```text
-//! request frame:  [payload_len: u32][corr: u64][epoch: u64][checksum: u64][deadline_rel_us: u64][payload]
-//! reply frame:    [payload_len: u32][corr: u64][epoch: u64][checksum: u64][payload]
+//! request frame:  [version: u8][payload_len: u32][corr: u64][epoch: u64][checksum: u64][deadline_rel_us: u64][payload]
+//! reply frame:    [version: u8][payload_len: u32][corr: u64][epoch: u64][checksum: u64][payload]
 //! ```
 //!
+//! * `version` is [`PROTOCOL_VERSION`], checked before anything else. A
+//!   server answers a frame of another version with a header-only reply of
+//!   its own and closes; a client fails the connection's calls with
+//!   [`TransportError::Codec`] (`BadTag { context: "frame version" }`)
+//!   and does not reconnect. Peers of different builds meet one typed
+//!   error in either direction, never a misread payload.
 //! * `corr` is a provider-chosen correlation id pairing replies back to
 //!   their in-flight calls; it doubles as the [`Transport`] token.
 //! * `epoch` is the client's connection generation at send time; the
@@ -90,8 +96,9 @@ use super::{
     TransportError,
 };
 use crate::fault::SiloFaultInjector;
+use crate::protocol::PROTOCOL_VERSION;
 use crate::silo::{Silo, SiloId};
-use crate::wire::fnv1a;
+use crate::wire::{fnv1a, WireError};
 use fedra_obs::catalog::{
     EPOCH_FENCED_REPLIES_TOTAL, SILO_ACCEPT_ERRORS_TOTAL, TRANSPORT_RECONNECTS_TOTAL,
 };
@@ -100,13 +107,13 @@ use fedra_obs::CommCounters;
 /// `deadline_rel_us` value meaning "no deadline".
 pub const DEADLINE_NONE: u64 = u64::MAX;
 
-/// Request frame header length:
-/// `payload_len (4) + corr (8) + epoch (8) + checksum (8) + deadline (8)`.
-pub const REQUEST_HEADER_LEN: usize = 36;
+/// Request frame header length: `version (1) + payload_len (4) + corr (8)
+/// + epoch (8) + checksum (8) + deadline (8)`.
+pub const REQUEST_HEADER_LEN: usize = 37;
 
-/// Reply frame header length:
-/// `payload_len (4) + corr (8) + epoch (8) + checksum (8)`.
-pub const REPLY_HEADER_LEN: usize = 28;
+/// Reply frame header length: `version (1) + payload_len (4) + corr (8) +
+/// epoch (8) + checksum (8)`.
+pub const REPLY_HEADER_LEN: usize = 29;
 
 /// Largest payload a peer may announce. A length prefix beyond this is
 /// rejected with [`FrameError::Oversized`] *before* any allocation — a
@@ -356,6 +363,12 @@ pub enum FrameError {
         /// Which frame kind failed verification.
         context: &'static str,
     },
+    /// The frame's first byte is not [`PROTOCOL_VERSION`]: the peer runs
+    /// another protocol version, and nothing past that byte is read.
+    Version {
+        /// The peer's version byte.
+        version: u8,
+    },
     /// OS-level read failure.
     Io {
         /// The I/O error, stringified (keeps `FrameError: Clone + Eq`).
@@ -380,6 +393,10 @@ impl std::fmt::Display for FrameError {
                     "checksum mismatch on {context} (frame corrupted in flight)"
                 )
             }
+            FrameError::Version { version } => write!(
+                f,
+                "peer speaks protocol version {version}, this build {PROTOCOL_VERSION}"
+            ),
             FrameError::Io { message } => write!(f, "socket read failed: {message}"),
         }
     }
@@ -456,21 +473,26 @@ enum Parsed {
 /// The one frame parser: the client's buffered reads ([`FrameBuf`]),
 /// [`read_reply_frame`] and [`read_request_frame`] all ask it where the
 /// frame `bytes` begins with ends — a `layout` header, then the payload
-/// its length prefix announces. A prefix over [`MAX_FRAME_PAYLOAD`] is
-/// refused before anything is allocated for it, and a whole payload that
-/// does not match the header's checksum is [`FrameError::Corrupt`].
+/// its length prefix announces. A first byte other than
+/// [`PROTOCOL_VERSION`] is [`FrameError::Version`] before anything else
+/// is read. A prefix over [`MAX_FRAME_PAYLOAD`] is refused before
+/// anything is allocated for it, and a whole payload that does not match
+/// the header's checksum is [`FrameError::Corrupt`].
 fn parse_frame(bytes: &[u8], layout: &Layout) -> Result<Parsed, FrameError> {
+    if let Some(&version) = bytes.first().filter(|&&v| v != PROTOCOL_VERSION) {
+        return Err(FrameError::Version { version });
+    }
     let Some(header) = bytes.get(..layout.header_len) else {
         return Ok(Parsed::Need(layout.header_len));
     };
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::Oversized { len: len as u64 });
     }
     let total = layout.header_len + len as usize;
     match bytes.get(layout.header_len..total) {
         None => Ok(Parsed::Need(total)),
-        Some(payload) if fnv1a(payload) != read_u64(header, 20) => Err(FrameError::Corrupt {
+        Some(payload) if fnv1a(payload) != read_u64(header, 21) => Err(FrameError::Corrupt {
             context: layout.payload,
         }),
         Some(_) => Ok(Parsed::Whole(total)),
@@ -483,7 +505,11 @@ fn parse_frame(bytes: &[u8], layout: &Layout) -> Result<Parsed, FrameError> {
 fn read_frame(r: &mut impl Read, layout: &Layout) -> Result<Bytes, FrameError> {
     let mut header = [0u8; REQUEST_HEADER_LEN];
     let header = &mut header[..layout.header_len];
-    read_exact_frame(r, header, true, layout.header)?;
+    // The version byte alone first, so a peer of another version is
+    // refused without waiting on a header of this version's length.
+    read_exact_frame(r, &mut header[..1], true, layout.header)?;
+    parse_frame(&header[..1], layout)?;
+    read_exact_frame(r, &mut header[1..], false, layout.header)?;
     let (Parsed::Need(total) | Parsed::Whole(total)) = parse_frame(header, layout)?;
     let mut frame = Vec::with_capacity(total);
     frame.extend_from_slice(header);
@@ -519,6 +545,7 @@ pub fn write_request_frame(
     payload: &[u8],
 ) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(REQUEST_HEADER_LEN + payload.len());
+    buf.push(PROTOCOL_VERSION);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&corr.to_le_bytes());
     buf.extend_from_slice(&epoch.to_le_bytes());
@@ -534,9 +561,9 @@ pub fn write_request_frame(
 pub fn read_request_frame(r: &mut impl Read) -> Result<RequestFrame, FrameError> {
     let frame = read_frame(r, &REQUEST)?;
     Ok(RequestFrame {
-        corr: read_u64(&frame, 4),
-        epoch: read_u64(&frame, 12),
-        deadline_rel_us: read_u64(&frame, 28),
+        corr: read_u64(&frame, 5),
+        epoch: read_u64(&frame, 13),
+        deadline_rel_us: read_u64(&frame, 29),
         payload: frame.slice(REQUEST_HEADER_LEN..frame.len()),
     })
 }
@@ -549,6 +576,7 @@ pub fn write_reply_frame(
     payload: &[u8],
 ) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(REPLY_HEADER_LEN + payload.len());
+    buf.push(PROTOCOL_VERSION);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&corr.to_le_bytes());
     buf.extend_from_slice(&epoch.to_le_bytes());
@@ -563,8 +591,8 @@ pub fn write_reply_frame(
 pub fn read_reply_frame(r: &mut impl Read) -> Result<(u64, u64, Bytes), FrameError> {
     let frame = read_frame(r, &REPLY)?;
     Ok((
-        read_u64(&frame, 4),
-        read_u64(&frame, 12),
+        read_u64(&frame, 5),
+        read_u64(&frame, 13),
         frame.slice(REPLY_HEADER_LEN..frame.len()),
     ))
 }
@@ -795,6 +823,12 @@ fn serve_connection(conn: SocketStream, shared: Arc<ServerShared>) {
         }
         let frame = match read_request_frame(&mut reader) {
             Ok(frame) => frame,
+            Err(FrameError::Version { .. }) => {
+                // A peer of another version: a header-only reply of this
+                // one tells it why the connection drops.
+                let _ = write_reply_frame(&mut &conn, 0, 0, &[]);
+                return;
+            }
             Err(_) => return, // EOF, truncation, or protocol corruption: drop the connection
         };
         // The deadline was shipped as relative microseconds; re-anchor it
@@ -875,8 +909,8 @@ impl FrameBuf {
             return Ok(None);
         };
         let reply = (
-            read_u64(frame, 4),
-            read_u64(frame, 12),
+            read_u64(frame, 5),
+            read_u64(frame, 13),
             Bytes::from(&frame[REPLY_HEADER_LEN..total]),
         );
         self.start += total;
@@ -1088,6 +1122,28 @@ impl SocketTransport {
         self.inflight.sweep(lost_gen, error);
     }
 
+    /// Gives connection `gen` up on a reply of another protocol version
+    /// (any other `error` is a loss, left to [`Self::handle_loss`]): it
+    /// closes without a reconnect, which would meet the same peer, and its
+    /// calls fail with the codec error naming that version.
+    fn refuse_version(&self, gen: u64, error: &FrameError) {
+        let &FrameError::Version { version: tag } = error else {
+            return;
+        };
+        let mut conn = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(link) = conn.take_if(|link| link.gen == gen) {
+            link.stream.shutdown();
+        }
+        drop(conn);
+        let error = WireError::BadTag {
+            context: "frame version",
+            tag,
+        };
+        let silo = self.silo;
+        self.inflight
+            .sweep(gen, Some(TransportError::Codec { silo, error }));
+    }
+
     /// The connection call `token` rides, while it is the current one.
     fn link_of(&self, token: u64) -> Option<Arc<Link>> {
         let gen = self.inflight.generation(token)?;
@@ -1117,7 +1173,10 @@ impl SocketTransport {
     /// guarantee the partition soak pins. A reply to a call already given
     /// up is dropped, like the in-memory worker filling a discarded slot.
     fn dispatch(&self, link: &Link, frames: &mut FrameBuf) -> Result<(), FrameError> {
-        while let Some((corr, epoch, payload)) = frames.next_frame()? {
+        while let Some((corr, epoch, payload)) = frames
+            .next_frame()
+            .inspect_err(|error| self.refuse_version(link.gen, error))?
+        {
             if epoch != link.gen {
                 self.fenced.inc();
                 continue;
@@ -1135,7 +1194,8 @@ impl SocketTransport {
     /// lost, and the loss handled — `slot` is swept with the rest of the
     /// connection's calls. EOF, a truncated frame and a checksum mismatch
     /// all count as a loss: the stream can no longer be trusted to be in
-    /// frame sync.
+    /// frame sync. A reply of another protocol version gives the
+    /// connection up instead ([`Self::refuse_version`]).
     fn read_until(
         &self,
         link: &Link,
@@ -1503,12 +1563,12 @@ mod tests {
                 }
                 3 => {
                     let len = MAX_FRAME_PAYLOAD + 1 + (at % 1024) as u32;
-                    frame[..4].copy_from_slice(&len.to_le_bytes());
+                    frame[1..5].copy_from_slice(&len.to_le_bytes());
                 }
                 4 => {
                     let wrong = (at % 256) as u32;
                     prop_assume!(wrong as usize != payload.len());
-                    frame[..4].copy_from_slice(&wrong.to_le_bytes());
+                    frame[1..5].copy_from_slice(&wrong.to_le_bytes());
                 }
                 _ => {}
             }
@@ -1647,7 +1707,7 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
+        let mut buf = vec![PROTOCOL_VERSION];
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes()); // corr
         buf.extend_from_slice(&0u64.to_le_bytes()); // epoch
@@ -1659,7 +1719,7 @@ mod tests {
             })
         );
         // Same check on the request path (header is longer).
-        let mut buf = Vec::new();
+        let mut buf = vec![PROTOCOL_VERSION];
         buf.extend_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes()); // corr
         buf.extend_from_slice(&0u64.to_le_bytes()); // epoch

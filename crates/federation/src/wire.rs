@@ -94,10 +94,6 @@ pub trait Wire: Sized {
     fn decode(buf: &mut Bytes) -> WireResult<Self>;
 
     /// Exact number of bytes [`Wire::encode`] will append for `self`.
-    ///
-    /// Used by [`Wire::to_bytes`] to reserve the full buffer up front, so
-    /// the RPC hot path encodes every frame with a single allocation and
-    /// no growth copies.
     fn encoded_len(&self) -> usize;
 
     /// Appends `items` in the `Vec<Self>` layout. By default that is
@@ -117,10 +113,12 @@ pub trait Wire: Sized {
         decode_seq(buf, Self::decode)
     }
 
-    /// Convenience: encodes into a fresh buffer sized exactly by
-    /// [`Wire::encoded_len`].
+    /// Convenience: encodes into a fresh 64-byte buffer, which holds a lone
+    /// request or query reply whole, so one is encoded with one allocation
+    /// (a batch grows as it is written). A cell vector reserves its own
+    /// bytes from its one layout plan, so no vector is planned twice.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = BytesMut::with_capacity(64);
         self.encode(&mut buf);
         buf.freeze()
     }
@@ -665,8 +663,9 @@ impl Wire for Aggregate {
     }
 
     fn encode_vec(items: &[Self], buf: &mut BytesMut) {
-        let (layout, _) = plan_cells(items);
+        let (layout, len) = plan_cells(items);
         put_len(buf, items.len());
+        buf.reserve(1 + len);
         buf.put_u8(layout);
         if layout == LAYOUT_SPARSE {
             items.iter().for_each(|a| a.encode(buf));

@@ -11,21 +11,26 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, BytesMut};
 use fedra::core::theory::select_level;
-use fedra::federation::protocol::{LocalMode, Request, Response, SiloMemoryReport};
+use fedra::federation::protocol::{
+    LocalMode, Request, Response, SiloMemoryReport, PROTOCOL_VERSION,
+};
 use fedra::federation::transport::socket::{
     read_reply_frame, read_request_frame, write_reply_frame, write_request_frame, FrameError,
     MAX_FRAME_PAYLOAD, REPLY_HEADER_LEN, REQUEST_HEADER_LEN,
 };
 use fedra::federation::transport::DEFAULT_MESSAGE_OVERHEAD;
-use fedra::federation::wire::Wire;
+use fedra::federation::wire::{Wire, WireError};
 use fedra::federation::{
     ChaosProxy, SetupError, Silo, SiloAddr, SiloChannel, SiloSocketServer, SiloSpec,
     SocketServerConfig, SocketTransport, Transport,
 };
 use fedra::index::grid::{GridIndex, GridSpec};
+use fedra::index::histogram::MinSkewConfig;
+use fedra::index::rtree::RTreeConfig;
+use fedra::obs::catalog::TRANSPORT_RECONNECTS_TOTAL;
 use fedra::prelude::*;
+use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
 // Wire-bytes parity: every variant's socket payload IS its in-memory
@@ -292,7 +297,7 @@ fn truncation_mid_frame_is_not_a_clean_eof() {
 
 #[test]
 fn oversized_reply_prefix_is_a_typed_error() {
-    let mut bogus = Vec::new();
+    let mut bogus = vec![PROTOCOL_VERSION];
     bogus.extend_from_slice(&u32::MAX.to_le_bytes());
     bogus.extend_from_slice(&1u64.to_le_bytes()); // corr
     bogus.extend_from_slice(&0u64.to_le_bytes()); // epoch
@@ -315,7 +320,7 @@ fn server_drops_oversized_request_frames_and_survives() {
 
     // Hostile peer: announces a payload over the cap.
     let mut hostile = TcpStream::connect(&addr).expect("connect");
-    let mut bogus = Vec::new();
+    let mut bogus = vec![PROTOCOL_VERSION];
     bogus.extend_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
     bogus.extend_from_slice(&0u64.to_le_bytes()); // corr
     bogus.extend_from_slice(&0u64.to_le_bytes()); // epoch
@@ -861,17 +866,47 @@ fn a_stopping_reader_hands_the_reads_to_a_parked_waiter() {
 // A hostile Grid reply fails setup with a typed error
 // ---------------------------------------------------------------------
 
-/// A fake remote silo answers the setup frame with a hand-written batch:
-/// a memory report, then a `Grid` reply whose cells its spec cannot
-/// carry. `try_build` must come back with the silo's codec error, never
+/// A fake remote silo answers the setup frame with the reply an honest
+/// silo would send — a memory report, then a `Grid` — with only the grid's
+/// `L` and cell count patched so its spec cannot carry its cells.
+/// `try_build` must come back with the grid decoder's own error, never
 /// panic.
 #[test]
 fn a_hostile_grid_reply_fails_setup_with_a_codec_error() {
     let bounds = sample_rect();
     let num_cells = GridSpec::new(bounds, 1.0).num_cells();
-    // (L, cells): a negative L, a cell vector one short of its spec, and
-    // an L so small that no cell vector fits it.
-    for (cell_len, cells) in [(-1.0f64, num_cells), (1.0, num_cells - 1), (1e-9, 0)] {
+    assert!(num_cells < 128, "the cell count is a one-byte varint");
+    let memory = Response::Memory(SiloMemoryReport {
+        rtree: 1,
+        lsr_extra: 2,
+        grid: 3,
+        histogram: 4,
+    });
+    let grid = GridIndex::from_parts(
+        GridSpec::new(bounds, 1.0),
+        vec![Aggregate::ZERO; num_cells],
+        0,
+    );
+    let honest = Response::Batch(vec![memory.clone(), Response::Grid(Box::new(grid))]).to_bytes();
+    // The batch tag and count, the memory reply, the grid tag and bounds.
+    let at_len = 1 + 1 + memory.encoded_len() + 1 + 32;
+    let bad_spec = WireError::BadValue {
+        context: "grid spec",
+    };
+    let short = |len| WireError::BadLength {
+        context: "grid cells",
+        len,
+    };
+    // (L, cells, error): a negative L, a cell vector one short of its
+    // spec, and an L so small that no cell vector fits it.
+    for (cell_len, cells, error) in [
+        (-1.0f64, num_cells, bad_spec),
+        (1.0, num_cells - 1, short(num_cells - 1)),
+        (1e-9, 0, short(0)),
+    ] {
+        let mut reply = honest.to_vec();
+        reply[at_len..at_len + 8].copy_from_slice(&cell_len.to_le_bytes());
+        reply[at_len + 8] = cells as u8;
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let fake_silo = std::thread::spawn(move || {
@@ -879,18 +914,6 @@ fn a_hostile_grid_reply_fails_setup_with_a_codec_error() {
             conn.set_read_timeout(Some(Duration::from_secs(10)))
                 .expect("timeout");
             let setup = read_request_frame(&mut conn).expect("setup frame");
-            let mut reply = BytesMut::new();
-            reply.put_u8(7); // Response::Batch
-            2u32.encode(&mut reply);
-            reply.put_u8(3); // Response::Memory
-            for bytes in [1u64, 2, 3, 4] {
-                bytes.encode(&mut reply);
-            }
-            reply.put_u8(0); // Response::Grid
-            bounds.encode(&mut reply);
-            cell_len.encode(&mut reply);
-            vec![Aggregate::ZERO; cells].encode(&mut reply);
-            0u64.encode(&mut reply);
             write_reply_frame(&mut conn, setup.corr, setup.epoch, &reply).expect("reply");
             // Hold the connection until the provider drops it.
             let _ = read_request_frame(&mut conn);
@@ -899,13 +922,372 @@ fn a_hostile_grid_reply_fails_setup_with_a_codec_error() {
             .grid_cell_len(1.0)
             .connect_remote(format!("tcp:{addr}"))
             .try_build(Vec::new());
-        assert!(
-            matches!(
-                result,
-                Err(SetupError::Transport(TransportError::Codec { silo: 0, .. }))
-            ),
-            "L = {cell_len}, {cells} cells: {result:?}"
+        assert_eq!(
+            result.err(),
+            Some(SetupError::Transport(TransportError::Codec {
+                silo: 0,
+                error
+            })),
+            "L = {cell_len}, {cells} cells"
         );
         fake_silo.join().expect("fake silo");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Protocol versions: a peer of another build meets one typed error
+// ---------------------------------------------------------------------
+
+/// The version byte of a peer of another build.
+const OTHER_VERSION: u8 = PROTOCOL_VERSION.wrapping_add(1);
+
+/// What a call to silo 0 fails with when the peer is of version `tag`.
+fn version_refused(tag: u8) -> TransportError {
+    TransportError::Codec {
+        silo: 0,
+        error: WireError::BadTag {
+            context: "frame version",
+            tag,
+        },
+    }
+}
+
+/// FNV-1a, the digest of every frame checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// A fake remote silo answers the setup frame with a well-formed reply of
+/// another version. `try_build` fails with the codec error at once, and
+/// the client gives the connection up instead of reconnecting: the fake
+/// silo sees one connection, so `fedra_transport_reconnects_total`, which
+/// counts reconnects that connected, stays 0.
+#[test]
+fn a_reply_of_another_version_fails_setup_with_one_codec_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let fake_silo = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let setup = read_request_frame(&mut conn).expect("setup frame");
+        let mut reply = Vec::new();
+        let pong = Response::Pong.to_bytes();
+        write_reply_frame(&mut reply, setup.corr, setup.epoch, &pong).expect("encode");
+        reply[0] = OTHER_VERSION;
+        conn.write_all(&reply).expect("reply");
+        // The provider closes the connection...
+        assert!(read_request_frame(&mut conn).is_err());
+        listener
+    });
+    let result = FederationBuilder::new(sample_rect())
+        .grid_cell_len(1.0)
+        .connect_remote(format!("tcp:{addr}"))
+        .try_build(Vec::new());
+    assert_eq!(
+        result.err(),
+        Some(SetupError::Transport(version_refused(OTHER_VERSION)))
+    );
+    // ...and never connects again.
+    let listener = fake_silo.join().expect("fake silo");
+    listener.set_nonblocking(true).expect("nonblocking");
+    assert!(
+        matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the client reconnected"
+    );
+}
+
+/// Copies `from` to `to` until `from` closes, with the first byte set to
+/// [`OTHER_VERSION`], then closes `to` for writing; returns the bytes
+/// read.
+fn shift_version(mut from: TcpStream, mut to: TcpStream) -> Vec<u8> {
+    let (mut seen, mut chunk) = (Vec::new(), [0u8; 4096]);
+    while let Ok(n @ 1..) = from.read(&mut chunk) {
+        let first = seen.is_empty();
+        seen.extend_from_slice(&chunk[..n]);
+        if first {
+            chunk[0] = OTHER_VERSION;
+        }
+        if to.write_all(&chunk[..n]).is_err() {
+            break;
+        }
+    }
+    let _ = to.shutdown(std::net::Shutdown::Write);
+    seen
+}
+
+/// Relays one connection to `upstream`, with the version byte opening
+/// each direction shifted to [`OTHER_VERSION`], so each end sees the other
+/// as a peer of another build. Returns the relay's address, and a handle
+/// yielding the bytes `upstream` sent.
+fn version_shifting_relay(upstream: String) -> (String, std::thread::JoinHandle<Vec<u8>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let relay = std::thread::spawn(move || {
+        let (client, _) = listener.accept().expect("accept");
+        let server = TcpStream::connect(&upstream).expect("connect upstream");
+        let (up_from, up_to) = (
+            client.try_clone().expect("clone"),
+            server.try_clone().expect("clone"),
+        );
+        let up = std::thread::spawn(move || shift_version(up_from, up_to));
+        let down = shift_version(server, client);
+        up.join().expect("upstream pump");
+        down
+    });
+    (addr, relay)
+}
+
+/// A real server that gets a request of another version answers with a
+/// header-only reply of its own version and closes; the client, to which
+/// that reply is of another version, fails the call with the codec error
+/// and does not reconnect. The server goes on serving an honest peer.
+#[test]
+fn a_served_silo_answers_another_version_with_its_own_and_closes() {
+    let server = spawn_test_server();
+    let (relay_addr, relay) = version_shifting_relay(tcp_addr(server.addr()));
+    let transport =
+        Arc::new(SocketTransport::connect(0, SiloAddr::Tcp(relay_addr)).expect("connect"));
+    let channel = SiloChannel::over(
+        Arc::clone(&transport) as Arc<dyn Transport>,
+        Arc::new(CommCounters::default()),
+    );
+    assert_eq!(
+        channel.call(&Request::Ping),
+        Err(version_refused(OTHER_VERSION))
+    );
+    let metrics = transport.diagnostics().metrics();
+    assert_eq!(metrics.series(&TRANSPORT_RECONNECTS_TOTAL, &[]).get(), 0);
+    // What the server sent: one header-only reply of its own version.
+    let answer = relay.join().expect("relay");
+    assert_eq!(answer.len(), REPLY_HEADER_LEN);
+    assert_eq!(answer[0], PROTOCOL_VERSION);
+    let (corr, epoch, payload) = read_reply_frame(&mut answer.as_slice()).expect("reply frame");
+    assert_eq!((corr, epoch, payload.len()), (0, 0, 0));
+    // An honest peer on a fresh connection is served.
+    let honest = SocketTransport::connect(0, server.addr().clone()).expect("connect");
+    let channel = SiloChannel::over(Arc::new(honest), Arc::new(CommCounters::default()));
+    assert_eq!(channel.call(&Request::Ping), Ok(Response::Pong));
+}
+
+/// `payload` framed in the layout before the version byte: the length
+/// first, then `corr`, `epoch`, the checksum and, for a request, the
+/// deadline — a 36-byte request or 28-byte reply header.
+fn unversioned(payload: &[u8], request: bool) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&0x100u64.to_le_bytes()); // corr
+    frame.extend_from_slice(&3u64.to_le_bytes()); // epoch
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    if request {
+        frame.extend_from_slice(&u64::MAX.to_le_bytes()); // no deadline
+    }
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// What reading an unversioned frame comes to: its first byte is its
+/// length's low byte, so it is refused as a version mismatch, or, when
+/// that byte equals the version, as corrupt — the checksum this layout
+/// reads sits at a shifted offset.
+fn unversioned_refusal(frame: &[u8], context: &'static str) -> FrameError {
+    match frame[0] {
+        PROTOCOL_VERSION => FrameError::Corrupt { context },
+        version => FrameError::Version { version },
+    }
+}
+
+/// A request frame in the layout before the version byte (36 header
+/// bytes, the length first) is refused, never misread as a request.
+#[test]
+fn an_unversioned_request_frame_is_refused_not_misread() {
+    let mut corrupt = 0;
+    for request in all_requests() {
+        let frame = unversioned(&request.to_bytes(), true);
+        let refusal = unversioned_refusal(&frame, "request payload");
+        corrupt += usize::from(matches!(refusal, FrameError::Corrupt { .. }));
+        assert_eq!(
+            read_request_frame(&mut frame.as_slice()).err(),
+            Some(refusal),
+            "{request:?}"
+        );
+    }
+    assert!(corrupt > 0, "no request's first byte equals the version");
+}
+
+/// A reply frame in the layout before the version byte (28 header
+/// bytes, the length first) is refused, never misread as a reply.
+#[test]
+fn an_unversioned_reply_frame_is_refused_not_misread() {
+    let mut corrupt = 0;
+    for response in all_responses() {
+        let frame = unversioned(&response.to_bytes(), false);
+        let refusal = unversioned_refusal(&frame, "reply payload");
+        corrupt += usize::from(matches!(refusal, FrameError::Corrupt { .. }));
+        assert_eq!(
+            read_reply_frame(&mut frame.as_slice()).err(),
+            Some(refusal),
+            "{response:?}"
+        );
+    }
+    assert!(corrupt > 0, "no reply's first byte equals the version");
+}
+
+/// Every wire layout in fixed values that depend on no default: one value
+/// of every `Request`, `Response` and `LocalMode` variant — a masked
+/// request, both batches, a sparse and a columnar cell vector, a grid —
+/// and a header of each frame kind.
+fn layout_corpus() -> Vec<Vec<u8>> {
+    let circle = Range::circle(Point::new(0.5, -0.5), 1.5);
+    let rect = Range::rect(Point::new(-4.0, -2.0), Point::new(4.0, 2.0));
+    let requests = vec![
+        Request::Setup(SiloSpec {
+            bounds: sample_rect(),
+            cell_len: 0.5,
+            rtree: RTreeConfig { max_entries: 16 },
+            histogram: MinSkewConfig {
+                resolution: 64,
+                budget: 32,
+            },
+            lsr_seed: 7,
+        }),
+        Request::BuildGrid { return_cells: true },
+        Request::Aggregate {
+            range: circle,
+            mode: LocalMode::Exact,
+        },
+        Request::CellContributions {
+            range: rect,
+            mode: LocalMode::Lsr { level: 5 },
+        },
+        Request::HistogramEstimate { range: circle },
+        Request::Ping,
+        Request::Batch(vec![
+            Request::Ping,
+            Request::BuildGrid {
+                return_cells: false,
+            },
+        ]),
+        Request::Masked {
+            moments: AggFunc::Count.moments(),
+            request: Box::new(Request::CellContributions {
+                range: circle,
+                mode: LocalMode::Exact,
+            }),
+        },
+    ];
+    assert_covers(&requests, request_variant);
+    let whole = Aggregate {
+        count: 3.0,
+        sum: 7.0,
+        sum_sqr: 21.0,
+    };
+    let (sparse, columns) = (
+        Response::AggVec(vec![sample_aggregate(), Aggregate::ZERO]),
+        Response::AggVec(vec![whole, Aggregate::ZERO, whole]),
+    );
+    // The byte after the reply tag and the one-byte count is the layout.
+    assert_eq!(sparse.to_bytes()[2], 0, "sparse cells");
+    assert_eq!(columns.to_bytes()[2], 0x87, "three columns");
+    let responses = vec![
+        Response::Grid({
+            let spec = GridSpec::new(sample_rect(), 2.0);
+            let mut cells = vec![Aggregate::ZERO; spec.num_cells()];
+            cells[1] = whole;
+            Box::new(GridIndex::from_parts(spec, cells, 2))
+        }),
+        Response::GridAck {
+            total: whole,
+            outside: 1,
+        },
+        Response::Agg(sample_aggregate()),
+        sparse,
+        columns,
+        Response::Memory(SiloMemoryReport {
+            rtree: 1,
+            lsr_extra: 2,
+            grid: 3,
+            histogram: 4,
+        }),
+        Response::Pong,
+        Response::Error("broken".into()),
+        Response::Batch(vec![Response::Pong, Response::Error("sub".into())]),
+        Response::Transient("flap window".into()),
+        Response::DeadlineExceeded { late_by_us: 12345 },
+    ];
+    assert_covers(&responses, response_variant);
+    let modes = [LocalMode::Exact, LocalMode::Lsr { level: 5 }];
+    assert_covers(&modes, |mode| {
+        variant_index!(mode, LocalMode::Exact, LocalMode::Lsr { .. })
+    });
+    let (mut request_header, mut reply_header) = (Vec::new(), Vec::new());
+    write_request_frame(&mut request_header, 9, 5, 777, &[]).expect("header");
+    write_reply_frame(&mut reply_header, 4, 6, &[]).expect("header");
+    let requests = requests.iter().map(Wire::to_bytes);
+    let responses = responses.iter().map(Wire::to_bytes);
+    let modes = modes.iter().map(Wire::to_bytes);
+    requests
+        .chain(responses)
+        .chain(modes)
+        .map(|bytes| bytes.to_vec())
+        .chain([request_header, reply_header])
+        .collect()
+}
+
+/// A layout change must bump [`PROTOCOL_VERSION`]: this pins a digest of
+/// every layout to the version, so the change fails here until it does.
+#[test]
+fn every_wire_layout_is_pinned_to_the_protocol_version() {
+    let mut corpus = Vec::new();
+    for bytes in layout_corpus() {
+        corpus.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        corpus.extend_from_slice(&bytes);
+    }
+    assert_eq!(
+        (PROTOCOL_VERSION, fnv1a(&corpus)),
+        (1, 0x672a_919d_66a8_9542),
+        "a wire layout changed: bump `PROTOCOL_VERSION` and re-pin"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile header bytes — any version byte, a length prefix below or
+    /// above the cap, an arbitrary rest — through both exact frame
+    /// readers: a frame or a typed `FrameError`, never a panic. Another
+    /// version is refused on its first byte, and a prefix over
+    /// `MAX_FRAME_PAYLOAD` as `Oversized`, which the readers return before
+    /// they allocate anything for the payload. (Prefixes just under the
+    /// cap are left out: a reader rightly allocates what they announce.)
+    #[test]
+    fn hostile_frame_headers_come_back_whole_or_typed(
+        version in prop_oneof![Just(PROTOCOL_VERSION), any::<u8>()],
+        len in prop_oneof![0u32..64, (MAX_FRAME_PAYLOAD + 1)..u32::MAX],
+        rest in proptest::collection::vec(any::<u8>(), 0..100),
+    ) {
+        let mut bytes = vec![version];
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&rest);
+        let outcomes = [
+            (REQUEST_HEADER_LEN, "request header", read_request_frame(&mut bytes.as_slice()).map(|_| ())),
+            (REPLY_HEADER_LEN, "reply header", read_reply_frame(&mut bytes.as_slice()).map(|_| ())),
+        ];
+        for (header_len, header, outcome) in outcomes {
+            if version != PROTOCOL_VERSION {
+                prop_assert_eq!(outcome, Err(FrameError::Version { version }));
+            } else if bytes.len() < header_len {
+                prop_assert_eq!(outcome, Err(FrameError::Truncated { context: header }));
+            } else if len > MAX_FRAME_PAYLOAD {
+                prop_assert_eq!(outcome, Err(FrameError::Oversized { len: u64::from(len) }));
+            } else {
+                prop_assert!(
+                    matches!(outcome, Ok(()) | Err(FrameError::Corrupt { .. } | FrameError::Truncated { .. })),
+                    "{outcome:?}"
+                );
+            }
+        }
     }
 }

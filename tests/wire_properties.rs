@@ -365,7 +365,7 @@ proptest! {
         let frame = Request::Batch(vec![Request::Ping, req]).to_bytes();
         prop_assert_eq!(
             Request::from_bytes(frame),
-            Err(WireError::BadTag { context: "batch item", tag: 11 })
+            Err(WireError::BadTag { context: "batch item", tag: 6 })
         );
     }
 
